@@ -1,10 +1,14 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint analyze verify verify-smoke smoke monitor-smoke \
-	chaos-smoke fleet-smoke observatory-smoke queue-smoke bench \
+# Subsystem smokes: `make <name>-smoke` runs scripts/<name>_smoke.py.
+SMOKES := monitor chaos fleet observatory queue
+SMOKE_TARGETS := $(SMOKES:%=%-smoke)
+
+.PHONY: test lint analyze verify verify-smoke smoke $(SMOKE_TARGETS) bench \
 	bench-perf bench-perf-smoke bench-fleet bench-fleet-smoke bench-obs \
-	bench-obs-smoke bench-queue bench-queue-smoke validate-bench check
+	bench-obs-smoke bench-queue bench-queue-smoke validate-bench \
+	twall-names check
 
 test:
 	$(PYTHON) -m pytest -x -q tests/
@@ -28,20 +32,8 @@ verify-smoke:
 smoke:
 	$(PYTHON) scripts/smoke.py
 
-monitor-smoke:
-	$(PYTHON) scripts/monitor_smoke.py
-
-chaos-smoke:
-	$(PYTHON) scripts/chaos_smoke.py
-
-fleet-smoke:
-	$(PYTHON) scripts/fleet_smoke.py
-
-observatory-smoke:
-	$(PYTHON) scripts/observatory_smoke.py
-
-queue-smoke:
-	$(PYTHON) scripts/queue_smoke.py
+$(SMOKE_TARGETS): %-smoke:
+	$(PYTHON) scripts/$*_smoke.py
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
@@ -85,6 +77,11 @@ bench-queue-smoke:
 validate-bench:
 	$(PYTHON) scripts/validate_bench.py
 
-check: lint analyze verify test smoke monitor-smoke chaos-smoke \
-	fleet-smoke observatory-smoke queue-smoke bench-perf-smoke \
-	bench-fleet-smoke bench-obs-smoke bench-queue-smoke validate-bench
+# BENCHMARK.json and the T-WALL runner must name the same workloads
+# and metrics.
+twall-names:
+	$(PYTHON) benchmarks/twall/run.py --check-names
+
+check: lint analyze verify test smoke $(SMOKE_TARGETS) bench-perf-smoke \
+	bench-fleet-smoke bench-obs-smoke bench-queue-smoke validate-bench \
+	twall-names

@@ -472,9 +472,8 @@ def check_fleet_invariants(outcomes, *, baselines=None,
     """The invariant sweep, per tenant, over a fleet run's outcomes.
 
     ``outcomes`` is an iterable of
-    :class:`~repro.fleet.scheduler.TenantOutcome` (or
-    :class:`~repro.queue.scheduler.QueueOutcome` — same duck type);
-    ``baselines`` maps ``run_id`` to a solo displacement history
+    :class:`~repro.fleet.scheduler.TenantOutcome` (from either
+    scheduler); ``baselines`` maps ``run_id`` to a solo displacement history
     (:func:`~repro.fleet.scheduler.solo_displacement_history`).  Checked
     per outcome:
 
@@ -522,7 +521,7 @@ def check_fleet_invariants(outcomes, *, baselines=None,
         total_duplicates += outcome.duplicate_executes()
         no_double = True
         if (result.completed and result.degraded_steps == 0
-                and getattr(outcome, "resumed_from_step", 0) == 0):
+                and outcome.resumed_from_step == 0):
             expected = len(result.steps) + 1
             for site, delta in outcome.usage.items():
                 if delta["executed"] != expected:

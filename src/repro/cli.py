@@ -33,6 +33,8 @@ import sys
 
 import numpy as np
 
+from repro.util.errors import ReproError
+
 
 def _cmd_most(args: argparse.Namespace) -> int:
     from repro.most import ExperimentSession, MOSTConfig
@@ -814,6 +816,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except BrokenPipeError:  # e.g. a postmortem piped into head
         return 0
+    except ReproError as exc:  # a typed failure is a message, not a traceback
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -10,11 +10,12 @@ campaigns, Mini-MOST classrooms — over a fixed pool of shared sites:
   fair-share queueing and admission control;
 * :mod:`repro.fleet.tenants` threads a per-tenant GSI identity through
   every NTCP and repository call, with tenant-labeled telemetry;
-* :mod:`repro.fleet.scheduler` drives N experiments as deterministic
-  kernel processes with per-tenant checkpoint/resume and per-lease
-  breaker/failover state;
-* :mod:`repro.fleet.observe` publishes the fleet roll-up as service
-  data for monitors.
+* :mod:`repro.fleet.scheduler` holds the one campaign drive loop
+  (:func:`drive_request`: provision, coordinate, checkpoint-resume on a
+  granted lease — the durable scheduler in :mod:`repro.queue` runs its
+  deliveries through the same function) and :class:`FleetScheduler`,
+  which drives N requests as deterministic kernel processes and
+  publishes the fleet roll-up as the ``fleet.rollup`` SDE for monitors.
 
 Quickstart::
 
@@ -35,14 +36,15 @@ Quickstart::
 """
 
 from repro.fleet.grid import DEFAULT_POOL_SIZE, FleetGrid, build_fleet_grid
-from repro.fleet.observe import ROLLUP_SDE, FleetStatusService
 from repro.fleet.pool import AdmissionError, SiteLease, SitePool
 from repro.fleet.scheduler import (
+    ROLLUP_SDE,
     ExperimentRequest,
     FleetResult,
     FleetScheduler,
     TenantOutcome,
     default_fleet_fault_policy,
+    drive_request,
     solo_displacement_history,
 )
 from repro.fleet.tenants import (
@@ -59,7 +61,6 @@ __all__ = [
     "FleetGrid",
     "FleetResult",
     "FleetScheduler",
-    "FleetStatusService",
     "OUTSIDER_DN",
     "ROLLUP_SDE",
     "SiteLease",
@@ -69,6 +70,7 @@ __all__ = [
     "TenantRegistry",
     "build_fleet_grid",
     "default_fleet_fault_policy",
+    "drive_request",
     "solo_displacement_history",
     "tenant_subject",
 ]

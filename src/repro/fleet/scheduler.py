@@ -1,17 +1,23 @@
 """The fleet campaign scheduler: N concurrent experiments, one shared grid.
 
+:func:`drive_request` is the one place a campaign run is built and its
+NTCP transactions issued: on a granted lease it provisions fresh
+substructures, builds model, motion and bindings, and runs
+:class:`~repro.coordinator.SimulationCoordinator` incarnations with §7
+checkpoint resume.  The NTCP client, checkpoint store and per-step
+callback are the caller's — all that tells a plain fleet run from a
+fenced durable-queue delivery (:mod:`repro.queue.scheduler`).
+
 :class:`FleetScheduler` is the multi-tenant replacement for the
 one-deployment-one-coordinator shape: tenants submit
 :class:`ExperimentRequest`\\ s (directly, or exported from an
 :class:`~repro.most.session.ExperimentSession` via
 :meth:`~repro.most.session.ExperimentSession.fleet_spec`), and the
 scheduler drives every request as its own kernel process — acquire a
-lease from the :class:`~repro.fleet.pool.SitePool`, provision fresh
-substructures behind the leased NTCP servers, run a
-:class:`~repro.coordinator.SimulationCoordinator` under the tenant's GSI
-identity, optionally resume from the tenant's own checkpoint store on
-abort, register the run in NMDS under a tenant-namespaced name, release
-the lease.  Everything advances on one deterministic simulation clock.
+lease from the :class:`~repro.fleet.pool.SitePool`, :func:`drive_request`
+under the tenant's GSI identity with the tenant's own checkpoint store,
+register the run in NMDS under a tenant-namespaced name, release the
+lease.  Everything advances on one deterministic simulation clock.
 
 Per-lease isolation: breakers, failover surrogates (own container port
 per lease), checkpoint store, and NTCP counter attribution all live with
@@ -21,7 +27,7 @@ the lease, never with the shared site.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Generator
+from typing import TYPE_CHECKING, Any, Callable, Generator
 
 from repro.coordinator import (
     DegradationPolicy,
@@ -36,12 +42,12 @@ from repro.coordinator import (
     records_from_payloads,
     resume_state_from_checkpoint,
 )
-from repro.fleet.observe import FleetStatusService
 from repro.fleet.pool import AdmissionError, SiteLease, SitePool
 from repro.most.assembly import provision_simulation_site
 from repro.net import BreakerConfig, CircuitBreaker
-from repro.ogsi import ServiceContainer
+from repro.ogsi import SdeStatusService, ServiceContainer
 from repro.repository import CheckpointPolicy, InMemoryCheckpointStore
+from repro.repository.checkpoint import CheckpointStoreBase
 from repro.structural import (
     LinearSubstructure,
     StructuralModel,
@@ -53,6 +59,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.fleet.grid import FleetGrid
     from repro.fleet.tenants import Tenant, TenantRegistry
     from repro.most.session import ExperimentSession
+
+
+#: name of the roll-up service data element
+ROLLUP_SDE = "fleet.rollup"
 
 
 def default_fleet_fault_policy() -> FaultTolerantFaultPolicy:
@@ -113,20 +123,25 @@ class ExperimentRequest:
 
 @dataclass
 class TenantOutcome:
-    """What one request produced: result, lease accounting, attribution."""
+    """What one driven request produced: result, lease, attribution.
+
+    One record per delivery, from either scheduler; ``attempt`` and
+    ``resumed_from_step`` only ever leave their defaults on a
+    durable-queue delivery (whose fencing epoch is ``lease.epoch``).
+    """
 
     request: ExperimentRequest
     result: ExperimentResult
-    lease_id: str
-    site_names: tuple[str, ...]
-    lease_wait: float
+    #: the released lease the run held: sites, queueing wait, grant time
+    lease: SiteLease
     submitted_at: float
-    granted_at: float
     finished_at: float
-    resumes: int
-    #: per-site NTCP counter deltas for the lease (at-most-once evidence)
-    usage: dict[str, dict[str, int]]
+    resumes: int = 0
     nmds_object_id: str | None = None
+    #: claim count for the submission, this delivery included
+    attempt: int = 1
+    #: committed steps carried in from the resumed checkpoint (0 = cold)
+    resumed_from_step: int = 0
 
     @property
     def tenant(self) -> str:
@@ -144,18 +159,14 @@ class TenantOutcome:
         return self.result.completed
 
     @property
-    def makespan(self) -> float:
-        """Submit-to-finish simulated seconds, queueing included."""
-        return self.finished_at - self.submitted_at
+    def usage(self) -> dict[str, dict[str, int]]:
+        """Per-site NTCP counter deltas for the lease (at-most-once
+        evidence), frozen when the lease was released."""
+        return self.lease.metrics_delta()
 
     def duplicate_executes(self) -> int:
         """Duplicate execute requests absorbed across the lease's sites."""
-        return sum(delta["duplicate_executes"]
-                   for delta in self.usage.values())
-
-    def executed_total(self) -> int:
-        """Physical/numerical executes performed across the lease's sites."""
-        return sum(delta["executed"] for delta in self.usage.values())
+        return self.lease.duplicate_executes()
 
 
 @dataclass
@@ -182,9 +193,9 @@ class FleetResult:
             entry["degraded_runs"] += \
                 1 if outcome.result.degraded_steps else 0
             entry["duplicate_executes"] += outcome.duplicate_executes()
-            entry["lease_wait_total"] += outcome.lease_wait
+            entry["lease_wait_total"] += outcome.lease.wait
             entry["lease_wait_max"] = max(entry["lease_wait_max"],
-                                          outcome.lease_wait)
+                                          outcome.lease.wait)
             entry["completion_time"] = max(
                 entry["completion_time"],
                 outcome.finished_at - self.started_at)
@@ -207,7 +218,7 @@ class FleetResult:
 
     def summary(self) -> dict[str, Any]:
         """The fleet-run headline numbers in one dict."""
-        waits = [outcome.lease_wait for outcome in self.outcomes]
+        waits = [outcome.lease.wait for outcome in self.outcomes]
         return {
             "experiments": len(self.outcomes),
             "completed": sum(1 for o in self.outcomes if o.completed),
@@ -220,6 +231,117 @@ class FleetResult:
             "lease_wait_max": max(waits, default=0.0),
             "lease_wait_mean": (sum(waits) / len(waits)) if waits else 0.0,
         }
+
+
+def _make_failover(grid: "FleetGrid", request: ExperimentRequest,
+                   lease: SiteLease, k_each: float) -> FailoverManager:
+    """Per-lease surrogate failover on a lease-unique container port."""
+    container = ServiceContainer(grid.network, "coord",
+                                 port=f"ogsi-fo-{lease.lease_id}")
+    specs = [
+        SurrogateSpec(
+            site=site.name,
+            substructure_factory=(
+                lambda site=site: LinearSubstructure(
+                    f"{site.name}-surrogate-{request.run_id}",
+                    [[k_each]], [0])),
+            compute_time=grid.config.ncsa_compute,
+            policy=None)
+        for site in lease.sites]
+    return FailoverManager(container=container, specs=specs,
+                           policy=DegradationPolicy())
+
+
+def drive_request(grid: "FleetGrid", lease: SiteLease,
+                  request: ExperimentRequest, *, client: Any,
+                  store: CheckpointStoreBase | None,
+                  on_step: Callable[[Any], None] | None = None,
+                  resume_first: bool = False
+                  ) -> Generator[Any, Any, tuple[ExperimentResult, int, int]]:
+    """Kernel process: run ``request`` to its end on a granted ``lease``.
+
+    Provisions a fresh substructure behind every leased NTCP server and
+    runs coordinator incarnations through ``client``: the first (resumed
+    from ``store``'s newest checkpoint when ``resume_first`` — a
+    redelivery picking up a predecessor's run), then up to
+    ``request.max_resumes`` more on abort.  Resumes stay on the SAME
+    lease: the sites still hold this run's substructure state, and
+    at-most-once transaction names make the overlap with the aborted
+    incarnation harmless.  ``store`` is ``None`` for a run that keeps no
+    checkpoints; acquiring and releasing the lease stay with the caller.
+
+    Returns ``(result, resumes, resumed_from_step)``: the last
+    incarnation's result, how many abort-resumes ran, and the committed
+    steps the first incarnation carried in from ``store`` (0 = cold).
+    """
+    kernel = grid.kernel
+    config = grid.config
+    run_id = request.run_id
+    k_each = config.k_total / len(lease.sites)
+    for site in lease.sites:
+        provision_simulation_site(
+            site, kernel,
+            LinearSubstructure(f"{site.name}-{run_id}", [[k_each]], [0]),
+            compute_time=config.ncsa_compute)
+    motion = kanai_tajimi_record(
+        duration=request.n_steps * config.dt, dt=config.dt,
+        pga=config.pga * request.motion_scale, seed=config.motion_seed)
+    model = StructuralModel(
+        mass=[[config.mass]], stiffness=[[config.k_total]]
+    ).with_rayleigh_damping(config.damping_ratio)
+    bindings = [SiteBinding(site.name, site.handle, dof_indices=[0])
+                for site in lease.sites]
+    fault_policy = request.fault_policy or default_fleet_fault_policy()
+    breakers = None
+    failover = None
+    if request.degradation:
+        breakers = {site.name: CircuitBreaker(
+            kernel, f"{run_id}:{site.name}", request.breaker_config)
+            for site in lease.sites}
+        failover = _make_failover(grid, request, lease, k_each)
+    predictor = None
+    if request.pipeline_depth > 0:
+        predictor = SubstructurePredictor({
+            site.name: LinearSubstructure(
+                f"{site.name}-predict-{run_id}", [[k_each]], [0])
+            for site in lease.sites})
+    checkpoint_policy = None
+    if store is not None:
+        checkpoint_policy = CheckpointPolicy(
+            every_n_steps=request.checkpoint_every, on_abort=True)
+
+    def load_resume() -> Generator[Any, Any, tuple[Any, Any]]:
+        doc, payloads = yield from store.load_history(run_id)
+        if doc is None:
+            return None, ()
+        return (resume_state_from_checkpoint(doc),
+                records_from_payloads(payloads))
+
+    state, prior_records = None, ()
+    if resume_first and store is not None:
+        state, prior_records = yield from load_resume()
+    resumed_from_step = len(prior_records)
+    resumes = 0
+    while True:
+        coordinator = SimulationCoordinator(
+            run_id=run_id, client=client, model=model, motion=motion,
+            sites=bindings, fault_policy=fault_policy,
+            execution_timeout=config.execution_timeout, on_step=on_step,
+            checkpoint_store=store, checkpoint_policy=checkpoint_policy,
+            state=state, prior_records=prior_records, breakers=breakers,
+            failover=failover, pipeline_depth=request.pipeline_depth,
+            predictor=predictor)
+        result: ExperimentResult = yield kernel.process(
+            coordinator.run(), name=f"fleet.{run_id}.run{resumes}")
+        if (result.completed or store is None
+                or resumes >= request.max_resumes):
+            break
+        yield kernel.timeout(request.resume_delay)
+        state, prior_records = yield from load_resume()
+        if state is None:
+            break
+        resumes += 1
+    return result, resumes, resumed_from_step
 
 
 class FleetScheduler:
@@ -251,9 +373,10 @@ class FleetScheduler:
         self._monitoring = False
         self._tenant_alerts: dict[str, int] = {}
         self.slo = None
-        self.status: FleetStatusService | None = None
+        self.status: SdeStatusService | None = None
         if monitor:
-            self.status = FleetStatusService()
+            self.status = SdeStatusService("fleet-status", ROLLUP_SDE,
+                                           "getRollup")
             grid.coord_container.deploy(self.status)
         telemetry = self.kernel.telemetry
         self._g_completed = telemetry.gauge("fleet.sched.completed_runs")
@@ -380,50 +503,15 @@ class FleetScheduler:
     def _drive(self, request: ExperimentRequest
                ) -> Generator[Any, Any, None]:
         tenant = self.registry.get(request.tenant)
-        config = self.grid.config
         submitted_at = self.kernel.now
         lease: SiteLease = yield self.pool.acquire(request.tenant,
                                                    request.n_sites)
         tenant.telemetry.histogram("fleet.tenant.lease_wait").observe(
             lease.wait)
-        k_each = config.k_total / len(lease.sites)
-        for site in lease.sites:
-            provision_simulation_site(
-                site, self.kernel,
-                LinearSubstructure(f"{site.name}-{request.run_id}",
-                                   [[k_each]], [0]),
-                compute_time=config.ncsa_compute)
-        motion = kanai_tajimi_record(
-            duration=request.n_steps * config.dt, dt=config.dt,
-            pga=config.pga * request.motion_scale, seed=config.motion_seed)
-        model = StructuralModel(
-            mass=[[config.mass]], stiffness=[[config.k_total]]
-        ).with_rayleigh_damping(config.damping_ratio)
-        bindings = [SiteBinding(site.name, site.handle, dof_indices=[0])
-                    for site in lease.sites]
-        fault_policy = request.fault_policy or default_fleet_fault_policy()
-        breakers = None
-        failover = None
-        if request.degradation:
-            breakers = {site.name: CircuitBreaker(
-                self.kernel, f"{request.run_id}:{site.name}",
-                request.breaker_config) for site in lease.sites}
-            failover = self._make_failover(request, lease, k_each)
-        predictor = None
-        if request.pipeline_depth > 0:
-            predictor = SubstructurePredictor({
-                site.name: LinearSubstructure(
-                    f"{site.name}-predict-{request.run_id}",
-                    [[k_each]], [0])
-                for site in lease.sites})
         store = None
-        checkpoint_policy = None
         if request.checkpoint_every > 0:
-            store = InMemoryCheckpointStore()
-            checkpoint_policy = CheckpointPolicy(
-                every_n_steps=request.checkpoint_every, on_abort=True)
-            self.checkpoint_stores[request.run_id] = store
-
+            store = self.checkpoint_stores[request.run_id] = \
+                InMemoryCheckpointStore()
         steps_counter = tenant.telemetry.counter("fleet.tenant.steps")
 
         def on_step(record: Any, tenant_id: str = request.tenant) -> None:
@@ -431,41 +519,12 @@ class FleetScheduler:
                 self._live_steps.get(tenant_id, 0) + 1
             steps_counter.inc()
 
-        def make_coordinator(state: Any = None,
-                             prior_records: Any = ()) -> SimulationCoordinator:
-            return SimulationCoordinator(
-                run_id=request.run_id, client=tenant.ntcp, model=model,
-                motion=motion, sites=bindings, fault_policy=fault_policy,
-                execution_timeout=config.execution_timeout,
-                on_step=on_step, checkpoint_store=store,
-                checkpoint_policy=checkpoint_policy, state=state,
-                prior_records=prior_records, breakers=breakers,
-                failover=failover,
-                pipeline_depth=request.pipeline_depth, predictor=predictor)
-
-        result: ExperimentResult = yield self.kernel.process(
-            make_coordinator().run(),
-            name=f"fleet.{request.run_id}.coordinator")
-        resumes = 0
-        # Resume on the SAME lease: the sites still hold this tenant's
-        # substructure state, and at-most-once transaction names make the
-        # overlap with the aborted incarnation harmless.
-        while (not result.completed and store is not None
-               and resumes < request.max_resumes):
-            yield self.kernel.timeout(request.resume_delay)
-            doc, payloads = yield from store.load_history(request.run_id)
-            if doc is None:
-                break
-            resumes += 1
-            result = yield self.kernel.process(
-                make_coordinator(
-                    state=resume_state_from_checkpoint(doc),
-                    prior_records=records_from_payloads(payloads)).run(),
-                name=f"fleet.{request.run_id}.resume{resumes}")
+        result, resumes, _ = yield from drive_request(
+            self.grid, lease, request, client=tenant.ntcp, store=store,
+            on_step=on_step)
         nmds_object_id = yield from self._register_run(tenant, request,
                                                        lease, result)
         self.pool.release(lease)
-        finished_at = self.kernel.now
         if result.completed:
             self._completed += 1
             tenant.telemetry.counter("fleet.tenant.runs_completed").inc()
@@ -473,29 +532,9 @@ class FleetScheduler:
             self._failed += 1
             tenant.telemetry.counter("fleet.tenant.runs_failed").inc()
         self.outcomes.append(TenantOutcome(
-            request=request, result=result, lease_id=lease.lease_id,
-            site_names=lease.site_names, lease_wait=lease.wait,
-            submitted_at=submitted_at, granted_at=lease.granted_at,
-            finished_at=finished_at, resumes=resumes,
-            usage=lease.metrics_delta(), nmds_object_id=nmds_object_id))
-
-    def _make_failover(self, request: ExperimentRequest, lease: SiteLease,
-                       k_each: float) -> FailoverManager:
-        """Per-lease surrogate failover on a lease-unique container port."""
-        container = ServiceContainer(self.grid.network, "coord",
-                                     port=f"ogsi-fo-{lease.lease_id}")
-        specs = [
-            SurrogateSpec(
-                site=site.name,
-                substructure_factory=(
-                    lambda site=site: LinearSubstructure(
-                        f"{site.name}-surrogate-{request.run_id}",
-                        [[k_each]], [0])),
-                compute_time=self.grid.config.ncsa_compute,
-                policy=None)
-            for site in lease.sites]
-        return FailoverManager(container=container, specs=specs,
-                               policy=DegradationPolicy())
+            request=request, result=result, lease=lease,
+            submitted_at=submitted_at, finished_at=self.kernel.now,
+            resumes=resumes, nmds_object_id=nmds_object_id))
 
     def _register_run(self, tenant: "Tenant", request: ExperimentRequest,
                       lease: SiteLease, result: ExperimentResult

@@ -18,7 +18,6 @@ from repro.monitor.critical_path import (
 )
 from repro.monitor.health import (
     HealthPublisher,
-    StatusService,
     coordinator_health_probe,
     ntcp_health_probe,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "MonitorSchemaError",
     "MonitoringKit",
     "SCHEMA_ID",
-    "StatusService",
     "TelemetryStreamer",
     "attach_monitoring",
     "blame_table",

@@ -10,9 +10,10 @@ name and receive status, open-transaction backlog, and — for the
 coordinator — the last committed step, over the normal OGSI
 notification path.
 
-The coordinator is not a grid service, so :class:`StatusService` gives
-it one: a bare service deployed on the coordinator host whose only job
-is owning the service-data set the coordinator's health lands in.
+The coordinator is not a grid service, so the monitoring kit deploys a
+:class:`~repro.ogsi.service.SdeStatusService` next to it: a bare service
+on the coordinator host whose only job is owning the service-data set
+the coordinator's health lands in.
 """
 
 from __future__ import annotations
@@ -21,23 +22,9 @@ from typing import Any, Callable
 
 from repro.monitor.schema import SCHEMA_ID, validate_health_payload
 from repro.ogsi.sde import ServiceDataSet
-from repro.ogsi.service import GridService
 from repro.sim.kernel import Kernel
 
 Probe = Callable[[], dict[str, Any]]
-
-
-class StatusService(GridService):
-    """A service-data anchor for components that are not grid services.
-
-    Deployed next to the coordinator so its health SDE rides the same
-    container/subscription machinery as every site's.
-    """
-
-    def on_attach(self) -> None:
-        self.service_data.set("health", None)
-        self.expose("getHealth",
-                    lambda caller: self.service_data.value("health"))
 
 
 class HealthPublisher:

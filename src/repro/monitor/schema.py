@@ -22,8 +22,9 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.telemetry.schema import validate_metric_name
-from repro.util.errors import ReproError
+from repro.telemetry.schema import validate_metric_record
+from repro.util.errors import SchemaError
+from repro.util.schema import schema_checks
 
 SCHEMA_ID = "repro.monitor/v1"
 
@@ -32,43 +33,21 @@ ALERT_KINDS = ("stall", "slow_site", "stream_health", "breaker_open",
                "slo_burn", "queue_redelivery")
 ALERT_SEVERITIES = ("info", "warning", "critical")
 
-_METRIC_TYPES = ("counter", "gauge", "histogram")
 # Streamed summaries carry p95 (the slow-site detector's budget input)
 # instead of the exporter's p90.
 _SUMMARY_KEYS = ("count", "sum", "mean", "min", "max", "p50", "p95", "p99")
 
 
-class MonitorSchemaError(ReproError):
+class MonitorSchemaError(SchemaError):
     """A monitor payload does not match the ``repro.monitor/v1`` shape."""
 
 
-def _fail(path: str, message: str) -> None:
-    raise MonitorSchemaError(f"{path}: {message}")
-
-
-def _require(condition: bool, path: str, message: str) -> None:
-    if not condition:
-        _fail(path, message)
-
-
-def _check_number(value: Any, path: str) -> None:
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             path, f"expected a number, got {type(value).__name__}")
-
-
-def _check_int(value: Any, path: str, *, minimum: int | None = None) -> None:
-    _require(isinstance(value, int) and not isinstance(value, bool),
-             path, f"expected an integer, got {type(value).__name__}")
-    if minimum is not None:
-        _require(value >= minimum, path, f"must be >= {minimum}, got {value}")
+_CHECKS = schema_checks(MonitorSchemaError)
+_, _require, _check_number, _check_int, _check_document = _CHECKS
 
 
 def _check_envelope(payload: Any, kind: str) -> None:
-    _require(isinstance(payload, dict), "$", "payload must be an object")
-    _require(payload.get("schema") == SCHEMA_ID, "$.schema",
-             f"expected {SCHEMA_ID!r}, got {payload.get('schema')!r}")
-    _require(payload.get("kind") == kind, "$.kind",
-             f"expected {kind!r}, got {payload.get('kind')!r}")
+    _check_document(payload, SCHEMA_ID, kind)
     source = payload.get("source")
     _require(isinstance(source, str) and bool(source), "$.source",
              "source must be a non-empty string")
@@ -99,32 +78,12 @@ def validate_health_payload(payload: Any) -> None:
 
 
 def _check_metric_record(record: Any, path: str) -> None:
-    _require(isinstance(record, dict), path, "metric record must be an object")
-    validate_metric_name(record.get("name"), f"{path}.name")
-    mtype = record.get("type")
-    _require(mtype in _METRIC_TYPES, f"{path}.type",
-             f"metric type must be one of {_METRIC_TYPES}, got {mtype!r}")
-    labels = record.get("labels", {})
-    _require(isinstance(labels, dict), f"{path}.labels",
-             "labels must be an object")
-    for key, value in labels.items():
-        _require(isinstance(key, str) and isinstance(value, str),
-                 f"{path}.labels.{key}", "labels must map strings to strings")
-    if mtype == "histogram":
-        summary = record.get("summary")
-        _require(isinstance(summary, dict), f"{path}.summary",
-                 "histogram requires a summary object")
-        for key in _SUMMARY_KEYS:
-            _require(key in summary, f"{path}.summary.{key}", "missing")
-            _check_number(summary[key], f"{path}.summary.{key}")
-    else:
-        _require("value" in record, f"{path}.value",
-                 f"{mtype} requires a value")
-        _check_number(record["value"], f"{path}.value")
-        if mtype == "counter":
-            _check_number(record.get("total"), f"{path}.total")
-            _require(record["total"] + 1e-9 >= record["value"],
-                     f"{path}.total", "cumulative total below the delta")
+    validate_metric_record(record, path, summary_keys=_SUMMARY_KEYS,
+                           checks=_CHECKS)
+    if record["type"] == "counter":
+        _check_number(record.get("total"), f"{path}.total")
+        _require(record["total"] + 1e-9 >= record["value"],
+                 f"{path}.total", "cumulative total below the delta")
 
 
 def validate_metrics_sample(payload: Any) -> None:

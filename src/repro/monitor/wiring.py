@@ -21,7 +21,6 @@ from typing import Any, Callable
 
 from repro.monitor.health import (
     HealthPublisher,
-    StatusService,
     coordinator_health_probe,
     ntcp_health_probe,
 )
@@ -32,6 +31,7 @@ from repro.nsds.service import NSDSService
 from repro.nsds.subscriber import NSDSReceiver
 from repro.ogsi.container import ServiceContainer
 from repro.ogsi.notification import NotificationSink
+from repro.ogsi.service import SdeStatusService
 
 #: metric-name prefixes the streamer ships by default — the operational
 #: surface (steps, retries, site latencies, rpc health, stream health)
@@ -46,7 +46,7 @@ class MonitoringKit:
     monitor: ExperimentMonitor
     streamer: TelemetryStreamer
     nsds: NSDSService
-    status: StatusService
+    status: SdeStatusService
     receiver: NSDSReceiver
     sink: NotificationSink
     publishers: dict[str, HealthPublisher]
@@ -106,7 +106,7 @@ def attach_monitoring(dep, *, thresholds: AlertThresholds | None = None,
     coord_container = ServiceContainer(network, "coord")
     nsds = NSDSService("nsds-monitor")
     coord_container.deploy(nsds)
-    status = StatusService("status-coord")
+    status = SdeStatusService("status-coord", "health", "getHealth")
     coord_container.deploy(status)
     streamer = TelemetryStreamer(kernel, nsds, source="coord",
                                  interval=stream_interval,

@@ -25,7 +25,8 @@ from __future__ import annotations
 from typing import Any
 
 from repro.telemetry.schema import validate_metric_name
-from repro.util.errors import ReproError
+from repro.util.errors import SchemaError
+from repro.util.schema import schema_checks
 
 SCHEMA_ID = "repro.observatory/v1"
 
@@ -40,29 +41,12 @@ BUCKET_KEYS = ("start", "end", "count", "sum", "min", "max", "first",
 EVENT_TYPES = ("span", "log")
 
 
-class ObservatorySchemaError(ReproError):
+class ObservatorySchemaError(SchemaError):
     """A document does not match the ``repro.observatory/v1`` shape."""
 
 
-def _fail(path: str, message: str) -> None:
-    raise ObservatorySchemaError(f"{path}: {message}")
-
-
-def _require(condition: bool, path: str, message: str) -> None:
-    if not condition:
-        _fail(path, message)
-
-
-def _check_number(value: Any, path: str) -> None:
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             path, f"expected a number, got {type(value).__name__}")
-
-
-def _check_int(value: Any, path: str, *, minimum: int | None = None) -> None:
-    _require(isinstance(value, int) and not isinstance(value, bool),
-             path, f"expected an integer, got {type(value).__name__}")
-    if minimum is not None:
-        _require(value >= minimum, path, f"must be >= {minimum}, got {value}")
+_fail, _require, _check_number, _check_int, _check_document = \
+    schema_checks(ObservatorySchemaError)
 
 
 def _check_labels(labels: Any, path: str) -> None:
@@ -73,11 +57,7 @@ def _check_labels(labels: Any, path: str) -> None:
 
 
 def _check_envelope(payload: Any, kind: str) -> None:
-    _require(isinstance(payload, dict), "$", "payload must be an object")
-    _require(payload.get("schema") == SCHEMA_ID, "$.schema",
-             f"expected {SCHEMA_ID!r}, got {payload.get('schema')!r}")
-    _require(payload.get("kind") == kind, "$.kind",
-             f"expected {kind!r}, got {payload.get('kind')!r}")
+    _check_document(payload, SCHEMA_ID, kind)
     _check_number(payload.get("time"), "$.time")
 
 

@@ -11,6 +11,8 @@ that hosting environment over the simulated network:
   elements with change listeners;
 * :class:`~repro.ogsi.service.GridService` — base class with operations,
   service data, and a termination time;
+  :class:`~repro.ogsi.service.SdeStatusService` is the one-SDE status
+  publisher built on it;
 * :class:`~repro.ogsi.container.ServiceContainer` — hosts services behind
   grid service handles, dispatches RPC operations, runs the soft-state
   reaper, offers ``findServiceData``/``setTerminationTime``/factory/registry
@@ -20,7 +22,7 @@ that hosting environment over the simulated network:
 """
 
 from repro.ogsi.sde import ServiceDataElement, ServiceDataSet
-from repro.ogsi.service import GridService
+from repro.ogsi.service import GridService, SdeStatusService
 from repro.ogsi.handle import GridServiceHandle
 from repro.ogsi.container import ServiceContainer
 from repro.ogsi.notification import NotificationSink
@@ -29,6 +31,7 @@ __all__ = [
     "ServiceDataElement",
     "ServiceDataSet",
     "GridService",
+    "SdeStatusService",
     "GridServiceHandle",
     "ServiceContainer",
     "NotificationSink",

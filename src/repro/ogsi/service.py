@@ -1,4 +1,4 @@
-"""Grid service base class."""
+"""Grid service base class, and the one-SDE status service built on it."""
 
 from __future__ import annotations
 
@@ -69,3 +69,28 @@ class GridService:
     def emit(self, kind: str, **detail: Any) -> None:
         """Structured log record under this service's subsystem name."""
         self.kernel.emit(f"ogsi.{self.service_id}", kind, **detail)
+
+
+class SdeStatusService(GridService):
+    """A grid service whose only job is publishing one status SDE.
+
+    Gives a component that is not itself a grid service (the
+    coordinator's health, the fleet roll-up, the queue status) a
+    service-data anchor in a container, so its status document rides the
+    same ``findServiceData``/``subscribe`` machinery as every site's
+    SDEs.  SDE ``sde`` holds the latest document (``None`` until the
+    first :meth:`publish`); operation ``operation`` returns it on demand.
+    """
+
+    def __init__(self, service_id: str, sde: str, operation: str):
+        super().__init__(service_id)
+        self.sde = sde
+        self.expose(operation, lambda caller: self.service_data.value(sde))
+
+    def on_attach(self) -> None:
+        """Create the status SDE, empty until the first publish."""
+        self.service_data.set(self.sde, None)
+
+    def publish(self, document: Any) -> None:
+        """Install a new status document (notifies SDE subscribers)."""
+        self.service_data.set(self.sde, document)

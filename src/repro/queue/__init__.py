@@ -13,7 +13,10 @@ Entry points:
 * :class:`ExperimentQueue` + a journal store — submit / claim / terminal
   over the write-ahead log;
 * :class:`DurableFleetScheduler` — one crash-recoverable scheduler
-  incarnation over a fleet grid;
+  incarnation over a fleet grid; it adds epoch takeover, journaled
+  claim/terminal and fenced clients around the fleet's one drive loop
+  (:func:`repro.fleet.scheduler.drive_request`) and reports each delivery
+  as the fleet's :class:`~repro.fleet.scheduler.TenantOutcome`;
 * :func:`run_durable_campaign` — submissions in, crashes on cue,
   :class:`CampaignResult` out;
 * :class:`FencingAuthority` and the fenced wrappers — the zombie-write
@@ -39,11 +42,10 @@ from repro.queue.journal import (
     build_entry,
     validate_queue_entry,
 )
-from repro.queue.observe import QUEUE_SDE, QueueStatusService
 from repro.queue.scheduler import (
+    QUEUE_SDE,
     CampaignResult,
     DurableFleetScheduler,
-    QueueOutcome,
     attach_durable_repository,
     run_durable_campaign,
 )
@@ -66,9 +68,7 @@ __all__ = [
     "ExperimentQueue",
     "QueueSubmission",
     "QUEUE_SDE",
-    "QueueStatusService",
     "DurableFleetScheduler",
-    "QueueOutcome",
     "CampaignResult",
     "attach_durable_repository",
     "run_durable_campaign",

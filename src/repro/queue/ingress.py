@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from repro.fleet.scheduler import ExperimentRequest
 from repro.queue.fencing import FencingAuthority
 from repro.queue.journal import JournalStoreBase
 from repro.util.errors import ConfigurationError
@@ -68,6 +69,19 @@ class QueueSubmission:
                    n_sites=int(body["n_sites"]),
                    motion_scale=float(body["motion_scale"]),
                    checkpoint_every=int(body["checkpoint_every"]))
+
+    def request(self) -> ExperimentRequest:
+        """This submission as the fleet drive loop's request.
+
+        ``max_resumes=0``: a delivery that aborts is journaled ``failed``
+        rather than resumed in place — resuming a durable run is the next
+        incarnation's redelivery.
+        """
+        return ExperimentRequest(
+            tenant=self.tenant, run_id=self.run_id or self.submission_id,
+            n_steps=self.n_steps, n_sites=self.n_sites,
+            motion_scale=self.motion_scale,
+            checkpoint_every=self.checkpoint_every, max_resumes=0)
 
 
 class ExperimentQueue:

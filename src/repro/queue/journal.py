@@ -29,14 +29,15 @@ from __future__ import annotations
 
 import json
 import pathlib
-from typing import Any
+from typing import Any, Iterable
 
 from repro.daq.filestore import StagingStore
 from repro.net.retry import RetryPolicy
 from repro.net.rpc import RpcClient
 from repro.ogsi.handle import GridServiceHandle
 from repro.repository.transport import Transport
-from repro.util.errors import ConfigurationError, ProtocolError, ReproError
+from repro.util.errors import ConfigurationError, ProtocolError, SchemaError
+from repro.util.schema import schema_checks
 
 QUEUE_SCHEMA_ID = "repro.queue/v1"
 
@@ -46,33 +47,17 @@ ENTRY_KINDS = ("submit", "epoch", "claim", "terminal")
 TERMINAL_STATUSES = ("completed", "failed")
 
 
-class QueueSchemaError(ReproError):
+class QueueSchemaError(SchemaError):
     """A queue journal entry does not match ``repro.queue/v1``."""
 
 
-def _fail(path: str, message: str) -> None:
-    raise QueueSchemaError(f"{path}: {message}")
-
-
-def _require(condition: bool, path: str, message: str) -> None:
-    if not condition:
-        _fail(path, message)
+_, _require, _check_number, _check_int, _check_document = \
+    schema_checks(QueueSchemaError)
 
 
 def _check_str(value: Any, path: str) -> None:
     _require(isinstance(value, str) and value, path,
              "must be a non-empty string")
-
-
-def _check_int(value: Any, path: str, minimum: int = 0) -> None:
-    _require(isinstance(value, int) and not isinstance(value, bool),
-             path, f"expected an integer, got {type(value).__name__}")
-    _require(value >= minimum, path, f"must be >= {minimum}, got {value}")
-
-
-def _check_number(value: Any, path: str) -> None:
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             path, f"expected a number, got {type(value).__name__}")
 
 
 def _check_submit_body(body: dict, path: str) -> None:
@@ -84,7 +69,8 @@ def _check_submit_body(body: dict, path: str) -> None:
     _check_number(body.get("motion_scale"), f"{path}.motion_scale")
     _require(body["motion_scale"] > 0, f"{path}.motion_scale",
              "must be positive")
-    _check_int(body.get("checkpoint_every"), f"{path}.checkpoint_every")
+    _check_int(body.get("checkpoint_every"), f"{path}.checkpoint_every",
+               minimum=0)
 
 
 def _check_epoch_body(body: dict, path: str) -> None:
@@ -108,7 +94,7 @@ def _check_terminal_body(body: dict, path: str) -> None:
     _check_int(body.get("epoch"), f"{path}.epoch", minimum=1)
     _require(body.get("status") in TERMINAL_STATUSES, f"{path}.status",
              f"must be one of {TERMINAL_STATUSES}, got {body.get('status')!r}")
-    _check_int(body.get("steps"), f"{path}.steps")
+    _check_int(body.get("steps"), f"{path}.steps", minimum=0)
 
 
 _BODY_CHECKS = {"submit": _check_submit_body, "epoch": _check_epoch_body,
@@ -124,9 +110,7 @@ def validate_queue_entry(payload: Any) -> None:
          "kind": "submit" | "epoch" | "claim" | "terminal",
          "body": {kind-specific fields}}
     """
-    _require(isinstance(payload, dict), "$", "payload must be an object")
-    _require(payload.get("schema") == QUEUE_SCHEMA_ID, "$.schema",
-             f"expected {QUEUE_SCHEMA_ID!r}, got {payload.get('schema')!r}")
+    _check_document(payload, QUEUE_SCHEMA_ID)
     _check_int(payload.get("seq"), "$.seq", minimum=1)
     _check_number(payload.get("time"), "$.time")
     kind = payload.get("kind")
@@ -162,6 +146,29 @@ class JournalStoreBase:
         raise NotImplementedError
 
 
+def _read_lines(lines: Iterable[str], origin: Any) -> list[dict]:
+    """Decode journal lines: each validated, seqs strictly ascending; a
+    truncated or reordered journal is a :class:`QueueSchemaError` naming
+    ``origin`` on every read path, never a raw ``json`` traceback."""
+    entries: list[dict] = []
+    last = 0
+    for line in lines:
+        if not line.strip():
+            continue
+        try:
+            entry = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise QueueSchemaError(
+                f"{origin}: corrupt journal line: {exc}") from exc
+        validate_queue_entry(entry)
+        if entry["seq"] <= last:
+            raise QueueSchemaError(
+                f"{origin}: seq {entry['seq']} not ascending")
+        last = entry["seq"]
+        entries.append(entry)
+    return entries
+
+
 class InMemoryJournalStore(JournalStoreBase):
     """Journal kept as JSON strings in memory (tests, fast benchmarks).
 
@@ -181,10 +188,7 @@ class InMemoryJournalStore(JournalStoreBase):
         yield  # pragma: no cover - generator shape, parity with repo store
 
     def replay(self):
-        entries = [json.loads(text) for text in self._entries]
-        for entry in entries:
-            validate_queue_entry(entry)
-        return entries
+        return _read_lines(self._entries, "in-memory journal")
         yield  # pragma: no cover - generator shape, parity with repo store
 
 
@@ -201,29 +205,15 @@ class FileJournalStore(JournalStoreBase):
         self.path = pathlib.Path(path)
         self._next_seq: int | None = None
 
-    def _scan(self) -> int:
-        """Highest persisted seq (0 for a fresh journal)."""
+    def _read(self) -> list[dict]:
         if not self.path.exists():
-            return 0
-        last = 0
-        for line in self.path.read_text().splitlines():
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise QueueSchemaError(
-                    f"{self.path}: corrupt journal line: {exc}") from exc
-            validate_queue_entry(entry)
-            if entry["seq"] <= last:
-                raise QueueSchemaError(
-                    f"{self.path}: seq {entry['seq']} not ascending")
-            last = entry["seq"]
-        return last
+            return []
+        return _read_lines(self.path.read_text().splitlines(), self.path)
 
     def append(self, kind: str, body: dict, *, time: float):
         if self._next_seq is None:
-            self._next_seq = self._scan() + 1
+            entries = self._read()
+            self._next_seq = (entries[-1]["seq"] if entries else 0) + 1
         entry = build_entry(seq=self._next_seq, time=time, kind=kind,
                             body=body)
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -234,15 +224,7 @@ class FileJournalStore(JournalStoreBase):
         yield  # pragma: no cover - generator shape, parity with repo store
 
     def replay(self):
-        entries = []
-        if self.path.exists():
-            for line in self.path.read_text().splitlines():
-                if not line.strip():
-                    continue
-                entry = json.loads(line)
-                validate_queue_entry(entry)
-                entries.append(entry)
-        return entries
+        return self._read()
         yield  # pragma: no cover - generator shape, parity with repo store
 
 

@@ -4,11 +4,15 @@
 registers a fresh fencing epoch, fences the site pool (revoking every
 lease a dead predecessor still holds), replays the journal, and drives
 every outstanding submission — first deliveries and redeliveries alike —
-as its own kernel process.  A redelivered submission resumes from the
-run's newest checkpoint through the §7 reconciliation machinery, on
-sites *disjoint* from every site a prior claim ever held, so the
-successor never re-executes an NTCP transaction a dead incarnation's
-orphan might have landed.
+as its own kernel process.  Each drive is the fleet's own
+:func:`~repro.fleet.scheduler.drive_request` handed a fenced NTCP client
+and a fenced view of the run's shared checkpoint store; only what is
+durable-specific lives here — epoch takeover, settle, replay, the
+journaled claim and terminal, :meth:`~DurableFleetScheduler.crash`.  A
+redelivered submission resumes from the run's newest checkpoint through
+the §7 reconciliation machinery, on sites *disjoint* from every site a
+prior claim ever held, so the successor never re-executes an NTCP
+transaction a dead incarnation's orphan might have landed.
 
 The zombie model: :meth:`crash` marks the incarnation dead but interrupts
 nothing — its coordinator processes, checkpoint writers, and lease
@@ -25,37 +29,26 @@ chaos suite drive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Generator
 
-from repro.coordinator import (
-    ExperimentResult,
-    SimulationCoordinator,
-    SiteBinding,
-    records_from_payloads,
-    resume_state_from_checkpoint,
-)
 from repro.fleet.pool import SiteLease, SitePool
-from repro.fleet.scheduler import default_fleet_fault_policy
-from repro.most.assembly import provision_simulation_site
+from repro.fleet.scheduler import TenantOutcome, drive_request
 from repro.net import RpcClient
-from repro.ogsi import ServiceContainer
+from repro.ogsi import SdeStatusService, ServiceContainer
 from repro.queue.fencing import FencedCheckpointStore, FencedNTCPClient
 from repro.queue.ingress import ExperimentQueue, QueueSubmission
 from repro.queue.journal import RepositoryJournalStore
-from repro.queue.observe import QueueStatusService
 from repro.repository import (
-    CheckpointPolicy,
     GridFTPTransport,
     InMemoryCheckpointStore,
     NFMSService,
 )
-from repro.structural import (
-    LinearSubstructure,
-    StructuralModel,
-    kanai_tajimi_record,
-)
 from repro.util.errors import FencingError
+
+#: the queue-status SDE; a ``status`` service is
+#: ``SdeStatusService("queue-status", QUEUE_SDE, "getQueueStatus")``
+QUEUE_SDE = "queue.status"
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.fleet.grid import FleetGrid
@@ -92,45 +85,6 @@ def attach_durable_repository(grid: "FleetGrid", *,
         transport=GridFTPTransport(grid.network), rpc=rpc, nfms=handle)
 
 
-@dataclass
-class QueueOutcome:
-    """What one driven submission produced under one incarnation."""
-
-    submission: QueueSubmission
-    result: ExperimentResult
-    epoch: int
-    attempt: int
-    lease_id: str
-    site_names: tuple[str, ...]
-    claimed_at: float
-    finished_at: float
-    status: str
-    #: committed steps carried in from the resumed checkpoint (0 = cold)
-    resumed_from_step: int
-    #: per-site NTCP counter deltas for the lease (at-most-once evidence)
-    usage: dict[str, dict[str, int]] = field(default_factory=dict)
-
-    @property
-    def tenant(self) -> str:
-        """The owning tenant id."""
-        return self.submission.tenant
-
-    @property
-    def run_id(self) -> str:
-        """The experiment's run id."""
-        return self.submission.run_id or self.submission.submission_id
-
-    @property
-    def completed(self) -> bool:
-        """Whether this delivery completed every step."""
-        return self.result.completed
-
-    def duplicate_executes(self) -> int:
-        """Duplicate execute requests absorbed across the lease's sites."""
-        return sum(delta["duplicate_executes"]
-                   for delta in self.usage.values())
-
-
 class DurableFleetScheduler:
     """One scheduler incarnation over the shared grid, pool, and queue.
 
@@ -149,7 +103,7 @@ class DurableFleetScheduler:
                  settle_delay: float = 5.0,
                  rollup_interval: float = 60.0,
                  monitor: "ExperimentMonitor | None" = None,
-                 status: QueueStatusService | None = None):
+                 status: SdeStatusService | None = None):
         self.grid = grid
         self.pool = pool
         self.registry = registry
@@ -166,7 +120,7 @@ class DurableFleetScheduler:
         self.status = status
         self.epoch = 0
         self.dead = False
-        self.outcomes: list[QueueOutcome] = []
+        self.outcomes: list[TenantOutcome] = []
         self.fenced_drives = 0
         self.report: dict[str, Any] | None = None
         self._driving = False
@@ -253,16 +207,15 @@ class DurableFleetScheduler:
 
     def _drive(self, submission: QueueSubmission
                ) -> Generator[Any, Any, None]:
-        config = self.grid.config
-        tenant = self.registry.register(submission.tenant)
-        run_id = submission.run_id or submission.submission_id
+        request = submission.request()
+        tenant = self.registry.register(request.tenant)
+        started_at = self.kernel.now
         # Disjoint-site redelivery: never lease a site a prior claim of
         # this submission held — a dead incarnation's orphan may have
         # executed this run's transaction names there.
         avoid = self.queue.claimed_sites(submission.submission_id)
         lease: SiteLease = yield self.pool.acquire(
-            submission.tenant, submission.n_sites, epoch=self.epoch,
-            avoid=avoid)
+            request.tenant, request.n_sites, epoch=self.epoch, avoid=avoid)
         attempt = yield from self.queue.claim(
             submission.submission_id, self.epoch, lease.site_names)
         if attempt > 1:
@@ -278,61 +231,26 @@ class DurableFleetScheduler:
                     detail={"submission_id": submission.submission_id,
                             "attempt": attempt, "epoch": self.epoch,
                             "sites": list(lease.site_names)})
-        k_each = config.k_total / len(lease.sites)
-        for site in lease.sites:
-            provision_simulation_site(
-                site, self.kernel,
-                LinearSubstructure(f"{site.name}-{run_id}", [[k_each]], [0]),
-                compute_time=config.ncsa_compute)
-        motion = kanai_tajimi_record(
-            duration=submission.n_steps * config.dt, dt=config.dt,
-            pga=config.pga * submission.motion_scale,
-            seed=config.motion_seed)
-        model = StructuralModel(
-            mass=[[config.mass]], stiffness=[[config.k_total]]
-        ).with_rayleigh_damping(config.damping_ratio)
-        bindings = [SiteBinding(site.name, site.handle, dof_indices=[0])
-                    for site in lease.sites]
-        client = FencedNTCPClient(tenant.ntcp, self.queue.authority,
-                                  self.epoch)
+        authority = self.queue.authority
         store = None
-        checkpoint_policy = None
-        if submission.checkpoint_every > 0:
-            inner = self.checkpoint_stores.setdefault(
-                run_id, InMemoryCheckpointStore())
-            store = FencedCheckpointStore(inner, self.queue.authority,
-                                          self.epoch)
-            checkpoint_policy = CheckpointPolicy(
-                every_n_steps=submission.checkpoint_every, on_abort=True)
-        state = None
-        prior_records: Any = ()
-        resumed_from = 0
-        if attempt > 1 and store is not None:
-            doc, payloads = yield from store.load_history(run_id)
-            if doc is not None:
-                state = resume_state_from_checkpoint(doc)
-                prior_records = records_from_payloads(payloads)
-                resumed_from = len(prior_records)
-        coordinator = SimulationCoordinator(
-            run_id=run_id, client=client, model=model, motion=motion,
-            sites=bindings, fault_policy=default_fleet_fault_policy(),
-            execution_timeout=config.execution_timeout,
-            checkpoint_store=store, checkpoint_policy=checkpoint_policy,
-            state=state, prior_records=prior_records)
-        result: ExperimentResult = yield self.kernel.process(
-            coordinator.run(),
-            name=f"queue.{run_id}.attempt{attempt}")
-        status = "completed" if result.completed else "failed"
+        if request.checkpoint_every > 0:
+            store = FencedCheckpointStore(
+                self.checkpoint_stores.setdefault(
+                    request.run_id, InMemoryCheckpointStore()),
+                authority, self.epoch)
+        result, _, resumed_from_step = yield from drive_request(
+            self.grid, lease, request,
+            client=FencedNTCPClient(tenant.ntcp, authority, self.epoch),
+            store=store, resume_first=attempt > 1)
         yield from self.queue.mark_terminal(
-            submission.submission_id, self.epoch, status=status,
+            submission.submission_id, self.epoch,
+            status="completed" if result.completed else "failed",
             steps=result.steps_completed)
         self.pool.release(lease)
-        self.outcomes.append(QueueOutcome(
-            submission=submission, result=result, epoch=self.epoch,
-            attempt=attempt, lease_id=lease.lease_id,
-            site_names=lease.site_names, claimed_at=lease.granted_at,
-            finished_at=self.kernel.now, status=status,
-            resumed_from_step=resumed_from, usage=lease.metrics_delta()))
+        self.outcomes.append(TenantOutcome(
+            request=request, result=result, lease=lease,
+            submitted_at=started_at, finished_at=self.kernel.now,
+            attempt=attempt, resumed_from_step=resumed_from_step))
 
     def _publish_loop(self) -> Generator[Any, Any, None]:
         while self._driving and not self.dead:
@@ -344,7 +262,7 @@ class DurableFleetScheduler:
 class CampaignResult:
     """Everything a durable campaign produced, across all incarnations."""
 
-    outcomes: list[QueueOutcome]
+    outcomes: list[TenantOutcome]
     incarnations: list[dict[str, Any]]
     queue_stats: dict[str, Any]
     fencing: dict[str, Any]
@@ -387,7 +305,7 @@ def run_durable_campaign(grid: "FleetGrid", pool: SitePool,
                          takeover_delay: float = 30.0,
                          settle_delay: float = 5.0,
                          monitor: "ExperimentMonitor | None" = None,
-                         status: QueueStatusService | None = None
+                         status: SdeStatusService | None = None
                          ) -> CampaignResult:
     """Run a campaign through ``len(crash_after) + 1`` incarnations.
 

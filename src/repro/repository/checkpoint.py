@@ -37,7 +37,8 @@ from repro.daq.filestore import StagingStore
 from repro.net.rpc import RpcClient, RpcError
 from repro.ogsi.handle import GridServiceHandle
 from repro.repository.transport import Transport
-from repro.util.errors import ConfigurationError, ReproError
+from repro.util.errors import ConfigurationError, ReproError, SchemaError
+from repro.util.schema import schema_checks
 
 SCHEMA_ID = "repro.checkpoint/v1"
 MANIFEST_SCHEMA_ID = "repro.checkpoint-manifest/v1"
@@ -52,7 +53,7 @@ _RECORD_KEYS = ("step", "model_time", "displacement", "restoring_force",
                 "site_forces", "attempts", "wall_started", "wall_finished")
 
 
-class CheckpointSchemaError(ReproError):
+class CheckpointSchemaError(SchemaError):
     """A checkpoint document does not match ``repro.checkpoint/v1``."""
 
 
@@ -90,24 +91,8 @@ def _parse_checkpoint(text: str, *, run_id: str, seq: int,
     return doc
 
 
-def _fail(path: str, message: str) -> None:
-    raise CheckpointSchemaError(f"{path}: {message}")
-
-
-def _require(condition: bool, path: str, message: str) -> None:
-    if not condition:
-        _fail(path, message)
-
-
-def _check_number(value: Any, path: str) -> None:
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             path, f"expected a number, got {type(value).__name__}")
-
-
-def _check_int(value: Any, path: str, minimum: int = 0) -> None:
-    _require(isinstance(value, int) and not isinstance(value, bool),
-             path, f"expected an integer, got {type(value).__name__}")
-    _require(value >= minimum, path, f"must be >= {minimum}, got {value}")
+_fail, _require, _check_number, _check_int, _check_document = \
+    schema_checks(CheckpointSchemaError)
 
 
 def _check_hex_float(value: Any, path: str) -> None:
@@ -152,7 +137,7 @@ def validate_state_payload(state: Any, path: str = "$.state") -> None:
     _require(isinstance(state.get("run_id"), str) and state.get("run_id"),
              f"{path}.run_id", "must be a non-empty string")
     for key in _STATE_INT_KEYS:
-        _check_int(state.get(key), f"{path}.{key}")
+        _check_int(state.get(key), f"{path}.{key}", minimum=0)
     _require(state.get("target_steps", 0) >= 1, f"{path}.target_steps",
              "must be >= 1")
     _check_number(state.get("dt"), f"{path}.dt")
@@ -176,7 +161,7 @@ def validate_state_payload(state: Any, path: str = "$.state") -> None:
                      f"{path}.speculative.{site}",
                      "must map site names to transaction names")
         _check_int(state.get("speculative_step"),
-                   f"{path}.speculative_step")
+                   f"{path}.speculative_step", minimum=0)
     integrator = state.get("integrator")
     if integrator is not None:
         ipath = f"{path}.integrator"
@@ -185,7 +170,8 @@ def validate_state_payload(state: Any, path: str = "$.state") -> None:
         _require(isinstance(integrator.get("kind"), str)
                  and integrator.get("kind"),
                  f"{ipath}.kind", "must be a non-empty string")
-        _check_int(integrator.get("step_index"), f"{ipath}.step_index")
+        _check_int(integrator.get("step_index"), f"{ipath}.step_index",
+                   minimum=0)
         arrays = integrator.get("arrays")
         _require(isinstance(arrays, dict) and arrays, f"{ipath}.arrays",
                  "must be a non-empty object")
@@ -228,9 +214,7 @@ def validate_checkpoint_payload(payload: Any) -> None:
          "wall_time": 12.3, "reason": "policy" | "abort" | "final",
          "state": {...}, "records": [...]}
     """
-    _require(isinstance(payload, dict), "$", "payload must be an object")
-    _require(payload.get("schema") == SCHEMA_ID, "$.schema",
-             f"expected {SCHEMA_ID!r}, got {payload.get('schema')!r}")
+    _check_document(payload, SCHEMA_ID)
     _require(isinstance(payload.get("run_id"), str) and payload.get("run_id"),
              "$.run_id", "must be a non-empty string")
     _check_int(payload.get("seq"), "$.seq", minimum=1)
@@ -259,10 +243,7 @@ def validate_manifest_payload(payload: Any) -> None:
     sequence in ``seqs`` — what :meth:`CheckpointStoreBase.load_history`
     would otherwise recompute by refetching each document.
     """
-    _require(isinstance(payload, dict), "$", "payload must be an object")
-    _require(payload.get("schema") == MANIFEST_SCHEMA_ID, "$.schema",
-             f"expected {MANIFEST_SCHEMA_ID!r}, "
-             f"got {payload.get('schema')!r}")
+    _check_document(payload, MANIFEST_SCHEMA_ID)
     _require(isinstance(payload.get("run_id"), str) and payload.get("run_id"),
              "$.run_id", "must be a non-empty string")
     _check_int(payload.get("seq"), "$.seq", minimum=1)

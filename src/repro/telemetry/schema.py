@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.util.errors import ReproError
+from repro.util import errors
+from repro.util.schema import SchemaChecks, schema_checks
 
 SCHEMA_ID = "repro.telemetry/v1"
 
@@ -29,22 +30,12 @@ _SPAN_KEYS = ("name", "trace_id", "span_id", "parent_id", "start", "end",
               "duration", "attrs")
 
 
-class SchemaError(ReproError):
+class SchemaError(errors.SchemaError):
     """A telemetry document does not match the expected shape."""
 
 
-def _fail(path: str, message: str) -> None:
-    raise SchemaError(f"{path}: {message}")
-
-
-def _require(condition: bool, path: str, message: str) -> None:
-    if not condition:
-        _fail(path, message)
-
-
-def _check_number(value: Any, path: str) -> None:
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             path, f"expected a number, got {type(value).__name__}")
+_CHECKS = schema_checks(SchemaError)
+_, _require, _check_number, _, _check_document = _CHECKS
 
 
 def validate_metric_name(name: Any, path: str = "name") -> None:
@@ -55,29 +46,37 @@ def validate_metric_name(name: Any, path: str = "name") -> None:
              f"metric name {name!r} must be dotted layer.component.name")
 
 
-def validate_metric_record(record: Any, path: str = "metric") -> None:
-    """One entry of a ``metrics`` list."""
-    _require(isinstance(record, dict), path, "metric record must be an object")
+def validate_metric_record(record: Any, path: str = "metric", *,
+                           summary_keys: tuple[str, ...] = _SUMMARY_KEYS,
+                           checks: SchemaChecks = _CHECKS) -> None:
+    """One entry of a ``metrics`` list.
+
+    ``summary_keys`` and ``checks`` let a sibling schema with the same
+    record shape (``repro.monitor/v1``: p95 in place of p90, its own
+    error class) validate through this one implementation.
+    """
+    require, number = checks.require, checks.number
+    require(isinstance(record, dict), path, "metric record must be an object")
     validate_metric_name(record.get("name"), f"{path}.name")
     mtype = record.get("type")
-    _require(mtype in _METRIC_TYPES, f"{path}.type",
-             f"metric type must be one of {_METRIC_TYPES}, got {mtype!r}")
+    require(mtype in _METRIC_TYPES, f"{path}.type",
+            f"metric type must be one of {_METRIC_TYPES}, got {mtype!r}")
     labels = record.get("labels", {})
-    _require(isinstance(labels, dict), f"{path}.labels", "labels must be an object")
+    require(isinstance(labels, dict), f"{path}.labels", "labels must be an object")
     for key, value in labels.items():
-        _require(isinstance(key, str) and isinstance(value, str),
-                 f"{path}.labels.{key}", "labels must map strings to strings")
+        require(isinstance(key, str) and isinstance(value, str),
+                f"{path}.labels.{key}", "labels must map strings to strings")
     if mtype == "histogram":
         summary = record.get("summary")
-        _require(isinstance(summary, dict), f"{path}.summary",
-                 "histogram requires a summary object")
-        for key in _SUMMARY_KEYS:
-            _require(key in summary, f"{path}.summary.{key}", "missing")
-            _check_number(summary[key], f"{path}.summary.{key}")
+        require(isinstance(summary, dict), f"{path}.summary",
+                "histogram requires a summary object")
+        for key in summary_keys:
+            require(key in summary, f"{path}.summary.{key}", "missing")
+            number(summary[key], f"{path}.summary.{key}")
     else:
-        _require("value" in record, f"{path}.value",
-                 f"{mtype} requires a value")
-        _check_number(record["value"], f"{path}.value")
+        require("value" in record, f"{path}.value",
+                f"{mtype} requires a value")
+        number(record["value"], f"{path}.value")
 
 
 def validate_span_record(record: Any, path: str = "span") -> None:
@@ -106,9 +105,7 @@ def validate_metrics_payload(payload: Any) -> None:
         {"schema": "repro.telemetry/v1", "experiment": "...",
          "metrics": [...], "spans": [...]?}
     """
-    _require(isinstance(payload, dict), "$", "payload must be an object")
-    _require(payload.get("schema") == SCHEMA_ID, "$.schema",
-             f"expected {SCHEMA_ID!r}, got {payload.get('schema')!r}")
+    _check_document(payload, SCHEMA_ID)
     experiment = payload.get("experiment")
     _require(isinstance(experiment, str) and experiment, "$.experiment",
              "experiment must be a non-empty string")
@@ -144,11 +141,7 @@ def validate_step_report_payload(payload: Any) -> None:
                    "phases": {"propose": 0.1, ...}}, ...],
          "means": {"total": 0.2, "phases": {"propose": 0.09, ...}}}
     """
-    _require(isinstance(payload, dict), "$", "payload must be an object")
-    _require(payload.get("schema") == SCHEMA_ID, "$.schema",
-             f"expected {SCHEMA_ID!r}, got {payload.get('schema')!r}")
-    _require(payload.get("kind") == "step_report", "$.kind",
-             f"expected 'step_report', got {payload.get('kind')!r}")
+    _check_document(payload, SCHEMA_ID, "step_report")
     experiment = payload.get("experiment")
     _require(isinstance(experiment, str) and experiment, "$.experiment",
              "experiment must be a non-empty string")
@@ -216,9 +209,7 @@ def validate_bench_payload(payload: Any) -> None:
     stepping-mode comparison shape
     (:func:`validate_stepping_bench_payload`).
     """
-    _require(isinstance(payload, dict), "$", "payload must be an object")
-    _require(payload.get("schema") == BENCH_SCHEMA_ID, "$.schema",
-             f"expected {BENCH_SCHEMA_ID!r}, got {payload.get('schema')!r}")
+    _check_document(payload, BENCH_SCHEMA_ID)
     experiment = payload.get("experiment")
     _require(isinstance(experiment, str) and experiment, "$.experiment",
              "experiment must be a non-empty string")
@@ -245,9 +236,7 @@ def validate_stepping_bench_payload(payload: Any) -> None:
                       "ensemble_aggregate_variant_steps_per_s": float},
          "bit_exact": {"pipelined": bool, "ensemble_base_variant": bool}}
     """
-    _require(isinstance(payload, dict), "$", "payload must be an object")
-    _require(payload.get("schema") == BENCH_SCHEMA_ID, "$.schema",
-             f"expected {BENCH_SCHEMA_ID!r}, got {payload.get('schema')!r}")
+    _check_document(payload, BENCH_SCHEMA_ID)
     experiment = payload.get("experiment")
     _require(isinstance(experiment, str) and experiment, "$.experiment",
              "experiment must be a non-empty string")
@@ -293,9 +282,7 @@ def validate_obs_bench_payload(payload: Any) -> None:
                     "snapshot_events": int,
                     "timeline_names_site_and_step": bool}}
     """
-    _require(isinstance(payload, dict), "$", "payload must be an object")
-    _require(payload.get("schema") == BENCH_SCHEMA_ID, "$.schema",
-             f"expected {BENCH_SCHEMA_ID!r}, got {payload.get('schema')!r}")
+    _check_document(payload, BENCH_SCHEMA_ID)
     _require(payload.get("experiment") == "tobs", "$.experiment",
              "observatory bench documents use experiment 'tobs'")
     config = payload.get("config")
@@ -371,9 +358,7 @@ def validate_fleet_bench_payload(payload: Any) -> None:
          "bit_exact": {"solo_vs_fleet": bool, "tenants_checked": int},
          "security": {"unauthorized_rejected": bool}}
     """
-    _require(isinstance(payload, dict), "$", "payload must be an object")
-    _require(payload.get("schema") == BENCH_SCHEMA_ID, "$.schema",
-             f"expected {BENCH_SCHEMA_ID!r}, got {payload.get('schema')!r}")
+    _check_document(payload, BENCH_SCHEMA_ID)
     _require(payload.get("experiment") == "tfleet", "$.experiment",
              "fleet bench documents use experiment 'tfleet'")
     config = payload.get("config")
@@ -459,9 +444,7 @@ def validate_queue_bench_payload(payload: Any) -> None:
                        "resubmit_deduped": bool,
                        "bit_exact_vs_uncrashed": bool}}
     """
-    _require(isinstance(payload, dict), "$", "payload must be an object")
-    _require(payload.get("schema") == BENCH_SCHEMA_ID, "$.schema",
-             f"expected {BENCH_SCHEMA_ID!r}, got {payload.get('schema')!r}")
+    _check_document(payload, BENCH_SCHEMA_ID)
     _require(payload.get("experiment") == "tqueue", "$.experiment",
              "durable-queue bench documents use experiment 'tqueue'")
     config = payload.get("config")

@@ -21,6 +21,15 @@ class ProtocolError(ReproError):
     """A message violated a protocol contract (bad state, bad fields)."""
 
 
+class SchemaError(ReproError):
+    """A persisted or wire document does not match its versioned shape.
+
+    The base of every validator's own error (telemetry, monitor,
+    observatory, checkpoint, queue journal); the message leads with the
+    JSON path of the offending field.
+    """
+
+
 class SecurityError(ReproError):
     """Authentication or authorization failed (GSI / gridmap / CAS)."""
 

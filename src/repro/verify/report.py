@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.telemetry.schema import SchemaError, _check_number, _require
+from repro.telemetry.schema import SchemaError
+from repro.util.schema import schema_checks
 from repro.verify.explorer import ExplorationResult
 
 __all__ = [
@@ -29,6 +30,8 @@ _EXPLORATION_KEYS = ("sites", "n_steps", "pipeline_depth", "max_faults",
 _VIOLATION_KEYS = ("invariant", "step", "site", "detail", "schedule")
 _MUTATION_KEYS = ("rule", "caught", "violations")
 _CONFORMANCE_KEYS = ("traces_replayed", "divergences")
+
+_, _require, _check_number, _, _check_document = schema_checks(SchemaError)
 
 
 def _exploration_record(result: ExplorationResult) -> dict[str, Any]:
@@ -149,9 +152,7 @@ def validate_verify_payload(payload: Any) -> None:
                         "violations": [str, ...]}]?,
          "conformance": {"traces_replayed": int, "divergences": [...]}?}
     """
-    _require(isinstance(payload, dict), "$", "payload must be an object")
-    _require(payload.get("schema") == VERIFY_SCHEMA_ID, "$.schema",
-             f"expected {VERIFY_SCHEMA_ID!r}, got {payload.get('schema')!r}")
+    _check_document(payload, VERIFY_SCHEMA_ID)
     _require(isinstance(payload.get("ok"), bool), "$.ok",
              "must be a boolean")
     explorations = payload.get("explorations")

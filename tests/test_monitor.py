@@ -8,7 +8,6 @@ from repro.monitor import (
     AlertThresholds,
     ExperimentMonitor,
     HealthPublisher,
-    StatusService,
     TelemetryStreamer,
     blame_table,
     critical_path_report,

@@ -19,10 +19,18 @@ from repro.chaos import (
     check_fleet_invariants,
     make_scheduler_crash_plan,
 )
-from repro.fleet import SitePool, TenantRegistry, build_fleet_grid
+from repro.cli import main as cli_main
+from repro.fleet import (
+    FleetScheduler,
+    SitePool,
+    TenantRegistry,
+    build_fleet_grid,
+)
+from repro.ogsi import SdeStatusService
 from repro.queue import (
     ENTRY_KINDS,
     QUEUE_SCHEMA_ID,
+    QUEUE_SDE,
     ExperimentQueue,
     FencedCheckpointStore,
     FencedNTCPClient,
@@ -192,6 +200,27 @@ class TestFileJournalStore:
         with pytest.raises(QueueSchemaError, match="not ascending"):
             run_store(FileJournalStore(path).append(
                 "epoch", {"epoch": 2, "scheduler_id": "s"}, time=2.0))
+
+    @pytest.mark.parametrize("tail, message", [
+        ('{"broken\n', "corrupt journal line"),
+        (json.dumps(build_entry(
+            seq=1, time=1.0, kind="epoch",
+            body={"epoch": 1, "scheduler_id": "s"})) + "\n",
+         "not ascending"),
+    ])
+    def test_read_path_turns_a_bad_journal_into_the_typed_error(
+            self, tmp_path, capsys, tail, message):
+        path = tmp_path / "q.jsonl"
+        run_store(FileJournalStore(path).append(
+            "submit", submission().body(), time=0.0))
+        with path.open("a") as fh:
+            fh.write(tail)
+        with pytest.raises(QueueSchemaError, match=message):
+            run_store(FileJournalStore(path).replay())
+        assert cli_main(["queue", "status", "--journal", str(path)]) != 0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.err.count("\n") == 1 and not captured.out
 
 
 class TestRepositoryJournalStore:
@@ -474,6 +503,37 @@ class TestDurableCampaign:
         assert summary["completed"] == len(subs)
         assert summary["incarnations"] == 1
         assert summary["refusals"] == 0 and summary["redeliveries"] == 0
+
+    def test_fleet_and_durable_paths_run_an_experiment_identically(self):
+        subs = campaign_submissions(3, 2)
+        grid, pool, registry, _ = self.build()
+        fleet = FleetScheduler(grid, pool, registry)
+        for sub in subs:
+            fleet.submit(sub.request())
+        by_fleet = {outcome.run_id: outcome
+                    for outcome in fleet.run().outcomes}
+        durable = run_durable_campaign(*self.build(), subs)
+        by_queue = {outcome.run_id: outcome for outcome in durable.outcomes}
+        assert sorted(by_queue) == sorted(by_fleet) == sorted(
+            sub.submission_id for sub in subs)
+        for run_id, outcome in by_fleet.items():
+            assert outcome.completed and by_queue[run_id].completed
+            assert np.array_equal(
+                by_queue[run_id].result.displacement_history(),
+                outcome.result.displacement_history())
+            assert outcome.duplicate_executes() == 0
+            assert by_queue[run_id].duplicate_executes() == 0
+
+    def test_status_service_carries_the_final_queue_stats(self):
+        subs = campaign_submissions(1, 2)
+        grid, pool, registry, queue = self.build()
+        status = SdeStatusService("queue-status", QUEUE_SDE,
+                                  "getQueueStatus")
+        grid.coord_container.deploy(status)
+        run_durable_campaign(grid, pool, registry, queue, subs,
+                             status=status)
+        assert status.service_data.value(QUEUE_SDE) == queue.stats()
+        assert queue.stats()["completed"] == len(subs)
 
 
 class TestSchedulerCrashPlan:
