@@ -4,11 +4,11 @@ export PYTHONPATH := src
 # Subsystem smokes: `make <name>-smoke` runs scripts/<name>_smoke.py.
 SMOKES := monitor chaos fleet observatory queue
 SMOKE_TARGETS := $(SMOKES:%=%-smoke)
+BENCH_TARGETS := bench-perf bench-fleet bench-obs bench-queue
+BENCH_SMOKE_TARGETS := $(BENCH_TARGETS:%=%-smoke)
 
 .PHONY: test lint analyze verify verify-smoke smoke $(SMOKE_TARGETS) bench \
-	bench-perf bench-perf-smoke bench-fleet bench-fleet-smoke bench-obs \
-	bench-obs-smoke bench-queue bench-queue-smoke validate-bench \
-	twall-names check
+	$(BENCH_TARGETS) $(BENCH_SMOKE_TARGETS) validate-bench twall-names check
 
 test:
 	$(PYTHON) -m pytest -x -q tests/
@@ -38,41 +38,22 @@ $(SMOKE_TARGETS): %-smoke:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Full stepping-mode comparison; regenerates the committed repo-root
-# BENCH_tperf_ntcp.json (sequential vs pipelined vs ensemble).
-bench-perf:
-	$(PYTHON) benchmarks/bench_tperf_ntcp.py
+# Committed comparison documents, name -> script.  `make bench-<name>`
+# regenerates the repo-root BENCH_*.json (perf: sequential vs pipelined
+# vs ensemble; fleet: 100 experiments over 8 shared sites; obs: overhead,
+# rollup fidelity, determinism, black box; queue: 60 submissions
+# surviving 3 scheduler kills); `make bench-<name>-smoke` is the
+# shortened CI gate with the same shape, writing benchmarks/out/ only.
+BENCH_perf := bench_tperf_ntcp.py
+BENCH_fleet := bench_tfleet.py
+BENCH_obs := bench_tobs_observatory.py
+BENCH_queue := bench_tqueue.py
 
-# Shortened CI gate: same comparison, writes benchmarks/out/ only.
-bench-perf-smoke:
-	$(PYTHON) benchmarks/bench_tperf_ntcp.py --smoke
+$(BENCH_TARGETS): bench-%:
+	$(PYTHON) benchmarks/$(BENCH_$*)
 
-# Full multi-tenant fleet campaign; regenerates the committed repo-root
-# BENCH_tfleet.json (100 experiments over 8 shared sites).
-bench-fleet:
-	$(PYTHON) benchmarks/bench_tfleet.py
-
-# Shortened CI gate: same campaign shape, writes benchmarks/out/ only.
-bench-fleet-smoke:
-	$(PYTHON) benchmarks/bench_tfleet.py --smoke
-
-# Full observatory measurement; regenerates the committed repo-root
-# BENCH_tobs.json (overhead, rollup fidelity, determinism, black box).
-bench-obs:
-	$(PYTHON) benchmarks/bench_tobs_observatory.py
-
-# Shortened CI gate: same measurement, writes benchmarks/out/ only.
-bench-obs-smoke:
-	$(PYTHON) benchmarks/bench_tobs_observatory.py --smoke
-
-# Full durable-queue crash campaign; regenerates the committed repo-root
-# BENCH_tqueue.json (60 submissions surviving 3 scheduler kills).
-bench-queue:
-	$(PYTHON) benchmarks/bench_tqueue.py
-
-# Shortened CI gate: same campaign shape, writes benchmarks/out/ only.
-bench-queue-smoke:
-	$(PYTHON) benchmarks/bench_tqueue.py --smoke
+$(BENCH_SMOKE_TARGETS): bench-%-smoke:
+	$(PYTHON) benchmarks/$(BENCH_$*) --smoke
 
 validate-bench:
 	$(PYTHON) scripts/validate_bench.py
@@ -82,6 +63,5 @@ validate-bench:
 twall-names:
 	$(PYTHON) benchmarks/twall/run.py --check-names
 
-check: lint analyze verify test smoke $(SMOKE_TARGETS) bench-perf-smoke \
-	bench-fleet-smoke bench-obs-smoke bench-queue-smoke validate-bench \
-	twall-names
+check: lint analyze verify test smoke $(SMOKE_TARGETS) \
+	$(BENCH_SMOKE_TARGETS) validate-bench twall-names

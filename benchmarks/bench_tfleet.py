@@ -25,7 +25,6 @@ Every figure is *simulated* seconds on the deterministic kernel, so the
 document is bit-identical run to run — safe to commit and diff.
 """
 
-import json
 import pathlib
 import sys
 
@@ -40,9 +39,15 @@ from repro.fleet import (
     solo_displacement_history,
 )
 from repro.net import RemoteException
-from repro.telemetry.schema import BENCH_SCHEMA_ID, validate_bench_payload
 
-from _report import OUT_DIR, write_metrics, write_report
+from _report import (
+    BENCH_SCHEMA_ID,
+    OUT_DIR,
+    check_bench,
+    write_bench,
+    write_metrics,
+    write_report,
+)
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH_DOC = REPO_ROOT / "BENCH_tfleet.json"
@@ -156,7 +161,6 @@ def run_fleet_campaign(*, n_sites: int = 8, n_tenants: int = 20,
                       "tenants_checked": len(solo)},
         "security": {"unauthorized_rejected": rejected},
     }
-    validate_bench_payload(payload)
     return payload, grid.kernel.telemetry
 
 
@@ -200,21 +204,10 @@ def _fleet_report(payload: dict) -> list[str]:
     return lines
 
 
-def _check_fleet_thresholds(payload: dict) -> None:
-    config = payload["config"]
-    fleet = payload["fleet"]
-    assert fleet["completed"] == config["n_experiments"]
-    assert fleet["duplicate_executes"] == 0
-    assert payload["fairness"]["within_bound"]
-    assert payload["bit_exact"]["solo_vs_fleet"]
-    assert payload["bit_exact"]["tenants_checked"] == config["n_tenants"]
-    assert payload["security"]["unauthorized_rejected"]
-
-
 def bench_tfleet(benchmark):
     payload, hub = run_fleet_campaign(n_sites=4, n_tenants=4,
                                       runs_per_tenant=2, n_steps=8)
-    _check_fleet_thresholds(payload)
+    check_bench(payload, committed=False)
     write_metrics("tfleet", hub)
     write_report("tfleet", _fleet_report(payload))
 
@@ -232,19 +225,13 @@ def main(argv=None) -> int:
     if smoke:
         payload, hub = run_fleet_campaign(n_sites=4, n_tenants=4,
                                           runs_per_tenant=3, n_steps=8)
-        OUT_DIR.mkdir(exist_ok=True)
         path = OUT_DIR / "BENCH_tfleet.smoke.json"
     else:
         payload, hub = run_fleet_campaign()
-        assert payload["config"]["n_experiments"] >= 100
-        assert payload["config"]["n_sites"] <= 8
         path = BENCH_DOC
-    _check_fleet_thresholds(payload)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    validate_bench_payload(json.loads(path.read_text()))
-    write_metrics("tfleet", hub)
     print("\n".join(_fleet_report(payload)))
-    print(f"\nwrote {path} (schema {BENCH_SCHEMA_ID})")
+    write_bench(path, payload, committed=not smoke)
+    write_metrics("tfleet", hub)
     return 0
 
 

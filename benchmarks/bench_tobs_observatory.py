@@ -32,9 +32,14 @@ from repro.monitor import attach_monitoring
 from repro.most import ExperimentSession, MOSTConfig
 from repro.most.assembly import build_simulation_only
 from repro.observatory import attach_observatory
-from repro.telemetry.schema import BENCH_SCHEMA_ID, validate_bench_payload
 
-from _report import OUT_DIR, write_report
+from _report import (
+    BENCH_SCHEMA_ID,
+    OUT_DIR,
+    check_bench,
+    write_bench,
+    write_report,
+)
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH_DOC = REPO_ROOT / "BENCH_tobs.json"
@@ -196,7 +201,7 @@ def bench_tobs_observatory(benchmark):
     lines = ["Grid-observatory overhead and fidelity "
              f"(simulation-only rehearsal, {N_STEPS} steps)", ""]
     payload, obs = run_bench(lines)
-    validate_bench_payload(payload)
+    check_bench(payload, committed=False)
     write_report("tobs_observatory", lines)
 
     # timed: one steady-state observatory tick (SLO sweep + range query)
@@ -214,16 +219,9 @@ def main(argv=None):
     lines = ["Grid-observatory overhead and fidelity "
              f"(simulation-only rehearsal, {N_STEPS} steps)", ""]
     payload, _ = run_bench(lines)
-    validate_bench_payload(payload)
     write_report("tobs_observatory", lines)
-
-    if smoke:
-        out = OUT_DIR / "BENCH_tobs.smoke.json"
-    else:
-        out = BENCH_DOC
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    validate_bench_payload(json.loads(out.read_text()))
-    print(f"wrote {out}")
+    write_bench(OUT_DIR / "BENCH_tobs.smoke.json" if smoke else BENCH_DOC,
+                payload, committed=not smoke)
     return 0
 
 

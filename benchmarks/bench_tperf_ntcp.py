@@ -25,7 +25,6 @@ at the repo root (``--smoke`` runs a shortened config and writes to
 ``benchmarks/out/`` instead).
 """
 
-import json
 import pathlib
 import sys
 
@@ -50,9 +49,14 @@ from repro.coordinator import variant_displacement_history
 from repro.most import ExperimentSession, MOSTConfig
 from repro.most.assembly import build_simulation_only
 from repro.telemetry.report import report_from_jsonl
-from repro.telemetry.schema import BENCH_SCHEMA_ID, validate_bench_payload
 
-from _report import OUT_DIR, write_metrics, write_report
+from _report import (
+    BENCH_SCHEMA_ID,
+    OUT_DIR,
+    write_bench,
+    write_metrics,
+    write_report,
+)
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH_DOC = REPO_ROOT / "BENCH_tperf_ntcp.json"
@@ -228,7 +232,6 @@ def run_stepping_modes(n_steps: int = 60, n_variants: int = 8) -> dict:
                 variant_displacement_history(ensemble.result, 0), seq_hist)),
         },
     }
-    validate_bench_payload(payload)
     return payload
 
 
@@ -258,22 +261,9 @@ def _stepping_report(payload: dict) -> list[str]:
     return lines
 
 
-def _check_stepping_thresholds(payload: dict) -> None:
-    speed = payload["speedups"]
-    assert payload["bit_exact"]["pipelined"]
-    assert payload["bit_exact"]["ensemble_base_variant"]
-    assert speed["pipelined_aggregate_steps_per_s"] >= 1.5
-    # one protocol cycle advances every variant, so aggregate variant
-    # throughput scales ~linearly with N; demand at least half of that
-    assert (speed["ensemble_aggregate_variant_steps_per_s"]
-            >= payload["config"]["n_variants"] / 2.0)
-
-
 def bench_stepping_modes(benchmark):
     payload = run_stepping_modes()
-    assert payload["speedups"]["ensemble_aggregate_variant_steps_per_s"] >= 4.0
-    _check_stepping_thresholds(payload)
-    BENCH_DOC.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_bench(BENCH_DOC, payload, committed=True)
     write_report("tperf_stepping_modes", _stepping_report(payload))
 
     def pipelined_short():
@@ -291,18 +281,12 @@ def main(argv=None) -> int:
     smoke = "--smoke" in argv
     if smoke:
         payload = run_stepping_modes(n_steps=12, n_variants=4)
-        OUT_DIR.mkdir(exist_ok=True)
         path = OUT_DIR / "BENCH_tperf_ntcp.smoke.json"
     else:
         payload = run_stepping_modes()
-        assert (payload["speedups"]
-                ["ensemble_aggregate_variant_steps_per_s"]) >= 4.0
         path = BENCH_DOC
-    _check_stepping_thresholds(payload)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    validate_bench_payload(json.loads(path.read_text()))
     print("\n".join(_stepping_report(payload)))
-    print(f"\nwrote {path} (schema {BENCH_SCHEMA_ID})")
+    write_bench(path, payload, committed=not smoke)
     return 0
 
 

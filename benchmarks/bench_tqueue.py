@@ -28,7 +28,6 @@ figure is *simulated* seconds on the deterministic kernel, so the
 document is bit-identical run to run — safe to commit and diff.
 """
 
-import json
 import pathlib
 import sys
 
@@ -44,9 +43,15 @@ from repro.queue import (
     attach_durable_repository,
     run_durable_campaign,
 )
-from repro.telemetry.schema import BENCH_SCHEMA_ID, validate_bench_payload
 
-from _report import write_metrics, write_report, OUT_DIR
+from _report import (
+    BENCH_SCHEMA_ID,
+    OUT_DIR,
+    check_bench,
+    write_bench,
+    write_metrics,
+    write_report,
+)
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH_DOC = REPO_ROOT / "BENCH_tqueue.json"
@@ -179,7 +184,6 @@ def run_queue_campaign(*, n_sites: int = 8, n_tenants: int = 12,
                           summary["submissions"] == n_submissions,
                       "bit_exact_vs_uncrashed": not mismatches},
     }
-    validate_bench_payload(payload)
     return payload, kernel.telemetry
 
 
@@ -224,26 +228,11 @@ def _queue_report(payload: dict) -> list[str]:
     return lines
 
 
-def _check_queue_thresholds(payload: dict) -> None:
-    config = payload["config"]
-    campaign = payload["campaign"]
-    fencing = payload["fencing"]
-    exact = payload["exactness"]
-    assert campaign["completed"] == config["n_submissions"]
-    assert campaign["outstanding"] == 0
-    assert campaign["incarnations"] == len(config["crash_times"]) + 1
-    assert fencing["every_crash_epoch_refused"]
-    assert fencing["stale_accepts"] == 0
-    assert exact["duplicate_executes"] == 0
-    assert exact["resubmit_deduped"]
-    assert exact["bit_exact_vs_uncrashed"]
-
-
 def bench_tqueue(benchmark):
     payload, hub = run_queue_campaign(n_sites=4, n_tenants=4,
                                       runs_per_tenant=3, n_steps=10,
                                       n_crashes=2, takeover_delay=8.0)
-    _check_queue_thresholds(payload)
+    check_bench(payload, committed=False)
     write_metrics("tqueue", hub)
     write_report("tqueue", _queue_report(payload))
 
@@ -262,19 +251,13 @@ def main(argv=None) -> int:
         payload, hub = run_queue_campaign(n_sites=4, n_tenants=4,
                                           runs_per_tenant=3, n_steps=10,
                                           n_crashes=2, takeover_delay=8.0)
-        OUT_DIR.mkdir(exist_ok=True)
         path = OUT_DIR / "BENCH_tqueue.smoke.json"
     else:
         payload, hub = run_queue_campaign()
-        assert payload["config"]["n_submissions"] >= 60
-        assert len(payload["config"]["crash_times"]) >= 3
         path = BENCH_DOC
-    _check_queue_thresholds(payload)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    validate_bench_payload(json.loads(path.read_text()))
-    write_metrics("tqueue", hub)
     print("\n".join(_queue_report(payload)))
-    print(f"\nwrote {path} (schema {BENCH_SCHEMA_ID})")
+    write_bench(path, payload, committed=not smoke)
+    write_metrics("tqueue", hub)
     return 0
 
 

@@ -3,8 +3,10 @@
 
 Checks every ``BENCH_*.json`` at the repo root (and the smoke-mode
 documents under ``benchmarks/out/``, when present) against the
-``repro.bench/v1`` schema, and re-asserts the floors each document
-exists to witness:
+``repro.bench/v1`` shape of its experiment, and re-asserts the floors
+each document exists to witness — both read from the one table the
+benches themselves write through (``benchmarks/_report.py``
+``BENCHES``):
 
 * stepping-mode documents (``BENCH_tperf_ntcp.json``) — pipelined
   stepping >= 1.5x aggregate steps/s over sequential, ensembles >= half
@@ -34,128 +36,9 @@ import pathlib
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 
-from repro.telemetry.schema import validate_bench_payload  # noqa: E402
-
-
-def check_stepping(path: pathlib.Path, payload: dict, *,
-                   committed: bool) -> None:
-    speed = payload["speedups"]
-    assert payload["bit_exact"]["pipelined"], f"{path}: pipelined not bit-exact"
-    assert payload["bit_exact"]["ensemble_base_variant"], \
-        f"{path}: ensemble base variant not bit-exact"
-    assert speed["pipelined_aggregate_steps_per_s"] >= 1.5, \
-        f"{path}: pipelined speedup below 1.5x"
-    floor = payload["config"]["n_variants"] / 2.0
-    if committed:
-        floor = max(floor, 4.0)
-    assert speed["ensemble_aggregate_variant_steps_per_s"] >= floor, \
-        f"{path}: ensemble speedup below {floor}x"
-    print(f"  {path.relative_to(ROOT)}: OK "
-          f"(pipelined {speed['pipelined_aggregate_steps_per_s']:.2f}x, "
-          f"ensemble {speed['ensemble_aggregate_variant_steps_per_s']:.2f}x)")
-
-
-def check_fleet(path: pathlib.Path, payload: dict, *,
-                committed: bool) -> None:
-    config = payload["config"]
-    fleet = payload["fleet"]
-    assert fleet["completed"] == config["n_experiments"], \
-        f"{path}: not every experiment completed"
-    assert fleet["duplicate_executes"] == 0, \
-        f"{path}: duplicate executes on shared sites"
-    assert payload["fairness"]["within_bound"], \
-        f"{path}: fairness ratio exceeds its bound"
-    assert payload["bit_exact"]["solo_vs_fleet"], \
-        f"{path}: fleet histories not bit-exact vs solo runs"
-    assert payload["security"]["unauthorized_rejected"], \
-        f"{path}: unauthorized call was not rejected"
-    if committed:
-        assert config["n_experiments"] >= 100, \
-            f"{path}: committed fleet document needs >= 100 experiments"
-        assert config["n_sites"] <= 8, \
-            f"{path}: committed fleet document needs <= 8 shared sites"
-    print(f"  {path.relative_to(ROOT)}: OK "
-          f"({config['n_experiments']} experiments / "
-          f"{config['n_sites']} sites, fairness "
-          f"{payload['fairness']['completion_ratio']:.2f} <= "
-          f"{payload['fairness']['bound']})")
-
-
-def check_obs(path: pathlib.Path, payload: dict, *,
-              committed: bool) -> None:
-    overhead = payload["overhead"]
-    assert overhead["within_bound"], \
-        f"{path}: observatory overhead exceeds its bound"
-    assert abs(overhead["overhead_fraction"]) <= overhead["bound"], \
-        f"{path}: overhead_fraction disagrees with within_bound"
-    assert payload["rollups"]["consistent"], \
-        f"{path}: rollup buckets disagree with their raw points"
-    assert payload["determinism"]["query_identical"], \
-        f"{path}: query documents not identical across campaigns"
-    assert payload["determinism"]["postmortem_identical"], \
-        f"{path}: postmortems not identical across campaigns"
-    flight = payload["flight"]
-    assert flight["timeline_names_site_and_step"], \
-        f"{path}: postmortem does not name the faulted site and step"
-    if committed:
-        assert payload["rollups"]["series_checked"] >= 1, \
-            f"{path}: committed observatory document checked no rollups"
-    print(f"  {path.relative_to(ROOT)}: OK "
-          f"(overhead {overhead['overhead_fraction']:+.2%} within "
-          f"{overhead['bound']:.0%}, {payload['rollups']['series_checked']} "
-          f"rollup series, abort at step {flight['aborted_step']} "
-          f"on {flight['faulted_site']})")
-
-
-def check_tqueue(path: pathlib.Path, payload: dict, *,
-                 committed: bool) -> None:
-    config = payload["config"]
-    campaign = payload["campaign"]
-    fencing = payload["fencing"]
-    exact = payload["exactness"]
-    assert campaign["completed"] == config["n_submissions"], \
-        f"{path}: not every submission completed"
-    assert campaign["outstanding"] == 0, \
-        f"{path}: submissions left outstanding after the campaign"
-    assert exact["duplicate_executes"] == 0, \
-        f"{path}: duplicate executes under redelivery"
-    assert fencing["stale_accepts"] == 0, \
-        f"{path}: a stale-epoch write was accepted"
-    assert fencing["every_crash_epoch_refused"], \
-        f"{path}: a crash epoch produced no fencing refusal"
-    for epoch in range(1, len(config["crash_times"]) + 1):
-        assert fencing["refusals_by_epoch"].get(str(epoch), 0) >= 1, \
-            f"{path}: crash epoch {epoch} has no recorded refusal"
-    assert exact["resubmit_deduped"], \
-        f"{path}: resubmitted id was not deduped"
-    assert exact["bit_exact_vs_uncrashed"], \
-        f"{path}: recovered histories differ from the uncrashed run"
-    if committed:
-        assert config["n_submissions"] >= 60, \
-            f"{path}: committed queue document needs >= 60 submissions"
-        assert len(config["crash_times"]) >= 3, \
-            f"{path}: committed queue document needs >= 3 crashes"
-    print(f"  {path.relative_to(ROOT)}: OK "
-          f"({config['n_submissions']} submissions / "
-          f"{len(config['crash_times'])} crashes, "
-          f"{campaign['redeliveries']} redeliveries, "
-          f"{fencing['refusals']} refusals, "
-          f"{exact['duplicate_executes']} duplicate executes)")
-
-
-def check(path: pathlib.Path, *, committed: bool) -> None:
-    payload = json.loads(path.read_text())
-    validate_bench_payload(payload)
-    if payload["experiment"] == "tfleet":
-        check_fleet(path, payload, committed=committed)
-    elif payload["experiment"] == "tobs":
-        check_obs(path, payload, committed=committed)
-    elif payload["experiment"] == "tqueue":
-        check_tqueue(path, payload, committed=committed)
-    else:
-        check_stepping(path, payload, committed=committed)
+from _report import BENCHES, check_bench  # noqa: E402
 
 
 def main() -> int:
@@ -164,13 +47,13 @@ def main() -> int:
         print("no BENCH_*.json documents at the repo root", file=sys.stderr)
         return 1
     print("validating benchmark documents (repro.bench/v1):")
-    for path in committed:
-        check(path, committed=True)
-    for name in ("BENCH_tperf_ntcp.smoke.json", "BENCH_tfleet.smoke.json",
-                  "BENCH_tobs.smoke.json", "BENCH_tqueue.smoke.json"):
-        smoke = ROOT / "benchmarks" / "out" / name
-        if smoke.exists():
-            check(smoke, committed=False)
+    smoke = [ROOT / "benchmarks" / "out" / f"BENCH_{name}.smoke.json"
+             for name in BENCHES]
+    for path in committed + [path for path in smoke if path.exists()]:
+        print(f"  {path.relative_to(ROOT)}: ", end="")
+        summary = check_bench(json.loads(path.read_text()),
+                              committed=path in committed)
+        print(f"OK ({summary})")
     return 0
 
 

@@ -1,8 +1,9 @@
 """Reporters for analysis runs: text for terminals, JSON for tooling.
 
 The JSON document is schema-stamped (``repro.analysis/v1``) and validated
-hand-rolled, the same discipline as :mod:`repro.telemetry.schema`: a
-malformed report fails the producer, not the downstream consumer.
+against a :mod:`repro.util.schema` shape, the same discipline as
+:mod:`repro.telemetry.schema`: a malformed report fails the producer, not
+the downstream consumer.
 """
 
 from __future__ import annotations
@@ -11,12 +12,22 @@ import json
 from typing import Any
 
 from repro.analysis.engine import AnalysisResult, Finding
-from repro.util.errors import ReproError
+from repro.util.errors import SchemaError
+from repro.util.schema import (
+    array,
+    document,
+    integer,
+    mapping,
+    obj,
+    rule,
+    string,
+    validator,
+)
 
 SCHEMA_ID = "repro.analysis/v1"
 
 
-class ReportError(ReproError):
+class ReportError(SchemaError):
     """An analysis report does not match the expected shape."""
 
 
@@ -53,41 +64,25 @@ def render_json(result: AnalysisResult) -> str:
     return json.dumps(build_report(result), indent=2, sort_keys=True)
 
 
-def validate_report(payload: Any) -> None:
-    """Hand-rolled schema check for an analysis report document."""
-    def fail(path: str, message: str) -> None:
-        raise ReportError(f"{path}: {message}")
-
-    if not isinstance(payload, dict):
-        fail("$", "report must be an object")
-    if payload.get("schema") != SCHEMA_ID:
-        fail("$.schema", f"expected {SCHEMA_ID!r}, got "
-                         f"{payload.get('schema')!r}")
-    for key in ("files", "suppressed"):
-        value = payload.get(key)
-        if not isinstance(value, int) or value < 0:
-            fail(f"$.{key}", "must be a non-negative integer")
-    counts = payload.get("counts")
-    if not isinstance(counts, dict):
-        fail("$.counts", "must be an object")
-    for code, n in counts.items():
-        if not (isinstance(code, str) and isinstance(n, int) and n >= 0):
-            fail(f"$.counts.{code}", "must map code strings to counts")
-    findings = payload.get("findings")
-    if not isinstance(findings, list):
-        fail("$.findings", "must be a list")
-    for i, record in enumerate(findings):
-        path = f"$.findings[{i}]"
-        if not isinstance(record, dict):
-            fail(path, "finding must be an object")
-        for key, kind in (("path", str), ("line", int), ("col", int),
-                          ("code", str), ("message", str)):
-            if not isinstance(record.get(key), kind):
-                fail(f"{path}.{key}", f"must be a {kind.__name__}")
-    total = sum(counts.values())
-    if total != len(findings):
-        fail("$.counts", f"counts sum to {total} but there are "
-                         f"{len(findings)} findings")
+#: An analysis report document.
+#:
+#: Shape::
+#:
+#:     {"schema": "repro.analysis/v1", "files": 12, "suppressed": 0,
+#:      "counts": {"RPR001": 2, ...},
+#:      "findings": [{"path": "src/x.py", "line": 3, "col": 0,
+#:                    "code": "RPR001", "message": "..."}, ...]}
+validate_report = validator(ReportError, document(
+    SCHEMA_ID, {
+        "files": integer(0), "suppressed": integer(0),
+        "counts": mapping(integer(0)),
+        "findings": array(obj({
+            "path": string(empty=True), "line": integer(),
+            "col": integer(), "code": string(empty=True),
+            "message": string(empty=True)})),
+    }, None, rule(".counts", "counts must sum to the number of findings",
+                  lambda doc: (sum(doc["counts"].values())
+                               == len(doc["findings"])))))
 
 
 def load_report(text: str) -> AnalysisResult:

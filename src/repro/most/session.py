@@ -29,6 +29,7 @@ class.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -281,16 +282,13 @@ class ExperimentSession:
         self._ran = False
 
     # -- fault handling ----------------------------------------------------
-    def with_fault_policy(self, policy) -> "ExperimentSession":
-        """Use an explicit coordinator fault policy (default: naive)."""
-        self._fault_policy = policy
-        return self
-
     def with_fault_tolerance(self, policy=None) -> "ExperimentSession":
         """Retry steps through transient failures (§4 features).
 
         ``policy=None`` gives the standard schedule every fault-tolerant
-        scenario uses: 12 attempts, 30 s backoff growing 1.5× to 600 s.
+        scenario uses: 12 attempts, 30 s backoff growing 1.5× to 600 s;
+        any other coordinator fault policy is used as given.  Without
+        this call the coordinator runs the naive policy.
         """
         self._fault_policy = policy or FaultTolerantFaultPolicy(
             max_attempts=12, backoff=30.0, backoff_factor=1.5,
@@ -443,6 +441,11 @@ class ExperimentSession:
         if self._ran:
             raise ConfigurationError(
                 "an ExperimentSession runs once; build a new one")
+        if (self._resume is not None and self._faults is not None
+                and not math.isfinite(self._faults["outage_duration"])):
+            raise ConfigurationError(
+                "with_resume() waits out the outage before restarting; a "
+                "permanent outage (outage_duration=inf) never ends")
         self._ran = True
         config = self.config
         fail_at_step = None

@@ -9,10 +9,10 @@ reconstructed by replaying the journal in sequence order, which is what
 makes a fleet-scheduler crash survivable: the successor replays, sees
 claimed-but-unterminated submissions, and redelivers them.
 
-Entries are versioned, hand-rolled-schema documents exactly like the
-checkpoint (``repro.checkpoint/v1``) and telemetry schemas: ~100 lines of
-standard-library checks with JSON-path error messages, run on every
-append *and* every replay.
+Entries are versioned documents exactly like the checkpoint
+(``repro.checkpoint/v1``) and telemetry schemas: one shape value built
+from the :mod:`repro.util.schema` kit, JSON-path error messages, run on
+every append *and* every replay.
 
 Three stores share one generator-shaped API (``append`` / ``replay``):
 
@@ -37,12 +37,20 @@ from repro.net.rpc import RpcClient
 from repro.ogsi.handle import GridServiceHandle
 from repro.repository.transport import Transport
 from repro.util.errors import ConfigurationError, ProtocolError, SchemaError
-from repro.util.schema import schema_checks
+from repro.util.schema import (
+    array,
+    document,
+    integer,
+    number,
+    obj,
+    one_of,
+    string,
+    switch,
+    validator,
+)
 
 QUEUE_SCHEMA_ID = "repro.queue/v1"
 
-#: journal entry vocabulary, in lifecycle order
-ENTRY_KINDS = ("submit", "epoch", "claim", "terminal")
 #: terminal statuses a claim can reach
 TERMINAL_STATUSES = ("completed", "failed")
 
@@ -51,74 +59,33 @@ class QueueSchemaError(SchemaError):
     """A queue journal entry does not match ``repro.queue/v1``."""
 
 
-_, _require, _check_number, _check_int, _check_document = \
-    schema_checks(QueueSchemaError)
+_SUBMISSION = {"submission_id": string(), "epoch": integer(1)}
+#: entry kind -> the fields its ``body`` carries, in lifecycle order
+_BODIES = {
+    "submit": obj({
+        "submission_id": string(), "tenant": string(), "run_id": string(),
+        "n_steps": integer(1), "n_sites": integer(1),
+        "motion_scale": number(above=0), "checkpoint_every": integer(0)}),
+    "epoch": obj({"epoch": integer(1), "scheduler_id": string()}),
+    "claim": obj({**_SUBMISSION, "attempt": integer(1),
+                  "sites": array(string(), nonempty=True)}),
+    "terminal": obj({**_SUBMISSION, "status": one_of(*TERMINAL_STATUSES),
+                     "steps": integer(0)}),
+}
+#: journal entry vocabulary, in lifecycle order
+ENTRY_KINDS = tuple(_BODIES)
 
-
-def _check_str(value: Any, path: str) -> None:
-    _require(isinstance(value, str) and value, path,
-             "must be a non-empty string")
-
-
-def _check_submit_body(body: dict, path: str) -> None:
-    _check_str(body.get("submission_id"), f"{path}.submission_id")
-    _check_str(body.get("tenant"), f"{path}.tenant")
-    _check_str(body.get("run_id"), f"{path}.run_id")
-    _check_int(body.get("n_steps"), f"{path}.n_steps", minimum=1)
-    _check_int(body.get("n_sites"), f"{path}.n_sites", minimum=1)
-    _check_number(body.get("motion_scale"), f"{path}.motion_scale")
-    _require(body["motion_scale"] > 0, f"{path}.motion_scale",
-             "must be positive")
-    _check_int(body.get("checkpoint_every"), f"{path}.checkpoint_every",
-               minimum=0)
-
-
-def _check_epoch_body(body: dict, path: str) -> None:
-    _check_int(body.get("epoch"), f"{path}.epoch", minimum=1)
-    _check_str(body.get("scheduler_id"), f"{path}.scheduler_id")
-
-
-def _check_claim_body(body: dict, path: str) -> None:
-    _check_str(body.get("submission_id"), f"{path}.submission_id")
-    _check_int(body.get("epoch"), f"{path}.epoch", minimum=1)
-    _check_int(body.get("attempt"), f"{path}.attempt", minimum=1)
-    sites = body.get("sites")
-    _require(isinstance(sites, list) and sites, f"{path}.sites",
-             "must be a non-empty list of site names")
-    for i, site in enumerate(sites):
-        _check_str(site, f"{path}.sites[{i}]")
-
-
-def _check_terminal_body(body: dict, path: str) -> None:
-    _check_str(body.get("submission_id"), f"{path}.submission_id")
-    _check_int(body.get("epoch"), f"{path}.epoch", minimum=1)
-    _require(body.get("status") in TERMINAL_STATUSES, f"{path}.status",
-             f"must be one of {TERMINAL_STATUSES}, got {body.get('status')!r}")
-    _check_int(body.get("steps"), f"{path}.steps", minimum=0)
-
-
-_BODY_CHECKS = {"submit": _check_submit_body, "epoch": _check_epoch_body,
-                "claim": _check_claim_body, "terminal": _check_terminal_body}
-
-
-def validate_queue_entry(payload: Any) -> None:
-    """One journal entry.
-
-    Shape::
-
-        {"schema": "repro.queue/v1", "seq": 7, "time": 12.5,
-         "kind": "submit" | "epoch" | "claim" | "terminal",
-         "body": {kind-specific fields}}
-    """
-    _check_document(payload, QUEUE_SCHEMA_ID)
-    _check_int(payload.get("seq"), "$.seq", minimum=1)
-    _check_number(payload.get("time"), "$.time")
-    kind = payload.get("kind")
-    _require(kind in ENTRY_KINDS, "$.kind",
-             f"must be one of {ENTRY_KINDS}, got {kind!r}")
-    body = payload.get("body")
-    _require(isinstance(body, dict), "$.body", "body must be an object")
-    _BODY_CHECKS[kind](body, "$.body")
+#: One journal entry.
+#:
+#: Shape::
+#:
+#:     {"schema": "repro.queue/v1", "seq": 7, "time": 12.5,
+#:      "kind": "submit" | "epoch" | "claim" | "terminal",
+#:      "body": {kind-specific fields}}
+validate_queue_entry = validator(QueueSchemaError, document(
+    QUEUE_SCHEMA_ID, {"seq": integer(1), "time": number()}, None,
+    switch("kind", **{kind: obj({"body": body})
+                      for kind, body in _BODIES.items()})))
 
 
 def build_entry(*, seq: int, time: float, kind: str, body: dict) -> dict:

@@ -8,11 +8,11 @@ committed :class:`~repro.coordinator.records.StepRecord`\\ s since the
 previous checkpoint, and a restarted coordinator reconstructs the full
 history by merging every sequence.
 
-The document is a hand-rolled, versioned schema (``repro.checkpoint/v1``),
-validated the same way the telemetry and analysis schemas are: ~100 lines
-of standard-library checking with JSON-path error messages, run on every
-save *and* every load so a malformed checkpoint fails immediately instead
-of corrupting a resume.  All float payloads are ``float.hex()`` strings —
+The document is a versioned schema (``repro.checkpoint/v1``) whose shape
+is a value built from the :mod:`repro.util.schema` kit, like the
+telemetry and analysis schemas: compiled once at import, JSON-path error
+messages, run on every save *and* every load so a malformed checkpoint
+fails immediately instead of corrupting a resume.  All float payloads are ``float.hex()`` strings —
 checkpoint → restore round-trips are bit-exact.
 
 Two stores share one API (generator-shaped ``save`` / ``load`` /
@@ -30,6 +30,7 @@ Two stores share one API (generator-shaped ``save`` / ``load`` /
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -38,7 +39,21 @@ from repro.net.rpc import RpcClient, RpcError
 from repro.ogsi.handle import GridServiceHandle
 from repro.repository.transport import Transport
 from repro.util.errors import ConfigurationError, ReproError, SchemaError
-from repro.util.schema import schema_checks
+from repro.util.schema import (
+    Check,
+    Failure,
+    array,
+    document,
+    integer,
+    mapping,
+    nullable,
+    number,
+    obj,
+    one_of,
+    rule,
+    string,
+    validator,
+)
 
 SCHEMA_ID = "repro.checkpoint/v1"
 MANIFEST_SCHEMA_ID = "repro.checkpoint-manifest/v1"
@@ -47,10 +62,6 @@ _REASONS = ("policy", "abort", "final")
 #: Mirrors :data:`repro.coordinator.state.PHASES` (kept literal here so the
 #: repository layer never imports the coordinator; a test pins the two).
 _PHASES = ("idle", "integrate", "propose", "execute", "commit")
-
-_STATE_INT_KEYS = ("target_steps", "step", "generation", "checkpoint_seq")
-_RECORD_KEYS = ("step", "model_time", "displacement", "restoring_force",
-                "site_forces", "attempts", "wall_started", "wall_finished")
 
 
 class CheckpointSchemaError(SchemaError):
@@ -91,186 +102,127 @@ def _parse_checkpoint(text: str, *, run_id: str, seq: int,
     return doc
 
 
-_fail, _require, _check_number, _check_int, _check_document = \
-    schema_checks(CheckpointSchemaError)
-
-
-def _check_hex_float(value: Any, path: str) -> None:
-    _require(isinstance(value, str), path,
-             f"expected a hex float string, got {type(value).__name__}")
+def _hex_float(value: Any) -> Failure:
+    """A ``float.hex()`` string (a kit leaf)."""
+    if not isinstance(value, str):
+        return "", f"expected a hex float string, got {type(value).__name__}"
     try:
         float.fromhex(value)
     except ValueError:
-        _fail(path, f"not a hex float: {value!r}")
+        return "", f"not a hex float: {value!r}"
+    return None
 
 
-def _check_hex_vector(values: Any, path: str) -> None:
-    _require(isinstance(values, list), path, "expected a list of hex floats")
-    for i, value in enumerate(values):
-        _check_hex_float(value, f"{path}[{i}]")
+_HEX_VECTOR = array(_hex_float)
+_SHAPED_ARRAY = obj({"shape": array(integer(1), nonempty=True),
+                     "data": _HEX_VECTOR})
 
 
-def _check_hex_array(values: Any, path: str) -> None:
+def _hex_array(values: Any) -> Failure:
     """A float array payload: a flat hex list (1-D, the historical form)
     or a shape-tagged object (``{"shape": [...], "data": [...]}``) for an
     ensemble's higher-rank state."""
-    if isinstance(values, dict):
-        shape = values.get("shape")
-        _require(isinstance(shape, list) and shape
-                 and all(isinstance(s, int) and not isinstance(s, bool)
-                         and s >= 1 for s in shape),
-                 f"{path}.shape", "must be a list of positive integers")
-        _check_hex_vector(values.get("data"), f"{path}.data")
-        expected = 1
-        for s in shape:
-            expected *= s
-        _require(len(values["data"]) == expected, f"{path}.data",
-                 f"expected {expected} values for shape {shape}, "
-                 f"got {len(values['data'])}")
-        return
-    _check_hex_vector(values, path)
+    if not isinstance(values, dict):
+        return _HEX_VECTOR(values)
+    failure = _SHAPED_ARRAY(values)
+    if failure is None and len(values["data"]) != math.prod(values["shape"]):
+        return ".data", (f"expected {math.prod(values['shape'])} values for "
+                         f"shape {values['shape']}, got {len(values['data'])}")
+    return failure
 
 
-def validate_state_payload(state: Any, path: str = "$.state") -> None:
-    """The serialized :class:`~repro.coordinator.state.ExperimentState`."""
-    _require(isinstance(state, dict), path, "state must be an object")
-    _require(isinstance(state.get("run_id"), str) and state.get("run_id"),
-             f"{path}.run_id", "must be a non-empty string")
-    for key in _STATE_INT_KEYS:
-        _check_int(state.get(key), f"{path}.{key}", minimum=0)
-    _require(state.get("target_steps", 0) >= 1, f"{path}.target_steps",
-             "must be >= 1")
-    _check_number(state.get("dt"), f"{path}.dt")
-    _require(state["dt"] > 0, f"{path}.dt", "must be positive")
-    _check_number(state.get("wall_started"), f"{path}.wall_started")
-    _require(state.get("phase") in _PHASES, f"{path}.phase",
-             f"must be one of {_PHASES}, got {state.get('phase')!r}")
-    pending = state.get("pending")
-    _require(isinstance(pending, dict), f"{path}.pending",
-             "pending must be an object")
-    for site, txn in pending.items():
-        _require(isinstance(site, str) and isinstance(txn, str) and txn,
-                 f"{path}.pending.{site}",
-                 "must map site names to transaction names")
-    speculative = state.get("speculative")
-    if speculative is not None:
-        _require(isinstance(speculative, dict), f"{path}.speculative",
-                 "speculative must be an object")
-        for site, txn in speculative.items():
-            _require(isinstance(site, str) and isinstance(txn, str) and txn,
-                     f"{path}.speculative.{site}",
-                     "must map site names to transaction names")
-        _check_int(state.get("speculative_step"),
-                   f"{path}.speculative_step", minimum=0)
-    integrator = state.get("integrator")
-    if integrator is not None:
-        ipath = f"{path}.integrator"
-        _require(isinstance(integrator, dict), ipath,
-                 "integrator must be an object or null")
-        _require(isinstance(integrator.get("kind"), str)
-                 and integrator.get("kind"),
-                 f"{ipath}.kind", "must be a non-empty string")
-        _check_int(integrator.get("step_index"), f"{ipath}.step_index",
-                   minimum=0)
-        arrays = integrator.get("arrays")
-        _require(isinstance(arrays, dict) and arrays, f"{ipath}.arrays",
-                 "must be a non-empty object")
-        for name, vec in arrays.items():
-            _check_hex_array(vec, f"{ipath}.arrays.{name}")
+def _ascending(key: str | None = None) -> Check:
+    """A rule: integers (or each item's ``key``) strictly ascending from 1."""
+    suffix = "" if key is None else f".{key}"
+
+    def check(items: list) -> Failure:
+        last = 0
+        for i, item in enumerate(items):
+            value = item if key is None else item[key]
+            if value <= last:
+                return f"[{i}]{suffix}", "must be strictly ascending"
+            last = value
+        return None
+
+    return check
 
 
-def validate_record_payload(record: Any, path: str = "record") -> None:
-    """One serialized :class:`~repro.coordinator.records.StepRecord`."""
-    _require(isinstance(record, dict), path, "record must be an object")
-    for key in _RECORD_KEYS:
-        _require(key in record, f"{path}.{key}", "missing")
-    _check_int(record["step"], f"{path}.step", minimum=1)
-    _check_int(record["attempts"], f"{path}.attempts", minimum=1)
-    for key in ("model_time", "wall_started", "wall_finished"):
-        _check_number(record[key], f"{path}.{key}")
-    for key in ("displacement", "restoring_force"):
-        _check_hex_array(record[key], f"{path}.{key}")
-    forces = record["site_forces"]
-    _require(isinstance(forces, dict), f"{path}.site_forces",
-             "must be an object")
-    for site, per_dof in forces.items():
-        _require(isinstance(per_dof, dict), f"{path}.site_forces.{site}",
-                 "must be an object")
-        for dof, value in per_dof.items():
-            fpath = f"{path}.site_forces.{site}.{dof}"
-            if isinstance(value, list):
-                # ensemble batch: one force per scenario variant
-                _check_hex_vector(value, fpath)
-            else:
-                _check_hex_float(value, fpath)
+_TRANSACTIONS = mapping(string())
+_SPECULATIVE_STEP = obj({"speculative_step": integer(0)})
 
 
-def validate_checkpoint_payload(payload: Any) -> None:
-    """A full checkpoint document.
-
-    Shape::
-
-        {"schema": "repro.checkpoint/v1", "run_id": "...", "seq": 1,
-         "wall_time": 12.3, "reason": "policy" | "abort" | "final",
-         "state": {...}, "records": [...]}
-    """
-    _check_document(payload, SCHEMA_ID)
-    _require(isinstance(payload.get("run_id"), str) and payload.get("run_id"),
-             "$.run_id", "must be a non-empty string")
-    _check_int(payload.get("seq"), "$.seq", minimum=1)
-    _check_number(payload.get("wall_time"), "$.wall_time")
-    _require(payload.get("reason") in _REASONS, "$.reason",
-             f"must be one of {_REASONS}, got {payload.get('reason')!r}")
-    validate_state_payload(payload.get("state"))
-    records = payload.get("records")
-    _require(isinstance(records, list), "$.records", "records must be a list")
-    for i, record in enumerate(records):
-        validate_record_payload(record, f"$.records[{i}]")
-    _require(payload["state"].get("run_id") == payload["run_id"],
-             "$.state.run_id", "must match the document run_id")
+def _speculative_step(state: dict) -> Failure:
+    """A rule: a speculating state names the step it speculates on."""
+    if state.get("speculative") is None:
+        return None
+    return _SPECULATIVE_STEP(state)
 
 
-def validate_manifest_payload(payload: Any) -> None:
-    """A checkpoint manifest document.
+def _site_force(force: Any) -> Failure:
+    """One hex float, or (ensemble batch) one per scenario variant."""
+    return (_HEX_VECTOR if isinstance(force, list) else _hex_float)(force)
 
-    Shape::
 
-        {"schema": "repro.checkpoint-manifest/v1", "run_id": "...",
-         "seq": 3, "seqs": [1, 2, 3], "latest": {checkpoint doc},
-         "records": [merged record payloads, ascending by step]}
+#: The serialized :class:`~repro.coordinator.state.ExperimentState`.
+_STATE = obj({
+    "run_id": string(), "target_steps": integer(1), "step": integer(0),
+    "generation": integer(0), "checkpoint_seq": integer(0),
+    "dt": number(above=0), "wall_started": number(),
+    "phase": one_of(*_PHASES), "pending": _TRANSACTIONS,
+}, {
+    "speculative": nullable(_TRANSACTIONS),
+    "integrator": nullable(obj({
+        "kind": string(), "step_index": integer(0),
+        "arrays": mapping(_hex_array, nonempty=True)})),
+}, _speculative_step)
 
-    ``records`` is the full last-written-per-step merge across every
-    sequence in ``seqs`` — what :meth:`CheckpointStoreBase.load_history`
-    would otherwise recompute by refetching each document.
-    """
-    _check_document(payload, MANIFEST_SCHEMA_ID)
-    _require(isinstance(payload.get("run_id"), str) and payload.get("run_id"),
-             "$.run_id", "must be a non-empty string")
-    _check_int(payload.get("seq"), "$.seq", minimum=1)
-    seqs = payload.get("seqs")
-    _require(isinstance(seqs, list) and seqs, "$.seqs",
-             "must be a non-empty list")
-    for i, seq in enumerate(seqs):
-        _check_int(seq, f"$.seqs[{i}]", minimum=1)
-        if i:
-            _require(seq > seqs[i - 1], f"$.seqs[{i}]",
-                     "must be strictly ascending")
-    _require(seqs[-1] == payload["seq"], "$.seq",
-             "must equal the highest entry of seqs")
-    validate_checkpoint_payload(payload.get("latest"))
-    _require(payload["latest"]["run_id"] == payload["run_id"],
-             "$.latest.run_id", "must match the manifest run_id")
-    _require(payload["latest"]["seq"] == payload["seq"],
-             "$.latest.seq", "must match the manifest seq")
-    records = payload.get("records")
-    _require(isinstance(records, list), "$.records",
-             "records must be a list")
-    last_step = 0
-    for i, record in enumerate(records):
-        validate_record_payload(record, f"$.records[{i}]")
-        _require(record["step"] > last_step, f"$.records[{i}].step",
-                 "must be strictly ascending")
-        last_step = record["step"]
+#: One serialized :class:`~repro.coordinator.records.StepRecord`.
+_RECORD = obj({
+    "step": integer(1), "model_time": number(),
+    "displacement": _hex_array, "restoring_force": _hex_array,
+    "site_forces": mapping(mapping(_site_force)),
+    "attempts": integer(1), "wall_started": number(),
+    "wall_finished": number(),
+})
+
+#: A full checkpoint document.
+#:
+#: Shape::
+#:
+#:     {"schema": "repro.checkpoint/v1", "run_id": "...", "seq": 1,
+#:      "wall_time": 12.3, "reason": "policy" | "abort" | "final",
+#:      "state": {...}, "records": [...]}
+_CHECKPOINT = document(SCHEMA_ID, {
+    "run_id": string(), "seq": integer(1), "wall_time": number(),
+    "reason": one_of(*_REASONS), "state": _STATE, "records": array(_RECORD),
+}, None, rule(".state.run_id", "must match the document run_id",
+              lambda doc: doc["state"]["run_id"] == doc["run_id"]))
+validate_checkpoint_payload = validator(CheckpointSchemaError, _CHECKPOINT)
+
+#: A checkpoint manifest document.
+#:
+#: Shape::
+#:
+#:     {"schema": "repro.checkpoint-manifest/v1", "run_id": "...",
+#:      "seq": 3, "seqs": [1, 2, 3], "latest": {checkpoint doc},
+#:      "records": [merged record payloads, ascending by step]}
+#:
+#: ``records`` is the full last-written-per-step merge across every
+#: sequence in ``seqs`` — what :meth:`CheckpointStoreBase.load_history`
+#: would otherwise recompute by refetching each document.
+validate_manifest_payload = validator(CheckpointSchemaError, document(
+    MANIFEST_SCHEMA_ID, {
+        "run_id": string(), "seq": integer(1),
+        "seqs": array(integer(1), _ascending(), nonempty=True),
+        "latest": _CHECKPOINT,
+        "records": array(_RECORD, _ascending("step")),
+    }, None,
+    rule(".seq", "must equal the highest entry of seqs",
+         lambda doc: doc["seqs"][-1] == doc["seq"]),
+    rule(".latest.run_id", "must match the manifest run_id",
+         lambda doc: doc["latest"]["run_id"] == doc["run_id"]),
+    rule(".latest.seq", "must match the manifest seq",
+         lambda doc: doc["latest"]["seq"] == doc["seq"])))
 
 
 def build_checkpoint_doc(*, run_id: str, seq: int, wall_time: float,

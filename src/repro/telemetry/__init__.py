@@ -28,16 +28,11 @@ from repro.telemetry.metrics import (
     MetricRegistry,
 )
 from repro.telemetry.schema import (
-    BENCH_SCHEMA_ID,
     SCHEMA_ID,
     SchemaError,
-    validate_bench_payload,
-    validate_fleet_bench_payload,
     validate_jsonl_export,
     validate_metric_name,
     validate_metrics_payload,
-    validate_queue_bench_payload,
-    validate_stepping_bench_payload,
 )
 from repro.telemetry.spans import Span, TraceContext, Tracer
 
@@ -55,13 +50,8 @@ __all__ = [
     "Span",
     "TraceContext",
     "SCHEMA_ID",
-    "BENCH_SCHEMA_ID",
     "SchemaError",
     "validate_metric_name",
     "validate_metrics_payload",
-    "validate_bench_payload",
-    "validate_fleet_bench_payload",
-    "validate_queue_bench_payload",
-    "validate_stepping_bench_payload",
     "validate_jsonl_export",
 ]

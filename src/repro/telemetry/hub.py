@@ -21,8 +21,16 @@ from repro.telemetry.metrics import (
     Histogram,
     MetricRegistry,
 )
-from repro.telemetry.schema import SCHEMA_ID, validate_metrics_payload
+from repro.telemetry.schema import (
+    SCHEMA_ID,
+    SchemaError,
+    validate_jsonl_export,
+    validate_metrics_payload,
+)
 from repro.telemetry.spans import Span, TraceContext, Tracer
+from repro.util.schema import obj, validator
+
+_validate_jsonl_line = validator(SchemaError, obj({}))
 
 
 class InMemorySink:
@@ -187,14 +195,24 @@ class TelemetryHub:
 
     @staticmethod
     def load_jsonl(path: str | pathlib.Path) -> dict[str, Any]:
-        """Parse an export back into ``{"meta", "metrics", "spans"}``."""
+        """Parse an export back into ``{"meta", "metrics", "spans"}``.
+
+        Validated on the way in: a line that is not a JSON object, or a
+        record of the wrong shape, is a :class:`SchemaError`.
+        """
         meta: dict[str, Any] = {}
         metrics: list[dict[str, Any]] = []
         spans: list[dict[str, Any]] = []
-        for line in pathlib.Path(path).read_text(encoding="utf-8").splitlines():
+        lines = pathlib.Path(path).read_text(encoding="utf-8").splitlines()
+        for lineno, line in enumerate(lines, 1):
             if not line.strip():
                 continue
-            record = json.loads(line)
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(
+                    f"corrupt trace line {lineno}: {exc}") from exc
+            _validate_jsonl_line(record)
             kind = record.pop("kind", None)
             if kind == "meta":
                 meta = record
@@ -202,4 +220,6 @@ class TelemetryHub:
                 metrics.append(record)
             elif kind == "span":
                 spans.append(record)
-        return {"meta": meta, "metrics": metrics, "spans": spans}
+        loaded = {"meta": meta, "metrics": metrics, "spans": spans}
+        validate_jsonl_export(loaded)
+        return loaded

@@ -29,6 +29,8 @@ import pathlib
 import sys
 from typing import Any
 
+from repro.util.errors import SchemaError
+
 STEP_SPAN = "coordinator.step"
 PHASES = ("integrate", "propose", "execute", "commit", "retry_wait",
           "propose_execute")
@@ -180,7 +182,9 @@ def main(argv: list[str] | None = None) -> int:
                 print(report_from_jsonl(path))
         except BrokenPipeError:  # e.g. piped into head
             return 0
-        except (ValueError, KeyError) as exc:  # malformed trace file
+        except (SchemaError, ValueError, KeyError, TypeError) as exc:
+            # a malformed trace: wrong shape, or step-span attrs the
+            # renderers cannot read (attrs are free-form in the schema)
             print(f"error: not a telemetry trace: {path} ({exc})",
                   file=sys.stderr)
             return 1

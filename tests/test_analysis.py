@@ -568,6 +568,8 @@ class TestReporters:
             {"files": -1},
             {"counts": {"RPR002": 2}},       # counts disagree with findings
             {"findings": [{"path": "x"}]},   # finding missing fields
+            {"suppressed": True},            # booleans are not integers
+            {"findings": [{**report["findings"][0], "line": True}]},
         ):
             bad = {**report, **mutation}
             with pytest.raises(ReproError):

@@ -28,11 +28,7 @@ def run_degraded(config, *, fail_at_step=None,
                .with_faults(fail_at_step, outage_duration=outage_duration)
                .with_degradation(degradation_policy,
                                  breaker_config=breaker_config))
-    if fault_policy is not None:
-        session.with_fault_policy(fault_policy)
-    else:
-        session.with_fault_tolerance()
-    return session.run()
+    return session.with_fault_tolerance(fault_policy).run()
 
 
 def make_breaker(**cfg):

@@ -6,9 +6,12 @@ scenarios' physics, and the composable capabilities land their results
 on the typed :class:`SessionResult` fields.
 """
 
+import pytest
+
 import repro
 from repro.most import ExperimentSession, MOSTConfig, SessionResult
 from repro.most.session import default_fail_step
+from repro.util.errors import ConfigurationError
 
 
 def small() -> MOSTConfig:
@@ -51,6 +54,16 @@ class TestScenarioCompositions:
         assert composed.reconciliation is not None
         assert composed.checkpoints > 0
         assert composed.result.completed
+
+
+    def test_resume_after_a_permanent_outage_is_refused(self):
+        """Resuming waits out the outage first; forever is a wiring error,
+        not a run that never returns."""
+        session = (ExperimentSession(small(), run_id="most-forever")
+                   .with_faults(outage_duration=float("inf"))
+                   .with_resume())
+        with pytest.raises(ConfigurationError, match="permanent outage"):
+            session.run()
 
 
 class TestSessionResults:

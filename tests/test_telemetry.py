@@ -317,6 +317,9 @@ class TestExportAndSchema:
                              "duration": -1.0, "attrs": {}}]}
         with pytest.raises(SchemaError, match="close at or after"):
             validate_jsonl_export(loaded)
+        loaded["spans"][0].update(end=3.0, duration="x")
+        with pytest.raises(SchemaError, match=r"\$\.spans\[0\]\.duration"):
+            validate_jsonl_export(loaded)
 
 
 def run_most_like(n_steps=8, latency=0.02, compute_time=0.1):
@@ -430,6 +433,9 @@ class TestCoordinatorDecomposition:
         assert doc["means"]["total"] > 0.0
         for row in doc["rows"][1:]:  # step 0 is init: propose/execute only
             assert set(row["phases"]) >= set(CORE_PHASES)
+        with pytest.raises(SchemaError, match=r"\$\.count"):  # True == 1
+            validate_step_report_payload(
+                {**doc, "count": True, "rows": doc["rows"][:1]})
 
     def test_report_cli_rejects_bad_format_combinations(self, capsys):
         from repro.telemetry.report import main
@@ -438,6 +444,30 @@ class TestCoordinatorDecomposition:
         assert "text" in capsys.readouterr().err
         assert main(["--critical-path", "--format", "json", "t.jsonl"]) == 2
         assert "no json format" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [[], ["--format", "json"],
+                                       ["--critical-path"]])
+    @pytest.mark.parametrize("line", [
+        "[1, 2]",                                        # not an object
+        '{"broken',                                      # not JSON
+        '{"kind": "span", "name": "coordinator.step"}',  # not a span
+        '{"kind": "metric", "name": "a.b.c", "type": "counter"}',
+    ])
+    def test_report_cli_turns_a_bad_trace_into_one_error_line(
+            self, tmp_path, capsys, flags, line):
+        from repro.telemetry.report import main
+
+        _, k = run_most_like(n_steps=2)
+        path = k.telemetry.export_jsonl(tmp_path / "t.jsonl", experiment="t")
+        with path.open("a") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(SchemaError):
+            TelemetryHub.load_jsonl(path)
+        assert main([*flags, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
     def test_report_from_live_spans(self):
         _, k = run_most_like(n_steps=4)

@@ -181,6 +181,11 @@ class TestReport:
             {"ok": "yes"},
             {"explorations": None},
             {"ok": False},  # inconsistent with clean explorations
+            # booleans are not integers
+            {"explorations": [{**report["explorations"][0],
+                               "pipeline_depth": False}]},
+            {"conformance": {**report["conformance"],
+                             "traces_replayed": True}},
         ):
             with pytest.raises(VerifyReportError):
                 validate_verify_payload({**report, **mutation})
