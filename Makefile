@@ -8,7 +8,8 @@ BENCH_TARGETS := bench-perf bench-fleet bench-obs bench-queue
 BENCH_SMOKE_TARGETS := $(BENCH_TARGETS:%=%-smoke)
 
 .PHONY: test lint analyze verify verify-smoke smoke $(SMOKE_TARGETS) bench \
-	$(BENCH_TARGETS) $(BENCH_SMOKE_TARGETS) validate-bench twall-names check
+	$(BENCH_TARGETS) $(BENCH_SMOKE_TARGETS) validate-bench twall-names loc \
+	check
 
 test:
 	$(PYTHON) -m pytest -x -q tests/
@@ -62,6 +63,11 @@ validate-bench:
 # and metrics.
 twall-names:
 	$(PYTHON) benchmarks/twall/run.py --check-names
+
+# Code lines by tokenizer (no blank, comment or docstring lines) per
+# directory — the figure CHANGES.md size reports quote.
+loc:
+	$(PYTHON) scripts/loc.py
 
 check: lint analyze verify test smoke $(SMOKE_TARGETS) \
 	$(BENCH_SMOKE_TARGETS) validate-bench twall-names

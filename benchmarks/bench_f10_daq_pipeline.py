@@ -13,8 +13,12 @@ from repro.daq import DAQSystem, SensorChannel, StagingStore
 from repro.daq.filestore import RepositoryFileStore
 from repro.net import Network, RpcClient
 from repro.nsds import NSDSReceiver, NSDSService
-from repro.ogsi import GridServiceHandle, ServiceContainer
-from repro.repository import GridFTPTransport, IngestionTool
+from repro.ogsi import ServiceContainer, invoke
+from repro.repository import (
+    GridFTPTransport,
+    IngestionTool,
+    RepositoryFacade,
+)
 from repro.sim import Kernel
 from repro.structural.specimen import Sensor
 
@@ -56,21 +60,19 @@ def bench_f10_daq_pipeline(benchmark):
     nfms.install_transport("gridftp")
     repo_store = RepositoryFileStore()
     tool = IngestionTool(
-        site="lab", staging=staging, repo_host="repo",
-        repo_store=repo_store, transport=GridFTPTransport(net),
-        rpc=RpcClient(net, "lab", default_timeout=30.0, default_retries=2),
-        nfms=GridServiceHandle("repo", "ogsi", "nfms"),
-        nmds=GridServiceHandle("repo", "ogsi", "nmds"),
+        RepositoryFacade(
+            RpcClient(net, "lab", default_timeout=30.0, default_retries=2),
+            nmds.handle, nfms.handle, {"gridftp": GridFTPTransport(net)},
+            repo_store=repo_store, staging=staging),
         experiment="f10", sweep_interval=10.0)
 
     receiver = NSDSReceiver(net, "viewer")
     viewer_rpc = RpcClient(net, "viewer", default_timeout=30.0)
 
     def subscribe():
-        yield from viewer_rpc.call("lab", "ogsi", "invoke", {
-            "service_id": "nsds-lab", "operation": "subscribe",
-            "params": {"sink_host": "viewer", "sink_port": receiver.port,
-                       "lifetime": 1e9}})
+        yield from invoke(viewer_rpc, nsds.handle, "subscribe",
+                          {"sink_host": "viewer", "sink_port": receiver.port,
+                           "lifetime": 1e9})
 
     k.process(subscribe())
     daq.start()

@@ -12,7 +12,7 @@ import pytest
 from repro.daq import StagingStore
 from repro.daq.filestore import RepositoryFileStore
 from repro.net import Network, RpcClient
-from repro.ogsi import GridServiceHandle, ServiceContainer
+from repro.ogsi import ServiceContainer
 from repro.repository import (
     GridFTPTransport,
     HttpsBridgeTransport,
@@ -43,10 +43,10 @@ def build_repo_world():
     repo_store = RepositoryFileStore()
     rpc = RpcClient(net, "site", default_timeout=30.0, default_retries=2)
     tool = IngestionTool(
-        site="site", staging=staging, repo_host="repo",
-        repo_store=repo_store, transport=GridFTPTransport(net), rpc=rpc,
-        nfms=GridServiceHandle("repo", "ogsi", "nfms"),
-        nmds=GridServiceHandle("repo", "ogsi", "nmds"), experiment="most")
+        RepositoryFacade(rpc, nmds.handle, nfms.handle,
+                         {"gridftp": GridFTPTransport(net)},
+                         repo_store=repo_store, staging=staging),
+        experiment="most")
     return k, net, staging, repo_store, nmds, nfms, tool
 
 
@@ -66,16 +66,13 @@ def bench_f3_repository(benchmark):
     for label, transports in (
             ("gridftp-user", {"gridftp": GridFTPTransport(net)}),
             ("https-user", {"https": HttpsBridgeTransport(net)})):
-        facade = RepositoryFacade(
-            user_rpc, GridServiceHandle("repo", "ogsi", "nmds"),
-            GridServiceHandle("repo", "ogsi", "nfms"), transports=transports)
+        facade = RepositoryFacade(user_rpc, nmds.handle, nfms.handle,
+                                  transports, repo_store=repo_store)
         local = StagingStore(label)
 
         def fetch(facade=facade, local=local):
             names = yield from facade.list_files("most/")
-            report = yield from facade.download(
-                names[0], "user", local,
-                source_store_lookup=lambda host, store: repo_store)
+            report = yield from facade.download(names[0], local)
             ids = yield from facade.query_metadata("data-file")
             return names, report, ids
 

@@ -14,6 +14,7 @@ from repro.chef import DataViewer, HysteresisView, TimeSeriesView
 from repro.most import MOSTConfig, build_most
 from repro.net import RpcClient
 from repro.nsds import NSDSReceiver
+from repro.ogsi import invoke
 
 from _report import write_report
 
@@ -35,10 +36,9 @@ def run_viewed_experiment(n_steps=200):
     rpc = RpcClient(dep.network, "portal", default_timeout=30.0)
 
     def subscribe():
-        yield from rpc.call("uiuc", "ogsi", "invoke", {
-            "service_id": "nsds-uiuc", "operation": "subscribe",
-            "params": {"sink_host": "portal", "sink_port": receiver.port,
-                       "lifetime": 1e9}})
+        yield from invoke(rpc, dep.sites["uiuc"].nsds.handle, "subscribe",
+                          {"sink_host": "portal", "sink_port": receiver.port,
+                           "lifetime": 1e9})
 
     dep.kernel.process(subscribe())
     coordinator = dep.make_coordinator(run_id="f8")

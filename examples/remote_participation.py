@@ -16,7 +16,7 @@ from repro.chef import DataViewer, HysteresisView, TimeSeriesView
 from repro.daq import StagingStore
 from repro import MOSTConfig, RpcClient, build_most
 from repro.nsds import NSDSReceiver
-from repro.repository import GridFTPTransport, RepositoryFacade
+from repro.ogsi import invoke
 from repro.telepresence import VideoViewer
 
 
@@ -39,28 +39,19 @@ def main() -> None:
     video = VideoViewer(network, "portal")
 
     def participant():
-        token = yield from rpc.call(
-            "portal", "ogsi", "invoke",
-            {"service_id": dep.chef.service_id, "operation": "login",
-             "params": {"user": "remote-engineer"}})
-        yield from rpc.call(
-            "portal", "ogsi", "invoke",
-            {"service_id": dep.chef.service_id, "operation": "chatPost",
-             "params": {"token": token, "text": "watching the UIUC column"}})
-        yield from rpc.call(
-            "uiuc", "ogsi", "invoke",
-            {"service_id": "nsds-uiuc", "operation": "subscribe",
-             "params": {"sink_host": "portal", "sink_port": receiver.port,
-                        "lifetime": 1e9}})
-        yield from rpc.call(
-            "uiuc", "ogsi", "invoke",
-            {"service_id": "camera-uiuc", "operation": "subscribe",
-             "params": {"sink_host": "portal", "sink_port": video.port,
-                        "lifetime": 600.0}})
-        yield from rpc.call(
-            "uiuc", "ogsi", "invoke",
-            {"service_id": "camera-uiuc", "operation": "ptz",
-             "params": {"pan": 25.0, "zoom": 4.0}})
+        uiuc = dep.sites["uiuc"]
+        token = yield from invoke(rpc, dep.chef.handle, "login",
+                                  {"user": "remote-engineer"})
+        yield from invoke(rpc, dep.chef.handle, "chatPost",
+                          {"token": token, "text": "watching the UIUC column"})
+        yield from invoke(rpc, uiuc.nsds.handle, "subscribe",
+                          {"sink_host": "portal", "sink_port": receiver.port,
+                           "lifetime": 1e9})
+        yield from invoke(rpc, uiuc.camera.handle, "subscribe",
+                          {"sink_host": "portal", "sink_port": video.port,
+                           "lifetime": 600.0})
+        yield from invoke(rpc, uiuc.camera.handle, "ptz",
+                          {"pan": 25.0, "zoom": 4.0})
         return token
 
     kernel.process(participant(), name="participant")
@@ -95,18 +86,14 @@ def main() -> None:
           f"mode {viewer.mode}")
 
     # -- post-experiment data access via the facade ------------------------------
-    facade = RepositoryFacade(
-        rpc, dep.extras["nmds_handle"], dep.extras["nfms_handle"],
-        transports={"gridftp": GridFTPTransport(network)})
+    facade = dep.make_facade(rpc)
     downloads = StagingStore("laptop")
 
     def fetch():
         names = yield from facade.list_files("most/uiuc/")
         if not names:
             return None, []
-        report = yield from facade.download(
-            names[0], "portal", downloads,
-            source_store_lookup=lambda host, store: dep.repo_store)
+        report = yield from facade.download(names[0], downloads)
         ids = yield from facade.query_metadata("data-file")
         return report, ids
 

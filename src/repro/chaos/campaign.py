@@ -39,6 +39,7 @@ import numpy as np
 from repro.coordinator import FaultTolerantFaultPolicy
 from repro.most.assembly import MOSTDeployment, build_most
 from repro.most.config import MOSTConfig
+from repro.most.session import arm_at_step
 from repro.net.rpc import RpcRequest
 from repro.util.errors import ConfigurationError
 
@@ -153,8 +154,6 @@ def make_plan(seed: int, config: MOSTConfig, *, n_events: int = 5,
 
 def _arm_event(dep: MOSTDeployment, event: ChaosEvent) -> None:
     """Install one plan event behind a traffic-watching trigger."""
-    marker = f"step{event.step:05d}"
-    armed = [False]
     site = event.site
     faults = dep.faults
 
@@ -188,23 +187,9 @@ def _arm_event(dep: MOSTDeployment, event: ChaosEvent) -> None:
             raise ConfigurationError(f"unknown chaos kind {event.kind!r}")
 
     # Site faults trigger on the marked step's request *arriving* at the
-    # site; a scheduler crash triggers on the coordinator *sending* it —
-    # the marker-bearing requests originate at coord, replies carry none.
-    def watch(msg) -> bool:
-        if armed[0]:
-            return False
-        if event.kind == SCHEDULER_CRASH:
-            if msg.src != site:
-                return False
-        elif msg.dst != site:
-            return False
-        payload = msg.payload
-        if isinstance(payload, RpcRequest) and marker in str(payload.params):
-            armed[0] = True
-            fire()
-        return False  # the watcher never drops; the armed fault does
-
-    dep.network.add_drop_filter(watch)
+    # site; a scheduler crash triggers on the coordinator *sending* it.
+    arm_at_step(dep, event.step, site, fire,
+                outbound=event.kind == SCHEDULER_CRASH)
 
 
 def arm_plan(dep: MOSTDeployment, plan: ChaosPlan) -> None:
@@ -212,10 +197,9 @@ def arm_plan(dep: MOSTDeployment, plan: ChaosPlan) -> None:
     for event in plan.events:
         _arm_event(dep, event)
     if plan.fatal_site:
-        from repro.most.scenario import _arm_fatal_outage_at_step
-
-        _arm_fatal_outage_at_step(dep, plan.fatal_step, plan.fatal_site,
-                                  duration=float("inf"))
+        _arm_event(dep, ChaosEvent(kind="outage", step=plan.fatal_step,
+                                   site=plan.fatal_site,
+                                   duration=float("inf")))
 
 
 def check_invariants(result, dep: MOSTDeployment, *, baseline=None,

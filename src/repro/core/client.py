@@ -19,7 +19,7 @@ from repro.core.messages import (
     ProposalVerdict,
 )
 from repro.net.rpc import RpcClient
-from repro.ogsi.handle import GridServiceHandle
+from repro.ogsi.handle import GridServiceHandle, invoke
 from repro.util.errors import ProtocolError
 
 
@@ -56,11 +56,8 @@ class NTCPClient:
             f"core.client.{operation}", service=handle.service_id,
             **parenting)
         try:
-            result = yield from self.rpc.call(
-                handle.host, handle.port, "invoke",
-                {"service_id": handle.service_id, "operation": operation,
-                 "params": params},
-                credential=credential,
+            result = yield from invoke(
+                self.rpc, handle, operation, params, credential=credential,
                 timeout=self.timeout if timeout is None else timeout,
                 retries=self.retries if retries is None else retries,
                 ctx=span)

@@ -46,7 +46,11 @@ from repro.fleet.pool import AdmissionError, SiteLease, SitePool
 from repro.most.assembly import provision_simulation_site
 from repro.net import BreakerConfig, CircuitBreaker
 from repro.ogsi import SdeStatusService, ServiceContainer
-from repro.repository import CheckpointPolicy, InMemoryCheckpointStore
+from repro.repository import (
+    CheckpointPolicy,
+    InMemoryCheckpointStore,
+    RepositoryFacade,
+)
 from repro.repository.checkpoint import CheckpointStoreBase
 from repro.structural import (
     LinearSubstructure,
@@ -545,7 +549,9 @@ class FleetScheduler:
         A repository outage must not take the whole campaign down, so
         failures are logged and swallowed.
         """
-        handle = self.grid.nmds_handle
+        facade = RepositoryFacade(
+            tenant.rpc, self.grid.nmds_handle,
+            credential_factory=tenant.authenticator.token)
         fields = {
             "name": f"fleet/{tenant.tenant_id}/{request.run_id}",
             "tenant": tenant.tenant_id,
@@ -556,12 +562,7 @@ class FleetScheduler:
             "degraded_steps": result.degraded_steps,
         }
         try:
-            object_id = yield from tenant.rpc.call(
-                handle.host, handle.port, "invoke",
-                {"service_id": handle.service_id,
-                 "operation": "createObject",
-                 "params": {"object_type": "fleet-run", "fields": fields}},
-                credential=tenant.authenticator.token("invoke"))
+            object_id = yield from facade.annotate("fleet-run", fields)
         except ReproError as exc:
             self.kernel.emit("fleet.sched", "nmds.register_failed",
                              run_id=request.run_id, tenant=tenant.tenant_id,

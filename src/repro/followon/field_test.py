@@ -26,12 +26,13 @@ from repro.daq import StagingStore
 from repro.daq.filestore import RepositoryFileStore
 from repro.net import Network, RpcClient
 from repro.nsds import NSDSReceiver
-from repro.ogsi import GridServiceHandle, ServiceContainer
+from repro.ogsi import ServiceContainer
 from repro.repository import (
     GridFTPTransport,
     IngestionTool,
     NFMSService,
     NMDSService,
+    RepositoryFacade,
 )
 from repro.sim import Kernel
 from repro.structural import NewmarkBeta, ShearFrame
@@ -159,12 +160,11 @@ def run_field_test(config: FieldTestConfig | None = None) -> FieldTestReport:
                                  bandwidth=config.satellite_bandwidth,
                                  parallel_streams=1)
     tool = IngestionTool(
-        site="command-center", staging=local_archive,
-        repo_host="laboratory", repo_store=lab_store, transport=satellite,
-        rpc=RpcClient(network, "command-center", default_timeout=60.0,
+        RepositoryFacade(
+            RpcClient(network, "command-center", default_timeout=60.0,
                       default_retries=2),
-        nfms=GridServiceHandle("laboratory", "ogsi", "nfms"),
-        nmds=GridServiceHandle("laboratory", "ogsi", "nmds"),
+            nmds.handle, nfms.handle, {"gridftp": satellite},
+            repo_store=lab_store, staging=local_archive),
         experiment="ucla-field-test", sweep_interval=30.0)
 
     def archiver():

@@ -29,7 +29,7 @@ from repro.monitor.streamer import TelemetryStreamer
 from repro.net.rpc import RpcClient
 from repro.nsds.service import NSDSService
 from repro.nsds.subscriber import NSDSReceiver
-from repro.ogsi.container import ServiceContainer
+from repro.ogsi import ServiceContainer, invoke
 from repro.ogsi.notification import NotificationSink
 from repro.ogsi.service import SdeStatusService
 
@@ -133,12 +133,11 @@ def attach_monitoring(dep, *, thresholds: AlertThresholds | None = None,
     rpc = RpcClient(network, "portal", default_timeout=30.0)
 
     def subscribe():
-        yield from rpc.call(
-            "coord", "ogsi", "invoke",
-            {"service_id": nsds.service_id, "operation": "subscribe",
-             "params": {"sink_host": "portal", "sink_port": receiver.port,
-                        "channels": [TelemetryStreamer.CHANNEL],
-                        "lifetime": subscription_lifetime}})
+        yield from invoke(
+            rpc, nsds.handle, "subscribe",
+            {"sink_host": "portal", "sink_port": receiver.port,
+             "channels": [TelemetryStreamer.CHANNEL],
+             "lifetime": subscription_lifetime})
         yield from rpc.call(
             "coord", "ogsi", "subscribe",
             {"service_id": status.service_id, "sde_name": "health",

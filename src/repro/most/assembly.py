@@ -65,6 +65,7 @@ from repro.repository import (
     NFMSService,
     NMDSService,
     RepositoryCheckpointStore,
+    RepositoryFacade,
 )
 from repro.sim import Kernel
 from repro.structural import (
@@ -236,14 +237,21 @@ class MOSTDeployment:
         return FailoverManager(container=container, specs=specs,
                                policy=policy)
 
+    def make_facade(self, rpc: RpcClient, *, staging=None,
+                    credential_factory=None) -> RepositoryFacade:
+        """The repository client for ``rpc``'s host: NMDS + NFMS on
+        ``repo``, GridFTP for the bytes."""
+        return RepositoryFacade(
+            rpc, self.nmds.handle, self.nfms.handle,
+            {"gridftp": GridFTPTransport(self.network)},
+            repo_store=self.repo_store, staging=staging,
+            credential_factory=credential_factory)
+
     def make_checkpoint_store(self) -> RepositoryCheckpointStore:
         """A checkpoint store writing through NFMS/GridFTP to ``repo``."""
-        rpc = RpcClient(self.network, "coord", default_timeout=30.0,
-                        default_retries=2)
-        return RepositoryCheckpointStore(
-            host="coord", repo_host="repo", repo_store=self.repo_store,
-            transport=GridFTPTransport(self.network), rpc=rpc,
-            nfms=self.extras["nfms_handle"])
+        return RepositoryCheckpointStore(self.make_facade(
+            RpcClient(self.network, "coord", default_timeout=30.0,
+                      default_retries=2)))
 
     def start_backends(self) -> None:
         for site in self.sites.values():
@@ -404,16 +412,12 @@ def build_most(config: MOSTConfig | None = None) -> MOSTDeployment:
     repo_container.deploy(dep.nfms)
     dep.nfms.install_transport("gridftp")
     dep.nfms.install_transport("https")
-    nfms_handle = GridServiceHandle("repo", "ogsi", "nfms")
-    nmds_handle = GridServiceHandle("repo", "ogsi", "nmds")
     for name in ("uiuc", "cu"):
         site = dep.sites[name]
         site_rpc = RpcClient(network, name, default_timeout=30.0,
                              default_retries=2)
         site.ingest = IngestionTool(
-            site=name, staging=site.staging, repo_host="repo",
-            repo_store=dep.repo_store, transport=GridFTPTransport(network),
-            rpc=site_rpc, nfms=nfms_handle, nmds=nmds_handle,
+            dep.make_facade(site_rpc, staging=site.staging),
             experiment="most", sweep_interval=config.ingest_interval)
     portal_container = ServiceContainer(network, "portal")
     portal_container.deploy(dep.chef)
@@ -428,7 +432,7 @@ def build_most(config: MOSTConfig | None = None) -> MOSTDeployment:
                           site="portal")
     referral._op_register(None, experiment="most", kind="repository",
                           label="MOST data and metadata repository",
-                          handle=str(nmds_handle), site="repo")
+                          handle=str(dep.nmds.handle), site="repo")
     for name in ("uiuc", "cu"):
         site = dep.sites[name]
         referral._op_register(
@@ -445,8 +449,6 @@ def build_most(config: MOSTConfig | None = None) -> MOSTDeployment:
             site=name)
     dep.extras["referral"] = referral
     dep.extras["https_bridge"] = HttpsBridgeTransport(network)
-    dep.extras["nfms_handle"] = nfms_handle
-    dep.extras["nmds_handle"] = nmds_handle
 
     # ---- coordinator client -------------------------------------------------------
     dep.coordinator_rpc = RpcClient(network, "coord",

@@ -105,26 +105,15 @@ def upload_most_metadata(dep: MOSTDeployment, *,
     Returns the list of created object ids.  Runs from the portal host
     (the experimenters' side), like the §3.3 manual uploads.
     """
-    rpc = RpcClient(dep.network, "portal", default_timeout=30.0,
-                    default_retries=2)
-    nmds = dep.extras["nmds_handle"]
+    facade = dep.make_facade(
+        RpcClient(dep.network, "portal", default_timeout=30.0,
+                  default_retries=2),
+        credential_factory=credential_factory)
     created: list[str] = []
-
-    def call(operation, params):
-        credential = (credential_factory("invoke")
-                      if credential_factory else None)
-        result = yield from rpc.call(
-            nmds.host, nmds.port, "invoke",
-            {"service_id": nmds.service_id, "operation": operation,
-             "params": params}, credential=credential)
-        return result
-
     for name, spec in MOST_SCHEMAS.items():
-        yield from call("defineSchema", {"name": name, "spec": spec})
+        yield from facade.define_schema(name, spec)
     for object_type, fields in most_component_records(dep):
-        oid = yield from call("createObject",
-                              {"object_type": object_type,
-                               "fields": fields})
+        oid = yield from facade.annotate(object_type, fields)
         created.append(oid)
     dep.kernel.emit("most.metadata", "uploaded", objects=len(created))
     return created

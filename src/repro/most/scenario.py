@@ -29,16 +29,7 @@ from typing import Any
 from repro.coordinator import ExperimentResult
 from repro.most.assembly import MOSTDeployment
 from repro.most.config import MOSTConfig
-from repro.most.session import (  # noqa: F401  (re-exported for chaos/tests)
-    ExperimentSession,
-    SessionResult,
-    _add_remote_participants,
-    _arm_fatal_outage_at_step,
-    _arm_site_slowdown_at_step,
-    _arm_transient_drop_at_step,
-    _inject_standard_faults,
-    default_fail_step,
-)
+from repro.most.session import ExperimentSession, SessionResult
 
 
 @dataclass

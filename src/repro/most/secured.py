@@ -144,20 +144,5 @@ def build_secured_most(config: MOSTConfig | None = None, *,
     ingest_auth = secured.authenticator(coord_proxy, with_cas=True)
     for site in dep.sites.values():
         if site.ingest is not None:
-            original_call = site.ingest.rpc.call
-            site.ingest.rpc.call = _with_credentials(original_call,
-                                                     ingest_auth)
+            site.ingest.facade.credential_factory = ingest_auth.credential_for
     return secured
-
-
-def _with_credentials(call, authenticator: GsiAuthenticator):
-    """Wrap ``RpcClient.call`` to attach a fresh GSI token per request."""
-
-    def secured_call(dst, port, method, params=None, *, credential=None,
-                     **kwargs):
-        if credential is None:
-            credential = authenticator.token(method)
-        return call(dst, port, method, params, credential=credential,
-                    **kwargs)
-
-    return secured_call

@@ -22,9 +22,8 @@ Orthogonal capabilities compose: resume-from-checkpoint
 (:meth:`~ExperimentSession.with_resume`), graceful degradation
 (:meth:`~ExperimentSession.with_degradation`), remote observers
 (:meth:`~ExperimentSession.with_observers`), vectorized ensembles
-(:meth:`~ExperimentSession.with_ensemble`).  The legacy functions in
-:mod:`repro.most.scenario` are one-release deprecation shims over this
-class.
+(:meth:`~ExperimentSession.with_ensemble`).  The three §3.4 functions
+kept in :mod:`repro.most.scenario` are thin wrappers over this class.
 """
 
 from __future__ import annotations
@@ -46,6 +45,7 @@ from repro.most.assembly import (
 from repro.most.config import MOSTConfig
 from repro.net.network import Message
 from repro.net.rpc import RpcError, RpcRequest
+from repro.ogsi import invoke
 from repro.util.errors import ConfigurationError, ReproError
 
 #: The paper's fatal step as a fraction of the record: 1493 of 1500.
@@ -62,32 +62,37 @@ def default_fail_step(config: MOSTConfig) -> int:
 # Fault-arming helpers (shared with the chaos campaign machinery)
 # ---------------------------------------------------------------------------
 
-def _arm_fatal_outage_at_step(dep: MOSTDeployment, step: int, site: str,
-                              duration: float) -> None:
-    """Take the coordinator—``site`` link down when step ``step`` first
-    goes on the wire, for ``duration`` seconds.
+def arm_at_step(dep: MOSTDeployment, step: int, site: str, action, *,
+                outbound: bool = False) -> None:
+    """Run ``action()`` once, when step ``step``'s request first crosses
+    ``site`` — arriving there, or with ``outbound`` leaving it (the
+    marker-bearing requests originate at the coordinator; replies carry
+    none).
 
     Watching the traffic (rather than hardcoding a wall-clock time) makes
-    the failure land on exactly the paper's step regardless of pacing.
+    the fault land on exactly the intended step regardless of pacing.
     """
     marker = f"step{step:05d}"
     armed = [False]
 
     def watch(msg: Message) -> bool:
-        if armed[0] or msg.dst != site:
+        if armed[0] or (msg.src if outbound else msg.dst) != site:
             return False
         payload = msg.payload
-        if isinstance(payload, RpcRequest):
-            params = payload.params
-            text = str(params.get("params", "")) + str(params.get("transaction", ""))
-            if marker in text:
-                armed[0] = True
-                dep.faults.schedule_outage("coord", site,
-                                           start=dep.kernel.now,
-                                           duration=duration)
-        return False  # never drop here; the outage does the damage
+        if isinstance(payload, RpcRequest) and marker in str(payload.params):
+            armed[0] = True
+            action()
+        return False  # the watcher never drops; the armed fault does
 
     dep.network.add_drop_filter(watch)
+
+
+def _arm_fatal_outage_at_step(dep: MOSTDeployment, step: int, site: str,
+                              duration: float) -> None:
+    """Take the coordinator—``site`` link down when step ``step`` first
+    goes on the wire, for ``duration`` seconds."""
+    arm_at_step(dep, step, site, lambda: dep.faults.schedule_outage(
+        "coord", site, start=dep.kernel.now, duration=duration))
 
 
 def _arm_transient_drop_at_step(dep: MOSTDeployment, step: int,
@@ -95,21 +100,9 @@ def _arm_transient_drop_at_step(dep: MOSTDeployment, step: int,
     """When step ``step`` first reaches ``site``, drop that site's next
     RPC reply — one transient network failure, recovered by the NTCP
     client's retransmission (idempotent server-side)."""
-    marker = f"step{step:05d}"
-    armed = [False]
-
-    def watch(msg: Message) -> bool:
-        if armed[0] or msg.dst != site:
-            return False
-        payload = msg.payload
-        if isinstance(payload, RpcRequest) and marker in str(payload.params):
-            armed[0] = True
-            dep.faults.drop_matching(
-                lambda m: m.src == site and m.port.startswith("rpc-reply"),
-                count=1)
-        return False
-
-    dep.network.add_drop_filter(watch)
+    arm_at_step(dep, step, site, lambda: dep.faults.drop_matching(
+        lambda m: m.src == site and m.port.startswith("rpc-reply"),
+        count=1))
 
 
 def _arm_site_slowdown_at_step(dep: MOSTDeployment, step: int, site: str,
@@ -122,19 +115,11 @@ def _arm_site_slowdown_at_step(dep: MOSTDeployment, step: int, site: str,
     if backend is None or not hasattr(backend, "compute_time"):
         raise ConfigurationError(
             f"site {site!r} has no backend with a compute_time to slow")
-    marker = f"step{step:05d}"
-    armed = [False]
 
-    def watch(msg: Message) -> bool:
-        if armed[0] or msg.dst != site:
-            return False
-        payload = msg.payload
-        if isinstance(payload, RpcRequest) and marker in str(payload.params):
-            armed[0] = True
-            backend.compute_time *= factor
-        return False
+    def slow_down() -> None:
+        backend.compute_time *= factor
 
-    dep.network.add_drop_filter(watch)
+    arm_at_step(dep, step, site, slow_down)
 
 
 def _inject_standard_faults(dep: MOSTDeployment, config: MOSTConfig,
@@ -162,18 +147,13 @@ def _add_remote_participants(dep: MOSTDeployment, *, n_chef: int,
     def chef_crowd():
         tokens = []
         for i in range(n_chef):
-            token = yield from portal_rpc.call(
-                "portal", "ogsi", "invoke",
-                {"service_id": dep.chef.service_id, "operation": "login",
-                 "params": {"user": f"observer-{i:03d}"}})
+            token = yield from invoke(portal_rpc, dep.chef.handle, "login",
+                                      {"user": f"observer-{i:03d}"})
             tokens.append(token)
             if i % 25 == 0:
-                yield from portal_rpc.call(
-                    "portal", "ogsi", "invoke",
-                    {"service_id": dep.chef.service_id,
-                     "operation": "chatPost",
-                     "params": {"token": token,
-                                "text": f"observer-{i:03d} joined"}})
+                yield from invoke(
+                    portal_rpc, dep.chef.handle, "chatPost",
+                    {"token": token, "text": f"observer-{i:03d} joined"})
         return tokens
 
     kernel.process(chef_crowd(), name="chef-crowd")
@@ -193,13 +173,10 @@ def _add_remote_participants(dep: MOSTDeployment, *, n_chef: int,
             for _ in range(n_stream // 2):
                 recv = NSDSReceiver(network, "portal")
                 receivers.append(recv)
-                yield from viewer_rpc.call(
-                    site.name, "ogsi", "invoke",
-                    {"service_id": site.nsds.service_id,
-                     "operation": "subscribe",
-                     "params": {"sink_host": "portal",
-                                "sink_port": recv.port,
-                                "lifetime": 1e9}})
+                yield from invoke(
+                    viewer_rpc, site.nsds.handle, "subscribe",
+                    {"sink_host": "portal", "sink_port": recv.port,
+                     "lifetime": 1e9})
 
         kernel.process(subscribe(), name=f"nsds-subscribers-{name}")
     dep.extras["nsds_receivers"] = receivers
@@ -592,19 +569,11 @@ class ExperimentSession:
         # some are.
         metadata_object = None
         if failover is not None and failover.events:
-            def register():
-                object_id = yield from dep.coordinator_rpc.call(
-                    "repo", "ogsi", "invoke",
-                    {"service_id": dep.nmds.service_id,
-                     "operation": "createObject",
-                     "params": {"object_type": "degradation",
-                                "fields": {"run_id": self.run_id,
-                                           **failover.report()}}})
-                return object_id
-
             try:
-                metadata_object = dep.kernel.run(
-                    until=dep.kernel.process(register()))
+                metadata_object = dep.kernel.run(until=dep.kernel.process(
+                    dep.make_facade(dep.coordinator_rpc).annotate(
+                        "degradation",
+                        {"run_id": self.run_id, **failover.report()})))
             except (RpcError, ReproError):
                 metadata_object = None  # repo unreachable: report-only
 

@@ -35,7 +35,8 @@ from repro.observatory.schema import SCHEMA_ID, validate_dump
 from repro.observatory.service import ObservatoryService
 from repro.observatory.slo import SLOEvaluator, SLOSpec, default_slos
 from repro.observatory.tsdb import TimeSeriesStore
-from repro.ogsi.container import ServiceContainer
+from repro.ogsi import ServiceContainer, invoke
+from repro.repository.facade import RepositoryFacade
 from repro.util.errors import ReproError
 
 #: host the observatory lives on (the paper's NCSA data repository)
@@ -55,8 +56,7 @@ class ObservatoryKit:
     container: ServiceContainer
     monitor_kit: Any
     run_id: str
-    nmds: Any = None
-    rpc: RpcClient | None = None
+    repository: RepositoryFacade | None = None
     registered_snapshots: list = field(default_factory=list)
 
     def start(self) -> None:
@@ -118,22 +118,17 @@ class ObservatoryKit:
         return snapshot
 
     def _register_snapshot(self, snapshot: dict[str, Any]) -> None:
-        if self.nmds is None or self.rpc is None:
+        if self.repository is None:
             return
 
         def register():
             try:
-                object_id = yield from self.rpc.call(
-                    OBSERVATORY_HOST, "ogsi", "invoke",
-                    {"service_id": self.nmds.service_id,
-                     "operation": "createObject",
-                     "params": {"object_type": "flight-recording",
-                                "fields": {"run_id": snapshot["run_id"],
-                                           "reason": snapshot["reason"],
-                                           "step": snapshot["step"],
-                                           "site": snapshot["site"],
-                                           "schema": SCHEMA_ID,
-                                           "snapshot": snapshot}}})
+                object_id = yield from self.repository.annotate(
+                    "flight-recording",
+                    {"run_id": snapshot["run_id"],
+                     "reason": snapshot["reason"], "step": snapshot["step"],
+                     "site": snapshot["site"], "schema": SCHEMA_ID,
+                     "snapshot": snapshot})
             except (RpcError, ReproError):
                 return  # repo unreachable mid-incident: snapshot stays local
             self.registered_snapshots.append(object_id)
@@ -173,13 +168,15 @@ def attach_observatory(dep, kit, *, run_id: str,
                              alert_sink=kit.monitor.raise_alert,
                              interval=slo_interval)
 
+    nmds = getattr(dep, "nmds", None)
+    repository = None if nmds is None else RepositoryFacade(
+        RpcClient(network, OBSERVATORY_HOST, default_timeout=30.0),
+        nmds.handle)
     obs = ObservatoryKit(kernel=kernel, store=store, service=service,
                          receiver=receiver, recorder=recorder,
                          slo=evaluator, container=container,
                          monitor_kit=kit, run_id=run_id,
-                         nmds=getattr(dep, "nmds", None),
-                         rpc=RpcClient(network, OBSERVATORY_HOST,
-                                       default_timeout=30.0))
+                         repository=repository)
 
     # Critical alerts freeze the flight rings — the step-1493 black box.
     previous_on_alert = kit.monitor.on_alert
@@ -195,13 +192,11 @@ def attach_observatory(dep, kit, *, run_id: str,
     rpc = RpcClient(network, OBSERVATORY_HOST, default_timeout=30.0)
 
     def subscribe():
-        yield from rpc.call(
-            "coord", "ogsi", "invoke",
-            {"service_id": kit.nsds.service_id, "operation": "subscribe",
-             "params": {"sink_host": OBSERVATORY_HOST,
-                        "sink_port": receiver.port,
-                        "channels": [TelemetryStreamer.CHANNEL],
-                        "lifetime": subscription_lifetime}})
+        yield from invoke(
+            rpc, kit.nsds.handle, "subscribe",
+            {"sink_host": OBSERVATORY_HOST, "sink_port": receiver.port,
+             "channels": [TelemetryStreamer.CHANNEL],
+             "lifetime": subscription_lifetime})
 
     kernel.process(subscribe(), name="observatory-subscription")
 

@@ -18,12 +18,14 @@ that hosting environment over the simulated network:
   reaper, offers ``findServiceData``/``setTerminationTime``/factory/registry
   operations;
 * :class:`~repro.ogsi.notification.NotificationSink` — client-side receiver
-  for SDE change notifications (subscribe/deliver/expire).
+  for SDE change notifications (subscribe/deliver/expire);
+* :func:`~repro.ogsi.handle.invoke` — the client side of the container's
+  ``invoke`` method: ``yield from invoke(rpc, handle, operation, params)``.
 """
 
 from repro.ogsi.sde import ServiceDataElement, ServiceDataSet
 from repro.ogsi.service import GridService, SdeStatusService
-from repro.ogsi.handle import GridServiceHandle
+from repro.ogsi.handle import GridServiceHandle, invoke
 from repro.ogsi.container import ServiceContainer
 from repro.ogsi.notification import NotificationSink
 
@@ -33,6 +35,7 @@ __all__ = [
     "GridService",
     "SdeStatusService",
     "GridServiceHandle",
+    "invoke",
     "ServiceContainer",
     "NotificationSink",
 ]

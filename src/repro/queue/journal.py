@@ -17,9 +17,10 @@ every append *and* every replay.
 Three stores share one generator-shaped API (``append`` / ``replay``):
 
 * :class:`InMemoryJournalStore` — unit tests and fast benchmarks;
-* :class:`RepositoryJournalStore` — the real path: each entry is staged,
-  moved to the repository host over a transport, and registered with NFMS
-  under ``queue/<name>/<seq>.json`` (the Allcock et al. discipline again:
+* :class:`RepositoryJournalStore` — the real path: each entry is put
+  into the repository through a
+  :class:`~repro.repository.facade.RepositoryFacade` under
+  ``queue/<name>/<seq>.json`` (the Allcock et al. discipline again:
   durable coordination state belongs in the data repository);
 * :class:`FileJournalStore` — a JSONL file on the local disk, for the
   ``repro queue`` CLI where no simulated repository exists.
@@ -31,11 +32,8 @@ import json
 import pathlib
 from typing import Any, Iterable
 
-from repro.daq.filestore import StagingStore
 from repro.net.retry import RetryPolicy
-from repro.net.rpc import RpcClient
-from repro.ogsi.handle import GridServiceHandle
-from repro.repository.transport import Transport
+from repro.repository.facade import RepositoryFacade
 from repro.util.errors import ConfigurationError, ProtocolError, SchemaError
 from repro.util.schema import (
     array,
@@ -198,39 +196,30 @@ class FileJournalStore(JournalStoreBase):
 class RepositoryJournalStore(JournalStoreBase):
     """Journal entries as logical files in the central data repository.
 
-    Append: serialize → stage on ``host`` → move to ``repo_host`` with the
-    configured transport → ``registerFile`` with NFMS under
-    ``queue/<name>/<seq:06d>.json``.  Replay: ``listFiles`` by prefix,
-    ``negotiateTransfer`` + pull per entry, parse and re-validate.
+    Append: serialize → ``facade.put_text`` under
+    ``queue/<name>/<seq:06d>.json``.  Replay: ``facade.list_seqs`` by
+    prefix, ``facade.fetch_text`` per entry, parse and re-validate.
 
-    Every repository hop runs under ``retry`` (a
+    Every NFMS call and every upload runs under ``retry`` (a
     :class:`~repro.net.retry.RetryPolicy`), so a bounded repository outage
     during a submit or claim delays the append instead of losing it —
     at-least-once delivery starts at the journal.
     """
 
-    def __init__(self, *, name: str, host: str, repo_host: str,
-                 repo_store: StagingStore, transport: Transport,
-                 rpc: RpcClient, nfms: GridServiceHandle,
-                 staging: StagingStore | None = None,
+    def __init__(self, *, name: str, facade: RepositoryFacade,
                  retry: RetryPolicy | None = None):
         if not name:
             raise ConfigurationError("a repository journal needs a name")
         self.name = name
-        self.host = host
-        self.repo_host = repo_host
-        self.repo_store = repo_store
-        self.transport = transport
-        self.rpc = rpc
-        self.nfms = nfms
-        self.kernel = transport.kernel
-        self.staging = staging or StagingStore(name=f"{host}-queue-journal")
+        self.facade = facade
+        self.kernel = facade.kernel
+        #: what the journal has made durable (the T-WALL benchmark counts it)
+        self.repo_store = facade.repo_store
         self.retry = retry or RetryPolicy(max_attempts=5, base_delay=2.0,
                                           factor=2.0, max_delay=60.0,
                                           jitter=0.25)
         self.appended = 0
         self.replayed = 0
-        self._fetches = 0
         self._next_seq: int | None = None
 
     @property
@@ -240,33 +229,21 @@ class RepositoryJournalStore(JournalStoreBase):
     def _logical(self, seq: int) -> str:
         return f"{self._prefix}{seq:06d}.json"
 
-    def _nfms_call(self, operation: str, params: dict):
-        reply = yield from self.retry.call(
-            self.kernel,
-            lambda: self.rpc.call(
-                self.nfms.host, self.nfms.port, "invoke",
-                {"service_id": self.nfms.service_id, "operation": operation,
-                 "params": params}),
-            key=f"queue.{self.name}.{operation}")
-        return reply
-
-    def _list_seqs(self):
-        names = yield from self._nfms_call("listFiles",
-                                           {"prefix": self._prefix})
-        seqs = []
-        for name in names:
-            stem = name[len(self._prefix):]
-            if stem.endswith(".json"):
-                try:
-                    seqs.append(int(stem[:-len(".json")]))
-                except ValueError:
-                    continue
-        return sorted(seqs)
+    def _hop(self, seq: int | None = None):
+        """One façade hop under ``retry``; jitter keys are per operation,
+        and per entry for the upload."""
+        def hop(label, make_attempt):
+            if label == "transfer":
+                label = f"transfer.{seq}"
+            return self.retry.call(self.kernel, make_attempt,
+                                   key=f"queue.{self.name}.{label}")
+        return hop
 
     def append(self, kind: str, body: dict, *, time: float):
         """Kernel process: persist one entry; returns the stamped entry."""
         if self._next_seq is None:
-            seqs = yield from self._list_seqs()
+            seqs = yield from self.facade.list_seqs(self._prefix,
+                                                    hop=self._hop())
             # Another append may have seeded the counter while we listed.
             if self._next_seq is None:
                 self._next_seq = (seqs[-1] + 1) if seqs else 1
@@ -275,44 +252,29 @@ class RepositoryJournalStore(JournalStoreBase):
         seq = self._next_seq
         self._next_seq += 1
         entry = build_entry(seq=seq, time=time, kind=kind, body=body)
-        name = self._logical(entry["seq"])
-        text = json.dumps(entry, sort_keys=True)
-        staged = self.staging.deposit(name, [(float(entry["seq"]), text)],
-                                      created=self.kernel.now)
-        yield from self.retry.call(
-            self.kernel,
-            lambda: self.transport.transfer(
-                self.host, self.repo_host, staged, self.repo_store,
-                dst_name=name),
-            key=f"queue.{self.name}.transfer.{entry['seq']}")
-        yield from self._nfms_call("registerFile", {
-            "logical_name": name, "host": self.repo_host,
-            "store": self.repo_store.name, "size": staged.size,
-            "checksum": staged.checksum})
+        yield from self.facade.put_text(
+            self._logical(seq), json.dumps(entry, sort_keys=True),
+            time=float(seq), hop=self._hop(seq))
         self.appended += 1
         return entry
 
     def _fetch(self, seq: int):
         name = self._logical(seq)
-        negotiated = yield from self._nfms_call("negotiateTransfer", {
-            "logical_name": name,
-            "client_protocols": [self.transport.protocol]})
-        replica = negotiated["replica"]
-        self._fetches += 1
-        local_name = f"{name}#fetch{self._fetches}"
-        yield from self.transport.transfer(
-            replica["host"], self.host, self.repo_store.get(name),
-            self.staging, dst_name=local_name)
-        entry = json.loads(self.staging.get(local_name).rows[0][1])
-        validate_queue_entry(entry)
-        if entry["seq"] != seq:
+        try:
+            text = yield from self.facade.fetch_text(name, hop=self._hop())
+        except ProtocolError as exc:
+            raise QueueSchemaError(f"{name}: {exc}") from exc
+        entries = _read_lines([text], name)
+        if not entries:
+            raise QueueSchemaError(f"{name}: blank journal entry")
+        if entries[0]["seq"] != seq:
             raise ProtocolError(
-                f"journal entry {name} carries seq {entry['seq']}")
-        return entry
+                f"journal entry {name} carries seq {entries[0]['seq']}")
+        return entries[0]
 
     def replay(self):
         """Kernel process: every journal entry, ascending by sequence."""
-        seqs = yield from self._list_seqs()
+        seqs = yield from self.facade.list_seqs(self._prefix, hop=self._hop())
         entries = []
         for seq in seqs:
             entry = yield from self._fetch(seq)

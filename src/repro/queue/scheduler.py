@@ -43,6 +43,7 @@ from repro.repository import (
     GridFTPTransport,
     InMemoryCheckpointStore,
     NFMSService,
+    RepositoryFacade,
 )
 from repro.util.errors import FencingError
 
@@ -74,15 +75,15 @@ def attach_durable_repository(grid: "FleetGrid", *,
     nfms = NFMSService()
     handle = container.deploy(nfms)
     nfms.install_transport("gridftp")
-    repo_store = RepositoryFileStore()
     rpc = RpcClient(grid.network, "coord",
                     default_timeout=grid.config.rpc_timeout,
                     default_retries=grid.config.rpc_retries,
                     labels={"role": "queue"})
     grid.extras["queue_nfms"] = nfms
-    return RepositoryJournalStore(
-        name=name, host="coord", repo_host="repo", repo_store=repo_store,
-        transport=GridFTPTransport(grid.network), rpc=rpc, nfms=handle)
+    return RepositoryJournalStore(name=name, facade=RepositoryFacade(
+        rpc, nfms=handle,
+        transports={"gridftp": GridFTPTransport(grid.network)},
+        repo_store=RepositoryFileStore()))
 
 
 class DurableFleetScheduler:

@@ -13,13 +13,20 @@ Components, mirroring the paper one-to-one:
   :class:`~repro.repository.transport.HttpsBridgeTransport` — the two
   transports NFMS negotiates between (GridFTP, and the servlet "bridge
   between GridFTP and https");
-* :class:`~repro.repository.ingest.IngestionTool` — uploads data/metadata
-  incrementally as an experiment runs;
 * :class:`~repro.repository.facade.RepositoryFacade` — couples NMDS and
-  NFMS "using the Façade pattern, but they may be used independently";
+  NFMS "using the Façade pattern, but they may be used independently".
+  It is the repository's only client: one put / fetch / list / remove /
+  annotate path per client host, and the single module that names an
+  NFMS or NMDS operation;
+* :class:`~repro.repository.ingest.IngestionTool` — uploads data/metadata
+  incrementally as an experiment runs, through a façade;
 * :mod:`~repro.repository.checkpoint` — versioned experiment checkpoints
-  (``repro.checkpoint/v1``) persisted through NFMS and the transports, so
-  an aborted coordinator run can resume bit-exact.
+  (``repro.checkpoint/v1``) persisted through a façade, so an aborted
+  coordinator run can resume bit-exact.
+
+(:class:`~repro.queue.journal.RepositoryJournalStore` is the façade's
+third user; run, degradation and flight-snapshot registrations are
+single ``annotate`` calls.)
 """
 
 from repro.repository.nmds import MetadataObject, NMDSService, SchemaSpec

@@ -20,11 +20,11 @@ Two stores share one API (generator-shaped ``save`` / ``load`` /
 
 * :class:`InMemoryCheckpointStore` — unit tests and benchmarks;
 * :class:`RepositoryCheckpointStore` — the real path: each checkpoint is
-  staged locally, moved to the repository host over a
-  :class:`~repro.repository.transport.Transport` (GridFTP by default) and
-  registered as a logical file with NFMS (Allcock et al.'s
-  replica-management argument: checkpoint artifacts belong in the data
-  repository, not in coordinator-local state).
+  put into the repository through a
+  :class:`~repro.repository.facade.RepositoryFacade` (staged locally,
+  moved over GridFTP, registered as a logical file with NFMS — Allcock et
+  al.'s replica-management argument: checkpoint artifacts belong in the
+  data repository, not in coordinator-local state).
 """
 
 from __future__ import annotations
@@ -34,11 +34,14 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-from repro.daq.filestore import StagingStore
-from repro.net.rpc import RpcClient, RpcError
-from repro.ogsi.handle import GridServiceHandle
-from repro.repository.transport import Transport
-from repro.util.errors import ConfigurationError, ReproError, SchemaError
+from repro.net.rpc import RpcError
+from repro.repository.facade import RepositoryFacade
+from repro.util.errors import (
+    ConfigurationError,
+    ProtocolError,
+    ReproError,
+    SchemaError,
+)
 from repro.util.schema import (
     Check,
     Failure,
@@ -368,11 +371,9 @@ class InMemoryCheckpointStore(CheckpointStoreBase):
 class RepositoryCheckpointStore(CheckpointStoreBase):
     """Checkpoints as logical files in the central data repository.
 
-    Save: serialize → stage on the coordinator host → move to the
-    repository host with the configured transport → ``registerFile`` with
-    NFMS under ``checkpoints/<run_id>/<seq>.json``.  Load: ``listFiles``
-    by prefix, ``negotiateTransfer`` per document, pull the replica back
-    to a local staging store, parse and re-validate.
+    Save: serialize → ``facade.put_text`` under
+    ``checkpoints/<run_id>/<seq>.json``.  Load: ``facade.list_seqs`` by
+    prefix, ``facade.fetch_text`` per document, parse and re-validate.
 
     Unless ``manifest_enabled=False``, every save also writes a cumulative
     manifest (``checkpoints/<run_id>/manifest/<seq>.json``,
@@ -393,20 +394,11 @@ class RepositoryCheckpointStore(CheckpointStoreBase):
     walking only the per-sequence documents newer than it.
     """
 
-    def __init__(self, *, host: str, repo_host: str,
-                 repo_store: StagingStore, transport: Transport,
-                 rpc: RpcClient, nfms: GridServiceHandle,
-                 staging: StagingStore | None = None,
+    def __init__(self, facade: RepositoryFacade, *,
                  manifest_enabled: bool = True,
                  compaction_enabled: bool = True):
-        self.host = host
-        self.repo_host = repo_host
-        self.repo_store = repo_store
-        self.transport = transport
-        self.rpc = rpc
-        self.nfms = nfms
-        self.kernel = transport.kernel
-        self.staging = staging or StagingStore(name=f"{host}-checkpoints")
+        self.facade = facade
+        self.kernel = facade.kernel
         self.manifest_enabled = manifest_enabled
         self.compaction_enabled = compaction_enabled
         self.saved = 0
@@ -434,27 +426,12 @@ class RepositoryCheckpointStore(CheckpointStoreBase):
     def _manifest_logical(self, run_id: str, seq: int) -> str:
         return f"{self._manifest_prefix(run_id)}{seq:06d}.json"
 
-    def _nfms_call(self, operation: str, params: dict):
-        reply = yield from self.rpc.call(
-            self.nfms.host, self.nfms.port, "invoke",
-            {"service_id": self.nfms.service_id, "operation": operation,
-             "params": params})
-        return reply
-
     def save(self, doc: dict):
         """Kernel process: persist one checkpoint document."""
         validate_checkpoint_payload(doc)
-        name = self._logical(doc["run_id"], int(doc["seq"]))
-        text = json.dumps(doc, sort_keys=True)
-        staged = self.staging.deposit(name, [(float(doc["seq"]), text)],
-                                      created=self.kernel.now)
-        yield from self.transport.transfer(
-            self.host, self.repo_host, staged, self.repo_store,
-            dst_name=name)
-        yield from self._nfms_call("registerFile", {
-            "logical_name": name, "host": self.repo_host,
-            "store": self.repo_store.name, "size": staged.size,
-            "checksum": staged.checksum})
+        yield from self.facade.put_text(
+            self._logical(doc["run_id"], int(doc["seq"])),
+            json.dumps(doc, sort_keys=True), time=float(doc["seq"]))
         self.saved += 1
         if self.manifest_enabled:
             try:
@@ -492,17 +469,9 @@ class RepositoryCheckpointStore(CheckpointStoreBase):
                     "seq": seq, "seqs": list(seqs), "latest": doc,
                     "records": [merged[step] for step in sorted(merged)]}
         validate_manifest_payload(manifest)
-        name = self._manifest_logical(run_id, seq)
-        text = json.dumps(manifest, sort_keys=True)
-        staged = self.staging.deposit(name, [(float(seq), text)],
-                                      created=self.kernel.now)
-        yield from self.transport.transfer(
-            self.host, self.repo_host, staged, self.repo_store,
-            dst_name=name)
-        yield from self._nfms_call("registerFile", {
-            "logical_name": name, "host": self.repo_host,
-            "store": self.repo_store.name, "size": staged.size,
-            "checksum": staged.checksum})
+        yield from self.facade.put_text(
+            self._manifest_logical(run_id, seq),
+            json.dumps(manifest, sort_keys=True), time=float(seq))
         self.manifest_saved += 1
 
     def _compact(self, run_id: str, upto_seq: int):
@@ -531,12 +500,9 @@ class RepositoryCheckpointStore(CheckpointStoreBase):
     def _remove_logical(self, name: str):
         """Kernel process: unregister + drop one logical file, best-effort."""
         try:
-            yield from self._nfms_call("unregisterFile",
-                                       {"logical_name": name})
+            yield from self.facade.remove(name)
         except (RpcError, ReproError):
             return False
-        if self.repo_store.exists(name):
-            self.repo_store.remove(name)
         return True
 
     def _load_latest_manifest(self, run_id: str):
@@ -547,32 +513,16 @@ class RepositoryCheckpointStore(CheckpointStoreBase):
         this) — resume falls back to the newest manifest that still
         parses instead of surfacing a JSON traceback.
         """
-        prefix = self._manifest_prefix(run_id)
-        names = yield from self._nfms_call("listFiles", {"prefix": prefix})
-        seqs = []
-        for name in names:
-            stem = name[len(prefix):]
-            if stem.endswith(".json"):
-                try:
-                    seqs.append(int(stem[:-len(".json")]))
-                except ValueError:
-                    continue
-        for seq in sorted(seqs, reverse=True):
-            name = self._manifest_logical(run_id, seq)
-            negotiated = yield from self._nfms_call("negotiateTransfer", {
-                "logical_name": name,
-                "client_protocols": [self.transport.protocol]})
-            replica = negotiated["replica"]
+        seqs = yield from self.facade.list_seqs(self._manifest_prefix(run_id))
+        for seq in reversed(seqs):
             self.manifest_fetches += 1
-            local_name = f"{name}#fetch{self.manifest_fetches}"
-            yield from self.transport.transfer(
-                replica["host"], self.host, self.repo_store.get(name),
-                self.staging, dst_name=local_name)
-            rows = self.staging.get(local_name).rows
             try:
-                manifest = json.loads(rows[0][1] if rows else "")
+                text = yield from self.facade.fetch_text(
+                    self._manifest_logical(run_id, seq))
+                manifest = json.loads(text)
                 validate_manifest_payload(manifest)
-            except (json.JSONDecodeError, CheckpointSchemaError) as exc:
+            except (ProtocolError, json.JSONDecodeError,
+                    CheckpointSchemaError) as exc:
                 self.kernel.emit("repository.checkpoint", "manifest.corrupt",
                                  run_id=run_id, seq=seq, error=str(exc))
                 continue
@@ -622,32 +572,18 @@ class RepositoryCheckpointStore(CheckpointStoreBase):
 
     def list_seqs(self, run_id: str):
         """Kernel process: registered checkpoint sequences for a run."""
-        prefix = self._prefix(run_id)
-        names = yield from self._nfms_call("listFiles", {"prefix": prefix})
-        seqs = []
-        for name in names:
-            stem = name[len(prefix):]
-            if stem.endswith(".json"):
-                try:
-                    seqs.append(int(stem[:-len(".json")]))
-                except ValueError:
-                    continue
-        return sorted(seqs)
+        seqs = yield from self.facade.list_seqs(self._prefix(run_id))
+        return seqs
 
     def load(self, run_id: str, seq: int):
         """Kernel process: fetch one checkpoint document back."""
         name = self._logical(run_id, seq)
-        negotiated = yield from self._nfms_call("negotiateTransfer", {
-            "logical_name": name,
-            "client_protocols": [self.transport.protocol]})
-        replica = negotiated["replica"]
         self._fetches += 1
-        local_name = f"{name}#fetch{self._fetches}"
-        yield from self.transport.transfer(
-            replica["host"], self.host, self.repo_store.get(name),
-            self.staging, dst_name=local_name)
-        rows = self.staging.get(local_name).rows
-        doc = _parse_checkpoint(rows[0][1] if rows else "", run_id=run_id,
-                                seq=seq, origin=name)
+        try:
+            text = yield from self.facade.fetch_text(name)
+        except ProtocolError as exc:
+            raise CheckpointCorrupt(f"{name}: {exc}", run_id=run_id,
+                                    seq=seq) from exc
+        doc = _parse_checkpoint(text, run_id=run_id, seq=seq, origin=name)
         self.loaded += 1
         return doc

@@ -3,20 +3,18 @@
 "This repository and associated NEESgrid services allow data and metadata
 from an experiment to be archived incrementally by an ingestion tool as an
 experiment is run."  The tool is a kernel process at a site: every sweep it
-picks up files the DAQ deposited since the previous sweep, ships each to
-the repository host with the configured transport (resuming partial
-transfers after failures), registers the logical name with NFMS, and
-creates an NMDS metadata record describing the file.
+picks up files the DAQ deposited since the previous sweep, uploads each
+through its :class:`~repro.repository.facade.RepositoryFacade` (resuming
+partial transfers after failures) and annotates it with an NMDS metadata
+record describing the file.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.daq.filestore import StagingStore
-from repro.net.rpc import RpcClient
-from repro.ogsi.handle import GridServiceHandle
-from repro.repository.transport import TransferFailed, Transport
+from repro.repository.facade import RepositoryFacade
+from repro.repository.transport import TransferFailed
 from repro.util.errors import ReproError
 
 
@@ -24,36 +22,24 @@ class IngestionTool:
     """Site-side incremental uploader.
 
     Args:
-        site: the host this tool runs on (source of transfers).
-        staging: the site staging store the DAQ deposits into.
-        repo_host: the repository host name.
-        repo_store: the repository's file store (destination).
-        transport: the :class:`~repro.repository.transport.Transport` to
-            move bytes with.
-        rpc: an RPC client on ``site`` for NFMS/NMDS registration calls.
-        nfms / nmds: grid service handles of the repository services.
+        facade: the site's repository client; its host is the site this
+            tool runs on and its staging store is the one the DAQ
+            deposits into.
         metadata_type: NMDS object type created per uploaded file.
         sweep_interval: seconds between staging-store sweeps.
     """
 
-    def __init__(self, *, site: str, staging: StagingStore, repo_host: str,
-                 repo_store: StagingStore, transport: Transport,
-                 rpc: RpcClient, nfms: GridServiceHandle,
-                 nmds: GridServiceHandle, experiment: str = "experiment",
+    def __init__(self, facade: RepositoryFacade, *,
+                 experiment: str = "experiment",
                  metadata_type: str = "data-file",
                  sweep_interval: float = 2.0):
-        self.site = site
-        self.staging = staging
-        self.repo_host = repo_host
-        self.repo_store = repo_store
-        self.transport = transport
-        self.rpc = rpc
-        self.nfms = nfms
-        self.nmds = nmds
+        self.facade = facade
+        self.site = facade.host
+        self.staging = facade.staging
         self.experiment = experiment
         self.metadata_type = metadata_type
         self.sweep_interval = sweep_interval
-        self.kernel = transport.kernel
+        self.kernel = facade.kernel
         self.running = False
         self._cursor = 0  # staging sequence already ingested
         self._partial: dict[str, int] = {}  # file -> bytes done (restart)
@@ -93,21 +79,15 @@ class IngestionTool:
             self.uploaded.append(logical)
 
     def _upload_one(self, staged, logical: str):
-        resume = self._partial.get(staged.name, 0)
+        # The restart marker survives only a failed transfer: once the
+        # bytes have landed, a failed registration re-sends from zero.
+        resume = self._partial.pop(staged.name, 0)
         try:
-            report = yield from self.transport.transfer(
-                self.site, self.repo_host, staged, self.repo_store,
-                dst_name=logical, resume_from=resume)
+            report = yield from self.facade.upload(staged, logical,
+                                                   resume_from=resume)
         except TransferFailed as exc:
             self._partial[staged.name] = exc.bytes_done
             raise
-        self._partial.pop(staged.name, None)
-        yield from self.rpc.call(
-            self.nfms.host, self.nfms.port, "invoke",
-            {"service_id": self.nfms.service_id, "operation": "registerFile",
-             "params": {"logical_name": logical, "host": self.repo_host,
-                        "store": self.repo_store.name, "size": staged.size,
-                        "checksum": staged.checksum}})
         metadata: dict[str, Any] = {
             "experiment": self.experiment,
             "site": self.site,
@@ -116,10 +96,6 @@ class IngestionTool:
             "created": staged.created,
             "size": staged.size,
         }
-        yield from self.rpc.call(
-            self.nmds.host, self.nmds.port, "invoke",
-            {"service_id": self.nmds.service_id, "operation": "createObject",
-             "params": {"object_type": self.metadata_type,
-                        "fields": metadata}})
+        yield from self.facade.annotate(self.metadata_type, metadata)
         self.kernel.emit(f"ingest.{self.site}", "upload.completed",
                          logical_name=logical, duration=report.duration)

@@ -48,3 +48,34 @@ def test_runners_are_callables():
     assert inspect.isfunction(repro.run_dry_run)
     assert inspect.isfunction(repro.run_simulation_only)
     assert inspect.isfunction(repro.build_most)
+
+
+def test_repository_and_envelope_are_each_spelt_once():
+    """One repository client, one OGSI envelope.
+
+    The NFMS/NMDS client operations appear as string literals only in the
+    façade (the services register their own ``_op_*`` handlers), and the
+    ``{"service_id", "operation", "params"}`` envelope only under
+    ``repro/ogsi/``.
+    """
+    import ast
+    import pathlib
+
+    src = pathlib.Path(repro.__file__).parent
+    client_ops = {"registerFile", "negotiateTransfer", "listFiles",
+                  "unregisterFile", "createObject"}
+    service_side = {src / "repository" / "nfms.py",
+                    src / "repository" / "nmds.py"}
+    op_homes, envelope_homes = set(), set()
+    for path in src.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Constant) and node.value in client_ops
+                    and path not in service_side):
+                op_homes.add(path.relative_to(src).as_posix())
+            if isinstance(node, ast.Dict):
+                keys = {k.value for k in node.keys
+                        if isinstance(k, ast.Constant)}
+                if {"service_id", "operation"} <= keys:
+                    envelope_homes.add(path.relative_to(src).parts[0])
+    assert op_homes == {"repository/facade.py"}
+    assert envelope_homes == {"ogsi"}

@@ -382,7 +382,11 @@ def repository_store_env():
     the checkpoints, a fresh one loads the history back.
     """
     from repro.daq.filestore import RepositoryFileStore
-    from repro.repository import GridFTPTransport, NFMSService
+    from repro.repository import (
+        GridFTPTransport,
+        NFMSService,
+        RepositoryFacade,
+    )
 
     k = Kernel()
     net = Network(k, seed=0)
@@ -397,9 +401,9 @@ def repository_store_env():
     rpc = RpcClient(net, "coord", default_timeout=30.0)
 
     def make_store(**kw):
-        return RepositoryCheckpointStore(
-            host="coord", repo_host="repo", repo_store=repo_store,
-            transport=GridFTPTransport(net), rpc=rpc, nfms=handle, **kw)
+        return RepositoryCheckpointStore(RepositoryFacade(
+            rpc, nfms=handle, transports={"gridftp": GridFTPTransport(net)},
+            repo_store=repo_store), **kw)
 
     return k, make_store
 
@@ -500,7 +504,7 @@ class TestRepositoryManifest:
         doc1, _ = make_doc_pair()
         store = make_store()
         # Poison the staging area: the manifest deposit will collide.
-        store.staging.deposit("checkpoints/run/manifest/000001.json", [],
+        store.facade.staging.deposit("checkpoints/run/manifest/000001.json", [],
                               created=0.0)
         seq = k.run(until=k.process(store.save(doc1)))
         assert seq == 1
@@ -510,6 +514,20 @@ class TestRepositoryManifest:
             make_store().load_history("run")))
         assert latest["seq"] == 1
         assert [r["step"] for r in records] == [1, 2, 3]
+
+    def test_document_lost_from_the_store_falls_back_to_the_older_one(self):
+        """NFMS still lists seq 2 but the store no longer holds it (or
+        holds it with no rows): resume degrades to seq 1 through the same
+        CheckpointCorrupt path a truncated document takes."""
+        k, make_store = repository_store_env()
+        writer = make_store(manifest_enabled=False)
+        self.save_all(k, writer, make_doc_pair())
+        repo_store = writer.facade.repo_store
+        repo_store.remove("checkpoints/run/000002.json")
+        reader = make_store(manifest_enabled=False)
+        assert k.run(until=k.process(reader.load_latest("run")))["seq"] == 1
+        repo_store.deposit("checkpoints/run/000002.json", [], created=0.0)
+        assert k.run(until=k.process(reader.load_latest("run")))["seq"] == 1
 
     def test_empty_run_short_circuits(self):
         k, make_store = repository_store_env()
@@ -530,11 +548,11 @@ class TestCheckpointCompaction:
         self.save_all(k, writer, make_doc_pair())
         # manifest 2 covers seq 1: its document and manifest are retired
         assert writer.compacted == 2
-        assert not writer.repo_store.exists("checkpoints/run/000001.json")
-        assert not writer.repo_store.exists(
+        assert not writer.facade.repo_store.exists("checkpoints/run/000001.json")
+        assert not writer.facade.repo_store.exists(
             "checkpoints/run/manifest/000001.json")
-        assert writer.repo_store.exists("checkpoints/run/000002.json")
-        assert writer.repo_store.exists(
+        assert writer.facade.repo_store.exists("checkpoints/run/000002.json")
+        assert writer.facade.repo_store.exists(
             "checkpoints/run/manifest/000002.json")
         assert k.run(until=k.process(writer.list_seqs("run"))) == [2]
 

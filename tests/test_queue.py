@@ -252,6 +252,26 @@ class TestRepositoryJournalStore:
         assert {e["body"]["submission_id"] for e in got} == \
             {f"s-{i}" for i in range(4)}
 
+    @pytest.mark.parametrize("rows", [
+        [(1.0, '{"schema": "repro.queue/v1", "seq": 1, "ti')],  # truncated
+        [(1.0, "")],                                            # blank
+        [],                                                     # no rows
+    ])
+    def test_damaged_entry_in_the_repository_is_a_typed_error(self, rows):
+        """A journal entry that fetches back truncated or empty is a
+        QueueSchemaError naming the logical file, never a raw
+        JSONDecodeError / IndexError out of ``replay()``."""
+        grid = build_fleet_grid(2)
+        store = attach_durable_repository(grid, name="damaged")
+        kernel = grid.kernel
+        kernel.run(until=kernel.process(store.append(
+            "submit", submission().body(), time=0.0)))
+        name = "queue/damaged/000001.json"
+        store.repo_store.remove(name)
+        store.repo_store.deposit(name, rows, created=kernel.now)
+        with pytest.raises(QueueSchemaError, match=name):
+            kernel.run(until=kernel.process(store.replay()))
+
 
 # ---------------------------------------------------------------------------
 # fencing

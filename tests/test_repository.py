@@ -5,7 +5,7 @@ import pytest
 from repro.daq import DAQSystem, SensorChannel, StagingStore
 from repro.daq.filestore import RepositoryFileStore
 from repro.net import FaultInjector, Network, RemoteException, RpcClient
-from repro.ogsi import GridServiceHandle, ServiceContainer
+from repro.ogsi import ServiceContainer
 from repro.repository import (
     GridFTPTransport,
     HttpsBridgeTransport,
@@ -391,10 +391,9 @@ class TestIngestionPipeline:
         rpc = RpcClient(net, "site", default_timeout=30.0,
                         default_retries=2)
         tool = IngestionTool(
-            site="site", staging=staging, repo_host="repo",
-            repo_store=repo_store, transport=GridFTPTransport(net),
-            rpc=rpc, nfms=GridServiceHandle("repo", "ogsi", "nfms"),
-            nmds=GridServiceHandle("repo", "ogsi", "nmds"),
+            RepositoryFacade(rpc, nmds.handle, nfms.handle,
+                             {"gridftp": GridFTPTransport(net)},
+                             repo_store=repo_store, staging=staging),
             experiment="most", sweep_interval=sweep_interval)
         return k, net, staging, repo_store, nmds, nfms, tool
 
@@ -438,16 +437,14 @@ class TestIngestionPipeline:
         net.connect("user", "repo", latency=0.02)
         user_rpc = RpcClient(net, "user", default_timeout=30.0)
         facade = RepositoryFacade(
-            user_rpc, GridServiceHandle("repo", "ogsi", "nmds"),
-            GridServiceHandle("repo", "ogsi", "nfms"),
-            transports={"gridftp": GridFTPTransport(net)})
+            user_rpc, nmds.handle, nfms.handle,
+            transports={"gridftp": GridFTPTransport(net)},
+            repo_store=repo_store)
         local = StagingStore("user-downloads")
 
         def go():
             names = yield from facade.list_files("most/")
-            report = yield from facade.download(
-                names[0], "user", local,
-                source_store_lookup=lambda host, store: repo_store)
+            report = yield from facade.download(names[0], local)
             return names, report
 
         names, report = k.run(until=k.process(go()))
@@ -461,9 +458,7 @@ class TestIngestionPipeline:
         staging.deposit("block-1", [(0.0, {"x": 1.0})], created=0.0)
         k.run(until=k.process(tool.drain()))
         rpc = RpcClient(net, "site", default_timeout=30.0)
-        facade = RepositoryFacade(
-            rpc, GridServiceHandle("repo", "ogsi", "nmds"),
-            GridServiceHandle("repo", "ogsi", "nfms"), transports={})
+        facade = RepositoryFacade(rpc, nmds.handle)
 
         def go():
             ids = yield from facade.query_metadata("data-file")
@@ -476,3 +471,86 @@ class TestIngestionPipeline:
         assert obj["fields"]["site"] == "site"
         assert obj["fields"]["rows"] == 1
         assert note
+
+
+class TestFacadeFiles:
+    """The façade's file side: the one put / fetch / list / remove path."""
+
+    def build(self):
+        k, net, nmds, nfms, repo_store = repo_env()
+        facade = RepositoryFacade(
+            RpcClient(net, "site", default_timeout=30.0), nmds.handle,
+            nfms.handle, {"gridftp": GridFTPTransport(net)},
+            repo_store=repo_store)
+        return k, net, nfms, repo_store, facade
+
+    def test_put_list_fetch_remove_roundtrip(self):
+        k, net, nfms, repo_store, facade = self.build()
+
+        def go():
+            for seq in (2, 1):
+                yield from facade.put_text(f"docs/run/{seq:06d}.json",
+                                           f'{{"seq": {seq}}}')
+            yield from facade.put_text("docs/run/notes.txt", "not numbered")
+            seqs = yield from facade.list_seqs("docs/run/")
+            texts = []
+            for _ in range(2):  # a second fetch must not collide in staging
+                texts.append((yield from facade.fetch_text(
+                    "docs/run/000002.json")))
+            yield from facade.remove("docs/run/000001.json")
+            after = yield from facade.list_seqs("docs/run/")
+            return seqs, texts, after
+
+        seqs, texts, after = k.run(until=k.process(go()))
+        assert seqs == [1, 2]
+        assert texts == ['{"seq": 2}'] * 2
+        assert after == [2]
+        assert not repo_store.exists("docs/run/000001.json")
+        assert sorted(nfms.files) == ["docs/run/000002.json",
+                                      "docs/run/notes.txt"]
+
+    def test_upload_resumes_after_transfer_failure(self):
+        k, net, nfms, repo_store, facade = self.build()
+        staged = facade.staging.deposit(
+            "block-1", [(0.0, {"x": 1.0})] * 40000, created=0.0)
+        FaultInjector(net).schedule_outage("site", "repo", start=0.05,
+                                           duration=5.0)
+
+        def go():
+            try:
+                yield from facade.upload(staged, "most/site/block-1")
+            except TransferFailed as exc:
+                failed_at = exc.bytes_done
+            assert "most/site/block-1" not in nfms.files  # never registered
+            yield k.timeout(10.0)
+            report = yield from facade.upload(staged, "most/site/block-1",
+                                              resume_from=failed_at)
+            return failed_at, report
+
+        failed_at, report = k.run(until=k.process(go()))
+        assert 0 < failed_at < staged.size
+        assert report.resumed_from == failed_at
+        assert repo_store.get("most/site/block-1").checksum == staged.checksum
+        assert "most/site/block-1" in nfms.files
+
+    def test_missing_or_empty_file_is_a_typed_error(self):
+        k, net, nfms, repo_store, facade = self.build()
+
+        def fetch(name):
+            text = yield from facade.fetch_text(name)
+            return text
+
+        def put_then_lose():
+            yield from facade.put_text("docs/lost.json", "{}")
+            repo_store.remove("docs/lost.json")  # NFMS still lists it
+            empty = facade.staging.deposit("docs/empty.json", [],
+                                           created=0.0)
+            yield from facade.upload(empty, "docs/empty.json")
+
+        k.run(until=k.process(put_then_lose()))
+        with pytest.raises(ProtocolError, match="lost.json.*missing"):
+            k.run(until=k.process(fetch("docs/lost.json")))
+        with pytest.raises(ProtocolError, match="empty.json.*empty"):
+            k.run(until=k.process(fetch("docs/empty.json")))
+        with pytest.raises(RemoteException, match="unknown logical file"):
+            k.run(until=k.process(fetch("docs/never-put.json")))
