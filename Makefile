@@ -65,9 +65,11 @@ twall-names:
 	$(PYTHON) benchmarks/twall/run.py --check-names
 
 # Code lines by tokenizer (no blank, comment or docstring lines) per
-# directory — the figure CHANGES.md size reports quote.
+# directory — the figure CHANGES.md size reports quote.  With
+# AGAINST=<git-rev> (e.g. `make loc AGAINST=HEAD~1`): the per-file and
+# per-directory delta versus that revision.
 loc:
-	$(PYTHON) scripts/loc.py
+	$(PYTHON) scripts/loc.py $(if $(AGAINST),--against $(AGAINST))
 
 check: lint analyze verify test smoke $(SMOKE_TARGETS) \
 	$(BENCH_SMOKE_TARGETS) validate-bench twall-names

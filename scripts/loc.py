@@ -9,12 +9,19 @@ the figure honest when a PR trades docstrings for code or the reverse.
 Prints one total per top-level directory (``src``, ``scripts``,
 ``benchmarks`` by default) and the grand total; ``benchmarks/twall/`` is
 excluded because no PR may edit it.  With ``--files``, also prints every
-file's count (diff two runs to get a per-file delta).
+file's count.  With ``--against REV``, prints the code-line delta versus
+a git revision instead — every file whose count moved, then each
+directory and the total as ``before -> after (delta)`` — reading the
+revision's blobs with ``git show`` (no checkout): the size report a
+simplicity PR owes, in one command.
 
-Run:  python scripts/loc.py [--files] [DIR ...]   (or ``make loc``)
+Run:  python scripts/loc.py [--files] [--against REV] [DIR ...]
+      (or ``make loc``, ``make loc AGAINST=HEAD~1``)
 """
 
+import io
 import pathlib
+import subprocess
 import sys
 import tokenize
 
@@ -27,11 +34,10 @@ _LAYOUT = {tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
            tokenize.ENDMARKER}
 
 
-def code_lines(path: pathlib.Path) -> int:
-    """Physical lines of ``path`` that carry code."""
-    with path.open("rb") as fh:
-        tokens = [t for t in tokenize.tokenize(fh.readline)
-                  if t.type not in _IGNORED]
+def code_lines(source: bytes) -> int:
+    """Physical lines of ``source`` that carry code."""
+    tokens = [t for t in tokenize.tokenize(io.BytesIO(source).readline)
+              if t.type not in _IGNORED]
     lines: set[int] = set()
     for i, tok in enumerate(tokens):
         if tok.type in _LAYOUT:
@@ -44,21 +50,66 @@ def code_lines(path: pathlib.Path) -> int:
     return len(lines)
 
 
+def _counted(path: str) -> bool:
+    return (path.endswith(".py")
+            and not any(x in (ROOT / path).parents for x in EXCLUDED))
+
+
+def tree_counts(name: str) -> dict[str, int]:
+    """``{repo-relative path: code lines}`` of the working tree's ``name/``."""
+    paths = sorted(p.relative_to(ROOT).as_posix()
+                   for p in (ROOT / name).rglob("*.py"))
+    return {p: code_lines((ROOT / p).read_bytes())
+            for p in paths if _counted(p)}
+
+
+def rev_counts(rev: str, name: str) -> dict[str, int]:
+    """The same for git revision ``rev``, read from its blobs."""
+    def git(*args: str) -> bytes:
+        return subprocess.run(("git", *args), cwd=ROOT, check=True,
+                              capture_output=True).stdout
+
+    listed = git("ls-tree", "-r", "--name-only", rev, "--", name)
+    return {p: code_lines(git("show", f"{rev}:{p}"))
+            for p in listed.decode().splitlines() if _counted(p)}
+
+
 def main(argv: list[str]) -> int:
+    argv = list(argv)
     per_file = "--files" in argv
+    against = None
+    if "--against" in argv:
+        at = argv.index("--against")
+        if at + 1 >= len(argv):
+            print("error: --against takes a git revision", file=sys.stderr)
+            return 2
+        against = argv[at + 1]
+        del argv[at:at + 2]
     dirs = [a for a in argv if a != "--files"] or list(DEFAULT_DIRS)
-    grand = 0
+    grand = grand_before = 0
     for name in dirs:
-        files = sorted(p for p in (ROOT / name).rglob("*.py")
-                       if not any(x in p.parents for x in EXCLUDED))
-        counts = {p: code_lines(p) for p in files}
-        if per_file:
-            for p, n in counts.items():
-                print(f"{n:7d}  {p.relative_to(ROOT)}")
+        counts = tree_counts(name)
         total = sum(counts.values())
         grand += total
-        print(f"{total:7d}  {name}/  ({len(files)} files)")
-    print(f"{grand:7d}  total")
+        if against is None:
+            if per_file:
+                for path, n in counts.items():
+                    print(f"{n:7d}  {path}")
+            print(f"{total:7d}  {name}/  ({len(counts)} files)")
+            continue
+        before = rev_counts(against, name)
+        for path in sorted(set(before) | set(counts)):
+            was, now = before.get(path, 0), counts.get(path, 0)
+            if was != now:
+                print(f"{now - was:+7d}  {path}  ({was} -> {now})")
+        was = sum(before.values())
+        grand_before += was
+        print(f"{total - was:+7d}  {name}/  ({was} -> {total})")
+    if against is None:
+        print(f"{grand:7d}  total")
+    else:
+        print(f"{grand - grand_before:+7d}  total vs {against}  "
+              f"({grand_before} -> {grand})")
     return 0
 
 

@@ -8,7 +8,11 @@ NTCP commands to send.  The coordinator also handles exceptions such as
 lost network connections or invalid responses."
 
 * :class:`~repro.coordinator.mspsds.SimulationCoordinator` — the MS-PSDS
-  stepping loop over NTCP;
+  stepping loop over NTCP: one INTEGRATE/COMMIT body under the
+  sequential and the pipelined loop, one abort exit, and
+  :meth:`~repro.coordinator.mspsds.SimulationCoordinator.retire` — the
+  only §7 cancel-and-rename (rejection hygiene, speculation rollback,
+  failover and the resume drain all go through it);
 * :class:`~repro.coordinator.mspsds.SiteBinding` — one substructure's
   NTCP handle and DOF mapping;
 * :mod:`~repro.coordinator.fault_policy` — how failures are handled:
@@ -17,7 +21,12 @@ lost network connections or invalid responses."
   features"), :class:`FaultTolerantFaultPolicy` retries steps through
   transient failures;
 * :class:`~repro.coordinator.state.ExperimentState` — the serializable
-  step-machine state checkpoints persist;
+  step-machine state checkpoints persist; beside it the only spelling of
+  the transaction-name format
+  (:func:`~repro.coordinator.state.transaction_name`, and
+  :func:`~repro.coordinator.state.step_marker` for traffic watchers) and
+  the only resume point (:func:`~repro.coordinator.state.load_resume`:
+  newest checkpoint → ``(state, prior_records)``);
 * :class:`~repro.coordinator.reconcile.Reconciler` — the resume-time pass
   that classifies the aborted attempt's in-flight transactions;
 * :class:`~repro.coordinator.failover.FailoverManager` — graceful
@@ -39,8 +48,11 @@ from repro.coordinator.fault_policy import (
 from repro.coordinator.records import ExperimentResult, StepRecord
 from repro.coordinator.state import (
     ExperimentState,
+    load_resume,
     records_from_payloads,
     resume_state_from_checkpoint,
+    step_marker,
+    transaction_name,
 )
 from repro.coordinator.reconcile import (
     ReconcileAction,
@@ -77,6 +89,9 @@ __all__ = [
     "StepRecord",
     "ExperimentResult",
     "ExperimentState",
+    "transaction_name",
+    "step_marker",
+    "load_resume",
     "records_from_payloads",
     "resume_state_from_checkpoint",
     "Reconciler",

@@ -13,13 +13,14 @@ site's circuit breaker is the acceptance test.
 The swap preserves NTCP's at-most-once guarantee by reusing the
 resume-time reconciliation discipline (PROTOCOL.md §7):
 
-1. the in-flight transaction at the dead site is **cancelled**
-   (fire-and-forget — the site is unreachable, so the cancel usually
-   dies on the wire; if the site is half-alive the name is burned
-   server-side either way);
-2. the step's transaction is **renamed** with a ``-f<n>`` failover suffix
-   (never reuse a possibly-burned name), and
-3. **re-proposed** against the freshly deployed surrogate server, which
+1. the in-flight transaction at the dead site is **retired**
+   (:meth:`SimulationCoordinator.retire
+   <repro.coordinator.mspsds.SimulationCoordinator.retire>`): cancelled
+   fire-and-forget — the site is unreachable, so the cancel usually dies
+   on the wire; if the site is half-alive the name is burned server-side
+   either way — and renamed with a ``-f<n>`` failover suffix (never
+   reuse a possibly-burned name), then
+2. **re-proposed** against the freshly deployed surrogate server, which
    has never seen any name — the step loop then retries immediately.
 
 Every step committed while a surrogate serves a site is stamped
@@ -213,15 +214,11 @@ class FailoverManager:
         surrogate_handle = self.container.deploy(server)
         replacement = ""
         if in_flight is not None:
-            # §7 discipline: cancel the possibly-burned name at the dead
-            # site (fire-and-forget — it is unreachable in the common
-            # case) and rename before re-proposing at the surrogate.
-            cancel = self.kernel.process(
-                coordinator.client.cancel(binding.handle, in_flight),
-                name=f"failover.cancel.{site}")
-            cancel.defuse()
-            replacement = f"{in_flight}-f{self._activations}"
-            coordinator._txn_overrides[(step, site)] = replacement
+            # §7 discipline: retire the possibly-burned name at the dead
+            # site (it is unreachable in the common case) before
+            # re-proposing under a fresh one at the surrogate.
+            replacement = coordinator.retire(
+                step, binding, rename=f"-f{self._activations}")
             if site in coordinator.state.pending:
                 coordinator.state.pending[site] = replacement
         active = _ActiveSurrogate(site=site, real_handle=binding.handle,
@@ -293,11 +290,8 @@ class FailoverManager:
             # nothing in flight (swaps happen between steps) — cancel
             # the stale name fire-and-forget.
             if active.pending_cancel:
-                cancel = self.kernel.process(
-                    coordinator.client.cancel(active.real_handle,
-                                              active.pending_cancel),
-                    name=f"failover.readmit_cancel.{site}")
-                cancel.defuse()
+                coordinator.cancel_and_forget(active.real_handle,
+                                              active.pending_cancel)
             self.container.destroy(active.server.service_id,
                                    reason="site-readmitted")
             degraded = set(coordinator.state.degraded_sites) - {site}

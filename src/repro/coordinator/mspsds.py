@@ -57,6 +57,7 @@ from repro.coordinator.state import (
     PHASE_PROPOSE,
     ExperimentState,
     record_to_payload,
+    transaction_name,
 )
 from repro.core.client import NTCPClient
 from repro.core.messages import ProposalVerdict
@@ -84,14 +85,21 @@ class SiteBinding:
         self.dof_indices = np.asarray(dof_indices, dtype=int)
 
 
+class _Abort(Exception):
+    """``_Abort(step, reason)`` ends the run from anywhere in the step
+    machine.  Not a :class:`ReproError`, so no retry handler swallows it;
+    the one abort exit in :meth:`SimulationCoordinator.run` records it.
+    """
+
+
 @dataclass
 class _InFlightStep:
     """One step's propose+execute round, running as a background process.
 
     The pipelined loop keeps at most two of these alive: the *verified*
-    step (``speculative=False`` — its commanded displacement came from
-    the committed integrator state) and the *speculative* step issued one
-    ahead of it from predicted forces.  ``process`` is the kernel process
+    step (its commanded displacement came from the committed integrator
+    state) and the *speculative* step issued one ahead of it from
+    predicted forces.  ``process`` is the kernel process
     running :meth:`SimulationCoordinator._step_at_all_sites`; its value
     is the per-site force map.  The process is defused at creation —
     a speculation abandoned by rollback must never crash the kernel —
@@ -103,7 +111,6 @@ class _InFlightStep:
     txns: dict[str, str]          #: site name -> transaction name
     process: Any                  #: kernel Process yielding the force map
     issued_at: float              #: sim time the round went on the wire
-    speculative: bool = False
 
 
 class SimulationCoordinator:
@@ -127,10 +134,11 @@ class SimulationCoordinator:
         checkpoint_policy: when to checkpoint (default: every 50 steps,
             plus a best-effort checkpoint while aborting).
         state: a prepared resume state (see
-            :func:`~repro.coordinator.state.resume_state_from_checkpoint`);
-            ``None`` starts a fresh run.
-        prior_records: the committed steps recovered from checkpoints,
-            prepended to this incarnation's result.
+            :func:`~repro.coordinator.state.load_resume`); ``None``
+            starts a fresh run.
+        prior_records: the committed steps recovered from checkpoints
+            (:func:`~repro.coordinator.state.load_resume`'s second
+            value), prepended to this incarnation's result.
         breakers: optional ``{site name: CircuitBreaker}`` map; every NTCP
             exchange with a site passes through its breaker, so a site
             that keeps failing is fast-failed (``BreakerOpen``) instead of
@@ -283,12 +291,11 @@ class SimulationCoordinator:
         #: (CentralDifferencePSD for MOST; AlphaOSPSD for stiff structures
         #: whose frequencies exceed the explicit stability limit).
         factory = integrator_factory or CentralDifferencePSD
-        self._integrator_factory = factory
         self.integrator = factory(model, motion.dt)
-        #: lazily built twin used only to compute speculative commands —
-        #: it is re-grounded in the committed integrator's snapshot
-        #: before every speculation, so it never drifts from truth.
-        self._shadow_integrator = None
+        #: twin used only to compute speculative commands — it is
+        #: re-grounded in the committed integrator's snapshot before
+        #: every speculation, so it never drifts from truth.
+        self._shadow = factory(model, motion.dt) if pipeline_depth else None
         self._integrator_started = False
         if self.state.integrator is not None:
             self.integrator.restore(self.state.integrator)
@@ -298,10 +305,43 @@ class SimulationCoordinator:
 
     # -- helpers -----------------------------------------------------------
     def _txn_name(self, step: int, site: SiteBinding) -> str:
-        override = self._txn_overrides.get((step, site.name))
-        if override is not None:
-            return override
-        return f"{self.run_id}-step{step:05d}-{site.name}"
+        return (self._txn_overrides.get((step, site.name))
+                or transaction_name(self.run_id, step, site.name))
+
+    def _step_names(self, step: int) -> dict[str, str]:
+        return {site.name: self._txn_name(step, site) for site in self.sites}
+
+    def _rename(self, step: int, site: str, name: str) -> None:
+        """The only writer of the override table."""
+        self._txn_overrides[(step, site)] = name
+
+    def cancel_and_forget(self, handle: GridServiceHandle, name: str) -> None:
+        """Fire-and-forget cancel of a name that may be burned at a site.
+
+        Never awaited and defused: the site is often unreachable (the
+        cancel dies on the wire) and hygiene must neither block the step
+        machine nor crash the kernel.
+        """
+        self.kernel.process(self.client.cancel(handle, name),
+                            name=f"retire.{name}").defuse()
+
+    def retire(self, step: int, site: SiteBinding, *,
+               rename: str | None = None) -> str:
+        """§7: give up ``site``'s current name for ``step``.
+
+        The name is cancelled fire-and-forget; with ``rename`` (a suffix:
+        ``-s<epoch>`` for a rolled-back speculation, ``-f<n>`` for a
+        failover) the step's next proposal uses ``<name><rename>`` — a
+        cancelled name is burned server-side, so reusing it would turn
+        the re-proposal into a permanent rejection.  Returns the name the
+        step uses from here on.
+        """
+        name = self._txn_name(step, site)
+        self.cancel_and_forget(site.handle, name)
+        if rename is not None:
+            name += rename
+            self._rename(step, site.name, name)
+        return name
 
     def _site_targets(self, site: SiteBinding,
                       d_global: np.ndarray) -> dict:
@@ -378,6 +418,25 @@ class SimulationCoordinator:
             breaker.record_success()
         return result
 
+    def _at_every_site(self, span_name: str, step: int, ctx, per_site):
+        """One ``span_name`` span over one kernel process per site running
+        ``per_site(site, span)``.
+
+        Waits for all of them; the span ends failed if any of them
+        raises, and is returned still open otherwise (the caller knows
+        what a success looks like).
+        """
+        span = self._tracer.start_span(span_name, parent=ctx, step=step)
+        procs = [self.kernel.process(per_site(site, span),
+                                     name=f"{span_name}.{site.name}.{step}")
+                 for site in self.sites]
+        try:
+            yield self.kernel.all_of(procs)
+        except BaseException:
+            span.end(ok=False)
+            raise
+        return span
+
     def _step_at_all_sites(self, step: int, d_global: np.ndarray, ctx=None,
                            *, set_phase: bool = True):
         """Propose then execute step ``step`` at every site, in parallel.
@@ -394,27 +453,17 @@ class SimulationCoordinator:
                                                             ctx)
             return results
         verdicts: dict[str, ProposalVerdict] = {}
-        propose_span = self._tracer.start_span(
-            "coordinator.step.propose", parent=ctx, step=step)
 
-        def propose_one(site: SiteBinding):
+        def propose_one(site: SiteBinding, span):
             actions = make_displacement_actions(
                 self._site_targets(site, d_global))
-            verdict = yield from self._guarded(site, self.client.propose(
-                site.handle, self._txn_name(step, site), actions,
-                execution_timeout=self.execution_timeout,
-                ctx=propose_span))
-            verdicts[site.name] = verdict
+            verdicts[site.name] = yield from self._guarded(
+                site, self.client.propose(
+                    site.handle, self._txn_name(step, site), actions,
+                    execution_timeout=self.execution_timeout, ctx=span))
 
-        procs = [self.kernel.process(propose_one(s),
-                                     name=f"propose.{s.name}.{step}")
-                 for s in self.sites]
-        try:
-            yield self.kernel.all_of(procs)
-        except BaseException:
-            propose_span.end(ok=False)
-            raise
-
+        propose_span = yield from self._at_every_site(
+            "coordinator.step.propose", step, ctx, propose_one)
         if self.state.generation and all(v.state == "executed"
                                          for v in verdicts.values()):
             # Every site already holds this step's outcome: the resumed
@@ -429,10 +478,7 @@ class SimulationCoordinator:
             # Abort this step: cancel the accepted siblings for hygiene.
             for site in self.sites:
                 if verdicts[site.name].state == "accepted":
-                    cancel = self.kernel.process(
-                        self.client.cancel(site.handle,
-                                           self._txn_name(step, site)))
-                    cancel.defuse()
+                    self.retire(step, site)
             name = rejected[0]
             raise ProtocolError(
                 f"site {name} rejected step {step}: "
@@ -442,25 +488,16 @@ class SimulationCoordinator:
         if set_phase:
             self.state.phase = PHASE_EXECUTE
         results: dict[str, dict[int, float]] = {}
-        execute_span = self._tracer.start_span(
-            "coordinator.step.execute", parent=ctx, step=step)
 
-        def execute_one(site: SiteBinding):
+        def execute_one(site: SiteBinding, span):
             result = yield from self._guarded(site, self.client.execute(
                 site.handle, self._txn_name(step, site),
-                timeout=self.execution_timeout + 10.0,
-                ctx=execute_span))
-            forces = result.readings["forces"]
-            results[site.name] = self._coerce_site_forces(forces)
+                timeout=self.execution_timeout + 10.0, ctx=span))
+            results[site.name] = self._coerce_site_forces(
+                result.readings["forces"])
 
-        procs = [self.kernel.process(execute_one(s),
-                                     name=f"execute.{s.name}.{step}")
-                 for s in self.sites]
-        try:
-            yield self.kernel.all_of(procs)
-        except BaseException:
-            execute_span.end(ok=False)
-            raise
+        execute_span = yield from self._at_every_site(
+            "coordinator.step.execute", step, ctx, execute_one)
         execute_span.end(ok=True)
         return results
 
@@ -468,35 +505,25 @@ class SimulationCoordinator:
                               ctx=None):
         """Ablation path: per-site propose→execute chains, no global gate."""
         results: dict[str, dict[int, float]] = {}
-        span = self._tracer.start_span(
-            "coordinator.step.propose_execute", parent=ctx, step=step)
 
-        def chain_one(site: SiteBinding):
+        def chain_one(site: SiteBinding, span):
             actions = make_displacement_actions(
                 self._site_targets(site, d_global))
             result = yield from self._guarded(
                 site, self.client.propose_and_execute(
                     site.handle, self._txn_name(step, site), actions,
                     execution_timeout=self.execution_timeout,
-                    timeout=self.execution_timeout + 10.0,
-                    ctx=span))
-            forces = result.readings["forces"]
-            results[site.name] = self._coerce_site_forces(forces)
+                    timeout=self.execution_timeout + 10.0, ctx=span))
+            results[site.name] = self._coerce_site_forces(
+                result.readings["forces"])
 
-        procs = [self.kernel.process(chain_one(s),
-                                     name=f"chain.{s.name}.{step}")
-                 for s in self.sites]
-        try:
-            yield self.kernel.all_of(procs)
-        except BaseException:
-            span.end(ok=False)
-            raise
+        span = yield from self._at_every_site(
+            "coordinator.step.propose_execute", step, ctx, chain_one)
         span.end(ok=True)
         return results
 
     def _attempt_with_policy(self, step: int, d_global: np.ndarray,
-                             result: ExperimentResult, ctx=None, *,
-                             initial_error=None):
+                             ctx=None, *, initial_error=None):
         """One step with fault-policy retries; returns (forces, attempts).
 
         ``initial_error`` lets the pipelined loop feed in a failure from
@@ -542,13 +569,6 @@ class SimulationCoordinator:
             exc = None
 
     # -- pipelined stepping ---------------------------------------------------
-    def _shadow(self):
-        """The speculation twin, built lazily from the same factory."""
-        if self._shadow_integrator is None:
-            self._shadow_integrator = self._integrator_factory(
-                self.model, self.motion.dt)
-        return self._shadow_integrator
-
     def _predicted_forces(self, d_cmd: np.ndarray) -> dict[str, dict]:
         """What the predictor expects every site to measure for ``d_cmd``."""
         return {site.name: self.predictor.predict(
@@ -564,7 +584,7 @@ class SimulationCoordinator:
         a step that is still speculative); the process is defused so an
         abandoned speculation's failure never crashes the kernel.
         """
-        txns = {site.name: self._txn_name(step, site) for site in self.sites}
+        txns = self._step_names(step)
         span_name = ("coordinator.step.speculate" if speculative
                      else "coordinator.step.round")
 
@@ -583,8 +603,7 @@ class SimulationCoordinator:
                                       name=f"step.round.{step}")
         process.defuse()
         return _InFlightStep(step=step, d=d_cmd, txns=txns, process=process,
-                             issued_at=self.kernel.now,
-                             speculative=speculative)
+                             issued_at=self.kernel.now)
 
     def _speculate(self, step: int, pending: _InFlightStep):
         """Issue step ``step`` speculatively while ``pending`` executes.
@@ -598,7 +617,7 @@ class SimulationCoordinator:
         them.  Returns ``None`` (speculation skipped) if the prediction
         goes non-finite — the verified path will abort cleanly instead.
         """
-        shadow = self._shadow()
+        shadow = self._shadow
         shadow.restore(self.integrator.snapshot())
         # Re-deriving the in-flight command arms the shadow for commit
         # (AlphaOS predictor-corrector refuses to commit un-proposed).
@@ -615,25 +634,18 @@ class SimulationCoordinator:
         return spec
 
     def _rollback_speculation(self, spec: _InFlightStep, reason: str) -> None:
-        """Retire a wrong (or fault-stranded) speculation, §7-style.
+        """:meth:`retire` a wrong (or fault-stranded) speculation.
 
-        Non-blocking: cancels are fire-and-forget (the round's own
-        process is defused and left to die), and the step's verified
-        re-proposal is renamed with a fresh ``-s<epoch>`` suffix — a
-        cancelled name is burned server-side, so reusing it would turn
-        the re-proposal into a permanent rejection.  The burned names
-        stay in ``state.speculative`` until the replacement goes on the
-        wire, keeping the resume drain able to find them.
+        Non-blocking (the round's own process is defused and left to
+        die); the step's verified re-proposal gets a fresh ``-s<epoch>``
+        name.  The burned names stay in ``state.speculative`` until the
+        replacement goes on the wire, keeping the resume drain able to
+        find them.
         """
         self._speculation_epoch += 1
         for site in self.sites:
-            name = spec.txns[site.name]
-            cancel = self.kernel.process(
-                self.client.cancel(site.handle, name),
-                name=f"pipeline.cancel.{site.name}.{spec.step}")
-            cancel.defuse()
-            self._txn_overrides[(spec.step, site.name)] = (
-                f"{name}-s{self._speculation_epoch}")
+            self.retire(spec.step, site,
+                        rename=f"-s{self._speculation_epoch}")
         if reason == "mispredict":
             self._tm_spec_mispredicts.inc()
         else:
@@ -663,9 +675,6 @@ class SimulationCoordinator:
           (cancel + ``-s`` rename) and the step re-runs sequentially
           from the committed state, so the committed history is the
           sequential one regardless.
-
-        Returns ``True`` when the full record committed, ``False`` on
-        abort (mirrors :meth:`_run_one_step`'s contract).
         """
         pending: _InFlightStep | None = None
         while self.state.step <= self.state.target_steps:
@@ -677,15 +686,7 @@ class SimulationCoordinator:
                 # propose/execute across two servers.
                 if self.failover is not None:
                     self.failover.apply_readmissions(step)
-                self.state.phase = PHASE_INTEGRATE
-                try:
-                    d_next = self.integrator.propose_next()
-                    if not np.all(np.isfinite(d_next)):
-                        raise FloatingPointError("non-finite displacement")
-                except (ValueError, FloatingPointError) as exc:
-                    self._record_abort(result, step,
-                                       f"integrator diverged: {exc}")
-                    return False
+                d_next = self._integrate(step)
                 self.state.phase = PHASE_PROPOSE
                 pending = self._issue_step(step, d_next, speculative=False)
                 self.state.pending = dict(pending.txns)
@@ -714,36 +715,12 @@ class SimulationCoordinator:
                     spec = None
                 try:
                     forces, attempts = yield from self._attempt_with_policy(
-                        step, pending.d, result, step_span,
-                        initial_error=exc)
+                        step, pending.d, step_span, initial_error=exc)
                 except (RpcError, ReproError) as final:
                     step_span.end(ok=False)
-                    self._record_abort(result, step, str(final))
-                    return False
-            self.state.phase = PHASE_COMMIT
-            r_meas = self._assemble_forces(forces)
-            p_next = self._external_force(step)
-            self.integrator.commit(pending.d, r_meas, p_next)
-            degraded = tuple(self.state.degraded_sites)
-            record = StepRecord(step=step, model_time=step * self.motion.dt,
-                                displacement=pending.d.copy(),
-                                restoring_force=r_meas,
-                                site_forces=forces, attempts=attempts,
-                                wall_started=pending.issued_at,
-                                wall_finished=self.kernel.now,
-                                degraded=degraded)
-            result.steps.append(record)
-            if self.on_step is not None:
-                self.on_step(record)
-            self._tm_steps.inc()
-            self._count_step(record)
-            self._tm_step_time.observe(record.wall_finished -
-                                       pending.issued_at)
-            if degraded:
-                self._tm_degraded_steps.inc()
-            self.state.pending = {}
-            self.state.phase = PHASE_IDLE
-            self.state.step = step + 1
+                    raise _Abort(step, str(final)) from final
+            self._commit(result, step, pending.d, forces, attempts,
+                         pending.issued_at)
             next_pending = None
             if spec is not None:
                 # propose_next() both re-arms the integrator for the
@@ -772,7 +749,6 @@ class SimulationCoordinator:
                           adopted=next_pending is not None)
             pending = next_pending
             yield from self._maybe_checkpoint(result, reason="policy")
-        return True
 
     # -- checkpointing -------------------------------------------------------
     def _write_checkpoint(self, result: ExperimentResult, reason: str):
@@ -817,18 +793,6 @@ class SimulationCoordinator:
             return
         yield from self._write_checkpoint(result, reason)
 
-    def _abort_checkpoint(self, result: ExperimentResult):
-        """The best-effort final checkpoint while aborting.
-
-        Captures the in-flight step's pending transaction names so the
-        resume-time reconciliation can probe exactly what was on the wire.
-        """
-        if (self.checkpoint_store is None
-                or not self.checkpoint_policy.on_abort
-                or not self._integrator_started):
-            return
-        yield from self._write_checkpoint(result, "abort")
-
     # -- lifecycle -----------------------------------------------------------
     def _record_abort(self, result: ExperimentResult, step: int,
                       reason: str) -> None:
@@ -844,17 +808,13 @@ class SimulationCoordinator:
         init_span = self._tracer.start_span("coordinator.step",
                                             run_id=self.run_id, step=0)
         self.state.phase = PHASE_PROPOSE
-        self.state.pending = {site.name: self._txn_name(0, site)
-                              for site in self.sites}
+        self.state.pending = self._step_names(0)
         try:
-            forces0, _ = yield from self._attempt_with_policy(0, d0, result,
+            forces0, _ = yield from self._attempt_with_policy(0, d0,
                                                               init_span)
         except (RpcError, ReproError) as exc:
             init_span.end(ok=False)
-            result.aborted_reason = f"initialization failed: {exc}"
-            result.aborted_at_step = 0
-            result.wall_finished = self.kernel.now
-            return False
+            raise _Abort(0, f"initialization failed: {exc}") from exc
         init_span.end(ok=True)
         r0 = self._assemble_forces(forces0)
         self.integrator.start(r0=r0, p0=self._external_force(0))
@@ -863,7 +823,6 @@ class SimulationCoordinator:
         self.state.phase = PHASE_IDLE
         self.state.step = 1
         yield from self._maybe_checkpoint(result, reason="policy")
-        return True
 
     def _resume(self, result: ExperimentResult):
         """Re-enter the step machine after a coordinator restart."""
@@ -878,15 +837,15 @@ class SimulationCoordinator:
                                 state=self.state, tracer=self._tracer)
         report = yield from reconciler.run()
         self.last_reconciliation = report
+        # The reconciler already cancelled what needed cancelling (and
+        # waited for the answer); only the rename half of retire is left.
+        counters = {ACTION_HARVEST: self._tm_harvested,
+                    ACTION_CANCEL: self._tm_cancelled,
+                    ACTION_REPROPOSE: self._tm_reproposed}
         for action in report.actions:
-            self._txn_overrides[(self.state.step, action.site)] = (
-                action.transaction)
-            if action.action == ACTION_HARVEST:
-                self._tm_harvested.inc()
-            elif action.action == ACTION_CANCEL:
-                self._tm_cancelled.inc()
-            elif action.action == ACTION_REPROPOSE:
-                self._tm_reproposed.inc()
+            self._rename(self.state.step, action.site, action.transaction)
+            if action.action in counters:
+                counters[action.action].inc()
         # Speculative overrides are applied *after* the in-flight step's,
         # so when the speculation's step index collides with state.step
         # (a rollback left burned names at the step a later commit made
@@ -894,14 +853,56 @@ class SimulationCoordinator:
         # speculation would commit forces for a displacement the
         # integrator never chose.
         for action in report.speculative:
-            self._txn_overrides[(self.state.speculative_step, action.site)] \
-                = action.transaction
+            self._rename(self.state.speculative_step, action.site,
+                         action.transaction)
             self._tm_spec_drains.inc()
         self.state.speculative = {}
         self.state.speculative_step = 0
         self.state.pending = {}
         self.state.phase = PHASE_IDLE
-        return True
+
+    def _integrate(self, step: int) -> np.ndarray:
+        """INTEGRATE: the next displacement command, or the abort.
+
+        Numerical divergence (e.g. an explicit integrator past its
+        stability limit) ends the experiment, it does not crash the
+        coordinator.
+        """
+        self.state.phase = PHASE_INTEGRATE
+        try:
+            d_next = self.integrator.propose_next()
+            if not np.all(np.isfinite(d_next)):
+                raise FloatingPointError("non-finite displacement")
+        except (ValueError, FloatingPointError) as exc:
+            raise _Abort(step, f"integrator diverged: {exc}") from exc
+        return d_next
+
+    def _commit(self, result: ExperimentResult, step: int, d: np.ndarray,
+                forces: dict[str, dict], attempts: int,
+                started: float) -> StepRecord:
+        """COMMIT: advance the integrator through the measured forces,
+        record the step, and move the machine to the next one."""
+        self.state.phase = PHASE_COMMIT
+        r = self._assemble_forces(forces)
+        self.integrator.commit(d, r, self._external_force(step))
+        record = StepRecord(step=step, model_time=step * self.motion.dt,
+                            displacement=d.copy(), restoring_force=r,
+                            site_forces=forces, attempts=attempts,
+                            wall_started=started,
+                            wall_finished=self.kernel.now,
+                            degraded=tuple(self.state.degraded_sites))
+        result.steps.append(record)
+        if self.on_step is not None:
+            self.on_step(record)
+        self._tm_steps.inc()
+        self._count_step(record)
+        self._tm_step_time.observe(record.wall_finished - started)
+        if record.degraded:
+            self._tm_degraded_steps.inc()
+        self.state.pending = {}
+        self.state.phase = PHASE_IDLE
+        self.state.step = step + 1
+        return record
 
     def _run_one_step(self, result: ExperimentResult):
         """One full INTEGRATE → PROPOSE → EXECUTE → COMMIT cycle."""
@@ -918,64 +919,34 @@ class SimulationCoordinator:
         # *outside* the step span for the same reason.
         step_span = self._tracer.start_span("coordinator.step",
                                             run_id=self.run_id, step=step)
-        self.state.phase = PHASE_INTEGRATE
         integrate_span = self._tracer.start_span(
             "coordinator.step.integrate", parent=step_span, step=step)
         try:
-            d_next = self.integrator.propose_next()
-            if not np.all(np.isfinite(d_next)):
-                raise FloatingPointError("non-finite displacement")
-        except (ValueError, FloatingPointError) as exc:
-            # Numerical divergence (e.g. an explicit integrator past
-            # its stability limit) ends the experiment, it does not
-            # crash the coordinator.
+            d_next = self._integrate(step)
+        except _Abort:
             integrate_span.end(ok=False)
             step_span.end(ok=False)
-            self._record_abort(result, step, f"integrator diverged: {exc}")
-            return False
+            raise
         integrate_span.end()
         self.state.phase = PHASE_PROPOSE
-        self.state.pending = {site.name: self._txn_name(step, site)
-                              for site in self.sites}
+        self.state.pending = self._step_names(step)
         try:
             forces, attempts = yield from self._attempt_with_policy(
-                step, d_next, result, step_span)
+                step, d_next, step_span)
         except (RpcError, ReproError) as exc:
             step_span.end(ok=False)
-            self._record_abort(result, step, str(exc))
-            return False
-        self.state.phase = PHASE_COMMIT
+            raise _Abort(step, str(exc)) from exc
         commit_span = self._tracer.start_span(
             "coordinator.step.commit", parent=step_span, step=step)
-        r_next = self._assemble_forces(forces)
-        p_next = self._external_force(step)
-        self.integrator.commit(d_next, r_next, p_next)
-        degraded = tuple(self.state.degraded_sites)
-        record = StepRecord(step=step, model_time=step * self.motion.dt,
-                            displacement=d_next.copy(),
-                            restoring_force=r_next,
-                            site_forces=forces, attempts=attempts,
-                            wall_started=wall_started,
-                            wall_finished=self.kernel.now,
-                            degraded=degraded)
-        result.steps.append(record)
-        if self.on_step is not None:
-            self.on_step(record)
+        record = self._commit(result, step, d_next, forces, attempts,
+                              wall_started)
         commit_span.end()
-        if degraded:
+        if record.degraded:
             step_span.end(ok=True, attempts=attempts,
-                          degraded=",".join(degraded))
-            self._tm_degraded_steps.inc()
+                          degraded=",".join(record.degraded))
         else:
             step_span.end(ok=True, attempts=attempts)
-        self._tm_steps.inc()
-        self._count_step(record)
-        self._tm_step_time.observe(record.wall_finished - wall_started)
-        self.state.pending = {}
-        self.state.phase = PHASE_IDLE
-        self.state.step = step + 1
         yield from self._maybe_checkpoint(result, reason="policy")
-        return True
 
     # -- the experiment ------------------------------------------------------
     def run(self):
@@ -995,29 +966,31 @@ class SimulationCoordinator:
                                   wall_started=(self.state.wall_started
                                                 if resumed
                                                 else self.kernel.now))
-        if resumed:
-            ok = yield from self._resume(result)
-        else:
-            self.state.wall_started = result.wall_started
-            self.kernel.emit(f"coordinator.{self.run_id}",
-                             "experiment.started",
-                             steps=result.target_steps,
-                             sites=len(self.sites))
-            ok = yield from self._initialize(result)
-        if not ok:
-            yield from self._abort_checkpoint(result)
+        try:
+            if resumed:
+                yield from self._resume(result)
+            else:
+                self.state.wall_started = result.wall_started
+                self.kernel.emit(f"coordinator.{self.run_id}",
+                                 "experiment.started",
+                                 steps=result.target_steps,
+                                 sites=len(self.sites))
+                yield from self._initialize(result)
+            if self.pipeline_depth > 0:
+                yield from self._run_pipelined(result)
+            else:
+                while self.state.step <= self.state.target_steps:
+                    yield from self._run_one_step(result)
+        except _Abort as abort:
+            # The one abort exit.  The best-effort final checkpoint
+            # captures the in-flight step's pending transaction names, so
+            # resume-time reconciliation can probe exactly what was on
+            # the wire.
+            self._record_abort(result, *abort.args)
+            if self.checkpoint_policy.on_abort:
+                yield from self._maybe_checkpoint(result, reason="abort",
+                                                  force=True)
             return result
-        if self.pipeline_depth > 0:
-            ok = yield from self._run_pipelined(result)
-            if not ok:
-                yield from self._abort_checkpoint(result)
-                return result
-        else:
-            while self.state.step <= self.state.target_steps:
-                ok = yield from self._run_one_step(result)
-                if not ok:
-                    yield from self._abort_checkpoint(result)
-                    return result
         result.completed = True
         result.wall_finished = self.kernel.now
         self.kernel.emit(f"coordinator.{self.run_id}", "experiment.completed",

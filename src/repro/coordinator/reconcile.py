@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.coordinator.state import transaction_name
 from repro.core.client import NTCPClient
 from repro.net.rpc import RemoteException, RpcError
 from repro.util.errors import ReproError
@@ -108,7 +109,8 @@ class Reconciler:
             return pending
         # No abort-time checkpoint captured the in-flight names; fall back
         # to the deterministic base naming scheme.
-        return f"{self.state.run_id}-step{self.state.step:05d}-{site.name}"
+        return transaction_name(self.state.run_id, self.state.step,
+                                site.name)
 
     def _replacement(self, name: str) -> str:
         return f"{name}-r{self.state.generation}"

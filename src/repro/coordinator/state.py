@@ -34,6 +34,24 @@ PHASES = (PHASE_IDLE, PHASE_INTEGRATE, PHASE_PROPOSE, PHASE_EXECUTE,
           PHASE_COMMIT)
 
 
+def step_marker(step: int, site: str | None = None) -> str:
+    """The step tag inside every transaction name: ``step00042``, or
+    ``step00042-uiuc`` with ``site`` — what traffic watchers match on."""
+    marker = f"step{step:05d}"
+    return marker if site is None else f"{marker}-{site}"
+
+
+def transaction_name(run_id: str, step: int, site: str) -> str:
+    """The base NTCP transaction name of ``site``'s part of ``step``.
+
+    With :func:`step_marker` (kept apart: this one runs nine times a
+    step) the only spelling of the format.  §7 replacements append a
+    suffix to it (``-s<epoch>`` / ``-f<n>`` / ``-r<gen>``); a name is
+    never reused once it may be burned server-side.
+    """
+    return f"{run_id}-step{step:05d}-{site}"
+
+
 def encode_floats(values) -> list[str]:
     """Lossless hex encoding of a 1-D float vector."""
     return [float(v).hex() for v in np.asarray(values, dtype=float).ravel()]
@@ -254,3 +272,16 @@ def resume_state_from_checkpoint(doc: dict) -> ExperimentState:
     state.phase = PHASE_IDLE
     state.checkpoint_seq = int(doc["seq"])
     return state
+
+
+def load_resume(store, run_id: str):
+    """Kernel process: the resume point of ``run_id`` in ``store``.
+
+    Returns ``(state, prior_records)`` ready for a new coordinator
+    incarnation (``state=`` / ``prior_records=``), or ``(None, ())``
+    when the run left no checkpoint to resume from.
+    """
+    doc, payloads = yield from store.load_history(run_id)
+    if doc is None:
+        return None, ()
+    return resume_state_from_checkpoint(doc), records_from_payloads(payloads)

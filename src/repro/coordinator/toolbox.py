@@ -28,6 +28,7 @@ from __future__ import annotations
 from typing import Generator
 
 from repro.control.actions import make_displacement_actions
+from repro.coordinator.state import transaction_name
 from repro.core.client import NTCPClient
 from repro.ogsi.handle import GridServiceHandle
 from repro.util.errors import ConfigurationError, ProtocolError
@@ -130,4 +131,4 @@ class NTCPToolbox:
         return handle
 
     def _txn(self, step_number: int, site: str) -> str:
-        return f"{self.run_id}-step{step_number:05d}-{site}"
+        return transaction_name(self.run_id, step_number, site)

@@ -10,14 +10,12 @@ fenced durable-queue delivery (:mod:`repro.queue.scheduler`).
 
 :class:`FleetScheduler` is the multi-tenant replacement for the
 one-deployment-one-coordinator shape: tenants submit
-:class:`ExperimentRequest`\\ s (directly, or exported from an
-:class:`~repro.most.session.ExperimentSession` via
-:meth:`~repro.most.session.ExperimentSession.fleet_spec`), and the
-scheduler drives every request as its own kernel process — acquire a
-lease from the :class:`~repro.fleet.pool.SitePool`, :func:`drive_request`
-under the tenant's GSI identity with the tenant's own checkpoint store,
-register the run in NMDS under a tenant-namespaced name, release the
-lease.  Everything advances on one deterministic simulation clock.
+:class:`ExperimentRequest`\\ s, and the scheduler drives every request
+as its own kernel process — acquire a lease from the
+:class:`~repro.fleet.pool.SitePool`, :func:`drive_request` under the
+tenant's GSI identity with the tenant's own checkpoint store, register
+the run in NMDS under a tenant-namespaced name, release the lease.
+Everything advances on one deterministic simulation clock.
 
 Per-lease isolation: breakers, failover surrogates (own container port
 per lease), checkpoint store, and NTCP counter attribution all live with
@@ -39,8 +37,7 @@ from repro.coordinator import (
     SiteBinding,
     SubstructurePredictor,
     SurrogateSpec,
-    records_from_payloads,
-    resume_state_from_checkpoint,
+    load_resume,
 )
 from repro.fleet.pool import AdmissionError, SiteLease, SitePool
 from repro.most.assembly import provision_simulation_site
@@ -62,7 +59,6 @@ from repro.util.errors import ConfigurationError, ReproError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.fleet.grid import FleetGrid
     from repro.fleet.tenants import Tenant, TenantRegistry
-    from repro.most.session import ExperimentSession
 
 
 #: name of the roll-up service data element
@@ -103,26 +99,6 @@ class ExperimentRequest:
     degradation: bool = False
     breaker_config: BreakerConfig | None = None
     pipeline_depth: int = 0
-
-    @classmethod
-    def from_session(cls, tenant: str, session: "ExperimentSession", *,
-                     n_sites: int = 2,
-                     motion_scale: float = 1.0) -> "ExperimentRequest":
-        """Build a request from a composed (un-run) experiment session.
-
-        The session's fault policy, resume cadence, degradation and
-        pipeline settings carry over; its config's ``n_steps`` becomes
-        the request length.
-        """
-        spec = session.fleet_spec()
-        return cls(tenant=tenant, run_id=spec["run_id"],
-                   n_steps=spec["n_steps"], n_sites=n_sites,
-                   motion_scale=motion_scale,
-                   fault_policy=spec["fault_policy"],
-                   checkpoint_every=spec["checkpoint_every"],
-                   degradation=spec["degradation"],
-                   breaker_config=spec["breaker_config"],
-                   pipeline_depth=spec["pipeline_depth"])
 
 
 @dataclass
@@ -314,16 +290,9 @@ def drive_request(grid: "FleetGrid", lease: SiteLease,
         checkpoint_policy = CheckpointPolicy(
             every_n_steps=request.checkpoint_every, on_abort=True)
 
-    def load_resume() -> Generator[Any, Any, tuple[Any, Any]]:
-        doc, payloads = yield from store.load_history(run_id)
-        if doc is None:
-            return None, ()
-        return (resume_state_from_checkpoint(doc),
-                records_from_payloads(payloads))
-
     state, prior_records = None, ()
     if resume_first and store is not None:
-        state, prior_records = yield from load_resume()
+        state, prior_records = yield from load_resume(store, run_id)
     resumed_from_step = len(prior_records)
     resumes = 0
     while True:
@@ -341,7 +310,7 @@ def drive_request(grid: "FleetGrid", lease: SiteLease,
                 or resumes >= request.max_resumes):
             break
         yield kernel.timeout(request.resume_delay)
-        state, prior_records = yield from load_resume()
+        state, prior_records = yield from load_resume(store, run_id)
         if state is None:
             break
         resumes += 1
@@ -412,13 +381,6 @@ class FleetScheduler:
         self._run_ids.add(request.run_id)
         self._requests.append(request)
         return request
-
-    def submit_session(self, tenant: str, session: "ExperimentSession", *,
-                       n_sites: int = 2,
-                       motion_scale: float = 1.0) -> ExperimentRequest:
-        """Admit a composed :class:`~repro.most.session.ExperimentSession`."""
-        return self.submit(ExperimentRequest.from_session(
-            tenant, session, n_sites=n_sites, motion_scale=motion_scale))
 
     # -- execution -----------------------------------------------------------
     def run(self) -> FleetResult:

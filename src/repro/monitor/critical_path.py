@@ -21,7 +21,11 @@ from __future__ import annotations
 import pathlib
 from typing import Any
 
-from repro.telemetry.report import CORE_PHASES, PHASES, STEP_SPAN
+from repro.telemetry.report import (
+    CORE_PHASES,
+    PIPELINED_NOTE,
+    rows_by_span,
+)
 
 #: client-side leaf spans carrying the ``service`` label, by phase
 CLIENT_SPANS = {"core.client.propose": "propose",
@@ -48,7 +52,9 @@ def _percentile(values: list[float], p: float) -> float:
 def step_traces(spans: list[Any]) -> list[dict[str, Any]]:
     """One record per step with the per-site propose/execute split.
 
-    Each row extends :func:`repro.telemetry.report.step_rows` with::
+    Each row extends :func:`repro.telemetry.report.step_rows` (a
+    pipelined step's has no per-site split — its rounds are not its
+    children) with::
 
         {"sites": {"ntcp-uiuc": {"propose": 0.1, "execute": 11.9}, ...},
          "dominant": "ntcp-uiuc",   # site with the longest execute
@@ -57,27 +63,12 @@ def step_traces(spans: list[Any]) -> list[dict[str, Any]]:
     """
     records = [_as_record(s) for s in spans]
     children: dict[str, list[dict[str, Any]]] = {}
-    rows_by_span: dict[str, dict[str, Any]] = {}
     for rec in records:
         parent = rec.get("parent_id")
         if parent is not None:
             children.setdefault(parent, []).append(rec)
-        if rec["name"] == STEP_SPAN and rec.get("duration") is not None:
-            rows_by_span[rec["span_id"]] = {
-                "step": int(rec["attrs"].get("step", -1)),
-                "run_id": rec["attrs"].get("run_id", ""),
-                "total": rec["duration"],
-                "phases": {},
-            }
-    for rec in records:
-        row = rows_by_span.get(rec.get("parent_id"))
-        if row is None or rec.get("duration") is None:
-            continue
-        phase = rec["name"].rsplit(".", 1)[-1]
-        if phase in PHASES:
-            row["phases"][phase] = (row["phases"].get(phase, 0.0)
-                                    + rec["duration"])
-    for span_id, row in rows_by_span.items():
+    rows = rows_by_span(records)
+    for span_id, row in rows.items():
         sites: dict[str, dict[str, float]] = {}
         for phase_rec in children.get(span_id, ()):
             for leaf in children.get(phase_rec["span_id"], ()):
@@ -105,8 +96,7 @@ def step_traces(spans: list[Any]) -> list[dict[str, Any]]:
             row["slack"] = 0.0
             row["critical"] = sum(row["phases"].get(p, 0.0)
                                   for p in CORE_PHASES)
-    return sorted(rows_by_span.values(),
-                  key=lambda r: (r["run_id"], r["step"]))
+    return sorted(rows.values(), key=lambda r: (r["run_id"], r["step"]))
 
 
 def blame_table(rows: list[dict[str, Any]]) -> list[dict[str, Any]]:
@@ -175,6 +165,8 @@ def critical_path_report(spans: list[Any]) -> str:
              f"mean critical path {mean_critical:.3f}s, "
              f"mean slack {mean_slack:.3f}s",
              render_blame_table(blame_table(rows))]
+    if any("attempts" in r for r in rows):
+        lines.append(PIPELINED_NOTE)
     return "\n".join(lines)
 
 

@@ -37,8 +37,6 @@ from repro.coordinator import (
     DegradationPolicy,
     EnsembleCoordinator,
     FailoverManager,
-    FaultPolicy,
-    NaiveFaultPolicy,
     SimulationCoordinator,
     SiteBinding,
     SubstructurePredictor,
@@ -116,71 +114,28 @@ class MOSTDeployment:
     chef: ChefWorksite
     extras: dict = field(default_factory=dict)
 
-    def make_coordinator(self, *, run_id: str,
-                         fault_policy: FaultPolicy | None = None,
-                         on_step=None, checkpoint_store=None,
-                         checkpoint_policy=None, state=None,
-                         prior_records=(), breakers=None,
-                         failover=None, pipeline_depth: int = 0,
-                         predictor=None,
-                         mispredict_tolerance: float = 0.0,
-                         ) -> SimulationCoordinator:
+    def make_coordinator(self, *, run_id: str, variants=None,
+                         **options) -> SimulationCoordinator:
         """A coordinator bound to the three sites (Figure 5).
 
-        Pass ``checkpoint_store``/``checkpoint_policy`` to persist
-        experiment state, and ``state``/``prior_records`` (from
-        :func:`~repro.coordinator.state.resume_state_from_checkpoint` /
-        :func:`~repro.coordinator.state.records_from_payloads`) to resume
-        an aborted run in a new coordinator incarnation.  ``breakers``
-        (see :meth:`make_breakers`) and ``failover`` (see
-        :meth:`make_failover`) enable graceful degradation.
-        ``pipeline_depth=1`` with a ``predictor`` (see
-        :meth:`make_predictor`) enables speculative pipelined stepping.
+        ``options`` go to :class:`SimulationCoordinator` untouched — its
+        signature is the one list of coordinator options (checkpointing,
+        resume ``state``/``prior_records`` from
+        :func:`~repro.coordinator.state.load_resume`, ``breakers`` /
+        ``failover`` from :meth:`make_breakers` / :meth:`make_failover`,
+        pipelining with :meth:`make_predictor`).  With ``variants`` (N
+        ground-motion records on a shared time grid) the result is an
+        :class:`EnsembleCoordinator` stepping them all at once, and the
+        deployment's own ``motion`` is ignored.
         """
-        bindings = [SiteBinding(name, site.handle, dof_indices=[0])
-                    for name, site in self.sites.items()]
-        return SimulationCoordinator(
+        options = dict(
             run_id=run_id, client=self.ntcp_client, model=self.model,
-            motion=self.motion, sites=bindings,
-            fault_policy=fault_policy or NaiveFaultPolicy(),
-            execution_timeout=self.config.execution_timeout,
-            on_step=on_step, checkpoint_store=checkpoint_store,
-            checkpoint_policy=checkpoint_policy, state=state,
-            prior_records=prior_records, breakers=breakers,
-            failover=failover, pipeline_depth=pipeline_depth,
-            predictor=predictor,
-            mispredict_tolerance=mispredict_tolerance)
-
-    def make_ensemble_coordinator(self, *, run_id: str,
-                                  variants,
-                                  fault_policy: FaultPolicy | None = None,
-                                  on_step=None, checkpoint_store=None,
-                                  checkpoint_policy=None, state=None,
-                                  prior_records=(), breakers=None,
-                                  failover=None, pipeline_depth: int = 0,
-                                  predictor=None,
-                                  mispredict_tolerance: float = 0.0,
-                                  ) -> EnsembleCoordinator:
-        """An ensemble coordinator stepping N scenario variants at once.
-
-        ``variants`` is the list of ground-motion records (shared time
-        grid); everything else matches :meth:`make_coordinator`.  The
-        deployment's own ``motion`` is ignored — the variants define the
-        record.
-        """
-        bindings = [SiteBinding(name, site.handle, dof_indices=[0])
-                    for name, site in self.sites.items()]
-        return EnsembleCoordinator(
-            run_id=run_id, client=self.ntcp_client, model=self.model,
-            variants=variants, sites=bindings,
-            fault_policy=fault_policy or NaiveFaultPolicy(),
-            execution_timeout=self.config.execution_timeout,
-            on_step=on_step, checkpoint_store=checkpoint_store,
-            checkpoint_policy=checkpoint_policy, state=state,
-            prior_records=prior_records, breakers=breakers,
-            failover=failover, pipeline_depth=pipeline_depth,
-            predictor=predictor,
-            mispredict_tolerance=mispredict_tolerance)
+            sites=[SiteBinding(name, site.handle, dof_indices=[0])
+                   for name, site in self.sites.items()],
+            execution_timeout=self.config.execution_timeout, **options)
+        if variants is not None:
+            return EnsembleCoordinator(variants=variants, **options)
+        return SimulationCoordinator(motion=self.motion, **options)
 
     def make_predictor(self) -> SubstructurePredictor:
         """A force predictor for pipelined stepping, one model per site.
@@ -191,12 +146,10 @@ class MOSTDeployment:
         prediction is the nominal linear response (pair with a
         ``mispredict_tolerance``).
         """
-        config = self.config
-        stiffness = {"uiuc": config.k_uiuc, "cu": config.k_cu,
-                     "ncsa": config.k_ncsa}
         return SubstructurePredictor({
             name: LinearSubstructure(f"{name}-predictor", [[k]], [0])
-            for name, k in stiffness.items() if name in self.sites})
+            for name, k in self.config.site_stiffness.items()
+            if name in self.sites})
 
     def make_breakers(self, config: BreakerConfig | None = None,
                       ) -> dict[str, CircuitBreaker]:
@@ -221,8 +174,6 @@ class MOSTDeployment:
         site_policy = (_SitePolicy()
                        .limit("set-displacement", "value",
                               minimum=-stroke, maximum=stroke))
-        stiffness = {"uiuc": config.k_uiuc, "cu": config.k_cu,
-                     "ncsa": config.k_ncsa}
         specs = [
             SurrogateSpec(
                 site=name,
@@ -232,7 +183,8 @@ class MOSTDeployment:
                 compute_time=(compute_time if compute_time is not None
                               else config.ncsa_compute),
                 policy=site_policy)
-            for name, k in sorted(stiffness.items()) if name in self.sites]
+            for name, k in sorted(config.site_stiffness.items())
+            if name in self.sites]
         container = ServiceContainer(self.network, "coord", port=port)
         return FailoverManager(container=container, specs=specs,
                                policy=policy)
@@ -495,10 +447,12 @@ def build_simulation_only(config: MOSTConfig | None = None) -> MOSTDeployment:
     """
     config = config or MOSTConfig()
     dep = build_most(config)
-    for name, k in (("uiuc", config.k_uiuc), ("cu", config.k_cu)):
+    for name in ("uiuc", "cu"):
         site = dep.sites[name]
         provision_simulation_site(
-            site, dep.kernel, LinearSubstructure(f"{name}-sim", [[k]], [0]),
+            site, dep.kernel,
+            LinearSubstructure(f"{name}-sim",
+                               [[config.site_stiffness[name]]], [0]),
             compute_time=config.ncsa_compute)
         site.specimen = None
         site.backend = None

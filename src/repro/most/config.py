@@ -66,6 +66,11 @@ class MOSTConfig:
                                                  "daq": 13})
 
     @property
+    def site_stiffness(self) -> dict[str, float]:
+        """Design stiffness of each site's substructure, N/m."""
+        return {"uiuc": self.k_uiuc, "cu": self.k_cu, "ncsa": self.k_ncsa}
+
+    @property
     def k_total(self) -> float:
         return self.k_uiuc + self.k_cu + self.k_ncsa
 

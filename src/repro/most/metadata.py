@@ -64,8 +64,6 @@ def most_component_records(dep: MOSTDeployment) -> list[tuple[str, dict]]:
         "ncsa": ("central section of the frame, numerically simulated",
                  "Matlab simulation via poll-based MPlugin"),
     }
-    stiffness = {"uiuc": config.k_uiuc, "cu": config.k_cu,
-                 "ncsa": config.k_ncsa}
     for name, site in dep.sites.items():
         boundary, control = descriptions[name]
         role = "physical" if site.specimen is not None else "simulated"
@@ -73,7 +71,7 @@ def most_component_records(dep: MOSTDeployment) -> list[tuple[str, dict]]:
             "component": name,
             "role": role,
             "substructure": f"{name}-substructure",
-            "stiffness_n_per_m": float(stiffness[name]),
+            "stiffness_n_per_m": float(config.site_stiffness[name]),
             "dof_indices": [0],
             "boundary_conditions": boundary,
         }))

@@ -36,6 +36,8 @@ from repro.coordinator import (
     ExperimentResult,
     FaultTolerantFaultPolicy,
     NaiveFaultPolicy,
+    load_resume,
+    step_marker,
 )
 from repro.most.assembly import (
     MOSTDeployment,
@@ -72,7 +74,7 @@ def arm_at_step(dep: MOSTDeployment, step: int, site: str, action, *,
     Watching the traffic (rather than hardcoding a wall-clock time) makes
     the fault land on exactly the intended step regardless of pacing.
     """
-    marker = f"step{step:05d}"
+    marker = step_marker(step)
     armed = [False]
 
     def watch(msg: Message) -> bool:
@@ -369,49 +371,15 @@ class ExperimentSession:
         self._variants = list(variants)
         return self
 
-    def fleet_spec(self) -> dict[str, Any]:
-        """Export the composed knobs for fleet scheduling.
-
-        :meth:`repro.fleet.scheduler.FleetScheduler.submit_session` turns
-        this into an :class:`~repro.fleet.scheduler.ExperimentRequest`,
-        so the same builder that scripts a solo run can describe one
-        tenant's experiment in a multi-tenant campaign.  The session
-        itself stays runnable — exporting a spec does not consume it.
-        """
-        resume = self._resume or {}
-        degradation = self._degradation or {}
-        pipeline = self._pipeline or {}
-        return {
-            "run_id": self.run_id,
-            "config": self.config,
-            "n_steps": self.config.n_steps,
-            "fault_policy": self._fault_policy,
-            "checkpoint_every": resume.get("checkpoint_every", 0)
-            if self._resume is not None else 0,
-            "degradation": self._degradation is not None,
-            "breaker_config": degradation.get("breaker_config"),
-            "pipeline_depth": pipeline.get("depth", 0),
-        }
-
     # -- execution ----------------------------------------------------------
-    def _make_coordinator(self, dep: MOSTDeployment, *, fault_policy,
-                          checkpoint_store=None, checkpoint_policy=None,
-                          breakers=None, failover=None, state=None,
-                          prior_records=()):
-        kwargs = dict(run_id=self.run_id, fault_policy=fault_policy,
-                      checkpoint_store=checkpoint_store,
-                      checkpoint_policy=checkpoint_policy,
-                      state=state, prior_records=prior_records,
-                      breakers=breakers, failover=failover)
+    def _make_coordinator(self, dep: MOSTDeployment, **options):
         if self._pipeline is not None:
-            predictor = self._pipeline["predictor"] or dep.make_predictor()
-            kwargs.update(pipeline_depth=self._pipeline["depth"],
-                          predictor=predictor,
-                          mispredict_tolerance=self._pipeline["tolerance"])
-        if self._variants is not None:
-            return dep.make_ensemble_coordinator(variants=self._variants,
-                                                 **kwargs)
-        return dep.make_coordinator(**kwargs)
+            options.update(
+                pipeline_depth=self._pipeline["depth"],
+                predictor=self._pipeline["predictor"] or dep.make_predictor(),
+                mispredict_tolerance=self._pipeline["tolerance"])
+        return dep.make_coordinator(run_id=self.run_id,
+                                    variants=self._variants, **options)
 
     def run(self) -> SessionResult:
         """Build the deployment, run the composed experiment, drain, report."""
@@ -512,10 +480,11 @@ class ExperimentSession:
             ckpt_policy = CheckpointPolicy(
                 every_n_steps=self._resume["checkpoint_every"])
 
+        options = dict(checkpoint_store=store, checkpoint_policy=ckpt_policy,
+                       breakers=breakers, failover=failover)
         coordinator = self._make_coordinator(
             dep, fault_policy=self._fault_policy or NaiveFaultPolicy(),
-            checkpoint_store=store, checkpoint_policy=ckpt_policy,
-            breakers=breakers, failover=failover)
+            **options)
         if kit is not None:
             kit.watch_coordinator(coordinator)
         result = dep.kernel.run(until=dep.kernel.process(coordinator.run()))
@@ -523,34 +492,25 @@ class ExperimentSession:
         aborted = reconciliation = None
         checkpoints = coordinator.state.checkpoint_seq if store else 0
         if self._resume is not None and not result.completed:
-            from repro.coordinator import (
-                records_from_payloads,
-                resume_state_from_checkpoint,
-            )
-
             # Wait out the (public-schedule) outage, then bring up the
             # second incarnation against the same still-running grid.
             outage = (self._faults["outage_duration"]
                       if self._faults is not None else 1800.0)
             dep.kernel.run(until=dep.kernel.now + outage + 1.0)
-            doc, payloads = dep.kernel.run(
-                until=dep.kernel.process(store.load_history(self.run_id)))
-            if doc is None:
+            state, prior = dep.kernel.run(
+                until=dep.kernel.process(load_resume(store, self.run_id)))
+            if state is None:
                 # Died before any checkpoint: nothing to resume from.
                 checkpoints = 0
             else:
                 aborted = result
-                state = resume_state_from_checkpoint(doc)
-                prior = records_from_payloads(payloads)
                 second = self._make_coordinator(
                     dep,
                     fault_policy=(self._resume["resume_policy"]
                                   or FaultTolerantFaultPolicy(
                                       max_attempts=12, backoff=30.0,
                                       backoff_factor=1.5, max_backoff=600.0)),
-                    checkpoint_store=store, checkpoint_policy=ckpt_policy,
-                    breakers=breakers, failover=failover,
-                    state=state, prior_records=prior)
+                    state=state, prior_records=prior, **options)
                 result = dep.kernel.run(
                     until=dep.kernel.process(second.run()))
                 reconciliation = second.last_reconciliation

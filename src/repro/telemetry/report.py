@@ -2,8 +2,11 @@
 
 The coordinator emits one ``coordinator.step`` span per MS-PSDS step with
 child spans for each phase (``integrate`` / ``propose`` / ``execute`` /
-``commit``, plus ``retry_wait`` when a fault policy back-off ran).  This
-module turns those spans — live from a :class:`TelemetryHub` or loaded
+``commit``, plus ``retry_wait`` when a fault policy back-off ran); a
+pipelined run emits ``coordinator.step.pipelined`` instead, whose
+propose/execute rounds overlap the neighbouring steps' and so carry a
+total and an attempt count but no phase split.  This module turns those
+spans — live from a :class:`TelemetryHub` or loaded
 back from a JSONL export — into the paper's Figure-5-style step-time
 decomposition table.
 
@@ -32,15 +35,47 @@ from typing import Any
 from repro.util.errors import SchemaError
 
 STEP_SPAN = "coordinator.step"
+PIPELINED_STEP_SPAN = "coordinator.step.pipelined"
 PHASES = ("integrate", "propose", "execute", "commit", "retry_wait",
           "propose_execute")
 #: the contiguous phases of a clean barrier-mode step (their durations
 #: sum to the step wall time — asserted by the integration tests)
 CORE_PHASES = ("integrate", "propose", "execute", "commit")
+PIPELINED_NOTE = ("pipelined steps (those with attempts) have no phase "
+                  "split: their rounds overlap the next step's by design")
 
 
 def _as_record(span: Any) -> dict[str, Any]:
     return span if isinstance(span, dict) else span.to_dict()
+
+
+def rows_by_span(records: list[dict[str, Any]]) -> dict[str, dict[str, Any]]:
+    """``{span_id: row}`` for every finished step span, phases folded in.
+
+    A pipelined step's row also carries ``attempts``; its ``phases`` stay
+    empty unless a fault sent the step down the sequential fallback.
+    """
+    steps: dict[str, dict[str, Any]] = {}
+    for rec in records:
+        if (rec["name"] in (STEP_SPAN, PIPELINED_STEP_SPAN)
+                and rec.get("duration") is not None):
+            row = steps[rec["span_id"]] = {
+                "step": int(rec["attrs"].get("step", -1)),
+                "run_id": rec["attrs"].get("run_id", ""),
+                "total": rec["duration"],
+                "phases": {},
+            }
+            if rec["name"] == PIPELINED_STEP_SPAN:
+                row["attempts"] = int(rec["attrs"].get("attempts", 1))
+    for rec in records:
+        row = steps.get(rec.get("parent_id"))
+        if row is None or rec.get("duration") is None:
+            continue
+        phase = rec["name"].rsplit(".", 1)[-1]
+        if phase in PHASES:
+            row["phases"][phase] = (row["phases"].get(phase, 0.0)
+                                    + rec["duration"])
+    return steps
 
 
 def step_rows(spans: list[Any]) -> list[dict[str, Any]]:
@@ -52,25 +87,8 @@ def step_rows(spans: list[Any]) -> list[dict[str, Any]]:
         {"step": 3, "run_id": "most", "total": 0.21,
          "phases": {"integrate": 0.0, "propose": 0.1, ...}}
     """
-    records = [_as_record(s) for s in spans]
-    steps: dict[str, dict[str, Any]] = {}
-    for rec in records:
-        if rec["name"] == STEP_SPAN and rec.get("duration") is not None:
-            steps[rec["span_id"]] = {
-                "step": int(rec["attrs"].get("step", -1)),
-                "run_id": rec["attrs"].get("run_id", ""),
-                "total": rec["duration"],
-                "phases": {},
-            }
-    for rec in records:
-        parent = rec.get("parent_id")
-        if parent not in steps or rec.get("duration") is None:
-            continue
-        phase = rec["name"].rsplit(".", 1)[-1]
-        if phase in PHASES:
-            row = steps[parent]["phases"]
-            row[phase] = row.get(phase, 0.0) + rec["duration"]
-    return sorted(steps.values(), key=lambda r: r["step"])
+    rows = rows_by_span([_as_record(s) for s in spans])
+    return sorted(rows.values(), key=lambda r: r["step"])
 
 
 def render_step_table(rows: list[dict[str, Any]], *,
@@ -80,13 +98,15 @@ def render_step_table(rows: list[dict[str, Any]], *,
         return "no coordinator.step spans in trace"
     phases = [p for p in PHASES
               if any(p in r["phases"] for r in rows)]
+    pipelined = any("attempts" in r for r in rows)
     header = f"{'step':>6}" + "".join(f"{p:>16}" for p in phases) \
-        + f"{'total [s]':>12}"
+        + f"{'total [s]':>12}" + (f"{'attempts':>10}" if pipelined else "")
     lines = [header, "-" * len(header)]
     shown = rows if max_rows is None else rows[:max_rows]
     for row in shown:
         cells = "".join(f"{row['phases'].get(p, 0.0):>16.4f}" for p in phases)
-        lines.append(f"{row['step']:>6}{cells}{row['total']:>12.4f}")
+        attempts = f"{row['attempts']:>10}" if "attempts" in row else ""
+        lines.append(f"{row['step']:>6}{cells}{row['total']:>12.4f}{attempts}")
     if max_rows is not None and len(rows) > max_rows:
         lines.append(f"... ({len(rows) - max_rows} more steps)")
     n = len(rows)
@@ -96,6 +116,8 @@ def render_step_table(rows: list[dict[str, Any]], *,
         for p in phases)
     lines.append("-" * len(header))
     lines.append(f"{'mean':>6}{means}{mean_total:>12.4f}")
+    if pipelined:
+        lines.append(PIPELINED_NOTE)
     return "\n".join(lines)
 
 
@@ -109,9 +131,7 @@ def step_report_payload(rows: list[dict[str, Any]],
     payload = {
         "schema": SCHEMA_ID, "kind": "step_report",
         "experiment": experiment, "count": n,
-        "rows": [{"step": row["step"], "run_id": row["run_id"],
-                  "total": row["total"], "phases": dict(row["phases"])}
-                 for row in rows],
+        "rows": [{**row, "phases": dict(row["phases"])} for row in rows],
         "means": {
             "total": sum(r["total"] for r in rows) / n if n else 0.0,
             "phases": {phase: sum(r["phases"].get(phase, 0.0)

@@ -123,13 +123,15 @@ _PHASE_SECONDS = mapping(number())
 #:      "experiment": "...", "count": 40,
 #:      "rows": [{"step": 1, "run_id": "...", "total": 0.21,
 #:                "phases": {"propose": 0.1, ...}}, ...],
+#:                (a pipelined step's row adds "attempts": 1)
 #:      "means": {"total": 0.2, "phases": {"propose": 0.09, ...}}}
 validate_step_report_payload = validator(SchemaError, document(
     SCHEMA_ID, {
         "experiment": string(),
         "count": integer(0),
         "rows": array(obj({"step": integer(), "run_id": string(empty=True),
-                           "total": number(), "phases": _PHASE_SECONDS})),
+                           "total": number(), "phases": _PHASE_SECONDS},
+                          {"attempts": integer(1)})),
         "means": obj({"total": number(), "phases": _PHASE_SECONDS}),
     }, None, rule(".count", "count must equal len(rows)",
                   lambda doc: doc["count"] == len(doc["rows"])),

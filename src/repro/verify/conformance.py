@@ -32,8 +32,8 @@ from repro.coordinator import (
     SiteBinding,
     SubstructurePredictor,
     SurrogateSpec,
-    records_from_payloads,
-    resume_state_from_checkpoint,
+    load_resume,
+    step_marker,
 )
 from repro.core import NTCPClient, NTCPServer
 from repro.core.policy import SitePolicy
@@ -158,20 +158,18 @@ class _Rig:
                                      [[_SITE_STIFFNESS]], [0])
             for site in self.config.sites})
 
-    def make_coordinator(self, *, fault_policy, store=None,
-                         checkpoint_policy=None, state=None,
-                         prior_records=()) -> SimulationCoordinator:
-        """A coordinator over this rig's sites, per the config's mode."""
+    def make_coordinator(self, **options) -> SimulationCoordinator:
+        """A coordinator over this rig's sites, per the config's mode;
+        ``options`` go to :class:`SimulationCoordinator` untouched."""
         predictor = (self.predictor() if self.config.pipeline_depth
                      else None)
         return SimulationCoordinator(
             run_id=_RUN_ID, client=self.client, model=self.model,
-            motion=self.motion, sites=self.sites, fault_policy=fault_policy,
+            motion=self.motion, sites=self.sites,
             execution_timeout=_EXECUTION_TIMEOUT,
-            checkpoint_store=store, checkpoint_policy=checkpoint_policy,
-            state=state, prior_records=prior_records,
             breakers=self.breakers, failover=self.failover,
-            pipeline_depth=self.config.pipeline_depth, predictor=predictor)
+            pipeline_depth=self.config.pipeline_depth, predictor=predictor,
+            **options)
 
     def run(self, coordinator: SimulationCoordinator):
         """Drive one coordinator run to quiescence."""
@@ -210,7 +208,7 @@ def _arm_reply_drop(rig: _Rig, event: FaultEvent, verb: str, *,
     takes the coordinator—site link down for good (the crash scenarios:
     the first incarnation's fault policy aborts on the dead exchange).
     """
-    marker = f"step{event.step:05d}-{event.site}"
+    marker = step_marker(event.step, event.site)
     captured: list[str] = []
     dropped = [False]
 
@@ -233,7 +231,7 @@ def _arm_reply_drop(rig: _Rig, event: FaultEvent, verb: str, *,
 
 def _arm_request_duplicate(rig: _Rig, event: FaultEvent, verb: str) -> None:
     """Deliver an extra copy of the first marked ``verb`` request."""
-    marker = f"step{event.step:05d}-{event.site}"
+    marker = step_marker(event.step, event.site)
     rig.faults.duplicate_matching(
         lambda msg: _is_verb_request(msg, event.site, verb, marker),
         count=1)
@@ -248,7 +246,7 @@ def _arm_outage_on_propose(rig: _Rig, event: FaultEvent,
     retransmissions — dies until the outage lifts (never, for the fatal
     variant).
     """
-    marker = f"step{event.step:05d}-{event.site}"
+    marker = step_marker(event.step, event.site)
     armed = [False]
 
     def watch(msg) -> bool:
@@ -343,19 +341,18 @@ def _replay_crash(config: VerifyConfig, event: FaultEvent) -> dict:
     store = InMemoryCheckpointStore()
     policy = CheckpointPolicy(every_n_steps=0)
     first = rig.make_coordinator(fault_policy=NaiveFaultPolicy(),
-                                 store=store, checkpoint_policy=policy)
+                                 checkpoint_store=store,
+                                 checkpoint_policy=policy)
     aborted = rig.run(first)
     if aborted.completed:
         raise ConfigurationError(
             f"crash replay at step {event.step} did not abort")
 
     rig.network.set_link_state("coord", event.site, up=True)
-    doc, payloads = _run_store(store.load_history(_RUN_ID))
-    state = resume_state_from_checkpoint(doc)
+    state, prior_records = _run_store(load_resume(store, _RUN_ID))
     second = rig.make_coordinator(
-        fault_policy=NaiveFaultPolicy(), store=store,
-        checkpoint_policy=policy, state=state,
-        prior_records=records_from_payloads(payloads))
+        fault_policy=NaiveFaultPolicy(), checkpoint_store=store,
+        checkpoint_policy=policy, state=state, prior_records=prior_records)
     result = rig.run(second)
     return _observe(rig, result, second)
 

@@ -37,6 +37,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from repro.coordinator.state import transaction_name
+
 __all__ = [
     "FAULT_KINDS",
     "PIPELINED_KINDS",
@@ -320,8 +322,8 @@ class ModelMachine:
         ))
 
     def _name(self, step: int, site: str) -> str:
-        base = f"model-step{step:05d}-{site}"
-        return self.overrides.get((step, site), base)
+        return (self.overrides.get((step, site))
+                or transaction_name("model", step, site))
 
     def _server_for(self, site: str) -> _Server:
         if site in self.failed_over:

@@ -79,3 +79,48 @@ def test_repository_and_envelope_are_each_spelt_once():
                     envelope_homes.add(path.relative_to(src).parts[0])
     assert op_homes == {"repository/facade.py"}
     assert envelope_homes == {"ogsi"}
+
+
+def test_coordinator_decisions_are_each_spelt_once():
+    """One transaction-name format, one override-table writer, one resume
+    point, one fire-and-forget cancel (PROTOCOL.md §§7–9 rest on these)."""
+    import ast
+    import pathlib
+    import re
+
+    src = pathlib.Path(repro.__file__).parent
+    name_format = re.compile(r"step\{[^}]*:05d\}")
+    homes = {"format": set(), "override": set(), "resume": set(),
+             "cancel": set()}
+    for path in src.rglob("*.py"):
+        where = path.relative_to(src).as_posix()
+        text = path.read_text()
+        if name_format.search(text):
+            homes["format"].add(where)
+        for func in ast.walk(ast.parse(text)):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, (ast.Assign, ast.AugAssign)):
+                    targets = getattr(node, "targets", None) or [node.target]
+                    if any(isinstance(t, ast.Subscript)
+                           and getattr(t.value, "attr", "") == "_txn_overrides"
+                           for t in targets):
+                        homes["override"].add((where, func.name))
+                if not isinstance(node, ast.Call):
+                    continue
+                called = getattr(node.func, "attr",
+                                 getattr(node.func, "id", ""))
+                if called == "resume_state_from_checkpoint":
+                    homes["resume"].add((where, func.name))
+                if called == "process" and any(
+                        isinstance(arg, ast.Call)
+                        and getattr(arg.func, "attr", "") == "cancel"
+                        for arg in node.args):
+                    homes["cancel"].add((where, func.name))
+    assert homes == {
+        "format": {"coordinator/state.py"},
+        "override": {("coordinator/mspsds.py", "_rename")},
+        "resume": {("coordinator/state.py", "load_resume")},
+        "cancel": {("coordinator/mspsds.py", "cancel_and_forget")},
+    }

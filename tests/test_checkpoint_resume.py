@@ -22,8 +22,10 @@ from repro.coordinator import (
     SimulationCoordinator,
     SiteBinding,
     StepRecord,
+    load_resume,
     records_from_payloads,
     resume_state_from_checkpoint,
+    step_marker,
 )
 from repro.coordinator import state as coordinator_state
 from repro.coordinator.reconcile import (
@@ -651,7 +653,7 @@ def arm_fatal_drop_at_step(net, step, site="cu"):
     proposal while its siblings have already accepted theirs.  Returns
     the installed filter so the test can remove it before resuming.
     """
-    marker = f"step{step:05d}-{site}"
+    marker = step_marker(step, site)
 
     def trip(msg) -> bool:
         if msg.dst != site:
@@ -693,10 +695,8 @@ class TestRigResume:
 
         net.remove_drop_filter(trip)
         net.set_link_state("coord", "cu", up=True)
-        doc, payloads = run_store(store.load_history("rig-resume"))
-        state = resume_state_from_checkpoint(doc)
+        state, prior = run_store(load_resume(store, "rig-resume"))
         assert state.generation == 1
-        prior = records_from_payloads(payloads)
         assert [r.step for r in prior] == list(range(1, fail_step))
         second = SimulationCoordinator(
             run_id="rig-resume", client=client, model=model, motion=motion,
@@ -746,13 +746,12 @@ class TestRigResume:
         assert latest["state"]["pending"] == {}
 
         net.set_link_state("coord", "cu", up=True)
-        doc, payloads = run_store(store.load_history("rig-replay"))
-        state = resume_state_from_checkpoint(doc)
+        state, prior = run_store(load_resume(store, "rig-replay"))
         second = SimulationCoordinator(
             run_id="rig-replay", client=client, model=model, motion=motion,
             sites=sites, fault_policy=NaiveFaultPolicy(),
             checkpoint_store=store, checkpoint_policy=policy,
-            state=state, prior_records=records_from_payloads(payloads))
+            state=state, prior_records=prior)
         merged = k.run(until=k.process(second.run()))
 
         assert merged.completed and merged.steps_completed == 59

@@ -142,6 +142,21 @@ class TestRejectionHandling:
                      + servers["ncsa"].metrics()["cancelled"])
         assert cancelled >= 1
 
+    def test_a_step_zero_abort_is_in_the_kernel_log(self):
+        # the at-rest command (0.0) is outside the site's limits, so the
+        # run dies in _initialize, before the integrator starts
+        policy = SitePolicy().limit("set-displacement", "value",
+                                    minimum=1.0, maximum=2.0)
+        k, net, model, motion, client, sites, servers = build_three_site_rig(
+            policies={"cu": policy})
+        coord = SimulationCoordinator(run_id="t", client=client, model=model,
+                                      motion=motion, sites=sites)
+        result = k.run(until=k.process(coord.run()))
+        assert result.aborted_at_step == 0
+        assert result.aborted_reason.startswith("initialization failed: ")
+        [aborted] = k.log.records("coordinator.t", "experiment.aborted")
+        assert aborted.detail == {"step": 0, "error": result.aborted_reason}
+
 
 class TestFaultHandling:
     def test_naive_policy_dies_on_persistent_outage(self):

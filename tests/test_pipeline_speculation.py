@@ -8,10 +8,14 @@ the committed histories must be ``np.array_equal`` with a sequential run
 of the same scenario and no site may execute a step twice.
 """
 
+import hashlib
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.coordinator import variant_displacement_history
+from repro.telemetry.report import step_rows
 from repro.most import ExperimentSession, MOSTConfig
 from repro.most.assembly import build_simulation_only
 from repro.structural import GroundMotion
@@ -62,6 +66,13 @@ class TestCleanPipeline:
     def test_sequential_mode_reports_no_speculation(self):
         seq = session("seq-quiet", n_steps=10).run()
         assert pipeline_counter(seq, "speculated") == 0
+
+    def test_every_pipelined_step_is_in_the_step_report(self):
+        pipe = session("pipe-report", n_steps=30).with_pipeline(1).run()
+        rows = step_rows(pipe.deployment.kernel.telemetry.spans())
+        assert len(rows) == pipe.steps_completed + 1  # + the step-0 init
+        assert [r["step"] for r in rows] == list(range(30))
+        assert all(r["attempts"] == 1 and r["total"] > 0 for r in rows[1:])
 
 
 class _PerturbedPredictor:
@@ -178,10 +189,7 @@ class TestEnsembleSession:
     N_VARIANTS = 4
 
     def variants(self, config):
-        base = build_simulation_only(config).motion
-        return [GroundMotion(dt=base.dt,
-                             accel=base.accel * (0.5 + 0.25 * i))
-                for i in range(self.N_VARIANTS)]
+        return ensemble_variants(config, self.N_VARIANTS)
 
     def test_each_variant_matches_its_solo_run(self):
         config = MOSTConfig().scaled(20)
@@ -214,6 +222,65 @@ class TestEnsembleSession:
         # batching N variants costs one coordinator cycle, not N
         assert ens.result.wall_duration == pytest.approx(
             solo.result.wall_duration, rel=0.05)
+
+
+def ensemble_variants(config, n):
+    base = build_simulation_only(config).motion
+    return [GroundMotion(dt=base.dt, accel=base.accel * (0.5 + 0.25 * i))
+            for i in range(n)]
+
+
+#: Recorded at fe327f1, before the stepping loops shared one
+#: INTEGRATE/COMMIT body — do not regenerate to make a refactor pass: a
+#: moved count means the event schedule moved, which T-WALL and the
+#: committed sim-clock benches pin too (only 15 s later).
+_RPC_SPANS = {"core.client.execute": 120, "core.client.propose": 120,
+              "core.server.execute": 120, "core.server.propose": 120,
+              "net.rpc.call": 240, "net.rpc.server": 240}
+_SEQUENTIAL_SPANS = {"coordinator.step": 40, "coordinator.step.commit": 39,
+                     "coordinator.step.execute": 40,
+                     "coordinator.step.integrate": 39,
+                     "coordinator.step.propose": 40, **_RPC_SPANS}
+_SOLO_SHA = "efd54ad7858bf7792c89530f9e9a3566bafbda966c77aa9212f67ef3adc2badb"
+TRACE_SHAPES = {
+    "sequential": dict(events=2809, sent=480, series=87, sha=_SOLO_SHA,
+                       spans=_SEQUENTIAL_SPANS),
+    "pipelined": dict(events=2849, sent=480, series=87, sha=_SOLO_SHA,
+                      spans={"coordinator.step": 1,
+                             "coordinator.step.execute": 40,
+                             "coordinator.step.pipelined": 39,
+                             "coordinator.step.propose": 40,
+                             "coordinator.step.round": 1,
+                             "coordinator.step.speculate": 38, **_RPC_SPANS}),
+    "ensemble": dict(
+        events=2809, sent=480, series=89, spans=_SEQUENTIAL_SPANS,
+        sha="e7327b72f7a309bf98b43d6dd66d28b1aa12bfb624bcb3ec151e93dc0c180b09"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(TRACE_SHAPES))
+def test_trace_shape_is_pinned(mode):
+    """Kernel events, messages, series, span histogram and committed
+    history of a 40-step simulation-only run, per stepping mode."""
+    s = session(f"shape-{mode}")
+    if mode == "pipelined":
+        s.with_pipeline(1)
+    elif mode == "ensemble":
+        s.with_ensemble(ensemble_variants(s.config, 3))
+    outcome = s.run()
+    hub = outcome.deployment.kernel.telemetry
+
+    def total(name):
+        return sum(record["value"] for record in hub.metrics_snapshot()
+                   if record["name"] == name)
+
+    history = np.ascontiguousarray(outcome.result.displacement_history())
+    assert outcome.steps_completed == N_STEPS - 1
+    assert dict(events=total("sim.kernel.events"),
+                sent=total("net.network.sent"), series=len(hub.registry),
+                sha=hashlib.sha256(history.tobytes()).hexdigest(),
+                spans=dict(Counter(span.name for span in hub.spans()))
+                ) == TRACE_SHAPES[mode]
 
 
 class TestSessionGuards:
