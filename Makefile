@@ -8,8 +8,8 @@ BENCH_TARGETS := bench-perf bench-fleet bench-obs bench-queue
 BENCH_SMOKE_TARGETS := $(BENCH_TARGETS:%=%-smoke)
 
 .PHONY: test lint analyze verify verify-smoke smoke $(SMOKE_TARGETS) bench \
-	$(BENCH_TARGETS) $(BENCH_SMOKE_TARGETS) validate-bench twall-names loc \
-	check
+	bench-figures $(BENCH_TARGETS) $(BENCH_SMOKE_TARGETS) validate-bench \
+	twall-names loc check
 
 test:
 	$(PYTHON) -m pytest -x -q tests/
@@ -38,6 +38,11 @@ $(SMOKE_TARGETS): %-smoke:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# Every figure/table bench once, untimed: the "Measured shape" assertions
+# of EXPERIMENTS.md (F1-F11, T-FT, T-RT, T-CHK, ...) as a gate.
+bench-figures:
+	$(PYTHON) -m pytest benchmarks/ -q --benchmark-disable
 
 # Committed comparison documents, name -> script.  `make bench-<name>`
 # regenerates the repo-root BENCH_*.json (perf: sequential vs pipelined
@@ -71,5 +76,5 @@ twall-names:
 loc:
 	$(PYTHON) scripts/loc.py $(if $(AGAINST),--against $(AGAINST))
 
-check: lint analyze verify test smoke $(SMOKE_TARGETS) \
+check: lint analyze verify test smoke $(SMOKE_TARGETS) bench-figures \
 	$(BENCH_SMOKE_TARGETS) validate-bench twall-names

@@ -8,7 +8,6 @@ propose→execute round trip over the simulated WAN.
 """
 
 from repro.control import SimulationPlugin, make_displacement_actions
-from repro.core import NTCPServer
 from repro.core.plugin import ControlPlugin
 from repro.core.policy import SitePolicy
 from repro.net import RemoteException

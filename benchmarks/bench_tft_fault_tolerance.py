@@ -17,19 +17,15 @@ The timed portion is a recovery cycle (timeout + retransmit + dedup hit).
 
 import numpy as np
 
-from repro.control import SimulationPlugin, make_displacement_actions
+from repro.control import make_displacement_actions
 from repro.coordinator import (
     FaultTolerantFaultPolicy,
     NaiveFaultPolicy,
     SimulationCoordinator,
-    SiteBinding,
 )
-from repro.core import NTCPClient, NTCPServer
 from repro.core.plugin import ControlPlugin
-from repro.net import FaultInjector, Network, RpcClient
-from repro.ogsi import ServiceContainer
-from repro.sim import Kernel
-from repro.structural import GroundMotion, LinearSubstructure, StructuralModel
+from repro.grid import Grid
+from repro.structural import GroundMotion, StructuralModel
 from repro.testing import make_site
 
 from _report import write_report
@@ -67,29 +63,18 @@ def dedup_trial(drops: int, at_most_once: bool) -> int:
 
 
 def outage_trial(duration: float, policy) -> tuple[bool, int]:
-    k = Kernel()
-    net = Network(k, seed=0)
-    net.add_host("coord")
-    handles = {}
-    for name, kk in (("a", 60.0), ("b", 40.0)):
-        net.add_host(name)
-        net.connect("coord", name, latency=0.02)
-        c = ServiceContainer(net, name)
-        server = NTCPServer(f"ntcp-{name}", SimulationPlugin(
-            LinearSubstructure(name, [[kk]], [0]), compute_time=0.2))
-        handles[name] = c.deploy(server)
-    FaultInjector(net).schedule_outage("coord", "b", start=10.0,
-                                       duration=duration)
+    grid = Grid.star()
+    grid.add_simulation_sites({"a": 60.0, "b": 40.0}, latency=0.02,
+                              compute_time=0.2)
+    grid.faults.schedule_outage("coord", "b", start=10.0, duration=duration)
     model = StructuralModel(mass=[[2.0]], stiffness=[[100.0]],
                             damping=[[1.0]])
     motion = GroundMotion(dt=0.02, accel=np.sin(np.arange(120) * 0.1))
-    client = NTCPClient(RpcClient(net, "coord", default_timeout=5.0,
-                                  default_retries=2), timeout=5.0, retries=2)
     coord = SimulationCoordinator(
-        run_id="trial", client=client, model=model, motion=motion,
-        sites=[SiteBinding(n, handles[n], [0]) for n in handles],
+        run_id="trial", client=grid.client(timeout=5.0, retries=2),
+        model=model, motion=motion, sites=grid.bindings(),
         fault_policy=policy, execution_timeout=10.0)
-    result = k.run(until=k.process(coord.run()))
+    result = grid.run(coord.run())
     return result.completed, result.steps_completed
 
 

@@ -30,20 +30,9 @@ import sys
 
 import numpy as np
 
-from repro.control import SimulationPlugin
-from repro.coordinator import SimulationCoordinator, SiteBinding
-from repro.core import NTCPClient, NTCPServer
-from repro.net import Network, RpcClient
-from repro.ogsi import ServiceContainer
-from repro.sim import Kernel
-from repro.structural import (
-    BilinearSpring,
-    GroundMotion,
-    LinearSubstructure,
-    PhysicalSpecimen,
-    StructuralModel,
-)
-from repro.structural.specimen import Actuator, Sensor
+from repro.coordinator import SimulationCoordinator
+from repro.grid import Grid
+from repro.structural import GroundMotion, StructuralModel
 
 from repro.coordinator import variant_displacement_history
 from repro.most import ExperimentSession, MOSTConfig
@@ -65,32 +54,22 @@ BENCH_DOC = REPO_ROOT / "BENCH_tperf_ntcp.json"
 def sweep_rig(latency: float, *, backend_time: float, n_steps: int = 30,
               barrier: bool = True, asymmetric: bool = False):
     """One coordinator + two sites; returns (mean step wall time, hub)."""
-    k = Kernel()
-    net = Network(k, seed=0)
-    net.add_host("coord")
-    handles = {}
+    grid = Grid.star()
     params = {"a": (latency, backend_time),
               "b": ((0.005 if asymmetric else latency),
                     (backend_time * 10 if asymmetric else backend_time))}
     for name, (lat, bt) in params.items():
-        net.add_host(name)
-        net.connect("coord", name, latency=lat)
-        c = ServiceContainer(net, name)
-        server = NTCPServer(f"ntcp-{name}", SimulationPlugin(
-            LinearSubstructure(name, [[50.0]], [0]), compute_time=bt))
-        handles[name] = c.deploy(server)
+        grid.add_simulation_site(name, 50.0, latency=lat, compute_time=bt)
     model = StructuralModel(mass=[[2.0]], stiffness=[[100.0]],
                             damping=[[1.0]])
     motion = GroundMotion(dt=0.02, accel=np.sin(np.arange(n_steps) * 0.1))
-    client = NTCPClient(RpcClient(net, "coord", default_timeout=1e4),
-                        timeout=1e4, retries=0)
     coord = SimulationCoordinator(
-        run_id="perf", client=client, model=model, motion=motion,
-        sites=[SiteBinding(n, handles[n], [0]) for n in handles],
+        run_id="perf", client=grid.client(timeout=1e4, retries=0),
+        model=model, motion=motion, sites=grid.bindings(),
         execution_timeout=1e4, negotiation_barrier=barrier)
-    result = k.run(until=k.process(coord.run()))
+    result = grid.run(coord.run())
     assert result.completed
-    return float(np.mean(result.step_durations())), k.telemetry
+    return float(np.mean(result.step_durations())), grid.kernel.telemetry
 
 
 def bench_tperf_ntcp(benchmark):

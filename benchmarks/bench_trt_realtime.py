@@ -18,17 +18,9 @@ needed *both* facets, not just a faster protocol.
 
 import numpy as np
 
-from repro.control import SimulationPlugin
-from repro.coordinator import (
-    RealTimeCoordinator,
-    SimulationCoordinator,
-    SiteBinding,
-)
-from repro.core import NTCPClient, NTCPServer
-from repro.net import Network, RpcClient
-from repro.ogsi import ServiceContainer
-from repro.sim import Kernel
-from repro.structural import GroundMotion, LinearSubstructure, StructuralModel
+from repro.coordinator import RealTimeCoordinator, SimulationCoordinator
+from repro.grid import Grid
+from repro.structural import GroundMotion, StructuralModel
 
 from _report import write_report
 
@@ -37,24 +29,14 @@ N_STEPS = 150
 
 
 def build(backend_time=BACKEND_TIME):
-    k = Kernel()
-    net = Network(k, seed=0)
-    net.add_host("coord")
-    handles = {}
-    for name, kk in (("a", 60.0), ("b", 40.0)):
-        net.add_host(name)
-        net.connect("coord", name, latency=0.005)
-        c = ServiceContainer(net, name)
-        handles[name] = c.deploy(NTCPServer(f"ntcp-{name}", SimulationPlugin(
-            LinearSubstructure(name, [[kk]], [0]),
-            compute_time=backend_time)))
+    grid = Grid.star()
+    grid.add_simulation_sites({"a": 60.0, "b": 40.0}, latency=0.005,
+                              compute_time=backend_time)
     model = StructuralModel(mass=[[2.0]], stiffness=[[100.0]],
                             damping=[[1.0]])
     motion = GroundMotion(dt=0.02, accel=np.sin(np.arange(N_STEPS) * 0.1))
-    client = NTCPClient(RpcClient(net, "coord", default_timeout=100.0),
-                        timeout=100.0, retries=0)
-    sites = [SiteBinding(n, handles[n], [0]) for n in handles]
-    return k, client, model, motion, sites
+    return (grid.kernel, grid.client(timeout=100.0, retries=0), model,
+            motion, grid.bindings())
 
 
 def bench_trt_realtime(benchmark):

@@ -12,31 +12,18 @@ Run:  python examples/engineer_toolbox.py
 
 import numpy as np
 
-from repro import (
-    Kernel,
-    Network,
-    NTCPClient,
-    NTCPServer,
-    NTCPToolbox,
-    RpcClient,
-    ServiceContainer,
-    SitePolicy,
-)
+from repro import NTCPToolbox, SitePolicy
 from repro.control import ShoreWesternController, ShoreWesternPlugin
+from repro.grid import Grid
 from repro.structural import BilinearSpring, PhysicalSpecimen
 from repro.structural.specimen import Actuator, Sensor
 from repro.viz import scatter_plot, sparkline
 
 
 def build_lab():
-    kernel = Kernel()
-    net = Network(kernel, seed=0)
-    net.add_host("office")
+    grid = Grid.star(hub="office")
     specimens = {}
     for name, k in (("east-rig", 2.0e6), ("west-rig", 1.6e6)):
-        net.add_host(name)
-        net.connect("office", name, latency=0.003)
-        container = ServiceContainer(net, name)
         spec = PhysicalSpecimen(
             name, BilinearSpring(k=k, fy=3.0e4, alpha=0.08),
             actuator=Actuator(min_settle=1.0, max_stroke=0.05,
@@ -46,16 +33,15 @@ def build_lab():
         specimens[name] = spec
         policy = SitePolicy().limit("set-displacement", "value",
                                     minimum=-0.05, maximum=0.05)
-        container.deploy(NTCPServer(
-            f"ntcp-{name}",
-            ShoreWesternPlugin(ShoreWesternController({0: spec}),
-                               policy=policy)))
-    client = NTCPClient(RpcClient(net, "office", default_timeout=60.0),
-                        timeout=60.0, retries=2)
-    tb = NTCPToolbox(client, run_id="cyclic-2026")
+        grid.add_site(
+            name, ShoreWesternPlugin(ShoreWesternController({0: spec}),
+                                     policy=policy),
+            latency=0.003)
+    tb = NTCPToolbox(grid.client(timeout=60.0, retries=2),
+                     run_id="cyclic-2026")
     for name in specimens:
         tb.add_site(name, f"gsh://{name}/ogsi/ntcp-{name}")
-    return kernel, tb, specimens
+    return grid.kernel, tb, specimens
 
 
 def main() -> None:

@@ -16,23 +16,14 @@ Run:  python examples/fault_tolerance_demo.py
 import numpy as np
 
 from repro import (
-    FaultInjector,
     GroundMotion,
-    Kernel,
-    LinearSubstructure,
-    Network,
-    NTCPClient,
-    NTCPServer,
-    RpcClient,
-    ServiceContainer,
     SimulationCoordinator,
-    SimulationPlugin,
-    SiteBinding,
     StructuralModel,
     make_displacement_actions,
 )
 from repro.control import ShoreWesternController, ShoreWesternPlugin
 from repro.coordinator import FaultTolerantFaultPolicy, NaiveFaultPolicy
+from repro.grid import Grid
 from repro.structural import BilinearSpring, PhysicalSpecimen
 from repro.structural.specimen import Actuator, Sensor
 
@@ -40,23 +31,18 @@ from repro.structural.specimen import Actuator, Sensor
 def demo_at_most_once() -> None:
     print("[1] at-most-once under a lost response")
     for dedup in (True, False):
-        kernel = Kernel()
-        net = Network(kernel, seed=0)
-        net.add_host("coord")
-        net.add_host("lab")
-        net.connect("coord", "lab", latency=0.01)
-        container = ServiceContainer(net, "lab")
+        grid = Grid.star()
         specimen = PhysicalSpecimen(
             "column", BilinearSpring(k=1e6, fy=5e3, alpha=0.1),
             actuator=Actuator(max_stroke=1.0, tracking_std=0.0),
             lvdt=Sensor(), load_cell=Sensor(), seed=0)
         controller = ShoreWesternController({0: specimen})
-        server = NTCPServer("ntcp-lab", ShoreWesternPlugin(controller),
-                            at_most_once=dedup)
-        handle = container.deploy(server)
-        client = NTCPClient(RpcClient(net, "coord", default_timeout=5.0),
-                            timeout=5.0, retries=3)
-        faults = FaultInjector(net)
+        lab = grid.add_site("lab", ShoreWesternPlugin(controller),
+                            latency=0.01)
+        lab.server.at_most_once = dedup
+        handle = lab.handle
+        client = grid.client(timeout=5.0, retries=3)
+        faults = grid.faults
 
         def go():
             yield from client.propose(handle, "step-1",
@@ -69,7 +55,7 @@ def demo_at_most_once() -> None:
                                                timeout=5.0)
             return result
 
-        kernel.run(until=kernel.process(go()))
+        grid.run(go())
         mode = "at-most-once (NTCP)" if dedup else "at-least-once (ablated)"
         print(f"    {mode}: specimen moved {len(specimen.history)} time(s), "
               f"{client.rpc.stats.retries} retransmission(s)")
@@ -80,27 +66,21 @@ def demo_at_most_once() -> None:
 
 def demo_negotiation() -> None:
     print("[2] proposal negotiation stops unsafe commands before motion")
-    kernel = Kernel()
-    net = Network(kernel, seed=0)
-    net.add_host("coord")
-    net.add_host("lab")
-    net.connect("coord", "lab", latency=0.01)
-    container = ServiceContainer(net, "lab")
+    grid = Grid.star()
     specimen = PhysicalSpecimen(
         "column", BilinearSpring(k=1e6, fy=5e3),
         actuator=Actuator(max_stroke=0.02, tracking_std=0.0),
         lvdt=Sensor(), load_cell=Sensor(), seed=0)
-    server = NTCPServer("ntcp-lab", ShoreWesternPlugin(
-        ShoreWesternController({0: specimen})))
-    handle = container.deploy(server)
-    client = NTCPClient(RpcClient(net, "coord", default_timeout=5.0))
+    handle = grid.add_site("lab", ShoreWesternPlugin(
+        ShoreWesternController({0: specimen})), latency=0.01).handle
+    client = grid.client(timeout=10.0, retries=3)
 
     def go():
         verdict = yield from client.propose(
             handle, "too-far", make_displacement_actions({0: 0.5}))
         return verdict
 
-    verdict = kernel.run(until=kernel.process(go()))
+    verdict = grid.run(go())
     print(f"    50 cm command on a 2 cm rig: proposal {verdict.state}")
     print(f"    specimen motions: {len(specimen.history)} "
           "(the rejection happened during negotiation)\n")
@@ -113,31 +93,20 @@ def demo_policies() -> None:
                           (FaultTolerantFaultPolicy(max_attempts=8,
                                                     backoff=20.0),
                            "fault-tolerant")):
-        kernel = Kernel()
-        net = Network(kernel, seed=0)
-        net.add_host("coord")
-        handles = {}
-        for name, k in (("uiuc", 60.0), ("cu", 40.0)):
-            net.add_host(name)
-            net.connect("coord", name, latency=0.02)
-            c = ServiceContainer(net, name)
-            server = NTCPServer(f"ntcp-{name}", SimulationPlugin(
-                LinearSubstructure(name, [[k]], [0]), compute_time=0.2))
-            handles[name] = c.deploy(server)
-        FaultInjector(net).schedule_outage("coord", "cu", start=20.0,
-                                           duration=90.0)
+        grid = Grid.star()
+        grid.add_simulation_sites({"uiuc": 60.0, "cu": 40.0}, latency=0.02,
+                                  compute_time=0.2)
+        grid.faults.schedule_outage("coord", "cu", start=20.0,
+                                    duration=90.0)
         model = StructuralModel(mass=[[2.0]], stiffness=[[100.0]],
                                 damping=[[1.0]])
         motion = GroundMotion(dt=0.02,
                               accel=np.sin(np.arange(200) * 0.1))
-        client = NTCPClient(RpcClient(net, "coord", default_timeout=5.0,
-                                      default_retries=2),
-                            timeout=5.0, retries=2)
         coord = SimulationCoordinator(
-            run_id="demo", client=client, model=model, motion=motion,
-            sites=[SiteBinding(n, handles[n], [0]) for n in handles],
+            run_id="demo", client=grid.client(timeout=5.0, retries=2),
+            model=model, motion=motion, sites=grid.bindings(),
             fault_policy=policy, execution_timeout=10.0)
-        result = kernel.run(until=kernel.process(coord.run()))
+        result = grid.run(coord.run())
         rows.append((label, result))
         status = ("completed" if result.completed else
                   f"aborted at step {result.aborted_at_step}")

@@ -10,43 +10,34 @@ Run:  python examples/quickstart.py
 """
 
 from repro import (
-    Kernel,
     LinearSubstructure,
-    Network,
-    NTCPClient,
-    NTCPServer,
-    RpcClient,
-    ServiceContainer,
     SimulationPlugin,
     SitePolicy,
     make_displacement_actions,
 )
+from repro.grid import Grid
 
 
 def main() -> None:
     # -- wire the world ----------------------------------------------------
-    kernel = Kernel()
-    network = Network(kernel, seed=0)
-    network.add_host("coordinator")
-    network.add_host("lab")
-    network.connect("coordinator", "lab", latency=0.025)  # 25 ms WAN hop
+    # A grid is one hub host (here "coordinator") on a simulation kernel
+    # and a simulated WAN; sites are added as spokes.
+    grid = Grid.star(hub="coordinator")
 
-    # The site: an OGSI container hosting an NTCP server whose control
-    # plugin evaluates a 50 kN/mm linear substructure, with a facility
-    # policy limiting commands to +/- 5 cm.
-    container = ServiceContainer(network, "lab")
+    # The site: host "lab" one 25 ms WAN hop away, an OGSI container on it
+    # hosting an NTCP server ("ntcp-lab") whose control plugin evaluates a
+    # 50 kN/mm linear substructure, with a facility policy limiting
+    # commands to +/- 5 cm.
     policy = SitePolicy().limit("set-displacement", "value",
                                 minimum=-0.05, maximum=0.05)
     plugin = SimulationPlugin(
         LinearSubstructure("column", [[5.0e7]], dof_indices=[0]),
         compute_time=0.1, policy=policy)
-    handle = container.deploy(NTCPServer("ntcp-lab", plugin))
+    handle = grid.add_site("lab", plugin, latency=0.025).handle
     print(f"deployed NTCP service at {handle}")
 
-    # The client: retry-safe NTCP verbs over RPC.
-    client = NTCPClient(RpcClient(network, "coordinator",
-                                  default_timeout=10.0),
-                        timeout=10.0, retries=3)
+    # The client: retry-safe NTCP verbs over RPC, issued from the hub.
+    client = grid.client(timeout=10.0, retries=3)
 
     # -- one full transaction ------------------------------------------------
     def session():
@@ -69,8 +60,8 @@ def main() -> None:
         print(f"oversized proposal: {verdict.state} ({verdict.error})")
         return "done"
 
-    kernel.run(until=kernel.process(session()))
-    print(f"simulated wall time elapsed: {kernel.now:.3f} s")
+    grid.run(session())
+    print(f"simulated wall time elapsed: {grid.kernel.now:.3f} s")
 
 
 if __name__ == "__main__":

@@ -17,36 +17,17 @@ Run:  python examples/stiff_structure_hybrid.py
 
 import numpy as np
 
-from repro import (
-    GroundMotion,
-    Kernel,
-    LinearSubstructure,
-    Network,
-    NTCPClient,
-    NTCPServer,
-    RpcClient,
-    ServiceContainer,
-    SimulationCoordinator,
-    SimulationPlugin,
-    SiteBinding,
-    StructuralModel,
-)
+from repro import GroundMotion, SimulationCoordinator, StructuralModel
+from repro.grid import Grid
 from repro.structural import AlphaOSPSD, kanai_tajimi_record, \
     response_spectrum
 from repro.viz import sparkline
 
 
 def build(integrator_factory, n_steps=300):
-    k = Kernel()
-    net = Network(k, seed=0)
-    net.add_host("coord")
-    handles = {}
-    for name, kk in (("wall-lab", 2.5e4), ("brace-lab", 1.5e4)):
-        net.add_host(name)
-        net.connect("coord", name, latency=0.01)
-        c = ServiceContainer(net, name)
-        handles[name] = c.deploy(NTCPServer(f"ntcp-{name}", SimulationPlugin(
-            LinearSubstructure(name, [[kk]], [0]), compute_time=0.0)))
+    grid = Grid.star()
+    grid.add_simulation_sites({"wall-lab": 2.5e4, "brace-lab": 1.5e4},
+                              latency=0.01, compute_time=0.0)
     model = StructuralModel(mass=[[1.0]], stiffness=[[4.0e4]]
                             ).with_rayleigh_damping(0.02)
     dt = 0.02
@@ -54,13 +35,11 @@ def build(integrator_factory, n_steps=300):
                           accel=kanai_tajimi_record(
                               duration=n_steps * dt, dt=dt, pga=2.0,
                               seed=14).accel)
-    client = NTCPClient(RpcClient(net, "coord", default_timeout=30.0),
-                        timeout=30.0, retries=2)
     coord = SimulationCoordinator(
-        run_id="stiff", client=client, model=model, motion=motion,
-        sites=[SiteBinding(n, handles[n], [0]) for n in handles],
+        run_id="stiff", client=grid.client(timeout=30.0, retries=2),
+        model=model, motion=motion, sites=grid.bindings(),
         integrator_factory=integrator_factory)
-    return k, coord, model, motion
+    return grid.kernel, coord, model, motion
 
 
 def main() -> None:

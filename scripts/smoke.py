@@ -24,19 +24,11 @@ import numpy as np
 
 from repro import (
     GroundMotion,
-    Kernel,
-    LinearSubstructure,
-    Network,
-    NTCPClient,
-    NTCPServer,
-    RpcClient,
-    ServiceContainer,
     SimulationCoordinator,
-    SimulationPlugin,
-    SiteBinding,
     StructuralModel,
     TelemetryHub,
 )
+from repro.grid import Grid
 from repro.telemetry import validate_jsonl_export, validate_metrics_payload
 from repro.telemetry.report import CORE_PHASES, report_from_jsonl, step_rows
 
@@ -45,30 +37,20 @@ N_STEPS = 40
 
 
 def run_experiment():
-    kernel = Kernel()
-    net = Network(kernel, seed=0)
-    net.add_host("coord")
-    handles = {}
+    grid = Grid.star()
     for name, latency in (("uiuc", 0.02), ("colorado", 0.03)):
-        net.add_host(name)
-        net.connect("coord", name, latency=latency)
-        container = ServiceContainer(net, name)
-        server = NTCPServer(f"ntcp-{name}", SimulationPlugin(
-            LinearSubstructure(name, [[50.0]], [0]), compute_time=0.1))
-        handles[name] = container.deploy(server)
+        grid.add_simulation_site(name, 50.0, latency=latency,
+                                 compute_time=0.1)
     model = StructuralModel(mass=[[2.0, 0.0], [0.0, 2.0]],
                             stiffness=[[150.0, -50.0], [-50.0, 50.0]],
                             damping=[[1.0, 0.0], [0.0, 1.0]])
     motion = GroundMotion(dt=0.02, accel=np.sin(np.arange(N_STEPS) * 0.3))
-    client = NTCPClient(RpcClient(net, "coord", default_timeout=1e3),
-                        timeout=1e3, retries=1)
     coordinator = SimulationCoordinator(
-        run_id="smoke", client=client, model=model, motion=motion,
-        sites=[SiteBinding("uiuc", handles["uiuc"], [0]),
-               SiteBinding("colorado", handles["colorado"], [1])],
+        run_id="smoke", client=grid.client(timeout=1e3, retries=1),
+        model=model, motion=motion,
+        sites=grid.bindings({"uiuc": [0], "colorado": [1]}),
         execution_timeout=1e3)
-    result = kernel.run(until=kernel.process(coordinator.run()))
-    return result, kernel
+    return grid.run(coordinator.run()), grid.kernel
 
 
 def main() -> int:

@@ -140,71 +140,6 @@ class SimClockPurity(Rule):
 
 
 # ---------------------------------------------------------------------------
-# RPR002 — deprecated dict-style access to typed verb results
-
-
-@register
-class VerdictDictAccess(Rule):
-    """No dict-style reads of ``ProposalVerdict`` / ``ExecutionOutcome``.
-
-    The typed verb results answer ``["state"]``-style access through a
-    one-release deprecation shim only.  Heuristic: any variable whose name
-    contains ``verdict`` or ``outcome`` subscripted (or ``.get()``/
-    ``.keys()``-ed) with one of the dataclass field names is treated as a
-    typed result.
-    """
-
-    code = "RPR002"
-    name = "typed-result-dict-access"
-    summary = ("use attribute access on ProposalVerdict/ExecutionOutcome, "
-               "not the deprecated dict shim")
-
-    FIELDS = {"transaction", "state", "error", "readings", "started",
-              "finished"}
-    _NAME_RE = re.compile(r"verdict|outcome", re.IGNORECASE)
-
-    def _looks_typed(self, node: ast.AST) -> str | None:
-        if isinstance(node, ast.Name):
-            name = node.id
-        elif isinstance(node, ast.Attribute):
-            name = node.attr
-        else:
-            return None
-        return name if self._NAME_RE.search(name) else None
-
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
-        """Yield this rule's violations in ``ctx`` (see class doc)."""
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Subscript):
-                name = self._looks_typed(node.value)
-                key = node.slice
-                if (name and isinstance(key, ast.Constant)
-                        and key.value in self.FIELDS):
-                    yield ctx.finding(
-                        node, self.code,
-                        f"dict-style access `{name}[{key.value!r}]` on a "
-                        f"typed verb result; use `.{key.value}` (the shim "
-                        "is deprecated and will be removed)")
-            elif isinstance(node, ast.Call) and isinstance(node.func,
-                                                           ast.Attribute):
-                name = self._looks_typed(node.func.value)
-                if not name:
-                    continue
-                if (node.func.attr == "get" and node.args
-                        and isinstance(node.args[0], ast.Constant)
-                        and node.args[0].value in self.FIELDS):
-                    yield ctx.finding(
-                        node, self.code,
-                        f"`{name}.get({node.args[0].value!r})` on a typed "
-                        "verb result; use attribute access")
-                elif node.func.attr == "keys" and not node.args:
-                    yield ctx.finding(
-                        node, self.code,
-                        f"`{name}.keys()` on a typed verb result; iterate "
-                        "dataclasses.fields() instead")
-
-
-# ---------------------------------------------------------------------------
 # RPR003 — telemetry naming convention
 
 
@@ -619,71 +554,6 @@ class AllDrift(Rule):
         elif isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
                 yield from AllDrift._target_names(element)
-
-
-# ---------------------------------------------------------------------------
-# RPR007 — mutable default arguments
-
-
-@register
-class MutableDefaultArgument(Rule):
-    """No mutable objects as parameter defaults outside ``tests``.
-
-    A default expression is evaluated once, at definition time, so a
-    list/dict/set default is silently shared across every call — state
-    from one run leaks into the next.  Flagged as defaults: the literal
-    displays (``[]``, ``{}``, ``{x}``), comprehensions, and calls to the
-    mutable constructors (``list``/``dict``/``set``/``bytearray`` and the
-    ``collections`` containers).  Test modules are exempt — fixtures
-    there live for one test and the terseness is worth it.
-    """
-
-    code = "RPR007"
-    name = "mutable-default-argument"
-    summary = ("no list/dict/set literals, comprehensions, or constructor "
-               "calls as parameter defaults (tests exempt)")
-
-    MUTABLE_CALLS = {
-        "list", "dict", "set", "bytearray",
-        "collections.defaultdict", "collections.OrderedDict",
-        "collections.deque", "collections.Counter",
-    }
-
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
-        """Yield this rule's violations in ``ctx`` (see class doc)."""
-        if ctx.module == "tests" or ctx.module.startswith("tests."):
-            return
-        modules, names = _import_maps(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.Lambda)):
-                continue
-            defaults = list(node.args.defaults) + [
-                d for d in node.args.kw_defaults if d is not None]
-            for default in defaults:
-                what = self._mutable(default, modules, names)
-                if what is None:
-                    continue
-                fn = getattr(node, "name", "<lambda>")
-                yield ctx.finding(
-                    default, self.code,
-                    f"mutable default ({what}) on `{fn}` is evaluated once "
-                    "and shared across calls; default to None and build "
-                    "the container inside the function")
-
-    def _mutable(self, node: ast.AST, modules: dict[str, str],
-                 names: dict[str, str]) -> str | None:
-        if isinstance(node, (ast.List, ast.ListComp)):
-            return "list"
-        if isinstance(node, (ast.Dict, ast.DictComp)):
-            return "dict"
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return "set"
-        if isinstance(node, ast.Call):
-            canon = _canonical_call(node, modules, names)
-            if canon in self.MUTABLE_CALLS:
-                return f"{canon}()"
-        return None
 
 
 # ---------------------------------------------------------------------------

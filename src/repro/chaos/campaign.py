@@ -39,7 +39,7 @@ import numpy as np
 from repro.coordinator import FaultTolerantFaultPolicy
 from repro.most.assembly import MOSTDeployment, build_most
 from repro.most.config import MOSTConfig
-from repro.most.session import arm_at_step
+from repro.most.session import arm_at_step, default_most_fault_policy
 from repro.net.rpc import RpcRequest
 from repro.util.errors import ConfigurationError
 
@@ -368,9 +368,7 @@ class ChaosCampaign:
         arm_plan(dep, plan)
         coordinator = dep.make_coordinator(
             run_id=f"chaos-{seed}",
-            fault_policy=FaultTolerantFaultPolicy(
-                max_attempts=12, backoff=30.0, backoff_factor=1.5,
-                max_backoff=600.0),
+            fault_policy=default_most_fault_policy(),
             breakers=breakers, failover=manager)
         if kit is not None:
             kit.watch_coordinator(coordinator)

@@ -36,8 +36,21 @@ import numpy as np
 from repro.util.errors import ReproError
 
 
+def _config(args: argparse.Namespace):
+    """The MOST configuration shortened to ``--steps``."""
+    from repro.most import MOSTConfig
+
+    return MOSTConfig().scaled(args.steps)
+
+
+def _status(result) -> str:
+    """How a run ended, for a subcommand's headline."""
+    return ("completed" if result.completed else
+            f"exited prematurely at step {result.aborted_at_step}")
+
+
 def _cmd_most(args: argparse.Namespace) -> int:
-    from repro.most import ExperimentSession, MOSTConfig
+    from repro.most import ExperimentSession
 
     builders = {
         "dry": lambda c: ExperimentSession(c, run_id="most-dry"),
@@ -51,15 +64,11 @@ def _cmd_most(args: argparse.Namespace) -> int:
         "sim-only": lambda c: ExperimentSession(c, run_id="most-simonly",
                                                 simulation_only=True),
     }
-    config = MOSTConfig()
-    if args.steps != 1500:
-        config = config.scaled(args.steps)
+    config = _config(args)
     report = builders[args.scenario](config).run()
     r = report.result
-    status = ("completed" if r.completed
-              else f"exited prematurely at step {r.aborted_at_step}")
     print(f"MOST {args.scenario}: {r.steps_completed}/{r.target_steps} "
-          f"steps, {status}")
+          f"steps, {_status(r)}")
     print(f"  simulated wall time : {r.wall_duration / 3600:.2f} h "
           f"({float(np.mean(r.step_durations())) if r.steps else 0:.1f} "
           "s/step)")
@@ -77,11 +86,9 @@ def _cmd_most(args: argparse.Namespace) -> int:
 
 
 def _cmd_resume(args: argparse.Namespace) -> int:
-    from repro.most import ExperimentSession, MOSTConfig
+    from repro.most import ExperimentSession
 
-    config = MOSTConfig()
-    if args.steps != 1500:
-        config = config.scaled(args.steps)
+    config = _config(args)
     report = (ExperimentSession(config, run_id=args.run_id)
               .with_faults()
               .with_resume(checkpoint_every=args.checkpoint_every)
@@ -98,10 +105,8 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     if report.reconciliation is not None:
         for line in report.reconciliation.rows():
             print(f"  {line}")
-    status = ("completed" if r.completed
-              else f"exited prematurely at step {r.aborted_at_step}")
     print(f"  merged result       : {r.steps_completed}/{r.target_steps} "
-          f"steps, {status}")
+          f"steps, {_status(r)}")
     print(f"  checkpoints written : {report.checkpoints}")
     print(f"  NTCP retransmissions: {report.ntcp_retries}; "
           f"step-level recoveries: {r.recoveries}")
@@ -109,11 +114,9 @@ def _cmd_resume(args: argparse.Namespace) -> int:
 
 
 def _cmd_monitor(args: argparse.Namespace) -> int:
-    from repro.most import ExperimentSession, MOSTConfig
+    from repro.most import ExperimentSession
 
-    config = MOSTConfig()
-    if args.steps != 1500:
-        config = config.scaled(args.steps)
+    config = _config(args)
 
     def feed(alert) -> None:
         site = f" site={alert.site}" if alert.site else ""
@@ -132,12 +135,10 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     r = report.result
     alerts = report.alerts
     rollups = report.rollups
-    status = ("completed" if r.completed
-              else f"exited prematurely at step {r.aborted_at_step}")
     if not alerts:
         print("  (no alerts)")
     print(f"MOST monitored: {r.steps_completed}/{r.target_steps} steps, "
-          f"{status}")
+          f"{_status(r)}")
     print(f"  alerts raised       : {len(alerts)}")
     stream = rollups.get("stream") or {}
     print(f"  metric samples seen : {stream.get('received', 0)} "
@@ -157,11 +158,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     import json
 
     from repro.chaos import ChaosCampaign
-    from repro.most import MOSTConfig
 
-    config = MOSTConfig()
-    if args.steps != 1500:
-        config = config.scaled(args.steps)
+    config = _config(args)
     campaign = ChaosCampaign(config, n_events=args.events,
                              force_failover=args.force_failover,
                              failover=not args.no_failover,
@@ -411,11 +409,9 @@ def _load_dump(path: str):
 def _cmd_observatory_run(args: argparse.Namespace) -> int:
     import json
 
-    from repro.most import ExperimentSession, MOSTConfig
+    from repro.most import ExperimentSession
 
-    config = MOSTConfig()
-    if args.steps != 1500:
-        config = config.scaled(args.steps)
+    config = _config(args)
     session = (ExperimentSession(config, run_id=args.run_id,
                                  simulation_only=True)
                .with_observatory())
@@ -426,10 +422,8 @@ def _cmd_observatory_run(args: argparse.Namespace) -> int:
     report = session.run()
     obs = report.observatory
     r = report.result
-    status = ("completed" if r.completed
-              else f"exited prematurely at step {r.aborted_at_step}")
     print(f"MOST observed run ({args.run_id}): "
-          f"{r.steps_completed}/{r.target_steps} steps, {status}")
+          f"{r.steps_completed}/{r.target_steps} steps, {_status(r)}")
     stats = obs.store.stats()
     print(f"  series stored       : {stats['series']} "
           f"({stats['points']} points from "

@@ -2,10 +2,11 @@
 
 Unlike :func:`repro.most.assembly.build_most` — which wires the three named
 MOST facilities and hands the whole deployment to a single coordinator —
-the fleet grid builds an anonymous pool of ``site-0 .. site-{K-1}``
-simulation sites plus the shared ``coord`` and ``repo`` hosts.  Nothing is
-provisioned per-experiment here: a tenant's lease installs fresh
-substructure state behind each leased site's NTCP server via
+the fleet grid is a :class:`repro.grid.Grid` star of anonymous
+``site-0 .. site-{K-1}`` simulation sites, to which it adds the shared
+``repo`` host (NMDS) and the hub's own ``coord_container`` for fleet-level
+services.  Nothing is provisioned per-experiment here: a tenant's lease
+installs fresh substructure state behind each leased site's NTCP server via
 :func:`repro.most.assembly.provision_simulation_site`.
 
 All coordinator–site links are fixed-latency with zero jitter and zero
@@ -19,39 +20,31 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.control import SimulationPlugin
-from repro.core import NTCPServer
-from repro.most.assembly import SiteDeployment
+from repro.grid import Grid, single_dof
 from repro.most.config import MOSTConfig
-from repro.net import FaultInjector, Network
 from repro.ogsi import GridServiceHandle, ServiceContainer
 from repro.repository import NMDSService
-from repro.sim import Kernel
-from repro.structural import LinearSubstructure
 
 #: default number of pooled sites (the bench's "≤ 8 shared sites" bound)
 DEFAULT_POOL_SIZE = 8
 
 
-@dataclass
-class FleetGrid:
+@dataclass(kw_only=True)
+class FleetGrid(Grid):
     """The assembled shared grid, ready for a pool and scheduler.
 
-    ``sites`` holds one :class:`~repro.most.assembly.SiteDeployment` per
-    pooled site (host name == site name); ``coord_container`` hosts
-    fleet-level services (status roll-up, per-lease failover surrogates
-    bind their own ports); ``nmds`` is the shared metadata service every
-    tenant writes its tenant-namespaced run records into.
+    ``sites`` holds one :class:`~repro.grid.SiteDeployment` per pooled
+    site (host name == site name); ``coord_container`` hosts fleet-level
+    services (status roll-up; per-lease failover surrogates bind their
+    own ports); ``nmds`` is the shared metadata service every tenant
+    writes its tenant-namespaced run records into.
     """
 
     config: MOSTConfig
-    kernel: Kernel
-    network: Network
-    faults: FaultInjector
-    sites: dict[str, SiteDeployment]
-    coord_container: ServiceContainer
-    repo_container: ServiceContainer
-    nmds: NMDSService
-    nmds_handle: GridServiceHandle
+    coord_container: ServiceContainer = field(init=False)
+    repo_container: ServiceContainer = field(init=False)
+    nmds: NMDSService = field(init=False)
+    nmds_handle: GridServiceHandle = field(init=False)
     extras: dict = field(default_factory=dict)
 
 
@@ -68,40 +61,25 @@ def build_fleet_grid(n_sites: int = DEFAULT_POOL_SIZE, *,
     if n_sites < 1:
         raise ValueError(f"a fleet grid needs at least one site, "
                          f"got {n_sites}")
-    kernel = Kernel()
-    network = Network(kernel, seed=(network_seed if network_seed is not None
-                                    else config.network_seed))
-    network.add_host("coord")
-    network.add_host("repo")
-    network.connect("coord", "repo", latency=config.latency_ncsa)
+    grid = FleetGrid.star(
+        seed=(network_seed if network_seed is not None
+              else config.network_seed), config=config)
+    grid.network.add_host("repo")
+    grid.network.connect("coord", "repo", latency=config.latency_ncsa)
 
     latencies = (config.latency_ncsa, config.latency_uiuc,
                  config.latency_cu)
-    sites: dict[str, SiteDeployment] = {}
     for index in range(n_sites):
         host = f"site-{index}"
-        network.add_host(host)
-        network.connect("coord", host, latency=latencies[index
-                                                         % len(latencies)])
-        container = ServiceContainer(network, host)
         # A placeholder plugin keeps the server well-formed before the
         # first lease; every lease re-provisions with fresh state.
-        placeholder = SimulationPlugin(
-            LinearSubstructure(f"{host}-unleased", [[1.0]], [0]),
-            compute_time=0.0)
-        server = NTCPServer(f"ntcp-{host}", placeholder)
-        handle = container.deploy(server)
-        sites[host] = SiteDeployment(name=host, container=container,
-                                     server=server, handle=handle)
+        grid.add_site(
+            host, SimulationPlugin(single_dof(f"{host}-unleased", 1.0),
+                                   compute_time=0.0),
+            latency=latencies[index % len(latencies)])
 
-    repo_container = ServiceContainer(network, "repo")
-    nmds = NMDSService()
-    repo_container.deploy(nmds)
-    nmds_handle = GridServiceHandle("repo", "ogsi", nmds.service_id)
-    coord_container = ServiceContainer(network, "coord")
-
-    return FleetGrid(config=config, kernel=kernel, network=network,
-                     faults=FaultInjector(network), sites=sites,
-                     coord_container=coord_container,
-                     repo_container=repo_container, nmds=nmds,
-                     nmds_handle=nmds_handle)
+    grid.repo_container = ServiceContainer(grid.network, "repo")
+    grid.nmds = NMDSService()
+    grid.nmds_handle = grid.repo_container.deploy(grid.nmds)
+    grid.coord_container = ServiceContainer(grid.network, "coord")
+    return grid

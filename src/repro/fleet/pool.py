@@ -2,7 +2,7 @@
 
 The paper ran exactly one hybrid experiment over its NTCP sites; the fleet
 layer multiplexes many.  A :class:`SitePool` owns the grid's
-:class:`~repro.most.assembly.SiteDeployment` slots and hands them out as
+:class:`~repro.grid.SiteDeployment` slots and hands them out as
 :class:`SiteLease`\\ s — a tenant acquires ``n`` sites, runs one experiment
 against them, and releases them for the next tenant in the queue.
 
@@ -30,7 +30,7 @@ from repro.util.errors import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.most.assembly import SiteDeployment
+    from repro.grid import SiteDeployment
     from repro.sim import Kernel
     from repro.sim.events import Event
 

@@ -28,32 +28,24 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable, Generator
 
 from repro.coordinator import (
-    DegradationPolicy,
     ExperimentResult,
-    FailoverManager,
     FaultPolicy,
     FaultTolerantFaultPolicy,
     SimulationCoordinator,
-    SiteBinding,
-    SubstructurePredictor,
-    SurrogateSpec,
     load_resume,
 )
 from repro.fleet.pool import AdmissionError, SiteLease, SitePool
+from repro.grid import single_dof
 from repro.most.assembly import provision_simulation_site
-from repro.net import BreakerConfig, CircuitBreaker
-from repro.ogsi import SdeStatusService, ServiceContainer
+from repro.net import BreakerConfig
+from repro.ogsi import SdeStatusService
 from repro.repository import (
     CheckpointPolicy,
     InMemoryCheckpointStore,
     RepositoryFacade,
 )
 from repro.repository.checkpoint import CheckpointStoreBase
-from repro.structural import (
-    LinearSubstructure,
-    StructuralModel,
-    kanai_tajimi_record,
-)
+from repro.structural import StructuralModel, kanai_tajimi_record
 from repro.util.errors import ConfigurationError, ReproError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -213,25 +205,6 @@ class FleetResult:
         }
 
 
-def _make_failover(grid: "FleetGrid", request: ExperimentRequest,
-                   lease: SiteLease, k_each: float) -> FailoverManager:
-    """Per-lease surrogate failover on a lease-unique container port."""
-    container = ServiceContainer(grid.network, "coord",
-                                 port=f"ogsi-fo-{lease.lease_id}")
-    specs = [
-        SurrogateSpec(
-            site=site.name,
-            substructure_factory=(
-                lambda site=site: LinearSubstructure(
-                    f"{site.name}-surrogate-{request.run_id}",
-                    [[k_each]], [0])),
-            compute_time=grid.config.ncsa_compute,
-            policy=None)
-        for site in lease.sites]
-    return FailoverManager(container=container, specs=specs,
-                           policy=DegradationPolicy())
-
-
 def drive_request(grid: "FleetGrid", lease: SiteLease,
                   request: ExperimentRequest, *, client: Any,
                   store: CheckpointStoreBase | None,
@@ -258,10 +231,10 @@ def drive_request(grid: "FleetGrid", lease: SiteLease,
     config = grid.config
     run_id = request.run_id
     k_each = config.k_total / len(lease.sites)
+    stiffness = {site.name: k_each for site in lease.sites}
     for site in lease.sites:
         provision_simulation_site(
-            site, kernel,
-            LinearSubstructure(f"{site.name}-{run_id}", [[k_each]], [0]),
+            site, kernel, single_dof(f"{site.name}-{run_id}", k_each),
             compute_time=config.ncsa_compute)
     motion = kanai_tajimi_record(
         duration=request.n_steps * config.dt, dt=config.dt,
@@ -269,22 +242,25 @@ def drive_request(grid: "FleetGrid", lease: SiteLease,
     model = StructuralModel(
         mass=[[config.mass]], stiffness=[[config.k_total]]
     ).with_rayleigh_damping(config.damping_ratio)
-    bindings = [SiteBinding(site.name, site.handle, dof_indices=[0])
-                for site in lease.sites]
+    bindings = grid.bindings(dict.fromkeys(stiffness, (0,)))
     fault_policy = request.fault_policy or default_fleet_fault_policy()
+    # Per-lease kit: names carry the run id, the surrogate container its
+    # own lease-unique port; a fleet surrogate enforces no site policy.
     breakers = None
     failover = None
     if request.degradation:
-        breakers = {site.name: CircuitBreaker(
-            kernel, f"{run_id}:{site.name}", request.breaker_config)
-            for site in lease.sites}
-        failover = _make_failover(grid, request, lease, k_each)
+        breakers = grid.breakers(
+            stiffness, name=lambda site: f"{run_id}:{site}",
+            config=request.breaker_config)
+        failover = grid.failover(
+            stiffness, port=f"ogsi-fo-{lease.lease_id}",
+            compute_time=config.ncsa_compute,
+            surrogate_name=lambda site: f"{site}-surrogate-{run_id}",
+            site_policy=None)
     predictor = None
     if request.pipeline_depth > 0:
-        predictor = SubstructurePredictor({
-            site.name: LinearSubstructure(
-                f"{site.name}-predict-{run_id}", [[k_each]], [0])
-            for site in lease.sites})
+        predictor = grid.predictor(
+            stiffness, name=lambda site: f"{site}-predict-{run_id}")
     checkpoint_policy = None
     if store is not None:
         checkpoint_policy = CheckpointPolicy(

@@ -139,16 +139,13 @@ class TenantRegistry:
             subject, now=self._clock(), lifetime=self.assertion_lifetime)
         authenticator = GsiAuthenticator(proxy, self._clock,
                                          cas_assertion=assertion)
-        rpc = RpcClient(grid.network, "coord",
-                        default_timeout=config.rpc_timeout,
-                        default_retries=config.rpc_retries,
-                        labels={"tenant": tenant_id})
-        ntcp = NTCPClient(rpc, timeout=config.rpc_timeout,
-                          retries=config.rpc_retries,
-                          credential_factory=authenticator.credential_for)
+        ntcp = grid.client(
+            timeout=config.rpc_timeout, retries=config.rpc_retries,
+            labels={"tenant": tenant_id},
+            credential_factory=authenticator.credential_for)
         tenant = Tenant(
             tenant_id=tenant_id, subject=subject, credential=credential,
-            proxy=proxy, authenticator=authenticator, rpc=rpc, ntcp=ntcp,
+            proxy=proxy, authenticator=authenticator, rpc=ntcp.rpc, ntcp=ntcp,
             telemetry=grid.kernel.telemetry.scoped(tenant=tenant_id))
         self.tenants[tenant_id] = tenant
         grid.kernel.emit("fleet.tenants", "tenant.registered",
@@ -168,9 +165,7 @@ class TenantRegistry:
         proxy = credential.delegate(now=grid.kernel.now,
                                     lifetime=self.proxy_lifetime)
         authenticator = GsiAuthenticator(proxy, self._clock)
-        rpc = RpcClient(grid.network, "coord",
-                        default_timeout=config.rpc_timeout,
-                        default_retries=0,
-                        labels={"tenant": "outsider"})
-        return NTCPClient(rpc, timeout=config.rpc_timeout, retries=0,
-                          credential_factory=authenticator.credential_for)
+        return grid.client(
+            timeout=config.rpc_timeout, retries=0,
+            labels={"tenant": "outsider"},
+            credential_factory=authenticator.credential_for)

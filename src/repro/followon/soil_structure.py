@@ -27,17 +27,13 @@ import numpy as np
 from repro.control.actions import displacement_targets
 from repro.control.shore_western import ShoreWesternController, ShoreWesternPlugin
 from repro.control.sim_plugin import SimulationPlugin
-from repro.coordinator import (
-    FaultTolerantFaultPolicy,
-    SimulationCoordinator,
-    SiteBinding,
-)
-from repro.core import NTCPClient, NTCPServer
+from repro.coordinator import FaultTolerantFaultPolicy, SimulationCoordinator
+from repro.core import NTCPServer
 from repro.core.messages import Proposal
 from repro.core.plugin import ControlPlugin
 from repro.core.policy import SitePolicy
-from repro.net import Network, RpcClient
-from repro.ogsi import ServiceContainer
+from repro.grid import Grid
+from repro.net import Network
 from repro.sim import Kernel
 from repro.structural import (
     BilinearSpring,
@@ -147,13 +143,7 @@ def deck_coupling_matrix(k_deck: float) -> np.ndarray:
 def build_soil_structure(config: SoilStructureConfig | None = None
                          ) -> SoilStructureRig:
     config = config or SoilStructureConfig()
-    kernel = Kernel()
-    network = Network(kernel, seed=36)  # CD-36
-    network.add_host("coord")
-    for host, latency in (("rpi", 0.018), ("uiuc", 0.012),
-                          ("lehigh", 0.020), ("ncsa", 0.012)):
-        network.add_host(host)
-        network.connect("coord", host, latency=latency)
+    grid = Grid.star(seed=36)  # CD-36
 
     # RPI: centrifuge with the soil/foundation model package.
     # Model-scale stiffness: prototype k scales by 1/N (k_model = k_proto/N).
@@ -167,15 +157,12 @@ def build_soil_structure(config: SoilStructureConfig | None = None
         lvdt=Sensor(noise_std=1e-6), load_cell=Sensor(noise_std=2.0),
         seed=41)
     centrifuge = CentrifugePlugin(soil_model, scale=n)
-    rpi_container = ServiceContainer(network, "rpi")
-    rpi_server = NTCPServer("ntcp-rpi", centrifuge)
-    rpi_handle = rpi_container.deploy(rpi_server)
+    grid.add_site("rpi", centrifuge, latency=0.018)
 
     # UIUC and Lehigh: pier columns on servo-hydraulics.
     piers: dict[str, PhysicalSpecimen] = {}
-    handles = {"rpi": rpi_handle}
-    servers = {"rpi": rpi_server}
-    for i, host in enumerate(("uiuc", "lehigh")):
+    for i, (host, latency) in enumerate((("uiuc", 0.012),
+                                         ("lehigh", 0.020))):
         spec = PhysicalSpecimen(
             f"{host}-pier",
             BilinearSpring(k=config.k_pier, fy=config.pier_yield, alpha=0.1),
@@ -184,20 +171,14 @@ def build_soil_structure(config: SoilStructureConfig | None = None
             lvdt=Sensor(noise_std=1e-5), load_cell=Sensor(noise_std=100.0),
             seed=42 + i)
         piers[host] = spec
-        container = ServiceContainer(network, host)
-        server = NTCPServer(f"ntcp-{host}", ShoreWesternPlugin(
-            ShoreWesternController({0: spec})))
-        handles[host] = container.deploy(server)
-        servers[host] = server
+        grid.add_site(host, ShoreWesternPlugin(
+            ShoreWesternController({0: spec})), latency=latency)
 
     # NCSA: the simulated deck coupling all three DOFs.
     deck = LinearSubstructure("deck", deck_coupling_matrix(config.k_deck),
                               dof_indices=[0, 1, 2])
-    ncsa_container = ServiceContainer(network, "ncsa")
-    ncsa_server = NTCPServer("ntcp-ncsa", SimulationPlugin(
-        deck, compute_time=config.compute_time))
-    handles["ncsa"] = ncsa_container.deploy(ncsa_server)
-    servers["ncsa"] = ncsa_server
+    grid.add_site("ncsa", SimulationPlugin(
+        deck, compute_time=config.compute_time), latency=0.012)
 
     model = StructuralModel(
         mass=np.diag(config.masses),
@@ -207,20 +188,18 @@ def build_soil_structure(config: SoilStructureConfig | None = None
     motion = kanai_tajimi_record(duration=config.n_steps * config.dt,
                                  dt=config.dt, pga=config.pga,
                                  seed=config.motion_seed)
-    client = NTCPClient(RpcClient(network, "coord", default_timeout=30.0,
-                                  default_retries=3),
-                        timeout=30.0, retries=3)
     coordinator = SimulationCoordinator(
-        run_id="cd36", client=client, model=model, motion=motion,
-        sites=[SiteBinding("rpi", handles["rpi"], [0]),
-               SiteBinding("uiuc", handles["uiuc"], [1]),
-               SiteBinding("lehigh", handles["lehigh"], [2]),
-               SiteBinding("ncsa", handles["ncsa"], [0, 1, 2])],
+        run_id="cd36", client=grid.client(timeout=30.0, retries=3),
+        model=model, motion=motion,
+        sites=grid.bindings({"rpi": [0], "uiuc": [1], "lehigh": [2],
+                             "ncsa": [0, 1, 2]}),
         fault_policy=FaultTolerantFaultPolicy(max_attempts=5, backoff=5.0),
         execution_timeout=120.0)
-    return SoilStructureRig(config=config, kernel=kernel, network=network,
-                            coordinator=coordinator, centrifuge=centrifuge,
-                            piers=piers, deck=deck, servers=servers)
+    return SoilStructureRig(
+        config=config, kernel=grid.kernel, network=grid.network,
+        coordinator=coordinator, centrifuge=centrifuge, piers=piers,
+        deck=deck,
+        servers={name: site.server for name, site in grid.sites.items()})
 
 
 def run_soil_structure_experiment(config: SoilStructureConfig | None = None):

@@ -1,0 +1,204 @@
+"""The one grid under every deployment: a star of NTCP sites.
+
+Every experiment in the paper has the same shape — one coordinator host,
+a star of NTCP servers each behind its own OGSI container, one NTCP
+client, one :class:`~repro.coordinator.SimulationCoordinator` — and
+"the use of NTCP made this substitution transparent to the coordinator":
+what differs between MOST, its simulation-only rehearsal, Mini-MOST, the
+CD-36 follow-on, a fleet lease and the verifier's replay rig is only
+*which* plugins, latencies, names and policies go in.  :class:`Grid` is
+the one place that shape is wired, and the one recipe that turns a
+``{site: design stiffness}`` map into a coordinator's kit (bindings,
+circuit breakers, surrogate failover, force predictor).  Names, ports and
+policies are arguments, never defaults, so each deployment's wire-visible
+strings are spelt where that deployment is defined.
+
+Built on it: :class:`repro.most.assembly.MOSTDeployment` (adds DAQ, NSDS,
+repository, portal), :class:`repro.fleet.grid.FleetGrid` (adds the pool's
+coordinator/repository containers and NMDS) and
+:func:`repro.testing.make_site` (one site, flattened into a
+:class:`~repro.testing.SiteEnv`).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
+
+from repro.control.sim_plugin import SimulationPlugin
+from repro.coordinator import (
+    DegradationPolicy,
+    FailoverManager,
+    SiteBinding,
+    SubstructurePredictor,
+    SurrogateSpec,
+)
+from repro.core import NTCPClient, NTCPServer
+from repro.net import (
+    BreakerConfig,
+    CircuitBreaker,
+    FaultInjector,
+    Network,
+    RpcClient,
+)
+from repro.ogsi import GridServiceHandle, ServiceContainer
+from repro.sim import Kernel
+from repro.structural import LinearSubstructure
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.daq import DAQSystem, StagingStore
+    from repro.nsds import NSDSService
+    from repro.repository import IngestionTool
+    from repro.structural import PhysicalSpecimen
+    from repro.telepresence import CameraService
+
+#: a site name -> the name of a substructure or breaker built for it
+Namer = Callable[[str], str]
+
+
+def single_dof(name: str, stiffness: float) -> LinearSubstructure:
+    """The one-DOF linear substructure every simulated site, surrogate and
+    predictor model in the tree is."""
+    return LinearSubstructure(name, [[stiffness]], [0])
+
+
+@dataclass
+class SiteDeployment:
+    """One site's moving parts, for tests and scenario scripting."""
+
+    name: str
+    container: ServiceContainer
+    server: NTCPServer
+    handle: GridServiceHandle
+    specimen: PhysicalSpecimen | None = None
+    backend: Any = None
+    daq: DAQSystem | None = None
+    staging: StagingStore | None = None
+    nsds: NSDSService | None = None
+    ingest: IngestionTool | None = None
+    camera: CameraService | None = None
+
+
+@dataclass
+class Grid:
+    """A hub host and the NTCP sites linked to it, on one kernel."""
+
+    kernel: Kernel
+    network: Network
+    faults: FaultInjector
+    sites: dict[str, SiteDeployment] = field(default_factory=dict)
+    hub: str = "coord"
+
+    @classmethod
+    def star(cls, *, seed: int = 0, hub: str = "coord", **fields):
+        """An empty grid: kernel, network seeded with ``seed``, the hub
+        host.  ``fields`` are a subclass's own constructor fields."""
+        kernel = Kernel()
+        network = Network(kernel, seed=seed)
+        network.add_host(hub)
+        return cls(kernel=kernel, network=network,
+                   faults=FaultInjector(network), hub=hub, **fields)
+
+    # -- the star ------------------------------------------------------------
+    def add_site(self, name: str, plugin, *, latency: float,
+                 jitter: float = 0.0, loss: float = 0.0,
+                 service_id: str | None = None,
+                 **parts: Any) -> SiteDeployment:
+        """Host ``name`` linked to the hub, an OGSI container on it, and an
+        NTCP server (``ntcp-<name>`` unless ``service_id``) around
+        ``plugin``; ``parts`` are the site's other
+        :class:`SiteDeployment` fields (specimen, backend, DAQ...).  A
+        site *on* the hub host (Mini-MOST's single PC) gets no link:
+        same-host traffic is loopback."""
+        if name != self.hub:
+            self.network.add_host(name)
+            self.network.connect(self.hub, name, latency=latency,
+                                 jitter=jitter, loss=loss)
+        container = ServiceContainer(self.network, name)
+        server = NTCPServer(service_id or f"ntcp-{name}", plugin)
+        site = SiteDeployment(name=name, container=container, server=server,
+                              handle=container.deploy(server), **parts)
+        self.sites[name] = site
+        return site
+
+    def add_simulation_site(self, name: str, stiffness: float, *,
+                            latency: float,
+                            compute_time: float) -> SiteDeployment:
+        """A numerically simulated site: a :func:`single_dof` substructure
+        named after the site, answering after ``compute_time``."""
+        return self.add_site(
+            name, SimulationPlugin(single_dof(name, stiffness),
+                                   compute_time=compute_time),
+            latency=latency)
+
+    def add_simulation_sites(self, stiffness: Mapping[str, float], *,
+                             latency: float,
+                             compute_time: float) -> None:
+        """One :meth:`add_simulation_site` per ``{name: stiffness}`` entry,
+        all alike but for stiffness."""
+        for name, k in stiffness.items():
+            self.add_simulation_site(name, k, latency=latency,
+                                     compute_time=compute_time)
+
+    # -- the client ----------------------------------------------------------
+    def client(self, *, timeout: float, retries: int,
+               labels: dict[str, str] | None = None,
+               credential_factory=None) -> NTCPClient:
+        """A retry-capable NTCP client on the hub, over its own RPC client
+        (reachable as ``client.rpc``; ``labels`` tag its telemetry)."""
+        rpc = RpcClient(self.network, self.hub, default_timeout=timeout,
+                        default_retries=retries, labels=labels)
+        return NTCPClient(rpc, timeout=timeout, retries=retries,
+                          credential_factory=credential_factory)
+
+    # -- the coordinator's kit -----------------------------------------------
+    def bindings(self, dofs: Mapping[str, Iterable[int]] | None = None,
+                 ) -> list[SiteBinding]:
+        """Coordinator bindings for the sites in ``dofs`` (``{site: global
+        DOFs}``, in that order); default every site on DOF 0."""
+        if dofs is None:
+            dofs = dict.fromkeys(self.sites, (0,))
+        return [SiteBinding(name, self.sites[name].handle, dof_indices=d)
+                for name, d in dofs.items()]
+
+    def breakers(self, sites: Iterable[str], *, name: Namer = str,
+                 config: BreakerConfig | None = None,
+                 ) -> dict[str, CircuitBreaker]:
+        """One circuit breaker per site, labelled ``name(site)``."""
+        return {site: CircuitBreaker(self.kernel, name(site), config)
+                for site in sites}
+
+    def failover(self, stiffness: Mapping[str, float], *, port: str,
+                 compute_time: float, surrogate_name: Namer,
+                 site_policy: Any,
+                 policy: DegradationPolicy | None = None) -> FailoverManager:
+        """Surrogate failover: per site a fresh :func:`single_dof` model of
+        its design stiffness behind ``site_policy``, activated on demand in
+        a dedicated hub container on ``port`` (the hub's ``ogsi`` port
+        belongs to other kit)."""
+        container = ServiceContainer(self.network, self.hub, port=port)
+        specs = [
+            SurrogateSpec(
+                site=site,
+                substructure_factory=(
+                    lambda site=site, k=k: single_dof(surrogate_name(site),
+                                                      k)),
+                compute_time=compute_time, policy=site_policy)
+            for site, k in stiffness.items()]
+        return FailoverManager(container=container, specs=specs,
+                               policy=policy)
+
+    @staticmethod
+    def predictor(stiffness: Mapping[str, float], *,
+                  name: Namer) -> SubstructurePredictor:
+        """A force predictor for pipelined stepping: each site's design
+        :func:`single_dof` model, so speculation against simulated sites
+        is bit-exact and never rolls back."""
+        return SubstructurePredictor({site: single_dof(name(site), k)
+                                      for site, k in stiffness.items()})
+
+    # -- driving -------------------------------------------------------------
+    def run(self, gen):
+        """Drive a generator as a kernel process to completion; returns
+        its value."""
+        return self.kernel.run(until=self.kernel.process(gen))

@@ -15,9 +15,9 @@ from repro.coordinator import (
 from repro.core import NTCPClient, NTCPServer
 from repro.core.policy import SitePolicy
 from repro.daq import DAQSystem, SensorChannel, StagingStore
+from repro.grid import Grid
 from repro.mini_most.beam import BeamProperties, FirstOrderKineticBeam
-from repro.net import Network, RpcClient
-from repro.ogsi import ServiceContainer
+from repro.net import Network
 from repro.sim import Kernel
 from repro.structural import StructuralModel, kanai_tajimi_record
 from repro.structural.elements import LinearSpring
@@ -70,10 +70,8 @@ def build_mini_most(config: MiniMOSTConfig | None = None, *,
     """Wire the tabletop rig (optionally with the beam replaced by the
     first-order kinetic simulator) and its coordinator, all on one PC."""
     config = config or MiniMOSTConfig()
-    kernel = Kernel()
-    network = Network(kernel, seed=0)
-    network.add_host("pc")
-    container = ServiceContainer(network, "pc")
+    grid = Grid.star(hub="pc")
+    kernel = grid.kernel
 
     k_beam = config.beam.stiffness
     element = (FirstOrderKineticBeam(k_beam, rate=config.kinetic_rate)
@@ -86,8 +84,8 @@ def build_mini_most(config: MiniMOSTConfig | None = None, *,
                                 maximum=config.max_travel)
     plugin = LabVIEWPlugin({0: (motor, element)},
                            daq_read_time=config.daq_read_time, policy=policy)
-    server = NTCPServer("ntcp-minimost", plugin)
-    handle = container.deploy(server)
+    site = grid.add_site("pc", plugin, latency=0.0,
+                         service_id="ntcp-minimost")
 
     staging = StagingStore("minimost-staging")
     daq = DAQSystem("pc", kernel, staging, sample_interval=1.0,
@@ -105,16 +103,15 @@ def build_mini_most(config: MiniMOSTConfig | None = None, *,
         mass=[[config.beam.tip_mass]], stiffness=[[k_beam]]
     ).with_rayleigh_damping(config.damping_ratio)
 
-    rpc = RpcClient(network, "pc", default_timeout=config.rpc_timeout,
-                    default_retries=2)
-    client = NTCPClient(rpc, timeout=config.rpc_timeout, retries=2)
+    client = grid.client(timeout=config.rpc_timeout, retries=2)
     coordinator = SimulationCoordinator(
         run_id="minimost", client=client, model=model, motion=motion,
-        sites=[SiteBinding("beam", handle, dof_indices=[0])],
+        sites=[SiteBinding("beam", site.handle, dof_indices=[0])],
         fault_policy=fault_policy or NaiveFaultPolicy(),
         execution_timeout=config.execution_timeout)
-    return MiniMOSTDeployment(config=config, kernel=kernel, network=network,
-                              server=server, motor=motor, element=element,
+    return MiniMOSTDeployment(config=config, kernel=kernel,
+                              network=grid.network, server=site.server,
+                              motor=motor, element=element,
                               daq=daq, staging=staging, client=client,
                               coordinator=coordinator)
 

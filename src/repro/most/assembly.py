@@ -38,22 +38,15 @@ from repro.coordinator import (
     EnsembleCoordinator,
     FailoverManager,
     SimulationCoordinator,
-    SiteBinding,
     SubstructurePredictor,
-    SurrogateSpec,
 )
-from repro.core import NTCPClient, NTCPServer
+from repro.core import NTCPClient
 from repro.core.policy import SitePolicy as _SitePolicy
 from repro.daq import DAQSystem, SensorChannel, StagingStore
 from repro.daq.filestore import RepositoryFileStore
+from repro.grid import Grid, SiteDeployment, single_dof
 from repro.most.config import MOSTConfig
-from repro.net import (
-    BreakerConfig,
-    CircuitBreaker,
-    FaultInjector,
-    Network,
-    RpcClient,
-)
+from repro.net import BreakerConfig, CircuitBreaker, RpcClient
 from repro.nsds import NSDSService
 from repro.ogsi import GridServiceHandle, ServiceContainer
 from repro.repository import (
@@ -78,41 +71,26 @@ from repro.structural.specimen import Actuator, Sensor
 from repro.telepresence import CameraService, ReferralService
 
 
-@dataclass
-class SiteDeployment:
-    """One site's moving parts, for tests and scenario scripting."""
-
-    name: str
-    container: ServiceContainer
-    server: NTCPServer
-    handle: GridServiceHandle
-    specimen: PhysicalSpecimen | None = None
-    backend: Any = None
-    daq: DAQSystem | None = None
-    staging: StagingStore | None = None
-    nsds: NSDSService | None = None
-    ingest: IngestionTool | None = None
-    camera: CameraService | None = None
-
-
-@dataclass
-class MOSTDeployment:
-    """The assembled experiment, ready for a scenario to drive."""
+@dataclass(kw_only=True)
+class MOSTDeployment(Grid):
+    """The assembled experiment, ready for a scenario to drive: the
+    :class:`~repro.grid.Grid` of three sites plus the data plane."""
 
     config: MOSTConfig
-    kernel: Kernel
-    network: Network
-    faults: FaultInjector
     motion: GroundMotion
     model: StructuralModel
-    sites: dict[str, SiteDeployment]
-    coordinator_rpc: RpcClient
-    ntcp_client: NTCPClient
     repo_store: RepositoryFileStore
     nmds: NMDSService
     nfms: NFMSService
     chef: ChefWorksite
+    #: created last in :func:`build_most`, after every site-side client
+    ntcp_client: NTCPClient = field(init=False)
     extras: dict = field(default_factory=dict)
+
+    @property
+    def coordinator_rpc(self) -> RpcClient:
+        """The RPC client under :attr:`ntcp_client`."""
+        return self.ntcp_client.rpc
 
     def make_coordinator(self, *, run_id: str, variants=None,
                          **options) -> SimulationCoordinator:
@@ -130,12 +108,17 @@ class MOSTDeployment:
         """
         options = dict(
             run_id=run_id, client=self.ntcp_client, model=self.model,
-            sites=[SiteBinding(name, site.handle, dof_indices=[0])
-                   for name, site in self.sites.items()],
+            sites=self.bindings(),
             execution_timeout=self.config.execution_timeout, **options)
         if variants is not None:
             return EnsembleCoordinator(variants=variants, **options)
         return SimulationCoordinator(motion=self.motion, **options)
+
+    def _design_stiffness(self) -> dict[str, float]:
+        """Design stiffness of each deployed site, in site-name order."""
+        return {name: k
+                for name, k in sorted(self.config.site_stiffness.items())
+                if name in self.sites}
 
     def make_predictor(self) -> SubstructurePredictor:
         """A force predictor for pipelined stepping, one model per site.
@@ -146,48 +129,28 @@ class MOSTDeployment:
         prediction is the nominal linear response (pair with a
         ``mispredict_tolerance``).
         """
-        return SubstructurePredictor({
-            name: LinearSubstructure(f"{name}-predictor", [[k]], [0])
-            for name, k in self.config.site_stiffness.items()
-            if name in self.sites})
+        return self.predictor(self._design_stiffness(),
+                              name="{}-predictor".format)
 
     def make_breakers(self, config: BreakerConfig | None = None,
                       ) -> dict[str, CircuitBreaker]:
         """One circuit breaker per site, for the coordinator to consult."""
-        return {name: CircuitBreaker(self.kernel, name, config)
-                for name in sorted(self.sites)}
+        return self.breakers(sorted(self.sites), config=config)
 
     def make_failover(self, *, policy: DegradationPolicy | None = None,
-                      compute_time: float | None = None,
-                      port: str = "ogsi-failover") -> FailoverManager:
+                      ) -> FailoverManager:
         """A failover manager with one numerical surrogate per site.
 
-        Each surrogate is a fresh :class:`LinearSubstructure` built from
-        the site's design stiffness — exactly the model the simulation-only
+        Each surrogate is a fresh linear substructure built from the
+        site's design stiffness — exactly the model the simulation-only
         rehearsal ran — behind the same displacement-limit policy the real
-        site enforces.  Surrogates deploy in a dedicated container on the
-        coordinator host (its ``ogsi`` port belongs to other kit in
-        monitored runs).
+        site enforces, answering as fast as the NCSA simulation.
         """
-        config = self.config
-        stroke = config.actuator_stroke
-        site_policy = (_SitePolicy()
-                       .limit("set-displacement", "value",
-                              minimum=-stroke, maximum=stroke))
-        specs = [
-            SurrogateSpec(
-                site=name,
-                substructure_factory=(
-                    lambda name=name, k=k: LinearSubstructure(
-                        f"{name}-surrogate", [[k]], [0])),
-                compute_time=(compute_time if compute_time is not None
-                              else config.ncsa_compute),
-                policy=site_policy)
-            for name, k in sorted(config.site_stiffness.items())
-            if name in self.sites]
-        container = ServiceContainer(self.network, "coord", port=port)
-        return FailoverManager(container=container, specs=specs,
-                               policy=policy)
+        return self.failover(
+            self._design_stiffness(), port="ogsi-failover",
+            compute_time=self.config.ncsa_compute,
+            surrogate_name="{}-surrogate".format,
+            site_policy=_stroke_policy(self.config), policy=policy)
 
     def make_facade(self, rpc: RpcClient, *, staging=None,
                     credential_factory=None) -> RepositoryFacade:
@@ -261,22 +224,78 @@ def _physical_site(dep: "MOSTDeployment", name: str, host: str,
     return specimen, staging, daq
 
 
+def _stroke_policy(config: MOSTConfig) -> _SitePolicy:
+    """The facility limit every MOST site (and its surrogate) enforces:
+    commanded displacement within the actuator stroke."""
+    return (_SitePolicy()
+            .limit("set-displacement", "value",
+                   minimum=-config.actuator_stroke,
+                   maximum=config.actuator_stroke))
+
+
+def _observe_site(site: SiteDeployment) -> None:
+    """A physical site's observation kit: NSDS fed by the DAQ, a camera."""
+    site.nsds = NSDSService(f"nsds-{site.name}")
+    site.container.deploy(site.nsds)
+    site.daq.on_sample(site.nsds.ingest)
+    site.camera = CameraService(f"camera-{site.name}")
+    site.container.deploy(site.camera)
+
+
 def build_most(config: MOSTConfig | None = None) -> MOSTDeployment:
     """Construct the full MOST deployment; nothing is running yet."""
     config = config or MOSTConfig()
-    kernel = Kernel()
-    network = Network(kernel, seed=config.network_seed)
-    for host in ("coord", "uiuc", "cu", "ncsa", "repo", "portal"):
-        network.add_host(host)
+    motion = kanai_tajimi_record(
+        duration=config.n_steps * config.dt, dt=config.dt, pga=config.pga,
+        seed=config.motion_seed)
+    model = StructuralModel(
+        mass=[[config.mass]], stiffness=[[config.k_total]]
+    ).with_rayleigh_damping(config.damping_ratio)
+    dep = MOSTDeployment.star(
+        seed=config.network_seed, config=config, motion=motion, model=model,
+        repo_store=RepositoryFileStore(), nmds=NMDSService(),
+        nfms=NFMSService(), chef=ChefWorksite())
+    network = dep.network
+    policy = _stroke_policy(config)
     # Coordinator at UIUC; NCSA and the repository share the Urbana campus;
-    # CU is across the WAN.  Star topology from the coordinator plus the
-    # repo links the uploaders need.
-    network.connect("coord", "uiuc", latency=config.latency_uiuc,
-                    jitter=config.jitter)
-    network.connect("coord", "ncsa", latency=config.latency_ncsa,
-                    jitter=config.jitter)
-    network.connect("coord", "cu", latency=config.latency_cu,
-                    jitter=config.jitter)
+    # CU is across the WAN.
+
+    # ---- UIUC: Shore-Western ------------------------------------------------
+    uiuc_spec, uiuc_staging, uiuc_daq = _physical_site(
+        dep, "uiuc", "uiuc", config, config.k_uiuc, config.seeds["uiuc"])
+    uiuc_controller = ShoreWesternController({0: uiuc_spec})
+    _observe_site(dep.add_site(
+        "uiuc", ShoreWesternPlugin(uiuc_controller, link_delay=0.002,
+                                   policy=policy),
+        latency=config.latency_uiuc, jitter=config.jitter,
+        specimen=uiuc_spec, daq=uiuc_daq, staging=uiuc_staging))
+    dep.extras["uiuc_controller"] = uiuc_controller
+
+    # ---- NCSA: MPlugin + Matlab simulation ----------------------------------
+    ncsa_plugin = MPlugin(policy=policy)
+    dep.add_site(
+        "ncsa", ncsa_plugin, latency=config.latency_ncsa,
+        jitter=config.jitter,
+        backend=MatlabBackend(
+            ncsa_plugin, single_dof("ncsa-middle", config.k_ncsa),
+            poll_interval=config.poll_interval,
+            compute_time=config.ncsa_compute))
+
+    # ---- CU: MPlugin + Matlab + xPC target -----------------------------------
+    cu_spec, cu_staging, cu_daq = _physical_site(
+        dep, "cu", "cu", config, config.k_cu, config.seeds["cu"])
+    cu_plugin = MPlugin(policy=policy)
+    cu_target = XPCTarget({0: cu_spec}, comm_latency=config.xpc_comm)
+    _observe_site(dep.add_site(
+        "cu", cu_plugin, latency=config.latency_cu, jitter=config.jitter,
+        specimen=cu_spec, daq=cu_daq, staging=cu_staging,
+        backend=XPCBackend(cu_plugin, cu_target,
+                           poll_interval=config.poll_interval)))
+    dep.extras["cu_target"] = cu_target
+
+    # ---- the repo and portal hosts, and the links the uploaders need --------
+    network.add_host("repo")
+    network.add_host("portal")
     network.connect("uiuc", "repo", latency=config.latency_ncsa)
     network.connect("cu", "repo", latency=config.latency_cu)
     network.connect("ncsa", "repo", latency=0.001)
@@ -286,77 +305,6 @@ def build_most(config: MOSTConfig | None = None) -> MOSTDeployment:
     network.connect("coord", "repo", latency=config.latency_ncsa)
     network.connect("portal", "repo", latency=0.02)
     network.connect("coord", "portal", latency=0.02)
-
-    motion = kanai_tajimi_record(
-        duration=config.n_steps * config.dt, dt=config.dt, pga=config.pga,
-        seed=config.motion_seed)
-    model = StructuralModel(
-        mass=[[config.mass]], stiffness=[[config.k_total]]
-    ).with_rayleigh_damping(config.damping_ratio)
-
-    dep = MOSTDeployment(
-        config=config, kernel=kernel, network=network,
-        faults=FaultInjector(network), motion=motion, model=model,
-        sites={}, coordinator_rpc=None, ntcp_client=None,  # type: ignore
-        repo_store=RepositoryFileStore(), nmds=NMDSService(),
-        nfms=NFMSService(), chef=ChefWorksite())
-
-    policy = (_SitePolicy()
-              .limit("set-displacement", "value",
-                     minimum=-config.actuator_stroke,
-                     maximum=config.actuator_stroke))
-
-    # ---- UIUC: Shore-Western ------------------------------------------------
-    uiuc_container = ServiceContainer(network, "uiuc")
-    uiuc_spec, uiuc_staging, uiuc_daq = _physical_site(
-        dep, "uiuc", "uiuc", config, config.k_uiuc, config.seeds["uiuc"])
-    uiuc_controller = ShoreWesternController({0: uiuc_spec})
-    uiuc_server = NTCPServer("ntcp-uiuc", ShoreWesternPlugin(
-        uiuc_controller, link_delay=0.002, policy=policy))
-    uiuc_handle = uiuc_container.deploy(uiuc_server)
-    uiuc_nsds = NSDSService("nsds-uiuc")
-    uiuc_container.deploy(uiuc_nsds)
-    uiuc_daq.on_sample(uiuc_nsds.ingest)
-    uiuc_camera = CameraService("camera-uiuc")
-    uiuc_container.deploy(uiuc_camera)
-    dep.sites["uiuc"] = SiteDeployment(
-        name="uiuc", container=uiuc_container, server=uiuc_server,
-        handle=uiuc_handle, specimen=uiuc_spec, daq=uiuc_daq,
-        staging=uiuc_staging, nsds=uiuc_nsds, camera=uiuc_camera)
-    dep.extras["uiuc_controller"] = uiuc_controller
-
-    # ---- NCSA: MPlugin + Matlab simulation ----------------------------------
-    ncsa_container = ServiceContainer(network, "ncsa")
-    ncsa_plugin = MPlugin(policy=policy)
-    ncsa_backend = MatlabBackend(
-        ncsa_plugin, LinearSubstructure("ncsa-middle", [[config.k_ncsa]], [0]),
-        poll_interval=config.poll_interval, compute_time=config.ncsa_compute)
-    ncsa_server = NTCPServer("ntcp-ncsa", ncsa_plugin)
-    ncsa_handle = ncsa_container.deploy(ncsa_server)
-    dep.sites["ncsa"] = SiteDeployment(
-        name="ncsa", container=ncsa_container, server=ncsa_server,
-        handle=ncsa_handle, backend=ncsa_backend)
-
-    # ---- CU: MPlugin + Matlab + xPC target -----------------------------------
-    cu_container = ServiceContainer(network, "cu")
-    cu_spec, cu_staging, cu_daq = _physical_site(
-        dep, "cu", "cu", config, config.k_cu, config.seeds["cu"])
-    cu_plugin = MPlugin(policy=policy)
-    cu_target = XPCTarget({0: cu_spec}, comm_latency=config.xpc_comm)
-    cu_backend = XPCBackend(cu_plugin, cu_target,
-                            poll_interval=config.poll_interval)
-    cu_server = NTCPServer("ntcp-cu", cu_plugin)
-    cu_handle = cu_container.deploy(cu_server)
-    cu_nsds = NSDSService("nsds-cu")
-    cu_container.deploy(cu_nsds)
-    cu_daq.on_sample(cu_nsds.ingest)
-    cu_camera = CameraService("camera-cu")
-    cu_container.deploy(cu_camera)
-    dep.sites["cu"] = SiteDeployment(
-        name="cu", container=cu_container, server=cu_server,
-        handle=cu_handle, specimen=cu_spec, backend=cu_backend, daq=cu_daq,
-        staging=cu_staging, nsds=cu_nsds, camera=cu_camera)
-    dep.extras["cu_target"] = cu_target
 
     # ---- repository + portal ----------------------------------------------------
     repo_container = ServiceContainer(network, "repo")
@@ -403,11 +351,7 @@ def build_most(config: MOSTConfig | None = None) -> MOSTDeployment:
     dep.extras["https_bridge"] = HttpsBridgeTransport(network)
 
     # ---- coordinator client -------------------------------------------------------
-    dep.coordinator_rpc = RpcClient(network, "coord",
-                                    default_timeout=config.rpc_timeout,
-                                    default_retries=config.rpc_retries)
-    dep.ntcp_client = NTCPClient(dep.coordinator_rpc,
-                                 timeout=config.rpc_timeout,
+    dep.ntcp_client = dep.client(timeout=config.rpc_timeout,
                                  retries=config.rpc_retries)
     return dep
 
@@ -451,8 +395,7 @@ def build_simulation_only(config: MOSTConfig | None = None) -> MOSTDeployment:
         site = dep.sites[name]
         provision_simulation_site(
             site, dep.kernel,
-            LinearSubstructure(f"{name}-sim",
-                               [[config.site_stiffness[name]]], [0]),
+            single_dof(f"{name}-sim", config.site_stiffness[name]),
             compute_time=config.ncsa_compute)
         site.specimen = None
         site.backend = None

@@ -54,6 +54,15 @@ from repro.util.errors import ConfigurationError, ReproError
 PAPER_FAIL_FRACTION = 1493 / 1500
 
 
+def default_most_fault_policy() -> FaultTolerantFaultPolicy:
+    """The retry schedule every fault-tolerant MOST scenario uses: 12
+    attempts, 30 s backoff growing 1.5× to 600 s — patient enough to sit
+    out the public day's long outage (the fleet's brisker counterpart is
+    :func:`repro.fleet.default_fleet_fault_policy`)."""
+    return FaultTolerantFaultPolicy(max_attempts=12, backoff=30.0,
+                                    backoff_factor=1.5, max_backoff=600.0)
+
+
 def default_fail_step(config: MOSTConfig) -> int:
     """Step 1493 scaled to shortened configs (paper ratio 1493/1500)."""
     return max(1, min(round(config.n_steps * PAPER_FAIL_FRACTION),
@@ -264,14 +273,11 @@ class ExperimentSession:
     def with_fault_tolerance(self, policy=None) -> "ExperimentSession":
         """Retry steps through transient failures (§4 features).
 
-        ``policy=None`` gives the standard schedule every fault-tolerant
-        scenario uses: 12 attempts, 30 s backoff growing 1.5× to 600 s;
-        any other coordinator fault policy is used as given.  Without
-        this call the coordinator runs the naive policy.
+        ``policy=None`` gives :func:`default_most_fault_policy`; any
+        other coordinator fault policy is used as given.  Without this
+        call the coordinator runs the naive policy.
         """
-        self._fault_policy = policy or FaultTolerantFaultPolicy(
-            max_attempts=12, backoff=30.0, backoff_factor=1.5,
-            max_backoff=600.0)
+        self._fault_policy = policy or default_most_fault_policy()
         return self
 
     def with_faults(self, fail_at_step: int | None = None, *,
@@ -507,9 +513,7 @@ class ExperimentSession:
                 second = self._make_coordinator(
                     dep,
                     fault_policy=(self._resume["resume_policy"]
-                                  or FaultTolerantFaultPolicy(
-                                      max_attempts=12, backoff=30.0,
-                                      backoff_factor=1.5, max_backoff=600.0)),
+                                  or default_most_fault_policy()),
                     state=state, prior_records=prior, **options)
                 result = dep.kernel.run(
                     until=dep.kernel.process(second.run()))

@@ -1,9 +1,10 @@
 """Reusable single-site test harness.
 
 Used by this repository's own tests and benchmarks, and handy for
-downstream users writing plugin integration tests: one coordinator host,
-one site host, an OGSI container with an NTCP server around the plugin of
-your choice, and a retry-capable client.
+downstream users writing plugin integration tests: a
+:class:`repro.grid.Grid` with one site (host ``site``) around the plugin
+of your choice and one retry-capable client, flattened into a
+:class:`SiteEnv` so a test reaches server, handle and client by name.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core import NTCPClient, NTCPServer
-from repro.net import FaultInjector, Network, RpcClient
+from repro.grid import Grid
+from repro.net import FaultInjector, Network
 from repro.ogsi import GridServiceHandle, ServiceContainer
 from repro.sim import Kernel
 
@@ -38,17 +40,11 @@ def make_site(plugin, *, latency: float = 0.02, loss: float = 0.0,
               seed: int = 0, timeout: float = 30.0, retries: int = 3,
               service_id: str = "ntcp-site") -> SiteEnv:
     """Wire a coordinator host to a single NTCP site over one link."""
-    kernel = Kernel()
-    network = Network(kernel, seed=seed)
-    network.add_host("coord")
-    network.add_host("site")
-    network.connect("coord", "site", latency=latency, loss=loss)
-    container = ServiceContainer(network, "site")
-    server = NTCPServer(service_id, plugin)
-    handle = container.deploy(server)
-    rpc = RpcClient(network, "coord", default_timeout=timeout,
-                    default_retries=retries)
-    client = NTCPClient(rpc, timeout=timeout, retries=retries)
-    return SiteEnv(kernel=kernel, network=network, container=container,
-                   server=server, handle=handle, client=client,
-                   faults=FaultInjector(network))
+    grid = Grid.star(seed=seed)
+    site = grid.add_site("site", plugin, latency=latency, loss=loss,
+                         service_id=service_id)
+    return SiteEnv(kernel=grid.kernel, network=grid.network,
+                   container=site.container, server=site.server,
+                   handle=site.handle,
+                   client=grid.client(timeout=timeout, retries=retries),
+                   faults=grid.faults)

@@ -22,34 +22,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.control import SimulationPlugin
 from repro.coordinator import (
-    DegradationPolicy,
-    FailoverManager,
     FaultTolerantFaultPolicy,
     NaiveFaultPolicy,
     SimulationCoordinator,
-    SiteBinding,
-    SubstructurePredictor,
-    SurrogateSpec,
     load_resume,
     step_marker,
 )
-from repro.core import NTCPClient, NTCPServer
 from repro.core.policy import SitePolicy
-from repro.net import CircuitBreaker, FaultInjector, Network, RpcClient
+from repro.grid import Grid
 from repro.net.rpc import RpcRequest, RpcResponse
-from repro.ogsi import ServiceContainer
 from repro.repository.checkpoint import (
     CheckpointPolicy,
     InMemoryCheckpointStore,
 )
-from repro.sim import Kernel
-from repro.structural import (
-    LinearSubstructure,
-    StructuralModel,
-    el_centro_like,
-)
+from repro.structural import StructuralModel, el_centro_like
 from repro.util.errors import ConfigurationError
 from repro.verify.explorer import ExplorationResult
 from repro.verify.model import FaultEvent, TraceResult, VerifyConfig
@@ -101,68 +88,43 @@ class ReplayOutcome:
 
 
 class _Rig:
-    """One live deployment sized to a :class:`VerifyConfig`."""
+    """One live :class:`~repro.grid.Grid` sized to a :class:`VerifyConfig`,
+    with the experiment every replay runs on it."""
 
     def __init__(self, config: VerifyConfig, *, with_failover: bool = False):
         self.config = config
-        self.kernel = Kernel()
-        self.network = Network(self.kernel, seed=0)
-        self.faults = FaultInjector(self.network)
-        self.network.add_host("coord")
-        self.servers: dict[str, NTCPServer] = {}
-        handles = {}
-        for site in config.sites:
-            self.network.add_host(site)
-            self.network.connect("coord", site, latency=_LATENCY)
-            container = ServiceContainer(self.network, site)
-            plugin = SimulationPlugin(
-                LinearSubstructure(site, [[_SITE_STIFFNESS]], [0]),
-                compute_time=_COMPUTE_TIME)
-            server = NTCPServer(f"ntcp-{site}", plugin)
-            handles[site] = container.deploy(server)
-            self.servers[site] = server
+        self.grid = grid = Grid.star()
+        self.stiffness = dict.fromkeys(config.sites, _SITE_STIFFNESS)
+        grid.add_simulation_sites(self.stiffness, latency=_LATENCY,
+                                  compute_time=_COMPUTE_TIME)
         self.model = StructuralModel(
             mass=[[2.0]], stiffness=[[100.0]]).with_rayleigh_damping(0.05)
         # n_steps committed steps need n_steps + 1 motion samples (the
         # extra one is the step-0 rest measurement).
         self.motion = el_centro_like(
             duration=(config.n_steps + 1) * _DT, dt=_DT).scaled_to_pga(1.0)
-        rpc = RpcClient(self.network, "coord",
-                        default_timeout=config.rpc_timeout,
-                        default_retries=config.rpc_retries)
-        self.client = NTCPClient(rpc, timeout=config.rpc_timeout,
-                                 retries=config.rpc_retries)
-        self.sites = [SiteBinding(site, handles[site], [0])
-                      for site in config.sites]
+        self.client = grid.client(timeout=config.rpc_timeout,
+                                  retries=config.rpc_retries)
+        self.sites = grid.bindings()
         self.breakers = None
         self.failover = None
         if with_failover:
-            self.breakers = {site: CircuitBreaker(self.kernel, site)
-                             for site in config.sites}
-            container = ServiceContainer(self.network, "coord",
-                                         port="ogsi-failover")
-            specs = [SurrogateSpec(
-                site=site,
-                substructure_factory=(
-                    lambda site=site: LinearSubstructure(
-                        f"{site}-surrogate", [[_SITE_STIFFNESS]], [0])),
-                compute_time=_COMPUTE_TIME, policy=SitePolicy())
-                for site in config.sites]
-            self.failover = FailoverManager(container=container, specs=specs,
-                                            policy=DegradationPolicy())
-
-    def predictor(self) -> SubstructurePredictor:
-        """A bit-exact predictor (same linear substructures as the sites)."""
-        return SubstructurePredictor({
-            site: LinearSubstructure(f"{site}-predictor",
-                                     [[_SITE_STIFFNESS]], [0])
-            for site in self.config.sites})
+            self.breakers = grid.breakers(config.sites)
+            self.failover = grid.failover(
+                self.stiffness, port="ogsi-failover",
+                compute_time=_COMPUTE_TIME,
+                surrogate_name="{}-surrogate".format,
+                site_policy=SitePolicy())
 
     def make_coordinator(self, **options) -> SimulationCoordinator:
-        """A coordinator over this rig's sites, per the config's mode;
-        ``options`` go to :class:`SimulationCoordinator` untouched."""
-        predictor = (self.predictor() if self.config.pipeline_depth
-                     else None)
+        """A coordinator over this rig's sites, per the config's mode
+        (pipelined replays get a fresh bit-exact predictor — the same
+        linear substructures as the sites); ``options`` go to
+        :class:`SimulationCoordinator` untouched."""
+        predictor = None
+        if self.config.pipeline_depth:
+            predictor = self.grid.predictor(self.stiffness,
+                                            name="{}-predictor".format)
         return SimulationCoordinator(
             run_id=_RUN_ID, client=self.client, model=self.model,
             motion=self.motion, sites=self.sites,
@@ -170,10 +132,6 @@ class _Rig:
             breakers=self.breakers, failover=self.failover,
             pipeline_depth=self.config.pipeline_depth, predictor=predictor,
             **options)
-
-    def run(self, coordinator: SimulationCoordinator):
-        """Drive one coordinator run to quiescence."""
-        return self.kernel.run(until=self.kernel.process(coordinator.run()))
 
 
 def _ft_policy(config: VerifyConfig) -> FaultTolerantFaultPolicy:
@@ -221,18 +179,18 @@ def _arm_reply_drop(rig: _Rig, event: FaultEvent, verb: str, *,
                 and msg.payload.request_id == captured[0]):
             dropped[0] = True
             if down_link:
-                rig.faults.schedule_outage("coord", event.site,
-                                           start=rig.kernel.now)
+                rig.grid.faults.schedule_outage("coord", event.site,
+                                                start=rig.grid.kernel.now)
             return True
         return False
 
-    rig.network.add_drop_filter(watch)
+    rig.grid.network.add_drop_filter(watch)
 
 
 def _arm_request_duplicate(rig: _Rig, event: FaultEvent, verb: str) -> None:
     """Deliver an extra copy of the first marked ``verb`` request."""
     marker = step_marker(event.step, event.site)
-    rig.faults.duplicate_matching(
+    rig.grid.faults.duplicate_matching(
         lambda msg: _is_verb_request(msg, event.site, verb, marker),
         count=1)
 
@@ -253,12 +211,12 @@ def _arm_outage_on_propose(rig: _Rig, event: FaultEvent,
         if not armed[0] and _is_verb_request(msg, event.site, "propose",
                                              marker):
             armed[0] = True
-            rig.faults.schedule_outage("coord", event.site,
-                                       start=rig.kernel.now,
-                                       duration=duration)
+            rig.grid.faults.schedule_outage("coord", event.site,
+                                            start=rig.grid.kernel.now,
+                                            duration=duration)
         return False
 
-    rig.network.add_drop_filter(watch)
+    rig.grid.network.add_drop_filter(watch)
 
 
 def _arm(rig: _Rig, event: FaultEvent) -> None:
@@ -285,7 +243,7 @@ def _observe(rig: _Rig, result, coordinator) -> dict:
     per_site = {}
     active = rig.failover.active if rig.failover is not None else {}
     for site in rig.config.sites:
-        metrics = rig.servers[site].metrics()
+        metrics = rig.grid.sites[site].server.metrics()
         counters = {key: metrics[key] for key in COUNTER_KEYS}
         surrogate = None
         if site in active:
@@ -298,7 +256,7 @@ def _observe(rig: _Rig, result, coordinator) -> dict:
                      for action in coordinator.last_reconciliation.actions}
     pipeline = None
     if rig.config.pipeline_depth:
-        telemetry = rig.kernel.telemetry
+        telemetry = rig.grid.kernel.telemetry
         pipeline = {key: telemetry.counter(f"coordinator.pipeline.{key}",
                                            run_id=_RUN_ID).value
                     for key in PIPELINE_KEYS}
@@ -323,7 +281,7 @@ def _replay_single(config: VerifyConfig,
     if event is not None:
         _arm(rig, event)
     coordinator = rig.make_coordinator(fault_policy=_ft_policy(config))
-    result = rig.run(coordinator)
+    result = rig.grid.run(coordinator.run())
     return _observe(rig, result, coordinator)
 
 
@@ -343,17 +301,17 @@ def _replay_crash(config: VerifyConfig, event: FaultEvent) -> dict:
     first = rig.make_coordinator(fault_policy=NaiveFaultPolicy(),
                                  checkpoint_store=store,
                                  checkpoint_policy=policy)
-    aborted = rig.run(first)
+    aborted = rig.grid.run(first.run())
     if aborted.completed:
         raise ConfigurationError(
             f"crash replay at step {event.step} did not abort")
 
-    rig.network.set_link_state("coord", event.site, up=True)
+    rig.grid.network.set_link_state("coord", event.site, up=True)
     state, prior_records = _run_store(load_resume(store, _RUN_ID))
     second = rig.make_coordinator(
         fault_policy=NaiveFaultPolicy(), checkpoint_store=store,
         checkpoint_policy=policy, state=state, prior_records=prior_records)
-    result = rig.run(second)
+    result = rig.grid.run(second.run())
     return _observe(rig, result, second)
 
 

@@ -124,3 +124,36 @@ def test_coordinator_decisions_are_each_spelt_once():
         "resume": {("coordinator/state.py", "load_resume")},
         "cancel": {("coordinator/mspsds.py", "cancel_and_forget")},
     }
+
+
+def test_deployment_construction_is_spelt_once():
+    """One star, one client pairing, one kit recipe: outside ``tests/`` and
+    the T-WALL probes only :mod:`repro.grid` builds an NTCP server (plus
+    the failover manager activating a surrogate), an NTCP client, a
+    surrogate spec, a predictor or a circuit breaker."""
+    import ast
+    import pathlib
+
+    src = pathlib.Path(repro.__file__).parent
+    repo = src.parent.parent
+    kit = {"NTCPServer", "NTCPClient", "SurrogateSpec",
+           "SubstructurePredictor", "CircuitBreaker"}
+    homes = {name: set() for name in kit}
+    roots = [src, repo / "scripts", repo / "examples", repo / "benchmarks"]
+    for path in (p for root in roots for p in root.rglob("*.py")):
+        if "twall" in path.parts:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                called = getattr(node.func, "attr",
+                                 getattr(node.func, "id", ""))
+                if called in kit:
+                    homes[called].add(path.relative_to(repo).as_posix())
+    grid = "src/repro/grid.py"
+    assert homes == {
+        "NTCPServer": {grid, "src/repro/coordinator/failover.py"},
+        "NTCPClient": {grid},
+        "SurrogateSpec": {grid},
+        "SubstructurePredictor": {grid},
+        "CircuitBreaker": {grid},
+    }

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.grid import Grid
 from repro.net import (
     FaultInjector,
     Network,
@@ -119,6 +120,48 @@ class TestBasicCalls:
         k.run()
         assert results["fast"] == (1.0, "fast")
         assert results["slow"] == (5.0, "slow")
+
+
+class TestOnAGrid:
+    """The same layer under a real deployment: the site container's RPC
+    service and the hub's client, as :class:`repro.grid.Grid` wires them."""
+
+    def test_sync_handler_bug_is_a_wire_error_not_a_hang(self):
+        grid = Grid.star()
+        site = grid.add_simulation_site("lab", 50.0, latency=0.05,
+                                        compute_time=0.0)
+
+        def buggy(caller):
+            raise ValueError("not a ReproError")
+
+        site.container.rpc.register("boom", buggy)
+        rpc = grid.client(timeout=30.0, retries=0).rpc
+
+        def caller():
+            try:
+                yield from rpc.call("lab", "ogsi", "boom")
+            except RemoteException as exc:
+                return exc
+
+        exc = grid.run(caller())
+        assert exc.remote_type == "ValueError"
+        assert "not a ReproError" in exc.remote_message
+        assert grid.kernel.now == pytest.approx(0.1)  # one round trip
+        errors = grid.kernel.log.records(kind="rpc.handler_error")
+        assert [r.detail["method"] for r in errors] == ["boom"]
+
+    def test_site_on_the_hub_host_is_loopback_at_now_plus_zero(self):
+        """Mini-MOST's shape: hub == site, so no link exists and every
+        message is delivered at ``now + 0``."""
+        grid = Grid.star(hub="pc")
+        site = grid.add_simulation_site("pc", 50.0, latency=0.0,
+                                        compute_time=0.0)
+        assert grid.network.links() == []
+        site.container.rpc.register("ping", lambda caller: "pong")
+        rpc = grid.client(timeout=30.0, retries=0).rpc
+        assert grid.run(rpc.call("pc", "ogsi", "ping")) == "pong"
+        assert grid.kernel.now == 0.0
+        assert grid.network.stats["delivered"] == 2  # request + reply
 
 
 class TestTimeoutsAndRetries:
