@@ -9,7 +9,7 @@ BENCH_SMOKE_TARGETS := $(BENCH_TARGETS:%=%-smoke)
 
 .PHONY: test lint analyze verify verify-smoke smoke $(SMOKE_TARGETS) bench \
 	bench-figures $(BENCH_TARGETS) $(BENCH_SMOKE_TARGETS) validate-bench \
-	twall-names loc check
+	twall-names twall-smoke loc check
 
 test:
 	$(PYTHON) -m pytest -x -q tests/
@@ -69,6 +69,13 @@ validate-bench:
 twall-names:
 	$(PYTHON) benchmarks/twall/run.py --check-names
 
+# One short repetition of the control-plane workload through the real
+# runner (~10 s): a rename of anything T-WALL reads fails here, before
+# merge.  Passes only if the result line says the oracles held.
+twall-smoke:
+	$(PYTHON) benchmarks/twall/run.py --workload most_bare --seconds 1 \
+		--trace 0 | tail -n 1 | grep '"correct": true'
+
 # Code lines by tokenizer (no blank, comment or docstring lines) per
 # directory — the figure CHANGES.md size reports quote.  With
 # AGAINST=<git-rev> (e.g. `make loc AGAINST=HEAD~1`): the per-file and
@@ -77,4 +84,4 @@ loc:
 	$(PYTHON) scripts/loc.py $(if $(AGAINST),--against $(AGAINST))
 
 check: lint analyze verify test smoke $(SMOKE_TARGETS) bench-figures \
-	$(BENCH_SMOKE_TARGETS) validate-bench twall-names
+	$(BENCH_SMOKE_TARGETS) validate-bench twall-names twall-smoke

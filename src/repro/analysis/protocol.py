@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import importlib
 import inspect
-from typing import Any, Iterable
+from typing import Any
 
 from repro.analysis.engine import Finding
 
@@ -149,10 +149,3 @@ def check_protocol_conformance(module_name: str = DEFAULT_MODULE,
         findings.extend(check_plugin(cls))
     findings.sort(key=Finding.sort_key)
     return findings
-
-
-def conformance_summary(module_name: str = DEFAULT_MODULE,
-                        ) -> dict[str, Iterable[str]]:
-    """{plugin name: [verb, ...]} of the checked surface (for reports)."""
-    plugins, _ = exported_plugins(module_name)
-    return {name: sorted(VERB_ARGS) for name, _ in plugins}

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.coordinator.mspsds import SimulationCoordinator
-from repro.coordinator.records import ExperimentResult, StepRecord
+from repro.coordinator.records import ExperimentResult
 from repro.structural.ground_motion import GroundMotion
 from repro.structural.integrators import EnsembleCentralDifferencePSD
 from repro.util.errors import ConfigurationError
@@ -75,11 +75,6 @@ class EnsembleCoordinator(SimulationCoordinator):
             integrator_factory=lambda model, dt: factory(model, dt,
                                                          n_variants),
             **kwargs)
-        self._tm_variant_steps = self.kernel.telemetry.counter(
-            "coordinator.ensemble.variant_steps", run_id=self.run_id)
-        self.kernel.telemetry.gauge(
-            "coordinator.ensemble.variants",
-            run_id=self.run_id).set(self.n_variants)
 
     # -- hook overrides (shape widening) ----------------------------------
     def _state_shape(self) -> tuple[int, ...]:
@@ -90,9 +85,6 @@ class EnsembleCoordinator(SimulationCoordinator):
         # bit-exact with N separate runs by construction.
         return np.stack([self.model.external_force(v.accel[step])
                          for v in self.variants], axis=1)
-
-    def _count_step(self, record: StepRecord) -> None:
-        self._tm_variant_steps.inc(self.n_variants)
 
 
 def variant_displacement_history(result: ExperimentResult,

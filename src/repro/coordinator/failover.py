@@ -137,8 +137,6 @@ class FailoverManager:
         self._readmit_pending: set[str] = set()
         self._activations = 0
         self.coordinator = None
-        self._tm_swaps = None
-        self._tm_readmissions = None
 
     # -- wiring ---------------------------------------------------------------
     def bind(self, coordinator) -> None:
@@ -151,11 +149,6 @@ class FailoverManager:
         is exactly the §7 action for a site that never heard the step.
         """
         self.coordinator = coordinator
-        telemetry = self.kernel.telemetry
-        self._tm_swaps = telemetry.counter("coordinator.failover.swaps",
-                                           run_id=coordinator.run_id)
-        self._tm_readmissions = telemetry.counter(
-            "coordinator.failover.readmissions", run_id=coordinator.run_id)
         for site in list(coordinator.state.degraded_sites):
             if site in self.specs and site not in self.active:
                 self._activate(site, step=coordinator.state.step,
@@ -233,8 +226,6 @@ class FailoverManager:
         self.events.append(FailoverEvent(
             kind="failover", site=site, step=step, time=self.kernel.now,
             transaction=in_flight or "", replacement=replacement))
-        if self._tm_swaps is not None:
-            self._tm_swaps.inc()
         self.kernel.emit(f"coordinator.{coordinator.run_id}",
                          "failover.activated", site=site, step=step,
                          surrogate=server.service_id)
@@ -299,8 +290,6 @@ class FailoverManager:
             self.events.append(FailoverEvent(
                 kind="readmit", site=site, step=step, time=self.kernel.now,
                 transaction=active.pending_cancel))
-            if self._tm_readmissions is not None:
-                self._tm_readmissions.inc()
             self.kernel.emit(f"coordinator.{coordinator.run_id}",
                              "failover.readmitted", site=site, step=step)
 

@@ -41,13 +41,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.coordinator.fault_policy import FaultPolicy, NaiveFaultPolicy
-from repro.coordinator.reconcile import (
-    ACTION_CANCEL,
-    ACTION_HARVEST,
-    ACTION_REPROPOSE,
-    Reconciler,
-    ReconciliationReport,
-)
+from repro.coordinator.reconcile import Reconciler, ReconciliationReport
 from repro.coordinator.records import ExperimentResult, StepRecord
 from repro.coordinator.state import (
     PHASE_COMMIT,
@@ -263,16 +257,6 @@ class SimulationCoordinator:
                                                  run_id=run_id)
         self._tm_ckpt_writes = telemetry.counter(
             "coordinator.checkpoint.writes", run_id=run_id)
-        self._tm_ckpt_time = telemetry.histogram(
-            "coordinator.checkpoint.write_time", run_id=run_id)
-        self._tm_resumes = telemetry.counter("coordinator.resume.resumes",
-                                             run_id=run_id)
-        self._tm_harvested = telemetry.counter("coordinator.resume.harvested",
-                                               run_id=run_id)
-        self._tm_cancelled = telemetry.counter("coordinator.resume.cancelled",
-                                               run_id=run_id)
-        self._tm_reproposed = telemetry.counter(
-            "coordinator.resume.reproposed", run_id=run_id)
         self._tm_replayed = telemetry.counter("coordinator.resume.replayed",
                                               run_id=run_id)
         self._tm_degraded_steps = telemetry.counter(
@@ -285,8 +269,6 @@ class SimulationCoordinator:
             "coordinator.pipeline.mispredicts", run_id=run_id)
         self._tm_spec_drains = telemetry.counter(
             "coordinator.pipeline.drains", run_id=run_id)
-        telemetry.gauge("coordinator.pipeline.depth",
-                        run_id=run_id).set(self.pipeline_depth)
         #: any object with the start/propose_next/commit stepping API
         #: (CentralDifferencePSD for MOST; AlphaOSPSD for stiff structures
         #: whose frequencies exceed the explicit stability limit).
@@ -374,9 +356,6 @@ class SimulationCoordinator:
             else:
                 out[int(dof)] = float(f)
         return out
-
-    def _count_step(self, record: StepRecord) -> None:
-        """Per-commit accounting hook (ensembles count variant-steps)."""
 
     def _assemble_forces(self, per_site: dict[str, dict],
                          ) -> np.ndarray:
@@ -770,7 +749,6 @@ class SimulationCoordinator:
         span = self._tracer.start_span("coordinator.checkpoint.write",
                                        run_id=self.run_id, seq=seq,
                                        reason=reason)
-        started = self.kernel.now
         try:
             yield from self.checkpoint_store.save(doc)
         except (RpcError, ReproError) as exc:
@@ -782,7 +760,6 @@ class SimulationCoordinator:
         self.state.checkpoint_seq = seq
         self._records_flushed = len(result.steps)
         self._tm_ckpt_writes.inc()
-        self._tm_ckpt_time.observe(self.kernel.now - started)
 
     def _maybe_checkpoint(self, result: ExperimentResult, *, reason: str,
                           force: bool = False):
@@ -828,7 +805,6 @@ class SimulationCoordinator:
         """Re-enter the step machine after a coordinator restart."""
         result.steps.extend(self.prior_records)
         self._records_flushed = len(result.steps)
-        self._tm_resumes.inc()
         self.kernel.emit(f"coordinator.{self.run_id}", "experiment.resumed",
                          step=self.state.step,
                          generation=self.state.generation,
@@ -839,13 +815,8 @@ class SimulationCoordinator:
         self.last_reconciliation = report
         # The reconciler already cancelled what needed cancelling (and
         # waited for the answer); only the rename half of retire is left.
-        counters = {ACTION_HARVEST: self._tm_harvested,
-                    ACTION_CANCEL: self._tm_cancelled,
-                    ACTION_REPROPOSE: self._tm_reproposed}
         for action in report.actions:
             self._rename(self.state.step, action.site, action.transaction)
-            if action.action in counters:
-                counters[action.action].inc()
         # Speculative overrides are applied *after* the in-flight step's,
         # so when the speculation's step index collides with state.step
         # (a rollback left burned names at the step a later commit made
@@ -895,7 +866,6 @@ class SimulationCoordinator:
         if self.on_step is not None:
             self.on_step(record)
         self._tm_steps.inc()
-        self._count_step(record)
         self._tm_step_time.observe(record.wall_finished - started)
         if record.degraded:
             self._tm_degraded_steps.inc()

@@ -43,9 +43,6 @@ class SubstructurePredictor:
                 "predictor needs at least one substructure")
         self.substructures = dict(substructures)
 
-    def sites(self) -> tuple[str, ...]:
-        return tuple(sorted(self.substructures))
-
     def predict(self, site: str, targets: dict) -> dict:
         """Predicted ``{local_dof: force}`` for one site's targets.
 

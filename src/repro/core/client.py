@@ -81,7 +81,7 @@ class NTCPClient:
         verdict = yield from self._invoke(
             handle, "propose", {"proposal": proposal.to_dict()},
             timeout=timeout, retries=retries, ctx=ctx)
-        return ProposalVerdict.coerce(verdict)
+        return verdict
 
     def execute(self, handle: GridServiceHandle, transaction: str, *,
                 timeout: float | None = None,
@@ -102,7 +102,7 @@ class NTCPClient:
         verdict = yield from self._invoke(handle, "cancel",
                                           {"transaction": transaction},
                                           ctx=ctx)
-        return ProposalVerdict.coerce(verdict)
+        return verdict
 
     def get_transaction(self, handle: GridServiceHandle,
                         transaction: str) -> Generator[Any, Any, dict]:

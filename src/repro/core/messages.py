@@ -108,28 +108,6 @@ class ProposalVerdict:
     def accepted(self) -> bool:
         return self.state == "accepted"
 
-    @property
-    def rejected(self) -> bool:
-        return self.state == "rejected"
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"transaction": self.transaction, "state": self.state,
-                "error": self.error}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ProposalVerdict":
-        try:
-            return cls(transaction=data["transaction"], state=data["state"],
-                       error=data.get("error"))
-        except KeyError as exc:
-            raise ProtocolError(f"verdict missing field {exc}") from exc
-
-    @classmethod
-    def coerce(cls, value: "ProposalVerdict | dict[str, Any]",
-               ) -> "ProposalVerdict":
-        """Accept either the typed object or its wire dict."""
-        return value if isinstance(value, cls) else cls.from_dict(value)
-
 
 @dataclass(frozen=True)
 class ExecutionOutcome:
@@ -198,9 +176,3 @@ class TransactionResult:
         return {"transaction": self.transaction,
                 "readings": dict(self.readings),
                 "started": self.started, "finished": self.finished}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "TransactionResult":
-        return cls(transaction=data["transaction"],
-                   readings=dict(data["readings"]),
-                   started=data["started"], finished=data["finished"])

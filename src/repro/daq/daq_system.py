@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -89,8 +89,3 @@ class DAQSystem:
         self.kernel.emit(f"daq.{self.site}", "block.deposited",
                          file=name, rows=len(self._buffer))
         self._buffer = []
-
-    def stats(self) -> dict[str, Any]:
-        return {"samples": self.samples_taken, "blocks": self._blocks,
-                "channels": len(self.channels),
-                "buffered": len(self._buffer)}

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.util.errors import ConfigurationError
 
@@ -85,10 +84,6 @@ class StagingStore:
         return sorted((f for f in self._files.values() if f.sequence > sequence),
                       key=lambda f: f.sequence)
 
-    @property
-    def last_sequence(self) -> int:
-        return self._sequence
-
     def __len__(self) -> int:
         return len(self._files)
 
@@ -103,8 +98,3 @@ class RepositoryFileStore(StagingStore):
 
     def __init__(self) -> None:
         super().__init__(name="repository")
-
-
-def rows_equal(a: Any, b: Any) -> bool:
-    """Structural equality for row collections (tuple/list agnostic)."""
-    return list(map(tuple, a)) == list(map(tuple, b))

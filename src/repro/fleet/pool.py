@@ -153,13 +153,9 @@ class SitePool:
         self.completed_leases: dict[str, int] = {}
         self.peak_queue_depth = 0
         telemetry = kernel.telemetry
-        self._g_free = telemetry.gauge("fleet.pool.free_sites")
-        self._g_queue = telemetry.gauge("fleet.pool.queue_depth")
-        self._g_active = telemetry.gauge("fleet.pool.active_leases")
         self._c_granted = telemetry.counter("fleet.pool.leases_granted")
         self._c_rejected = telemetry.counter("fleet.pool.admission_rejected")
         self._h_wait = telemetry.histogram("fleet.pool.lease_wait")
-        self._update_gauges()
 
     # -- admission -----------------------------------------------------------
     @property
@@ -241,7 +237,6 @@ class SitePool:
                 path="pool.acquire"))
         if revoked or epoch:
             self._schedule_grant()
-            self._update_gauges()
         return revoked
 
     # -- lease lifecycle -----------------------------------------------------
@@ -291,7 +286,6 @@ class SitePool:
         self.kernel.emit("fleet.pool", "lease.requested", tenant=tenant,
                          n_sites=n_sites, queued=len(self._waiting))
         self._schedule_grant()
-        self._update_gauges()
         return evt
 
     def release(self, lease: SiteLease) -> None:
@@ -323,7 +317,6 @@ class SitePool:
                          lease_id=lease.lease_id, tenant=lease.tenant,
                          held=self.kernel.now - lease.granted_at)
         self._schedule_grant()
-        self._update_gauges()
 
     # -- internals -----------------------------------------------------------
     def _schedule_grant(self) -> None:
@@ -345,7 +338,6 @@ class SitePool:
     def _run_grant_pass(self, _event: Any = None) -> None:
         self._grant_scheduled = False
         self._grant_ready()
-        self._update_gauges()
 
     def _share(self, tenant: str) -> int:
         """A tenant's current share: completed plus in-flight leases."""
@@ -386,8 +378,3 @@ class SitePool:
                              lease_id=lease.lease_id, tenant=head.tenant,
                              sites=list(names), wait=lease.wait)
             head.event.succeed(lease)
-
-    def _update_gauges(self) -> None:
-        self._g_free.set(len(self._free))
-        self._g_queue.set(len(self._waiting))
-        self._g_active.set(len(self.active))

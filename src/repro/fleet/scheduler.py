@@ -314,7 +314,8 @@ class FleetScheduler:
         self._run_ids: set[str] = set()
         self.outcomes: list[TenantOutcome] = []
         self.checkpoint_stores: dict[str, InMemoryCheckpointStore] = {}
-        self._live_steps: dict[str, int] = {}
+        #: tenant -> its ``fleet.tenant.steps`` counter (the roll-up reads it)
+        self._tenant_steps: dict[str, Any] = {}
         self._completed = 0
         self._failed = 0
         self._started_at = 0.0
@@ -327,9 +328,6 @@ class FleetScheduler:
             self.status = SdeStatusService("fleet-status", ROLLUP_SDE,
                                            "getRollup")
             grid.coord_container.deploy(self.status)
-        telemetry = self.kernel.telemetry
-        self._g_completed = telemetry.gauge("fleet.sched.completed_runs")
-        self._g_degraded = telemetry.gauge("fleet.sched.degraded_tenants")
 
     # -- submission ----------------------------------------------------------
     def submit(self, request: ExperimentRequest) -> ExperimentRequest:
@@ -408,7 +406,8 @@ class FleetScheduler:
             runs_by_tenant[outcome.tenant] = \
                 runs_by_tenant.get(outcome.tenant, 0) + 1
         for tenant_id in sorted(self.registry.tenants):
-            steps = self._live_steps.get(tenant_id, 0)
+            counter = self._tenant_steps.get(tenant_id)
+            steps = counter.value if counter is not None else 0
             tenants[tenant_id] = {
                 "steps": steps,
                 "step_rate": steps / elapsed,
@@ -419,8 +418,6 @@ class FleetScheduler:
                     self.slo.budget_for_tenant(tenant_id)
                     if self.slo is not None else 1.0),
             }
-        self._g_completed.set(self._completed)
-        self._g_degraded.set(len(degraded_tenants))
         return {
             "time": now,
             "queue_depth": self.pool.queue_depth(),
@@ -448,31 +445,25 @@ class FleetScheduler:
         submitted_at = self.kernel.now
         lease: SiteLease = yield self.pool.acquire(request.tenant,
                                                    request.n_sites)
-        tenant.telemetry.histogram("fleet.tenant.lease_wait").observe(
-            lease.wait)
         store = None
         if request.checkpoint_every > 0:
             store = self.checkpoint_stores[request.run_id] = \
                 InMemoryCheckpointStore()
-        steps_counter = tenant.telemetry.counter("fleet.tenant.steps")
-
-        def on_step(record: Any, tenant_id: str = request.tenant) -> None:
-            self._live_steps[tenant_id] = \
-                self._live_steps.get(tenant_id, 0) + 1
-            steps_counter.inc()
-
+        steps = self._tenant_steps[request.tenant] = \
+            tenant.telemetry.counter("fleet.tenant.steps")
         result, resumes, _ = yield from drive_request(
             self.grid, lease, request, client=tenant.ntcp, store=store,
-            on_step=on_step)
+            on_step=lambda record: steps.inc())
         nmds_object_id = yield from self._register_run(tenant, request,
                                                        lease, result)
         self.pool.release(lease)
+        # Campaign-wide totals the roll-up publishes — state, not a copy:
+        # the hub series beside them is split per tenant.
         if result.completed:
             self._completed += 1
             tenant.telemetry.counter("fleet.tenant.runs_completed").inc()
         else:
             self._failed += 1
-            tenant.telemetry.counter("fleet.tenant.runs_failed").inc()
         self.outcomes.append(TenantOutcome(
             request=request, result=result, lease=lease,
             submitted_at=submitted_at, finished_at=self.kernel.now,

@@ -109,9 +109,6 @@ class TenantRegistry:
             cas=self.cas)
         self.tenants: dict[str, Tenant] = {}
 
-    def __contains__(self, tenant_id: str) -> bool:
-        return tenant_id in self.tenants
-
     def get(self, tenant_id: str) -> Tenant:
         """The registered tenant, or :class:`ConfigurationError` if unknown."""
         tenant = self.tenants.get(tenant_id)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import pathlib
 from typing import Any
 
+from repro.telemetry.metrics import percentile
 from repro.telemetry.report import (
     CORE_PHASES,
     PIPELINED_NOTE,
@@ -34,19 +35,6 @@ CLIENT_SPANS = {"core.client.propose": "propose",
 
 def _as_record(span: Any) -> dict[str, Any]:
     return span if isinstance(span, dict) else span.to_dict()
-
-
-def _percentile(values: list[float], p: float) -> float:
-    """Exact percentile with linear interpolation (values pre-sorted)."""
-    if not values:
-        return 0.0
-    if len(values) == 1:
-        return values[0]
-    rank = (p / 100.0) * (len(values) - 1)
-    lo = int(rank)
-    hi = min(lo + 1, len(values) - 1)
-    frac = rank - lo
-    return values[lo] * (1.0 - frac) + values[hi] * frac
 
 
 def step_traces(spans: list[Any]) -> list[dict[str, Any]]:
@@ -128,7 +116,7 @@ def blame_table(rows: list[dict[str, Any]]) -> list[dict[str, Any]]:
         executes = sorted(agg.pop("_executes"))
         agg.setdefault("slack_total", 0.0)
         agg["execute_mean"] = agg["execute_total"] / agg["steps"]
-        agg["execute_p95"] = _percentile(executes, 95.0)
+        agg["execute_p95"] = percentile(executes, 95.0)
         agg["dominated_share"] = (agg["dominated"] / dominated_steps
                                   if dominated_steps else 0.0)
         table.append(agg)

@@ -44,9 +44,13 @@ class HealthPublisher:
         self.probe = probe
         self.interval = interval
         self.running = False
-        self.published = 0
         self._tm_published = kernel.telemetry.counter(
             "monitor.health.published", source=source)
+
+    @property
+    def published(self) -> int:
+        """Health SDE writes so far (``monitor.health.published``)."""
+        return self._tm_published.value
 
     def publish_now(self, **overrides: Any) -> dict[str, Any]:
         """Build, validate, and store one health payload; returns it."""
@@ -57,7 +61,6 @@ class HealthPublisher:
         payload.setdefault("detail", {})
         validate_health_payload(payload)
         self.service_data.set("health", payload)
-        self.published += 1
         self._tm_published.inc()
         return payload
 

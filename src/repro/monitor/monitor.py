@@ -106,8 +106,8 @@ class ExperimentMonitor(GridService):
         self.alerts: list[Alert] = []
         self.receiver = None
         self.health: dict[str, dict[str, Any]] = {}
-        self.samples_seen = 0
         self.running = False
+        self._tm_samples = None  # built on attach
         self._counter_totals: dict[tuple[str, tuple], float] = {}
         self._site_execute: dict[str, dict[str, float]] = {}
         self._last_commit_step = -1
@@ -139,6 +139,12 @@ class ExperimentMonitor(GridService):
         self._tm_health = telemetry.counter("monitor.console.health_updates",
                                             service=self.service_id)
 
+    @property
+    def samples_seen(self) -> int:
+        """Streamed metrics samples absorbed (``monitor.console.samples``;
+        0 before the console is deployed)."""
+        return self._tm_samples.value if self._tm_samples is not None else 0
+
     def bind_receiver(self, receiver) -> None:
         """Point the stream-health detector at the NSDS receiver."""
         self.receiver = receiver
@@ -150,7 +156,6 @@ class ExperimentMonitor(GridService):
         if not isinstance(payload, dict) or payload.get("kind") != "metrics":
             return
         validate_metrics_sample(payload)
-        self.samples_seen += 1
         self._tm_samples.inc()
         for record in payload["metrics"]:
             name = record["name"]

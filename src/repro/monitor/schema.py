@@ -40,12 +40,12 @@ SCHEMA_ID = "repro.monitor/v1"
 
 HEALTH_STATUSES = ("starting", "running", "degraded", "stopped")
 ALERT_KINDS = ("stall", "slow_site", "stream_health", "breaker_open",
-               "slo_burn", "queue_redelivery")
+               "slo_burn")
 ALERT_SEVERITIES = ("info", "warning", "critical")
 
-# Streamed summaries carry p95 (the slow-site detector's budget input)
-# instead of the exporter's p90.
-_SUMMARY_KEYS = ("count", "sum", "mean", "min", "max", "p50", "p95", "p99")
+#: the stats of :meth:`Histogram.summary` a streamed record carries: p95
+#: (the slow-site detector's budget input) instead of the exporter's p90
+SUMMARY_KEYS = ("count", "sum", "mean", "min", "max", "p50", "p95", "p99")
 
 
 class MonitorSchemaError(SchemaError):
@@ -80,7 +80,7 @@ validate_health_payload = validator(MonitorSchemaError, document(
 validate_metrics_sample = validator(MonitorSchemaError, document(
     SCHEMA_ID, {
         **_ENVELOPE, "seq": integer(1),
-        "metrics": array(metric_record(_SUMMARY_KEYS, counter=obj(
+        "metrics": array(metric_record(SUMMARY_KEYS, counter=obj(
             {"value": number(), "total": number()}, None,
             rule(".total", "cumulative total below the delta",
                  lambda rec: rec["total"] + 1e-9 >= rec["value"])))),

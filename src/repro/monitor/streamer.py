@@ -19,7 +19,11 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
-from repro.monitor.schema import SCHEMA_ID, validate_metrics_sample
+from repro.monitor.schema import (
+    SCHEMA_ID,
+    SUMMARY_KEYS,
+    validate_metrics_sample,
+)
 from repro.sim.kernel import Kernel
 from repro.telemetry.metrics import Counter, Gauge, Histogram
 
@@ -41,8 +45,6 @@ class TelemetryStreamer:
         self.running = False
         self.seq = 0
         self._last_counts: dict[tuple[str, tuple], float] = {}
-        self._tm_flushes = kernel.telemetry.counter(
-            "monitor.stream.flushes", source=source)
 
     def _wanted(self, name: str) -> bool:
         if self.prefixes is None:
@@ -68,16 +70,11 @@ class TelemetryStreamer:
                                 "labels": dict(metric.labels),
                                 "value": metric.value})
             elif isinstance(metric, Histogram):
-                summary = {"count": metric.count, "sum": metric.sum,
-                           "mean": metric.mean,
-                           "min": metric.percentile(0.0),
-                           "max": metric.percentile(100.0),
-                           "p50": metric.percentile(50.0),
-                           "p95": metric.percentile(95.0),
-                           "p99": metric.percentile(99.0)}
+                summary = metric.summary()
                 records.append({"name": metric.name, "type": "histogram",
                                 "labels": dict(metric.labels),
-                                "summary": summary})
+                                "summary": {key: summary[key]
+                                            for key in SUMMARY_KEYS}})
         records.sort(key=lambda r: (r["name"], sorted(r["labels"].items())))
         return records
 
@@ -89,7 +86,6 @@ class TelemetryStreamer:
                    "seq": self.seq, "metrics": self.snapshot_records()}
         validate_metrics_sample(payload)
         self.nsds.ingest(self.kernel.now, {self.CHANNEL: payload})
-        self._tm_flushes.inc()
         return payload
 
     def start(self) -> None:

@@ -100,7 +100,6 @@ class CircuitBreaker:
         self.probe_successes = 0    # consecutive successes while half-open
         self.opened_at: float | None = None   # latest trip (re-arms probes)
         self.open_since: float | None = None  # first trip of this episode
-        self.trips = 0
         telemetry = kernel.telemetry
         self._tm_state = telemetry.gauge("net.breaker.state", site=site)
         self._tm_trips = telemetry.counter("net.breaker.trips", site=site)
@@ -163,7 +162,6 @@ class CircuitBreaker:
             self._trip()
 
     def _trip(self) -> None:
-        self.trips += 1
         self._tm_trips.inc()
         self.opened_at = self.kernel.now
         if self.open_since is None:
@@ -178,6 +176,11 @@ class CircuitBreaker:
         self._transition(CLOSED)
 
     # -- inspection --------------------------------------------------------
+    @property
+    def trips(self) -> int:
+        """Closed → open transitions so far (``net.breaker.trips``)."""
+        return self._tm_trips.value
+
     @property
     def open_duration(self) -> float:
         """Simulated seconds since the first trip of the current episode

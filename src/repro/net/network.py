@@ -47,9 +47,6 @@ class Host:
             raise ConfigurationError(f"port {port!r} already bound on {self.name}")
         self._handlers[port] = handler
 
-    def unbind(self, port: str) -> None:
-        self._handlers.pop(port, None)
-
     def deliver(self, msg: Message) -> bool:
         """Deliver a message to the bound handler; False if no listener."""
         handler = self._handlers.get(msg.port)
@@ -80,9 +77,6 @@ class Link:
     # last scheduled delivery time per direction, for FIFO enforcement
     _last_delivery: dict[str, float] = field(default_factory=dict)
 
-    def endpoints(self) -> frozenset[str]:
-        return frozenset((self.a, self.b))
-
     def sample_delay(self, rng: np.random.Generator) -> float | None:
         """Propagation delay for one message, or None if the message is lost."""
         if not self.up:
@@ -111,17 +105,27 @@ class Network:
         self._links: dict[frozenset[str], Link] = {}
         self._drop_filters: list[Callable[[Message], bool]] = []
         self._msg_ids = IdFactory("msg")
-        self.stats = {"sent": 0, "delivered": 0, "dropped": 0, "no_route": 0,
-                      "no_listener": 0}
-        telemetry = kernel.telemetry
-        self._counters = {key: telemetry.counter(f"net.network.{key}")
-                          for key in self.stats}
-        self._transit_time = telemetry.histogram("net.network.transit_time")
-        self._payload_bytes = telemetry.histogram("net.network.payload_bytes")
+        self._port_ids: dict[str, IdFactory] = {}
+        self._counters = {
+            key: kernel.telemetry.counter(f"net.network.{key}")
+            for key in ("sent", "delivered", "dropped", "no_route",
+                        "no_listener")}
+
+    @property
+    def stats(self) -> dict[str, int]:
+        """Message counts by fate, read off the ``net.network.*`` hub
+        counters (the hub owns them; this is a view, not a copy)."""
+        return {key: counter.value
+                for key, counter in self._counters.items()}
 
     def _count(self, key: str) -> None:
-        self.stats[key] += 1
         self._counters[key].inc()
+
+    def new_port(self, prefix: str) -> str:
+        """A fresh client-side port name, ``<prefix>-<n>``, numbered per
+        network — so reply/sink ports (wire- and label-visible) count the
+        clients of this deployment, not of the process."""
+        return self._port_ids.setdefault(prefix, IdFactory(prefix))()
 
     # -- topology -----------------------------------------------------------
     def add_host(self, name: str) -> Host:
@@ -183,8 +187,6 @@ class Network:
         msg = Message(src=src, dst=dst, port=port, payload=payload,
                       msg_id=self._msg_ids(), send_time=self.kernel.now)
         self._count("sent")
-        # repr length is a cheap, deterministic proxy for serialized size.
-        self._payload_bytes.observe(len(repr(payload)))
         if src == dst:
             # Loopback: same-host services (e.g. the Mini-MOST single-PC
             # deployment) talk through the stack with negligible delay.
@@ -227,4 +229,3 @@ class Network:
                              dst=msg.dst, port=msg.port)
             return
         self._count("delivered")
-        self._transit_time.observe(self.kernel.now - msg.send_time)

@@ -19,7 +19,7 @@ Client calls are written in the process style::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Generator
 
 from repro.net.network import Message, Network
@@ -70,15 +70,17 @@ class RpcResponse:
     error_data: Any = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class RpcStats:
-    """Counters surfaced by benchmarks (retry/latency accounting)."""
+    """What :attr:`RpcClient.stats` reads off the client's ``net.rpc.*``
+    hub series (retry/latency accounting for reports and benchmarks);
+    ``latencies`` come in no promised order."""
 
-    calls: int = 0
-    retries: int = 0
-    timeouts: int = 0
-    remote_errors: int = 0
-    latencies: list[float] = field(default_factory=list)
+    calls: int
+    retries: int
+    timeouts: int
+    remote_errors: int
+    latencies: list[float]
 
 
 class RpcService:
@@ -100,10 +102,6 @@ class RpcService:
         self.checker = checker
         self._methods: dict[str, Callable[..., Any]] = {}
         self.telemetry = network.kernel.telemetry
-        self._requests = self.telemetry.counter("net.rpc.requests",
-                                                service=self.name)
-        self._handle_time = self.telemetry.histogram("net.rpc.handle_time",
-                                                     service=self.name)
         network.host(host).bind(port, self._on_message)
 
     def register(self, method: str, fn: Callable[..., Any]) -> None:
@@ -117,7 +115,6 @@ class RpcService:
             return
         self.kernel.emit(self.name, "rpc.request", method=req.method,
                          request_id=req.request_id, src=msg.src)
-        self._requests.inc()
         tracer = self.telemetry.tracer
         span = tracer.start_span(
             "net.rpc.server",
@@ -126,7 +123,6 @@ class RpcService:
 
         def reply(response: RpcResponse) -> None:
             span.end(ok=response.ok)
-            self._handle_time.observe(span.duration)
             self._reply(msg, response)
 
         caller: Any = None
@@ -205,8 +201,6 @@ class RpcClient:
     otherwise increment one shared set of counters.
     """
 
-    _port_ids = IdFactory("rpc-reply")
-
     def __init__(self, network: Network, host: str, *,
                  default_timeout: float = 5.0, default_retries: int = 0,
                  retry_policy: RetryPolicy | None = None,
@@ -219,10 +213,9 @@ class RpcClient:
         #: inter-retransmission schedule; ``None`` keeps the classic
         #: back-to-back retransmit (equivalent to a zero-delay policy)
         self.retry_policy = retry_policy
-        self.reply_port = RpcClient._port_ids()
+        self.reply_port = network.new_port("rpc-reply")
         self._request_ids = IdFactory(f"{host}.req")
         self._pending: dict[str, Any] = {}
-        self.stats = RpcStats()
         self.telemetry = network.kernel.telemetry
         extra = dict(labels or {})
         self._tm = {key: self.telemetry.counter(f"net.rpc.{key}", host=host,
@@ -232,6 +225,14 @@ class RpcClient:
         self._latency = self.telemetry.histogram("net.rpc.latency", host=host,
                                                  **extra)
         network.host(host).bind(self.reply_port, self._on_reply)
+
+    @property
+    def stats(self) -> RpcStats:
+        """This client's ``net.rpc.*`` series as they stand (clients
+        sharing a host and label set share the series)."""
+        return RpcStats(**{key: counter.value
+                           for key, counter in self._tm.items()},
+                        latencies=self._latency.values)
 
     def _on_reply(self, msg: Message) -> None:
         resp = msg.payload
@@ -271,7 +272,6 @@ class RpcClient:
                          params=params, reply_port=self.reply_port,
                          credential=credential,
                          trace=span.context.to_dict())
-        self.stats.calls += 1
         self._tm["calls"].inc()
         started = self.kernel.now
         last_attempt = retries  # attempts are 0..retries inclusive
@@ -280,7 +280,6 @@ class RpcClient:
             self._pending[req.request_id] = evt
             self.network.send(self.host, dst, port, req)
             if attempt > 0:
-                self.stats.retries += 1
                 self._tm["retries"].inc()
                 self.kernel.emit(f"rpc.client.{self.host}", "rpc.retry",
                                  request_id=req.request_id, attempt=attempt,
@@ -290,12 +289,10 @@ class RpcClient:
             if evt in fired:
                 resp: RpcResponse = evt.value
                 latency = self.kernel.now - started
-                self.stats.latencies.append(latency)
                 self._latency.observe(latency)
                 if resp.ok:
                     span.end(ok=True, attempts=attempt + 1)
                     return resp.value
-                self.stats.remote_errors += 1
                 self._tm["remote_errors"].inc()
                 span.end(ok=False, attempts=attempt + 1,
                          error=resp.error_type)
@@ -304,7 +301,6 @@ class RpcClient:
             # timed out: abandon this wait and (maybe) retransmit
             self._pending.pop(req.request_id, None)
             if attempt == last_attempt:
-                self.stats.timeouts += 1
                 self._tm["timeouts"].inc()
                 span.end(ok=False, attempts=attempt + 1, error="timeout")
                 raise RpcTimeout(

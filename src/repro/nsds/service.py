@@ -38,7 +38,7 @@ class NSDSService(GridService):
         self._sequences: dict[str, int] = {}
         self._subs: dict[str, _StreamSubscription] = {}
         self._sub_counter = 0
-        self.pushed = 0
+        self._tm_pushed = None  # built on attach
 
     def on_attach(self) -> None:
         self.service_data.set("channels", [])
@@ -46,16 +46,16 @@ class NSDSService(GridService):
                    "drain"):
             self.expose(op, getattr(self, f"_op_{op}"))
         telemetry = self.kernel.telemetry
-        self._tm_ingested = telemetry.counter("nsds.stream.ingested",
-                                              service=self.service_id)
         self._tm_pushed = telemetry.counter("nsds.stream.pushed",
                                             service=self.service_id)
-        self._tm_buffer_dropped = telemetry.counter("nsds.stream.buffer_dropped",
-                                                    service=self.service_id)
         self._tm_expired = telemetry.counter("nsds.stream.expired_subs",
                                              service=self.service_id)
-        self._tm_lag = telemetry.histogram("nsds.stream.lag",
-                                           service=self.service_id)
+
+    @property
+    def pushed(self) -> int:
+        """Datagrams pushed to subscribers (``nsds.stream.pushed``; 0
+        before the service is deployed)."""
+        return self._tm_pushed.value if self._tm_pushed is not None else 0
 
     # -- ingest (local, called by the DAQ tap) -------------------------------
     def ingest(self, time: float, row: dict[str, float]) -> None:
@@ -70,11 +70,7 @@ class NSDSService(GridService):
                 buf = RingBuffer(self.buffer_capacity)
                 self.buffers[channel] = buf
                 self.service_data.set("channels", sorted(self.buffers))
-            dropped_before = buf.dropped
             buf.append(sample)
-            self._tm_ingested.inc()
-            if buf.dropped > dropped_before:
-                self._tm_buffer_dropped.inc(buf.dropped - dropped_before)
             self._push(sample)
 
     def _push(self, sample: StreamSample) -> None:
@@ -96,10 +92,7 @@ class NSDSService(GridService):
                     "time": sample.time,
                     "value": sample.value,
                 })
-            self.pushed += 1
             self._tm_pushed.inc()
-            # How far behind real acquisition the push happens (stream lag).
-            self._tm_lag.observe(now - sample.time)
         self._subs = live
 
     # -- operations ----------------------------------------------------------

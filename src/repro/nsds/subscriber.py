@@ -6,7 +6,6 @@ from typing import Callable
 
 from repro.net.network import Message, Network
 from repro.nsds.stream import StreamSample
-from repro.util.ids import IdFactory
 
 
 class NSDSReceiver:
@@ -21,13 +20,11 @@ class NSDSReceiver:
     them the same way as every other metric.
     """
 
-    _port_ids = IdFactory("nsds-sink")
-
     def __init__(self, network: Network, host: str,
                  callback: Callable[[StreamSample], None] | None = None):
         self.network = network
         self.host = host
-        self.port = NSDSReceiver._port_ids()
+        self.port = network.new_port("nsds-sink")
         self.callback = callback
         self.samples: dict[str, list[StreamSample]] = {}
         self.highest_seq: dict[str, int] = {}

@@ -30,6 +30,7 @@ from typing import Any
 
 from repro.observatory.schema import (AGGREGATIONS, TIERS,
                                       validate_query_result)
+from repro.telemetry.metrics import percentile
 from repro.util.errors import ReproError
 
 DEFAULT_PAGE_SIZE = 10
@@ -38,20 +39,6 @@ DEFAULT_MAX_POINTS = 200
 
 class QueryError(ReproError):
     """A malformed observatory query request."""
-
-
-def _percentile(values: list[float], p: float) -> float:
-    """Interpolated percentile, matching ``Histogram.percentile``."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (p / 100.0) * (len(ordered) - 1)
-    lo = int(rank)
-    hi = min(lo + 1, len(ordered) - 1)
-    frac = rank - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
 
 
 def _window(series, tier: str, start: float, end: float) -> list:
@@ -104,7 +91,7 @@ def _aggregate(op: str, quantile: float, facts: dict[str, Any]) -> float:
         return facts["max"]
     if op == "rate":
         return _rate(facts["first"], facts["last"])
-    return _percentile(facts["values"], quantile)
+    return percentile(sorted(facts["values"]), quantile)
 
 
 def _combined(op: str, quantile: float,
@@ -132,7 +119,7 @@ def _combined(op: str, quantile: float,
         pooled: list[float] = []
         for f in per_series:
             pooled.extend(f["values"])
-        value = _percentile(pooled, quantile)
+        value = percentile(sorted(pooled), quantile)
     return {"op": op, "value": value, "count": count}
 
 

@@ -67,10 +67,6 @@ class FlightRecorder:
         self.capacity = capacity
         self._rings: dict[str, deque] = {}
         self.snapshots: list[dict[str, Any]] = []
-        self._tm_events = kernel.telemetry.counter(
-            "observatory.flight.events")
-        self._tm_snapshots = kernel.telemetry.counter(
-            "observatory.flight.snapshots")
         kernel.log.subscribe(self._on_log)
         kernel.telemetry.add_sink(self)
 
@@ -81,10 +77,6 @@ class FlightRecorder:
             ring = deque(maxlen=self.capacity)
             self._rings[source] = ring
         return ring
-
-    def _record(self, source: str, event: dict[str, Any]) -> None:
-        self._ring(source).append(event)
-        self._tm_events.inc()
 
     def _on_log(self, record) -> None:
         """EventLog listener: keep protocol/coordinator/fleet events."""
@@ -98,10 +90,9 @@ class FlightRecorder:
         else:
             source = "fleet"
         detail = _jsonable(record.detail)
-        self._record(source, {"time": record.time, "type": "log",
-                              "what": record.kind,
-                              "step": extract_step(record.kind, detail),
-                              "detail": detail})
+        self._ring(source).append({
+            "time": record.time, "type": "log", "what": record.kind,
+            "step": extract_step(record.kind, detail), "detail": detail})
 
     def on_span(self, span) -> None:
         """Telemetry sink hook: keep coordinator and per-site spans."""
@@ -115,10 +106,9 @@ class FlightRecorder:
             return
         detail = _jsonable(dict(attrs))
         detail["duration"] = span.end_time - span.start
-        self._record(source, {"time": span.end_time, "type": "span",
-                              "what": span.name,
-                              "step": extract_step(span.name, detail),
-                              "detail": detail})
+        self._ring(source).append({
+            "time": span.end_time, "type": "span", "what": span.name,
+            "step": extract_step(span.name, detail), "detail": detail})
 
     # -- snapshots ------------------------------------------------------------
     def snapshot(self, *, run_id: str, reason: str, step: int = -1,
@@ -131,7 +121,6 @@ class FlightRecorder:
                                for source in sorted(self._rings)}}
         validate_flight_snapshot(payload)
         self.snapshots.append(payload)
-        self._tm_snapshots.inc()
         return payload
 
     def stats(self) -> dict[str, Any]:

@@ -114,12 +114,17 @@ class SLOEvaluator:
         self.slos = list(slos)
         self.alert_sink = alert_sink
         self.interval = interval
-        self.alerts_raised = 0
         self._firing: set[tuple[str, str]] = set()
         self._proc = None
         self._running = False
         self._tm_sweeps = kernel.telemetry.counter("observatory.slo.sweeps")
         self._tm_alerts = kernel.telemetry.counter("observatory.slo.alerts")
+
+    @property
+    def alerts_raised(self) -> int:
+        """Burn-rate rules that started firing
+        (``observatory.slo.alerts``)."""
+        return self._tm_alerts.value
 
     # -- lifecycle ------------------------------------------------------------
     def start(self) -> None:
@@ -201,7 +206,6 @@ class SLOEvaluator:
 
     def _raise(self, slo: SLOSpec, rule: BurnRateRule, burn: float,
                remaining: float) -> None:
-        self.alerts_raised += 1
         self._tm_alerts.inc()
         if self.alert_sink is None:
             return

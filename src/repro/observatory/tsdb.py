@@ -208,6 +208,8 @@ class TimeSeriesStore:
                     self.append(name, {**labels, "stat": stat}, time,
                                 summary[stat])
                     appended += 1
+        # Kept beside the hub counter on purpose: a store rebuilt from a
+        # dump runs kernel-less (``_tm_samples is None``) and still counts.
         self.samples_ingested += 1
         if self._tm_samples is not None:
             self._tm_samples.inc()

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.net.network import Message, Network
-from repro.util.ids import IdFactory
 
 
 class NotificationSink:
@@ -23,13 +22,11 @@ class NotificationSink:
     to every other sink — one broken viewer cannot blind the rest.
     """
 
-    _port_ids = IdFactory("notify")
-
     def __init__(self, network: Network, host: str,
                  callback: Callable[[dict[str, Any]], None] | None = None):
         self.network = network
         self.host = host
-        self.port = NotificationSink._port_ids()
+        self.port = network.new_port("notify")
         self.callback = callback
         self.received: list[dict[str, Any]] = []
         self._tm_errors = network.kernel.telemetry.counter(

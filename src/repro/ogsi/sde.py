@@ -56,9 +56,6 @@ class ServiceDataSet:
     def names(self) -> list[str]:
         return sorted(self._elements)
 
-    def remove(self, name: str) -> None:
-        self._elements.pop(name, None)
-
     def on_change(self, listener: Callable[[ServiceDataElement], None]) -> None:
         """Register a listener called synchronously on every ``set``."""
         self._listeners.append(listener)

@@ -57,9 +57,6 @@ class GridService:
                 f"service {self.service_id!r} has no operation {name!r}")
         return fn
 
-    def operations(self) -> list[str]:
-        return sorted(self._operations)
-
     # -- helpers ---------------------------------------------------------------
     @property
     def kernel(self):

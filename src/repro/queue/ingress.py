@@ -109,14 +109,6 @@ class ExperimentQueue:
         #: raced the in-memory validator; never applied)
         self.voided: list[dict] = []
         self._replayed = False
-        telemetry = kernel.telemetry
-        self._g_depth = telemetry.gauge("queue.ingress.depth")
-        self._c_submitted = telemetry.counter("queue.ingress.submitted")
-        self._c_deduped = telemetry.counter("queue.ingress.deduped")
-        self._c_claims = telemetry.counter("queue.ingress.claims")
-        self._c_redeliveries = telemetry.counter(
-            "queue.ingress.redeliveries")
-        self._c_terminals = telemetry.counter("queue.ingress.terminals")
 
     # -- replay --------------------------------------------------------------
     def recover(self):
@@ -149,7 +141,6 @@ class ExperimentQueue:
                                         []).append(body)
             else:  # terminal
                 self._terminals.setdefault(body["submission_id"], body)
-        self._g_depth.set(self.depth())
         self.kernel.emit("queue", "journal.replayed", entries=len(entries),
                          voided=len(self.voided),
                          outstanding=self.depth())
@@ -169,13 +160,10 @@ class ExperimentQueue:
         sid = body["submission_id"]
         existing = self._submissions.get(sid)
         if existing is not None:
-            self._c_deduped.inc()
             self.kernel.emit("queue", "submit.deduped", submission_id=sid)
             return dict(existing)
         yield from self.store.append("submit", body, time=self.kernel.now)
         self._submissions[sid] = body
-        self._c_submitted.inc()
-        self._g_depth.set(self.depth())
         self.kernel.emit("queue", "submit.accepted", submission_id=sid,
                          tenant=body["tenant"], run_id=body["run_id"])
         return dict(body)
@@ -205,9 +193,6 @@ class ExperimentQueue:
                 "attempt": attempt, "sites": list(sites)}
         yield from self.store.append("claim", body, time=self.kernel.now)
         self._claims.setdefault(submission_id, []).append(body)
-        self._c_claims.inc()
-        if attempt > 1:
-            self._c_redeliveries.inc()
         self.kernel.emit("queue", "claim.journaled",
                          submission_id=submission_id, epoch=epoch,
                          attempt=attempt, sites=list(sites))
@@ -224,8 +209,6 @@ class ExperimentQueue:
                 "status": status, "steps": int(steps)}
         yield from self.store.append("terminal", body, time=self.kernel.now)
         self._terminals.setdefault(submission_id, body)
-        self._c_terminals.inc()
-        self._g_depth.set(self.depth())
         self.kernel.emit("queue", "terminal.journaled",
                          submission_id=submission_id, epoch=epoch,
                          status=status, steps=steps)

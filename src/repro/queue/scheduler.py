@@ -54,7 +54,6 @@ QUEUE_SDE = "queue.status"
 if TYPE_CHECKING:  # pragma: no cover
     from repro.fleet.grid import FleetGrid
     from repro.fleet.tenants import TenantRegistry
-    from repro.monitor import ExperimentMonitor
 
 
 def attach_durable_repository(grid: "FleetGrid", *,
@@ -103,7 +102,6 @@ class DurableFleetScheduler:
                  | None = None,
                  settle_delay: float = 5.0,
                  rollup_interval: float = 60.0,
-                 monitor: "ExperimentMonitor | None" = None,
                  status: SdeStatusService | None = None):
         self.grid = grid
         self.pool = pool
@@ -117,7 +115,6 @@ class DurableFleetScheduler:
                                   if checkpoint_stores is not None else {})
         self.settle_delay = settle_delay
         self.rollup_interval = rollup_interval
-        self.monitor = monitor
         self.status = status
         self.epoch = 0
         self.dead = False
@@ -224,14 +221,6 @@ class DurableFleetScheduler:
                              submission_id=submission.submission_id,
                              attempt=attempt, epoch=self.epoch,
                              sites=list(lease.site_names))
-            if self.monitor is not None:
-                self.monitor.raise_alert(
-                    "queue_redelivery", "warning",
-                    f"submission {submission.submission_id} redelivered "
-                    f"(attempt {attempt}) on epoch {self.epoch}",
-                    detail={"submission_id": submission.submission_id,
-                            "attempt": attempt, "epoch": self.epoch,
-                            "sites": list(lease.site_names)})
         authority = self.queue.authority
         store = None
         if request.checkpoint_every > 0:
@@ -305,7 +294,6 @@ def run_durable_campaign(grid: "FleetGrid", pool: SitePool,
                          crash_after: tuple[float, ...] = (),
                          takeover_delay: float = 30.0,
                          settle_delay: float = 5.0,
-                         monitor: "ExperimentMonitor | None" = None,
                          status: SdeStatusService | None = None
                          ) -> CampaignResult:
     """Run a campaign through ``len(crash_after) + 1`` incarnations.
@@ -335,7 +323,7 @@ def run_durable_campaign(grid: "FleetGrid", pool: SitePool,
                 grid, pool, registry, queue,
                 scheduler_id=f"sched-{index + 1}",
                 checkpoint_stores=checkpoint_stores,
-                settle_delay=settle_delay, monitor=monitor, status=status)
+                settle_delay=settle_delay, status=status)
             schedulers.append(scheduler)
             process = kernel.process(
                 scheduler.main(), name=f"queue.incarnation{index + 1}")

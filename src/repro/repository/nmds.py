@@ -68,10 +68,6 @@ class SchemaSpec:
                 fields[fname] = (fspec["type"], bool(fspec.get("required", True)))
         return cls(name=name, fields=fields)
 
-    def to_fields(self) -> dict[str, Any]:
-        return {fname: {"type": t, "required": r}
-                for fname, (t, r) in self.fields.items()}
-
 
 @dataclass
 class MetadataObject:

@@ -31,7 +31,6 @@ class Kernel:
         self._queue: list[tuple[float, int, Event]] = []
         self._seq = 0
         self._events_fired = self.telemetry.counter("sim.kernel.events")
-        self._queue_depth = self.telemetry.gauge("sim.kernel.queue_depth")
 
     # -- factories ---------------------------------------------------------
     def event(self, name: str | None = None) -> Event:
@@ -73,7 +72,6 @@ class Kernel:
         time, _, event = heapq.heappop(self._queue)
         self.now = time
         self._events_fired.inc()
-        self._queue_depth.set(len(self._queue))
         callbacks, event.callbacks = event.callbacks, None
         for fn in callbacks:
             fn(event)

@@ -68,43 +68,17 @@ class ScopedTelemetry:
     — this is how concurrent runs multiplexed on one kernel (fleet
     tenants, parallel sessions) keep their metric series apart.  On a key
     collision the scope's label wins, so a scoped component can never
-    accidentally shed its namespace.  Spans and exports pass through to
-    the underlying hub unchanged.
+    accidentally shed its namespace.  Spans and exports are not scoped:
+    take them from ``.hub``.
     """
 
     def __init__(self, hub: "TelemetryHub", labels: dict[str, str]):
         self.hub = hub
         self.labels = dict(labels)
 
-    @property
-    def registry(self) -> MetricRegistry:
-        """The underlying (shared) metric registry."""
-        return self.hub.registry
-
-    @property
-    def tracer(self) -> Any:
-        """The underlying (shared) tracer."""
-        return self.hub.tracer
-
     def counter(self, name: str, **labels: Any) -> Counter:
         """A counter carrying the scope's labels plus ``labels``."""
         return self.hub.counter(name, **{**labels, **self.labels})
-
-    def gauge(self, name: str, **labels: Any) -> Gauge:
-        """A gauge carrying the scope's labels plus ``labels``."""
-        return self.hub.gauge(name, **{**labels, **self.labels})
-
-    def histogram(self, name: str, **labels: Any) -> Histogram:
-        """A histogram carrying the scope's labels plus ``labels``."""
-        return self.hub.histogram(name, **{**labels, **self.labels})
-
-    def start_span(self, name: str, **kwargs: Any) -> Span:
-        """Shorthand for the underlying hub's ``start_span``."""
-        return self.hub.start_span(name, **kwargs)
-
-    def scoped(self, **labels: Any) -> "ScopedTelemetry":
-        """A further-narrowed view (existing scope labels still win)."""
-        return ScopedTelemetry(self.hub, {**labels, **self.labels})
 
 
 class TelemetryHub:
@@ -159,9 +133,6 @@ class TelemetryHub:
         """Register an object with ``on_span(span)``; returns it."""
         self._sinks.append(sink)
         return sink
-
-    def remove_sink(self, sink: Any) -> None:
-        self._sinks.remove(sink)
 
     # -- export --------------------------------------------------------------
     def metrics_snapshot(self) -> list[dict[str, Any]]:

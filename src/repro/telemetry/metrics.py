@@ -16,6 +16,28 @@ from __future__ import annotations
 
 from typing import Any, Iterator
 
+from repro.telemetry.schema import SUMMARY_KEYS
+
+
+def percentile(sorted_values: list[float], p: float) -> float:
+    """Exact percentile of pre-sorted values, interpolating between ranks.
+
+    ``p`` is in [0, 100]; no values report 0.0.  The one percentile in
+    the tree: histograms, observatory ``quantile`` queries and the
+    critical-path blame table all call it.
+    """
+    if not 0.0 <= p <= 100.0:
+        raise ValueError(f"percentile {p} outside [0, 100]")
+    if not sorted_values:
+        return 0.0
+    if len(sorted_values) == 1:
+        return sorted_values[0]
+    rank = (p / 100.0) * (len(sorted_values) - 1)
+    lo = int(rank)
+    hi = min(lo + 1, len(sorted_values) - 1)
+    frac = rank - lo
+    return sorted_values[lo] * (1.0 - frac) + sorted_values[hi] * frac
+
 
 def _label_key(labels: dict[str, Any]) -> tuple[tuple[str, str], ...]:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
@@ -112,40 +134,37 @@ class Histogram(Metric):
             self._sorted = True
         return self._values
 
-    def percentile(self, p: float) -> float:
-        """Exact percentile with linear interpolation between ranks.
+    @property
+    def values(self) -> list[float]:
+        """A copy of every observation, in no promised order (the
+        histogram sorts in place whenever a percentile is asked for)."""
+        return list(self._values)
 
-        ``p`` is in [0, 100]; an empty histogram reports 0.0.
-        """
-        if not 0.0 <= p <= 100.0:
-            raise ValueError(f"percentile {p} outside [0, 100]")
-        values = self._ordered()
-        if not values:
-            return 0.0
-        if len(values) == 1:
-            return values[0]
-        rank = (p / 100.0) * (len(values) - 1)
-        lo = int(rank)
-        hi = min(lo + 1, len(values) - 1)
-        frac = rank - lo
-        return values[lo] * (1.0 - frac) + values[hi] * frac
+    def percentile(self, p: float) -> float:
+        """Exact :func:`percentile` of the observations so far."""
+        return percentile(self._ordered(), p)
 
     def summary(self) -> dict[str, float]:
+        """Every stat a consumer ships; each picks its keys (the exporter
+        p90, the streamed console sample p95)."""
         values = self._ordered()
+        total = float(sum(values))
         return {
             "count": len(values),
-            "sum": self.sum,
-            "mean": self.mean,
+            "sum": total,
+            "mean": total / len(values) if values else 0.0,
             "min": values[0] if values else 0.0,
             "max": values[-1] if values else 0.0,
-            "p50": self.percentile(50.0),
-            "p90": self.percentile(90.0),
-            "p99": self.percentile(99.0),
+            "p50": percentile(values, 50.0),
+            "p90": percentile(values, 90.0),
+            "p95": percentile(values, 95.0),
+            "p99": percentile(values, 99.0),
         }
 
     def describe(self) -> dict[str, Any]:
+        summary = self.summary()
         return {"name": self.name, "type": "histogram", "labels": self.labels,
-                "summary": self.summary()}
+                "summary": {key: summary[key] for key in SUMMARY_KEYS}}
 
 
 class MetricRegistry:

@@ -38,7 +38,8 @@ from repro.util.schema import (
 
 SCHEMA_ID = "repro.telemetry/v1"
 
-_SUMMARY_KEYS = ("count", "sum", "mean", "min", "max", "p50", "p90", "p99")
+#: the stats of :meth:`Histogram.summary` an exported record carries
+SUMMARY_KEYS = ("count", "sum", "mean", "min", "max", "p50", "p90", "p99")
 
 
 class SchemaError(errors.SchemaError):
@@ -61,7 +62,7 @@ validate_metric_name = validator(SchemaError, metric_name)
 LABELS = mapping(string(empty=True))
 
 
-def metric_record(summary_keys: tuple[str, ...] = _SUMMARY_KEYS,
+def metric_record(summary_keys: tuple[str, ...] = SUMMARY_KEYS,
                   counter: Check | None = None) -> Check:
     """One entry of a ``metrics`` list.
 

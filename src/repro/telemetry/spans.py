@@ -136,10 +136,6 @@ class Tracer:
         self.finished: list[Span] = []
 
     # -- ambient context ---------------------------------------------------
-    @property
-    def active(self) -> TraceContext | None:
-        return self._active
-
     def activate(self, ctx: "TraceContext | Span | None"):
         """Install ``ctx`` as the ambient parent; returns the previous one.
 

@@ -113,12 +113,10 @@ class CameraService(GridService):
 class VideoViewer:
     """Observer-side frame sink."""
 
-    _port_ids = IdFactory("video")
-
     def __init__(self, network: Network, host: str):
         self.network = network
         self.host = host
-        self.port = VideoViewer._port_ids()
+        self.port = network.new_port("video")
         self.frames: list[dict] = []
         network.host(host).bind(self.port, self._on_frame)
 

@@ -68,10 +68,6 @@ class Divergence:
     model: object
     live: object
 
-    def describe(self) -> str:
-        """Human-readable one-liner for reports and failures."""
-        return f"{self.path}: model={self.model!r} live={self.live!r}"
-
 
 @dataclass
 class ReplayOutcome:

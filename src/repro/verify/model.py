@@ -194,11 +194,6 @@ class TraceResult:
     #: §7 classification per site for crash schedules (else empty).
     reconcile: dict[str, str]
 
-    @property
-    def ok(self) -> bool:
-        """True when the trace violated no invariant."""
-        return not self.violations
-
 
 _TERMINAL = ("executed", "cancelled", "failed", "rejected")
 

@@ -157,3 +157,142 @@ def test_deployment_construction_is_spelt_once():
         "SubstructurePredictor": {grid},
         "CircuitBreaker": {grid},
     }
+
+
+def test_every_instrument_has_one_owner_and_a_reader():
+    """The hub is the only place a count lives, and nothing is written
+    that nothing reads.
+
+    *A reader.*  Every instrument created in ``src/`` — a ``.counter(`` /
+    ``.gauge(`` / ``.histogram(`` call outside the hub's own package whose
+    result is not read on the spot — has a row of the right kind in
+    ARCHITECTURE's instrument table, the table has no row without an
+    instrument, and the name (for an f-string family: a name under its
+    static prefix) is a string in ``tests/``, ``benchmarks/``,
+    ``scripts/`` or a ``src/`` module other than the creating one.
+
+    *One owner.*  The seven former shadow copies are properties, no
+    ``x.attr += n`` sits next to an instrument update (two commented
+    exemptions), the network never ``repr``-s a payload, and no class
+    owns an ``IdFactory`` (ports number per network, not per process).
+    """
+    import ast
+    import pathlib
+    import re
+
+    src = pathlib.Path(repro.__file__).parent
+    repo = src.parent.parent
+    kinds = {"counter", "gauge", "histogram"}
+    updates = {"inc", "observe", "set", "add"}
+    #: FleetScheduler's campaign totals: state the roll-up publishes, the
+    #: hub series beside them is per tenant (commented where it stands;
+    #: so is TimeSeriesStore.samples_ingested, which this rule never meets)
+    exempt = {("fleet/scheduler.py", "_completed")}
+
+    created = {}   # name ("prefix*" for an f-string family) -> (kind, home)
+    said = {}      # file -> (string constants, static f-string prefixes)
+    shadows, class_factories = [], []
+
+    def listen(where, tree):
+        nodes = list(ast.walk(tree))
+        said[where] = (
+            {n.value for n in nodes
+             if isinstance(n, ast.Constant) and isinstance(n.value, str)},
+            {n.values[0].value for n in nodes
+             if isinstance(n, ast.JoinedStr) and n.values
+             and isinstance(n.values[0], ast.Constant)})
+        return nodes
+
+    def is_update(stmt):
+        return (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)
+                and getattr(stmt.value.func, "attr", "") in updates)
+
+    for path in src.rglob("*.py"):
+        where = path.relative_to(src).as_posix()
+        nodes = listen("src/" + where, ast.parse(path.read_text()))
+        read_on_the_spot = {id(n.value) for n in nodes
+                            if isinstance(n, ast.Attribute)
+                            and n.attr not in updates}
+        for node in nodes:
+            if isinstance(node, ast.ClassDef):
+                class_factories += [
+                    (where, node.name) for stmt in node.body
+                    if isinstance(stmt, ast.Assign)
+                    and isinstance(stmt.value, ast.Call)
+                    and getattr(stmt.value.func, "id", "") == "IdFactory"]
+            for _, block in ast.iter_fields(node):   # body, orelse, ...
+                if not isinstance(block, list):
+                    continue
+                for pair in zip(block, block[1:]):
+                    for bump, update in (pair, pair[::-1]):
+                        if (isinstance(bump, ast.AugAssign)
+                                and isinstance(bump.target, ast.Attribute)
+                                and is_update(update)
+                                and (where, bump.target.attr) not in exempt):
+                            shadows.append((where, bump.target.attr))
+            if (isinstance(node, ast.Call) and id(node) not in read_on_the_spot
+                    and getattr(node.func, "attr", "") in kinds
+                    and path.parent.name != "telemetry"):
+                arg = node.args[0]
+                name = (arg.values[0].value + "*"
+                        if isinstance(arg, ast.JoinedStr) else arg.value)
+                assert created.setdefault(
+                    name, (node.func.attr, "src/" + where)) == \
+                    (node.func.attr, "src/" + where), name
+    for root in ("tests", "benchmarks", "scripts"):
+        for path in (repo / root).rglob("*.py"):
+            listen(path.relative_to(repo).as_posix(),
+                   ast.parse(path.read_text()))
+
+    def answers_to(name, names):
+        """The members of ``names`` that name this instrument (family)."""
+        if not name.endswith("*"):
+            return {name} & names
+        return {n for n in names
+                if n.startswith(name[:-1]) and n != name[:-1]
+                and n not in created}
+
+    def read_in(name, consts, prefixes):
+        """Named outright, or through an f-string such as
+        ``f"coordinator.pipeline.{key}"``."""
+        return answers_to(name, consts) or any(
+            name.rstrip("*").startswith(prefix) and prefix.count(".") > 1
+            for prefix in prefixes)
+
+    # -- a reader -----------------------------------------------------------
+    unread = sorted(name for name, (_, home) in created.items()
+                    if not any(read_in(name, *heard)
+                               for where, heard in said.items()
+                               if where != home))
+    assert not unread, " ".join(unread)
+
+    # -- a row in ARCHITECTURE's table, and no row without an instrument ----
+    doc = (repo / "docs" / "ARCHITECTURE.md").read_text()
+    inventory = doc.split("| instrument | kind |")[1].split("\n\n")[0]
+    table = {}
+    for cell, kind in re.findall(r"^\| `([^`]+)` \| (\w+) \|", inventory,
+                                 re.M):
+        stem, leaves = re.fullmatch(r"([^{]*)(?:\{(.*)\})?", cell).groups()
+        table.update((stem + leaf, kind)
+                     for leaf in (leaves or "").split(","))
+    rows = {name: answers_to(name, set(table)) for name in created}
+    assert {name: {table[n] for n in rows[name]} for name in created} == \
+        {name: {kind} for name, (kind, _) in created.items()}
+    assert set(table) == set().union(*rows.values())
+
+    # -- one owner ----------------------------------------------------------
+    from repro.monitor import ExperimentMonitor, HealthPublisher
+    from repro.net import CircuitBreaker, Network, RpcClient
+    from repro.nsds import NSDSService
+    from repro.observatory import SLOEvaluator
+
+    assert shadows == []
+    for cls, attr in ((Network, "stats"), (RpcClient, "stats"),
+                      (NSDSService, "pushed"),
+                      (ExperimentMonitor, "samples_seen"),
+                      (HealthPublisher, "published"),
+                      (SLOEvaluator, "alerts_raised"),
+                      (CircuitBreaker, "trips")):
+        assert isinstance(getattr(cls, attr), property), (cls, attr)
+    assert "repr(" not in (src / "net" / "network.py").read_text()
+    assert class_factories == []

@@ -303,6 +303,8 @@ class TestNSDS:
         nsds.ingest(10.0, {"force": 1.0})
         k.run()
         assert recv.received_count("force") == 0
+        assert k.telemetry.counter("nsds.stream.expired_subs",
+                                   service=nsds.service_id).value == 1
 
     def test_daq_to_nsds_wiring(self):
         """The deployment pattern: daq.on_sample(nsds.ingest)."""

@@ -64,7 +64,9 @@ class TestCircuitBreaker:
         assert breaker.state == "closed"
         breaker.record_failure()
         assert breaker.state == "open"
-        assert breaker.trips == 1
+        # the count lives in the hub; the attribute is a view of it
+        assert breaker.trips == 1 == k.telemetry.counter(
+            "net.breaker.trips", site="uiuc").value
         with pytest.raises(BreakerOpen) as excinfo:
             breaker.check()
         assert excinfo.value.site == "uiuc"
@@ -114,6 +116,8 @@ class TestCircuitBreaker:
         assert breaker.allow()
         breaker.record_success()
         assert breaker.state == "closed"
+        assert k.telemetry.counter("net.breaker.probes",
+                                   site="uiuc").value == 2
 
     def test_state_changes_fire_callback_and_telemetry(self):
         k = Kernel()
@@ -177,6 +181,9 @@ class TestDegradedScenario:
         spans = result.degraded_spans()
         assert spans and spans[-1][2] == ("uiuc",)
         assert report.degraded_steps == result.degraded_steps
+        assert report.deployment.kernel.telemetry.counter(
+            "coordinator.failover.degraded_steps",
+            run_id="most-degraded").value == result.degraded_steps
         # never closed — the run may end mid-probe (half_open), but a
         # permanent outage means the site is never won back
         assert report.breakers["uiuc"]["state"] in ("open", "half_open")

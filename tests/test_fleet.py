@@ -179,6 +179,13 @@ class TestFleetCampaign:
         assert summary["completed"] == 8
         assert summary["tenants"] == 4
 
+    def test_pool_telemetry_agrees_with_the_outcomes(self, clean_campaign):
+        grid, _, _, result = clean_campaign
+        waits = grid.kernel.telemetry.histogram("fleet.pool.lease_wait")
+        assert waits.count == grid.kernel.telemetry.counter(
+            "fleet.pool.leases_granted").value == 8
+        assert waits.percentile(100) == result.summary()["lease_wait_max"]
+
     def test_fair_share_bounds_the_completion_ratio(self, clean_campaign):
         _, _, _, result = clean_campaign
         assert result.completion_ratio() <= 1.5
@@ -332,6 +339,7 @@ class TestTenantTelemetryIsolation:
         scoped = registry.get("ada").telemetry
         counter = scoped.counter("fleet.tenant.runs_completed")
         assert counter.labels == {"tenant": "ada"}
+        assert counter.value == 1
 
 
 class TestGsiIdentity:

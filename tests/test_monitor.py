@@ -165,6 +165,9 @@ class TestHealthPublisher:
         assert env.server.service_data.value("health")["status"] == "stopped"
         env.kernel.run(until=100.0)
         assert pub.published == 5  # loop really stopped
+        assert env.kernel.telemetry.counter(
+            "monitor.health.published",
+            source=env.server.service_id).value == 5
 
     def test_backlog_counts_open_transactions(self):
         env = self.make_env()
@@ -284,6 +287,11 @@ class TestMonitorDetectors:
         # and a fresh silence can fire a second stall
         kernel.run(until=280.0)
         assert [a.kind for a in monitor.alerts] == ["stall", "stall"]
+        console = {"service": monitor.service_id}
+        assert kernel.telemetry.counter("monitor.alerts.raised", kind="stall",
+                                        **console).value == 2
+        assert kernel.telemetry.counter("monitor.console.health_updates",
+                                        **console).value == 1
 
     def test_no_stall_when_finished(self):
         kernel, _, _, monitor = monitor_env(
@@ -516,6 +524,11 @@ class TestMonitoredExperiment:
         key = lambda rep: [(a.kind, a.severity, a.site, a.step, a.time)
                            for a in rep.alerts]
         assert key(again) == key(faulted_report)
+        # reply/sink ports are label- and wire-visible: they number per
+        # deployment, so the whole snapshot is a function of the seed
+        snapshot = lambda rep: \
+            rep.deployment.kernel.telemetry.metrics_snapshot()
+        assert snapshot(again) == snapshot(faulted_report)
 
     def test_clean_run_raises_no_alerts(self, clean_report):
         rep = clean_report
@@ -525,6 +538,11 @@ class TestMonitoredExperiment:
         assert rollups["stream"]["received"] > 0
         assert rollups["stream"]["gaps"] == 0
         assert rollups["last_committed_step"] == rep.result.steps_completed
+        console = rep.monitoring.monitor
+        assert console.samples_seen == rollups["stream"]["received"] == \
+            rep.deployment.kernel.telemetry.counter(
+                "monitor.console.samples",
+                service=console.service_id).value
 
     def test_rollups_track_health_and_sites(self, clean_report):
         rollups = clean_report.rollups

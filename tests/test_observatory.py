@@ -592,6 +592,31 @@ class TestSessionIntegration:
         # the drain phase carried the snapshot to the repository
         assert obs.registered_snapshots
 
+    def test_slo_burn_reaches_the_console_and_freezes_the_flight_rings(self):
+        """SLO evaluator → ``ExperimentMonitor.raise_alert`` → the
+        observatory's ``on_alert`` hook → ``record_escalation``: the one
+        path a fake sink cannot cover."""
+        must_burn = SLOSpec(name="no-step-is-free",
+                            metric="coordinator.mspsds.step_time",
+                            selector={"stat": "p95"}, threshold=0.0)
+        outcome = (ExperimentSession(MOSTConfig().scaled(60), run_id="burn")
+                   .with_fault_tolerance().with_anomalies()
+                   .with_observatory(slos=[must_burn])
+                   .run())
+        assert outcome.completed
+        burns = [a for a in outcome.alerts if a.kind == "slo_burn"]
+        assert {a.severity for a in burns} == {"critical", "warning"}
+        assert all(a.detail["slo"] == "no-step-is-free" for a in burns)
+        obs = outcome.observatory
+        hub = outcome.deployment.kernel.telemetry
+        assert obs.slo.alerts_raised == len(burns) == \
+            hub.counter("observatory.slo.alerts").value
+        # every critical alert — the burn and the anomaly's stall — froze
+        # the rings, and the drain carried both to the repository
+        reasons = [snap["reason"] for snap in obs.recorder.snapshots]
+        assert reasons == ["alert:slo_burn", "alert:stall"]
+        assert len(obs.registered_snapshots) == 2
+
     def test_dump_round_trips_through_an_offline_store(self):
         outcome = (ExperimentSession(small(), run_id="obs-dump")
                    .with_fault_tolerance()

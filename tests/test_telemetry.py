@@ -135,8 +135,11 @@ class TestMetrics:
         h.observe(2.0)
         s = h.summary()
         assert s["count"] == 2 and s["sum"] == 3.0
+        # the union of stats; each consumer picks its keys — the exporter
+        # p90, the streamed console sample p95
         assert set(s) == {"count", "sum", "mean", "min", "max",
-                          "p50", "p90", "p99"}
+                          "p50", "p90", "p95", "p99"}
+        assert set(h.describe()["summary"]) == set(s) - {"p95"}
 
     def test_snapshot_is_sorted_and_stringifies_labels(self):
         hub = TelemetryHub()
