@@ -1,22 +1,20 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-# Subsystem smokes: `make <name>-smoke` runs scripts/<name>_smoke.py.
-SMOKES := monitor chaos fleet observatory queue
-SMOKE_TARGETS := $(SMOKES:%=%-smoke)
 BENCH_TARGETS := bench-perf bench-fleet bench-obs bench-queue
-BENCH_SMOKE_TARGETS := $(BENCH_TARGETS:%=%-smoke)
 
-.PHONY: test lint analyze verify verify-smoke smoke $(SMOKE_TARGETS) bench \
-	bench-figures $(BENCH_TARGETS) $(BENCH_SMOKE_TARGETS) validate-bench \
-	twall-names twall-smoke loc check
+.PHONY: test lint analyze verify verify-smoke bench bench-figures \
+	$(BENCH_TARGETS) validate-bench twall-names twall-smoke loc check
 
 test:
 	$(PYTHON) -m pytest -x -q tests/
 
+# ruff (byte-compile fallback), then the repro.analysis pass below.
 lint:
 	sh scripts/lint.sh
 
+# The project-specific static analysis on its own; `make lint` (and so
+# `make check`) already runs it once, through scripts/lint.sh.
 analyze:
 	$(PYTHON) -m repro.analysis src tests examples benchmarks scripts
 
@@ -26,21 +24,20 @@ analyze:
 verify:
 	$(PYTHON) -m repro.verify
 
-# Shortened CI bound: 2 steps, 1 fault per schedule.
+# Shortened bound for a quick local look: 2 steps, 1 fault per schedule
+# (a subset of `verify`, so not part of `check`).
 verify-smoke:
 	$(PYTHON) -m repro.verify --smoke
-
-smoke:
-	$(PYTHON) scripts/smoke.py
-
-$(SMOKE_TARGETS): %-smoke:
-	$(PYTHON) scripts/$*_smoke.py
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # Every figure/table bench once, untimed: the "Measured shape" assertions
-# of EXPERIMENTS.md (F1-F11, T-FT, T-RT, T-CHK, ...) as a gate.
+# of EXPERIMENTS.md (F1-F11, T-FT, T-RT, T-CHK, ...) as a gate.  This is
+# also the short mode of the four committed documents below: each
+# `bench_*` function builds a small document and holds it to its
+# `BENCHES` floors; `bench_stepping_modes` re-measures the full T-PERF
+# document and compares it with the committed file.
 bench-figures:
 	$(PYTHON) -m pytest benchmarks/ -q --benchmark-disable
 
@@ -48,8 +45,7 @@ bench-figures:
 # regenerates the repo-root BENCH_*.json (perf: sequential vs pipelined
 # vs ensemble; fleet: 100 experiments over 8 shared sites; obs: overhead,
 # rollup fidelity, determinism, black box; queue: 60 submissions
-# surviving 3 scheduler kills); `make bench-<name>-smoke` is the
-# shortened CI gate with the same shape, writing benchmarks/out/ only.
+# surviving 3 scheduler kills).
 BENCH_perf := bench_tperf_ntcp.py
 BENCH_fleet := bench_tfleet.py
 BENCH_obs := bench_tobs_observatory.py
@@ -57,9 +53,6 @@ BENCH_queue := bench_tqueue.py
 
 $(BENCH_TARGETS): bench-%:
 	$(PYTHON) benchmarks/$(BENCH_$*)
-
-$(BENCH_SMOKE_TARGETS): bench-%-smoke:
-	$(PYTHON) benchmarks/$(BENCH_$*) --smoke
 
 validate-bench:
 	$(PYTHON) scripts/validate_bench.py
@@ -83,5 +76,6 @@ twall-smoke:
 loc:
 	$(PYTHON) scripts/loc.py $(if $(AGAINST),--against $(AGAINST))
 
-check: lint analyze verify test smoke $(SMOKE_TARGETS) bench-figures \
-	$(BENCH_SMOKE_TARGETS) validate-bench twall-names twall-smoke
+# The gate, and all CI runs: each guarantee is stated once (a tier-1
+# test or a `BENCHES` floor) and reached from here once.
+check: lint verify test bench-figures validate-bench twall-names twall-smoke

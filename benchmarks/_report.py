@@ -96,7 +96,8 @@ def _tenant_runs(total_key: str):
 _STEPPING = obj({
     "config": obj({"n_steps": integer(1), "n_variants": integer(1)}),
     "modes": obj(dict.fromkeys(("sequential", "pipelined", "ensemble"), obj({
-        "steps": integer(1), "variants": integer(1), "wall_time": _POSITIVE,
+        "steps": integer(1), "variants": integer(1),
+        "sim_duration": _POSITIVE,
         "median_step_latency": _POSITIVE, "aggregate_steps_per_s": _POSITIVE,
         "aggregate_variant_steps_per_s": _POSITIVE}))),
     "speedups": obj({"pipelined_aggregate_steps_per_s": number(),
@@ -108,6 +109,9 @@ _STEPPING = obj({
 
 def _stepping_gates(doc: dict, committed: bool) -> str:
     speed = doc["speedups"]
+    for name, mode in doc["modes"].items():
+        assert mode["steps"] == doc["config"]["n_steps"] - 1, \
+            f"{name} run did not complete"
     assert doc["bit_exact"]["pipelined"], "pipelined not bit-exact"
     assert doc["bit_exact"]["ensemble_base_variant"], \
         "ensemble base variant not bit-exact"
@@ -292,8 +296,8 @@ def _queue_gates(doc: dict, committed: bool) -> str:
     fencing, exact = doc["fencing"], doc["exactness"]
     assert campaign["completed"] == config["n_submissions"], \
         "not every submission completed"
-    assert campaign["outstanding"] == 0, \
-        "submissions left outstanding after the campaign"
+    assert campaign["outstanding"] == 0 and campaign["failed"] == 0, \
+        "submissions left outstanding or failed after the campaign"
     assert exact["duplicate_executes"] == 0, \
         "duplicate executes under redelivery"
     assert fencing["stale_accepts"] == 0, "a stale-epoch write was accepted"

@@ -12,7 +12,7 @@ The timed portion is one coordinated MS-PSDS step across three sites.
 import numpy as np
 import pytest
 
-from repro.most import MOSTConfig, run_simulation_only
+from repro.most import ExperimentSession, MOSTConfig
 from repro.structural import (
     CentralDifferencePSD,
     LinearSubstructure,
@@ -27,7 +27,8 @@ from _report import write_report
 
 def bench_f45_most_structure(benchmark):
     config = MOSTConfig().scaled(300)
-    report = run_simulation_only(config)
+    report = ExperimentSession(config, run_id="most-simonly",
+                               simulation_only=True).run()
     result = report.result
     assert result.completed
 

@@ -10,14 +10,14 @@ The timed portion is one displacement command through a specimen.
 
 import numpy as np
 
-from repro.most import MOSTConfig, run_dry_run
+from repro.most import ExperimentSession, MOSTConfig
 
 from _report import write_report
 
 
 def bench_f67_specimens(benchmark):
     config = MOSTConfig().scaled(300)
-    report = run_dry_run(config)
+    report = ExperimentSession(config, run_id="most-dry").run()
     result = report.result
     assert result.completed
     dep = report.deployment

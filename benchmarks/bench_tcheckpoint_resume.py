@@ -23,11 +23,7 @@ in-memory store (build doc -> validate -> serialize -> parse -> validate).
 import numpy as np
 
 from repro.coordinator.state import record_to_payload
-from repro.most import (
-    ExperimentSession,
-    MOSTConfig,
-    run_dry_run,
-)
+from repro.most import ExperimentSession, MOSTConfig
 from repro.most.assembly import build_simulation_only
 from repro.repository import (
     CheckpointPolicy,
@@ -76,7 +72,7 @@ def bench_tcheckpoint_resume(benchmark):
                .with_faults(fail_at_step=45)
                .with_resume(checkpoint_every=10)
                .run())
-    dry = run_dry_run(config)
+    dry = ExperimentSession(config, run_id="most-dry").run()
     aborted = resumed.aborted_result
     merged, clean = resumed.result, dry.result
     lines += ["[2] abort at the fatal step, resume from the repository",

@@ -18,31 +18,31 @@ properties the fleet exists to provide:
 4. **Authorization** — an identity the fleet never admitted is refused
    by GSI authorization on the pool sites with a ``SecurityError``.
 
-Run as a script (``make bench-fleet``) it emits the schema-validated
-comparison document ``BENCH_tfleet.json`` at the repo root; ``--smoke``
-runs a shortened campaign and writes to ``benchmarks/out/`` instead.
-Every figure is *simulated* seconds on the deterministic kernel, so the
-document is bit-identical run to run — safe to commit and diff.
+Run as a script (``make bench-fleet``) it emits the comparison document
+``BENCH_tfleet.json`` at the repo root; under pytest (``make
+bench-figures``) ``bench_tfleet`` is the short mode.  Either way the
+floors are the ``tfleet`` row of ``_report.BENCHES`` — this module builds
+the document and judges nothing.  Every figure is *simulated* seconds on
+the deterministic kernel, so the document is bit-identical run to run —
+safe to commit and diff.
 """
 
 import pathlib
-import sys
 
 import numpy as np
 
 from repro.fleet import (
-    ExperimentRequest,
     FleetScheduler,
     SitePool,
     TenantRegistry,
     build_fleet_grid,
     solo_displacement_history,
+    tenant_sweep,
 )
 from repro.net import RemoteException
 
 from _report import (
     BENCH_SCHEMA_ID,
-    OUT_DIR,
     check_bench,
     write_bench,
     write_metrics,
@@ -54,26 +54,6 @@ BENCH_DOC = REPO_ROOT / "BENCH_tfleet.json"
 
 #: max/min tenant completion-time ratio the campaign must stay under
 FAIRNESS_BOUND = 1.5
-
-
-def _campaign_requests(n_tenants: int, runs_per_tenant: int, *,
-                       n_steps: int, sites_per_lease: int
-                       ) -> list[ExperimentRequest]:
-    """The campaign's request list: a deterministic intensity sweep.
-
-    Each tenant sweeps a distinct ground-motion intensity, so tenants'
-    physics differ (a shared-state leak between them could not hide) and
-    the bit-exactness check is per-tenant meaningful.
-    """
-    requests = []
-    for i in range(n_tenants):
-        tenant = f"t{i:02d}"
-        scale = 0.75 + 0.5 * i / max(n_tenants - 1, 1)
-        for run in range(runs_per_tenant):
-            requests.append(ExperimentRequest(
-                tenant=tenant, run_id=f"{tenant}-r{run}", n_steps=n_steps,
-                n_sites=sites_per_lease, motion_scale=scale))
-    return requests
 
 
 def _probe_unauthorized(grid, registry) -> bool:
@@ -96,25 +76,18 @@ def run_fleet_campaign(*, n_sites: int = 8, n_tenants: int = 20,
                        runs_per_tenant: int = 5, n_steps: int = 10,
                        sites_per_lease: int = 2,
                        bound: float = FAIRNESS_BOUND) -> tuple:
-    """Run the campaign; return (validated document, telemetry hub)."""
+    """Run the campaign; return (document, telemetry hub)."""
     grid = build_fleet_grid(n_sites)
     pool = SitePool(grid.kernel, grid.sites.values())
     registry = TenantRegistry(grid)
     fleet = FleetScheduler(grid, pool, registry)
-    requests = _campaign_requests(n_tenants, runs_per_tenant,
-                                  n_steps=n_steps,
-                                  sites_per_lease=sites_per_lease)
+    requests = tenant_sweep(n_tenants, runs_per_tenant, n_steps=n_steps,
+                            n_sites=sites_per_lease)
     for request in requests:
         fleet.submit(request)
     result = fleet.run()
-
     per_tenant = result.per_tenant()
     summary = result.summary()
-    assert summary["completed"] == len(requests), \
-        f"only {summary['completed']}/{len(requests)} runs completed"
-    for tenant, stats in per_tenant.items():
-        assert stats["duplicate_executes"] == 0, \
-            f"tenant {tenant}: duplicate executes on shared sites"
 
     # Numerical isolation: each tenant's runs share one request shape, so
     # one solo reference per tenant covers all of its fleet runs.
@@ -126,15 +99,7 @@ def run_fleet_campaign(*, n_sites: int = 8, n_tenants: int = 20,
         if not np.array_equal(outcome.result.displacement_history(),
                               solo[outcome.tenant]):
             mismatches += 1
-    bit_exact = mismatches == 0
-    assert bit_exact, f"{mismatches} fleet histories differ from solo runs"
-
-    rejected = _probe_unauthorized(grid, registry)
-    assert rejected, "outsider NTCP call was not refused by GSI authz"
-
     ratio = result.completion_ratio()
-    assert ratio <= bound, \
-        f"completion ratio {ratio:.2f} exceeds fairness bound {bound}"
 
     payload = {
         "schema": BENCH_SCHEMA_ID,
@@ -157,9 +122,10 @@ def run_fleet_campaign(*, n_sites: int = 8, n_tenants: int = 20,
                      "lease_wait_max": stats["lease_wait_max"],
                      "duplicate_executes": stats["duplicate_executes"]}
             for tenant, stats in sorted(per_tenant.items())},
-        "bit_exact": {"solo_vs_fleet": bit_exact,
+        "bit_exact": {"solo_vs_fleet": mismatches == 0,
                       "tenants_checked": len(solo)},
-        "security": {"unauthorized_rejected": rejected},
+        "security": {"unauthorized_rejected":
+                     _probe_unauthorized(grid, registry)},
     }
     return payload, grid.kernel.telemetry
 
@@ -218,19 +184,11 @@ def bench_tfleet(benchmark):
     benchmark.pedantic(short_campaign, rounds=3, iterations=1)
 
 
-def main(argv=None) -> int:
-    """``make bench-fleet`` entry point (``--smoke`` for the CI gate)."""
-    argv = sys.argv[1:] if argv is None else argv
-    smoke = "--smoke" in argv
-    if smoke:
-        payload, hub = run_fleet_campaign(n_sites=4, n_tenants=4,
-                                          runs_per_tenant=3, n_steps=8)
-        path = OUT_DIR / "BENCH_tfleet.smoke.json"
-    else:
-        payload, hub = run_fleet_campaign()
-        path = BENCH_DOC
+def main() -> int:
+    """``make bench-fleet``: the full campaign, written to the repo root."""
+    payload, hub = run_fleet_campaign()
     print("\n".join(_fleet_report(payload)))
-    write_bench(path, payload, committed=not smoke)
+    write_bench(BENCH_DOC, payload, committed=True)
     write_metrics("tfleet", hub)
     return 0
 

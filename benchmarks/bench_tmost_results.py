@@ -15,13 +15,7 @@ The timed portion is the full dry run.
 
 import numpy as np
 
-from repro.most import (
-    ExperimentSession,
-    MOSTConfig,
-    run_dry_run,
-    run_simulation_only,
-    run_with_fault_tolerance,
-)
+from repro.most import ExperimentSession, MOSTConfig
 
 from _report import write_report
 
@@ -30,13 +24,18 @@ def bench_tmost_results(benchmark):
     config = MOSTConfig()  # the real thing: 1,500 steps
     assert config.n_steps == 1500
 
-    sim = run_simulation_only(config)
-    dry = run_dry_run(config)
+    sim = ExperimentSession(config, run_id="most-simonly",
+                            simulation_only=True).run()
+    dry = ExperimentSession(config, run_id="most-dry").run()
     pub = (ExperimentSession(config, run_id="most-public")
            .with_observers()
            .with_faults()
            .run())
-    ft = run_with_fault_tolerance(config)
+    ft = (ExperimentSession(config, run_id="most-ft")
+          .with_metadata(False)
+          .with_faults()
+          .with_fault_tolerance()
+          .run())
 
     # -- paper claims, asserted -------------------------------------------------
     assert dry.result.completed
@@ -92,6 +91,6 @@ def bench_tmost_results(benchmark):
     write_report("tmost_results", lines)
 
     def full_dry_run():
-        run_dry_run(config)
+        ExperimentSession(config, run_id="most-dry").run()
 
     benchmark.pedantic(full_dry_run, rounds=3, iterations=1)

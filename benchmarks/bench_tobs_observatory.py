@@ -21,12 +21,13 @@ scripted abort campaign:
 
 The timed portion is one steady-state observatory tick over a populated
 store: an SLO sweep plus a range query with pooled-quantile aggregation.
+``run_bench`` measures and builds the ``BENCH_tobs.json`` document; the
+floors it must meet are the ``tobs`` row of ``_report.BENCHES``.
 """
 
 import json
 import math
 import pathlib
-import sys
 
 from repro.monitor import attach_monitoring
 from repro.most import ExperimentSession, MOSTConfig
@@ -35,7 +36,6 @@ from repro.observatory import attach_observatory
 
 from _report import (
     BENCH_SCHEMA_ID,
-    OUT_DIR,
     check_bench,
     write_bench,
     write_report,
@@ -50,9 +50,7 @@ STREAM_INTERVAL = 5.0  # flush often enough to finalize r10 buckets
 OVERHEAD_BOUND = 0.10
 FAULT_SITE = "uiuc"
 
-# The canonical determinism probe.  Deliberately a stat series: the
-# nsds.receiver gap counters carry a process-global port label, so two
-# runs in one interpreter would disagree on labels, not on data.
+# The canonical determinism probe.
 CANONICAL_QUERY = {
     "metric": "coordinator.mspsds.step_time",
     "selector": {"stat": "p95"},
@@ -131,8 +129,10 @@ def abort_campaign(run_id: str):
             obs.postmortem(run_id))
 
 
-def run_bench(lines):
-    """The full T-OBS measurement; returns the bench payload."""
+def run_bench():
+    """The full T-OBS measurement: (document, observed store, report)."""
+    lines = ["Grid-observatory overhead and fidelity "
+             f"(simulation-only rehearsal, {N_STEPS} steps)", ""]
     off_p50, _ = rehearsal_trial(observed=False)
     on_p50, obs = rehearsal_trial(observed=True)
     overhead = (on_p50 - off_p50) / off_p50
@@ -140,15 +140,11 @@ def run_bench(lines):
               f"    observatory off: {off_p50:8.3f} s/step",
               f"    observatory on : {on_p50:8.3f} s/step "
               f"({overhead:+.2%})"]
-    assert abs(overhead) <= OVERHEAD_BOUND, \
-        f"observatory must not perturb the run: {overhead:+.2%}"
 
     checked, consistent = check_rollups(obs.store)
     lines += ["", "[2] rollup fidelity (r10 recomputed from raw)",
               f"    series checked : {checked}",
               f"    consistent     : {consistent}"]
-    assert checked >= 1, "no series accumulated a finalized r10 bucket"
-    assert consistent, "rollup buckets disagree with their raw points"
 
     first = abort_campaign("tobs-abort")
     second = abort_campaign("tobs-abort")
@@ -157,8 +153,6 @@ def run_bench(lines):
     lines += ["", "[3] determinism across identical abort campaigns",
               f"    canonical query doc identical : {query_identical}",
               f"    postmortem text identical     : {postmortem_identical}"]
-    assert query_identical, "query documents must be reproducible"
-    assert postmortem_identical, "postmortems must be reproducible"
 
     outcome, _, timeline = first
     result = outcome.result
@@ -174,9 +168,6 @@ def run_bench(lines):
               f"{names_both}"]
     lines += ["    --- first timeline lines ---"]
     lines += ["    " + line for line in timeline.splitlines()[:4]]
-    assert snapshot["reason"] == "abort"
-    assert events >= 1
-    assert names_both, "the postmortem must name the faulted site + step"
 
     return {
         "schema": BENCH_SCHEMA_ID,
@@ -194,13 +185,11 @@ def run_bench(lines):
                    "faulted_site": FAULT_SITE,
                    "snapshot_events": events,
                    "timeline_names_site_and_step": names_both},
-    }, obs
+    }, obs, lines
 
 
 def bench_tobs_observatory(benchmark):
-    lines = ["Grid-observatory overhead and fidelity "
-             f"(simulation-only rehearsal, {N_STEPS} steps)", ""]
-    payload, obs = run_bench(lines)
+    payload, obs, lines = run_bench()
     check_bench(payload, committed=False)
     write_report("tobs_observatory", lines)
 
@@ -213,15 +202,11 @@ def bench_tobs_observatory(benchmark):
     benchmark(observatory_tick)
 
 
-def main(argv=None):
-    args = list(sys.argv[1:] if argv is None else argv)
-    smoke = "--smoke" in args
-    lines = ["Grid-observatory overhead and fidelity "
-             f"(simulation-only rehearsal, {N_STEPS} steps)", ""]
-    payload, _ = run_bench(lines)
+def main() -> int:
+    """``make bench-obs``: the measurement, written to the repo root."""
+    payload, _, lines = run_bench()
     write_report("tobs_observatory", lines)
-    write_bench(OUT_DIR / "BENCH_tobs.smoke.json" if smoke else BENCH_DOC,
-                payload, committed=not smoke)
+    write_bench(BENCH_DOC, payload, committed=True)
     return 0
 
 

@@ -21,20 +21,26 @@ the queue exists to provide:
    equals the same campaign run with no crashes at all: recovery through
    checkpoints on disjoint sites changes nothing numerically.
 
-Run as a script (``make bench-queue``) it emits the schema-validated
-document ``BENCH_tqueue.json`` at the repo root; ``--smoke`` runs a
-shortened campaign and writes to ``benchmarks/out/`` instead.  Every
-figure is *simulated* seconds on the deterministic kernel, so the
-document is bit-identical run to run — safe to commit and diff.
+Run as a script (``make bench-queue``) it emits the document
+``BENCH_tqueue.json`` at the repo root; under pytest (``make
+bench-figures``) ``bench_tqueue`` is the short mode.  Either way the
+floors are the ``tqueue`` row of ``_report.BENCHES`` — this module builds
+the document and judges nothing.  Every figure is *simulated* seconds on
+the deterministic kernel, so the document is bit-identical run to run —
+safe to commit and diff.
 """
 
 import pathlib
-import sys
 
 import numpy as np
 
 from repro.chaos import make_scheduler_crash_plan
-from repro.fleet import SitePool, TenantRegistry, build_fleet_grid
+from repro.fleet import (
+    SitePool,
+    TenantRegistry,
+    build_fleet_grid,
+    tenant_sweep,
+)
 from repro.queue import (
     ExperimentQueue,
     FencingAuthority,
@@ -46,7 +52,6 @@ from repro.queue import (
 
 from _report import (
     BENCH_SCHEMA_ID,
-    OUT_DIR,
     check_bench,
     write_bench,
     write_metrics,
@@ -55,27 +60,6 @@ from _report import (
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH_DOC = REPO_ROOT / "BENCH_tqueue.json"
-
-
-def _campaign_submissions(n_tenants: int, runs_per_tenant: int, *,
-                          n_steps: int, checkpoint_every: int
-                          ) -> list[QueueSubmission]:
-    """The campaign's submission list: a deterministic intensity sweep.
-
-    Mirrors T-FLEET's shape so the two benches exercise the same physics:
-    each tenant sweeps a distinct ground-motion intensity, making the
-    bit-exactness check per-tenant meaningful.
-    """
-    submissions = []
-    for i in range(n_tenants):
-        tenant = f"t{i:02d}"
-        scale = 0.75 + 0.5 * i / max(n_tenants - 1, 1)
-        for run in range(runs_per_tenant):
-            submissions.append(QueueSubmission(
-                submission_id=f"{tenant}-r{run}", tenant=tenant,
-                n_steps=n_steps, n_sites=1, motion_scale=scale,
-                checkpoint_every=checkpoint_every))
-    return submissions
 
 
 def _run_campaign(submissions, *, n_sites: int, crash_times=(),
@@ -100,9 +84,12 @@ def run_queue_campaign(*, n_sites: int = 8, n_tenants: int = 12,
                        takeover_delay: float = 25.0,
                        seed: int = 11) -> tuple:
     """Run crashed + uncrashed campaigns; return (document, telemetry)."""
-    submissions = _campaign_submissions(
-        n_tenants, runs_per_tenant, n_steps=n_steps,
-        checkpoint_every=checkpoint_every)
+    # T-FLEET's sweep, one site per lease, so the two benches exercise
+    # the same physics.
+    submissions = [QueueSubmission.from_request(request)
+                   for request in tenant_sweep(
+                       n_tenants, runs_per_tenant, n_steps=n_steps,
+                       n_sites=1, checkpoint_every=checkpoint_every)]
 
     # The uncrashed reference: same submissions, one incarnation, fast
     # in-memory journal.  Its histories are the bit-exactness oracle and
@@ -132,27 +119,13 @@ def run_queue_campaign(*, n_sites: int = 8, n_tenants: int = 12,
     summary = result.summary()
 
     n_submissions = len(submissions)
-    assert summary["submissions"] == n_submissions, \
-        f"dedupe failed: {summary['submissions']} != {n_submissions}"
-    assert summary["completed"] == n_submissions, \
-        f"only {summary['completed']}/{n_submissions} completed"
-    assert summary["outstanding"] == 0 and summary["failed"] == 0
-    assert summary["duplicate_executes"] == 0, \
-        f"{summary['duplicate_executes']} duplicate executes"
-    assert summary["stale_accepts"] == 0, "a stale epoch write was accepted"
-
     by_epoch = result.fencing["refusals_by_epoch"]
-    crash_epochs = list(range(1, len(crash_times) + 1))
-    unrefused = [e for e in crash_epochs if by_epoch.get(e, 0) < 1]
-    assert not unrefused, \
-        f"crash epochs with no fencing refusal: {unrefused}"
+    unrefused = [epoch for epoch in range(1, len(crash_times) + 1)
+                 if by_epoch.get(epoch, 0) < 1]
     refusal_paths = sorted({r["path"] for r in result.fencing["refusals"]})
-
     histories = result.histories()
     mismatches = [run_id for run_id, base in base_histories.items()
                   if not np.array_equal(histories.get(run_id), base)]
-    assert not mismatches, \
-        f"{len(mismatches)} histories differ from the uncrashed run"
 
     payload = {
         "schema": BENCH_SCHEMA_ID,
@@ -243,20 +216,11 @@ def bench_tqueue(benchmark):
     benchmark.pedantic(short_campaign, rounds=3, iterations=1)
 
 
-def main(argv=None) -> int:
-    """``make bench-queue`` entry point (``--smoke`` for the CI gate)."""
-    argv = sys.argv[1:] if argv is None else argv
-    smoke = "--smoke" in argv
-    if smoke:
-        payload, hub = run_queue_campaign(n_sites=4, n_tenants=4,
-                                          runs_per_tenant=3, n_steps=10,
-                                          n_crashes=2, takeover_delay=8.0)
-        path = OUT_DIR / "BENCH_tqueue.smoke.json"
-    else:
-        payload, hub = run_queue_campaign()
-        path = BENCH_DOC
+def main() -> int:
+    """``make bench-queue``: the full campaign, written to the repo root."""
+    payload, hub = run_queue_campaign()
     print("\n".join(_queue_report(payload)))
-    write_bench(path, payload, committed=not smoke)
+    write_bench(BENCH_DOC, payload, committed=True)
     write_metrics("tqueue", hub)
     return 0
 

@@ -20,7 +20,7 @@ Run:  python examples/checkpoint_resume.py
 
 import numpy as np
 
-from repro.most import ExperimentSession, MOSTConfig, run_dry_run
+from repro.most import ExperimentSession, MOSTConfig
 
 
 def main() -> None:
@@ -45,7 +45,7 @@ def main() -> None:
           f"{merged.target_steps} steps, completed={merged.completed}\n")
 
     print("[2] the resumed run is bit-identical to an uninterrupted one")
-    dry = run_dry_run(config).result
+    dry = ExperimentSession(config, run_id="most-dry").run().result
     disp_equal = np.array_equal(merged.displacement_history(),
                                 dry.displacement_history())
     force_equal = np.array_equal(merged.force_history(),

@@ -15,8 +15,6 @@ import sys
 import numpy as np
 
 from repro import ExperimentSession, MOSTConfig
-from repro.most import run_dry_run, run_simulation_only, \
-    run_with_fault_tolerance
 
 
 def hours(seconds: float) -> str:
@@ -31,13 +29,14 @@ def main() -> None:
     print("=" * 78)
 
     print("\n[1/4] distributed simulation-only rehearsal ...")
-    sim = run_simulation_only(config)
+    sim = ExperimentSession(config, run_id="most-simonly",
+                            simulation_only=True).run()
     print(f"      completed {sim.result.steps_completed}/"
           f"{sim.result.target_steps} steps in "
           f"{hours(sim.result.wall_duration)} of simulated wall time")
 
     print("\n[2/4] hybrid dry run (UIUC + CU physical, NCSA numerical) ...")
-    dry = run_dry_run(config)
+    dry = ExperimentSession(config, run_id="most-dry").run()
     r = dry.result
     print(f"      completed {r.steps_completed}/{r.target_steps} steps, "
           f"{hours(r.wall_duration)}, "
@@ -61,7 +60,11 @@ def main() -> None:
           f"CHEF; {pub.stream_samples_pushed} NSDS samples streamed")
 
     print("\n[4/4] counterfactual: fault-tolerant coordinator, same faults ...")
-    ft = run_with_fault_tolerance(config)
+    ft = (ExperimentSession(config, run_id="most-ft")
+          .with_metadata(False)
+          .with_faults()
+          .with_fault_tolerance()
+          .run())
     r = ft.result
     print(f"      completed {r.steps_completed}/{r.target_steps} steps with "
           f"{r.recoveries} step-level recoveries "

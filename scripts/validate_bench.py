@@ -1,8 +1,7 @@
 #!/usr/bin/env python
 """Validate the committed benchmark comparison documents.
 
-Checks every ``BENCH_*.json`` at the repo root (and the smoke-mode
-documents under ``benchmarks/out/``, when present) against the
+Checks every ``BENCH_*.json`` at the repo root against the
 ``repro.bench/v1`` shape of its experiment, and re-asserts the floors
 each document exists to witness — both read from the one table the
 benches themselves write through (``benchmarks/_report.py``
@@ -38,7 +37,7 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 
-from _report import BENCHES, check_bench  # noqa: E402
+from _report import check_bench  # noqa: E402
 
 
 def main() -> int:
@@ -47,12 +46,9 @@ def main() -> int:
         print("no BENCH_*.json documents at the repo root", file=sys.stderr)
         return 1
     print("validating benchmark documents (repro.bench/v1):")
-    smoke = [ROOT / "benchmarks" / "out" / f"BENCH_{name}.smoke.json"
-             for name in BENCHES]
-    for path in committed + [path for path in smoke if path.exists()]:
-        print(f"  {path.relative_to(ROOT)}: ", end="")
-        summary = check_bench(json.loads(path.read_text()),
-                              committed=path in committed)
+    for path in committed:
+        print(f"  {path.name}: ", end="")
+        summary = check_bench(json.loads(path.read_text()), committed=True)
         print(f"OK ({summary})")
     return 0
 

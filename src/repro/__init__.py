@@ -24,7 +24,7 @@ experiment script needs, importable from the top level::
 
 Everything else remains importable from its subpackage; subpackage paths
 are stable, this module is just the front door.  Start with
-:func:`repro.most.run_dry_run` or ``examples/quickstart.py``.
+:class:`repro.ExperimentSession` or ``examples/quickstart.py``.
 """
 
 __version__ = "1.1.0"
@@ -91,8 +91,6 @@ from repro.most import (
     MOSTConfig,
     SessionResult,
     build_most,
-    run_dry_run,
-    run_simulation_only,
 )
 
 # -- grid observatory --------------------------------------------------------
@@ -177,8 +175,6 @@ __all__ = [
     "ExperimentSession",
     "SessionResult",
     "build_most",
-    "run_dry_run",
-    "run_simulation_only",
     # multi-tenant fleet
     "ExperimentRequest",
     "FleetResult",

@@ -14,10 +14,11 @@ The multi-tenant extension applies the same discipline to fleet runs:
 :func:`make_fleet_outage_plan` draws seeded outages on *shared* pool
 sites, :func:`arm_fleet_outages` installs them on a fleet grid, and
 :func:`check_fleet_invariants` re-judges every invariant per tenant —
-including bit-exactness against each tenant's solo run.
+including bit-exactness against each tenant's solo run.  Both sweeps
+judge a run by one rule body (``campaign._check_run``); each adds only
+what its layer alone can see — degraded labels, fencing epochs.
 
 The durable-queue extension targets the scheduler itself:
-``make_plan(scheduler_crashes=N)`` adds coordinator-host crash windows,
 :func:`make_scheduler_crash_plan` draws deterministic mid-flight kill
 times for :func:`~repro.queue.scheduler.run_durable_campaign`,
 :func:`make_repo_outage_plan` cuts the coord—repo link under the
@@ -29,7 +30,6 @@ ever accepted.
 from repro.chaos.campaign import (
     CHAOS_KINDS,
     CHAOS_SITES,
-    SCHEDULER_CRASH,
     ChaosCampaign,
     ChaosEvent,
     ChaosPlan,
@@ -52,7 +52,6 @@ __all__ = [
     "ChaosRunReport",
     "CHAOS_KINDS",
     "CHAOS_SITES",
-    "SCHEDULER_CRASH",
     "FleetOutage",
     "arm_fleet_outages",
     "arm_plan",

@@ -43,16 +43,12 @@ from repro.most.session import arm_at_step, default_most_fault_policy
 from repro.net.rpc import RpcRequest
 from repro.util.errors import ConfigurationError
 
-#: fault vocabulary a plan draws from (site-targeted unless noted).
-#: ``scheduler_crash`` is deliberately NOT in this tuple: the per-event
+#: fault vocabulary a plan draws from, all site-targeted.  The per-event
 #: kind draw indexes ``rng.integers(len(CHAOS_KINDS))``, so growing the
-#: tuple would silently reshuffle every existing seed's schedule.
-#: Scheduler crashes are opted into via ``make_plan(scheduler_crashes=N)``
-#: and drawn *after* the base events, leaving old seeds bit-identical.
+#: tuple would silently reshuffle every existing seed's schedule (a
+#: scheduler's death is :func:`make_scheduler_crash_plan`, not a kind).
 CHAOS_KINDS = ("transient_drop", "duplicate", "reorder", "corrupt",
                "jitter", "crash", "outage")
-#: the opt-in coordinator-host fault kind (see CHAOS_KINDS note)
-SCHEDULER_CRASH = "scheduler_crash"
 #: sites a plan may target
 CHAOS_SITES = ("uiuc", "cu", "ncsa")
 
@@ -95,8 +91,7 @@ class ChaosPlan:
 
 
 def make_plan(seed: int, config: MOSTConfig, *, n_events: int = 5,
-              force_failover: bool = False,
-              scheduler_crashes: int = 0) -> ChaosPlan:
+              force_failover: bool = False) -> ChaosPlan:
     """Draw a deterministic fault schedule from ``seed``.
 
     Faults land on steps in the middle 80% of the run (step 0 and the
@@ -105,15 +100,10 @@ def make_plan(seed: int, config: MOSTConfig, *, n_events: int = 5,
     one out — the point of a recoverable campaign is that it recovers.
     With ``force_failover`` the plan ends in a permanent outage at the
     paper's fatal fraction of the run, so only surrogate failover can
-    finish the experiment.  ``scheduler_crashes`` adds that many
-    coordinator-host crash windows (kind ``scheduler_crash``, target
-    ``coord``) — drawn after the base events so existing seeds keep
-    their schedules bit-identical.
+    finish the experiment.
     """
     if n_events < 0:
         raise ConfigurationError("n_events must be >= 0")
-    if scheduler_crashes < 0:
-        raise ConfigurationError("scheduler_crashes must be >= 0")
     rng = np.random.default_rng(seed)
     n_steps = config.n_steps
     lo = max(1, round(n_steps * 0.1))
@@ -138,10 +128,6 @@ def make_plan(seed: int, config: MOSTConfig, *, n_events: int = 5,
         events.append(ChaosEvent(kind=kind, step=step, site=site,
                                  duration=duration, count=count,
                                  magnitude=magnitude))
-    for _ in range(scheduler_crashes):
-        events.append(ChaosEvent(
-            kind=SCHEDULER_CRASH, step=int(rng.integers(lo, hi)),
-            site="coord", duration=float(rng.uniform(20.0, 90.0))))
     events.sort(key=lambda e: (e.step, e.site, e.kind))
     fatal_site = ""
     fatal_step = 0
@@ -178,7 +164,7 @@ def _arm_event(dep: MOSTDeployment, event: ChaosEvent) -> None:
         elif event.kind == "jitter":
             faults.jitter_burst("coord", site, jitter=event.magnitude,
                                 start=now, duration=event.duration)
-        elif event.kind in ("crash", SCHEDULER_CRASH):
+        elif event.kind == "crash":
             faults.crash_host(site, start=now, duration=event.duration)
         elif event.kind == "outage":
             faults.schedule_outage("coord", site, start=now,
@@ -186,10 +172,7 @@ def _arm_event(dep: MOSTDeployment, event: ChaosEvent) -> None:
         else:
             raise ConfigurationError(f"unknown chaos kind {event.kind!r}")
 
-    # Site faults trigger on the marked step's request *arriving* at the
-    # site; a scheduler crash triggers on the coordinator *sending* it.
-    arm_at_step(dep, event.step, site, fire,
-                outbound=event.kind == SCHEDULER_CRASH)
+    arm_at_step(dep, event.step, site, fire)
 
 
 def arm_plan(dep: MOSTDeployment, plan: ChaosPlan) -> None:
@@ -202,62 +185,78 @@ def arm_plan(dep: MOSTDeployment, plan: ChaosPlan) -> None:
                                    duration=float("inf")))
 
 
-def check_invariants(result, dep: MOSTDeployment, *, baseline=None,
-                     failover=None,
-                     expect_completion: bool = True) -> dict[str, Any]:
-    """Judge one chaos run; returns verdicts plus a violations list."""
-    violations: list[str] = []
-    checks: dict[str, bool] = {}
+def _check_run(result, executed: dict[str, int], histories: list[tuple], *,
+               expect_completion: bool, label: str,
+               versus: str) -> tuple[dict[str, bool], list[str]]:
+    """The per-run rules, once, under both sweeps: (checks, violations).
 
-    completed_ok = result.completed if expect_completion else True
-    checks["completed"] = completed_ok
-    if not completed_ok:
+    * the run completed (when ``expect_completion``);
+    * its commit sequence is contiguous and strictly monotone;
+    * at-most-once: on a completed run every entry of ``executed`` —
+      first-time executions per site attributable to this run — is
+      exactly committed steps + 1 (the step-0 rest measurement).
+      Duplicate execute *requests* are legal, NTCP absorbs them; each
+      transaction transitions to EXECUTED exactly once;
+    * with zero degraded steps a completed run is bit-exact: every
+      ``(got, expected)`` pair of ``histories`` — this run's against the
+      clean ``versus`` run's, ``[]`` when there is none — is array-equal.
+
+    ``label`` prefixes each violation with the run it is about.
+    """
+    checks: dict[str, bool] = {}
+    violations: list[str] = []
+
+    checks["completed"] = result.completed or not expect_completion
+    if not checks["completed"]:
         violations.append(
-            f"run aborted at step {result.aborted_at_step} "
+            f"{label}aborted at step {result.aborted_at_step} "
             f"({result.aborted_reason})")
 
     sequence = [r.step for r in result.steps]
-    monotone = sequence == list(range(1, len(sequence) + 1))
-    checks["commit_sequence_monotone"] = monotone
-    if not monotone:
-        violations.append(f"commit sequence not contiguous: {sequence[:10]}…")
+    checks["commit_sequence_monotone"] = \
+        sequence == list(range(1, len(sequence) + 1))
+    if not checks["commit_sequence_monotone"]:
+        violations.append(
+            f"{label}commit sequence not contiguous: {sequence[:10]}…")
 
-    # No step physically executed twice: first-time executions across a
-    # site's real server plus any surrogates must equal committed steps
-    # + 1 (the step-0 rest measurement).  Duplicate execute *requests*
-    # are legal — NTCP absorbs them — but each transaction transitions
-    # to EXECUTED exactly once.
-    surrogate_executed: dict[str, int] = {}
-    if failover is not None:
-        for active in failover.active.values():
-            surrogate_executed[active.site] = (
-                surrogate_executed.get(active.site, 0)
-                + active.server.metrics()["executed"])
     expected = len(result.steps) + 1
-    duplicate_executes = 0
-    no_double = True
-    for name, site in dep.sites.items():
-        executed = (site.server.metrics()["executed"]
-                    + surrogate_executed.get(name, 0))
-        duplicate_executes += site.server.metrics()["duplicate_executes"]
-        if result.completed and executed != expected:
-            no_double = False
-            violations.append(
-                f"site {name} executed {executed} transactions, "
-                f"expected {expected}")
-    checks["no_double_execute"] = no_double
+    twice = [f"{label}site {site} executed {count} transactions, "
+             f"expected {expected}"
+             for site, count in executed.items()
+             if result.completed and count != expected]
+    checks["no_double_execute"] = not twice
+    violations += twice
 
-    degraded_steps = result.degraded_steps
-    if baseline is not None and degraded_steps == 0 and result.completed:
-        exact = (np.array_equal(result.displacement_history(),
-                                baseline.displacement_history())
-                 and np.array_equal(result.force_history(),
-                                    baseline.force_history()))
-        checks["bit_exact_vs_baseline"] = exact
+    if histories and result.completed and result.degraded_steps == 0:
+        exact = all(np.array_equal(got, expected)
+                    for got, expected in histories)
+        checks[f"bit_exact_vs_{versus}"] = exact
         if not exact:
             violations.append(
-                "histories differ from the clean baseline despite "
-                "zero degraded steps")
+                f"{label}histories differ from the {versus} run despite "
+                f"zero degraded steps")
+    return checks, violations
+
+
+def check_invariants(result, dep: MOSTDeployment, *, baseline=None,
+                     failover=None) -> dict[str, Any]:
+    """Judge one chaos run; returns verdicts plus a violations list.
+
+    The per-run rules (:func:`_check_run`) over the whole deployment —
+    a site's first-time executions are its real server's plus any
+    surrogate's — and, this sweep's own, the degraded-label check.
+    """
+    executed = {name: site.server.metrics()["executed"]
+                for name, site in dep.sites.items()}
+    if failover is not None:
+        for active in failover.active.values():
+            executed[active.site] += active.server.metrics()["executed"]
+    checks, violations = _check_run(
+        result, executed,
+        [] if baseline is None else [
+            (result.displacement_history(), baseline.displacement_history()),
+            (result.force_history(), baseline.force_history())],
+        expect_completion=True, label="", versus="baseline")
 
     # Degraded labels must exactly track the failover/readmission
     # windows the manager recorded.
@@ -281,8 +280,11 @@ def check_invariants(result, dep: MOSTDeployment, *, baseline=None,
         violations.append("degraded labels disagree with failover events")
 
     return {"checks": checks, "violations": violations,
-            "ok": not violations, "duplicate_executes": duplicate_executes,
-            "degraded_steps": degraded_steps}
+            "ok": not violations,
+            "duplicate_executes": sum(
+                site.server.metrics()["duplicate_executes"]
+                for site in dep.sites.values()),
+            "degraded_steps": result.degraded_steps}
 
 
 @dataclass
@@ -456,24 +458,19 @@ def check_fleet_invariants(outcomes, *, baselines=None,
     ``outcomes`` is an iterable of
     :class:`~repro.fleet.scheduler.TenantOutcome` (from either
     scheduler); ``baselines`` maps ``run_id`` to a solo displacement history
-    (:func:`~repro.fleet.scheduler.solo_displacement_history`).  Checked
-    per outcome:
-
-    * the run completed (when ``expect_completion``);
-    * its commit sequence is contiguous and strictly monotone;
-    * per-lease at-most-once: for a completed, undegraded run, each
-      leased site's ``executed`` delta is exactly committed steps + 1
-      (the step-0 rest measurement) — duplicate execute *requests* are
-      legal, double *execution* is not.  Skipped for a redelivered
-      queue outcome resumed mid-run (``resumed_from_step > 0``): its
-      lease only ever saw the post-resume tail;
-    * bit-exactness against the solo baseline when undegraded.
+    (:func:`~repro.fleet.scheduler.solo_displacement_history`).  Each
+    outcome is judged by the per-run rules (:func:`_check_run`) over its
+    *lease*: the at-most-once count is each leased site's ``executed``
+    delta, and it is skipped for a degraded run (a surrogate served part
+    of it) and for a redelivered queue outcome resumed mid-run
+    (``resumed_from_step > 0``: its lease only ever saw the post-resume
+    tail).
 
     ``fencing`` (a :class:`~repro.queue.fencing.FencingAuthority` or its
-    ``report()`` dict) adds the zombie sweep: **no write from a stale
-    epoch was ever accepted** (``stale_accepts`` must be empty), and
-    every superseded epoch that tried to write was refused at least
-    once.
+    ``report()`` dict) adds this sweep's own rule, the zombie sweep: **no
+    write from a stale epoch was ever accepted** (``stale_accepts`` must
+    be empty), and every superseded epoch that tried to write was
+    refused at least once.
 
     Returns ``{"ok", "violations", "by_run", "duplicate_executes"}``
     plus a ``"fencing"`` summary when a fencing authority was passed.
@@ -482,47 +479,20 @@ def check_fleet_invariants(outcomes, *, baselines=None,
     by_run: dict[str, dict[str, bool]] = {}
     total_duplicates = 0
     for outcome in outcomes:
-        checks: dict[str, bool] = {}
         result = outcome.result
         run = f"{outcome.tenant}/{outcome.run_id}"
-
-        completed_ok = result.completed if expect_completion else True
-        checks["completed"] = completed_ok
-        if not completed_ok:
-            violations.append(
-                f"{run}: aborted at step {result.aborted_at_step} "
-                f"({result.aborted_reason})")
-
-        sequence = [r.step for r in result.steps]
-        monotone = sequence == list(range(1, len(sequence) + 1))
-        checks["commit_sequence_monotone"] = monotone
-        if not monotone:
-            violations.append(
-                f"{run}: commit sequence not contiguous: {sequence[:10]}…")
-
+        whole_lease = (result.degraded_steps == 0
+                       and outcome.resumed_from_step == 0)
+        solo = (baselines or {}).get(outcome.run_id)
+        by_run[run], found = _check_run(
+            result,
+            {site: delta["executed"]
+             for site, delta in outcome.usage.items()} if whole_lease else {},
+            [] if solo is None else [(result.displacement_history(), solo)],
+            expect_completion=expect_completion, label=f"{run}: ",
+            versus="solo")
+        violations += found
         total_duplicates += outcome.duplicate_executes()
-        no_double = True
-        if (result.completed and result.degraded_steps == 0
-                and outcome.resumed_from_step == 0):
-            expected = len(result.steps) + 1
-            for site, delta in outcome.usage.items():
-                if delta["executed"] != expected:
-                    no_double = False
-                    violations.append(
-                        f"{run}: site {site} executed {delta['executed']} "
-                        f"transactions this lease, expected {expected}")
-        checks["no_double_execute"] = no_double
-
-        baseline = (baselines or {}).get(outcome.run_id)
-        if (baseline is not None and result.completed
-                and result.degraded_steps == 0):
-            exact = np.array_equal(result.displacement_history(), baseline)
-            checks["bit_exact_vs_solo"] = exact
-            if not exact:
-                violations.append(
-                    f"{run}: history differs from the solo baseline "
-                    f"despite zero degraded steps")
-        by_run[run] = checks
     verdict: dict[str, Any] = {
         "ok": not violations, "violations": violations,
         "by_run": by_run, "duplicate_executes": total_duplicates}
@@ -564,11 +534,9 @@ def make_scheduler_crash_plan(seed: int, *, n_crashes: int = 3,
     return tuple(float(rng.uniform(*window)) for _ in range(n_crashes))
 
 
-def make_repo_outage_plan(seed: int, *, n_events: int = 2,
-                          window: tuple[float, float] = (10.0, 120.0),
-                          duration: tuple[float, float] = (5.0, 20.0)
-                          ) -> list[FleetOutage]:
-    """Repository outages for a durable campaign (coord—repo link).
+def make_repo_outage_plan(seed: int) -> list[FleetOutage]:
+    """Two seeded repository outages for a durable campaign (the
+    coord—repo link, 5–20 s each, within the first two minutes).
 
     The queue's claim and terminal appends cross this link; the
     :class:`~repro.net.retry.RetryPolicy` on the journal store must ride
@@ -576,5 +544,6 @@ def make_repo_outage_plan(seed: int, *, n_events: int = 2,
     :func:`arm_fleet_outages` — on a fleet grid the repository's host
     name is ``repo``.
     """
-    return make_fleet_outage_plan(seed, ["repo"], n_events=n_events,
-                                  window=window, duration=duration)
+    return make_fleet_outage_plan(seed, ["repo"], n_events=2,
+                                  window=(10.0, 120.0),
+                                  duration=(5.0, 20.0))

@@ -200,26 +200,22 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         make_fleet_outage_plan,
     )
     from repro.fleet import (
-        ExperimentRequest,
         FleetScheduler,
         SitePool,
         TenantRegistry,
         build_fleet_grid,
+        tenant_sweep,
     )
 
     grid = build_fleet_grid(args.sites)
     pool = SitePool(grid.kernel, grid.sites.values())
     registry = TenantRegistry(grid)
     fleet = FleetScheduler(grid, pool, registry)
-    degradation = args.outages > 0 and not args.no_failover
-    for i in range(args.tenants):
-        tenant = f"t{i:02d}"
-        scale = 0.75 + 0.5 * i / max(args.tenants - 1, 1)
-        for run in range(args.runs):
-            fleet.submit(ExperimentRequest(
-                tenant=tenant, run_id=f"{tenant}-r{run}",
-                n_steps=args.steps, n_sites=args.sites_per_lease,
-                motion_scale=scale, degradation=degradation))
+    for request in tenant_sweep(
+            args.tenants, args.runs, n_steps=args.steps,
+            n_sites=args.sites_per_lease,
+            degradation=args.outages > 0 and not args.no_failover):
+        fleet.submit(request)
     plan = None
     if args.outages > 0:
         plan = make_fleet_outage_plan(args.seed, sorted(grid.sites),
@@ -342,6 +338,7 @@ def _cmd_queue_status(args: argparse.Namespace) -> int:
 def _cmd_queue_drain(args: argparse.Namespace) -> int:
     import json
 
+    from repro.chaos import check_fleet_invariants
     from repro.fleet import SitePool, TenantRegistry, build_fleet_grid
     from repro.queue import (
         ExperimentQueue,
@@ -384,15 +381,15 @@ def _cmd_queue_drain(args: argparse.Namespace) -> int:
           f"(stale accepts: {summary['stale_accepts']})")
     print(f"  campaign duration   : {summary['duration']:.1f} s "
           "(simulated)")
+    verdict = check_fleet_invariants(result.outcomes, fencing=result.fencing)
+    for violation in verdict["violations"]:
+        print(f"      ! {violation}")
     if args.json:
         print(json.dumps({"summary": summary,
                           "incarnations": result.incarnations,
                           "queue": result.queue_stats},
                          indent=2, sort_keys=True, default=str))
-    ok = (summary["outstanding"] == 0
-          and summary["duplicate_executes"] == 0
-          and summary["stale_accepts"] == 0)
-    return 0 if ok else 1
+    return 0 if verdict["ok"] else 1
 
 
 def _load_dump(path: str):

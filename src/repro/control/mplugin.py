@@ -175,8 +175,7 @@ class RemotePollBackend:
     """
 
     def __init__(self, network, host: str, plugin_host: str, *,
-                 process_request, poll_interval: float = 0.1,
-                 rpc_timeout: float = 5.0, rpc_retries: int = 3):
+                 process_request, poll_interval: float = 0.1):
         from repro.net.rpc import RpcClient, RpcError
 
         self._rpc_error = RpcError
@@ -185,8 +184,8 @@ class RemotePollBackend:
         self.plugin_host = plugin_host
         self.process_request = process_request
         self.poll_interval = poll_interval
-        self.client = RpcClient(network, host, default_timeout=rpc_timeout,
-                                default_retries=rpc_retries)
+        self.client = RpcClient(network, host, default_timeout=5.0,
+                                default_retries=3)
         self.running = False
         self.requests_served = 0
         self.poll_failures = 0

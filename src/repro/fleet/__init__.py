@@ -46,6 +46,7 @@ from repro.fleet.scheduler import (
     default_fleet_fault_policy,
     drive_request,
     solo_displacement_history,
+    tenant_sweep,
 )
 from repro.fleet.tenants import (
     OUTSIDER_DN,
@@ -73,4 +74,5 @@ __all__ = [
     "drive_request",
     "solo_displacement_history",
     "tenant_subject",
+    "tenant_sweep",
 ]

@@ -93,6 +93,24 @@ class ExperimentRequest:
     pipeline_depth: int = 0
 
 
+def tenant_sweep(n_tenants: int, runs_per_tenant: int,
+                 **request_fields: Any) -> list[ExperimentRequest]:
+    """The campaign the CLI, the T-benches and the tests all drive.
+
+    Tenants ``t00``, ``t01``, … each own ``runs_per_tenant`` runs
+    ``<tenant>-r<k>`` and sweep a distinct ground-motion intensity
+    (``motion_scale`` from 0.75 to 1.25 across the tenants), so tenants'
+    physics differ — a shared-state leak between them could not hide, and
+    a bit-exactness check is per-tenant meaningful.  ``request_fields``
+    go to every :class:`ExperimentRequest`.
+    """
+    return [ExperimentRequest(
+                tenant=f"t{i:02d}", run_id=f"t{i:02d}-r{run}",
+                motion_scale=0.75 + 0.5 * i / max(n_tenants - 1, 1),
+                **request_fields)
+            for i in range(n_tenants) for run in range(runs_per_tenant)]
+
+
 @dataclass
 class TenantOutcome:
     """What one driven request produced: result, lease, attribution.
@@ -303,12 +321,10 @@ class FleetScheduler:
     """
 
     def __init__(self, grid: "FleetGrid", pool: SitePool,
-                 registry: "TenantRegistry", *,
-                 rollup_interval: float = 30.0, monitor: bool = True):
+                 registry: "TenantRegistry", *, monitor: bool = True):
         self.grid = grid
         self.pool = pool
         self.registry = registry
-        self.rollup_interval = rollup_interval
         self.kernel = grid.kernel
         self._requests: list[ExperimentRequest] = []
         self._run_ids: set[str] = set()
@@ -434,9 +450,10 @@ class FleetScheduler:
         }
 
     def _rollup_loop(self) -> Generator[Any, Any, None]:
+        """Refresh the roll-up SDE every 30 simulated seconds."""
         while self._monitoring:
             self.status.publish(self.rollup())
-            yield self.kernel.timeout(self.rollup_interval)
+            yield self.kernel.timeout(30.0)
 
     # -- per-request drive ---------------------------------------------------
     def _drive(self, request: ExperimentRequest

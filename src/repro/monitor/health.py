@@ -87,12 +87,20 @@ def ntcp_health_probe(server) -> Probe:
     """Health probe over an :class:`~repro.core.server.NTCPServer`.
 
     Backlog counts transactions still in a non-terminal state — the
-    paper's "how far behind is this site" question.
+    paper's "how far behind is this site" question — derived from the
+    server's own counters, not a scan of every transaction it has ever
+    seen: each transaction is counted ``proposed`` once and, on reaching
+    a terminal state, exactly one of ``rejected`` / ``executed`` /
+    ``failed`` / ``cancelled``.  (The ``at_most_once=False`` ablation
+    breaks that — its redo counts ``executed`` again, so the difference
+    runs one low per redo; no health publisher is ever attached to an
+    ablated server.)
     """
     def probe() -> dict[str, Any]:
-        backlog = sum(1 for txn in server.transactions.values()
-                      if not txn.state.terminal)
         metrics = server.metrics()
+        backlog = metrics["proposed"] - sum(
+            metrics[key]
+            for key in ("rejected", "executed", "failed", "cancelled"))
         return {"status": "running", "backlog": backlog,
                 "plugin": server.plugin.plugin_type,
                 "detail": {"lastChanged": server.service_data.value(

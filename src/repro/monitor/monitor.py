@@ -228,7 +228,7 @@ class ExperimentMonitor(GridService):
         self._stall_span = self.kernel.telemetry.start_span(
             "monitor.stall.episode", parent=None,
             step=self._last_commit_step)
-        self._raise_alert(
+        self.raise_alert(
             "stall", "critical",
             f"no committed step for {silent:.0f}s "
             f"(last committed step {self._last_commit_step})",
@@ -245,7 +245,7 @@ class ExperimentMonitor(GridService):
             p95 = summary.get("p95", 0.0)
             if site not in self._slow_sites and p95 > th.execute_budget:
                 self._slow_sites.add(site)
-                self._raise_alert(
+                self.raise_alert(
                     "slow_site", "warning",
                     f"site {site} execute p95 {p95:.1f}s over the "
                     f"{th.execute_budget:.1f}s budget",
@@ -264,7 +264,7 @@ class ExperimentMonitor(GridService):
         if top_sum > th.dominance_margin * prev_sum:
             previous = self._dominant
             self._dominant = top_site
-            self._raise_alert(
+            self.raise_alert(
                 "slow_site", "warning",
                 f"dominant site shifted from {previous} to {top_site} "
                 f"(cumulative execute {top_sum:.0f}s vs {prev_sum:.0f}s)",
@@ -288,7 +288,7 @@ class ExperimentMonitor(GridService):
         if not reasons:
             return
         self._stream_alerted = True
-        self._raise_alert(
+        self.raise_alert(
             "stream_health", "warning",
             "metrics stream degraded: " + ", ".join(reasons),
             detail=stats)
@@ -314,7 +314,7 @@ class ExperimentMonitor(GridService):
                     continue
                 if site not in self._breaker_alerted:
                     self._breaker_alerted.add(site)
-                    self._raise_alert(
+                    self.raise_alert(
                         "breaker_open", "warning",
                         f"circuit breaker for site {site} is {state} "
                         f"(trip #{snap.get('trips', 0)}, open for "
@@ -324,7 +324,7 @@ class ExperimentMonitor(GridService):
             for site in sorted(degraded):
                 if site not in self._degraded_alerted:
                     self._degraded_alerted.add(site)
-                    self._raise_alert(
+                    self.raise_alert(
                         "breaker_open", "critical",
                         f"site {site} failed over to its numerical "
                         "surrogate; run continuing in degraded mode",
@@ -347,12 +347,7 @@ class ExperimentMonitor(GridService):
         if receiver is None:
             return None
         received = sum(len(batch) for batch in receiver.samples.values())
-        registry = self.kernel.telemetry.registry
-        labels = {"host": receiver.host, "port": receiver.port}
-        gaps_metric = registry.find("nsds.receiver.gaps", **labels)
-        ooo_metric = registry.find("nsds.receiver.out_of_order", **labels)
-        gaps = gaps_metric.value if gaps_metric is not None else 0
-        out_of_order = ooo_metric.value if ooo_metric is not None else 0
+        gaps, out_of_order = receiver.gap_count, receiver.out_of_order
         lost = max(gaps - out_of_order, 0)
         channels = {channel: {"received": receiver.received_count(channel),
                               "highest_seq": receiver.highest_seq.get(
@@ -370,19 +365,12 @@ class ExperimentMonitor(GridService):
     def raise_alert(self, kind: str, severity: str, message: str, *,
                     site: str | None = None,
                     detail: dict[str, Any] | None = None) -> Alert:
-        """Raise a typed alert on behalf of an external detector.
+        """Raise a typed alert: SDEs, counter, log record, ``on_alert``.
 
-        The observatory's SLO burn-rate evaluator uses this to route its
-        ``slo_burn`` alerts through the console's standard channel —
-        SDEs, counters, and the ``on_alert`` callback all fire exactly
-        as they do for the built-in detectors.
+        The built-in detectors and external ones alike — the
+        observatory's SLO burn-rate evaluator routes its ``slo_burn``
+        alerts through here, the console's one channel.
         """
-        return self._raise_alert(kind, severity, message, site=site,
-                                 detail=detail)
-
-    def _raise_alert(self, kind: str, severity: str, message: str, *,
-                     site: str | None = None,
-                     detail: dict[str, Any] | None = None) -> Alert:
         alert = Alert(alert_id=f"{self.service_id}-{len(self.alerts) + 1:04d}",
                       kind=kind, severity=severity, time=self.kernel.now,
                       step=self._last_commit_step, site=site,

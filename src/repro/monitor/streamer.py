@@ -94,11 +94,11 @@ class TelemetryStreamer:
         self.running = True
         self.kernel.process(self._run(), name=f"streamer.{self.source}")
 
-    def stop(self, *, final_flush: bool = True) -> None:
-        """Stop the loop; by default push one last snapshot first."""
+    def stop(self) -> None:
+        """Stop the loop, pushing one last snapshot first."""
         was_running = self.running
         self.running = False
-        if final_flush and was_running:
+        if was_running:
             self.flush()
 
     def _run(self):

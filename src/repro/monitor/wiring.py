@@ -33,6 +33,9 @@ from repro.ogsi import ServiceContainer, invoke
 from repro.ogsi.notification import NotificationSink
 from repro.ogsi.service import SdeStatusService
 
+#: the kit's subscriptions outlive any run (soft state, never renewed)
+SUBSCRIPTION_LIFETIME = 1e9
+
 #: metric-name prefixes the streamer ships by default — the operational
 #: surface (steps, retries, site latencies, rpc health, stream health)
 DEFAULT_STREAM_PREFIXES = ("coordinator.", "core.server.", "net.rpc.",
@@ -62,13 +65,11 @@ class MonitoringKit:
         self.streamer.start()
         self.monitor.start()
 
-    def watch_coordinator(self, coordinator, *,
-                          interval: float = 10.0) -> HealthPublisher:
+    def watch_coordinator(self, coordinator) -> HealthPublisher:
         """Publish the coordinator's health through the status service."""
         publisher = HealthPublisher(
             coordinator.kernel, self.status.service_data,
-            source="coordinator", probe=coordinator_health_probe(coordinator),
-            interval=interval)
+            source="coordinator", probe=coordinator_health_probe(coordinator))
         self.coordinator_publisher = publisher
         publisher.start()
         return publisher
@@ -85,10 +86,7 @@ class MonitoringKit:
 
 def attach_monitoring(dep, *, thresholds: AlertThresholds | None = None,
                       on_alert: Callable[[Alert], None] | None = None,
-                      health_interval: float = 10.0,
-                      stream_interval: float = 30.0,
-                      tick_interval: float = 15.0,
-                      subscription_lifetime: float = 1e9) -> MonitoringKit:
+                      stream_interval: float = 30.0) -> MonitoringKit:
     """Deploy the console against ``dep`` and wire its subscriptions.
 
     Nothing runs until :meth:`MonitoringKit.start`; the subscription
@@ -115,8 +113,7 @@ def attach_monitoring(dep, *, thresholds: AlertThresholds | None = None,
     # The portal's "ogsi" port belongs to the CHEF container in the full
     # deployment; the console container takes its own port.
     console_container = ServiceContainer(network, "portal", port="monitor")
-    monitor = ExperimentMonitor(thresholds=thresholds,
-                                interval=tick_interval, on_alert=on_alert)
+    monitor = ExperimentMonitor(thresholds=thresholds, on_alert=on_alert)
     console_container.deploy(monitor)
     receiver = NSDSReceiver(network, "portal",
                             callback=monitor.on_stream_sample)
@@ -126,8 +123,7 @@ def attach_monitoring(dep, *, thresholds: AlertThresholds | None = None,
 
     publishers = {name: HealthPublisher(kernel, site.server.service_data,
                                         source=site.server.service_id,
-                                        probe=ntcp_health_probe(site.server),
-                                        interval=health_interval)
+                                        probe=ntcp_health_probe(site.server))
                   for name, site in dep.sites.items()}
 
     rpc = RpcClient(network, "portal", default_timeout=30.0)
@@ -137,18 +133,18 @@ def attach_monitoring(dep, *, thresholds: AlertThresholds | None = None,
             rpc, nsds.handle, "subscribe",
             {"sink_host": "portal", "sink_port": receiver.port,
              "channels": [TelemetryStreamer.CHANNEL],
-             "lifetime": subscription_lifetime})
+             "lifetime": SUBSCRIPTION_LIFETIME})
         yield from rpc.call(
             "coord", "ogsi", "subscribe",
             {"service_id": status.service_id, "sde_name": "health",
              "sink_host": "portal", "sink_port": sink.port,
-             "lifetime": subscription_lifetime})
+             "lifetime": SUBSCRIPTION_LIFETIME})
         for name, site in dep.sites.items():
             yield from rpc.call(
                 name, "ogsi", "subscribe",
                 {"service_id": site.server.service_id, "sde_name": "health",
                  "sink_host": "portal", "sink_port": sink.port,
-                 "lifetime": subscription_lifetime})
+                 "lifetime": SUBSCRIPTION_LIFETIME})
 
     kernel.process(subscribe(), name="monitor-subscriptions")
 

@@ -11,20 +11,15 @@ pseudo-dynamic steps.
   Figure 9 (plus DAQ, NSDS, repository, CHEF, cameras);
 * :class:`~repro.most.session.ExperimentSession` — the composable
   run builder (resume / monitoring / degradation / pipelining /
-  ensembles) behind every scenario;
-* :mod:`~repro.most.scenario` — the runs of §3.4: simulation-only
-  rehearsal, the dry run, the public run (premature exit at step 1493),
-  and the fault-tolerant counterfactual.
+  ensembles) behind every run of §3.4: the simulation-only rehearsal,
+  the dry run, the public run (premature exit at step 1493) and the
+  fault-tolerant counterfactual are each a composition of it (spelt out
+  in ``repro.cli`` ``most`` and ``examples/most_experiment.py``).
 """
 
 from repro.most.config import MOSTConfig
 from repro.most.assembly import MOSTDeployment, build_most
 from repro.most.session import ExperimentSession, SessionResult
-from repro.most.scenario import (
-    run_dry_run,
-    run_simulation_only,
-    run_with_fault_tolerance,
-)
 
 __all__ = [
     "MOSTConfig",
@@ -32,7 +27,4 @@ __all__ = [
     "build_most",
     "ExperimentSession",
     "SessionResult",
-    "run_simulation_only",
-    "run_dry_run",
-    "run_with_fault_tolerance",
 ]

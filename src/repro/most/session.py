@@ -22,8 +22,11 @@ Orthogonal capabilities compose: resume-from-checkpoint
 (:meth:`~ExperimentSession.with_resume`), graceful degradation
 (:meth:`~ExperimentSession.with_degradation`), remote observers
 (:meth:`~ExperimentSession.with_observers`), vectorized ensembles
-(:meth:`~ExperimentSession.with_ensemble`).  The three §3.4 functions
-kept in :mod:`repro.most.scenario` are thin wrappers over this class.
+(:meth:`~ExperimentSession.with_ensemble`).  Each §3.4 run is a
+composition: the dry run is the bare session, the public run adds
+``with_observers().with_faults()``, the fault-tolerant counterfactual
+``with_metadata(False).with_faults().with_fault_tolerance()``, and the
+rehearsal passes ``simulation_only=True``.
 """
 
 from __future__ import annotations
@@ -73,12 +76,10 @@ def default_fail_step(config: MOSTConfig) -> int:
 # Fault-arming helpers (shared with the chaos campaign machinery)
 # ---------------------------------------------------------------------------
 
-def arm_at_step(dep: MOSTDeployment, step: int, site: str, action, *,
-                outbound: bool = False) -> None:
-    """Run ``action()`` once, when step ``step``'s request first crosses
-    ``site`` — arriving there, or with ``outbound`` leaving it (the
-    marker-bearing requests originate at the coordinator; replies carry
-    none).
+def arm_at_step(dep: MOSTDeployment, step: int, site: str, action) -> None:
+    """Run ``action()`` once, when step ``step``'s request first arrives
+    at ``site`` (the marker-bearing requests originate at the
+    coordinator; replies carry none).
 
     Watching the traffic (rather than hardcoding a wall-clock time) makes
     the fault land on exactly the intended step regardless of pacing.
@@ -87,7 +88,7 @@ def arm_at_step(dep: MOSTDeployment, step: int, site: str, action, *,
     armed = [False]
 
     def watch(msg: Message) -> bool:
-        if armed[0] or (msg.src if outbound else msg.dst) != site:
+        if armed[0] or msg.dst != site:
             return False
         payload = msg.payload
         if isinstance(payload, RpcRequest) and marker in str(payload.params):
@@ -292,17 +293,15 @@ class ExperimentSession:
 
     def with_anomalies(self, *, outage_at_step: int | None = None,
                        outage_duration: float = 600.0,
-                       slow_site: str | None = "ncsa",
-                       slow_at_step: int | None = None,
-                       slow_factor: float = 40.0) -> "ExperimentSession":
-        """Arm the monitored-run anomalies: a mid-run outage (default:
-        halfway) and a slow-site drift (default: a quarter in) — the two
-        events the console's detectors exist for."""
+                       slow_at_step: int | None = None
+                       ) -> "ExperimentSession":
+        """Arm the monitored-run anomalies: a mid-run uiuc outage
+        (default: halfway) and the NCSA simulation drifting 40× slower
+        (default: a quarter in) — the two events the console's detectors
+        exist for."""
         self._anomalies = {"outage_at_step": outage_at_step,
                            "outage_duration": outage_duration,
-                           "slow_site": slow_site,
-                           "slow_at_step": slow_at_step,
-                           "slow_factor": slow_factor}
+                           "slow_at_step": slow_at_step}
         return self
 
     # -- observation & participants ---------------------------------------
@@ -339,14 +338,14 @@ class ExperimentSession:
         return self
 
     # -- durability & degradation ------------------------------------------
-    def with_resume(self, store=None, *, checkpoint_every: int = 25,
-                    resume_policy=None) -> "ExperimentSession":
+    def with_resume(self, store=None, *,
+                    checkpoint_every: int = 25) -> "ExperimentSession":
         """Checkpoint into the repository (``store=None`` builds the
         deployment's own store) and, if the run aborts, bring up a second
-        coordinator incarnation that reconciles in-flight transactions
-        and completes the remaining steps."""
-        self._resume = {"store": store, "checkpoint_every": checkpoint_every,
-                        "resume_policy": resume_policy}
+        coordinator incarnation (under :func:`default_most_fault_policy`)
+        that reconciles in-flight transactions and completes the
+        remaining steps."""
+        self._resume = {"store": store, "checkpoint_every": checkpoint_every}
         return self
 
     def with_degradation(self, policy=None, *,
@@ -455,9 +454,8 @@ class ExperimentSession:
             if slow_at_step is None:
                 slow_at_step = max(1, min(round(config.n_steps * 0.25),
                                           config.n_steps - 1))
-            if a["slow_site"] is not None and slow_at_step != outage_at_step:
-                _arm_site_slowdown_at_step(dep, slow_at_step, a["slow_site"],
-                                           a["slow_factor"])
+            if slow_at_step != outage_at_step:
+                _arm_site_slowdown_at_step(dep, slow_at_step, "ncsa", 40.0)
             _arm_fatal_outage_at_step(dep, outage_at_step, site="uiuc",
                                       duration=a["outage_duration"])
         if kit is not None:
@@ -512,8 +510,7 @@ class ExperimentSession:
                 aborted = result
                 second = self._make_coordinator(
                     dep,
-                    fault_policy=(self._resume["resume_policy"]
-                                  or default_most_fault_policy()),
+                    fault_policy=default_most_fault_policy(),
                     state=state, prior_records=prior, **options)
                 result = dep.kernel.run(
                     until=dep.kernel.process(second.run()))

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Generator
 
 from repro.net.network import Message, Network
-from repro.net.retry import RetryPolicy
 from repro.telemetry.spans import TraceContext
 from repro.util.errors import ReproError, SecurityError
 from repro.util.ids import IdFactory
@@ -203,16 +202,12 @@ class RpcClient:
 
     def __init__(self, network: Network, host: str, *,
                  default_timeout: float = 5.0, default_retries: int = 0,
-                 retry_policy: RetryPolicy | None = None,
                  labels: dict[str, str] | None = None):
         self.network = network
         self.kernel = network.kernel
         self.host = host
         self.default_timeout = default_timeout
         self.default_retries = default_retries
-        #: inter-retransmission schedule; ``None`` keeps the classic
-        #: back-to-back retransmit (equivalent to a zero-delay policy)
-        self.retry_policy = retry_policy
         self.reply_port = network.new_port("rpc-reply")
         self._request_ids = IdFactory(f"{host}.req")
         self._pending: dict[str, Any] = {}
@@ -305,11 +300,3 @@ class RpcClient:
                 span.end(ok=False, attempts=attempt + 1, error="timeout")
                 raise RpcTimeout(
                     f"{method} on {dst}:{port} after {retries + 1} attempt(s)")
-            if self.retry_policy is not None:
-                # Space retransmissions per the shared schedule; the
-                # default (no policy) keeps back-to-back retransmits so
-                # existing deployments' event timing is unchanged.
-                delay = self.retry_policy.delay_for(attempt + 1,
-                                                    key=req.request_id)
-                if delay > 0:
-                    yield self.kernel.timeout(delay)

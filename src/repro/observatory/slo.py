@@ -172,36 +172,39 @@ class SLOEvaluator:
         budget = max(1.0 - slo.target, 1e-9)
         return (bad / total) / budget
 
+    def _status(self, slo: SLOSpec, now: float) -> dict[str, Any]:
+        """One SLO's status row: whole-history budget, burn rate per
+        rule, and the rules over their factor.  Reads only."""
+        bad, total = self._events(slo, 0.0, now)
+        bad_fraction = bad / total if total else 0.0
+        budget = max(1.0 - slo.target, 1e-9)
+        burns = {rule.name: self._burn(slo, *self._events(
+                     slo, max(0.0, now - rule.window), now))
+                 for rule in slo.rules}
+        return {"name": slo.name, "tenant": slo.tenant,
+                "events": total, "bad": bad, "bad_fraction": bad_fraction,
+                "budget_remaining":
+                    max(0.0, min(1.0, 1.0 - bad_fraction / budget)),
+                "burn": burns,
+                "firing": [rule.name for rule in slo.rules
+                           if burns[rule.name] > rule.factor]}
+
     def evaluate(self) -> list[dict[str, Any]]:
         """One sweep: burn rates per rule, firing state, typed alerts."""
         now = self.kernel.now
         self._tm_sweeps.inc()
         statuses = []
         for slo in self.slos:
-            bad, total = self._events(slo, 0.0, now)
-            bad_fraction = bad / total if total else 0.0
-            budget = max(1.0 - slo.target, 1e-9)
-            remaining = max(0.0, min(1.0, 1.0 - bad_fraction / budget))
-            burns: dict[str, float] = {}
-            firing: list[str] = []
+            status = self._status(slo, now)
             for rule in slo.rules:
-                w_bad, w_total = self._events(
-                    slo, max(0.0, now - rule.window), now)
-                burn = self._burn(slo, w_bad, w_total)
-                burns[rule.name] = burn
                 key = (slo.name, rule.name)
-                if burn > rule.factor:
-                    firing.append(rule.name)
-                    if key not in self._firing:
-                        self._firing.add(key)
-                        self._raise(slo, rule, burn, remaining)
-                else:
+                if rule.name not in status["firing"]:
                     self._firing.discard(key)
-            statuses.append({"name": slo.name, "tenant": slo.tenant,
-                             "events": total, "bad": bad,
-                             "bad_fraction": bad_fraction,
-                             "budget_remaining": remaining,
-                             "burn": burns, "firing": firing})
+                elif key not in self._firing:
+                    self._firing.add(key)
+                    self._raise(slo, rule, status["burn"][rule.name],
+                                status["budget_remaining"])
+            statuses.append(status)
         return statuses
 
     def _raise(self, slo: SLOSpec, rule: BurnRateRule, burn: float,
@@ -228,27 +231,7 @@ class SLOEvaluator:
     def evaluate_quiet(self) -> list[dict[str, Any]]:
         """Status dicts without mutating firing state or raising alerts."""
         now = self.kernel.now
-        statuses = []
-        for slo in self.slos:
-            bad, total = self._events(slo, 0.0, now)
-            bad_fraction = bad / total if total else 0.0
-            budget = max(1.0 - slo.target, 1e-9)
-            remaining = max(0.0, min(1.0, 1.0 - bad_fraction / budget))
-            burns = {}
-            firing = []
-            for rule in slo.rules:
-                w_bad, w_total = self._events(
-                    slo, max(0.0, now - rule.window), now)
-                burn = self._burn(slo, w_bad, w_total)
-                burns[rule.name] = burn
-                if burn > rule.factor:
-                    firing.append(rule.name)
-            statuses.append({"name": slo.name, "tenant": slo.tenant,
-                             "events": total, "bad": bad,
-                             "bad_fraction": bad_fraction,
-                             "budget_remaining": remaining,
-                             "burn": burns, "firing": firing})
-        return statuses
+        return [self._status(slo, now) for slo in self.slos]
 
     def budget_for_tenant(self, tenant: str) -> float:
         """The minimum budget remaining across a tenant's SLOs (1.0 if none)."""

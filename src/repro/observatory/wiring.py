@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.monitor.streamer import TelemetryStreamer
+from repro.monitor.wiring import SUBSCRIPTION_LIFETIME
 from repro.net.rpc import RpcClient, RpcError
 from repro.nsds.subscriber import NSDSReceiver
 from repro.observatory.query import run_query
@@ -138,10 +139,7 @@ class ObservatoryKit:
 
 def attach_observatory(dep, kit, *, run_id: str,
                        slos: list[SLOSpec] | None = None,
-                       slo_interval: float = 60.0,
-                       recorder_capacity: int = 256,
-                       escalate_on: str = "critical",
-                       subscription_lifetime: float = 1e9) -> ObservatoryKit:
+                       slo_interval: float = 60.0) -> ObservatoryKit:
     """Deploy the observatory against ``dep``, riding monitoring kit ``kit``.
 
     Requires :func:`repro.monitor.attach_monitoring` to have run first —
@@ -154,7 +152,7 @@ def attach_observatory(dep, kit, *, run_id: str,
     store = TimeSeriesStore(kernel)
     receiver = NSDSReceiver(network, OBSERVATORY_HOST,
                             callback=store.on_stream_sample)
-    recorder = FlightRecorder(kernel, capacity=recorder_capacity)
+    recorder = FlightRecorder(kernel)
 
     # The repo host's "ogsi" port belongs to the repository container in
     # the full deployment; the observatory takes its own port.
@@ -182,7 +180,7 @@ def attach_observatory(dep, kit, *, run_id: str,
     previous_on_alert = kit.monitor.on_alert
 
     def on_alert(alert):
-        if alert.severity == escalate_on:
+        if alert.severity == "critical":
             obs.record_escalation(alert)
         if previous_on_alert is not None:
             previous_on_alert(alert)
@@ -196,7 +194,7 @@ def attach_observatory(dep, kit, *, run_id: str,
             rpc, kit.nsds.handle, "subscribe",
             {"sink_host": OBSERVATORY_HOST, "sink_port": receiver.port,
              "channels": [TelemetryStreamer.CHANNEL],
-             "lifetime": subscription_lifetime})
+             "lifetime": SUBSCRIPTION_LIFETIME})
 
     kernel.process(subscribe(), name="observatory-subscription")
 

@@ -70,6 +70,16 @@ class QueueSubmission:
                    motion_scale=float(body["motion_scale"]),
                    checkpoint_every=int(body["checkpoint_every"]))
 
+    @classmethod
+    def from_request(cls, request: ExperimentRequest) -> "QueueSubmission":
+        """The submission that runs ``request``, keyed by its run id (so a
+        :func:`~repro.fleet.tenant_sweep` is a queue campaign too); it
+        carries the fields a journal entry has, nothing else."""
+        return cls(submission_id=request.run_id, tenant=request.tenant,
+                   n_steps=request.n_steps, n_sites=request.n_sites,
+                   motion_scale=request.motion_scale,
+                   checkpoint_every=request.checkpoint_every)
+
     def request(self) -> ExperimentRequest:
         """This submission as the fleet drive loop's request.
 

@@ -206,8 +206,7 @@ class RepositoryJournalStore(JournalStoreBase):
     at-least-once delivery starts at the journal.
     """
 
-    def __init__(self, *, name: str, facade: RepositoryFacade,
-                 retry: RetryPolicy | None = None):
+    def __init__(self, *, name: str, facade: RepositoryFacade):
         if not name:
             raise ConfigurationError("a repository journal needs a name")
         self.name = name
@@ -215,9 +214,8 @@ class RepositoryJournalStore(JournalStoreBase):
         self.kernel = facade.kernel
         #: what the journal has made durable (the T-WALL benchmark counts it)
         self.repo_store = facade.repo_store
-        self.retry = retry or RetryPolicy(max_attempts=5, base_delay=2.0,
-                                          factor=2.0, max_delay=60.0,
-                                          jitter=0.25)
+        self.retry = RetryPolicy(max_attempts=5, base_delay=2.0, factor=2.0,
+                                 max_delay=60.0, jitter=0.25)
         self.appended = 0
         self.replayed = 0
         self._next_seq: int | None = None

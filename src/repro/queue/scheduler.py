@@ -101,7 +101,6 @@ class DurableFleetScheduler:
                  checkpoint_stores: dict[str, InMemoryCheckpointStore]
                  | None = None,
                  settle_delay: float = 5.0,
-                 rollup_interval: float = 60.0,
                  status: SdeStatusService | None = None):
         self.grid = grid
         self.pool = pool
@@ -114,7 +113,6 @@ class DurableFleetScheduler:
         self.checkpoint_stores = (checkpoint_stores
                                   if checkpoint_stores is not None else {})
         self.settle_delay = settle_delay
-        self.rollup_interval = rollup_interval
         self.status = status
         self.epoch = 0
         self.dead = False
@@ -243,9 +241,10 @@ class DurableFleetScheduler:
             attempt=attempt, resumed_from_step=resumed_from_step))
 
     def _publish_loop(self) -> Generator[Any, Any, None]:
+        """Refresh the queue-status SDE once a simulated minute."""
         while self._driving and not self.dead:
             self.status.publish(self.queue.stats())
-            yield self.kernel.timeout(self.rollup_interval)
+            yield self.kernel.timeout(60.0)
 
 
 @dataclass

@@ -25,19 +25,16 @@ class IngestionTool:
         facade: the site's repository client; its host is the site this
             tool runs on and its staging store is the one the DAQ
             deposits into.
-        metadata_type: NMDS object type created per uploaded file.
         sweep_interval: seconds between staging-store sweeps.
     """
 
     def __init__(self, facade: RepositoryFacade, *,
                  experiment: str = "experiment",
-                 metadata_type: str = "data-file",
                  sweep_interval: float = 2.0):
         self.facade = facade
         self.site = facade.host
         self.staging = facade.staging
         self.experiment = experiment
-        self.metadata_type = metadata_type
         self.sweep_interval = sweep_interval
         self.kernel = facade.kernel
         self.running = False
@@ -96,6 +93,6 @@ class IngestionTool:
             "created": staged.created,
             "size": staged.size,
         }
-        yield from self.facade.annotate(self.metadata_type, metadata)
+        yield from self.facade.annotate("data-file", metadata)
         self.kernel.emit(f"ingest.{self.site}", "upload.completed",
                          logical_name=logical, duration=report.duration)

@@ -45,8 +45,8 @@ def test_typed_results_exported_from_core():
 
 
 def test_runners_are_callables():
-    assert inspect.isfunction(repro.run_dry_run)
-    assert inspect.isfunction(repro.run_simulation_only)
+    assert inspect.isclass(repro.ExperimentSession)
+    assert inspect.isfunction(repro.ExperimentSession.run)
     assert inspect.isfunction(repro.build_most)
 
 
@@ -296,3 +296,79 @@ def test_every_instrument_has_one_owner_and_a_reader():
         assert isinstance(getattr(cls, attr), property), (cls, attr)
     assert "repr(" not in (src / "net" / "network.py").read_text()
     assert class_factories == []
+
+
+def test_a_guarantee_has_one_gate():
+    """Each protocol / campaign guarantee is stated once in the library and
+    gated once in the harness: a tier-1 test or a ``BENCHES`` floor, never a
+    smoke script, a bench ``--smoke`` fork or an inline re-assertion beside
+    it — and ``make check`` reaches each gate once."""
+    import ast
+    import pathlib
+    import re
+
+    src = pathlib.Path(repro.__file__).parent
+    repo = src.parent.parent
+
+    def sources(*roots):
+        return [path for root in roots for path in (repo / root).rglob("*.py")
+                if "twall" not in path.parts]
+
+    # -- no hand-rolled runner beside the tests -----------------------------
+    assert not list((repo / "scripts").glob("*smoke*.py"))
+    assert not [path.name for path in sources("benchmarks")
+                if "--smoke" in path.read_text()]
+
+    # -- BENCHES is where a floor is written: the builders judge nothing ----
+    builders = {"bench_tfleet.py": "run_fleet_campaign",
+                "bench_tqueue.py": "run_queue_campaign",
+                "bench_tobs_observatory.py": "run_bench",
+                "bench_tperf_ntcp.py": "run_stepping_modes"}
+    for filename, builder in builders.items():
+        tree = ast.parse((repo / "benchmarks" / filename).read_text())
+        [func] = [node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == builder]
+        assert not [node for node in ast.walk(func)
+                    if isinstance(node, ast.Assert)], builder
+
+    # -- the campaign everyone drives is typed once -------------------------
+    sweep = re.compile(r"0\.75\s*\+\s*0\.5\s*\*")
+    assert {path.relative_to(repo).as_posix()
+            for path in sources("src", "tests", "benchmarks", "scripts",
+                                "examples")
+            if sweep.search(path.read_text())} == \
+        {"src/repro/fleet/scheduler.py"}
+
+    # -- both invariant sweeps judge a run by one rule body -----------------
+    campaign = ast.parse((src / "chaos" / "campaign.py").read_text())
+    functions = {node.name: node for node in campaign.body
+                 if isinstance(node, ast.FunctionDef)}
+
+    def calls(name):
+        return {node.func.id for node in ast.walk(functions[name])
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)} & set(functions)
+
+    [rule] = calls("check_invariants") & calls("check_fleet_invariants")
+    for key in ("completed", "commit_sequence_monotone",
+                "no_double_execute"):
+        homes = [name for name, func in functions.items()
+                 if any(isinstance(node, ast.Constant) and node.value == key
+                        for node in ast.walk(func))]
+        assert homes == [rule], key
+
+    # -- `make check`: every gate named, none twice, the analysis once ------
+    makefile = (repo / "Makefile").read_text().replace("\\\n", " ")
+    rules = {target: (prerequisites.split(), recipe)
+             for target, prerequisites, recipe in re.findall(
+                 r"^([\w-]+):(.*)\n((?:\t.*\n)*)", makefile, re.M)}
+
+    def reached(target):
+        prerequisites, recipe = rules[target]
+        scripts = "".join((repo / script).read_text() for script
+                          in re.findall(r"scripts/[\w.]+\.sh", recipe))
+        return recipe + scripts + "".join(map(reached, prerequisites))
+
+    gates = rules["check"][0]
+    assert len(gates) == len(set(gates)) and set(gates) <= set(rules)
+    assert reached("check").count("-m repro.analysis") == 1

@@ -1,8 +1,8 @@
 """Graceful degradation: circuit breakers, surrogate failover, chaos plans.
 
 The campaign-scale behaviour (bit-exact recoverable runs, forced failover
-under monitoring) is exercised end-to-end by ``scripts/chaos_smoke.py``
-and ``benchmarks/bench_tchaos_campaign.py``; these tests pin the unit
+under monitoring) is exercised end-to-end by
+``benchmarks/bench_tchaos_campaign.py``; these tests pin the unit
 semantics and the cheap integration paths.
 """
 
@@ -11,7 +11,13 @@ import json
 import numpy as np
 import pytest
 
-from repro.chaos import CHAOS_KINDS, CHAOS_SITES, ChaosCampaign, make_plan
+from repro.chaos import (
+    CHAOS_KINDS,
+    CHAOS_SITES,
+    ChaosCampaign,
+    check_fleet_invariants,
+    make_plan,
+)
 from repro.coordinator import DegradationPolicy, NaiveFaultPolicy, StepRecord
 from repro.coordinator.state import record_from_payload, record_to_payload
 from repro.most import ExperimentSession, MOSTConfig
@@ -281,3 +287,37 @@ class TestChaosCampaign:
         second = ChaosCampaign(config, n_events=2).run_one(4)
         assert json.dumps(first.row(), sort_keys=True) == \
             json.dumps(second.row(), sort_keys=True)
+
+    def test_each_per_run_rule_names_its_violation(self):
+        """The rule body both sweeps share really fires: doctor a clean
+        three-step result four ways and read each violation back through
+        the fleet sweep (the chaos sweep reaches the same function —
+        ``test_a_guarantee_has_one_gate``)."""
+        from types import SimpleNamespace
+
+        steps = [SimpleNamespace(step=n) for n in (1, 2, 3)]
+        history = np.zeros((3, 1))
+
+        def result(**doctored):
+            return SimpleNamespace(**{
+                "completed": True, "steps": steps, "degraded_steps": 0,
+                "displacement_history": lambda: history, **doctored})
+
+        def sweep(result, executed=4, solo=history):
+            outcome = SimpleNamespace(
+                tenant="t00", run_id="r0", result=result,
+                usage={"uiuc": {"executed": executed}},
+                resumed_from_step=0, duplicate_executes=lambda: 0)
+            return check_fleet_invariants([outcome], baselines={"r0": solo})
+
+        assert sweep(result())["ok"]
+        for verdict, said in (
+                (sweep(result(completed=False, aborted_at_step=2,
+                              aborted_reason="outage")),
+                 "t00/r0: aborted at step 2 (outage)"),
+                (sweep(result(steps=steps[1:])), "not contiguous"),
+                (sweep(result(), executed=5),
+                 "site uiuc executed 5 transactions, expected 4"),
+                (sweep(result(), solo=history + 1e-12), "histories differ")):
+            assert not verdict["ok"]
+            assert any(said in line for line in verdict["violations"]), said

@@ -28,6 +28,7 @@ from repro.fleet import (
     build_fleet_grid,
     solo_displacement_history,
     tenant_subject,
+    tenant_sweep,
 )
 from repro.net import RemoteException
 from repro.util.errors import ProtocolError
@@ -51,15 +52,8 @@ def spawn_acquire(grid, pool, tenant, n, leases):
 
 def campaign_requests(n_tenants, runs_per_tenant, *, n_steps=8,
                       sites_per_lease=2, **kwargs):
-    out = []
-    for i in range(n_tenants):
-        tenant = f"t{i:02d}"
-        scale = 0.75 + 0.5 * i / max(n_tenants - 1, 1)
-        for run in range(runs_per_tenant):
-            out.append(ExperimentRequest(
-                tenant=tenant, run_id=f"{tenant}-r{run}", n_steps=n_steps,
-                n_sites=sites_per_lease, motion_scale=scale, **kwargs))
-    return out
+    return tenant_sweep(n_tenants, runs_per_tenant, n_steps=n_steps,
+                        n_sites=sites_per_lease, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -470,7 +470,7 @@ class TestMonitorDetectors:
                  "lifetime": 1000.0})
 
         kernel.run(until=kernel.process(subscribe()))
-        monitor._raise_alert("stall", "critical", "no committed step")
+        monitor.raise_alert("stall", "critical", "no committed step")
         kernel.run(until=kernel.now + 5.0)
         note = sink.latest(monitor.service_id, "lastAlert")
         assert note is not None
@@ -480,7 +480,7 @@ class TestMonitorDetectors:
     def test_on_alert_callback_and_payloads(self):
         seen = []
         kernel, _, _, monitor = monitor_env(on_alert=seen.append)
-        monitor._raise_alert("slow_site", "warning", "m", site="ntcp-cu")
+        monitor.raise_alert("slow_site", "warning", "m", site="ntcp-cu")
         assert seen and isinstance(seen[0], Alert)
         validate_alert_payload(seen[0].to_payload(monitor.service_id))
 
@@ -529,6 +529,31 @@ class TestMonitoredExperiment:
         snapshot = lambda rep: \
             rep.deployment.kernel.telemetry.metrics_snapshot()
         assert snapshot(again) == snapshot(faulted_report)
+
+    def test_ntcp_backlog_is_the_scan_at_every_publish(self, monkeypatch):
+        """The probe derives backlog from the server's counters; pin it to
+        the scan of non-terminal transactions at every health publish of
+        the faulted run (an outage, retries, cancels, a slowed site)."""
+        import repro.monitor.wiring as wiring
+
+        seen = []
+
+        def checked(server):
+            probe = ntcp_health_probe(server)
+
+            def check():
+                payload = probe()
+                seen.append((payload["backlog"], sum(
+                    1 for txn in server.transactions.values()
+                    if not txn.state.terminal)))
+                return payload
+            return check
+
+        monkeypatch.setattr(wiring, "ntcp_health_probe", checked)
+        rep = run_monitored(MOSTConfig().scaled(40), inject_faults=True)
+        assert rep.result.completed
+        assert len(seen) > 100 and all(got == scan for got, scan in seen)
+        assert any(scan > 0 for _, scan in seen)  # it met open transactions
 
     def test_clean_run_raises_no_alerts(self, clean_report):
         rep = clean_report

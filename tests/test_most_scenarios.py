@@ -8,14 +8,7 @@ fast; the full 1,500-step runs live in the benchmarks.
 import numpy as np
 import pytest
 
-from repro.most import (
-    ExperimentSession,
-    MOSTConfig,
-    build_most,
-    run_dry_run,
-    run_simulation_only,
-    run_with_fault_tolerance,
-)
+from repro.most import ExperimentSession, MOSTConfig, build_most
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +18,7 @@ def short_config():
 
 @pytest.fixture(scope="module")
 def dry(short_config):
-    return run_dry_run(short_config)
+    return ExperimentSession(short_config, run_id="most-dry").run()
 
 
 @pytest.fixture(scope="module")
@@ -36,9 +29,24 @@ def public(short_config):
             .run())
 
 
+def simulation_only(config):
+    """The distributed simulation-only rehearsal (§3: built first)."""
+    return ExperimentSession(config, run_id="most-simonly",
+                             simulation_only=True).run()
+
+
+def fault_tolerant(config):
+    """Identical faults to the public run; fault-tolerant coordinator."""
+    return (ExperimentSession(config, run_id="most-ft")
+            .with_metadata(False)
+            .with_faults()
+            .with_fault_tolerance()
+            .run())
+
+
 class TestSimulationOnly:
     def test_completes(self, short_config):
-        report = run_simulation_only(short_config)
+        report = simulation_only(short_config)
         assert report.result.completed
         assert report.result.steps_completed == short_config.n_steps - 1
 
@@ -54,7 +62,7 @@ class TestSimulationOnly:
         """Sim-only and hybrid share the elastic response until yielding
         and noise separate them — correlation stays high (the rehearsal
         was a meaningful predictor of the real test)."""
-        sim = run_simulation_only(short_config)
+        sim = simulation_only(short_config)
         d_sim = sim.result.displacement_history().ravel()
         d_hyb = dry.result.displacement_history().ravel()
         corr = np.corrcoef(d_sim, d_hyb)[0, 1]
@@ -150,14 +158,14 @@ class TestPublicRun:
 
 class TestFaultTolerantCounterfactual:
     def test_completes_through_identical_faults(self, short_config):
-        report = run_with_fault_tolerance(short_config)
+        report = fault_tolerant(short_config)
         assert report.result.completed
         assert report.result.steps_completed == short_config.n_steps - 1
         # it actually had to recover (not a fault-free run)
         assert report.result.recoveries >= 1 or report.ntcp_retries >= 1
 
     def test_recovered_run_matches_dry_run_physics(self, short_config, dry):
-        report = run_with_fault_tolerance(short_config)
+        report = fault_tolerant(short_config)
         d_ft = report.result.displacement_history().ravel()
         d_dry = dry.result.displacement_history().ravel()
         assert np.allclose(d_ft, d_dry)

@@ -16,7 +16,9 @@ import numpy as np
 import pytest
 
 from repro.chaos import (
+    arm_fleet_outages,
     check_fleet_invariants,
+    make_repo_outage_plan,
     make_scheduler_crash_plan,
 )
 from repro.cli import main as cli_main
@@ -25,6 +27,7 @@ from repro.fleet import (
     SitePool,
     TenantRegistry,
     build_fleet_grid,
+    tenant_sweep,
 )
 from repro.ogsi import SdeStatusService
 from repro.queue import (
@@ -76,16 +79,10 @@ def submission(sid="s-0", **overrides):
 
 def campaign_submissions(n_tenants=4, runs_per_tenant=2, *, n_steps=10,
                          checkpoint_every=3):
-    out = []
-    for i in range(n_tenants):
-        tenant = f"t{i:02d}"
-        scale = 0.75 + 0.5 * i / max(n_tenants - 1, 1)
-        for run in range(runs_per_tenant):
-            out.append(QueueSubmission(
-                submission_id=f"{tenant}-r{run}", tenant=tenant,
-                n_steps=n_steps, n_sites=1, motion_scale=scale,
-                checkpoint_every=checkpoint_every))
-    return out
+    return [QueueSubmission.from_request(request)
+            for request in tenant_sweep(n_tenants, runs_per_tenant,
+                                        n_steps=n_steps, n_sites=1,
+                                        checkpoint_every=checkpoint_every)]
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +520,24 @@ class TestDurableCampaign:
         assert summary["completed"] == len(subs)
         assert summary["incarnations"] == 1
         assert summary["refusals"] == 0 and summary["redeliveries"] == 0
+
+    def test_repository_outage_delays_journal_appends_and_loses_none(self):
+        """Seeded outages cut the repository host under the journal's
+        claim and terminal appends (seed 3: the first one, 19-28 s in,
+        lands on the second wave of runs).  The store's retry schedule
+        rides it out: appends are late, none is lost."""
+        subs = campaign_submissions()
+        grid, pool, registry, queue = self.build()
+        queue.store = attach_durable_repository(grid, name="outage")
+        arm_fleet_outages(grid, make_repo_outage_plan(3))
+        summary = run_durable_campaign(grid, pool, registry, queue,
+                                       subs).summary()
+        assert summary["completed"] == len(subs)
+        assert summary["outstanding"] == 0 and summary["failed"] == 0
+        backoffs = grid.kernel.log.records("net.retry", "retry.backoff")
+        assert backoffs, "no append ever met the outage"
+        assert all(record.detail["key"].startswith("queue.outage.")
+                   for record in backoffs)
 
     def test_fleet_and_durable_paths_run_an_experiment_identically(self):
         subs = campaign_submissions(3, 2)

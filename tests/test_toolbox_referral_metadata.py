@@ -8,7 +8,7 @@ from repro.control import SimulationPlugin
 from repro.coordinator import NTCPToolbox
 from repro.core import NTCPClient, NTCPServer
 from repro.core.policy import SitePolicy
-from repro.most import MOSTConfig, build_most, run_dry_run
+from repro.most import ExperimentSession, MOSTConfig, build_most
 from repro.most.metadata import MOST_SCHEMAS, most_component_records
 from repro.net import Network, RemoteException, RpcClient
 from repro.ogsi import ServiceContainer
@@ -241,7 +241,8 @@ class TestMOSTMetadata:
                          "ncsa": "simulated"}
 
     def test_dry_run_uploads_metadata_before_experiment(self):
-        report = run_dry_run(MOSTConfig().scaled(30))
+        report = ExperimentSession(MOSTConfig().scaled(30),
+                                   run_id="most-dry").run()
         dep = report.deployment
         schemas = [o for o in dep.nmds.objects.values()
                    if o.object_type == "schema"]
@@ -257,7 +258,8 @@ class TestMOSTMetadata:
     def test_nonparticipant_can_interpret_sensor_data(self):
         """The §3.3 goal: from the catalog alone, map a data file's channel
         names to the component instrumentation descriptions."""
-        report = run_dry_run(MOSTConfig().scaled(30))
+        report = ExperimentSession(MOSTConfig().scaled(30),
+                                   run_id="most-dry").run()
         dep = report.deployment
         instrumented = {
             o.fields["component"]: set(o.fields["channels"])
