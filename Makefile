@@ -4,7 +4,7 @@ export PYTHONPATH := src
 BENCH_TARGETS := bench-perf bench-fleet bench-obs bench-queue
 
 .PHONY: test lint analyze verify verify-smoke bench bench-figures \
-	$(BENCH_TARGETS) validate-bench twall-names twall-smoke loc check
+	$(BENCH_TARGETS) validate-bench twall-names twall-smoke twall loc check
 
 test:
 	$(PYTHON) -m pytest -x -q tests/
@@ -68,6 +68,15 @@ twall-names:
 twall-smoke:
 	$(PYTHON) benchmarks/twall/run.py --workload most_bare --seconds 1 \
 		--trace 0 | tail -n 1 | grep '"correct": true'
+
+# The host-time benchmark itself: all four workloads, untraced, each in a
+# fresh process, each printing its end-to-end table (~2 min); the merged
+# document is benchmarks/twall/out/twall.json.  A host-time claim is this
+# on the parent and on the change, alternating, then
+# `benchmarks/twall/run.py --compare A/twall.json B/twall.json`.  Not part
+# of `check`: host time on a shared box is evidence for a PR, not a gate.
+twall:
+	$(PYTHON) benchmarks/twall/run.py --trace 0
 
 # Code lines by tokenizer (no blank, comment or docstring lines) per
 # directory — the figure CHANGES.md size reports quote.  With

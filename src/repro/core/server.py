@@ -86,7 +86,8 @@ class NTCPServer(GridService):
     # -- state publication -----------------------------------------------------
     def _publish(self, txn: Transaction) -> None:
         """Refresh the transaction's SDE and the lastChanged SDE."""
-        self.service_data.set(f"transaction:{txn.name}", txn.to_sde_value())
+        self.service_data.set_produced(f"transaction:{txn.name}",
+                                       txn.to_sde_value)
         self.service_data.set("lastChanged", txn.name)
         self.emit("transaction." + txn.state.value, transaction=txn.name)
 
@@ -179,9 +180,9 @@ class NTCPServer(GridService):
             assert txn.result is not None
             if not self.at_most_once:
                 # Ablation: at-least-once semantics re-run the plugin.
-                done = self.kernel.event(name=f"redo({txn.name})")
                 txn.state = TransactionState.EXECUTING  # bypass the guard
-                return self._run_plugin(txn, done, span)
+                self._publish(txn)
+                return self._run_plugin(txn, span)
             span.end(state=txn.state.value, duplicate=True)
             return ExecutionOutcome.from_result(txn.result)
         if txn.state is TransactionState.EXECUTING:
@@ -207,11 +208,9 @@ class NTCPServer(GridService):
                 f"{txn.proposal.proposal_lifetime:g} s expired")
         txn.transition(TransactionState.EXECUTING, self.kernel.now)
         self._publish(txn)
-        done = self.kernel.event(name=f"done({txn.name})")
-        self._completion_events[txn.name] = done
-        return self._run_plugin(txn, done, span)
+        return self._run_plugin(txn, span)
 
-    def _run_plugin(self, txn: Transaction, done, span):
+    def _run_plugin(self, txn: Transaction, span):
         started = self.kernel.now
         work = self.kernel.process(self.plugin.execute(txn.proposal),
                                    name=f"{self.service_id}.exec.{txn.name}")
@@ -219,8 +218,8 @@ class NTCPServer(GridService):
         try:
             fired = yield self.kernel.any_of([work, timer])
         except Exception as exc:
-            # The plugin itself raised — plugins wrap arbitrary back-ends,
-            # so any type can surface here; the transaction fails and the
+            # Not narrowable: the plugin wraps an arbitrary back-end, so
+            # any type can surface here; the transaction fails and the
             # original error is chained onto the ProtocolError below.
             reason = f"plugin error: {type(exc).__name__}: {exc}"
             self.emit("plugin.error", transaction=txn.name,
@@ -229,12 +228,9 @@ class NTCPServer(GridService):
                            error=reason)
             self._count("failed")
             self._publish(txn)
-            done.fail(ProtocolError(reason))
-            done.defuse()
+            self._settle(txn, ProtocolError(reason))
             span.end(state=txn.state.value, ok=False)
             raise ProtocolError(reason) from exc
-        finally:
-            self._completion_events.pop(txn.name, None)
         if work in fired:
             readings = fired[work]
             txn.result = TransactionResult(
@@ -247,7 +243,7 @@ class NTCPServer(GridService):
             self._execute_time.observe(txn.result.duration)
             self._publish(txn)
             outcome = ExecutionOutcome.from_result(txn.result)
-            done.succeed(outcome)
+            self._settle(txn, outcome)
             span.end(state=txn.state.value)
             return outcome
         # Execution timed out: abandon the plugin run and fail the txn.
@@ -260,19 +256,27 @@ class NTCPServer(GridService):
         txn.transition(TransactionState.FAILED, self.kernel.now, error=reason)
         self._count("failed")
         self._publish(txn)
-        done.fail(ProtocolError(reason))
-        done.defuse()
+        self._settle(txn, ProtocolError(reason))
         span.end(state=txn.state.value, ok=False)
         raise ProtocolError(reason)
 
+    def _settle(self, txn: Transaction,
+                outcome: ExecutionOutcome | ProtocolError) -> None:
+        """Hand the run's outcome to the duplicate executes waiting on it
+        (usually none: the event exists only once one asked)."""
+        done = self._completion_events.pop(txn.name, None)
+        if done is None:
+            return
+        if isinstance(outcome, ProtocolError):
+            done.fail(outcome).defuse()
+        else:
+            done.succeed(outcome)
+
     def _await_completion(self, txn: Transaction, span):
+        """A duplicate execute racing the in-flight run waits for it."""
         done = self._completion_events.get(txn.name)
-        if done is None:  # completed between checks (same-time race)
-            if txn.result is not None:  # pragma: no cover - defensive
-                span.end(state=txn.state.value, duplicate=True)
-                return ExecutionOutcome.from_result(txn.result)
-            span.end(state=txn.state.value, ok=False)
-            raise ProtocolError(f"transaction {txn.name!r} in limbo")
+        if done is None:
+            done = self._completion_events[txn.name] = self.kernel.event()
         result = yield done
         span.end(state=txn.state.value, duplicate=True)
         return result

@@ -331,11 +331,9 @@ class SitePool:
         if self._grant_scheduled:
             return
         self._grant_scheduled = True
-        evt = self.kernel.event(name="pool.grant")
-        evt.add_callback(self._run_grant_pass)
-        evt.succeed(None)
+        self.kernel.call_later(0.0, self._run_grant_pass)
 
-    def _run_grant_pass(self, _event: Any = None) -> None:
+    def _run_grant_pass(self, _arg: Any = None) -> None:
         self._grant_scheduled = False
         self._grant_ready()
 

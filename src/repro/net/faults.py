@@ -170,8 +170,7 @@ class FaultInjector:
                     detail=f"port={msg.port}"))
                 self.kernel.emit("net", "chaos.duplicate", dst=msg.dst,
                                  port=msg.port, msg_id=msg.msg_id)
-                self.kernel.timeout(delay).add_callback(
-                    lambda _evt, m=clone: self.network._arrive(m))
+                self.kernel.call_later(delay, self.network._arrive, clone)
             return False
 
         self.network.add_drop_filter(_filter)
@@ -201,8 +200,8 @@ class FaultInjector:
                 detail=f"port={msg.port} slot={slot}"))
             self.kernel.emit("net", "chaos.reorder", dst=msg.dst,
                              port=msg.port, msg_id=msg.msg_id)
-            self.kernel.timeout(hold + 0.001 * slot).add_callback(
-                lambda _evt, m=clone: self.network._arrive(m))
+            self.kernel.call_later(hold + 0.001 * slot,
+                                   self.network._arrive, clone)
             return True
 
         self.network.add_drop_filter(_filter)
@@ -234,8 +233,7 @@ class FaultInjector:
                 detail=f"port={msg.port}"))
             self.kernel.emit("net", "chaos.corrupt", dst=msg.dst,
                              port=msg.port, msg_id=msg.msg_id)
-            self.kernel.timeout(delay).add_callback(
-                lambda _evt, m=garbled: self.network._arrive(m))
+            self.kernel.call_later(delay, self.network._arrive, garbled)
             return True
 
         self.network.add_drop_filter(_filter)

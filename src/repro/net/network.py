@@ -12,7 +12,7 @@ from repro.util.errors import ConfigurationError
 from repro.util.ids import IdFactory
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     """One datagram in flight.
 
@@ -110,6 +110,9 @@ class Network:
             key: kernel.telemetry.counter(f"net.network.{key}")
             for key in ("sent", "delivered", "dropped", "no_route",
                         "no_listener")}
+        # the two every message updates, held without the dict hop
+        self._sent = self._counters["sent"]
+        self._delivered = self._counters["delivered"]
 
     @property
     def stats(self) -> dict[str, int]:
@@ -186,19 +189,18 @@ class Network:
         """
         msg = Message(src=src, dst=dst, port=port, payload=payload,
                       msg_id=self._msg_ids(), send_time=self.kernel.now)
-        self._count("sent")
+        self._sent.inc()
         if src == dst:
             # Loopback: same-host services (e.g. the Mini-MOST single-PC
             # deployment) talk through the stack with negligible delay.
-            self.kernel.timeout(0.0).add_callback(
-                lambda _evt, m=msg: self._arrive(m))
+            self.kernel.call_later(0.0, self._arrive, msg)
             return msg
         link = self._links.get(frozenset((src, dst)))
         if link is None:
             self._count("no_route")
             self.kernel.emit("net", "msg.no_route", src=src, dst=dst, port=port)
             return msg
-        if any(f(msg) for f in self._drop_filters):
+        if self._drop_filters and any(f(msg) for f in self._drop_filters):
             self._count("dropped")
             self.kernel.emit("net", "msg.dropped", msg_id=msg.msg_id,
                              reason="drop_filter", src=src, dst=dst, port=port)
@@ -218,7 +220,7 @@ class Network:
             arrival = max(self.kernel.now + delay, floor)
             link._last_delivery[direction] = arrival
             delay = arrival - self.kernel.now
-        self.kernel.timeout(delay).add_callback(lambda _evt, m=msg: self._arrive(m))
+        self.kernel.call_later(delay, self._arrive, msg)
         return msg
 
     def _arrive(self, msg: Message) -> None:
@@ -228,4 +230,4 @@ class Network:
             self.kernel.emit("net", "msg.no_listener", msg_id=msg.msg_id,
                              dst=msg.dst, port=msg.port)
             return
-        self._count("delivered")
+        self._delivered.inc()

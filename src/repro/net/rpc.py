@@ -82,6 +82,15 @@ class RpcStats:
     latencies: list[float]
 
 
+_TIMED_OUT = object()
+"""What an attempt's reply event yields when its timer got there first."""
+
+
+def _time_out(reply) -> None:
+    if not reply.triggered:
+        reply.succeed(_TIMED_OUT)
+
+
 class RpcService:
     """Server side: binds a port and dispatches methods to handlers.
 
@@ -239,7 +248,8 @@ class RpcClient:
             self.kernel.emit(f"rpc.client.{self.host}", "rpc.late_reply",
                              request_id=resp.request_id)
             return
-        evt.succeed(resp)
+        if not evt.triggered:  # else the timer won this very instant
+            evt.succeed(resp)
 
     def call(self, dst: str, port: str, method: str,
              params: dict[str, Any] | None = None, *,
@@ -271,7 +281,7 @@ class RpcClient:
         started = self.kernel.now
         last_attempt = retries  # attempts are 0..retries inclusive
         for attempt in range(retries + 1):
-            evt = self.kernel.event(name=f"reply({req.request_id})")
+            evt = self.kernel.event()
             self._pending[req.request_id] = evt
             self.network.send(self.host, dst, port, req)
             if attempt > 0:
@@ -279,10 +289,14 @@ class RpcClient:
                 self.kernel.emit(f"rpc.client.{self.host}", "rpc.retry",
                                  request_id=req.request_id, attempt=attempt,
                                  method=method, dst=dst)
-            timer = self.kernel.timeout(timeout)
-            fired = yield self.kernel.any_of([evt, timer])
-            if evt in fired:
-                resp: RpcResponse = evt.value
+            # The attempt waits on its reply alone; the timer is a call
+            # that wakes it if it is still pending then.  Heap order
+            # settles a tie: a timer armed before the reply was sent runs
+            # before the reply's arrival in their common instant, so the
+            # timer wins and that reply is dropped in _on_reply.
+            self.kernel.call_later(timeout, _time_out, evt)
+            resp = yield evt
+            if resp is not _TIMED_OUT:
                 latency = self.kernel.now - started
                 self._latency.observe(latency)
                 if resp.ok:

@@ -124,9 +124,9 @@ class ServiceContainer:
             return  # an earlier (or equal) sweep is already scheduled
         self._reaper_armed_for = deadline
         delay = max(0.0, deadline - self.kernel.now)
-        self.kernel.timeout(delay).add_callback(self._sweep)
+        self.kernel.call_later(delay, self._sweep)
 
-    def _sweep(self, _evt) -> None:
+    def _sweep(self, _arg) -> None:
         self._reaper_armed_for = None
         now = self.kernel.now
         expired = [sid for sid, svc in self.services.items()

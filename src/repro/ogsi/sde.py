@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable
 
 
-@dataclass
 class ServiceDataElement:
     """One named piece of observable service state.
 
@@ -14,12 +12,29 @@ class ServiceDataElement:
     (``findServiceData``) and subscribe to.  NTCP represents each transaction
     as an SDE carrying its name, state, requested actions, results, and the
     timestamps of every state change.
+
+    ``version`` and ``last_modified`` are stamped when the element is set.
+    ``value`` may be *produced*: set with a producer, it is built by the
+    first read and kept — an element nobody reads builds nothing.
     """
 
-    name: str
-    value: Any
-    last_modified: float
-    version: int = 0
+    __slots__ = ("name", "last_modified", "version", "_value", "_producer")
+
+    def __init__(self, name: str, value: Any, last_modified: float,
+                 version: int = 0,
+                 producer: Callable[[], Any] | None = None):
+        self.name = name
+        self.last_modified = last_modified
+        self.version = version
+        self._value = value
+        self._producer = producer
+
+    @property
+    def value(self) -> Any:
+        if self._producer is not None:
+            self._value = self._producer()
+            self._producer = None
+        return self._value
 
 
 class ServiceDataSet:
@@ -36,10 +51,26 @@ class ServiceDataSet:
 
     def set(self, name: str, value: Any) -> ServiceDataElement:
         """Create or update an SDE; notifies listeners."""
+        return self._install(name, value, None)
+
+    def set_produced(self, name: str,
+                     producer: Callable[[], Any]) -> ServiceDataElement:
+        """:meth:`set`, with the value left to ``producer()`` until read.
+
+        A listener that reads ``value`` (the container, for a live
+        subscription) gets it as of now; otherwise the first
+        ``findServiceData`` / :meth:`snapshot` / :meth:`value` builds it.
+        The owner must therefore set the element again whenever what
+        ``producer`` reads changes — a late first read then equals an
+        early one.
+        """
+        return self._install(name, None, producer)
+
+    def _install(self, name: str, value: Any,
+                 producer: Callable[[], Any] | None) -> ServiceDataElement:
         existing = self._elements.get(name)
         version = existing.version + 1 if existing else 1
-        sde = ServiceDataElement(name=name, value=value,
-                                 last_modified=self._clock(), version=version)
+        sde = ServiceDataElement(name, value, self._clock(), version, producer)
         self._elements[name] = sde
         for listener in self._listeners:
             listener(sde)

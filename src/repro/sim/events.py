@@ -3,7 +3,9 @@
 An :class:`Event` is a one-shot occurrence with a value or an exception.
 Processes wait on events by yielding them; arbitrary code can wait by
 registering callbacks.  :class:`Timeout` fires after a delay; :class:`AnyOf`
-and :class:`AllOf` compose events.
+and :class:`AllOf` compose events.  An event is for something that may be
+*waited on*; code that only wants to run later, with no waiter, takes
+:meth:`Kernel.call_later <repro.sim.kernel.Kernel.call_later>` instead.
 """
 
 from __future__ import annotations
@@ -29,10 +31,21 @@ class Interrupt(Exception):
         self.cause = cause
 
 
+def _fire(event: "Event") -> None:
+    """The heap call of a triggered event: run its callbacks, once."""
+    callbacks, event.callbacks = event.callbacks, None
+    for fn in callbacks:
+        fn(event)
+    if not event._ok and not event._defused:
+        # A failure nobody observed (or defused): surface it rather than
+        # losing it.  Processes and conditions defuse failures they relay.
+        raise event._value
+
+
 class Event:
     """A one-shot occurrence that processes can wait on.
 
-    Life cycle: *pending* → *triggered* (scheduled on the kernel queue) →
+    Life cycle: *pending* → *triggered* (its firing is on the kernel heap) →
     *processed* (callbacks ran).  An event succeeds with a value or fails
     with an exception; failed events propagate their exception into every
     waiting process.  A failed event that nobody waits on is re-raised by
@@ -78,7 +91,7 @@ class Event:
             raise RuntimeError(f"{self!r} has already been triggered")
         self._value = value
         self._ok = True
-        self.kernel._enqueue(self, delay=0.0)
+        self.kernel.call_later(0.0, _fire, self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -89,7 +102,7 @@ class Event:
             raise TypeError("fail() requires an exception instance")
         self._value = exception
         self._ok = False
-        self.kernel._enqueue(self, delay=0.0)
+        self.kernel.call_later(0.0, _fire, self)
         return self
 
     def defuse(self) -> "Event":
@@ -108,25 +121,26 @@ class Event:
         else:
             self.callbacks.append(fn)
 
+    def _label(self) -> str:
+        return self.name or self.__class__.__name__
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        label = self.name or self.__class__.__name__
         state = ("processed" if self.processed
                  else "triggered" if self.triggered else "pending")
-        return f"<{label} {state}>"
+        return f"<{self._label()} {state}>"
 
 
 class Timeout(Event):
     """An event that fires ``delay`` time units after creation."""
 
-    def __init__(self, kernel: "Kernel", delay: float, value: Any = None,
-                 name: str | None = None):
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(kernel, name=name or f"timeout({delay})")
+    def __init__(self, kernel: "Kernel", delay: float, value: Any = None):
+        super().__init__(kernel)
         self.delay = delay
         self._value = value
-        self._ok = True
-        kernel._enqueue(self, delay=delay)
+        kernel.call_later(delay, _fire, self)  # rejects a negative delay
+
+    def _label(self) -> str:  # pragma: no cover - cosmetic
+        return f"timeout({self.delay})"
 
 
 class _Condition(Event):

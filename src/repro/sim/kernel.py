@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import heapq
-from typing import Any, Generator, Iterable
+from typing import Any, Callable, Generator, Iterable
 
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
@@ -14,8 +14,11 @@ from repro.util.log import EventLog
 class Kernel:
     """Deterministic discrete-event scheduler.
 
-    Events scheduled for the same time fire in insertion order (a strictly
-    increasing sequence number breaks ties), so runs are exactly repeatable.
+    A heap entry is a call, ``(time, seq, fn, arg)``: :meth:`call_later` is
+    the one way onto the heap, and firing an :class:`Event` is one such call
+    (its callbacks loop).  Entries scheduled for the same time run in
+    insertion order (a strictly increasing sequence number breaks ties), so
+    runs are exactly repeatable.
     The kernel also owns the run-wide :class:`~repro.util.log.EventLog` that
     all subsystems emit structured records to, and the run-wide
     :class:`~repro.telemetry.TelemetryHub` — wired to the simulation clock —
@@ -28,7 +31,7 @@ class Kernel:
         self.log = log if log is not None else EventLog()
         self.telemetry = (telemetry if telemetry is not None
                           else TelemetryHub(clock=lambda: self.now))
-        self._queue: list[tuple[float, int, Event]] = []
+        self._queue: list[tuple[float, int, Callable[[Any], None], Any]] = []
         self._seq = 0
         self._events_fired = self.telemetry.counter("sim.kernel.events")
 
@@ -59,26 +62,30 @@ class Kernel:
         return self.log.emit(self.now, subsystem, kind, **detail)
 
     # -- scheduling ----------------------------------------------------------
-    def _enqueue(self, event: Event, delay: float) -> None:
-        heapq.heappush(self._queue, (self.now + delay, self._seq, event))
+    def call_later(self, delay: float, fn: Callable[[Any], None],
+                   arg: Any = None) -> None:
+        """Run ``fn(arg)`` ``delay`` time units from now.
+
+        The entry for code that only wants "run this later" and has nobody
+        to wait on it: one heap tuple, no :class:`Event`.  It cannot be
+        cancelled or yielded on; an exception from ``fn`` surfaces from
+        :meth:`run`.
+        """
+        if delay < 0:
+            raise ValueError(f"negative delay: {delay}")
+        heapq.heappush(self._queue, (self.now + delay, self._seq, fn, arg))
         self._seq += 1
 
     def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
+        """Time of the next scheduled entry, or ``inf`` if none."""
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
-        """Process exactly one event (advancing ``now`` to its time)."""
-        time, _, event = heapq.heappop(self._queue)
+        """Run exactly one heap entry (advancing ``now`` to its time)."""
+        time, _, fn, arg = heapq.heappop(self._queue)
         self.now = time
         self._events_fired.inc()
-        callbacks, event.callbacks = event.callbacks, None
-        for fn in callbacks:
-            fn(event)
-        if not event.ok and not event._defused:
-            # A failure nobody observed (or defused): surface it rather than
-            # losing it.  Processes and conditions defuse failures they relay.
-            raise event._value
+        fn(arg)
 
     def run(self, until: float | Event | None = None) -> Any:
         """Run until the queue drains, ``until`` time passes, or event fires.

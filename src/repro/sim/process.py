@@ -25,10 +25,9 @@ class Process(Event):
         super().__init__(kernel, name=name or getattr(generator, "__name__", "process"))
         self._generator = generator
         self._waiting_on: Event | None = None
-        # Bootstrap: resume the generator at the current simulation time.
-        boot = Event(kernel, name=f"{self.name}.boot")
-        boot.add_callback(self._resume)
-        boot.succeed()
+        # Bootstrap: start the generator at the current simulation time,
+        # after whatever is running now returns.
+        kernel.call_later(0.0, self._step)
 
     @property
     def is_alive(self) -> bool:
@@ -44,6 +43,11 @@ class Process(Event):
         """
         if self.triggered:
             raise RuntimeError(f"{self!r} has already terminated")
+        self._abandon_wait()
+        self.kernel.call_later(0.0, self._throw, Interrupt(cause))
+
+    # -- internal ---------------------------------------------------------
+    def _abandon_wait(self) -> None:
         waited = self._waiting_on
         if waited is not None and waited.callbacks is not None:
             try:
@@ -51,11 +55,12 @@ class Process(Event):
             except ValueError:  # pragma: no cover - defensive
                 pass
         self._waiting_on = None
-        poke = Event(self.kernel, name=f"{self.name}.interrupt")
-        poke.add_callback(lambda evt: self._step(throw=Interrupt(cause)))
-        poke.succeed()
 
-    # -- internal ---------------------------------------------------------
+    def _throw(self, exception: BaseException) -> None:
+        # A process interrupted before it booted has begun a wait since.
+        self._abandon_wait()
+        self._step(throw=exception)
+
     def _resume(self, evt: Event) -> None:
         self._waiting_on = None
         if evt.ok:

@@ -372,3 +372,87 @@ def test_a_guarantee_has_one_gate():
     gates = rules["check"][0]
     assert len(gates) == len(set(gates)) and set(gates) <= set(rules)
     assert reached("check").count("-m repro.analysis") == 1
+
+
+def test_there_is_one_way_to_run_something_later():
+    """``Kernel.call_later`` is the entry for code nobody waits on: no
+    throw-away ``Timeout`` with a callback anywhere in ``src/``, no
+    ``AnyOf`` in an RPC attempt's wait, no closure per message."""
+    import ast
+    import pathlib
+    import textwrap
+
+    from repro.net import Network
+
+    def called(node, attr):
+        return (isinstance(node, ast.Call)
+                and getattr(node.func, "attr", "") == attr)
+
+    src = pathlib.Path(repro.__file__).parent
+    assert [path.relative_to(src).as_posix() for path in src.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if called(node, "add_callback")
+            and called(node.func.value, "timeout")] == []
+    assert "any_of" not in (src / "net" / "rpc.py").read_text()
+    send = ast.parse(textwrap.dedent(inspect.getsource(Network.send)))
+    assert not [node for node in ast.walk(send)
+                if isinstance(node, ast.Lambda)]
+
+
+def test_a_produced_sde_is_built_by_its_first_reader():
+    """``set_produced``: version and time are stamped at set time, the
+    value is built at most once and only if somebody reads it — and a
+    subscriber is a reader at publication time."""
+    from repro.net import Network, RpcClient
+    from repro.ogsi import (GridService, NotificationSink, ServiceContainer,
+                            ServiceDataSet)
+    from repro.sim import Kernel
+
+    now = [0.0]
+    sds = ServiceDataSet(lambda: now[0])
+    built = []
+
+    def producer(tag):
+        def produce():
+            built.append(tag)
+            return {"made": tag}
+        return produce
+
+    sds.set_produced("x", producer("v1"))   # superseded unread: never built
+    now[0] = 5.0
+    sde = sds.set_produced("x", producer("v2"))
+    assert (sde.version, sde.last_modified, built) == (2, 5.0, [])
+    now[0] = 9.0
+    assert sds.value("x") == {"made": "v2"}
+    assert sds.snapshot() == {"x": {"made": "v2"}}
+    assert sds.get("x").value is sde.value
+    assert built == ["v2"]
+    assert (sde.version, sde.last_modified) == (2, 5.0)
+
+    # a live subscription reads at publication, not at delivery
+    class Mutable(GridService):
+        def on_attach(self):
+            self.state = "first"
+            self.publish()
+
+        def publish(self):
+            self.service_data.set_produced("state", lambda: self.state)
+
+    kernel = Kernel()
+    network = Network(kernel, seed=0)
+    network.add_host("site")
+    network.add_host("user")
+    network.connect("site", "user", latency=1.0)
+    service = Mutable("mutable")
+    ServiceContainer(network, "site").deploy(service)
+    sink = NotificationSink(network, "user")
+    kernel.run(until=kernel.process(RpcClient(network, "user").call(
+        "site", "ogsi", "subscribe",
+        {"service_id": "mutable", "sink_host": "user",
+         "sink_port": sink.port})))
+    service.state = "second"
+    service.publish()
+    service.state = "changed while the notification was in flight"
+    kernel.run()
+    [note] = sink.received
+    assert (note["value"], note["version"]) == ("second", 2)

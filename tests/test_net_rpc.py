@@ -238,6 +238,69 @@ class TestTimeoutsAndRetries:
         assert len(late) >= 1
 
 
+class TestSameInstantTimerAndReply:
+    """Heap order settles a reply and a timer due in one instant: the
+    attempt's timer was armed before anything its request caused, so it
+    precedes the arrival of the reply to *that* transmission."""
+
+    def tied(self, latency, handler, *, retries):
+        k, net, svc, cli = make_rpc(latency=latency)
+        wire = []
+        net.add_drop_filter(
+            lambda m: wire.append((k.now, m.port, m.payload.request_id))
+            and False)
+        svc.register("ping", handler)
+        call = k.process(cli.call("server", "svc", "ping",
+                                  timeout=1.0, retries=retries))
+        call.defuse()
+        k.run()  # drain: the dead timers and the late replies too
+        late = len(k.log.records(kind="rpc.late_reply"))
+        return call, cli.stats, wire, late
+
+    def test_latency_equal_to_timeout(self):
+        """The request is still in flight when the timer fires: the timer
+        wins, one retransmission under the same request id; the first
+        transmission's reply then arrives before the second attempt's
+        timer in their instant and is taken, and the second reply is the
+        one late reply — all without ``already triggered``."""
+        call, stats, wire, late = self.tied(
+            1.0, lambda caller: "pong", retries=3)
+        assert call.ok and call.value == "pong"
+        assert (stats.retries, stats.timeouts) == (1, 0)
+        requests = [(at, rid) for at, port, rid in wire if port == "svc"]
+        assert requests == [(0.0, "client.req-1"), (1.0, "client.req-1")]
+        assert late == 1  # as at b56f92e, where the call itself timed out
+
+    def test_round_trip_equal_to_timeout_never_completes(self):
+        """Every attempt's reply lands in its own timer's instant, behind
+        it: each is dropped, silently, and the call exhausts its retries
+        exactly as it did before the wait lost its ``AnyOf``."""
+        call, stats, wire, late = self.tied(
+            0.5, lambda caller: "pong", retries=2)
+        assert not call.ok and isinstance(call._value, RpcTimeout)
+        assert (stats.retries, stats.timeouts) == (2, 1)
+        assert {rid for _, _, rid in wire} == {"client.req-1"}
+        assert late == 0
+
+    def test_reply_dropped_in_the_timers_instant_is_not_an_error(self):
+        k, net, svc, cli = make_rpc(latency=0.25)
+        served = []
+
+        def slow_once(caller):
+            served.append(k.now)
+            if len(served) == 1:
+                yield k.timeout(0.5)  # 0.25 + 0.5 + 0.25 == the timeout
+            return "pong"
+
+        svc.register("ping", slow_once)
+        result = run_call(k, cli.call("server", "svc", "ping",
+                                      timeout=1.0, retries=1))
+        assert result == "pong" and k.now == pytest.approx(1.5)
+        assert served == [0.25, 1.25] and cli.stats.retries == 1
+        k.run()
+        assert k.log.records(kind="rpc.late_reply") == []
+
+
 class TestFailureEdges:
     def test_retry_exhaustion_reports_attempt_count(self):
         k, net, svc, cli = make_rpc(latency=0.0)

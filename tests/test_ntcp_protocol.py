@@ -437,6 +437,42 @@ class TestExecutionTimeout:
         assert "hydraulic pressure lost" in env.run(go())
         assert env.server.metrics()["failed"] == 1
 
+    def test_plugin_crash_reaches_a_racing_duplicate_too(self):
+        """The one ``except Exception`` of ``_run_plugin``: a back-end
+        error of any type fails the transaction once, chained, and a
+        duplicate execute waiting on the run gets the same failure."""
+        env = make_site(self.CrashingPlugin())
+        execute = env.server.operation("execute")
+        failures = {}
+
+        def one(tag):
+            try:
+                yield from execute(None, transaction="t")
+            except ProtocolError as exc:
+                failures[tag] = (exc, env.kernel.now)
+
+        def go():
+            yield from env.client.propose(env.handle, "t", [Action("x")])
+            started = env.kernel.now
+            env.kernel.process(one("first"))
+            yield env.kernel.timeout(0.05)  # second arrives mid-execution
+            env.kernel.process(one("duplicate"))
+            return started
+
+        started = env.run(go())
+        env.kernel.run()
+        (first, first_at), (duplicate, duplicate_at) = (
+            failures["first"], failures["duplicate"])
+        assert str(first) == str(duplicate) == (
+            "plugin error: RuntimeError: hydraulic pressure lost")
+        assert isinstance(first.__cause__, RuntimeError)
+        assert first_at == duplicate_at == pytest.approx(started + 0.1)
+        assert env.server.transactions["t"].state is TransactionState.FAILED
+        metrics = env.server.metrics()
+        assert (metrics["failed"], metrics["duplicate_executes"]) == (1, 1)
+        assert len(env.kernel.log.records(kind="plugin.error")) == 1
+        assert env.server._completion_events == {}
+
 
 class TestServiceData:
     def test_transaction_sde_published(self):
@@ -466,3 +502,38 @@ class TestServiceData:
     def test_plugin_type_sde(self):
         env = make_site(linear_plugin())
         assert env.server.service_data.value("plugin") == "simulation"
+
+    def test_remote_reader_follows_an_at_least_once_redo(self):
+        """The ``at_most_once=False`` redo is a state change like any
+        other: published, so the SDE a remote reader is served says what
+        ``getTransaction`` says — before, during and after."""
+        env = make_site(linear_plugin(compute_time=2.0))
+        env.server.at_most_once = False
+        rpc = env.client.rpc
+
+        def read():
+            sde = yield from rpc.call(
+                env.handle.host, env.handle.port, "findServiceData",
+                {"service_id": env.handle.service_id,
+                 "name": "transaction:t"})
+            txn = yield from env.client.get_transaction(env.handle, "t")
+            assert sde["value"] == txn
+            return sde["version"], sde["value"]["state"]
+
+        def redo():
+            yield from env.client.execute(env.handle, "t")
+
+        def go():
+            yield from env.client.propose_and_execute(
+                env.handle, "t", make_displacement_actions({0: 0.01}))
+            seen = [(yield from read())]
+            env.kernel.process(redo())
+            yield env.kernel.timeout(1.0)  # mid-redo
+            seen.append((yield from read()))
+            yield env.kernel.timeout(2.0)
+            seen.append((yield from read()))
+            return seen
+
+        assert env.run(go()) == [(4, "executed"), (5, "executing"),
+                                 (6, "executed")]
+        assert env.server.plugin.steps_executed == 2

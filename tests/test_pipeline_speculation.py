@@ -233,10 +233,18 @@ def ensemble_variants(config, n):
 #: Recorded at fe327f1, before the stepping loops shared one
 #: INTEGRATE/COMMIT body — do not regenerate to make a refactor pass: a
 #: moved count means the event schedule moved, which T-WALL and the
-#: committed sim-clock benches pin too (only 15 s later).  ``series`` is
-#: the exception: it counts instruments, and was re-recorded (87/87/89 →
-#: 62) when the unread ones were deleted — events, messages, spans and
-#: histories did not move.
+#: committed sim-clock benches pin too (only 15 s later).  Two keys count
+#: the implementation, not the schedule, and each was re-recorded once,
+#: alone: ``series`` counts instruments (87/87/89 → 62 when the unread
+#: ones were deleted), and ``events`` counts kernel heap entries fired
+#: (2809/2849/2809 → 2449/2489/2449 when an RPC attempt stopped waiting
+#: through an ``AnyOf`` — 240 — and the server stopped creating a
+#: completion event no duplicate execute waits on — 120).  ``schedule``
+#: is what holds the second of those honest: the SHA-256 of every span's
+#: sorted ``(start, end_time, name)`` plus the final ``kernel.now``,
+#: recorded at b56f92e *before* ``events`` moved (sorted because order
+#: inside one instant is not something a clock can see).  The count
+#: moved; the schedule any clock can see did not.
 _RPC_SPANS = {"core.client.execute": 120, "core.client.propose": 120,
               "core.server.execute": 120, "core.server.propose": 120,
               "net.rpc.call": 240, "net.rpc.server": 240}
@@ -245,10 +253,15 @@ _SEQUENTIAL_SPANS = {"coordinator.step": 40, "coordinator.step.commit": 39,
                      "coordinator.step.integrate": 39,
                      "coordinator.step.propose": 40, **_RPC_SPANS}
 _SOLO_SHA = "efd54ad7858bf7792c89530f9e9a3566bafbda966c77aa9212f67ef3adc2badb"
+_SEQUENTIAL_SCHEDULE = (
+    "41793adf254bb48d616502b159b54ce402e51c06f34b1486f1596b42c1f527bd")
 TRACE_SHAPES = {
-    "sequential": dict(events=2809, sent=480, series=62, sha=_SOLO_SHA,
+    "sequential": dict(events=2449, sent=480, series=62, sha=_SOLO_SHA,
+                       schedule=_SEQUENTIAL_SCHEDULE,
                        spans=_SEQUENTIAL_SPANS),
-    "pipelined": dict(events=2849, sent=480, series=62, sha=_SOLO_SHA,
+    "pipelined": dict(events=2489, sent=480, series=62, sha=_SOLO_SHA,
+                      schedule="2db6206cc6872944314fd79a268de907"
+                               "68e0c82dbc5592ad97571cd5226aa490",
                       spans={"coordinator.step": 1,
                              "coordinator.step.execute": 40,
                              "coordinator.step.pipelined": 39,
@@ -256,32 +269,39 @@ TRACE_SHAPES = {
                              "coordinator.step.round": 1,
                              "coordinator.step.speculate": 38, **_RPC_SPANS}),
     "ensemble": dict(
-        events=2809, sent=480, series=62, spans=_SEQUENTIAL_SPANS,
+        events=2449, sent=480, series=62, spans=_SEQUENTIAL_SPANS,
+        schedule=_SEQUENTIAL_SCHEDULE,
         sha="e7327b72f7a309bf98b43d6dd66d28b1aa12bfb624bcb3ec151e93dc0c180b09"),
 }
 
 
 @pytest.mark.parametrize("mode", sorted(TRACE_SHAPES))
 def test_trace_shape_is_pinned(mode):
-    """Kernel events, messages, series, span histogram and committed
-    history of a 40-step simulation-only run, per stepping mode."""
+    """Kernel events, messages, series, span histogram, span schedule
+    and committed history of a 40-step simulation-only run, per stepping
+    mode."""
     s = session(f"shape-{mode}")
     if mode == "pipelined":
         s.with_pipeline(1)
     elif mode == "ensemble":
         s.with_ensemble(ensemble_variants(s.config, 3))
     outcome = s.run()
-    hub = outcome.deployment.kernel.telemetry
+    kernel = outcome.deployment.kernel
+    hub = kernel.telemetry
 
     def total(name):
         return sum(record["value"] for record in hub.metrics_snapshot()
                    if record["name"] == name)
 
     history = np.ascontiguousarray(outcome.result.displacement_history())
+    schedule = sorted((span.start, span.end_time, span.name)
+                      for span in hub.spans())
     assert outcome.steps_completed == N_STEPS - 1
     assert dict(events=total("sim.kernel.events"),
                 sent=total("net.network.sent"), series=len(hub.registry),
                 sha=hashlib.sha256(history.tobytes()).hexdigest(),
+                schedule=hashlib.sha256(
+                    repr((schedule, kernel.now)).encode()).hexdigest(),
                 spans=dict(Counter(span.name for span in hub.spans()))
                 ) == TRACE_SHAPES[mode]
 

@@ -100,6 +100,67 @@ class TestTimeouts:
         assert k.peek() == 4.0
 
 
+class TestScheduledCalls:
+    """``call_later``: a heap entry that is a call, not an Event."""
+
+    def test_calls_and_events_of_one_instant_fire_in_creation_order(self):
+        k = Kernel()
+        order = []
+        k.timeout(1.0).add_callback(lambda e: order.append("timeout-1"))
+        k.call_later(1.0, order.append, "call-2")
+        k.timeout(1.0).add_callback(lambda e: order.append("timeout-3"))
+        k.call_later(1.0, order.append, "call-4")
+        k.event().succeed().add_callback(lambda e: order.append("event-now"))
+        k.call_later(0.0, order.append, "call-now")
+        k.run()
+        assert order == ["event-now", "call-now",
+                         "timeout-1", "call-2", "timeout-3", "call-4"]
+        assert k.now == 1.0
+
+    def test_argument_defaults_to_none(self):
+        k = Kernel()
+        got = []
+        k.call_later(2.0, got.append)
+        k.run()
+        assert got == [None]
+
+    def test_negative_delay_rejected(self):
+        k = Kernel()
+        with pytest.raises(ValueError):
+            k.call_later(-0.1, print)
+        assert k.peek() == float("inf")  # nothing was enqueued
+
+    def test_exception_from_the_call_surfaces_from_run(self):
+        k = Kernel()
+
+        def boom(arg):
+            raise KeyError(arg)
+
+        k.call_later(1.0, boom, "lost")
+        with pytest.raises(KeyError, match="lost"):
+            k.run()
+        assert k.now == 1.0
+
+    def test_peek_and_run_until_see_it(self):
+        k = Kernel()
+        got = []
+        k.call_later(7.0, got.append, "late")
+        k.call_later(3.0, got.append, "early")
+        assert k.peek() == pytest.approx(3.0)
+        k.run(until=5.0)
+        assert got == ["early"] and k.now == 5.0
+        assert k.peek() == pytest.approx(7.0)
+        k.run()
+        assert got == ["early", "late"] and k.now == 7.0
+
+    def test_run_until_event_counts_a_call_as_pending_work(self):
+        k = Kernel()
+        done = k.event()
+        k.call_later(4.0, done.succeed, "woken")
+        assert k.run(until=done) == "woken"
+        assert k.now == 4.0
+
+
 class TestProcesses:
     def test_sequence_of_timeouts(self):
         k = Kernel()
@@ -201,6 +262,25 @@ class TestProcesses:
         k1.run()
         assert not p.ok
 
+    def test_processes_started_in_one_callback_boot_in_creation_order(self):
+        k = Kernel()
+        order = []
+
+        def proc(tag):
+            order.append(f"{tag} booted")
+            yield k.timeout(0)
+
+        def starter(_arg):
+            for tag in "abc":
+                k.process(proc(tag))
+            order.append("starter returned")
+
+        k.call_later(1.0, starter)
+        k.call_later(1.0, order.append, "queued before the boots")
+        k.run()
+        assert order == ["starter returned", "queued before the boots",
+                         "a booted", "b booted", "c booted"]
+
     def test_requires_generator(self):
         k = Kernel()
         with pytest.raises(TypeError):
@@ -228,6 +308,30 @@ class TestInterrupt:
         k.run()
         assert p.value == "interrupted:wake up"
         assert k.now == pytest.approx(100)  # abandoned timeout still drains
+
+    def test_interrupt_before_boot_lands_at_the_first_wait(self):
+        """A process interrupted in the instant it was created still boots
+        first (the boot precedes the poke on the heap), takes the interrupt
+        at its first wait, and is not woken by the wait it abandoned."""
+        k = Kernel()
+        trail = []
+
+        def sleeper(kernel):
+            trail.append("booted")
+            try:
+                yield kernel.timeout(5)
+                trail.append("slept")
+            except Interrupt as i:
+                trail.append(f"interrupted:{i.cause} at {kernel.now}")
+            woken = yield kernel.timeout(20, value="second wait")
+            trail.append(f"{woken} at {kernel.now}")
+
+        p = k.process(sleeper(k))
+        p.interrupt("early")
+        assert trail == []  # neither ran yet
+        k.run()
+        assert trail == ["booted", "interrupted:early at 0.0",
+                         "second wait at 20.0"]
 
     def test_interrupt_terminated_process_raises(self):
         k = Kernel()
