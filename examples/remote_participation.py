@@ -69,7 +69,7 @@ def main() -> None:
     print(f"NSDS: received {receiver.received_count('uiuc-displacement')} "
           f"displacement samples "
           f"({receiver.loss_count('uiuc-displacement')} lost, best-effort)")
-    print(f"video: {len(video.frames)} frames, last PTZ "
+    print(f"video: {video.frame_count} frames, last PTZ "
           f"{video.latest['ptz'] if video.latest else None}")
 
     # -- the data viewer (Figure 8) ---------------------------------------------

@@ -52,7 +52,6 @@ from repro.core import (
     NTCPServer,
     Proposal,
     ProposalVerdict,
-    TransactionResult,
 )
 from repro.core.policy import ParameterLimit, SitePolicy
 
@@ -143,7 +142,6 @@ __all__ = [
     "Proposal",
     "ProposalVerdict",
     "ExecutionOutcome",
-    "TransactionResult",
     "SitePolicy",
     "ParameterLimit",
     # control plugins

@@ -80,9 +80,10 @@ class SiteBinding:
 
 
 class _Abort(Exception):
-    """``_Abort(step, reason)`` ends the run from anywhere in the step
-    machine.  Not a :class:`ReproError`, so no retry handler swallows it;
-    the one abort exit in :meth:`SimulationCoordinator.run` records it.
+    """``raise _Abort(step, reason) from exc`` ends the run from anywhere
+    in the step machine.  Not a :class:`ReproError`, so no retry handler
+    swallows it; the one abort exit in :meth:`SimulationCoordinator.run`
+    records it, with the site ``exc`` was tagged with.
     """
 
 
@@ -459,9 +460,11 @@ class SimulationCoordinator:
                 if verdicts[site.name].state == "accepted":
                     self.retire(step, site)
             name = rejected[0]
-            raise ProtocolError(
+            error = ProtocolError(
                 f"site {name} rejected step {step}: "
                 f"{verdicts[name].error or ''}")
+            error.site = name  # as _guarded tags a failed exchange
+            raise error
         propose_span.end(ok=True)
 
         if set_phase:
@@ -772,12 +775,13 @@ class SimulationCoordinator:
 
     # -- lifecycle -----------------------------------------------------------
     def _record_abort(self, result: ExperimentResult, step: int,
-                      reason: str) -> None:
+                      reason: str, site: str) -> None:
         result.aborted_reason = reason
         result.aborted_at_step = step
+        result.aborted_site = site
         result.wall_finished = self.kernel.now
         self.kernel.emit(f"coordinator.{self.run_id}", "experiment.aborted",
-                         step=step, error=reason)
+                         step=step, site=site, error=reason)
 
     def _initialize(self, result: ExperimentResult):
         """Step 0: measure forces at rest and start the integrator."""
@@ -955,8 +959,11 @@ class SimulationCoordinator:
             # The one abort exit.  The best-effort final checkpoint
             # captures the in-flight step's pending transaction names, so
             # resume-time reconciliation can probe exactly what was on
-            # the wire.
-            self._record_abort(result, *abort.args)
+            # the wire.  The site is the one ``_guarded`` tagged onto the
+            # failure the abort was raised from ("" when no site failed:
+            # a diverged integrator).
+            self._record_abort(result, *abort.args,
+                               site=getattr(abort.__cause__, "site", ""))
             if self.checkpoint_policy.on_abort:
                 yield from self._maybe_checkpoint(result, reason="abort",
                                                   force=True)

@@ -101,61 +101,6 @@ class ExperimentResult:
     def step_durations(self) -> np.ndarray:
         return np.array([r.wall_duration for r in self.steps])
 
-    def to_json(self) -> str:
-        """Serialize the full result (archival / cross-run comparison)."""
-        import json
-
-        payload = {
-            "run_id": self.run_id,
-            "target_steps": self.target_steps,
-            "dt": self.dt,
-            "completed": self.completed,
-            "aborted_reason": self.aborted_reason,
-            "aborted_site": self.aborted_site,
-            "aborted_at_step": self.aborted_at_step,
-            "wall_started": self.wall_started,
-            "wall_finished": self.wall_finished,
-            "steps": [{
-                "step": r.step,
-                "model_time": r.model_time,
-                "displacement": r.displacement.tolist(),
-                "restoring_force": r.restoring_force.tolist(),
-                "site_forces": {s: {str(d): f for d, f in forces.items()}
-                                for s, forces in r.site_forces.items()},
-                "attempts": r.attempts,
-                "wall_started": r.wall_started,
-                "wall_finished": r.wall_finished,
-                "degraded": list(r.degraded),
-            } for r in self.steps],
-        }
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentResult":
-        """Reconstruct a result serialized by :meth:`to_json`."""
-        import json
-
-        payload = json.loads(text)
-        result = cls(run_id=payload["run_id"],
-                     target_steps=payload["target_steps"],
-                     dt=payload["dt"], completed=payload["completed"],
-                     aborted_reason=payload["aborted_reason"],
-                     aborted_site=payload["aborted_site"],
-                     aborted_at_step=payload["aborted_at_step"],
-                     wall_started=payload["wall_started"],
-                     wall_finished=payload["wall_finished"])
-        for s in payload["steps"]:
-            result.steps.append(StepRecord(
-                step=s["step"], model_time=s["model_time"],
-                displacement=np.asarray(s["displacement"]),
-                restoring_force=np.asarray(s["restoring_force"]),
-                site_forces={site: {int(d): f for d, f in forces.items()}
-                             for site, forces in s["site_forces"].items()},
-                attempts=s["attempts"], wall_started=s["wall_started"],
-                wall_finished=s["wall_finished"],
-                degraded=tuple(s.get("degraded", ()))))
-        return result
-
     def summary(self) -> dict:
         """The §3.4-style results row benchmarks print."""
         return {

@@ -25,7 +25,6 @@ from repro.core.messages import (
     ExecutionOutcome,
     Proposal,
     ProposalVerdict,
-    TransactionResult,
 )
 from repro.core.transaction import Transaction, TransactionState
 from repro.core.policy import ParameterLimit, SitePolicy
@@ -38,7 +37,6 @@ __all__ = [
     "Proposal",
     "ProposalVerdict",
     "ExecutionOutcome",
-    "TransactionResult",
     "Transaction",
     "TransactionState",
     "ParameterLimit",

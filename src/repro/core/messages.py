@@ -147,32 +147,9 @@ class ExecutionOutcome:
         """Accept either the typed object or its wire dict."""
         return value if isinstance(value, cls) else cls.from_dict(value)
 
-    @classmethod
-    def from_result(cls, result: "TransactionResult") -> "ExecutionOutcome":
-        return cls(transaction=result.transaction,
-                   readings=dict(result.readings),
-                   started=result.started, finished=result.finished)
-
-
-@dataclass(frozen=True)
-class TransactionResult:
-    """The outcome of an executed transaction.
-
-    ``readings`` carries whatever the site measured (for MOST: achieved
-    displacements and restoring forces per DOF); ``started``/``finished``
-    are server-side simulation times bracketing the execution.
-    """
-
-    transaction: str
-    readings: dict[str, Any]
-    started: float
-    finished: float
-
-    @property
-    def duration(self) -> float:
-        return self.finished - self.started
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"transaction": self.transaction,
-                "readings": dict(self.readings),
-                "started": self.started, "finished": self.finished}
+    def copy(self) -> "ExecutionOutcome":
+        """The outcome with its own ``readings`` dict (shallow): what the
+        server hands out, so a caller's edit never reaches the stored
+        at-most-once record."""
+        return ExecutionOutcome(self.transaction, dict(self.readings),
+                                self.started, self.finished)

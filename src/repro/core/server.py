@@ -22,7 +22,6 @@ from repro.core.messages import (
     ExecutionOutcome,
     Proposal,
     ProposalVerdict,
-    TransactionResult,
 )
 from repro.core.plugin import ControlPlugin
 from repro.core.transaction import Transaction, TransactionState
@@ -184,7 +183,7 @@ class NTCPServer(GridService):
                 self._publish(txn)
                 return self._run_plugin(txn, span)
             span.end(state=txn.state.value, duplicate=True)
-            return ExecutionOutcome.from_result(txn.result)
+            return txn.result.copy()
         if txn.state is TransactionState.EXECUTING:
             self._count("duplicate_executes")
             return self._await_completion(txn, span)
@@ -233,7 +232,7 @@ class NTCPServer(GridService):
             raise ProtocolError(reason) from exc
         if work in fired:
             readings = fired[work]
-            txn.result = TransactionResult(
+            txn.result = ExecutionOutcome(
                 transaction=txn.name,
                 readings=readings if isinstance(readings, dict) else
                 {"value": readings},
@@ -242,7 +241,7 @@ class NTCPServer(GridService):
             self._count("executed")
             self._execute_time.observe(txn.result.duration)
             self._publish(txn)
-            outcome = ExecutionOutcome.from_result(txn.result)
+            outcome = txn.result.copy()
             self._settle(txn, outcome)
             span.end(state=txn.state.value)
             return outcome
@@ -305,7 +304,7 @@ class NTCPServer(GridService):
             raise ProtocolError(
                 f"transaction {transaction!r} has no results "
                 f"(state {txn.state.value})")
-        return ExecutionOutcome.from_result(txn.result)
+        return txn.result.copy()
 
     def _op_listTransactions(self, caller, state: str | None = None):
         names = []

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
 
-from repro.core.messages import Proposal, TransactionResult
+from repro.core.messages import ExecutionOutcome, Proposal
 from repro.util.errors import ProtocolError
 
 
@@ -73,7 +73,7 @@ class Transaction:
     proposal: Proposal
     state: TransactionState = TransactionState.PROPOSED
     history: list[tuple[TransactionState, float]] = field(default_factory=list)
-    result: TransactionResult | None = None
+    result: ExecutionOutcome | None = None
     error: str = ""
 
     def __post_init__(self):

@@ -151,7 +151,13 @@ class ExperimentMonitor(GridService):
 
     # -- ingest ---------------------------------------------------------------
     def on_stream_sample(self, sample: StreamSample) -> None:
-        """NSDSReceiver callback: absorb one streamed metrics payload."""
+        """NSDSReceiver callback: absorb one streamed metrics payload.
+
+        A malformed sample raises
+        :class:`~repro.monitor.schema.MonitorSchemaError`; arriving
+        over the wire, that is the receiver's guard's to count
+        (``subscriber_errors``), not the experiment's to die of.
+        """
         payload = sample.value
         if not isinstance(payload, dict) or payload.get("kind") != "metrics":
             return
@@ -346,14 +352,14 @@ class ExperimentMonitor(GridService):
         receiver = self.receiver
         if receiver is None:
             return None
-        received = sum(len(batch) for batch in receiver.samples.values())
+        received = receiver.accepted
         gaps, out_of_order = receiver.gap_count, receiver.out_of_order
         lost = max(gaps - out_of_order, 0)
         channels = {channel: {"received": receiver.received_count(channel),
-                              "highest_seq": receiver.highest_seq.get(
-                                  channel, -1),
+                              "highest_seq": highest,
                               "lost": receiver.loss_count(channel)}
-                    for channel in sorted(receiver.samples)}
+                    for channel, highest in sorted(
+                        receiver.highest_seq.items())}
         return {"received": received, "gaps": gaps,
                 "out_of_order": out_of_order, "lost": lost,
                 "loss_rate": lost / received if received else 0.0,

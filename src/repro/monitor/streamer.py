@@ -103,8 +103,9 @@ class TelemetryStreamer:
 
     def _run(self):
         # First flush one interval in, not immediately: a flush issued
-        # before the console's subscribe RPC lands would burn a sequence
-        # number no subscriber can receive — a phantom gap on every run.
+        # before the console's subscribe RPC lands reaches no subscriber
+        # (a receiver counts loss from the first sequence it sees, so the
+        # sample would be unseen, not a gap).
         while self.running:
             yield self.kernel.timeout(self.interval)
             if self.running:

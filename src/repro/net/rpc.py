@@ -121,8 +121,6 @@ class RpcService:
         if not isinstance(req, RpcRequest):
             self.kernel.emit(self.name, "rpc.bad_message", msg_id=msg.msg_id)
             return
-        self.kernel.emit(self.name, "rpc.request", method=req.method,
-                         request_id=req.request_id, src=msg.src)
         tracer = self.telemetry.tracer
         span = tracer.start_span(
             "net.rpc.server",

@@ -2,38 +2,41 @@
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Any, Callable
 
-from repro.net.network import Message, Network
+from repro.net.network import Network
 from repro.nsds.stream import StreamSample
+from repro.ogsi.notification import NotificationSink
 
 
-class NSDSReceiver:
-    """Receives NSDS datagrams on a bound port; tracks sequence gaps.
+class NSDSReceiver(NotificationSink):
+    """The subscriber sink for NSDS datagrams, with sequence accounting.
 
     Because delivery is best-effort over possibly non-FIFO links, samples
-    may arrive out of order or not at all.  The receiver records, per
-    channel, the samples in arrival order and the highest sequence seen;
-    skipped sequence numbers (``nsds.receiver.gaps``) and late arrivals
+    may arrive out of order or not at all.  The receiver keeps, per
+    channel, how many samples arrived and the lowest and highest sequence
+    seen — never the samples, which go to ``callback`` and nowhere else.
+    Skipped sequence numbers (``nsds.receiver.gaps``) and late arrivals
     (``nsds.receiver.out_of_order``) are counted into the run's telemetry
     registry, labelled by host and port, so stream-health consumers read
-    them the same way as every other metric.
+    them the same way as every other metric.  All of it is measured from
+    the first sequence a channel shows: a subscriber that joins mid-run
+    has lost nothing it never asked for.
     """
+
+    port_prefix = "nsds-sink"
 
     def __init__(self, network: Network, host: str,
                  callback: Callable[[StreamSample], None] | None = None):
-        self.network = network
-        self.host = host
-        self.port = network.new_port("nsds-sink")
-        self.callback = callback
-        self.samples: dict[str, list[StreamSample]] = {}
+        super().__init__(network, host, callback)
         self.highest_seq: dict[str, int] = {}
+        self._lowest_seq: dict[str, int] = {}
+        self._received: dict[str, int] = {}
         telemetry = network.kernel.telemetry
         self._tm_gaps = telemetry.counter("nsds.receiver.gaps",
                                           host=host, port=self.port)
         self._tm_out_of_order = telemetry.counter(
             "nsds.receiver.out_of_order", host=host, port=self.port)
-        network.host(host).bind(self.port, self._on_message)
 
     @property
     def out_of_order(self) -> int:
@@ -46,32 +49,35 @@ class NSDSReceiver:
         a gap later filled by an out-of-order arrival stays counted)."""
         return self._tm_gaps.value
 
-    def _on_message(self, msg: Message) -> None:
-        payload = msg.payload
-        if not isinstance(payload, dict) or "channel" not in payload:
-            return
-        sample = StreamSample(channel=payload["channel"],
-                              sequence=payload["sequence"],
-                              time=payload["time"], value=payload["value"])
-        per = self.samples.setdefault(sample.channel, [])
-        per.append(sample)
-        prev = self.highest_seq.get(sample.channel, 0)
-        if sample.sequence < prev:
+    def accept(self, payload: Any) -> StreamSample | None:
+        if not isinstance(payload, dict):
+            return None
+        channel, sequence = payload.get("channel"), payload.get("sequence")
+        if (not isinstance(channel, str) or not isinstance(sequence, int)
+                or "time" not in payload or "value" not in payload):
+            return None
+        prev = self.highest_seq.get(channel)
+        if prev is None:
+            self._lowest_seq[channel] = self.highest_seq[channel] = sequence
+        elif sequence < prev:
             self._tm_out_of_order.inc()
-        elif sample.sequence > prev + 1:
-            self._tm_gaps.inc(sample.sequence - prev - 1)
-        self.highest_seq[sample.channel] = max(prev, sample.sequence)
-        if self.callback is not None:
-            self.callback(sample)
+            if sequence < self._lowest_seq[channel]:
+                self._lowest_seq[channel] = sequence
+        elif sequence > prev:
+            if sequence > prev + 1:
+                self._tm_gaps.inc(sequence - prev - 1)
+            self.highest_seq[channel] = sequence
+        self._received[channel] = self._received.get(channel, 0) + 1
+        return StreamSample(channel=channel, sequence=sequence,
+                            time=payload["time"], value=payload["value"])
 
     def received_count(self, channel: str) -> int:
-        return len(self.samples.get(channel, []))
+        return self._received.get(channel, 0)
 
     def loss_count(self, channel: str) -> int:
-        """Sequence numbers never seen (as of the highest seen)."""
-        return self.highest_seq.get(channel, 0) - self.received_count(channel)
-
-    def values(self, channel: str) -> list:
-        """Values in sequence order (late arrivals sorted into place)."""
-        return [s.value for s in sorted(self.samples.get(channel, []),
-                                        key=lambda s: s.sequence)]
+        """Sequence numbers never seen, between the lowest and the
+        highest this subscriber has seen."""
+        if channel not in self._received:
+            return 0
+        return (self.highest_seq[channel] - self._lowest_seq[channel] + 1
+                - self._received[channel])

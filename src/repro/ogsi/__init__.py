@@ -17,8 +17,11 @@ that hosting environment over the simulated network:
   grid service handles, dispatches RPC operations, runs the soft-state
   reaper, offers ``findServiceData``/``setTerminationTime``/factory/registry
   operations;
-* :class:`~repro.ogsi.notification.NotificationSink` — client-side receiver
-  for SDE change notifications (subscribe/deliver/expire);
+* :class:`~repro.ogsi.notification.NotificationSink` — the subscriber side
+  of every one-way push (SDE change notifications here, NSDS datagrams
+  and video frames through its two subclasses): a fresh port, a shape
+  filter, counts, and one guard around the consumer ``callback``; it
+  keeps no payloads;
 * :func:`~repro.ogsi.handle.invoke` — the client side of the container's
   ``invoke`` method: ``yield from invoke(rpc, handle, operation, params)``.
 """

@@ -1,4 +1,4 @@
-"""Client-side receiver for SDE change notifications."""
+"""The subscriber side of every one-way push: one guarded sink."""
 
 from __future__ import annotations
 
@@ -8,57 +8,67 @@ from repro.net.network import Message, Network
 
 
 class NotificationSink:
-    """Binds a port and collects (or forwards) SDE change notifications.
+    """Binds a fresh port and hands each accepted payload to its consumer.
 
-    Notifications arrive as plain dicts (see
-    :meth:`repro.ogsi.container.ServiceContainer._fanout`).  The sink stores
-    them in arrival order and optionally invokes a callback — remote
-    monitoring tools (the CHEF data viewer, the MOST coordinator's health
-    display) are built on this.
+    SDE change notifications arrive as plain dicts (see
+    :meth:`repro.ogsi.container.ServiceContainer._fanout`); NSDS
+    datagrams and video frames arrive the same way, and
+    :class:`~repro.nsds.subscriber.NSDSReceiver` and
+    :class:`~repro.telepresence.camera.VideoViewer` are this class with
+    a different :attr:`port_prefix` and :meth:`accept`.  The sink keeps
+    nothing but counts: a consumer that wants the payloads is the
+    ``callback`` (the console, the observatory's store, a CHEF data
+    viewer, a test's ``collected.append``).
 
-    A raising callback must not take delivery down with it: the payload is
-    recorded first, the failure is logged and counted
-    (``ogsi.notify.subscriber_errors``), and the network keeps delivering
-    to every other sink — one broken viewer cannot blind the rest.
+    Observers are best-effort and must never touch the experiment, so a
+    raising consumer does not take delivery down with it: the failure is
+    counted (``ogsi.notify.subscriber_errors``, created on a sink's first
+    failure), logged as ``subscriber.error``, and the kernel keeps
+    delivering to every other sink — one broken viewer cannot blind the
+    rest, and one bad datagram cannot end the run.
     """
 
+    #: prefix of the port name taken from :meth:`Network.new_port`
+    port_prefix = "notify"
+
     def __init__(self, network: Network, host: str,
-                 callback: Callable[[dict[str, Any]], None] | None = None):
+                 callback: Callable[[Any], None] | None = None):
         self.network = network
         self.host = host
-        self.port = network.new_port("notify")
+        self.port = network.new_port(self.port_prefix)
         self.callback = callback
-        self.received: list[dict[str, Any]] = []
-        self._tm_errors = network.kernel.telemetry.counter(
-            "ogsi.notify.subscriber_errors", host=host, port=self.port)
+        #: payloads that passed :meth:`accept`
+        self.accepted = 0
+        self._tm_errors = None  # built on the first consumer failure
         network.host(host).bind(self.port, self._on_message)
 
     @property
     def subscriber_errors(self) -> int:
-        """Callback failures swallowed by this sink."""
-        return self._tm_errors.value
+        """Consumer failures swallowed by this sink."""
+        return self._tm_errors.value if self._tm_errors is not None else 0
+
+    def accept(self, payload: Any) -> Any:
+        """What the consumer is handed for ``payload``; ``None`` drops it.
+
+        Must not raise: it runs outside the guard, on whatever arrived.
+        """
+        return payload if isinstance(payload, dict) else None
 
     def _on_message(self, msg: Message) -> None:
-        if not isinstance(msg.payload, dict):
+        item = self.accept(msg.payload)
+        if item is None:
             return
-        self.received.append(msg.payload)
+        self.accepted += 1
         if self.callback is None:
             return
         try:
-            self.callback(msg.payload)
+            self.callback(item)
         except Exception as exc:
+            if self._tm_errors is None:
+                self._tm_errors = self.network.kernel.telemetry.counter(
+                    "ogsi.notify.subscriber_errors",
+                    host=self.host, port=self.port)
             self._tm_errors.inc()
             self.network.kernel.emit(
                 f"notify.{self.host}", "subscriber.error",
                 port=self.port, error=f"{type(exc).__name__}: {exc}")
-
-    def for_service(self, service_id: str) -> list[dict[str, Any]]:
-        """Notifications from one service, in arrival order."""
-        return [n for n in self.received if n.get("service_id") == service_id]
-
-    def latest(self, service_id: str, sde_name: str) -> dict[str, Any] | None:
-        """Most recent notification for a specific SDE, if any."""
-        for n in reversed(self.received):
-            if n.get("service_id") == service_id and n.get("sde_name") == sde_name:
-                return n
-        return None

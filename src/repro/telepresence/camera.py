@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
-from repro.net.network import Message, Network
+from repro.ogsi.notification import NotificationSink
 from repro.ogsi.service import GridService
 from repro.util.errors import PolicyViolation
 from repro.util.ids import IdFactory
@@ -110,20 +111,22 @@ class CameraService(GridService):
             yield self.kernel.timeout(self.frame_interval)
 
 
-class VideoViewer:
-    """Observer-side frame sink."""
+class VideoViewer(NotificationSink):
+    """The subscriber sink for camera frames: shows the latest, counts
+    the rest (a consumer that wants every frame is the ``callback``)."""
 
-    def __init__(self, network: Network, host: str):
-        self.network = network
-        self.host = host
-        self.port = network.new_port("video")
-        self.frames: list[dict] = []
-        network.host(host).bind(self.port, self._on_frame)
+    port_prefix = "video"
 
-    def _on_frame(self, msg: Message) -> None:
-        if isinstance(msg.payload, dict) and "frame" in msg.payload:
-            self.frames.append(msg.payload)
+    #: the most recent frame accepted, if any
+    latest: dict | None = None
+
+    def accept(self, payload: Any) -> dict | None:
+        if not isinstance(payload, dict) or "frame" not in payload:
+            return None
+        self.latest = payload
+        return payload
 
     @property
-    def latest(self) -> dict | None:
-        return self.frames[-1] if self.frames else None
+    def frame_count(self) -> int:
+        """Frames received."""
+        return self.accepted

@@ -399,6 +399,51 @@ def test_there_is_one_way_to_run_something_later():
                 if isinstance(node, ast.Lambda)]
 
 
+def test_one_class_binds_subscriber_ports():
+    """``NotificationSink`` is the one subscriber side: a fresh port is
+    taken only by it and by the RPC client's reply port, the NSDS and
+    video sinks add no ``bind`` and no ``try`` of their own, and no sink
+    keeps the payloads it hands on."""
+    import ast
+    import pathlib
+
+    from repro.nsds import NSDSReceiver
+    from repro.ogsi import NotificationSink
+    from repro.telepresence import VideoViewer
+
+    def called(node, attr):
+        return (isinstance(node, ast.Call)
+                and getattr(node.func, "attr", "") == attr)
+
+    src = pathlib.Path(repro.__file__).parent
+    trees = {path.relative_to(src).as_posix(): ast.parse(path.read_text())
+             for path in src.rglob("*.py")}
+    assert {where for where, tree in trees.items()
+            for node in ast.walk(tree) if called(node, "new_port")} == \
+        {"net/rpc.py", "ogsi/notification.py"}
+
+    kept, own_delivery = [], []
+    for where in ("ogsi/notification.py", "nsds/subscriber.py",
+                  "telepresence/camera.py"):
+        for node in ast.walk(trees[where]):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                kept += [(where, t.attr) for t in targets
+                         if isinstance(t, ast.Attribute)
+                         and t.attr in ("samples", "received", "frames")]
+            if (isinstance(node, ast.ClassDef)
+                    and node.name in ("NSDSReceiver", "VideoViewer")):
+                own_delivery += [
+                    (node.name, type(inner).__name__)
+                    for inner in ast.walk(node)
+                    if isinstance(inner, ast.Try) or called(inner, "bind")]
+    assert kept == [] and own_delivery == []
+    for cls in (NSDSReceiver, VideoViewer):
+        assert issubclass(cls, NotificationSink)
+        assert "_on_message" not in vars(cls)
+
+
 def test_a_produced_sde_is_built_by_its_first_reader():
     """``set_produced``: version and time are stamped at set time, the
     value is built at most once and only if somebody reads it — and a
@@ -445,7 +490,8 @@ def test_a_produced_sde_is_built_by_its_first_reader():
     network.connect("site", "user", latency=1.0)
     service = Mutable("mutable")
     ServiceContainer(network, "site").deploy(service)
-    sink = NotificationSink(network, "user")
+    notes = []
+    sink = NotificationSink(network, "user", callback=notes.append)
     kernel.run(until=kernel.process(RpcClient(network, "user").call(
         "site", "ogsi", "subscribe",
         {"service_id": "mutable", "sink_host": "user",
@@ -454,5 +500,5 @@ def test_a_produced_sde_is_built_by_its_first_reader():
     service.publish()
     service.state = "changed while the notification was in flight"
     kernel.run()
-    [note] = sink.received
+    [note] = notes
     assert (note["value"], note["version"]) == ("second", 2)

@@ -155,7 +155,9 @@ class TestRejectionHandling:
         assert result.aborted_at_step == 0
         assert result.aborted_reason.startswith("initialization failed: ")
         [aborted] = k.log.records("coordinator.t", "experiment.aborted")
-        assert aborted.detail == {"step": 0, "error": result.aborted_reason}
+        assert aborted.detail == {"step": 0, "site": "cu",
+                                  "error": result.aborted_reason}
+        assert result.aborted_site == "cu"
 
 
 class TestFaultHandling:

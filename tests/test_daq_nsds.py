@@ -201,7 +201,8 @@ class TestNSDS:
 
     def test_subscribe_and_push(self):
         k, net, nsds, rpc = nsds_env()
-        recv = NSDSReceiver(net, "viewer")
+        samples = []
+        recv = NSDSReceiver(net, "viewer", callback=samples.append)
         call(k, rpc, "subscribe", {"sink_host": "viewer",
                                    "sink_port": recv.port,
                                    "lifetime": 1000.0})
@@ -209,7 +210,8 @@ class TestNSDS:
             nsds.ingest(float(i), {"force": float(i)})
         k.run()
         assert recv.received_count("force") == 10
-        assert recv.values("force") == [float(i) for i in range(10)]
+        samples.sort(key=lambda s: s.sequence)  # late arrivals into place
+        assert [s.value for s in samples] == [float(i) for i in range(10)]
         assert recv.loss_count("force") == 0
 
     def test_channel_filter(self):
@@ -279,6 +281,55 @@ class TestNSDS:
                                         host="viewer", port=recv.port)
         assert gaps.value == 5 and ooo.value == 1
 
+    def test_a_late_joiner_has_lost_nothing(self):
+        """Loss is counted from the first sequence a subscriber sees:
+        what was streamed before it subscribed was never its to lose."""
+        k, net, nsds, rpc = nsds_env()
+        for i in range(5):
+            nsds.ingest(float(i), {"force": float(i)})
+        samples = []
+        recv = NSDSReceiver(net, "viewer", callback=samples.append)
+        call(k, rpc, "subscribe", {"sink_host": "viewer",
+                                   "sink_port": recv.port,
+                                   "lifetime": 1000.0})
+        for i in range(5, 10):
+            nsds.ingest(float(i), {"force": float(i)})
+        k.run()
+        assert [s.sequence for s in samples] == [6, 7, 8, 9, 10]
+        assert recv.received_count("force") == 5
+        assert recv.highest_seq == {"force": 10}
+        assert (recv.gap_count, recv.loss_count("force")) == (0, 0)
+        assert recv.loss_count("never-seen") == 0
+
+    def test_loss_is_counted_between_the_lowest_and_highest_seen(self):
+        k, net, nsds, rpc = nsds_env()
+        recv = NSDSReceiver(net, "viewer")
+        from repro.net.network import Message
+
+        for seq in (7, 6, 9):   # joined at 7; 6 arrived late; 8 never did
+            recv._on_message(Message(
+                src="site", dst="viewer", port=recv.port,
+                payload={"stream": "s", "channel": "c", "sequence": seq,
+                         "time": 0.0, "value": seq},
+                msg_id=f"m{seq}", send_time=0.0))
+        assert (recv.gap_count, recv.out_of_order) == (1, 1)
+        assert recv.received_count("c") == 3
+        assert recv.loss_count("c") == 1
+
+    def test_a_datagram_that_is_not_a_sample_is_dropped(self):
+        k, net, nsds, rpc = nsds_env()
+        samples = []
+        recv = NSDSReceiver(net, "viewer", callback=samples.append)
+        for payload in ("text", {"channel": "c"},
+                        {"channel": "c", "sequence": "1", "time": 0.0,
+                         "value": 1.0},
+                        {"channel": 3, "sequence": 1, "time": 0.0,
+                         "value": 1.0}):
+            net.send("site", "viewer", recv.port, payload)
+        k.run()
+        assert samples == [] and recv.accepted == 0
+        assert recv.highest_seq == {} and recv.subscriber_errors == 0
+
     def test_two_receivers_count_independently(self):
         k, net, nsds, rpc = nsds_env()
         first = NSDSReceiver(net, "viewer")
@@ -314,7 +365,8 @@ class TestNSDS:
         daq.add_channel(SensorChannel("load", lambda: 42.0,
                                       Sensor(noise_std=0.0)))
         daq.on_sample(nsds.ingest)
-        recv = NSDSReceiver(net, "viewer")
+        samples = []
+        recv = NSDSReceiver(net, "viewer", callback=samples.append)
         call(k, rpc, "subscribe", {"sink_host": "viewer",
                                    "sink_port": recv.port,
                                    "lifetime": 1000.0})
@@ -323,4 +375,4 @@ class TestNSDS:
         daq.stop()
         k.run()
         assert recv.received_count("load") == 10
-        assert all(v == 42.0 for v in recv.values("load"))
+        assert [s.value for s in samples] == [42.0] * 10

@@ -103,3 +103,60 @@ class TestSessionResults:
         assert outcome.aborted_result is None
         assert outcome.checkpoints > 0
         assert outcome.rollups
+
+
+SHAPES = {
+    "sim_only": lambda config: ExperimentSession(config,
+                                                 simulation_only=True),
+    "with_observers": lambda config: (ExperimentSession(config)
+                                      .with_observers()),
+    "with_observatory": lambda config: (ExperimentSession(config)
+                                        .with_observers()
+                                        .with_observatory()),
+}
+
+
+class TestRetention:
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_a_run_keeps_no_second_archive(self, shape):
+        """What a finished run still holds, by type (the outcome is held,
+        so everything reachable from it counts): streamed samples live
+        only in the NSDS services' bounded rings — no subscriber keeps
+        its own copy of the stream — and the kernel log carries no record
+        per RPC request.  Types are pinned, not totals; the census is
+        printed (``-s``) for CHANGES.md."""
+        import gc
+        from collections import Counter
+
+        from repro.nsds import StreamSample
+        from repro.util.log import LogRecord
+
+        def census():
+            gc.collect()
+            return Counter(type(o) for o in gc.get_objects())
+
+        session = SHAPES[shape](MOSTConfig().scaled(300))
+        before = census()
+        outcome = session.run()
+        retained = census() - before
+        assert outcome.completed
+        steps = outcome.steps_completed
+
+        print(f"\n{shape}: {sum(retained.values()) / steps:.1f} gc-tracked "
+              f"objects retained per committed step")
+        for kind, count in retained.most_common(12):
+            print(f"  {kind.__name__:<20} {count / steps:6.2f}")
+
+        dep = outcome.deployment
+        services = [site.nsds for site in dep.sites.values()
+                    if site.nsds is not None]
+        if outcome.monitoring is not None:
+            services.append(outcome.monitoring.nsds)
+        rings = sum(buffer.capacity for service in services
+                    for buffer in service.buffers.values())
+        assert retained[StreamSample] <= rings
+        if shape == "sim_only":
+            assert retained[StreamSample] == 0
+            assert retained[LogRecord] / steps < 13.5
+        else:
+            assert outcome.stream_samples_pushed > rings

@@ -136,7 +136,7 @@ class TestFieldTest:
     def test_all_four_floors_instrumented(self, report):
         assert report.floors_sampled == 4
         receiver = report.extras["receiver"]
-        assert set(receiver.samples) == {f"floor-{i}" for i in range(4)}
+        assert set(receiver.highest_seq) == {f"floor-{i}" for i in range(4)}
 
     def test_fundamental_frequency_matches_model(self, report):
         frame = report.extras["frame"]

@@ -245,14 +245,16 @@ class TestTelemetryStreamer:
 
     def test_stream_reaches_receiver_with_contiguous_seqs(self):
         kernel, network, nsds, streamer = streamer_env(interval=10.0)
-        recv = NSDSReceiver(network, "portal")
+        samples = []
+        recv = NSDSReceiver(network, "portal", callback=samples.append)
         nsds._op_subscribe(None, "portal", recv.port, lifetime=1000.0)
         kernel.telemetry.counter("coordinator.mspsds.steps").inc()
         streamer.start()
         kernel.run(until=45.0)
         assert recv.received_count(TelemetryStreamer.CHANNEL) == 4
         assert recv.gap_count == 0
-        for sample in recv.samples[TelemetryStreamer.CHANNEL]:
+        assert len(samples) == 4
+        for sample in samples:
             validate_metrics_sample(sample.value)
 
 
@@ -459,7 +461,8 @@ class TestMonitorDetectors:
 
     def test_alert_published_over_ogsi_notification(self):
         kernel, network, container, monitor = monitor_env()
-        sink = NotificationSink(network, "coord")
+        notes = []
+        sink = NotificationSink(network, "coord", callback=notes.append)
         rpc = RpcClient(network, "coord", default_timeout=10.0)
 
         def subscribe():
@@ -472,8 +475,9 @@ class TestMonitorDetectors:
         kernel.run(until=kernel.process(subscribe()))
         monitor.raise_alert("stall", "critical", "no committed step")
         kernel.run(until=kernel.now + 5.0)
-        note = sink.latest(monitor.service_id, "lastAlert")
-        assert note is not None
+        note = notes[-1]
+        assert (note["service_id"], note["sde_name"]) == \
+            (monitor.service_id, "lastAlert")
         validate_alert_payload(note["value"])
         assert note["value"]["alert"] == "stall"
 
@@ -583,6 +587,86 @@ class TestMonitoredExperiment:
             sde = publisher.service_data.get("health")
             validate_health_payload(sde.value)
             assert sde.version >= publisher.published
+
+
+class TestABadDatagramCannotStopTheRun:
+    """Observers are best-effort: what a console's decoder makes of a
+    datagram is the console's problem, never the experiment's.  The
+    consumers still raise when called directly (the schema tests above);
+    only delivery is guarded, by the sink."""
+
+    @staticmethod
+    def run_poisoned(monkeypatch, poison, *, observatory=False):
+        """A monitored sim-only run (80 simulated seconds) with
+        ``poison(dep, kit)`` called half-way through."""
+        import repro.monitor as monitor_package
+
+        attach = monitor_package.attach_monitoring
+
+        def attach_then_poison(dep, **options):
+            kit = attach(dep, **options)
+            dep.kernel.call_later(40.0, lambda _: poison(dep, kit))
+            return kit
+
+        monkeypatch.setattr(monitor_package, "attach_monitoring",
+                            attach_then_poison)
+        session = ExperimentSession(MOSTConfig().scaled(40), run_id="bad",
+                                    simulation_only=True).with_monitoring()
+        if observatory:
+            session.with_observatory()
+        outcome = session.run()
+        assert outcome.completed and outcome.alerts == []
+        assert outcome.result.wall_finished > 60.0   # it was mid-run
+        return outcome
+
+    @pytest.mark.parametrize("observatory", [False, True])
+    def test_a_malformed_metrics_sample(self, monkeypatch, observatory):
+        bogus = {"kind": "metrics", "schema": "bogus"}
+        with pytest.raises(MonitorSchemaError):
+            ExperimentMonitor().on_stream_sample(
+                StreamSample(TelemetryStreamer.CHANNEL, 1, 0.0, bogus))
+
+        outcome = self.run_poisoned(
+            monkeypatch, observatory=observatory,
+            poison=lambda dep, kit: kit.nsds.ingest(
+                dep.kernel.now, {TelemetryStreamer.CHANNEL: bogus}))
+        kit, log = outcome.monitoring, outcome.deployment.kernel.log
+        receivers = [kit.receiver]
+        if observatory:
+            receivers.append(outcome.observatory.receiver)
+        for receiver in receivers:
+            assert receiver.subscriber_errors == 1
+            assert receiver.gap_count == 0
+            [error] = [record for record in log.records(
+                           f"notify.{receiver.host}", "subscriber.error")
+                       if record.detail["port"] == receiver.port]
+            assert "SchemaError" in error.detail["error"]
+            assert 40.0 < error.time < 41.0
+        # every other sample got through, there and at the sink next door
+        assert kit.monitor.samples_seen == kit.receiver.accepted - 1 > 0
+        assert kit.sink.accepted > 0 and kit.sink.subscriber_errors == 0
+        if observatory:
+            store = outcome.observatory.store
+            assert store.samples_ingested == kit.monitor.samples_seen
+
+    def test_a_health_notification_that_is_not_one(self, monkeypatch):
+        outcome = self.run_poisoned(
+            monkeypatch,
+            poison=lambda dep, kit: dep.network.send(
+                "coord", "portal", kit.sink.port,
+                {"sde_name": "health", "value": {"kind": "health"}}))
+        kit, log = outcome.monitoring, outcome.deployment.kernel.log
+        assert kit.sink.subscriber_errors == 1
+        [error] = log.records("notify.portal", "subscriber.error")
+        assert error.detail == {"port": kit.sink.port,
+                                "error": "KeyError: 'source'"}
+        assert 40.0 < error.time < 41.0
+        updates = outcome.deployment.kernel.telemetry.counter(
+            "monitor.console.health_updates",
+            service=kit.monitor.service_id).value
+        assert updates == kit.sink.accepted - 1 > 0
+        assert kit.receiver.accepted > 0
+        assert kit.receiver.subscriber_errors == 0
 
 
 class TestCriticalPath:

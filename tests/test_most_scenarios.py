@@ -142,8 +142,7 @@ class TestPublicRun:
 
     def test_streaming_reached_viewers(self, public):
         receivers = public.deployment.extras["nsds_receivers"]
-        total = sum(sum(len(v) for v in r.samples.values())
-                    for r in receivers)
+        total = sum(r.accepted for r in receivers)
         assert total > 0
         assert public.stream_samples_pushed > 0
 

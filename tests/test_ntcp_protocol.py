@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core import (
     Action,
+    ExecutionOutcome,
     NTCPServer,
     Proposal,
     SitePolicy,
@@ -317,6 +318,28 @@ class TestAtMostOnce:
         assert r1 == r2
         assert env.server.plugin.steps_executed == 1
         assert env.server.metrics()["duplicate_executes"] == 1
+
+    def test_a_callers_edit_never_reaches_the_stored_record(self):
+        """The server stores one ``ExecutionOutcome`` and hands out
+        copies of it (own ``readings`` dict) on execute, duplicate
+        execute and ``getResults``."""
+        env = make_site(linear_plugin())
+
+        def go():
+            yield from env.client.propose(
+                env.handle, "t", make_displacement_actions({0: 0.01}))
+            first = yield from env.client.execute(env.handle, "t")
+            first.readings["forces"] = "scribbled"
+            again = yield from env.client.execute(env.handle, "t")
+            again.readings.clear()
+            fetched = yield from env.client.get_results(env.handle, "t")
+            return fetched
+
+        fetched = env.run(go())
+        stored = env.server.transactions["t"].result
+        assert type(stored) is type(fetched) is ExecutionOutcome
+        assert fetched == stored and fetched.readings is not stored.readings
+        assert stored.readings["forces"][0] == pytest.approx(1.0)
 
     def test_lost_response_retry_does_not_double_execute(self):
         """The paper's at-most-once guarantee: drop the first execute

@@ -581,12 +581,15 @@ class TestSessionIntegration:
         [snapshot] = obs.recorder.snapshots
         assert snapshot["reason"] == "abort"
         assert snapshot["step"] == outcome.result.aborted_at_step
+        # the abort names the site whose exchange failed, all the way
+        # from the coordinator's one abort exit to the header
+        assert outcome.result.aborted_site == snapshot["site"] == "uiuc"
+        [aborted] = outcome.deployment.kernel.log.records(
+            "coordinator.obs-abort", "experiment.aborted")
+        assert aborted.detail["site"] == "uiuc"
         text = obs.postmortem()
         assert "POSTMORTEM  run=obs-abort  reason=abort" in text
-        assert f"step={snapshot['step']}" in text
-        # the timeline names the faulted site even when the abort record
-        # does not: its last transactions are right there in the rings
-        assert "uiuc" in text
+        assert f"incident    step={snapshot['step']}  site=uiuc  " in text
         with pytest.raises(ReproError):
             obs.postmortem("never-ran")
         # the drain phase carried the snapshot to the repository

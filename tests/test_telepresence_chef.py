@@ -54,12 +54,14 @@ class TestCamera:
         k, net, container, rpc = portal_env()
         cam = CameraService("cam", frame_interval=0.5)
         container.deploy(cam)
-        viewer = VideoViewer(net, "user")
+        frames = []
+        viewer = VideoViewer(net, "user", callback=frames.append)
         call(k, rpc, "cam", "subscribe", {"sink_host": "user",
                                           "sink_port": viewer.port,
                                           "lifetime": 10.0})
         k.run(until=15.0)
-        assert len(viewer.frames) >= 15
+        assert viewer.frame_count == len(frames) >= 15
+        assert viewer.latest is frames[-1]
         assert viewer.latest["camera"] == "cam"
 
     def test_stream_stops_after_expiry(self):
@@ -71,8 +73,7 @@ class TestCamera:
                                           "sink_port": viewer.port,
                                           "lifetime": 5.0})
         k.run(until=30.0)
-        n = len(viewer.frames)
-        assert n <= 12
+        assert 0 < viewer.frame_count <= 12
         assert not cam.streaming  # loop exited
 
     def test_frames_carry_current_ptz(self):
@@ -85,7 +86,32 @@ class TestCamera:
                                           "lifetime": 20.0})
         call(k, rpc, "cam", "ptz", {"pan": 30.0})
         k.run(until=25.0)
-        assert viewer.frames[-1]["ptz"]["pan"] == 30.0
+        assert viewer.latest["ptz"]["pan"] == 30.0
+
+    def test_a_raising_consumer_loses_only_its_own_frames(self):
+        k, net, container, rpc = portal_env()
+        cam = CameraService("cam", frame_interval=1.0)
+        container.deploy(cam)
+
+        def crash(frame):
+            raise RuntimeError("decoder crashed")
+
+        frames = []
+        broken = VideoViewer(net, "user", callback=crash)
+        healthy = VideoViewer(net, "user", callback=frames.append)
+        for viewer in (broken, healthy):
+            call(k, rpc, "cam", "subscribe", {"sink_host": "user",
+                                              "sink_port": viewer.port,
+                                              "lifetime": 10.0})
+        k.run(until=15.0)   # the camera kept streaming to both
+        assert healthy.frame_count == len(frames) >= 9
+        assert healthy.subscriber_errors == 0
+        assert broken.subscriber_errors == broken.frame_count >= 9
+        assert broken.latest["camera"] == "cam"
+        errors = k.log.records("notify.user", "subscriber.error")
+        assert len(errors) == broken.subscriber_errors
+        assert {e.detail["port"] for e in errors} == {broken.port}
+        assert errors[0].detail["error"] == "RuntimeError: decoder crashed"
 
     def test_clamped_helper(self):
         assert PTZState(pan=999, tilt=-99, zoom=0.1).clamped() == \
