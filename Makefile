@@ -4,7 +4,8 @@ export PYTHONPATH := src
 BENCH_TARGETS := bench-perf bench-fleet bench-obs bench-queue
 
 .PHONY: test lint analyze verify verify-smoke bench bench-figures \
-	$(BENCH_TARGETS) validate-bench twall-names twall-smoke twall loc check
+	$(BENCH_TARGETS) validate-bench twall-names twall-smoke twall pairs loc \
+	check
 
 test:
 	$(PYTHON) -m pytest -x -q tests/
@@ -62,11 +63,15 @@ validate-bench:
 twall-names:
 	$(PYTHON) benchmarks/twall/run.py --check-names
 
-# One short repetition of the control-plane workload through the real
-# runner (~10 s): a rename of anything T-WALL reads fails here, before
-# merge.  Passes only if the result line says the oracles held.
+# One short run of the control-plane workload and one of the observed
+# workload (the one with its own oracle: history digest == most_full's)
+# through the real runner (~25 s): a rename of anything T-WALL reads
+# fails here, before merge.  Passes only if each result line says the
+# oracles held.
 twall-smoke:
 	$(PYTHON) benchmarks/twall/run.py --workload most_bare --seconds 1 \
+		--trace 0 | tail -n 1 | grep '"correct": true'
+	$(PYTHON) benchmarks/twall/run.py --workload most_observed --seconds 1 \
 		--trace 0 | tail -n 1 | grep '"correct": true'
 
 # The host-time benchmark itself: all four workloads, untraced, each in a
@@ -77,6 +82,15 @@ twall-smoke:
 # of `check`: host time on a shared box is evidence for a PR, not a gate.
 twall:
 	$(PYTHON) benchmarks/twall/run.py --trace 0
+
+# The comparison a host-time claim owes: N (default 10) alternating
+# pairs of one workload, the committed files of AGAINST=<rev> against
+# this tree, with per-metric medians, quartiles, pairs won and a verdict
+# (`make pairs AGAINST=HEAD~1 WORKLOAD=most_observed`; ARGS goes to the
+# runner, e.g. ARGS="--seed 1971").  About 8 minutes per workload.
+pairs:
+	$(PYTHON) scripts/pairs.py --against $(AGAINST) --workload $(WORKLOAD) \
+		$(if $(N),-n $(N)) $(ARGS)
 
 # Code lines by tokenizer (no blank, comment or docstring lines) per
 # directory — the figure CHANGES.md size reports quote.  With

@@ -166,8 +166,8 @@ class ExperimentMonitor(GridService):
         for record in payload["metrics"]:
             name = record["name"]
             labels = record.get("labels", {})
-            key = (name, tuple(sorted(labels.items())))
             if record["type"] == "counter":
+                key = (name, tuple(sorted(labels.items())))
                 self._counter_totals[key] = record["total"]
             elif record["type"] == "histogram" and name == EXECUTE_METRIC:
                 site = labels.get("site")

@@ -2,8 +2,10 @@
 
 Everything the operations console moves over the wire — health SDEs,
 streamed metric snapshots, alerts — is a plain dict carrying
-``schema: "repro.monitor/v1"`` and a ``kind`` discriminator, validated at
-both the publishing and the consuming end.  Each kind is a shape value
+``schema: "repro.monitor/v1"`` and a ``kind`` discriminator: health and
+alert payloads are validated where they are published, a metrics sample
+by each receiver it lands in (its producer is pinned by test instead,
+see :mod:`repro.monitor.streamer`).  Each kind is a shape value
 built from the :mod:`repro.util.schema` kit (the metric records reuse
 :func:`repro.telemetry.schema.metric_record`), compiled once at import.
 

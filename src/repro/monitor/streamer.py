@@ -4,8 +4,8 @@ The paper's operators read site metrics over the same best-effort
 streaming fabric that carried DAQ channels; :class:`TelemetryStreamer`
 reproduces that: every ``interval`` simulated seconds it snapshots the
 kernel's :class:`~repro.telemetry.metrics.MetricRegistry`, packages the
-delta as a validated ``repro.monitor/v1`` ``metrics`` payload, and
-ingests it into an :class:`~repro.nsds.service.NSDSService` channel.
+delta as a ``repro.monitor/v1`` ``metrics`` payload, and ingests it into
+an :class:`~repro.nsds.service.NSDSService` channel.
 Downstream, the payload inherits NSDS semantics wholesale — sequence
 numbers, ring-buffer history, drops, gaps, reordering — which is exactly
 what the monitor's stream-health detector then measures.
@@ -13,17 +13,21 @@ what the monitor's stream-health detector then measures.
 Counters are shipped as (delta, cumulative total) pairs so a consumer
 that missed flushes can resynchronise from the totals; histograms ship
 cumulative summaries including the operator-facing p95.
+
+A flush costs one pass over the registry and nothing else: the registry
+is already in key order and each instrument carries its ``key``, so
+nothing is sorted, and the payload is not walked again here — it is
+validated where it lands (the console's and the observatory's
+receivers, each behind a sink that counts a bad datagram), not where it
+is built, so a producer bug is a counted ``subscriber_errors`` rather
+than an exception inside the ``streamer.<source>`` kernel process.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable
 
-from repro.monitor.schema import (
-    SCHEMA_ID,
-    SUMMARY_KEYS,
-    validate_metrics_sample,
-)
+from repro.monitor.schema import SCHEMA_ID, SUMMARY_KEYS
 from repro.sim.kernel import Kernel
 from repro.telemetry.metrics import Counter, Gauge, Histogram
 
@@ -52,39 +56,40 @@ class TelemetryStreamer:
         return name.startswith(self.prefixes)
 
     def snapshot_records(self) -> list[dict[str, Any]]:
-        """Describe every matching instrument; counters as deltas."""
+        """Describe every matching instrument, in the registry's key
+        order; counters as deltas.  ``labels`` is the instrument's own
+        frozen dict (as in ``Metric.describe``): readers copy before they
+        change anything."""
         records: list[dict[str, Any]] = []
         for metric in self.kernel.telemetry.registry:
             if not self._wanted(metric.name):
                 continue
-            key = (metric.name, tuple(sorted(metric.labels.items())))
             if isinstance(metric, Counter):
                 total = metric.value
-                delta = total - self._last_counts.get(key, 0)
-                self._last_counts[key] = total
+                delta = total - self._last_counts.get(metric.key, 0)
+                self._last_counts[metric.key] = total
                 records.append({"name": metric.name, "type": "counter",
-                                "labels": dict(metric.labels),
+                                "labels": metric.labels,
                                 "value": delta, "total": total})
             elif isinstance(metric, Gauge):
                 records.append({"name": metric.name, "type": "gauge",
-                                "labels": dict(metric.labels),
+                                "labels": metric.labels,
                                 "value": metric.value})
             elif isinstance(metric, Histogram):
                 summary = metric.summary()
                 records.append({"name": metric.name, "type": "histogram",
-                                "labels": dict(metric.labels),
+                                "labels": metric.labels,
                                 "summary": {key: summary[key]
                                             for key in SUMMARY_KEYS}})
-        records.sort(key=lambda r: (r["name"], sorted(r["labels"].items())))
         return records
 
     def flush(self) -> dict[str, Any]:
-        """Build, validate, and ingest one metrics sample; returns it."""
+        """Build and ingest one metrics sample; returns it (validated
+        by its receivers, see the module docstring)."""
         self.seq += 1
         payload = {"schema": SCHEMA_ID, "kind": "metrics",
                    "source": self.source, "time": self.kernel.now,
                    "seq": self.seq, "metrics": self.snapshot_records()}
-        validate_metrics_sample(payload)
         self.nsds.ingest(self.kernel.now, {self.CHANNEL: payload})
         return payload
 

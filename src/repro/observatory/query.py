@@ -44,7 +44,7 @@ class QueryError(ReproError):
 def _window(series, tier: str, start: float, end: float) -> list:
     """The tier's finalized points whose timestamps fall in [start, end]."""
     if tier == "raw":
-        return [p for p in series.points(tier) if start <= p[0] <= end]
+        return list(zip(*series.window(start, end)))
     return [b for b in series.points(tier)
             if b["end"] >= start and b["start"] <= end]
 

@@ -3,10 +3,15 @@
 A bounded per-source ring of recent activity — finished spans, protocol
 verb results, and state-machine transitions — kept hot in memory and
 frozen into a ``repro.observatory/v1`` flight snapshot the moment an
-alert escalates or a run aborts.  The snapshot is what the MOST team
-did not have at step 1493: one document saying what every site saw in
-the last N steps before the failure, renderable as an incident timeline
-by ``repro observatory postmortem``.
+alert escalates or a run aborts.  A ring holds the ``LogRecord`` /
+finished ``Span`` it was handed (objects the event log and the tracer
+keep anyway); coercing detail to JSON, recovering the step and building
+the event dict all happen in :meth:`FlightRecorder.snapshot`, at the
+incident, so a run that has none pays one ``deque.append`` per event.
+The snapshot is what the MOST team did not have at step 1493: one
+document saying what every site saw in the last N steps before the
+failure, renderable as an incident timeline by ``repro observatory
+postmortem``.
 
 Sources are derived from where the event came from: NTCP servers record
 under ``ntcp-<site>`` (their OGSI subsystem), coordinator events under
@@ -24,6 +29,7 @@ from collections import deque
 from typing import Any
 
 from repro.observatory.schema import validate_flight_snapshot
+from repro.util.log import LogRecord
 
 #: event-log subsystems the recorder keeps (prefix match)
 RECORDED_SUBSYSTEMS = ("ogsi.", "coordinator.", "fleet.")
@@ -89,35 +95,41 @@ class FlightRecorder:
             source = "coordinator"
         else:
             source = "fleet"
-        detail = _jsonable(record.detail)
-        self._ring(source).append({
-            "time": record.time, "type": "log", "what": record.kind,
-            "step": extract_step(record.kind, detail), "detail": detail})
+        self._ring(source).append(record)
 
     def on_span(self, span) -> None:
         """Telemetry sink hook: keep coordinator and per-site spans."""
-        attrs = span.attrs or {}
-        site = attrs.get("site")
+        site = (span.attrs or {}).get("site")
         if span.name.startswith("coordinator."):
             source = "coordinator"
         elif isinstance(site, str) and site:
             source = site
         else:
             return
-        detail = _jsonable(dict(attrs))
-        detail["duration"] = span.end_time - span.start
-        self._ring(source).append({
-            "time": span.end_time, "type": "span", "what": span.name,
-            "step": extract_step(span.name, detail), "detail": detail})
+        self._ring(source).append(span)
 
     # -- snapshots ------------------------------------------------------------
+    @staticmethod
+    def _event(entry) -> dict[str, Any]:
+        """Render one kept ``LogRecord`` or finished ``Span``."""
+        if isinstance(entry, LogRecord):
+            time, kind, what = entry.time, "log", entry.kind
+            detail = _jsonable(entry.detail)
+        else:
+            time, kind, what = entry.end_time, "span", entry.name
+            detail = _jsonable(dict(entry.attrs or {}))
+            detail["duration"] = entry.end_time - entry.start
+        return {"time": time, "type": kind, "what": what,
+                "step": extract_step(what, detail), "detail": detail}
+
     def snapshot(self, *, run_id: str, reason: str, step: int = -1,
                  site: str | None = None) -> dict[str, Any]:
-        """Freeze every ring into a validated flight document."""
+        """Render and freeze every ring into a validated flight document."""
         payload = {"schema": "repro.observatory/v1", "kind": "flight",
                    "run_id": run_id, "reason": reason,
                    "time": self.kernel.now, "step": step, "site": site,
-                   "sources": {source: list(self._rings[source])
+                   "sources": {source: [self._event(entry)
+                                        for entry in self._rings[source]]
                                for source in sorted(self._rings)}}
         validate_flight_snapshot(payload)
         self.snapshots.append(payload)

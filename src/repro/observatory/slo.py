@@ -15,7 +15,10 @@ budget is being spent, where 1.0 means "exactly on budget".  A rule
 fires when its window's burn exceeds its factor; the alert goes through
 the existing :class:`repro.monitor.ExperimentMonitor` channel as a typed
 ``slo_burn`` alert, and whole-history ``budget_remaining`` is surfaced
-in the ``fleet.rollup`` SDE.
+in the ``fleet.rollup`` SDE.  Every window is read through
+:meth:`~repro.observatory.tsdb.Series.window` over the raw tier, so
+"whole history" reaches as far back as the raw ring does (see
+:class:`SLOSpec`).
 """
 
 from __future__ import annotations
@@ -51,6 +54,12 @@ class SLOSpec:
     window deltas of the cumulative ``bad_metric`` counter by deltas of
     ``total_metric``.  ``target`` is the good fraction the objective
     promises (0.99 → a 1% error budget).
+
+    Events are counted over the raw tier only, so the budget is over
+    what the raw ring retains — 512 points per series, 4.3 simulated
+    hours at the 30 s flush — not over the run: once a series has taken
+    more, the oldest flushes leave ``events`` / ``bad`` /
+    ``budget_remaining`` silently.
     """
 
     name: str
@@ -95,11 +104,11 @@ def _counter_delta(store, metric: str, selector: dict[str, str],
     """Sum of (last - first) over the window across matching series."""
     total = 0.0
     for series in store.match(metric, selector):
-        window = [p for p in series.points("raw") if start <= p[0] <= end]
-        if len(window) >= 2:
-            total += window[-1][1] - window[0][1]
-        elif len(window) == 1:
-            total += window[0][1]
+        _, values = series.window(start, end)
+        if len(values) >= 2:
+            total += values[-1] - values[0]
+        elif values:
+            total += values[0]
     return total
 
 
@@ -158,12 +167,9 @@ class SLOEvaluator:
         bad = 0.0
         total = 0.0
         for series in self.store.match(slo.metric, slo.selector):
-            for time, value in series.points("raw"):
-                if not start <= time <= end:
-                    continue
-                total += 1.0
-                if value > slo.threshold:
-                    bad += 1.0
+            _, values = series.window(start, end)
+            total += len(values)
+            bad += sum(1 for value in values if value > slo.threshold)
         return bad, total
 
     def _burn(self, slo: SLOSpec, bad: float, total: float) -> float:
@@ -174,7 +180,9 @@ class SLOEvaluator:
 
     def _status(self, slo: SLOSpec, now: float) -> dict[str, Any]:
         """One SLO's status row: whole-history budget, burn rate per
-        rule, and the rules over their factor.  Reads only."""
+        rule, and the rules over their factor.  Reads only.  "Whole
+        history" is ``[0, now]`` over the raw tier: what the ring has
+        evicted is not counted (see :class:`SLOSpec`)."""
         bad, total = self._events(slo, 0.0, now)
         bad_fraction = bad / total if total else 0.0
         budget = max(1.0 - slo.target, 1e-9)

@@ -4,7 +4,7 @@ Every series is keyed by metric name + label set (tenant / site / run /
 stat) and holds three tiers:
 
 * ``raw`` — an append-only ring of ``(time, value)`` points, bounded by
-  ``raw_capacity``;
+  ``raw_capacity`` and held as two columns (``times``, ``values``);
 * ``r10`` — every 10 raw appends folded into one finalized bucket
   (count / sum / min / max / first / last over the 10 points);
 * ``r100`` — the same folding at 100 raw appends per bucket.
@@ -17,6 +17,17 @@ start, the query engine falls back to the coarser tier that still
 reaches it — "staleness-aware" downsampling with bounded retention at
 every tier.
 
+Costs follow what changed, not what is stored.  A window over the raw
+tier (:meth:`Series.window`, what SLO sweeps and raw queries read) is
+two bisects and a slice of the columns for as long as every point
+arrived in time order — the stream rides ``fifo=False`` links, so the
+first late point clears the series' ``_ordered`` flag and its windows
+become a linear filter.  An open rollup bucket is six running scalars;
+its dict is built once, when it closes.  The store keeps its canonical
+keys sorted as series are created and remembers which series each
+streamed ``(name, stat, label items)`` lands in, so a steady-state
+ingest sorts nothing.
+
 Everything advances on the simulation clock (points carry the streamed
 sample's sim time), so two runs of the same campaign produce
 byte-identical store contents.
@@ -24,6 +35,7 @@ byte-identical store contents.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from typing import Any, Iterable
 
@@ -44,8 +56,8 @@ def series_key(name: str, labels: dict[str, str]) -> tuple:
 class Series:
     """One metric stream: a raw ring plus its finalized rollup tiers."""
 
-    __slots__ = ("name", "labels", "raw", "rollups", "appended",
-                 "raw_capacity", "rollup_capacity", "_open")
+    __slots__ = ("name", "labels", "times", "values", "rollups", "appended",
+                 "raw_capacity", "rollup_capacity", "_ordered", "_open")
 
     def __init__(self, name: str, labels: dict[str, str], *,
                  raw_capacity: int = 512, rollup_capacity: int = 256):
@@ -53,33 +65,57 @@ class Series:
         self.labels = dict(labels)
         self.raw_capacity = raw_capacity
         self.rollup_capacity = rollup_capacity
-        self.raw: deque = deque(maxlen=raw_capacity)
+        self.times: list[float] = []
+        self.values: list[float] = []
+        self._ordered = True
         self.rollups: dict[str, deque] = {
             tier: deque(maxlen=rollup_capacity) for tier in ROLLUP_SPANS}
-        self._open: dict[str, dict[str, Any] | None] = {
+        # per tier, the open bucket as running scalars:
+        # [start, count, sum, min, max, first]
+        self._open: dict[str, list | None] = {
             tier: None for tier in ROLLUP_SPANS}
         self.appended = 0
 
     def append(self, time: float, value: float) -> None:
         """Record one point; fold it into every open rollup bucket."""
-        self.raw.append((time, value))
+        times = self.times
+        # the stream rides fifo=False links; ``not >=`` also catches NaN
+        if not time >= (times[-1] if times else time):
+            self._ordered = False
+        times.append(time)
+        self.values.append(value)
+        if len(times) > self.raw_capacity:
+            del times[0], self.values[0]
         self.appended += 1
         for tier, span in ROLLUP_SPANS.items():
-            bucket = self._open[tier]
-            if bucket is None:
-                bucket = {"start": time, "end": time, "count": 0,
-                          "sum": 0.0, "min": value, "max": value,
-                          "first": value, "last": value}
-                self._open[tier] = bucket
-            bucket["end"] = time
-            bucket["count"] += 1
-            bucket["sum"] += value
-            bucket["min"] = min(bucket["min"], value)
-            bucket["max"] = max(bucket["max"], value)
-            bucket["last"] = value
-            if bucket["count"] >= span:
-                self.rollups[tier].append(bucket)
+            acc = self._open[tier]
+            if acc is None:
+                acc = self._open[tier] = [time, 0, 0.0, value, value, value]
+            acc[1] += 1
+            acc[2] += value
+            if value < acc[3]:
+                acc[3] = value
+            if value > acc[4]:
+                acc[4] = value
+            if acc[1] >= span:
+                self.rollups[tier].append(
+                    {"start": acc[0], "end": time, "count": acc[1],
+                     "sum": acc[2], "min": acc[3], "max": acc[4],
+                     "first": acc[5], "last": value})
                 self._open[tier] = None
+
+    def window(self, start: float, end: float) -> tuple[list, list]:
+        """The ``(times, values)`` of the raw points with
+        ``start <= time <= end``, in append order: two bisects and a
+        slice while every point arrived in time order, a filter after
+        the first that did not (or when a bound is NaN)."""
+        times, values = self.times, self.values
+        if self._ordered and start <= end:
+            lo = bisect_left(times, start)
+            hi = bisect_right(times, end, lo)
+            return times[lo:hi], values[lo:hi]
+        keep = [i for i, time in enumerate(times) if start <= time <= end]
+        return [times[i] for i in keep], [values[i] for i in keep]
 
     def points(self, tier: str) -> list:
         """The finalized contents of one tier, oldest first.
@@ -88,7 +124,7 @@ class Series:
         dicts.  Open (partially filled) buckets are not visible.
         """
         if tier == "raw":
-            return list(self.raw)
+            return list(zip(self.times, self.values))
         return list(self.rollups[tier])
 
     def evicted(self, tier: str) -> bool:
@@ -100,12 +136,11 @@ class Series:
 
     def covers(self, tier: str, start: float) -> bool:
         """Whether the tier still reaches back to sim time ``start``."""
-        points = self.points(tier)
-        if not points:
-            return not self.evicted(tier)
-        if not self.evicted(tier):
-            return True
-        oldest = points[0][0] if tier == "raw" else points[0]["start"]
+        points = self.times if tier == "raw" else self.rollups[tier]
+        evicted = self.evicted(tier)
+        if not (evicted and points):
+            return not evicted
+        oldest = points[0] if tier == "raw" else points[0]["start"]
         return oldest <= start
 
     def pick_tier(self, start: float) -> str:
@@ -119,7 +154,7 @@ class Series:
         """The dump-document form of this series."""
         return {"name": self.name, "labels": dict(self.labels),
                 "appended": self.appended,
-                "raw": [[t, v] for t, v in self.raw],
+                "raw": [[t, v] for t, v in zip(self.times, self.values)],
                 "r10": [dict(b) for b in self.rollups["r10"]],
                 "r100": [dict(b) for b in self.rollups["r100"]]}
 
@@ -131,12 +166,18 @@ class Series:
         series = cls(record["name"], record.get("labels", {}),
                      raw_capacity=raw_capacity,
                      rollup_capacity=rollup_capacity)
-        for time, value in record.get("raw", ()):
-            series.raw.append((time, value))
+        for time, value in deque(record.get("raw", ()), raw_capacity):
+            series.times.append(time)
+            series.values.append(value)
+        times = series.times
+        # append's test: each point against its predecessor, the first
+        # against itself
+        series._ordered = all(
+            b >= a for a, b in zip(times[:1] + times, times))
         for tier in ROLLUP_SPANS:
             for bucket in record.get(tier, ()):
                 series.rollups[tier].append(dict(bucket))
-        series.appended = record.get("appended", len(series.raw))
+        series.appended = record.get("appended", len(times))
         return series
 
 
@@ -155,6 +196,10 @@ class TimeSeriesStore:
         self.raw_capacity = raw_capacity
         self.rollup_capacity = rollup_capacity
         self._series: dict[tuple, Series] = {}
+        self._keys: list[tuple] = []  # of _series, kept sorted
+        # (name, stat, label items as handed in) -> series: steady-state
+        # appends neither sort labels nor rebuild {**labels, "stat": ...}
+        self._resolved: dict[tuple, Series] = {}
         self.samples_ingested = 0
         self._tm_appends = None
         self._tm_samples = None
@@ -166,17 +211,32 @@ class TimeSeriesStore:
             self._g_series = telemetry.gauge("observatory.store.series")
 
     # -- writing --------------------------------------------------------------
+    def _resolve(self, name: str, labels: dict[str, str],
+                 stat: str | None = None) -> Series:
+        """The series for name + labels (+ ``stat``), created on first
+        sight and remembered under the labels' order as handed in."""
+        ident = (name, stat, tuple(labels.items()))
+        series = self._resolved.get(ident)
+        if series is None:
+            if stat is not None:
+                labels = {**labels, "stat": stat}
+            key = series_key(name, labels)
+            series = self._series.get(key)
+            if series is None:
+                series = Series(name, labels,
+                                raw_capacity=self.raw_capacity,
+                                rollup_capacity=self.rollup_capacity)
+                self._series[key] = series
+                insort(self._keys, key)
+                if self._g_series is not None:
+                    self._g_series.set(len(self._series))
+            self._resolved[ident] = series
+        return series
+
     def append(self, name: str, labels: dict[str, str], time: float,
                value: float) -> Series:
         """Append one point, creating the series on first sight."""
-        key = series_key(name, labels)
-        series = self._series.get(key)
-        if series is None:
-            series = Series(name, labels, raw_capacity=self.raw_capacity,
-                            rollup_capacity=self.rollup_capacity)
-            self._series[key] = series
-            if self._g_series is not None:
-                self._g_series.set(len(self._series))
+        series = self._resolve(name, labels)
         series.append(time, float(value))
         if self._tm_appends is not None:
             self._tm_appends.inc()
@@ -197,17 +257,21 @@ class TimeSeriesStore:
             name = record["name"]
             labels = record.get("labels", {})
             if record["type"] == "counter":
-                self.append(name, labels, time, record["total"])
+                self._resolve(name, labels).append(
+                    time, float(record["total"]))
                 appended += 1
             elif record["type"] == "gauge":
-                self.append(name, labels, time, record["value"])
+                self._resolve(name, labels).append(
+                    time, float(record["value"]))
                 appended += 1
             else:
                 summary = record["summary"]
                 for stat in HISTOGRAM_STATS:
-                    self.append(name, {**labels, "stat": stat}, time,
-                                summary[stat])
+                    self._resolve(name, labels, stat).append(
+                        time, float(summary[stat]))
                     appended += 1
+        if self._tm_appends is not None:
+            self._tm_appends.inc(appended)
         # Kept beside the hub counter on purpose: a store rebuilt from a
         # dump runs kernel-less (``_tm_samples is None``) and still counts.
         self.samples_ingested += 1
@@ -225,16 +289,20 @@ class TimeSeriesStore:
     # -- reading --------------------------------------------------------------
     def series(self) -> list[Series]:
         """Every series, in canonical (name, labels) order."""
-        return [self._series[key] for key in sorted(self._series)]
+        return [self._series[key] for key in self._keys]
 
     def match(self, metric: str | None = None,
               selector: dict[str, str] | None = None) -> list[Series]:
         """Series matching an exact metric name and label-equality selector."""
         wanted = selector or {}
+        keys = self._keys
+        # (metric,) sorts just before every (metric, labels) key
+        first = 0 if metric is None else bisect_left(keys, (metric,))
         out = []
-        for series in self.series():
+        for index in range(first, len(keys)):
+            series = self._series[keys[index]]
             if metric is not None and series.name != metric:
-                continue
+                break
             if any(series.labels.get(k) != v for k, v in wanted.items()):
                 continue
             out.append(series)
@@ -263,5 +331,8 @@ class TimeSeriesStore:
         for record in records:
             series = Series.from_record(record, raw_capacity=raw_capacity,
                                         rollup_capacity=rollup_capacity)
-            store._series[series_key(series.name, series.labels)] = series
+            key = series_key(series.name, series.labels)
+            if key not in store._series:
+                insort(store._keys, key)
+            store._series[key] = series
         return store

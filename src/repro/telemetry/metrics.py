@@ -14,6 +14,8 @@ rather than bucketed.
 
 from __future__ import annotations
 
+from bisect import insort
+from operator import attrgetter
 from typing import Any, Iterator
 
 from repro.telemetry.schema import SUMMARY_KEYS
@@ -43,14 +45,23 @@ def _label_key(labels: dict[str, Any]) -> tuple[tuple[str, str], ...]:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
+_BY_KEY = attrgetter("key")
+
+
 class Metric:
-    """Common identity: dotted name plus frozen labels."""
+    """Common identity: dotted name plus frozen labels.
+
+    ``key`` — ``(name, sorted label pairs)`` — is computed here, once;
+    the registry orders by it and every reader that needs a series'
+    identity reads it instead of re-sorting ``labels``.
+    """
 
     kind = "metric"
 
     def __init__(self, name: str, labels: dict[str, Any]):
         self.name = name
         self.labels = {str(k): str(v) for k, v in labels.items()}
+        self.key = (name, _label_key(labels))
 
     def describe(self) -> dict[str, Any]:
         """One serialization-friendly record (see telemetry.schema)."""
@@ -168,10 +179,12 @@ class Histogram(Metric):
 
 
 class MetricRegistry:
-    """All instruments of one run, keyed by name + labels."""
+    """All instruments of one run, keyed by name + labels and kept in
+    key order (creation is rare, reading is per flush)."""
 
     def __init__(self) -> None:
         self._metrics: dict[tuple[str, tuple], Metric] = {}
+        self._ordered: list[Metric] = []
 
     def _get(self, cls, name: str, labels: dict[str, Any]):
         key = (name, _label_key(labels))
@@ -179,6 +192,7 @@ class MetricRegistry:
         if metric is None:
             metric = cls(name, labels)
             self._metrics[key] = metric
+            insort(self._ordered, metric, key=_BY_KEY)
         elif not isinstance(metric, cls):
             raise TypeError(
                 f"metric {name!r} already registered as {metric.kind}")
@@ -194,15 +208,15 @@ class MetricRegistry:
         return self._get(Histogram, name, labels)
 
     def __iter__(self) -> Iterator[Metric]:
-        return iter(self._metrics.values())
+        return iter(self._ordered)
 
     def __len__(self) -> int:
         return len(self._metrics)
 
     def snapshot(self) -> list[dict[str, Any]]:
-        """Serialization-friendly records for every instrument, sorted."""
-        return sorted((m.describe() for m in self._metrics.values()),
-                      key=lambda d: (d["name"], sorted(d["labels"].items())))
+        """Serialization-friendly records for every instrument, in key
+        order."""
+        return [metric.describe() for metric in self._ordered]
 
     def find(self, name: str, **labels: Any) -> Metric | None:
         """The instrument registered under name+labels, or None."""

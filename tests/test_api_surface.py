@@ -399,6 +399,44 @@ def test_there_is_one_way_to_run_something_later():
                 if isinstance(node, ast.Lambda)]
 
 
+def test_a_flush_sorts_nothing():
+    """What a metrics flush costs is per flush, not per record per
+    reader: identity is ``Metric.key`` / the store's sorted key list,
+    windows are ``Series.window``, the flight recorder renders at the
+    incident, and a sample is validated where it lands, not where it is
+    built — each replaced in place, so the old spelling is gone."""
+    import ast
+    import pathlib
+    import textwrap
+
+    from repro.monitor import ExperimentMonitor, TelemetryStreamer
+    from repro.observatory import FlightRecorder, Series, TimeSeriesStore
+    from repro.telemetry.metrics import MetricRegistry
+
+    def calls(*where):
+        """Names called (``f(...)`` or ``x.f(...)``) in functions/files."""
+        sources = [w.read_text() if isinstance(w, pathlib.Path)
+                   else textwrap.dedent(inspect.getsource(w)) for w in where]
+        return {getattr(node.func, "attr", getattr(node.func, "id", ""))
+                for source in sources
+                for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.Call)}
+
+    src = pathlib.Path(repro.__file__).parent
+    assert not {"sorted", "sort"} & calls(
+        src / "monitor" / "streamer.py", TimeSeriesStore.series,
+        MetricRegistry.snapshot, MetricRegistry.__iter__)
+    assert "points" not in calls(src / "observatory" / "slo.py")
+    assert not {"_jsonable", "extract_step"} & calls(
+        FlightRecorder._on_log, FlightRecorder.on_span)
+    assert {"_jsonable", "extract_step"} <= calls(FlightRecorder._event)
+    assert "validate_metrics_sample" not in calls(TelemetryStreamer.flush)
+    for receiver in (ExperimentMonitor.on_stream_sample,
+                     TimeSeriesStore.ingest_metrics_payload):
+        assert "validate_metrics_sample" in calls(receiver)
+    assert "raw" not in Series.__slots__
+
+
 def test_one_class_binds_subscriber_ports():
     """``NotificationSink`` is the one subscriber side: a fresh port is
     taken only by it and by the RPC client's reply port, the NSDS and

@@ -61,3 +61,11 @@ class TestDocsConsistency:
         for exp in ("F1", "F2", "F3", "F4/F5", "F6/F7", "F8", "F9",
                     "F10", "F11", "T-FT", "T-PERF", "T-RT", "T-CHK"):
             assert exp in text, f"missing experiment {exp}"
+
+    def test_the_documented_histogram_sub_series_are_the_stored_ones(self):
+        from repro.observatory.tsdb import HISTOGRAM_STATS
+
+        text = (ROOT / "docs" / "ARCHITECTURE.md").read_text()
+        [documented] = re.findall(
+            r"histograms become `stat=` sub-series:\s+([\w/]+)\)", text)
+        assert tuple(documented.split("/")) == HISTOGRAM_STATS

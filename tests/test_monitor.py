@@ -243,6 +243,39 @@ class TestTelemetryStreamer:
         streamer.stop()  # idempotent: no second flush
         assert streamer.seq == 1
 
+    def test_every_instrument_kind_streams_a_valid_sample(self):
+        """The producer's pin: ``flush`` does not walk what it has just
+        built, so the shape of each kind of record is held here."""
+        kernel, _, _, streamer = streamer_env()
+        hub = kernel.telemetry
+        steps = hub.counter("coordinator.mspsds.steps", run_id="r")
+        steps.inc(3)
+        hub.counter("chef.sessions.opened").inc()             # no labels
+        hub.gauge("net.breaker.state", site="uiuc").set(1.0)
+        hub.histogram("net.rpc.latency", method="propose")    # empty
+        populated = hub.histogram("core.server.execute_time", site="a")
+        for value in (3.0, 1.0, 2.0):
+            populated.observe(value)
+        first = streamer.flush()
+        validate_metrics_sample(first)
+        assert {(r["type"], bool(r["labels"]), bool(r.get("summary", {})
+                                                    .get("count")))
+                for r in first["metrics"]} >= {
+            ("counter", True, False), ("counter", False, False),
+            ("gauge", True, False), ("histogram", True, False),
+            ("histogram", True, True)}
+        steps.inc(2)
+        second = streamer.flush()
+        validate_metrics_sample(second)
+        moved = {r["name"]: (r["value"], r["total"])
+                 for r in second["metrics"] if r["type"] == "counter"}
+        assert moved["coordinator.mspsds.steps"] == (2, 5)
+        assert moved["chef.sessions.opened"] == (0, 1)
+        # records carry the instrument's own labels dict, not a copy
+        assert all(r["labels"] is hub.registry.find(
+                       r["name"], **r["labels"]).labels
+                   for r in second["metrics"])
+
     def test_stream_reaches_receiver_with_contiguous_seqs(self):
         kernel, network, nsds, streamer = streamer_env(interval=10.0)
         samples = []
@@ -648,6 +681,39 @@ class TestABadDatagramCannotStopTheRun:
         if observatory:
             store = outcome.observatory.store
             assert store.samples_ingested == kit.monitor.samples_seen
+
+    def test_a_producer_bug_is_counted_where_it_lands(self, monkeypatch):
+        """``flush`` used to validate its own payload inside the
+        ``streamer.<source>`` kernel process, where a bug in
+        ``snapshot_records`` ended the experiment; now the malformed
+        sample reaches both receivers, each counts it, the run goes on."""
+        monkeypatch.setattr(
+            TelemetryStreamer, "snapshot_records",
+            lambda self: [{"name": "Not A Metric", "type": "counter"}])
+        outcome = (ExperimentSession(MOSTConfig().scaled(40), run_id="bad",
+                                     simulation_only=True)
+                   .with_observatory().run())
+        assert outcome.completed and outcome.alerts == []
+        kit, obs = outcome.monitoring, outcome.observatory
+        assert kit.streamer.seq > 1
+        for receiver in (kit.receiver, obs.receiver):
+            assert receiver.subscriber_errors == receiver.accepted \
+                == kit.streamer.seq
+        assert kit.monitor.samples_seen == obs.store.samples_ingested == 0
+
+    def test_nobody_writes_through_a_streamed_labels_dict(self):
+        """Records hand out each instrument's frozen ``labels``; after a
+        whole observed run every one still spells the key it was created
+        under."""
+        outcome = (ExperimentSession(MOSTConfig().scaled(40), run_id="ok")
+                   .with_observers(n_chef=4).with_observatory().run())
+        assert outcome.completed
+        assert outcome.observatory.store.samples_ingested > 0
+        registry = outcome.deployment.kernel.telemetry.registry
+        assert len(registry) > 60
+        for metric in registry:
+            assert metric.key == (metric.name,
+                                  tuple(sorted(metric.labels.items())))
 
     def test_a_health_notification_that_is_not_one(self, monkeypatch):
         outcome = self.run_poisoned(

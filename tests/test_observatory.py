@@ -10,8 +10,12 @@ postmortem, the OGSI service front end, and the full session wiring
 """
 
 import json
+import random
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.most import ExperimentSession, MOSTConfig
@@ -31,8 +35,10 @@ from repro.observatory import (
     run_query,
     validate_query_result,
 )
-from repro.observatory.recorder import extract_step
-from repro.observatory.schema import ObservatorySchemaError, validate_dump
+from repro.observatory.recorder import _jsonable, extract_step
+from repro.observatory.schema import (TIERS, ObservatorySchemaError,
+                                      validate_dump)
+from repro.observatory.tsdb import ROLLUP_SPANS
 from repro.ogsi import ServiceContainer
 from repro.sim import Kernel
 from repro.util.errors import ReproError
@@ -110,6 +116,128 @@ class TestSeriesRollups:
         assert clone.labels == {"site": "x"} and clone.appended == 12
         assert clone.points("raw") == [(t, v) for t, v in s.points("raw")]
         assert clone.points("r10") == s.points("r10")
+
+
+class ReferenceSeries:
+    """The model ``Series`` is checked against: a deque of ``(time,
+    value)`` pairs, a bucket dict folded on every append, every read a
+    copy and a linear filter (the definitions ``Series`` had before its
+    raw tier became two columns)."""
+
+    def __init__(self, raw_capacity, rollup_capacity):
+        self.raw_capacity = raw_capacity
+        self.rollup_capacity = rollup_capacity
+        self.raw = deque(maxlen=raw_capacity)
+        self.rollups = {tier: deque(maxlen=rollup_capacity)
+                        for tier in ROLLUP_SPANS}
+        self.open = {tier: None for tier in ROLLUP_SPANS}
+        self.appended = 0
+
+    def append(self, time, value):
+        self.raw.append((time, value))
+        self.appended += 1
+        for tier, span in ROLLUP_SPANS.items():
+            bucket = self.open[tier]
+            if bucket is None:
+                bucket = self.open[tier] = {
+                    "start": time, "end": time, "count": 0, "sum": 0.0,
+                    "min": value, "max": value, "first": value,
+                    "last": value}
+            bucket["end"] = time
+            bucket["count"] += 1
+            bucket["sum"] += value
+            bucket["min"] = min(bucket["min"], value)
+            bucket["max"] = max(bucket["max"], value)
+            bucket["last"] = value
+            if bucket["count"] >= span:
+                self.rollups[tier].append(bucket)
+                self.open[tier] = None
+
+    def points(self, tier):
+        return list(self.raw if tier == "raw" else self.rollups[tier])
+
+    def window(self, start, end):
+        return [p for p in self.raw if start <= p[0] <= end]
+
+    def evicted(self, tier):
+        if tier == "raw":
+            return self.appended > self.raw_capacity
+        return self.appended // ROLLUP_SPANS[tier] > self.rollup_capacity
+
+    def covers(self, tier, start):
+        points = self.points(tier)
+        if not points:
+            return not self.evicted(tier)
+        if not self.evicted(tier):
+            return True
+        oldest = points[0][0] if tier == "raw" else points[0]["start"]
+        return oldest <= start
+
+    def pick_tier(self, start):
+        return next((tier for tier in TIERS if self.covers(tier, start)),
+                    TIERS[-1])
+
+
+_TIMES = st.one_of(st.integers(0, 50),
+                   st.floats(0.0, 50.0) | st.just(float("nan")))
+_VALUES = st.one_of(st.integers(-5, 5),
+                    st.floats(-1e6, 1e6) | st.just(-0.0))
+
+
+class TestSeriesAgainstTheReference:
+    """``repr`` equality throughout: it tells 1 from 1.0 and 0.0 from
+    -0.0, and does not stumble over a NaN time."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(base=st.lists(st.tuples(_TIMES, _VALUES), max_size=45),
+           repeats=st.integers(1, 6), in_order=st.booleans(),
+           raw_capacity=st.integers(1, 64),
+           rollup_capacity=st.integers(1, 3),
+           probes=st.lists(st.tuples(_TIMES, _TIMES), max_size=6))
+    def test_every_read_equals_the_model(self, base, repeats, in_order,
+                                         raw_capacity, rollup_capacity,
+                                         probes):
+        stream = base * repeats     # long enough to close r100, to evict
+        if in_order:
+            stream = sorted(stream, key=lambda p: (p[0] != p[0], p[0]))
+        series = Series("m.n", {"k": "v"}, raw_capacity=raw_capacity,
+                        rollup_capacity=rollup_capacity)
+        model = ReferenceSeries(raw_capacity, rollup_capacity)
+        for time, value in stream:
+            series.append(time, value)
+            model.append(time, value)
+        assert len(series.times) == len(series.values) <= raw_capacity
+        for tier in TIERS:
+            # a closed bucket, field for field, is the model's fold of
+            # its 10 / 100 appends
+            assert repr(series.points(tier)) == repr(model.points(tier))
+            assert series.evicted(tier) == model.evicted(tier)
+        for start, end in probes:
+            times, values = series.window(start, end)
+            assert repr(list(zip(times, values))) == \
+                repr(model.window(start, end))
+            assert series.pick_tier(start) == model.pick_tier(start)
+            for tier in TIERS:
+                assert series.covers(tier, start) == \
+                    model.covers(tier, start)
+        record = series.to_record()
+        clone = Series.from_record(record, raw_capacity=raw_capacity,
+                                   rollup_capacity=rollup_capacity)
+        assert repr(clone.to_record()) == repr(record)
+        for start, end in probes:
+            assert repr(clone.window(start, end)) == \
+                repr(series.window(start, end))
+
+    def test_the_first_late_point_ends_the_bisecting(self):
+        series = Series("m.n", {})
+        for time in (1.0, 2.0, 2.0, 3.0):
+            series.append(time, time)
+        assert series._ordered
+        assert series.window(2.0, 3.0) == ([2.0, 2.0, 3.0], [2.0, 2.0, 3.0])
+        series.append(1.5, 9.0)
+        assert not series._ordered
+        assert series.window(1.5, 2.0) == ([2.0, 2.0, 1.5], [2.0, 2.0, 9.0])
+        assert not Series.from_record(series.to_record())._ordered
 
 
 class TestStore:
@@ -394,6 +522,91 @@ class TestSLOEvaluator:
         kernel.run(until=100.0)
         assert reg.find("observatory.slo.sweeps").value == 3
 
+    @pytest.mark.parametrize("stream", ["ordered", "reordered", "evicted"])
+    def test_a_sweep_equals_brute_force_over_the_raw_points(self, stream):
+        """Windows by bisect, by filter after a late point, and over a
+        ring that has evicted: the statuses are those of a sweep that
+        copies ``points("raw")`` and filters it, as sweeps used to."""
+
+        class BruteForce(SLOEvaluator):
+            def _inside(self, metric, selector, start, end):
+                return [[value for time, value in series.points("raw")
+                         if start <= time <= end]
+                        for series in self.store.match(metric, selector)]
+
+            def _delta(self, metric, selector, start, end):
+                total = 0.0
+                for window in self._inside(metric, selector, start, end):
+                    if len(window) >= 2:
+                        total += window[-1] - window[0]
+                    elif window:
+                        total += window[0]
+                return total
+
+            def _events(self, slo, start, end):
+                if slo.kind == "ratio":
+                    return (self._delta(slo.bad_metric, slo.bad_selector,
+                                        start, end),
+                            self._delta(slo.total_metric,
+                                        slo.total_selector, start, end))
+                windows = self._inside(slo.metric, slo.selector, start, end)
+                return (float(sum(value > slo.threshold
+                                  for window in windows for value in window)),
+                        float(sum(map(len, windows))))
+
+        rng = random.Random(21)
+        kernel = Kernel()
+        store = TimeSeriesStore(kernel, raw_capacity=64)
+        times = [float(10 * i) for i in range(200 if stream == "evicted"
+                                              else 60)]
+        if stream == "reordered":
+            for i in range(5, len(times), 7):   # late by one flush
+                times[i - 1], times[i] = times[i], times[i - 1]
+        gaps = pushed = 0.0
+        for time in times:
+            for site in ("a", "b"):
+                store.append("test.step.latency", {"site": site}, time,
+                             rng.choice((0.5, 0.5, 0.5, 4.0)))
+                gaps += rng.choice((0.0, 0.0, 1.0))
+                pushed += 25.0
+                store.append("test.stream.gaps", {"site": site}, time, gaps)
+                store.append("test.stream.pushed", {"site": site}, time,
+                             pushed)
+        ordered = {s._ordered for s in store.series()}
+        assert ordered == {stream != "reordered"}
+        assert {s.evicted("raw") for s in store.series()} == \
+            {stream == "evicted"}
+        slos = [SLOSpec(name="latency", metric="test.step.latency",
+                        threshold=1.0, target=0.9),
+                SLOSpec(name="latency-a", metric="test.step.latency",
+                        selector={"site": "a"}, threshold=1.0),
+                SLOSpec(name="gaps", kind="ratio",
+                        bad_metric="test.stream.gaps",
+                        total_metric="test.stream.pushed", target=0.95)]
+        kernel.run(until=max(times) + 5.0)
+        swept = SLOEvaluator(kernel, store, slos).evaluate_quiet()
+        assert repr(swept) == repr(
+            BruteForce(kernel, store, slos).evaluate_quiet())
+        assert all(status["events"] > 0 for status in swept)
+        assert {status["name"] for status in swept
+                if status["bad"] > 0} == {"latency", "latency-a", "gaps"}
+
+    def test_budget_covers_what_raw_retains(self):
+        """"Whole-history" is whole-*ring* history: the budget is summed
+        over the raw tier, so the 88 oldest of 600 flushes — the 50 bad
+        ones among them — are forgotten, silently (ROADMAP item 2 has
+        the fix: per-SLO running totals folded at sweep time)."""
+        spec = SLOSpec(name="latency", metric="test.step.latency",
+                       threshold=1.0, target=0.9)
+        kernel, store, evaluator, _ = slo_env(spec)
+        for flush in range(600):
+            store.append("test.step.latency", {}, 30.0 * flush,
+                         9.0 if flush < 50 else 0.5)
+        kernel.run(until=30.0 * 600)
+        [status] = evaluator.evaluate_quiet()
+        assert (status["events"], status["bad"]) == (512.0, 0.0)
+        assert status["budget_remaining"] == 1.0
+
     def test_default_slos_cover_the_issue_objectives(self):
         names = {slo.name for slo in default_slos()}
         assert names == {"step-latency-p95", "breaker-open-ratio",
@@ -426,9 +639,9 @@ class TestFlightRecorder:
         kernel.emit("coordinator.r", "step.committed", step=7)
         kernel.emit("fleet.scheduler", "tenant.alert", tenant="ada")
         kernel.emit("net", "msg.dropped", msg_id="m1")  # not recorded
-        assert sorted(recorder._rings) == ["coordinator", "fleet",
-                                           "ntcp-uiuc"]
-        [event] = recorder._rings["ntcp-uiuc"]
+        sources = recorder.snapshot(run_id="r", reason="t")["sources"]
+        assert list(sources) == ["coordinator", "fleet", "ntcp-uiuc"]
+        [event] = sources["ntcp-uiuc"]
         assert event["step"] == 7 and event["type"] == "log"
 
     def test_spans_record_under_their_site(self):
@@ -441,12 +654,13 @@ class TestFlightRecorder:
         tracer.start_span("core.server.execute", site="ntcp-uiuc",
                           txn="r-step00004-uiuc").end()
         tracer.start_span("net.rpc.call", method="ping").end()  # dropped
-        [coord] = recorder._rings["coordinator"]
+        sources = recorder.snapshot(run_id="r", reason="t")["sources"]
+        [coord] = sources["coordinator"]
         assert coord["step"] == 3 and coord["detail"]["duration"] == 2.0
-        [site] = recorder._rings["ntcp-uiuc"]
+        [site] = sources["ntcp-uiuc"]
         assert site["step"] == 4
         assert "net.rpc.call" not in {e["what"]
-                                      for ring in recorder._rings.values()
+                                      for ring in sources.values()
                                       for e in ring}
 
     def test_rings_are_bounded(self):
@@ -454,8 +668,74 @@ class TestFlightRecorder:
         recorder = FlightRecorder(kernel, capacity=4)
         for step in range(10):
             kernel.emit("ogsi.ntcp-uiuc", "execute", step=step)
-        ring = recorder._rings["ntcp-uiuc"]
+        snapshot = recorder.snapshot(run_id="r", reason="t")
+        ring = snapshot["sources"]["ntcp-uiuc"]
         assert [e["step"] for e in ring] == [6, 7, 8, 9]
+        assert recorder.stats()["events"] == 4
+
+    @pytest.mark.parametrize("simulation_only", [False, True])
+    def test_rendering_at_the_incident_equals_rendering_at_emit(
+            self, monkeypatch, simulation_only):
+        """The rings keep the ``LogRecord`` / ``Span`` they were handed
+        and ``snapshot()`` renders them; a twin that renders every event
+        the moment it is emitted (as the recorder used to) ends with the
+        same rings — so no emitter writes to a ``detail`` or ``attrs``
+        after handing it over."""
+        import repro.observatory.wiring as wiring
+
+        class RendersAtEmit(FlightRecorder):
+            def _on_log(self, record):
+                source = record.subsystem.split(".", 1)
+                if source[0] not in ("ogsi", "coordinator", "fleet"):
+                    return
+                detail = _jsonable(record.detail)
+                self._ring(source[source[0] == "ogsi"]).append({
+                    "time": record.time, "type": "log",
+                    "what": record.kind, "detail": detail,
+                    "step": extract_step(record.kind, detail)})
+
+            def on_span(self, span):
+                site = (span.attrs or {}).get("site")
+                if span.name.startswith("coordinator."):
+                    site = "coordinator"
+                elif not (isinstance(site, str) and site):
+                    return
+                detail = _jsonable(dict(span.attrs or {}))
+                detail["duration"] = span.end_time - span.start
+                self._ring(site).append({
+                    "time": span.end_time, "type": "span",
+                    "what": span.name, "detail": detail,
+                    "step": extract_step(span.name, detail)})
+
+        at_emit = []
+
+        class Paired(FlightRecorder):
+            def __init__(self, kernel):     # small rings: they evict
+                self.twin = RendersAtEmit(kernel, capacity=32)
+                super().__init__(kernel, capacity=32)
+
+            def snapshot(self, **header):
+                at_emit.append({source: list(self.twin._rings[source])
+                                for source in sorted(self.twin._rings)})
+                return super().snapshot(**header)
+
+        monkeypatch.setattr(wiring, "FlightRecorder", Paired)
+        outcome = (ExperimentSession(small(), run_id="twin",
+                                     simulation_only=simulation_only)
+                   .with_faults(outage_duration=float("inf"))
+                   .with_observatory().run())
+        assert not outcome.completed
+        recorder = outcome.observatory.recorder
+        after_the_drain = recorder.snapshot(run_id="twin", reason="now")
+        assert [snapshot["sources"] for snapshot in recorder.snapshots] \
+            == at_emit
+        assert [snapshot["reason"] for snapshot in recorder.snapshots] \
+            == ["abort", "now"]
+        assert len(after_the_drain["sources"]) >= 4
+        assert {event["type"]
+                for events in after_the_drain["sources"].values()
+                for event in events} == {"log", "span"}
+        assert max(map(len, recorder._rings.values())) == 32
 
     def test_snapshot_validates_and_postmortem_filters_steps(self):
         kernel = Kernel()

@@ -16,6 +16,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.control import SimulationPlugin, make_displacement_actions
 from repro.coordinator import SimulationCoordinator, SiteBinding
@@ -148,6 +150,25 @@ class TestMetrics:
         snap = hub.metrics_snapshot()
         assert [r["name"] for r in snap] == ["a.a.first", "z.z.last"]
         assert snap[0]["labels"] == {"port": "8080"}
+
+    @given(st.permutations(
+        [(name, labels) for name in ("a.b.c", "a.b", "a.b.c.d", "z.y.x")
+         for labels in ({}, {"site": "x"}, {"site": "y", "run": "1"},
+                        {"run": "1", "site": "y", "port": 80})]))
+    def test_registry_keeps_key_order_whatever_the_creation_order(self, order):
+        """Identity — ``Metric.key`` — is computed at creation and the
+        registry is kept in its order, so no reader sorts."""
+        hub = TelemetryHub()
+        for index, (name, labels) in enumerate(order):
+            hub.counter(name, **labels).inc(index)
+        snapshot = hub.metrics_snapshot()
+        assert snapshot == sorted(
+            snapshot, key=lambda d: (d["name"], sorted(d["labels"].items())))
+        assert [m.describe() for m in hub.registry] == snapshot
+        for metric in hub.registry:
+            assert metric.key == (metric.name,
+                                  tuple(sorted(metric.labels.items())))
+            assert hub.registry.find(metric.name, **metric.labels) is metric
 
 
 class TestTracing:
