@@ -2,20 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.nsds.stream import RingBuffer, StreamSample
 from repro.ogsi.service import GridService
 from repro.util.errors import ProtocolError
+from repro.util.ids import IdFactory
 
 
-@dataclass
-class _StreamSubscription:
-    sub_id: str
-    channels: set[str] | None  # None = all channels
-    sink_host: str
-    sink_port: str
-    expires: float
+def _wire(sample: StreamSample) -> dict:
+    """A sample as it travels: a ``getLatest`` / ``drain`` reply item
+    and, under its ``stream``, the pushed datagram."""
+    return {"channel": sample.channel, "sequence": sample.sequence,
+            "time": sample.time, "value": sample.value}
 
 
 class NSDSService(GridService):
@@ -36,8 +33,6 @@ class NSDSService(GridService):
         self.buffer_capacity = buffer_capacity
         self.buffers: dict[str, RingBuffer] = {}
         self._sequences: dict[str, int] = {}
-        self._subs: dict[str, _StreamSubscription] = {}
-        self._sub_counter = 0
         self._tm_pushed = None  # built on attach
 
     def on_attach(self) -> None:
@@ -48,8 +43,10 @@ class NSDSService(GridService):
         telemetry = self.kernel.telemetry
         self._tm_pushed = telemetry.counter("nsds.stream.pushed",
                                             service=self.service_id)
-        self._tm_expired = telemetry.counter("nsds.stream.expired_subs",
-                                             service=self.service_id)
+        self.subscribers = self.subscription_table(
+            IdFactory(f"{self.service_id}.stream"),
+            on_lapsed=telemetry.counter("nsds.stream.expired_subs",
+                                        service=self.service_id).inc)
 
     @property
     def pushed(self) -> int:
@@ -74,42 +71,19 @@ class NSDSService(GridService):
             self._push(sample)
 
     def _push(self, sample: StreamSample) -> None:
-        now = self.kernel.now
-        live = {}
-        for sub_id, sub in self._subs.items():
-            if sub.expires <= now:
-                self._tm_expired.inc()
-                continue
-            live[sub_id] = sub
-            if sub.channels is not None and sample.channel not in sub.channels:
-                continue
-            assert self.container is not None
-            self.container.network.send(
-                self.container.host, sub.sink_host, sub.sink_port, {
-                    "stream": self.service_id,
-                    "channel": sample.channel,
-                    "sequence": sample.sequence,
-                    "time": sample.time,
-                    "value": sample.value,
-                })
-            self._tm_pushed.inc()
-        self._subs = live
+        self._tm_pushed.inc(self.subscribers.publish(
+            sample.channel,
+            lambda _sub_id: {"stream": self.service_id, **_wire(sample)}))
 
     # -- operations ----------------------------------------------------------
     def _op_subscribe(self, caller, sink_host: str, sink_port: str,
                       channels: list[str] | None = None,
                       lifetime: float = 600.0):
-        self._sub_counter += 1
-        sub_id = f"{self.service_id}.stream-{self._sub_counter}"
-        self._subs[sub_id] = _StreamSubscription(
-            sub_id=sub_id,
-            channels=None if channels is None else set(channels),
-            sink_host=sink_host, sink_port=sink_port,
-            expires=self.kernel.now + lifetime)
-        return sub_id
+        return self.subscribers.subscribe(sink_host, sink_port, lifetime,
+                                          channels)
 
     def _op_unsubscribe(self, caller, subscription_id: str):
-        return self._subs.pop(subscription_id, None) is not None
+        return self.subscribers.unsubscribe(subscription_id)
 
     def _op_listChannels(self, caller):
         return sorted(self.buffers)
@@ -119,18 +93,13 @@ class NSDSService(GridService):
         if buf is None:
             raise ProtocolError(f"no such stream channel {channel!r}")
         latest = buf.latest()
-        if latest is None:
-            return None
-        return {"channel": latest.channel, "sequence": latest.sequence,
-                "time": latest.time, "value": latest.value}
+        return None if latest is None else _wire(latest)
 
     def _op_drain(self, caller, channel: str, max_items: int = 100):
         buf = self.buffers.get(channel)
         if buf is None:
             raise ProtocolError(f"no such stream channel {channel!r}")
-        return [{"channel": s.channel, "sequence": s.sequence,
-                 "time": s.time, "value": s.value}
-                for s in buf.drain(max_items)]
+        return [_wire(sample) for sample in buf.drain(max_items)]
 
     def drop_stats(self) -> dict[str, int]:
         """Per-channel ring-buffer drops (best-effort accounting)."""

@@ -17,6 +17,10 @@ that hosting environment over the simulated network:
   grid service handles, dispatches RPC operations, runs the soft-state
   reaper, offers ``findServiceData``/``setTerminationTime``/factory/registry
   operations;
+* :class:`~repro.ogsi.notification.SubscriptionTable` — the publisher side
+  of every one-way push (SDE notifications, NSDS streams, camera frames):
+  soft-state subscriptions owned by a service, validated on the way in,
+  skipped once lapsed and freed at the next publish or with the service;
 * :class:`~repro.ogsi.notification.NotificationSink` — the subscriber side
   of every one-way push (SDE change notifications here, NSDS datagrams
   and video frames through its two subclasses): a fresh port, a shape
@@ -30,7 +34,7 @@ from repro.ogsi.sde import ServiceDataElement, ServiceDataSet
 from repro.ogsi.service import GridService, SdeStatusService
 from repro.ogsi.handle import GridServiceHandle, invoke
 from repro.ogsi.container import ServiceContainer
-from repro.ogsi.notification import NotificationSink
+from repro.ogsi.notification import NotificationSink, SubscriptionTable
 
 __all__ = [
     "ServiceDataElement",
@@ -41,4 +45,5 @@ __all__ = [
     "invoke",
     "ServiceContainer",
     "NotificationSink",
+    "SubscriptionTable",
 ]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from typing import Any, Callable
 
 from repro.net.network import Network
@@ -12,18 +12,6 @@ from repro.ogsi.sde import ServiceDataElement
 from repro.ogsi.service import GridService
 from repro.util.errors import ConfigurationError, ProtocolError, ServiceNotFound
 from repro.util.ids import IdFactory
-
-
-@dataclass
-class _Subscription:
-    """One SDE-change subscription (soft state: expires unless renewed)."""
-
-    sub_id: str
-    service_id: str
-    sde_name: str | None  # None = all SDEs of the service
-    sink_host: str
-    sink_port: str
-    expires: float
 
 
 class ServiceContainer:
@@ -41,10 +29,14 @@ class ServiceContainer:
     * ``createService`` — factory: instantiate a registered service type;
     * ``listServices`` — registry of hosted handles.
 
-    Soft-state lifetime management is deadline-driven: whenever a mortal
-    service or subscription exists, a one-shot reaper is armed at the
-    earliest expiry, sweeps whatever has lapsed, and re-arms.  (An idle
+    Service lifetime management is deadline-driven: whenever a mortal
+    service exists, a one-shot reaper is armed at the earliest
+    termination time, destroys whatever has lapsed, and re-arms.  (An idle
     container therefore schedules nothing, letting simulations drain.)
+    Subscriptions schedule nothing at all: each service's
+    :class:`~repro.ogsi.notification.SubscriptionTable` skips a lapsed
+    entry and frees it at the next publish; :meth:`destroy` — explicit or
+    by the reaper — empties every table the service owns.
     """
 
     def __init__(self, network: Network, host: str, *, port: str = "ogsi",
@@ -55,7 +47,6 @@ class ServiceContainer:
         self.port = port
         self.services: dict[str, GridService] = {}
         self.factories: dict[str, Callable[..., GridService]] = {}
-        self._subs: dict[str, _Subscription] = {}
         self._sub_ids = IdFactory(f"{host}.sub")
         self.rpc = RpcService(network, host, port,
                               name=f"container.{host}", checker=checker)
@@ -63,7 +54,7 @@ class ServiceContainer:
                    "destroy", "subscribe", "unsubscribe", "createService",
                    "listServices"):
             self.rpc.register(op, getattr(self, f"_op_{op}"))
-        self._reaper_armed_for: float | None = None
+        self._reaper_armed_for = math.inf  # no sweep scheduled
 
     # -- hosting ------------------------------------------------------------
     def deploy(self, service: GridService, *,
@@ -75,14 +66,13 @@ class ServiceContainer:
         handle = GridServiceHandle(self.host, self.port, service.service_id)
         service.termination_time = termination_time
         service.attach(self, handle)
+        service.sde_subscribers = service.subscription_table(self._sub_ids)
         assert service.service_data is not None
-        service.service_data.on_change(
-            lambda sde, sid=service.service_id: self._fanout(sid, sde))
+        service.service_data.on_change(lambda sde: self._fanout(service, sde))
         self.services[service.service_id] = service
         self.kernel.emit(f"container.{self.host}", "service.deployed",
                          service_id=service.service_id)
-        if termination_time is not None:
-            self._arm_reaper()
+        self._arm_reaper()
         return handle
 
     def register_factory(self, type_name: str,
@@ -103,52 +93,35 @@ class ServiceContainer:
         if svc is None:
             return
         svc.on_destroy()
-        self._subs = {sid: s for sid, s in self._subs.items()
-                      if s.service_id != service_id}
+        for table in svc.subscription_tables:
+            table.clear()
         self.kernel.emit(f"container.{self.host}", "service.destroyed",
                          service_id=service_id, reason=reason)
 
     # -- soft-state lifetime ----------------------------------------------------
-    def _earliest_deadline(self) -> float | None:
-        deadlines = [svc.termination_time for svc in self.services.values()
-                     if svc.termination_time is not None]
-        deadlines.extend(s.expires for s in self._subs.values())
-        return min(deadlines) if deadlines else None
-
     def _arm_reaper(self) -> None:
-        deadline = self._earliest_deadline()
-        if deadline is None:
-            return
-        if (self._reaper_armed_for is not None
-                and self._reaper_armed_for <= deadline):
-            return  # an earlier (or equal) sweep is already scheduled
-        self._reaper_armed_for = deadline
-        delay = max(0.0, deadline - self.kernel.now)
-        self.kernel.call_later(delay, self._sweep)
+        deadline = min((svc.termination_time for svc in self.services.values()
+                        if svc.termination_time is not None),
+                       default=math.inf)
+        if deadline < self._reaper_armed_for:  # else: one is due by then
+            self._reaper_armed_for = deadline
+            self.kernel.call_later(max(0.0, deadline - self.kernel.now),
+                                   self._sweep)
 
     def _sweep(self, _arg) -> None:
-        self._reaper_armed_for = None
-        now = self.kernel.now
-        expired = [sid for sid, svc in self.services.items()
-                   if svc.termination_time is not None
-                   and svc.termination_time <= now]
-        for sid in expired:
-            self.destroy(sid, reason="lifetime-expired")
-        self._subs = {sid: s for sid, s in self._subs.items()
-                      if s.expires > now}
+        self._reaper_armed_for = math.inf
+        for sid, svc in list(self.services.items()):
+            if (svc.termination_time is not None
+                    and svc.termination_time <= self.kernel.now):
+                self.destroy(sid, reason="lifetime-expired")
         self._arm_reaper()
 
     # -- notifications ------------------------------------------------------------
-    def _fanout(self, service_id: str, sde: ServiceDataElement) -> None:
-        now = self.kernel.now
-        for sub in list(self._subs.values()):
-            if sub.service_id != service_id or sub.expires <= now:
-                continue
-            if sub.sde_name is not None and sub.sde_name != sde.name:
-                continue
-            self.network.send(self.host, sub.sink_host, sub.sink_port, {
-                "subscription": sub.sub_id,
-                "service_id": service_id,
+    def _fanout(self, service: GridService, sde: ServiceDataElement) -> None:
+        if service.sde_subscribers:  # else nothing is built or read
+            service.sde_subscribers.publish(sde.name, lambda sub_id: {
+                "subscription": sub_id,
+                "service_id": service.service_id,
                 "sde_name": sde.name,
                 "value": sde.value,
                 "version": sde.version,
@@ -181,8 +154,7 @@ class ServiceContainer:
         svc.termination_time = termination_time
         self.kernel.emit(f"container.{self.host}", "service.lifetime",
                          service_id=service_id, termination_time=termination_time)
-        if termination_time is not None:
-            self._arm_reaper()
+        self._arm_reaper()
         return {"termination_time": termination_time, "now": self.kernel.now}
 
     def _op_destroy(self, caller, service_id: str):
@@ -193,17 +165,13 @@ class ServiceContainer:
     def _op_subscribe(self, caller, service_id: str, sink_host: str,
                       sink_port: str, sde_name: str | None = None,
                       lifetime: float = 300.0):
-        self.get(service_id)  # raise if unknown
-        sub = _Subscription(sub_id=self._sub_ids(), service_id=service_id,
-                            sde_name=sde_name, sink_host=sink_host,
-                            sink_port=sink_port,
-                            expires=self.kernel.now + lifetime)
-        self._subs[sub.sub_id] = sub
-        self._arm_reaper()
-        return sub.sub_id
+        return self.get(service_id).sde_subscribers.subscribe(
+            sink_host, sink_port, lifetime,
+            None if sde_name is None else [sde_name])
 
     def _op_unsubscribe(self, caller, subscription_id: str):
-        return self._subs.pop(subscription_id, None) is not None
+        return any(svc.sde_subscribers.unsubscribe(subscription_id)
+                   for svc in self.services.values())
 
     def _op_createService(self, caller, type_name: str,
                           params: dict[str, Any] | None = None,

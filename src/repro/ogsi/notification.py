@@ -1,10 +1,100 @@
-"""The subscriber side of every one-way push: one guarded sink."""
+"""Both ends of every one-way push: the publisher's soft-state
+subscription table and the subscriber's guarded sink."""
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable
 
 from repro.net.network import Message, Network
+from repro.util.errors import ProtocolError
+from repro.util.schema import (
+    array, nullable, number, obj, rule, string, validator)
+
+_validate_request = validator(ProtocolError, obj({
+    "sink_host": string(), "sink_port": string(),
+    "lifetime": number(above=0), "topics": nullable(array(string())),
+}, None, rule(".lifetime", "must be finite",
+              lambda request: request["lifetime"] < math.inf)))
+
+
+class SubscriptionTable:
+    """The publisher side of every one-way push: who is listening, to
+    which topics, until when.
+
+    SDE notifications (topic = SDE name), NSDS streams (topic = channel)
+    and camera frames (no topic) each publish through one of these.  A
+    table belongs to one :class:`~repro.ogsi.service.GridService` (see
+    :meth:`~repro.ogsi.service.GridService.subscription_table`), so a
+    service's audiences are separate and all of them end with it.
+
+    Subscriptions are soft state under one rule that schedules nothing:
+    a lapsed entry (``expires <= now``) is skipped, and freed when the
+    owner next publishes or is destroyed; ``on_lapsed(n)`` is told how
+    many were freed that way.  An explicit :meth:`unsubscribe` is a
+    cancellation, not a lapse.
+    """
+
+    def __init__(self, network: Network, host: str,
+                 new_id: Callable[[], str],
+                 on_lapsed: Callable[[int], None] | None = None):
+        self.network = network
+        self.host = host
+        self._new_id = new_id
+        self._on_lapsed = on_lapsed
+        #: sub_id -> (topics or None for all, sink_host, sink_port, expires)
+        self._subs: dict[str, tuple] = {}
+
+    def __len__(self) -> int:
+        """Entries held (lapsed ones included until they are freed)."""
+        return len(self._subs)
+
+    def subscribe(self, sink_host: str, sink_port: str, lifetime: float,
+                  topics: list[str] | None = None) -> str:
+        """Store a subscription and return its id; a malformed request
+        is a :class:`ProtocolError` and takes no id."""
+        _validate_request({"sink_host": sink_host, "sink_port": sink_port,
+                           "lifetime": lifetime, "topics": topics})
+        sub_id = self._new_id()
+        self._subs[sub_id] = (
+            None if topics is None else frozenset(topics),
+            sink_host, sink_port, self.network.kernel.now + lifetime)
+        return sub_id
+
+    def unsubscribe(self, sub_id: str) -> bool:
+        return self._subs.pop(sub_id, None) is not None
+
+    def publish(self, topic: str | None,
+                make_payload: Callable[[str], Any]) -> int:
+        """Send ``make_payload(sub_id)`` to every live subscriber of
+        ``topic``; returns the datagrams sent."""
+        now = self.network.kernel.now
+        sent, lapsed = 0, False
+        for sub_id, (topics, sink_host, sink_port, expires) in \
+                self._subs.items():
+            if expires <= now:
+                lapsed = True
+            elif topics is None or topic in topics:
+                self.network.send(self.host, sink_host, sink_port,
+                                  make_payload(sub_id))
+                sent += 1
+        if lapsed:
+            self._free_lapsed()
+        return sent
+
+    def clear(self) -> None:
+        """The owner is destroyed: every entry goes."""
+        self._free_lapsed()
+        self._subs.clear()
+
+    def _free_lapsed(self) -> None:
+        now = self.network.kernel.now
+        lapsed = [sub_id for sub_id, (*_, expires) in self._subs.items()
+                  if expires <= now]
+        for sub_id in lapsed:
+            del self._subs[sub_id]
+        if lapsed and self._on_lapsed is not None:
+            self._on_lapsed(len(lapsed))
 
 
 class NotificationSink:

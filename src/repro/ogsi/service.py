@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, TYPE_CHECKING
 
+from repro.ogsi.notification import SubscriptionTable
 from repro.ogsi.sde import ServiceDataSet
 from repro.util.errors import ProtocolError
 
@@ -20,7 +21,10 @@ class GridService:
     consume simulation time) and use :attr:`service_data` for observable
     state.  ``termination_time`` implements OGSI soft-state lifetime: the
     container reaps the service once the time passes unless a client extends
-    it via the standard ``setTerminationTime`` operation.
+    it via the standard ``setTerminationTime`` operation.  Whoever the
+    service pushes to is held in a :meth:`subscription_table`;
+    ``sde_subscribers`` (made by the container at deploy) is the one for
+    its SDE change notifications.
     """
 
     def __init__(self, service_id: str):
@@ -29,6 +33,8 @@ class GridService:
         self.handle: "GridServiceHandle | None" = None
         self.service_data: ServiceDataSet | None = None
         self.termination_time: float | None = None  # None = immortal
+        self.sde_subscribers: SubscriptionTable | None = None
+        self.subscription_tables: list[SubscriptionTable] = []
         self._operations: dict[str, Callable[..., Any]] = {}
 
     # -- wiring (called by the container) ----------------------------------
@@ -56,6 +62,18 @@ class GridService:
             raise ProtocolError(
                 f"service {self.service_id!r} has no operation {name!r}")
         return fn
+
+    # -- audiences -------------------------------------------------------------
+    def subscription_table(self, new_id: Callable[[], str],
+                           on_lapsed: Callable[[int], None] | None = None
+                           ) -> SubscriptionTable:
+        """A new audience of this (attached) service — arguments as
+        :class:`SubscriptionTable` takes them; the container empties
+        every one of them when the service is destroyed."""
+        table = SubscriptionTable(self.container.network,
+                                  self.container.host, new_id, on_lapsed)
+        self.subscription_tables.append(table)
+        return table
 
     # -- helpers ---------------------------------------------------------------
     @property

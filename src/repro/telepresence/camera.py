@@ -44,11 +44,11 @@ class CameraService(GridService):
         self.state = PTZState()
         self.frame_interval = frame_interval
         self.frame_counter = 0
-        self._viewers: dict[str, tuple[str, str, float]] = {}
-        self._viewer_ids = IdFactory(f"{service_id}.viewer")
         self.streaming = False
 
     def on_attach(self) -> None:
+        self.subscribers = self.subscription_table(
+            IdFactory(f"{self.service_id}.viewer"))
         self.service_data.set("ptz", self.state.__dict__.copy())
         for op in ("ptz", "getState", "subscribe", "unsubscribe"):
             self.expose(op, getattr(self, f"_op_{op}"))
@@ -81,33 +81,26 @@ class CameraService(GridService):
     # -- streaming ------------------------------------------------------------
     def _op_subscribe(self, caller, sink_host: str, sink_port: str,
                       lifetime: float = 600.0):
-        vid = self._viewer_ids()
-        self._viewers[vid] = (sink_host, sink_port,
-                              self.kernel.now + lifetime)
+        viewer_id = self.subscribers.subscribe(sink_host, sink_port, lifetime)
         if not self.streaming:
             self.streaming = True
             self.kernel.process(self._stream(), name=f"{self.service_id}.stream")
-        return vid
+        return viewer_id
 
     def _op_unsubscribe(self, caller, viewer_id: str):
-        return self._viewers.pop(viewer_id, None) is not None
+        return self.subscribers.unsubscribe(viewer_id)
 
     def _stream(self):
-        """Push frames while any subscription is live; stop when none are."""
+        """Push frames while any subscription is live; stop when none are
+        (all lapsed or cancelled, or the camera destroyed)."""
         while True:
-            now = self.kernel.now
-            self._viewers = {vid: v for vid, v in self._viewers.items()
-                             if v[2] > now}
-            if not self._viewers:
+            frame = {"camera": self.service_id,
+                     "frame": self.frame_counter + 1,
+                     "time": self.kernel.now, "ptz": self.state.__dict__.copy()}
+            if not self.subscribers.publish(None, lambda _viewer_id: frame):
                 self.streaming = False
                 return
             self.frame_counter += 1
-            frame = {"camera": self.service_id, "frame": self.frame_counter,
-                     "time": now, "ptz": self.state.__dict__.copy()}
-            assert self.container is not None
-            for host, port, _expiry in self._viewers.values():
-                self.container.network.send(self.container.host, host, port,
-                                            frame)
             yield self.kernel.timeout(self.frame_interval)
 
 

@@ -482,6 +482,51 @@ def test_one_class_binds_subscriber_ports():
         assert "_on_message" not in vars(cls)
 
 
+def test_one_table_holds_every_subscription():
+    """``SubscriptionTable`` is the one publisher side: one function
+    sends to a ``sink_port``, nothing outside ``ogsi/notification.py``
+    names an ``expires`` or adds a ``lifetime`` to the clock in a
+    subscribe operation, and the three publishers keep no table of
+    their own."""
+    import ast
+    import pathlib
+    import textwrap
+
+    from repro.nsds import NSDSService
+    from repro.ogsi import ServiceContainer
+    from repro.telepresence import CameraService
+
+    src = pathlib.Path(repro.__file__).parent
+    senders, deadlines = [], set()
+    for path in src.rglob("*.py"):
+        where = path.relative_to(src).as_posix()
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "attr", "") == "send"
+                        and any("sink_port" in (getattr(arg, "attr", ""),
+                                                getattr(arg, "id", ""))
+                                for arg in node.args)):
+                    senders.append((where, func.name))
+                if "expires" in (getattr(node, "attr", None),
+                                 getattr(node, "id", None),
+                                 getattr(node, "arg", None)) or (
+                        func.name.endswith("subscribe")
+                        and isinstance(node, ast.BinOp)
+                        and isinstance(node.op, ast.Add)
+                        and getattr(node.right, "id", "") == "lifetime"):
+                    deadlines.add(where)
+    assert senders == [("ogsi/notification.py", "publish")]
+    assert deadlines == {"ogsi/notification.py"}
+    for cls in (ServiceContainer, NSDSService, CameraService):
+        own = ast.parse(textwrap.dedent(inspect.getsource(cls)))
+        assert not {"_subs", "_viewers"} & {
+            node.attr for node in ast.walk(own)
+            if isinstance(node, ast.Attribute)}, cls.__name__
+
+
 def test_a_produced_sde_is_built_by_its_first_reader():
     """``set_produced``: version and time are stamped at set time, the
     value is built at most once and only if somebody reads it — and a

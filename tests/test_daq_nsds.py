@@ -357,6 +357,28 @@ class TestNSDS:
         assert k.telemetry.counter("nsds.stream.expired_subs",
                                    service=nsds.service_id).value == 1
 
+    def test_a_reaped_nsds_stops_pushing(self):
+        """Soft-state lifetime ends the stream too: the DAQ tap may keep
+        calling ``ingest``, pull viewers still find the buffer, but
+        nothing is pushed to the old subscribers."""
+        k, net, nsds, rpc = nsds_env()
+        recv = NSDSReceiver(net, "viewer")
+        call(k, rpc, "subscribe", {"sink_host": "viewer",
+                                   "sink_port": recv.port, "lifetime": 1e9})
+        k.run(until=k.process(rpc.call(
+            "site", "ogsi", "setTerminationTime",
+            {"service_id": "nsds-site", "termination_time": 20.0})))
+        nsds.ingest(1.0, {"force": 1.0})
+        k.run(until=30.0)
+        assert recv.received_count("force") == 1
+        assert "nsds-site" not in nsds.container.services  # reaped at t=20
+        nsds.ingest(30.0, {"force": 2.0})
+        k.run()
+        assert recv.received_count("force") == 1 and nsds.pushed == 1
+        assert nsds.buffers["force"].latest().value == 2.0
+        assert k.telemetry.counter("nsds.stream.expired_subs",
+                                   service="nsds-site").value == 0
+
     def test_daq_to_nsds_wiring(self):
         """The deployment pattern: daq.on_sample(nsds.ingest)."""
         k, net, nsds, rpc = nsds_env()

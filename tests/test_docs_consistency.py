@@ -69,3 +69,27 @@ class TestDocsConsistency:
         [documented] = re.findall(
             r"histograms become `stat=` sub-series:\s+([\w/]+)\)", text)
         assert tuple(documented.split("/")) == HISTOGRAM_STATS
+
+    def test_the_documented_subscription_table_is_the_coded_one(self):
+        """ARCHITECTURE's example refusal, the probe it names as the
+        reason no reaper is armed, and "schedules nothing" are real."""
+        from repro.net import Network
+        from repro.ogsi import SubscriptionTable
+        from repro.sim import Kernel
+        from repro.util.errors import ProtocolError
+
+        text = (ROOT / "docs" / "ARCHITECTURE.md").read_text()
+        [(path, probe)] = re.findall(
+            r"`(benchmarks/[\w/.]+)::(\w+)`\s+subscribes", text)
+        body = (ROOT / path).read_text().split(f"def {probe}(")[1]
+        body = body.split("\ndef ")[0]
+        assert '"lifetime": 1e9' in body and "kernel.run()\n" in body
+        [message] = re.findall(r"`ProtocolError` \(`([^`]+)`\)", text)
+        kernel = Kernel()
+        table = SubscriptionTable(Network(kernel, seed=0), "h", lambda: "id")
+        with pytest.raises(ProtocolError) as refusal:
+            table.subscribe("h", "p", float("inf"))
+        assert str(refusal.value) == message
+        table.subscribe("h", "p", 1e9)
+        kernel.run()
+        assert kernel.now == 0.0 and len(table) == 1

@@ -21,6 +21,7 @@ from repro.nsds import NSDSService, NSDSReceiver
 from repro.ogsi import NotificationSink, ServiceContainer
 from repro.sim import Kernel
 from repro.structural import GroundMotion, LinearSubstructure, StructuralModel
+from repro.telepresence import CameraService, VideoViewer
 from repro.testing import make_site
 
 
@@ -198,8 +199,106 @@ class TestNotificationsUnderLoss:
         container._op_subscribe(None, service_id="stream",
                                 sink_host="user", sink_port=sink.port,
                                 lifetime=1e9)
+        receiver = NSDSReceiver(net, "user")
+        nsds._op_subscribe(None, sink_host="user", sink_port=receiver.port,
+                           lifetime=1e9)
+        assert [len(table) for table in nsds.subscription_tables] == [1, 1]
         container.destroy("stream")
-        assert container._subs == {}
+        # the SDE audience and the stream audience both end with the service
+        assert [len(table) for table in nsds.subscription_tables] == [0, 0]
+
+
+_SUBSCRIBE_OPS = {
+    # operation -> (RPC method, params before the subscribe request)
+    "container": ("subscribe", {"service_id": "stream"}),
+    "nsds": ("invoke", {"service_id": "stream", "operation": "subscribe"}),
+    "camera": ("invoke", {"service_id": "cam", "operation": "subscribe"}),
+}
+_HOSTILE_FIELDS = [
+    ("lifetime", "soon"), ("lifetime", float("nan")),
+    ("lifetime", float("inf")), ("lifetime", -5), ("lifetime", 0),
+    ("lifetime", True),
+    ("sink_host", ""), ("sink_host", 7), ("sink_host", None),
+    ("sink_port", ""), ("sink_port", 7), ("sink_port", None),
+]
+_HOSTILE_ROWS = (
+    [(op, field, value) for op in _SUBSCRIBE_OPS
+     for field, value in _HOSTILE_FIELDS]
+    + [("nsds", "channels", "force"), ("nsds", "channels", ["force", 2]),
+       ("nsds", "channels", {"force": 1}), ("container", "sde_name", 5)])
+
+
+class TestSubscriptionTable:
+    """The one service-side table under SDE notifications, NSDS streams
+    and camera frames."""
+
+    def env(self):
+        k = Kernel()
+        net = Network(k, seed=0)
+        net.add_host("site")
+        net.add_host("user")
+        net.connect("site", "user", latency=0.01)
+        container = ServiceContainer(net, "site")
+        nsds, cam = NSDSService("stream"), CameraService("cam")
+        container.deploy(nsds)
+        container.deploy(cam)
+        return k, net, nsds, cam, RpcClient(net, "user")
+
+    def subscribe(self, k, rpc, op, request):
+        method, params = _SUBSCRIBE_OPS[op]
+        params = ({**params, **request} if method == "subscribe"
+                  else {**params, "params": request})
+
+        def go():
+            try:
+                return (yield from rpc.call("site", "ogsi", method, params))
+            except RemoteException as exc:
+                return exc
+
+        return k.run(until=k.process(go()))
+
+    @pytest.mark.parametrize(
+        "op,field,value", _HOSTILE_ROWS,
+        ids=[f"{op}-{field}-{value!r}" for op, field, value in _HOSTILE_ROWS])
+    def test_a_hostile_subscribe_is_a_typed_refusal(self, op, field, value):
+        k, net, nsds, cam, rpc = self.env()
+        request = {"sink_host": "user", "sink_port": "p", "lifetime": 60.0}
+        first = self.subscribe(k, rpc, op, request)
+        tables = nsds.subscription_tables + cam.subscription_tables
+        before = [len(table) for table in tables]
+        refusal = self.subscribe(k, rpc, op, {**request, field: value})
+        assert isinstance(refusal, RemoteException)
+        assert refusal.remote_type == "ProtocolError"
+        # the message leads with the offending field, as the table names it
+        assert f"$.{field if field in request else 'topics'}" in str(refusal)
+        assert [len(table) for table in tables] == before
+        assert k.log.records(kind="rpc.handler_error") == []
+        # not even an id was spent on it
+        second = self.subscribe(k, rpc, op, request)
+        assert (first[-2:], second[-2:]) == ("-1", "-2")
+
+    def test_unsubscribe_is_scoped_to_the_owning_table(self):
+        k, net, nsds, cam, rpc = self.env()
+        viewer = VideoViewer(net, "user")
+        viewer_id = self.subscribe(k, rpc, "camera", {
+            "sink_host": "user", "sink_port": viewer.port, "lifetime": 60.0})
+
+        def unsubscribe(method, params):
+            return k.run(until=k.process(rpc.call(
+                "site", "ogsi", method, params)))
+
+        assert unsubscribe("invoke", {
+            "service_id": "stream", "operation": "unsubscribe",
+            "params": {"subscription_id": viewer_id}}) is False
+        assert unsubscribe("unsubscribe",
+                           {"subscription_id": viewer_id}) is False
+        assert len(cam.subscribers) == 1
+        seen = viewer.frame_count
+        k.run(until=k.now + 5.0)
+        assert viewer.frame_count >= seen + 9
+        assert unsubscribe("invoke", {
+            "service_id": "cam", "operation": "unsubscribe",
+            "params": {"viewer_id": viewer_id}}) is True
 
 
 class TestCoordinatorStreamsResponse:

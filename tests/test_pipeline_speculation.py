@@ -253,6 +253,7 @@ _SEQUENTIAL_SPANS = {"coordinator.step": 40, "coordinator.step.commit": 39,
                      "coordinator.step.integrate": 39,
                      "coordinator.step.propose": 40, **_RPC_SPANS}
 _SOLO_SHA = "efd54ad7858bf7792c89530f9e9a3566bafbda966c77aa9212f67ef3adc2badb"
+_FULL_SHA = "8a9bcbe6d98060bee3ab6558b063455b3a9b16fe0c425b590056f6697610d067"
 _SEQUENTIAL_SCHEDULE = (
     "41793adf254bb48d616502b159b54ce402e51c06f34b1486f1596b42c1f527bd")
 TRACE_SHAPES = {
@@ -272,20 +273,51 @@ TRACE_SHAPES = {
         events=2449, sent=480, series=62, spans=_SEQUENTIAL_SPANS,
         schedule=_SEQUENTIAL_SCHEDULE,
         sha="e7327b72f7a309bf98b43d6dd66d28b1aa12bfb624bcb3ec151e93dc0c180b09"),
+    # The observed deployments, recorded at 1407aea: NSDS push and OGSI
+    # notification fan-out are on these schedules.
+    "observers": dict(
+        events=5254, sent=2216, series=83, sha=_FULL_SHA, pushed=1408,
+        health_updates=0,
+        schedule="33b763de25a4d5f235682e0e9e5ac96c"
+                 "13860daac07c5ef4cfd1168eeecac21d"),
+    "monitoring": dict(
+        events=2564, sent=526, series=82, sha=_SOLO_SHA, pushed=3,
+        health_updates=33,
+        schedule="73dd46db0cbbcc336b0fbc70c9641f29"
+                 "de15daa280afec5bf5121bbc37d99d92"),
+    "observatory": dict(
+        events=5736, sent=2435, series=110, sha=_FULL_SHA, pushed=1438,
+        health_updates=177,
+        schedule="fe313bb09939ce6618aa527cd2ea8840"
+                 "43dac65c1b298bc0ed68328dc4622f72"),
 }
 
 
-@pytest.mark.parametrize("mode", sorted(TRACE_SHAPES))
-def test_trace_shape_is_pinned(mode):
-    """Kernel events, messages, series, span histogram, span schedule
-    and committed history of a 40-step simulation-only run, per stepping
-    mode."""
+def _shape_session(mode: str) -> ExperimentSession:
+    if mode == "observers":
+        return ExperimentSession(MOSTConfig().scaled(N_STEPS),
+                                 run_id=f"shape-{mode}").with_observers()
+    if mode == "observatory":
+        return (ExperimentSession(MOSTConfig().scaled(N_STEPS),
+                                  run_id=f"shape-{mode}")
+                .with_observers().with_observatory())
     s = session(f"shape-{mode}")
     if mode == "pipelined":
         s.with_pipeline(1)
     elif mode == "ensemble":
         s.with_ensemble(ensemble_variants(s.config, 3))
-    outcome = s.run()
+    elif mode == "monitoring":
+        s.with_monitoring()
+    return s
+
+
+@pytest.mark.parametrize("mode", sorted(TRACE_SHAPES))
+def test_trace_shape_is_pinned(mode):
+    """Kernel events, messages, series, span histogram, span schedule
+    and committed history of a 40-step run: per stepping mode
+    (simulation-only), and for the observed deployments — NSDS datagrams
+    pushed and console health updates too."""
+    outcome = _shape_session(mode).run()
     kernel = outcome.deployment.kernel
     hub = kernel.telemetry
 
@@ -297,13 +329,16 @@ def test_trace_shape_is_pinned(mode):
     schedule = sorted((span.start, span.end_time, span.name)
                       for span in hub.spans())
     assert outcome.steps_completed == N_STEPS - 1
-    assert dict(events=total("sim.kernel.events"),
-                sent=total("net.network.sent"), series=len(hub.registry),
-                sha=hashlib.sha256(history.tobytes()).hexdigest(),
-                schedule=hashlib.sha256(
-                    repr((schedule, kernel.now)).encode()).hexdigest(),
-                spans=dict(Counter(span.name for span in hub.spans()))
-                ) == TRACE_SHAPES[mode]
+    measured = dict(events=total("sim.kernel.events"),
+                    sent=total("net.network.sent"), series=len(hub.registry),
+                    sha=hashlib.sha256(history.tobytes()).hexdigest(),
+                    schedule=hashlib.sha256(
+                        repr((schedule, kernel.now)).encode()).hexdigest(),
+                    spans=dict(Counter(span.name for span in hub.spans())),
+                    pushed=total("nsds.stream.pushed"),
+                    health_updates=total("monitor.console.health_updates"))
+    pinned = TRACE_SHAPES[mode]
+    assert {key: measured[key] for key in pinned} == pinned
 
 
 class TestSessionGuards:

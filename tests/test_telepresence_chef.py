@@ -76,6 +76,23 @@ class TestCamera:
         assert 0 < viewer.frame_count <= 12
         assert not cam.streaming  # loop exited
 
+    def test_a_destroyed_camera_stops_streaming(self):
+        k, net, container, rpc = portal_env()
+        cam = CameraService("cam", frame_interval=0.5)
+        container.deploy(cam)
+        viewer = VideoViewer(net, "user")
+        call(k, rpc, "cam", "subscribe", {"sink_host": "user",
+                                          "sink_port": viewer.port,
+                                          "lifetime": 1e9})
+        k.run(until=3.0)
+        assert cam.streaming and viewer.frame_count > 0
+        container.destroy("cam")
+        k.run(until=k.now + 0.5)          # frames in flight land; one tick
+        seen, counter = viewer.frame_count, cam.frame_counter
+        assert not cam.streaming
+        k.run(until=k.now + 5.0)
+        assert (viewer.frame_count, cam.frame_counter) == (seen, counter)
+
     def test_frames_carry_current_ptz(self):
         k, net, container, rpc = portal_env()
         cam = CameraService("cam", frame_interval=1.0)
