@@ -31,7 +31,7 @@ def drive_all_paths():
             env.handle, "t-executed", make_displacement_actions({0: 0.01}))
 
     env.run(happy())
-    histories["executed"] = env.server.transactions["t-executed"].history
+    histories["executed"] = env.server.transactions["t-executed"].timestamps
 
     # reject
     strict = SitePolicy().limit("set-displacement", "value",
@@ -44,7 +44,7 @@ def drive_all_paths():
             env2.handle, "t-rejected", make_displacement_actions({0: 0.5}))
 
     env2.run(rejected())
-    histories["rejected"] = env2.server.transactions["t-rejected"].history
+    histories["rejected"] = env2.server.transactions["t-rejected"].timestamps
 
     # accept -> cancel
     def cancelled():
@@ -53,7 +53,7 @@ def drive_all_paths():
         yield from env.client.cancel(env.handle, "t-cancelled")
 
     env.run(cancelled())
-    histories["cancelled"] = env.server.transactions["t-cancelled"].history
+    histories["cancelled"] = env.server.transactions["t-cancelled"].timestamps
 
     # accept -> execute -> failed (execution timeout)
     class Stuck(ControlPlugin):
@@ -76,7 +76,7 @@ def drive_all_paths():
             pass
 
     env3.run(failed())
-    histories["failed"] = env3.server.transactions["t-failed"].history
+    histories["failed"] = env3.server.transactions["t-failed"].timestamps
     return histories, env
 
 
@@ -85,7 +85,7 @@ def bench_f1_state_transitions(benchmark):
 
     lines = ["Figure 1 reproduction: NTCP transaction state transitions", ""]
     for path, history in histories.items():
-        chain = " -> ".join(f"{state.value}@{t:.3f}s" for state, t in history)
+        chain = " -> ".join(f"{s}@{t:.3f}s" for s, t in history.items())
         lines.append(f"{path:>10}: {chain}")
     expected = {
         "executed": ["proposed", "accepted", "executing", "executed"],
@@ -94,11 +94,11 @@ def bench_f1_state_transitions(benchmark):
         "failed": ["proposed", "accepted", "executing", "failed"],
     }
     for path, states in expected.items():
-        observed = [s.value for s, _ in histories[path]]
+        observed = list(histories[path])
         assert observed == states, (path, observed)
     lines += ["", "all four Figure-1 paths observed with monotone timestamps"]
     for history in histories.values():
-        times = [t for _, t in history]
+        times = list(history.values())
         assert times == sorted(times)
     write_report("f1_ntcp_transactions", lines)
 

@@ -275,11 +275,13 @@ def resume_state_from_checkpoint(doc: dict) -> ExperimentState:
 
 
 def load_resume(store, run_id: str):
-    """Kernel process: the resume point of ``run_id`` in ``store``.
+    """Kernel process: the resume point of ``run_id`` in ``store`` — the
+    newest checkpoint below which the committed history is complete.
 
     Returns ``(state, prior_records)`` ready for a new coordinator
-    incarnation (``state=`` / ``prior_records=``), or ``(None, ())``
-    when the run left no checkpoint to resume from.
+    incarnation (``state=`` / ``prior_records=``; the records are exactly
+    steps ``1 .. state.step - 1``), or ``(None, ())`` when the run left no
+    checkpoint to resume from.
     """
     doc, payloads = yield from store.load_history(run_id)
     if doc is None:

@@ -94,7 +94,7 @@ class NTCPClient:
         result = yield from self._invoke(
             handle, "execute", {"transaction": transaction},
             timeout=timeout, retries=retries, ctx=ctx)
-        return ExecutionOutcome.coerce(result)
+        return result
 
     def cancel(self, handle: GridServiceHandle, transaction: str,
                ctx: Any = None) -> Generator[Any, Any, ProposalVerdict]:
@@ -116,7 +116,7 @@ class NTCPClient:
         """Fetch the results of an executed transaction."""
         value = yield from self._invoke(handle, "getResults",
                                         {"transaction": transaction})
-        return ExecutionOutcome.coerce(value)
+        return value
 
     def list_transactions(self, handle: GridServiceHandle,
                           state: str | None = None) -> Generator[Any, Any, list]:

@@ -1,8 +1,8 @@
 """NTCP wire objects: actions, proposals, verdicts, results.
 
-Everything here is a frozen dataclass of plain values, round-trippable
-through :meth:`to_dict` / :meth:`from_dict` so RPC payloads stay
-serialization-friendly (no live objects cross "the wire").
+Everything here is a frozen dataclass of plain values.  What a client
+sends (:class:`Action`, :class:`Proposal`) round-trips through
+:meth:`to_dict` / :meth:`from_dict`, which validates it on arrival.
 
 :class:`ProposalVerdict` and :class:`ExecutionOutcome` are the *typed*
 return values of the protocol verbs (they replaced the raw dicts the
@@ -131,21 +131,6 @@ class ExecutionOutcome:
         return {"transaction": self.transaction,
                 "readings": dict(self.readings),
                 "started": self.started, "finished": self.finished}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ExecutionOutcome":
-        try:
-            return cls(transaction=data["transaction"],
-                       readings=dict(data["readings"]),
-                       started=data["started"], finished=data["finished"])
-        except KeyError as exc:
-            raise ProtocolError(f"outcome missing field {exc}") from exc
-
-    @classmethod
-    def coerce(cls, value: "ExecutionOutcome | dict[str, Any]",
-               ) -> "ExecutionOutcome":
-        """Accept either the typed object or its wire dict."""
-        return value if isinstance(value, cls) else cls.from_dict(value)
 
     def copy(self) -> "ExecutionOutcome":
         """The outcome with its own ``readings`` dict (shallow): what the

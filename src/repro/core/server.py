@@ -90,6 +90,15 @@ class NTCPServer(GridService):
         self.service_data.set("lastChanged", txn.name)
         self.emit("transaction." + txn.state.value, transaction=txn.name)
 
+    def _move(self, txn: Transaction, state: TransactionState,
+              error: str = "") -> None:
+        """The one place a transaction changes state: the guarded
+        transition, the state's counter (``executing`` has none), the SDE."""
+        txn.transition(state, self.kernel.now, error=error)
+        if state.value in STAT_KEYS:
+            self._count(state.value)
+        self._publish(txn)
+
     def _get(self, name: str) -> Transaction:
         txn = self.transactions.get(name)
         if txn is None:
@@ -115,47 +124,33 @@ class NTCPServer(GridService):
             span.end(state=verdict.state, duplicate=True)
             return verdict
         txn = Transaction(proposal=prop,
-                          history=[(TransactionState.PROPOSED, self.kernel.now)])
+                          timestamps={"proposed": self.kernel.now})
         self.transactions[prop.transaction] = txn
         self._count("proposed")
         self._publish(txn)
-        review = None
         try:
             review = self.plugin.review(prop)
         except PolicyViolation as exc:
-            verdict = self._reject(txn, str(exc))
-            span.end(state=verdict.state)
-            return verdict
+            return self._decide(txn, span, TransactionState.REJECTED, str(exc))
         if hasattr(review, "send") and hasattr(review, "throw"):
             # Timed review (e.g. human approval): finish as a sub-process.
             return self._timed_review(txn, review, span)
-        verdict = self._accept(txn)
-        span.end(state=verdict.state)
-        return verdict
+        return self._decide(txn, span, TransactionState.ACCEPTED)
 
     def _timed_review(self, txn: Transaction, review, span):
         try:
-            result = yield from review
+            yield from review
         except PolicyViolation as exc:
-            verdict = self._reject(txn, str(exc))
-            span.end(state=verdict.state)
-            return verdict
-        del result
-        verdict = self._accept(txn)
+            return self._decide(txn, span, TransactionState.REJECTED, str(exc))
+        return self._decide(txn, span, TransactionState.ACCEPTED)
+
+    def _decide(self, txn: Transaction, span, state: TransactionState,
+                error: str = "") -> ProposalVerdict:
+        """Propose's tail: record the plugin's decision and answer with it."""
+        self._move(txn, state, error)
+        verdict = self._verdict(txn)
         span.end(state=verdict.state)
         return verdict
-
-    def _accept(self, txn: Transaction):
-        txn.transition(TransactionState.ACCEPTED, self.kernel.now)
-        self._count("accepted")
-        self._publish(txn)
-        return self._verdict(txn)
-
-    def _reject(self, txn: Transaction, reason: str):
-        txn.transition(TransactionState.REJECTED, self.kernel.now, error=reason)
-        self._count("rejected")
-        self._publish(txn)
-        return self._verdict(txn)
 
     def _verdict(self, txn: Transaction) -> ProposalVerdict:
         return ProposalVerdict(transaction=txn.name, state=txn.state.value,
@@ -195,18 +190,15 @@ class NTCPServer(GridService):
                 + (f" ({txn.error})" if txn.error else ""))
         # Proposal lifetime (soft state): an acceptance is not a blank
         # check — it lapses if the client waits too long to execute.
-        accepted_at = txn.timestamps().get("accepted", 0.0)
+        accepted_at = txn.timestamps.get("accepted", 0.0)
         if self.kernel.now > accepted_at + txn.proposal.proposal_lifetime:
-            txn.transition(TransactionState.CANCELLED, self.kernel.now,
-                           error="proposal lifetime expired before execute")
-            self._count("cancelled")
-            self._publish(txn)
+            self._move(txn, TransactionState.CANCELLED,
+                       "proposal lifetime expired before execute")
             span.end(state=txn.state.value, ok=False)
             raise ProtocolError(
                 f"transaction {transaction!r}: proposal lifetime of "
                 f"{txn.proposal.proposal_lifetime:g} s expired")
-        txn.transition(TransactionState.EXECUTING, self.kernel.now)
-        self._publish(txn)
+        self._move(txn, TransactionState.EXECUTING)
         return self._run_plugin(txn, span)
 
     def _run_plugin(self, txn: Transaction, span):
@@ -219,17 +211,10 @@ class NTCPServer(GridService):
         except Exception as exc:
             # Not narrowable: the plugin wraps an arbitrary back-end, so
             # any type can surface here; the transaction fails and the
-            # original error is chained onto the ProtocolError below.
-            reason = f"plugin error: {type(exc).__name__}: {exc}"
-            self.emit("plugin.error", transaction=txn.name,
-                      error=f"{type(exc).__name__}: {exc}")
-            txn.transition(TransactionState.FAILED, self.kernel.now,
-                           error=reason)
-            self._count("failed")
-            self._publish(txn)
-            self._settle(txn, ProtocolError(reason))
-            span.end(state=txn.state.value, ok=False)
-            raise ProtocolError(reason) from exc
+            # original error is chained onto the ProtocolError.
+            detail = f"{type(exc).__name__}: {exc}"
+            self.emit("plugin.error", transaction=txn.name, error=detail)
+            raise self._fail(txn, span, f"plugin error: {detail}") from exc
         if work in fired:
             readings = fired[work]
             txn.result = ExecutionOutcome(
@@ -237,10 +222,8 @@ class NTCPServer(GridService):
                 readings=readings if isinstance(readings, dict) else
                 {"value": readings},
                 started=started, finished=self.kernel.now)
-            txn.transition(TransactionState.EXECUTED, self.kernel.now)
-            self._count("executed")
             self._execute_time.observe(txn.result.duration)
-            self._publish(txn)
+            self._move(txn, TransactionState.EXECUTED)
             outcome = txn.result.copy()
             self._settle(txn, outcome)
             span.end(state=txn.state.value)
@@ -250,14 +233,16 @@ class NTCPServer(GridService):
         if work.is_alive:
             work.interrupt("execution timeout")
         work.defuse()
-        reason = (f"execution exceeded timeout of "
-                  f"{txn.proposal.execution_timeout:g} s")
-        txn.transition(TransactionState.FAILED, self.kernel.now, error=reason)
-        self._count("failed")
-        self._publish(txn)
+        raise self._fail(txn, span, f"execution exceeded timeout of "
+                         f"{txn.proposal.execution_timeout:g} s")
+
+    def _fail(self, txn: Transaction, span, reason: str) -> ProtocolError:
+        """The one failure exit of a run: fail the transaction, settle the
+        duplicates waiting on it, end the span; returns the error to raise."""
+        self._move(txn, TransactionState.FAILED, reason)
         self._settle(txn, ProtocolError(reason))
         span.end(state=txn.state.value, ok=False)
-        raise ProtocolError(reason)
+        return ProtocolError(reason)
 
     def _settle(self, txn: Transaction,
                 outcome: ExecutionOutcome | ProtocolError) -> None:
@@ -284,10 +269,7 @@ class NTCPServer(GridService):
         """Cancel a not-yet-executing transaction."""
         txn = self._get(transaction)
         if txn.state in (TransactionState.PROPOSED, TransactionState.ACCEPTED):
-            txn.transition(TransactionState.CANCELLED, self.kernel.now,
-                           error="cancelled by client")
-            self._count("cancelled")
-            self._publish(txn)
+            self._move(txn, TransactionState.CANCELLED, "cancelled by client")
             return self._verdict(txn)
         if txn.state is TransactionState.CANCELLED:
             return self._verdict(txn)  # idempotent

@@ -8,9 +8,10 @@ A transaction is created by a proposal and walks a fixed state graph::
        ▼                     ▼                   ▼
     REJECTED             CANCELLED             FAILED
 
-Every transition is timestamped, and the full history is exposed through the
-transaction's OGSI service data element — "timestamps representing each
-state change in the lifetime of the transaction".
+Every transition is timestamped, and the time each state was first entered
+is exposed through the transaction's OGSI service data element —
+"timestamps representing each state change in the lifetime of the
+transaction".  The graph has no cycle, so first entries are the whole path.
 """
 
 from __future__ import annotations
@@ -64,21 +65,18 @@ class Transaction:
     Attributes:
         proposal: the proposal that created the transaction.
         state: current :class:`TransactionState`.
-        history: ``(state, time)`` pairs, one per transition (including the
-            initial PROPOSED entry).
+        timestamps: state name → time of *first* entry into that state,
+            in the order entered (including the initial PROPOSED entry).
         result: populated when the state reaches EXECUTED.
         error: human-readable reason for REJECTED / FAILED / CANCELLED.
     """
 
     proposal: Proposal
     state: TransactionState = TransactionState.PROPOSED
-    history: list[tuple[TransactionState, float]] = field(default_factory=list)
+    timestamps: dict[str, float] = field(
+        default_factory=lambda: {"proposed": 0.0})
     result: ExecutionOutcome | None = None
     error: str = ""
-
-    def __post_init__(self):
-        if not self.history:
-            self.history = [(self.state, 0.0)]
 
     @property
     def name(self) -> str:
@@ -92,16 +90,9 @@ class Transaction:
                 f"transaction {self.name!r}: illegal transition "
                 f"{self.state.value} -> {new_state.value}")
         self.state = new_state
-        self.history.append((new_state, time))
+        self.timestamps.setdefault(new_state.value, time)
         if error:
             self.error = error
-
-    def timestamps(self) -> dict[str, float]:
-        """State-name → time of *first* entry into that state."""
-        out: dict[str, float] = {}
-        for state, time in self.history:
-            out.setdefault(state.value, time)
-        return out
 
     def to_sde_value(self) -> dict[str, Any]:
         """The dict published as this transaction's service data element."""
@@ -112,5 +103,5 @@ class Transaction:
             "execution_timeout": self.proposal.execution_timeout,
             "result": None if self.result is None else self.result.to_dict(),
             "error": self.error,
-            "timestamps": self.timestamps(),
+            "timestamps": dict(self.timestamps),
         }

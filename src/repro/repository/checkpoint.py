@@ -5,8 +5,11 @@ premature exit at step 1493 as the outcome.  Checkpoints make the outcome
 resumable: the coordinator periodically persists its serializable
 :class:`~repro.coordinator.state.ExperimentState` plus the tail of
 committed :class:`~repro.coordinator.records.StepRecord`\\ s since the
-previous checkpoint, and a restarted coordinator reconstructs the full
-history by merging every sequence.
+previous checkpoint, and a restarted coordinator reconstructs the history
+by folding the documents back together — as far as they are whole: the
+resume point is the newest checkpoint below which no committed step is
+missing (:class:`_History`), so a lost or truncated document shortens the
+history, it never leaves a hole in it.
 
 The document is a versioned schema (``repro.checkpoint/v1``) whose shape
 is a value built from the :mod:`repro.util.schema` kit, like the
@@ -15,8 +18,9 @@ messages, run on every save *and* every load so a malformed checkpoint
 fails immediately instead of corrupting a resume.  All float payloads are ``float.hex()`` strings —
 checkpoint → restore round-trips are bit-exact.
 
-Two stores share one API (generator-shaped ``save`` / ``load`` /
-``list_seqs`` so callers uniformly ``yield from`` them):
+Two stores implement ``save`` / ``load`` / ``list_seqs`` (generator-shaped,
+so callers uniformly ``yield from`` them) under the one
+:meth:`CheckpointStoreBase.load_history`:
 
 * :class:`InMemoryCheckpointStore` — unit tests and benchmarks;
 * :class:`RepositoryCheckpointStore` — the real path: each checkpoint is
@@ -24,7 +28,8 @@ Two stores share one API (generator-shaped ``save`` / ``load`` /
   :class:`~repro.repository.facade.RepositoryFacade` (staged locally,
   moved over GridFTP, registered as a logical file with NFMS — Allcock et
   al.'s replica-management argument: checkpoint artifacts belong in the
-  data repository, not in coordinator-local state).
+  data repository, not in coordinator-local state), beside a cumulative
+  manifest that lets a resume start from one fetch.
 """
 
 from __future__ import annotations
@@ -210,9 +215,10 @@ validate_checkpoint_payload = validator(CheckpointSchemaError, _CHECKPOINT)
 #:      "seq": 3, "seqs": [1, 2, 3], "latest": {checkpoint doc},
 #:      "records": [merged record payloads, ascending by step]}
 #:
-#: ``records`` is the full last-written-per-step merge across every
-#: sequence in ``seqs`` — what :meth:`CheckpointStoreBase.load_history`
-#: would otherwise recompute by refetching each document.
+#: ``records`` is the last-written-per-step merge across every sequence
+#: in ``seqs`` — what :meth:`CheckpointStoreBase.load_history` would
+#: otherwise recompute by refetching each document, and checks for
+#: missing steps exactly as it checks a walked document.
 validate_manifest_payload = validator(CheckpointSchemaError, document(
     MANIFEST_SCHEMA_ID, {
         "run_id": string(), "seq": integer(1),
@@ -268,10 +274,44 @@ class CheckpointPolicy:
         return self.every_n_steps > 0 and step % self.every_n_steps == 0
 
 
-class CheckpointStoreBase:
-    """Shared history-merging logic over ``save``/``list_seqs``/``load``.
+class _History:
+    """A run's checkpoint documents folded into one history — the one merge.
 
-    All three primitives are kernel-process generators (``yield from``
+    ``latest`` / ``records`` are the resume point: the newest document
+    folded so far below whose resume step no committed step is missing,
+    and exactly steps ``1 .. step - 1``.  A document that does not close
+    the history below it moves neither, so no reader can be handed a hole.
+    """
+
+    def __init__(self):
+        #: step -> last-written record payload, from every document folded
+        self.merged: dict[int, dict] = {}
+        #: the sequences folded, ascending
+        self.seqs: list[int] = []
+        self.latest: dict | None = None
+        self.records: list[dict] = []
+
+    def fold(self, doc: dict, records: list | None = None,
+             seqs: list | None = None) -> None:
+        """Fold in one document — or, given ``records`` and ``seqs``, a
+        cumulative one standing for every sequence up to ``doc``'s.
+
+        Last-written wins per step; records at or past ``doc``'s resume
+        step belong to an aborted attempt and stay out of ``records``.
+        """
+        for record in doc["records"] if records is None else records:
+            self.merged[int(record["step"])] = record
+        self.seqs.extend([int(doc["seq"])] if seqs is None else map(int, seqs))
+        steps = range(1, int(doc["state"]["step"]))
+        if all(step in self.merged for step in steps):
+            self.latest = doc
+            self.records = [self.merged[step] for step in steps]
+
+
+class CheckpointStoreBase:
+    """The one history merge over ``save``/``list_seqs``/``load``.
+
+    All the primitives are kernel-process generators (``yield from``
     them), even where a concrete store completes synchronously — callers
     should not care which store they hold.
     """
@@ -285,51 +325,38 @@ class CheckpointStoreBase:
     def load(self, run_id: str, seq: int):
         raise NotImplementedError
 
-    def load_latest(self, run_id: str):
-        """Kernel process: the newest *loadable* document, or ``None``.
-
-        A corrupt highest-seq document (truncated write from a crashed
-        incarnation) is skipped in favour of the next-newest valid one —
-        resume degrades to an older checkpoint instead of dying on a
-        parse error.
-        """
-        seqs = yield from self.list_seqs(run_id)
-        for seq in sorted(seqs, reverse=True):
-            try:
-                doc = yield from self.load(run_id, seq)
-            except CheckpointCorrupt:
-                continue
-            return doc
-        return None
+    def _seed(self, run_id: str):
+        """Kernel process: the :class:`_History` a merge of ``run_id``
+        starts from — empty, unless the store keeps a cumulative document."""
+        return _History()
+        yield  # pragma: no cover - generator shape, parity with repo store
 
     def load_history(self, run_id: str):
-        """Kernel process: ``(latest_doc, merged_record_payloads)``.
+        """Kernel process: ``(latest_doc, record_payloads)`` — the longest
+        complete prefix of the run, or ``(None, [])``.
 
         Each checkpoint carries only the record tail since the previous
-        one; the merge walks every sequence in order and keeps the
-        last-written payload per step, truncated to the latest document's
-        resume step (records at or past it belong to the aborted attempt).
+        one, so the merge folds every sequence newer than the seed, in
+        order.  A document that is corrupt or gone contributes nothing,
+        and with it every later document that needs its steps: the answer
+        is the newest document whose history ``1 .. step - 1`` is whole.
+        The resumed coordinator replays what lies above it through the
+        idempotent NTCP verbs.
         """
         seqs = yield from self.list_seqs(run_id)
         if not seqs:
             return None, []
-        merged: dict[int, dict] = {}
-        latest = None
-        for seq in sorted(seqs):
+        history = yield from self._seed(run_id)
+        seeded_upto = history.seqs[-1] if history.seqs else 0
+        for seq in seqs:
+            if seq <= seeded_upto:
+                continue
             try:
                 doc = yield from self.load(run_id, seq)
             except CheckpointCorrupt:
-                # A truncated artifact must not kill the resume; the
-                # merge continues from the remaining valid documents.
                 continue
-            for record in doc["records"]:
-                merged[int(record["step"])] = record
-            latest = doc
-        if latest is None:
-            return None, []
-        resume_step = int(latest["state"]["step"])
-        records = [merged[s] for s in sorted(merged) if s < resume_step]
-        return latest, records
+            history.fold(doc)
+        return history.latest, history.records
 
 
 class InMemoryCheckpointStore(CheckpointStoreBase):
@@ -375,41 +402,27 @@ class RepositoryCheckpointStore(CheckpointStoreBase):
     ``checkpoints/<run_id>/<seq>.json``.  Load: ``facade.list_seqs`` by
     prefix, ``facade.fetch_text`` per document, parse and re-validate.
 
-    Unless ``manifest_enabled=False``, every save also writes a cumulative
-    manifest (``checkpoints/<run_id>/manifest/<seq>.json``,
+    Every save also writes a cumulative manifest
+    (``checkpoints/<run_id>/manifest/<seq>.json``,
     ``repro.checkpoint-manifest/v1``) holding the latest document plus the
-    merged record history, so :meth:`load_history` on resume costs one
-    document fetch instead of one per sequence.  NFMS logical names are
-    immutable, hence one manifest per sequence; a manifest write failure
-    is logged, never fatal — the per-sequence documents remain the source
-    of truth and :meth:`load_history` falls back to walking them.
+    merged record history, so :meth:`load_history` on resume is seeded by
+    one fetch and walks only the documents newer than it.  NFMS logical
+    names are immutable, hence one manifest per sequence; a manifest write
+    failure is logged, never fatal — the per-sequence documents remain the
+    source of truth and the next merge walks them.
 
-    Unless ``compaction_enabled=False``, a successful manifest write also
-    retires what it supersedes: per-sequence documents and manifests
-    below the new manifest's sequence are unregistered from NFMS and
-    dropped from the repository store.  Each removal is individually
-    best-effort — a failure leaves an orphaned document behind, never an
-    unreadable history — and :meth:`load_history` tolerates partially
-    compacted runs by seeding the merge from the newest manifest and
-    walking only the per-sequence documents newer than it.
+    A successful manifest write also retires what it supersedes:
+    per-sequence documents and manifests below the new manifest's sequence
+    are unregistered from NFMS and dropped from the repository store.
+    Each removal is individually best-effort — a failure leaves an
+    orphaned document behind, never an unreadable history.
     """
 
-    def __init__(self, facade: RepositoryFacade, *,
-                 manifest_enabled: bool = True,
-                 compaction_enabled: bool = True):
+    def __init__(self, facade: RepositoryFacade):
         self.facade = facade
         self.kernel = facade.kernel
-        self.manifest_enabled = manifest_enabled
-        self.compaction_enabled = compaction_enabled
-        self.saved = 0
-        self.loaded = 0
-        self.manifest_saved = 0
-        self.manifest_fetches = 0
-        self.compacted = 0
-        self._fetches = 0
-        #: run_id -> step -> record payload (the manifest merge, cached)
-        self._merged: dict[str, dict[int, dict]] = {}
-        self._known_seqs: dict[str, list[int]] = {}
+        #: run_id -> the merge so far: what the next manifest is written from
+        self._histories: dict[str, _History] = {}
         #: run_id -> highest seq whose superseded documents were retired
         self._compacted_upto: dict[str, int] = {}
 
@@ -429,50 +442,38 @@ class RepositoryCheckpointStore(CheckpointStoreBase):
     def save(self, doc: dict):
         """Kernel process: persist one checkpoint document."""
         validate_checkpoint_payload(doc)
+        run_id, seq = doc["run_id"], int(doc["seq"])
         yield from self.facade.put_text(
-            self._logical(doc["run_id"], int(doc["seq"])),
-            json.dumps(doc, sort_keys=True), time=float(doc["seq"]))
-        self.saved += 1
-        if self.manifest_enabled:
-            try:
-                yield from self._write_manifest(doc)
-            except (RpcError, ReproError) as exc:
-                self.kernel.emit("repository.checkpoint", "manifest.failed",
-                                 run_id=doc["run_id"], seq=int(doc["seq"]),
-                                 error=str(exc))
-            else:
-                if self.compaction_enabled:
-                    yield from self._compact(doc["run_id"], int(doc["seq"]))
-        return int(doc["seq"])
+            self._logical(run_id, seq), json.dumps(doc, sort_keys=True),
+            time=float(seq))
+        try:
+            yield from self._write_manifest(doc)
+        except (RpcError, ReproError) as exc:
+            self.kernel.emit("repository.checkpoint", "manifest.failed",
+                             run_id=run_id, seq=seq, error=str(exc))
+        else:
+            yield from self._compact(run_id, seq)
+        return seq
 
     def _write_manifest(self, doc: dict):
         """Kernel process: persist the cumulative manifest for ``doc``."""
-        run_id = doc["run_id"]
-        seq = int(doc["seq"])
-        if run_id not in self._merged and seq > 1:
-            # A fresh store incarnation extending an existing run (e.g.
-            # the resumed coordinator): seed the merge from the prior
-            # manifest before folding the new document in.
-            prior = yield from self._load_latest_manifest(run_id)
-            if prior is not None:
-                self._merged[run_id] = {int(r["step"]): r
-                                        for r in prior["records"]}
-                self._known_seqs[run_id] = [int(s) for s in prior["seqs"]]
-        merged = self._merged.setdefault(run_id, {})
-        for record in doc["records"]:
-            merged[int(record["step"])] = record
-        seqs = self._known_seqs.setdefault(run_id, [])
-        if seq not in seqs:
-            seqs.append(seq)
-            seqs.sort()
+        run_id, seq = doc["run_id"], int(doc["seq"])
+        if run_id not in self._histories and seq > 1:
+            # A fresh store incarnation extending an existing run: the one
+            # merge tells it what came before (and finds ``doc``, stored
+            # a moment ago).
+            yield from self.load_history(run_id)
+        history = self._histories.setdefault(run_id, _History())
+        if seq not in history.seqs:
+            history.fold(doc)
         manifest = {"schema": MANIFEST_SCHEMA_ID, "run_id": run_id,
-                    "seq": seq, "seqs": list(seqs), "latest": doc,
-                    "records": [merged[step] for step in sorted(merged)]}
+                    "seq": seq, "seqs": list(history.seqs), "latest": doc,
+                    "records": [history.merged[step]
+                                for step in sorted(history.merged)]}
         validate_manifest_payload(manifest)
         yield from self.facade.put_text(
             self._manifest_logical(run_id, seq),
             json.dumps(manifest, sort_keys=True), time=float(seq))
-        self.manifest_saved += 1
 
     def _compact(self, run_id: str, upto_seq: int):
         """Kernel process: retire documents superseded by manifest ``upto_seq``.
@@ -484,7 +485,7 @@ class RepositoryCheckpointStore(CheckpointStoreBase):
         """
         start = self._compacted_upto.get(run_id, 0)
         removed = 0
-        for seq in [s for s in self._known_seqs.get(run_id, [])
+        for seq in [s for s in self._histories[run_id].seqs
                     if start < s < upto_seq]:
             for name in (self._logical(run_id, seq),
                          self._manifest_logical(run_id, seq)):
@@ -492,7 +493,6 @@ class RepositoryCheckpointStore(CheckpointStoreBase):
                 removed += 1 if ok else 0
         self._compacted_upto[run_id] = max(start, upto_seq - 1)
         if removed:
-            self.compacted += removed
             self.kernel.emit("repository.checkpoint", "compacted",
                              run_id=run_id, upto_seq=upto_seq,
                              removed=removed)
@@ -505,17 +505,19 @@ class RepositoryCheckpointStore(CheckpointStoreBase):
             return False
         return True
 
-    def _load_latest_manifest(self, run_id: str):
-        """Kernel process: the newest *valid* manifest document, or ``None``.
+    def _seed(self, run_id: str):
+        """Kernel process: a history seeded from the newest *valid* manifest.
 
         Walks manifests newest-first and skips any that fetch back
         truncated or schema-invalid (a crash mid-write leaves exactly
-        this) — resume falls back to the newest manifest that still
-        parses instead of surfacing a JSON traceback.
+        this).  A stale manifest (a later checkpoint exists whose manifest
+        write failed) still saves refetching everything at or below it —
+        compaction may already have dropped those.  The store keeps the
+        history it hands out: the merge fills it, the next save extends it.
         """
+        history = self._histories[run_id] = _History()
         seqs = yield from self.facade.list_seqs(self._manifest_prefix(run_id))
         for seq in reversed(seqs):
-            self.manifest_fetches += 1
             try:
                 text = yield from self.facade.fetch_text(
                     self._manifest_logical(run_id, seq))
@@ -526,49 +528,10 @@ class RepositoryCheckpointStore(CheckpointStoreBase):
                 self.kernel.emit("repository.checkpoint", "manifest.corrupt",
                                  run_id=run_id, seq=seq, error=str(exc))
                 continue
-            return manifest
-        return None
-
-    def load_history(self, run_id: str):
-        """Kernel process: one manifest fetch instead of a sequence walk.
-
-        When the newest manifest is *stale* (a later checkpoint exists
-        whose manifest write failed), the merge is seeded from the
-        manifest and only per-sequence documents newer than it are
-        walked — compaction may already have dropped the older ones.
-        Only with manifests disabled or absent entirely does this fall
-        back to the full walk of
-        :meth:`CheckpointStoreBase.load_history`.
-        """
-        seqs = yield from self.list_seqs(run_id)
-        if not seqs:
-            return None, []
-        manifest = None
-        if self.manifest_enabled:
-            manifest = yield from self._load_latest_manifest(run_id)
-        if manifest is None:
-            result = yield from CheckpointStoreBase.load_history(self, run_id)
-            return result
-        merged = {int(r["step"]): r for r in manifest["records"]}
-        latest = manifest["latest"]
-        known = [int(s) for s in manifest["seqs"]]
-        for seq in [s for s in seqs if s > int(manifest["seq"])]:
-            try:
-                doc = yield from self.load(run_id, seq)
-            except CheckpointCorrupt as exc:
-                self.kernel.emit("repository.checkpoint",
-                                 "checkpoint.corrupt", run_id=run_id,
-                                 seq=seq, error=str(exc))
-                continue
-            for record in doc["records"]:
-                merged[int(record["step"])] = record
-            latest = doc
-            known.append(seq)
-        self._merged[run_id] = merged
-        self._known_seqs[run_id] = sorted(set(known))
-        resume_step = int(latest["state"]["step"])
-        records = [merged[s] for s in sorted(merged) if s < resume_step]
-        return latest, records
+            history.fold(manifest["latest"], manifest["records"],
+                         manifest["seqs"])
+            break
+        return history
 
     def list_seqs(self, run_id: str):
         """Kernel process: registered checkpoint sequences for a run."""
@@ -578,12 +541,14 @@ class RepositoryCheckpointStore(CheckpointStoreBase):
     def load(self, run_id: str, seq: int):
         """Kernel process: fetch one checkpoint document back."""
         name = self._logical(run_id, seq)
-        self._fetches += 1
         try:
-            text = yield from self.facade.fetch_text(name)
-        except ProtocolError as exc:
-            raise CheckpointCorrupt(f"{name}: {exc}", run_id=run_id,
-                                    seq=seq) from exc
-        doc = _parse_checkpoint(text, run_id=run_id, seq=seq, origin=name)
-        self.loaded += 1
-        return doc
+            try:
+                text = yield from self.facade.fetch_text(name)
+            except ProtocolError as exc:
+                raise CheckpointCorrupt(f"{name}: {exc}", run_id=run_id,
+                                        seq=seq) from exc
+            return _parse_checkpoint(text, run_id=run_id, seq=seq, origin=name)
+        except CheckpointCorrupt as exc:
+            self.kernel.emit("repository.checkpoint", "checkpoint.corrupt",
+                             run_id=run_id, seq=seq, error=str(exc))
+            raise

@@ -58,8 +58,10 @@ class RepositoryFacade:
             (what the client "speaks"; negotiation intersects with the
             server's).  The first entry carries uploads.
         repo_store: the repository's file store, as mounted by this client.
-        staging: the client's local staging store (documents are staged
-            here on the way out and land here on the way back).
+        staging: the client's local staging store (a document is staged
+            here on its way out and lands here on its way back, and is
+            dropped once registered or read — the repository is the
+            archive, not the client).
         credential_factory: optional per-call GSI token minting.
 
     The file methods take ``hop`` (see :data:`Hop`) so a caller that must
@@ -164,10 +166,12 @@ class RepositoryFacade:
     def put_text(self, logical_name: str, text: str, *, time: float = 0.0,
                  hop: Hop = _direct):
         """Stage ``text`` as a one-row file (``time`` is the row's time
-        column) and :meth:`upload` it under ``logical_name``."""
+        column) and :meth:`upload` it under ``logical_name``; the staged
+        copy goes once the upload has registered (a failed put keeps it)."""
         staged = self.staging.deposit(logical_name, [(time, text)],
                                       created=self.kernel.now)
         yield from self.upload(staged, logical_name, hop=hop)
+        self.staging.remove(logical_name)
 
     def download(self, logical_name: str, dst_store: StagingStore, *,
                  dst_name: str | None = None, hop: Hop = _direct):
@@ -195,7 +199,7 @@ class RepositoryFacade:
         return report
 
     def fetch_text(self, logical_name: str, *, hop: Hop = _direct):
-        """Pull ``logical_name`` into staging and return its text.
+        """Pull ``logical_name`` through staging and return its text.
 
         Raises :class:`~repro.util.errors.ProtocolError` when the file is
         missing from the store or has no rows — decoding the text is the
@@ -206,6 +210,7 @@ class RepositoryFacade:
         yield from self.download(logical_name, self.staging,
                                  dst_name=local_name, hop=hop)
         rows = self.staging.get(local_name).rows
+        self.staging.remove(local_name)
         if not rows:
             raise ProtocolError(f"logical file {logical_name!r} is empty")
         return rows[0][1]

@@ -527,6 +527,71 @@ def test_one_table_holds_every_subscription():
             if isinstance(node, ast.Attribute)}, cls.__name__
 
 
+def test_the_at_most_once_record_says_each_thing_once():
+    """Durable half: one function keys records by step (``_History.fold``,
+    under the one ``load_history``; the fenced store's is a delegate), and
+    the rehearsal switches and the second reader stay gone.  Volatile
+    half: ``NTCPServer`` changes a transaction's state in ``_move`` and
+    builds a run's failure in ``_fail``, and a transaction keeps no
+    ``history`` beside its ``timestamps``."""
+    import ast
+    import dataclasses
+    import pathlib
+
+    from repro.core.transaction import Transaction
+
+    src = pathlib.Path(repro.__file__).parent
+    gone = {"manifest_enabled", "compaction_enabled", "load_latest"}
+    revived, histories = set(), set()
+    folders, mergers, movers, failers = [], {}, [], []
+    for path in src.rglob("*.py"):
+        where = path.relative_to(src).as_posix()
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            names = {getattr(node, field, None)
+                     for field in ("id", "attr", "arg", "name")}
+            revived |= gone & names
+            if where.startswith("core/") and "history" in names:
+                histories.add(where)
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for func in cls.body:
+                if getattr(func, "name", "") == "load_history":
+                    mergers[cls.name] = func
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                keys = []
+                if isinstance(node, ast.DictComp):
+                    keys = [node.key]
+                elif isinstance(node, ast.Assign):
+                    keys = [t.slice for t in node.targets
+                            if isinstance(t, ast.Subscript)]
+                if any(isinstance(sub, ast.Subscript)
+                       and getattr(sub.slice, "value", None) == "step"
+                       for key in keys for sub in ast.walk(key)):
+                    folders.append((where, func.name))
+                if where != "core/server.py" or not isinstance(node, ast.Call):
+                    continue
+                if getattr(node.func, "attr", "") == "transition":
+                    movers.append(func.name)
+                if (getattr(node.func, "id", "") == "ProtocolError"
+                        and [getattr(a, "id", "") for a in node.args]
+                        == ["reason"]):
+                    failers.append(func.name)
+    assert not revived
+    assert folders == [("repository/checkpoint.py", "fold")]
+    assert sorted(mergers) == ["CheckpointStoreBase", "FencedCheckpointStore"]
+    delegate = mergers["FencedCheckpointStore"]
+    assert not any(isinstance(node, (ast.For, ast.While, ast.Try))
+                   for node in ast.walk(delegate))
+    assert "inner.load_history" in ast.unparse(delegate)
+    assert movers == ["_move"]
+    assert set(failers) == {"_fail"}
+    assert not histories
+    assert "history" not in {f.name for f in dataclasses.fields(Transaction)}
+
+
 def test_a_produced_sde_is_built_by_its_first_reader():
     """``set_produced``: version and time are stamped at set time, the
     value is built at most once and only if somebody reads it — and a

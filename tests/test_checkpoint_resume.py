@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.control import SimulationPlugin
 from repro.coordinator import (
@@ -348,7 +350,6 @@ class TestInMemoryStore:
 
     def test_empty_run_loads_nothing(self):
         store = InMemoryCheckpointStore()
-        assert run_store(store.load_latest("ghost")) is None
         assert run_store(store.load_history("ghost")) == (None, [])
 
     def test_history_merge_keeps_last_written_and_truncates(self):
@@ -376,8 +377,9 @@ class TestInMemoryStore:
         assert records[2]["displacement"] == rewritten["displacement"]
 
 
-def repository_store_env():
-    """coord host + repo host running NFMS, with a store factory.
+def repository_store_env(k=None, net=None):
+    """coord host + repo host running NFMS, with a store factory (the
+    repo host joins ``net`` when a rig with a ``coord`` host is given).
 
     The factory lets one test create several store incarnations against
     the same repository — the resume pattern: the first incarnation wrote
@@ -390,9 +392,10 @@ def repository_store_env():
         RepositoryFacade,
     )
 
-    k = Kernel()
-    net = Network(k, seed=0)
-    net.add_host("coord")
+    if net is None:
+        k = Kernel()
+        net = Network(k, seed=0)
+        net.add_host("coord")
     net.add_host("repo")
     net.connect("coord", "repo", latency=0.02)
     container = ServiceContainer(net, "repo")
@@ -402,12 +405,33 @@ def repository_store_env():
     repo_store = RepositoryFileStore()
     rpc = RpcClient(net, "coord", default_timeout=30.0)
 
-    def make_store(**kw):
+    def make_store():
         return RepositoryCheckpointStore(RepositoryFacade(
             rpc, nfms=handle, transports={"gridftp": GridFTPTransport(net)},
-            repo_store=repo_store), **kw)
+            repo_store=repo_store))
 
     return k, make_store
+
+
+def fetch_log(store):
+    """The logical names ``store`` fetches from now on, counted where
+    every repository read goes through: its façade."""
+    fetched = []
+    fetch_text = store.facade.fetch_text
+
+    def recording(name, **kw):
+        fetched.append(name)
+        return fetch_text(name, **kw)
+
+    store.facade.fetch_text = recording
+    return fetched
+
+
+def fail_manifest_write(store, seq, run_id="run"):
+    """Stage "the manifest write for ``seq`` fails": its name is already
+    taken in the client's staging area, so the deposit collides."""
+    store.facade.staging.deposit(
+        f"checkpoints/{run_id}/manifest/{seq:06d}.json", [], created=0.0)
 
 
 def make_doc_pair():
@@ -461,56 +485,62 @@ class TestRepositoryManifest:
         k, make_store = repository_store_env()
         writer = make_store()
         self.save_all(k, writer, make_doc_pair())
-        assert writer.manifest_saved == 2
 
         reader = make_store()  # the resume incarnation
+        fetched = fetch_log(reader)
         latest, records = k.run(until=k.process(reader.load_history("run")))
         assert latest["seq"] == 2
         assert [r["step"] for r in records] == [1, 2, 3, 4, 5]
         assert records[2]["displacement"] == \
             make_record_payload(3, displacement=0.125)["displacement"]
         # the point of the manifest: no per-sequence document fetches
-        assert reader.manifest_fetches == 1
-        assert reader._fetches == 0
+        assert fetched == ["checkpoints/run/manifest/000002.json"]
 
     def test_history_identical_to_sequence_walk(self):
         k, make_store = repository_store_env()
-        # keep every per-sequence document so the slow walk sees them all
-        writer = make_store(compaction_enabled=False)
-        self.save_all(k, writer, make_doc_pair())
+        self.save_all(k, make_store(), make_doc_pair())
         fast = k.run(until=k.process(make_store().load_history("run")))
-        slow_store = make_store(manifest_enabled=False)
+        # the same run in a repository no manifest reached: nothing was
+        # compacted, and the merge walks every per-sequence document
+        k, make_store = repository_store_env()
+        writer = make_store()
+        fail_manifest_write(writer, 1)
+        fail_manifest_write(writer, 2)
+        self.save_all(k, writer, make_doc_pair())
+        slow_store = make_store()
+        fetched = fetch_log(slow_store)
         slow = k.run(until=k.process(slow_store.load_history("run")))
         assert fast == slow
-        assert slow_store._fetches == 2  # the walk fetched every document
+        assert fetched == ["checkpoints/run/000001.json",
+                           "checkpoints/run/000002.json"]
 
     def test_stale_manifest_walks_only_newer_documents(self):
         k, make_store = repository_store_env()
-        doc1, doc2 = make_doc_pair()
         writer = make_store()
-        self.save_all(k, writer, [doc1])
         # the second checkpoint lands without a manifest (write failed)
-        writer.manifest_enabled = False
-        self.save_all(k, writer, [doc2])
+        fail_manifest_write(writer, 2)
+        self.save_all(k, writer, make_doc_pair())
 
         reader = make_store()
+        fetched = fetch_log(reader)
         latest, records = k.run(until=k.process(reader.load_history("run")))
         assert latest["seq"] == 2  # not the stale manifest's seq 1
         assert [r["step"] for r in records] == [1, 2, 3, 4, 5]
         # seeded from the stale manifest, walked only the newer document
-        assert reader.manifest_fetches == 1
-        assert reader._fetches == 1
+        assert fetched == ["checkpoints/run/manifest/000001.json",
+                           "checkpoints/run/000002.json"]
 
     def test_manifest_write_failure_is_not_fatal(self):
         k, make_store = repository_store_env()
         doc1, _ = make_doc_pair()
         store = make_store()
-        # Poison the staging area: the manifest deposit will collide.
-        store.facade.staging.deposit("checkpoints/run/manifest/000001.json", [],
-                              created=0.0)
+        fail_manifest_write(store, 1)
         seq = k.run(until=k.process(store.save(doc1)))
         assert seq == 1
-        assert store.saved == 1 and store.manifest_saved == 0
+        [failed] = k.log.records("repository.checkpoint", "manifest.failed")
+        assert failed.detail["seq"] == 1
+        repo_store = store.facade.repo_store
+        assert not repo_store.exists("checkpoints/run/manifest/000001.json")
         # the per-sequence document is still there and loadable
         latest, records = k.run(until=k.process(
             make_store().load_history("run")))
@@ -522,21 +552,79 @@ class TestRepositoryManifest:
         holds it with no rows): resume degrades to seq 1 through the same
         CheckpointCorrupt path a truncated document takes."""
         k, make_store = repository_store_env()
-        writer = make_store(manifest_enabled=False)
+        writer = make_store()
+        fail_manifest_write(writer, 1)
+        fail_manifest_write(writer, 2)
         self.save_all(k, writer, make_doc_pair())
         repo_store = writer.facade.repo_store
         repo_store.remove("checkpoints/run/000002.json")
-        reader = make_store(manifest_enabled=False)
-        assert k.run(until=k.process(reader.load_latest("run")))["seq"] == 1
+
+        def latest_seq():
+            latest, _ = k.run(until=k.process(
+                make_store().load_history("run")))
+            return latest["seq"]
+
+        assert latest_seq() == 1
         repo_store.deposit("checkpoints/run/000002.json", [], created=0.0)
-        assert k.run(until=k.process(reader.load_latest("run")))["seq"] == 1
+        assert latest_seq() == 1
+        corrupt = k.log.records("repository.checkpoint", "checkpoint.corrupt")
+        assert [r.detail["seq"] for r in corrupt] == [2, 2]
 
     def test_empty_run_short_circuits(self):
         k, make_store = repository_store_env()
         store = make_store()
+        fetched = fetch_log(store)
         assert k.run(until=k.process(store.load_history("ghost"))) \
             == (None, [])
-        assert store.manifest_fetches == 0
+        assert fetched == []
+
+    def test_the_client_keeps_no_staged_copy(self):
+        """The repository is the archive: a document leaves the client's
+        staging area once registered, a fetched copy once read (at
+        4e99902 two saves and a load left six files behind)."""
+        k, make_store = repository_store_env()
+        doc1, doc2 = make_doc_pair()
+        writer = make_store()
+        fail_manifest_write(writer, 2)  # so the load walks a document too
+        self.save_all(k, writer, [doc1, doc2])
+        writer.facade.staging.remove("checkpoints/run/manifest/000002.json")
+        assert len(writer.facade.staging) == 0
+        reader = make_store()
+        latest, _ = k.run(until=k.process(reader.load_history("run")))
+        assert latest["seq"] == 2
+        assert len(reader.facade.staging) == 0
+
+    def test_a_fresh_incarnation_writes_a_contiguous_manifest(self):
+        """Manifests after the first could not be written; a new store
+        incarnation then saves the next checkpoint.  Seeded by the one
+        merge (not by the stale manifest alone), the manifest it writes
+        holds every step — at 4e99902 it held 1..3 and 7..8."""
+        k, make_store = repository_store_env()
+        doc1, doc2 = make_doc_pair()
+        writer = make_store()
+        fail_manifest_write(writer, 2)
+        self.save_all(k, writer, [doc1, doc2])
+
+        fresh = make_store()
+        self.save_all(k, fresh, [make_tail_doc(3, steps=(7, 8))])
+        manifest = json.loads(k.run(until=k.process(fresh.facade.fetch_text(
+            "checkpoints/run/manifest/000003.json"))))
+        assert [r["step"] for r in manifest["records"]] == list(range(1, 9))
+        assert manifest["seqs"] == [1, 2, 3]
+        # ... and what it superseded is retired, as after any manifest
+        assert k.run(until=k.process(fresh.list_seqs("run"))) == [3]
+
+
+def make_tail_doc(seq, *, steps, resume_step=None, displacement=0.001):
+    """A checkpoint as the coordinator writes them: the record tail
+    ``steps`` since the previous one, resuming at the step after it
+    (``resume_step`` says where when the tail is empty)."""
+    state = make_state(step=resume_step or steps[-1] + 1, checkpoint_seq=seq)
+    return build_checkpoint_doc(
+        run_id="run", seq=seq, wall_time=float(seq), reason="policy",
+        state_payload=state.to_payload(),
+        record_payloads=[make_record_payload(s, displacement)
+                         for s in steps])
 
 
 class TestCheckpointCompaction:
@@ -549,7 +637,9 @@ class TestCheckpointCompaction:
         writer = make_store()
         self.save_all(k, writer, make_doc_pair())
         # manifest 2 covers seq 1: its document and manifest are retired
-        assert writer.compacted == 2
+        [compacted] = k.log.records("repository.checkpoint", "compacted")
+        assert compacted.detail == {"run_id": "run", "upto_seq": 2,
+                                    "removed": 2}
         assert not writer.facade.repo_store.exists("checkpoints/run/000001.json")
         assert not writer.facade.repo_store.exists(
             "checkpoints/run/manifest/000001.json")
@@ -557,13 +647,6 @@ class TestCheckpointCompaction:
         assert writer.facade.repo_store.exists(
             "checkpoints/run/manifest/000002.json")
         assert k.run(until=k.process(writer.list_seqs("run"))) == [2]
-
-    def test_compaction_disabled_keeps_every_document(self):
-        k, make_store = repository_store_env()
-        writer = make_store(compaction_enabled=False)
-        self.save_all(k, writer, make_doc_pair())
-        assert writer.compacted == 0
-        assert k.run(until=k.process(writer.list_seqs("run"))) == [1, 2]
 
     def test_history_loads_on_partially_compacted_run(self):
         k, make_store = repository_store_env()
@@ -574,19 +657,19 @@ class TestCheckpointCompaction:
             state_payload=state3.to_payload(),
             record_payloads=[make_record_payload(s) for s in (7, 8)])
         writer = make_store()
-        self.save_all(k, writer, [doc1, doc2])  # compaction retires seq 1
         # the third checkpoint lands without a manifest (write failed)
-        writer.manifest_enabled = False
-        self.save_all(k, writer, [doc3])
+        fail_manifest_write(writer, 3)
+        self.save_all(k, writer, [doc1, doc2, doc3])  # 2 retires seq 1
 
         reader = make_store()
+        fetched = fetch_log(reader)
         latest, records = k.run(until=k.process(reader.load_history("run")))
         assert latest["seq"] == 3
         assert [r["step"] for r in records] == [1, 2, 3, 4, 5, 6, 7]
         # manifest 2 seeded steps 1-6; only document 3 had to be fetched —
         # the compacted seq-1 document is gone and never requested
-        assert reader.manifest_fetches == 1
-        assert reader._fetches == 1
+        assert fetched == ["checkpoints/run/manifest/000002.json",
+                           "checkpoints/run/000003.json"]
 
 
 def build_three_site_rig(*, n_steps=60, dt=0.02, compute_time=0.05,
@@ -687,7 +770,7 @@ class TestRigResume:
         assert aborted.aborted_at_step == fail_step
         assert aborted.steps_completed == fail_step - 1
 
-        latest = run_store(store.load_latest("rig-resume"))
+        latest, _ = run_store(store.load_history("rig-resume"))
         assert latest["reason"] == "abort"
         assert latest["state"]["step"] == fail_step
         assert latest["state"]["phase"] == "propose"
@@ -739,7 +822,7 @@ class TestRigResume:
         (k, net, model, motion, client, sites, servers, store,
          aborted) = abort_against_outage("rig-replay", policy)
 
-        latest = run_store(store.load_latest("rig-replay"))
+        latest, _ = run_store(store.load_history("rig-replay"))
         assert latest["reason"] == "policy"
         resume_step = latest["state"]["step"]
         assert resume_step <= aborted.aborted_at_step
@@ -783,3 +866,156 @@ class TestRigResume:
 
         assert merged.displacement_history().tobytes() == \
             clean_history().tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the one merge cannot return a hole
+
+
+def lose_from_memory(store, seq):
+    store._runs["rig-hole"][seq] = "{truncated"
+
+
+def lose_from_repository(store, seq):
+    """NFMS still lists the document; the repository store lost it."""
+    store.facade.repo_store.remove(f"checkpoints/rig-hole/{seq:06d}.json")
+
+
+def memory_stores(k, net):
+    store = InMemoryCheckpointStore()
+    return store, (lambda: store), lose_from_memory
+
+
+def repository_stores(k, net):
+    """A repository no manifest after the first reaches, so the per-
+    sequence documents are never compacted and the merge has to walk."""
+    _, make_store = repository_store_env(k, net)
+    writer = make_store()
+    for seq in range(2, 8):
+        fail_manifest_write(writer, seq, run_id="rig-hole")
+    return writer, make_store, lose_from_repository
+
+
+class TestAHistoryNeverHasAHole:
+    @pytest.mark.parametrize("stores", [memory_stores, repository_stores])
+    def test_a_lost_middle_document_ends_the_history_there(self, stores):
+        """Checkpoints every 10 steps, the third document (steps 11..20)
+        is lost.  At 4e99902 the merge went around it and ``load_resume``
+        answered "resume at step 60" with records 1..10, 21..59; now the
+        resume point is the document before the hole, and the resumed
+        coordinator replays the lost tail through the idempotent verbs."""
+        policy = CheckpointPolicy(every_n_steps=10)
+        k, net, model, motion, client, sites, servers = build_three_site_rig()
+        writer, make_reader, lose = stores(k, net)
+        first = SimulationCoordinator(
+            run_id="rig-hole", client=client, model=model, motion=motion,
+            sites=sites, checkpoint_store=writer, checkpoint_policy=policy)
+        assert k.run(until=k.process(first.run())).completed
+        assert first.state.checkpoint_seq == 7  # 0, 10, .., 50 and final
+
+        lose(writer, 3)
+        reader = make_reader()
+        state, prior = k.run(until=k.process(load_resume(reader, "rig-hole")))
+        assert state.step == 11 and state.checkpoint_seq == 2
+        assert [r.step for r in prior] == list(range(1, 11))
+
+        second = SimulationCoordinator(
+            run_id="rig-hole", client=client, model=model, motion=motion,
+            sites=sites, checkpoint_store=reader, checkpoint_policy=policy,
+            state=state, prior_records=prior)
+        merged = k.run(until=k.process(second.run()))
+        assert merged.completed and merged.steps_completed == 59
+        assert np.array_equal(merged.displacement_history(), clean_history())
+        for server in servers.values():  # replayed, never re-actuated
+            assert server.plugin.steps_executed == 60
+
+
+@st.composite
+def damaged_runs(draw):
+    """Tail lengths per checkpoint (empty tails happen: an abort-time
+    checkpoint right after a periodic one), how many of the leading
+    manifests could be written (0: an in-memory store), and what became
+    of each document afterwards."""
+    tails = draw(st.lists(st.integers(0, 3), min_size=1, max_size=7))
+    manifests = draw(st.integers(0, len(tails)))
+    fates = draw(st.lists(st.sampled_from(["kept", "kept", "corrupt", "lost"]),
+                          min_size=len(tails), max_size=len(tails)))
+    manifest_fate = draw(st.sampled_from(["kept", "kept", "corrupt"]))
+    return tails, manifests, fates, manifest_fate
+
+
+class TestTheOneMergeProperty:
+    @settings(max_examples=120, deadline=None)
+    @given(damaged_runs())
+    def test_the_answer_is_a_whole_prefix_or_nothing(self, run):
+        """Whatever is corrupted or lost, ``load_history`` answers
+        ``(None, [])`` or steps ``1 .. k`` exactly as written, with
+        ``latest`` the newest surviving document whose history below its
+        resume step is whole — never anything else."""
+        tails, manifests, fates, manifest_fate = run
+        docs, committed = [], 0
+        for seq, tail in enumerate(tails, start=1):
+            steps = range(committed + 1, committed + tail + 1)
+            committed += tail
+            docs.append(make_tail_doc(seq, steps=steps, displacement=seq,
+                                      resume_step=committed + 1))
+
+        if manifests == 0:
+            store = InMemoryCheckpointStore()
+            for doc in docs:
+                run_store(store.save(doc))
+            files = store._runs["run"]
+            for seq, fate in enumerate(fates, start=1):
+                if fate == "corrupt":
+                    files[seq] = "{truncated"
+                elif fate == "lost":
+                    del files[seq]
+            survivors = {doc["seq"]: doc for doc, fate in zip(docs, fates)
+                         if fate == "kept"}
+            covered = set()
+            latest, records = run_store(store.load_history("run"))
+        else:
+            k, make_store = repository_store_env()
+            writer = make_store()
+            for seq in range(manifests + 1, len(docs) + 1):
+                fail_manifest_write(writer, seq)
+            for doc in docs:
+                k.run(until=k.process(writer.save(doc)))
+            repo_store = writer.facade.repo_store
+            # manifest ``manifests`` superseded every document below it
+            survivors = {}
+            for doc, fate in zip(docs[manifests - 1:], fates[manifests - 1:]):
+                name = f"checkpoints/run/{doc['seq']:06d}.json"
+                if fate == "kept":
+                    survivors[doc["seq"]] = doc
+                    continue
+                repo_store.remove(name)
+                if fate == "corrupt":
+                    repo_store.deposit(name, [(0.0, "{truncated")],
+                                       created=0.0)
+            covered = set()
+            if manifest_fate == "kept":
+                survivors[manifests] = docs[manifests - 1]
+                covered = set(range(1, docs[manifests - 1]["state"]["step"]))
+            else:
+                name = f"checkpoints/run/manifest/{manifests:06d}.json"
+                repo_store.remove(name)
+                repo_store.deposit(name, [(0.0, "{truncated")], created=0.0)
+            latest, records = k.run(until=k.process(
+                make_store().load_history("run")))
+
+        # the oracle, as sets: walk the survivors in order; the answer is
+        # the newest one below whose resume step every step is covered
+        expected = None
+        for seq in sorted(survivors):
+            doc = survivors[seq]
+            covered |= {r["step"] for r in doc["records"]}
+            if covered >= set(range(1, doc["state"]["step"])):
+                expected = doc
+        if expected is None:
+            assert (latest, records) == (None, [])
+            return
+        assert latest == expected
+        written = {r["step"]: r for doc in docs for r in doc["records"]}
+        assert records == [written[step]
+                           for step in range(1, expected["state"]["step"])]

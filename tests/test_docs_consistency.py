@@ -93,3 +93,37 @@ class TestDocsConsistency:
         table.subscribe("h", "p", 1e9)
         kernel.run()
         assert kernel.now == 0.0 and len(table) == 1
+
+    def test_the_documented_checkpoint_merge_is_the_coded_one(self):
+        """ARCHITECTURE's "Store." paragraph: the merge and the fold it
+        names exist, the merge lives on the base alone and its docstring
+        states the same rule, and a lost tail does shorten the history
+        instead of leaving a hole in it."""
+        from test_checkpoint_resume import make_tail_doc, run_store
+
+        from repro.repository import checkpoint
+
+        text = (ROOT / "docs" / "ARCHITECTURE.md").read_text()
+        [paragraph] = re.findall(r"\* \*\*Store\.\*\*(.*?)\n\* \*\*", text,
+                                 re.S)
+        [rule] = re.findall(r"answers\s+with the (longest complete prefix)",
+                            paragraph)
+        dotted = re.findall(r"`(_?[A-Z]\w+)\.(\w+)`", paragraph)
+        assert dotted == [("CheckpointStoreBase", "load_history"),
+                          ("_History", "fold")]
+        for owner, attr in dotted:
+            assert hasattr(getattr(checkpoint, owner), attr)
+        merge = checkpoint.CheckpointStoreBase.load_history
+        assert rule in " ".join(merge.__doc__.split())
+        stores = re.findall(r"`(\w+CheckpointStore)`", paragraph)
+        assert len(stores) == 2
+        for store in stores:
+            assert "load_history" not in vars(getattr(checkpoint, store))
+
+        store = checkpoint.InMemoryCheckpointStore()
+        for seq, steps in enumerate([(1, 2), (3, 4), (5, 6)], start=1):
+            run_store(store.save(make_tail_doc(seq, steps=steps)))
+        store._runs["run"][2] = "{truncated"
+        latest, records = run_store(store.load_history("run"))
+        assert latest["seq"] == 1
+        assert [r["step"] for r in records] == [1, 2]

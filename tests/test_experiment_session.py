@@ -122,9 +122,10 @@ class TestRetention:
         """What a finished run still holds, by type (the outcome is held,
         so everything reachable from it counts): streamed samples live
         only in the NSDS services' bounded rings — no subscriber keeps
-        its own copy of the stream — and the kernel log carries no record
-        per RPC request.  Types are pinned, not totals; the census is
-        printed (``-s``) for CHANGES.md."""
+        its own copy of the stream — the kernel log carries no record
+        per RPC request, and a transaction keeps one untracked
+        state → time map, not a list of ``(state, time)`` tuples.  The
+        census is printed (``-s``) for CHANGES.md."""
         import gc
         from collections import Counter
 
@@ -158,5 +159,7 @@ class TestRetention:
         if shape == "sim_only":
             assert retained[StreamSample] == 0
             assert retained[LogRecord] / steps < 13.5
+            assert retained[tuple] / steps < 4.5
+            assert sum(retained.values()) / steps < 73
         else:
             assert outcome.stream_samples_pushed > rings

@@ -57,7 +57,7 @@ class TestStateMachine:
         txn.transition(TransactionState.ACCEPTED, 1.0)
         txn.transition(TransactionState.EXECUTING, 2.0)
         txn.transition(TransactionState.EXECUTED, 3.0)
-        ts = txn.timestamps()
+        ts = txn.timestamps
         assert ts == {"proposed": 0.0, "accepted": 1.0,
                       "executing": 2.0, "executed": 3.0}
         assert txn.state.terminal

@@ -32,8 +32,9 @@ from repro.util.errors import ProtocolError
 class TransactionMachine(RuleBasedStateMachine):
     """Random walks over the Figure-1 state machine.
 
-    Invariants: the history grows only forward in time, terminal states
-    are absorbing, and the recorded timestamps map matches the history.
+    Invariants: the recorded timestamps (state → time first entered, in
+    the order entered) only move forward in time and spell a legal path,
+    and terminal states are absorbing.
     """
 
     def __init__(self):
@@ -84,19 +85,17 @@ class TransactionMachine(RuleBasedStateMachine):
         self.was_terminal = self.txn.state.terminal
 
     @invariant()
-    def history_monotone(self):
-        times = [t for _, t in self.txn.history]
+    def timestamps_monotone(self):
+        times = list(self.txn.timestamps.values())
         assert times == sorted(times)
 
     @invariant()
-    def timestamps_match_history(self):
-        ts = self.txn.timestamps()
-        for state, time in self.txn.history:
-            assert ts[state.value] <= time
+    def timestamps_end_at_the_current_state(self):
+        assert list(self.txn.timestamps)[-1] == self.txn.state.value
 
     @invariant()
-    def history_is_a_legal_path(self):
-        states = [s for s, _ in self.txn.history]
+    def timestamps_are_a_legal_path(self):
+        states = [TransactionState(name) for name in self.txn.timestamps]
         assert states[0] is TransactionState.PROPOSED
         for a, b in zip(states, states[1:]):
             from repro.core.transaction import _LEGAL

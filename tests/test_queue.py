@@ -616,15 +616,18 @@ class TestCheckpointCorruptFallback:
         assert exc_info.value.run_id == "run"
         assert exc_info.value.seq == 1
 
-    def test_load_latest_falls_back_to_the_newest_valid(self):
+    def test_a_corrupt_newest_falls_back_to_the_newest_valid(self):
         store = InMemoryCheckpointStore()
         run_store(store.save(make_doc(seq=1, step=3)))
         run_store(store.save(make_doc(seq=2, step=6)))
         self.corrupt(store, 2)
-        doc = run_store(store.load_latest("run"))
+        doc, records = run_store(store.load_history("run"))
         assert doc["seq"] == 1  # the truncated newest was skipped
+        assert [r["step"] for r in records] == [1, 2]
 
     def test_load_history_merges_around_a_corrupt_document(self):
+        # make_doc's documents are cumulative, so seq 3 is whole without
+        # seq 2; a lost *tail* is TestAHistoryNeverHasAHole's case
         store = InMemoryCheckpointStore()
         run_store(store.save(make_doc(seq=1, step=3)))
         run_store(store.save(make_doc(seq=2, step=5)))
@@ -638,5 +641,4 @@ class TestCheckpointCorruptFallback:
         store = InMemoryCheckpointStore()
         run_store(store.save(make_doc(seq=1)))
         self.corrupt(store, 1)
-        assert run_store(store.load_latest("run")) is None
         assert run_store(store.load_history("run")) == (None, [])

@@ -508,6 +508,8 @@ class TestFacadeFiles:
         assert not repo_store.exists("docs/run/000001.json")
         assert sorted(nfms.files) == ["docs/run/000002.json",
                                       "docs/run/notes.txt"]
+        # the repository is the archive: nothing put or fetched stays staged
+        assert len(facade.staging) == 0
 
     def test_upload_resumes_after_transfer_failure(self):
         k, net, nfms, repo_store, facade = self.build()

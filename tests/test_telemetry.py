@@ -542,6 +542,5 @@ class TestTypedVerbResults:
 
         outcome = env.run(go())
         assert outcome.duration > 0
-        clone = type(outcome).from_dict(outcome.to_dict())
-        assert clone == outcome
+        assert type(outcome)(**outcome.to_dict()) == outcome
         assert not hasattr(type(outcome), "__getitem__")
