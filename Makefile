@@ -17,7 +17,7 @@ lint:
 # The project-specific static analysis on its own; `make lint` (and so
 # `make check`) already runs it once, through scripts/lint.sh.
 analyze:
-	$(PYTHON) -m repro.analysis src tests examples benchmarks scripts
+	$(PYTHON) -m repro.analysis
 
 # Bounded protocol verification: exhaustive state-space exploration at
 # both pipeline depths, the seeded-mutation regression, and live

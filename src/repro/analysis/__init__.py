@@ -1,21 +1,21 @@
 """repro.analysis — the project-specific static-analysis pass.
 
-An AST lint engine with repo-specific rules (``RPR001``–``RPR010``), a
-whole-program layer (project call graph + import resolution in
-:mod:`repro.analysis.callgraph`, inter-procedural taint passes in
-:mod:`repro.analysis.dataflow` that make RPR001 and RPR005 see across
-module boundaries), plus an NTCP protocol-conformance checker over the
-control-plugin surface (``RPR10x``), wired into the repo's gate as
-``make analyze``:
+An AST lint engine with the repo-specific rules ruff cannot express
+(``RPR001``–``RPR010``), an inter-procedural RPR001 pass over the project
+call graph (:mod:`repro.analysis.callgraph` resolves imports and calls,
+:mod:`repro.analysis.dataflow` propagates wall-clock taint across module
+boundaries), plus an NTCP protocol-conformance checker over the
+control-plugin surface (``RPR10x``), wired into the repo's gate through
+``scripts/lint.sh`` (``make analyze`` runs it alone):
 
-    python -m repro.analysis src tests examples benchmarks
+    python -m repro.analysis
 
 The rules machine-check invariants the codebase otherwise only states in
 prose: simulation-clock purity (a run is a pure function of its seed),
-the retirement of the typed-result dict shim, the telemetry naming
-convention, span lifecycle hygiene, broad-except discipline, and
-``__all__``/export coherence.  See ``docs/ARCHITECTURE.md`` ("Static
-analysis & invariants") for the rule table.
+the telemetry naming convention, span lifecycle hygiene, no ``assert``
+in library code, and docstrings on the staged public API.  See
+``docs/ARCHITECTURE.md`` ("Static analysis & invariants") for the rule
+table.
 """
 
 from repro.analysis.callgraph import (
@@ -24,22 +24,14 @@ from repro.analysis.callgraph import (
     ModuleInfo,
     ProjectIndex,
 )
-from repro.analysis.dataflow import (
-    analyze_project,
-    clock_taint,
-)
+from repro.analysis.dataflow import clock_findings, clock_taint
 from repro.analysis.engine import (
     AnalysisResult,
-    FileContext,
-    Finding,
-    Rule,
-    all_rules,
     analyze_paths,
     analyze_source,
-    clear_context_cache,
-    load_context,
+    iter_python_files,
     module_name_for,
-    register,
+    render_text,
 )
 from repro.analysis.protocol import (
     PROTOCOL_CODES,
@@ -47,50 +39,29 @@ from repro.analysis.protocol import (
     check_protocol_conformance,
     exported_plugins,
 )
-from repro.analysis.reporters import (
-    SCHEMA_ID,
-    ReportError,
-    build_report,
-    load_report,
-    render_json,
-    render_text,
-    validate_report,
-)
-from repro.analysis import rules as _rules  # registers RPR001-RPR010
-
-del _rules
+from repro.analysis.rules import RULES, FileContext, Finding
 
 __all__ = [
-    # engine
+    # rules and the engine
+    "RULES",
     "AnalysisResult",
     "FileContext",
     "Finding",
-    "Rule",
-    "all_rules",
     "analyze_paths",
     "analyze_source",
-    "clear_context_cache",
-    "load_context",
+    "iter_python_files",
     "module_name_for",
-    "register",
-    # whole-program layer
+    "render_text",
+    # the inter-procedural pass
     "CallSite",
     "FunctionInfo",
     "ModuleInfo",
     "ProjectIndex",
-    "analyze_project",
+    "clock_findings",
     "clock_taint",
     # protocol conformance
     "PROTOCOL_CODES",
     "check_plugin",
     "check_protocol_conformance",
     "exported_plugins",
-    # reporters
-    "SCHEMA_ID",
-    "ReportError",
-    "build_report",
-    "load_report",
-    "render_json",
-    "render_text",
-    "validate_report",
 ]

@@ -1,91 +1,38 @@
-"""CLI: ``python -m repro.analysis [paths ...]``.
+"""CLI: ``python -m repro.analysis [path ...]``.
 
-Exit status: 0 when clean, 1 when any finding survives suppression,
-2 on usage errors.  The default path set mirrors the repo gate.
+Runs the RPR rules (per file, then the inter-procedural pass) over the
+paths — by default the repo gate's five directories, those that exist
+under the working directory — plus the NTCP protocol-conformance checks.
+Takes no option.  Exit status: 0 when clean, 1 on any finding, 2 on a
+usage error.
 """
 
 from __future__ import annotations
 
-import argparse
 import pathlib
 import sys
 
-from repro.analysis.dataflow import analyze_project
-from repro.analysis.engine import AnalysisResult, all_rules, analyze_paths
-from repro.analysis.protocol import (
-    DEFAULT_MODULE,
-    PROTOCOL_CODES,
-    check_protocol_conformance,
-)
-from repro.analysis.reporters import render_json, render_text
+from repro.analysis.engine import analyze_paths, render_text
+from repro.analysis.protocol import check_protocol_conformance
+from repro.analysis.rules import Finding
 
 DEFAULT_PATHS = ("src", "tests", "examples", "benchmarks", "scripts")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis",
-        description="Project-specific static analysis: RPR lint rules plus "
-                    "NTCP protocol-conformance checks.")
-    parser.add_argument("paths", nargs="*",
-                        help="files or directories to analyze "
-                             f"(default: {' '.join(DEFAULT_PATHS)})")
-    parser.add_argument("--format", choices=("text", "json"), default="text",
-                        help="report format (default: text)")
-    parser.add_argument("--select", metavar="CODES",
-                        help="comma-separated rule codes to run "
-                             "(default: all)")
-    parser.add_argument("--no-protocol", action="store_true",
-                        help="skip the NTCP plugin conformance checks")
-    parser.add_argument("--no-project", action="store_true",
-                        help="skip the whole-program (inter-procedural) "
-                             "passes")
-    parser.add_argument("--protocol-module", default=DEFAULT_MODULE,
-                        help="module whose exported plugins are checked "
-                             f"(default: {DEFAULT_MODULE})")
-    parser.add_argument("--list-rules", action="store_true",
-                        help="print the rule table and exit")
-    return parser
-
-
-def _list_rules() -> str:
-    lines = ["code    name                        invariant"]
-    for rule in all_rules():
-        lines.append(f"{rule.code}  {rule.name:<26}  {rule.summary}")
-    for code, summary in sorted(PROTOCOL_CODES.items()):
-        lines.append(f"{code}  {'protocol-conformance':<26}  {summary}")
-    return "\n".join(lines)
-
-
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit status."""
-    args = _build_parser().parse_args(argv)
-    if args.list_rules:
-        print(_list_rules())
-        return 0
-    paths = args.paths or [p for p in DEFAULT_PATHS
-                           if pathlib.Path(p).exists()]
+    args = sys.argv[1:] if argv is None else argv
+    if any(arg.startswith("-") for arg in args):
+        print("usage: python -m repro.analysis [path ...]", file=sys.stderr)
+        return 2
+    paths = args or [p for p in DEFAULT_PATHS if pathlib.Path(p).exists()]
     if not paths:
         print("analysis: no paths to analyze", file=sys.stderr)
         return 2
-    select = None
-    if args.select:
-        select = [code.strip() for code in args.select.split(",")
-                  if code.strip()]
-    try:
-        result: AnalysisResult = analyze_paths(paths, select=select)
-    except KeyError as exc:
-        print(f"analysis: {exc.args[0]}", file=sys.stderr)
-        return 2
-    if not args.no_project:
-        project = analyze_project(paths, select=select)
-        result.extend(project.findings)
-        result.suppressed += project.suppressed
-    if not args.no_protocol and select is None:
-        result.extend(check_protocol_conformance(args.protocol_module))
-    report = (render_json(result) if args.format == "json"
-              else render_text(result))
-    print(report)
+    result = analyze_paths(paths)
+    result.findings += check_protocol_conformance()
+    result.findings.sort(key=Finding.sort_key)
+    print(render_text(result))
     return 0 if result.ok else 1
 
 

@@ -17,23 +17,18 @@ view those rules lack:
 
 Resolution is deliberately syntactic: it follows names, not types, so
 dynamic dispatch through variables stays unresolved (``CallSite.resolved
-is None``) rather than wrongly resolved.  The inter-procedural passes in
-:mod:`repro.analysis.dataflow` consume this index.
+is None``) rather than wrongly resolved.  The inter-procedural RPR001
+pass in :mod:`repro.analysis.dataflow` consumes this index; it is built
+from the same parsed files the per-file rules read.
 """
 
 from __future__ import annotations
 
 import ast
-import pathlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
-from repro.analysis.engine import (
-    FileContext,
-    iter_python_files,
-    load_context,
-)
-from repro.analysis.rules import _dotted, _import_maps
+from repro.analysis.rules import FileContext, _dotted, _import_maps
 
 _FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -53,20 +48,17 @@ class FunctionInfo:
 class CallSite:
     """One call expression inside a project function."""
 
-    caller: str  #: qualified name of the enclosing function
     node: ast.Call
     target: str  #: canonical dotted target after alias/re-export resolution
     resolved: FunctionInfo | None  #: the project function called, if known
 
 
 class ModuleInfo:
-    """One analyzed module: tree, import maps, local definitions."""
+    """One analyzed module: import maps and local definitions."""
 
     def __init__(self, module: str, ctx: FileContext):
         self.module = module
         self.path = ctx.path
-        self.tree = ctx.tree
-        self.lines = ctx.lines
         self.aliases, self.bindings = _import_maps(ctx.tree)
         #: local name (``f`` or ``Cls.f``) -> def node
         self.functions: dict[str, ast.FunctionDef | ast.AsyncFunctionDef] = {}
@@ -95,18 +87,10 @@ class ProjectIndex:
     # -- construction -------------------------------------------------
 
     @classmethod
-    def build(cls, paths: Iterable[str | pathlib.Path]) -> "ProjectIndex":
-        """Index every parseable ``.py`` file under ``paths``.
-
-        Unparseable files are skipped here — the per-file walk already
-        reports them as ``RPR000``.
-        """
+    def build(cls, contexts: Iterable[FileContext]) -> "ProjectIndex":
+        """Index already-parsed files (the ones the per-file rules read)."""
         index = cls()
-        for file_path in iter_python_files(paths):
-            try:
-                ctx = load_context(file_path)
-            except (SyntaxError, OSError):
-                continue
+        for ctx in contexts:
             info = ModuleInfo(ctx.module, ctx)
             index.modules[info.module] = info
             for local, node in info.functions.items():
@@ -189,18 +173,10 @@ class ProjectIndex:
                 if rest and "." not in rest \
                         and rest in module.classes.get(own_class, ()):
                     target = f"{fn.module}.{own_class}.{rest}"
-                    sites.append(CallSite(caller=fn.qualname, node=node,
-                                          target=target,
+                    sites.append(CallSite(node=node, target=target,
                                           resolved=self.functions[target]))
                 continue
             target = self.resolve_name(fn.module, chain)
-            sites.append(CallSite(caller=fn.qualname, node=node,
-                                  target=target,
+            sites.append(CallSite(node=node, target=target,
                                   resolved=self.resolve_function(target)))
         return sites
-
-    def callers_of(self, qualname: str) -> list[CallSite]:
-        """Every resolved call site whose target is ``qualname``."""
-        return [site for sites in self.calls.values() for site in sites
-                if site.resolved is not None
-                and site.resolved.qualname == qualname]

@@ -1,47 +1,26 @@
-"""Inter-procedural dataflow passes over the project call graph.
+"""The inter-procedural RPR001 pass over the project call graph.
 
-Two per-file rules gain a whole-program variant here, reporting under
-the *same* codes so ``# noqa`` and ``--select`` behave identically:
+The per-file rule sees one tree at a time, so a helper outside the
+simulated subsystems that reads the wall clock (or pokes global RNG
+state) is invisible to the sim-scoped caller that invokes it.  Here such
+a read *taints* every project function that can reach it, and any call
+from a sim-scoped function into a tainted out-of-scope function is
+flagged at the call site, under the same code, with the witness chain
+down to the clock read.  The per-file rule already covers direct
+in-scope reads, so the pass only reports scope-boundary crossings — each
+leak is flagged exactly once, where it enters the simulated world.
 
-* **RPR001 (sim-clock purity), inter-procedural** — a helper outside the
-  simulated subsystems that reads the wall clock (or pokes global RNG
-  state) *taints* every project function that can reach it.  Any call
-  from a sim-scoped function into a tainted out-of-scope function is
-  flagged at the call site, with the witness chain down to the clock
-  read.  The per-file rule already covers direct in-scope reads, so the
-  pass only reports scope-boundary crossings — each leak is flagged
-  exactly once, where it enters the simulated world.
-* **RPR005 (broad-except), inter-procedural** — the per-file rule
-  exempts *trampolines*: handlers that bind the exception and hand it to
-  a call.  That exemption is only sound if the callee actually uses the
-  exception.  This pass resolves the receiving call through the project
-  index and flags trampolines whose every resolvable receiver discards
-  its exception parameter — the failure is still swallowed, just one
-  hop away.
-
-Both passes are sound only up to the syntactic call graph: calls the
-index cannot resolve (dynamic dispatch, higher-order plumbing) are given
-the benefit of the doubt.
+The pass is sound only up to the syntactic call graph: calls the index
+cannot resolve (dynamic dispatch, higher-order plumbing) are given the
+benefit of the doubt.
 """
 
 from __future__ import annotations
 
-import ast
-import pathlib
-from typing import Iterable
-
-from repro.analysis.callgraph import CallSite, FunctionInfo, ProjectIndex
-from repro.analysis.engine import (
-    AnalysisResult,
-    FileContext,
-    Finding,
-    admit_findings,
-    load_context,
-)
-from repro.analysis.rules import BroadExcept, SimClockPurity
+from repro.analysis.callgraph import ProjectIndex
+from repro.analysis.rules import Finding, SimClockPurity
 
 _CLOCK_RULE = SimClockPurity()
-_EXCEPT_RULE = BroadExcept()
 
 
 def _is_clock_read(target: str) -> bool:
@@ -84,11 +63,10 @@ def clock_taint(index: ProjectIndex) -> dict[str, tuple[str, ...]]:
     return taint
 
 
-def _clock_findings(index: ProjectIndex,
-                    taint: dict[str, tuple[str, ...]],
-                    ) -> dict[str, list[Finding]]:
-    """RPR001 findings per path: sim-scope calls into tainted helpers."""
-    out: dict[str, list[Finding]] = {}
+def clock_findings(index: ProjectIndex) -> list[Finding]:
+    """RPR001 findings: sim-scope calls into tainted out-of-scope helpers."""
+    taint = clock_taint(index)
+    out: list[Finding] = []
     for qual, sites in index.calls.items():
         caller = index.functions[qual]
         if not _CLOCK_RULE._in_scope(caller.module):
@@ -100,7 +78,7 @@ def _clock_findings(index: ProjectIndex,
             if _CLOCK_RULE._in_scope(callee.module):
                 continue  # flagged at its own boundary crossing instead
             chain = (callee.qualname,) + taint[callee.qualname]
-            out.setdefault(caller.path, []).append(Finding(
+            out.append(Finding(
                 path=caller.path, line=site.node.lineno,
                 col=site.node.col_offset, code=_CLOCK_RULE.code,
                 message=(f"call from simulated subsystem into "
@@ -109,118 +87,3 @@ def _clock_findings(index: ProjectIndex,
                          "thread the kernel clock or a seeded generator "
                          "in instead")))
     return out
-
-
-def _exception_param(site: CallSite, callee: FunctionInfo,
-                     exc_name: str) -> str | None:
-    """Name of the callee parameter that binds the handler's exception."""
-    def mentions_exc(expr: ast.AST) -> bool:
-        return any(isinstance(leaf, ast.Name) and leaf.id == exc_name
-                   and isinstance(leaf.ctx, ast.Load)
-                   for leaf in ast.walk(expr))
-
-    args = callee.node.args
-    params = [p.arg for p in args.posonlyargs + args.args]
-    if "." in callee.local and params and params[0] in ("self", "cls"):
-        params = params[1:]
-    named = set(params) | {p.arg for p in args.kwonlyargs}
-    for keyword in site.node.keywords:
-        if keyword.arg is not None and mentions_exc(keyword.value):
-            return keyword.arg if keyword.arg in named else None
-    for position, arg in enumerate(site.node.args):
-        if mentions_exc(arg):
-            if position < len(params):
-                return params[position]
-            return None  # lands in *args: unknowable, assume used
-    return None
-
-
-def _param_is_used(callee: FunctionInfo, param: str) -> bool:
-    for node in ast.walk(callee.node):
-        if (isinstance(node, ast.Name) and node.id == param
-                and isinstance(node.ctx, ast.Load)):
-            return True
-    return False
-
-
-def _trampoline_findings(index: ProjectIndex) -> dict[str, list[Finding]]:
-    """RPR005 findings per path: trampolines whose receiver drops the exc."""
-    out: dict[str, list[Finding]] = {}
-    for qual, sites in index.calls.items():
-        fn = index.functions[qual]
-        by_node = {id(site.node): site for site in sites}
-        for handler in ast.walk(fn.node):
-            if not isinstance(handler, ast.ExceptHandler):
-                continue
-            what = _EXCEPT_RULE._is_broad(handler)
-            if (what is None or _EXCEPT_RULE._handled(handler)
-                    or not _EXCEPT_RULE._is_trampoline(handler)):
-                continue
-            # every call in the handler that receives the bound exception
-            receivers: list[tuple[CallSite, FunctionInfo]] = []
-            unresolved = False
-            for node in ast.walk(handler):
-                if not isinstance(node, ast.Call):
-                    continue
-                site = by_node.get(id(node))
-                passed = list(node.args) + [k.value for k in node.keywords]
-                touches = any(
-                    isinstance(leaf, ast.Name) and leaf.id == handler.name
-                    and isinstance(leaf.ctx, ast.Load)
-                    for arg in passed for leaf in ast.walk(arg))
-                if not touches:
-                    continue
-                if site is None or site.resolved is None:
-                    unresolved = True  # benefit of the doubt
-                else:
-                    receivers.append((site, site.resolved))
-            if unresolved or not receivers:
-                continue
-            dropped = []
-            for site, callee in receivers:
-                param = _exception_param(site, callee, handler.name)
-                if param is None or _param_is_used(callee, param):
-                    dropped = []
-                    break
-                dropped.append((callee.qualname, param))
-            if dropped:
-                callee_name, param = dropped[0]
-                out.setdefault(fn.path, []).append(Finding(
-                    path=fn.path, line=handler.lineno,
-                    col=handler.col_offset, code=_EXCEPT_RULE.code,
-                    message=(f"{what} trampolines the exception into "
-                             f"`{callee_name}`, which never reads its "
-                             f"`{param}` parameter — the failure is still "
-                             "swallowed one hop away; use the exception "
-                             "in the callee or handle it here")))
-    return out
-
-
-def analyze_project(paths: Iterable[str | pathlib.Path], *,
-                    select: Iterable[str] | None = None) -> AnalysisResult:
-    """Run the inter-procedural passes over every file under ``paths``.
-
-    Returns an :class:`AnalysisResult` holding only the whole-program
-    findings (``files`` counts the indexed modules); callers merge it
-    into the per-file result.  ``select`` filters by rule code exactly
-    like the per-file engine; ``# noqa`` comments on the flagged lines
-    suppress findings and are counted.
-    """
-    wanted = None if select is None else {code.upper() for code in select}
-    index = ProjectIndex.build(paths)
-    per_path: dict[str, list[Finding]] = {}
-    if wanted is None or _CLOCK_RULE.code in wanted:
-        for path, found in _clock_findings(index, clock_taint(index)).items():
-            per_path.setdefault(path, []).extend(found)
-    if wanted is None or _EXCEPT_RULE.code in wanted:
-        for path, found in _trampoline_findings(index).items():
-            per_path.setdefault(path, []).extend(found)
-    result = AnalysisResult(findings=[], files=len(index.modules))
-    for path, found in per_path.items():
-        try:
-            ctx: FileContext = load_context(path)
-        except (SyntaxError, OSError):
-            continue
-        admit_findings(ctx, found, result)
-    result.findings.sort(key=Finding.sort_key)
-    return result

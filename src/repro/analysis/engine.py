@@ -1,26 +1,23 @@
-"""The lint engine: findings, the rule registry, and the file walker.
+"""The lint engine: one pass over a set of paths, and its text report.
 
-The engine is deliberately small: a :class:`Rule` is an object with a
-code (``RPR0xx``), a one-line invariant, and a ``check(ctx)`` method that
-yields :class:`Finding` objects for one parsed file.  Everything
-repo-specific lives in :mod:`repro.analysis.rules`; the NTCP
+:func:`analyze_paths` walks the paths, parses each ``.py`` file once,
+runs every rule in :data:`repro.analysis.rules.RULES` over it, then hands
+the same parsed files to the project call graph for the inter-procedural
+RPR001 pass (:mod:`repro.analysis.dataflow`).  The NTCP
 protocol-conformance checks (``RPR1xx``) live in
 :mod:`repro.analysis.protocol` because they introspect live classes
 rather than source trees.
-
-Suppression follows the ``# noqa`` convention: a bare ``# noqa`` on the
-offending line silences every code, ``# noqa: RPR003`` (comma-separated
-for several) silences just those codes.  Suppressed findings are counted
-so reports can surface how much is being waved through.
 """
 
 from __future__ import annotations
 
-import ast
 import pathlib
-import re
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator
+from typing import Iterable, Iterator
+
+from repro.analysis.callgraph import ProjectIndex
+from repro.analysis.dataflow import clock_findings
+from repro.analysis.rules import RULES, FileContext, Finding
 
 #: code reserved for files the engine cannot parse at all
 PARSE_ERROR_CODE = "RPR000"
@@ -28,116 +25,6 @@ PARSE_ERROR_CODE = "RPR000"
 #: directories never descended into when walking paths
 _SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", ".pytest_cache",
               "out", ".ruff_cache"}
-
-_NOQA_RE = re.compile(
-    r"#\s*noqa(?P<codes>:\s*[A-Z]+\d+(?:[,\s]+[A-Z]+\d+)*)?", re.IGNORECASE)
-
-
-@dataclass(frozen=True)
-class Finding:
-    """One rule violation at a source location."""
-
-    path: str
-    line: int
-    col: int
-    code: str
-    message: str
-
-    def sort_key(self) -> tuple[str, int, int, str]:
-        """Stable ordering: path, then line, column, code."""
-        return (self.path, self.line, self.col, self.code)
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready mapping, inverse of :meth:`from_dict`."""
-        return {"path": self.path, "line": self.line, "col": self.col,
-                "code": self.code, "message": self.message}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Finding":
-        """Rebuild a finding from :meth:`to_dict` output."""
-        return cls(path=data["path"], line=int(data["line"]),
-                   col=int(data["col"]), code=data["code"],
-                   message=data["message"])
-
-    def render(self) -> str:
-        """The conventional ``path:line:col: CODE message`` line."""
-        return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
-
-
-class FileContext:
-    """One parsed source file, handed to every rule.
-
-    Attributes:
-        path: display path (as given, normalized to ``/`` separators).
-        module: best-effort dotted module name (``repro.net.rpc``), used
-            by rules that scope themselves to subsystems.
-        tree: the parsed AST.
-        lines: raw source lines, for ``noqa`` scanning.
-    """
-
-    def __init__(self, path: str, source: str, module: str):
-        self.path = path
-        self.module = module
-        self.source = source
-        self.lines = source.splitlines()
-        self.tree = ast.parse(source, filename=path)
-
-    def finding(self, node: ast.AST | int, code: str, message: str) -> Finding:
-        """A :class:`Finding` located at ``node`` (or a literal line)."""
-        if isinstance(node, int):
-            line, col = node, 0
-        else:
-            line = getattr(node, "lineno", 1)
-            col = getattr(node, "col_offset", 0)
-        return Finding(path=self.path, line=line, col=col, code=code,
-                       message=message)
-
-
-class Rule:
-    """Base class for AST rules; subclasses register via :func:`register`."""
-
-    #: unique ``RPR0xx`` code
-    code: str = "RPR0XX"
-    #: short kebab-ish identifier used in ``--list-rules``
-    name: str = "unnamed"
-    #: the one-line invariant this rule enforces
-    summary: str = ""
-
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
-        """Yield every violation of this rule in one parsed file."""
-        raise NotImplementedError
-
-
-_REGISTRY: dict[str, Rule] = {}
-
-
-def register(cls: type[Rule]) -> type[Rule]:
-    """Class decorator: instantiate and index the rule by its code."""
-    rule = cls()
-    if rule.code in _REGISTRY:
-        raise ValueError(f"duplicate rule code {rule.code}")
-    _REGISTRY[rule.code] = rule
-    return cls
-
-
-def all_rules() -> list[Rule]:
-    """Registered AST rules, ordered by code."""
-    return [_REGISTRY[code] for code in sorted(_REGISTRY)]
-
-
-def suppressed_codes(line: str) -> set[str] | None:
-    """Codes silenced by a ``# noqa`` comment on ``line``.
-
-    Returns ``None`` when there is no noqa comment, the empty set for a
-    bare ``# noqa`` (which silences everything), or the explicit code set.
-    """
-    match = _NOQA_RE.search(line)
-    if match is None:
-        return None
-    codes = match.group("codes")
-    if not codes:
-        return set()
-    return {c.upper() for c in re.findall(r"[A-Za-z]+\d+", codes)}
 
 
 def module_name_for(path: str | pathlib.Path) -> str:
@@ -158,48 +45,16 @@ def module_name_for(path: str | pathlib.Path) -> str:
     return name
 
 
-#: parsed-file cache shared by the per-file rules and the whole-program
-#: pass, keyed by path and invalidated on (mtime_ns, size) changes.
-_CONTEXT_CACHE: dict[str, tuple[tuple[int, int], FileContext]] = {}
-
-
-def load_context(path: str | pathlib.Path) -> FileContext:
-    """Parse ``path`` into a :class:`FileContext`, memoized on mtime+size.
-
-    Every consumer that walks the tree — the per-file rules, the project
-    call-graph index, the dataflow pass — goes through this cache, so a
-    source file is read and parsed at most once per run.  Raises
-    ``SyntaxError`` for unparseable files (callers turn that into an
-    ``RPR000`` finding) and ``OSError`` for unreadable ones.
-    """
-    key = str(path)
-    stat = pathlib.Path(path).stat()
-    sig = (stat.st_mtime_ns, stat.st_size)
-    cached = _CONTEXT_CACHE.get(key)
-    if cached is not None and cached[0] == sig:
-        return cached[1]
-    source = pathlib.Path(path).read_text(encoding="utf-8")
-    ctx = FileContext(path=key, source=source, module=module_name_for(path))
-    _CONTEXT_CACHE[key] = (sig, ctx)
-    return ctx
-
-
-def clear_context_cache() -> None:
-    """Drop every cached parse (tests that rewrite files on disk)."""
-    _CONTEXT_CACHE.clear()
-
-
 @dataclass
 class AnalysisResult:
     """What one analysis run produced."""
 
     findings: list[Finding]
     files: int = 0
-    suppressed: int = 0
 
     @property
     def ok(self) -> bool:
-        """True when no finding survived suppression."""
+        """True when there is no finding."""
         return not self.findings
 
     def counts(self) -> dict[str, int]:
@@ -209,68 +64,45 @@ class AnalysisResult:
             out[finding.code] = out.get(finding.code, 0) + 1
         return dict(sorted(out.items()))
 
-    def extend(self, findings: Iterable[Finding]) -> None:
-        """Merge more findings in, keeping the stable sort order."""
-        self.findings.extend(findings)
-        self.findings.sort(key=Finding.sort_key)
+
+def render_text(result: AnalysisResult) -> str:
+    """Human-readable report: one line per finding plus a summary."""
+    lines = [finding.render() for finding in result.findings]
+    if result.findings:
+        counts = ", ".join(f"{code}: {n}" for code, n in
+                           result.counts().items())
+        lines.append(f"analysis: {len(result.findings)} finding(s) "
+                     f"in {result.files} file(s) ({counts})")
+    else:
+        lines.append(f"analysis: OK ({result.files} file(s))")
+    return "\n".join(lines)
 
 
-def _select_rules(select: Iterable[str] | None) -> list[Rule]:
-    if select is None:
-        return all_rules()
-    wanted = {code.upper() for code in select}
-    unknown = wanted - set(_REGISTRY)
-    if unknown:
-        raise KeyError(f"unknown rule code(s): {', '.join(sorted(unknown))}")
-    return [rule for rule in all_rules() if rule.code in wanted]
-
-
-def admit_findings(ctx: FileContext, findings: Iterable[Finding],
-                   result: AnalysisResult) -> None:
-    """Add ``findings`` to ``result``, honouring ``# noqa`` suppressions.
-
-    Shared by the per-file rule runner and the whole-program passes so a
-    ``# noqa: RPR001`` on a call site silences the inter-procedural
-    variant of the rule exactly like the per-file one.
-    """
-    for finding in findings:
-        line = ""
-        if 1 <= finding.line <= len(ctx.lines):
-            line = ctx.lines[finding.line - 1]
-        noqa = suppressed_codes(line)
-        if noqa is not None and (not noqa or finding.code in noqa):
-            result.suppressed += 1
-            continue
-        result.findings.append(finding)
-
-
-def check_context(ctx: FileContext, *,
-                  select: Iterable[str] | None = None) -> AnalysisResult:
-    """Run the registered (selected) rules over one parsed file."""
-    result = AnalysisResult(findings=[], files=1)
-    for rule in _select_rules(select):
-        admit_findings(ctx, rule.check(ctx), result)
-    result.findings.sort(key=Finding.sort_key)
-    return result
-
-
-def parse_error_finding(path: str, exc: SyntaxError) -> Finding:
-    """The ``RPR000`` finding for a file the engine cannot parse."""
-    return Finding(path=path, line=exc.lineno or 1, col=(exc.offset or 1) - 1,
-                   code=PARSE_ERROR_CODE, message=f"cannot parse file: {exc.msg}")
+def _check_file(path: str, source: str, module: str,
+                result: AnalysisResult) -> FileContext | None:
+    """Parse one file and add its per-file findings to ``result``; the
+    parse, or ``None`` (and an ``RPR000`` finding) when it does not parse."""
+    result.files += 1
+    try:
+        ctx = FileContext(path, source, module)
+    except SyntaxError as exc:
+        result.findings.append(Finding(
+            path=path, line=exc.lineno or 1, col=(exc.offset or 1) - 1,
+            code=PARSE_ERROR_CODE, message=f"cannot parse file: {exc.msg}"))
+        return None
+    for rule in RULES:
+        result.findings.extend(rule.check(ctx))
+    return ctx
 
 
 def analyze_source(source: str, path: str = "<string>", *,
-                   module: str | None = None,
-                   select: Iterable[str] | None = None) -> AnalysisResult:
-    """Run the registered rules over one source string."""
-    module = module if module is not None else module_name_for(path)
-    try:
-        ctx = FileContext(path=path, source=source, module=module)
-    except SyntaxError as exc:
-        return AnalysisResult(findings=[parse_error_finding(path, exc)],
-                              files=1)
-    return check_context(ctx, select=select)
+                   module: str | None = None) -> AnalysisResult:
+    """Run the per-file rules over one source string."""
+    result = AnalysisResult(findings=[])
+    _check_file(path, source,
+                module_name_for(path) if module is None else module, result)
+    result.findings.sort(key=Finding.sort_key)
+    return result
 
 
 def iter_python_files(paths: Iterable[str | pathlib.Path],
@@ -286,21 +118,16 @@ def iter_python_files(paths: Iterable[str | pathlib.Path],
             yield path
 
 
-def analyze_paths(paths: Iterable[str | pathlib.Path], *,
-                  select: Iterable[str] | None = None) -> AnalysisResult:
-    """Run the registered rules over every ``.py`` file under ``paths``."""
-    _select_rules(select)  # validate the code list before any file work
-    total = AnalysisResult(findings=[], files=0)
-    for file_path in iter_python_files(paths):
-        try:
-            ctx = load_context(file_path)
-        except SyntaxError as exc:
-            total.findings.append(parse_error_finding(str(file_path), exc))
-            total.files += 1
-            continue
-        one = check_context(ctx, select=select)
-        total.findings.extend(one.findings)
-        total.files += 1
-        total.suppressed += one.suppressed
-    total.findings.sort(key=Finding.sort_key)
-    return total
+def analyze_paths(paths: Iterable[str | pathlib.Path]) -> AnalysisResult:
+    """Every ``.py`` file under ``paths``, each parsed once: the per-file
+    rules over each, then the inter-procedural pass over the same parses."""
+    result = AnalysisResult(findings=[])
+    contexts = []
+    for path in iter_python_files(paths):
+        ctx = _check_file(str(path), path.read_text(encoding="utf-8"),
+                          module_name_for(path), result)
+        if ctx is not None:
+            contexts.append(ctx)
+    result.findings.extend(clock_findings(ProjectIndex.build(contexts)))
+    result.findings.sort(key=Finding.sort_key)
+    return result

@@ -25,13 +25,13 @@ import importlib
 import inspect
 from typing import Any
 
-from repro.analysis.engine import Finding
+from repro.analysis.rules import Finding
 
 #: every verb of the NTCP plugin contract and the arguments the server
 #: core calls it with (beyond ``self``)
 VERB_ARGS: dict[str, int] = {"review": 1, "execute": 1, "cancel": 1}
 
-#: the codes this checker can emit, with their invariants (for docs/CLI)
+#: the codes this checker can emit, with their invariants
 PROTOCOL_CODES: dict[str, str] = {
     "RPR100": "plugin package imports and exports resolve",
     "RPR101": "every exported plugin declares its own plugin_type",

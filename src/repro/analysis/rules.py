@@ -1,19 +1,66 @@
-"""The repo-specific rules (``RPR001``–``RPR010``).
+"""The repo-specific rules (``RPR001``–``RPR010``) and what they read/report.
 
 Each rule machine-checks one invariant the codebase otherwise only states
-in prose (docstrings, DESIGN.md, the telemetry schema).  They are
-deliberately heuristic where full type inference would be needed —
-heuristics are documented on each rule, and ``# noqa: RPRxxx`` exists for
-the rare intentional exception.
+in prose (docstrings, DESIGN.md, the telemetry schema) and that ruff
+cannot express.  A rule is an object with a ``code`` and a
+``check(ctx)`` that yields :class:`Finding` objects for one parsed
+:class:`FileContext`; :data:`RULES` is every rule, in code order.  They
+are deliberately heuristic where full type inference would be needed —
+heuristics are documented on each rule.
 """
 
 from __future__ import annotations
 
 import ast
 import re
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from repro.analysis.engine import FileContext, Finding, Rule, register
+
+@dataclass(frozen=True)
+class Finding:
+    """One rule violation at a source location."""
+
+    path: str
+    line: int
+    col: int
+    code: str
+    message: str
+
+    def sort_key(self) -> tuple[str, int, int, str]:
+        """Stable ordering: path, then line, column, code."""
+        return (self.path, self.line, self.col, self.code)
+
+    def render(self) -> str:
+        """The conventional ``path:line:col: CODE message`` line."""
+        return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
+
+
+class FileContext:
+    """One parsed source file, handed to every rule and to the call graph.
+
+    Attributes:
+        path: display path (as given).
+        module: best-effort dotted module name (``repro.net.rpc``), used
+            by rules that scope themselves to subsystems.
+        tree: the parsed AST (``SyntaxError`` at construction otherwise).
+    """
+
+    def __init__(self, path: str, source: str, module: str):
+        self.path = path
+        self.module = module
+        self.tree = ast.parse(source, filename=path)
+
+    def finding(self, node: ast.AST | int, code: str, message: str) -> Finding:
+        """A :class:`Finding` located at ``node`` (or a literal line)."""
+        if isinstance(node, int):
+            line, col = node, 0
+        else:
+            line = getattr(node, "lineno", 1)
+            col = getattr(node, "col_offset", 0)
+        return Finding(path=self.path, line=line, col=col, code=code,
+                       message=message)
+
 
 # ---------------------------------------------------------------------------
 # shared AST helpers
@@ -72,8 +119,7 @@ def _canonical_call(node: ast.Call, modules: dict[str, str],
 # RPR001 — simulation-clock purity
 
 
-@register
-class SimClockPurity(Rule):
+class SimClockPurity:
     """No wall clocks or global RNGs inside the simulated subsystems.
 
     Everything under ``repro.sim``, ``repro.coordinator``, ``repro.control``
@@ -83,9 +129,6 @@ class SimClockPurity(Rule):
     """
 
     code = "RPR001"
-    name = "sim-clock-purity"
-    summary = ("no time.time/datetime.now/global random inside "
-               "sim/coordinator/control/net")
 
     SCOPES = ("repro.sim", "repro.coordinator", "repro.control", "repro.net")
 
@@ -143,8 +186,7 @@ class SimClockPurity(Rule):
 # RPR003 — telemetry naming convention
 
 
-@register
-class TelemetryNameConvention(Rule):
+class TelemetryNameConvention:
     """Metric/span name literals follow ``layer.component.name``.
 
     Mirrors the runtime check in
@@ -155,9 +197,6 @@ class TelemetryNameConvention(Rule):
     """
 
     code = "RPR003"
-    name = "telemetry-name-convention"
-    summary = ("metric names are layer.component.name (>=3 segments), "
-               "span names >=2 dotted lowercase segments")
 
     METRIC_METHODS = {"counter", "gauge", "histogram"}
     SPAN_METHODS = {"start_span", "begin_span"}
@@ -203,8 +242,7 @@ class _Scope:
         self.opened: dict[str, ast.AST] = {}
 
 
-@register
-class SpanLifecycle(Rule):
+class SpanLifecycle:
     """Every opened span is closed in its scope (or escapes on purpose).
 
     A span opened with ``start_span`` must either be used as a context
@@ -221,9 +259,6 @@ class SpanLifecycle(Rule):
     """
 
     code = "RPR004"
-    name = "span-lifecycle"
-    summary = ("spans are closed via `with` or .end() in-scope; "
-               "start_span results are never discarded")
 
     OPENERS = {"start_span", "begin_span"}
 
@@ -343,225 +378,10 @@ class SpanLifecycle(Rule):
 
 
 # ---------------------------------------------------------------------------
-# RPR005 — broad exception handlers
-
-
-@register
-class BroadExcept(Rule):
-    """Broad handlers must re-raise, log, or reroute, never swallow.
-
-    ``except Exception`` (or bare ``except:``) is allowed only when the
-    handler visibly re-raises (any ``raise``), records the failure
-    through a logging-ish call (``logger.warning``, ``kernel.emit``, ...),
-    or is a *trampoline*: it binds the exception (``as exc``), hands that
-    object to a call (``self.fail(exc)``, ``report(Finding(..., exc))``)
-    and immediately leaves the handler — rerouting the failure, not
-    eating it.  Silently eaten failures are how at-most-once bugs hide.
-    """
-
-    code = "RPR005"
-    name = "broad-except"
-    summary = ("no `except Exception`/bare except without re-raise, "
-               "logging, or exception rerouting")
-
-    BROAD = {"Exception", "BaseException"}
-    LOG_METHODS = {"debug", "info", "warning", "warn", "error", "exception",
-                   "critical", "log", "emit", "record"}
-
-    def _is_broad(self, handler: ast.ExceptHandler) -> str | None:
-        if handler.type is None:
-            return "bare except"
-        candidates: list[ast.AST] = [handler.type]
-        if isinstance(handler.type, ast.Tuple):
-            candidates = list(handler.type.elts)
-        for node in candidates:
-            name = _dotted(node)
-            if name in self.BROAD:
-                return f"except {name}"
-        return None
-
-    def _handled(self, handler: ast.ExceptHandler) -> bool:
-        for node in ast.walk(handler):
-            if isinstance(node, ast.Raise):
-                return True
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in self.LOG_METHODS):
-                return True
-        return False
-
-    @staticmethod
-    def _is_trampoline(handler: ast.ExceptHandler) -> bool:
-        """True for handlers that reroute the bound exception object.
-
-        Shape: ``except ... as exc`` whose body passes ``exc`` into some
-        call and ends by leaving the handler (``return`` / ``continue`` /
-        ``break``).  The kernel's process trampoline is the canonical
-        case — its whole job is capturing a process's failure and routing
-        it into the event graph (``self.fail(exc)``); a handler that
-        re-packages the exception into a finding/result object the caller
-        receives is the same pattern.
-        """
-        if not handler.name or not handler.body:
-            return False
-        if not isinstance(handler.body[-1],
-                          (ast.Return, ast.Continue, ast.Break)):
-            return False
-        for node in ast.walk(handler):
-            if not isinstance(node, ast.Call):
-                continue
-            passed = list(node.args) + [kw.value for kw in node.keywords]
-            for arg in passed:
-                for leaf in ast.walk(arg):
-                    if (isinstance(leaf, ast.Name)
-                            and leaf.id == handler.name
-                            and isinstance(leaf.ctx, ast.Load)):
-                        return True
-        return False
-
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
-        """Yield this rule's violations in ``ctx`` (see class doc)."""
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ExceptHandler):
-                continue
-            what = self._is_broad(node)
-            if (what and not self._handled(node)
-                    and not self._is_trampoline(node)):
-                yield ctx.finding(
-                    node, self.code,
-                    f"{what} swallows failures silently; narrow the type, "
-                    "re-raise with context, log the error, or reroute the "
-                    "bound exception and leave the handler")
-
-
-# ---------------------------------------------------------------------------
-# RPR006 — __all__ drift
-
-
-@register
-class AllDrift(Rule):
-    """``__all__`` matches what the module actually binds.
-
-    Three drifts are caught: entries that are not strings, duplicate
-    entries, and entries naming nothing the module defines or imports.
-    For package ``__init__`` files the reverse is also enforced: every
-    public name pulled in by a ``from x import y`` re-export must appear
-    in ``__all__`` (alias imports with a leading underscore to opt out).
-    """
-
-    code = "RPR006"
-    name = "all-drift"
-    summary = "__all__ entries resolve; package __init__ re-exports are listed"
-
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
-        """Yield this rule's violations in ``ctx`` (see class doc)."""
-        tree = ctx.tree
-        all_node: ast.Assign | None = None
-        exported: list[str] = []
-        bound: set[str] = set()
-        from_imported: dict[str, ast.AST] = {}
-        star_import = False
-        for node in tree.body:
-            for name in self._bound_names(node):
-                bound.add(name)
-            if isinstance(node, ast.ImportFrom):
-                if any(alias.name == "*" for alias in node.names):
-                    star_import = True
-                elif self._intra_package(node):
-                    for alias in node.names:
-                        from_imported[alias.asname or alias.name] = node
-            if (isinstance(node, ast.Assign) and len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Name)
-                    and node.targets[0].id == "__all__"):
-                all_node = node
-        if all_node is None or star_import:
-            return
-        if not isinstance(all_node.value, (ast.List, ast.Tuple)):
-            return
-        seen: set[str] = set()
-        for element in all_node.value.elts:
-            if not (isinstance(element, ast.Constant)
-                    and isinstance(element.value, str)):
-                yield ctx.finding(element, self.code,
-                                  "__all__ entries must be string literals")
-                continue
-            name = element.value
-            exported.append(name)
-            if name in seen:
-                yield ctx.finding(element, self.code,
-                                  f"duplicate __all__ entry {name!r}")
-            seen.add(name)
-            if name not in bound:
-                yield ctx.finding(
-                    element, self.code,
-                    f"__all__ names {name!r} but the module neither "
-                    "defines nor imports it")
-        if ctx.path.replace("\\", "/").endswith("__init__.py"):
-            for name, node in from_imported.items():
-                if name.startswith("_") or name in seen:
-                    continue
-                yield ctx.finding(
-                    node, self.code,
-                    f"package __init__ imports {name!r} but does not "
-                    "export it in __all__ (add it, or alias it with a "
-                    "leading underscore)")
-
-    @staticmethod
-    def _intra_package(node: ast.ImportFrom) -> bool:
-        """Re-exports worth policing: relative or same-distribution imports.
-
-        ``from typing import Any`` in an ``__init__`` is a convenience
-        import, not an export; only the package's own modules count.
-        """
-        if node.level > 0:
-            return True
-        return (node.module or "").split(".")[0] == "repro"
-
-    @staticmethod
-    def _bound_names(node: ast.AST) -> Iterator[str]:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            yield node.name
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                yield alias.asname or alias.name.split(".")[0]
-        elif isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                if alias.name != "*":
-                    yield alias.asname or alias.name
-        elif isinstance(node, ast.Assign):
-            for target in node.targets:
-                yield from AllDrift._target_names(target)
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
-                                                            ast.Name):
-            yield node.target.id
-        elif isinstance(node, (ast.For, ast.AsyncFor)):
-            yield from AllDrift._target_names(node.target)
-        elif isinstance(node, ast.If):
-            for sub in node.body + node.orelse:
-                yield from AllDrift._bound_names(sub)
-        elif isinstance(node, ast.Try):
-            for sub in node.body + node.orelse + node.finalbody:
-                yield from AllDrift._bound_names(sub)
-            for handler in node.handlers:
-                for sub in handler.body:
-                    yield from AllDrift._bound_names(sub)
-
-    @staticmethod
-    def _target_names(target: ast.AST) -> Iterator[str]:
-        if isinstance(target, ast.Name):
-            yield target.id
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                yield from AllDrift._target_names(element)
-
-
-# ---------------------------------------------------------------------------
 # RPR009 — assert statements in shipped library code
 
 
-@register
-class AssertInLibrary(Rule):
+class AssertInLibrary:
     """No ``assert`` in shipped library code — it vanishes under ``-O``.
 
     ``assert`` is a *debugging* aid: CPython strips it when run with
@@ -579,9 +399,6 @@ class AssertInLibrary(Rule):
     """
 
     code = "RPR009"
-    name = "assert-in-library"
-    summary = ("no `assert` in repro.* library modules (stripped by -O); "
-               "raise explicit errors")
 
     #: module -> why its internal-state asserts are acceptable
     ALLOWLIST = {
@@ -591,15 +408,11 @@ class AssertInLibrary(Rule):
         "repro.net.breaker": ("opened_at is set on every transition into "
                               "OPEN; the asserts narrow Optional for the "
                               "state-machine arithmetic"),
-        "repro.nsds.service": ("container is bound at attach time, before "
-                               "the service can receive a request"),
         "repro.ogsi.container": ("service_data is created in create_service "
                                  "before the registry hands the service "
                                  "out"),
         "repro.ogsi.service": ("container backref set by attach; asserts "
                                "narrow Optional for lifetime bookkeeping"),
-        "repro.telepresence.camera": ("container bound at attach, before "
-                                      "frame requests can arrive"),
     }
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
@@ -621,8 +434,7 @@ class AssertInLibrary(Rule):
 # RPR010 — public-API docstrings (staged rollout)
 
 
-@register
-class PublicApiDocstring(Rule):
+class PublicApiDocstring:
     """Public API in opted-in subsystems carries docstrings.
 
     Staged rollout: rather than flooding the gate with hundreds of
@@ -638,10 +450,6 @@ class PublicApiDocstring(Rule):
     """
 
     code = "RPR010"
-    name = "public-api-docstring"
-    summary = ("public modules/classes/functions in staged subsystems "
-               "need docstrings (currently repro.analysis, repro.verify, "
-               "repro.fleet, repro.gsi)")
 
     ENABLED_SUBSYSTEMS = ("repro.analysis", "repro.verify",
                           "repro.fleet", "repro.gsi")
@@ -683,3 +491,8 @@ class PublicApiDocstring(Rule):
                             and not sub.name.startswith("__")):
                         yield from self._check_def(
                             ctx, sub, "method", f"{node.name}.{sub.name}")
+
+
+#: every per-file rule, in code order
+RULES = (SimClockPurity(), TelemetryNameConvention(), SpanLifecycle(),
+         AssertInLibrary(), PublicApiDocstring())

@@ -281,9 +281,13 @@ def load_resume(store, run_id: str):
     Returns ``(state, prior_records)`` ready for a new coordinator
     incarnation (``state=`` / ``prior_records=``; the records are exactly
     steps ``1 .. state.step - 1``), or ``(None, ())`` when the run left no
-    checkpoint to resume from.
+    checkpoint to resume from.  The state's next checkpoint is numbered
+    above every sequence the store listed, not just above the resume
+    point's: names are immutable, and one above a hole is taken.
     """
-    doc, payloads = yield from store.load_history(run_id)
-    if doc is None:
+    history = yield from store.load_history(run_id)
+    if history.latest is None:
         return None, ()
-    return resume_state_from_checkpoint(doc), records_from_payloads(payloads)
+    state = resume_state_from_checkpoint(history.latest)
+    state.checkpoint_seq = history.listed
+    return state, records_from_payloads(history.records)

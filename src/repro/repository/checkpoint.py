@@ -13,10 +13,11 @@ history, it never leaves a hole in it.
 
 The document is a versioned schema (``repro.checkpoint/v1``) whose shape
 is a value built from the :mod:`repro.util.schema` kit, like the
-telemetry and analysis schemas: compiled once at import, JSON-path error
+telemetry and monitor schemas: compiled once at import, JSON-path error
 messages, run on every save *and* every load so a malformed checkpoint
-fails immediately instead of corrupting a resume.  All float payloads are ``float.hex()`` strings —
-checkpoint → restore round-trips are bit-exact.
+fails immediately instead of corrupting a resume.  All float payloads
+are ``float.hex()`` strings — checkpoint → restore round-trips are
+bit-exact.
 
 Two stores implement ``save`` / ``load`` / ``list_seqs`` (generator-shaped,
 so callers uniformly ``yield from`` them) under the one
@@ -281,6 +282,7 @@ class _History:
     folded so far below whose resume step no committed step is missing,
     and exactly steps ``1 .. step - 1``.  A document that does not close
     the history below it moves neither, so no reader can be handed a hole.
+    It unpacks as that pair: ``latest, records = history``.
     """
 
     def __init__(self):
@@ -290,6 +292,13 @@ class _History:
         self.seqs: list[int] = []
         self.latest: dict | None = None
         self.records: list[dict] = []
+        #: the highest sequence the store listed, folded or not — a corrupt
+        #: or stale document's name is taken too, so the next checkpoint of
+        #: a resumed run is numbered above it
+        self.listed = 0
+
+    def __iter__(self):
+        return iter((self.latest, self.records))
 
     def fold(self, doc: dict, records: list | None = None,
              seqs: list | None = None) -> None:
@@ -332,8 +341,9 @@ class CheckpointStoreBase:
         yield  # pragma: no cover - generator shape, parity with repo store
 
     def load_history(self, run_id: str):
-        """Kernel process: ``(latest_doc, record_payloads)`` — the longest
-        complete prefix of the run, or ``(None, [])``.
+        """Kernel process: the run's :class:`_History`, which unpacks as
+        ``(latest_doc, record_payloads)`` — the longest complete prefix of
+        the run, or ``(None, [])``.
 
         Each checkpoint carries only the record tail since the previous
         one, so the merge folds every sequence newer than the seed, in
@@ -345,8 +355,9 @@ class CheckpointStoreBase:
         """
         seqs = yield from self.list_seqs(run_id)
         if not seqs:
-            return None, []
+            return _History()
         history = yield from self._seed(run_id)
+        history.listed = seqs[-1]
         seeded_upto = history.seqs[-1] if history.seqs else 0
         for seq in seqs:
             if seq <= seeded_upto:
@@ -356,7 +367,7 @@ class CheckpointStoreBase:
             except CheckpointCorrupt:
                 continue
             history.fold(doc)
-        return history.latest, history.records
+        return history
 
 
 class InMemoryCheckpointStore(CheckpointStoreBase):

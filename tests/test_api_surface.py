@@ -4,6 +4,7 @@ Guards the public front door against drift: a rename deep in a subpackage
 that breaks a top-level re-export fails here, not in a user's script.
 """
 
+import ast
 import inspect
 
 import repro
@@ -372,6 +373,79 @@ def test_a_guarantee_has_one_gate():
     gates = rules["check"][0]
     assert len(gates) == len(set(gates)) and set(gates) <= set(rules)
     assert reached("check").count("-m repro.analysis") == 1
+
+
+def broad_handlers(node, scope=""):
+    """The enclosing (dotted) scope of every ``except Exception`` / ``except
+    BaseException`` / bare ``except:`` under an AST ``node``, whatever the
+    handler does."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        elif isinstance(child, ast.ExceptHandler) and (
+                child.type is None or {"Exception", "BaseException"} & {
+                    getattr(t, "id", None)
+                    for t in getattr(child.type, "elts", [child.type])}):
+            yield scope
+        yield from broad_handlers(child, inner)
+
+
+def test_every_broad_handler_is_pinned():
+    """An ``except Exception`` / ``except BaseException`` / bare
+    ``except:`` outside ``tests/`` stands only where it is listed here, by
+    module and enclosing function, beside the test that fails without it.
+    A new one anywhere fails this test until it is listed with its proof
+    (this list replaced a per-file heuristic, RPR005)."""
+    import pathlib
+
+    proofs = {
+        ("repro.analysis.protocol", "exported_plugins"):
+            "test_analysis.py::TestProtocolConformance::"
+            "test_unimportable_module_is_a_finding",
+        ("repro.coordinator.mspsds", "SimulationCoordinator._at_every_site"):
+            "test_telemetry.py::TestTracing::"
+            "test_a_run_that_dies_mid_step_leaves_no_span_open",
+        ("repro.coordinator.mspsds",
+         "SimulationCoordinator._issue_step.round_runner"):
+            "test_telemetry.py::TestTracing::"
+            "test_a_run_that_dies_mid_step_leaves_no_span_open",
+        ("repro.core.client", "NTCPClient._invoke"):
+            "test_telemetry.py::TestTracing::"
+            "test_a_run_that_dies_mid_step_leaves_no_span_open",
+        ("repro.core.server", "NTCPServer._run_plugin"):
+            "test_ntcp_protocol.py::TestExecutionTimeout::"
+            "test_plugin_crash_fails_transaction",
+        ("repro.net.rpc", "RpcService._on_message"):
+            "test_net_rpc.py::TestOnAGrid::"
+            "test_sync_handler_bug_is_a_wire_error_not_a_hang",
+        ("repro.ogsi.notification", "NotificationSink._on_message"):
+            "test_telepresence_chef.py::TestCamera::"
+            "test_a_raising_consumer_loses_only_its_own_frames",
+        ("repro.sim.process", "Process._step"):
+            "test_sim_kernel.py::TestInterrupt::"
+            "test_uncaught_interrupt_fails_process",
+    }
+
+    src = pathlib.Path(repro.__file__).parent
+    repo = src.parent.parent
+    found = []
+    for root in (src.parent, repo / "examples", repo / "benchmarks",
+                 repo / "scripts"):
+        for path in sorted(root.rglob("*.py")):
+            rel = path.relative_to(root if root == src.parent else repo)
+            module = ".".join(rel.with_suffix("").parts)
+            found += [(module, scope) for scope
+                      in broad_handlers(ast.parse(path.read_text()))]
+    assert sorted(found) == sorted(proofs)
+    for proof in proofs.values():
+        filename, cls, test = proof.split("::")
+        tree = ast.parse((repo / "tests" / filename).read_text())
+        [owner] = [node for node in tree.body
+                   if isinstance(node, ast.ClassDef) and node.name == cls]
+        assert test in {node.name for node in owner.body
+                        if isinstance(node, ast.FunctionDef)}, proof
 
 
 def test_there_is_one_way_to_run_something_later():

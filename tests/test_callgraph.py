@@ -7,20 +7,21 @@ the same tree is asserted clean, proving the inter-procedural pass adds
 real reach rather than re-reporting.
 """
 
+import pathlib
 import textwrap
 
-import pytest
+from repro.analysis import (
+    FileContext,
+    ProjectIndex,
+    analyze_paths,
+    analyze_source,
+    clock_findings,
+    clock_taint,
+    iter_python_files,
+    module_name_for,
+)
 
-from repro.analysis.callgraph import ProjectIndex
-from repro.analysis.dataflow import analyze_project, clock_taint
-from repro.analysis.engine import analyze_paths, clear_context_cache
-
-
-@pytest.fixture(autouse=True)
-def _fresh_cache():
-    clear_context_cache()
-    yield
-    clear_context_cache()
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def write_tree(root, files: dict[str, str]) -> None:
@@ -28,6 +29,13 @@ def write_tree(root, files: dict[str, str]) -> None:
         path = root / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source), encoding="utf-8")
+
+
+def index_of(root) -> ProjectIndex:
+    """The call graph of every ``.py`` file under ``root``."""
+    return ProjectIndex.build(
+        FileContext(str(path), path.read_text(), module_name_for(path))
+        for path in iter_python_files([root]))
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +55,7 @@ class TestProjectIndex:
                     return h.work()
             """,
         })
-        index = ProjectIndex.build([tmp_path / "src"])
+        index = index_of(tmp_path / "src")
         (site,) = index.calls["repro.most.user.go"]
         assert site.target == "repro.util.helper.work"
         assert site.resolved.qualname == "repro.util.helper.work"
@@ -64,7 +72,7 @@ class TestProjectIndex:
                     return w()
             """,
         })
-        index = ProjectIndex.build([tmp_path / "src"])
+        index = index_of(tmp_path / "src")
         (site,) = index.calls["repro.most.user.go"]
         assert site.resolved.qualname == "repro.util.helper.work"
 
@@ -86,7 +94,7 @@ class TestProjectIndex:
                     return work()
             """,
         })
-        index = ProjectIndex.build([tmp_path / "src"])
+        index = index_of(tmp_path / "src")
         (site,) = index.calls["repro.most.user.go"]
         assert site.resolved.qualname == "repro.util.impl.work"
 
@@ -100,7 +108,7 @@ class TestProjectIndex:
                         return 1
             """,
         })
-        index = ProjectIndex.build([tmp_path / "src"])
+        index = index_of(tmp_path / "src")
         (site,) = index.calls["repro.most.user.Runner.step"]
         assert site.resolved.qualname == "repro.most.user.Runner.helper"
 
@@ -111,29 +119,9 @@ class TestProjectIndex:
                     return callback.run()
             """,
         })
-        index = ProjectIndex.build([tmp_path / "src"])
+        index = index_of(tmp_path / "src")
         (site,) = index.calls["repro.most.user.go"]
         assert site.resolved is None
-
-    def test_callers_of(self, tmp_path):
-        write_tree(tmp_path, {
-            "src/repro/util/helper.py": """
-                def work():
-                    return 1
-            """,
-            "src/repro/most/a.py": """
-                from repro.util.helper import work
-                def one():
-                    return work()
-                def two():
-                    return work()
-            """,
-        })
-        index = ProjectIndex.build([tmp_path / "src"])
-        callers = {s.caller
-                   for s in index.callers_of("repro.util.helper.work")}
-        assert callers == {"repro.most.a.one", "repro.most.a.two"}
-
 
 # ---------------------------------------------------------------------------
 # wall-clock taint (inter-procedural RPR001)
@@ -163,7 +151,7 @@ CROSS_MODULE_CLOCK = {
 class TestInterproceduralClockPurity:
     def test_taint_chain_reaches_the_clock(self, tmp_path):
         write_tree(tmp_path, CROSS_MODULE_CLOCK)
-        index = ProjectIndex.build([tmp_path / "src"])
+        index = index_of(tmp_path / "src")
         taint = clock_taint(index)
         assert taint["repro.util.timing.stamp"] == ("time.monotonic",)
         assert taint["repro.util.timing.elapsed_tag"] == (
@@ -175,11 +163,10 @@ class TestInterproceduralClockPurity:
         write_tree(tmp_path, CROSS_MODULE_CLOCK)
         # the per-file rule sees nothing: the sim-scoped file is clean in
         # isolation and the helper module is out of RPR001's scope
-        per_file = analyze_paths([tmp_path / "src"], select=["RPR001"])
-        assert per_file.findings == []
+        for path in iter_python_files([tmp_path / "src"]):
+            assert analyze_source(path.read_text(), str(path)).findings == []
         # the whole-program pass pins the leak at the boundary call site
-        project = analyze_project([tmp_path / "src"])
-        (finding,) = project.findings
+        (finding,) = analyze_paths([tmp_path / "src"]).findings
         assert finding.code == "RPR001"
         assert finding.path.endswith("steps.py")
         assert "time.monotonic" in finding.message
@@ -200,103 +187,9 @@ class TestInterproceduralClockPurity:
         })
         # per-file already flags clocky.now's body; the project pass must
         # not re-flag the in-scope call into it
-        project = analyze_project([tmp_path / "src"])
-        assert project.findings == []
-        per_file = analyze_paths([tmp_path / "src"], select=["RPR001"])
-        assert len(per_file.findings) == 1
-
-    def test_noqa_on_the_call_site_suppresses(self, tmp_path):
-        files = dict(CROSS_MODULE_CLOCK)
-        files["src/repro/coordinator/steps.py"] = """
-            from repro.util.timing import elapsed_tag
-
-            def label_step(step):
-                return f"{step}-{elapsed_tag()}"  # noqa: RPR001
-        """
-        write_tree(tmp_path, files)
-        project = analyze_project([tmp_path / "src"])
-        assert project.findings == []
-        assert project.suppressed == 1
-
-    def test_select_excludes_the_pass(self, tmp_path):
-        write_tree(tmp_path, CROSS_MODULE_CLOCK)
-        project = analyze_project([tmp_path / "src"], select=["RPR005"])
-        assert project.findings == []
-
-
-# ---------------------------------------------------------------------------
-# trampoline receivers (inter-procedural RPR005)
-
-
-class TestInterproceduralBroadExcept:
-    def test_receiver_that_drops_the_exception_fires(self, tmp_path):
-        write_tree(tmp_path, {
-            "src/repro/most/flow.py": """
-                def sink(error):
-                    return 0
-
-                def guarded(step):
-                    try:
-                        return step()
-                    except Exception as exc:
-                        sink(exc)
-                        return None
-            """,
-        })
-        project = analyze_project([tmp_path / "src"])
-        (finding,) = project.findings
-        assert finding.code == "RPR005"
-        assert "repro.most.flow.sink" in finding.message
-        # ... and the per-file rule alone exempted this trampoline
-        per_file = analyze_paths([tmp_path / "src"], select=["RPR005"])
-        assert per_file.findings == []
-
-    def test_receiver_that_uses_the_exception_passes(self, tmp_path):
-        write_tree(tmp_path, {
-            "src/repro/most/flow.py": """
-                def sink(error):
-                    return str(error)
-
-                def guarded(step):
-                    try:
-                        return step()
-                    except Exception as exc:
-                        sink(exc)
-                        return None
-            """,
-        })
-        assert analyze_project([tmp_path / "src"]).findings == []
-
-    def test_unresolvable_receiver_gets_benefit_of_the_doubt(self, tmp_path):
-        write_tree(tmp_path, {
-            "src/repro/most/flow.py": """
-                def guarded(step, reporter):
-                    try:
-                        return step()
-                    except Exception as exc:
-                        reporter.fail(exc)
-                        return None
-            """,
-        })
-        assert analyze_project([tmp_path / "src"]).findings == []
-
-    def test_keyword_passed_exception_is_tracked(self, tmp_path):
-        write_tree(tmp_path, {
-            "src/repro/most/flow.py": """
-                def sink(*, error):
-                    return 0
-
-                def guarded(step):
-                    try:
-                        return step()
-                    except Exception as exc:
-                        sink(error=exc)
-                        return None
-            """,
-        })
-        (finding,) = analyze_project([tmp_path / "src"]).findings
-        assert finding.code == "RPR005"
-
+        assert clock_findings(index_of(tmp_path / "src")) == []
+        (finding,) = analyze_paths([tmp_path / "src"]).findings
+        assert finding.path.endswith("clocky.py")
 
 # ---------------------------------------------------------------------------
 # the shipped tree itself
@@ -304,5 +197,4 @@ class TestInterproceduralBroadExcept:
 
 class TestShippedTree:
     def test_whole_program_pass_is_clean_on_the_repo(self):
-        result = analyze_project(["src"])
-        assert result.findings == []
+        assert clock_findings(index_of(ROOT / "src")) == []

@@ -350,7 +350,7 @@ class TestInMemoryStore:
 
     def test_empty_run_loads_nothing(self):
         store = InMemoryCheckpointStore()
-        assert run_store(store.load_history("ghost")) == (None, [])
+        assert tuple(run_store(store.load_history("ghost"))) == (None, [])
 
     def test_history_merge_keeps_last_written_and_truncates(self):
         store = InMemoryCheckpointStore()
@@ -510,7 +510,7 @@ class TestRepositoryManifest:
         slow_store = make_store()
         fetched = fetch_log(slow_store)
         slow = k.run(until=k.process(slow_store.load_history("run")))
-        assert fast == slow
+        assert tuple(fast) == tuple(slow)
         assert fetched == ["checkpoints/run/000001.json",
                            "checkpoints/run/000002.json"]
 
@@ -574,7 +574,7 @@ class TestRepositoryManifest:
         k, make_store = repository_store_env()
         store = make_store()
         fetched = fetch_log(store)
-        assert k.run(until=k.process(store.load_history("ghost"))) \
+        assert tuple(k.run(until=k.process(store.load_history("ghost")))) \
             == (None, [])
         assert fetched == []
 
@@ -896,6 +896,36 @@ def repository_stores(k, net):
     return writer, make_store, lose_from_repository
 
 
+def resume_past_a_hole(stores):
+    """Checkpoints every 10 steps, the third document (steps 11..20) lost
+    after the run, then a second incarnation resumed from what is left.
+
+    Returns the rig's kernel, servers and reader factory, the resume point
+    ``load_resume`` gave (``(step, checkpoint_seq, prior steps)``, read
+    before the resumed coordinator advances the state), the resumed
+    coordinator and its result.
+    """
+    policy = CheckpointPolicy(every_n_steps=10)
+    k, net, model, motion, client, sites, servers = build_three_site_rig()
+    writer, make_reader, lose = stores(k, net)
+    first = SimulationCoordinator(
+        run_id="rig-hole", client=client, model=model, motion=motion,
+        sites=sites, checkpoint_store=writer, checkpoint_policy=policy)
+    assert k.run(until=k.process(first.run())).completed
+    assert first.state.checkpoint_seq == 7  # 0, 10, .., 50 and final
+
+    lose(writer, 3)
+    reader = make_reader()
+    state, prior = k.run(until=k.process(load_resume(reader, "rig-hole")))
+    resumed = (state.step, state.checkpoint_seq, [r.step for r in prior])
+    second = SimulationCoordinator(
+        run_id="rig-hole", client=client, model=model, motion=motion,
+        sites=sites, checkpoint_store=reader, checkpoint_policy=policy,
+        state=state, prior_records=prior)
+    merged = k.run(until=k.process(second.run()))
+    return k, servers, make_reader, resumed, second, merged
+
+
 class TestAHistoryNeverHasAHole:
     @pytest.mark.parametrize("stores", [memory_stores, repository_stores])
     def test_a_lost_middle_document_ends_the_history_there(self, stores):
@@ -904,30 +934,33 @@ class TestAHistoryNeverHasAHole:
         answered "resume at step 60" with records 1..10, 21..59; now the
         resume point is the document before the hole, and the resumed
         coordinator replays the lost tail through the idempotent verbs."""
-        policy = CheckpointPolicy(every_n_steps=10)
-        k, net, model, motion, client, sites, servers = build_three_site_rig()
-        writer, make_reader, lose = stores(k, net)
-        first = SimulationCoordinator(
-            run_id="rig-hole", client=client, model=model, motion=motion,
-            sites=sites, checkpoint_store=writer, checkpoint_policy=policy)
-        assert k.run(until=k.process(first.run())).completed
-        assert first.state.checkpoint_seq == 7  # 0, 10, .., 50 and final
+        _, servers, _, resumed, _, merged = resume_past_a_hole(stores)
+        # the next checkpoint is numbered above every listed sequence
+        assert resumed == (11, 7, list(range(1, 11)))
 
-        lose(writer, 3)
-        reader = make_reader()
-        state, prior = k.run(until=k.process(load_resume(reader, "rig-hole")))
-        assert state.step == 11 and state.checkpoint_seq == 2
-        assert [r.step for r in prior] == list(range(1, 11))
-
-        second = SimulationCoordinator(
-            run_id="rig-hole", client=client, model=model, motion=motion,
-            sites=sites, checkpoint_store=reader, checkpoint_policy=policy,
-            state=state, prior_records=prior)
-        merged = k.run(until=k.process(second.run()))
         assert merged.completed and merged.steps_completed == 59
         assert np.array_equal(merged.displacement_history(), clean_history())
         for server in servers.values():  # replayed, never re-actuated
             assert server.plugin.steps_executed == 60
+
+    @pytest.mark.parametrize("stores", [memory_stores, repository_stores])
+    def test_a_run_resumed_below_its_newest_document_checkpoints_again(
+            self, stores):
+        """Sequences 3..7 stay taken — by the lost document and by the
+        stale tail above it — so the resumed run saves 8..12, and once 8
+        closes the gap the one merge resumes from its last checkpoint.  At
+        baee666 all five of its saves were ``checkpoint.failed``, its
+        ``checkpoint_seq`` stayed 2 and, on the in-memory store, a second
+        crash resumed at step 11 again."""
+        k, _, make_reader, _, second, merged = resume_past_a_hole(stores)
+        assert merged.completed
+        assert k.log.records(kind="checkpoint.failed") == []
+        assert second.state.checkpoint_seq == 12
+
+        state, prior = k.run(until=k.process(
+            load_resume(make_reader(), "rig-hole")))
+        assert (state.step, state.checkpoint_seq) == (60, 12)
+        assert [r.step for r in prior] == list(range(1, 60))
 
 
 @st.composite

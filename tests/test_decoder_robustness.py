@@ -15,8 +15,6 @@ import sys
 
 import pytest
 
-from repro.analysis.reporters import SCHEMA_ID as ANALYSIS_SCHEMA_ID
-from repro.analysis.reporters import validate_report
 from repro.monitor.schema import (
     validate_alert_payload,
     validate_health_payload,
@@ -159,11 +157,6 @@ FAMILIES = {
         "mutations": [{"rule": "skip-dedup", "caught": True,
                        "violations": ["at-most-once"]}],
         "conformance": {"traces_replayed": 3, "divergences": []}}),
-    "analysis": (validate_report, {
-        "schema": ANALYSIS_SCHEMA_ID, "files": 2, "suppressed": 0,
-        "counts": {"RPR001": 1},
-        "findings": [{"path": "src/x.py", "line": 3, "col": 0,
-                      "code": "RPR001", "message": "wall clock in sim"}]}),
     **{path.name: (validate_bench_payload, json.loads(path.read_text()))
        for path in sorted(ROOT.glob("BENCH_*.json"))},
 }

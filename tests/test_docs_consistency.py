@@ -127,3 +127,26 @@ class TestDocsConsistency:
         latest, records = run_store(store.load_history("run"))
         assert latest["seq"] == 1
         assert [r["step"] for r in records] == [1, 2]
+
+    def test_the_documented_rule_table_is_the_shipped_one(self):
+        """ARCHITECTURE's RPR table: a live row for every shipped rule, for
+        RPR000 and for the protocol codes and for nothing else, the known
+        retired rows, and RPR010's row naming exactly its staged
+        subsystems."""
+        from repro.analysis import PROTOCOL_CODES, RULES
+        from repro.analysis.engine import PARSE_ERROR_CODE
+        from repro.analysis.rules import PublicApiDocstring
+
+        text = (ROOT / "docs" / "ARCHITECTURE.md").read_text()
+        section = text.split("## Static analysis & invariants")[1]
+        rows = dict(re.findall(r"^\| (RPR[\d–]+) \| (.*)$",
+                               section.split("\n## ")[0], re.M))
+        retired = {code for code, row in rows.items()
+                   if row.startswith("*(retired)*")}
+        assert set(rows) - retired == {
+            PARSE_ERROR_CODE, "RPR100–104", *(rule.code for rule in RULES)}
+        assert sorted(PROTOCOL_CODES) == [f"RPR{n}" for n in range(100, 105)]
+        assert retired == {"RPR002", "RPR005", "RPR006", "RPR007", "RPR008"}
+        staged = rows["RPR010"].split("(currently ")[1].split(")")[0]
+        assert tuple(re.findall(r"`(repro\.\w+)`", staged)) == \
+            PublicApiDocstring.ENABLED_SUBSYSTEMS

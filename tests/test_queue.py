@@ -641,4 +641,4 @@ class TestCheckpointCorruptFallback:
         store = InMemoryCheckpointStore()
         run_store(store.save(make_doc(seq=1)))
         self.corrupt(store, 1)
-        assert run_store(store.load_history("run")) == (None, [])
+        assert tuple(run_store(store.load_history("run"))) == (None, [])

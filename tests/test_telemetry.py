@@ -280,6 +280,25 @@ class TestTracing:
         verb = env.kernel.telemetry.spans("core.client.propose")[0]
         assert verb.parent_id is None
 
+    def test_a_run_that_dies_mid_step_leaves_no_span_open(self):
+        """A pipelined run into a permanent outage: every span that was
+        opened as a parent is finished, so the failure exits of the client
+        verbs, the per-site fan-out and the background step round each
+        close what they opened before re-raising."""
+        from repro import ExperimentSession
+        from repro.most import MOSTConfig
+
+        outcome = (ExperimentSession(MOSTConfig().scaled(60),
+                                     simulation_only=True)
+                   .with_faults(outage_duration=float("inf"))
+                   .with_pipeline(1).run())
+        assert not outcome.result.completed
+        spans = outcome.deployment.kernel.telemetry.spans()
+        finished = {span.span_id for span in spans}
+        assert {span.name for span in spans
+                if span.parent_id is not None
+                and span.parent_id not in finished} == set()
+
 
 class TestExportAndSchema:
     def test_jsonl_roundtrip(self, tmp_path):
