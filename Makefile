@@ -3,7 +3,7 @@ export PYTHONPATH := src
 
 BENCH_TARGETS := bench-perf bench-fleet bench-obs bench-queue
 
-.PHONY: test lint analyze verify verify-smoke bench bench-figures \
+.PHONY: test lint analyze verify bench bench-figures \
 	$(BENCH_TARGETS) validate-bench twall-names twall-smoke twall pairs loc \
 	check
 
@@ -19,16 +19,13 @@ lint:
 analyze:
 	$(PYTHON) -m repro.analysis
 
-# Bounded protocol verification: exhaustive state-space exploration at
-# both pipeline depths, the seeded-mutation regression, and live
-# conformance replay of one sampled trace per fault kind.
+# Bounded protocol verification, one pass with no options: exhaustive
+# state-space exploration at both pipeline depths, the seeded-mutation
+# regression, and live conformance replay of one sampled trace per fault
+# kind.  Not part of `check`: tests/test_verify.py and
+# tests/test_verify_conformance.py assert each of its verdicts.
 verify:
 	$(PYTHON) -m repro.verify
-
-# Shortened bound for a quick local look: 2 steps, 1 fault per schedule
-# (a subset of `verify`, so not part of `check`).
-verify-smoke:
-	$(PYTHON) -m repro.verify --smoke
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
@@ -101,4 +98,4 @@ loc:
 
 # The gate, and all CI runs: each guarantee is stated once (a tier-1
 # test or a `BENCHES` floor) and reached from here once.
-check: lint verify test bench-figures validate-bench twall-names twall-smoke
+check: lint test bench-figures validate-bench twall-names twall-smoke

@@ -395,10 +395,14 @@ def _cmd_queue_drain(args: argparse.Namespace) -> int:
 def _load_dump(path: str):
     import json
 
-    from repro.observatory.schema import validate_dump
+    from repro.observatory.schema import ObservatorySchemaError, validate_dump
 
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # torn JSON or bytes that are not UTF-8
+        raise ObservatorySchemaError(
+            f"{path}: not a JSON dump: {exc}") from exc
     validate_dump(doc)
     return doc
 

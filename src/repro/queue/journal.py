@@ -173,7 +173,12 @@ class FileJournalStore(JournalStoreBase):
     def _read(self) -> list[dict]:
         if not self.path.exists():
             return []
-        return _read_lines(self.path.read_text().splitlines(), self.path)
+        try:
+            text = self.path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise QueueSchemaError(f"{self.path}: journal is not UTF-8: "
+                                   f"{exc}") from exc
+        return _read_lines(text.splitlines(), self.path)
 
     def append(self, kind: str, body: dict, *, time: float):
         if self._next_seq is None:

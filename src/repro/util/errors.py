@@ -25,8 +25,8 @@ class SchemaError(ReproError):
     """A persisted or wire document does not match its versioned shape.
 
     The base of every validator's own error (telemetry, monitor,
-    observatory, checkpoint, queue journal, verify report, analysis
-    report); the message leads with the JSON path of the offending field.
+    observatory, checkpoint, queue journal); the message leads with the
+    JSON path of the offending field.
     """
 
 

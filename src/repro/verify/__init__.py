@@ -1,6 +1,6 @@
 """Exhaustive bounded verification of the NTCP coordinator protocol.
 
-The package holds four layers:
+The package holds three layers:
 
 * :mod:`repro.verify.model` — a deterministic small-step abstraction of
   the coordinator + NTCP servers whose only nondeterminism is the fault
@@ -14,19 +14,13 @@ The package holds four layers:
   *live* :class:`~repro.coordinator.mspsds.SimulationCoordinator`
   deployment with the same fault injected at the same message point;
   any divergence between the live observables and the model's expected
-  tables fails the run, so the model cannot rot;
-* :mod:`repro.verify.report` — ``repro.verify/v1`` JSON documents,
-  schema-validated on emission like the benchmark reports.
+  tables fails the run, so the model cannot rot.
 
-Run it with ``python -m repro.verify`` (or ``make verify``).
+Run it with ``python -m repro.verify`` (or ``make verify``): one pass,
+no options.
 """
 
-from repro.verify.conformance import (
-    Divergence,
-    ReplayOutcome,
-    replay_trace,
-    run_conformance,
-)
+from repro.verify.conformance import Divergence, replay_trace, run_conformance
 from repro.verify.explorer import (
     ExplorationResult,
     enumerate_schedules,
@@ -41,30 +35,19 @@ from repro.verify.model import (
     VerifyConfig,
     Violation,
 )
-from repro.verify.report import (
-    VERIFY_SCHEMA_ID,
-    build_report,
-    ensure_valid,
-    validate_verify_payload,
-)
 
 __all__ = [
     "FAULT_KINDS",
-    "VERIFY_SCHEMA_ID",
     "Divergence",
     "ExplorationResult",
     "FaultEvent",
     "ModelMachine",
     "ProtocolRules",
-    "ReplayOutcome",
     "TraceResult",
     "VerifyConfig",
     "Violation",
-    "build_report",
-    "ensure_valid",
     "enumerate_schedules",
     "explore",
     "replay_trace",
     "run_conformance",
-    "validate_verify_payload",
 ]

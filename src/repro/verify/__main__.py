@@ -1,163 +1,73 @@
 """CLI: ``python -m repro.verify`` — the bounded protocol verifier.
 
-Explores every fault schedule within the bounded configuration at both
-pipeline depths, runs the mutation regression (each deliberately broken
-protocol rule must be caught), replays a sampled trace per fault kind
-through a live coordinator deployment (any divergence fails), and emits
-a schema-validated ``repro.verify/v1`` report.
+One pass, no options.  Explores every fault schedule of the shipped
+bound (:data:`~repro.verify.model.SITES` x 4 steps x <= 2 faults) at
+both pipeline depths, seeds each :class:`ProtocolRules` break in turn
+(each must be caught), and replays one trace per fault kind through a
+live coordinator deployment (any divergence fails).
 
 Exit status: 0 when every exploration is clean, every mutation caught
-and every replay conformant; 1 otherwise; 2 on usage errors.
+and every replay conformant; 1 otherwise; 2 on any argument.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
+from dataclasses import fields
 
-from repro.verify.explorer import ExplorationResult, explore
 from repro.verify.conformance import run_conformance
-from repro.verify.model import ProtocolRules, VerifyConfig
-from repro.verify.report import build_report, ensure_valid
+from repro.verify.explorer import ExplorationResult, explore
+from repro.verify.model import SITES, ProtocolRules, VerifyConfig
 
-#: every rule the mutation regression seeds a break into.
-MUTATION_RULES = ("dedupe_execute", "rename_after_cancel",
-                  "harvest_executed", "rollback_renames", "label_degraded")
+DEPTHS = (0, 1)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.verify",
-        description="Exhaustive bounded NTCP protocol verification: "
-                    "state-space exploration, mutation regression and "
-                    "live conformance replay.")
-    parser.add_argument("--sites", default="uiuc,cu",
-                        help="comma-separated site names (default: uiuc,cu)")
-    parser.add_argument("--steps", type=int, default=4,
-                        help="committed steps per trace (default: 4)")
-    parser.add_argument("--max-faults", type=int, default=2,
-                        help="fault events per schedule (default: 2)")
-    parser.add_argument("--depth", choices=("0", "1", "all"), default="all",
-                        help="pipeline depth(s) to explore (default: all)")
-    parser.add_argument("--smoke", action="store_true",
-                        help="small CI bound: 2 steps, 1 fault per "
-                             "schedule, both depths")
-    parser.add_argument("--no-mutations", action="store_true",
-                        help="skip the seeded mutation regression")
-    parser.add_argument("--no-conformance", action="store_true",
-                        help="skip the live conformance replay")
-    parser.add_argument("--mutate", metavar="RULE", choices=MUTATION_RULES,
-                        help="explore with one protocol rule deliberately "
-                             "broken and report what the checker caught")
-    parser.add_argument("--format", choices=("text", "json"), default="text",
-                        help="report format (default: text)")
-    parser.add_argument("--output", metavar="PATH",
-                        help="also write the JSON report to PATH")
-    return parser
+def _exploration_lines(result: ExplorationResult) -> list[str]:
+    cfg = result.config
+    lines = [f"explored sites={','.join(SITES)} steps={cfg.n_steps} "
+             f"depth={cfg.pipeline_depth} max_faults={cfg.max_faults}: "
+             f"{len(result.traces)} traces, {result.states_explored} "
+             f"states, {len(result.violations)} violations"]
+    lines += [f"  VIOLATION [{v.invariant}] step {v.step} site {v.site}: "
+              f"{v.detail}" for _, v in result.violations]
+    return lines
 
 
-def _configs(args: argparse.Namespace,
-             rules: ProtocolRules) -> list[VerifyConfig]:
-    sites = tuple(s for s in args.sites.split(",") if s)
-    n_steps = 2 if args.smoke else args.steps
-    max_faults = 1 if args.smoke else args.max_faults
-    depths = (0, 1) if args.depth == "all" else (int(args.depth),)
-    return [VerifyConfig(sites=sites, n_steps=n_steps, max_faults=max_faults,
-                         pipeline_depth=depth, rules=rules)
-            for depth in depths]
-
-
-def _run_mutations(args: argparse.Namespace) -> list[dict]:
-    mutations = []
-    for rule in MUTATION_RULES:
-        caught: set[str] = set()
-        for config in _configs(args, ProtocolRules().mutate(rule)):
-            result = explore(config)
-            caught.update(v.invariant for _, v in result.violations)
-        mutations.append({"rule": rule, "caught": bool(caught),
-                          "violations": sorted(caught)})
-    return mutations
-
-
-def _merge_conformance(blocks: list[dict]) -> dict:
-    merged = {"traces_replayed": 0, "divergences": [], "replays": []}
-    for block in blocks:
-        merged["traces_replayed"] += block["traces_replayed"]
-        merged["divergences"].extend(block["divergences"])
-        merged["replays"].extend(block["replays"])
-    return merged
-
-
-def _render_text(report: dict) -> str:
-    lines = []
-    for record in report["explorations"]:
-        lines.append(
-            f"explored sites={','.join(record['sites'])} "
-            f"steps={record['n_steps']} depth={record['pipeline_depth']} "
-            f"max_faults={record['max_faults']}: "
-            f"{record['traces']} traces, "
-            f"{record['states_explored']} states, "
-            f"{len(record['violations'])} violations")
-        for violation in record["violations"]:
-            lines.append(f"  VIOLATION [{violation['invariant']}] "
-                         f"step {violation['step']} site "
-                         f"{violation['site']}: {violation['detail']}")
-    for mutation in report.get("mutations", ()):
-        status = ("caught -> " + ",".join(mutation["violations"])
-                  if mutation["caught"] else "NOT CAUGHT")
-        lines.append(f"mutation {mutation['rule']}: {status}")
-    conformance = report.get("conformance")
-    if conformance is not None:
-        lines.append(f"conformance: {conformance['traces_replayed']} traces "
-                     f"replayed, {len(conformance['divergences'])} "
-                     f"divergences")
-        for divergence in conformance["divergences"]:
-            lines.append(f"  DIVERGENCE [{divergence['kind']}] "
-                         f"{divergence['path']}: "
-                         f"model={divergence['model']} "
-                         f"live={divergence['live']}")
-    lines.append("verify: OK" if report["ok"] else "verify: FAILED")
-    return "\n".join(lines)
+def _caught(rule: str) -> list[str]:
+    """The invariants the explorer reports with ``rule`` broken."""
+    rules = ProtocolRules().mutate(rule)
+    return sorted({v.invariant for depth in DEPTHS
+                   for _, v in explore(VerifyConfig(pipeline_depth=depth,
+                                                    rules=rules)).violations})
 
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit status."""
-    args = _build_parser().parse_args(argv)
-
-    if args.mutate:
-        caught: set[str] = set()
-        for config in _configs(args, ProtocolRules().mutate(args.mutate)):
-            result = explore(config)
-            caught.update(v.invariant for _, v in result.violations)
-        print(f"mutation {args.mutate}: "
-              + (f"caught -> {','.join(sorted(caught))}" if caught
-                 else "NOT CAUGHT"))
-        return 0 if caught else 1
-
-    explorations: list[ExplorationResult] = []
-    conformance_blocks: list[dict] = []
-    for config in _configs(args, ProtocolRules()):
-        result = explore(config)
-        explorations.append(result)
-        if not args.no_conformance:
-            conformance_blocks.append(run_conformance(result))
-
-    mutations = None if args.no_mutations else _run_mutations(args)
-    conformance = (None if args.no_conformance
-                   else _merge_conformance(conformance_blocks))
-    report = ensure_valid(build_report(explorations, mutations=mutations,
-                                       conformance=conformance))
-
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(_render_text(report))
-    return 0 if report["ok"] else 1
+    args = sys.argv[1:] if argv is None else argv
+    if args:
+        print("usage: python -m repro.verify", file=sys.stderr)
+        return 2
+    explorations = [explore(VerifyConfig(pipeline_depth=depth))
+                    for depth in DEPTHS]
+    lines = [line for result in explorations
+             for line in _exploration_lines(result)]
+    ok = all(result.ok for result in explorations)
+    for rule in (f.name for f in fields(ProtocolRules)):
+        caught = _caught(rule)
+        ok = ok and bool(caught)
+        lines.append(f"mutation {rule}: " + (
+            "caught -> " + ",".join(caught) if caught else "NOT CAUGHT"))
+    divergences = [pair for result in explorations
+                   for pair in run_conformance(result)]
+    ok = ok and not divergences
+    replayed = sum(len(result.traces_by_kind()) for result in explorations)
+    lines.append(f"conformance: {replayed} traces replayed, "
+                 f"{len(divergences)} divergences")
+    lines += [f"  DIVERGENCE [{kind}] {d.path}: model={d.model!r} "
+              f"live={d.live!r}" for kind, d in divergences]
+    lines.append("verify: OK" if ok else "verify: FAILED")
+    print("\n".join(lines))
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ replays land the fault deterministically regardless of pacing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.coordinator import (
     FaultTolerantFaultPolicy,
@@ -39,9 +39,26 @@ from repro.repository.checkpoint import (
 from repro.structural import StructuralModel, el_centro_like
 from repro.util.errors import ConfigurationError
 from repro.verify.explorer import ExplorationResult
-from repro.verify.model import FaultEvent, TraceResult, VerifyConfig
+from repro.verify.model import (
+    BACKOFF,
+    BACKOFF_FACTOR,
+    COMPUTE_TIME,
+    DT,
+    EXECUTION_TIMEOUT,
+    LATENCY,
+    MAX_ATTEMPTS,
+    MAX_BACKOFF,
+    OUTAGE_DURATION,
+    RPC_RETRIES,
+    RPC_TIMEOUT,
+    SITE_STIFFNESS,
+    SITES,
+    FaultEvent,
+    TraceResult,
+    VerifyConfig,
+)
 
-__all__ = ["Divergence", "ReplayOutcome", "replay_trace", "run_conformance"]
+__all__ = ["Divergence", "replay_trace", "run_conformance"]
 
 #: the counters the model commits to (subset of the server's STAT_KEYS).
 COUNTER_KEYS = ("proposed", "executed", "cancelled",
@@ -51,13 +68,6 @@ COUNTER_KEYS = ("proposed", "executed", "cancelled",
 PIPELINE_KEYS = ("speculated", "hits", "mispredicts", "drains")
 
 _RUN_ID = "verify"
-_SITE_STIFFNESS = 30.0
-_COMPUTE_TIME = 0.05
-_LATENCY = 0.01
-_DT = 0.02
-#: server-side execute budget; the execute RPC timeout is this + 10, so
-#: one retransmission straddles the model's transient outage window.
-_EXECUTION_TIMEOUT = 120.0
 
 
 @dataclass(frozen=True)
@@ -69,46 +79,31 @@ class Divergence:
     live: object
 
 
-@dataclass
-class ReplayOutcome:
-    """The result of replaying one sampled trace against a live rig."""
-
-    kind: str
-    schedule: tuple[FaultEvent, ...]
-    divergences: list[Divergence] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """True when every observable matched the model."""
-        return not self.divergences
-
-
 class _Rig:
-    """One live :class:`~repro.grid.Grid` sized to a :class:`VerifyConfig`,
-    with the experiment every replay runs on it."""
+    """The model's deployment as one live :class:`~repro.grid.Grid`, with
+    the experiment every replay of a :class:`VerifyConfig` runs on it."""
 
     def __init__(self, config: VerifyConfig, *, with_failover: bool = False):
         self.config = config
         self.grid = grid = Grid.star()
-        self.stiffness = dict.fromkeys(config.sites, _SITE_STIFFNESS)
-        grid.add_simulation_sites(self.stiffness, latency=_LATENCY,
-                                  compute_time=_COMPUTE_TIME)
+        self.stiffness = dict.fromkeys(SITES, SITE_STIFFNESS)
+        grid.add_simulation_sites(self.stiffness, latency=LATENCY,
+                                  compute_time=COMPUTE_TIME)
         self.model = StructuralModel(
             mass=[[2.0]], stiffness=[[100.0]]).with_rayleigh_damping(0.05)
         # n_steps committed steps need n_steps + 1 motion samples (the
         # extra one is the step-0 rest measurement).
         self.motion = el_centro_like(
-            duration=(config.n_steps + 1) * _DT, dt=_DT).scaled_to_pga(1.0)
-        self.client = grid.client(timeout=config.rpc_timeout,
-                                  retries=config.rpc_retries)
+            duration=(config.n_steps + 1) * DT, dt=DT).scaled_to_pga(1.0)
+        self.client = grid.client(timeout=RPC_TIMEOUT, retries=RPC_RETRIES)
         self.sites = grid.bindings()
         self.breakers = None
         self.failover = None
         if with_failover:
-            self.breakers = grid.breakers(config.sites)
+            self.breakers = grid.breakers(SITES)
             self.failover = grid.failover(
                 self.stiffness, port="ogsi-failover",
-                compute_time=_COMPUTE_TIME,
+                compute_time=COMPUTE_TIME,
                 surrogate_name="{}-surrogate".format,
                 site_policy=SitePolicy())
 
@@ -124,18 +119,17 @@ class _Rig:
         return SimulationCoordinator(
             run_id=_RUN_ID, client=self.client, model=self.model,
             motion=self.motion, sites=self.sites,
-            execution_timeout=_EXECUTION_TIMEOUT,
+            execution_timeout=EXECUTION_TIMEOUT,
             breakers=self.breakers, failover=self.failover,
             pipeline_depth=self.config.pipeline_depth, predictor=predictor,
             **options)
 
 
-def _ft_policy(config: VerifyConfig) -> FaultTolerantFaultPolicy:
+def _ft_policy() -> FaultTolerantFaultPolicy:
     """The fault-tolerant policy the model's timing arithmetic mirrors."""
     return FaultTolerantFaultPolicy(
-        max_attempts=config.max_attempts, backoff=config.backoff,
-        backoff_factor=config.backoff_factor,
-        max_backoff=config.max_backoff)
+        max_attempts=MAX_ATTEMPTS, backoff=BACKOFF,
+        backoff_factor=BACKOFF_FACTOR, max_backoff=MAX_BACKOFF)
 
 
 def _is_verb_request(msg, site: str, verb: str, marker: str) -> bool:
@@ -228,7 +222,7 @@ def _arm(rig: _Rig, event: FaultEvent) -> None:
     elif event.kind == "fatal_outage_propose":
         _arm_outage_on_propose(rig, event, float("inf"))
     elif event.kind == "spec_outage_propose":
-        _arm_outage_on_propose(rig, event, rig.config.outage_duration)
+        _arm_outage_on_propose(rig, event, OUTAGE_DURATION)
     else:
         raise ConfigurationError(
             f"fault kind {event.kind!r} has no live arming")
@@ -238,7 +232,7 @@ def _observe(rig: _Rig, result, coordinator) -> dict:
     """The live observables, shaped exactly like the model's expected."""
     per_site = {}
     active = rig.failover.active if rig.failover is not None else {}
-    for site in rig.config.sites:
+    for site in SITES:
         metrics = rig.grid.sites[site].server.metrics()
         counters = {key: metrics[key] for key in COUNTER_KEYS}
         surrogate = None
@@ -276,7 +270,7 @@ def _replay_single(config: VerifyConfig,
     rig = _Rig(config, with_failover=with_failover)
     if event is not None:
         _arm(rig, event)
-    coordinator = rig.make_coordinator(fault_policy=_ft_policy(config))
+    coordinator = rig.make_coordinator(fault_policy=_ft_policy())
     result = rig.grid.run(coordinator.run())
     return _observe(rig, result, coordinator)
 
@@ -337,15 +331,10 @@ def _diff(path: str, model_value, live_value,
         out.append(Divergence(path, model_value, live_value))
 
 
-def compare_trace(trace: TraceResult, live: dict) -> list[Divergence]:
-    """Every observable where ``live`` departs from the model's tables."""
-    divergences: list[Divergence] = []
-    _diff("$", trace.expected, live, divergences)
-    return divergences
-
-
-def replay_trace(config: VerifyConfig, trace: TraceResult) -> ReplayOutcome:
-    """Replay one explored trace through a live rig and compare.
+def replay_trace(config: VerifyConfig,
+                 trace: TraceResult) -> list[Divergence]:
+    """Replay one explored trace through a live rig; returns every
+    observable where the live run departs from the model's tables.
 
     Only clean and single-fault traces are replayable — the sampler
     (`ExplorationResult.traces_by_kind`) picks exactly those.
@@ -354,38 +343,21 @@ def replay_trace(config: VerifyConfig, trace: TraceResult) -> ReplayOutcome:
         raise ConfigurationError(
             "conformance replays sample clean/single-fault traces only")
     event = trace.schedule[0] if trace.schedule else None
-    kind = event.kind if event is not None else "clean"
-    if kind in ("crash_propose", "crash_execute"):
+    if event is not None and event.kind in ("crash_propose", "crash_execute"):
         live = _replay_crash(config, event)
     else:
         live = _replay_single(config, event)
-    return ReplayOutcome(kind=kind, schedule=trace.schedule,
-                         divergences=compare_trace(trace, live))
+    divergences: list[Divergence] = []
+    _diff("$", trace.expected, live, divergences)
+    return divergences
 
 
-def run_conformance(exploration: ExplorationResult) -> dict:
-    """Replay the exploration's sampled traces; returns the report block.
-
-    The returned dict is the ``conformance`` section of a
-    ``repro.verify/v1`` document: ``traces_replayed``, ``divergences``
-    (flattened, each naming its trace kind and observable path), and a
-    per-kind ``replays`` breakdown.
-    """
+def run_conformance(exploration: ExplorationResult,
+                    ) -> list[tuple[str, Divergence]]:
+    """Replay the exploration's sampled trace of each kind (see
+    `ExplorationResult.traces_by_kind`); returns every divergence with
+    the kind of the trace it came from."""
     sampled = exploration.traces_by_kind()
-    replays = []
-    divergences = []
-    for kind in sorted(sampled):
-        outcome = replay_trace(exploration.config, sampled[kind])
-        replays.append({
-            "kind": outcome.kind,
-            "schedule": [{"step": ev.step, "kind": ev.kind, "site": ev.site}
-                         for ev in outcome.schedule],
-            "ok": outcome.ok,
-        })
-        for divergence in outcome.divergences:
-            divergences.append({"kind": outcome.kind,
-                                "path": divergence.path,
-                                "model": repr(divergence.model),
-                                "live": repr(divergence.live)})
-    return {"traces_replayed": len(replays), "divergences": divergences,
-            "replays": replays}
+    return [(kind, divergence) for kind in sorted(sampled)
+            for divergence in replay_trace(exploration.config,
+                                           sampled[kind])]

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from repro.verify.model import (
+    SITES,
     STRUCTURAL_KINDS,
     FaultEvent,
     ModelMachine,
@@ -77,7 +78,7 @@ def enumerate_schedules(config: VerifyConfig,
     events_per_step: dict[int, list[FaultEvent]] = {}
     for step in range(1, config.n_steps + 1):
         events = []
-        for kind, site in product(kinds, config.sites):
+        for kind, site in product(kinds, SITES):
             if kind == "spec_outage_propose" and step < 2:
                 continue
             events.append(FaultEvent(step=step, kind=kind, site=site))

@@ -28,9 +28,12 @@ space.  Each completed run yields the observables the conformance layer
 (`repro.verify.conformance`) compares against a live deployment.
 
 :class:`ProtocolRules` exposes the transition rules the checker exists
-to guard as explicit flags, so a test (or ``--mutate`` on the CLI) can
-break one — e.g. resume reconciliation re-executing an already-executed
+to guard as explicit flags, so the mutation regression can break each
+one — e.g. resume reconciliation re-executing an already-executed
 transaction — and prove the checker catches it.
+
+The deployment the model's timing arithmetic mirrors is stated here,
+once, as module constants; the conformance rig builds exactly it.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ __all__ = [
     "FAULT_KINDS",
     "PIPELINED_KINDS",
     "SEQUENTIAL_KINDS",
+    "SITES",
     "STRUCTURAL_KINDS",
     "FaultEvent",
     "ModelMachine",
@@ -51,6 +55,29 @@ __all__ = [
     "VerifyConfig",
     "Violation",
 ]
+
+# -- the deployment ---------------------------------------------------------
+# Two simulation sites on one star under the chaos campaign's
+# fault-tolerant policy: `repro.verify.conformance` builds this rig, and
+# the model's outage arithmetic predicts retry rounds from the same numbers.
+SITES = ("uiuc", "cu")
+SITE_STIFFNESS = 30.0
+LATENCY = 0.01
+COMPUTE_TIME = 0.05
+DT = 0.02
+#: server-side execute budget; the execute RPC timeout is this + 10, so
+#: one retransmission straddles the model's transient outage window.
+EXECUTION_TIMEOUT = 120.0
+#: RPC ladder for a propose (client timeout x (retries + 1)).
+RPC_TIMEOUT = 10.0
+RPC_RETRIES = 3
+#: transient outage duration the fault-tolerant policy rides out.
+OUTAGE_DURATION = 90.0
+#: fault-tolerant policy backoff.
+BACKOFF = 30.0
+BACKOFF_FACTOR = 1.5
+MAX_BACKOFF = 600.0
+MAX_ATTEMPTS = 12
 
 #: every fault kind the model understands, keyed to one message point.
 FAULT_KINDS = (
@@ -101,8 +128,9 @@ class ProtocolRules:
     """The transition rules the checker guards, as mutation hooks.
 
     All flags default to the protocol as specified; flipping one
-    deliberately breaks that rule so tests can prove the checker
-    *catches* the break (the "seeded mutation" regression).
+    deliberately breaks that rule so the "seeded mutation" regression
+    can prove the checker *catches* the break.  The fields are the list
+    of mutations: ``python -m repro.verify`` seeds each in turn.
     """
 
     #: §3: a duplicate ``execute`` returns the stored outcome instead of
@@ -120,12 +148,6 @@ class ProtocolRules:
     #: §8: every step committed from a surrogate is stamped degraded.
     label_degraded: bool = True
 
-    def broken(self) -> tuple[str, ...]:
-        """Names of the rules this instance deliberately violates."""
-        return tuple(name for name in (
-            "dedupe_execute", "rename_after_cancel", "harvest_executed",
-            "rollback_renames", "label_degraded") if not getattr(self, name))
-
     def mutate(self, rule: str) -> "ProtocolRules":
         """A copy with ``rule`` flipped off (raises on unknown names)."""
         if rule not in self.__dataclass_fields__:
@@ -135,37 +157,17 @@ class ProtocolRules:
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """One bounded verification configuration.
+    """One bounded verification over :data:`SITES`; the defaults are
+    the shipped bound."""
 
-    The timing constants mirror the deployment the conformance layer
-    replays against (`repro.most.assembly.build_most` plus the chaos
-    campaign's fault-tolerant policy); the model's outage arithmetic
-    uses them to predict retry-round counts deterministically.
-    """
-
-    sites: tuple[str, ...] = ("uiuc", "cu")
     n_steps: int = 4
     pipeline_depth: int = 0
     max_faults: int = 2
     rules: ProtocolRules = field(default_factory=ProtocolRules)
-    #: RPC ladder for a propose (client timeout x (retries + 1)).
-    rpc_timeout: float = 10.0
-    rpc_retries: int = 3
-    #: transient outage duration the fault-tolerant policy rides out.
-    outage_duration: float = 90.0
-    #: fault-tolerant policy backoff (chaos campaign settings).
-    backoff: float = 30.0
-    backoff_factor: float = 1.5
-    max_backoff: float = 600.0
-    max_attempts: int = 12
 
     def fault_kinds(self) -> tuple[str, ...]:
         """The kinds legal under this configuration's stepping mode."""
         return PIPELINED_KINDS if self.pipeline_depth else SEQUENTIAL_KINDS
-
-    def propose_window(self) -> float:
-        """Seconds one propose exchange survives an unreachable site."""
-        return self.rpc_timeout * (self.rpc_retries + 1)
 
 
 @dataclass(frozen=True)
@@ -183,19 +185,39 @@ class TraceResult:
     """Outcome of running one fault schedule through the model."""
 
     schedule: tuple[FaultEvent, ...]
-    completed: bool
-    committed: int
     violations: list[Violation]
     #: canonical machine states visited along this trace.
     states: list[tuple]
     #: observables the model commits to exactly; compared 1:1 against a
     #: live replay by `repro.verify.conformance`.
     expected: dict
-    #: §7 classification per site for crash schedules (else empty).
-    reconcile: dict[str, str]
 
 
 _TERMINAL = ("executed", "cancelled", "failed", "rejected")
+
+
+def _transient_retry_rounds() -> int:
+    """How many policy retries a transient outage costs.
+
+    Mirrors ``_attempt_with_policy`` arithmetic: the faulted round
+    fails after the propose window; each retry re-proposes after the
+    policy backoff and succeeds once an RPC retransmission lands after
+    the outage lifts.  Returns the number of *failed* retry rounds
+    before the successful one (>= 0).
+    """
+    window = RPC_TIMEOUT * (RPC_RETRIES + 1)
+    t = window  # first failure surfaces after the full RPC ladder
+    failed = 0
+    for attempt in range(1, MAX_ATTEMPTS):
+        t += min(BACKOFF * BACKOFF_FACTOR ** (attempt - 1), MAX_BACKOFF)
+        # Retransmissions go out every RPC_TIMEOUT across the window; the
+        # round succeeds if any lands once the link is back up.
+        last_send = t + RPC_TIMEOUT * RPC_RETRIES
+        if last_send >= OUTAGE_DURATION:
+            return failed
+        failed += 1
+        t += window
+    return failed
 
 
 class _Txn:
@@ -279,7 +301,7 @@ class ModelMachine:
         self.rules = config.rules
         self.schedule = {ev.step: ev for ev in schedule}
         self._schedule_tuple = tuple(schedule)
-        self.real = {s: _Server(s) for s in config.sites}
+        self.real = {s: _Server(s) for s in SITES}
         self.surrogates: dict[str, _Server] = {}
         self.failed_over: set[str] = set()
         self.burned: set[str] = set()
@@ -298,7 +320,6 @@ class ModelMachine:
         #: commit to (timing-dependent retry fans) — excluded from the
         #: conformance comparison.
         self.uncommitted: set[tuple[str, str]] = set()
-        self._aborted = False
 
     # -- bookkeeping ---------------------------------------------------------
     def _violate(self, invariant: str, step: int, site: str,
@@ -335,7 +356,7 @@ class ModelMachine:
                        ) -> dict[str, str]:
         """One all-sites propose barrier; returns per-site verdicts."""
         verdicts = {}
-        for site in self.cfg.sites:
+        for site in SITES:
             name = names[site]
             srv = self._server_for(site)
             txn = srv.txns.get(name)
@@ -359,7 +380,7 @@ class ModelMachine:
     def _execute_round(self, step: int, names: dict[str, str],
                        fault: FaultEvent | None = None) -> None:
         """One all-sites execute barrier with at-most-once checks."""
-        for site in self.cfg.sites:
+        for site in SITES:
             name = names[site]
             if name in self.burned:
                 self._violate("orphaned-names", step, site,
@@ -390,7 +411,7 @@ class ModelMachine:
     def _commit(self, step: int, names: dict[str, str],
                 spec_hit: bool = False) -> None:
         """COMMIT: ledger the step, check freshness + labeling + order."""
-        for site in self.cfg.sites:
+        for site in SITES:
             name = names[site]
             srv = self._server_for(site)
             txn = srv.txns.get(name)
@@ -427,38 +448,10 @@ class ModelMachine:
                               f"commit order {last} -> {step}")
             self.committed.append(step)
 
-    # -- fault timelines -----------------------------------------------------
-    def _backoff(self, attempt: int) -> float:
-        return min(self.cfg.backoff * self.cfg.backoff_factor ** (attempt - 1),
-                   self.cfg.max_backoff)
-
-    def _transient_retry_rounds(self) -> int:
-        """How many policy retries a transient outage costs.
-
-        Mirrors ``_attempt_with_policy`` arithmetic: the faulted round
-        fails after the propose window; each retry re-proposes after the
-        policy backoff and succeeds once an RPC retransmission lands
-        after the outage lifts.  Returns the number of *failed* retry
-        rounds before the successful one (>= 0).
-        """
-        window = self.cfg.propose_window()
-        t = window  # first failure surfaces after the full RPC ladder
-        failed = 0
-        for attempt in range(1, self.cfg.max_attempts):
-            t += self._backoff(attempt)
-            # Retransmissions go out every rpc_timeout across the window;
-            # the round succeeds if any lands once the link is back up.
-            last_send = t + self.cfg.rpc_timeout * self.cfg.rpc_retries
-            if last_send >= self.cfg.outage_duration:
-                return failed
-            failed += 1
-            t += window
-        return failed
-
     # -- step machines -------------------------------------------------------
     def _plain_step(self, step: int, fault: FaultEvent | None) -> None:
         """One clean (or wire-faulted) INTEGRATE...COMMIT cycle."""
-        names = {s: self._name(step, s) for s in self.cfg.sites}
+        names = {s: self._name(step, s) for s in SITES}
         self._snap("propose", step)
         self._propose_round(step, names, self._command(step), fault)
         self._snap("execute", step)
@@ -475,7 +468,7 @@ class ModelMachine:
         incarnation reconciles per the §7 table before re-entering the
         step loop.
         """
-        names = {s: self._name(step, s) for s in self.cfg.sites}
+        names = {s: self._name(step, s) for s in SITES}
         self._snap("propose", step)
         # The arming request reaches the site before the outage bites, so
         # every site holds the proposal (accepted); the faulted site's
@@ -486,12 +479,11 @@ class ModelMachine:
             # its reply died in the outage).
             self._snap("execute", step)
             self._execute_round(step, names)
-        self._aborted = True  # incarnation 1 is gone
-        self._snap("abort", step)
+        self._snap("abort", step)  # incarnation 1 is gone
 
         # -- resume: §7 reconciliation over the checkpointed pending set.
         self.generation += 1
-        for s in self.cfg.sites:
+        for s in SITES:
             srv = self._server_for(s)
             txn = srv.txns.get(names[s])
             state = txn.state if txn is not None else None
@@ -517,11 +509,10 @@ class ModelMachine:
                     self.reconcile[s] = "cancel"
             else:
                 self.reconcile[s] = "repropose"
-        self._aborted = False
         self._snap("reconcile", step)
 
         # -- incarnation 2 re-runs the step through the idempotent paths.
-        names2 = {s: self._name(step, s) for s in self.cfg.sites}
+        names2 = {s: self._name(step, s) for s in SITES}
         self._propose_round(step, names2, self._command(step))
         self._snap("execute", step)
         self._execute_round(step, names2)
@@ -536,10 +527,10 @@ class ModelMachine:
         proposals across the retry rounds — their exact count is not
         committed — and the step commits degraded from the surrogate.
         """
-        names = {s: self._name(step, s) for s in self.cfg.sites}
+        names = {s: self._name(step, s) for s in SITES}
         self._snap("propose", step)
         self._propose_round(step, names, self._command(step))
-        for s in self.cfg.sites:
+        for s in SITES:
             if s != site:
                 self.uncommitted.add((s, "duplicate_proposals"))
         # Breaker opens, the recovery budget lapses, failover activates:
@@ -550,7 +541,7 @@ class ModelMachine:
         self.surrogates[site] = _Server(f"{site}-surrogate1")
         self.overrides[(step, site)] = f"{names[site]}-f1"
         self._snap("failover", step)
-        names2 = {s: self._name(step, s) for s in self.cfg.sites}
+        names2 = {s: self._name(step, s) for s in SITES}
         self._propose_round(step, names2, self._command(step))
         self._snap("execute", step)
         self._execute_round(step, names2)
@@ -599,7 +590,7 @@ class ModelMachine:
             fault = self.schedule.get(n)
             if spec_names is None:
                 # Clean boundary: issue step n sequentially.
-                names = {s: self._name(n, s) for s in self.cfg.sites}
+                names = {s: self._name(n, s) for s in SITES}
                 self._snap("propose", n)
                 self._propose_round(n, names, self._command(n), fault)
                 if doomed is None:
@@ -626,7 +617,7 @@ class ModelMachine:
                 # upcoming outage will kill proposes (the requests are
                 # on the wire before the link dies) but never executes.
                 self.pipeline["speculated"] += 1
-                next_spec = {s: self._name(n + 1, s) for s in self.cfg.sites}
+                next_spec = {s: self._name(n + 1, s) for s in SITES}
                 next_doomed = self._spec_doom(n + 1)
                 self._propose_round(
                     n + 1, next_spec, ("spec", n + 1, self.epoch),
@@ -677,7 +668,7 @@ class ModelMachine:
                    else self._command(step))
         if step < self.cfg.n_steps:
             self.pipeline["speculated"] += 1
-            spec_names = {s: self._name(step + 1, s) for s in self.cfg.sites}
+            spec_names = {s: self._name(step + 1, s) for s in SITES}
             # The spec round's proposes beat the link-down event within
             # the arming batch, so they arrive everywhere — for even-m
             # outages the faulted-site propose *is* the arming message.
@@ -686,7 +677,7 @@ class ModelMachine:
             self._snap("spec-fault", step)
             self.epoch += 1
             self.pipeline["drains"] += 1
-            for s in self.cfg.sites:
+            for s in SITES:
                 if s != site:
                     self._server_for(s).cancel(spec_names[s])
                 self.burned.add(spec_names[s])
@@ -697,8 +688,8 @@ class ModelMachine:
                     self.overrides[(step + 1, s)] = spec_names[s]
             self._snap("rollback", step)
 
-        failed_rounds = self._transient_retry_rounds()
-        for s in self.cfg.sites:
+        failed_rounds = _transient_retry_rounds()
+        for s in SITES:
             srv = self._server_for(s)
             for _ in range(failed_rounds if s != site else 0):
                 srv.propose(names[s], step, command)
@@ -732,7 +723,7 @@ class ModelMachine:
         for step in [0, *range(1, self.cfg.n_steps + 1)]:
             if step > len(self.committed):
                 break
-            for site in self.cfg.sites:
+            for site in SITES:
                 if (step, site) not in self.committed_names:
                     self._violate(
                         "monotone-commits", step, site,
@@ -742,7 +733,7 @@ class ModelMachine:
     def _expected(self) -> dict:
         """The observables the model commits to for a live replay."""
         per_site = {}
-        for site in self.cfg.sites:
+        for site in SITES:
             counters = dict(self.real[site].counters)
             if site in self.surrogates:
                 surrogate = dict(self.surrogates[site].counters)
@@ -770,7 +761,7 @@ class ModelMachine:
         self._snap("init", 0)
         # Step 0: rest measurement through the same machine (no faults
         # scheduled at step 0 — there is no checkpoint to resume from).
-        names0 = {s: self._name(0, s) for s in self.cfg.sites}
+        names0 = {s: self._name(0, s) for s in SITES}
         self._propose_round(0, names0, self._command(0))
         self._execute_round(0, names0)
         self._commit(0, names0)
@@ -791,10 +782,7 @@ class ModelMachine:
         self._final_checks()
         return TraceResult(
             schedule=self._schedule_tuple,
-            completed=len(self.committed) == self.cfg.n_steps,
-            committed=len(self.committed),
             violations=list(self.violations),
             states=list(self.states),
             expected=self._expected(),
-            reconcile=dict(self.reconcile),
         )

@@ -373,6 +373,9 @@ def test_a_guarantee_has_one_gate():
     gates = rules["check"][0]
     assert len(gates) == len(set(gates)) and set(gates) <= set(rules)
     assert reached("check").count("-m repro.analysis") == 1
+    # the verifier's verdicts are tier-1 tests (test_verify*.py), so the
+    # CLI that prints them is for operators, not a second gate
+    assert reached("check").count("-m repro.verify") == 0
 
 
 def broad_handlers(node, scope=""):

@@ -131,6 +131,19 @@ class TestObservatoryCommands:
                      "--label", "nonsense"]) == 2
         assert "key=value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, content", [
+        (["query", "a.b.c"], b'{"schema": '),
+        (["postmortem", "r"], b'\xff\xfe{"seq":1}\n'),
+    ], ids=["torn", "not-utf8"])
+    def test_an_unreadable_dump_is_the_typed_error(self, tmp_path, capsys,
+                                                   command, content):
+        store = tmp_path / "obs.json"
+        store.write_bytes(content)
+        assert main(["observatory", *command, "--store", str(store)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {store}: not a JSON dump")
+        assert captured.err.count("\n") == 1 and not captured.out
+
 
 class TestQueueCommands:
     def test_queue_requires_a_subcommand(self):
@@ -185,3 +198,13 @@ class TestQueueCommands:
         assert "completed           : 4/4" in out
         assert "incarnations        : 2 (final epoch 2)" in out
         assert "duplicate executes  : 0" in out
+
+    def test_a_journal_that_is_not_utf8_is_the_typed_error(self, tmp_path,
+                                                           capsys):
+        journal = tmp_path / "bad.jsonl"
+        journal.write_bytes(b'\xff\xfe{"seq":1}\n')
+        assert main(["queue", "status", "--journal", str(journal)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {journal}: journal is not "
+                                       "UTF-8")
+        assert captured.err.count("\n") == 1 and not captured.out

@@ -36,7 +36,6 @@ from repro.telemetry.schema import (
     validate_step_report_payload,
 )
 from repro.util.errors import SchemaError
-from repro.verify.report import validate_verify_payload
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "benchmarks"))
@@ -85,12 +84,6 @@ CHECKPOINT = {
                              "arrays": {"d_curr": [HEX]}}},
     "records": [RECORD, {**RECORD, "step": 2}]}
 JOURNAL = {"schema": "repro.queue/v1", "seq": 1, "time": 0.0}
-EXPLORATION = {
-    "sites": ["a", "b"], "n_steps": 2, "pipeline_depth": 1, "max_faults": 1,
-    "traces": 3, "states_explored": 9,
-    "violations": [{"invariant": "at-most-once", "step": 1, "site": "a",
-                    "detail": "executed twice",
-                    "schedule": [{"step": 1, "kind": "drop", "site": "a"}]}]}
 
 FAMILIES = {
     "monitor.metrics": (validate_metrics_sample, {
@@ -151,12 +144,6 @@ FAMILIES = {
         **JOURNAL, "kind": "terminal",
         "body": {"submission_id": "s-0", "epoch": 1, "status": "completed",
                  "steps": 6}}),
-    "verify": (validate_verify_payload, {
-        "schema": "repro.verify/v1", "ok": False,
-        "explorations": [EXPLORATION],
-        "mutations": [{"rule": "skip-dedup", "caught": True,
-                       "violations": ["at-most-once"]}],
-        "conformance": {"traces_replayed": 3, "divergences": []}}),
     **{path.name: (validate_bench_payload, json.loads(path.read_text()))
        for path in sorted(ROOT.glob("BENCH_*.json"))},
 }

@@ -150,3 +150,12 @@ class TestDocsConsistency:
         staged = rows["RPR010"].split("(currently ")[1].split(")")[0]
         assert tuple(re.findall(r"`(repro\.\w+)`", staged)) == \
             PublicApiDocstring.ENABLED_SUBSYSTEMS
+
+    @pytest.mark.parametrize("doc", ["docs/PROTOCOL.md",
+                                     "docs/ARCHITECTURE.md"])
+    def test_the_verifier_is_documented_as_one_pass(self, doc):
+        """`python -m repro.verify` takes no options and writes no
+        document: the docs name no switch, report or shortened target."""
+        text = (ROOT / doc).read_text()
+        for gone in ("verify/v1", "--mutate", "--smoke", "verify-smoke"):
+            assert gone not in text, gone

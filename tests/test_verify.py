@@ -1,4 +1,4 @@
-"""The bounded protocol verifier: exploration, mutations, reports.
+"""The bounded protocol verifier: exploration, mutations, the CLI.
 
 The load-bearing assertions: the shipped protocol rules explore *clean*
 at both pipeline depths across the full bounded schedule space, and each
@@ -6,27 +6,21 @@ deliberately broken rule is *caught* — a checker that can't catch a
 seeded break proves nothing by passing.
 """
 
-import json
-
 import pytest
 
 from repro.verify import (
     FAULT_KINDS,
-    VERIFY_SCHEMA_ID,
     ProtocolRules,
     VerifyConfig,
-    build_report,
-    ensure_valid,
     enumerate_schedules,
     explore,
-    validate_verify_payload,
 )
+from repro.verify.__main__ import main
 from repro.verify.model import (
     PIPELINED_KINDS,
     SEQUENTIAL_KINDS,
     STRUCTURAL_KINDS,
 )
-from repro.verify.report import VerifyReportError
 
 
 def config_at(depth: int, **kwargs) -> VerifyConfig:
@@ -98,8 +92,8 @@ class TestExploration:
 
     def test_every_trace_completes_and_commits_all_steps(self, sequential):
         for trace in sequential.traces:
-            assert trace.completed
-            assert trace.committed == 4
+            assert trace.expected["completed"]
+            assert trace.expected["committed_steps"] == [1, 2, 3, 4]
 
     def test_exploration_is_deterministic(self, sequential):
         again = explore(config_at(0))
@@ -146,78 +140,23 @@ class TestMutations:
         with pytest.raises(ValueError):
             ProtocolRules().mutate("no_such_rule")
 
-    def test_broken_lists_the_flipped_rule(self):
-        rules = ProtocolRules().mutate("dedupe_execute")
-        assert rules.broken() == ("dedupe_execute",)
-        assert ProtocolRules().broken() == ()
-
 
 # ---------------------------------------------------------------------------
-# the repro.verify/v1 report schema
-
-
-class TestReport:
-    def smoke_report(self) -> dict:
-        result = explore(config_at(0, n_steps=2, max_faults=1))
-        mutations = [{"rule": "dedupe_execute", "caught": True,
-                      "violations": ["at-most-once"]}]
-        conformance = {"traces_replayed": 0, "divergences": [],
-                       "replays": []}
-        return build_report([result], mutations=mutations,
-                            conformance=conformance)
-
-    def test_build_report_validates(self):
-        report = self.smoke_report()
-        assert report["schema"] == VERIFY_SCHEMA_ID
-        assert report["ok"] is True
-        assert ensure_valid(report) is report
-        # JSON round-trip keeps it valid
-        validate_verify_payload(json.loads(json.dumps(report)))
-
-    def test_validator_rejects_mutilated_documents(self):
-        report = self.smoke_report()
-        for mutation in (
-            {"schema": "repro.verify/v0"},
-            {"ok": "yes"},
-            {"explorations": None},
-            {"ok": False},  # inconsistent with clean explorations
-            # booleans are not integers
-            {"explorations": [{**report["explorations"][0],
-                               "pipeline_depth": False}]},
-            {"conformance": {**report["conformance"],
-                             "traces_replayed": True}},
-        ):
-            with pytest.raises(VerifyReportError):
-                validate_verify_payload({**report, **mutation})
-
-    def test_uncaught_mutation_fails_the_report(self):
-        result = explore(config_at(0, n_steps=2, max_faults=1))
-        report = build_report(
-            [result],
-            mutations=[{"rule": "dedupe_execute", "caught": False,
-                        "violations": []}],
-            conformance=None)
-        assert report["ok"] is False
-
-
-# ---------------------------------------------------------------------------
-# the CLI
+# the CLI: one pass, no options
 
 
 class TestCli:
-    def test_smoke_run_is_clean(self, tmp_path, capsys):
-        from repro.verify.__main__ import main
-        out_path = tmp_path / "verify.json"
-        code = main(["--smoke", "--no-conformance", "--no-mutations",
-                     "--output", str(out_path)])
-        assert code == 0
-        assert "verify: OK" in capsys.readouterr().out
-        payload = json.loads(out_path.read_text(encoding="utf-8"))
-        validate_verify_payload(payload)
-        assert payload["ok"] is True
-
-    def test_single_mutation_mode(self, capsys):
-        from repro.verify.__main__ import main
-        code = main(["--smoke", "--mutate", "dedupe_execute"])
-        assert code == 0
-        assert "caught" in capsys.readouterr().out
+    def test_one_pass_is_clean_and_takes_no_option(self, capsys):
+        assert main([]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("verify: OK\n")
+        assert out.count("\nmutation ") == len(MUTATION_EXPECTATIONS)
+        for rule in MUTATION_EXPECTATIONS:
+            assert f"mutation {rule}: caught -> " in out
+        for switch in ("--sites", "--steps", "--max-faults", "--depth",
+                       "--smoke", "--no-mutations", "--no-conformance",
+                       "--mutate", "--format", "--output"):
+            assert main([switch]) == 2, switch
+            captured = capsys.readouterr()
+            assert captured.err == "usage: python -m repro.verify\n"
+            assert not captured.out
