@@ -28,6 +28,20 @@ class Certificate:
     is_proxy: bool = False
     signature: str = ""
 
+    def __post_init__(self):
+        # Equal certificates sign equal bytes: the fields ``canonical``
+        # formats are coerced, so ``-0.0`` or ``True`` cannot pass for
+        # ``0.0`` or ``1`` under a verdict keyed on a chain's value
+        # (``GsiChecker``), and every field hashes.
+        for name in ("subject", "issuer", "public_key", "signature"):
+            if not isinstance(getattr(self, name), str):
+                raise TypeError(f"certificate {name} must be a string")
+        for name, kind in (("serial", int), ("is_ca", bool),
+                           ("is_proxy", bool)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
+        for name in ("not_before", "not_after"):
+            object.__setattr__(self, name, float(getattr(self, name)) + 0.0)
+
     def canonical(self) -> str:
         """Deterministic byte-string the signature covers."""
         return "|".join([

@@ -238,8 +238,15 @@ validate_manifest_payload = validator(CheckpointSchemaError, document(
 def build_checkpoint_doc(*, run_id: str, seq: int, wall_time: float,
                          reason: str, state_payload: dict,
                          record_payloads: list) -> dict:
-    """Assemble and validate a checkpoint document."""
-    doc = {
+    """Assemble a checkpoint document; nothing is validated here.
+
+    The store that persists it validates it, once per write
+    (:meth:`InMemoryCheckpointStore.save`,
+    :meth:`RepositoryCheckpointStore.save`, and any wrapper that
+    delegates to them), so a malformed document is refused before it is
+    stored.
+    """
+    return {
         "schema": SCHEMA_ID,
         "run_id": run_id,
         "seq": int(seq),
@@ -248,8 +255,6 @@ def build_checkpoint_doc(*, run_id: str, seq: int, wall_time: float,
         "state": state_payload,
         "records": list(record_payloads),
     }
-    validate_checkpoint_payload(doc)
-    return doc
 
 
 @dataclass(frozen=True)

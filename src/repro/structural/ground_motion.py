@@ -11,6 +11,7 @@ a fixed, seed-independent input.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +85,25 @@ def _intensity_envelope(t: np.ndarray, rise: float, plateau: float,
     return env
 
 
+@functools.lru_cache(maxsize=64)
+def _kanai_tajimi_filter(omega_g: float, zeta_g: float,
+                         dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """The discrete Kanai–Tajimi filter ``(b, a)``, designed once per
+    ``(omega_g, zeta_g, dt)`` and returned read-only, since every caller
+    shares the arrays.
+
+    Continuous filter:  H(s) = (2 zeta_g omega_g s + omega_g^2) /
+                               (s^2 + 2 zeta_g omega_g s + omega_g^2),
+    discretized by the bilinear transform at ``fs = 1 / dt``.
+    """
+    num = [2 * zeta_g * omega_g, omega_g ** 2]
+    den = [1.0, 2 * zeta_g * omega_g, omega_g ** 2]
+    b, a = signal.bilinear(num, den, fs=1.0 / dt)
+    b.flags.writeable = False
+    a.flags.writeable = False
+    return b, a
+
+
 def kanai_tajimi_record(*, duration: float = 30.0, dt: float = 0.02,
                         pga: float = 3.0, omega_g: float = 15.0,
                         zeta_g: float = 0.6, seed: int = 0,
@@ -98,12 +118,8 @@ def kanai_tajimi_record(*, duration: float = 30.0, dt: float = 0.02,
     n = int(round(duration / dt))
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(n)
-    # Continuous KT filter:  H(s) = (2 zeta_g omega_g s + omega_g^2) /
-    #                               (s^2 + 2 zeta_g omega_g s + omega_g^2)
-    num = [2 * zeta_g * omega_g, omega_g ** 2]
-    den = [1.0, 2 * zeta_g * omega_g, omega_g ** 2]
-    b, a = signal.bilinear(num, den, fs=1.0 / dt)
-    filtered = signal.lfilter(b, a, noise)
+    filtered = signal.lfilter(*_kanai_tajimi_filter(omega_g, zeta_g, dt),
+                              noise)
     t = np.arange(n) * dt
     shaped = filtered * _intensity_envelope(t, rise, plateau, decay)
     peak = np.max(np.abs(shaped))

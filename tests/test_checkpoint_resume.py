@@ -413,6 +413,48 @@ def repository_store_env(k=None, net=None):
     return k, make_store
 
 
+class TestTheStoreValidates:
+    """``build_checkpoint_doc`` only assembles; every store's ``save``
+    refuses a malformed document before anything is persisted."""
+
+    @staticmethod
+    def malformed_doc():
+        state = make_state(step=4, checkpoint_seq=1)
+        return build_checkpoint_doc(
+            run_id="run", seq=1, wall_time=1.0, reason="panic",
+            state_payload=state.to_payload(), record_payloads=[])
+
+    def test_build_does_not_validate(self):
+        assert self.malformed_doc()["reason"] == "panic"
+
+    def test_in_memory_store(self):
+        store = InMemoryCheckpointStore()
+        with pytest.raises(CheckpointSchemaError, match=r"\$\.reason"):
+            run_store(store.save(self.malformed_doc()))
+        assert run_store(store.list_seqs("run")) == []
+
+    def test_repository_store(self):
+        kernel, make_store = repository_store_env()
+        store = make_store()
+        with pytest.raises(CheckpointSchemaError, match=r"\$\.reason"):
+            next(store.save(self.malformed_doc()))
+        assert len(store.facade.staging) == 0
+        assert len(store.facade.repo_store) == 0
+        assert kernel.run(until=kernel.process(store.list_seqs("run"))) == []
+
+    def test_fenced_store(self):
+        from repro.queue import FencedCheckpointStore, FencingAuthority
+
+        authority = FencingAuthority(Kernel())
+        inner = InMemoryCheckpointStore()
+        store = FencedCheckpointStore(inner, authority,
+                                      authority.register("sched-1"))
+        with pytest.raises(CheckpointSchemaError, match=r"\$\.reason"):
+            run_store(store.save(self.malformed_doc()))
+        assert run_store(inner.list_seqs("run")) == []
+        assert not authority.refusals  # refused by the schema, not the fence
+
+
 def fetch_log(store):
     """The logical names ``store`` fetches from now on, counted where
     every repository read goes through: its façade."""

@@ -1,19 +1,25 @@
 """Unit + property tests for the simulated GSI stack."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gsi import (
+    Certificate,
     CertificateAuthority,
     CommunityAuthorizationService,
     Crypto,
     Gridmap,
     GsiAuthenticator,
     GsiChecker,
+    GsiToken,
     validate_chain,
 )
+from repro.gsi import session as gsi_session
 from repro.util.errors import SecurityError
 
 
@@ -343,3 +349,222 @@ class TestEndToEndAuth:
         gm.add("/CN=Alice", "alice")  # only the end entity is mapped
         checker = GsiChecker(crypto, [ca.certificate], gm, clock)
         assert checker(auth.token("m"), "m").local_user == "alice"
+
+
+def alice_checker(world, clock=lambda: 0.0):
+    """(checker, good token for "m") for a CA-issued Alice on a gridmap."""
+    crypto, ca = world
+    user = ca.issue_credential("/CN=Alice", not_after=1e9)
+    gm = Gridmap()
+    gm.add("/CN=Alice", "alice")
+    checker = GsiChecker(crypto, [ca.certificate], gm, clock)
+    return checker, GsiAuthenticator(user, clock).token("m")
+
+
+class TestMalformedTokens:
+    """A token the checks cannot evaluate is refused, never a crash."""
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("chain", None, "chain"),
+        ("chain", ["junk"], "chain"),
+        ("chain", (), "chain"),
+        ("chain", ("junk",), "chain"),
+        ("method", 7, "method"),
+        ("signature", None, "signature"),
+        ("timestamp", "x", "timestamp"),
+        ("timestamp", None, "timestamp"),
+        ("timestamp", float("inf"), "timestamp"),
+        ("timestamp", float("nan"), "timestamp"),
+        ("cas_assertion", "junk", "cas_assertion"),
+    ])
+    def test_malformed_field_is_a_security_error(self, world, field, value,
+                                                 message):
+        checker, token = alice_checker(world)
+        assert checker(token, "m").local_user == "alice"
+        with pytest.raises(SecurityError, match=f"malformed token: .*{message}"):
+            checker(replace(token, **{field: value}), "m")
+
+    def test_a_list_of_good_certificates_is_not_a_chain(self, world):
+        checker, token = alice_checker(world)
+        with pytest.raises(SecurityError, match="malformed token: chain"):
+            checker(replace(token, chain=list(token.chain)), "m")
+
+    def test_shape_is_checked_before_the_method(self, world):
+        checker, token = alice_checker(world)
+        with pytest.raises(SecurityError, match="malformed token"):
+            checker(replace(token, timestamp="x"), "other-method")
+
+    def test_a_nan_stamped_token_never_verifies(self, world):
+        """Signed over ``m|nan`` by the real key, it would pass the skew test
+        ``abs(now - nan) > max_skew`` at every ``now``."""
+        crypto, ca = world
+        user = ca.issue_credential("/CN=Alice", not_after=1e9)
+        token = GsiAuthenticator(user, lambda: math.nan).token("m")
+        gm = Gridmap()
+        gm.add("/CN=Alice", "alice")
+        for now in (0.0, 1e6):
+            checker = GsiChecker(crypto, [ca.certificate], gm, lambda: now)
+            with pytest.raises(SecurityError, match="timestamp"):
+                checker(token, "m")
+
+    def test_a_token_cannot_choose_what_its_signature_covers(self, world):
+        """A token subclass whose ``signed_payload`` names another call
+        cannot replay that call's signature on ``execute``: the checker
+        verifies the signature over the method and timestamp it checked."""
+        checker, token = alice_checker(world)
+
+        class Replaying(GsiToken):
+            def signed_payload(self):
+                return token.signed_payload()
+
+        forged = Replaying(chain=token.chain, method="execute",
+                           timestamp=token.timestamp,
+                           signature=token.signature)
+        with pytest.raises(SecurityError):
+            checker(forged, "execute")
+
+
+class TestCertificateValues:
+    def test_equal_certificates_sign_equal_bytes(self, world):
+        _, ca = world
+        cert = ca.certificate  # serial 1, valid from 0.0, a CA
+        for twin in (replace(cert, not_before=-0.0),
+                     replace(cert, serial=True), replace(cert, is_ca=1)):
+            assert twin == cert and hash(twin) == hash(cert)
+            assert twin.canonical() == cert.canonical()
+
+    def test_a_certificate_field_of_the_wrong_type_is_refused(self, world):
+        _, ca = world
+        cert = ca.certificate
+        with pytest.raises(TypeError, match="subject"):
+            replace(cert, subject=["/CN=list"])
+        with pytest.raises(ValueError):
+            replace(cert, not_after="never")
+
+
+def count_validations(monkeypatch):
+    """Every chain walk the checkers make from now on."""
+    walked = []
+
+    def counting(crypto, chain, anchors, *, now):
+        walked.append(chain)
+        return validate_chain(crypto, chain, anchors, now=now)
+
+    monkeypatch.setattr(gsi_session, "validate_chain", counting)
+    return walked
+
+
+class TestChainMemo:
+    def test_a_chain_is_walked_once_inside_its_window(self, world,
+                                                      monkeypatch):
+        walked = count_validations(monkeypatch)
+        now = [0.0]
+        checker, _ = alice_checker(world, clock=lambda: now[0])
+        _, ca = world
+        proxy = ca.issue_credential("/CN=Alice", not_after=1e9).delegate(
+            now=0.0, lifetime=100.0)
+        auth = GsiAuthenticator(proxy, lambda: now[0])
+        for now[0] in (0.0, 10.0, 99.0, 100.0):
+            assert checker(auth.token("m"), "m").subject == "/CN=Alice"
+        assert len(walked) == 1
+        now[0] = 100.5
+        with pytest.raises(SecurityError, match="not valid at t=100.5"):
+            checker(auth.token("m"), "m")
+        assert len(walked) == 2
+
+    def test_refused_before_its_window_then_accepted_inside_it(
+            self, world, monkeypatch):
+        walked = count_validations(monkeypatch)
+        crypto, ca = world
+        now = [10.0]
+        user = ca.issue_credential("/CN=Alice", not_before=50.0,
+                                   not_after=1e9)
+        gm = Gridmap()
+        gm.add("/CN=Alice", "alice")
+        checker = GsiChecker(crypto, [ca.certificate], gm, lambda: now[0])
+        auth = GsiAuthenticator(user, lambda: now[0])
+        with pytest.raises(SecurityError, match="not valid at t=10.0"):
+            checker(auth.token("m"), "m")
+        now[0] = 60.0
+        assert checker(auth.token("m"), "m").local_user == "alice"
+        assert checker(auth.token("m"), "m").local_user == "alice"
+        assert len(walked) == 2  # the refusal was not kept
+
+    def test_a_tampered_copy_of_an_accepted_chain_is_walked_and_refused(
+            self, world):
+        checker, token = alice_checker(world)
+        checker(token, "m")
+        stretched = replace(token.chain[0], not_after=2e9)  # old signature
+        with pytest.raises(SecurityError, match="trust anchor"):
+            checker(replace(token, chain=(stretched,)), "m")
+
+    def test_trust_anchors_are_a_tuple(self, world):
+        checker, _ = alice_checker(world)
+        assert isinstance(checker.trust_anchors, tuple)
+
+
+NOWS = st.one_of(
+    st.sampled_from([-1.0, 0.0, 29.9, 30.0, 49.0, 50.0, 89.9, 90.0, 120.0,
+                     120.5, 199.0, 250.0, 1e4]),
+    st.floats(50.0, 120.0))
+IDENTITY = st.tuples(st.sampled_from([0.0, 50.0]),                # not_before
+                     st.sampled_from([120.0, 250.0, math.inf]),   # not_after
+                     st.lists(st.tuples(st.sampled_from([0.0, 30.0]),
+                                        st.sampled_from([90.0, 1e3, 1e3])),
+                              max_size=3),                        # proxies
+                     st.sampled_from([True, True, False]),        # mapped
+                     st.booleans())                     # and a tampered copy
+CALL = st.tuples(st.integers(0, 5),                             # chain
+                 NOWS,                                          # when
+                 st.sampled_from([0.0, 5.0, 250.0, -350.0]),    # age; skew 300
+                 st.sampled_from([True, True, True, False]))    # same method
+
+
+def _verdict(checker, token, method):
+    try:
+        return checker(token, method)
+    except SecurityError as exc:
+        return f"refused: {exc}"
+
+
+class TestMemoisedCheckerProperty:
+    @given(st.lists(IDENTITY, min_size=1, max_size=3),
+           st.lists(CALL, min_size=1, max_size=25))
+    @settings(max_examples=60, deadline=None)
+    def test_memoised_checker_equals_a_fresh_walk_per_call(self, identities,
+                                                           calls):
+        """Identity or 1–3-proxy chains whose windows the clock crosses both
+        ways, some with a tampered copy (same subject, stretched
+        ``not_after``, old signature): one long-lived checker and a fresh
+        checker per call give the same principal or the same refusal."""
+        crypto = Crypto(np.random.default_rng(7))
+        ca = CertificateAuthority(crypto, "/O=NEESgrid/CN=NEES CA")
+        gridmap = Gridmap()
+        signers = []  # (chain, credential holding its leaf key)
+        for i, (not_before, not_after, proxies, mapped,
+                tampered) in enumerate(identities):
+            subject = f"/CN=User{i}"
+            cred = ca.issue_credential(subject, not_before=not_before,
+                                       not_after=not_after)
+            for at, lifetime in proxies:
+                cred = cred.delegate(now=at, lifetime=lifetime)
+            if mapped:
+                gridmap.add(subject, f"user{i}")
+            signers.append((cred.chain, cred))
+            if tampered:
+                stretched = replace(cred.chain[0],
+                                    not_after=cred.chain[0].not_after + 500.0)
+                signers.append(((stretched,) + cred.chain[1:], cred))
+        now = [0.0]
+        memoised = GsiChecker(crypto, [ca.certificate], gridmap,
+                              lambda: now[0])
+        for which, at, age, same_method in calls:
+            chain, cred = signers[which % len(signers)]
+            now[0] = at
+            token = replace(GsiAuthenticator(cred, lambda: at - age)
+                            .token("propose"), chain=chain)
+            used = "propose" if same_method else "execute"
+            fresh = GsiChecker(crypto, [ca.certificate], gridmap,
+                               lambda: now[0])
+            assert (_verdict(memoised, token, used)
+                    == _verdict(fresh, token, used))

@@ -1,5 +1,7 @@
 """End-to-end GSI-secured MOST (paper §2, §4)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.gsi import Crypto, CertificateAuthority, GsiAuthenticator
@@ -217,3 +219,41 @@ class TestSecuredIngestion:
                        if s.ingest is not None)
         assert uploaded > 0
         assert len(dep.repo_store) >= uploaded
+
+
+class TestHostileToken:
+    @pytest.mark.parametrize("damage", [
+        {"chain": None}, {"chain": ["junk"]}, {"timestamp": "x"},
+        {"timestamp": float("nan")}])
+    def test_a_malformed_token_is_refused_and_the_run_completes(self,
+                                                               damage):
+        """One hostile request mid-run is a wire-level ``SecurityError``;
+        it neither raises out of ``Kernel.step`` nor stops the experiment."""
+        secured = build_secured_most(MOSTConfig().scaled(20))
+        dep = secured.deployment
+        dep.start_backends()
+        coordinator = dep.make_coordinator(run_id="hostile-run")
+        run = dep.kernel.process(coordinator.run())
+        good = secured.authenticator(secured.coordinator_proxy).token(
+            "invoke")
+        rpc = RpcClient(dep.network, "coord", default_timeout=10.0)
+        refused = []
+
+        def hostile():
+            yield dep.kernel.timeout(1.0)
+            try:
+                yield from rpc.call(
+                    "uiuc", "ogsi", "invoke",
+                    {"service_id": "ntcp-uiuc",
+                     "operation": "listTransactions", "params": {}},
+                    credential=replace(good, **damage))
+            except RemoteException as exc:
+                refused.append((dep.kernel.now, exc.remote_type,
+                                exc.remote_message.split(":")[0]))
+
+        dep.kernel.process(hostile())
+        result = dep.kernel.run(until=run)
+        assert result.completed and result.steps_completed == 19
+        (at, kind, message), = refused
+        assert at < result.wall_finished  # refused mid-run
+        assert (kind, message) == ("SecurityError", "malformed token")

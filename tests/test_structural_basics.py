@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import signal
 
 from repro.structural import (
     BilinearSpring,
@@ -14,6 +15,7 @@ from repro.structural import (
     el_centro_like,
     kanai_tajimi_record,
 )
+from repro.structural import ground_motion
 from repro.structural.elements import cantilever_stiffness, fixed_fixed_stiffness
 from repro.util.errors import ConfigurationError
 
@@ -65,6 +67,38 @@ class TestGroundMotion:
     def test_kanai_tajimi_hits_target_pga(self):
         gm = kanai_tajimi_record(pga=2.5, seed=1)
         assert gm.pga == pytest.approx(2.5)
+
+    @pytest.mark.parametrize("omega_g, zeta_g, dt, seed", [
+        (15.0, 0.6, 0.02, 0), (15.0, 0.6, 0.02, 2003), (12.5, 0.4, 0.01, 7),
+        (25.0, 0.9, 0.005, 3), (15, 0.6, 0.02, 11)])
+    def test_kanai_tajimi_is_bit_identical_to_a_freshly_designed_filter(
+            self, monkeypatch, omega_g, zeta_g, dt, seed):
+        kwargs = dict(duration=6.0, dt=dt, omega_g=omega_g, zeta_g=zeta_g,
+                      seed=seed)
+        cached = [kanai_tajimi_record(**kwargs).accel for _ in range(2)]
+        monkeypatch.setattr(ground_motion, "_kanai_tajimi_filter",
+                            ground_motion._kanai_tajimi_filter.__wrapped__)
+        fresh = kanai_tajimi_record(**kwargs).accel
+        assert all(np.array_equal(record, fresh) for record in cached)
+
+    def test_kanai_tajimi_filter_is_designed_once_and_read_only(
+            self, monkeypatch):
+        designed = []
+        bilinear = signal.bilinear
+
+        def counting(*args, **kwargs):
+            designed.append(args)
+            return bilinear(*args, **kwargs)
+
+        monkeypatch.setattr(signal, "bilinear", counting)
+        ground_motion._kanai_tajimi_filter.cache_clear()
+        for seed in range(4):
+            kanai_tajimi_record(duration=2.0, seed=seed)
+        assert len(designed) == 1
+        for coefficients in ground_motion._kanai_tajimi_filter(15.0, 0.6,
+                                                               0.02):
+            with pytest.raises(ValueError, match="read-only"):
+                coefficients[0] = 1.0
 
     def test_el_centro_like_deterministic(self):
         assert np.array_equal(el_centro_like().accel, el_centro_like().accel)
