@@ -3,7 +3,7 @@ export PYTHONPATH := src
 
 BENCH_TARGETS := bench-perf bench-fleet bench-obs bench-queue
 
-.PHONY: test lint analyze verify bench bench-figures \
+.PHONY: test lint analyze verify bench-figures \
 	$(BENCH_TARGETS) validate-bench twall-names twall-smoke twall pairs loc \
 	check
 
@@ -27,17 +27,15 @@ analyze:
 verify:
 	$(PYTHON) -m repro.verify
 
-bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# Every figure/table bench once, untimed: the "Measured shape" assertions
-# of EXPERIMENTS.md (F1-F11, T-FT, T-RT, T-CHK, ...) as a gate.  This is
-# also the short mode of the four committed documents below: each
-# `bench_*` function builds a small document and holds it to its
-# `BENCHES` floors; `bench_stepping_modes` re-measures the full T-PERF
-# document and compares it with the committed file.
+# Every figure/table bench once: the "Measured shape" assertions of
+# EXPERIMENTS.md (F1-F11, T-FT, T-RT, T-CHK, ...) as a gate, each report
+# written to benchmarks/out/.  Nothing here reads a clock: host time is
+# `make twall`.  This is also the short mode of the four committed
+# documents below: each `bench_*` function builds a small document and
+# holds it to its `BENCHES` floors; `bench_stepping_modes` re-measures
+# the full T-PERF document and compares it with the committed file.
 bench-figures:
-	$(PYTHON) -m pytest benchmarks/ -q --benchmark-disable
+	$(PYTHON) -m pytest benchmarks/ -q
 
 # Committed comparison documents, name -> script.  `make bench-<name>`
 # regenerates the repo-root BENCH_*.json (perf: sequential vs pipelined

@@ -1,10 +1,11 @@
 """Shared reporting helper for the benchmark harness.
 
 Each benchmark regenerates one of the paper's figures or the §3.4 results
-narrative.  Timing goes through pytest-benchmark; the *reproduced content*
-(the rows/series the paper reports) is written to
-``benchmarks/out/<experiment>.txt`` so it survives pytest's output capture
-and can be diffed run-to-run.  EXPERIMENTS.md records paper-vs-measured.
+narrative.  The *reproduced content* (the rows/series the paper reports)
+is written to ``benchmarks/out/<experiment>.txt`` so it survives pytest's
+output capture and can be diffed run-to-run.  EXPERIMENTS.md records
+paper-vs-measured.  Host time is measured by T-WALL
+(``benchmarks/twall/``) alone.
 
 The four comparison documents committed at the repo root
 (``BENCH_*.json``, schema ``repro.bench/v1``) are described by one table,

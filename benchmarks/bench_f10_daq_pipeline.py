@@ -3,8 +3,7 @@
 Regenerates the Figure-10 pipeline at one site: sensors → LabVIEW-style
 DAQ → files on the network-mounted staging store → NFMS/GridFTP upload →
 repository → viewer download, while the same samples stream live through
-NSDS.  The report accounts for every sample end to end; the timed portion
-is the DAQ sampling + block-deposit hot path.
+NSDS.  The report accounts for every sample end to end.
 """
 
 import numpy as np
@@ -25,7 +24,7 @@ from repro.structural.specimen import Sensor
 from _report import write_report
 
 
-def bench_f10_daq_pipeline(benchmark):
+def bench_f10_daq_pipeline():
     k = Kernel()
     net = Network(k, seed=0)
     for h in ("lab", "repo", "viewer"):
@@ -109,8 +108,3 @@ def bench_f10_daq_pipeline(benchmark):
         "from the same tap",
     ]
     write_report("f10_daq_pipeline", lines)
-
-    def hot_path():
-        daq._take_sample()
-
-    benchmark(hot_path)

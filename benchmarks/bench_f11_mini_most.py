@@ -3,8 +3,7 @@
 Regenerates the tabletop emulation: the same coordinator code as MOST with
 re-scaled constants, the LabVIEW/stepper control chain, and the
 first-order kinetic simulator as the hardware-free stand-in.  The report
-compares the two modes and the scale gap to full MOST; the timed portion
-is a full (short) Mini-MOST run.
+compares the two modes and the scale gap to full MOST.
 """
 
 import numpy as np
@@ -12,14 +11,13 @@ import numpy as np
 from repro.mini_most import (
     BeamProperties,
     MiniMOSTConfig,
-    build_mini_most,
     run_mini_most,
 )
 
 from _report import write_report
 
 
-def bench_f11_mini_most(benchmark):
+def bench_f11_mini_most():
     beam = BeamProperties()
     config = MiniMOSTConfig(n_steps=250)
 
@@ -62,8 +60,3 @@ def bench_f11_mini_most(benchmark):
         "for servo-hydraulic MOST",
     ]
     write_report("f11_mini_most", lines)
-
-    def one_run():
-        run_mini_most(MiniMOSTConfig(n_steps=50))
-
-    benchmark.pedantic(one_run, rounds=5, iterations=1)

@@ -3,8 +3,7 @@
 Regenerates the transaction life cycle of the paper's Figure 1 by driving
 one transaction down each path (accept→execute→complete, reject, cancel,
 fail) against a live server, and reports the observed state graphs with
-their per-transition timestamps.  The timed portion is the full
-propose→execute round trip over the simulated WAN.
+their per-transition timestamps.
 """
 
 from repro.control import SimulationPlugin, make_displacement_actions
@@ -80,7 +79,7 @@ def drive_all_paths():
     return histories, env
 
 
-def bench_f1_state_transitions(benchmark):
+def bench_f1_state_transitions():
     histories, env = drive_all_paths()
 
     lines = ["Figure 1 reproduction: NTCP transaction state transitions", ""]
@@ -101,21 +100,6 @@ def bench_f1_state_transitions(benchmark):
         times = list(history.values())
         assert times == sorted(times)
     write_report("f1_ntcp_transactions", lines)
-
-    # timed: the happy-path round trip
-    counter = [0]
-
-    def one_round():
-        counter[0] += 1
-        name = f"bench-{counter[0]}"
-
-        def go():
-            yield from env.client.propose_and_execute(
-                env.handle, name, make_displacement_actions({0: 0.001}))
-
-        env.run(go())
-
-    benchmark(one_round)
-    # Counters from the happy-path site (all timed rounds included):
-    # core.server.* transaction counts, net.* per-hop stats, rpc latency.
+    # Counters from the happy-path site: core.server.* transaction
+    # counts, net.* per-hop stats, rpc latency.
     write_metrics("f1_ntcp_transactions", env.kernel.telemetry)

@@ -5,7 +5,7 @@ and the client code is byte-for-byte identical across back-ends.  The same
 client step runs against all four MOST-era plugins (simulation,
 Shore-Western, MPlugin+Matlab, MPlugin+xPC) plus the Mini-MOST LabVIEW
 plugin; the report shows each returning the same physics through the same
-interface.  The timed portion compares per-step cost across plugins.
+interface.
 """
 
 import pytest
@@ -80,7 +80,7 @@ def run_identical_client_step(env, name):
     return env.run(go())
 
 
-def bench_f2_plugin_swap(benchmark):
+def bench_f2_plugin_swap():
     envs = build_backends()
     lines = ["Figure 2 reproduction: one client, five control back-ends",
              "", f"{'backend':<18}{'force@5mm [kN]':>16}{'step wall [s]':>15}"]
@@ -99,13 +99,3 @@ def bench_f2_plugin_swap(benchmark):
               "(step wall time differs: polling/settle/stepper dynamics are "
               "the back-end's business)"]
     write_report("f2_plugin_swap", lines)
-
-    # timed: a step against the cheapest backend (protocol overhead floor)
-    env = envs["simulation"]
-    counter = [0]
-
-    def one_step():
-        counter[0] += 1
-        run_identical_client_step(env, f"timed-{counter[0]}")
-
-    benchmark(one_step)

@@ -6,7 +6,6 @@ coupled by the coordinator through NTCP, and the distributed response is
 validated against (a) a monolithic central-difference integration and
 (b) a Newmark reference solution of the equivalent linear model.  The
 report gives the response series summary the Figure-5 data flow produces.
-The timed portion is one coordinated MS-PSDS step across three sites.
 """
 
 import numpy as np
@@ -25,7 +24,7 @@ from repro.structural import (
 from _report import write_report
 
 
-def bench_f45_most_structure(benchmark):
+def bench_f45_most_structure():
     config = MOSTConfig().scaled(300)
     report = ExperimentSession(config, run_id="most-simonly",
                                simulation_only=True).run()
@@ -94,22 +93,3 @@ def bench_f45_most_structure(benchmark):
         assert frac == pytest.approx(
             getattr(config, "k_" + name) / config.k_total, abs=0.02)
     write_report("f45_most_structure", lines)
-
-    # timed: one 3-site coordinated step (simulation plugins, zero think time)
-    from repro.most.assembly import build_simulation_only
-
-    dep = build_simulation_only(MOSTConfig().scaled(3))
-    for site in dep.sites.values():
-        if site.server.plugin.plugin_type == "simulation":
-            site.server.plugin.compute_time = 0.0
-    dep.start_backends()
-    coord = dep.make_coordinator(run_id="timed")
-    d = np.zeros(1)
-    counter = [0]
-
-    def one_step():
-        counter[0] += 1
-        gen = coord._step_at_all_sites(counter[0], d)
-        dep.kernel.run(until=dep.kernel.process(gen))
-
-    benchmark(one_step)

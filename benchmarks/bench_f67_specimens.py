@@ -5,7 +5,6 @@ servo-hydraulic rig tracking commanded displacements.  The report gives
 tracking accuracy, settle-time statistics, hysteresis energy (the columns
 yield), and the sensor suite's noise floor — per site, via each site's
 real control chain (Shore-Western frames at UIUC, xPC commands at CU).
-The timed portion is one displacement command through a specimen.
 """
 
 import numpy as np
@@ -15,7 +14,7 @@ from repro.most import ExperimentSession, MOSTConfig
 from _report import write_report
 
 
-def bench_f67_specimens(benchmark):
+def bench_f67_specimens():
     config = MOSTConfig().scaled(300)
     report = ExperimentSession(config, run_id="most-dry").run()
     result = report.result
@@ -54,13 +53,3 @@ def bench_f67_specimens(benchmark):
     lines.append(f"commanded drift range across the run: "
                  f"[{1e3 * d_cmd.min():.1f}, {1e3 * d_cmd.max():.1f}] mm")
     write_report("f67_specimens", lines)
-
-    # timed: one displacement command through the UIUC specimen (kernel-free)
-    spec = dep.sites["uiuc"].specimen
-    amplitude = [0.0]
-
-    def one_command():
-        amplitude[0] = 0.01 if amplitude[0] < 0.005 else 0.001
-        spec.apply(amplitude[0])
-
-    benchmark(one_command)

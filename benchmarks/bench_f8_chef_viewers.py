@@ -4,11 +4,8 @@ Regenerates the Figure-8 experience: a remote participant's data viewer is
 fed by the UIUC NSDS stream during a (shortened) run and renders the three
 view types the figure shows — structure response time series and a
 hysteresis plot — plus the VCR/timeline behaviour described in the text.
-The report gives the rendered view contents; the timed portion is a viewer
-render at a cursor position.
+The report gives the rendered view contents.
 """
-
-import numpy as np
 
 from repro.chef import DataViewer, HysteresisView, TimeSeriesView
 from repro.most import MOSTConfig, build_most
@@ -48,7 +45,7 @@ def run_viewed_experiment(n_steps=200):
     return viewer, receiver, result
 
 
-def bench_f8_chef_viewers(benchmark):
+def bench_f8_chef_viewers():
     viewer, receiver, result = run_viewed_experiment()
     assert result.completed
 
@@ -88,8 +85,3 @@ def bench_f8_chef_viewers(benchmark):
         "arrangement 'most-response' saved and reloadable",
     ]
     write_report("f8_chef_viewers", lines)
-
-    def one_render():
-        viewer.render()
-
-    benchmark(one_render)

@@ -4,8 +4,7 @@ Verifies the deployed control chains match Figure 9 box-for-box —
 coordinator (Matlab-toolbox-style client) → three NTCP servers → the
 site-specific plugin stacks — and reports, per site, the plugin type, the
 back-end chain, and the measured per-step latency decomposition (protocol
-round trips vs back-end time).  The timed portion is a full coordinated
-step through the real Figure-9 stacks.
+round trips vs back-end time).
 """
 
 import numpy as np
@@ -16,7 +15,7 @@ from repro.most import MOSTConfig, build_most
 from _report import write_report
 
 
-def bench_f9_control_config(benchmark):
+def bench_f9_control_config():
     config = MOSTConfig().scaled(40)
     dep = build_most(config)
     dep.start_backends()
@@ -66,13 +65,3 @@ def bench_f9_control_config(benchmark):
         "network delays (paper §5)",
     ]
     write_report("f9_control_config", lines)
-
-    d = np.zeros(1)
-    counter = [1000]
-
-    def one_step():
-        counter[0] += 1
-        gen = coordinator._step_at_all_sites(counter[0], d)
-        dep.kernel.run(until=dep.kernel.process(gen))
-
-    benchmark.pedantic(one_step, rounds=20, iterations=1)

@@ -18,14 +18,11 @@ repeatable experiment over the full MOST assembly:
 3. **Determinism** — a second campaign instance reproduces every seed's
    full report row (schedule, alerts, verdicts, failover events)
    byte-for-byte: a failing seed is a bug report, not a flake.
-
-The timed portion is plan synthesis plus schedule serialisation — the
-per-seed harness cost that scales a campaign, not the simulated runs.
 """
 
 import json
 
-from repro.chaos import ChaosCampaign, make_plan
+from repro.chaos import ChaosCampaign
 from repro.most import MOSTConfig
 
 from _report import write_report
@@ -42,7 +39,7 @@ def run_campaigns(config):
     return recoverable, forced
 
 
-def bench_tchaos_campaign(benchmark):
+def bench_tchaos_campaign():
     config = MOSTConfig().scaled(SCALE)
     lines = [f"Seeded chaos campaign ({SCALE}-step MOST assembly)", ""]
 
@@ -93,10 +90,3 @@ def bench_tchaos_campaign(benchmark):
               "failover events are seed-pure)"]
 
     write_report("tchaos_campaign", lines)
-
-    # timed: per-seed harness cost (plan synthesis + serialisation)
-    def synthesise_plan():
-        make_plan(FAILOVER_SEED, config, n_events=5,
-                  force_failover=True).describe()
-
-    benchmark(synthesise_plan)

@@ -15,21 +15,13 @@ that removes that failure mode:
    site, and completes.  Asserted: merged displacement *and* force
    histories are element-exact against an uninterrupted same-seed run,
    and no site executed any step twice (at-most-once across restarts).
-
-The timed portion is one checkpoint save+load round trip through the
-in-memory store (build doc -> validate -> serialize -> parse -> validate).
 """
 
 import numpy as np
 
-from repro.coordinator.state import record_to_payload
 from repro.most import ExperimentSession, MOSTConfig
 from repro.most.assembly import build_simulation_only
-from repro.repository import (
-    CheckpointPolicy,
-    InMemoryCheckpointStore,
-    build_checkpoint_doc,
-)
+from repro.repository import CheckpointPolicy
 
 from _report import write_report
 
@@ -50,7 +42,7 @@ def overhead_trial(every_n: int | None) -> tuple[float, int]:
     return result.wall_duration, coord.state.checkpoint_seq
 
 
-def bench_tcheckpoint_resume(benchmark):
+def bench_tcheckpoint_resume():
     lines = ["Checkpoint/resume (extension of the §3.4 step-1493 abort)", "",
              "[1] checkpoint overhead, simulation-only rehearsal (40 steps)",
              f"    {'period':>10}{'checkpoints':>13}{'wall [s]':>11}"
@@ -99,30 +91,3 @@ def bench_tcheckpoint_resume(benchmark):
     assert len(recon.actions) > 0
     assert all(d == 0 for d in duplicates.values())
     write_report("tchk_checkpoint_resume", lines)
-
-    # timed: one checkpoint save+load round trip (serialize/validate cost)
-    dep = build_simulation_only(MOSTConfig().scaled(20))
-    dep.start_backends()
-    coord = dep.make_coordinator(run_id="chk-doc")
-    result = dep.kernel.run(until=dep.kernel.process(coord.run()))
-    assert result.completed
-    state_payload = coord.state.to_payload()
-    records = [record_to_payload(r) for r in result.steps]
-    counter = [0]
-
-    def save_load_round_trip():
-        counter[0] += 1
-        store = InMemoryCheckpointStore()
-        doc = build_checkpoint_doc(
-            run_id="chk-doc", seq=1, wall_time=0.0, reason="final",
-            state_payload=state_payload, record_payloads=records)
-        k = dep.kernel
-
-        def go():
-            yield from store.save(doc)
-            return (yield from store.load("chk-doc", 1))
-
-        loaded = k.run(until=k.process(go()))
-        assert loaded["state"]["step"] == state_payload["step"]
-
-    benchmark(save_load_round_trip)

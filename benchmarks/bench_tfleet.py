@@ -170,18 +170,12 @@ def _fleet_report(payload: dict) -> list[str]:
     return lines
 
 
-def bench_tfleet(benchmark):
+def bench_tfleet():
     payload, hub = run_fleet_campaign(n_sites=4, n_tenants=4,
                                       runs_per_tenant=2, n_steps=8)
     check_bench(payload, committed=False)
     write_metrics("tfleet", hub)
     write_report("tfleet", _fleet_report(payload))
-
-    def short_campaign():
-        run_fleet_campaign(n_sites=2, n_tenants=2, runs_per_tenant=1,
-                           n_steps=5, sites_per_lease=1)
-
-    benchmark.pedantic(short_campaign, rounds=3, iterations=1)
 
 
 def main() -> int:

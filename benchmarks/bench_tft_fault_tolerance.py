@@ -11,8 +11,6 @@ Three sub-experiments:
    of outage durations: the table shows where each survives (the paper's
    "final network error" is exactly the regime where naive dies and FT
    lives).
-
-The timed portion is a recovery cycle (timeout + retransmit + dedup hit).
 """
 
 import numpy as np
@@ -78,7 +76,7 @@ def outage_trial(duration: float, policy) -> tuple[bool, int]:
     return result.completed, result.steps_completed
 
 
-def bench_tft_fault_tolerance(benchmark):
+def bench_tft_fault_tolerance():
     lines = ["NTCP fault tolerance (paper §2.1, §3.4)", "",
              "[1] at-most-once vs at-least-once under lost replies",
              f"    {'replies lost':>13}{'NTCP executions':>17}"
@@ -112,24 +110,3 @@ def bench_tft_fault_tolerance(benchmark):
               "       only a coordinator using the retry features survives "
               "long ones (§3.4 lesson)"]
     write_report("tft_fault_tolerance", lines)
-
-    # timed: one full recovery cycle (lost reply -> timeout -> rtx -> dedup)
-    plugin = CountingPlugin()
-    env = make_site(plugin, timeout=0.5, retries=3)
-    counter = [0]
-
-    def recovery_cycle():
-        counter[0] += 1
-        name = f"r-{counter[0]}"
-
-        def go():
-            yield from env.client.propose(
-                env.handle, name, make_displacement_actions({0: 0.0}))
-            env.faults.drop_matching(
-                lambda m: m.src == "site"
-                and m.port.startswith("rpc-reply"), count=1)
-            yield from env.client.execute(env.handle, name)
-
-        env.run(go())
-
-    benchmark(recovery_cycle)

@@ -9,8 +9,6 @@ reproduces every quantitative claim in §3.4:
 * (counterfactual) a coordinator using the fault-tolerance features
   completes through the identical fault schedule;
 * simulation-only rehearsal (the §3 incremental development path).
-
-The timed portion is the full dry run.
 """
 
 import numpy as np
@@ -20,7 +18,7 @@ from repro.most import ExperimentSession, MOSTConfig
 from _report import write_report
 
 
-def bench_tmost_results(benchmark):
+def bench_tmost_results():
     config = MOSTConfig()  # the real thing: 1,500 steps
     assert config.n_steps == 1500
 
@@ -89,8 +87,3 @@ def bench_tmost_results(benchmark):
         "FT coordinator survives.",
     ]
     write_report("tmost_results", lines)
-
-    def full_dry_run():
-        ExperimentSession(config, run_id="most-dry").run()
-
-    benchmark.pedantic(full_dry_run, rounds=3, iterations=1)

@@ -19,8 +19,6 @@ scripted abort campaign:
    snapshot whose rendered timeline names the faulted site and the
    aborted step.
 
-The timed portion is one steady-state observatory tick over a populated
-store: an SLO sweep plus a range query with pooled-quantile aggregation.
 ``run_bench`` measures and builds the ``BENCH_tobs.json`` document; the
 floors it must meet are the ``tobs`` row of ``_report.BENCHES``.
 """
@@ -188,18 +186,10 @@ def run_bench():
     }, obs, lines
 
 
-def bench_tobs_observatory(benchmark):
-    payload, obs, lines = run_bench()
+def bench_tobs_observatory():
+    payload, _, lines = run_bench()
     check_bench(payload, committed=False)
     write_report("tobs_observatory", lines)
-
-    # timed: one steady-state observatory tick (SLO sweep + range query)
-    def observatory_tick():
-        obs.slo.evaluate_quiet()
-        obs.query({"metric": "coordinator.mspsds.step_time",
-                   "agg": "quantile", "quantile": 95.0})
-
-    benchmark(observatory_tick)
 
 
 def main() -> int:

@@ -16,8 +16,6 @@ near-real-time experiments.  Three sub-experiments quantify both:
    barrier on asymmetric sites: the latency saving bought by giving up
    the before-any-motion safety property.
 
-The timed portion is a protocol-only coordinated step.
-
 This module also compares the three MOST stepping modes — sequential,
 pipelined, vectorized ensemble.  Run as a script (``make bench-perf``) it
 writes the comparison document ``BENCH_tperf_ntcp.json`` at the repo
@@ -74,7 +72,7 @@ def sweep_rig(latency: float, *, backend_time: float, n_steps: int = 30,
     return float(np.mean(result.step_durations())), grid.kernel.telemetry
 
 
-def bench_tperf_ntcp(benchmark):
+def bench_tperf_ntcp():
     lines = ["NTCP performance (paper §5)", "",
              "[1] protocol-only step cost vs one-way link latency "
              "(no back-end time)",
@@ -135,11 +133,6 @@ def bench_tperf_ntcp(benchmark):
     lines += ["    " + row
               for row in report_from_jsonl(trace_path).splitlines()]
     write_report("tperf_ntcp", lines)
-
-    def protocol_only_step():
-        sweep_rig(0.025, backend_time=0.0, n_steps=5)
-
-    benchmark.pedantic(protocol_only_step, rounds=10, iterations=1)
 
 
 # ---------------------------------------------------------------------------
@@ -237,21 +230,13 @@ def _stepping_report(payload: dict) -> list[str]:
     return lines
 
 
-def bench_stepping_modes(benchmark):
+def bench_stepping_modes():
     payload = run_stepping_modes()
     check_bench(payload, committed=True)
     # a gate compares; only `make bench-perf` writes the tracked file
     assert payload == json.loads(BENCH_DOC.read_text()), \
         f"{BENCH_DOC.name} is stale: regenerate it with `make bench-perf`"
     write_report("tperf_stepping_modes", _stepping_report(payload))
-
-    def pipelined_short():
-        (ExperimentSession(MOSTConfig().scaled(10), run_id="bench-pipe-t",
-                           simulation_only=True)
-         .with_pipeline(1)
-         .run())
-
-    benchmark.pedantic(pipelined_short, rounds=3, iterations=1)
 
 
 def main() -> int:

@@ -201,19 +201,13 @@ def _queue_report(payload: dict) -> list[str]:
     return lines
 
 
-def bench_tqueue(benchmark):
+def bench_tqueue():
     payload, hub = run_queue_campaign(n_sites=4, n_tenants=4,
                                       runs_per_tenant=3, n_steps=10,
                                       n_crashes=2, takeover_delay=8.0)
     check_bench(payload, committed=False)
     write_metrics("tqueue", hub)
     write_report("tqueue", _queue_report(payload))
-
-    def short_campaign():
-        run_queue_campaign(n_sites=2, n_tenants=2, runs_per_tenant=2,
-                           n_steps=8, n_crashes=1, takeover_delay=6.0)
-
-    benchmark.pedantic(short_campaign, rounds=3, iterations=1)
 
 
 def main() -> int:

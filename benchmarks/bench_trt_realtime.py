@@ -39,7 +39,7 @@ def build(backend_time=BACKEND_TIME):
             motion, grid.bindings())
 
 
-def bench_trt_realtime(benchmark):
+def bench_trt_realtime():
     # lock-step reference
     k, client, model, motion, sites = build()
     ref = k.run(until=k.process(SimulationCoordinator(
@@ -91,11 +91,3 @@ def bench_trt_realtime(benchmark):
               "instability — why §5 needed",
               "delay-tolerant control software, not just a faster NTCP"]
     write_report("trt_realtime", lines)
-
-    def one_rt_run():
-        k, client, model, motion, sites = build()
-        rt = RealTimeCoordinator(run_id="rt", client=client, model=model,
-                                 motion=motion, sites=sites, period=0.1)
-        k.run(until=k.process(rt.run()))
-
-    benchmark.pedantic(one_rt_run, rounds=5, iterations=1)

@@ -73,7 +73,7 @@ def run_policy(capacity: int) -> dict:
     }
 
 
-def bench_tstream_drop_policy(benchmark):
+def bench_tstream_drop_policy():
     bounded = run_policy(capacity=64)
     unbounded = run_policy(capacity=10_000_000)
 
@@ -108,16 +108,3 @@ def bench_tstream_drop_policy(benchmark):
         "useless for 'a best-effort stream of real-time data' (§2.2)",
     ]
     write_report("tstream_drop_policy", lines)
-
-    def one_overload_second():
-        nsds = NSDSService("x", buffer_capacity=64)
-        from repro.nsds.stream import RingBuffer
-
-        buf = RingBuffer(64)
-        nsds.buffers["force"] = buf
-        for i in range(int(PRODUCE_HZ)):
-            from repro.nsds.stream import StreamSample
-
-            buf.append(StreamSample("force", i, float(i), i))
-
-    benchmark(one_overload_second)

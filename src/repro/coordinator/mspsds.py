@@ -56,7 +56,7 @@ from repro.coordinator.state import (
 from repro.core.client import NTCPClient
 from repro.core.messages import ProposalVerdict
 from repro.control.actions import make_displacement_actions
-from repro.net.breaker import BreakerOpen, CircuitBreaker
+from repro.net.breaker import CircuitBreaker
 from repro.net.rpc import RpcError
 from repro.ogsi.handle import GridServiceHandle
 from repro.repository.checkpoint import CheckpointPolicy, build_checkpoint_doc

@@ -517,27 +517,3 @@ class EnsembleCentralDifferencePSD(_ColumnwiseAlgebra, CentralDifferencePSD):
 
     def _state_shape(self) -> tuple[int, ...]:
         return (self.model.n_dof, self.n_variants)
-
-
-class EnsembleAlphaOSPSD(_ColumnwiseAlgebra, AlphaOSPSD):
-    """α-OS stepping vectorized over N scenario variants.
-
-    Same batching contract as :class:`EnsembleCentralDifferencePSD`:
-    ``(n_dof, n_variants)`` state columns, shared corrector LU factors,
-    per-variant columns bit-identical to solo runs via
-    :class:`_ColumnwiseAlgebra`.
-    """
-
-    SNAPSHOT_KIND = "alpha-os-ensemble"
-
-    def __init__(self, model: StructuralModel, dt: float, n_variants: int, *,
-                 alpha: float = -0.1,
-                 nominal_stiffness: np.ndarray | None = None):
-        if n_variants < 1:
-            raise ConfigurationError("n_variants must be >= 1")
-        super().__init__(model, dt, alpha=alpha,
-                         nominal_stiffness=nominal_stiffness)
-        self.n_variants = int(n_variants)
-
-    def _state_shape(self) -> tuple[int, ...]:
-        return (self.model.n_dof, self.n_variants)

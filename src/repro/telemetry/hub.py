@@ -27,7 +27,7 @@ from repro.telemetry.schema import (
     validate_jsonl_export,
     validate_metrics_payload,
 )
-from repro.telemetry.spans import Span, TraceContext, Tracer
+from repro.telemetry.spans import Span, Tracer
 from repro.util.schema import obj, validator
 
 _validate_jsonl_line = validator(SchemaError, obj({}))

@@ -14,20 +14,15 @@ Usage::
 
     python -m repro.telemetry.report benchmarks/out/tperf_ntcp.trace.jsonl
     python -m repro.telemetry.report --critical-path trace.jsonl
-    python -m repro.telemetry.report --format json trace.jsonl
 
 With ``--critical-path`` the per-step phase table is replaced by the
 :mod:`repro.monitor.critical_path` blame analysis: which site's execute
-leg dominated each step, and how the idle slack distributes.  With
-``--format json`` the rows are emitted as a schema-validated
-``repro.telemetry/v1`` ``step_report`` document instead of the text
-table, so the observatory, CI, and scripts consume step breakdowns
-without screen-scraping the renderer.
+leg dominated each step, and how the idle slack distributes.  Any other
+``-…`` argument prints the usage line and exits 2.
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
 import sys
 from typing import Any
@@ -121,27 +116,6 @@ def render_step_table(rows: list[dict[str, Any]], *,
     return "\n".join(lines)
 
 
-def step_report_payload(rows: list[dict[str, Any]],
-                        experiment: str) -> dict[str, Any]:
-    """The rows as a validated ``repro.telemetry/v1`` step_report document."""
-    from repro.telemetry.schema import SCHEMA_ID, validate_step_report_payload
-
-    n = len(rows)
-    phases = sorted({phase for row in rows for phase in row["phases"]})
-    payload = {
-        "schema": SCHEMA_ID, "kind": "step_report",
-        "experiment": experiment, "count": n,
-        "rows": [{**row, "phases": dict(row["phases"])} for row in rows],
-        "means": {
-            "total": sum(r["total"] for r in rows) / n if n else 0.0,
-            "phases": {phase: sum(r["phases"].get(phase, 0.0)
-                                  for r in rows) / n
-                       for phase in phases}},
-    }
-    validate_step_report_payload(payload)
-    return payload
-
-
 def report_from_spans(spans: list[Any], **kwargs: Any) -> str:
     return render_step_table(step_rows(spans), **kwargs)
 
@@ -156,34 +130,13 @@ def report_from_jsonl(path: str | pathlib.Path, **kwargs: Any) -> str:
     return f"step-latency breakdown — {title}\n{table}"
 
 
-def json_report_from_jsonl(path: str | pathlib.Path) -> dict[str, Any]:
-    """Load a trace export and build its step_report document."""
-    from repro.telemetry.hub import TelemetryHub
-
-    loaded = TelemetryHub.load_jsonl(path)
-    experiment = loaded["meta"].get("experiment") or str(path)
-    return step_report_payload(step_rows(loaded["spans"]), experiment)
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     critical_path = "--critical-path" in argv
     argv = [a for a in argv if a != "--critical-path"]
-    output_format = "text"
-    if "--format" in argv:
-        at = argv.index("--format")
-        if at + 1 >= len(argv) or argv[at + 1] not in ("text", "json"):
-            print("error: --format takes 'text' or 'json'", file=sys.stderr)
-            return 2
-        output_format = argv[at + 1]
-        argv = argv[:at] + argv[at + 2:]
-    if critical_path and output_format == "json":
-        print("error: --critical-path has no json format", file=sys.stderr)
-        return 2
-    if not argv:
+    if not argv or any(a.startswith("-") for a in argv):
         print("usage: python -m repro.telemetry.report "
-              "[--critical-path] [--format text|json] <trace.jsonl> [...]",
-              file=sys.stderr)
+              "[--critical-path] <trace.jsonl> [...]", file=sys.stderr)
         return 2
     for path in argv:
         if not pathlib.Path(path).exists():
@@ -195,9 +148,6 @@ def main(argv: list[str] | None = None) -> int:
                     report_from_jsonl as cp_report)
 
                 print(cp_report(path))
-            elif output_format == "json":
-                print(json.dumps(json_report_from_jsonl(path),
-                                 indent=2, sort_keys=True))
             else:
                 print(report_from_jsonl(path))
         except BrokenPipeError:  # e.g. piped into head

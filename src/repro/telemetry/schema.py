@@ -25,7 +25,6 @@ from repro.util.schema import (
     Failure,
     array,
     document,
-    integer,
     mapping,
     nullable,
     number,
@@ -113,27 +112,3 @@ validate_metrics_payload = validator(SchemaError, document(
 validate_jsonl_export = validator(SchemaError, obj(
     {"meta": document(SCHEMA_ID, {})},
     {"metrics": array(_METRIC), "spans": array(_SPAN)}))
-
-_PHASE_SECONDS = mapping(number())
-
-#: A JSON step-latency report (``repro.telemetry.report --format json``).
-#:
-#: Shape::
-#:
-#:     {"schema": "repro.telemetry/v1", "kind": "step_report",
-#:      "experiment": "...", "count": 40,
-#:      "rows": [{"step": 1, "run_id": "...", "total": 0.21,
-#:                "phases": {"propose": 0.1, ...}}, ...],
-#:                (a pipelined step's row adds "attempts": 1)
-#:      "means": {"total": 0.2, "phases": {"propose": 0.09, ...}}}
-validate_step_report_payload = validator(SchemaError, document(
-    SCHEMA_ID, {
-        "experiment": string(),
-        "count": integer(0),
-        "rows": array(obj({"step": integer(), "run_id": string(empty=True),
-                           "total": number(), "phases": _PHASE_SECONDS},
-                          {"attempts": integer(1)})),
-        "means": obj({"total": number(), "phases": _PHASE_SECONDS}),
-    }, None, rule(".count", "count must equal len(rows)",
-                  lambda doc: doc["count"] == len(doc["rows"])),
-    kind="step_report"))

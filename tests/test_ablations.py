@@ -6,25 +6,22 @@ barrier really does move hardware before a sibling site's rejection lands.
 """
 
 import numpy as np
-import pytest
 
 from repro.control import (
     ShoreWesternController,
     ShoreWesternPlugin,
-    SimulationPlugin,
     make_displacement_actions,
 )
 from repro.coordinator import SimulationCoordinator, SiteBinding
 from repro.core import NTCPClient, NTCPServer
 from repro.core.plugin import ControlPlugin
 from repro.core.policy import SitePolicy
-from repro.net import FaultInjector, Network, RpcClient
+from repro.net import Network, RpcClient
 from repro.ogsi import ServiceContainer
 from repro.sim import Kernel
 from repro.structural import (
     BilinearSpring,
     GroundMotion,
-    LinearSubstructure,
     PhysicalSpecimen,
     StructuralModel,
 )

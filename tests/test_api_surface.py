@@ -378,6 +378,38 @@ def test_a_guarantee_has_one_gate():
     assert reached("check").count("-m repro.verify") == 0
 
 
+def test_host_time_has_one_harness():
+    """T-WALL (``benchmarks/twall/``) is the only code outside ``src/``
+    that times anything: no figure bench takes pytest-benchmark's
+    ``benchmark`` fixture or imports a clock, and neither the packaging
+    nor the Makefile names the plugin."""
+    import pathlib
+    import re
+
+    repo = pathlib.Path(repro.__file__).parent.parent.parent
+    clocks = {"time", "resource", "pytest_benchmark"}
+    timed = []
+    for path in (repo / "benchmarks").rglob("*.py"):
+        if "twall" in path.parts:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                timed += [(path.name, node.name) for arg in node.args.args
+                          + node.args.kwonlyargs if arg.arg == "benchmark"]
+            modules = ([alias.name for alias in node.names]
+                       if isinstance(node, ast.Import)
+                       else [node.module or ""]
+                       if isinstance(node, ast.ImportFrom) else [])
+            timed += [(path.name, module) for module in modules
+                      if module.split(".")[0] in clocks]
+    assert timed == []
+    for packaging in ("pyproject.toml", "requirements-ci.txt"):
+        assert "pytest-benchmark" not in (repo / packaging).read_text()
+    makefile = (repo / "Makefile").read_text()
+    assert not re.search(r"^bench:", makefile, re.M)
+    assert "--benchmark-" not in makefile
+
+
 def broad_handlers(node, scope=""):
     """The enclosing (dotted) scope of every ``except Exception`` / ``except
     BaseException`` / bare ``except:`` under an AST ``node``, whatever the

@@ -1,6 +1,5 @@
 """Tests for every control plugin behind the NTCP server (Figure 9)."""
 
-import numpy as np
 import pytest
 
 from repro.control import (

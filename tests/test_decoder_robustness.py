@@ -30,11 +30,7 @@ from repro.repository.checkpoint import (
     validate_checkpoint_payload,
     validate_manifest_payload,
 )
-from repro.telemetry.schema import (
-    validate_jsonl_export,
-    validate_metrics_payload,
-    validate_step_report_payload,
-)
+from repro.telemetry.schema import validate_jsonl_export, validate_metrics_payload
 from repro.util.errors import SchemaError
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -101,12 +97,6 @@ FAMILIES = {
     "telemetry.jsonl": (validate_jsonl_export, {
         "meta": {"schema": "repro.telemetry/v1", "experiment": "unit"},
         "metrics": METRICS, "spans": [SPAN]}),
-    "telemetry.step_report": (validate_step_report_payload, {
-        "schema": "repro.telemetry/v1", "kind": "step_report",
-        "experiment": "unit", "count": 1,
-        "rows": [{"step": 1, "run_id": "run", "total": 0.2,
-                  "phases": {"propose": 0.1}}],
-        "means": {"total": 0.2, "phases": {"propose": 0.1}}}),
     "observatory.query_result": (validate_query_result, {
         **OBSERVATORY, "kind": "query_result",
         "query": {"metric": "a.b.latency", "selector": {"stat": "p95"},

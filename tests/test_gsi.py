@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gsi import (
-    Certificate,
     CertificateAuthority,
     CommunityAuthorizationService,
     Crypto,

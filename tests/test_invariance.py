@@ -7,7 +7,6 @@ what is measured.  These tests pin that down, plus full-scale determinism.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

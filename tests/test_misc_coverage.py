@@ -1,6 +1,5 @@
 """Targeted tests for thinner corners of the API surface."""
 
-import numpy as np
 import pytest
 
 from repro.control import MPlugin, make_displacement_actions
@@ -13,7 +12,7 @@ from repro.gsi import (
     GsiAuthenticator,
     GsiChecker,
 )
-from repro.net import Network, RpcRequest, RpcService
+from repro.net import Network, RpcService
 from repro.sim import Kernel
 from repro.util.errors import ProtocolError, SecurityError
 

@@ -184,7 +184,7 @@ class TestDeploymentWiring:
 
     def test_policy_limits_installed(self, short_config):
         dep = build_most(short_config)
-        from repro.core import Proposal, Action
+        from repro.core import Action
         from repro.util.errors import PolicyViolation
 
         plugin = dep.sites["ncsa"].server.plugin

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.core import (
     Action,
     ExecutionOutcome,
-    NTCPServer,
     Proposal,
     SitePolicy,
     Transaction,

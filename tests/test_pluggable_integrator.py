@@ -1,7 +1,6 @@
 """A stiff structure hybrid test needs alpha-OS: coordinator-level check."""
 
 import numpy as np
-import pytest
 
 from repro.control import SimulationPlugin
 from repro.coordinator import SimulationCoordinator, SiteBinding

@@ -10,7 +10,6 @@ chaos-side scheduler-crash plan plus the fencing invariant sweep.
 """
 
 import json
-import pathlib
 
 import numpy as np
 import pytest

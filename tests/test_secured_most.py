@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.gsi import Crypto, CertificateAuthority, GsiAuthenticator
+from repro.gsi import CertificateAuthority, GsiAuthenticator
 from repro.most import MOSTConfig
 from repro.most.secured import (
     COORDINATOR_DN,

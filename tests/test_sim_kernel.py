@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sim import AllOf, AnyOf, Interrupt, Kernel
+from repro.sim import Interrupt, Kernel
 
 
 class TestEventBasics:

@@ -1,6 +1,5 @@
 """Stateful hypothesis exploration of user-facing state machines."""
 
-import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (

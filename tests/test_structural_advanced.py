@@ -9,7 +9,7 @@ from repro.control import (
     RemotePollBackend,
     make_displacement_actions,
 )
-from repro.net import FaultInjector, Network, RpcClient
+from repro.net import Network, RpcClient
 from repro.core import NTCPClient, NTCPServer
 from repro.ogsi import ServiceContainer
 from repro.sim import Kernel

@@ -1,7 +1,6 @@
 """Tests for the Matlab-style toolbox, the referral service, and §3.3
 MOST metadata."""
 
-import numpy as np
 import pytest
 
 from repro.control import SimulationPlugin

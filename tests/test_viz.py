@@ -1,7 +1,6 @@
 """Tests for the terminal visualization helpers."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
