@@ -32,7 +32,6 @@ import pathlib
 import numpy as np
 
 from repro.fleet import (
-    FleetScheduler,
     SitePool,
     TenantRegistry,
     build_fleet_grid,
@@ -40,6 +39,12 @@ from repro.fleet import (
     tenant_sweep,
 )
 from repro.net import RemoteException
+from repro.queue import (
+    ExperimentQueue,
+    FencingAuthority,
+    InMemoryJournalStore,
+    run_durable_campaign,
+)
 
 from _report import (
     BENCH_SCHEMA_ID,
@@ -80,16 +85,15 @@ def run_fleet_campaign(*, n_sites: int = 8, n_tenants: int = 20,
     grid = build_fleet_grid(n_sites)
     pool = SitePool(grid.kernel, grid.sites.values())
     registry = TenantRegistry(grid)
-    fleet = FleetScheduler(grid, pool, registry)
-    requests = tenant_sweep(n_tenants, runs_per_tenant, n_steps=n_steps,
-                            n_sites=sites_per_lease)
-    for request in requests:
-        fleet.submit(request)
-    result = fleet.run()
-    per_tenant = result.per_tenant()
+    queue = ExperimentQueue(grid.kernel, InMemoryJournalStore(),
+                            FencingAuthority(grid.kernel))
+    submissions = tenant_sweep(n_tenants, runs_per_tenant, n_steps=n_steps,
+                               n_sites=sites_per_lease)
+    result = run_durable_campaign(grid, pool, registry, queue, submissions,
+                                  settle_delay=0.0)
     summary = result.summary()
 
-    # Numerical isolation: each tenant's runs share one request shape, so
+    # Numerical isolation: each tenant's runs share one submission shape, so
     # one solo reference per tenant covers all of its fleet runs.
     solo: dict[str, np.ndarray] = {}
     mismatches = 0
@@ -99,21 +103,18 @@ def run_fleet_campaign(*, n_sites: int = 8, n_tenants: int = 20,
         if not np.array_equal(outcome.result.displacement_history(),
                               solo[outcome.tenant]):
             mismatches += 1
-    ratio = result.completion_ratio()
+    ratio = summary["completion_ratio"]
 
     payload = {
         "schema": BENCH_SCHEMA_ID,
         "experiment": "tfleet",
         "config": {"n_sites": n_sites, "n_tenants": n_tenants,
                    "runs_per_tenant": runs_per_tenant,
-                   "n_experiments": len(requests), "n_steps": n_steps,
+                   "n_experiments": len(submissions), "n_steps": n_steps,
                    "sites_per_lease": sites_per_lease},
-        "fleet": {"duration": summary["duration"],
-                  "completed": summary["completed"],
-                  "peak_queue_depth": summary["peak_queue_depth"],
-                  "lease_wait_max": summary["lease_wait_max"],
-                  "lease_wait_mean": summary["lease_wait_mean"],
-                  "duplicate_executes": summary["duplicate_executes"]},
+        "fleet": {key: summary[key] for key in (
+            "duration", "completed", "peak_queue_depth", "lease_wait_max",
+            "lease_wait_mean", "duplicate_executes")},
         "fairness": {"completion_ratio": ratio, "bound": bound,
                      "within_bound": ratio <= bound},
         "tenants": {
@@ -121,7 +122,7 @@ def run_fleet_campaign(*, n_sites: int = 8, n_tenants: int = 20,
                      "completion_time": stats["completion_time"],
                      "lease_wait_max": stats["lease_wait_max"],
                      "duplicate_executes": stats["duplicate_executes"]}
-            for tenant, stats in sorted(per_tenant.items())},
+            for tenant, stats in sorted(result.per_tenant().items())},
         "bit_exact": {"solo_vs_fleet": mismatches == 0,
                       "tenants_checked": len(solo)},
         "security": {"unauthorized_rejected":

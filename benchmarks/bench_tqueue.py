@@ -45,7 +45,6 @@ from repro.queue import (
     ExperimentQueue,
     FencingAuthority,
     InMemoryJournalStore,
-    QueueSubmission,
     attach_durable_repository,
     run_durable_campaign,
 )
@@ -86,10 +85,8 @@ def run_queue_campaign(*, n_sites: int = 8, n_tenants: int = 12,
     """Run crashed + uncrashed campaigns; return (document, telemetry)."""
     # T-FLEET's sweep, one site per lease, so the two benches exercise
     # the same physics.
-    submissions = [QueueSubmission.from_request(request)
-                   for request in tenant_sweep(
-                       n_tenants, runs_per_tenant, n_steps=n_steps,
-                       n_sites=1, checkpoint_every=checkpoint_every)]
+    submissions = tenant_sweep(n_tenants, runs_per_tenant, n_steps=n_steps,
+                               n_sites=1, checkpoint_every=checkpoint_every)
 
     # The uncrashed reference: same submissions, one incarnation, fast
     # in-memory journal.  Its histories are the bit-exactness oracle and

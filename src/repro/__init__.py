@@ -105,9 +105,6 @@ from repro.observatory import (
 
 # -- multi-tenant fleet ------------------------------------------------------
 from repro.fleet import (
-    ExperimentRequest,
-    FleetResult,
-    FleetScheduler,
     SitePool,
     TenantRegistry,
     build_fleet_grid,
@@ -174,9 +171,6 @@ __all__ = [
     "SessionResult",
     "build_most",
     # multi-tenant fleet
-    "ExperimentRequest",
-    "FleetResult",
-    "FleetScheduler",
     "SitePool",
     "TenantRegistry",
     "build_fleet_grid",

@@ -456,8 +456,8 @@ def check_fleet_invariants(outcomes, *, baselines=None,
     """The invariant sweep, per tenant, over a fleet run's outcomes.
 
     ``outcomes`` is an iterable of
-    :class:`~repro.fleet.scheduler.TenantOutcome` (from either
-    scheduler); ``baselines`` maps ``run_id`` to a solo displacement history
+    :class:`~repro.fleet.scheduler.TenantOutcome` (a campaign's
+    deliveries); ``baselines`` maps ``run_id`` to a solo displacement history
     (:func:`~repro.fleet.scheduler.solo_displacement_history`).  Each
     outcome is judged by the per-run rules (:func:`_check_run`) over its
     *lease*: the at-most-once count is each leased site's ``executed``

@@ -200,22 +200,26 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         make_fleet_outage_plan,
     )
     from repro.fleet import (
-        FleetScheduler,
         SitePool,
         TenantRegistry,
         build_fleet_grid,
         tenant_sweep,
     )
+    from repro.queue import (
+        ExperimentQueue,
+        FencingAuthority,
+        InMemoryJournalStore,
+        run_durable_campaign,
+    )
 
     grid = build_fleet_grid(args.sites)
     pool = SitePool(grid.kernel, grid.sites.values())
+    pool.validate_request(args.sites_per_lease)
     registry = TenantRegistry(grid)
-    fleet = FleetScheduler(grid, pool, registry)
-    for request in tenant_sweep(
-            args.tenants, args.runs, n_steps=args.steps,
-            n_sites=args.sites_per_lease,
-            degradation=args.outages > 0 and not args.no_failover):
-        fleet.submit(request)
+    submissions = tenant_sweep(
+        args.tenants, args.runs, n_steps=args.steps,
+        n_sites=args.sites_per_lease,
+        degradation=args.outages > 0 and not args.no_failover)
     plan = None
     if args.outages > 0:
         plan = make_fleet_outage_plan(args.seed, sorted(grid.sites),
@@ -227,7 +231,10 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     print(f"fleet campaign: {n} experiments ({args.tenants} tenants x "
           f"{args.runs} runs, {args.steps} steps) over {args.sites} "
           f"shared sites{faulted}")
-    result = fleet.run()
+    queue = ExperimentQueue(grid.kernel, InMemoryJournalStore(),
+                            FencingAuthority(grid.kernel))
+    result = run_durable_campaign(grid, pool, registry, queue, submissions,
+                                  settle_delay=0.0)
     summary = result.summary()
     verdict = check_fleet_invariants(result.outcomes,
                                      expect_completion=not plan)
@@ -276,7 +283,7 @@ def _cmd_queue_submit(args: argparse.Namespace) -> int:
     kernel, queue = _open_file_queue(args.journal)
     submission = QueueSubmission(
         submission_id=args.submission_id, tenant=args.tenant,
-        run_id=args.run_id or "", n_steps=args.steps,
+        run_id=args.run_id, n_steps=args.steps,
         n_sites=args.sites_per_lease, motion_scale=args.motion_scale,
         checkpoint_every=args.checkpoint_every)
 
@@ -312,7 +319,7 @@ def _cmd_queue_status(args: argparse.Namespace) -> int:
         doc = dict(stats)
         doc["outstanding_submissions"] = [
             {"submission_id": s.submission_id, "tenant": s.tenant,
-             "run_id": s.run_id or s.submission_id,
+             "run_id": s.run_id,
              "attempts": queue.attempts(s.submission_id)}
             for s in queue.outstanding()]
         print(json.dumps(doc, indent=2, sort_keys=True))

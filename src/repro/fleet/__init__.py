@@ -10,38 +10,35 @@ campaigns, Mini-MOST classrooms — over a fixed pool of shared sites:
   fair-share queueing and admission control;
 * :mod:`repro.fleet.tenants` threads a per-tenant GSI identity through
   every NTCP and repository call, with tenant-labeled telemetry;
-* :mod:`repro.fleet.scheduler` holds the one campaign drive loop
-  (:func:`drive_request`: provision, coordinate, checkpoint-resume on a
-  granted lease — the durable scheduler in :mod:`repro.queue` runs its
-  deliveries through the same function) and :class:`FleetScheduler`,
-  which drives N requests as deterministic kernel processes and
-  publishes the fleet roll-up as the ``fleet.rollup`` SDE for monitors.
+* :mod:`repro.fleet.scheduler` holds the campaign drive loop
+  (:func:`drive_request`: provision, coordinate, resume a redelivery on a
+  granted lease) and :func:`tenant_sweep`, the campaign everyone drives.
+
+A campaign runs through the durable queue (:mod:`repro.queue`); a plain
+fleet campaign is one that never crashes, over an in-memory journal.
 
 Quickstart::
 
-    from repro.fleet import (FleetScheduler, SitePool, TenantRegistry,
-                             ExperimentRequest, build_fleet_grid)
+    from repro.fleet import SitePool, TenantRegistry, build_fleet_grid
+    from repro.queue import (ExperimentQueue, FencingAuthority,
+                             InMemoryJournalStore, QueueSubmission,
+                             run_durable_campaign)
 
     grid = build_fleet_grid(8)
     pool = SitePool(grid.kernel, grid.sites.values())
-    registry = TenantRegistry(grid)
-    fleet = FleetScheduler(grid, pool, registry)
-    for tenant in ("alice", "bob"):
-        for run in range(3):
-            fleet.submit(ExperimentRequest(
-                tenant=tenant, run_id=f"{tenant}-r{run}",
-                n_steps=25, n_sites=2))
-    result = fleet.run()
+    queue = ExperimentQueue(grid.kernel, InMemoryJournalStore(),
+                            FencingAuthority(grid.kernel))
+    submissions = [QueueSubmission(f"{tenant}-r{run}", tenant,
+                                   n_steps=25, n_sites=2)
+                   for tenant in ("alice", "bob") for run in range(3)]
+    result = run_durable_campaign(grid, pool, TenantRegistry(grid), queue,
+                                  submissions)
     print(result.summary())
 """
 
 from repro.fleet.grid import DEFAULT_POOL_SIZE, FleetGrid, build_fleet_grid
 from repro.fleet.pool import AdmissionError, SiteLease, SitePool
 from repro.fleet.scheduler import (
-    ROLLUP_SDE,
-    ExperimentRequest,
-    FleetResult,
-    FleetScheduler,
     TenantOutcome,
     default_fleet_fault_policy,
     drive_request,
@@ -58,12 +55,8 @@ from repro.fleet.tenants import (
 __all__ = [
     "AdmissionError",
     "DEFAULT_POOL_SIZE",
-    "ExperimentRequest",
     "FleetGrid",
-    "FleetResult",
-    "FleetScheduler",
     "OUTSIDER_DN",
-    "ROLLUP_SDE",
     "SiteLease",
     "SitePool",
     "Tenant",

@@ -24,6 +24,7 @@ from repro.grid import Grid, single_dof
 from repro.most.config import MOSTConfig
 from repro.ogsi import GridServiceHandle, ServiceContainer
 from repro.repository import NMDSService
+from repro.util.errors import ConfigurationError
 
 #: default number of pooled sites (the bench's "≤ 8 shared sites" bound)
 DEFAULT_POOL_SIZE = 8
@@ -35,9 +36,9 @@ class FleetGrid(Grid):
 
     ``sites`` holds one :class:`~repro.grid.SiteDeployment` per pooled
     site (host name == site name); ``coord_container`` hosts fleet-level
-    services (status roll-up; per-lease failover surrogates bind their
-    own ports); ``nmds`` is the shared metadata service every tenant
-    writes its tenant-namespaced run records into.
+    services (a campaign's status SDE; per-lease failover surrogates
+    bind their own ports); ``nmds`` is the shared metadata service on
+    the ``repo`` host, behind the tenants' repository gridmap and CAS.
     """
 
     config: MOSTConfig
@@ -59,8 +60,8 @@ def build_fleet_grid(n_sites: int = DEFAULT_POOL_SIZE, *,
     """
     config = config or MOSTConfig()
     if n_sites < 1:
-        raise ValueError(f"a fleet grid needs at least one site, "
-                         f"got {n_sites}")
+        raise ConfigurationError(f"a fleet grid needs at least one site, "
+                                 f"got {n_sites}")
     grid = FleetGrid.star(
         seed=(network_seed if network_seed is not None
               else config.network_seed), config=config)

@@ -36,7 +36,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class AdmissionError(ReproError):
-    """The pool refused a lease request at admission time."""
+    """The pool refused a lease request, or the queue a submission, at
+    admission time."""
 
 
 @dataclass

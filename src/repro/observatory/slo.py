@@ -15,7 +15,7 @@ budget is being spent, where 1.0 means "exactly on budget".  A rule
 fires when its window's burn exceeds its factor; the alert goes through
 the existing :class:`repro.monitor.ExperimentMonitor` channel as a typed
 ``slo_burn`` alert, and whole-history ``budget_remaining`` is surfaced
-in the ``fleet.rollup`` SDE.  Every window is read through
+in the observatory's dump.  Every window is read through
 :meth:`~repro.observatory.tsdb.Series.window` over the raw tier, so
 "whole history" reaches as far back as the raw ring does (see
 :class:`SLOSpec`).
@@ -240,10 +240,3 @@ class SLOEvaluator:
         """Status dicts without mutating firing state or raising alerts."""
         now = self.kernel.now
         return [self._status(slo, now) for slo in self.slos]
-
-    def budget_for_tenant(self, tenant: str) -> float:
-        """The minimum budget remaining across a tenant's SLOs (1.0 if none)."""
-        budgets = [status["budget_remaining"]
-                   for status in self.evaluate_quiet()
-                   if status["tenant"] in (None, tenant)]
-        return min(budgets) if budgets else 1.0

@@ -14,10 +14,11 @@ Entry points:
   over the write-ahead log;
 * :class:`DurableFleetScheduler` — one crash-recoverable scheduler
   incarnation over a fleet grid; it adds epoch takeover, journaled
-  claim/terminal and fenced clients around the fleet's one drive loop
+  claim/terminal and fenced clients around the fleet's drive loop
   (:func:`repro.fleet.scheduler.drive_request`) and reports each delivery
   as the fleet's :class:`~repro.fleet.scheduler.TenantOutcome`;
-* :func:`run_durable_campaign` — submissions in, crashes on cue,
+* :func:`run_durable_campaign` — the one campaign loop: submissions in,
+  crashes on cue (none for a plain fleet campaign),
   :class:`CampaignResult` out;
 * :class:`FencingAuthority` and the fenced wrappers — the zombie-write
   refusal fabric shared with :mod:`repro.fleet.pool`.

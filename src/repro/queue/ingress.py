@@ -10,11 +10,12 @@ enforces the two delivery guarantees the tentpole promises:
   (with an incremented attempt count) until some incarnation lands a
   terminal entry;
 * **exactly-once execution** — dedupe on the caller-supplied submission
-  id makes resubmission idempotent, fencing epochs make stale claims and
-  terminals impossible to land, and disjoint-site redelivery (the claim
-  records carry granted site names, and recovery leases *avoid* them)
-  keeps NTCP transaction names collision-free, so ``duplicate_executes``
-  stays zero across any number of crashes.
+  id makes resubmission idempotent, a run id is journaled by one
+  submission only, fencing epochs make stale claims and terminals
+  impossible to land, and disjoint-site redelivery (the claim records
+  carry granted site names, and recovery leases *avoid* them) keeps NTCP
+  transaction names collision-free, so ``duplicate_executes`` stays zero
+  across any number of crashes.
 
 Replay applies the journal's own fencing discipline: entries appear in
 sequence order, and a claim or terminal whose epoch is older than the
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.fleet.scheduler import ExperimentRequest
+from repro.fleet.pool import AdmissionError
 from repro.queue.fencing import FencingAuthority
 from repro.queue.journal import JournalStoreBase
 from repro.util.errors import ConfigurationError
@@ -41,7 +42,12 @@ class QueueSubmission:
 
     The submission id is the **caller's** idempotency key: submitting the
     same id twice is one logical submission (the second submit returns
-    the journaled first).  ``run_id`` defaults to the submission id.
+    the journaled first).  ``run_id`` defaults to the submission id, and
+    names the run's NTCP transactions, so it is unique across the queue.
+    ``motion_scale`` scales the ground-motion PGA; ``checkpoint_every >
+    0`` gives the run a checkpoint store a redelivery resumes from;
+    ``degradation`` adds per-lease circuit breakers and surrogate
+    failover.
     """
 
     submission_id: str
@@ -51,14 +57,23 @@ class QueueSubmission:
     n_sites: int = 1
     motion_scale: float = 1.0
     checkpoint_every: int = 0
+    degradation: bool = False
+
+    def __post_init__(self) -> None:
+        if not self.run_id:
+            object.__setattr__(self, "run_id", self.submission_id)
 
     def body(self) -> dict[str, Any]:
-        """The journal ``submit`` body for this submission."""
-        return {"submission_id": self.submission_id, "tenant": self.tenant,
-                "run_id": self.run_id or self.submission_id,
-                "n_steps": self.n_steps, "n_sites": self.n_sites,
+        """The journal ``submit`` body for this submission (``degradation``
+        is written only when set, so undegraded entries keep their bytes)."""
+        body = {"submission_id": self.submission_id, "tenant": self.tenant,
+                "run_id": self.run_id, "n_steps": self.n_steps,
+                "n_sites": self.n_sites,
                 "motion_scale": float(self.motion_scale),
                 "checkpoint_every": self.checkpoint_every}
+        if self.degradation:
+            body["degradation"] = True
+        return body
 
     @classmethod
     def from_body(cls, body: dict[str, Any]) -> "QueueSubmission":
@@ -68,30 +83,8 @@ class QueueSubmission:
                    n_steps=int(body["n_steps"]),
                    n_sites=int(body["n_sites"]),
                    motion_scale=float(body["motion_scale"]),
-                   checkpoint_every=int(body["checkpoint_every"]))
-
-    @classmethod
-    def from_request(cls, request: ExperimentRequest) -> "QueueSubmission":
-        """The submission that runs ``request``, keyed by its run id (so a
-        :func:`~repro.fleet.tenant_sweep` is a queue campaign too); it
-        carries the fields a journal entry has, nothing else."""
-        return cls(submission_id=request.run_id, tenant=request.tenant,
-                   n_steps=request.n_steps, n_sites=request.n_sites,
-                   motion_scale=request.motion_scale,
-                   checkpoint_every=request.checkpoint_every)
-
-    def request(self) -> ExperimentRequest:
-        """This submission as the fleet drive loop's request.
-
-        ``max_resumes=0``: a delivery that aborts is journaled ``failed``
-        rather than resumed in place — resuming a durable run is the next
-        incarnation's redelivery.
-        """
-        return ExperimentRequest(
-            tenant=self.tenant, run_id=self.run_id or self.submission_id,
-            n_steps=self.n_steps, n_sites=self.n_sites,
-            motion_scale=self.motion_scale,
-            checkpoint_every=self.checkpoint_every, max_resumes=0)
+                   checkpoint_every=int(body["checkpoint_every"]),
+                   degradation=body.get("degradation", False))
 
 
 class ExperimentQueue:
@@ -111,6 +104,8 @@ class ExperimentQueue:
         self.authority = authority
         #: submission_id -> submit body, in journal order
         self._submissions: dict[str, dict] = {}
+        #: run_id -> the submission id that journaled it first
+        self._run_ids: dict[str, str] = {}
         #: submission_id -> list of applied claim bodies
         self._claims: dict[str, list[dict]] = {}
         #: submission_id -> applied terminal body
@@ -131,6 +126,7 @@ class ExperimentQueue:
         """
         entries = yield from self.store.replay()
         self._submissions = {}
+        self._run_ids = {}
         self._claims = {}
         self._terminals = {}
         self.voided = []
@@ -140,6 +136,8 @@ class ExperimentQueue:
             body = entry["body"]
             if kind == "submit":
                 self._submissions.setdefault(body["submission_id"], body)
+                self._run_ids.setdefault(body["run_id"],
+                                         body["submission_id"])
             elif kind == "epoch":
                 running_epoch = max(running_epoch, int(body["epoch"]))
                 self.authority.observe(int(body["epoch"]),
@@ -164,7 +162,10 @@ class ExperimentQueue:
         A resubmitted id returns the originally journaled body without
         appending — the caller's retry after a lost acknowledgment is
         absorbed, which is what makes the queue's delivery *exactly-once*
-        from the submitter's point of view.
+        from the submitter's point of view.  A *new* id whose run id is
+        already journaled is refused with :class:`AdmissionError`: the run
+        id names the run's NTCP transactions and checkpoints, so a second
+        submission under it would replay the first one's outcomes.
         """
         body = submission.body()
         sid = body["submission_id"]
@@ -172,8 +173,14 @@ class ExperimentQueue:
         if existing is not None:
             self.kernel.emit("queue", "submit.deduped", submission_id=sid)
             return dict(existing)
+        owner = self._run_ids.get(body["run_id"])
+        if owner is not None:
+            raise AdmissionError(
+                f"run id {body['run_id']!r} is already journaled by "
+                f"submission {owner!r}; run ids must be queue-unique")
         yield from self.store.append("submit", body, time=self.kernel.now)
         self._submissions[sid] = body
+        self._run_ids[body["run_id"]] = sid
         self.kernel.emit("queue", "submit.accepted", submission_id=sid,
                          tenant=body["tenant"], run_id=body["run_id"])
         return dict(body)

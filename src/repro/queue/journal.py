@@ -29,6 +29,7 @@ Three stores share one generator-shaped API (``append`` / ``replay``):
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 from typing import Any, Iterable
 
@@ -37,11 +38,13 @@ from repro.repository.facade import RepositoryFacade
 from repro.util.errors import ConfigurationError, ProtocolError, SchemaError
 from repro.util.schema import (
     array,
+    boolean,
     document,
     integer,
     number,
     obj,
     one_of,
+    rule,
     string,
     switch,
     validator,
@@ -63,7 +66,10 @@ _BODIES = {
     "submit": obj({
         "submission_id": string(), "tenant": string(), "run_id": string(),
         "n_steps": integer(1), "n_sites": integer(1),
-        "motion_scale": number(above=0), "checkpoint_every": integer(0)}),
+        "motion_scale": number(above=0), "checkpoint_every": integer(0)},
+        {"degradation": boolean()},
+        rule(".motion_scale", "must be finite",
+             lambda body: math.isfinite(body["motion_scale"]))),
     "epoch": obj({"epoch": integer(1), "scheduler_id": string()}),
     "claim": obj({**_SUBMISSION, "attempt": integer(1),
                   "sites": array(string(), nonempty=True)}),

@@ -4,11 +4,13 @@
 registers a fresh fencing epoch, fences the site pool (revoking every
 lease a dead predecessor still holds), replays the journal, and drives
 every outstanding submission — first deliveries and redeliveries alike —
-as its own kernel process.  Each drive is the fleet's own
+as its own kernel process.  Each drive is the fleet's
 :func:`~repro.fleet.scheduler.drive_request` handed a fenced NTCP client
-and a fenced view of the run's shared checkpoint store; only what is
-durable-specific lives here — epoch takeover, settle, replay, the
-journaled claim and terminal, :meth:`~DurableFleetScheduler.crash`.  A
+and a fenced view of the run's shared checkpoint store; what lives here
+is epoch takeover, settle, replay, the journaled claim and terminal, and
+:meth:`~DurableFleetScheduler.crash`.  A submission no pool state could
+ever grant (more sites than the pool owns, or an avoid-set that leaves
+too few) is journaled ``failed`` with 0 steps, and the drain goes on.  A
 redelivered submission resumes from the run's newest checkpoint through
 the §7 reconciliation machinery, on sites *disjoint* from every site a
 prior claim ever held, so the successor never re-executes an NTCP
@@ -23,8 +25,11 @@ store, queue journal, and site pool all validate the orphan's stale
 epoch and refuse it with :class:`~repro.util.errors.FencingError`.
 
 :func:`run_durable_campaign` strings incarnations together — submit,
-run, crash on cue, take over — and is what the T-QUEUE bench and the
-chaos suite drive.
+run, crash on cue, take over.  It is the one campaign loop: with no
+``crash_after`` over an :class:`~repro.queue.journal.InMemoryJournalStore`
+it is a plain fleet campaign (``repro fleet``, T-FLEET); with crashes
+over the repository journal it is T-QUEUE and T-WALL's
+``campaign_durable``.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Generator
 
-from repro.fleet.pool import SiteLease, SitePool
+from repro.fleet.pool import AdmissionError, SiteLease, SitePool
 from repro.fleet.scheduler import TenantOutcome, drive_request
 from repro.net import RpcClient
 from repro.ogsi import SdeStatusService, ServiceContainer
@@ -203,15 +208,26 @@ class DurableFleetScheduler:
 
     def _drive(self, submission: QueueSubmission
                ) -> Generator[Any, Any, None]:
-        request = submission.request()
-        tenant = self.registry.register(request.tenant)
+        tenant = self.registry.register(submission.tenant)
         started_at = self.kernel.now
         # Disjoint-site redelivery: never lease a site a prior claim of
         # this submission held — a dead incarnation's orphan may have
         # executed this run's transaction names there.
         avoid = self.queue.claimed_sites(submission.submission_id)
-        lease: SiteLease = yield self.pool.acquire(
-            request.tenant, request.n_sites, epoch=self.epoch, avoid=avoid)
+        try:
+            granted = self.pool.acquire(
+                submission.tenant, submission.n_sites, epoch=self.epoch,
+                avoid=avoid)
+        except AdmissionError as exc:
+            # No pool state can ever grant it: fail this one, drain the rest.
+            self.kernel.emit("queue.scheduler", "admission.refused",
+                             submission_id=submission.submission_id,
+                             error=str(exc))
+            yield from self.queue.mark_terminal(
+                submission.submission_id, self.epoch, status="failed",
+                steps=0)
+            return
+        lease: SiteLease = yield granted
         attempt = yield from self.queue.claim(
             submission.submission_id, self.epoch, lease.site_names)
         if attempt > 1:
@@ -221,13 +237,13 @@ class DurableFleetScheduler:
                              sites=list(lease.site_names))
         authority = self.queue.authority
         store = None
-        if request.checkpoint_every > 0:
+        if submission.checkpoint_every > 0:
             store = FencedCheckpointStore(
                 self.checkpoint_stores.setdefault(
-                    request.run_id, InMemoryCheckpointStore()),
+                    submission.run_id, InMemoryCheckpointStore()),
                 authority, self.epoch)
-        result, _, resumed_from_step = yield from drive_request(
-            self.grid, lease, request,
+        result, resumed_from_step = yield from drive_request(
+            self.grid, lease, submission,
             client=FencedNTCPClient(tenant.ntcp, authority, self.epoch),
             store=store, resume_first=attempt > 1)
         yield from self.queue.mark_terminal(
@@ -236,7 +252,7 @@ class DurableFleetScheduler:
             steps=result.steps_completed)
         self.pool.release(lease)
         self.outcomes.append(TenantOutcome(
-            request=request, result=result, lease=lease,
+            request=submission, result=result, lease=lease,
             submitted_at=started_at, finished_at=self.kernel.now,
             attempt=attempt, resumed_from_step=resumed_from_step))
 
@@ -249,7 +265,7 @@ class DurableFleetScheduler:
 
 @dataclass
 class CampaignResult:
-    """Everything a durable campaign produced, across all incarnations."""
+    """Everything a campaign produced, across all incarnations."""
 
     outcomes: list[TenantOutcome]
     incarnations: list[dict[str, Any]]
@@ -257,6 +273,7 @@ class CampaignResult:
     fencing: dict[str, Any]
     started_at: float
     finished_at: float
+    peak_queue_depth: int
 
     def histories(self) -> dict[str, Any]:
         """Final displacement history per completed run id."""
@@ -268,8 +285,47 @@ class CampaignResult:
         return sum(outcome.duplicate_executes()
                    for outcome in self.outcomes)
 
+    def per_tenant(self) -> dict[str, dict[str, Any]]:
+        """Roll the outcomes up by tenant (runs, steps, waits, completion)."""
+        stats: dict[str, dict[str, Any]] = {}
+        for outcome in self.outcomes:
+            entry = stats.setdefault(outcome.tenant, {
+                "runs": 0, "completed": 0, "steps": 0,
+                "degraded_runs": 0, "duplicate_executes": 0,
+                "lease_wait_total": 0.0, "lease_wait_max": 0.0,
+                "completion_time": 0.0})
+            entry["runs"] += 1
+            entry["completed"] += 1 if outcome.completed else 0
+            entry["steps"] += outcome.result.steps_completed
+            entry["degraded_runs"] += \
+                1 if outcome.result.degraded_steps else 0
+            entry["duplicate_executes"] += outcome.duplicate_executes()
+            entry["lease_wait_total"] += outcome.lease.wait
+            entry["lease_wait_max"] = max(entry["lease_wait_max"],
+                                          outcome.lease.wait)
+            entry["completion_time"] = max(
+                entry["completion_time"],
+                outcome.finished_at - self.started_at)
+        return stats
+
+    def completion_ratio(self) -> float:
+        """Max/min ratio of tenants' campaign completion times.
+
+        The fairness figure T-FLEET reports: a starved tenant finishes its
+        runs much later than the rest, inflating this ratio.
+        """
+        times = [entry["completion_time"]
+                 for entry in self.per_tenant().values()]
+        if not times:
+            return 1.0
+        low = min(times)
+        if low <= 0.0:
+            return float("inf")
+        return max(times) / low
+
     def summary(self) -> dict[str, Any]:
         """The campaign's headline numbers in one dict."""
+        waits = [outcome.lease.wait for outcome in self.outcomes]
         return {
             "submissions": self.queue_stats["submitted"],
             "completed": self.queue_stats["completed"],
@@ -283,6 +339,12 @@ class CampaignResult:
             "stale_accepts": len(self.fencing["stale_accepts"]),
             "duplicate_executes": self.duplicate_executes(),
             "duration": self.finished_at - self.started_at,
+            "experiments": len(self.outcomes),
+            "tenants": len(self.per_tenant()),
+            "completion_ratio": self.completion_ratio(),
+            "peak_queue_depth": self.peak_queue_depth,
+            "lease_wait_max": max(waits, default=0.0),
+            "lease_wait_mean": (sum(waits) / len(waits)) if waits else 0.0,
         }
 
 
@@ -346,4 +408,5 @@ def run_durable_campaign(grid: "FleetGrid", pool: SitePool,
                                         if o.completed)}
                       for scheduler in schedulers],
         queue_stats=queue.stats(), fencing=queue.authority.report(),
-        started_at=started_at, finished_at=kernel.now)
+        started_at=started_at, finished_at=kernel.now,
+        peak_queue_depth=pool.peak_queue_depth)

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal
 
+from repro.util.errors import ConfigurationError
+
 
 @dataclass(frozen=True)
 class GroundMotion:
@@ -116,6 +118,10 @@ def kanai_tajimi_record(*, duration: float = 30.0, dt: float = 0.02,
     shaped by a Jennings envelope, then scaled to the requested PGA.
     """
     n = int(round(duration / dt))
+    if n < 1:
+        raise ConfigurationError(
+            f"a ground-motion record needs at least one sample, got "
+            f"duration {duration} s at dt {dt} s")
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(n)
     filtered = signal.lfilter(*_kanai_tajimi_filter(omega_g, zeta_g, dt),

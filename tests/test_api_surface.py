@@ -173,8 +173,7 @@ def test_every_instrument_has_one_owner_and_a_reader():
     ``scripts/`` or a ``src/`` module other than the creating one.
 
     *One owner.*  The seven former shadow copies are properties, no
-    ``x.attr += n`` sits next to an instrument update (two commented
-    exemptions), the network never ``repr``-s a payload, and no class
+    ``x.attr += n`` sits next to an instrument update, the network never ``repr``-s a payload, and no class
     owns an ``IdFactory`` (ports number per network, not per process).
     """
     import ast
@@ -185,10 +184,6 @@ def test_every_instrument_has_one_owner_and_a_reader():
     repo = src.parent.parent
     kinds = {"counter", "gauge", "histogram"}
     updates = {"inc", "observe", "set", "add"}
-    #: FleetScheduler's campaign totals: state the roll-up publishes, the
-    #: hub series beside them is per tenant (commented where it stands;
-    #: so is TimeSeriesStore.samples_ingested, which this rule never meets)
-    exempt = {("fleet/scheduler.py", "_completed")}
 
     created = {}   # name ("prefix*" for an f-string family) -> (kind, home)
     said = {}      # file -> (string constants, static f-string prefixes)
@@ -228,8 +223,7 @@ def test_every_instrument_has_one_owner_and_a_reader():
                     for bump, update in (pair, pair[::-1]):
                         if (isinstance(bump, ast.AugAssign)
                                 and isinstance(bump.target, ast.Attribute)
-                                and is_update(update)
-                                and (where, bump.target.attr) not in exempt):
+                                and is_update(update)):
                             shadows.append((where, bump.target.attr))
             if (isinstance(node, ast.Call) and id(node) not in read_on_the_spot
                     and getattr(node.func, "attr", "") in kinds
@@ -376,6 +370,43 @@ def test_a_guarantee_has_one_gate():
     # the verifier's verdicts are tier-1 tests (test_verify*.py), so the
     # CLI that prints them is for operators, not a second gate
     assert reached("check").count("-m repro.verify") == 0
+
+
+def test_a_campaign_has_one_loop():
+    """A plain fleet campaign is a durable campaign that never crashes:
+    ``drive_request`` has one caller under ``src/`` (the durable
+    scheduler's per-submission drive), and the second loop's names —
+    ``FleetScheduler``, ``FleetResult``, ``ExperimentRequest`` — are gone
+    from ``src/``, ``tests/``, ``benchmarks/``, ``scripts/`` and
+    ``examples/``."""
+    import pathlib
+
+    src = pathlib.Path(repro.__file__).parent
+    repo = src.parent.parent
+    gone = {"FleetScheduler", "FleetResult", "ExperimentRequest"}
+    callers, named = [], set()
+    for root in ("src", "tests", "benchmarks", "scripts", "examples"):
+        for path in (repo / root).rglob("*.py"):
+            where = path.relative_to(repo).as_posix()
+            tree = ast.parse(path.read_text())
+            for node in ast.walk(tree):
+                names = {getattr(node, field, None)
+                         for field in ("id", "attr", "name")}
+                if isinstance(node, ast.alias):
+                    names.add(node.name)
+                named |= {(where, name) for name in gone & names}
+            if root != "src":
+                continue
+            callers += [
+                (where, func.name) for func in ast.walk(tree)
+                if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                for node in ast.walk(func)
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "id",
+                            getattr(node.func, "attr", "")) == "drive_request"]
+    assert callers == [("src/repro/queue/scheduler.py", "_drive")]
+    assert named == set()
+    assert not gone & set(repro.__all__)
 
 
 def test_host_time_has_one_harness():

@@ -208,3 +208,66 @@ class TestQueueCommands:
         assert captured.err.startswith(f"error: {journal}: journal is not "
                                        "UTF-8")
         assert captured.err.count("\n") == 1 and not captured.out
+
+    def test_a_second_submission_under_a_journaled_run_id_is_refused(
+            self, tmp_path, capsys):
+        journal = str(tmp_path / "q.jsonl")
+        assert main(["queue", "submit", "a", "--run-id", "shared",
+                     "--steps", "8", "--journal", journal]) == 0
+        capsys.readouterr()
+        assert main(["queue", "submit", "b", "--run-id", "shared",
+                     "--steps", "8", "--motion-scale", "1.25",
+                     "--journal", journal]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: run id 'shared' is already "
+                                       "journaled by submission 'a'")
+        assert main(["queue", "drain", "--journal", journal,
+                     "--sites", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "completed           : 1/1" in out
+        assert "duplicate executes  : 0" in out
+
+    def test_a_submission_no_pool_can_grant_fails_and_the_drain_goes_on(
+            self, tmp_path, capsys):
+        journal = str(tmp_path / "q.jsonl")
+        assert main(["queue", "submit", "big", "--sites-per-lease", "9",
+                     "--journal", journal]) == 0
+        assert main(["queue", "submit", "ok1", "--journal", journal]) == 0
+        capsys.readouterr()
+        assert main(["queue", "drain", "--journal", journal,
+                     "--sites", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "completed           : 1/2 (1 failed, 0 still outstanding)" \
+            in out
+        assert main(["queue", "status", "--journal", journal]) == 0
+        assert "outstanding         : 0" in capsys.readouterr().out
+
+    def test_a_non_finite_motion_scale_is_refused_at_submit(self, tmp_path,
+                                                            capsys):
+        journal = tmp_path / "q.jsonl"
+        assert main(["queue", "submit", "s1", "--motion-scale", "inf",
+                     "--journal", str(journal)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: $.body.motion_scale: must be "
+                                "finite\n")
+        assert not journal.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["most", "dry", "--steps", "0"],
+    ["resume", "--steps", "0"],
+    ["chaos", "1", "--steps", "0"],
+    ["mini-most", "--steps", "0"],
+    ["followon", "soil-structure", "--steps", "0"],
+    ["fleet", "--sites", "0"],
+    ["queue", "drain", "--sites", "0"],
+])
+def test_an_empty_run_or_pool_is_a_configuration_error(argv, tmp_path,
+                                                        capsys):
+    if argv[0] == "queue":
+        argv = argv + ["--journal", str(tmp_path / "q.jsonl")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: a ")
+    assert "needs at least one" in captured.err
+    assert captured.err.count("\n") == 1

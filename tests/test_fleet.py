@@ -2,10 +2,12 @@
 
 Covers :mod:`repro.fleet` end to end: the site pool's queueing discipline
 (deferred same-instant granting, fair-share ordering, head-of-line
-blocking, admission control), per-tenant telemetry label isolation with
-two live experiments on one kernel, GSI authorization of admitted vs
-never-admitted identities, per-tenant checkpoint/resume on a lease, the
-fleet roll-up SDE, and lease fairness under a seeded outage campaign.
+blocking, admission control), a fleet campaign through the one campaign
+loop (:func:`repro.queue.run_durable_campaign`, never crashed),
+per-tenant telemetry label isolation with two live experiments on one
+kernel, GSI authorization of admitted vs never-admitted identities, the
+campaign status SDE behind GSI, and lease fairness under a seeded outage
+campaign.
 """
 
 import numpy as np
@@ -17,12 +19,8 @@ from repro.chaos import (
     check_fleet_invariants,
     make_fleet_outage_plan,
 )
-from repro.coordinator import NaiveFaultPolicy
 from repro.fleet import (
-    ROLLUP_SDE,
     AdmissionError,
-    ExperimentRequest,
-    FleetScheduler,
     SitePool,
     TenantRegistry,
     build_fleet_grid,
@@ -31,15 +29,32 @@ from repro.fleet import (
     tenant_sweep,
 )
 from repro.net import RemoteException
+from repro.ogsi import SdeStatusService
+from repro.queue import (
+    QUEUE_SDE,
+    ExperimentQueue,
+    FencingAuthority,
+    InMemoryJournalStore,
+    QueueSubmission,
+    run_durable_campaign,
+)
+from repro.sim import Kernel
 from repro.util.errors import ProtocolError
 
 
-def small_fleet(n_sites=4, *, monitor=False, **pool_kwargs):
+def small_fleet(n_sites=4, **pool_kwargs):
     grid = build_fleet_grid(n_sites)
     pool = SitePool(grid.kernel, grid.sites.values(), **pool_kwargs)
     registry = TenantRegistry(grid)
-    fleet = FleetScheduler(grid, pool, registry, monitor=monitor)
-    return grid, pool, registry, fleet
+    return grid, pool, registry
+
+
+def run_campaign(grid, pool, registry, submissions, **kwargs):
+    """A plain fleet campaign: the durable loop, in memory, never crashed."""
+    queue = ExperimentQueue(grid.kernel, InMemoryJournalStore(),
+                            FencingAuthority(grid.kernel))
+    return run_durable_campaign(grid, pool, registry, queue, submissions,
+                                settle_delay=0.0, **kwargs)
 
 
 def spawn_acquire(grid, pool, tenant, n, leases):
@@ -50,8 +65,8 @@ def spawn_acquire(grid, pool, tenant, n, leases):
     return grid.kernel.process(proc(), name=f"acquire-{tenant}")
 
 
-def campaign_requests(n_tenants, runs_per_tenant, *, n_steps=8,
-                      sites_per_lease=2, **kwargs):
+def campaign_submissions(n_tenants, runs_per_tenant, *, n_steps=8,
+                         sites_per_lease=2, **kwargs):
     return tenant_sweep(n_tenants, runs_per_tenant, n_steps=n_steps,
                         n_sites=sites_per_lease, **kwargs)
 
@@ -62,19 +77,19 @@ def campaign_requests(n_tenants, runs_per_tenant, *, n_steps=8,
 
 class TestPoolAdmission:
     def test_unsatisfiable_requests_are_rejected_up_front(self):
-        grid, pool, _, _ = small_fleet(2)
+        grid, pool, _ = small_fleet(2)
         with pytest.raises(AdmissionError):
             pool.acquire("a", 0)
         with pytest.raises(AdmissionError):
             pool.acquire("a", 3)  # pool owns 2
 
     def test_per_lease_cap(self):
-        grid, pool, _, _ = small_fleet(4, max_sites_per_lease=2)
+        grid, pool, _ = small_fleet(4, max_sites_per_lease=2)
         with pytest.raises(AdmissionError):
             pool.acquire("a", 3)
 
     def test_full_queue_rejects_new_requests(self):
-        grid, pool, _, _ = small_fleet(1, max_queue_depth=1)
+        grid, pool, _ = small_fleet(1, max_queue_depth=1)
         pool.acquire("a", 1)  # queued (grants are deferred)
         with pytest.raises(AdmissionError):
             pool.acquire("b", 1)
@@ -88,7 +103,7 @@ class TestPoolGranting:
         """Tenant-major submission order must not hand one tenant the
         whole free pool: granting is deferred to the event boundary so
         the fair-share sort sees every same-instant request."""
-        grid, pool, _, _ = small_fleet(2)
+        grid, pool, _ = small_fleet(2)
         leases = []
         spawn_acquire(grid, pool, "a", 1, leases)
         spawn_acquire(grid, pool, "a", 1, leases)
@@ -97,7 +112,7 @@ class TestPoolGranting:
         assert {lease.tenant for lease in leases} == {"a", "b"}
 
     def test_release_grants_the_waiting_request(self):
-        grid, pool, _, _ = small_fleet(1)
+        grid, pool, _ = small_fleet(1)
         leases = []
         spawn_acquire(grid, pool, "a", 1, leases)
         spawn_acquire(grid, pool, "b", 1, leases)
@@ -112,7 +127,7 @@ class TestPoolGranting:
         """One site free, a 2-site request at the head: the small request
         behind it must wait, not jump the queue (that would starve the
         large one indefinitely)."""
-        grid, pool, _, _ = small_fleet(2)
+        grid, pool, _ = small_fleet(2)
         leases, big, late = [], [], []
         spawn_acquire(grid, pool, "a", 1, leases)
         grid.kernel.run()
@@ -126,7 +141,7 @@ class TestPoolGranting:
         assert late == []  # c waits for b to finish
 
     def test_fair_share_prefers_the_tenant_with_fewer_leases(self):
-        grid, pool, _, _ = small_fleet(1)
+        grid, pool, _ = small_fleet(1)
         leases = []
         spawn_acquire(grid, pool, "a", 1, leases)
         grid.kernel.run()
@@ -140,7 +155,7 @@ class TestPoolGranting:
         assert leases[1].tenant == "b"
 
     def test_release_is_single_shot_and_pool_owned(self):
-        grid, pool, _, _ = small_fleet(1)
+        grid, pool, _ = small_fleet(1)
         leases = []
         spawn_acquire(grid, pool, "a", 1, leases)
         grid.kernel.run()
@@ -153,51 +168,49 @@ class TestPoolGranting:
 
 
 # ---------------------------------------------------------------------------
-# the campaign scheduler
+# a fleet campaign through the one campaign loop
 
 
 @pytest.fixture(scope="module")
 def clean_campaign():
     """4 tenants x 2 runs over 4 shared sites, 2 sites per lease."""
-    grid, pool, registry, fleet = small_fleet(4, monitor=True)
-    for request in campaign_requests(4, 2):
-        fleet.submit(request)
-    result = fleet.run()
-    return grid, registry, fleet, result
+    grid, pool, registry = small_fleet(4)
+    result = run_campaign(grid, pool, registry, campaign_submissions(4, 2))
+    return grid, registry, result
 
 
 class TestFleetCampaign:
     def test_every_experiment_completes(self, clean_campaign):
-        _, _, _, result = clean_campaign
+        _, _, result = clean_campaign
         summary = result.summary()
         assert summary["completed"] == 8
         assert summary["tenants"] == 4
 
     def test_pool_telemetry_agrees_with_the_outcomes(self, clean_campaign):
-        grid, _, _, result = clean_campaign
+        grid, _, result = clean_campaign
         waits = grid.kernel.telemetry.histogram("fleet.pool.lease_wait")
         assert waits.count == grid.kernel.telemetry.counter(
             "fleet.pool.leases_granted").value == 8
         assert waits.percentile(100) == result.summary()["lease_wait_max"]
 
     def test_fair_share_bounds_the_completion_ratio(self, clean_campaign):
-        _, _, _, result = clean_campaign
+        _, _, result = clean_campaign
         assert result.completion_ratio() <= 1.5
 
     def test_per_tenant_at_most_once(self, clean_campaign):
-        _, _, _, result = clean_campaign
+        _, _, result = clean_campaign
         for tenant, stats in result.per_tenant().items():
             assert stats["duplicate_executes"] == 0, tenant
             assert stats["runs"] == 2
 
     def test_fleet_history_is_bit_exact_vs_solo(self, clean_campaign):
-        _, _, _, result = clean_campaign
+        _, _, result = clean_campaign
         sampled = result.outcomes[-1]
         solo = solo_displacement_history(sampled.request)
         assert np.array_equal(sampled.result.displacement_history(), solo)
 
     def test_invariant_sweep_is_clean(self, clean_campaign):
-        _, _, _, result = clean_campaign
+        _, _, result = clean_campaign
         sampled = result.outcomes[0]
         verdict = check_fleet_invariants(
             result.outcomes,
@@ -209,83 +222,26 @@ class TestFleetCampaign:
             "bit_exact_vs_solo"]
 
     def test_duplicate_run_ids_are_rejected(self):
-        _, _, _, fleet = small_fleet(2)
-        fleet.submit(ExperimentRequest(tenant="a", run_id="r0", n_steps=5))
-        with pytest.raises(AdmissionError):
-            fleet.submit(ExperimentRequest(tenant="b", run_id="r0",
-                                           n_steps=5))
+        """Transaction names and checkpoints embed the run id, so the
+        queue refuses a second submission under a journaled one — also
+        after a replay rebuilt its view of the journal."""
+        store = InMemoryJournalStore()
+        kernel = Kernel()
+        queue = ExperimentQueue(kernel, store, FencingAuthority(kernel))
 
-    def test_rollup_sde_reflects_the_finished_campaign(self, clean_campaign):
-        _, _, fleet, result = clean_campaign
-        rollup = fleet.status.service_data.value(ROLLUP_SDE)
-        assert rollup["queue_depth"] == 0
-        assert rollup["experiments"]["completed"] == 8
-        assert rollup["experiments"]["failed"] == 0
-        assert sorted(rollup["tenants"]) == [f"t{i:02d}" for i in range(4)]
-        for stats in rollup["tenants"].values():
-            assert stats["runs_completed"] == 2
-            assert stats["steps"] > 0
+        def submit(view, sid):
+            return kernel.process(view.submit(QueueSubmission(
+                sid, tenant=sid, run_id="r0", n_steps=5)))
 
-    def test_rollup_defaults_to_full_budget_and_no_alerts(self,
-                                                          clean_campaign):
-        _, _, fleet, _ = clean_campaign
-        rollup = fleet.status.service_data.value(ROLLUP_SDE)
-        assert rollup["alerts"] == 0 and rollup["slo"] == {}
-        for stats in rollup["tenants"].values():
-            assert stats["alerts"] == 0
-            assert stats["error_budget_remaining"] == 1.0
-
-    def test_rollup_attributes_alerts_and_budgets_per_tenant(self):
-        from repro.observatory import SLOEvaluator, SLOSpec, TimeSeriesStore
-
-        grid, _, _, fleet = small_fleet(2, monitor=True)
-        fleet.submit(ExperimentRequest(tenant="ada", run_id="ada-r0",
-                                       n_steps=5, n_sites=1))
-        fleet.submit(ExperimentRequest(tenant="bob", run_id="bob-r0",
-                                       n_steps=5, n_sites=1))
-        store = TimeSeriesStore(grid.kernel)
-        spec = SLOSpec(name="ada-latency", metric="fleet.tenant.step_time",
-                       selector={"tenant": "ada"}, threshold=1.0,
-                       target=0.9, tenant="ada")
-        fleet.attach_slo(SLOEvaluator(grid.kernel, store, [spec]))
-        fleet.run()
-        # ada blows its latency objective; bob only collects an alert
-        store.append("fleet.tenant.step_time", {"tenant": "ada"}, 1.0, 9.0)
-        fleet.note_alert("ada")
-        fleet.note_alert("ada")
-        fleet.note_alert("bob", kind="stall")
-        rollup = fleet.rollup()
-        assert rollup["alerts"] == 3
-        assert rollup["slo"] == {"ada-latency": 0.0}
-        assert rollup["tenants"]["ada"]["alerts"] == 2
-        assert rollup["tenants"]["ada"]["error_budget_remaining"] == 0.0
-        assert rollup["tenants"]["bob"]["alerts"] == 1
-        assert rollup["tenants"]["bob"]["error_budget_remaining"] == 1.0
-        kinds = [rec.detail["alert"] for rec in grid.kernel.log.records(
-            "fleet.scheduler", "tenant.alert")]
-        assert kinds == ["slo_burn", "slo_burn", "stall"]
-
-
-class TestCheckpointResume:
-    def test_tenant_resumes_on_its_own_lease_after_an_outage(self):
-        """A naive-policy run dies in a site outage; its per-tenant
-        checkpoint store resumes it on the same lease to completion."""
-        grid, pool, registry, fleet = small_fleet(1)
-        fleet.submit(ExperimentRequest(
-            tenant="solo", run_id="solo-r0", n_steps=20, n_sites=1,
-            fault_policy=NaiveFaultPolicy(), checkpoint_every=5,
-            max_resumes=2, resume_delay=400.0))
-        # longer than the stacked NTCP x RPC retransmission windows, so
-        # the naive policy actually aborts instead of the transport
-        # masking the outage; the resume delay lands after recovery
-        grid.faults.schedule_outage("coord", "site-0", start=5.0,
-                                    duration=300.0)
-        result = fleet.run()
-        outcome = result.outcomes[0]
-        assert outcome.completed
-        assert outcome.resumes >= 1
-        assert "solo-r0" in fleet.checkpoint_stores
-        assert outcome.result.steps_completed == 19
+        kernel.run(until=submit(queue, "a"))
+        with pytest.raises(AdmissionError, match="'r0'"):
+            kernel.run(until=submit(queue, "b"))
+        replayed = ExperimentQueue(kernel, store, FencingAuthority(kernel))
+        kernel.run(until=kernel.process(replayed.recover()))
+        with pytest.raises(AdmissionError, match="already journaled"):
+            kernel.run(until=submit(replayed, "b"))
+        kernel.run(until=submit(replayed, "a"))  # same id: a dedupe
+        assert replayed.stats()["submitted"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +255,10 @@ class TestTenantTelemetryIsolation:
 
     @pytest.fixture(scope="class")
     def two_live_tenants(self):
-        grid, pool, registry, fleet = small_fleet(4)
-        for tenant in ("ada", "bob"):
-            fleet.submit(ExperimentRequest(
-                tenant=tenant, run_id=f"{tenant}-r0", n_steps=6, n_sites=2))
-        result = fleet.run()
+        grid, pool, registry = small_fleet(4)
+        result = run_campaign(grid, pool, registry, [
+            QueueSubmission(f"{tenant}-r0", tenant, n_steps=6, n_sites=2)
+            for tenant in ("ada", "bob")])
         return grid, registry, result
 
     def test_rpc_series_are_split_by_tenant_label(self, two_live_tenants):
@@ -315,25 +270,16 @@ class TestTenantTelemetryIsolation:
         assert calls["ada"] is not calls["bob"]
         assert calls["ada"].value > 0 and calls["bob"].value > 0
 
-    def test_step_counters_attribute_exactly_per_tenant(self,
-                                                        two_live_tenants):
-        grid, _, result = two_live_tenants
-        reg = grid.kernel.telemetry.registry
-        per_tenant = result.per_tenant()
-        for tenant in ("ada", "bob"):
-            steps = reg.find("fleet.tenant.steps", tenant=tenant)
-            assert steps is not None
-            assert steps.value == per_tenant[tenant]["steps"]
-        # no anonymous (unlabeled) series silently absorbing both tenants
-        assert reg.find("fleet.tenant.steps") is None
-
     def test_scoped_telemetry_stamps_the_tenant_label(self,
                                                       two_live_tenants):
-        _, registry, _ = two_live_tenants
-        scoped = registry.get("ada").telemetry
-        counter = scoped.counter("fleet.tenant.runs_completed")
+        grid, registry, _ = two_live_tenants
+        counter = registry.get("ada").telemetry.counter("test.tenant.probe")
+        counter.inc()
         assert counter.labels == {"tenant": "ada"}
-        assert counter.value == 1
+        reg = grid.kernel.telemetry.registry
+        assert reg.find("test.tenant.probe", tenant="ada") is counter
+        # no anonymous (unlabeled) series silently absorbing the tenant
+        assert reg.find("test.tenant.probe") is None
 
 
 class TestGsiIdentity:
@@ -376,14 +322,17 @@ class TestGsiIdentity:
 
 class TestSecuredFleetStatus:
     def test_get_rollup_requires_an_admitted_identity(self):
-        """The fleet roll-up op behind GSI: an admitted tenant's signed
-        invoke succeeds, a CA-issued-but-unadmitted identity is refused."""
+        """The campaign roll-up op (``getQueueStatus``) behind GSI: an
+        admitted tenant's signed invoke succeeds, a CA-issued-but-
+        unadmitted identity is refused."""
         from repro.gsi import GsiChecker
 
-        grid, _, registry, fleet = small_fleet(2, monitor=True)
-        fleet.submit(ExperimentRequest(tenant="ada", run_id="ada-r0",
-                                       n_steps=5, n_sites=1))
-        result = fleet.run()
+        grid, pool, registry = small_fleet(2)
+        status = SdeStatusService("queue-status", QUEUE_SDE,
+                                  "getQueueStatus")
+        grid.coord_container.deploy(status)
+        result = run_campaign(grid, pool, registry, [
+            QueueSubmission("ada-r0", "ada", n_steps=5)], status=status)
         assert result.outcomes[0].completed
         # lock the coordinator container down after the campaign drains
         grid.coord_container.rpc.checker = GsiChecker(
@@ -394,15 +343,15 @@ class TestSecuredFleetStatus:
         got = {}
 
         def admitted():
-            got["rollup"] = yield from tenant.rpc.call(
+            got["status"] = yield from tenant.rpc.call(
                 "coord", "ogsi", "invoke",
-                {"service_id": fleet.status.service_id,
-                 "operation": "getRollup", "params": {}},
+                {"service_id": status.service_id,
+                 "operation": "getQueueStatus", "params": {}},
                 credential=tenant.authenticator.token("invoke"))
 
         grid.kernel.run(until=grid.kernel.process(admitted(), name="ada"))
-        assert got["rollup"]["experiments"]["completed"] == 1
-        assert "error_budget_remaining" in got["rollup"]["tenants"]["ada"]
+        assert got["status"]["completed"] == 1
+        assert got["status"]["outstanding"] == 0
 
         outsider = registry.outsider_client()
         seen = {}
@@ -411,8 +360,8 @@ class TestSecuredFleetStatus:
             try:
                 yield from outsider.rpc.call(
                     "coord", "ogsi", "invoke",
-                    {"service_id": fleet.status.service_id,
-                     "operation": "getRollup", "params": {}},
+                    {"service_id": status.service_id,
+                     "operation": "getQueueStatus", "params": {}},
                     credential=outsider.credential_factory("invoke"))
             except RemoteException as exc:
                 seen["remote_type"] = exc.remote_type
@@ -437,13 +386,11 @@ class TestFleetUnderChaos:
         """Seeded outages on the shared pool: every run still completes,
         the chaos invariants hold, and the unlucky lease holders' tenants
         stay within a bounded completion ratio of their neighbours."""
-        grid, pool, registry, fleet = small_fleet(4)
-        for request in campaign_requests(4, 3, n_steps=10,
-                                         degradation=True):
-            fleet.submit(request)
+        grid, pool, registry = small_fleet(4)
         plan = make_fleet_outage_plan(7, sorted(grid.sites), n_events=3)
         arm_fleet_outages(grid, plan)
-        result = fleet.run()
+        result = run_campaign(grid, pool, registry, campaign_submissions(
+            4, 3, n_steps=10, degradation=True))
         verdict = check_fleet_invariants(result.outcomes)
         assert verdict["ok"], verdict["violations"]
         assert result.summary()["completed"] == 12
@@ -456,9 +403,9 @@ class TestFleetUnderChaos:
 
 class TestExports:
     def test_fleet_is_in_the_curated_top_level_api(self):
-        from repro.fleet import FleetScheduler as home
+        from repro.fleet import SitePool as home
 
-        assert repro.FleetScheduler is home
-        for name in ("ExperimentRequest", "FleetResult", "FleetScheduler",
-                     "SitePool", "TenantRegistry", "build_fleet_grid"):
+        assert repro.SitePool is home
+        for name in ("SitePool", "TenantRegistry", "build_fleet_grid",
+                     "QueueSubmission", "run_durable_campaign"):
             assert name in repro.__all__

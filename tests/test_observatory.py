@@ -487,7 +487,7 @@ class TestSLOEvaluator:
         [status] = evaluator.evaluate()
         assert status["burn"]["fast"] == 0.0 and alerts == []
 
-    def test_budget_for_tenant_takes_the_scoped_minimum(self):
+    def test_budget_remaining_is_per_slo_and_quiet(self):
         kernel = Kernel()
         store = TimeSeriesStore(kernel)
         shared = SLOSpec(name="shared", metric="test.shared.latency",
@@ -501,8 +501,6 @@ class TestSLOEvaluator:
         kernel.run(until=10.0)
         assert evaluator.budget_remaining() == {"shared": 1.0,
                                                 "ada-latency": 0.0}
-        assert evaluator.budget_for_tenant("ada") == 0.0
-        assert evaluator.budget_for_tenant("bob") == 1.0
         # evaluate_quiet never latches an episode
         assert evaluator._firing == set()
 

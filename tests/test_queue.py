@@ -22,7 +22,6 @@ from repro.chaos import (
 )
 from repro.cli import main as cli_main
 from repro.fleet import (
-    FleetScheduler,
     SitePool,
     TenantRegistry,
     build_fleet_grid,
@@ -78,10 +77,8 @@ def submission(sid="s-0", **overrides):
 
 def campaign_submissions(n_tenants=4, runs_per_tenant=2, *, n_steps=10,
                          checkpoint_every=3):
-    return [QueueSubmission.from_request(request)
-            for request in tenant_sweep(n_tenants, runs_per_tenant,
-                                        n_steps=n_steps, n_sites=1,
-                                        checkpoint_every=checkpoint_every)]
+    return tenant_sweep(n_tenants, runs_per_tenant, n_steps=n_steps,
+                        n_sites=1, checkpoint_every=checkpoint_every)
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +509,35 @@ class TestDurableCampaign:
         assert verdict["ok"], verdict["violations"]
         assert verdict["fencing"]["stale_accepts"] == 0
 
+    def test_a_submission_no_pool_can_grant_fails_and_the_rest_drain(self):
+        """Both admission refusals of ``SitePool.acquire`` — more sites
+        than the pool owns, and an avoid-set (every site a dead claim
+        held) that leaves too few — journal that submission ``failed``
+        with 0 steps; the drain goes on."""
+        grid, pool, registry, queue = self.build()
+
+        def dead_claim():
+            yield from queue.submit(submission("cornered", n_sites=2))
+            epoch = yield from queue.register_scheduler("dead")
+            yield from queue.claim("cornered", epoch,
+                                   ["site-0", "site-1", "site-2"])
+
+        drive(grid.kernel, dead_claim())
+        result = run_durable_campaign(
+            grid, pool, registry, queue,
+            [submission("big", n_sites=5), submission("ok")])
+        summary = result.summary()
+        assert (summary["completed"], summary["failed"],
+                summary["outstanding"]) == (1, 2, 0)
+        for sid in ("big", "cornered"):
+            terminal = queue.terminal(sid)
+            assert (terminal["status"], terminal["steps"]) == ("failed", 0)
+        assert [outcome.run_id for outcome in result.outcomes] == ["ok"]
+        refused = grid.kernel.log.records("queue.scheduler",
+                                          "admission.refused")
+        assert sorted(r.detail["submission_id"] for r in refused) == \
+            ["big", "cornered"]
+
     def test_campaign_without_crashes_has_no_refusals(self):
         subs = campaign_submissions(1, 2)
         result = run_durable_campaign(*self.build(), subs)
@@ -537,26 +563,6 @@ class TestDurableCampaign:
         assert backoffs, "no append ever met the outage"
         assert all(record.detail["key"].startswith("queue.outage.")
                    for record in backoffs)
-
-    def test_fleet_and_durable_paths_run_an_experiment_identically(self):
-        subs = campaign_submissions(3, 2)
-        grid, pool, registry, _ = self.build()
-        fleet = FleetScheduler(grid, pool, registry)
-        for sub in subs:
-            fleet.submit(sub.request())
-        by_fleet = {outcome.run_id: outcome
-                    for outcome in fleet.run().outcomes}
-        durable = run_durable_campaign(*self.build(), subs)
-        by_queue = {outcome.run_id: outcome for outcome in durable.outcomes}
-        assert sorted(by_queue) == sorted(by_fleet) == sorted(
-            sub.submission_id for sub in subs)
-        for run_id, outcome in by_fleet.items():
-            assert outcome.completed and by_queue[run_id].completed
-            assert np.array_equal(
-                by_queue[run_id].result.displacement_history(),
-                outcome.result.displacement_history())
-            assert outcome.duplicate_executes() == 0
-            assert by_queue[run_id].duplicate_executes() == 0
 
     def test_status_service_carries_the_final_queue_stats(self):
         subs = campaign_submissions(1, 2)

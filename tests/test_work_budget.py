@@ -12,7 +12,6 @@ import collections
 import pytest
 
 from repro.fleet import (
-    FleetScheduler,
     SitePool,
     TenantRegistry,
     build_fleet_grid,
@@ -20,12 +19,18 @@ from repro.fleet import (
 )
 from repro.gsi import Crypto
 from repro.gsi import session as gsi_session
+from repro.queue import (
+    ExperimentQueue,
+    FencingAuthority,
+    InMemoryJournalStore,
+    run_durable_campaign,
+)
 
 #: ``Crypto.sign`` calls for the campaign below: credentials, proxies and
 #: CAS assertions at set-up, one chain walk per (checker, chain), then two
 #: per authenticated call — the client's token and the checker's check of
 #: it.
-SIGN_BUDGET = 288
+SIGN_BUDGET = 272
 
 
 @pytest.fixture(scope="module")
@@ -50,10 +55,11 @@ def gsi_work():
         grid = build_fleet_grid(4)
         pool = SitePool(grid.kernel, grid.sites.values())
         registry = TenantRegistry(grid)
-        fleet = FleetScheduler(grid, pool, registry)
-        for request in tenant_sweep(2, 2, n_steps=8, n_sites=2):
-            fleet.submit(request)
-        result = fleet.run()
+        queue = ExperimentQueue(grid.kernel, InMemoryJournalStore(),
+                                FencingAuthority(grid.kernel))
+        result = run_durable_campaign(
+            grid, pool, registry, queue,
+            tenant_sweep(2, 2, n_steps=8, n_sites=2), settle_delay=0.0)
     checkers = [site.container.rpc.checker for site in grid.sites.values()]
     checkers.append(grid.repo_container.rpc.checker)
     return result, checkers, registry, walks, signs[0]
