@@ -2,8 +2,8 @@
 
 The observatory must be free to leave on: the repo-hosted store rides
 the same NSDS metrics stream the console already publishes, the SLO
-sweep runs on the simulation clock, and the flight recorder only taps
-the kernel log.  Measured on the simulation-only rehearsal and the
+sweep runs on the simulation clock, and the flight recorder is one
+more telemetry sink.  Measured on the simulation-only rehearsal and the
 scripted abort campaign:
 
 1. **Step-latency overhead** — the same 40-step run with monitoring

@@ -31,7 +31,6 @@ __version__ = "1.1.0"
 
 # -- simulation substrate ----------------------------------------------------
 from repro.sim import Kernel
-from repro.util.log import EventLog
 from repro.net import (
     FaultInjector,
     Network,
@@ -122,7 +121,6 @@ from repro.queue import (
 __all__ = [
     # simulation substrate
     "Kernel",
-    "EventLog",
     "Network",
     "FaultInjector",
     "RpcClient",

@@ -33,7 +33,7 @@ import sys
 
 import numpy as np
 
-from repro.util.errors import ReproError
+from repro.util.errors import ConfigurationError, ReproError
 
 
 def _config(args: argparse.Namespace):
@@ -448,12 +448,20 @@ def _cmd_observatory_run(args: argparse.Namespace) -> int:
     return 0 if (r.completed or args.abort) else 1
 
 
+def _non_negative(option: str, value: int) -> int:
+    """A count option's value; a negative one is a typed error."""
+    if value < 0:
+        raise ConfigurationError(f"{option} must be at least 0, got {value}")
+    return value
+
+
 def _cmd_observatory_query(args: argparse.Namespace) -> int:
     import json
 
     from repro.observatory.query import run_query
     from repro.observatory.tsdb import TimeSeriesStore
 
+    show_points = _non_negative("--show-points", args.show_points)
     doc = _load_dump(args.store)
     store = TimeSeriesStore.from_records(doc["series"])
     selector = {}
@@ -489,7 +497,7 @@ def _cmd_observatory_query(args: argparse.Namespace) -> int:
             suffix = f"  {agg['op']}={agg['value']:.6g} (n={agg['count']})"
         more = " ..." if entry["truncated"] else ""
         print(f"  {{{labels}}}  {len(entry['points'])} points{more}{suffix}")
-        for t, v in entry["points"][-args.show_points:]:
+        for t, v in entry["points"][-show_points:] if show_points else ():
             print(f"    {t:>12.3f}  {v:.6g}")
     if result["aggregate"] is not None:
         agg = result["aggregate"]
@@ -501,6 +509,7 @@ def _cmd_observatory_query(args: argparse.Namespace) -> int:
 def _cmd_observatory_postmortem(args: argparse.Namespace) -> int:
     from repro.observatory.recorder import postmortem_timeline
 
+    last_steps = _non_negative("--last-steps", args.last_steps)
     doc = _load_dump(args.store)
     wanted = [snap for snap in doc["snapshots"]
               if snap["run_id"] == args.run_id]
@@ -510,7 +519,7 @@ def _cmd_observatory_postmortem(args: argparse.Namespace) -> int:
               f"{args.store} (recorded: {recorded or 'none'})",
               file=sys.stderr)
         return 1
-    print(postmortem_timeline(wanted[-1], last_steps=args.last_steps))
+    print(postmortem_timeline(wanted[-1], last_steps=last_steps))
     return 0
 
 

@@ -31,6 +31,7 @@ from repro.most.assembly import provision_simulation_site
 from repro.repository import CheckpointPolicy
 from repro.repository.checkpoint import CheckpointStoreBase
 from repro.structural import StructuralModel, kanai_tajimi_record
+from repro.util.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.fleet.grid import FleetGrid
@@ -57,9 +58,17 @@ def tenant_sweep(n_tenants: int, runs_per_tenant: int,
     distinct ground-motion intensity (``motion_scale`` from 0.75 to 1.25
     across the tenants), so tenants' physics differ — a shared-state leak
     between them could not hide, and a bit-exactness check is per-tenant
-    meaningful.  ``submission_fields`` go to every submission.
+    meaningful.  ``submission_fields`` go to every submission.  A sweep
+    with no tenant or no run per tenant is a :class:`ConfigurationError`.
     """
     from repro.queue.ingress import QueueSubmission
+
+    if n_tenants < 1:
+        raise ConfigurationError(
+            f"a fleet campaign needs at least one tenant, got {n_tenants}")
+    if runs_per_tenant < 1:
+        raise ConfigurationError(f"a fleet campaign needs at least one run "
+                                 f"per tenant, got {runs_per_tenant}")
 
     return [QueueSubmission(
                 submission_id=f"t{i:02d}-r{run}", tenant=f"t{i:02d}",

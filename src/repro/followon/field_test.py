@@ -166,6 +166,18 @@ def run_field_test(config: FieldTestConfig | None = None) -> FieldTestReport:
             nmds.handle, nfms.handle, {"gridftp": satellite},
             repo_store=lab_store, staging=local_archive),
         experiment="ucla-field-test", sweep_interval=30.0)
+    upload_durations: list[float] = []
+
+    class UploadSink:
+        """Record sink: the duration of each completed satellite upload."""
+
+        @staticmethod
+        def on_record(record) -> None:
+            if (record.subsystem == "ingest.command-center"
+                    and record.kind == "upload.completed"):
+                upload_durations.append(record.detail["duration"])
+
+    kernel.telemetry.add_sink(UploadSink())
 
     def archiver():
         """Block received samples into archive files (store-and-forward)."""
@@ -197,10 +209,6 @@ def run_field_test(config: FieldTestConfig | None = None) -> FieldTestReport:
     kernel.run(until=kernel.now + 120.0)
 
     received = sum(receiver.received_count(c) for c in sensors)
-    upload_durations = [
-        rec.detail["duration"]
-        for rec in kernel.log.records("ingest.command-center",
-                                      "upload.completed")]
     # fundamental frequency from the roof acceleration spectrum
     roof_acc = acceleration[:, -1]
     spectrum = np.abs(np.fft.rfft(roof_acc * np.hanning(len(roof_acc))))

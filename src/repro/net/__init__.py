@@ -19,7 +19,7 @@ from repro.net.breaker import (
     BreakerOpen,
     CircuitBreaker,
 )
-from repro.net.faults import ChaosRecord, FaultInjector
+from repro.net.faults import FaultInjector
 from repro.net.retry import RetryPolicy
 from repro.net.rpc import (
     RemoteException,
@@ -36,7 +36,6 @@ __all__ = [
     "Link",
     "Message",
     "FaultInjector",
-    "ChaosRecord",
     "CircuitBreaker",
     "BreakerConfig",
     "BreakerOpen",

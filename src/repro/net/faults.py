@@ -17,30 +17,9 @@ no extra draws are taken from the network's RNG stream.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
 from typing import Callable
 
 from repro.net.network import Message, Network
-
-
-@dataclass(frozen=True)
-class OutageRecord:
-    """Book-keeping for one injected outage (used by benchmark reports)."""
-
-    a: str
-    b: str
-    start: float
-    duration: float
-
-
-@dataclass(frozen=True)
-class ChaosRecord:
-    """Book-keeping for one message-level chaos intervention."""
-
-    kind: str       # "duplicate" | "reorder" | "corrupt" | "crash"
-    target: str     # host or port the intervention hit
-    time: float
-    detail: str = ""
 
 
 class FaultInjector:
@@ -49,8 +28,6 @@ class FaultInjector:
     def __init__(self, network: Network):
         self.network = network
         self.kernel = network.kernel
-        self.outages: list[OutageRecord] = []
-        self.chaos: list[ChaosRecord] = []
         self._active: dict[tuple[str, str], int] = {}
         self._clone_ids = 0
 
@@ -58,7 +35,7 @@ class FaultInjector:
         return (a, b) if a <= b else (b, a)
 
     def schedule_outage(self, a: str, b: str, start: float,
-                        duration: float = float("inf")) -> OutageRecord:
+                        duration: float = float("inf")) -> None:
         """Take the a—b link down at ``start``; restore after ``duration``.
 
         An infinite duration models the paper's final, unrecovered failure.
@@ -66,8 +43,6 @@ class FaultInjector:
         link comes back up only when the *last* active outage ends, not
         when the first-expiring one does.
         """
-        record = OutageRecord(a=a, b=b, start=start, duration=duration)
-        self.outages.append(record)
         key = self._link_key(a, b)
 
         def run(kernel):
@@ -82,7 +57,6 @@ class FaultInjector:
                     self.network.set_link_state(a, b, up=True)
 
         self.kernel.process(run(self.kernel), name=f"outage({a},{b})")
-        return record
 
     def drop_matching(self, predicate: Callable[[Message], bool],
                       count: int | None = None) -> Callable[[Message], bool]:
@@ -165,9 +139,6 @@ class FaultInjector:
                 if remaining[0] is not None:
                     remaining[0] -= 1
                 clone = self._clone(msg, "dup")
-                self.chaos.append(ChaosRecord(
-                    kind="duplicate", target=msg.dst, time=self.kernel.now,
-                    detail=f"port={msg.port}"))
                 self.kernel.emit("net", "chaos.duplicate", dst=msg.dst,
                                  port=msg.port, msg_id=msg.msg_id)
                 self.kernel.call_later(delay, self.network._arrive, clone)
@@ -195,9 +166,6 @@ class FaultInjector:
             remaining[0] -= 1
             slot = remaining[0]  # later captures get earlier release slots
             clone = self._clone(msg, "reord")
-            self.chaos.append(ChaosRecord(
-                kind="reorder", target=msg.dst, time=self.kernel.now,
-                detail=f"port={msg.port} slot={slot}"))
             self.kernel.emit("net", "chaos.reorder", dst=msg.dst,
                              port=msg.port, msg_id=msg.msg_id)
             self.kernel.call_later(hold + 0.001 * slot,
@@ -228,9 +196,6 @@ class FaultInjector:
                 remaining[0] -= 1
             garbled = self._clone(msg, "corrupt",
                                   payload=f"\x00corrupt:{msg.msg_id}")
-            self.chaos.append(ChaosRecord(
-                kind="corrupt", target=msg.dst, time=self.kernel.now,
-                detail=f"port={msg.port}"))
             self.kernel.emit("net", "chaos.corrupt", dst=msg.dst,
                              port=msg.port, msg_id=msg.msg_id)
             self.kernel.call_later(delay, self.network._arrive, garbled)
@@ -252,9 +217,6 @@ class FaultInjector:
         def run(kernel):
             yield kernel.timeout(max(0.0, start - kernel.now))
             self.network.host(host).up = False
-            self.chaos.append(ChaosRecord(
-                kind="crash", target=host, time=kernel.now,
-                detail=f"duration={duration:g}"))
             kernel.emit("net", "chaos.crash", host=host, duration=duration)
             if duration != float("inf"):
                 yield kernel.timeout(duration)

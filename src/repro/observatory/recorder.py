@@ -3,9 +3,10 @@
 A bounded per-source ring of recent activity — finished spans, protocol
 verb results, and state-machine transitions — kept hot in memory and
 frozen into a ``repro.observatory/v1`` flight snapshot the moment an
-alert escalates or a run aborts.  A ring holds the ``LogRecord`` /
-finished ``Span`` it was handed (objects the event log and the tracer
-keep anyway); coercing detail to JSON, recovering the step and building
+alert escalates or a run aborts.  The recorder is one telemetry sink: a
+ring holds the ``LogRecord`` / finished ``Span`` it was handed (a record
+lives only as long as some ring keeps it; a span is held by the tracer
+anyway); coercing detail to JSON, recovering the step and building
 the event dict all happen in :meth:`FlightRecorder.snapshot`, at the
 incident, so a run that has none pays one ``deque.append`` per event.
 The snapshot is what the MOST team did not have at step 1493: one
@@ -29,9 +30,9 @@ from collections import deque
 from typing import Any
 
 from repro.observatory.schema import validate_flight_snapshot
-from repro.util.log import LogRecord
+from repro.telemetry import LogRecord
 
-#: event-log subsystems the recorder keeps (prefix match)
+#: record subsystems the recorder keeps (prefix match)
 RECORDED_SUBSYSTEMS = ("ogsi.", "coordinator.", "fleet.")
 #: step number embedded in NTCP transaction names
 _STEP_RE = re.compile(r"step(\d+)")
@@ -73,7 +74,6 @@ class FlightRecorder:
         self.capacity = capacity
         self._rings: dict[str, deque] = {}
         self.snapshots: list[dict[str, Any]] = []
-        kernel.log.subscribe(self._on_log)
         kernel.telemetry.add_sink(self)
 
     # -- ingestion ------------------------------------------------------------
@@ -84,8 +84,8 @@ class FlightRecorder:
             self._rings[source] = ring
         return ring
 
-    def _on_log(self, record) -> None:
-        """EventLog listener: keep protocol/coordinator/fleet events."""
+    def on_record(self, record: LogRecord) -> None:
+        """Telemetry sink hook: keep protocol/coordinator/fleet records."""
         subsystem = record.subsystem
         if not subsystem.startswith(RECORDED_SUBSYSTEMS):
             return

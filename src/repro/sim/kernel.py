@@ -8,7 +8,6 @@ from typing import Any, Callable, Generator, Iterable
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
 from repro.telemetry import TelemetryHub
-from repro.util.log import EventLog
 
 
 class Kernel:
@@ -19,16 +18,14 @@ class Kernel:
     (its callbacks loop).  Entries scheduled for the same time run in
     insertion order (a strictly increasing sequence number breaks ties), so
     runs are exactly repeatable.
-    The kernel also owns the run-wide :class:`~repro.util.log.EventLog` that
-    all subsystems emit structured records to, and the run-wide
+    The kernel also owns the run-wide
     :class:`~repro.telemetry.TelemetryHub` — wired to the simulation clock —
-    that every layer reaches as ``kernel.telemetry``.
+    that every layer reaches as ``kernel.telemetry``; the structured
+    records subsystems :meth:`emit` stream to its sinks.
     """
 
-    def __init__(self, log: EventLog | None = None,
-                 telemetry: TelemetryHub | None = None):
+    def __init__(self, telemetry: TelemetryHub | None = None):
         self.now: float = 0.0
-        self.log = log if log is not None else EventLog()
         self.telemetry = (telemetry if telemetry is not None
                           else TelemetryHub(clock=lambda: self.now))
         self._queue: list[tuple[float, int, Callable[[Any], None], Any]] = []
@@ -57,9 +54,10 @@ class Kernel:
         """Event that fires when all of ``events`` have succeeded."""
         return AllOf(self, list(events))
 
-    def emit(self, subsystem: str, kind: str, **detail: Any):
-        """Convenience: log a structured record stamped with ``self.now``."""
-        return self.log.emit(self.now, subsystem, kind, **detail)
+    def emit(self, subsystem: str, kind: str, **detail: Any) -> None:
+        """Hand a structured record stamped with ``self.now`` to the
+        telemetry hub's record sinks (see :meth:`TelemetryHub.record`)."""
+        self.telemetry.record(self.now, subsystem, kind, detail)
 
     # -- scheduling ----------------------------------------------------------
     def call_later(self, delay: float, fn: Callable[[Any], None],

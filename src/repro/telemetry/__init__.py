@@ -9,6 +9,9 @@ per run (owned by the :class:`~repro.sim.kernel.Kernel`) collects
   propagates across RPC hops in ``RpcRequest.trace``, so one MS-PSDS
   step decomposes end-to-end into integrate → propose → execute → commit
   (the paper's Figure-5 step-time breakdown);
+* **records** — the structured events subsystems emit through
+  ``Kernel.emit``, streamed to the sinks that take them and kept by none
+  of the hub's own structures;
 * **exports** — a JSONL trace/metrics dump validated by
   :mod:`repro.telemetry.schema` and rendered by
   :mod:`repro.telemetry.report`.
@@ -34,7 +37,7 @@ from repro.telemetry.schema import (
     validate_metric_name,
     validate_metrics_payload,
 )
-from repro.telemetry.spans import Span, TraceContext, Tracer
+from repro.telemetry.spans import LogRecord, Span, TraceContext, Tracer
 
 __all__ = [
     "TelemetryHub",
@@ -48,6 +51,7 @@ __all__ = [
     "Histogram",
     "Tracer",
     "Span",
+    "LogRecord",
     "TraceContext",
     "SCHEMA_ID",
     "SchemaError",

@@ -2,10 +2,12 @@
 
 Every :class:`~repro.sim.kernel.Kernel` owns a hub wired to the simulation
 clock, so all layers reach telemetry as ``kernel.telemetry`` without extra
-plumbing.  Sinks observe finished spans as they close; the in-memory sink
-is what tests assert against, the JSONL sink streams records for offline
-analysis (``benchmarks/out/``).  :meth:`TelemetryHub.export_jsonl` writes
-the whole run — metrics snapshot plus trace — in one pass.
+plumbing.  Sinks observe finished spans as they close and the records
+subsystems emit (``Kernel.emit``) as they happen; nothing else keeps a
+record.  The in-memory sink is what tests assert against, the JSONL sink
+streams spans for offline analysis (``benchmarks/out/``).
+:meth:`TelemetryHub.export_jsonl` writes the whole run — metrics
+snapshot plus trace — in one pass.
 """
 
 from __future__ import annotations
@@ -27,20 +29,24 @@ from repro.telemetry.schema import (
     validate_jsonl_export,
     validate_metrics_payload,
 )
-from repro.telemetry.spans import Span, Tracer
+from repro.telemetry.spans import LogRecord, Span, Tracer
 from repro.util.schema import obj, validator
 
 _validate_jsonl_line = validator(SchemaError, obj({}))
 
 
 class InMemorySink:
-    """Collects finished spans in a list (the default test sink)."""
+    """Collects finished spans and emitted records in lists (the test sink)."""
 
     def __init__(self) -> None:
         self.spans: list[Span] = []
+        self.records: list[LogRecord] = []
 
     def on_span(self, span: Span) -> None:
         self.spans.append(span)
+
+    def on_record(self, record: LogRecord) -> None:
+        self.records.append(record)
 
 
 class JsonlSink:
@@ -94,7 +100,8 @@ class TelemetryHub:
         self._clock = clock if clock is not None else time.monotonic
         self.registry = MetricRegistry()
         self.tracer = Tracer(self._clock, on_finish=self._span_finished)
-        self._sinks: list[Any] = []
+        self._span_sinks: list[Any] = []
+        self._record_sinks: list[Any] = []
 
     # -- instruments ---------------------------------------------------------
     def counter(self, name: str, **labels: Any) -> Counter:
@@ -125,13 +132,30 @@ class TelemetryHub:
         return self.tracer.spans(name, trace_id=trace_id)
 
     def _span_finished(self, span: Span) -> None:
-        for sink in self._sinks:
+        for sink in self._span_sinks:
             sink.on_span(span)
+
+    # -- records -------------------------------------------------------------
+    def record(self, time: float, subsystem: str, kind: str,
+               detail: dict[str, Any]) -> None:
+        """Hand one :class:`LogRecord` to each sink with ``on_record``.
+
+        Builds nothing when no sink takes records, and keeps nothing.
+        """
+        if self._record_sinks:
+            record = LogRecord(time, subsystem, kind, detail)
+            for sink in self._record_sinks:
+                sink.on_record(record)
 
     # -- sinks ---------------------------------------------------------------
     def add_sink(self, sink: Any) -> Any:
-        """Register an object with ``on_span(span)``; returns it."""
-        self._sinks.append(sink)
+        """Register an object with ``on_span(span)`` and/or
+        ``on_record(record)``; it sees what finishes or is emitted from
+        now on.  Returns it."""
+        if hasattr(sink, "on_span"):
+            self._span_sinks.append(sink)
+        if hasattr(sink, "on_record"):
+            self._record_sinks.append(sink)
         return sink
 
     # -- export --------------------------------------------------------------

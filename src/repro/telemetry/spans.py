@@ -1,4 +1,4 @@
-"""Sim-clock-aware tracing: spans, trace contexts, and the tracer.
+"""Sim-clock-aware tracing: spans, trace contexts, the tracer, and records.
 
 A :class:`Span` measures one operation on the *simulation* clock (the
 tracer is constructed with the clock callable, normally
@@ -9,6 +9,10 @@ matching the rest of the stack's serialization discipline.
 
 Ids come from deterministic counters, never :mod:`uuid`, so a trace is a
 pure function of the run's seed (the repo-wide reproducibility rule).
+
+A :class:`LogRecord` is the point-in-time sibling of a span: one
+structured event a subsystem emits through ``Kernel.emit``, handed to the
+hub's record sinks and kept by nobody else.
 """
 
 from __future__ import annotations
@@ -34,6 +38,21 @@ class TraceContext:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "TraceContext":
         return cls(trace_id=data["trace_id"], span_id=data["span_id"])
+
+
+@dataclass(frozen=True)
+class LogRecord:
+    """One structured event: when, which component, what, and detail.
+
+    ``subsystem`` is a dotted component name (``"ntcp.server.uiuc"``),
+    ``kind`` a short machine-readable event kind
+    (``"transaction.accepted"``).
+    """
+
+    time: float
+    subsystem: str
+    kind: str
+    detail: dict[str, Any]
 
 
 class Span:

@@ -1,4 +1,4 @@
-"""Shared utilities: error hierarchy, id generation, structured event log.
+"""Shared utilities: error hierarchy and id generation.
 
 These helpers are deliberately free of any simulation-time or network
 dependencies so that every other subpackage may import them without cycles.
@@ -13,7 +13,6 @@ from repro.util.errors import (
     FaultInjected,
 )
 from repro.util.ids import IdFactory, uuid_like
-from repro.util.log import EventLog, LogRecord
 
 __all__ = [
     "ReproError",
@@ -24,6 +23,4 @@ __all__ = [
     "FaultInjected",
     "IdFactory",
     "uuid_like",
-    "EventLog",
-    "LogRecord",
 ]

@@ -409,6 +409,33 @@ def test_a_campaign_has_one_loop():
     assert not gone & set(repro.__all__)
 
 
+def test_the_kernel_log_is_a_stream():
+    """Records go to the telemetry hub's sinks and nowhere else: no
+    archive (``EventLog``), no ``<kernel>.log.records(...)`` query, and
+    none of the write-only fault records (``OutageRecord``,
+    ``ChaosRecord``) under ``src/``, ``tests/``, ``benchmarks/``,
+    ``scripts/`` or ``examples/``."""
+    import pathlib
+
+    repo = pathlib.Path(repro.__file__).parent.parent.parent
+    gone = {"EventLog", "OutageRecord", "ChaosRecord"}
+    found = set()
+    for root in ("src", "tests", "benchmarks", "scripts", "examples"):
+        for path in (repo / root).rglob("*.py"):
+            where = path.relative_to(repo).as_posix()
+            for node in ast.walk(ast.parse(path.read_text())):
+                names = {getattr(node, field, None)
+                         for field in ("id", "attr", "name")}
+                found |= {(where, name) for name in gone & names}
+                func = getattr(node, "func", None)
+                if (isinstance(node, ast.Call)
+                        and getattr(func, "attr", None) == "records"
+                        and getattr(func.value, "attr", None) == "log"):
+                    found.add((where, ".log.records("))
+    assert found == set()
+    assert not gone & set(repro.__all__)
+
+
 def test_host_time_has_one_harness():
     """T-WALL (``benchmarks/twall/``) is the only code outside ``src/``
     that times anything: no figure bench takes pytest-benchmark's
@@ -568,7 +595,7 @@ def test_a_flush_sorts_nothing():
         MetricRegistry.snapshot, MetricRegistry.__iter__)
     assert "points" not in calls(src / "observatory" / "slo.py")
     assert not {"_jsonable", "extract_step"} & calls(
-        FlightRecorder._on_log, FlightRecorder.on_span)
+        FlightRecorder.on_record, FlightRecorder.on_span)
     assert {"_jsonable", "extract_step"} <= calls(FlightRecorder._event)
     assert "validate_metrics_sample" not in calls(TelemetryStreamer.flush)
     for receiver in (ExperimentMonitor.on_stream_sample,

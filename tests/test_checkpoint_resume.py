@@ -59,6 +59,7 @@ from repro.repository.checkpoint import (
     validate_manifest_payload,
 )
 from repro.sim import Kernel
+from repro.telemetry import InMemorySink
 from repro.structural import (
     AlphaOSPSD,
     CentralDifferencePSD,
@@ -577,9 +578,11 @@ class TestRepositoryManifest:
         doc1, _ = make_doc_pair()
         store = make_store()
         fail_manifest_write(store, 1)
+        sink = k.telemetry.add_sink(InMemorySink())
         seq = k.run(until=k.process(store.save(doc1)))
         assert seq == 1
-        [failed] = k.log.records("repository.checkpoint", "manifest.failed")
+        [failed] = [r for r in sink.records if r.kind == "manifest.failed"]
+        assert failed.subsystem == "repository.checkpoint"
         assert failed.detail["seq"] == 1
         repo_store = store.facade.repo_store
         assert not repo_store.exists("checkpoints/run/manifest/000001.json")
@@ -594,6 +597,7 @@ class TestRepositoryManifest:
         holds it with no rows): resume degrades to seq 1 through the same
         CheckpointCorrupt path a truncated document takes."""
         k, make_store = repository_store_env()
+        sink = k.telemetry.add_sink(InMemorySink())
         writer = make_store()
         fail_manifest_write(writer, 1)
         fail_manifest_write(writer, 2)
@@ -609,7 +613,7 @@ class TestRepositoryManifest:
         assert latest_seq() == 1
         repo_store.deposit("checkpoints/run/000002.json", [], created=0.0)
         assert latest_seq() == 1
-        corrupt = k.log.records("repository.checkpoint", "checkpoint.corrupt")
+        corrupt = [r for r in sink.records if r.kind == "checkpoint.corrupt"]
         assert [r.detail["seq"] for r in corrupt] == [2, 2]
 
     def test_empty_run_short_circuits(self):
@@ -676,10 +680,11 @@ class TestCheckpointCompaction:
 
     def test_superseded_documents_are_dropped(self):
         k, make_store = repository_store_env()
+        sink = k.telemetry.add_sink(InMemorySink())
         writer = make_store()
         self.save_all(k, writer, make_doc_pair())
         # manifest 2 covers seq 1: its document and manifest are retired
-        [compacted] = k.log.records("repository.checkpoint", "compacted")
+        [compacted] = [r for r in sink.records if r.kind == "compacted"]
         assert compacted.detail == {"run_id": "run", "upto_seq": 2,
                                     "removed": 2}
         assert not writer.facade.repo_store.exists("checkpoints/run/000001.json")
@@ -942,13 +947,15 @@ def resume_past_a_hole(stores):
     """Checkpoints every 10 steps, the third document (steps 11..20) lost
     after the run, then a second incarnation resumed from what is left.
 
-    Returns the rig's kernel, servers and reader factory, the resume point
+    Returns the rig's kernel, a record sink attached before the first
+    incarnation ran, the servers and reader factory, the resume point
     ``load_resume`` gave (``(step, checkpoint_seq, prior steps)``, read
     before the resumed coordinator advances the state), the resumed
     coordinator and its result.
     """
     policy = CheckpointPolicy(every_n_steps=10)
     k, net, model, motion, client, sites, servers = build_three_site_rig()
+    sink = k.telemetry.add_sink(InMemorySink())
     writer, make_reader, lose = stores(k, net)
     first = SimulationCoordinator(
         run_id="rig-hole", client=client, model=model, motion=motion,
@@ -965,7 +972,7 @@ def resume_past_a_hole(stores):
         sites=sites, checkpoint_store=reader, checkpoint_policy=policy,
         state=state, prior_records=prior)
     merged = k.run(until=k.process(second.run()))
-    return k, servers, make_reader, resumed, second, merged
+    return k, sink, servers, make_reader, resumed, second, merged
 
 
 class TestAHistoryNeverHasAHole:
@@ -976,7 +983,7 @@ class TestAHistoryNeverHasAHole:
         answered "resume at step 60" with records 1..10, 21..59; now the
         resume point is the document before the hole, and the resumed
         coordinator replays the lost tail through the idempotent verbs."""
-        _, servers, _, resumed, _, merged = resume_past_a_hole(stores)
+        _, _, servers, _, resumed, _, merged = resume_past_a_hole(stores)
         # the next checkpoint is numbered above every listed sequence
         assert resumed == (11, 7, list(range(1, 11)))
 
@@ -994,9 +1001,10 @@ class TestAHistoryNeverHasAHole:
         baee666 all five of its saves were ``checkpoint.failed``, its
         ``checkpoint_seq`` stayed 2 and, on the in-memory store, a second
         crash resumed at step 11 again."""
-        k, _, make_reader, _, second, merged = resume_past_a_hole(stores)
+        k, sink, _, make_reader, _, second, merged = resume_past_a_hole(
+            stores)
         assert merged.completed
-        assert k.log.records(kind="checkpoint.failed") == []
+        assert "checkpoint.failed" not in [r.kind for r in sink.records]
         assert second.state.checkpoint_seq == 12
 
         state, prior = k.run(until=k.process(

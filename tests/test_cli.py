@@ -131,6 +131,36 @@ class TestObservatoryCommands:
                      "--label", "nonsense"]) == 2
         assert "key=value" in capsys.readouterr().err
 
+    def test_show_points_prints_at_most_that_many_points(self, tmp_path,
+                                                         capsys):
+        store = tmp_path / "obs.json"
+        main(["observatory", "run", "--steps", "40", "--out", str(store)])
+        capsys.readouterr()
+        for shown, printed in ((0, 0), (1, 1), (5, 3)):
+            assert main(["observatory", "query",
+                         "coordinator.mspsds.step_time", "--store",
+                         str(store), "--label", "stat=p95",
+                         "--show-points", str(shown)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert "3 points" in lines[1]
+            assert len(lines) == 2 + printed
+
+    @pytest.mark.parametrize("command", [
+        ["query", "coordinator.mspsds.step_time", "--show-points", "-1"],
+        ["postmortem", "boom", "--last-steps", "-1"],
+    ], ids=["show-points", "last-steps"])
+    def test_a_negative_count_is_the_typed_error(self, tmp_path, capsys,
+                                                 command):
+        store = tmp_path / "obs.json"
+        main(["observatory", "run", "boom", "--steps", "40", "--abort",
+              "--out", str(store)])
+        capsys.readouterr()
+        assert main(["observatory", *command, "--store", str(store)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {command[-2]} must be at least 0, "
+                                f"got -1\n")
+        assert not captured.out
+
     @pytest.mark.parametrize("command, content", [
         (["query", "a.b.c"], b'{"schema": '),
         (["postmortem", "r"], b'\xff\xfe{"seq":1}\n'),
@@ -260,6 +290,8 @@ class TestQueueCommands:
     ["mini-most", "--steps", "0"],
     ["followon", "soil-structure", "--steps", "0"],
     ["fleet", "--sites", "0"],
+    ["fleet", "--tenants", "0"],
+    ["fleet", "--runs", "0"],
     ["queue", "drain", "--sites", "0"],
 ])
 def test_an_empty_run_or_pool_is_a_configuration_error(argv, tmp_path,

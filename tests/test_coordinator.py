@@ -15,6 +15,7 @@ from repro.core.policy import SitePolicy
 from repro.net import FaultInjector, Network, RpcClient
 from repro.ogsi import ServiceContainer
 from repro.sim import Kernel
+from repro.telemetry import InMemorySink
 from repro.structural import (
     CentralDifferencePSD,
     GroundMotion,
@@ -149,12 +150,15 @@ class TestRejectionHandling:
                                     minimum=1.0, maximum=2.0)
         k, net, model, motion, client, sites, servers = build_three_site_rig(
             policies={"cu": policy})
+        sink = k.telemetry.add_sink(InMemorySink())
         coord = SimulationCoordinator(run_id="t", client=client, model=model,
                                       motion=motion, sites=sites)
         result = k.run(until=k.process(coord.run()))
         assert result.aborted_at_step == 0
         assert result.aborted_reason.startswith("initialization failed: ")
-        [aborted] = k.log.records("coordinator.t", "experiment.aborted")
+        [aborted] = [r for r in sink.records
+                     if r.kind == "experiment.aborted"]
+        assert aborted.subsystem == "coordinator.t"
         assert aborted.detail == {"step": 0, "site": "cu",
                                   "error": result.aborted_reason}
         assert result.aborted_site == "cu"

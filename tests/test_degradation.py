@@ -23,6 +23,7 @@ from repro.coordinator.state import record_from_payload, record_to_payload
 from repro.most import ExperimentSession, MOSTConfig
 from repro.net import BreakerConfig, BreakerOpen, CircuitBreaker
 from repro.sim import Kernel
+from repro.telemetry import InMemorySink
 from repro.util.errors import ConfigurationError
 
 
@@ -127,6 +128,7 @@ class TestCircuitBreaker:
 
     def test_state_changes_fire_callback_and_telemetry(self):
         k = Kernel()
+        sink = k.telemetry.add_sink(InMemorySink())
         transitions = []
         breaker = CircuitBreaker(
             k, "cu", BreakerConfig(failure_threshold=1, open_interval=5.0),
@@ -137,7 +139,7 @@ class TestCircuitBreaker:
         breaker.record_success()
         assert transitions == [("closed", "open"), ("open", "half_open"),
                                ("half_open", "closed")]
-        kinds = [r.kind for r in k.log.records()
+        kinds = [r.kind for r in sink.records
                  if r.kind.startswith("breaker.")]
         assert kinds == ["breaker.open", "breaker.half_open",
                          "breaker.closed"]

@@ -26,6 +26,7 @@ from repro.ogsi import ServiceContainer
 from repro.ogsi.notification import NotificationSink
 from repro.sim import Kernel
 from repro.structural import LinearSubstructure
+from repro.telemetry import InMemorySink
 from repro.telemetry.report import CORE_PHASES
 from repro.testing import make_site
 
@@ -631,13 +632,16 @@ class TestABadDatagramCannotStopTheRun:
     @staticmethod
     def run_poisoned(monkeypatch, poison, *, observatory=False):
         """A monitored sim-only run (80 simulated seconds) with
-        ``poison(dep, kit)`` called half-way through."""
+        ``poison(dep, kit)`` called half-way through; returns the outcome
+        and a record sink attached with the monitoring."""
         import repro.monitor as monitor_package
 
         attach = monitor_package.attach_monitoring
+        sink = InMemorySink()
 
         def attach_then_poison(dep, **options):
             kit = attach(dep, **options)
+            dep.kernel.telemetry.add_sink(sink)
             dep.kernel.call_later(40.0, lambda _: poison(dep, kit))
             return kit
 
@@ -650,7 +654,7 @@ class TestABadDatagramCannotStopTheRun:
         outcome = session.run()
         assert outcome.completed and outcome.alerts == []
         assert outcome.result.wall_finished > 60.0   # it was mid-run
-        return outcome
+        return outcome, sink
 
     @pytest.mark.parametrize("observatory", [False, True])
     def test_a_malformed_metrics_sample(self, monkeypatch, observatory):
@@ -659,20 +663,21 @@ class TestABadDatagramCannotStopTheRun:
             ExperimentMonitor().on_stream_sample(
                 StreamSample(TelemetryStreamer.CHANNEL, 1, 0.0, bogus))
 
-        outcome = self.run_poisoned(
+        outcome, sink = self.run_poisoned(
             monkeypatch, observatory=observatory,
             poison=lambda dep, kit: kit.nsds.ingest(
                 dep.kernel.now, {TelemetryStreamer.CHANNEL: bogus}))
-        kit, log = outcome.monitoring, outcome.deployment.kernel.log
+        kit = outcome.monitoring
         receivers = [kit.receiver]
         if observatory:
             receivers.append(outcome.observatory.receiver)
         for receiver in receivers:
             assert receiver.subscriber_errors == 1
             assert receiver.gap_count == 0
-            [error] = [record for record in log.records(
-                           f"notify.{receiver.host}", "subscriber.error")
-                       if record.detail["port"] == receiver.port]
+            [error] = [record for record in sink.records
+                       if record.subsystem == f"notify.{receiver.host}"
+                       and record.kind == "subscriber.error"
+                       and record.detail["port"] == receiver.port]
             assert "SchemaError" in error.detail["error"]
             assert 40.0 < error.time < 41.0
         # every other sample got through, there and at the sink next door
@@ -716,14 +721,16 @@ class TestABadDatagramCannotStopTheRun:
                                   tuple(sorted(metric.labels.items())))
 
     def test_a_health_notification_that_is_not_one(self, monkeypatch):
-        outcome = self.run_poisoned(
+        outcome, sink = self.run_poisoned(
             monkeypatch,
             poison=lambda dep, kit: dep.network.send(
                 "coord", "portal", kit.sink.port,
                 {"sde_name": "health", "value": {"kind": "health"}}))
-        kit, log = outcome.monitoring, outcome.deployment.kernel.log
+        kit = outcome.monitoring
         assert kit.sink.subscriber_errors == 1
-        [error] = log.records("notify.portal", "subscriber.error")
+        [error] = [record for record in sink.records
+                   if record.subsystem == "notify.portal"
+                   and record.kind == "subscriber.error"]
         assert error.detail == {"port": kit.sink.port,
                                 "error": "KeyError: 'source'"}
         assert 40.0 < error.time < 41.0

@@ -12,6 +12,7 @@ from repro.net import (
     RpcTimeout,
 )
 from repro.sim import Kernel
+from repro.telemetry import InMemorySink
 from repro.util.errors import PolicyViolation, SecurityError
 
 
@@ -130,6 +131,7 @@ class TestOnAGrid:
         grid = Grid.star()
         site = grid.add_simulation_site("lab", 50.0, latency=0.05,
                                         compute_time=0.0)
+        sink = grid.kernel.telemetry.add_sink(InMemorySink())
 
         def buggy(caller):
             raise ValueError("not a ReproError")
@@ -147,7 +149,7 @@ class TestOnAGrid:
         assert exc.remote_type == "ValueError"
         assert "not a ReproError" in exc.remote_message
         assert grid.kernel.now == pytest.approx(0.1)  # one round trip
-        errors = grid.kernel.log.records(kind="rpc.handler_error")
+        errors = [r for r in sink.records if r.kind == "rpc.handler_error"]
         assert [r.detail["method"] for r in errors] == ["boom"]
 
     def test_site_on_the_hub_host_is_loopback_at_now_plus_zero(self):
@@ -218,6 +220,7 @@ class TestTimeoutsAndRetries:
 
     def test_late_reply_ignored(self):
         k, net, svc, cli = make_rpc(latency=0.0)
+        sink = k.telemetry.add_sink(InMemorySink())
 
         def slow(caller):
             yield k.timeout(10.0)
@@ -234,7 +237,7 @@ class TestTimeoutsAndRetries:
             return "ok"
 
         assert run_call(k, caller()) == "ok"
-        late = k.log.records(kind="rpc.late_reply")
+        late = [r for r in sink.records if r.kind == "rpc.late_reply"]
         assert len(late) >= 1
 
 
@@ -245,6 +248,7 @@ class TestSameInstantTimerAndReply:
 
     def tied(self, latency, handler, *, retries):
         k, net, svc, cli = make_rpc(latency=latency)
+        sink = k.telemetry.add_sink(InMemorySink())
         wire = []
         net.add_drop_filter(
             lambda m: wire.append((k.now, m.port, m.payload.request_id))
@@ -254,7 +258,7 @@ class TestSameInstantTimerAndReply:
                                   timeout=1.0, retries=retries))
         call.defuse()
         k.run()  # drain: the dead timers and the late replies too
-        late = len(k.log.records(kind="rpc.late_reply"))
+        late = [r.kind for r in sink.records].count("rpc.late_reply")
         return call, cli.stats, wire, late
 
     def test_latency_equal_to_timeout(self):
@@ -284,6 +288,7 @@ class TestSameInstantTimerAndReply:
 
     def test_reply_dropped_in_the_timers_instant_is_not_an_error(self):
         k, net, svc, cli = make_rpc(latency=0.25)
+        sink = k.telemetry.add_sink(InMemorySink())
         served = []
 
         def slow_once(caller):
@@ -298,7 +303,7 @@ class TestSameInstantTimerAndReply:
         assert result == "pong" and k.now == pytest.approx(1.5)
         assert served == [0.25, 1.25] and cli.stats.retries == 1
         k.run()
-        assert k.log.records(kind="rpc.late_reply") == []
+        assert "rpc.late_reply" not in [r.kind for r in sink.records]
 
 
 class TestFailureEdges:

@@ -16,6 +16,7 @@ from repro.core.plugin import ControlPlugin
 from repro.control import SimulationPlugin, make_displacement_actions
 from repro.net import RemoteException
 from repro.structural import LinearSubstructure
+from repro.telemetry import InMemorySink
 from repro.util.errors import ProtocolError
 
 from conftest import make_site
@@ -464,6 +465,7 @@ class TestExecutionTimeout:
         error of any type fails the transaction once, chained, and a
         duplicate execute waiting on the run gets the same failure."""
         env = make_site(self.CrashingPlugin())
+        sink = env.kernel.telemetry.add_sink(InMemorySink())
         execute = env.server.operation("execute")
         failures = {}
 
@@ -492,7 +494,7 @@ class TestExecutionTimeout:
         assert env.server.transactions["t"].state is TransactionState.FAILED
         metrics = env.server.metrics()
         assert (metrics["failed"], metrics["duplicate_executes"]) == (1, 1)
-        assert len(env.kernel.log.records(kind="plugin.error")) == 1
+        assert [r.kind for r in sink.records].count("plugin.error") == 1
         assert env.server._completion_events == {}
 
 

@@ -41,6 +41,7 @@ from repro.observatory.schema import (TIERS, ObservatorySchemaError,
 from repro.observatory.tsdb import ROLLUP_SPANS
 from repro.ogsi import ServiceContainer
 from repro.sim import Kernel
+from repro.telemetry import InMemorySink
 from repro.util.errors import ReproError
 
 MONITOR_SCHEMA = "repro.monitor/v1"
@@ -682,7 +683,7 @@ class TestFlightRecorder:
         import repro.observatory.wiring as wiring
 
         class RendersAtEmit(FlightRecorder):
-            def _on_log(self, record):
+            def on_record(self, record):
                 source = record.subsystem.split(".", 1)
                 if source[0] not in ("ogsi", "coordinator", "fleet"):
                     return
@@ -789,13 +790,15 @@ class TestObservatoryService:
 
     def test_query_operation_returns_validated_documents(self):
         kernel, store, _, _, invoke = self.service_env()
+        sink = kernel.telemetry.add_sink(InMemorySink())
         for i in range(5):
             store.append("a.b.c", {"site": "x"}, float(i), float(i))
         kernel.run(until=10.0)  # the query window defaults to end=now
         result = invoke("query", {"metric": "a.b.c", "agg": "avg"})
         validate_query_result(result)
         assert result["aggregate"]["value"] == 2.0
-        assert kernel.log.records("ogsi.observatory", "query.served")
+        assert [(r.subsystem, r.kind) for r in sink.records] == [
+            ("ogsi.observatory", "query.served")]
 
     def test_list_series_and_snapshots_operations(self):
         _, store, recorder, _, invoke = self.service_env()
@@ -862,9 +865,9 @@ class TestSessionIntegration:
         # the abort names the site whose exchange failed, all the way
         # from the coordinator's one abort exit to the header
         assert outcome.result.aborted_site == snapshot["site"] == "uiuc"
-        [aborted] = outcome.deployment.kernel.log.records(
-            "coordinator.obs-abort", "experiment.aborted")
-        assert aborted.detail["site"] == "uiuc"
+        [aborted] = [event for event in snapshot["sources"]["coordinator"]
+                     if event["what"] == "experiment.aborted"]
+        assert aborted["detail"]["site"] == "uiuc"
         text = obs.postmortem()
         assert "POSTMORTEM  run=obs-abort  reason=abort" in text
         assert f"incident    step={snapshot['step']}  site=uiuc  " in text

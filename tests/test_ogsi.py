@@ -11,6 +11,7 @@ from repro.ogsi import (
     ServiceDataSet,
 )
 from repro.sim import Kernel
+from repro.telemetry import InMemorySink
 from repro.util.errors import ProtocolError
 
 
@@ -170,12 +171,13 @@ class TestContainerDispatch:
 class TestLifetime:
     def test_service_reaped_after_termination_time(self):
         k, net, container, client = make_env()
+        sink = k.telemetry.add_sink(InMemorySink())
         container.deploy(Counter("c1"), termination_time=100.0)
         k.run(until=50.0)
         assert "c1" in container.services
         k.run(until=150.0)
         assert "c1" not in container.services
-        recs = k.log.records(kind="service.destroyed")
+        recs = [r for r in sink.records if r.kind == "service.destroyed"]
         assert recs[0].detail["reason"] == "lifetime-expired"
 
     def test_keepalive_extends_lifetime(self):

@@ -51,6 +51,7 @@ from repro.repository.checkpoint import (
     InMemoryCheckpointStore,
 )
 from repro.sim import Kernel
+from repro.telemetry import InMemorySink
 from repro.util.errors import ConfigurationError
 
 from test_checkpoint_resume import make_doc, run_store
@@ -515,6 +516,7 @@ class TestDurableCampaign:
         held) that leaves too few — journal that submission ``failed``
         with 0 steps; the drain goes on."""
         grid, pool, registry, queue = self.build()
+        sink = grid.kernel.telemetry.add_sink(InMemorySink())
 
         def dead_claim():
             yield from queue.submit(submission("cornered", n_sites=2))
@@ -533,8 +535,8 @@ class TestDurableCampaign:
             terminal = queue.terminal(sid)
             assert (terminal["status"], terminal["steps"]) == ("failed", 0)
         assert [outcome.run_id for outcome in result.outcomes] == ["ok"]
-        refused = grid.kernel.log.records("queue.scheduler",
-                                          "admission.refused")
+        refused = [r for r in sink.records if r.kind == "admission.refused"]
+        assert {r.subsystem for r in refused} == {"queue.scheduler"}
         assert sorted(r.detail["submission_id"] for r in refused) == \
             ["big", "cornered"]
 
@@ -553,13 +555,14 @@ class TestDurableCampaign:
         rides it out: appends are late, none is lost."""
         subs = campaign_submissions()
         grid, pool, registry, queue = self.build()
+        sink = grid.kernel.telemetry.add_sink(InMemorySink())
         queue.store = attach_durable_repository(grid, name="outage")
         arm_fleet_outages(grid, make_repo_outage_plan(3))
         summary = run_durable_campaign(grid, pool, registry, queue,
                                        subs).summary()
         assert summary["completed"] == len(subs)
         assert summary["outstanding"] == 0 and summary["failed"] == 0
-        backoffs = grid.kernel.log.records("net.retry", "retry.backoff")
+        backoffs = [r for r in sink.records if r.kind == "retry.backoff"]
         assert backoffs, "no append ever met the outage"
         assert all(record.detail["key"].startswith("queue.outage.")
                    for record in backoffs)

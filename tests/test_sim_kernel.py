@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.sim import Interrupt, Kernel
+from repro.telemetry import InMemorySink
 
 
 class TestEventBasics:
@@ -452,6 +453,7 @@ class TestDeterminism:
 
     def test_kernel_emit_stamps_now(self):
         k = Kernel()
+        sink = k.telemetry.add_sink(InMemorySink())
 
         def proc(kernel):
             yield kernel.timeout(2.5)
@@ -459,5 +461,5 @@ class TestDeterminism:
 
         k.process(proc(k))
         k.run()
-        recs = k.log.records("test", "mark")
-        assert len(recs) == 1 and recs[0].time == 2.5
+        [rec] = sink.records
+        assert (rec.time, rec.subsystem, rec.kind) == (2.5, "test", "mark")

@@ -29,6 +29,7 @@ from repro.structural import GroundMotion, LinearSubstructure, StructuralModel
 from repro.telemetry import (
     SCHEMA_ID,
     InMemorySink,
+    LogRecord,
     SchemaError,
     TelemetryHub,
     TraceContext,
@@ -298,6 +299,84 @@ class TestTracing:
         assert {span.name for span in spans
                 if span.parent_id is not None
                 and span.parent_id not in finished} == set()
+
+
+class TestRecordSinks:
+    """``Kernel.emit`` hands each record to the hub's record sinks and
+    keeps nothing itself."""
+
+    def test_sinks_see_records_in_emit_order(self):
+        k = Kernel()
+        sink = k.telemetry.add_sink(InMemorySink())
+        seen = []
+
+        class RecordsOnly:          # a sink needs only the hook it uses
+            on_record = staticmethod(seen.append)
+
+        k.telemetry.add_sink(RecordsOnly())
+
+        def proc(kernel):
+            kernel.emit("ntcp.server.uiuc", "transaction.accepted", txn="t-1")
+            yield kernel.timeout(1.5)
+            kernel.emit("daq.uiuc", "sample", n=4)
+
+        k.process(proc(k))
+        k.run()
+        assert [(r.time, r.subsystem, r.kind, r.detail)
+                for r in sink.records] == [
+            (0.0, "ntcp.server.uiuc", "transaction.accepted", {"txn": "t-1"}),
+            (1.5, "daq.uiuc", "sample", {"n": 4})]
+        assert seen == sink.records
+        with k.telemetry.start_span("a.b.op"):
+            pass
+        assert len(sink.spans) == 1     # spans still reach on_span
+
+    def test_no_record_sink_means_no_record_is_built(self, monkeypatch):
+        built = []
+        init = LogRecord.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(LogRecord, "__init__", counting_init)
+
+        class SpansOnly:
+            on_span = staticmethod(lambda span: None)
+
+        k = Kernel()
+        k.emit("s", "k", value=0)
+        k.telemetry.add_sink(SpansOnly())
+        k.emit("s", "k", value=1)
+        assert built == []
+        k.telemetry.add_sink(InMemorySink())
+        k.emit("s", "k", value=2)
+        assert built == [(0.0, "s", "k", {"value": 2})]
+
+    def test_a_sink_added_mid_run_sees_only_later_records(self):
+        k = Kernel()
+        early = k.telemetry.add_sink(InMemorySink())
+        late = []
+
+        def proc(kernel):
+            for i in range(4):
+                kernel.emit("s", "tick", i=i)
+                if i == 1:
+                    late.append(kernel.telemetry.add_sink(InMemorySink()))
+                yield kernel.timeout(1.0)
+
+        k.process(proc(k))
+        k.run()
+        assert [r.detail["i"] for r in early.records] == [0, 1, 2, 3]
+        assert [r.detail["i"] for r in late[0].records] == [2, 3]
+
+    def test_records_are_frozen(self):
+        k = Kernel()
+        sink = k.telemetry.add_sink(InMemorySink())
+        k.emit("s", "k")
+        [record] = sink.records
+        with pytest.raises(AttributeError):
+            record.time = 1.0
 
 
 class TestExportAndSchema:

@@ -7,6 +7,7 @@ from repro.net import Network, RemoteException, RpcClient
 from repro.nsds.stream import StreamSample
 from repro.ogsi import ServiceContainer
 from repro.sim import Kernel
+from repro.telemetry import InMemorySink
 from repro.telepresence import CameraService, PTZState, VideoViewer
 from repro.util.errors import ConfigurationError
 
@@ -107,6 +108,7 @@ class TestCamera:
 
     def test_a_raising_consumer_loses_only_its_own_frames(self):
         k, net, container, rpc = portal_env()
+        sink = k.telemetry.add_sink(InMemorySink())
         cam = CameraService("cam", frame_interval=1.0)
         container.deploy(cam)
 
@@ -125,7 +127,8 @@ class TestCamera:
         assert healthy.subscriber_errors == 0
         assert broken.subscriber_errors == broken.frame_count >= 9
         assert broken.latest["camera"] == "cam"
-        errors = k.log.records("notify.user", "subscriber.error")
+        errors = [r for r in sink.records if r.subsystem == "notify.user"
+                  and r.kind == "subscriber.error"]
         assert len(errors) == broken.subscriber_errors
         assert {e.detail["port"] for e in errors} == {broken.port}
         assert errors[0].detail["error"] == "RuntimeError: decoder crashed"

@@ -1,12 +1,8 @@
-"""Unit tests for repro.util: ids, structured log, error hierarchy."""
+"""Unit tests for repro.util: ids and the error hierarchy."""
 
 import numpy as np
-import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.util import (
-    EventLog,
     IdFactory,
     PolicyViolation,
     ReproError,
@@ -60,58 +56,6 @@ class TestUuidLike:
     def test_distinct_draws(self):
         rng = np.random.default_rng(1)
         assert uuid_like(rng) != uuid_like(rng)
-
-
-class TestEventLog:
-    def test_emit_and_query(self):
-        log = EventLog()
-        log.emit(1.0, "ntcp.server.uiuc", "transaction.accepted", txn="t-1")
-        log.emit(2.0, "ntcp.server.cu", "transaction.rejected", txn="t-2")
-        log.emit(3.0, "daq.uiuc", "sample", n=4)
-        assert log.count("ntcp") == 2
-        assert log.count("ntcp.server.uiuc") == 1
-        assert log.count(kind="transaction.accepted") == 1
-        assert len(log) == 3
-
-    def test_prefix_matching_is_component_wise(self):
-        log = EventLog()
-        log.emit(0.0, "ntcpx", "k")
-        # "ntcp" must not prefix-match "ntcpx"
-        assert log.count("ntcp") == 0
-
-    def test_exact_match_mode(self):
-        log = EventLog()
-        log.emit(0.0, "a.b", "k")
-        assert log.records("a", prefix=False) == []
-        assert len(log.records("a.b", prefix=False)) == 1
-
-    def test_listener_called(self):
-        log = EventLog()
-        seen = []
-        log.subscribe(seen.append)
-        rec = log.emit(5.0, "s", "k", value=1)
-        assert seen == [rec]
-        assert rec.detail == {"value": 1}
-
-    def test_tail(self):
-        log = EventLog()
-        for i in range(20):
-            log.emit(float(i), "s", "k", i=i)
-        assert [r.detail["i"] for r in log.tail(3)] == [17, 18, 19]
-
-    def test_records_are_immutable(self):
-        log = EventLog()
-        rec = log.emit(0.0, "s", "k")
-        with pytest.raises(AttributeError):
-            rec.time = 1.0
-
-    @given(st.lists(st.tuples(st.text(min_size=1), st.text(min_size=1)), max_size=30))
-    def test_count_equals_filtered_len(self, entries):
-        log = EventLog()
-        for sub, kind in entries:
-            log.emit(0.0, sub, kind)
-        for sub, kind in entries:
-            assert log.count(sub, kind) == len(log.records(sub, kind))
 
 
 class TestErrors:

@@ -19,12 +19,14 @@ from repro.fleet import (
 )
 from repro.gsi import Crypto
 from repro.gsi import session as gsi_session
+from repro.most import ExperimentSession, MOSTConfig
 from repro.queue import (
     ExperimentQueue,
     FencingAuthority,
     InMemoryJournalStore,
     run_durable_campaign,
 )
+from repro.telemetry import LogRecord
 
 #: ``Crypto.sign`` calls for the campaign below: credentials, proxies and
 #: CAS assertions at set-up, one chain walk per (checker, chain), then two
@@ -80,3 +82,21 @@ class TestGsiWorkBudget:
     def test_signatures_are_two_per_authenticated_call(self, gsi_work):
         *_, signs = gsi_work
         assert signs <= SIGN_BUDGET
+
+
+def test_a_run_with_no_record_sink_builds_no_record(monkeypatch):
+    """``Kernel.emit`` builds a ``LogRecord`` only for a sink that takes
+    records: a simulation-only session attaches none, so it builds none
+    (an archiving log built about 12 per step)."""
+    built = [0]
+    init = LogRecord.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LogRecord, "__init__", counting_init)
+    outcome = ExperimentSession(MOSTConfig().scaled(40),
+                                simulation_only=True).run()
+    assert outcome.completed and outcome.steps_completed == 39
+    assert built[0] == 0
