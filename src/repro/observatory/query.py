@@ -162,6 +162,8 @@ def normalize_request(request: dict[str, Any], *, now: float) -> dict[str, Any]:
     for key, value in (("start", start), ("end", end)):
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise QueryError(f"'{key}' must be a number")
+        if math.isnan(value):
+            raise QueryError(f"'{key}' must not be NaN")
     if end < start:
         raise QueryError("'end' must be >= 'start'")
     max_points = request.get("max_points", DEFAULT_MAX_POINTS)

@@ -12,10 +12,10 @@ a fixed, seed-independent input.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from repro.util.errors import ConfigurationError
 
@@ -87,6 +87,31 @@ def _intensity_envelope(t: np.ndarray, rise: float, plateau: float,
     return env
 
 
+def _bilinear(num: list[float], den: list[float],
+              dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Bilinear transform of the analog filter ``num(s) / den(s)`` at
+    ``fs = 1 / dt``, normalized so ``a[0] == 1``.
+
+    The same ``numpy.polynomial`` operations, in the same order, as
+    ``scipy.signal.bilinear`` (which ends in ``normalize``), so the
+    coefficients are bit-identical to scipy's.  Two of scipy's trims are
+    left out: a leading zero of ``num`` (``zeta_g == 0``) adds an exact
+    zero term here, and ``normalize``'s drop of numerator coefficients
+    below 1e-14 takes an ``omega_g`` far below any ground frequency.
+    """
+    fac = np.sqrt((1.0 / dt) * 2)
+    zp1 = np.polynomial.Polynomial((+1, 1)) / fac
+    zm1 = np.polynomial.Polynomial((-1, 1)) * fac
+    b, a = np.asarray(num, dtype=float), np.asarray(den, dtype=float)
+    n = max(len(a), len(b)) - 1
+    numerator = sum(b_ * zp1**(n - q) * zm1**q
+                    for q, b_ in enumerate(b[::-1]))
+    denominator = sum(a_ * zp1**(n - p) * zm1**p
+                      for p, a_ in enumerate(a[::-1]))
+    beta, alpha = numerator.coef[::-1], denominator.coef[::-1]
+    return beta / alpha[0], alpha / alpha[0]
+
+
 @functools.lru_cache(maxsize=64)
 def _kanai_tajimi_filter(omega_g: float, zeta_g: float,
                          dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -100,10 +125,35 @@ def _kanai_tajimi_filter(omega_g: float, zeta_g: float,
     """
     num = [2 * zeta_g * omega_g, omega_g ** 2]
     den = [1.0, 2 * zeta_g * omega_g, omega_g ** 2]
-    b, a = signal.bilinear(num, den, fs=1.0 / dt)
+    b, a = _bilinear(num, den, dt)
     b.flags.writeable = False
     a.flags.writeable = False
     return b, a
+
+
+def _filter(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``scipy.signal.lfilter(b, a, x)`` for a second-order ``(b, a)`` with
+    ``a[0] == 1``: direct form II transposed, in scipy's operation order,
+    so the output is bit-identical to it."""
+    b0, b1, b2 = b.tolist()
+    _, a1, a2 = a.tolist()
+    z0 = z1 = 0.0
+    y = []
+    for xn in x.tolist():
+        yn = z0 + b0 * xn
+        z0 = z1 + xn * b1 - yn * a1
+        z1 = xn * b2 - yn * a2
+        y.append(yn)
+    return np.array(y)
+
+
+def _require(name: str, value: float, *, positive: bool) -> None:
+    """Refuse a non-finite parameter, or one below its bound, by name."""
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        bound = "> 0" if positive else ">= 0"
+        raise ConfigurationError(
+            f"kanai_tajimi_record: {name} must be finite and {bound}, "
+            f"got {value!r}")
 
 
 def kanai_tajimi_record(*, duration: float = 30.0, dt: float = 0.02,
@@ -116,7 +166,16 @@ def kanai_tajimi_record(*, duration: float = 30.0, dt: float = 0.02,
     White noise is passed through the second-order Kanai–Tajimi ground
     filter (natural frequency ``omega_g`` [rad/s], damping ``zeta_g``),
     shaped by a Jennings envelope, then scaled to the requested PGA.
+    ``dt`` and ``omega_g`` must be finite and positive, the other
+    parameters finite and non-negative, and the record at least one sample
+    long (:class:`ConfigurationError` names the first that is not).
     """
+    for name, value in (("dt", dt), ("omega_g", omega_g)):
+        _require(name, value, positive=True)
+    for name, value in (("duration", duration), ("pga", pga),
+                        ("zeta_g", zeta_g), ("rise", rise),
+                        ("plateau", plateau), ("decay", decay)):
+        _require(name, value, positive=False)
     n = int(round(duration / dt))
     if n < 1:
         raise ConfigurationError(
@@ -124,8 +183,7 @@ def kanai_tajimi_record(*, duration: float = 30.0, dt: float = 0.02,
             f"duration {duration} s at dt {dt} s")
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(n)
-    filtered = signal.lfilter(*_kanai_tajimi_filter(omega_g, zeta_g, dt),
-                              noise)
+    filtered = _filter(*_kanai_tajimi_filter(omega_g, zeta_g, dt), noise)
     t = np.arange(n) * dt
     shaped = filtered * _intensity_envelope(t, rise, plateau, decay)
     peak = np.max(np.abs(shaped))

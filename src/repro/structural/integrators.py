@@ -29,6 +29,22 @@ from repro.structural.model import StructuralModel
 from repro.util.errors import ConfigurationError
 
 
+def _lu_solve(lu_and_piv, b: np.ndarray) -> np.ndarray:
+    """``linalg.lu_solve(lu_and_piv, b)`` for real float factors, minus the
+    batch wrapper and the per-call LAPACK lookup: the same finite and shape
+    checks, then the same ``dgetrs`` on the same ``(lu, piv, b)``, so the
+    result is bit-identical at about a quarter of the cost of a 3-DOF solve."""
+    lu, piv = lu_and_piv
+    b = np.asarray_chkfinite(b)
+    if lu.shape[0] != b.shape[0]:
+        raise ValueError(
+            f"Shapes of lu {lu.shape} and b {b.shape} are incompatible")
+    x, info = linalg.lapack.dgetrs(lu, piv, b)
+    if info:
+        raise ValueError(f"illegal value in {-info}th argument of dgetrs")
+    return x
+
+
 @dataclass(frozen=True)
 class StepResult:
     """State after one completed integration step."""
@@ -94,8 +110,8 @@ class NewmarkBeta:
         d = np.zeros(n) if d0 is None else np.asarray(d0, dtype=float).copy()
         v = np.zeros(n) if v0 is None else np.asarray(v0, dtype=float).copy()
         p0 = loads[0] if len(loads) else np.zeros(n)
-        a = linalg.lu_solve(self._m_lu,
-                            p0 - model.damping @ v - model.stiffness @ d)
+        a = _lu_solve(self._m_lu,
+                      p0 - model.damping @ v - model.stiffness @ d)
         results: list[StepResult] = []
         m, c, k = model.mass, model.damping, model.stiffness
         for step in range(1, len(loads)):
@@ -106,7 +122,7 @@ class NewmarkBeta:
                    + c @ (gamma / (beta * dt) * d
                           + (gamma / beta - 1) * v
                           + dt * (gamma / (2 * beta) - 1) * a))
-            d_new = linalg.lu_solve(self._keff_lu, rhs)
+            d_new = _lu_solve(self._keff_lu, rhs)
             a_new = ((d_new - d) / (beta * dt ** 2) - v / (beta * dt)
                      - (1 / (2 * beta) - 1) * a)
             v_new = v + dt * ((1 - gamma) * a + gamma * a_new)
@@ -173,8 +189,8 @@ class CentralDifferencePSD:
         return matrix @ x
 
     def _solve(self, lu, x: np.ndarray) -> np.ndarray:
-        """``lu_solve(lu, x)`` (ensemble subclasses evaluate per column)."""
-        return linalg.lu_solve(lu, x)
+        """``_lu_solve(lu, x)`` (ensemble subclasses evaluate per column)."""
+        return _lu_solve(lu, x)
 
     SNAPSHOT_KIND = "central-difference"
 
@@ -347,7 +363,7 @@ class AlphaOSPSD:
 
     def _solve(self, lu, x: np.ndarray) -> np.ndarray:
         """See :meth:`CentralDifferencePSD._solve`."""
-        return linalg.lu_solve(lu, x)
+        return _lu_solve(lu, x)
 
     def start(self, r0: np.ndarray, p0: np.ndarray,
               d0: np.ndarray | None = None,
@@ -492,7 +508,7 @@ class _ColumnwiseAlgebra:
         return self._columns(lambda col: matrix @ col, x)
 
     def _solve(self, lu, x: np.ndarray) -> np.ndarray:
-        return self._columns(lambda col: linalg.lu_solve(lu, col), x)
+        return self._columns(lambda col: _lu_solve(lu, col), x)
 
 
 class EnsembleCentralDifferencePSD(_ColumnwiseAlgebra, CentralDifferencePSD):

@@ -6,6 +6,10 @@ that breaks a top-level re-export fails here, not in a user's script.
 
 import ast
 import inspect
+import os
+import pathlib
+import subprocess
+import sys
 
 import repro
 
@@ -49,6 +53,20 @@ def test_runners_are_callables():
     assert inspect.isclass(repro.ExperimentSession)
     assert inspect.isfunction(repro.ExperimentSession.run)
     assert inspect.isfunction(repro.build_most)
+
+
+def test_importing_repro_loads_no_signal_processing_or_statistics():
+    """``import repro`` pays for what a run executes: the ground-motion
+    filter is numpy, so ``scipy.signal`` (and the ``scipy.stats`` it pulls
+    in) never load.  A fresh interpreter, since this one has imported
+    every test module's dependencies."""
+    src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+    probe = ("import sys, repro; print(sorted(m for m in sys.modules if "
+             "m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats'])))")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
 
 
 def test_repository_and_envelope_are_each_spelt_once():

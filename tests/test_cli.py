@@ -161,6 +161,22 @@ class TestObservatoryCommands:
                                 f"got -1\n")
         assert not captured.out
 
+    def test_a_nan_window_is_the_typed_error(self, tmp_path, capsys):
+        store = tmp_path / "obs.json"
+        main(["observatory", "run", "--steps", "40", "--out", str(store)])
+        capsys.readouterr()
+        query = ["observatory", "query", "coordinator.mspsds.step_time",
+                 "--store", str(store)]
+        for bound, extra in (("start", []), ("end", []),
+                             ("start", ["--agg", "rate"])):
+            assert main([*query, f"--{bound}", "nan", *extra]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == f"error: '{bound}' must not be NaN\n"
+            assert not captured.out
+        # an unbounded window stays legal
+        assert main([*query, "--start=-inf", "--end", "inf"]) == 0
+        assert "3 points" in capsys.readouterr().out
+
     @pytest.mark.parametrize("command, content", [
         (["query", "a.b.c"], b'{"schema": '),
         (["postmortem", "r"], b'\xff\xfe{"seq":1}\n'),

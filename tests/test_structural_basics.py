@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import signal
 
 from repro.structural import (
     BilinearSpring,
@@ -84,13 +83,13 @@ class TestGroundMotion:
     def test_kanai_tajimi_filter_is_designed_once_and_read_only(
             self, monkeypatch):
         designed = []
-        bilinear = signal.bilinear
+        bilinear = ground_motion._bilinear
 
-        def counting(*args, **kwargs):
+        def counting(*args):
             designed.append(args)
-            return bilinear(*args, **kwargs)
+            return bilinear(*args)
 
-        monkeypatch.setattr(signal, "bilinear", counting)
+        monkeypatch.setattr(ground_motion, "_bilinear", counting)
         ground_motion._kanai_tajimi_filter.cache_clear()
         for seed in range(4):
             kanai_tajimi_record(duration=2.0, seed=seed)
@@ -99,6 +98,42 @@ class TestGroundMotion:
                                                                0.02):
             with pytest.raises(ValueError, match="read-only"):
                 coefficients[0] = 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(omega_g=st.floats(0.5, 100.0),
+           zeta_g=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+           dt=st.one_of(st.sampled_from([0.02, 0.01, 0.005]),
+                        st.floats(1e-3, 0.1)),
+           seed=st.integers(0, 2**32 - 1), n=st.integers(1, 400))
+    def test_kanai_tajimi_filter_is_bit_identical_to_scipy_signal(
+            self, omega_g, zeta_g, dt, seed, n):
+        from scipy import signal  # the oracle; the library never loads it
+
+        num = [2 * zeta_g * omega_g, omega_g ** 2]
+        den = [1.0, 2 * zeta_g * omega_g, omega_g ** 2]
+        b, a = ground_motion._kanai_tajimi_filter(omega_g, zeta_g, dt)
+        b_ref, a_ref = signal.bilinear(num, den, fs=1.0 / dt)
+        assert np.array_equal(b, b_ref) and np.array_equal(a, a_ref)
+        noise = np.random.default_rng(seed).standard_normal(n)
+        assert np.array_equal(ground_motion._filter(b, a, noise),
+                              signal.lfilter(b_ref, a_ref, noise))
+
+    @pytest.mark.parametrize("name, value", [
+        ("dt", 0.0), ("dt", -0.02), ("dt", float("nan")),
+        ("dt", float("inf")), ("duration", float("inf")),
+        ("duration", -1.0), ("omega_g", 0.0), ("omega_g", float("nan")),
+        ("pga", float("nan")), ("pga", -1.0), ("zeta_g", float("nan")),
+        ("zeta_g", -0.1), ("rise", float("nan")), ("plateau", -1.0),
+        ("decay", float("inf"))])
+    def test_kanai_tajimi_refuses_a_bad_parameter_by_name(self, name, value):
+        with pytest.raises(ConfigurationError,
+                           match=rf"\b{name} must be finite"):
+            kanai_tajimi_record(**{"duration": 2.0, name: value})
+
+    def test_kanai_tajimi_takes_the_zero_edges(self):
+        gm = kanai_tajimi_record(duration=2.0, pga=0.0, zeta_g=0.0, rise=0.0,
+                                 plateau=0.0, decay=0.0)
+        assert gm.n_steps == 100 and gm.pga == 0.0
 
     def test_el_centro_like_deterministic(self):
         assert np.array_equal(el_centro_like().accel, el_centro_like().accel)

@@ -28,13 +28,6 @@ class TestIdFactory:
         f = IdFactory("x", start=100)
         assert f() == "x-100"
 
-    def test_peek_does_not_consume(self):
-        f = IdFactory("p")
-        assert f.peek() == 1
-        assert f.peek() == 1
-        assert f() == "p-1"
-        assert f() == "p-2"
-
     def test_independent_factories(self):
         a, b = IdFactory("a"), IdFactory("b")
         a()
