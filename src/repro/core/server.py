@@ -32,6 +32,10 @@ from repro.util.errors import PolicyViolation, ProtocolError
 STAT_KEYS = ("proposed", "accepted", "rejected", "executed", "failed",
              "cancelled", "duplicate_proposals", "duplicate_executes")
 
+#: state -> the counter entering it bumps (``executing`` has none)
+_COUNTED = {state: state.value for state in TransactionState
+            if state.value in STAT_KEYS}
+
 
 class NTCPServer(GridService):
     """One site's NTCP service, parameterized by a control plugin.
@@ -95,8 +99,9 @@ class NTCPServer(GridService):
         """The one place a transaction changes state: the guarded
         transition, the state's counter (``executing`` has none), the SDE."""
         txn.transition(state, self.kernel.now, error=error)
-        if state.value in STAT_KEYS:
-            self._count(state.value)
+        key = _COUNTED.get(state)
+        if key is not None:
+            self._count(key)
         self._publish(txn)
 
     def _get(self, name: str) -> Transaction:

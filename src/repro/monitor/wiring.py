@@ -98,7 +98,7 @@ def attach_monitoring(dep, *, thresholds: AlertThresholds | None = None,
     # Health notifications travel site -> portal; give the portal the
     # same best-effort links the stream viewers use.
     for name in dep.sites:
-        if frozenset(("portal", name)) not in network._links:
+        if ("portal", name) not in network._routes:
             network.connect("portal", name, latency=0.03, fifo=False)
 
     coord_container = ServiceContainer(network, "coord")

@@ -177,7 +177,7 @@ def _add_remote_participants(dep: MOSTDeployment, *, n_chef: int,
         site = dep.sites[name]
         if site.nsds is None:
             continue
-        if frozenset(("portal", name)) not in network._links:
+        if ("portal", name) not in network._routes:
             network.connect("portal", name, latency=0.03, fifo=False)
         viewer_rpc = RpcClient(network, "portal", default_timeout=30.0)
 

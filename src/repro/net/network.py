@@ -102,7 +102,9 @@ class Network:
         self.kernel = kernel
         self.rng = np.random.default_rng(seed)
         self.hosts: dict[str, Host] = {}
-        self._links: dict[frozenset[str], Link] = {}
+        # (src, dst) -> (link, "src->dst"), both directions of every link:
+        # what a send looks up, with its FIFO direction key made once.
+        self._routes: dict[tuple[str, str], tuple[Link, str]] = {}
         self._drop_filters: list[Callable[[Message], bool]] = []
         self._msg_ids = IdFactory("msg")
         self._port_ids: dict[str, IdFactory] = {}
@@ -145,25 +147,41 @@ class Network:
     def connect(self, a: str, b: str, *, latency: float = 0.01,
                 jitter: float = 0.0, loss: float = 0.0,
                 fifo: bool = True) -> Link:
-        """Create a bidirectional link between existing hosts ``a`` and ``b``."""
+        """Create a bidirectional link between existing hosts ``a`` and ``b``.
+
+        ``latency`` and ``jitter`` must be ``>= 0`` and ``loss`` in
+        ``[0, 1]`` (NaN refused); anything else is a
+        :class:`ConfigurationError` naming the parameter.
+        """
+        if not latency >= 0:
+            raise ConfigurationError(
+                f"link {a}-{b}: latency must be >= 0, got {latency!r}")
+        if not jitter >= 0:
+            raise ConfigurationError(
+                f"link {a}-{b}: jitter must be >= 0, got {jitter!r}")
+        if not 0 <= loss <= 1:
+            raise ConfigurationError(
+                f"link {a}-{b}: loss must be in [0, 1], got {loss!r}")
         for name in (a, b):
             if name not in self.hosts:
                 raise ConfigurationError(f"unknown host {name!r}")
         if a == b:
             raise ConfigurationError("cannot link a host to itself")
-        key = frozenset((a, b))
-        if key in self._links:
+        if (a, b) in self._routes:
             raise ConfigurationError(f"hosts {a!r} and {b!r} already linked")
         link = Link(a=a, b=b, latency=latency, jitter=jitter, loss=loss, fifo=fifo)
-        self._links[key] = link
+        self._routes[a, b] = (link, f"{a}->{b}")
+        self._routes[b, a] = (link, f"{b}->{a}")
         return link
 
     def link(self, a: str, b: str) -> Link:
         """The link between ``a`` and ``b`` (raises KeyError if absent)."""
-        return self._links[frozenset((a, b))]
+        return self._routes[a, b][0]
 
     def links(self) -> list[Link]:
-        return list(self._links.values())
+        """Every link once, in the order they were connected."""
+        return [link for (src, _), (link, _) in self._routes.items()
+                if src == link.a]
 
     # -- faults ---------------------------------------------------------------
     def set_link_state(self, a: str, b: str, up: bool) -> None:
@@ -195,11 +213,12 @@ class Network:
             # deployment) talk through the stack with negligible delay.
             self.kernel.call_later(0.0, self._arrive, msg)
             return msg
-        link = self._links.get(frozenset((src, dst)))
-        if link is None:
+        route = self._routes.get((src, dst))
+        if route is None:
             self._count("no_route")
             self.kernel.emit("net", "msg.no_route", src=src, dst=dst, port=port)
             return msg
+        link, direction = route
         if self._drop_filters and any(f(msg) for f in self._drop_filters):
             self._count("dropped")
             self.kernel.emit("net", "msg.dropped", msg_id=msg.msg_id,
@@ -215,7 +234,6 @@ class Network:
         if link.fifo:
             # TCP-like: never deliver before an earlier message on the same
             # direction; stretch the delay to preserve ordering.
-            direction = f"{src}->{dst}"
             floor = link._last_delivery.get(direction, 0.0)
             arrival = max(self.kernel.now + delay, floor)
             link._last_delivery[direction] = arrival

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Generator
 
 from repro.net.network import Message, Network
-from repro.telemetry.spans import TraceContext
-from repro.util.errors import ReproError, SecurityError
+from repro.sim.events import PENDING
+from repro.util.errors import ConfigurationError, ReproError, SecurityError
 from repro.util.ids import IdFactory
 
 
@@ -55,7 +55,8 @@ class RpcRequest:
     credential: Any = None
     #: trace context of the calling span (a plain ``{"trace_id", "span_id"}``
     #: dict, so nothing live crosses the wire) — lets the receiving side
-    #: parent its server span under the caller's trace.
+    #: parent its server span under the caller's trace.  One that is not
+    #: that shape is ignored: the server span starts a new trace.
     trace: dict[str, str] | None = None
 
 
@@ -87,8 +88,32 @@ _TIMED_OUT = object()
 
 
 def _time_out(reply) -> None:
-    if not reply.triggered:
+    if reply._value is PENDING:
         reply.succeed(_TIMED_OUT)
+
+
+def _wire_parent(trace: Any) -> dict[str, str] | None:
+    """``RpcRequest.trace`` if it is a well-formed context, else None.
+
+    An invalid context is no context (as W3C Trace Context treats an
+    invalid ``traceparent``): the hop is still served, under a new trace.
+    """
+    if (isinstance(trace, dict) and isinstance(trace.get("trace_id"), str)
+            and isinstance(trace.get("span_id"), str)):
+        return trace
+    return None
+
+
+def _check_policy(timeout: Any, retries: Any) -> None:
+    """Refuse a timeout that is not a number > 0 (NaN included) and a
+    retry count that is not an int >= 0."""
+    if (isinstance(timeout, bool) or not isinstance(timeout, (int, float))
+            or not timeout > 0):
+        raise ConfigurationError(
+            f"RPC timeout must be a number > 0, got {timeout!r}")
+    if isinstance(retries, bool) or not isinstance(retries, int) or retries < 0:
+        raise ConfigurationError(
+            f"RPC retries must be an int >= 0, got {retries!r}")
 
 
 class RpcService:
@@ -122,10 +147,9 @@ class RpcService:
             self.kernel.emit(self.name, "rpc.bad_message", msg_id=msg.msg_id)
             return
         tracer = self.telemetry.tracer
-        span = tracer.start_span(
-            "net.rpc.server",
-            parent=(TraceContext.from_dict(req.trace) if req.trace else None),
-            method=req.method, service=self.name)
+        span = tracer.start_span("net.rpc.server",
+                                 parent=_wire_parent(req.trace),
+                                 method=req.method, service=self.name)
 
         def reply(response: RpcResponse) -> None:
             span.end(ok=response.ok)
@@ -153,7 +177,7 @@ class RpcService:
             # Ambient trace context: synchronous handler code (and the
             # synchronous prefix of generator handlers) parents its spans
             # under this hop's server span.
-            previous = tracer.activate(span.context)
+            previous = tracer.activate(span)
             try:
                 result = fn(caller, **req.params)
             finally:
@@ -176,7 +200,7 @@ class RpcService:
             proc = self.kernel.process(result, name=f"{self.name}.{req.method}")
 
             def finish(evt, req=req):
-                if evt.ok:
+                if evt._ok:
                     reply(RpcResponse(
                         request_id=req.request_id, ok=True, value=evt._value))
                 else:
@@ -213,6 +237,7 @@ class RpcClient:
         self.network = network
         self.kernel = network.kernel
         self.host = host
+        _check_policy(default_timeout, default_retries)
         self.default_timeout = default_timeout
         self.default_retries = default_retries
         self.reply_port = network.new_port("rpc-reply")
@@ -246,7 +271,7 @@ class RpcClient:
             self.kernel.emit(f"rpc.client.{self.host}", "rpc.late_reply",
                              request_id=resp.request_id)
             return
-        if not evt.triggered:  # else the timer won this very instant
+        if evt._value is PENDING:  # else the timer won this very instant
             evt.succeed(resp)
 
     def call(self, dst: str, port: str, method: str,
@@ -259,22 +284,30 @@ class RpcClient:
         Each retransmission reuses the same request id, so an idempotent (or
         deduplicating) server observes a single logical request.  Raises
         :class:`RpcTimeout` after the final attempt, or
-        :class:`RemoteException` if the handler raised.
+        :class:`RemoteException` if the handler raised.  A ``timeout`` that
+        is not a number > 0 or ``retries`` that is not an int >= 0 is a
+        :class:`ConfigurationError` before anything is counted, sent or
+        traced.
 
         ``ctx`` (a span or trace context) parents the call's client span,
         and the span's own context rides to the server in
         :attr:`RpcRequest.trace` — one trace covers both sides of the hop.
         """
         params = params or {}
-        timeout = self.default_timeout if timeout is None else timeout
-        retries = self.default_retries if retries is None else retries
+        if timeout is None and retries is None:  # checked at construction
+            timeout, retries = self.default_timeout, self.default_retries
+        else:
+            timeout = self.default_timeout if timeout is None else timeout
+            retries = self.default_retries if retries is None else retries
+            _check_policy(timeout, retries)
         parenting = {} if ctx is None else {"parent": ctx}
         span = self.telemetry.tracer.start_span(
             "net.rpc.call", method=method, dst=dst, port=port, **parenting)
         req = RpcRequest(request_id=self._request_ids(), method=method,
                          params=params, reply_port=self.reply_port,
                          credential=credential,
-                         trace=span.context.to_dict())
+                         trace={"trace_id": span.trace_id,
+                                "span_id": span.span_id})
         self._tm["calls"].inc()
         started = self.kernel.now
         last_attempt = retries  # attempts are 0..retries inclusive

@@ -82,8 +82,11 @@ class GridService:
         return self.container.kernel
 
     def emit(self, kind: str, **detail: Any) -> None:
-        """Structured log record under this service's subsystem name."""
-        self.kernel.emit(f"ogsi.{self.service_id}", kind, **detail)
+        """Structured log record under this service's subsystem name;
+        nothing is formatted when no sink takes records."""
+        kernel = self.kernel
+        if kernel.telemetry.takes_records:
+            kernel.emit(f"ogsi.{self.service_id}", kind, **detail)
 
 
 class SdeStatusService(GridService):

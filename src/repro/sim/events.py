@@ -87,7 +87,7 @@ class Event:
     # -- triggering ------------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        if self._value is not PENDING:
             raise RuntimeError(f"{self!r} has already been triggered")
         self._value = value
         self._ok = True
@@ -96,7 +96,7 @@ class Event:
 
     def fail(self, exception: BaseException) -> "Event":
         """Trigger the event as failed with ``exception``."""
-        if self.triggered:
+        if self._value is not PENDING:
             raise RuntimeError(f"{self!r} has already been triggered")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")

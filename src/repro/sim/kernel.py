@@ -5,7 +5,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Generator, Iterable
 
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import PENDING, AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
 from repro.telemetry import TelemetryHub
 
@@ -67,10 +67,12 @@ class Kernel:
         The entry for code that only wants "run this later" and has nobody
         to wait on it: one heap tuple, no :class:`Event`.  It cannot be
         cancelled or yielded on; an exception from ``fn`` surfaces from
-        :meth:`run`.
+        :meth:`run`.  A delay that is not ``>= 0`` (negative, or NaN,
+        which would break the heap's order) is a :class:`ValueError`.
         """
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay}")
+        if not delay >= 0:
+            raise ValueError(f"negative delay: {delay}" if delay < 0
+                             else f"delay must be >= 0, got {delay}")
         heapq.heappush(self._queue, (self.now + delay, self._seq, fn, arg))
         self._seq += 1
 
@@ -78,34 +80,38 @@ class Kernel:
         """Time of the next scheduled entry, or ``inf`` if none."""
         return self._queue[0][0] if self._queue else float("inf")
 
-    def step(self) -> None:
-        """Run exactly one heap entry (advancing ``now`` to its time)."""
-        time, _, fn, arg = heapq.heappop(self._queue)
-        self.now = time
-        self._events_fired.inc()
-        fn(arg)
-
     def run(self, until: float | Event | None = None) -> Any:
         """Run until the queue drains, ``until`` time passes, or event fires.
 
         Returns the value of ``until`` when it is an event, else ``None``.
+        Each pass of the loop pops an entry, advances ``now``, bumps the
+        ``sim.kernel.events`` counter and calls the entry; the counter is
+        bumped before the call, so it is exact whenever anyone reads it.
         """
         if isinstance(until, Event):
-            stop = until
-            while self._queue and not stop.processed:
-                self.step()
-            if not stop.triggered:
-                raise RuntimeError(
-                    f"run() ran out of events before {stop!r} triggered")
-            if not stop.ok:
-                stop.defuse()
-                raise stop._value
-            return stop._value
-        horizon = float("inf") if until is None else float(until)
-        if horizon < self.now:
-            raise ValueError(f"until={horizon} is in the past (now={self.now})")
-        while self._queue and self._queue[0][0] <= horizon:
-            self.step()
-        if horizon != float("inf"):
-            self.now = horizon
-        return None
+            stop, horizon = until, float("inf")
+        else:
+            stop = None
+            horizon = float("inf") if until is None else float(until)
+            if horizon < self.now:
+                raise ValueError(
+                    f"until={horizon} is in the past (now={self.now})")
+        queue, fired, pop = self._queue, self._events_fired, heapq.heappop
+        # ``stop.callbacks`` is None once the stop event has been processed.
+        while (queue and queue[0][0] <= horizon
+               and (stop is None or stop.callbacks is not None)):
+            time, _, fn, arg = pop(queue)
+            self.now = time
+            fired.value += 1
+            fn(arg)
+        if stop is None:
+            if horizon != float("inf"):
+                self.now = horizon
+            return None
+        if stop._value is PENDING:
+            raise RuntimeError(
+                f"run() ran out of events before {stop!r} triggered")
+        if not stop._ok:
+            stop.defuse()
+            raise stop._value
+        return stop._value

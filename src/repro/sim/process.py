@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, TYPE_CHECKING
 
-from repro.sim.events import Event, Interrupt
+from repro.sim.events import PENDING, Event, Interrupt
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Kernel
@@ -63,14 +63,14 @@ class Process(Event):
 
     def _resume(self, evt: Event) -> None:
         self._waiting_on = None
-        if evt.ok:
+        if evt._ok:
             self._step(send=evt._value)
         else:
             evt.defuse()
             self._step(throw=evt._value)
 
     def _step(self, send: Any = None, throw: BaseException | None = None) -> None:
-        if self.triggered:  # interrupted after termination race; nothing to do
+        if self._value is not PENDING:  # interrupted after termination race
             return  # pragma: no cover - defensive
         try:
             if throw is not None:

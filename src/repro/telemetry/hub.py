@@ -99,7 +99,7 @@ class TelemetryHub:
     def __init__(self, clock: Callable[[], float] | None = None):
         self._clock = clock if clock is not None else time.monotonic
         self.registry = MetricRegistry()
-        self.tracer = Tracer(self._clock, on_finish=self._span_finished)
+        self.tracer = Tracer(self._clock)
         self._span_sinks: list[Any] = []
         self._record_sinks: list[Any] = []
 
@@ -136,6 +136,12 @@ class TelemetryHub:
             sink.on_span(span)
 
     # -- records -------------------------------------------------------------
+    @property
+    def takes_records(self) -> bool:
+        """True when some sink takes records: an emitter with arguments
+        to format may skip formatting them when this is False."""
+        return bool(self._record_sinks)
+
     def record(self, time: float, subsystem: str, kind: str,
                detail: dict[str, Any]) -> None:
         """Hand one :class:`LogRecord` to each sink with ``on_record``.
@@ -154,6 +160,7 @@ class TelemetryHub:
         now on.  Returns it."""
         if hasattr(sink, "on_span"):
             self._span_sinks.append(sink)
+            self.tracer.on_finish = self._span_finished
         if hasattr(sink, "on_record"):
             self._record_sinks.append(sink)
         return sink

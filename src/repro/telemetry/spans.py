@@ -3,9 +3,11 @@
 A :class:`Span` measures one operation on the *simulation* clock (the
 tracer is constructed with the clock callable, normally
 ``lambda: kernel.now``).  Spans nest through parent links and cross RPC
-hops through :class:`TraceContext`, a two-id envelope that rides in
-``RpcRequest.trace`` as a plain dict — no live objects cross the wire,
-matching the rest of the stack's serialization discipline.
+hops as a two-id plain dict in ``RpcRequest.trace`` — no live objects
+cross the wire, matching the rest of the stack's serialization
+discipline.  :class:`TraceContext` is the same two ids as a value, for
+callers that want to hold a span's identity without the span; the hot
+path reads the ids straight off the parent and builds none.
 
 Ids come from deterministic counters, never :mod:`uuid`, so a trace is a
 pure function of the run's seed (the repo-wide reproducibility rule).
@@ -96,9 +98,13 @@ class Span:
     def end(self, **attrs: Any) -> "Span":
         """Finish the span at the current clock time; idempotent."""
         if self.end_time is None:
-            self.attrs.update(attrs)
-            self.end_time = self.tracer._clock()
-            self.tracer._finish(self)
+            if attrs:
+                self.attrs.update(attrs)
+            tracer = self.tracer
+            self.end_time = tracer._clock()
+            tracer.finished.append(self)
+            if tracer.on_finish is not None:
+                tracer.on_finish(self)
         return self
 
     def __enter__(self) -> "Span":
@@ -138,30 +144,32 @@ class Tracer:
     """Creates spans on a clock and collects the finished ones.
 
     Parenting is explicit (``parent=span_or_context``) or ambient: a
-    dispatcher that receives a remote trace context may :meth:`activate`
-    it around a synchronous handler call, and any span started without an
-    explicit parent inside that window becomes its child.  The ambient
+    dispatcher may :meth:`activate` a span (or a trace context) around a
+    synchronous handler call, and any span started without an explicit
+    parent inside that window becomes its child.  The ambient
     slot is only trusted across synchronous code — generator bodies that
     resume later must capture their parent at creation time.
     """
 
-    def __init__(self, clock: Callable[[], float],
-                 on_finish: Callable[[Span], None] | None = None):
+    def __init__(self, clock: Callable[[], float]):
         self._clock = clock
-        self._on_finish = on_finish
+        #: called with each span as it finishes; the hub sets it when its
+        #: first span sink is added, so until then a finish calls nothing
+        self.on_finish: Callable[[Span], None] | None = None
         self._trace_ids = IdFactory("trace")
         self._span_ids = IdFactory("span")
-        self._active: TraceContext | None = None
+        self._active: "Span | TraceContext | None" = None
         self.finished: list[Span] = []
 
     # -- ambient context ---------------------------------------------------
-    def activate(self, ctx: "TraceContext | Span | None"):
+    def activate(self, ctx: "Span | TraceContext | None"):
         """Install ``ctx`` as the ambient parent; returns the previous one.
 
-        Callers must restore the returned value in a ``finally`` block.
+        A span is held as itself (its ids never change).  Callers must
+        restore the returned value in a ``finally`` block.
         """
         previous = self._active
-        self._active = ctx.context if isinstance(ctx, Span) else ctx
+        self._active = ctx
         return previous
 
     # -- span lifecycle -----------------------------------------------------
@@ -170,25 +178,20 @@ class Tracer:
         """Open a span; ``parent`` may be a Span, TraceContext, dict or None.
 
         Omitting ``parent`` adopts the ambient active context (if any);
-        passing ``parent=None`` forces a new root trace.
+        passing ``parent=None`` forces a new root trace.  The ids are read
+        off the parent as they are: nothing is built to carry them.
         """
         if parent is _UNSET:
             parent = self._active
-        if isinstance(parent, Span):
-            parent = parent.context
-        elif isinstance(parent, dict):
-            parent = TraceContext.from_dict(parent)
         if parent is None:
             trace_id, parent_id = self._trace_ids(), None
+        elif isinstance(parent, dict):
+            trace_id, parent_id = parent["trace_id"], parent["span_id"]
         else:
             trace_id, parent_id = parent.trace_id, parent.span_id
+        # ``**attrs`` is already a fresh dict: the span keeps it.
         return Span(self, name, trace_id, self._span_ids(), parent_id,
-                    self._clock(), dict(attrs))
-
-    def _finish(self, span: Span) -> None:
-        self.finished.append(span)
-        if self._on_finish is not None:
-            self._on_finish(span)
+                    self._clock(), attrs)
 
     # -- queries ------------------------------------------------------------
     def spans(self, name: str | None = None, *,

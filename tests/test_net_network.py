@@ -43,6 +43,20 @@ class TestTopology:
         k, net = make_net()
         link = net.connect("a", "b", latency=0.5)
         assert net.link("b", "a") is link
+        assert net.links() == [link]
+
+    @pytest.mark.parametrize("param, value", [
+        ("latency", -0.01), ("latency", float("nan")),
+        ("jitter", -1.0), ("jitter", float("nan")),
+        ("loss", -0.1), ("loss", 2.0), ("loss", float("nan"))])
+    def test_impossible_link_rejected_at_connect(self, param, value):
+        """Once accepted: a negative latency failed at the first send, a
+        negative jitter raised from numpy there, loss=2.0 dropped all."""
+        k, net = make_net()
+        with pytest.raises(ConfigurationError, match=param):
+            net.connect("a", "b", **{param: value})
+        assert net.links() == []
+        net.connect("a", "b", **{param: 0.0})   # the boundary is a link
 
     def test_bind_conflict(self):
         k, net = make_net()

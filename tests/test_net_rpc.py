@@ -8,12 +8,14 @@ from repro.net import (
     Network,
     RemoteException,
     RpcClient,
+    RpcRequest,
+    RpcResponse,
     RpcService,
     RpcTimeout,
 )
 from repro.sim import Kernel
 from repro.telemetry import InMemorySink
-from repro.util.errors import PolicyViolation, SecurityError
+from repro.util.errors import ConfigurationError, PolicyViolation, SecurityError
 
 
 def make_rpc(latency=0.05, **link_kw):
@@ -239,6 +241,70 @@ class TestTimeoutsAndRetries:
         assert run_call(k, caller()) == "ok"
         late = [r for r in sink.records if r.kind == "rpc.late_reply"]
         assert len(late) >= 1
+
+
+class TestBadCallPolicy:
+    """A retry count that is not an int >= 0 or a timeout that is not a
+    number > 0 is refused before anything is counted, sent or traced
+    (``retries=-1`` once sent nothing and returned None, leaving a span
+    open; ``timeout=-1`` once sent, then raised from the kernel)."""
+
+    BAD = [{"retries": -1}, {"retries": 1.5}, {"retries": True},
+           {"retries": "2"}, {"timeout": -1}, {"timeout": 0},
+           {"timeout": float("nan")}, {"timeout": "5"}]
+
+    @pytest.mark.parametrize("policy", BAD, ids=repr)
+    def test_call_refuses(self, policy, monkeypatch):
+        k, net, svc, cli = make_rpc()
+        svc.register("ping", lambda caller: "pong")
+        tracer = k.telemetry.tracer
+        started = []
+        start_span = tracer.start_span
+        monkeypatch.setattr(tracer, "start_span", lambda *a, **kw:
+                            started.append(a) or start_span(*a, **kw))
+
+        def caller():
+            try:
+                yield from cli.call("server", "svc", "ping", **policy)
+            except ConfigurationError as exc:
+                return exc
+
+        assert isinstance(run_call(k, caller()), ConfigurationError)
+        assert (cli.stats.calls, net.stats["sent"], started,
+                cli._pending) == (0, 0, [], {})
+
+    @pytest.mark.parametrize("policy", BAD, ids=repr)
+    def test_constructor_refuses_the_same_defaults(self, policy):
+        k, net, *_ = make_rpc()
+        with pytest.raises(ConfigurationError):
+            RpcClient(net, "client", **{f"default_{key}": value
+                                        for key, value in policy.items()})
+
+
+class TestMalformedWireTrace:
+    """A request whose trace context is not a dict with string ids is
+    served under a new root trace; it once raised out of ``Kernel.run``."""
+
+    @pytest.mark.parametrize("trace", [
+        {"bogus": 1}, "x", {"trace_id": 1, "span_id": 2},
+        {"trace_id": "t", "span_id": None}, ["trace_id", "span_id"]],
+        ids=repr)
+    def test_served_and_answered(self, trace):
+        k, net, svc, cli = make_rpc()
+        sink = k.telemetry.add_sink(InMemorySink())
+        svc.register("ping", lambda caller: "pong")
+        replies = []
+        net.host("client").bind("raw-reply", replies.append)
+        net.send("client", "server", "svc", RpcRequest(
+            request_id="raw-1", method="ping", params={},
+            reply_port="raw-reply", trace=trace))
+        k.run()
+        assert [m.payload for m in replies] == [RpcResponse(
+            request_id="raw-1", ok=True, value="pong")]
+        [span] = sink.spans
+        assert (span.name, span.parent_id, span.attrs["ok"]) == \
+            ("net.rpc.server", None, True)
+        assert span.trace_id.startswith("trace-")
 
 
 class TestSameInstantTimerAndReply:

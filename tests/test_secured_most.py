@@ -228,7 +228,7 @@ class TestHostileToken:
     def test_a_malformed_token_is_refused_and_the_run_completes(self,
                                                                damage):
         """One hostile request mid-run is a wire-level ``SecurityError``;
-        it neither raises out of ``Kernel.step`` nor stops the experiment."""
+        it neither raises out of ``Kernel.run`` nor stops the experiment."""
         secured = build_secured_most(MOSTConfig().scaled(20))
         dep = secured.deployment
         dep.start_backends()

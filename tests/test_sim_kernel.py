@@ -127,9 +127,24 @@ class TestScheduledCalls:
 
     def test_negative_delay_rejected(self):
         k = Kernel()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="negative delay"):
             k.call_later(-0.1, print)
         assert k.peek() == float("inf")  # nothing was enqueued
+
+    def test_nan_delay_rejected_and_later_entries_still_run(self):
+        """A NaN entry would break the heap's order and end the run early
+        (entries at 1, 3, NaN, 5 once ran only 1 and 3)."""
+        k = Kernel()
+        ran = []
+        k.call_later(1.0, ran.append, "t1")
+        k.call_later(3.0, ran.append, "t3")
+        for schedule in (lambda: k.call_later(float("nan"), ran.append, "x"),
+                         lambda: k.timeout(float("nan"))):
+            with pytest.raises(ValueError, match="delay must be >= 0"):
+                schedule()
+        k.call_later(5.0, ran.append, "t5")
+        k.run()
+        assert ran == ["t1", "t3", "t5"] and k.now == 5.0
 
     def test_exception_from_the_call_surfaces_from_run(self):
         k = Kernel()

@@ -8,8 +8,14 @@ here on any machine.  A change that lowers a count lowers its pin.
 """
 
 import collections
+import hashlib
+import json
+import pathlib
+import sys
 
 import pytest
+
+import repro
 
 from repro.fleet import (
     SitePool,
@@ -26,13 +32,24 @@ from repro.queue import (
     InMemoryJournalStore,
     run_durable_campaign,
 )
-from repro.telemetry import LogRecord
+from repro.telemetry import LogRecord, TraceContext
 
 #: ``Crypto.sign`` calls for the campaign below: credentials, proxies and
 #: CAS assertions at set-up, one chain walk per (checker, chain), then two
 #: per authenticated call — the client's token and the checker's check of
 #: it.
 SIGN_BUDGET = 272
+
+#: calls into ``src/repro`` per committed step of the 40-step
+#: simulation-only session below (1,713.8 when every RPC hop built
+#: trace contexts and every kernel entry cost a method call).
+CALLS_PER_STEP_BUDGET = 1350
+
+#: SHA-256 over every finished span's ``to_dict()`` (ids, parents, attrs,
+#: times) of that session, recorded before the hot path stopped building
+#: trace contexts: the ids and the tree they spell must not move.
+SPAN_TREE_SHA = ("6ff1d08bdb74a043ed2eba5db30efa33"
+                 "ac0b40b6624bfb1e69017686e18eeb59")
 
 
 @pytest.fixture(scope="module")
@@ -100,3 +117,51 @@ def test_a_run_with_no_record_sink_builds_no_record(monkeypatch):
                                 simulation_only=True).run()
     assert outcome.completed and outcome.steps_completed == 39
     assert built[0] == 0
+
+
+@pytest.fixture(scope="module")
+def control_plane_work():
+    """A 40-step simulation-only session: calls into ``src/repro``
+    (``sys.setprofile`` around ``run()``) and ``TraceContext``s built."""
+    src = str(pathlib.Path(repro.__file__).parent)
+    calls, contexts = [0], [0]
+    init = TraceContext.__init__
+
+    def counting_init(self, *args, **kwargs):
+        contexts[0] += 1
+        init(self, *args, **kwargs)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(src):
+            calls[0] += 1
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TraceContext, "__init__", counting_init)
+        session = ExperimentSession(MOSTConfig().scaled(40),
+                                    simulation_only=True)
+        sys.setprofile(profile)
+        try:
+            outcome = session.run()
+        finally:
+            sys.setprofile(None)
+    return outcome, calls[0], contexts[0]
+
+
+class TestControlPlaneWorkBudget:
+    def test_calls_per_committed_step(self, control_plane_work):
+        outcome, calls, _ = control_plane_work
+        assert outcome.completed and outcome.steps_completed == 39
+        assert calls / outcome.steps_completed <= CALLS_PER_STEP_BUDGET
+
+    def test_no_hop_builds_a_trace_context(self, control_plane_work):
+        """Spans read their parent's ids off the parent span or the wire
+        dict (1,358 contexts were built per session, 35 per step)."""
+        *_, contexts = control_plane_work
+        assert contexts == 0
+
+    def test_the_span_tree_is_unchanged(self, control_plane_work):
+        outcome, *_ = control_plane_work
+        spans = outcome.deployment.kernel.telemetry.tracer.finished
+        digest = hashlib.sha256(json.dumps(
+            [span.to_dict() for span in spans]).encode()).hexdigest()
+        assert digest == SPAN_TREE_SHA
