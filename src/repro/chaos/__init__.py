@@ -31,7 +31,6 @@ from repro.chaos.campaign import (
     CHAOS_KINDS,
     CHAOS_SITES,
     ChaosCampaign,
-    ChaosEvent,
     ChaosPlan,
     ChaosRunReport,
     FleetOutage,
@@ -44,6 +43,7 @@ from repro.chaos.campaign import (
     make_repo_outage_plan,
     make_scheduler_crash_plan,
 )
+from repro.grid import ChaosEvent
 
 __all__ = [
     "ChaosCampaign",

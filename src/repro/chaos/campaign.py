@@ -31,16 +31,16 @@ Invariants checked per run (:func:`check_invariants`):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 import numpy as np
 
 from repro.coordinator import FaultTolerantFaultPolicy
+from repro.grid import ChaosEvent
 from repro.most.assembly import MOSTDeployment, build_most
 from repro.most.config import MOSTConfig
-from repro.most.session import arm_at_step, default_most_fault_policy
-from repro.net.rpc import RpcRequest
+from repro.most.session import default_fail_step, default_most_fault_policy
 from repro.util.errors import ConfigurationError
 
 #: fault vocabulary a plan draws from, all site-targeted.  The per-event
@@ -51,20 +51,6 @@ CHAOS_KINDS = ("transient_drop", "duplicate", "reorder", "corrupt",
                "jitter", "crash", "outage")
 #: sites a plan may target
 CHAOS_SITES = ("uiuc", "cu", "ncsa")
-
-
-@dataclass(frozen=True)
-class ChaosEvent:
-    """One scheduled fault: ``kind`` hits ``site`` when ``step`` first
-    goes on the wire (the same traffic-watching trigger the §3.4
-    scenarios use, so the fault lands on the step regardless of pacing)."""
-
-    kind: str
-    step: int
-    site: str
-    duration: float = 0.0   # outage / crash / jitter burst length (sim s)
-    count: int = 1          # messages affected (drop / duplicate / ...)
-    magnitude: float = 0.0  # jitter sigma for jitter bursts
 
 
 @dataclass(frozen=True)
@@ -80,13 +66,11 @@ class ChaosPlan:
 
     def describe(self) -> list[dict[str, Any]]:
         """JSON-friendly schedule (bench output, cross-run comparison)."""
-        rows = [{"kind": e.kind, "step": e.step, "site": e.site,
-                 "duration": e.duration, "count": e.count,
-                 "magnitude": e.magnitude} for e in self.events]
+        rows = [asdict(e) for e in self.events]
         if self.fatal_site:
-            rows.append({"kind": "fatal_outage", "step": self.fatal_step,
-                         "site": self.fatal_site, "duration": float("inf"),
-                         "count": 1, "magnitude": 0.0})
+            rows.append(asdict(ChaosEvent(
+                kind="fatal_outage", step=self.fatal_step,
+                site=self.fatal_site, duration=float("inf"))))
         return rows
 
 
@@ -133,56 +117,20 @@ def make_plan(seed: int, config: MOSTConfig, *, n_events: int = 5,
     fatal_step = 0
     if force_failover:
         fatal_site = CHAOS_SITES[int(rng.integers(len(CHAOS_SITES)))]
-        fatal_step = max(1, min(round(n_steps * 1493 / 1500), n_steps - 1))
+        fatal_step = default_fail_step(config)
     return ChaosPlan(seed=seed, n_steps=n_steps, events=tuple(events),
                      fatal_site=fatal_site, fatal_step=fatal_step)
 
 
-def _arm_event(dep: MOSTDeployment, event: ChaosEvent) -> None:
-    """Install one plan event behind a traffic-watching trigger."""
-    site = event.site
-    faults = dep.faults
-
-    def fire() -> None:
-        now = dep.kernel.now
-        if event.kind == "transient_drop":
-            faults.drop_matching(
-                lambda m: m.src == site and m.port.startswith("rpc-reply"),
-                count=event.count)
-        elif event.kind == "duplicate":
-            faults.duplicate_matching(
-                lambda m: m.dst == site and isinstance(m.payload, RpcRequest),
-                count=event.count)
-        elif event.kind == "reorder":
-            faults.reorder_matching(
-                lambda m: m.dst == site and isinstance(m.payload, RpcRequest),
-                count=max(event.count, 2))
-        elif event.kind == "corrupt":
-            faults.corrupt_matching(
-                lambda m: m.src == site and m.port.startswith("rpc-reply"),
-                count=event.count)
-        elif event.kind == "jitter":
-            faults.jitter_burst("coord", site, jitter=event.magnitude,
-                                start=now, duration=event.duration)
-        elif event.kind == "crash":
-            faults.crash_host(site, start=now, duration=event.duration)
-        elif event.kind == "outage":
-            faults.schedule_outage("coord", site, start=now,
-                                   duration=event.duration)
-        else:
-            raise ConfigurationError(f"unknown chaos kind {event.kind!r}")
-
-    arm_at_step(dep, event.step, site, fire)
-
-
 def arm_plan(dep: MOSTDeployment, plan: ChaosPlan) -> None:
-    """Install every event of ``plan`` on a freshly built deployment."""
+    """Arm every event of ``plan`` on a freshly built deployment (see
+    :meth:`~repro.grid.Grid.arm`, which refuses a bad event before the
+    run)."""
     for event in plan.events:
-        _arm_event(dep, event)
+        dep.arm(event)
     if plan.fatal_site:
-        _arm_event(dep, ChaosEvent(kind="outage", step=plan.fatal_step,
-                                   site=plan.fatal_site,
-                                   duration=float("inf")))
+        dep.arm(ChaosEvent(kind="outage", step=plan.fatal_step,
+                           site=plan.fatal_site, duration=float("inf")))
 
 
 def _check_run(result, executed: dict[str, int], histories: list[tuple], *,

@@ -13,6 +13,11 @@ circuit breakers, surrogate failover, force predictor).  Names, ports and
 policies are arguments, never defaults, so each deployment's wire-visible
 strings are spelt where that deployment is defined.
 
+It is also the one place a scripted fault is armed: :meth:`Grid.arm`
+installs a :class:`ChaosEvent` behind a watcher on the wire, for the
+public-day schedule, the monitored run's anomalies, chaos plans and the
+verifier's conformance replays alike.
+
 Built on it: :class:`repro.most.assembly.MOSTDeployment` (adds DAQ, NSDS,
 repository, portal), :class:`repro.fleet.grid.FleetGrid` (adds the pool's
 coordinator/repository containers and NMDS) and
@@ -32,18 +37,23 @@ from repro.coordinator import (
     SiteBinding,
     SubstructurePredictor,
     SurrogateSpec,
+    step_marker,
 )
 from repro.core import NTCPClient, NTCPServer
 from repro.net import (
     BreakerConfig,
     CircuitBreaker,
     FaultInjector,
+    Message,
     Network,
     RpcClient,
+    RpcRequest,
+    RpcResponse,
 )
 from repro.ogsi import GridServiceHandle, ServiceContainer
 from repro.sim import Kernel
 from repro.structural import LinearSubstructure
+from repro.util.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.daq import DAQSystem, StagingStore
@@ -60,6 +70,19 @@ def single_dof(name: str, stiffness: float) -> LinearSubstructure:
     """The one-DOF linear substructure every simulated site, surrogate and
     predictor model in the tree is."""
     return LinearSubstructure(name, [[stiffness]], [0])
+
+
+@dataclass(frozen=True)
+class ChaosEvent:
+    """One scripted fault: ``kind`` hits ``site`` when ``step`` first
+    goes on the wire (see :meth:`Grid.arm`)."""
+
+    kind: str
+    step: int
+    site: str
+    duration: float = 0.0   # outage / crash / jitter burst length (sim s)
+    count: int = 1          # messages affected (drop / duplicate / ...)
+    magnitude: float = 0.0  # jitter sigma, or a slowdown's factor
 
 
 @dataclass
@@ -196,6 +219,135 @@ class Grid:
         is bit-exact and never rolls back."""
         return SubstructurePredictor({site: single_dof(name(site), k)
                                       for site, k in stiffness.items()})
+
+    # -- scripted faults -----------------------------------------------------
+    def arm(self, event: ChaosEvent) -> None:
+        """Install ``event`` behind a watcher on the wire: its fault hits
+        ``event.site`` when the first request to that site carrying step
+        ``event.step``'s marker goes out, so it lands on the step whatever
+        the pacing.
+
+        From then on ``transient_drop`` / ``corrupt`` hit the site's next
+        ``count`` replies, ``duplicate`` / ``reorder`` its next ``count``
+        requests (the trigger's own first); ``jitter`` (sigma
+        ``magnitude``), ``crash`` and ``outage`` last ``duration``;
+        ``slowdown`` multiplies the site backend's compute time by
+        ``magnitude`` for good.  The verifier's kinds name an NTCP
+        operation and wait for that operation's request:
+        ``drop_*_reply`` drops its reply once, ``crash_*`` also downs the
+        link for ``duration`` as the reply dies, ``dup_*_request``
+        delivers it twice, and ``*_outage_propose`` is an ``outage``.
+
+        The event is checked now, before the run: an unknown kind or site,
+        a step that is not an int >= 0, a count < 1, a negative or NaN
+        duration (``inf`` is permanent) or a negative or non-finite
+        magnitude is a :class:`ConfigurationError`, not a failure of the
+        site the fault would have hit.
+        """
+        site, faults, n = event.site, self.faults, event.count
+
+        def to_site(m: Message) -> bool:
+            return m.dst == site and isinstance(m.payload, RpcRequest)
+
+        def site_reply(m: Message) -> bool:
+            return m.src == site and m.port.startswith("rpc-reply")
+
+        def outage(msg: Message) -> None:
+            faults.schedule_outage(self.hub, site, start=self.kernel.now,
+                                   duration=event.duration)
+
+        def slow_down(msg: Message) -> None:
+            self.sites[site].backend.compute_time *= event.magnitude
+
+        def drop_reply(request: Message) -> None:
+            # once: the RPC layer retransmits and the server's idempotent
+            # verb absorbs it; a crash also downs the link as the reply
+            # dies (the coordinator lost mid-exchange)
+            request_id = request.payload.request_id
+
+            def drop(msg: Message) -> bool:
+                if (msg.src != site or not isinstance(msg.payload, RpcResponse)
+                        or msg.payload.request_id != request_id):
+                    return False
+                self.network.remove_drop_filter(drop)
+                if event.kind.startswith("crash_"):
+                    outage(msg)
+                return True
+
+            self.network.add_drop_filter(drop)
+
+        install = {
+            "transient_drop":
+                lambda msg: faults.drop_matching(site_reply, count=n),
+            "duplicate":
+                lambda msg: faults.duplicate_matching(to_site, count=n),
+            "reorder":
+                lambda msg: faults.reorder_matching(to_site,
+                                                    count=max(n, 2)),
+            "corrupt":
+                lambda msg: faults.corrupt_matching(site_reply, count=n),
+            "jitter": lambda msg: faults.jitter_burst(
+                self.hub, site, jitter=event.magnitude,
+                start=self.kernel.now, duration=event.duration),
+            "crash": lambda msg: faults.crash_host(
+                site, start=self.kernel.now, duration=event.duration),
+            "outage": outage,
+            "slowdown": slow_down,
+            # the verifier's kinds, each at one NTCP operation's request
+            "drop_propose_reply": drop_reply,
+            "drop_execute_reply": drop_reply,
+            "dup_propose_request": faults.duplicate,
+            "dup_execute_request": faults.duplicate,
+            "crash_propose": drop_reply,
+            "crash_execute": drop_reply,
+            "fatal_outage_propose": outage,
+            "spec_outage_propose": outage,
+        }
+        self._check(event, install)
+        fire = install[event.kind]
+        operation = next((op for op in ("propose", "execute")
+                          if op in event.kind), None)
+        marker = step_marker(event.step)
+        armed = False
+
+        def watch(msg: Message) -> bool:
+            nonlocal armed
+            if armed or msg.dst != site:
+                return False
+            payload = msg.payload
+            if (isinstance(payload, RpcRequest)
+                    and marker in str(payload.params)
+                    and (operation is None
+                         or payload.params.get("operation") == operation)):
+                armed = True
+                fire(msg)
+            return False  # the watcher never drops; the armed fault does
+
+        self.network.add_drop_filter(watch)
+
+    def _check(self, event: ChaosEvent, kinds: Mapping[str, Any]) -> None:
+        """Refuse an event that could not fire as written."""
+        step = event.step
+        for bad, problem in (
+                (event.kind not in kinds, f"kind {event.kind!r} is unknown"),
+                (event.site not in self.sites,
+                 f"site {event.site!r} is not on the grid"),
+                (type(step) is not int or step < 0,
+                 f"step must be an int >= 0, got {step!r}"),
+                (not event.count >= 1,
+                 f"count must be >= 1, got {event.count!r}"),
+                (not event.duration >= 0,
+                 f"duration must be >= 0, got {event.duration!r}"),
+                (not 0 <= event.magnitude < float("inf"),
+                 f"magnitude must be finite and >= 0, "
+                 f"got {event.magnitude!r}")):
+            if bad:
+                raise ConfigurationError(f"fault {problem}")
+        if event.kind == "slowdown" and not hasattr(
+                self.sites[event.site].backend, "compute_time"):
+            raise ConfigurationError(
+                f"site {event.site!r} has no backend with a compute_time "
+                f"to slow")
 
     # -- driving -------------------------------------------------------------
     def run(self, gen):

@@ -40,16 +40,15 @@ from repro.coordinator import (
     FaultTolerantFaultPolicy,
     NaiveFaultPolicy,
     load_resume,
-    step_marker,
 )
+from repro.grid import ChaosEvent
 from repro.most.assembly import (
     MOSTDeployment,
     build_most,
     build_simulation_only,
 )
 from repro.most.config import MOSTConfig
-from repro.net.network import Message
-from repro.net.rpc import RpcError, RpcRequest
+from repro.net.rpc import RpcError
 from repro.ogsi import invoke
 from repro.util.errors import ConfigurationError, ReproError
 
@@ -66,85 +65,47 @@ def default_most_fault_policy() -> FaultTolerantFaultPolicy:
                                     backoff_factor=1.5, max_backoff=600.0)
 
 
+def _scaled_step(config: MOSTConfig, fraction: float) -> int:
+    """``fraction`` of the run as a step, clamped to 1..n_steps - 1."""
+    return max(1, min(round(config.n_steps * fraction), config.n_steps - 1))
+
+
 def default_fail_step(config: MOSTConfig) -> int:
     """Step 1493 scaled to shortened configs (paper ratio 1493/1500)."""
-    return max(1, min(round(config.n_steps * PAPER_FAIL_FRACTION),
-                      config.n_steps - 1))
+    return _scaled_step(config, PAPER_FAIL_FRACTION)
 
 
-# ---------------------------------------------------------------------------
-# Fault-arming helpers (shared with the chaos campaign machinery)
-# ---------------------------------------------------------------------------
-
-def arm_at_step(dep: MOSTDeployment, step: int, site: str, action) -> None:
-    """Run ``action()`` once, when step ``step``'s request first arrives
-    at ``site`` (the marker-bearing requests originate at the
-    coordinator; replies carry none).
-
-    Watching the traffic (rather than hardcoding a wall-clock time) makes
-    the fault land on exactly the intended step regardless of pacing.
-    """
-    marker = step_marker(step)
-    armed = [False]
-
-    def watch(msg: Message) -> bool:
-        if armed[0] or msg.dst != site:
-            return False
-        payload = msg.payload
-        if isinstance(payload, RpcRequest) and marker in str(payload.params):
-            armed[0] = True
-            action()
-        return False  # the watcher never drops; the armed fault does
-
-    dep.network.add_drop_filter(watch)
-
-
-def _arm_fatal_outage_at_step(dep: MOSTDeployment, step: int, site: str,
-                              duration: float) -> None:
-    """Take the coordinator—``site`` link down when step ``step`` first
-    goes on the wire, for ``duration`` seconds."""
-    arm_at_step(dep, step, site, lambda: dep.faults.schedule_outage(
-        "coord", site, start=dep.kernel.now, duration=duration))
-
-
-def _arm_transient_drop_at_step(dep: MOSTDeployment, step: int,
-                                site: str) -> None:
-    """When step ``step`` first reaches ``site``, drop that site's next
-    RPC reply — one transient network failure, recovered by the NTCP
-    client's retransmission (idempotent server-side)."""
-    arm_at_step(dep, step, site, lambda: dep.faults.drop_matching(
-        lambda m: m.src == site and m.port.startswith("rpc-reply"),
-        count=1))
-
-
-def _arm_site_slowdown_at_step(dep: MOSTDeployment, step: int, site: str,
-                               factor: float) -> None:
-    """When step ``step`` first reaches ``site``, multiply its backend's
-    compute time by ``factor`` for the rest of the run — the paper's
-    slow-site story (one site's evaluation suddenly dominating every
-    step), as a mid-run drift rather than an outage."""
-    backend = dep.sites[site].backend
-    if backend is None or not hasattr(backend, "compute_time"):
-        raise ConfigurationError(
-            f"site {site!r} has no backend with a compute_time to slow")
-
-    def slow_down() -> None:
-        backend.compute_time *= factor
-
-    arm_at_step(dep, step, site, slow_down)
-
-
-def _inject_standard_faults(dep: MOSTDeployment, config: MOSTConfig,
-                            fail_at_step: int, *,
-                            outage_duration: float = 1800.0) -> None:
+def _public_day(config: MOSTConfig, *, fail_at_step: int,
+                outage_duration: float) -> list[ChaosEvent]:
     """The public-run fault schedule: three recoverable transients spread
-    through the day, then the long outage at the fatal step."""
+    through the day (each drops one reply, which the NTCP client's
+    retransmission recovers), then the long uiuc outage at the fatal
+    step."""
+    events = []
     for frac, site in ((0.15, "cu"), (0.40, "uiuc"), (0.65, "cu")):
         step = max(1, min(int(frac * config.n_steps), config.n_steps - 1))
         if step != fail_at_step:
-            _arm_transient_drop_at_step(dep, step, site)
-    _arm_fatal_outage_at_step(dep, fail_at_step, site="uiuc",
-                              duration=outage_duration)
+            events.append(ChaosEvent("transient_drop", step, site))
+    return events + [ChaosEvent("outage", fail_at_step, "uiuc",
+                                duration=outage_duration)]
+
+
+def _check_fault(config: MOSTConfig, defaults: dict[str, int],
+                 **given: float | None) -> dict[str, float]:
+    """``given`` with each ``None`` step replaced by its default, once
+    every other ``*_step`` is one the run reaches (steps are
+    0..n_steps - 1; step 0 is the initialization round) and every
+    ``*_duration`` is ``>= 0`` (``inf`` is permanent); anything else is
+    refused, naming the parameter."""
+    for name, value in given.items():
+        if value is not None and not (
+                value >= 0 if name.endswith("_duration") else
+                type(value) is int and 0 <= value < config.n_steps):
+            raise ConfigurationError(
+                f"{name}={value!r} is out of range (steps are "
+                f"0..{config.n_steps - 1}, durations >= 0)")
+    return {name: defaults[name] if value is None else value
+            for name, value in given.items()}
 
 
 def _add_remote_participants(dep: MOSTDeployment, *, n_chef: int,
@@ -287,8 +248,9 @@ class ExperimentSession:
         long uiuc outage at ``fail_at_step`` (default: the paper's 1493,
         scaled).  ``outage_duration=float('inf')`` makes it permanent —
         the graceful-degradation counterfactual."""
-        self._faults = {"fail_at_step": fail_at_step,
-                        "outage_duration": outage_duration}
+        self._faults = _check_fault(
+            self.config, {"fail_at_step": default_fail_step(self.config)},
+            fail_at_step=fail_at_step, outage_duration=outage_duration)
         return self
 
     def with_anomalies(self, *, outage_at_step: int | None = None,
@@ -299,9 +261,11 @@ class ExperimentSession:
         (default: halfway) and the NCSA simulation drifting 40× slower
         (default: a quarter in) — the two events the console's detectors
         exist for."""
-        self._anomalies = {"outage_at_step": outage_at_step,
-                           "outage_duration": outage_duration,
-                           "slow_at_step": slow_at_step}
+        self._anomalies = _check_fault(
+            self.config, {"outage_at_step": _scaled_step(self.config, 0.5),
+                          "slow_at_step": _scaled_step(self.config, 0.25)},
+            outage_at_step=outage_at_step, outage_duration=outage_duration,
+            slow_at_step=slow_at_step)
         return self
 
     # -- observation & participants ---------------------------------------
@@ -398,12 +362,7 @@ class ExperimentSession:
                 "permanent outage (outage_duration=inf) never ends")
         self._ran = True
         config = self.config
-        fail_at_step = None
-        if self._faults is not None:
-            fail_at_step = self._faults["fail_at_step"]
-            if fail_at_step is None:
-                fail_at_step = default_fail_step(config)
-
+        faults, anomalies = self._faults or {}, self._anomalies or {}
         dep = (build_simulation_only(config) if self.simulation_only
                else build_most(config))
         dep.start_backends()
@@ -423,10 +382,9 @@ class ExperimentSession:
                 n_stream=(self._observers["n_stream"]
                           if self._observers["n_stream"] is not None
                           else config.n_stream_viewers))
-        if self._faults is not None:
-            _inject_standard_faults(
-                dep, config, fail_at_step,
-                outage_duration=self._faults["outage_duration"])
+        if faults:
+            for event in _public_day(config, **faults):
+                dep.arm(event)
 
         kit = None
         if self._monitoring is not None:
@@ -443,21 +401,14 @@ class ExperimentSession:
                 dep, kit, run_id=self.run_id,
                 slos=self._observatory["slos"],
                 slo_interval=self._observatory["slo_interval"])
-        outage_at_step = slow_at_step = None
-        if self._anomalies is not None:
-            a = self._anomalies
-            outage_at_step = a["outage_at_step"]
-            if outage_at_step is None:
-                outage_at_step = max(1, min(round(config.n_steps * 0.5),
-                                            config.n_steps - 1))
-            slow_at_step = a["slow_at_step"]
-            if slow_at_step is None:
-                slow_at_step = max(1, min(round(config.n_steps * 0.25),
-                                          config.n_steps - 1))
-            if slow_at_step != outage_at_step:
-                _arm_site_slowdown_at_step(dep, slow_at_step, "ncsa", 40.0)
-            _arm_fatal_outage_at_step(dep, outage_at_step, site="uiuc",
-                                      duration=a["outage_duration"])
+        if anomalies:
+            if anomalies["slow_at_step"] != anomalies["outage_at_step"]:
+                # the NCSA simulation drifting 40x slower for the rest of
+                # the run: one site's evaluation suddenly dominating
+                dep.arm(ChaosEvent("slowdown", anomalies["slow_at_step"],
+                                   "ncsa", magnitude=40.0))
+            dep.arm(ChaosEvent("outage", anomalies["outage_at_step"], "uiuc",
+                               duration=anomalies["outage_duration"]))
         if kit is not None:
             kit.start()
         if obs is not None:
@@ -498,8 +449,7 @@ class ExperimentSession:
         if self._resume is not None and not result.completed:
             # Wait out the (public-schedule) outage, then bring up the
             # second incarnation against the same still-running grid.
-            outage = (self._faults["outage_duration"]
-                      if self._faults is not None else 1800.0)
+            outage = faults.get("outage_duration", 1800.0)
             dep.kernel.run(until=dep.kernel.now + outage + 1.0)
             state, prior = dep.kernel.run(
                 until=dep.kernel.process(load_resume(store, self.run_id)))
@@ -557,9 +507,10 @@ class ExperimentSession:
             ntcp_retries=dep.coordinator_rpc.stats.retries,
             chef_peak_online=dep.chef.peak_online,
             files_ingested=ingested, stream_samples_pushed=pushed,
-            fail_at_step=fail_at_step, aborted_result=aborted,
+            fail_at_step=faults.get("fail_at_step"), aborted_result=aborted,
             reconciliation=reconciliation, checkpoints=checkpoints,
-            outage_at_step=outage_at_step, slow_at_step=slow_at_step,
+            outage_at_step=anomalies.get("outage_at_step"),
+            slow_at_step=anomalies.get("slow_at_step"),
             metadata_object=metadata_object,
             degraded_steps=result.degraded_steps,
             degraded_spans=result.degraded_spans())

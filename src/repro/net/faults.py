@@ -6,12 +6,18 @@ terminated the experiment at step 1493.  :class:`FaultInjector` reproduces
 both: timed link outages (transient or permanent) and targeted message
 drops — plus the wider chaos vocabulary the campaign harness
 (:mod:`repro.chaos`) composes: message duplication, reordering, latency
-jitter bursts, payload corruption, and host crash/restart.
+jitter bursts, payload corruption, and host crash/restart.  A fault that
+lands on a step is armed through :meth:`repro.grid.Grid.arm`, which
+installs these primitives.
 
 All primitives are deterministic given the schedule that arms them: the
 duplication/reordering/corruption paths clone or mutate the intercepted
 :class:`~repro.net.network.Message` and schedule its arrival directly, so
-no extra draws are taken from the network's RNG stream.
+no extra draws are taken from the network's RNG stream.  A timed
+primitive checks its arguments when it is called: an unknown link or
+host, a negative or NaN duration or a negative jitter is a
+:class:`~repro.util.errors.ConfigurationError` naming the parameter, not
+an error out of ``kernel.run`` when the window opens.
 """
 
 from __future__ import annotations
@@ -19,7 +25,29 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable
 
-from repro.net.network import Message, Network
+from repro.net.network import Link, Message, Network
+from repro.util.errors import ConfigurationError
+
+
+def _check_duration(duration: float) -> None:
+    """A fault window is ``>= 0`` seconds; ``inf`` is permanent, NaN is
+    refused."""
+    if not duration >= 0:
+        raise ConfigurationError(f"duration must be >= 0, got {duration!r}")
+
+
+def _budget(count: int | None) -> Callable[[], bool]:
+    """Takes one of ``count`` matches (``None``: unlimited) per call;
+    False once they are spent."""
+    left = count
+
+    def take() -> bool:
+        nonlocal left
+        if left is not None:
+            left -= 1
+        return left is None or left >= 0
+
+    return take
 
 
 class FaultInjector:
@@ -31,8 +59,13 @@ class FaultInjector:
         self._active: dict[tuple[str, str], int] = {}
         self._clone_ids = 0
 
-    def _link_key(self, a: str, b: str) -> tuple[str, str]:
-        return (a, b) if a <= b else (b, a)
+    def _link(self, a: str, b: str, duration: float) -> Link:
+        """The a—b link a timed primitive acts on, its window checked."""
+        _check_duration(duration)
+        try:
+            return self.network.link(a, b)
+        except KeyError:
+            raise ConfigurationError(f"no link {a}-{b} to fault") from None
 
     def schedule_outage(self, a: str, b: str, start: float,
                         duration: float = float("inf")) -> None:
@@ -43,7 +76,8 @@ class FaultInjector:
         link comes back up only when the *last* active outage ends, not
         when the first-expiring one does.
         """
-        key = self._link_key(a, b)
+        link = self._link(a, b, duration)
+        key = (link.a, link.b)  # the same for either argument order
 
         def run(kernel):
             yield kernel.timeout(max(0.0, start - kernel.now))
@@ -59,53 +93,24 @@ class FaultInjector:
         self.kernel.process(run(self.kernel), name=f"outage({a},{b})")
 
     def drop_matching(self, predicate: Callable[[Message], bool],
-                      count: int | None = None) -> Callable[[Message], bool]:
-        """Drop messages matching ``predicate`` (at most ``count`` of them).
-
-        Returns the installed filter so callers can remove it early via
-        :meth:`Network.remove_drop_filter`.
-        """
-        remaining = [count]
+                      count: int | None = None) -> None:
+        """Drop messages matching ``predicate`` (at most ``count`` of them)."""
+        take = _budget(count)
 
         def _filter(msg: Message) -> bool:
-            if not predicate(msg):
-                return False
-            if remaining[0] is None:
-                return True
-            if remaining[0] > 0:
-                remaining[0] -= 1
-                return True
-            return False
+            return predicate(msg) and take()
 
         self.network.add_drop_filter(_filter)
-        return _filter
-
-    def drop_next_on_port(self, port: str, count: int = 1) -> Callable[[Message], bool]:
-        """Drop the next ``count`` messages addressed to ``port`` (any host)."""
-        return self.drop_matching(lambda m: m.port == port, count=count)
-
-    def transient_loss(self, a: str, b: str, loss: float,
-                       start: float, duration: float) -> None:
-        """Raise the a—b link's loss rate to ``loss`` during a window."""
-
-        def run(kernel):
-            link = self.network.link(a, b)
-            yield kernel.timeout(max(0.0, start - kernel.now))
-            previous = link.loss
-            link.loss = loss
-            kernel.emit("net", "loss.raised", a=a, b=b, loss=loss)
-            yield kernel.timeout(duration)
-            link.loss = previous
-            kernel.emit("net", "loss.restored", a=a, b=b, loss=previous)
-
-        self.kernel.process(run(self.kernel), name=f"lossburst({a},{b})")
 
     def jitter_burst(self, a: str, b: str, jitter: float,
                      start: float, duration: float) -> None:
         """Raise the a—b link's latency jitter during a window."""
+        link = self._link(a, b, duration)
+        if not jitter >= 0:
+            raise ConfigurationError(
+                f"link {a}-{b}: jitter must be >= 0, got {jitter!r}")
 
         def run(kernel):
-            link = self.network.link(a, b)
             yield kernel.timeout(max(0.0, start - kernel.now))
             previous = link.jitter
             link.jitter = jitter
@@ -122,34 +127,35 @@ class FaultInjector:
         return dataclasses.replace(
             msg, msg_id=f"{msg.msg_id}+{tag}{self._clone_ids}", **changes)
 
+    def duplicate(self, msg: Message, delay: float = 0.05) -> None:
+        """Deliver an extra copy of ``msg`` ``delay`` s from now; the
+        original goes on untouched."""
+        clone = self._clone(msg, "dup")
+        self.kernel.emit("net", "chaos.duplicate", dst=msg.dst,
+                         port=msg.port, msg_id=msg.msg_id)
+        self.kernel.call_later(delay, self.network._arrive, clone)
+
     def duplicate_matching(self, predicate: Callable[[Message], bool],
                            count: int | None = 1,
-                           delay: float = 0.05) -> Callable[[Message], bool]:
-        """Deliver an extra copy of matching messages ``delay`` s later.
+                           delay: float = 0.05) -> None:
+        """:meth:`duplicate` matching messages (at most ``count``).
 
-        The original is untouched (the installed filter never drops);
-        the clone is scheduled straight into delivery, so at-least-once
-        RPC sees a duplicated request and NTCP's at-most-once layer must
-        absorb it.  Returns the filter for early removal.
+        The installed filter never drops; the clone is scheduled straight
+        into delivery, so at-least-once RPC sees a duplicated request and
+        NTCP's at-most-once layer must absorb it.
         """
-        remaining = [count]
+        take = _budget(count)
 
         def _filter(msg: Message) -> bool:
-            if predicate(msg) and (remaining[0] is None or remaining[0] > 0):
-                if remaining[0] is not None:
-                    remaining[0] -= 1
-                clone = self._clone(msg, "dup")
-                self.kernel.emit("net", "chaos.duplicate", dst=msg.dst,
-                                 port=msg.port, msg_id=msg.msg_id)
-                self.kernel.call_later(delay, self.network._arrive, clone)
+            if predicate(msg) and take():
+                self.duplicate(msg, delay)
             return False
 
         self.network.add_drop_filter(_filter)
-        return _filter
 
     def reorder_matching(self, predicate: Callable[[Message], bool],
                          count: int = 2,
-                         hold: float = 0.2) -> Callable[[Message], bool]:
+                         hold: float = 0.2) -> None:
         """Capture the next ``count`` matching messages and release them in
         reverse order.
 
@@ -173,11 +179,10 @@ class FaultInjector:
             return True
 
         self.network.add_drop_filter(_filter)
-        return _filter
 
     def corrupt_matching(self, predicate: Callable[[Message], bool],
                          count: int | None = 1,
-                         delay: float = 0.05) -> Callable[[Message], bool]:
+                         delay: float = 0.05) -> None:
         """Replace matching messages' payloads with junk bytes.
 
         The original is dropped and a corrupted copy is delivered in its
@@ -186,14 +191,11 @@ class FaultInjector:
         the wire" case, distinct from a clean drop because the receiver
         still spends a delivery on it.
         """
-        remaining = [count]
+        take = _budget(count)
 
         def _filter(msg: Message) -> bool:
-            if not predicate(msg) or not (remaining[0] is None
-                                          or remaining[0] > 0):
+            if not (predicate(msg) and take()):
                 return False
-            if remaining[0] is not None:
-                remaining[0] -= 1
             garbled = self._clone(msg, "corrupt",
                                   payload=f"\x00corrupt:{msg.msg_id}")
             self.kernel.emit("net", "chaos.corrupt", dst=msg.dst,
@@ -202,7 +204,6 @@ class FaultInjector:
             return True
 
         self.network.add_drop_filter(_filter)
-        return _filter
 
     def crash_host(self, host: str, start: float,
                    duration: float = float("inf")) -> None:
@@ -213,6 +214,9 @@ class FaultInjector:
         is how a site crash looks from the coordinator: every request
         times out until the restart.
         """
+        _check_duration(duration)
+        if host not in self.network.hosts:
+            raise ConfigurationError(f"no host {host!r} to crash")
 
         def run(kernel):
             yield kernel.timeout(max(0.0, start - kernel.now))

@@ -12,10 +12,11 @@ reconciliation classification, and the §9 pipeline counters.  Any
 divergence fails the verification run: either the implementation drifted
 from PROTOCOL.md or the model did, and both are bugs.
 
-Fault arming follows the chaos campaign's traffic-watching idiom — a
-drop-filter watcher recognises the step's transaction-name marker inside
-the RPC request and installs the fault at that exact message point — so
-replays land the fault deterministically regardless of pacing.
+Faults are armed through :meth:`repro.grid.Grid.arm`, like the chaos
+campaigns' and the public day's: a watcher on the wire recognises the
+step's marker inside the site's request of the fault's NTCP operation and
+installs the fault at that exact message point, so replays land the
+fault deterministically regardless of pacing.
 """
 
 from __future__ import annotations
@@ -27,11 +28,9 @@ from repro.coordinator import (
     NaiveFaultPolicy,
     SimulationCoordinator,
     load_resume,
-    step_marker,
 )
 from repro.core.policy import SitePolicy
-from repro.grid import Grid
-from repro.net.rpc import RpcRequest, RpcResponse
+from repro.grid import ChaosEvent, Grid
 from repro.repository.checkpoint import (
     CheckpointPolicy,
     InMemoryCheckpointStore,
@@ -132,100 +131,14 @@ def _ft_policy() -> FaultTolerantFaultPolicy:
         backoff_factor=BACKOFF_FACTOR, max_backoff=MAX_BACKOFF)
 
 
-def _is_verb_request(msg, site: str, verb: str, marker: str) -> bool:
-    """True when ``msg`` is the NTCP ``verb`` request for the marked
-    transaction toward ``site`` (the chaos campaigns' watching idiom)."""
-    if msg.dst != site:
-        return False
-    payload = msg.payload
-    if not isinstance(payload, RpcRequest) or payload.method != "invoke":
-        return False
-    if payload.params.get("operation") != verb:
-        return False
-    return marker in str(payload.params.get("params"))
-
-
-def _arm_reply_drop(rig: _Rig, event: FaultEvent, verb: str, *,
-                    down_link: bool = False) -> None:
-    """Drop the reply to the first ``verb`` request for the event's step.
-
-    The watcher captures the request id when the marked request goes on
-    the wire (the request itself is delivered), then drops the matching
-    reply once — the RPC layer retransmits and the server's idempotent
-    verb absorbs the duplicate.  With ``down_link`` the reply drop also
-    takes the coordinator—site link down for good (the crash scenarios:
-    the first incarnation's fault policy aborts on the dead exchange).
-    """
-    marker = step_marker(event.step, event.site)
-    captured: list[str] = []
-    dropped = [False]
-
-    def watch(msg) -> bool:
-        if not captured and _is_verb_request(msg, event.site, verb, marker):
-            captured.append(msg.payload.request_id)
-            return False
-        if (captured and not dropped[0] and msg.src == event.site
-                and isinstance(msg.payload, RpcResponse)
-                and msg.payload.request_id == captured[0]):
-            dropped[0] = True
-            if down_link:
-                rig.grid.faults.schedule_outage("coord", event.site,
-                                                start=rig.grid.kernel.now)
-            return True
-        return False
-
-    rig.grid.network.add_drop_filter(watch)
-
-
-def _arm_request_duplicate(rig: _Rig, event: FaultEvent, verb: str) -> None:
-    """Deliver an extra copy of the first marked ``verb`` request."""
-    marker = step_marker(event.step, event.site)
-    rig.grid.faults.duplicate_matching(
-        lambda msg: _is_verb_request(msg, event.site, verb, marker),
-        count=1)
-
-
-def _arm_outage_on_propose(rig: _Rig, event: FaultEvent,
-                           duration: float) -> None:
-    """Down the link when the step's propose goes on the wire.
-
-    The arming request is already scheduled, so it arrives and the site
-    holds the orphaned acceptance; everything after — replies, cancels,
-    retransmissions — dies until the outage lifts (never, for the fatal
-    variant).
-    """
-    marker = step_marker(event.step, event.site)
-    armed = [False]
-
-    def watch(msg) -> bool:
-        if not armed[0] and _is_verb_request(msg, event.site, "propose",
-                                             marker):
-            armed[0] = True
-            rig.grid.faults.schedule_outage("coord", event.site,
-                                            start=rig.grid.kernel.now,
-                                            duration=duration)
-        return False
-
-    rig.grid.network.add_drop_filter(watch)
-
-
 def _arm(rig: _Rig, event: FaultEvent) -> None:
-    """Install one model fault kind at its live message point."""
-    if event.kind == "drop_propose_reply":
-        _arm_reply_drop(rig, event, "propose")
-    elif event.kind == "drop_execute_reply":
-        _arm_reply_drop(rig, event, "execute")
-    elif event.kind == "dup_propose_request":
-        _arm_request_duplicate(rig, event, "propose")
-    elif event.kind == "dup_execute_request":
-        _arm_request_duplicate(rig, event, "execute")
-    elif event.kind == "fatal_outage_propose":
-        _arm_outage_on_propose(rig, event, float("inf"))
-    elif event.kind == "spec_outage_propose":
-        _arm_outage_on_propose(rig, event, OUTAGE_DURATION)
-    else:
-        raise ConfigurationError(
-            f"fault kind {event.kind!r} has no live arming")
+    """Arm one model fault kind at its live message point (see
+    :meth:`~repro.grid.Grid.arm`).  Only the speculative outage lifts; a
+    fatal outage or a crash downs the link for good."""
+    rig.grid.arm(ChaosEvent(
+        kind=event.kind, step=event.step, site=event.site,
+        duration=(OUTAGE_DURATION if event.kind == "spec_outage_propose"
+                  else float("inf"))))
 
 
 def _observe(rig: _Rig, result, coordinator) -> dict:
@@ -283,9 +196,8 @@ def _replay_crash(config: VerifyConfig, event: FaultEvent) -> dict:
     abort-time checkpoint; the link is then restored and incarnation 2
     resumes from the checkpoint, reconciling per the §7 table.
     """
-    verb = "propose" if event.kind == "crash_propose" else "execute"
     rig = _Rig(config)
-    _arm_reply_drop(rig, event, verb, down_link=True)
+    _arm(rig, event)
     store = InMemoryCheckpointStore()
     policy = CheckpointPolicy(every_n_steps=0)
     first = rig.make_coordinator(fault_policy=NaiveFaultPolicy(),

@@ -178,6 +178,38 @@ def test_deployment_construction_is_spelt_once():
     }
 
 
+def test_a_scripted_fault_is_armed_in_one_place():
+    """One watcher, one kind dispatch: in ``src/`` only :mod:`repro.grid`
+    (``Grid.arm``) installs a fault primitive; the network's filter hook
+    is otherwise called by the primitives themselves, and a timed outage
+    is scheduled outside it only by the fleet's time-triggered plans."""
+    src = pathlib.Path(repro.__file__).parent
+    primitives = {"add_drop_filter", "drop_matching", "duplicate_matching",
+                  "reorder_matching", "corrupt_matching", "jitter_burst",
+                  "crash_host", "schedule_outage"}
+    homes = {name: set() for name in primitives}
+    for path in src.rglob("*.py"):
+        where = path.relative_to(src).as_posix()
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "attr", "") in primitives):
+                    homes[node.func.attr].add(
+                        where if where != "chaos/campaign.py"
+                        else f"{where}:{func.name}")
+    grid = {"grid.py"}
+    assert homes == {
+        "add_drop_filter": {"net/faults.py", "grid.py"},
+        **dict.fromkeys(["drop_matching", "duplicate_matching",
+                         "reorder_matching", "corrupt_matching",
+                         "jitter_burst", "crash_host"], grid),
+        "schedule_outage": {"grid.py",
+                            "chaos/campaign.py:arm_fleet_outages"},
+    }
+
+
 def test_every_instrument_has_one_owner_and_a_reader():
     """The hub is the only place a count lives, and nothing is written
     that nothing reads.

@@ -15,12 +15,15 @@ from repro.chaos import (
     CHAOS_KINDS,
     CHAOS_SITES,
     ChaosCampaign,
+    ChaosEvent,
+    ChaosPlan,
+    arm_plan,
     check_fleet_invariants,
     make_plan,
 )
 from repro.coordinator import DegradationPolicy, NaiveFaultPolicy, StepRecord
 from repro.coordinator.state import record_from_payload, record_to_payload
-from repro.most import ExperimentSession, MOSTConfig
+from repro.most import ExperimentSession, MOSTConfig, build_most
 from repro.net import BreakerConfig, BreakerOpen, CircuitBreaker
 from repro.sim import Kernel
 from repro.telemetry import InMemorySink
@@ -269,6 +272,41 @@ class TestChaosPlans:
     def test_negative_event_count_rejected(self):
         with pytest.raises(ConfigurationError):
             make_plan(1, MOSTConfig().scaled(100), n_events=-1)
+
+
+class TestArming:
+    @pytest.mark.parametrize("event, named", [
+        (ChaosEvent(kind="bogus", step=5, site="uiuc"), "bogus"),
+        (ChaosEvent(kind="outage", step=5, site="nowhere"), "nowhere"),
+        (ChaosEvent(kind="outage", step=-1, site="uiuc"), "step"),
+        (ChaosEvent(kind="outage", step=5.0, site="uiuc"), "step"),
+        (ChaosEvent(kind="transient_drop", step=5, site="uiuc", count=0),
+         "count"),
+        (ChaosEvent(kind="outage", step=5, site="uiuc", duration=-1.0),
+         "duration"),
+        (ChaosEvent(kind="crash", step=5, site="uiuc",
+                    duration=float("nan")), "duration"),
+        (ChaosEvent(kind="jitter", step=5, site="uiuc", duration=60.0,
+                    magnitude=-0.1), "magnitude"),
+        (ChaosEvent(kind="slowdown", step=5, site="ncsa",
+                    magnitude=float("inf")), "magnitude"),
+    ])
+    def test_a_bad_event_is_refused_before_the_run(self, event, named):
+        """An arming mistake is the plan's error, raised by ``arm_plan`` —
+        not a drop filter's exception that the coordinator books as a
+        failure of the site it was aimed at."""
+        dep = build_most(MOSTConfig().scaled(30))
+        plan = ChaosPlan(seed=0, n_steps=30, events=(event,))
+        with pytest.raises(ConfigurationError, match=named):
+            arm_plan(dep, plan)
+
+    def test_a_permanent_event_is_legal(self):
+        dep = build_most(MOSTConfig().scaled(30))
+        arm_plan(dep, ChaosPlan(seed=0, n_steps=30, events=(
+            ChaosEvent(kind="outage", step=0, site="cu",
+                       duration=float("inf")),
+            ChaosEvent(kind="slowdown", step=3, site="ncsa",
+                       magnitude=40.0))))
 
 
 class TestChaosCampaign:

@@ -66,6 +66,33 @@ class TestScenarioCompositions:
             session.run()
 
 
+    @pytest.mark.parametrize("arm, named", [
+        (lambda s: s.with_faults(fail_at_step=500), "fail_at_step"),
+        (lambda s: s.with_faults(fail_at_step=-3), "fail_at_step"),
+        (lambda s: s.with_faults(outage_duration=-5.0), "outage_duration"),
+        (lambda s: s.with_faults(outage_duration=float("nan")),
+         "outage_duration"),
+        (lambda s: s.with_anomalies(outage_at_step=900), "outage_at_step"),
+        (lambda s: s.with_anomalies(slow_at_step=800), "slow_at_step"),
+        (lambda s: s.with_anomalies(outage_duration=-1.0),
+         "outage_duration"),
+    ])
+    def test_a_fault_the_run_cannot_take_is_refused(self, arm, named):
+        """A fault step past the run is never armed and a bad duration
+        fails mid-run: both are refused up front, naming the parameter."""
+        session = ExperimentSession(MOSTConfig().scaled(60),
+                                    simulation_only=True)
+        with pytest.raises(ConfigurationError, match=named):
+            arm(session).run()
+
+    def test_every_step_of_the_run_takes_a_fault(self):
+        # step 0 is the initialization round; n_steps - 1 the last step
+        session = ExperimentSession(MOSTConfig().scaled(60))
+        session.with_faults(fail_at_step=0, outage_duration=float("inf"))
+        session.with_faults(fail_at_step=59)
+        session.with_anomalies(outage_at_step=59, slow_at_step=0)
+
+
 class TestSessionResults:
     def test_capability_fields_default_empty(self):
         outcome = ExperimentSession(small(), run_id="plain",

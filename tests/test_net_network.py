@@ -273,7 +273,7 @@ class TestFaultInjector:
         k, net = make_net()
         net.connect("a", "b", latency=0.0)
         inj = FaultInjector(net)
-        inj.drop_next_on_port("svc", count=2)
+        inj.drop_matching(lambda m: m.port == "svc", count=2)
         got = []
         net.host("b").bind("svc", lambda m: got.append(m.payload))
         net.host("b").bind("other", lambda m: got.append(m.payload))
@@ -283,20 +283,40 @@ class TestFaultInjector:
         k.run()
         assert got == [2, 3, "o"]
 
-    def test_transient_loss_window(self):
-        k, net = make_net(seed=5)
-        net.connect("a", "b", latency=0.0, loss=0.0)
-        inj = FaultInjector(net)
-        inj.transient_loss("a", "b", loss=1.0, start=10.0, duration=5.0)
-        got = []
-        net.host("b").bind("svc", lambda m: got.append(m.payload))
-
-        def sender(kernel):
-            for t in (5.0, 12.0, 20.0):
-                yield kernel.timeout(t - kernel.now)
-                net.send("a", "b", "svc", t)
-
-        k.process(sender(k))
+    @pytest.mark.parametrize("arm, named", [
+        (lambda f: f.schedule_outage("a", "nohost", start=1.0,
+                                     duration=5.0), "nohost"),
+        (lambda f: f.schedule_outage("a", "b", start=1.0,
+                                     duration=-5.0), "duration"),
+        (lambda f: f.schedule_outage("a", "b", start=1.0,
+                                     duration=float("nan")), "duration"),
+        (lambda f: f.crash_host("nohost", start=1.0), "nohost"),
+        (lambda f: f.crash_host("b", start=1.0, duration=-1.0), "duration"),
+        (lambda f: f.jitter_burst("a", "nohost", jitter=0.1, start=1.0,
+                                  duration=5.0), "nohost"),
+        (lambda f: f.jitter_burst("a", "b", jitter=0.1, start=1.0,
+                                  duration=float("nan")), "duration"),
+        (lambda f: f.jitter_burst("a", "b", jitter=-0.1, start=1.0,
+                                  duration=5.0), "jitter"),
+    ])
+    def test_a_timed_fault_is_refused_when_called(self, arm, named):
+        # Refused at the call, with the parameter named — not a KeyError
+        # or ValueError out of kernel.run when the window opens, and not
+        # a negative jitter accepted with no effect.
+        k, net = make_net()
+        net.connect("a", "b", latency=0.0)
+        with pytest.raises(ConfigurationError, match=named):
+            arm(FaultInjector(net))
         k.run()
-        assert got == [5.0, 20.0]
-        assert net.link("a", "b").loss == 0.0  # restored
+        assert net.link("a", "b").up and net.link("a", "b").jitter == 0.0
+
+    def test_an_infinite_window_stays_legal(self):
+        k, net = make_net()
+        net.connect("a", "b", latency=0.0)
+        inj = FaultInjector(net)
+        inj.schedule_outage("a", "b", start=1.0, duration=float("inf"))
+        inj.crash_host("b", start=1.0, duration=float("inf"))
+        inj.jitter_burst("a", "b", jitter=0.0, start=1.0,
+                         duration=float("inf"))
+        k.run(until=2.0)
+        assert not net.link("a", "b").up and not net.host("b").up

@@ -171,7 +171,8 @@ class TestOnAGrid:
 class TestTimeoutsAndRetries:
     def test_timeout_without_retries(self):
         k, net, svc, cli = make_rpc(latency=0.0)
-        FaultInjector(net).drop_next_on_port("svc", count=1)
+        FaultInjector(net).drop_matching(lambda m: m.port == "svc",
+                                         count=1)
         svc.register("ping", lambda caller: "pong")
 
         def caller():
@@ -185,7 +186,8 @@ class TestTimeoutsAndRetries:
 
     def test_retry_masks_single_loss(self):
         k, net, svc, cli = make_rpc(latency=0.0)
-        FaultInjector(net).drop_next_on_port("svc", count=1)
+        FaultInjector(net).drop_matching(lambda m: m.port == "svc",
+                                         count=1)
         svc.register("ping", lambda caller: "pong")
         result = run_call(k, cli.call("server", "svc", "ping",
                                       timeout=1.0, retries=2))
@@ -195,7 +197,8 @@ class TestTimeoutsAndRetries:
 
     def test_retries_reuse_request_id(self):
         k, net, svc, cli = make_rpc(latency=0.0)
-        FaultInjector(net).drop_next_on_port("svc", count=2)
+        FaultInjector(net).drop_matching(lambda m: m.port == "svc",
+                                         count=2)
         seen = []
 
         def ping(caller):
