@@ -28,6 +28,7 @@ from repro.monitor.schema import (
     HEALTH_STATUSES,
     SCHEMA_ID,
     MonitorSchemaError,
+    metrics_sample_checker,
     validate_alert_payload,
     validate_health_payload,
     validate_metrics_sample,
@@ -56,6 +57,7 @@ __all__ = [
     "blame_table",
     "coordinator_health_probe",
     "critical_path_report",
+    "metrics_sample_checker",
     "ntcp_health_probe",
     "render_blame_table",
     "step_traces",

@@ -36,8 +36,8 @@ from typing import Any, Callable
 from repro.monitor.schema import (
     ALERT_KINDS,
     SCHEMA_ID,
+    metrics_sample_checker,
     validate_alert_payload,
-    validate_metrics_sample,
 )
 from repro.nsds.stream import StreamSample
 from repro.ogsi.service import GridService
@@ -108,7 +108,10 @@ class ExperimentMonitor(GridService):
         self.health: dict[str, dict[str, Any]] = {}
         self.running = False
         self._tm_samples = None  # built on attach
+        self._check_sample = metrics_sample_checker()
         self._counter_totals: dict[tuple[str, tuple], float] = {}
+        # (name, label items as handed) -> the _counter_totals key
+        self._counter_keys: dict[tuple[str, tuple], tuple[str, tuple]] = {}
         self._site_execute: dict[str, dict[str, float]] = {}
         self._last_commit_step = -1
         self._last_progress_time: float | None = None
@@ -161,13 +164,18 @@ class ExperimentMonitor(GridService):
         payload = sample.value
         if not isinstance(payload, dict) or payload.get("kind") != "metrics":
             return
-        validate_metrics_sample(payload)
+        self._check_sample(payload)
         self._tm_samples.inc()
+        counter_keys = self._counter_keys
         for record in payload["metrics"]:
             name = record["name"]
             labels = record.get("labels", {})
             if record["type"] == "counter":
-                key = (name, tuple(sorted(labels.items())))
+                handed = (name, tuple(labels.items()))
+                key = counter_keys.get(handed)
+                if key is None:
+                    key = counter_keys[handed] = (
+                        name, tuple(sorted(labels.items())))
                 self._counter_totals[key] = record["total"]
             elif record["type"] == "histogram" and name == EXECUTE_METRIC:
                 site = labels.get("site")

@@ -9,6 +9,13 @@ see :mod:`repro.monitor.streamer`).  Each kind is a shape value
 built from the :mod:`repro.util.schema` kit (the metric records reuse
 :func:`repro.telemetry.schema.metric_record`), compiled once at import.
 
+A receiver does not walk every record of every flush: it holds a
+:func:`metrics_sample_checker`, which checks each sample's envelope,
+proves a series' identity once and then checks only that record's
+numbers.  Whatever it cannot prove that way goes through the stateless
+:func:`validate_metrics_sample`, the only code that words a refusal, so
+the errors are the validator's, byte for byte.
+
 Payload kinds:
 
 * ``health`` — one service's liveness snapshot, published as the
@@ -23,9 +30,13 @@ Payload kinds:
 
 from __future__ import annotations
 
+import math
+from typing import Any, Callable
+
 from repro.telemetry.schema import metric_record
 from repro.util.errors import SchemaError
 from repro.util.schema import (
+    anything,
     array,
     document,
     integer,
@@ -35,6 +46,7 @@ from repro.util.schema import (
     one_of,
     rule,
     string,
+    switch,
     validator,
 )
 
@@ -69,6 +81,24 @@ validate_health_payload = validator(MonitorSchemaError, document(
     {"step": integer(-1), "plugin": string(empty=True), "detail": obj({})},
     kind="health"))
 
+
+def _covers_delta(record: dict[str, Any]) -> bool:
+    try:
+        return record["total"] + 1e-9 >= record["value"]
+    except OverflowError:
+        # a total too large for a float: the finiteness rule refuses it
+        return True
+
+
+#: the numbers a metrics sample must carry finite — the console turns
+#: the step counter's total into an int, the store orders points by
+#: time — as a rule checked after the whole shape, so every document
+#: refused before finiteness was required keeps its refusal text
+_FINITE = obj({"time": number(finite=True), "metrics": array(switch(
+    "type", counter=obj({"value": number(finite=True),
+                         "total": number(finite=True)}),
+    gauge=anything, histogram=anything))})
+
 #: One streamed metrics snapshot (an NSDS sample value).
 #:
 #: Shape::
@@ -78,15 +108,16 @@ validate_health_payload = validator(MonitorSchemaError, document(
 #:
 #: Counters carry the delta since the previous flush in ``value`` plus
 #: the cumulative ``total`` (so a consumer behind a lossy stream can
-#: resynchronise); histograms carry a cumulative summary.
+#: resynchronise); histograms carry a cumulative summary.  The sample's
+#: ``time`` and a counter's ``value`` and ``total`` are finite.
 validate_metrics_sample = validator(MonitorSchemaError, document(
     SCHEMA_ID, {
         **_ENVELOPE, "seq": integer(1),
         "metrics": array(metric_record(SUMMARY_KEYS, counter=obj(
             {"value": number(), "total": number()}, None,
             rule(".total", "cumulative total below the delta",
-                 lambda rec: rec["total"] + 1e-9 >= rec["value"])))),
-    }, kind="metrics"))
+                 _covers_delta)))),
+    }, None, _FINITE, kind="metrics"))
 
 #: One typed alert record.
 #:
@@ -103,3 +134,86 @@ validate_alert_payload = validator(MonitorSchemaError, document(
         "severity": one_of(*ALERT_SEVERITIES), "step": integer(-1),
         "message": string(),
     }, {"site": nullable(string()), "detail": obj({})}, kind="alert"))
+
+
+#: what :func:`metrics_sample_checker` checks of every sample but its
+#: records
+_check_envelope = document(SCHEMA_ID, {
+    "source": string(), "time": number(finite=True), "seq": integer(1)},
+    kind="metrics")
+#: ``labels`` not handed at all (``"labels": None`` is another identity)
+_NO_LABELS = object()
+
+
+def _identity(record: dict[str, Any]) -> tuple | None:
+    """``(name, type, label items as handed)``, or None when ``labels``
+    is not an object; unhashable when a part is."""
+    labels = record.get("labels", _NO_LABELS)
+    if labels is not _NO_LABELS:
+        if not isinstance(labels, dict):
+            return None
+        labels = tuple(labels.items())
+    return record.get("name"), record.get("type"), labels
+
+
+def _fits(record: Any, proven: set[tuple]) -> bool:
+    """Whether ``record`` is of an identity in ``proven`` and its numbers
+    fit as the kit judges them: exact ``int`` / ``float`` leaves, and a
+    counter's finite ``value`` and ``total`` under the delta rule.
+    Raises on a missing leaf, an unhashable identity or an int too large
+    for a float."""
+    if type(record) is not dict or _identity(record) not in proven:
+        return False
+    kind = record["type"]
+    if kind == "counter":
+        value, total = record["value"], record["total"]
+        return ((type(value) is int or type(value) is float)
+                and (type(total) is int or type(total) is float)
+                and math.isfinite(value) and math.isfinite(total)
+                and total + 1e-9 >= value)
+    if kind == "gauge":
+        value = record["value"]
+        return type(value) is int or type(value) is float
+    summary = record["summary"]
+    if type(summary) is not dict:
+        return False
+    for key in SUMMARY_KEYS:
+        value = summary[key]
+        if not (type(value) is int or type(value) is float):
+            return False
+    return True
+
+
+def metrics_sample_checker() -> Callable[[Any], None]:
+    """A :func:`validate_metrics_sample` that proves each series'
+    identity once.
+
+    Each receiver builds its own, so what it remembers lives exactly as
+    long as the receiver.  The envelope is checked on every sample; a
+    record whose ``(name, type, label items as handed)`` an earlier
+    accepted sample proved has only its numbers checked.  Anything else
+    — an unknown identity, a bool or float-subclass leaf, an unhashable
+    label value, a number that does not fit — sends the whole sample
+    through :func:`validate_metrics_sample`, which alone accepts it or
+    words the refusal: a checker refuses exactly what the stateless
+    validator refuses, with the same text.
+    """
+    proven: set[tuple] = set()
+
+    def check(payload: Any) -> None:
+        if _check_envelope(payload) is None:
+            metrics = payload.get("metrics")
+            try:
+                if type(metrics) is list:
+                    for record in metrics:
+                        if not _fits(record, proven):
+                            break
+                    else:
+                        return
+            except (KeyError, TypeError, OverflowError):
+                pass
+        validate_metrics_sample(payload)
+        proven.update(_identity(record) for record in payload["metrics"]
+                      if type(record) is dict)
+
+    return check

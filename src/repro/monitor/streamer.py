@@ -14,13 +14,18 @@ Counters are shipped as (delta, cumulative total) pairs so a consumer
 that missed flushes can resynchronise from the totals; histograms ship
 cumulative summaries including the operator-facing p95.
 
-A flush costs one pass over the registry and nothing else: the registry
-is already in key order and each instrument carries its ``key``, so
-nothing is sorted, and the payload is not walked again here — it is
-validated where it lands (the console's and the observatory's
-receivers, each behind a sink that counts a bad datagram), not where it
-is built, so a producer bug is a counted ``subscriber_errors`` rather
-than an exception inside the ``streamer.<source>`` kernel process.
+A flush costs one pass over the matching instruments and nothing else.
+The list of matching instruments is rebuilt only when the registry has
+grown since the last flush (it never shrinks); the registry is already
+in key order and each instrument carries its ``key``, so nothing is
+sorted; a histogram re-summarises only when it was observed since its
+last summary.  The payload is not walked again here — it is validated
+where it lands (the console's and the observatory's receivers, each
+behind a sink that counts a bad datagram, each proving a series'
+identity once: :func:`~repro.monitor.schema.metrics_sample_checker`),
+not where it is built, so a producer bug is a counted
+``subscriber_errors`` rather than an exception inside the
+``streamer.<source>`` kernel process.
 """
 
 from __future__ import annotations
@@ -49,21 +54,24 @@ class TelemetryStreamer:
         self.running = False
         self.seq = 0
         self._last_counts: dict[tuple[str, tuple], float] = {}
-
-    def _wanted(self, name: str) -> bool:
-        if self.prefixes is None:
-            return True
-        return name.startswith(self.prefixes)
+        # the matching instruments in key order, as of a registry of
+        # ``_registered`` instruments (a registry only grows)
+        self._instruments: list = []
+        self._registered = 0
 
     def snapshot_records(self) -> list[dict[str, Any]]:
         """Describe every matching instrument, in the registry's key
         order; counters as deltas.  ``labels`` is the instrument's own
         frozen dict (as in ``Metric.describe``): readers copy before they
         change anything."""
+        registry = self.kernel.telemetry.registry
+        if len(registry) != self._registered:
+            self._registered = len(registry)
+            self._instruments = [
+                metric for metric in registry if self.prefixes is None
+                or metric.name.startswith(self.prefixes)]
         records: list[dict[str, Any]] = []
-        for metric in self.kernel.telemetry.registry:
-            if not self._wanted(metric.name):
-                continue
+        for metric in self._instruments:
             if isinstance(metric, Counter):
                 total = metric.value
                 delta = total - self._last_counts.get(metric.key, 0)

@@ -22,11 +22,17 @@ tier (:meth:`Series.window`, what SLO sweeps and raw queries read) is
 two bisects and a slice of the columns for as long as every point
 arrived in time order — the stream rides ``fifo=False`` links, so the
 first late point clears the series' ``_ordered`` flag and its windows
-become a linear filter.  An open rollup bucket is six running scalars;
-its dict is built once, when it closes.  The store keeps its canonical
-keys sorted as series are created and remembers which series each
-streamed ``(name, stat, label items)`` lands in, so a steady-state
-ingest sorts nothing.
+become a linear filter.  An open rollup bucket is six running scalars,
+folded without a dict walk per point; its dict is built once, when it
+closes.  The store keeps its canonical keys sorted as series are created
+and remembers which series each streamed ``(name, type, label items)``
+feeds — one, or five for a histogram — so a steady-state ingest sorts
+nothing and resolves each record once, not once per point.  It checks a
+sample with its own :func:`~repro.monitor.schema.metrics_sample_checker`,
+which proves each series' identity once and refuses exactly what
+:func:`~repro.monitor.schema.validate_metrics_sample` refuses, with the
+same text.  A flush therefore costs once per record, plus once per
+series the store has not seen.
 
 Everything advances on the simulation clock (points carry the streamed
 sample's sim time), so two runs of the same campaign produce
@@ -39,7 +45,7 @@ from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from typing import Any, Iterable
 
-from repro.monitor.schema import validate_metrics_sample
+from repro.monitor.schema import metrics_sample_checker
 from repro.observatory.schema import TIERS
 
 #: raw appends folded into one bucket, per rollup tier
@@ -70,10 +76,11 @@ class Series:
         self._ordered = True
         self.rollups: dict[str, deque] = {
             tier: deque(maxlen=rollup_capacity) for tier in ROLLUP_SPANS}
-        # per tier, the open bucket as running scalars:
-        # [start, count, sum, min, max, first]
-        self._open: dict[str, list | None] = {
-            tier: None for tier in ROLLUP_SPANS}
+        # per tier, its open bucket as running scalars (count 0: none
+        # open): [count, start, sum, min, max, first, span, finalized]
+        self._open = tuple([0, 0.0, 0.0, 0.0, 0.0, 0.0, span,
+                            self.rollups[tier]]
+                           for tier, span in ROLLUP_SPANS.items())
         self.appended = 0
 
     def append(self, time: float, value: float) -> None:
@@ -87,22 +94,22 @@ class Series:
         if len(times) > self.raw_capacity:
             del times[0], self.values[0]
         self.appended += 1
-        for tier, span in ROLLUP_SPANS.items():
-            acc = self._open[tier]
-            if acc is None:
-                acc = self._open[tier] = [time, 0, 0.0, value, value, value]
-            acc[1] += 1
-            acc[2] += value
-            if value < acc[3]:
-                acc[3] = value
-            if value > acc[4]:
-                acc[4] = value
-            if acc[1] >= span:
-                self.rollups[tier].append(
-                    {"start": acc[0], "end": time, "count": acc[1],
+        for acc in self._open:
+            if acc[0]:
+                acc[0] += 1
+                acc[2] += value
+                if value < acc[3]:
+                    acc[3] = value
+                if value > acc[4]:
+                    acc[4] = value
+            else:  # ``0.0 +`` as a running sum starts: -0.0 sums to 0.0
+                acc[:6] = 1, time, 0.0 + value, value, value, value
+            if acc[0] >= acc[6]:
+                acc[7].append(
+                    {"start": acc[1], "end": time, "count": acc[0],
                      "sum": acc[2], "min": acc[3], "max": acc[4],
                      "first": acc[5], "last": value})
-                self._open[tier] = None
+                acc[0] = 0
 
     def window(self, start: float, end: float) -> tuple[list, list]:
         """The ``(times, values)`` of the raw points with
@@ -200,6 +207,10 @@ class TimeSeriesStore:
         # (name, stat, label items as handed in) -> series: steady-state
         # appends neither sort labels nor rebuild {**labels, "stat": ...}
         self._resolved: dict[tuple, Series] = {}
+        # (name, type, label items as handed in) of a streamed record ->
+        # the series it feeds: one, or one per HISTOGRAM_STATS
+        self._feeds: dict[tuple, tuple[Series, ...]] = {}
+        self._check_sample = metrics_sample_checker()
         self.samples_ingested = 0
         self._tm_appends = None
         self._tm_samples = None
@@ -250,26 +261,30 @@ class TimeSeriesStore:
         ``stat=count/mean/p50/p95/p99`` sub-series.  Returns the number
         of points appended.
         """
-        validate_metrics_sample(payload)
+        self._check_sample(payload)
         time = payload["time"]
         appended = 0
+        feeds = self._feeds
         for record in payload["metrics"]:
-            name = record["name"]
+            name, kind = record["name"], record["type"]
             labels = record.get("labels", {})
-            if record["type"] == "counter":
-                self._resolve(name, labels).append(
-                    time, float(record["total"]))
+            ident = (name, kind, tuple(labels.items()))
+            series = feeds.get(ident)
+            if series is None:
+                stats = HISTOGRAM_STATS if kind == "histogram" else (None,)
+                series = feeds[ident] = tuple(
+                    self._resolve(name, labels, stat) for stat in stats)
+            if kind == "counter":
+                series[0].append(time, float(record["total"]))
                 appended += 1
-            elif record["type"] == "gauge":
-                self._resolve(name, labels).append(
-                    time, float(record["value"]))
+            elif kind == "gauge":
+                series[0].append(time, float(record["value"]))
                 appended += 1
             else:
                 summary = record["summary"]
-                for stat in HISTOGRAM_STATS:
-                    self._resolve(name, labels, stat).append(
-                        time, float(summary[stat]))
-                    appended += 1
+                for stat, stat_series in zip(HISTOGRAM_STATS, series):
+                    stat_series.append(time, float(summary[stat]))
+                appended += len(HISTOGRAM_STATS)
         if self._tm_appends is not None:
             self._tm_appends.inc(appended)
         # Kept beside the hub counter on purpose: a store rebuilt from a

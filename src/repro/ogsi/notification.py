@@ -3,19 +3,17 @@ subscription table and the subscriber's guarded sink."""
 
 from __future__ import annotations
 
-import math
 from typing import Any, Callable
 
 from repro.net.network import Message, Network
 from repro.util.errors import ProtocolError
-from repro.util.schema import (
-    array, nullable, number, obj, rule, string, validator)
+from repro.util.schema import array, nullable, number, obj, string, validator
 
 _validate_request = validator(ProtocolError, obj({
     "sink_host": string(), "sink_port": string(),
-    "lifetime": number(above=0), "topics": nullable(array(string())),
-}, None, rule(".lifetime", "must be finite",
-              lambda request: request["lifetime"] < math.inf)))
+    "lifetime": number(above=0, finite=True),
+    "topics": nullable(array(string())),
+}))
 
 
 class SubscriptionTable:

@@ -29,7 +29,6 @@ Three stores share one generator-shaped API (``append`` / ``replay``):
 from __future__ import annotations
 
 import json
-import math
 import pathlib
 from typing import Any, Iterable
 
@@ -44,7 +43,6 @@ from repro.util.schema import (
     number,
     obj,
     one_of,
-    rule,
     string,
     switch,
     validator,
@@ -66,10 +64,9 @@ _BODIES = {
     "submit": obj({
         "submission_id": string(), "tenant": string(), "run_id": string(),
         "n_steps": integer(1), "n_sites": integer(1),
-        "motion_scale": number(above=0), "checkpoint_every": integer(0)},
-        {"degradation": boolean()},
-        rule(".motion_scale", "must be finite",
-             lambda body: math.isfinite(body["motion_scale"]))),
+        "motion_scale": number(above=0, finite=True),
+        "checkpoint_every": integer(0)},
+        {"degradation": boolean()}),
     "epoch": obj({"epoch": integer(1), "scheduler_id": string()}),
     "claim": obj({**_SUBMISSION, "attempt": integer(1),
                   "sites": array(string(), nonempty=True)}),

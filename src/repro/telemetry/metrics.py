@@ -120,12 +120,14 @@ class Histogram(Metric):
         super().__init__(name, labels)
         self._values: list[float] = []
         self._sorted = True
+        self._summary: dict[str, float] | None = None
 
     def observe(self, value: float) -> None:
         value = float(value)
         if self._values and value < self._values[-1]:
             self._sorted = False
         self._values.append(value)
+        self._summary = None
 
     @property
     def count(self) -> int:
@@ -157,20 +159,24 @@ class Histogram(Metric):
 
     def summary(self) -> dict[str, float]:
         """Every stat a consumer ships; each picks its keys (the exporter
-        p90, the streamed console sample p95)."""
-        values = self._ordered()
-        total = float(sum(values))
-        return {
-            "count": len(values),
-            "sum": total,
-            "mean": total / len(values) if values else 0.0,
-            "min": values[0] if values else 0.0,
-            "max": values[-1] if values else 0.0,
-            "p50": percentile(values, 50.0),
-            "p90": percentile(values, 90.0),
-            "p95": percentile(values, 95.0),
-            "p99": percentile(values, 99.0),
-        }
+        p90, the streamed console sample p95).  Computed once per change:
+        a call with no ``observe`` since the last returns a copy of the
+        same stats."""
+        if self._summary is None:
+            values = self._ordered()
+            total = float(sum(values))
+            self._summary = {
+                "count": len(values),
+                "sum": total,
+                "mean": total / len(values) if values else 0.0,
+                "min": values[0] if values else 0.0,
+                "max": values[-1] if values else 0.0,
+                "p50": percentile(values, 50.0),
+                "p90": percentile(values, 90.0),
+                "p95": percentile(values, 95.0),
+                "p99": percentile(values, 99.0),
+            }
+        return dict(self._summary)
 
     def describe(self) -> dict[str, Any]:
         summary = self.summary()

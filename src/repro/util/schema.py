@@ -28,6 +28,7 @@ Shape::
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Mapping
 from typing import Any
 
@@ -42,9 +43,18 @@ def _under(prefix: str, failure: tuple[str, str]) -> tuple[str, str]:
     return prefix + failure[0], failure[1]
 
 
-def number(*, minimum: float | None = None,
-           above: float | None = None) -> Check:
-    """An int or float (never a bool) ``>= minimum`` and ``> above``."""
+def _finite(value: int | float) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int ``float()`` cannot hold
+        return False
+
+
+def number(*, minimum: float | None = None, above: float | None = None,
+           finite: bool = False) -> Check:
+    """An int or float (never a bool) ``>= minimum`` and ``> above``;
+    with ``finite``, neither NaN, nor ±inf, nor an int too large for a
+    float."""
 
     def check(value: Any) -> Failure:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -53,6 +63,8 @@ def number(*, minimum: float | None = None,
             return "", f"must be >= {minimum}, got {value}"
         if above is not None and not value > above:
             return "", f"must be > {above}, got {value}"
+        if finite and not _finite(value):
+            return "", "must be finite"
         return None
 
     return check

@@ -620,8 +620,9 @@ def test_a_flush_sorts_nothing():
     """What a metrics flush costs is per flush, not per record per
     reader: identity is ``Metric.key`` / the store's sorted key list,
     windows are ``Series.window``, the flight recorder renders at the
-    incident, and a sample is validated where it lands, not where it is
-    built — each replaced in place, so the old spelling is gone."""
+    incident, and a sample is validated where it lands (by a checker
+    each receiver builds), not where it is built — each replaced in
+    place, so the old spelling is gone."""
     import ast
     import pathlib
     import textwrap
@@ -647,10 +648,13 @@ def test_a_flush_sorts_nothing():
     assert not {"_jsonable", "extract_step"} & calls(
         FlightRecorder.on_record, FlightRecorder.on_span)
     assert {"_jsonable", "extract_step"} <= calls(FlightRecorder._event)
-    assert "validate_metrics_sample" not in calls(TelemetryStreamer.flush)
+    assert not {"_check_sample", "validate_metrics_sample"} & calls(
+        TelemetryStreamer.flush)
+    for receiver in (ExperimentMonitor, TimeSeriesStore):
+        assert "metrics_sample_checker" in calls(receiver.__init__)
     for receiver in (ExperimentMonitor.on_stream_sample,
                      TimeSeriesStore.ingest_metrics_payload):
-        assert "validate_metrics_sample" in calls(receiver)
+        assert "_check_sample" in calls(receiver)
     assert "raw" not in Series.__slots__
 
 

@@ -37,7 +37,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "benchmarks"))
 from _report import validate_bench_payload  # noqa: E402
 
-HOSTILE = (None, [], {}, "", "x", 0, -1, 1.5, True, [1], {"a": 1})
+HOSTILE = (None, [], {}, "", "x", 0, -1, 1.5, True, [1], {"a": 1},
+           10**400, -10**400, float("inf"), float("-inf"), float("nan"))
 
 HEX = (0.25).hex()
 SUMMARY = {"count": 2, "sum": 1.0, "mean": 0.5, "min": 0.1, "max": 0.9,

@@ -18,12 +18,13 @@ from repro.core import Action, NTCPClient, NTCPServer, SitePolicy
 from repro.core.plugin import ControlPlugin
 from repro.net import Network, RemoteException, RpcClient
 from repro.nsds import NSDSService, NSDSReceiver
-from repro.ogsi import NotificationSink, ServiceContainer
+from repro.ogsi import NotificationSink, ServiceContainer, SubscriptionTable
 from repro.sim import Kernel
 from repro.telemetry import InMemorySink
 from repro.structural import GroundMotion, LinearSubstructure, StructuralModel
 from repro.telepresence import CameraService, VideoViewer
 from repro.testing import make_site
+from repro.util.errors import ProtocolError
 
 
 class TestHostCrash:
@@ -278,6 +279,16 @@ class TestSubscriptionTable:
         # not even an id was spent on it
         second = self.subscribe(k, rpc, op, request)
         assert (first[-2:], second[-2:]) == ("-1", "-2")
+
+    def test_a_lifetime_no_float_can_hold_is_a_typed_refusal(self):
+        """``10**400`` passed ``< math.inf``; ``now + lifetime`` then
+        raised ``OverflowError`` inside the table."""
+        k, net, *_ = self.env()
+        table = SubscriptionTable(net, "site", lambda: "sub-1")
+        with pytest.raises(ProtocolError, match=r"^\$\.lifetime: must be "
+                                                r"finite$"):
+            table.subscribe("user", "p", 10**400)
+        assert len(table) == 0
 
     def test_unsubscribe_is_scoped_to_the_owning_table(self):
         k, net, nsds, cam, rpc = self.env()

@@ -1,6 +1,9 @@
 """Tests for the live operations console (repro.monitor)."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.control import SimulationPlugin, make_displacement_actions
 from repro.monitor import (
@@ -11,13 +14,14 @@ from repro.monitor import (
     TelemetryStreamer,
     blame_table,
     critical_path_report,
+    metrics_sample_checker,
     ntcp_health_probe,
     step_traces,
     validate_alert_payload,
     validate_health_payload,
     validate_metrics_sample,
 )
-from repro.monitor.schema import MonitorSchemaError, SCHEMA_ID
+from repro.monitor.schema import SCHEMA_ID, SUMMARY_KEYS, MonitorSchemaError
 from repro.most import ExperimentSession, MOSTConfig
 from repro.net import Network, RpcClient
 from repro.net.network import Message
@@ -135,6 +139,105 @@ class TestMonitorSchema:
             validate_alert_payload(alert_payload(**mutation))
 
 
+def _verdict(validate, payload):
+    try:
+        validate(payload)
+    except MonitorSchemaError as exc:
+        return f"refused: {exc}"
+    return "accepted"
+
+
+#: a registry of identities a run could stream: (name, type, labels or
+#: None for "no labels key")
+_IDENTITIES = st.lists(st.tuples(
+    st.sampled_from(["a.b.count", "a.b.depth", "x.y.z", "bad"]),
+    st.sampled_from(["counter", "gauge", "histogram"]),
+    st.one_of(st.none(), st.dictionaries(
+        st.sampled_from(["site", "run", "stat"]),
+        st.sampled_from(["", "uiuc", "ncsa"]), max_size=3))),
+    min_size=1, max_size=4)
+_NUMBERS = st.one_of(st.integers(0, 10**6),
+                     st.floats(0.0, 1e9, allow_subnormal=False))
+_HOSTILE_NUMBERS = (True, np.float64(1.5), 10**400, -10**400, float("nan"),
+                    float("inf"), float("-inf"), -1.0, "1", None)
+#: (record index, what to damage, hostile number index)
+_MUTATIONS = st.lists(st.tuples(
+    st.integers(0, 5),
+    st.sampled_from(["value", "total", "p95", "time", "permute", "none",
+                     "unhashable", "drop", "type", "seq"]),
+    st.integers(0, len(_HOSTILE_NUMBERS) - 1)), max_size=2)
+
+
+def _record(name, kind, labels, a, b):
+    record = {"name": name, "type": kind}
+    if labels is not None:
+        record["labels"] = dict(labels)
+    if kind == "counter":
+        record.update(value=a, total=a + b)
+    elif kind == "gauge":
+        record["value"] = a
+    else:
+        record["summary"] = dict.fromkeys(SUMMARY_KEYS, b)
+    return record
+
+
+def _damage(sample, index, what, hostile):
+    records = sample["metrics"]
+    if what in ("time", "seq"):
+        sample[what] = hostile
+        return
+    if not records:
+        return
+    record = records[index % len(records)]
+    if what in ("value", "total") and what in record:
+        record[what] = hostile
+    elif what == "p95" and "summary" in record:
+        record["summary"]["p95"] = hostile
+    elif what == "permute" and record.get("labels"):
+        record["labels"] = dict(reversed(record["labels"].items()))
+    elif what == "none":
+        record["labels"] = None
+    elif what == "unhashable":
+        record["labels"] = {**(record.get("labels") or {}),
+                            "site": ["uiuc"]}
+    elif what == "drop":
+        record.pop("labels", None)
+    elif what == "type":
+        record["type"] = {"counter": "gauge", "gauge": "histogram",
+                          "histogram": "counter"}[record["type"]]
+
+
+class TestPerReceiverChecker:
+    @settings(max_examples=200, deadline=None)
+    @given(identities=_IDENTITIES, samples=st.lists(st.tuples(
+        st.lists(st.tuples(st.integers(0, 3), _NUMBERS, _NUMBERS),
+                 max_size=5), _MUTATIONS), min_size=1, max_size=12))
+    def test_a_checker_refuses_what_the_validator_refuses(self, identities,
+                                                          samples):
+        """A long-lived checker, fed valid samples of a few identities
+        and hostile mutations of them, accepts and refuses exactly what
+        the stateless validator does, with the same text."""
+        check = metrics_sample_checker()
+        for seq, (picks, mutations) in enumerate(samples, 1):
+            sample = metrics_sample(seq, [
+                _record(*identities[i % len(identities)], a, b)
+                for i, a, b in picks], time=float(seq))
+            for index, what, hostile in mutations:
+                _damage(sample, index, what, _HOSTILE_NUMBERS[hostile])
+            expected = _verdict(validate_metrics_sample, sample)
+            assert _verdict(check, sample) == expected, sample
+
+    def test_absent_labels_and_null_labels_are_two_identities(self):
+        check = metrics_sample_checker()
+        bare = {"name": "a.b.c", "type": "gauge", "value": 1.0}
+        check(metrics_sample(1, [bare]))
+        with pytest.raises(MonitorSchemaError,
+                           match=r"^\$\.metrics\[0\]\.labels: expected an "
+                                 r"object, got NoneType$"):
+            check(metrics_sample(2, [{**bare, "labels": None}]))
+        check(metrics_sample(3, [bare]))
+
+
 class TestHealthPublisher:
     def make_env(self):
         return make_site(SimulationPlugin(
@@ -226,6 +329,21 @@ class TestTelemetryStreamer:
         kernel.telemetry.counter("chef.sessions.opened").inc()
         names = [r["name"] for r in streamer.flush()["metrics"]]
         assert names == ["coordinator.mspsds.steps"]
+
+    def test_an_instrument_registered_after_a_flush_is_in_the_next(self):
+        """The streamer re-filters the registry only when it has grown;
+        a late instrument still streams, in key order."""
+        kernel, _, _, streamer = streamer_env(prefixes=("coordinator.",))
+        hub = kernel.telemetry
+        hub.counter("coordinator.mspsds.steps").inc()
+        names = [r["name"] for r in streamer.flush()["metrics"]]
+        assert names == ["coordinator.mspsds.steps"]
+        hub.counter("chef.sessions.opened").inc()
+        hub.gauge("coordinator.link.lag").set(2.0)
+        hub.histogram("coordinator.step.latency").observe(1.0)
+        names = [r["name"] for r in streamer.flush()["metrics"]]
+        assert names == ["coordinator.link.lag", "coordinator.mspsds.steps",
+                         "coordinator.step.latency"]
 
     def test_first_flush_waits_one_interval(self):
         """No sample may be ingested before a subscriber can exist."""
@@ -686,6 +804,40 @@ class TestABadDatagramCannotStopTheRun:
         if observatory:
             store = outcome.observatory.store
             assert store.samples_ingested == kit.monitor.samples_seen
+
+    @pytest.mark.parametrize("observatory", [False, True])
+    def test_a_counter_total_of_inf(self, monkeypatch, observatory):
+        """One accepted ``total=inf`` made every later sample raise
+        ``OverflowError`` in the console (``int(inf)``): a counter's
+        numbers must be finite, so only the bad datagram is counted."""
+        poisoned = metrics_sample(1, [counter_record(
+            "coordinator.mspsds.steps", 0, float("inf"), x="y")], time=40.0)
+        outcome, _ = self.run_poisoned(
+            monkeypatch, observatory=observatory,
+            poison=lambda dep, kit: kit.nsds.ingest(
+                dep.kernel.now, {TelemetryStreamer.CHANNEL: poisoned}))
+        kit = outcome.monitoring
+        receivers = [kit.receiver]
+        if observatory:
+            receivers.append(outcome.observatory.receiver)
+        assert [r.subscriber_errors for r in receivers] == [1] * len(receivers)
+        assert kit.monitor.samples_seen == kit.receiver.accepted - 1 > 1
+
+    def test_a_sample_timed_nan(self, monkeypatch):
+        """A NaN-timed sample put NaN-timed points in the store (and turned
+        every later window of those series into a linear filter)."""
+        poisoned = metrics_sample(1, [counter_record(
+            "coordinator.mspsds.steps", 0, 0)], time=float("nan"))
+        outcome, _ = self.run_poisoned(
+            monkeypatch, observatory=True,
+            poison=lambda dep, kit: kit.nsds.ingest(
+                dep.kernel.now, {TelemetryStreamer.CHANNEL: poisoned}))
+        kit, obs = outcome.monitoring, outcome.observatory
+        assert kit.receiver.subscriber_errors == 1
+        assert obs.receiver.subscriber_errors == 1
+        assert obs.store.samples_ingested == kit.monitor.samples_seen > 1
+        assert all(time == time for series in obs.store.series()
+                   for time in series.times)
 
     def test_a_producer_bug_is_counted_where_it_lands(self, monkeypatch):
         """``flush`` used to validate its own payload inside the

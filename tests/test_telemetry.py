@@ -144,6 +144,25 @@ class TestMetrics:
                           "p50", "p90", "p95", "p99"}
         assert set(h.describe()["summary"]) == set(s) - {"p95"}
 
+    def test_histogram_summarises_once_per_change(self, monkeypatch):
+        """A summary is computed on the first call after an ``observe``;
+        later calls hand out copies of it."""
+        import repro.telemetry.metrics as metrics
+
+        computed = []
+        percentile = metrics.percentile
+        monkeypatch.setattr(metrics, "percentile", lambda values, p: (
+            computed.append(p), percentile(values, p))[1])
+        h = TelemetryHub().histogram("a.b.c")
+        h.observe(2.0)
+        first = h.summary()
+        first["count"] = 99
+        assert h.summary() == {**first, "count": 1}
+        assert len(computed) == 4      # p50, p90, p95, p99: once
+        h.observe(1.0)
+        assert (h.summary()["count"], h.summary()["min"]) == (2, 1.0)
+        assert len(computed) == 8
+
     def test_snapshot_is_sorted_and_stringifies_labels(self):
         hub = TelemetryHub()
         hub.counter("z.z.last").inc()

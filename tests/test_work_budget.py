@@ -165,3 +165,41 @@ class TestControlPlaneWorkBudget:
         digest = hashlib.sha256(json.dumps(
             [span.to_dict() for span in spans]).encode()).hexdigest()
         assert digest == SPAN_TREE_SHA
+
+
+def test_each_receiver_proves_a_series_identity_once():
+    """Over a 150-step simulation-only observed session (11 flushes of
+    76 records, two receivers: the console and the store) the metric-name
+    leaf runs once per series per receiver, however many flushes there
+    are (1,672 times when each receiver walked every record of every
+    flush)."""
+    from repro.monitor import TelemetryStreamer
+    from repro.telemetry.schema import metric_name
+
+    code = metric_name.__code__
+    calls = [0]
+    series = set()
+    flush = TelemetryStreamer.flush
+
+    def recording_flush(self):
+        payload = flush(self)
+        series.update((r["name"], r["type"], tuple(r["labels"].items()))
+                      for r in payload["metrics"])
+        return payload
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls[0] += 1
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TelemetryStreamer, "flush", recording_flush)
+        session = ExperimentSession(MOSTConfig().scaled(150),
+                                    simulation_only=True).with_observatory()
+        sys.setprofile(profile)
+        try:
+            outcome = session.run()
+        finally:
+            sys.setprofile(None)
+    assert outcome.completed
+    assert outcome.observatory.store.samples_ingested > 10
+    assert calls[0] == 2 * len(series) > 0
