@@ -45,7 +45,8 @@ class EnsembleCoordinator(SimulationCoordinator):
         integrator_factory: optional ``(model, dt, n_variants) ->``
             batched integrator (default
             :class:`~repro.structural.integrators.EnsembleCentralDifferencePSD`);
-            it must carry ``(n_dof, n_variants)`` state arrays.
+            its ``state_shape()`` is ``(n_dof, n_variants)``, the shape
+            every vector of the run takes.
 
     Every other argument matches :class:`SimulationCoordinator`.
     """
@@ -76,10 +77,7 @@ class EnsembleCoordinator(SimulationCoordinator):
                                                          n_variants),
             **kwargs)
 
-    # -- hook overrides (shape widening) ----------------------------------
-    def _state_shape(self) -> tuple[int, ...]:
-        return (self.model.n_dof, self.n_variants)
-
+    # -- hook override (shape widening) -----------------------------------
     def _external_force(self, step: int) -> np.ndarray:
         # One solo-code-path evaluation per variant, stacked as columns:
         # bit-exact with N separate runs by construction.

@@ -270,9 +270,10 @@ class SimulationCoordinator:
             "coordinator.pipeline.mispredicts", run_id=run_id)
         self._tm_spec_drains = telemetry.counter(
             "coordinator.pipeline.drains", run_id=run_id)
-        #: any object with the start/propose_next/commit stepping API
-        #: (CentralDifferencePSD for MOST; AlphaOSPSD for stiff structures
-        #: whose frequencies exceed the explicit stability limit).
+        #: any pseudo-dynamic stepper (start / propose_next / commit,
+        #: snapshot / restore, state_shape): CentralDifferencePSD for MOST;
+        #: AlphaOSPSD for stiff structures whose frequencies exceed the
+        #: explicit stability limit.
         factory = integrator_factory or CentralDifferencePSD
         self.integrator = factory(model, motion.dt)
         #: twin used only to compute speculative commands — it is
@@ -336,13 +337,10 @@ class SimulationCoordinator:
         return {local: float(d_global[global_dof])
                 for local, global_dof in enumerate(site.dof_indices)}
 
-    def _state_shape(self) -> tuple[int, ...]:
-        """Shape of displacement/force vectors (widened by ensembles)."""
-        return (self.model.n_dof,)
-
     def _zero_displacement(self) -> np.ndarray:
-        """The at-rest command for step 0."""
-        return np.zeros(self._state_shape())
+        """The at-rest command for step 0, in the integrator's state shape
+        (widened by ensembles)."""
+        return np.zeros(self.integrator.state_shape())
 
     def _external_force(self, step: int) -> np.ndarray:
         """External load for ``step`` (ensembles widen it per variant)."""
@@ -360,7 +358,7 @@ class SimulationCoordinator:
 
     def _assemble_forces(self, per_site: dict[str, dict],
                          ) -> np.ndarray:
-        r = np.zeros(self._state_shape())
+        r = np.zeros(self.integrator.state_shape())
         for site in self.sites:
             forces = per_site[site.name]
             for local, global_dof in enumerate(site.dof_indices):

@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.coordinator.mspsds import SiteBinding
 from repro.coordinator.records import ExperimentResult, StepRecord
+from repro.coordinator.state import transaction_name
 from repro.core.client import NTCPClient
 from repro.control.actions import make_displacement_actions
 from repro.net.rpc import RpcError
@@ -121,7 +122,8 @@ class RealTimeCoordinator:
         def chain():
             try:
                 result = yield from self.client.propose_and_execute(
-                    binding.handle, f"{self.run_id}-s{step:06d}-{binding.name}",
+                    binding.handle,
+                    transaction_name(self.run_id, step, binding.name),
                     make_displacement_actions(targets),
                     execution_timeout=self.execution_timeout,
                     timeout=self.execution_timeout + 5.0, retries=0)

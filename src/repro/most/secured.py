@@ -57,8 +57,12 @@ class SecuredMOST:
     gridmaps: dict[str, Gridmap] = field(default_factory=dict)
 
     def credential_for(self, subject: str, *, lifetime: float = 1e9) -> Credential:
-        """Issue (and trust-map where appropriate) a new identity."""
-        return self.ca.issue_credential(subject, not_after=lifetime)
+        """Issue ``subject`` a CA-signed credential valid for ``lifetime``
+        seconds from now.  It is not trust-mapped: a site accepts it only
+        once its gridmap lists the subject."""
+        now = self.deployment.kernel.now
+        return self.ca.issue_credential(subject, not_before=now,
+                                        not_after=now + lifetime)
 
     def authenticator(self, credential: Credential,
                       with_cas: bool = False) -> GsiAuthenticator:

@@ -1,6 +1,6 @@
 """Time-stepping integrators.
 
-Two integrators cover the paper's needs:
+Four integrators cover the paper's needs:
 
 * :class:`NewmarkBeta` — the implicit constant-average-acceleration method,
   unconditionally stable for linear systems.  Used for reference solutions
@@ -15,10 +15,23 @@ Two integrators cover the paper's needs:
   step-at-a-time API (``propose_next`` / ``commit``) matches the MOST
   control flow: compute displacement → send via NTCP → measure forces →
   compute next displacement.
+
+* :class:`AlphaOSPSD` — the α-operator-splitting pseudo-dynamic scheme:
+  the same step-at-a-time API, unconditionally stable for the linear part,
+  for structures too stiff for the central-difference limit.
+
+* :class:`EnsembleCentralDifferencePSD` — central difference over N
+  scenario variants at once, each column bit-identical to a solo run (the
+  §5 ensemble).
+
+The three pseudo-dynamic steppers share one skeleton, ``_PseudoDynamic``:
+the time-step check, the state shape, the exact snapshot/restore that §7
+resume and §9 speculation rely on, and the convenience ``integrate`` loop.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +58,11 @@ def _lu_solve(lu_and_piv, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _check_dt(dt: float) -> None:
+    if not (math.isfinite(dt) and dt > 0):
+        raise ConfigurationError(f"dt must be finite and > 0, got {dt!r}")
+
+
 @dataclass(frozen=True)
 class StepResult:
     """State after one completed integration step."""
@@ -66,8 +84,7 @@ class NewmarkBeta:
 
     def __init__(self, model: StructuralModel, dt: float, *,
                  beta: float = 0.25, gamma: float = 0.5):
-        if dt <= 0:
-            raise ConfigurationError("dt must be positive")
+        _check_dt(dt)
         self.model = model
         self.dt = dt
         self.beta = beta
@@ -134,7 +151,123 @@ class NewmarkBeta:
         return results
 
 
-class CentralDifferencePSD:
+class _PseudoDynamic:
+    """The stepping skeleton every pseudo-dynamic integrator shares.
+
+    A subclass supplies its algebra — coefficients in ``__init__``,
+    :meth:`start`, :meth:`propose_next`, :meth:`commit` — and names its
+    mutable state in ``STATE``: name ``n`` lives in the attribute ``_n``,
+    is ``None`` until :meth:`start`, and is an array of
+    :meth:`state_shape`.  Everything else is here: the time-step check,
+    the mass LU factors, the snapshot/restore pair the §7 resume and the
+    §9 speculation shadow rely on, and the :meth:`integrate` loop.
+    """
+
+    #: the state arrays, in snapshot order
+    STATE: tuple[str, ...] = ()
+    SNAPSHOT_KIND = ""
+
+    def __init__(self, model: StructuralModel, dt: float):
+        _check_dt(dt)
+        self.model = model
+        self.dt = dt
+        self._m_lu = linalg.lu_factor(model.mass)
+        for name in self.STATE:
+            setattr(self, "_" + name, None)
+        self.step_index = 0
+
+    def state_shape(self) -> tuple[int, ...]:
+        """Shape of every state array: ``(n_dof,)`` for a single run,
+        ``(n_dof, n_variants)`` for an ensemble subclass.  The matrix
+        algebra is mathematically column-independent, so one set of LU
+        factors drives every variant; ensemble subclasses additionally
+        evaluate it column by column (see :class:`_ColumnwiseAlgebra`)
+        so each variant's floats are *bit-identical* to a solo run."""
+        return (self.model.n_dof,)
+
+    def _apply(self, matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """``matrix @ x`` (ensemble subclasses evaluate per column)."""
+        return matrix @ x
+
+    def _solve(self, lu, x: np.ndarray) -> np.ndarray:
+        """``_lu_solve(lu, x)`` (ensemble subclasses evaluate per column)."""
+        return _lu_solve(lu, x)
+
+    def _initial_state(self, r0, p0, d0, v0) -> tuple[np.ndarray, ...]:
+        """``(d0, v0, a0, r0, p0)`` for :meth:`start`: fresh float arrays,
+        at rest by default, with ``a0`` from the equation of motion; the
+        step counter is rewound."""
+        shape = self.state_shape()
+        d0 = (np.zeros(shape) if d0 is None
+              else np.asarray(d0, dtype=float).copy())
+        v0 = (np.zeros(shape) if v0 is None
+              else np.asarray(v0, dtype=float).copy())
+        r0 = np.asarray(r0, dtype=float).copy()
+        p0 = np.asarray(p0, dtype=float).copy()
+        a0 = self._solve(self._m_lu,
+                         p0 - self._apply(self.model.damping, v0) - r0)
+        self.step_index = 0
+        return d0, v0, a0, r0, p0
+
+    def snapshot(self) -> dict:
+        """The mutable stepping state, exactly, at a commit boundary.
+
+        Derived quantities (LU factors, coefficient matrices) are *not*
+        included — they are recomputed deterministically from the model
+        and ``dt`` in ``__init__``, so a restored integrator is
+        bit-identical to the original without serializing them.
+        """
+        state = [getattr(self, "_" + name) for name in self.STATE]
+        if state[0] is None:
+            raise ConfigurationError("cannot snapshot before start()")
+        return {
+            "kind": self.SNAPSHOT_KIND,
+            "step_index": self.step_index,
+            "arrays": {name: vec.copy()
+                       for name, vec in zip(self.STATE, state)},
+        }
+
+    def restore(self, snapshot: dict) -> None:
+        """Resume stepping from a :meth:`snapshot`, bit-exact.  Every
+        array is checked before any is taken, so a refused snapshot
+        leaves the integrator as it was."""
+        if snapshot.get("kind") != self.SNAPSHOT_KIND:
+            raise ConfigurationError(
+                f"snapshot kind {snapshot.get('kind')!r} does not match "
+                f"integrator {self.SNAPSHOT_KIND!r}")
+        arrays = snapshot["arrays"]
+        shape = self.state_shape()
+        loaded = {}
+        for key in self.STATE:
+            if key not in arrays:
+                raise ConfigurationError(f"snapshot missing array {key!r}")
+            vec = np.asarray(arrays[key], dtype=float).copy()
+            if vec.shape != shape:
+                raise ConfigurationError(
+                    f"snapshot array {key!r} has shape {vec.shape}; "
+                    f"integrator state is {shape}")
+            loaded[key] = vec
+        for key, vec in loaded.items():
+            setattr(self, "_" + key, vec)
+        self.step_index = int(snapshot["step_index"])
+
+    def integrate(self, motion: GroundMotion, restoring) -> list[StepResult]:
+        """Convenience loop: ``restoring(d) -> R`` supplies forces locally."""
+        external_force = self.model.external_force
+        self.start(r0=np.asarray(restoring(np.zeros(self.state_shape())),
+                                 dtype=float),
+                   p0=external_force(
+                       motion.accel[0] if motion.n_steps else 0.0))
+        results = []
+        for step in range(1, motion.n_steps):
+            d_next = self.propose_next()
+            r_next = np.asarray(restoring(d_next), dtype=float)
+            results.append(self.commit(
+                d_next, r_next, external_force(motion.accel[step])))
+        return results
+
+
+class CentralDifferencePSD(_PseudoDynamic):
     """Explicit central-difference stepping for pseudo-dynamic testing.
 
     The equation of motion uses the *measured* restoring force ``R_n``::
@@ -153,108 +286,30 @@ class CentralDifferencePSD:
             state  = psd.commit(d_next, r_next, p_next=load(n))
     """
 
+    STATE = ("d_prev", "d_curr", "r_curr", "p_curr")
+    SNAPSHOT_KIND = "central-difference"
+
     def __init__(self, model: StructuralModel, dt: float):
-        if dt <= 0:
-            raise ConfigurationError("dt must be positive")
-        self.model = model
-        self.dt = dt
+        super().__init__(model, dt)
         m, c = model.mass, model.damping
         self._lhs = m / dt ** 2 + c / (2 * dt)
         self._lhs_lu = linalg.lu_factor(self._lhs)
         self._a_coef = 2 * m / dt ** 2
         self._b_coef = m / dt ** 2 - c / (2 * dt)
-        self._m_lu = linalg.lu_factor(m)
-        self._d_prev: np.ndarray | None = None
-        self._d_curr: np.ndarray | None = None
-        self._r_curr: np.ndarray | None = None
-        self._p_curr: np.ndarray | None = None
-        self.step_index = 0
 
     def stable_dt(self) -> float:
         """The central-difference stability limit ``2/omega_max``."""
         omega_max = float(self.model.natural_frequencies()[-1])
         return np.inf if omega_max == 0 else 2.0 / omega_max
 
-    def _state_shape(self) -> tuple[int, ...]:
-        """Shape of every state array: ``(n_dof,)`` for a single run,
-        ``(n_dof, n_variants)`` for an ensemble subclass.  The matrix
-        algebra is mathematically column-independent, so one set of LU
-        factors drives every variant; ensemble subclasses additionally
-        evaluate it column by column (see :class:`_ColumnwiseAlgebra`)
-        so each variant's floats are *bit-identical* to a solo run."""
-        return (self.model.n_dof,)
-
-    def _apply(self, matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """``matrix @ x`` (ensemble subclasses evaluate per column)."""
-        return matrix @ x
-
-    def _solve(self, lu, x: np.ndarray) -> np.ndarray:
-        """``_lu_solve(lu, x)`` (ensemble subclasses evaluate per column)."""
-        return _lu_solve(lu, x)
-
-    SNAPSHOT_KIND = "central-difference"
-
-    def snapshot(self) -> dict:
-        """The mutable stepping state, exactly, at a commit boundary.
-
-        Derived quantities (LU factors, coefficient matrices) are *not*
-        included — they are recomputed deterministically from the model
-        and ``dt`` in ``__init__``, so a restored integrator is
-        bit-identical to the original without serializing them.
-        """
-        if self._d_curr is None:
-            raise ConfigurationError("cannot snapshot before start()")
-        return {
-            "kind": self.SNAPSHOT_KIND,
-            "step_index": self.step_index,
-            "arrays": {
-                "d_prev": self._d_prev.copy(),
-                "d_curr": self._d_curr.copy(),
-                "r_curr": self._r_curr.copy(),
-                "p_curr": self._p_curr.copy(),
-            },
-        }
-
-    def restore(self, snapshot: dict) -> None:
-        """Resume stepping from a :meth:`snapshot`, bit-exact."""
-        if snapshot.get("kind") != self.SNAPSHOT_KIND:
-            raise ConfigurationError(
-                f"snapshot kind {snapshot.get('kind')!r} does not match "
-                f"integrator {self.SNAPSHOT_KIND!r}")
-        arrays = snapshot["arrays"]
-        shape = self._state_shape()
-        loaded = {}
-        for key in ("d_prev", "d_curr", "r_curr", "p_curr"):
-            if key not in arrays:
-                raise ConfigurationError(f"snapshot missing array {key!r}")
-            vec = np.asarray(arrays[key], dtype=float).copy()
-            if vec.shape != shape:
-                raise ConfigurationError(
-                    f"snapshot array {key!r} has shape {vec.shape}; "
-                    f"integrator state is {shape}")
-            loaded[key] = vec
-        self._d_prev = loaded["d_prev"]
-        self._d_curr = loaded["d_curr"]
-        self._r_curr = loaded["r_curr"]
-        self._p_curr = loaded["p_curr"]
-        self.step_index = int(snapshot["step_index"])
-
     def start(self, r0: np.ndarray, p0: np.ndarray,
               d0: np.ndarray | None = None,
               v0: np.ndarray | None = None) -> None:
         """Initialize from measured force at the initial displacement."""
-        shape = self._state_shape()
-        d0 = np.zeros(shape) if d0 is None else np.asarray(d0, dtype=float)
-        v0 = np.zeros(shape) if v0 is None else np.asarray(v0, dtype=float)
-        r0 = np.asarray(r0, dtype=float)
-        p0 = np.asarray(p0, dtype=float)
-        a0 = self._solve(self._m_lu,
-                         p0 - self._apply(self.model.damping, v0) - r0)
-        self._d_curr = d0.copy()
+        d0, v0, a0, self._r_curr, self._p_curr = self._initial_state(
+            r0, p0, d0, v0)
+        self._d_curr = d0
         self._d_prev = d0 - self.dt * v0 + 0.5 * self.dt ** 2 * a0
-        self._r_curr = r0.copy()
-        self._p_curr = p0.copy()
-        self.step_index = 0
 
     def propose_next(self) -> np.ndarray:
         """The displacement to command for step ``n+1``."""
@@ -284,23 +339,8 @@ class CentralDifferencePSD:
                           acceleration=acceleration,
                           restoring_force=self._r_curr.copy())
 
-    def integrate(self, motion: GroundMotion, restoring) -> list[StepResult]:
-        """Convenience loop: ``restoring(d) -> R`` supplies forces locally."""
-        n = self.model.n_dof
-        d0 = np.zeros(n)
-        self.start(r0=np.asarray(restoring(d0), dtype=float),
-                   p0=self.model.external_force(
-                       motion.accel[0] if motion.n_steps else 0.0))
-        results = []
-        for step in range(1, motion.n_steps):
-            d_next = self.propose_next()
-            r_next = np.asarray(restoring(d_next), dtype=float)
-            p_next = self.model.external_force(motion.accel[step])
-            results.append(self.commit(d_next, r_next, p_next))
-        return results
 
-
-class AlphaOSPSD:
+class AlphaOSPSD(_PseudoDynamic):
     """The α-Operator-Splitting pseudo-dynamic method (Nakashima et al.).
 
     Reference [14]'s authors pioneered real-time pseudo-dynamic testing
@@ -323,15 +363,15 @@ class AlphaOSPSD:
         state  = psd.commit(d_cmd, r_meas, p_next)
     """
 
+    STATE = ("d", "v", "a", "r", "p")
+    SNAPSHOT_KIND = "alpha-os"
+
     def __init__(self, model: StructuralModel, dt: float, *,
                  alpha: float = -0.1,
                  nominal_stiffness: np.ndarray | None = None):
-        if dt <= 0:
-            raise ConfigurationError("dt must be positive")
+        super().__init__(model, dt)
         if not -1.0 / 3.0 <= alpha <= 0.0:
             raise ConfigurationError("alpha must be in [-1/3, 0]")
-        self.model = model
-        self.dt = dt
         self.alpha = alpha
         self.beta = (1.0 - alpha) ** 2 / 4.0
         self.gamma = 0.5 - alpha
@@ -344,90 +384,20 @@ class AlphaOSPSD:
         self._meff = (m + self.gamma * dt * (1 + alpha) * c
                       + self.beta * dt ** 2 * (1 + alpha) * k_hat)
         self._meff_lu = linalg.lu_factor(self._meff)
-        self._m_lu = linalg.lu_factor(m)
-        self._d = None
-        self._v = None
-        self._a = None
-        self._r = None
-        self._p = None
         self._d_pred = None
-        self.step_index = 0
-
-    def _state_shape(self) -> tuple[int, ...]:
-        """See :meth:`CentralDifferencePSD._state_shape`."""
-        return (self.model.n_dof,)
-
-    def _apply(self, matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """See :meth:`CentralDifferencePSD._apply`."""
-        return matrix @ x
-
-    def _solve(self, lu, x: np.ndarray) -> np.ndarray:
-        """See :meth:`CentralDifferencePSD._solve`."""
-        return _lu_solve(lu, x)
 
     def start(self, r0: np.ndarray, p0: np.ndarray,
               d0: np.ndarray | None = None,
               v0: np.ndarray | None = None) -> None:
-        shape = self._state_shape()
-        self._d = (np.zeros(shape) if d0 is None
-                   else np.asarray(d0, dtype=float).copy())
-        self._v = (np.zeros(shape) if v0 is None
-                   else np.asarray(v0, dtype=float).copy())
-        self._r = np.asarray(r0, dtype=float).copy()
-        self._p = np.asarray(p0, dtype=float).copy()
-        self._a = self._solve(
-            self._m_lu,
-            self._p - self._apply(self.model.damping, self._v) - self._r)
-        self.step_index = 0
-
-    SNAPSHOT_KIND = "alpha-os"
-
-    def snapshot(self) -> dict:
-        """The mutable stepping state, exactly, at a commit boundary.
-
-        ``_d_pred`` is deliberately absent: it only exists between a
-        ``propose_next`` and the matching ``commit``, and checkpoints are
-        taken at commit boundaries where it is ``None``.
-        """
-        if self._d is None:
-            raise ConfigurationError("cannot snapshot before start()")
-        return {
-            "kind": self.SNAPSHOT_KIND,
-            "step_index": self.step_index,
-            "arrays": {
-                "d": self._d.copy(),
-                "v": self._v.copy(),
-                "a": self._a.copy(),
-                "r": self._r.copy(),
-                "p": self._p.copy(),
-            },
-        }
+        self._d, self._v, self._a, self._r, self._p = self._initial_state(
+            r0, p0, d0, v0)
 
     def restore(self, snapshot: dict) -> None:
-        """Resume stepping from a :meth:`snapshot`, bit-exact."""
-        if snapshot.get("kind") != self.SNAPSHOT_KIND:
-            raise ConfigurationError(
-                f"snapshot kind {snapshot.get('kind')!r} does not match "
-                f"integrator {self.SNAPSHOT_KIND!r}")
-        arrays = snapshot["arrays"]
-        shape = self._state_shape()
-        loaded = {}
-        for key in ("d", "v", "a", "r", "p"):
-            if key not in arrays:
-                raise ConfigurationError(f"snapshot missing array {key!r}")
-            vec = np.asarray(arrays[key], dtype=float).copy()
-            if vec.shape != shape:
-                raise ConfigurationError(
-                    f"snapshot array {key!r} has shape {vec.shape}; "
-                    f"integrator state is {shape}")
-            loaded[key] = vec
-        self._d = loaded["d"]
-        self._v = loaded["v"]
-        self._a = loaded["a"]
-        self._r = loaded["r"]
-        self._p = loaded["p"]
+        """Resume at a commit boundary: ``_d_pred`` only exists between a
+        ``propose_next`` and its ``commit``, so it is never in a snapshot
+        and a restored stepper must propose afresh."""
+        super().restore(snapshot)
         self._d_pred = None
-        self.step_index = int(snapshot["step_index"])
 
     def propose_next(self) -> np.ndarray:
         """The explicit predictor displacement to command."""
@@ -444,7 +414,7 @@ class AlphaOSPSD:
         if self._d_pred is None:
             raise ConfigurationError("call propose_next() before commit()")
         dt, alpha, beta, gamma = self.dt, self.alpha, self.beta, self.gamma
-        m, c = self.model.mass, self.model.damping
+        c = self.model.damping
         r_meas = np.asarray(r_meas, dtype=float)
         p_next = np.asarray(p_next, dtype=float)
         v_pred = self._v + dt * (1 - gamma) * self._a
@@ -469,20 +439,6 @@ class AlphaOSPSD:
                           displacement=d_new.copy(), velocity=v_new.copy(),
                           acceleration=a_new.copy(),
                           restoring_force=r_new.copy())
-
-    def integrate(self, motion: GroundMotion, restoring) -> list[StepResult]:
-        """Convenience loop over a record with a local force callback."""
-        n = self.model.n_dof
-        self.start(r0=np.asarray(restoring(np.zeros(n)), dtype=float),
-                   p0=self.model.external_force(
-                       motion.accel[0] if motion.n_steps else 0.0))
-        results = []
-        for step in range(1, motion.n_steps):
-            d_cmd = self.propose_next()
-            r = np.asarray(restoring(d_cmd), dtype=float)
-            results.append(self.commit(
-                d_cmd, r, self.model.external_force(motion.accel[step])))
-        return results
 
 
 class _ColumnwiseAlgebra:
@@ -531,5 +487,5 @@ class EnsembleCentralDifferencePSD(_ColumnwiseAlgebra, CentralDifferencePSD):
         super().__init__(model, dt)
         self.n_variants = int(n_variants)
 
-    def _state_shape(self) -> tuple[int, ...]:
+    def state_shape(self) -> tuple[int, ...]:
         return (self.model.n_dof, self.n_variants)

@@ -210,6 +210,44 @@ def test_a_scripted_fault_is_armed_in_one_place():
     }
 
 
+def test_the_pseudo_dynamic_skeleton_is_written_once():
+    """Among the pseudo-dynamic integrators (every class of
+    ``structural/integrators.py`` but the reference :class:`NewmarkBeta`),
+    the state shape, snapshot/restore, the convenience loop and the
+    algebra hooks live on ``_PseudoDynamic``; the only overrides are the
+    ensemble's shape, its column-wise algebra and α-OS clearing its
+    pending predictor on restore.  Nothing else in ``src/`` — no
+    coordinator — decides a state shape."""
+    src = pathlib.Path(repro.__file__).parent
+    shared = {"snapshot", "restore", "integrate", "_apply", "_solve",
+              "state_shape", "_state_shape"}
+    homes = {name: set() for name in shared}
+    for path in src.rglob("*.py"):
+        where = path.relative_to(src).as_posix()
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            pseudo_dynamic = (where == "structural/integrators.py"
+                              and cls.name != "NewmarkBeta")
+            for node in cls.body:
+                if (isinstance(node, ast.FunctionDef) and node.name in shared
+                        and (pseudo_dynamic
+                             or node.name.endswith("state_shape"))):
+                    homes[node.name].add(f"{where}:{cls.name}")
+    base = "structural/integrators.py:_PseudoDynamic"
+    columnwise = "structural/integrators.py:_ColumnwiseAlgebra"
+    assert homes == {
+        "snapshot": {base},
+        "restore": {base, "structural/integrators.py:AlphaOSPSD"},
+        "integrate": {base},
+        "_apply": {base, columnwise},
+        "_solve": {base, columnwise},
+        "state_shape": {
+            base, "structural/integrators.py:EnsembleCentralDifferencePSD"},
+        "_state_shape": set(),
+    }
+
+
 def test_every_instrument_has_one_owner_and_a_reader():
     """The hub is the only place a count lives, and nothing is written
     that nothing reads.

@@ -67,6 +67,7 @@ from repro.structural import (
     StructuralModel,
     el_centro_like,
 )
+from repro.structural.integrators import EnsembleCentralDifferencePSD
 from repro.util.errors import ConfigurationError
 
 
@@ -159,6 +160,53 @@ class TestIntegratorSnapshot:
         rest_original = advance(original, motion, range(21, motion.n_steps))
         rest_clone = advance(clone, motion, range(21, motion.n_steps))
         assert rest_original.tobytes() == rest_clone.tobytes()
+
+    @pytest.mark.parametrize("factory, kind, names", [
+        (CentralDifferencePSD, "central-difference",
+         ["d_prev", "d_curr", "r_curr", "p_curr"]),
+        (AlphaOSPSD, "alpha-os", ["d", "v", "a", "r", "p"]),
+        (lambda model, dt: EnsembleCentralDifferencePSD(model, dt, 3),
+         "central-difference-ensemble",
+         ["d_prev", "d_curr", "r_curr", "p_curr"]),
+    ])
+    def test_snapshot_document_layout_is_pinned(self, factory, kind, names):
+        """Each kind's checkpoint document — its kind, step index and
+        array names in order — survives encode → JSON → decode → restore,
+        and the restored stepper continues bit-identically for 20 steps."""
+        model = make_model()
+        motion = el_centro_like(duration=1.0, dt=0.02)
+        original = factory(model, motion.dt)
+        shape = original.state_shape()
+
+        def load(i):
+            p = model.external_force(motion.accel[i])
+            return p if len(shape) == 1 else np.outer(p, [1.0, 0.5, -2.0])
+
+        def step(integrator, i):
+            d = integrator.propose_next()
+            return integrator.commit(d, 100.0 * d, load(i))
+
+        original.start(r0=np.zeros(shape), p0=load(0))
+        for i in range(1, 11):
+            step(original, i)
+        payload = json.loads(json.dumps(
+            encode_integrator(original.snapshot())))
+        assert list(payload) == ["kind", "step_index", "arrays"]
+        assert payload["kind"] == kind
+        assert payload["step_index"] == 10
+        assert list(payload["arrays"]) == names
+
+        clone = factory(model, motion.dt)
+        clone.restore(decode_integrator(payload))
+        assert encode_integrator(clone.snapshot()) == payload
+        for i in range(11, 31):
+            a, b = step(original, i), step(clone, i)
+            assert a.step == b.step == i
+            for field in ("displacement", "velocity", "acceleration",
+                          "restoring_force"):
+                assert getattr(a, field).shape == shape
+                assert (getattr(a, field).tobytes()
+                        == getattr(b, field).tobytes())
 
     @pytest.mark.parametrize("factory", [CentralDifferencePSD, AlphaOSPSD])
     def test_snapshot_before_start_rejected(self, factory):

@@ -10,6 +10,7 @@ from repro.coordinator import (
     SiteBinding,
 )
 from repro.core import NTCPClient, NTCPServer
+from repro.grid import ChaosEvent, Grid
 from repro.net import Network, RpcClient
 from repro.ogsi import ServiceContainer
 from repro.sim import Kernel
@@ -98,6 +99,23 @@ class TestRealTimeCoordinator:
         assert set(rt.stats.site_predictions) == {"a", "b"}
         assert sum(rt.stats.site_predictions.values()) == \
             rt.stats.predicted_forces
+
+    def test_a_scripted_fault_hits_a_real_time_step(self):
+        """Real-time transactions carry the step marker ``Grid.arm``
+        watches for, so an armed drop lands on its step."""
+        grid = Grid.star()
+        grid.add_simulation_sites({"a": 60.0, "b": 40.0}, latency=0.005,
+                                  compute_time=0.01)
+        grid.arm(ChaosEvent("transient_drop", 10, "a"))
+        rt = RealTimeCoordinator(
+            run_id="rt", client=grid.client(timeout=100.0, retries=0),
+            model=StructuralModel(mass=[[2.0]], stiffness=[[100.0]],
+                                  damping=[[1.0]]),
+            motion=GroundMotion(dt=0.02,
+                                accel=np.sin(np.arange(60) * 0.1)),
+            sites=grid.bindings(), period=0.5)
+        assert grid.run(rt.run()).completed
+        assert grid.network.stats["dropped"] == 1
 
     def test_invalid_period_rejected(self):
         k, client, model, motion, sites = rig(0.01)

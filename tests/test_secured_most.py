@@ -87,6 +87,14 @@ class TestSecuredControl:
         message = dep.kernel.run(until=dep.kernel.process(go()))
         assert "not in gridmap" in message
 
+    def test_credential_lifetime_counts_from_now(self):
+        secured = build_secured_most(MOSTConfig().scaled(10))
+        secured.deployment.kernel.run(until=100.0)
+        cert = secured.credential_for("/O=NEESgrid/CN=Late Postdoc",
+                                      lifetime=50.0).certificate
+        assert (cert.not_before, cert.not_after) == (100.0, 150.0)
+        assert cert.valid_at(100.0)
+
     def test_site_can_admit_new_operator(self, secured):
         dep = secured.deployment
         postdoc = secured.credential_for("/O=NEESgrid/CN=Admitted Postdoc")

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.structural import (
+    AlphaOSPSD,
     BilinearSpring,
     CentralDifferencePSD,
     GroundMotion,
@@ -33,6 +34,16 @@ def analytic_free_vibration(m, k, zeta, d0, t):
     omega_d = omega * np.sqrt(1 - zeta ** 2)
     return np.exp(-zeta * omega * t) * d0 * (
         np.cos(omega_d * t) + zeta * omega / omega_d * np.sin(omega_d * t))
+
+
+@pytest.mark.parametrize("dt", [float("nan"), float("inf")])
+@pytest.mark.parametrize("integrator",
+                         [NewmarkBeta, CentralDifferencePSD, AlphaOSPSD])
+def test_non_finite_dt_is_a_configuration_error(integrator, dt):
+    """Not scipy's untyped complaint about the factorised matrix, nor
+    (for an infinite step) a singular central-difference LHS."""
+    with pytest.raises(ConfigurationError, match="dt must be finite"):
+        integrator(sdof_model(), dt)
 
 
 class TestNewmarkBeta:
