@@ -58,13 +58,16 @@ validate-bench:
 twall-names:
 	$(PYTHON) benchmarks/twall/run.py --check-names
 
-# One short run each of the control-plane workload, the observed
+# One short run each of the control-plane workload, the data-plane
+# workload (most_full: DAQ, NSDS to 8 viewers, CHEF), the observed
 # workload (the one with its own oracle: history digest == most_full's)
 # and the durable campaign (queue/, fleet/, gsi/, repository/) through the
-# real runner (about a minute): a rename of anything T-WALL reads fails here,
+# real runner (about 50 s): a rename of anything T-WALL reads fails here,
 # before merge.  Passes only if each result line says the oracles held.
 twall-smoke:
 	$(PYTHON) benchmarks/twall/run.py --workload most_bare --seconds 1 \
+		--trace 0 | tail -n 1 | grep '"correct": true'
+	$(PYTHON) benchmarks/twall/run.py --workload most_full --seconds 1 \
 		--trace 0 | tail -n 1 | grep '"correct": true'
 	$(PYTHON) benchmarks/twall/run.py --workload most_observed --seconds 1 \
 		--trace 0 | tail -n 1 | grep '"correct": true'

@@ -22,7 +22,6 @@ an error out of ``kernel.run`` when the window opens.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable
 
 from repro.net.network import Link, Message, Network
@@ -124,8 +123,8 @@ class FaultInjector:
     # -- message-level chaos ---------------------------------------------------
     def _clone(self, msg: Message, tag: str, **changes) -> Message:
         self._clone_ids += 1
-        return dataclasses.replace(
-            msg, msg_id=f"{msg.msg_id}+{tag}{self._clone_ids}", **changes)
+        return msg._replace(
+            msg_id=f"{msg.msg_id}+{tag}{self._clone_ids}", **changes)
 
     def duplicate(self, msg: Message, delay: float = 0.05) -> None:
         """Deliver an extra copy of ``msg`` ``delay`` s from now; the

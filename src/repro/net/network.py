@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -12,9 +12,12 @@ from repro.util.errors import ConfigurationError
 from repro.util.ids import IdFactory
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
-    """One datagram in flight.
+class Message(NamedTuple):
+    """One datagram in flight: immutable, hashable when its payload is,
+    equal by value.  A ``NamedTuple`` because the network builds one per
+    send (half the construction cost of a frozen dataclass); so it also
+    iterates, equals the plain tuple of its fields and is copied with
+    ``msg._replace(...)``, not ``dataclasses.replace``.
 
     Attributes:
         src/dst: host names.
@@ -205,8 +208,7 @@ class Network:
         sender, exactly like a datagram network; reliability is built above
         this layer (RPC retries, NTCP at-most-once).
         """
-        msg = Message(src=src, dst=dst, port=port, payload=payload,
-                      msg_id=self._msg_ids(), send_time=self.kernel.now)
+        msg = Message(src, dst, port, payload, self._msg_ids(), self.kernel.now)
         self._sent.inc()
         if src == dst:
             # Loopback: same-host services (e.g. the Mini-MOST single-PC

@@ -20,7 +20,7 @@ Client calls are written in the process style::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Generator
+from typing import Any, Callable, Generator, NamedTuple
 
 from repro.net.network import Message, Network
 from repro.sim.events import PENDING
@@ -46,8 +46,11 @@ class RemoteException(RpcError):
         self.data = data
 
 
-@dataclass(frozen=True)
-class RpcRequest:
+class RpcRequest(NamedTuple):
+    """A call on the wire; like :class:`~repro.net.network.Message` (and
+    :class:`RpcResponse`), a ``NamedTuple`` because every call and every
+    reply builds one."""
+
     request_id: str
     method: str
     params: dict[str, Any]
@@ -60,8 +63,7 @@ class RpcRequest:
     trace: dict[str, str] | None = None
 
 
-@dataclass(frozen=True)
-class RpcResponse:
+class RpcResponse(NamedTuple):
     request_id: str
     ok: bool
     value: Any = None

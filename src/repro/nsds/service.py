@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Any
+
 from repro.nsds.stream import RingBuffer, StreamSample
 from repro.ogsi.service import GridService
 from repro.util.errors import ProtocolError
@@ -71,9 +73,11 @@ class NSDSService(GridService):
             self._push(sample)
 
     def _push(self, sample: StreamSample) -> None:
+        # One payload for every subscriber's datagram: the receivers
+        # only read it.
+        payload = {"stream": self.service_id, **_wire(sample)}
         self._tm_pushed.inc(self.subscribers.publish(
-            sample.channel,
-            lambda _sub_id: {"stream": self.service_id, **_wire(sample)}))
+            sample.channel, lambda _sub_id: payload))
 
     # -- operations ----------------------------------------------------------
     def _op_subscribe(self, caller, sink_host: str, sink_port: str,
@@ -88,17 +92,27 @@ class NSDSService(GridService):
     def _op_listChannels(self, caller):
         return sorted(self.buffers)
 
-    def _op_getLatest(self, caller, channel: str):
+    def _buffer(self, channel: Any) -> RingBuffer:
+        """The ring of ``channel``; a non-string or unknown channel is a
+        :class:`ProtocolError`."""
+        if not isinstance(channel, str):
+            raise ProtocolError(
+                f"stream channel must be a string, got {channel!r}")
         buf = self.buffers.get(channel)
         if buf is None:
             raise ProtocolError(f"no such stream channel {channel!r}")
-        latest = buf.latest()
+        return buf
+
+    def _op_getLatest(self, caller, channel: str):
+        latest = self._buffer(channel).latest()
         return None if latest is None else _wire(latest)
 
     def _op_drain(self, caller, channel: str, max_items: int = 100):
-        buf = self.buffers.get(channel)
-        if buf is None:
-            raise ProtocolError(f"no such stream channel {channel!r}")
+        buf = self._buffer(channel)
+        if (isinstance(max_items, bool) or not isinstance(max_items, int)
+                or max_items < 1):
+            raise ProtocolError(
+                f"max_items must be an int >= 1, got {max_items!r}")
         return [_wire(sample) for sample in buf.drain(max_items)]
 
     def drop_stats(self) -> dict[str, int]:

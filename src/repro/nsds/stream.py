@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 
-@dataclass(frozen=True)
-class StreamSample:
+class StreamSample(NamedTuple):
     """One sequenced sample on a named channel."""
 
     channel: str

@@ -15,7 +15,8 @@ class NSDSReceiver(NotificationSink):
     Because delivery is best-effort over possibly non-FIFO links, samples
     may arrive out of order or not at all.  The receiver keeps, per
     channel, how many samples arrived and the lowest and highest sequence
-    seen — never the samples, which go to ``callback`` and nowhere else.
+    seen — never the samples, which go to ``callback`` and nowhere else
+    (and are built only when there is one).
     Skipped sequence numbers (``nsds.receiver.gaps``) and late arrivals
     (``nsds.receiver.out_of_order``) are counted into the run's telemetry
     registry, labelled by host and port, so stream-health consumers read
@@ -49,11 +50,16 @@ class NSDSReceiver(NotificationSink):
         a gap later filled by an out-of-order arrival stays counted)."""
         return self._tm_gaps.value
 
-    def accept(self, payload: Any) -> StreamSample | None:
+    def accept(self, payload: Any) -> StreamSample | dict | None:
+        """Count a well-formed datagram; the :class:`StreamSample` for
+        ``callback``, built only when there is one (else the payload
+        itself, so the datagram still counts as accepted).  A sequence
+        that is not an int, a bool included, drops the datagram."""
         if not isinstance(payload, dict):
             return None
         channel, sequence = payload.get("channel"), payload.get("sequence")
-        if (not isinstance(channel, str) or not isinstance(sequence, int)
+        if (not isinstance(channel, str) or isinstance(sequence, bool)
+                or not isinstance(sequence, int)
                 or "time" not in payload or "value" not in payload):
             return None
         prev = self.highest_seq.get(channel)
@@ -68,8 +74,10 @@ class NSDSReceiver(NotificationSink):
                 self._tm_gaps.inc(sequence - prev - 1)
             self.highest_seq[channel] = sequence
         self._received[channel] = self._received.get(channel, 0) + 1
-        return StreamSample(channel=channel, sequence=sequence,
-                            time=payload["time"], value=payload["value"])
+        if self.callback is None:
+            return payload
+        return StreamSample(channel, sequence, payload["time"],
+                            payload["value"])
 
     def received_count(self, channel: str) -> int:
         return self._received.get(channel, 0)

@@ -5,11 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.daq import DAQSystem, SensorChannel, StagingStore
-from repro.net import Network, RpcClient
+from repro.net import Message, Network, RemoteException, RpcClient
 from repro.nsds import NSDSReceiver, NSDSService, RingBuffer, StreamSample
 from repro.ogsi import ServiceContainer
 from repro.sim import Kernel
 from repro.structural.specimen import Sensor
+from repro.telemetry import InMemorySink
 from repro.util.errors import ConfigurationError
 
 
@@ -185,8 +186,6 @@ class TestNSDS:
         assert latest["value"] == 2.0 and latest["sequence"] == 2
 
     def test_unknown_channel_error(self):
-        from repro.net import RemoteException
-
         k, net, nsds, rpc = nsds_env()
 
         def go():
@@ -260,7 +259,6 @@ class TestNSDS:
         labelled by host and port, exactly like every other metric."""
         k, net, nsds, rpc = nsds_env()
         recv = NSDSReceiver(net, "viewer")
-        from repro.net.network import Message
 
         def deliver(seq):
             recv._on_message(Message(src="site", dst="viewer",
@@ -304,8 +302,6 @@ class TestNSDS:
     def test_loss_is_counted_between_the_lowest_and_highest_seen(self):
         k, net, nsds, rpc = nsds_env()
         recv = NSDSReceiver(net, "viewer")
-        from repro.net.network import Message
-
         for seq in (7, 6, 9):   # joined at 7; 6 arrived late; 8 never did
             recv._on_message(Message(
                 src="site", dst="viewer", port=recv.port,
@@ -323,12 +319,63 @@ class TestNSDS:
         for payload in ("text", {"channel": "c"},
                         {"channel": "c", "sequence": "1", "time": 0.0,
                          "value": 1.0},
+                        # an int to isinstance, not a sequence
+                        {"channel": "c", "sequence": True, "time": 0.0,
+                         "value": 1.0},
                         {"channel": 3, "sequence": 1, "time": 0.0,
                          "value": 1.0}):
             net.send("site", "viewer", recv.port, payload)
         k.run()
         assert samples == [] and recv.accepted == 0
-        assert recv.highest_seq == {} and recv.subscriber_errors == 0
+        assert recv.highest_seq == {} and recv.received_count("c") == 0
+        assert recv.subscriber_errors == 0
+
+    @pytest.mark.parametrize("op, params", [
+        ("getLatest", {"channel": ["force"]}),
+        ("getLatest", {"channel": 3}),
+        ("drain", {"channel": ["force"]}),
+        ("drain", {"channel": "force", "max_items": "3"}),
+        ("drain", {"channel": "force", "max_items": 2.5}),
+        ("drain", {"channel": "force", "max_items": 0}),
+        ("drain", {"channel": "force", "max_items": -1}),
+        ("drain", {"channel": "force", "max_items": True}),
+    ], ids=lambda v: v if isinstance(v, str) else repr(v))
+    def test_a_malformed_read_is_a_typed_refusal(self, op, params):
+        k, net, nsds, rpc = nsds_env()
+        sink = k.telemetry.add_sink(InMemorySink())
+        for i in range(5):
+            nsds.ingest(float(i), {"force": float(i)})
+
+        def go():
+            try:
+                yield from rpc.call("site", "ogsi", "invoke", {
+                    "service_id": "nsds-site", "operation": op,
+                    "params": params})
+            except RemoteException as exc:
+                return exc
+
+        refusal = k.run(until=k.process(go()))
+        assert isinstance(refusal, RemoteException)
+        assert refusal.remote_type == "ProtocolError"
+        assert "rpc.handler_error" not in [r.kind for r in sink.records]
+        assert len(nsds.buffers["force"]) == 5
+
+    def test_every_subscriber_gets_an_equal_payload(self):
+        k, net, nsds, rpc = nsds_env()
+        got = {}
+        for i in range(3):
+            port = f"raw-{i}"
+            got[port] = []
+            net.host("viewer").bind(port, got[port].append)
+            call(k, rpc, "subscribe", {"sink_host": "viewer",
+                                       "sink_port": port, "lifetime": 1e9})
+        nsds.ingest(2.0, {"force": 7.5})
+        k.run()
+        wire = {"stream": "nsds-site", "channel": "force", "sequence": 1,
+                "time": 2.0, "value": 7.5}
+        assert [[m.payload for m in msgs] for msgs in got.values()] \
+            == [[wire]] * 3
+        assert nsds.pushed == 3
 
     def test_two_receivers_count_independently(self):
         k, net, nsds, rpc = nsds_env()
@@ -398,3 +445,52 @@ class TestNSDS:
         k.run()
         assert recv.received_count("load") == 10
         assert [s.value for s in samples] == [42.0] * 10
+
+
+_CHANNELS = st.sampled_from(["a", "b"])
+_SAMPLE = st.fixed_dictionaries({
+    "stream": st.just("s"), "channel": _CHANNELS,
+    "sequence": st.integers(1, 12), "time": st.floats(0, 10),
+    "value": st.integers()})
+_MALFORMED = st.one_of(
+    st.text(max_size=3), st.none(), st.integers(),
+    st.fixed_dictionaries({"channel": _CHANNELS,
+                           "sequence": st.sampled_from([True, "1", 1.0]),
+                           "time": st.just(0.0), "value": st.just(0)}),
+    st.fixed_dictionaries({"channel": st.integers(),
+                           "sequence": st.integers(1, 12),
+                           "time": st.just(0.0), "value": st.just(0)}),
+    st.fixed_dictionaries({"channel": _CHANNELS,
+                           "sequence": st.integers(1, 12)}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(_SAMPLE, _MALFORMED), max_size=40))
+def test_a_consumer_changes_no_accounting(stream):
+    """Duplicates, gaps, reorders and junk: a receiver with no callback
+    (which builds no samples) counts exactly what a collecting one does,
+    and the collecting one is handed one sample per accepted datagram."""
+    k = Kernel()
+    net = Network(k)
+    net.add_host("viewer")
+    bare = NSDSReceiver(net, "viewer")
+    collected = []
+    collecting = NSDSReceiver(net, "viewer", callback=collected.append)
+    for i, payload in enumerate(stream):
+        for recv in (bare, collecting):
+            recv._on_message(Message("site", "viewer", recv.port, payload,
+                                     f"m{i}", 0.0))
+    for attr in ("accepted", "gap_count", "out_of_order", "highest_seq"):
+        assert getattr(bare, attr) == getattr(collecting, attr)
+    for channel in ("a", "b"):
+        assert bare.received_count(channel) \
+            == collecting.received_count(channel)
+        assert bare.loss_count(channel) == collecting.loss_count(channel)
+    accepted = [p for p in stream if isinstance(p, dict)
+                and p.get("channel") in ("a", "b")
+                and type(p.get("sequence")) is int and "time" in p]
+    assert collected == [StreamSample(p["channel"], p["sequence"],
+                                      p["time"], p["value"])
+                         for p in accepted]
+    assert collecting.accepted == len(collected)
+    assert all(type(sample) is StreamSample for sample in collected)

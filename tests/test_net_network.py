@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net import FaultInjector, Network
+from repro.net import FaultInjector, Message, Network, RpcRequest, RpcResponse
+from repro.nsds import StreamSample
 from repro.sim import Kernel
 from repro.util.errors import ConfigurationError
 
@@ -269,6 +270,22 @@ class TestFaultInjector:
         k.run()
         assert net.link("a", "b").up
 
+    def test_a_duplicate_shares_the_payload_under_a_new_id(self):
+        k, net = make_net()
+        net.connect("a", "b", latency=0.0)
+        inj = FaultInjector(net)
+        inj.duplicate_matching(lambda m: m.port == "svc", count=1)
+        got = []
+        net.host("b").bind("svc", got.append)
+        payload = {"k": [1, 2]}
+        sent = net.send("a", "b", "svc", payload)
+        k.run()
+        original, clone = got
+        assert original is sent and clone.payload is payload
+        assert clone.msg_id != sent.msg_id
+        assert clone.msg_id.startswith(f"{sent.msg_id}+dup")
+        assert clone._replace(msg_id=sent.msg_id) == sent
+
     def test_drop_next_on_port_counts(self):
         k, net = make_net()
         net.connect("a", "b", latency=0.0)
@@ -320,3 +337,42 @@ class TestFaultInjector:
                          duration=float("inf"))
         k.run(until=2.0)
         assert not net.link("a", "b").up and not net.host("b").up
+
+
+#: each record built per datagram, its fields (all hashable here) and
+#: its ``repr`` as it read when the records were frozen dataclasses
+_RECORDS = [
+    (Message, dict(src="site", dst="viewer", port="nsds-sink-1",
+                   payload="x", msg_id="msg-1", send_time=0.5),
+     "Message(src='site', dst='viewer', port='nsds-sink-1', payload='x', "
+     "msg_id='msg-1', send_time=0.5)"),
+    (RpcRequest, dict(request_id="viewer.req-1", method="invoke",
+                      params=(), reply_port="rpc-reply-1"),
+     "RpcRequest(request_id='viewer.req-1', method='invoke', params=(), "
+     "reply_port='rpc-reply-1', credential=None, trace=None)"),
+    (RpcResponse, dict(request_id="viewer.req-1", ok=True, value=3),
+     "RpcResponse(request_id='viewer.req-1', ok=True, value=3, "
+     "error_type='', error_message='', error_data=None)"),
+    (StreamSample, dict(channel="force", sequence=2, time=1.0, value=2.5),
+     "StreamSample(channel='force', sequence=2, time=1.0, value=2.5)"),
+]
+
+
+@pytest.mark.parametrize("cls, fields, text", _RECORDS,
+                         ids=[cls.__name__ for cls, *_ in _RECORDS])
+class TestPerDatagramRecords:
+    def test_immutable(self, cls, fields, text):
+        record = cls(**fields)
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
+    def test_equal_and_hashed_by_value(self, cls, fields, text):
+        a, b = cls(**fields), cls(**fields)
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        first = next(iter(fields))
+        assert a._replace(**{first: "other"}) != a
+
+    def test_repr_unchanged(self, cls, fields, text):
+        assert repr(cls(**fields)) == text

@@ -26,6 +26,7 @@ from repro.fleet import (
 from repro.gsi import Crypto
 from repro.gsi import session as gsi_session
 from repro.most import ExperimentSession, MOSTConfig
+from repro.nsds import StreamSample
 from repro.queue import (
     ExperimentQueue,
     FencingAuthority,
@@ -203,3 +204,29 @@ def test_each_receiver_proves_a_series_identity_once():
     assert outcome.completed
     assert outcome.observatory.store.samples_ingested > 10
     assert calls[0] == 2 * len(series) > 0
+
+
+def test_a_datagram_builds_a_sample_only_for_a_consumer(monkeypatch):
+    """Over a 40-step session with the public day's NSDS viewers, the
+    ``StreamSample``s built are the channel samples the NSDS services
+    ingested into their rings (352): a viewer with no callback builds
+    none per datagram (1,760 were built when each of the 1,408 delivered
+    datagrams built one more)."""
+    built = [0]
+    new = StreamSample.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(StreamSample, "__new__", counting_new)
+    outcome = ExperimentSession(MOSTConfig().scaled(40)).with_observers().run()
+    assert outcome.completed
+    dep = outcome.deployment
+    services = [site.nsds for site in dep.sites.values()
+                if site.nsds is not None]
+    ingested = sum(buf.appended for nsds in services
+                   for buf in nsds.buffers.values())
+    delivered = sum(recv.accepted for recv in dep.extras["nsds_receivers"])
+    assert delivered > ingested > 0
+    assert built[0] == ingested
