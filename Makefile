@@ -3,7 +3,7 @@ export PYTHONPATH := src
 
 BENCH_TARGETS := bench-perf bench-fleet bench-obs bench-queue
 
-.PHONY: test lint analyze verify bench-figures \
+.PHONY: test lint analyze verify bench-figures examples \
 	$(BENCH_TARGETS) validate-bench twall-names twall-smoke twall pairs loc \
 	check
 
@@ -37,11 +37,20 @@ verify:
 bench-figures:
 	$(PYTHON) -m pytest benchmarks/ -q
 
+# Every script in examples/ runs to completion, each in a fresh
+# interpreter with a two-minute timeout (all ten take about 10 s): the
+# tier-1 tests only check that they exist, and they call the public API.
+examples:
+	@for example in examples/*.py; do \
+		echo "examples: $$example"; \
+		timeout 120 $(PYTHON) $$example > /dev/null || exit 1; \
+	done
+
 # Committed comparison documents, name -> script.  `make bench-<name>`
 # regenerates the repo-root BENCH_*.json (perf: sequential vs pipelined
-# vs ensemble; fleet: 100 experiments over 8 shared sites; obs: overhead,
-# rollup fidelity, determinism, black box; queue: 60 submissions
-# surviving 3 scheduler kills).
+# vs ensemble; fleet: 100 experiments over 8 shared sites; obs: rollup
+# fidelity, determinism, black box; queue: 60 submissions surviving 3
+# scheduler kills).
 BENCH_perf := bench_tperf_ntcp.py
 BENCH_fleet := bench_tfleet.py
 BENCH_obs := bench_tobs_observatory.py
@@ -101,4 +110,5 @@ loc:
 
 # The gate, and all CI runs: each guarantee is stated once (a tier-1
 # test or a `BENCHES` floor) and reached from here once.
-check: lint test bench-figures validate-bench twall-names twall-smoke
+check: lint test bench-figures examples validate-bench twall-names \
+	twall-smoke

@@ -199,9 +199,6 @@ def _fleet_gates(doc: dict, committed: bool) -> str:
 #:
 #:     {"schema": "repro.bench/v1", "experiment": "tobs",
 #:      "config": {"n_steps": int, "slo_interval": float},
-#:      "overhead": {"median_step_off": float, "median_step_on": float,
-#:                   "overhead_fraction": float, "bound": float,
-#:                   "within_bound": bool},
 #:      "rollups": {"series_checked": int, "consistent": bool},
 #:      "determinism": {"query_identical": bool,
 #:                      "postmortem_identical": bool},
@@ -210,10 +207,6 @@ def _fleet_gates(doc: dict, committed: bool) -> str:
 #:                 "timeline_names_site_and_step": bool}}
 _OBS = obj({
     "config": obj({"n_steps": integer(1), "slo_interval": number()}),
-    "overhead": obj({"median_step_off": _POSITIVE,
-                     "median_step_on": _POSITIVE, "bound": _POSITIVE,
-                     "overhead_fraction": number(),
-                     "within_bound": boolean()}),
     "rollups": obj({"series_checked": integer(1), "consistent": boolean()}),
     "determinism": obj({"query_identical": boolean(),
                         "postmortem_identical": boolean()}),
@@ -224,11 +217,7 @@ _OBS = obj({
 
 
 def _obs_gates(doc: dict, committed: bool) -> str:
-    overhead, flight = doc["overhead"], doc["flight"]
-    assert overhead["within_bound"], \
-        "observatory overhead exceeds its bound"
-    assert abs(overhead["overhead_fraction"]) <= overhead["bound"], \
-        "overhead_fraction disagrees with within_bound"
+    flight = doc["flight"]
     assert doc["rollups"]["consistent"], \
         "rollup buckets disagree with their raw points"
     assert doc["determinism"]["query_identical"], \
@@ -237,8 +226,7 @@ def _obs_gates(doc: dict, committed: bool) -> str:
         "postmortems not identical across campaigns"
     assert flight["timeline_names_site_and_step"], \
         "postmortem does not name the faulted site and step"
-    return (f"overhead {overhead['overhead_fraction']:+.2%} within "
-            f"{overhead['bound']:.0%}, {doc['rollups']['series_checked']} "
+    return (f"{doc['rollups']['series_checked']} "
             f"rollup series, abort at step {flight['aborted_step']} "
             f"on {flight['faulted_site']}")
 

@@ -1,23 +1,23 @@
-"""T-OBS — grid-observatory overhead, rollup fidelity, and the black box.
+"""T-OBS — grid-observatory rollup fidelity, determinism and the black box.
 
-The observatory must be free to leave on: the repo-hosted store rides
-the same NSDS metrics stream the console already publishes, the SLO
-sweep runs on the simulation clock, and the flight recorder is one
-more telemetry sink.  Measured on the simulation-only rehearsal and the
-scripted abort campaign:
+The repo-hosted store rides the same NSDS metrics stream the console
+already publishes, the SLO sweep runs on the simulation clock, and the
+flight recorder is one more telemetry sink.  Measured on the
+simulation-only rehearsal and the scripted abort campaign:
 
-1. **Step-latency overhead** — the same 40-step run with monitoring
-   only vs monitoring + observatory; the observed median step time must
-   stay within 10% of the unobserved run.
-2. **Rollup fidelity** — every finalized r10 bucket in the live store
+1. **Rollup fidelity** — every finalized r10 bucket in the live store
    must agree with a recomputation from its own raw points
    (count/min/max/first/last exact, sum to float tolerance).
-3. **Determinism** — two identical abort campaigns must produce
+2. **Determinism** — two identical abort campaigns must produce
    byte-identical canonical query documents and byte-identical
    postmortem timelines (the store and recorder run on sim time).
-4. **Black box** — the seeded mid-run abort must leave a flight
+3. **Black box** — the seeded mid-run abort must leave a flight
    snapshot whose rendered timeline names the faulted site and the
    aborted step.
+
+The observatory consumes no simulated time, so its cost is host time
+only: T-WALL's ``most_observed`` against ``most_full``
+(``benchmarks/twall/``).
 
 ``run_bench`` measures and builds the ``BENCH_tobs.json`` document; the
 floors it must meet are the ``tobs`` row of ``_report.BENCHES``.
@@ -45,7 +45,6 @@ BENCH_DOC = REPO_ROOT / "BENCH_tobs.json"
 N_STEPS = 40
 SLO_INTERVAL = 30.0
 STREAM_INTERVAL = 5.0  # flush often enough to finalize r10 buckets
-OVERHEAD_BOUND = 0.10
 FAULT_SITE = "uiuc"
 
 # The canonical determinism probe.
@@ -56,30 +55,23 @@ CANONICAL_QUERY = {
 }
 
 
-def rehearsal_trial(*, observed: bool):
-    """One 40-step rehearsal; returns (median step time, obs or None)."""
+def rehearsal_trial():
+    """One observed 40-step rehearsal; returns its observatory."""
     dep = build_simulation_only(MOSTConfig().scaled(N_STEPS))
     dep.start_backends()
     kit = attach_monitoring(dep, stream_interval=STREAM_INTERVAL)
-    run_id = "tobs-on" if observed else "tobs-off"
-    obs = None
-    if observed:
-        obs = attach_observatory(dep, kit, run_id=run_id,
-                                 slo_interval=SLO_INTERVAL)
-    coord = dep.make_coordinator(run_id=run_id)
+    obs = attach_observatory(dep, kit, run_id="tobs-on",
+                             slo_interval=SLO_INTERVAL)
+    coord = dep.make_coordinator(run_id="tobs-on")
     kit.start()
     kit.watch_coordinator(coord)
-    if obs is not None:
-        obs.start()
+    obs.start()
     result = dep.kernel.run(until=dep.kernel.process(coord.run()))
     assert result.completed
-    if obs is not None:
-        obs.stop()
+    obs.stop()
     kit.stop()
     dep.kernel.run(until=dep.kernel.now + 600.0)  # drain in-flight
-    hist = dep.kernel.telemetry.registry.find(
-        "coordinator.mspsds.step_time", run_id=run_id)
-    return hist.percentile(50.0), obs
+    return obs
 
 
 def check_rollups(store):
@@ -129,18 +121,11 @@ def abort_campaign(run_id: str):
 
 def run_bench():
     """The full T-OBS measurement: (document, observed store, report)."""
-    lines = ["Grid-observatory overhead and fidelity "
+    lines = ["Grid-observatory fidelity "
              f"(simulation-only rehearsal, {N_STEPS} steps)", ""]
-    off_p50, _ = rehearsal_trial(observed=False)
-    on_p50, obs = rehearsal_trial(observed=True)
-    overhead = (on_p50 - off_p50) / off_p50
-    lines += ["[1] median step time, observatory off vs on",
-              f"    observatory off: {off_p50:8.3f} s/step",
-              f"    observatory on : {on_p50:8.3f} s/step "
-              f"({overhead:+.2%})"]
-
+    obs = rehearsal_trial()
     checked, consistent = check_rollups(obs.store)
-    lines += ["", "[2] rollup fidelity (r10 recomputed from raw)",
+    lines += ["[1] rollup fidelity (r10 recomputed from raw)",
               f"    series checked : {checked}",
               f"    consistent     : {consistent}"]
 
@@ -148,7 +133,7 @@ def run_bench():
     second = abort_campaign("tobs-abort")
     query_identical = first[1] == second[1]
     postmortem_identical = first[2] == second[2]
-    lines += ["", "[3] determinism across identical abort campaigns",
+    lines += ["", "[2] determinism across identical abort campaigns",
               f"    canonical query doc identical : {query_identical}",
               f"    postmortem text identical     : {postmortem_identical}"]
 
@@ -158,7 +143,7 @@ def run_bench():
     snapshot = outcome.observatory.recorder.snapshots[-1]
     events = sum(len(v) for v in snapshot["sources"].values())
     names_both = FAULT_SITE in timeline and str(step) in timeline
-    lines += ["", "[4] black box on the seeded abort",
+    lines += ["", "[3] black box on the seeded abort",
               f"    aborted at step : {step}",
               f"    snapshot reason : {snapshot['reason']}",
               f"    events frozen   : {events}",
@@ -171,11 +156,6 @@ def run_bench():
         "schema": BENCH_SCHEMA_ID,
         "experiment": "tobs",
         "config": {"n_steps": N_STEPS, "slo_interval": SLO_INTERVAL},
-        "overhead": {"median_step_off": off_p50,
-                     "median_step_on": on_p50,
-                     "overhead_fraction": overhead,
-                     "bound": OVERHEAD_BOUND,
-                     "within_bound": abs(overhead) <= OVERHEAD_BOUND},
         "rollups": {"series_checked": checked, "consistent": consistent},
         "determinism": {"query_identical": query_identical,
                         "postmortem_identical": postmortem_identical},

@@ -169,7 +169,7 @@ def run_stepping_modes(n_steps: int = 60, n_variants: int = 8) -> dict:
                                    simulation_only=True).run()
     pipelined = (ExperimentSession(config, run_id="bench-pipe",
                                    simulation_only=True)
-                 .with_pipeline(1)
+                 .with_pipeline()
                  .run())
     ensemble = (ExperimentSession(config, run_id="bench-ens",
                                   simulation_only=True)

@@ -310,16 +310,11 @@ class ChaosCampaign:
 
             kit = attach_monitoring(dep)
             kit.start()
-        breakers = None
-        manager = None
-        if self.failover:
-            breakers = dep.make_breakers()
-            manager = dep.make_failover()
+        manager = dep.make_failover() if self.failover else None
         arm_plan(dep, plan)
         coordinator = dep.make_coordinator(
             run_id=f"chaos-{seed}",
-            fault_policy=default_most_fault_policy(),
-            breakers=breakers, failover=manager)
+            fault_policy=default_most_fault_policy(), failover=manager)
         if kit is not None:
             kit.watch_coordinator(coordinator)
         result = dep.kernel.run(until=dep.kernel.process(coordinator.run()))

@@ -30,12 +30,13 @@ lost network connections or invalid responses."
 * :class:`~repro.coordinator.reconcile.Reconciler` — the resume-time pass
   that classifies the aborted attempt's in-flight transactions;
 * :class:`~repro.coordinator.failover.FailoverManager` — graceful
-  degradation: hot-swaps a permanently failed site for a numerical
-  surrogate so the run finishes (degraded, clearly labelled) instead of
-  aborting at the paper's step 1493;
+  degradation: owns the per-site circuit breakers and hot-swaps a
+  permanently failed site for a numerical surrogate so the run finishes
+  (degraded, clearly labelled) instead of aborting at the paper's step
+  1493;
 * :class:`~repro.coordinator.predictor.SubstructurePredictor` — nominal
-  force prediction powering speculative pipelined stepping
-  (``pipeline_depth=1``);
+  force prediction; a coordinator given one steps pipelined
+  (speculatively, one step ahead);
 * :class:`~repro.coordinator.ensemble.EnsembleCoordinator` — one
   coordinator advancing N scenario variants per protocol cycle.
 """

@@ -115,21 +115,31 @@ class _ActiveSurrogate:
 class FailoverManager:
     """Owns the degradation lifecycle for one coordinator.
 
-    Construct with the surrogate specs and a service container on the
+    Construct with the surrogate specs, a service container on the
     coordinator's host (surrogate servers deploy locally — the dead
-    site's hardware is gone, but its *model* is pure computation), then
-    pass it to :class:`~repro.coordinator.mspsds.SimulationCoordinator`,
-    which calls :meth:`bind` and consults :meth:`consider` whenever a
-    step attempt fails.
+    site's hardware is gone, but its *model* is pure computation) and
+    the per-site circuit breakers whose open time decides a failover,
+    then pass it to :class:`~repro.coordinator.mspsds.SimulationCoordinator`,
+    which gates every site exchange through :meth:`breaker_for`, calls
+    :meth:`bind` and consults :meth:`consider` whenever a step attempt
+    fails.  Every surrogate site needs a breaker: without one the site
+    could never be failed over.
     """
 
     def __init__(self, *, container: ServiceContainer,
                  specs: dict[str, SurrogateSpec] | list[SurrogateSpec],
+                 breakers: dict[str, CircuitBreaker],
                  policy: DegradationPolicy | None = None):
         if not isinstance(specs, dict):
             specs = {spec.site: spec for spec in specs}
+        unguarded = sorted(set(specs) - set(breakers))
+        if unguarded:
+            raise ConfigurationError(
+                f"surrogate site(s) {unguarded} have no circuit breaker, "
+                "so they could never be failed over")
         self.container = container
         self.specs = dict(specs)
+        self.breakers = breakers
         self.policy = policy or DegradationPolicy()
         self.kernel = container.kernel
         self.active: dict[str, _ActiveSurrogate] = {}
@@ -160,6 +170,12 @@ class FailoverManager:
                 return binding
         raise ConfigurationError(f"no site binding named {site!r}")
 
+    def breaker_for(self, site: str) -> CircuitBreaker | None:
+        """The breaker gating ``site``'s exchanges; ``None`` while its
+        surrogate serves — the breaker tracks the *real* site's health,
+        and surrogate successes must not close it."""
+        return None if site in self.active else self.breakers.get(site)
+
     def degraded_sites(self) -> tuple[str, ...]:
         return tuple(sorted(self.active))
 
@@ -183,10 +199,9 @@ class FailoverManager:
         del error  # the breaker, not the error type, drives the decision
         if site in self.active or site not in self.specs:
             return False
-        breaker = self.coordinator.breakers.get(site)
-        if breaker is None or breaker.open_since is None:
-            return False
-        if breaker.open_duration < self.policy.recovery_budget:
+        breaker = self.breakers[site]
+        if (breaker.open_since is None
+                or breaker.open_duration < self.policy.recovery_budget):
             return False
         self._activate(site, step=step,
                        in_flight=self.coordinator._txn_name(
@@ -246,20 +261,18 @@ class FailoverManager:
             yield self.kernel.timeout(self.policy.probe_interval)
             if site not in self.active or site in self._readmit_pending:
                 return
-            breaker: CircuitBreaker | None = coordinator.breakers.get(site)
-            if breaker is not None and not breaker.allow():
+            breaker = self.breakers[site]
+            if not breaker.allow():
                 continue
             real_handle = self.active[site].real_handle
             try:
                 yield from coordinator.client.list_transactions(real_handle)
             except (RpcError, ReproError):
-                if breaker is not None:
-                    breaker.record_failure()
+                breaker.record_failure()
                 continue
-            if breaker is not None:
-                breaker.record_success()
-                if breaker.state != "closed":
-                    continue  # needs more consecutive probe successes
+            breaker.record_success()
+            if breaker.state != "closed":
+                continue  # needs more consecutive probe successes
             self._readmit_pending.add(site)
             self.kernel.emit(f"coordinator.{coordinator.run_id}",
                              "failover.probe_succeeded", site=site)

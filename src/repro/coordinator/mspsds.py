@@ -36,7 +36,7 @@ physical specimen — even across a coordinator restart.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -121,8 +121,6 @@ class SimulationCoordinator:
         sites: substructure bindings; together they must restrain every DOF.
         fault_policy: retry/abort behaviour on step failures.
         execution_timeout: per-transaction execution budget sent to sites.
-        on_step: optional callback invoked with each committed
-            :class:`StepRecord` (used to feed NSDS/CHEF streaming).
         checkpoint_store: optional
             :class:`~repro.repository.checkpoint.CheckpointStoreBase`;
             when set, experiment state is persisted per ``checkpoint_policy``.
@@ -134,31 +132,25 @@ class SimulationCoordinator:
         prior_records: the committed steps recovered from checkpoints
             (:func:`~repro.coordinator.state.load_resume`'s second
             value), prepended to this incarnation's result.
-        breakers: optional ``{site name: CircuitBreaker}`` map; every NTCP
-            exchange with a site passes through its breaker, so a site
-            that keeps failing is fast-failed (``BreakerOpen``) instead of
-            burning the full RPC retry ladder on every attempt.
         failover: optional
-            :class:`~repro.coordinator.failover.FailoverManager`; consulted
-            when a step attempt fails, it may swap a dead site for its
-            numerical surrogate (graceful degradation) instead of letting
-            the fault policy abort the run.
-        pipeline_depth: ``0`` (default) runs the classic sequential
-            machine.  ``1`` enables pipelined stepping: while step *n*
-            executes at the sites, the coordinator speculatively
-            integrates and proposes step *n+1* from predicted restoring
-            forces, hiding one protocol round trip per step.  A
-            mispredict or a mid-flight fault rolls the speculation back
-            under the §7 cancel+rename discipline, so committed
-            histories stay bit-exact with the sequential run.
+            :class:`~repro.coordinator.failover.FailoverManager`.  It owns
+            one circuit breaker per site, and every NTCP exchange with a
+            site passes through that breaker, so a site that keeps
+            failing is fast-failed (``BreakerOpen``) instead of burning
+            the full RPC retry ladder on every attempt.  Consulted when a
+            step attempt fails, it may swap a dead site for its numerical
+            surrogate (graceful degradation) instead of letting the fault
+            policy abort the run.
         predictor: object with ``predict(site, targets) -> forces``
-            (see :class:`~repro.coordinator.predictor.SubstructurePredictor`)
-            supplying the predicted restoring forces speculation
-            integrates against; required when ``pipeline_depth > 0``.
-        mispredict_tolerance: maximum absolute divergence between the
-            speculative displacement command and the one the measured
-            forces produce before the speculation is rolled back;
-            ``0.0`` (default) demands bit-exact prediction.
+            (see :class:`~repro.coordinator.predictor.SubstructurePredictor`).
+            Given one, the coordinator steps pipelined: while step *n*
+            executes at the sites, it speculatively integrates and
+            proposes step *n+1* from the predicted restoring forces,
+            hiding one protocol round trip per step.  A speculation is
+            adopted only when its command is bit-exact with the one the
+            measured forces produce; a mispredict or a mid-flight fault
+            rolls it back under the §7 cancel+rename discipline, so
+            committed histories stay bit-exact with the sequential run.
     """
 
     def __init__(self, *, run_id: str, client: NTCPClient,
@@ -168,16 +160,12 @@ class SimulationCoordinator:
                  execution_timeout: float = 60.0,
                  negotiation_barrier: bool = True,
                  integrator_factory: Callable | None = None,
-                 on_step: Callable[[StepRecord], None] | None = None,
                  checkpoint_store=None,
                  checkpoint_policy: CheckpointPolicy | None = None,
                  state: ExperimentState | None = None,
                  prior_records: Sequence[StepRecord] = (),
-                 breakers: dict[str, CircuitBreaker] | None = None,
                  failover=None,
-                 pipeline_depth: int = 0,
-                 predictor=None,
-                 mispredict_tolerance: float = 0.0):
+                 predictor=None):
         if not sites:
             raise ConfigurationError("coordinator needs at least one site")
         covered = set()
@@ -200,7 +188,6 @@ class SimulationCoordinator:
         #: accepted — one overlapped round trip faster, but a late
         #: rejection leaves other specimens already moved.
         self.negotiation_barrier = negotiation_barrier
-        self.on_step = on_step
         self.checkpoint_store = checkpoint_store
         self.checkpoint_policy = checkpoint_policy or CheckpointPolicy()
         if state is None:
@@ -224,22 +211,8 @@ class SimulationCoordinator:
                     "resume state carries no integrator snapshot")
             self.state = state
         self.prior_records = list(prior_records)
-        self.breakers: dict[str, CircuitBreaker] = dict(breakers or {})
         self.failover = failover
-        if pipeline_depth < 0:
-            raise ConfigurationError("pipeline_depth must be >= 0")
-        if pipeline_depth > 1:
-            raise ConfigurationError(
-                "pipeline_depth > 1 is not supported: speculating more "
-                "than one step ahead compounds prediction error without "
-                "hiding additional round trips")
-        if pipeline_depth > 0 and predictor is None:
-            raise ConfigurationError(
-                "pipelined stepping needs a predictor (see "
-                "repro.coordinator.predictor.SubstructurePredictor)")
-        self.pipeline_depth = int(pipeline_depth)
         self.predictor = predictor
-        self.mispredict_tolerance = float(mispredict_tolerance)
         #: monotone epoch appended (``-s<n>``) to transaction names whose
         #: speculation was rolled back — a cancelled name is burned
         #: server-side, so the verified re-proposal must never reuse it.
@@ -279,13 +252,20 @@ class SimulationCoordinator:
         #: twin used only to compute speculative commands — it is
         #: re-grounded in the committed integrator's snapshot before
         #: every speculation, so it never drifts from truth.
-        self._shadow = factory(model, motion.dt) if pipeline_depth else None
+        self._shadow = (factory(model, motion.dt) if predictor is not None
+                        else None)
         self._integrator_started = False
         if self.state.integrator is not None:
             self.integrator.restore(self.state.integrator)
             self._integrator_started = True
         if failover is not None:
             failover.bind(self)
+
+    @property
+    def breakers(self) -> Mapping[str, CircuitBreaker]:
+        """The failover manager's per-site breakers (none without one);
+        the health probe and ``SessionResult.breakers`` read them."""
+        return self.failover.breakers if self.failover is not None else {}
 
     # -- helpers -----------------------------------------------------------
     def _txn_name(self, step: int, site: SiteBinding) -> str:
@@ -371,14 +351,12 @@ class SimulationCoordinator:
         Fast-fails with :class:`BreakerOpen` while the site's breaker is
         open, records the outcome otherwise, and tags the propagating
         exception with ``site`` so the fault policy and failover manager
-        know who failed.  A site currently served by its surrogate
-        bypasses the breaker entirely — the breaker tracks the *real*
-        site's health, and surrogate successes must not close it.
+        know who failed.  Without failover there are no breakers, and a
+        site served by its surrogate has none (see
+        :meth:`~repro.coordinator.failover.FailoverManager.breaker_for`).
         """
-        breaker = self.breakers.get(site.name)
-        if (breaker is not None and self.failover is not None
-                and site.name in self.failover.active):
-            breaker = None
+        breaker = (None if self.failover is None
+                   else self.failover.breaker_for(site.name))
         if breaker is not None:
             breaker.check()
         try:
@@ -633,15 +611,8 @@ class SimulationCoordinator:
         self.kernel.emit(f"coordinator.{self.run_id}", "pipeline.rolled_back",
                          step=spec.step, reason=reason)
 
-    def _prediction_matches(self, d_true: np.ndarray,
-                            d_spec: np.ndarray) -> bool:
-        if self.mispredict_tolerance <= 0:
-            return bool(np.array_equal(d_true, d_spec))
-        return bool(np.max(np.abs(d_true - d_spec))
-                    <= self.mispredict_tolerance)
-
     def _run_pipelined(self, result: ExperimentResult):
-        """The overlapped stepping machine (``pipeline_depth == 1``).
+        """The overlapped stepping machine (run when a predictor is given).
 
         Instead of waiting out each step's full round trip, the
         coordinator issues step *n+1* speculatively (from predicted
@@ -713,7 +684,7 @@ class SimulationCoordinator:
                     # The speculative round already died (site fault
                     # mid-speculation); never adopt a broken round.
                     self._rollback_speculation(spec, "fault")
-                elif self._prediction_matches(d_true, spec.d):
+                elif np.array_equal(d_true, spec.d):
                     self._tm_spec_hits.inc()
                     next_pending = spec
                     self.state.pending = dict(spec.txns)
@@ -865,8 +836,6 @@ class SimulationCoordinator:
                             wall_finished=self.kernel.now,
                             degraded=tuple(self.state.degraded_sites))
         result.steps.append(record)
-        if self.on_step is not None:
-            self.on_step(record)
         self._tm_steps.inc()
         self._tm_step_time.observe(record.wall_finished - started)
         if record.degraded:
@@ -948,7 +917,7 @@ class SimulationCoordinator:
                                  steps=result.target_steps,
                                  sites=len(self.sites))
                 yield from self._initialize(result)
-            if self.pipeline_depth > 0:
+            if self.predictor is not None:
                 yield from self._run_pipelined(result)
             else:
                 while self.state.step <= self.state.target_steps:

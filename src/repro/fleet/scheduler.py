@@ -157,16 +157,13 @@ def drive_request(grid: "FleetGrid", lease: SiteLease,
     bindings = grid.bindings(dict.fromkeys(stiffness, (0,)))
     # Per-lease kit: names carry the run id, the surrogate container its
     # own lease-unique port; a fleet surrogate enforces no site policy.
-    breakers = None
     failover = None
     if submission.degradation:
-        breakers = grid.breakers(stiffness,
-                                 name=lambda site: f"{run_id}:{site}")
         failover = grid.failover(
             stiffness, port=f"ogsi-fo-{lease.lease_id}",
             compute_time=config.ncsa_compute,
             surrogate_name=lambda site: f"{site}-surrogate-{run_id}",
-            site_policy=None)
+            site_policy=None, breaker_name=lambda site: f"{run_id}:{site}")
     checkpoint_policy = None
     if store is not None:
         checkpoint_policy = CheckpointPolicy(
@@ -180,8 +177,7 @@ def drive_request(grid: "FleetGrid", lease: SiteLease,
         sites=bindings, fault_policy=default_fleet_fault_policy(),
         execution_timeout=config.execution_timeout,
         checkpoint_store=store, checkpoint_policy=checkpoint_policy,
-        state=state, prior_records=prior_records, breakers=breakers,
-        failover=failover)
+        state=state, prior_records=prior_records, failover=failover)
     result: ExperimentResult = yield kernel.process(
         coordinator.run(), name=f"fleet.{run_id}.run")
     return result, len(prior_records)

@@ -9,9 +9,9 @@ CD-36 follow-on, a fleet lease and the verifier's replay rig is only
 *which* plugins, latencies, names and policies go in.  :class:`Grid` is
 the one place that shape is wired, and the one recipe that turns a
 ``{site: design stiffness}`` map into a coordinator's kit (bindings,
-circuit breakers, surrogate failover, force predictor).  Names, ports and
-policies are arguments, never defaults, so each deployment's wire-visible
-strings are spelt where that deployment is defined.
+surrogate failover with its circuit breakers, force predictor).  Names,
+ports and policies are arguments, never defaults, so each deployment's
+wire-visible strings are spelt where that deployment is defined.
 
 It is also the one place a scripted fault is armed: :meth:`Grid.arm`
 installs a :class:`ChaosEvent` behind a watcher on the wire, for the
@@ -184,21 +184,19 @@ class Grid:
         return [SiteBinding(name, self.sites[name].handle, dof_indices=d)
                 for name, d in dofs.items()]
 
-    def breakers(self, sites: Iterable[str], *, name: Namer = str,
-                 config: BreakerConfig | None = None,
-                 ) -> dict[str, CircuitBreaker]:
-        """One circuit breaker per site, labelled ``name(site)``."""
-        return {site: CircuitBreaker(self.kernel, name(site), config)
-                for site in sites}
-
     def failover(self, stiffness: Mapping[str, float], *, port: str,
                  compute_time: float, surrogate_name: Namer,
-                 site_policy: Any,
+                 site_policy: Any, breaker_name: Namer = str,
+                 breaker_config: BreakerConfig | None = None,
                  policy: DegradationPolicy | None = None) -> FailoverManager:
-        """Surrogate failover: per site a fresh :func:`single_dof` model of
-        its design stiffness behind ``site_policy``, activated on demand in
-        a dedicated hub container on ``port`` (the hub's ``ogsi`` port
+        """Surrogate failover: per site a circuit breaker labelled
+        ``breaker_name(site)``, and a fresh :func:`single_dof` model of its
+        design stiffness behind ``site_policy``, activated on demand in a
+        dedicated hub container on ``port`` (the hub's ``ogsi`` port
         belongs to other kit)."""
+        breakers = {site: CircuitBreaker(self.kernel, breaker_name(site),
+                                         breaker_config)
+                    for site in stiffness}
         container = ServiceContainer(self.network, self.hub, port=port)
         specs = [
             SurrogateSpec(
@@ -209,7 +207,7 @@ class Grid:
                 compute_time=compute_time, policy=site_policy)
             for site, k in stiffness.items()]
         return FailoverManager(container=container, specs=specs,
-                               policy=policy)
+                               breakers=breakers, policy=policy)
 
     @staticmethod
     def predictor(stiffness: Mapping[str, float], *,

@@ -24,7 +24,7 @@ from repro.monitor.health import (
     coordinator_health_probe,
     ntcp_health_probe,
 )
-from repro.monitor.monitor import Alert, AlertThresholds, ExperimentMonitor
+from repro.monitor.monitor import Alert, ExperimentMonitor
 from repro.monitor.streamer import TelemetryStreamer
 from repro.net.rpc import RpcClient
 from repro.nsds.service import NSDSService
@@ -84,8 +84,7 @@ class MonitoringKit:
             publisher.stop()
 
 
-def attach_monitoring(dep, *, thresholds: AlertThresholds | None = None,
-                      on_alert: Callable[[Alert], None] | None = None,
+def attach_monitoring(dep, *, on_alert: Callable[[Alert], None] | None = None,
                       stream_interval: float = 30.0) -> MonitoringKit:
     """Deploy the console against ``dep`` and wire its subscriptions.
 
@@ -113,7 +112,7 @@ def attach_monitoring(dep, *, thresholds: AlertThresholds | None = None,
     # The portal's "ogsi" port belongs to the CHEF container in the full
     # deployment; the console container takes its own port.
     console_container = ServiceContainer(network, "portal", port="monitor")
-    monitor = ExperimentMonitor(thresholds=thresholds, on_alert=on_alert)
+    monitor = ExperimentMonitor(on_alert=on_alert)
     console_container.deploy(monitor)
     receiver = NSDSReceiver(network, "portal",
                             callback=monitor.on_stream_sample)

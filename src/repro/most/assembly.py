@@ -46,7 +46,7 @@ from repro.daq import DAQSystem, SensorChannel, StagingStore
 from repro.daq.filestore import RepositoryFileStore
 from repro.grid import Grid, SiteDeployment, single_dof
 from repro.most.config import MOSTConfig
-from repro.net import BreakerConfig, CircuitBreaker, RpcClient
+from repro.net import BreakerConfig, RpcClient
 from repro.nsds import NSDSService
 from repro.ogsi import GridServiceHandle, ServiceContainer
 from repro.repository import (
@@ -99,9 +99,9 @@ class MOSTDeployment(Grid):
         ``options`` go to :class:`SimulationCoordinator` untouched — its
         signature is the one list of coordinator options (checkpointing,
         resume ``state``/``prior_records`` from
-        :func:`~repro.coordinator.state.load_resume`, ``breakers`` /
-        ``failover`` from :meth:`make_breakers` / :meth:`make_failover`,
-        pipelining with :meth:`make_predictor`).  With ``variants`` (N
+        :func:`~repro.coordinator.state.load_resume`, ``failover`` from
+        :meth:`make_failover`, pipelining with a ``predictor`` from
+        :meth:`make_predictor`).  With ``variants`` (N
         ground-motion records on a shared time grid) the result is an
         :class:`EnsembleCoordinator` stepping them all at once, and the
         deployment's own ``motion`` is ignored.
@@ -126,20 +126,17 @@ class MOSTDeployment(Grid):
         Each site gets its *design* substructure — exactly what the
         simulation-only deployment evaluates, so speculation there is
         bit-exact and never rolls back; against physical specimens the
-        prediction is the nominal linear response (pair with a
-        ``mispredict_tolerance``).
+        prediction is only the nominal linear response, and a speculation
+        that is not bit-exact with the measurement is rolled back.
         """
         return self.predictor(self._design_stiffness(),
                               name="{}-predictor".format)
 
-    def make_breakers(self, config: BreakerConfig | None = None,
-                      ) -> dict[str, CircuitBreaker]:
-        """One circuit breaker per site, for the coordinator to consult."""
-        return self.breakers(sorted(self.sites), config=config)
-
     def make_failover(self, *, policy: DegradationPolicy | None = None,
+                      breaker_config: BreakerConfig | None = None,
                       ) -> FailoverManager:
-        """A failover manager with one numerical surrogate per site.
+        """A failover manager with one circuit breaker (labelled with the
+        site's name) and one numerical surrogate per site.
 
         Each surrogate is a fresh linear substructure built from the
         site's design stiffness — exactly the model the simulation-only
@@ -150,7 +147,8 @@ class MOSTDeployment(Grid):
             self._design_stiffness(), port="ogsi-failover",
             compute_time=self.config.ncsa_compute,
             surrogate_name="{}-surrogate".format,
-            site_policy=_stroke_policy(self.config), policy=policy)
+            site_policy=_stroke_policy(self.config),
+            breaker_config=breaker_config, policy=policy)
 
     def make_facade(self, rpc: RpcClient, *, staging=None,
                     credential_factory=None) -> RepositoryFacade:

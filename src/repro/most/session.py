@@ -13,7 +13,7 @@ builder method::
                .with_faults()              # the public-day fault schedule
                .with_fault_tolerance()    # retry through the transients
                .with_monitoring()         # live operations console
-               .with_pipeline(1)          # speculative pipelined stepping
+               .with_pipeline()           # speculative pipelined stepping
                )
     outcome = session.run()               # -> SessionResult
     print(outcome.result.steps_completed, outcome.alerts)
@@ -282,11 +282,11 @@ class ExperimentSession:
         self._metadata = enabled
         return self
 
-    def with_monitoring(self, thresholds=None,
-                        on_alert=None) -> "ExperimentSession":
-        """Attach the live operations console; its alert feed and metric
-        rollups land on the :class:`SessionResult`."""
-        self._monitoring = {"thresholds": thresholds, "on_alert": on_alert}
+    def with_monitoring(self, on_alert=None) -> "ExperimentSession":
+        """Attach the live operations console (``on_alert`` sees each
+        alert as it is raised); its alert feed and metric rollups land on
+        the :class:`SessionResult`."""
+        self._monitoring = {"on_alert": on_alert}
         return self
 
     def with_observatory(self, slos=None, *,
@@ -298,18 +298,16 @@ class ExperimentSession:
         :meth:`with_monitoring` if it was not requested explicitly."""
         self._observatory = {"slos": slos, "slo_interval": slo_interval}
         if self._monitoring is None:
-            self._monitoring = {"thresholds": None, "on_alert": None}
+            self._monitoring = {"on_alert": None}
         return self
 
     # -- durability & degradation ------------------------------------------
-    def with_resume(self, store=None, *,
-                    checkpoint_every: int = 25) -> "ExperimentSession":
-        """Checkpoint into the repository (``store=None`` builds the
-        deployment's own store) and, if the run aborts, bring up a second
-        coordinator incarnation (under :func:`default_most_fault_policy`)
-        that reconciles in-flight transactions and completes the
-        remaining steps."""
-        self._resume = {"store": store, "checkpoint_every": checkpoint_every}
+    def with_resume(self, *, checkpoint_every: int = 25) -> "ExperimentSession":
+        """Checkpoint into the repository every ``checkpoint_every`` steps
+        and, if the run aborts, bring up a second coordinator incarnation
+        (under :func:`default_most_fault_policy`) that reconciles
+        in-flight transactions and completes the remaining steps."""
+        self._resume = {"checkpoint_every": checkpoint_every}
         return self
 
     def with_degradation(self, policy=None, *,
@@ -322,15 +320,12 @@ class ExperimentSession:
         return self
 
     # -- performance --------------------------------------------------------
-    def with_pipeline(self, depth: int = 1, *, predictor=None,
-                      tolerance: float = 0.0) -> "ExperimentSession":
+    def with_pipeline(self, predictor=None) -> "ExperimentSession":
         """Speculative pipelined stepping: while step *n* executes, the
         coordinator proposes *n+1* from predicted forces
         (``predictor=None`` builds the deployment's design-stiffness
-        predictor).  ``tolerance`` is the max-abs mispredict bound;
-        0 demands bit-exact predictions."""
-        self._pipeline = {"depth": depth, "predictor": predictor,
-                          "tolerance": tolerance}
+        predictor) and adopts the speculation only when it is bit-exact."""
+        self._pipeline = {"predictor": predictor}
         return self
 
     def with_ensemble(self, variants: Sequence) -> "ExperimentSession":
@@ -344,9 +339,7 @@ class ExperimentSession:
     def _make_coordinator(self, dep: MOSTDeployment, **options):
         if self._pipeline is not None:
             options.update(
-                pipeline_depth=self._pipeline["depth"],
-                predictor=self._pipeline["predictor"] or dep.make_predictor(),
-                mispredict_tolerance=self._pipeline["tolerance"])
+                predictor=self._pipeline["predictor"] or dep.make_predictor())
         return dep.make_coordinator(run_id=self.run_id,
                                     variants=self._variants, **options)
 
@@ -391,7 +384,6 @@ class ExperimentSession:
             from repro.monitor import attach_monitoring
 
             kit = attach_monitoring(dep,
-                                    thresholds=self._monitoring["thresholds"],
                                     on_alert=self._monitoring["on_alert"])
         obs = None
         if self._observatory is not None:
@@ -414,29 +406,28 @@ class ExperimentSession:
         if obs is not None:
             obs.start()
 
-        breakers = failover = None
+        failover = None
         if self._degradation is not None:
             from repro.coordinator import DegradationPolicy
             from repro.net import BreakerConfig
 
-            breakers = dep.make_breakers(
-                self._degradation["breaker_config"]
-                or BreakerConfig(failure_threshold=3, open_interval=120.0))
             failover = dep.make_failover(
                 policy=self._degradation["policy"]
                 or DegradationPolicy(recovery_budget=300.0, readmit=True,
-                                     probe_interval=120.0))
+                                     probe_interval=120.0),
+                breaker_config=self._degradation["breaker_config"]
+                or BreakerConfig(failure_threshold=3, open_interval=120.0))
 
         store = ckpt_policy = None
         if self._resume is not None:
             from repro.repository import CheckpointPolicy
 
-            store = self._resume["store"] or dep.make_checkpoint_store()
+            store = dep.make_checkpoint_store()
             ckpt_policy = CheckpointPolicy(
                 every_n_steps=self._resume["checkpoint_every"])
 
         options = dict(checkpoint_store=store, checkpoint_policy=ckpt_policy,
-                       breakers=breakers, failover=failover)
+                       failover=failover)
         coordinator = self._make_coordinator(
             dep, fault_policy=self._fault_policy or NaiveFaultPolicy(),
             **options)
@@ -514,9 +505,9 @@ class ExperimentSession:
             metadata_object=metadata_object,
             degraded_steps=result.degraded_steps,
             degraded_spans=result.degraded_spans())
-        if breakers is not None:
+        if failover is not None:
             outcome.breakers = {name: b.snapshot()
-                                for name, b in breakers.items()}
+                                for name, b in failover.breakers.items()}
             outcome.failover = failover.report()
         if kit is not None:
             outcome.monitoring = kit

@@ -19,6 +19,7 @@ decorrelating distinct keys, which is all jitter exists to do.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Iterator
@@ -47,12 +48,14 @@ class RetryPolicy:
     jitter: float = 0.0
 
     def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.base_delay < 0 or self.max_delay < 0:
+        if type(self.max_attempts) is not int or self.max_attempts < 1:
+            raise ValueError("max_attempts must be an int >= 1")
+        # ``not x >= 0`` also refuses NaN, which every comparison fails: a
+        # NaN delay would make a caller's ``delay > 0`` skip the wait.
+        if not (self.base_delay >= 0 and self.max_delay >= 0):
             raise ValueError("delays must be >= 0")
-        if self.factor <= 0:
-            raise ValueError("factor must be positive")
+        if not 0 < self.factor < math.inf:
+            raise ValueError("factor must be positive and finite")
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError("jitter must be within [0, 1]")
 
@@ -77,16 +80,16 @@ class RetryPolicy:
             yield self.delay_for(attempt, key=key)
 
     def call(self, kernel: Any, make_attempt: Callable[[], Any], *,
-             key: str = "", retry_on: tuple = (ReproError,),
-             breaker: Any = None) -> Generator[Any, Any, Any]:
+             key: str = "") -> Generator[Any, Any, Any]:
         """Kernel process: run ``make_attempt()`` under this schedule.
 
         ``make_attempt`` must return a *fresh* generator per call (the
         usual ``lambda: client.call(...)`` shape).  Retries sleep on the
         simulation clock between attempts.  Exhausting the budget re-raises
         the **last** underlying error — the diagnosis the operator needs is
-        what finally failed, not what failed first.  Two errors are never
-        retried: :class:`~repro.net.breaker.BreakerOpen` (an open circuit
+        what finally failed, not what failed first.  Only a
+        :class:`~repro.util.errors.ReproError` is retried, and two of those
+        never are: :class:`~repro.net.breaker.BreakerOpen` (an open circuit
         breaker is a deliberate short-circuit — burning the retry budget
         against it defeats its purpose) and
         :class:`~repro.util.errors.FencingError` (a superseded epoch can
@@ -94,13 +97,11 @@ class RetryPolicy:
         """
         last_error: BaseException | None = None
         for attempt in range(1, self.max_attempts + 1):
-            if breaker is not None:
-                breaker.check()
             try:
                 result = yield from make_attempt()
             except (BreakerOpen, FencingError):
                 raise
-            except retry_on as exc:
+            except ReproError as exc:
                 last_error = exc
                 if attempt == self.max_attempts:
                     raise

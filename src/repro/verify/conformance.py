@@ -96,15 +96,10 @@ class _Rig:
             duration=(config.n_steps + 1) * DT, dt=DT).scaled_to_pga(1.0)
         self.client = grid.client(timeout=RPC_TIMEOUT, retries=RPC_RETRIES)
         self.sites = grid.bindings()
-        self.breakers = None
-        self.failover = None
-        if with_failover:
-            self.breakers = grid.breakers(SITES)
-            self.failover = grid.failover(
-                self.stiffness, port="ogsi-failover",
-                compute_time=COMPUTE_TIME,
-                surrogate_name="{}-surrogate".format,
-                site_policy=SitePolicy())
+        self.failover = grid.failover(
+            self.stiffness, port="ogsi-failover", compute_time=COMPUTE_TIME,
+            surrogate_name="{}-surrogate".format,
+            site_policy=SitePolicy()) if with_failover else None
 
     def make_coordinator(self, **options) -> SimulationCoordinator:
         """A coordinator over this rig's sites, per the config's mode
@@ -118,10 +113,8 @@ class _Rig:
         return SimulationCoordinator(
             run_id=_RUN_ID, client=self.client, model=self.model,
             motion=self.motion, sites=self.sites,
-            execution_timeout=EXECUTION_TIMEOUT,
-            breakers=self.breakers, failover=self.failover,
-            pipeline_depth=self.config.pipeline_depth, predictor=predictor,
-            **options)
+            execution_timeout=EXECUTION_TIMEOUT, failover=self.failover,
+            predictor=predictor, **options)
 
 
 def _ft_policy() -> FaultTolerantFaultPolicy:

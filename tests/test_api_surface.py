@@ -210,6 +210,53 @@ def test_a_scripted_fault_is_armed_in_one_place():
     }
 
 
+def test_a_run_is_handed_only_what_some_deployment_sets():
+    """The option lists a run is built from, pinned: pipelining is "a
+    predictor was given", surrogate failover owns the circuit breakers
+    (failover without breakers, or breakers without failover, is not a
+    configuration), and no option that no deployment sets comes back."""
+    from repro.coordinator import FailoverManager, SimulationCoordinator
+    from repro.grid import Grid
+    from repro.monitor import attach_monitoring
+    from repro.most import ExperimentSession
+    from repro.most.assembly import MOSTDeployment
+    from repro.net import RetryPolicy
+
+    def spelt(fn):
+        signature = inspect.signature(fn)
+        return str(signature.replace(
+            parameters=[p.replace(annotation=p.empty)
+                        for p in signature.parameters.values()],
+            return_annotation=signature.empty))
+
+    assert spelt(SimulationCoordinator.__init__) == (
+        "(self, *, run_id, client, model, motion, sites, fault_policy=None, "
+        "execution_timeout=60.0, negotiation_barrier=True, "
+        "integrator_factory=None, checkpoint_store=None, "
+        "checkpoint_policy=None, state=None, prior_records=(), "
+        "failover=None, predictor=None)")
+    assert spelt(FailoverManager.__init__) == (
+        "(self, *, container, specs, breakers, policy=None)")
+    assert spelt(Grid.failover) == (
+        "(self, stiffness, *, port, compute_time, surrogate_name, "
+        "site_policy, breaker_name=<class 'str'>, breaker_config=None, "
+        "policy=None)")
+    assert spelt(MOSTDeployment.make_failover) == (
+        "(self, *, policy=None, breaker_config=None)")
+    assert spelt(ExperimentSession.with_pipeline) == "(self, predictor=None)"
+    assert spelt(ExperimentSession.with_resume) == (
+        "(self, *, checkpoint_every=25)")
+    assert spelt(ExperimentSession.with_monitoring) == "(self, on_alert=None)"
+    assert spelt(attach_monitoring) == (
+        "(dep, *, on_alert=None, stream_interval=30.0)")
+    assert spelt(RetryPolicy.call) == "(self, kernel, make_attempt, *, key='')"
+    assert not hasattr(Grid, "breakers")
+    assert not hasattr(MOSTDeployment, "make_breakers")
+    # the coordinator's breakers are a read-only view of the manager's
+    view = SimulationCoordinator.breakers
+    assert isinstance(view, property) and view.fset is None
+
+
 def test_the_pseudo_dynamic_skeleton_is_written_once():
     """Among the pseudo-dynamic integrators (every class of
     ``structural/integrators.py`` but the reference :class:`NewmarkBeta`),

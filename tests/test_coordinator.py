@@ -94,16 +94,6 @@ class TestHappyPath:
         for server in servers.values():
             assert server.metrics()["executed"] == 15  # steps 0..14
 
-    def test_on_step_callback(self):
-        k, net, model, motion, client, sites, servers = build_three_site_rig(
-            n_steps=10)
-        seen = []
-        coord = SimulationCoordinator(run_id="t", client=client, model=model,
-                                      motion=motion, sites=sites,
-                                      on_step=lambda r: seen.append(r.step))
-        k.run(until=k.process(coord.run()))
-        assert seen == list(range(1, 10))
-
     def test_step_wall_time_dominated_by_slowest_site(self):
         k, net, model, motion, client, sites, servers = build_three_site_rig(
             n_steps=10, compute_time=0.05)

@@ -21,7 +21,12 @@ from repro.chaos import (
     check_fleet_invariants,
     make_plan,
 )
-from repro.coordinator import DegradationPolicy, NaiveFaultPolicy, StepRecord
+from repro.coordinator import (
+    DegradationPolicy,
+    FailoverManager,
+    NaiveFaultPolicy,
+    StepRecord,
+)
 from repro.coordinator.state import record_from_payload, record_to_payload
 from repro.most import ExperimentSession, MOSTConfig, build_most
 from repro.net import BreakerConfig, BreakerOpen, CircuitBreaker
@@ -211,6 +216,36 @@ class TestDegradedScenario:
         assert not control.result.completed
         assert control.result.aborted_at_step == control.fail_at_step
         assert control.result.degraded_steps == 0
+
+    def test_the_failover_manager_owns_the_breakers_the_run_reports(
+            self, monkeypatch):
+        made = []
+        make = ExperimentSession._make_coordinator
+
+        def capture(session, dep, **options):
+            made.append(make(session, dep, **options))
+            return made[-1]
+
+        monkeypatch.setattr(ExperimentSession, "_make_coordinator", capture)
+        report = run_degraded(MOSTConfig().scaled(30))
+        [coordinator] = made
+        manager = coordinator.failover
+        assert coordinator.breakers is manager.breakers
+        assert report.breakers == {site: breaker.snapshot() for site, breaker
+                                   in manager.breakers.items()}
+        assert sorted(report.breakers) == ["cu", "ncsa", "uiuc"]
+        # the surrogate serving uiuc is not gated by the real site's breaker
+        assert manager.active and set(manager.active) == {"uiuc"}
+        assert manager.breaker_for("uiuc") is None
+        assert manager.breaker_for("cu") is manager.breakers["cu"]
+
+    def test_a_surrogate_site_without_a_breaker_is_refused(self):
+        manager = build_most(MOSTConfig().scaled(10)).make_failover()
+        breakers = dict(manager.breakers)
+        del breakers["uiuc"]
+        with pytest.raises(ConfigurationError, match="uiuc"):
+            FailoverManager(container=manager.container, specs=manager.specs,
+                            breakers=breakers)
 
     def test_recovered_site_is_readmitted_at_a_step_boundary(self):
         # A finite outage with an impatient degradation policy: the

@@ -314,51 +314,6 @@ class TestSubscriptionTable:
             "params": {"viewer_id": viewer_id}}) is True
 
 
-class TestCoordinatorStreamsResponse:
-    def test_on_step_feeds_nsds(self):
-        """§3: 'the structural response was streamed to remote users' —
-        the coordinator's own step records flow through NSDS too."""
-        k = Kernel()
-        net = Network(k, seed=0)
-        net.add_host("coord")
-        net.add_host("site")
-        net.add_host("viewer")
-        net.connect("coord", "site", latency=0.01)
-        net.connect("coord", "viewer", latency=0.02, fifo=False)
-        site_container = ServiceContainer(net, "site")
-        server = NTCPServer("ntcp-site", SimulationPlugin(
-            LinearSubstructure("s", [[100.0]], [0]), compute_time=0.0))
-        handle = site_container.deploy(server)
-
-        coord_container = ServiceContainer(net, "coord", port="coord-ogsi")
-        nsds = NSDSService("response-stream")
-        coord_container.deploy(nsds)
-        samples = []
-        receiver = NSDSReceiver(net, "viewer", callback=samples.append)
-        nsds._op_subscribe(None, sink_host="viewer",
-                           sink_port=receiver.port, lifetime=1e9)
-
-        model = StructuralModel(mass=[[2.0]], stiffness=[[100.0]],
-                                damping=[[1.0]])
-        motion = GroundMotion(dt=0.02, accel=np.sin(np.arange(40) * 0.2))
-        client = NTCPClient(RpcClient(net, "coord", default_timeout=10.0))
-        coord = SimulationCoordinator(
-            run_id="streamed", client=client, model=model, motion=motion,
-            sites=[SiteBinding("site", handle, [0])],
-            on_step=lambda rec: nsds.ingest(rec.wall_finished, {
-                "displacement": float(rec.displacement[0]),
-                "restoring_force": float(rec.restoring_force[0])}))
-        result = k.run(until=k.process(coord.run()))
-        k.run()
-        assert result.completed
-        assert receiver.received_count("displacement") == 39
-        streamed = [s.value for s in sorted(samples,
-                                            key=lambda s: s.sequence)
-                    if s.channel == "displacement"]
-        recorded = [float(r.displacement[0]) for r in result.steps]
-        assert streamed == pytest.approx(recorded)
-
-
 class TestPolicyEdgeCases:
     def test_max_actions_per_proposal(self):
         policy = SitePolicy(max_actions_per_proposal=2)

@@ -48,7 +48,7 @@ def assert_same_physics(a, b) -> None:
 class TestCleanPipeline:
     def test_bit_exact_faster_and_duplicate_free(self):
         seq = session("seq").run()
-        pipe = session("pipe").with_pipeline(1).run()
+        pipe = session("pipe").with_pipeline().run()
         assert seq.result.completed and pipe.result.completed
         assert_same_physics(seq, pipe)
         # overlap buys real simulated wall time: >= 1.5x aggregate steps/s
@@ -68,7 +68,7 @@ class TestCleanPipeline:
         assert pipeline_counter(seq, "speculated") == 0
 
     def test_every_pipelined_step_is_in_the_step_report(self):
-        pipe = session("pipe-report", n_steps=30).with_pipeline(1).run()
+        pipe = session("pipe-report", n_steps=30).with_pipeline().run()
         rows = step_rows(pipe.deployment.kernel.telemetry.spans())
         assert len(rows) == pipe.steps_completed + 1  # + the step-0 init
         assert [r["step"] for r in rows] == list(range(30))
@@ -95,9 +95,7 @@ class TestMispredictRollback:
         bad = session("bad-predict")
         dep_probe = build_simulation_only(MOSTConfig().scaled(N_STEPS))
         predictor = _PerturbedPredictor(dep_probe.make_predictor())
-        pipe = (bad
-                .with_pipeline(1, predictor=predictor, tolerance=0.0)
-                .run())
+        pipe = bad.with_pipeline(predictor=predictor).run()
         assert pipe.result.completed
         # every speculation was wrong, every one was rolled back, and the
         # committed physics never noticed
@@ -106,23 +104,6 @@ class TestMispredictRollback:
         assert_same_physics(seq, pipe)
         assert duplicates(pipe) == 0
 
-    def test_tolerance_accepts_small_errors(self):
-        seq = session("seq").run()
-        dep_probe = build_simulation_only(MOSTConfig().scaled(N_STEPS))
-        predictor = _PerturbedPredictor(dep_probe.make_predictor(),
-                                        error=1e-12)
-        pipe = (session("tolerant")
-                .with_pipeline(1, predictor=predictor, tolerance=1e-6)
-                .run())
-        assert pipe.result.completed
-        assert pipeline_counter(pipe, "hits") > 0
-        # accepted speculation integrates the *tolerated* command, so the
-        # histories are within tolerance of sequential, not bit-exact
-        assert np.allclose(pipe.result.displacement_history(),
-                           seq.result.displacement_history(), atol=1e-6)
-        assert duplicates(pipe) == 0
-
-
 class TestFaultDuringSpeculativeExecute:
     def test_outage_mid_pipeline_retries_to_the_same_history(self):
         def scenario(run_id, pipelined):
@@ -130,7 +111,7 @@ class TestFaultDuringSpeculativeExecute:
                  .with_faults(fail_at_step=20)
                  .with_fault_tolerance())
             if pipelined:
-                s = s.with_pipeline(1)
+                s = s.with_pipeline()
             return s.run()
 
         seq = scenario("ft-seq", pipelined=False)
@@ -151,7 +132,7 @@ class TestBreakerOpenMidPipeline:
                  .with_fault_tolerance()
                  .with_degradation())
             if pipelined:
-                s = s.with_pipeline(1)
+                s = s.with_pipeline()
             return s.run()
 
         seq = scenario("deg-seq", pipelined=False)
@@ -172,7 +153,7 @@ class TestResumeWithSpeculationInFlight:
         resumed = (session("resume-pipe")
                    .with_faults(fail_at_step=20)
                    .with_resume(checkpoint_every=1)
-                   .with_pipeline(1)
+                   .with_pipeline()
                    .run())
         # the first incarnation died with a speculative step in flight;
         # the second reconciled it (harvest / cancel / re-propose)
@@ -303,7 +284,7 @@ def _shape_session(mode: str) -> ExperimentSession:
                 .with_observers().with_observatory())
     s = session(f"shape-{mode}")
     if mode == "pipelined":
-        s.with_pipeline(1)
+        s.with_pipeline()
     elif mode == "ensemble":
         s.with_ensemble(ensemble_variants(s.config, 3))
     elif mode == "monitoring":

@@ -311,7 +311,7 @@ class TestTracing:
         outcome = (ExperimentSession(MOSTConfig().scaled(60),
                                      simulation_only=True)
                    .with_faults(outage_duration=float("inf"))
-                   .with_pipeline(1).run())
+                   .with_pipeline().run())
         assert not outcome.result.completed
         spans = outcome.deployment.kernel.telemetry.spans()
         finished = {span.span_id for span in spans}
