@@ -35,27 +35,38 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from repro.structural.ground_motion import GroundMotion
 from repro.structural.model import StructuralModel
 from repro.util.errors import ConfigurationError
 
 
-def _lu_solve(lu_and_piv, b: np.ndarray) -> np.ndarray:
-    """``linalg.lu_solve(lu_and_piv, b)`` for real float factors, minus the
-    batch wrapper and the per-call LAPACK lookup: the same finite and shape
-    checks, then the same ``dgetrs`` on the same ``(lu, piv, b)``, so the
-    result is bit-identical at about a quarter of the cost of a 3-DOF solve."""
-    lu, piv = lu_and_piv
+def _system_matrix(name: str, a: np.ndarray) -> np.ndarray:
+    """``a``, the matrix every later solve of ``name`` uses, refused here
+    if it is not finite or is singular (a zero LU pivot), so a bad model
+    or step fails at construction, not with a NaN command at step 1."""
+    if not np.all(np.isfinite(a)):
+        raise ConfigurationError(f"{name} matrix must be finite")
+    try:
+        np.linalg.solve(a, np.zeros(a.shape[0]))
+    except np.linalg.LinAlgError:
+        raise ConfigurationError(f"{name} matrix is singular") from None
+    return a
+
+
+def _solve_system(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a⁻¹ b`` for a :func:`_system_matrix`, after the finite and shape
+    checks on ``b``.  A 1×1 system is one IEEE division, which is what
+    LAPACK's ``dgetrs`` computes on a 1×1 factor, so every 1-DOF result is
+    bit-identical to an LU solve and costs no more than it; a larger one is
+    ``np.linalg.solve``."""
     b = np.asarray_chkfinite(b)
-    if lu.shape[0] != b.shape[0]:
+    if a.shape[0] != b.shape[0]:
         raise ValueError(
-            f"Shapes of lu {lu.shape} and b {b.shape} are incompatible")
-    x, info = linalg.lapack.dgetrs(lu, piv, b)
-    if info:
-        raise ValueError(f"illegal value in {-info}th argument of dgetrs")
-    return x
+            f"Shapes of a {a.shape} and b {b.shape} are incompatible")
+    if a.shape[0] == 1:
+        return b / a[0, 0]
+    return np.linalg.solve(a, b)
 
 
 def _check_dt(dt: float) -> None:
@@ -90,9 +101,9 @@ class NewmarkBeta:
         self.beta = beta
         self.gamma = gamma
         m, c, k = model.mass, model.damping, model.stiffness
-        self._keff = (k + gamma / (beta * dt) * c + m / (beta * dt ** 2))
-        self._keff_lu = linalg.lu_factor(self._keff)
-        self._m_lu = linalg.lu_factor(m)
+        self._keff = _system_matrix(
+            "keff", k + gamma / (beta * dt) * c + m / (beta * dt ** 2))
+        self._mass = _system_matrix("mass", m)
 
     def integrate(self, motion: GroundMotion,
                   d0: np.ndarray | None = None,
@@ -127,8 +138,8 @@ class NewmarkBeta:
         d = np.zeros(n) if d0 is None else np.asarray(d0, dtype=float).copy()
         v = np.zeros(n) if v0 is None else np.asarray(v0, dtype=float).copy()
         p0 = loads[0] if len(loads) else np.zeros(n)
-        a = _lu_solve(self._m_lu,
-                      p0 - model.damping @ v - model.stiffness @ d)
+        a = _solve_system(self._mass,
+                          p0 - model.damping @ v - model.stiffness @ d)
         results: list[StepResult] = []
         m, c, k = model.mass, model.damping, model.stiffness
         for step in range(1, len(loads)):
@@ -139,7 +150,7 @@ class NewmarkBeta:
                    + c @ (gamma / (beta * dt) * d
                           + (gamma / beta - 1) * v
                           + dt * (gamma / (2 * beta) - 1) * a))
-            d_new = _lu_solve(self._keff_lu, rhs)
+            d_new = _solve_system(self._keff, rhs)
             a_new = ((d_new - d) / (beta * dt ** 2) - v / (beta * dt)
                      - (1 / (2 * beta) - 1) * a)
             v_new = v + dt * ((1 - gamma) * a + gamma * a_new)
@@ -159,8 +170,8 @@ class _PseudoDynamic:
     mutable state in ``STATE``: name ``n`` lives in the attribute ``_n``,
     is ``None`` until :meth:`start`, and is an array of
     :meth:`state_shape`.  Everything else is here: the time-step check,
-    the mass LU factors, the snapshot/restore pair the §7 resume and the
-    §9 speculation shadow rely on, and the :meth:`integrate` loop.
+    the checked mass matrix, the snapshot/restore pair the §7 resume and
+    the §9 speculation shadow rely on, and the :meth:`integrate` loop.
     """
 
     #: the state arrays, in snapshot order
@@ -171,7 +182,7 @@ class _PseudoDynamic:
         _check_dt(dt)
         self.model = model
         self.dt = dt
-        self._m_lu = linalg.lu_factor(model.mass)
+        self._mass = _system_matrix("mass", model.mass)
         for name in self.STATE:
             setattr(self, "_" + name, None)
         self.step_index = 0
@@ -179,19 +190,21 @@ class _PseudoDynamic:
     def state_shape(self) -> tuple[int, ...]:
         """Shape of every state array: ``(n_dof,)`` for a single run,
         ``(n_dof, n_variants)`` for an ensemble subclass.  The matrix
-        algebra is mathematically column-independent, so one set of LU
-        factors drives every variant; ensemble subclasses additionally
-        evaluate it column by column (see :class:`_ColumnwiseAlgebra`)
-        so each variant's floats are *bit-identical* to a solo run."""
+        algebra is mathematically column-independent, so one set of
+        system matrices drives every variant; ensemble subclasses
+        additionally evaluate it column by column (see
+        :class:`_ColumnwiseAlgebra`) so each variant's floats are
+        *bit-identical* to a solo run."""
         return (self.model.n_dof,)
 
     def _apply(self, matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
         """``matrix @ x`` (ensemble subclasses evaluate per column)."""
         return matrix @ x
 
-    def _solve(self, lu, x: np.ndarray) -> np.ndarray:
-        """``_lu_solve(lu, x)`` (ensemble subclasses evaluate per column)."""
-        return _lu_solve(lu, x)
+    def _solve(self, a: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """``_solve_system(a, x)`` (ensemble subclasses evaluate per
+        column)."""
+        return _solve_system(a, x)
 
     def _initial_state(self, r0, p0, d0, v0) -> tuple[np.ndarray, ...]:
         """``(d0, v0, a0, r0, p0)`` for :meth:`start`: fresh float arrays,
@@ -204,7 +217,7 @@ class _PseudoDynamic:
               else np.asarray(v0, dtype=float).copy())
         r0 = np.asarray(r0, dtype=float).copy()
         p0 = np.asarray(p0, dtype=float).copy()
-        a0 = self._solve(self._m_lu,
+        a0 = self._solve(self._mass,
                          p0 - self._apply(self.model.damping, v0) - r0)
         self.step_index = 0
         return d0, v0, a0, r0, p0
@@ -212,7 +225,7 @@ class _PseudoDynamic:
     def snapshot(self) -> dict:
         """The mutable stepping state, exactly, at a commit boundary.
 
-        Derived quantities (LU factors, coefficient matrices) are *not*
+        Derived quantities (system and coefficient matrices) are *not*
         included — they are recomputed deterministically from the model
         and ``dt`` in ``__init__``, so a restored integrator is
         bit-identical to the original without serializing them.
@@ -292,8 +305,7 @@ class CentralDifferencePSD(_PseudoDynamic):
     def __init__(self, model: StructuralModel, dt: float):
         super().__init__(model, dt)
         m, c = model.mass, model.damping
-        self._lhs = m / dt ** 2 + c / (2 * dt)
-        self._lhs_lu = linalg.lu_factor(self._lhs)
+        self._lhs = _system_matrix("lhs", m / dt ** 2 + c / (2 * dt))
         self._a_coef = 2 * m / dt ** 2
         self._b_coef = m / dt ** 2 - c / (2 * dt)
 
@@ -318,7 +330,7 @@ class CentralDifferencePSD(_PseudoDynamic):
         rhs = (self._p_curr - self._r_curr
                + self._apply(self._a_coef, self._d_curr)
                - self._apply(self._b_coef, self._d_prev))
-        return self._solve(self._lhs_lu, rhs)
+        return self._solve(self._lhs, rhs)
 
     def commit(self, d_next: np.ndarray, r_next: np.ndarray,
                p_next: np.ndarray) -> StepResult:
@@ -381,9 +393,9 @@ class AlphaOSPSD(_PseudoDynamic):
         self.k_hat = k_hat
         m, c = model.mass, model.damping
         # effective matrix of the alpha-OS corrector
-        self._meff = (m + self.gamma * dt * (1 + alpha) * c
-                      + self.beta * dt ** 2 * (1 + alpha) * k_hat)
-        self._meff_lu = linalg.lu_factor(self._meff)
+        self._meff = _system_matrix(
+            "meff", m + self.gamma * dt * (1 + alpha) * c
+            + self.beta * dt ** 2 * (1 + alpha) * k_hat)
         self._d_pred = None
 
     def start(self, r0: np.ndarray, p0: np.ndarray,
@@ -424,7 +436,7 @@ class AlphaOSPSD(_PseudoDynamic):
                - self._apply((1 + alpha) * c, v_pred)
                - alpha * self._apply(c, self._v)
                - self._apply(alpha * self.k_hat, self._d_pred - self._d))
-        a_new = self._solve(self._meff_lu, rhs)
+        a_new = self._solve(self._meff, rhs)
         d_new = self._d_pred + beta * dt ** 2 * a_new
         v_new = v_pred + gamma * dt * a_new
         # the *reported* restoring force includes the corrector's elastic
@@ -463,15 +475,15 @@ class _ColumnwiseAlgebra:
     def _apply(self, matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
         return self._columns(lambda col: matrix @ col, x)
 
-    def _solve(self, lu, x: np.ndarray) -> np.ndarray:
-        return self._columns(lambda col: _lu_solve(lu, col), x)
+    def _solve(self, a: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return self._columns(lambda col: _solve_system(a, col), x)
 
 
 class EnsembleCentralDifferencePSD(_ColumnwiseAlgebra, CentralDifferencePSD):
     """Central-difference stepping vectorized over N scenario variants.
 
     Every state array carries shape ``(n_dof, n_variants)`` — one column
-    per variant — while the LHS/mass LU factors are shared across the
+    per variant — while the LHS and mass matrices are shared across the
     whole batch.  The algebra is evaluated per column (see
     :class:`_ColumnwiseAlgebra`), so column *i* of the batched
     trajectory is bit-identical to a solo :class:`CentralDifferencePSD`

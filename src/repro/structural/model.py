@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg
 
 from repro.util.errors import ConfigurationError
 
@@ -35,6 +34,11 @@ class StructuralModel:
                      else np.asarray(iota, dtype=float))
         if self.iota.shape != (n,):
             raise ConfigurationError("iota must be a length-n vector")
+        for name, array in (("mass", self.mass),
+                            ("stiffness", self.stiffness),
+                            ("damping", self.damping), ("iota", self.iota)):
+            if not np.all(np.isfinite(array)):
+                raise ConfigurationError(f"{name} must be finite")
         if not np.all(np.linalg.eigvalsh(self.mass) > 0):
             raise ConfigurationError("mass matrix must be positive definite")
 
@@ -43,8 +47,22 @@ class StructuralModel:
         return self.mass.shape[0]
 
     def natural_frequencies(self) -> np.ndarray:
-        """Undamped natural frequencies [rad/s], ascending."""
-        eigvals = linalg.eigh(self.stiffness, self.mass, eigvals_only=True)
+        """Undamped natural frequencies [rad/s], ascending.
+
+        Each ``w`` solves ``K x = w² M x``.  A 1-DOF model divides in
+        LAPACK ``dsygs2``'s order, ``k / (sqrt(m) * sqrt(m))``, so its
+        frequency is bit-identical to ``scipy.linalg.eigh(K, M)``'s; a
+        larger one reduces to ``L⁻¹ K L⁻ᵀ`` with ``M = L Lᵀ`` and agrees
+        with it to the last few ulps.
+        """
+        m, k = self.mass, self.stiffness
+        if self.n_dof == 1:
+            root = np.sqrt(m[0, 0])
+            eigvals = np.array([k[0, 0] / (root * root)])
+        else:
+            lower = np.linalg.cholesky(m)
+            half = np.linalg.solve(lower, k)
+            eigvals = np.linalg.eigvalsh(np.linalg.solve(lower, half.T).T)
         return np.sqrt(np.clip(eigvals, 0.0, None))
 
     def periods(self) -> np.ndarray:

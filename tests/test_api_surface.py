@@ -57,16 +57,50 @@ def test_runners_are_callables():
 
 def test_importing_repro_loads_no_signal_processing_or_statistics():
     """``import repro`` pays for what a run executes: the ground-motion
-    filter is numpy, so ``scipy.signal`` (and the ``scipy.stats`` it pulls
-    in) never load.  A fresh interpreter, since this one has imported
+    filter, the integrator solves and the modal frequencies are numpy, so
+    no ``scipy`` module loads — not ``scipy.signal``, ``scipy.stats`` or
+    ``scipy.linalg``.  A fresh interpreter, since this one has imported
     every test module's dependencies."""
     src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
     probe = ("import sys, repro; print(sorted(m for m in sys.modules if "
-             "m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats'])))")
+             "m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", probe], check=True,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "[]"
+
+
+def test_no_library_module_imports_scipy():
+    """scipy is a test oracle only: no ``import scipy`` or ``from scipy``
+    anywhere under ``src/repro``, a function-local one included."""
+    src = pathlib.Path(repro.__file__).parent
+    importers = set()
+    for path in src.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                importers.add(path.relative_to(src).as_posix())
+    assert importers == set()
+
+
+def test_the_package_depends_on_numpy_only():
+    """``pyproject.toml``'s runtime ``dependencies`` name numpy alone.
+    Read with a regex, not ``tomllib``, which Python 3.10 lacks."""
+    import re
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    text = (root / "pyproject.toml").read_text()
+    listed = re.search(r"^dependencies\s*=\s*\[(.*?)\]", text,
+                       re.MULTILINE | re.DOTALL)
+    assert listed is not None
+    names = [re.match(r"[A-Za-z0-9_.-]+", item.strip().strip("\"'")).group()
+             for item in listed.group(1).split(",") if item.strip()]
+    assert names == ["numpy"]
 
 
 def test_repository_and_envelope_are_each_spelt_once():

@@ -263,6 +263,26 @@ class TestStructuralModel:
         with pytest.raises(ConfigurationError):
             StructuralModel(mass=np.eye(2), stiffness=np.eye(3))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["mass", "stiffness", "damping", "iota"])
+    def test_non_finite_matrix_is_a_configuration_error(self, name, bad):
+        arrays = {"mass": [[2.0]], "stiffness": [[8.0]],
+                  "damping": [[0.4]], "iota": [1.0]}
+        arrays[name] = np.full(np.shape(arrays[name]), bad)
+        with pytest.raises(ConfigurationError, match=f"^{name} must be "
+                                                     "finite"):
+            StructuralModel(**arrays)
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.floats(1e-100, 1e100), k=st.floats(1e-100, 1e100))
+    def test_sdof_frequency_is_bit_identical_to_scipy_eigh(self, m, k):
+        from scipy import linalg  # the oracle; the library never loads it
+
+        model = StructuralModel(mass=[[m]], stiffness=[[k]])
+        assert np.array_equal(
+            model.natural_frequencies(),
+            np.sqrt(linalg.eigh([[k]], [[m]], eigvals_only=True)))
+
     def test_external_force(self):
         m = StructuralModel(mass=np.diag([2.0, 3.0]), stiffness=np.eye(2) * 10)
         p = m.external_force(1.5)

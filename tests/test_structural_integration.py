@@ -14,6 +14,7 @@ from repro.structural import (
     NewmarkBeta,
     PhysicalSpecimen,
     LinearSpring,
+    ShearFrame,
     SpecimenSubstructure,
     StructuralModel,
     SubstructuredModel,
@@ -44,6 +45,73 @@ def test_non_finite_dt_is_a_configuration_error(integrator, dt):
     (for an infinite step) a singular central-difference LHS."""
     with pytest.raises(ConfigurationError, match="dt must be finite"):
         integrator(sdof_model(), dt)
+
+
+@pytest.mark.parametrize("integrator, dt, mass, damping, kwargs, name", [
+    (NewmarkBeta, 0.5, [2.0], [-33.0], {}, "keff"),
+    (CentralDifferencePSD, 0.01, [2.0], [-400.0], {}, "lhs"),   # c = -2m/dt
+    (CentralDifferencePSD, 0.01, [2.0, 3.0], [-400.0, -600.0], {}, "lhs"),
+    (AlphaOSPSD, 0.5, [2.0], [-33.0], {"alpha": 0.0}, "meff"),
+])
+def test_singular_system_matrix_is_a_configuration_error(
+        integrator, dt, mass, damping, kwargs, name):
+    """A damping that cancels the rest of the system matrix exactly is
+    refused at construction, by the matrix's name, not proposed as NaN."""
+    model = StructuralModel(np.diag(mass), 100.0 * np.eye(len(mass)),
+                            damping=np.diag(damping))
+    with pytest.raises(ConfigurationError, match=rf"^{name} matrix is "
+                                                 "singular"):
+        integrator(model, dt, **kwargs)
+
+
+@pytest.mark.parametrize("integrator", [NewmarkBeta, CentralDifferencePSD])
+def test_overflowing_system_matrix_is_a_configuration_error(integrator):
+    """A finite model whose system matrix divides by ``dt²`` and
+    overflows at a tiny ``dt``."""
+    with np.errstate(over="ignore", divide="ignore"), pytest.raises(
+            ConfigurationError, match="matrix must be finite"):
+        integrator(sdof_model(), 1e-200)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.floats(1e-150, 1e150), negative=st.booleans(),
+       b=st.floats(-1e150, 1e150))
+def test_sdof_solve_is_bit_identical_to_an_lu_solve(a, negative, b):
+    from scipy import linalg  # the oracle; the library never loads it
+
+    from repro.structural.integrators import _solve_system
+
+    matrix = np.array([[-a if negative else a]])
+    rhs = np.array([b])
+    x, info = linalg.lapack.dgetrs(*linalg.lu_factor(matrix), rhs)
+    assert info == 0
+    assert np.array_equal(_solve_system(matrix, rhs), x)
+
+
+@settings(max_examples=50, deadline=None)
+@given(masses=st.lists(st.floats(0.5, 10.0), min_size=2, max_size=5),
+       seed=st.integers(0, 2**32 - 1))
+def test_multi_dof_shear_frames_are_close_to_scipy_not_bit_equal(masses,
+                                                                 seed):
+    """numpy's LAPACK calls round differently from scipy's ``eigh`` and
+    ``dgetrs`` for n >= 2: the frequencies and solves agree to a few
+    ulps, which is all this asserts."""
+    from scipy import linalg  # the oracle; the library never loads it
+
+    from repro.structural.integrators import _solve_system
+
+    rng = np.random.default_rng(seed)
+    frame = ShearFrame(masses, rng.uniform(10.0, 200.0, len(masses)),
+                       zeta=0.05)
+    np.testing.assert_allclose(
+        frame.natural_frequencies(),
+        np.sqrt(linalg.eigh(frame.stiffness, frame.mass, eigvals_only=True)),
+        rtol=1e-12)
+    lhs = CentralDifferencePSD(frame, 0.01)._lhs
+    rhs = rng.uniform(1.0, 2.0, len(masses))
+    np.testing.assert_allclose(_solve_system(lhs, rhs),
+                               linalg.lu_solve(linalg.lu_factor(lhs), rhs),
+                               rtol=1e-12)
 
 
 class TestNewmarkBeta:
@@ -173,8 +241,6 @@ class TestCentralDifferencePSD:
             psd.propose_next()
 
     def test_mdof_psd_matches_newmark(self):
-        from repro.structural import ShearFrame
-
         frame = ShearFrame(masses=[2.0, 1.5, 1.0],
                            stiffnesses=[600.0, 500.0, 400.0], zeta=0.03)
         dt = 0.002
