@@ -4,7 +4,10 @@ Implements everything site-independent (Figure 2's left box): transaction
 state management, at-most-once execution semantics, proposal negotiation
 through the installed control plugin, execution timeouts, and OGSI service
 data publication (one SDE per transaction plus the "most recently changed"
-SDE the paper highlights for whole-server monitoring).
+SDE the paper highlights for whole-server monitoring).  Both are a view of
+the transaction table: a publication stamps the transaction's version and
+time and the server's last-changed transaction, and an element is built
+only for a reader or a subscriber who wants the name.
 
 Operations exposed through the OGSI container:
 
@@ -36,6 +39,9 @@ STAT_KEYS = ("proposed", "accepted", "rejected", "executed", "failed",
 _COUNTED = {state: state.value for state in TransactionState
             if state.value in STAT_KEYS}
 
+#: a transaction's SDE is named this prefix + the transaction's name
+_TXN_SDE = "transaction:"
+
 
 class NTCPServer(GridService):
     """One site's NTCP service, parameterized by a control plugin.
@@ -58,12 +64,15 @@ class NTCPServer(GridService):
 
     def on_attach(self) -> None:
         self.plugin.attach(self.kernel, site=self.service_id)
-        self.service_data.set("lastChanged", None)
+        # lastChanged: the last transaction published, its version, its time
+        self._last, self._changes, self._changed_at = None, 1, self.kernel.now
+        self.service_data.provide(lambda: ["lastChanged", *(
+            _TXN_SDE + name for name in self.transactions)], self._sde)
         self.service_data.set("plugin", self.plugin.plugin_type)
         for op in ("propose", "execute", "cancel", "getTransaction",
                    "getResults", "listTransactions"):
             self.expose(op, getattr(self, f"_op_{op}"))
-        telemetry = self.kernel.telemetry
+        telemetry = self._telemetry = self.kernel.telemetry
         self._tracer = telemetry.tracer
         self._counters = {key: telemetry.counter(f"core.server.{key}",
                                                  site=self.service_id)
@@ -88,11 +97,28 @@ class NTCPServer(GridService):
 
     # -- state publication -----------------------------------------------------
     def _publish(self, txn: Transaction) -> None:
-        """Refresh the transaction's SDE and the lastChanged SDE."""
-        self.service_data.set_produced(f"transaction:{txn.name}",
-                                       txn.to_sde_value)
-        self.service_data.set("lastChanged", txn.name)
-        self.emit("transaction." + txn.state.value, transaction=txn.name)
+        """Stamp a change of ``txn``: its SDE's version and time, and the
+        lastChanged SDE's.  Names are built only while somebody has
+        subscribed to this service's SDEs, the record only for a sink."""
+        txn.version += 1
+        txn.modified = self._changed_at = self.kernel.now
+        self._last = txn
+        self._changes += 1
+        if self.sde_subscribers:  # else nobody could hear of it
+            self.service_data.changed(_TXN_SDE + txn.name)
+            self.service_data.changed("lastChanged")
+        if self._telemetry.takes_records:
+            self.emit("transaction." + txn.state.value, transaction=txn.name)
+
+    def _sde(self, name: str) -> tuple | None:
+        """``(value, last_modified, version)`` of ``lastChanged`` or of a
+        transaction's SDE, as of now; None for any other name."""
+        if name == "lastChanged":
+            return (self._last and self._last.name, self._changed_at,
+                    self._changes)
+        txn = (self.transactions.get(name[len(_TXN_SDE):])
+               if name.startswith(_TXN_SDE) else None)
+        return txn and (txn.to_sde_value(), txn.modified, txn.version)
 
     def _move(self, txn: Transaction, state: TransactionState,
               error: str = "") -> None:
@@ -266,7 +292,11 @@ class NTCPServer(GridService):
         done = self._completion_events.get(txn.name)
         if done is None:
             done = self._completion_events[txn.name] = self.kernel.event()
-        result = yield done
+        try:
+            result = yield done
+        except ProtocolError:
+            span.end(state=txn.state.value, ok=False, duplicate=True)
+            raise
         span.end(state=txn.state.value, duplicate=True)
         return result
 

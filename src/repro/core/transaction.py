@@ -69,6 +69,10 @@ class Transaction:
             in the order entered (including the initial PROPOSED entry).
         result: populated when the state reaches EXECUTED.
         error: human-readable reason for REJECTED / FAILED / CANCELLED.
+        version: publications so far — the version of the transaction's
+            service data element, which the server builds only on read.
+        modified: the time of the last publication (the element's
+            ``last_modified``).
     """
 
     proposal: Proposal
@@ -77,6 +81,8 @@ class Transaction:
         default_factory=lambda: {"proposed": 0.0})
     result: ExecutionOutcome | None = None
     error: str = ""
+    version: int = 0
+    modified: float = 0.0
 
     @property
     def name(self) -> str:

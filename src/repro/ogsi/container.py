@@ -8,10 +8,14 @@ from typing import Any, Callable
 from repro.net.network import Network
 from repro.net.rpc import RpcService
 from repro.ogsi.handle import GridServiceHandle
-from repro.ogsi.sde import ServiceDataElement
 from repro.ogsi.service import GridService
 from repro.util.errors import ConfigurationError, ProtocolError, ServiceNotFound
 from repro.util.ids import IdFactory
+from repro.util.schema import nullable, number, validator
+
+#: a termination time or a factory lifetime: None (immortal) or a finite
+#: number, never a bool; checked before anything is stored
+_check_lifetime = validator(ProtocolError, nullable(number(finite=True)))
 
 
 class ServiceContainer:
@@ -60,6 +64,7 @@ class ServiceContainer:
     def deploy(self, service: GridService, *,
                termination_time: float | None = None) -> GridServiceHandle:
         """Host a service instance; returns its grid service handle."""
+        _check_lifetime(termination_time)
         if service.service_id in self.services:
             raise ConfigurationError(
                 f"service id {service.service_id!r} already deployed on {self.host}")
@@ -68,7 +73,7 @@ class ServiceContainer:
         service.attach(self, handle)
         service.sde_subscribers = service.subscription_table(self._sub_ids)
         assert service.service_data is not None
-        service.service_data.on_change(lambda sde: self._fanout(service, sde))
+        service.service_data.on_change(lambda n: self._fanout(service, n))
         self.services[service.service_id] = service
         self.kernel.emit(f"container.{self.host}", "service.deployed",
                          service_id=service.service_id)
@@ -117,12 +122,13 @@ class ServiceContainer:
         self._arm_reaper()
 
     # -- notifications ------------------------------------------------------------
-    def _fanout(self, service: GridService, sde: ServiceDataElement) -> None:
-        if service.sde_subscribers:  # else nothing is built or read
-            service.sde_subscribers.publish(sde.name, lambda sub_id: {
+    def _fanout(self, service: GridService, name: str) -> None:
+        if service.sde_subscribers.wants(name):  # else nothing is built
+            sde = service.service_data.get(name)
+            service.sde_subscribers.publish(name, lambda sub_id: {
                 "subscription": sub_id,
                 "service_id": service.service_id,
-                "sde_name": sde.name,
+                "sde_name": name,
                 "value": sde.value,
                 "version": sde.version,
                 "modified": sde.last_modified,
@@ -151,6 +157,7 @@ class ServiceContainer:
     def _op_setTerminationTime(self, caller, service_id: str,
                                termination_time: float | None):
         svc = self.get(service_id)
+        _check_lifetime(termination_time)
         svc.termination_time = termination_time
         self.kernel.emit(f"container.{self.host}", "service.lifetime",
                          service_id=service_id, termination_time=termination_time)
@@ -179,6 +186,7 @@ class ServiceContainer:
         factory = self.factories.get(type_name)
         if factory is None:
             raise ProtocolError(f"no factory for service type {type_name!r}")
+        _check_lifetime(lifetime)
         service = factory(**(params or {}))
         termination = None if lifetime is None else self.kernel.now + lifetime
         handle = self.deploy(service, termination_time=termination)

@@ -62,6 +62,16 @@ class SubscriptionTable:
     def unsubscribe(self, sub_id: str) -> bool:
         return self._subs.pop(sub_id, None) is not None
 
+    def wants(self, topic: str) -> bool:
+        """Whether a live entry takes ``topic``: a publisher asks before
+        building what it would send.  Frees the lapsed entries, as
+        :meth:`publish` does."""
+        now = self.network.kernel.now
+        if any(expires <= now for *_, expires in self._subs.values()):
+            self._free_lapsed()
+        return any(topics is None or topic in topics
+                   for topics, *_ in self._subs.values())
+
     def publish(self, topic: str | None,
                 make_payload: Callable[[str], Any]) -> int:
         """Send ``make_payload(sub_id)`` to every live subscriber of

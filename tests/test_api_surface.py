@@ -933,43 +933,63 @@ def test_the_at_most_once_record_says_each_thing_once():
 
 
 def test_a_produced_sde_is_built_by_its_first_reader():
-    """``set_produced``: version and time are stamped at set time, the
-    value is built at most once and only if somebody reads it — and a
-    subscriber is a reader at publication time."""
+    """A provided SDE: version and time are stamped by its owner at the
+    move, the element is built once per read and only for a reader — a
+    change nobody reads builds nothing — and a subscriber who wants the
+    name is a reader at publication time."""
+    import pytest
+
     from repro.net import Network, RpcClient
     from repro.ogsi import (GridService, NotificationSink, ServiceContainer,
                             ServiceDataSet)
     from repro.sim import Kernel
+    from repro.util.errors import ConfigurationError
 
     now = [0.0]
     sds = ServiceDataSet(lambda: now[0])
     built = []
+    owned = {"tag": None, "version": 0, "at": 0.0}
 
-    def producer(tag):
-        def produce():
-            built.append(tag)
-            return {"made": tag}
-        return produce
+    def move(tag):  # the owner stamps version and time; nothing is built
+        owned.update(tag=tag, version=owned["version"] + 1, at=now[0])
+        sds.changed("x")
 
-    sds.set_produced("x", producer("v1"))   # superseded unread: never built
+    def resolve(name):
+        if name != "x":
+            return None
+        built.append(owned["tag"])
+        return {"made": owned["tag"]}, owned["at"], owned["version"]
+
+    sds.provide(lambda: ["x"], resolve)
+    move("v1")   # superseded unread: never built
     now[0] = 5.0
-    sde = sds.set_produced("x", producer("v2"))
-    assert (sde.version, sde.last_modified, built) == (2, 5.0, [])
+    move("v2")
+    assert built == []
     now[0] = 9.0
+    sde = sds.get("x")
+    assert (sde.value, sde.version, sde.last_modified) == ({"made": "v2"}, 2,
+                                                           5.0)
+    assert built == ["v2"]
     assert sds.value("x") == {"made": "v2"}
     assert sds.snapshot() == {"x": {"made": "v2"}}
-    assert sds.get("x").value is sde.value
-    assert built == ["v2"]
-    assert (sde.version, sde.last_modified) == (2, 5.0)
+    assert (sds.names(), sds.get("xy"), built) == (["x"], None, ["v2"] * 3)
+    with pytest.raises(ConfigurationError):
+        sds.set("x", 1)  # a name is stored or provided, never both
 
-    # a live subscription reads at publication, not at delivery
+    # a live subscription to the name reads at publication, not at
+    # delivery; one to another name builds nothing
     class Mutable(GridService):
         def on_attach(self):
-            self.state = "first"
-            self.publish()
+            self.state, self.version = "first", 1
+            self.service_data.provide(lambda: ["state"], self.resolve)
 
-        def publish(self):
-            self.service_data.set_produced("state", lambda: self.state)
+        def resolve(self, name):
+            built.append(self.state)
+            return self.state, 0.0, self.version
+
+        def publish(self, state):
+            self.state, self.version = state, self.version + 1
+            self.service_data.changed("state")
 
     kernel = Kernel()
     network = Network(kernel, seed=0)
@@ -980,13 +1000,16 @@ def test_a_produced_sde_is_built_by_its_first_reader():
     ServiceContainer(network, "site").deploy(service)
     notes = []
     sink = NotificationSink(network, "user", callback=notes.append)
-    kernel.run(until=kernel.process(RpcClient(network, "user").call(
-        "site", "ogsi", "subscribe",
-        {"service_id": "mutable", "sink_host": "user",
-         "sink_port": sink.port})))
-    service.state = "second"
-    service.publish()
+    rpc = RpcClient(network, "user")
+    built.clear()
+    for sde_name in ("other", "state"):
+        kernel.run(until=kernel.process(rpc.call(
+            "site", "ogsi", "subscribe",
+            {"service_id": "mutable", "sink_host": "user",
+             "sink_port": sink.port, "sde_name": sde_name})))
+        service.publish(f"wanted by {sde_name}")
     service.state = "changed while the notification was in flight"
     kernel.run()
     [note] = notes
-    assert (note["value"], note["version"]) == ("second", 2)
+    assert (note["value"], note["version"]) == ("wanted by state", 3)
+    assert built == ["wanted by state"]

@@ -1,5 +1,7 @@
 """NTCP protocol tests: Figure 1 state machine, negotiation, at-most-once."""
 
+import inspect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from repro.core import (
     Action,
     ExecutionOutcome,
+    NTCPServer,
     Proposal,
     SitePolicy,
     Transaction,
@@ -14,10 +17,12 @@ from repro.core import (
 )
 from repro.core.plugin import ControlPlugin
 from repro.control import SimulationPlugin, make_displacement_actions
-from repro.net import RemoteException
+from repro.net import Network, RemoteException
+from repro.ogsi import NotificationSink, ServiceContainer
+from repro.sim import Kernel
 from repro.structural import LinearSubstructure
 from repro.telemetry import InMemorySink
-from repro.util.errors import ProtocolError
+from repro.util.errors import PolicyViolation, ProtocolError
 
 from conftest import make_site
 
@@ -497,6 +502,35 @@ class TestExecutionTimeout:
         assert [r.kind for r in sink.records].count("plugin.error") == 1
         assert env.server._completion_events == {}
 
+    def test_a_racing_duplicate_ends_its_span_when_the_run_fails(self):
+        """Two executes racing a run that times out both get the error,
+        and both ``core.server.execute`` spans finish: the duplicate's
+        with ``ok=False, duplicate=True``."""
+        env = make_site(linear_plugin(compute_time=5.0))
+        execute = env.server.operation("execute")
+        errors = []
+
+        def one():
+            try:
+                yield from execute(None, transaction="t")
+            except ProtocolError as exc:
+                errors.append(str(exc))
+
+        def go():
+            yield from env.client.propose(
+                env.handle, "t", make_displacement_actions({0: 0.01}),
+                execution_timeout=1.0)
+            env.kernel.process(one())
+            yield env.kernel.timeout(0.5)  # the duplicate arrives mid-run
+            env.kernel.process(one())
+
+        env.run(go())
+        env.kernel.run()
+        assert errors == ["execution exceeded timeout of 1 s"] * 2
+        spans = env.kernel.telemetry.spans("core.server.execute")
+        assert [(span.attrs["ok"], span.attrs.get("duplicate"))
+                for span in spans] == [(False, None), (False, True)]
+
 
 class TestServiceData:
     def test_transaction_sde_published(self):
@@ -561,3 +595,137 @@ class TestServiceData:
         assert env.run(go()) == [(4, "executed"), (5, "executing"),
                                  (6, "executed")]
         assert env.server.plugin.steps_executed == 2
+
+
+class _Scripted(ControlPlugin):
+    """Rejects a transaction named ``r…``, fails one named ``f…`` and
+    runs any other for one simulated second."""
+
+    plugin_type = "scripted"
+
+    def review(self, proposal):
+        if proposal.transaction.startswith("r"):
+            raise PolicyViolation("refused")
+
+    def execute(self, proposal):
+        yield self.kernel.timeout(1.0)
+        if proposal.transaction.startswith("f"):
+            raise RuntimeError("jammed")
+        return {"value": 1.0}
+
+
+class _EagerServer(NTCPServer):
+    """The oracle: service data as each publication stored it before it
+    became a view of the transaction table — a ``transaction:<name>``
+    and a ``lastChanged`` element per move."""
+
+    def on_attach(self):
+        sds = self.service_data
+        sds.provide = lambda *family: None  # both names are stored here
+        super().on_attach()
+        del sds.provide
+        sds.set("lastChanged", None)
+
+    def _publish(self, txn):
+        self.service_data.set(f"transaction:{txn.name}", txn.to_sde_value())
+        self.service_data.set("lastChanged", txn.name)
+        self.emit("transaction." + txn.state.value, transaction=txn.name)
+
+
+_SDE_NAMES = [None, "lastChanged", "plugin", "transaction:a",
+              "transaction:f", "transaction:r", "transaction:zz"]
+
+_SDE_OPS = st.lists(st.one_of(
+    st.tuples(st.just("propose"), st.sampled_from("abfr")),
+    st.tuples(st.just("execute"), st.sampled_from("abfr"), st.booleans()),
+    st.tuples(st.just("cancel"), st.sampled_from("abr")),
+    st.tuples(st.just("find"), st.sampled_from(_SDE_NAMES)),
+    st.tuples(st.just("subscribe"), st.sampled_from(_SDE_NAMES),
+              st.sampled_from([0.7, 100.0])),
+    st.tuples(st.just("unsubscribe"), st.integers(0, 3)),
+    st.tuples(st.just("wait"), st.sampled_from([0.0, 0.5, 1.5])),
+), max_size=30)
+
+
+class TestServiceDataView:
+    """Transaction SDEs and ``lastChanged`` are provided from the
+    transaction table on read; they answer as stored elements did."""
+
+    @staticmethod
+    def side(server_class):
+        kernel = Kernel()
+        network = Network(kernel, seed=0)
+        network.add_host("site")
+        network.add_host("user")
+        network.connect("site", "user", latency=0.5)
+        container = ServiceContainer(network, "site")
+        server = server_class("ntcp", _Scripted())
+        container.deploy(server)
+        notes, seen, subs = [], [], []
+        sink = NotificationSink(network, "user", callback=notes.append)
+        return kernel, container, server, notes, seen, subs, sink.port
+
+    @staticmethod
+    def apply(side, op):
+        kernel, container, server, _, seen, subs, port = side
+        kind, *args = op
+        if kind == "wait":
+            kernel.run(until=kernel.now + args[0])
+            return
+        if kind == "unsubscribe":
+            seen.append(bool(subs) and container._op_unsubscribe(
+                None, subs[args[0] % len(subs)]))
+            return
+        try:
+            if kind == "find":
+                seen.append(container._op_findServiceData(
+                    None, "ntcp", args[0]))
+            elif kind == "subscribe":
+                subs.append(container._op_subscribe(
+                    None, "ntcp", "user", port, sde_name=args[0],
+                    lifetime=args[1]))
+            else:
+                if kind == "execute":
+                    server.at_most_once = args[1]
+                params = ({"transaction": args[0]} if kind != "propose" else
+                          {"proposal": Proposal(args[0], (Action("x"),))
+                           .to_dict()})
+                result = container._op_invoke(None, "ntcp", kind, params)
+                if inspect.isgenerator(result):
+                    kernel.process(TestServiceDataView.settle(result, seen))
+                else:
+                    seen.append(result)
+        except ProtocolError as exc:
+            seen.append(str(exc))
+
+    @staticmethod
+    def settle(run, seen):
+        try:
+            seen.append((yield from run))
+        except ProtocolError as exc:
+            seen.append(str(exc))
+
+    def test_a_move_frees_a_lapsed_subscription(self):
+        """A transaction move offered to nobody still frees the lapsed
+        entries, as the publish each move made did."""
+        side = self.side(NTCPServer)
+        kernel, server = side[0], side[2]
+        self.apply(side, ("subscribe", "lastChanged", 0.7))
+        kernel.run(until=1.0)
+        assert len(server.sde_subscribers) == 1
+        self.apply(side, ("propose", "a"))
+        assert len(server.sde_subscribers) == 0
+
+    @given(_SDE_OPS)
+    @settings(max_examples=150, deadline=None)
+    def test_the_view_answers_as_stored_elements_did(self, ops):
+        eager, view = self.side(_EagerServer), self.side(NTCPServer)
+        for op in ops + [("wait", 3.0), ("find", None)]:
+            for side in (eager, view):
+                self.apply(side, op)
+        for side in (eager, view):
+            side[0].run()
+        assert view[3] == eager[3]  # notification payloads, in order
+        assert view[4] == eager[4]  # every answer, in order
+        assert (view[2].service_data.names()
+                == eager[2].service_data.names())

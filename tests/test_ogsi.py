@@ -84,7 +84,7 @@ class TestServiceData:
     def test_listener_fires_on_set(self):
         sds = ServiceDataSet(lambda: 0.0)
         seen = []
-        sds.on_change(lambda sde: seen.append((sde.name, sde.value)))
+        sds.on_change(lambda name: seen.append((name, sds.value(name))))
         sds.set("x", 10)
         assert seen == [("x", 10)]
 
@@ -218,6 +218,53 @@ class TestLifetime:
         container.deploy(Hooked("h1"), termination_time=5.0)
         k.run(until=10.0)
         assert destroyed == ["h1"]
+
+    @pytest.mark.parametrize("bad", ["soon", float("nan"), float("inf"),
+                                     True])
+    def test_a_bad_termination_time_is_refused(self, bad):
+        """``setTerminationTime`` takes None or a finite number; anything
+        else is a ProtocolError that keeps the old deadline, so a later
+        deploy works and the reaper still destroys the service on time."""
+        k, net, container, client = make_env()
+        container.deploy(Counter("c1"), termination_time=100.0)
+
+        def go():
+            try:
+                yield from client.call("site", "ogsi", "setTerminationTime", {
+                    "service_id": "c1", "termination_time": bad})
+            except RemoteException as exc:
+                return exc.remote_type
+
+        assert k.run(until=k.process(go())) == "ProtocolError"
+        assert container.services["c1"].termination_time == 100.0
+        container.deploy(Counter("c2"))
+        k.run(until=99.0)
+        assert set(container.services) == {"c1", "c2"}
+        k.run(until=101.0)
+        assert set(container.services) == {"c2"}
+
+    @pytest.mark.parametrize("bad", ["soon", float("nan"), True])
+    def test_deploy_and_create_refuse_a_bad_lifetime(self, bad):
+        k, net, container, client = make_env()
+        with pytest.raises(ProtocolError):
+            container.deploy(Counter("c1"), termination_time=bad)
+        made = []
+        container.register_factory(
+            "counter", lambda sid: made.append(sid) or Counter(sid))
+
+        def go():
+            try:
+                yield from client.call("site", "ogsi", "createService", {
+                    "type_name": "counter", "params": {"sid": "m"},
+                    "lifetime": bad})
+            except RemoteException as exc:
+                return exc.remote_type
+
+        assert k.run(until=k.process(go())) == "ProtocolError"
+        assert (container.services, made) == ({}, [])
+        container.deploy(Counter("c1"), termination_time=5.0)
+        k.run(until=10.0)
+        assert container.services == {}
 
 
 class TestFactory:

@@ -8,6 +8,7 @@ here on any machine.  A change that lowers a count lowers its pin.
 """
 
 import collections
+import gc
 import hashlib
 import json
 import pathlib
@@ -27,6 +28,7 @@ from repro.gsi import Crypto
 from repro.gsi import session as gsi_session
 from repro.most import ExperimentSession, MOSTConfig
 from repro.nsds import StreamSample
+from repro.ogsi import ServiceDataElement, SubscriptionTable
 from repro.queue import (
     ExperimentQueue,
     FencingAuthority,
@@ -43,8 +45,15 @@ SIGN_BUDGET = 272
 
 #: calls into ``src/repro`` per committed step of the 40-step
 #: simulation-only session below (1,713.8 when every RPC hop built
-#: trace contexts and every kernel entry cost a method call).
-CALLS_PER_STEP_BUDGET = 1350
+#: trace contexts and every kernel entry cost a method call; 1,346.4
+#: when every transaction move stored two service data elements).
+CALLS_PER_STEP_BUDGET = 1141
+
+#: ``SubscriptionTable.publish`` calls per committed step of a 40-step
+#: monitored simulation-only session: the health and metrics documents
+#: (25.1 when each transaction move also offered its SDE and
+#: ``lastChanged`` to a table whose one subscriber takes ``health``).
+PUBLISH_PER_STEP_BUDGET = 0.95
 
 #: SHA-256 over every finished span's ``to_dict()`` (ids, parents, attrs,
 #: times) of that session, recorded before the hot path stopped building
@@ -230,3 +239,47 @@ def test_a_datagram_builds_a_sample_only_for_a_consumer(monkeypatch):
     delivered = sum(recv.accepted for recv in dep.extras["nsds_receivers"])
     assert delivered > ingested > 0
     assert built[0] == ingested
+
+
+def test_a_run_keeps_no_service_data_element_per_step():
+    """Transaction SDEs are a view built for a reader: a finished
+    simulation-only run holds as many ``ServiceDataElement``s at 200
+    steps as at 40 (three more per committed step when every transaction
+    move stored its SDE and ``lastChanged``)."""
+    def alive():
+        gc.collect()
+        return sum(isinstance(obj, ServiceDataElement)
+                   for obj in gc.get_objects())
+
+    def kept(steps):
+        outcome = ExperimentSession(MOSTConfig().scaled(steps),
+                                    simulation_only=True).run()
+        assert outcome.completed
+        with_run = alive()
+        del outcome
+        return with_run - alive()
+
+    assert kept(40) == kept(200) > 0
+
+
+def test_a_transaction_move_publishes_only_to_a_subscriber_who_wants_it(
+        monkeypatch):
+    """In a monitored session each site server's one subscription takes
+    ``health`` only, so no transaction move reaches
+    ``SubscriptionTable.publish`` (8 topics per step per site did)."""
+    topics = collections.Counter()
+    publish = SubscriptionTable.publish
+
+    def counting_publish(self, topic, make_payload):
+        topics[topic] += 1
+        return publish(self, topic, make_payload)
+
+    monkeypatch.setattr(SubscriptionTable, "publish", counting_publish)
+    outcome = ExperimentSession(MOSTConfig().scaled(40),
+                                simulation_only=True).with_monitoring().run()
+    assert outcome.completed and outcome.steps_completed == 39
+    assert topics["health"] > 0
+    assert not [topic for topic in topics if topic is not None and (
+        topic == "lastChanged" or topic.startswith("transaction:"))]
+    assert sum(topics.values()) / outcome.steps_completed \
+        <= PUBLISH_PER_STEP_BUDGET
