@@ -3,21 +3,16 @@ export PYTHONPATH := src
 
 BENCH_TARGETS := bench-perf bench-fleet bench-obs bench-queue
 
-.PHONY: test lint analyze verify bench-figures examples \
+.PHONY: test lint verify bench-figures examples \
 	$(BENCH_TARGETS) validate-bench twall-names twall-smoke twall pairs loc \
 	check
 
 test:
 	$(PYTHON) -m pytest -x -q tests/
 
-# ruff (byte-compile fallback), then the repro.analysis pass below.
+# ruff (byte-compile fallback); the RPR rules are tier-1 pins in `test`.
 lint:
 	sh scripts/lint.sh
-
-# The project-specific static analysis on its own; `make lint` (and so
-# `make check`) already runs it once, through scripts/lint.sh.
-analyze:
-	$(PYTHON) -m repro.analysis
 
 # Bounded protocol verification, one pass with no options: exhaustive
 # state-space exploration at both pipeline depths, the seeded-mutation

@@ -7,12 +7,15 @@ directory (``git archive``: local, and nothing is left in ``.git``), then
 ``benchmarks/twall/run.py --workload W --trace 0`` runs on that tree and
 on this one alternately — ``-n`` pairs, alternating which side goes
 first, each run a fresh process whose final JSON line is all that is
-read.  Prints, per end-to-end metric, each side's median and quartiles,
-the pairs the change won and lost (ties count for neither), and a
-verdict: ``gain`` / ``worse`` when one side took at least nine tenths of
-the pairs *and* the medians lie further apart than the parent's own
-inter-quartile distance; ``-`` otherwise, which is "not resolved", not
-"unchanged".  Arguments it does not know go to the runner unchanged.
+read.  Each side byte-compiles into its own ``PYTHONPYCACHEPREFIX`` in
+the temporary directory, so neither reads a ``__pycache__`` the working
+tree happens to hold: both start cold and warm up alike.  Prints, per
+end-to-end metric, each side's median and quartiles, the pairs the
+change won and lost (ties count for neither), and a verdict: ``gain`` /
+``worse`` when one side took at least nine tenths of the pairs *and*
+the medians lie further apart than the parent's own inter-quartile
+distance; ``-`` otherwise, which is "not resolved", not "unchanged".
+Arguments it does not know go to the runner unchanged.
 
 Run:  python scripts/pairs.py --against REV --workload NAME [-n 10]
                               [--seed 1971] [--seconds 10]
@@ -21,6 +24,7 @@ Run:  python scripts/pairs.py --against REV --workload NAME [-n 10]
 
 import argparse
 import json
+import os
 import pathlib
 import statistics
 import subprocess
@@ -30,12 +34,15 @@ import tempfile
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def measure(tree: pathlib.Path, arguments: list[str]) -> dict[str, float]:
-    """One fresh-process run; the end-to-end metrics of its last line."""
+def measure(tree: pathlib.Path, arguments: list[str],
+            cache: pathlib.Path) -> dict[str, float]:
+    """One fresh-process run, its bytecode under ``cache``; the end-to-end
+    metrics of its last line."""
     out = subprocess.run(
         [sys.executable, str(tree / "benchmarks" / "twall" / "run.py"),
          "--trace", "0", *arguments],
-        check=True, capture_output=True, text=True).stdout
+        check=True, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPYCACHEPREFIX": str(cache)}).stdout
     result = json.loads(out.strip().splitlines()[-1])
     if not result["correct"] or result["failed"]:
         sys.exit(f"{tree}: the run's oracles did not hold: {result}")
@@ -51,15 +58,20 @@ def main() -> None:
     arguments = ["--workload", args.workload, *passed_on]
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     runs: dict[str, list] = {"parent": [], "change": []}
-    with tempfile.TemporaryDirectory() as parent:
+    with tempfile.TemporaryDirectory() as scratch:
+        parent = pathlib.Path(scratch) / "parent"
+        parent.mkdir()
         archive = subprocess.run(["git", "-C", str(ROOT), "archive",
                                   args.against],
                                  check=True, capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", parent], input=archive, check=True)
-        trees = {"parent": pathlib.Path(parent), "change": ROOT}
+        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive,
+                       check=True)
+        trees = {"parent": parent, "change": ROOT}
         for pair in range(args.n):
             for side in sorted(trees, reverse=bool(pair % 2)):
-                runs[side].append(measure(trees[side], arguments))
+                runs[side].append(measure(
+                    trees[side], arguments,
+                    pathlib.Path(scratch) / f"pycache-{side}"))
             print(f"pair {pair + 1}/{args.n}: " + "  ".join(
                 f"{side} {runs[side][-1]['host_steps_per_s']:.1f}"
                 for side in runs) + " steps/host_s", flush=True)

@@ -84,10 +84,6 @@ class ReconciliationReport:
     def reproposed(self) -> int:
         return self.count(ACTION_REPROPOSE)
 
-    def overrides(self) -> dict[str, str]:
-        """``{site: transaction_name}`` for the in-flight step's retry."""
-        return {a.site: a.transaction for a in self.actions}
-
     def rows(self) -> list[str]:
         """Human-readable classification table (CLI / example output)."""
         return [f"{a.site:<8} {a.observed:<12} -> {a.action:<10} "

@@ -168,10 +168,6 @@ class SitePool:
         """Number of acquire requests currently waiting."""
         return len(self._waiting)
 
-    def free_sites(self) -> int:
-        """Number of sites not currently leased."""
-        return len(self._free)
-
     def validate_request(self, n_sites: int) -> None:
         """Raise :class:`AdmissionError` if ``n_sites`` can never be granted."""
         if n_sites < 1:

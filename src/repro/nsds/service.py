@@ -83,11 +83,11 @@ class NSDSService(GridService):
     def _op_subscribe(self, caller, sink_host: str, sink_port: str,
                       channels: list[str] | None = None,
                       lifetime: float = 600.0):
-        return self.subscribers.subscribe(sink_host, sink_port, lifetime,
-                                          channels)
+        return self.subscribers.subscribe(caller, sink_host, sink_port,
+                                          lifetime, channels)
 
     def _op_unsubscribe(self, caller, subscription_id: str):
-        return self.subscribers.unsubscribe(subscription_id)
+        return self.subscribers.unsubscribe(subscription_id, caller)
 
     def _op_listChannels(self, caller):
         return sorted(self.buffers)

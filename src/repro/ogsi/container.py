@@ -173,11 +173,11 @@ class ServiceContainer:
                       sink_port: str, sde_name: str | None = None,
                       lifetime: float = 300.0):
         return self.get(service_id).sde_subscribers.subscribe(
-            sink_host, sink_port, lifetime,
+            caller, sink_host, sink_port, lifetime,
             None if sde_name is None else [sde_name])
 
     def _op_unsubscribe(self, caller, subscription_id: str):
-        return any(svc.sde_subscribers.unsubscribe(subscription_id)
+        return any(svc.sde_subscribers.unsubscribe(subscription_id, caller)
                    for svc in self.services.values())
 
     def _op_createService(self, caller, type_name: str,

@@ -6,7 +6,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.net.network import Message, Network
-from repro.util.errors import ProtocolError
+from repro.util.errors import ProtocolError, SecurityError
 from repro.util.schema import array, nullable, number, obj, string, validator
 
 _validate_request = validator(ProtocolError, obj({
@@ -30,7 +30,9 @@ class SubscriptionTable:
     a lapsed entry (``expires <= now``) is skipped, and freed when the
     owner next publishes or is destroyed; ``on_lapsed(n)`` is told how
     many were freed that way.  An explicit :meth:`unsubscribe` is a
-    cancellation, not a lapse.
+    cancellation, not a lapse, and only the RPC caller who subscribed (a
+    GSI :class:`~repro.gsi.authz.Principal` on a gated container) may make
+    it: ids are sequential, so anyone could otherwise cancel anyone.
     """
 
     def __init__(self, network: Network, host: str,
@@ -40,27 +42,38 @@ class SubscriptionTable:
         self.host = host
         self._new_id = new_id
         self._on_lapsed = on_lapsed
-        #: sub_id -> (topics or None for all, sink_host, sink_port, expires)
+        #: sub_id -> (topics or None for all, sink_host, sink_port, owner,
+        #: expires)
         self._subs: dict[str, tuple] = {}
 
     def __len__(self) -> int:
         """Entries held (lapsed ones included until they are freed)."""
         return len(self._subs)
 
-    def subscribe(self, sink_host: str, sink_port: str, lifetime: float,
-                  topics: list[str] | None = None) -> str:
-        """Store a subscription and return its id; a malformed request
-        is a :class:`ProtocolError` and takes no id."""
+    def subscribe(self, caller: Any, sink_host: str, sink_port: str,
+                  lifetime: float, topics: list[str] | None = None) -> str:
+        """Store a subscription owned by ``caller`` and return its id; a
+        malformed request is a :class:`ProtocolError` and takes no id."""
         _validate_request({"sink_host": sink_host, "sink_port": sink_port,
                            "lifetime": lifetime, "topics": topics})
         sub_id = self._new_id()
         self._subs[sub_id] = (
             None if topics is None else frozenset(topics),
-            sink_host, sink_port, self.network.kernel.now + lifetime)
+            sink_host, sink_port, caller, self.network.kernel.now + lifetime)
         return sub_id
 
-    def unsubscribe(self, sub_id: str) -> bool:
-        return self._subs.pop(sub_id, None) is not None
+    def unsubscribe(self, sub_id: str, caller: Any) -> bool:
+        """Cancel ``sub_id``; ``False`` when this table holds no such id.
+        Any caller but the subscriber is refused with a
+        :class:`SecurityError`, and the entry stays."""
+        entry = self._subs.get(sub_id)
+        if entry is None:
+            return False
+        if entry[3] != caller:
+            raise SecurityError(
+                f"subscription {sub_id!r} belongs to another caller")
+        del self._subs[sub_id]
+        return True
 
     def wants(self, topic: str) -> bool:
         """Whether a live entry takes ``topic``: a publisher asks before
@@ -78,7 +91,7 @@ class SubscriptionTable:
         ``topic``; returns the datagrams sent."""
         now = self.network.kernel.now
         sent, lapsed = 0, False
-        for sub_id, (topics, sink_host, sink_port, expires) in \
+        for sub_id, (topics, sink_host, sink_port, _, expires) in \
                 self._subs.items():
             if expires <= now:
                 lapsed = True

@@ -114,7 +114,7 @@ class Span:
         """Close the span on scope exit; exceptions are recorded, not eaten.
 
         For synchronous code, ``with tracer.start_span(...) as span:`` is
-        the preferred shape (the RPR004 lint rule enforces that spans are
+        the preferred shape (the RPR004 pin checks that spans are
         closed); generator-based code keeps calling :meth:`end` explicitly
         because a ``with`` block would close at the wrong time there.
         """

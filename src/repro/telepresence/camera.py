@@ -81,14 +81,15 @@ class CameraService(GridService):
     # -- streaming ------------------------------------------------------------
     def _op_subscribe(self, caller, sink_host: str, sink_port: str,
                       lifetime: float = 600.0):
-        viewer_id = self.subscribers.subscribe(sink_host, sink_port, lifetime)
+        viewer_id = self.subscribers.subscribe(caller, sink_host, sink_port,
+                                               lifetime)
         if not self.streaming:
             self.streaming = True
             self.kernel.process(self._stream(), name=f"{self.service_id}.stream")
         return viewer_id
 
     def _op_unsubscribe(self, caller, viewer_id: str):
-        return self.subscribers.unsubscribe(viewer_id)
+        return self.subscribers.unsubscribe(viewer_id, caller)
 
     def _stream(self):
         """Push frames while any subscription is live; stop when none are

@@ -8,10 +8,29 @@ import ast
 import inspect
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import repro
+from conftest import ROOT, walk
+
+SRC = ROOT / "src" / "repro"
+
+
+def tree_at(path: str) -> ast.Module:
+    """The walker's parse of one repository file."""
+    [tree] = [tree for _, where, tree in walk() if where == path]
+    return tree
+
+
+def spelt(names: set[str], *tops: str) -> set[tuple[str, str]]:
+    """``(path, name)`` for each of ``names`` that a walked file binds,
+    reads, defines, imports or takes as a parameter."""
+    return {(path, name) for _, path, tree in walk(*tops)
+            for node in ast.walk(tree)
+            for name in names & {getattr(node, field, None)
+                                 for field in ("id", "attr", "arg", "name")}}
 
 
 def test_all_names_resolve():
@@ -73,10 +92,9 @@ def test_importing_repro_loads_no_signal_processing_or_statistics():
 def test_no_library_module_imports_scipy():
     """scipy is a test oracle only: no ``import scipy`` or ``from scipy``
     anywhere under ``src/repro``, a function-local one included."""
-    src = pathlib.Path(repro.__file__).parent
     importers = set()
-    for path in src.rglob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for _, path, tree in walk("src"):
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and not node.level:
@@ -84,17 +102,14 @@ def test_no_library_module_imports_scipy():
             else:
                 continue
             if any(name.split(".")[0] == "scipy" for name in names):
-                importers.add(path.relative_to(src).as_posix())
+                importers.add(path)
     assert importers == set()
 
 
 def test_the_package_depends_on_numpy_only():
     """``pyproject.toml``'s runtime ``dependencies`` name numpy alone.
     Read with a regex, not ``tomllib``, which Python 3.10 lacks."""
-    import re
-
-    root = pathlib.Path(__file__).resolve().parent.parent
-    text = (root / "pyproject.toml").read_text()
+    text = (ROOT / "pyproject.toml").read_text()
     listed = re.search(r"^dependencies\s*=\s*\[(.*?)\]", text,
                        re.MULTILINE | re.DOTALL)
     assert listed is not None
@@ -111,46 +126,35 @@ def test_repository_and_envelope_are_each_spelt_once():
     ``{"service_id", "operation", "params"}`` envelope only under
     ``repro/ogsi/``.
     """
-    import ast
-    import pathlib
-
-    src = pathlib.Path(repro.__file__).parent
     client_ops = {"registerFile", "negotiateTransfer", "listFiles",
                   "unregisterFile", "createObject"}
-    service_side = {src / "repository" / "nfms.py",
-                    src / "repository" / "nmds.py"}
+    service_side = {"repro.repository.nfms", "repro.repository.nmds"}
     op_homes, envelope_homes = set(), set()
-    for path in src.rglob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for module, _, tree in walk("src"):
+        for node in ast.walk(tree):
             if (isinstance(node, ast.Constant) and node.value in client_ops
-                    and path not in service_side):
-                op_homes.add(path.relative_to(src).as_posix())
+                    and module not in service_side):
+                op_homes.add(module)
             if isinstance(node, ast.Dict):
                 keys = {k.value for k in node.keys
                         if isinstance(k, ast.Constant)}
                 if {"service_id", "operation"} <= keys:
-                    envelope_homes.add(path.relative_to(src).parts[0])
-    assert op_homes == {"repository/facade.py"}
+                    envelope_homes.add(module.split(".")[1])
+    assert op_homes == {"repro.repository.facade"}
     assert envelope_homes == {"ogsi"}
 
 
 def test_coordinator_decisions_are_each_spelt_once():
     """One transaction-name format, one override-table writer, one resume
     point, one fire-and-forget cancel (PROTOCOL.md §§7–9 rest on these)."""
-    import ast
-    import pathlib
-    import re
-
-    src = pathlib.Path(repro.__file__).parent
     name_format = re.compile(r"step\{[^}]*:05d\}")
     homes = {"format": set(), "override": set(), "resume": set(),
              "cancel": set()}
-    for path in src.rglob("*.py"):
-        where = path.relative_to(src).as_posix()
-        text = path.read_text()
-        if name_format.search(text):
+    for _, path, tree in walk("src"):
+        where = path.removeprefix("src/repro/")
+        if name_format.search((ROOT / path).read_text()):
             homes["format"].add(where)
-        for func in ast.walk(ast.parse(text)):
+        for func in ast.walk(tree):
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             for node in ast.walk(func):
@@ -184,24 +188,18 @@ def test_deployment_construction_is_spelt_once():
     the T-WALL probes only :mod:`repro.grid` builds an NTCP server (plus
     the failover manager activating a surrogate), an NTCP client, a
     surrogate spec, a predictor or a circuit breaker."""
-    import ast
-    import pathlib
-
-    src = pathlib.Path(repro.__file__).parent
-    repo = src.parent.parent
     kit = {"NTCPServer", "NTCPClient", "SurrogateSpec",
            "SubstructurePredictor", "CircuitBreaker"}
     homes = {name: set() for name in kit}
-    roots = [src, repo / "scripts", repo / "examples", repo / "benchmarks"]
-    for path in (p for root in roots for p in root.rglob("*.py")):
-        if "twall" in path.parts:
+    for _, path, tree in walk("src", "scripts", "examples", "benchmarks"):
+        if "/twall/" in path:
             continue
-        for node in ast.walk(ast.parse(path.read_text())):
+        for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 called = getattr(node.func, "attr",
                                  getattr(node.func, "id", ""))
                 if called in kit:
-                    homes[called].add(path.relative_to(repo).as_posix())
+                    homes[called].add(path)
     grid = "src/repro/grid.py"
     assert homes == {
         "NTCPServer": {grid, "src/repro/coordinator/failover.py"},
@@ -217,14 +215,13 @@ def test_a_scripted_fault_is_armed_in_one_place():
     (``Grid.arm``) installs a fault primitive; the network's filter hook
     is otherwise called by the primitives themselves, and a timed outage
     is scheduled outside it only by the fleet's time-triggered plans."""
-    src = pathlib.Path(repro.__file__).parent
     primitives = {"add_drop_filter", "drop_matching", "duplicate_matching",
                   "reorder_matching", "corrupt_matching", "jitter_burst",
                   "crash_host", "schedule_outage"}
     homes = {name: set() for name in primitives}
-    for path in src.rglob("*.py"):
-        where = path.relative_to(src).as_posix()
-        for func in ast.walk(ast.parse(path.read_text())):
+    for _, path, tree in walk("src"):
+        where = path.removeprefix("src/repro/")
+        for func in ast.walk(tree):
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             for node in ast.walk(func):
@@ -299,13 +296,12 @@ def test_the_pseudo_dynamic_skeleton_is_written_once():
     ensemble's shape, its column-wise algebra and α-OS clearing its
     pending predictor on restore.  Nothing else in ``src/`` — no
     coordinator — decides a state shape."""
-    src = pathlib.Path(repro.__file__).parent
     shared = {"snapshot", "restore", "integrate", "_apply", "_solve",
               "state_shape", "_state_shape"}
     homes = {name: set() for name in shared}
-    for path in src.rglob("*.py"):
-        where = path.relative_to(src).as_posix()
-        for cls in ast.walk(ast.parse(path.read_text())):
+    for _, path, tree in walk("src"):
+        where = path.removeprefix("src/repro/")
+        for cls in ast.walk(tree):
             if not isinstance(cls, ast.ClassDef):
                 continue
             pseudo_dynamic = (where == "structural/integrators.py"
@@ -342,15 +338,10 @@ def test_every_instrument_has_one_owner_and_a_reader():
     ``scripts/`` or a ``src/`` module other than the creating one.
 
     *One owner.*  The seven former shadow copies are properties, no
-    ``x.attr += n`` sits next to an instrument update, the network never ``repr``-s a payload, and no class
-    owns an ``IdFactory`` (ports number per network, not per process).
+    ``x.attr += n`` sits next to an instrument update, the network never
+    ``repr``-s a payload, and no class owns an ``IdFactory`` (ports
+    number per network, not per process).
     """
-    import ast
-    import pathlib
-    import re
-
-    src = pathlib.Path(repro.__file__).parent
-    repo = src.parent.parent
     kinds = {"counter", "gauge", "histogram"}
     updates = {"inc", "observe", "set", "add"}
 
@@ -372,9 +363,11 @@ def test_every_instrument_has_one_owner_and_a_reader():
         return (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)
                 and getattr(stmt.value.func, "attr", "") in updates)
 
-    for path in src.rglob("*.py"):
-        where = path.relative_to(src).as_posix()
-        nodes = listen("src/" + where, ast.parse(path.read_text()))
+    for _, path, tree in walk("src", "tests", "benchmarks", "scripts"):
+        nodes = listen(path, tree)
+        if not path.startswith("src/"):
+            continue
+        where = path.removeprefix("src/repro/")
         read_on_the_spot = {id(n.value) for n in nodes
                             if isinstance(n, ast.Attribute)
                             and n.attr not in updates}
@@ -396,17 +389,12 @@ def test_every_instrument_has_one_owner_and_a_reader():
                             shadows.append((where, bump.target.attr))
             if (isinstance(node, ast.Call) and id(node) not in read_on_the_spot
                     and getattr(node.func, "attr", "") in kinds
-                    and path.parent.name != "telemetry"):
+                    and not where.startswith("telemetry/")):
                 arg = node.args[0]
                 name = (arg.values[0].value + "*"
                         if isinstance(arg, ast.JoinedStr) else arg.value)
-                assert created.setdefault(
-                    name, (node.func.attr, "src/" + where)) == \
-                    (node.func.attr, "src/" + where), name
-    for root in ("tests", "benchmarks", "scripts"):
-        for path in (repo / root).rglob("*.py"):
-            listen(path.relative_to(repo).as_posix(),
-                   ast.parse(path.read_text()))
+                assert created.setdefault(name, (node.func.attr, path)) == \
+                    (node.func.attr, path), name
 
     def answers_to(name, names):
         """The members of ``names`` that name this instrument (family)."""
@@ -431,7 +419,7 @@ def test_every_instrument_has_one_owner_and_a_reader():
     assert not unread, " ".join(unread)
 
     # -- a row in ARCHITECTURE's table, and no row without an instrument ----
-    doc = (repo / "docs" / "ARCHITECTURE.md").read_text()
+    doc = (ROOT / "docs" / "ARCHITECTURE.md").read_text()
     inventory = doc.split("| instrument | kind |")[1].split("\n\n")[0]
     table = {}
     for cell, kind in re.findall(r"^\| `([^`]+)` \| (\w+) \|", inventory,
@@ -458,7 +446,7 @@ def test_every_instrument_has_one_owner_and_a_reader():
                       (SLOEvaluator, "alerts_raised"),
                       (CircuitBreaker, "trips")):
         assert isinstance(getattr(cls, attr), property), (cls, attr)
-    assert "repr(" not in (src / "net" / "network.py").read_text()
+    assert "repr(" not in (SRC / "net" / "network.py").read_text()
     assert class_factories == []
 
 
@@ -467,21 +455,13 @@ def test_a_guarantee_has_one_gate():
     gated once in the harness: a tier-1 test or a ``BENCHES`` floor, never a
     smoke script, a bench ``--smoke`` fork or an inline re-assertion beside
     it — and ``make check`` reaches each gate once."""
-    import ast
-    import pathlib
-    import re
-
-    src = pathlib.Path(repro.__file__).parent
-    repo = src.parent.parent
-
     def sources(*roots):
-        return [path for root in roots for path in (repo / root).rglob("*.py")
-                if "twall" not in path.parts]
+        return [path for _, path, _ in walk(*roots) if "/twall/" not in path]
 
     # -- no hand-rolled runner beside the tests -----------------------------
-    assert not list((repo / "scripts").glob("*smoke*.py"))
-    assert not [path.name for path in sources("benchmarks")
-                if "--smoke" in path.read_text()]
+    assert not list((ROOT / "scripts").glob("*smoke*.py"))
+    assert not [path for path in sources("benchmarks")
+                if "--smoke" in (ROOT / path).read_text()]
 
     # -- BENCHES is where a floor is written: the builders judge nothing ----
     builders = {"bench_tfleet.py": "run_fleet_campaign",
@@ -489,23 +469,20 @@ def test_a_guarantee_has_one_gate():
                 "bench_tobs_observatory.py": "run_bench",
                 "bench_tperf_ntcp.py": "run_stepping_modes"}
     for filename, builder in builders.items():
-        tree = ast.parse((repo / "benchmarks" / filename).read_text())
-        [func] = [node for node in tree.body
+        [func] = [node for node in tree_at(f"benchmarks/{filename}").body
                   if isinstance(node, ast.FunctionDef) and node.name == builder]
         assert not [node for node in ast.walk(func)
                     if isinstance(node, ast.Assert)], builder
 
     # -- the campaign everyone drives is typed once -------------------------
     sweep = re.compile(r"0\.75\s*\+\s*0\.5\s*\*")
-    assert {path.relative_to(repo).as_posix()
-            for path in sources("src", "tests", "benchmarks", "scripts",
-                                "examples")
-            if sweep.search(path.read_text())} == \
+    assert {path for path in sources()
+            if sweep.search((ROOT / path).read_text())} == \
         {"src/repro/fleet/scheduler.py"}
 
     # -- both invariant sweeps judge a run by one rule body -----------------
-    campaign = ast.parse((src / "chaos" / "campaign.py").read_text())
-    functions = {node.name: node for node in campaign.body
+    functions = {node.name: node
+                 for node in tree_at("src/repro/chaos/campaign.py").body
                  if isinstance(node, ast.FunctionDef)}
 
     def calls(name):
@@ -521,21 +498,23 @@ def test_a_guarantee_has_one_gate():
                         for node in ast.walk(func))]
         assert homes == [rule], key
 
-    # -- `make check`: every gate named, none twice, the analysis once ------
-    makefile = (repo / "Makefile").read_text().replace("\\\n", " ")
+    # -- `make check`: every gate named, none twice, no linter pass ---------
+    makefile = (ROOT / "Makefile").read_text().replace("\\\n", " ")
     rules = {target: (prerequisites.split(), recipe)
              for target, prerequisites, recipe in re.findall(
                  r"^([\w-]+):(.*)\n((?:\t.*\n)*)", makefile, re.M)}
 
     def reached(target):
         prerequisites, recipe = rules[target]
-        scripts = "".join((repo / script).read_text() for script
+        scripts = "".join((ROOT / script).read_text() for script
                           in re.findall(r"scripts/[\w.]+\.sh", recipe))
         return recipe + scripts + "".join(map(reached, prerequisites))
 
     gates = rules["check"][0]
     assert len(gates) == len(set(gates)) and set(gates) <= set(rules)
-    assert reached("check").count("-m repro.analysis") == 1
+    # the RPR rules are tier-1 pins (test_analysis.py, test_callgraph.py)
+    assert "-m repro.analysis" not in reached("check")
+    assert "analyze" not in rules
     # the verifier's verdicts are tier-1 tests (test_verify*.py), so the
     # CLI that prints them is for operators, not a second gate
     assert reached("check").count("-m repro.verify") == 0
@@ -548,33 +527,17 @@ def test_a_campaign_has_one_loop():
     ``FleetScheduler``, ``FleetResult``, ``ExperimentRequest`` — are gone
     from ``src/``, ``tests/``, ``benchmarks/``, ``scripts/`` and
     ``examples/``."""
-    import pathlib
-
-    src = pathlib.Path(repro.__file__).parent
-    repo = src.parent.parent
     gone = {"FleetScheduler", "FleetResult", "ExperimentRequest"}
-    callers, named = [], set()
-    for root in ("src", "tests", "benchmarks", "scripts", "examples"):
-        for path in (repo / root).rglob("*.py"):
-            where = path.relative_to(repo).as_posix()
-            tree = ast.parse(path.read_text())
-            for node in ast.walk(tree):
-                names = {getattr(node, field, None)
-                         for field in ("id", "attr", "name")}
-                if isinstance(node, ast.alias):
-                    names.add(node.name)
-                named |= {(where, name) for name in gone & names}
-            if root != "src":
-                continue
-            callers += [
-                (where, func.name) for func in ast.walk(tree)
-                if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-                for node in ast.walk(func)
-                if isinstance(node, ast.Call)
-                and getattr(node.func, "id",
-                            getattr(node.func, "attr", "")) == "drive_request"]
+    callers = [
+        (where, func.name) for _, where, tree in walk("src")
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id",
+                    getattr(node.func, "attr", "")) == "drive_request"]
     assert callers == [("src/repro/queue/scheduler.py", "_drive")]
-    assert named == set()
+    assert spelt(gone) == set()
     assert not gone & set(repro.__all__)
 
 
@@ -584,24 +547,12 @@ def test_the_kernel_log_is_a_stream():
     none of the write-only fault records (``OutageRecord``,
     ``ChaosRecord``) under ``src/``, ``tests/``, ``benchmarks/``,
     ``scripts/`` or ``examples/``."""
-    import pathlib
-
-    repo = pathlib.Path(repro.__file__).parent.parent.parent
     gone = {"EventLog", "OutageRecord", "ChaosRecord"}
-    found = set()
-    for root in ("src", "tests", "benchmarks", "scripts", "examples"):
-        for path in (repo / root).rglob("*.py"):
-            where = path.relative_to(repo).as_posix()
-            for node in ast.walk(ast.parse(path.read_text())):
-                names = {getattr(node, field, None)
-                         for field in ("id", "attr", "name")}
-                found |= {(where, name) for name in gone & names}
-                func = getattr(node, "func", None)
-                if (isinstance(node, ast.Call)
-                        and getattr(func, "attr", None) == "records"
-                        and getattr(func.value, "attr", None) == "log"):
-                    found.add((where, ".log.records("))
-    assert found == set()
+    assert spelt(gone) == set()
+    assert [where for _, where, tree in walk() for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "records"
+            and getattr(node.func.value, "attr", None) == "log"] == []
     assert not gone & set(repro.__all__)
 
 
@@ -610,29 +561,25 @@ def test_host_time_has_one_harness():
     that times anything: no figure bench takes pytest-benchmark's
     ``benchmark`` fixture or imports a clock, and neither the packaging
     nor the Makefile names the plugin."""
-    import pathlib
-    import re
-
-    repo = pathlib.Path(repro.__file__).parent.parent.parent
     clocks = {"time", "resource", "pytest_benchmark"}
     timed = []
-    for path in (repo / "benchmarks").rglob("*.py"):
-        if "twall" in path.parts:
+    for _, path, tree in walk("benchmarks"):
+        if "/twall/" in path:
             continue
-        for node in ast.walk(ast.parse(path.read_text())):
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                timed += [(path.name, node.name) for arg in node.args.args
+                timed += [(path, node.name) for arg in node.args.args
                           + node.args.kwonlyargs if arg.arg == "benchmark"]
             modules = ([alias.name for alias in node.names]
                        if isinstance(node, ast.Import)
                        else [node.module or ""]
                        if isinstance(node, ast.ImportFrom) else [])
-            timed += [(path.name, module) for module in modules
+            timed += [(path, module) for module in modules
                       if module.split(".")[0] in clocks]
     assert timed == []
     for packaging in ("pyproject.toml", "requirements-ci.txt"):
-        assert "pytest-benchmark" not in (repo / packaging).read_text()
-    makefile = (repo / "Makefile").read_text()
+        assert "pytest-benchmark" not in (ROOT / packaging).read_text()
+    makefile = (ROOT / "Makefile").read_text()
     assert not re.search(r"^bench:", makefile, re.M)
     assert "--benchmark-" not in makefile
 
@@ -660,12 +607,7 @@ def test_every_broad_handler_is_pinned():
     module and enclosing function, beside the test that fails without it.
     A new one anywhere fails this test until it is listed with its proof
     (this list replaced a per-file heuristic, RPR005)."""
-    import pathlib
-
     proofs = {
-        ("repro.analysis.protocol", "exported_plugins"):
-            "test_analysis.py::TestProtocolConformance::"
-            "test_unimportable_module_is_a_finding",
         ("repro.coordinator.mspsds", "SimulationCoordinator._at_every_site"):
             "test_telemetry.py::TestTracing::"
             "test_a_run_that_dies_mid_step_leaves_no_span_open",
@@ -690,21 +632,13 @@ def test_every_broad_handler_is_pinned():
             "test_uncaught_interrupt_fails_process",
     }
 
-    src = pathlib.Path(repro.__file__).parent
-    repo = src.parent.parent
-    found = []
-    for root in (src.parent, repo / "examples", repo / "benchmarks",
-                 repo / "scripts"):
-        for path in sorted(root.rglob("*.py")):
-            rel = path.relative_to(root if root == src.parent else repo)
-            module = ".".join(rel.with_suffix("").parts)
-            found += [(module, scope) for scope
-                      in broad_handlers(ast.parse(path.read_text()))]
+    found = [(module, scope) for module, _, tree
+             in walk("src", "examples", "benchmarks", "scripts")
+             for scope in broad_handlers(tree)]
     assert sorted(found) == sorted(proofs)
     for proof in proofs.values():
         filename, cls, test = proof.split("::")
-        tree = ast.parse((repo / "tests" / filename).read_text())
-        [owner] = [node for node in tree.body
+        [owner] = [node for node in tree_at(f"tests/{filename}").body
                    if isinstance(node, ast.ClassDef) and node.name == cls]
         assert test in {node.name for node in owner.body
                         if isinstance(node, ast.FunctionDef)}, proof
@@ -714,8 +648,6 @@ def test_there_is_one_way_to_run_something_later():
     """``Kernel.call_later`` is the entry for code nobody waits on: no
     throw-away ``Timeout`` with a callback anywhere in ``src/``, no
     ``AnyOf`` in an RPC attempt's wait, no closure per message."""
-    import ast
-    import pathlib
     import textwrap
 
     from repro.net import Network
@@ -724,12 +656,10 @@ def test_there_is_one_way_to_run_something_later():
         return (isinstance(node, ast.Call)
                 and getattr(node.func, "attr", "") == attr)
 
-    src = pathlib.Path(repro.__file__).parent
-    assert [path.relative_to(src).as_posix() for path in src.rglob("*.py")
-            for node in ast.walk(ast.parse(path.read_text()))
+    assert [path for _, path, tree in walk("src") for node in ast.walk(tree)
             if called(node, "add_callback")
             and called(node.func.value, "timeout")] == []
-    assert "any_of" not in (src / "net" / "rpc.py").read_text()
+    assert "any_of" not in (SRC / "net" / "rpc.py").read_text()
     send = ast.parse(textwrap.dedent(inspect.getsource(Network.send)))
     assert not [node for node in ast.walk(send)
                 if isinstance(node, ast.Lambda)]
@@ -742,8 +672,6 @@ def test_a_flush_sorts_nothing():
     incident, and a sample is validated where it lands (by a checker
     each receiver builds), not where it is built — each replaced in
     place, so the old spelling is gone."""
-    import ast
-    import pathlib
     import textwrap
 
     from repro.monitor import ExperimentMonitor, TelemetryStreamer
@@ -752,18 +680,17 @@ def test_a_flush_sorts_nothing():
 
     def calls(*where):
         """Names called (``f(...)`` or ``x.f(...)``) in functions/files."""
-        sources = [w.read_text() if isinstance(w, pathlib.Path)
-                   else textwrap.dedent(inspect.getsource(w)) for w in where]
+        trees = [tree_at(w) if isinstance(w, str) else
+                 ast.parse(textwrap.dedent(inspect.getsource(w)))
+                 for w in where]
         return {getattr(node.func, "attr", getattr(node.func, "id", ""))
-                for source in sources
-                for node in ast.walk(ast.parse(source))
+                for tree in trees for node in ast.walk(tree)
                 if isinstance(node, ast.Call)}
 
-    src = pathlib.Path(repro.__file__).parent
     assert not {"sorted", "sort"} & calls(
-        src / "monitor" / "streamer.py", TimeSeriesStore.series,
+        "src/repro/monitor/streamer.py", TimeSeriesStore.series,
         MetricRegistry.snapshot, MetricRegistry.__iter__)
-    assert "points" not in calls(src / "observatory" / "slo.py")
+    assert "points" not in calls("src/repro/observatory/slo.py")
     assert not {"_jsonable", "extract_step"} & calls(
         FlightRecorder.on_record, FlightRecorder.on_span)
     assert {"_jsonable", "extract_step"} <= calls(FlightRecorder._event)
@@ -782,9 +709,6 @@ def test_one_class_binds_subscriber_ports():
     taken only by it and by the RPC client's reply port, the NSDS and
     video sinks add no ``bind`` and no ``try`` of their own, and no sink
     keeps the payloads it hands on."""
-    import ast
-    import pathlib
-
     from repro.nsds import NSDSReceiver
     from repro.ogsi import NotificationSink
     from repro.telepresence import VideoViewer
@@ -793,9 +717,8 @@ def test_one_class_binds_subscriber_ports():
         return (isinstance(node, ast.Call)
                 and getattr(node.func, "attr", "") == attr)
 
-    src = pathlib.Path(repro.__file__).parent
-    trees = {path.relative_to(src).as_posix(): ast.parse(path.read_text())
-             for path in src.rglob("*.py")}
+    trees = {path.removeprefix("src/repro/"): tree
+             for _, path, tree in walk("src")}
     assert {where for where, tree in trees.items()
             for node in ast.walk(tree) if called(node, "new_port")} == \
         {"net/rpc.py", "ogsi/notification.py"}
@@ -828,19 +751,16 @@ def test_one_table_holds_every_subscription():
     names an ``expires`` or adds a ``lifetime`` to the clock in a
     subscribe operation, and the three publishers keep no table of
     their own."""
-    import ast
-    import pathlib
     import textwrap
 
     from repro.nsds import NSDSService
     from repro.ogsi import ServiceContainer
     from repro.telepresence import CameraService
 
-    src = pathlib.Path(repro.__file__).parent
     senders, deadlines = [], set()
-    for path in src.rglob("*.py"):
-        where = path.relative_to(src).as_posix()
-        for func in ast.walk(ast.parse(path.read_text())):
+    for _, path, tree in walk("src"):
+        where = path.removeprefix("src/repro/")
+        for func in ast.walk(tree):
             if not isinstance(func, ast.FunctionDef):
                 continue
             for node in ast.walk(func):
@@ -874,25 +794,17 @@ def test_the_at_most_once_record_says_each_thing_once():
     half: ``NTCPServer`` changes a transaction's state in ``_move`` and
     builds a run's failure in ``_fail``, and a transaction keeps no
     ``history`` beside its ``timestamps``."""
-    import ast
     import dataclasses
-    import pathlib
 
     from repro.core.transaction import Transaction
 
-    src = pathlib.Path(repro.__file__).parent
     gone = {"manifest_enabled", "compaction_enabled", "load_latest"}
-    revived, histories = set(), set()
+    assert spelt(gone, "src") == set()
+    assert {path for path, _ in spelt({"history"}, "src")
+            if path.startswith("src/repro/core/")} == set()
     folders, mergers, movers, failers = [], {}, [], []
-    for path in src.rglob("*.py"):
-        where = path.relative_to(src).as_posix()
-        tree = ast.parse(path.read_text())
-        for node in ast.walk(tree):
-            names = {getattr(node, field, None)
-                     for field in ("id", "attr", "arg", "name")}
-            revived |= gone & names
-            if where.startswith("core/") and "history" in names:
-                histories.add(where)
+    for _, path, tree in walk("src"):
+        where = path.removeprefix("src/repro/")
         for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
             for func in cls.body:
                 if getattr(func, "name", "") == "load_history":
@@ -919,7 +831,6 @@ def test_the_at_most_once_record_says_each_thing_once():
                         and [getattr(a, "id", "") for a in node.args]
                         == ["reason"]):
                     failers.append(func.name)
-    assert not revived
     assert folders == [("repository/checkpoint.py", "fold")]
     assert sorted(mergers) == ["CheckpointStoreBase", "FencedCheckpointStore"]
     delegate = mergers["FencedCheckpointStore"]
@@ -928,7 +839,6 @@ def test_the_at_most_once_record_says_each_thing_once():
     assert "inner.load_history" in ast.unparse(delegate)
     assert movers == ["_move"]
     assert set(failers) == {"_fail"}
-    assert not histories
     assert "history" not in {f.name for f in dataclasses.fields(Transaction)}
 
 

@@ -88,9 +88,9 @@ class TestDocsConsistency:
         kernel = Kernel()
         table = SubscriptionTable(Network(kernel, seed=0), "h", lambda: "id")
         with pytest.raises(ProtocolError) as refusal:
-            table.subscribe("h", "p", float("inf"))
+            table.subscribe(None, "h", "p", float("inf"))
         assert str(refusal.value) == message
-        table.subscribe("h", "p", 1e9)
+        table.subscribe(None, "h", "p", 1e9)
         kernel.run()
         assert kernel.now == 0.0 and len(table) == 1
 
@@ -129,13 +129,13 @@ class TestDocsConsistency:
         assert [r["step"] for r in records] == [1, 2]
 
     def test_the_documented_rule_table_is_the_shipped_one(self):
-        """ARCHITECTURE's RPR table: a live row for every shipped rule, for
-        RPR000 and for the protocol codes and for nothing else, the known
-        retired rows, and RPR010's row naming exactly its staged
+        """ARCHITECTURE's RPR table: the live codes, each row naming the
+        tier-1 pins that carry it and each pin a test that exists; the
+        known retired rows; RPR010's row naming exactly its staged
         subsystems."""
-        from repro.analysis import PROTOCOL_CODES, RULES
-        from repro.analysis.engine import PARSE_ERROR_CODE
-        from repro.analysis.rules import PublicApiDocstring
+        import importlib
+
+        from test_analysis import STAGED
 
         text = (ROOT / "docs" / "ARCHITECTURE.md").read_text()
         section = text.split("## Static analysis & invariants")[1]
@@ -143,13 +143,20 @@ class TestDocsConsistency:
                                section.split("\n## ")[0], re.M))
         retired = {code for code, row in rows.items()
                    if row.startswith("*(retired)*")}
-        assert set(rows) - retired == {
-            PARSE_ERROR_CODE, "RPR100–104", *(rule.code for rule in RULES)}
-        assert sorted(PROTOCOL_CODES) == [f"RPR{n}" for n in range(100, 105)]
-        assert retired == {"RPR002", "RPR005", "RPR006", "RPR007", "RPR008"}
+        assert retired == {"RPR000", "RPR002", "RPR005", "RPR006", "RPR007",
+                           "RPR008"}
+        assert set(rows) - retired == {"RPR001", "RPR003", "RPR004",
+                                       "RPR009", "RPR010", "RPR100–104"}
+        for code in set(rows) - retired:
+            pins = re.findall(r"`tests/(\w+)\.py::([\w:]+)`", rows[code])
+            assert pins, code
+            for module, name in pins:
+                test = importlib.import_module(module)
+                for part in name.split("::"):
+                    test = getattr(test, part)
+                assert callable(test) and part.startswith("test_"), name
         staged = rows["RPR010"].split("(currently ")[1].split(")")[0]
-        assert tuple(re.findall(r"`(repro\.\w+)`", staged)) == \
-            PublicApiDocstring.ENABLED_SUBSYSTEMS
+        assert tuple(re.findall(r"`(repro\.\w+)`", staged)) == STAGED
 
     @pytest.mark.parametrize("doc", ["docs/PROTOCOL.md",
                                      "docs/ARCHITECTURE.md"])

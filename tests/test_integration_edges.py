@@ -287,7 +287,7 @@ class TestSubscriptionTable:
         table = SubscriptionTable(net, "site", lambda: "sub-1")
         with pytest.raises(ProtocolError, match=r"^\$\.lifetime: must be "
                                                 r"finite$"):
-            table.subscribe("user", "p", 10**400)
+            table.subscribe(None, "user", "p", 10**400)
         assert len(table) == 0
 
     def test_unsubscribe_is_scoped_to_the_owning_table(self):

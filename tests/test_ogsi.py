@@ -359,6 +359,54 @@ class TestNotifications:
         k.run()
         assert sink.accepted == 0
 
+    def test_only_the_subscriber_cancels_on_a_gated_container(self):
+        """Subscription ids are sequential, so an unsubscribe names its
+        caller: on a GSI-gated container an outsider DN (mapped, so the
+        gate lets it in) is refused with a ``SecurityError``, the owner's
+        sink keeps receiving, and the owner can still cancel."""
+        import numpy as np
+
+        from repro.gsi import (
+            CertificateAuthority,
+            Crypto,
+            Gridmap,
+            GsiAuthenticator,
+            GsiChecker,
+        )
+
+        k, net, container, client = make_env()
+        ca = CertificateAuthority(Crypto(np.random.default_rng(42)), "/CN=CA")
+        gridmap = Gridmap({"/CN=alice": "alice", "/CN=outsider": "outsider"})
+        container.rpc.checker = GsiChecker(ca.crypto, [ca.certificate],
+                                           gridmap, lambda: k.now)
+        container.deploy(Counter("c1"))
+        got = []
+        sink = NotificationSink(net, "user",
+                                callback=lambda n: got.append(n["value"]))
+
+        def as_user(dn, method, params):
+            token = GsiAuthenticator(ca.issue_credential(dn, not_after=1e9),
+                                     lambda: k.now).token(method)
+
+            def go():
+                try:
+                    return (yield from client.call(
+                        "site", "ogsi", method, params, credential=token))
+                except RemoteException as exc:
+                    return exc.remote_type
+            return k.run(until=k.process(go()))
+
+        sub = {"subscription_id": as_user("/CN=alice", "subscribe", {
+            "service_id": "c1", "sink_host": "user", "sink_port": sink.port,
+            "lifetime": 1000.0})}
+        increment = {"service_id": "c1", "operation": "increment"}
+        assert as_user("/CN=outsider", "unsubscribe", sub) == "SecurityError"
+        as_user("/CN=alice", "invoke", increment)
+        assert as_user("/CN=alice", "unsubscribe", sub) is True
+        as_user("/CN=alice", "invoke", increment)
+        k.run()
+        assert got == [1]
+
     def test_callback_invoked(self):
         k, net, container, client = make_env()
         container.deploy(Counter("c1"))
