@@ -16,8 +16,8 @@ lint:
 
 # Bounded protocol verification, one pass with no options: exhaustive
 # state-space exploration at both pipeline depths, the seeded-mutation
-# regression, and live conformance replay of one sampled trace per fault
-# kind.  Not part of `check`: tests/test_verify.py and
+# regression, and live conformance replay of every explored trace.  Not
+# part of `check`: tests/test_verify.py and
 # tests/test_verify_conformance.py assert each of its verdicts.
 verify:
 	$(PYTHON) -m repro.verify

@@ -28,6 +28,7 @@ from repro.gsi import (
     GsiAuthenticator,
     GsiChecker,
 )
+from repro.most.secured import OUTSIDER_DN, PROXY_LIFETIME
 from repro.net import RpcClient
 from repro.util.errors import ConfigurationError
 
@@ -38,7 +39,8 @@ if TYPE_CHECKING:  # pragma: no cover
 #: distinguished names used by the fleet security fabric
 FLEET_CA_DN = "/O=NEESgrid/CN=Fleet CA"
 FLEET_CAS_DN = "/O=NEESgrid/CN=Fleet CAS"
-OUTSIDER_DN = "/O=Elsewhere/CN=Mallory"
+#: lifetime (sim s) of a tenant's CAS rights assertion
+ASSERTION_LIFETIME = 12 * 3600.0
 
 #: community rights every registered tenant holds
 TENANT_RIGHTS = frozenset({"ntcp:control", "repository:write",
@@ -80,12 +82,8 @@ class TenantRegistry:
     grid must present a mapped, in-date credential.
     """
 
-    def __init__(self, grid: "FleetGrid", *,
-                 proxy_lifetime: float = 12 * 3600.0,
-                 assertion_lifetime: float = 12 * 3600.0):
+    def __init__(self, grid: "FleetGrid"):
         self.grid = grid
-        self.proxy_lifetime = proxy_lifetime
-        self.assertion_lifetime = assertion_lifetime
         kernel = grid.kernel
 
         def clock() -> float:
@@ -127,13 +125,13 @@ class TenantRegistry:
         subject = tenant_subject(tenant_id)
         credential = self.ca.issue_credential(subject, not_after=1e12)
         proxy = credential.delegate(now=grid.kernel.now,
-                                    lifetime=self.proxy_lifetime)
+                                    lifetime=PROXY_LIFETIME)
         self.cas.add_member(subject)
         self.cas.add_to_group(subject, "experimenters")
         self.pool_gridmap.add(subject, f"pool-{tenant_id}")
         self.repo_gridmap.add(subject, f"repo-{tenant_id}")
         assertion = self.cas.issue_assertion(
-            subject, now=self._clock(), lifetime=self.assertion_lifetime)
+            subject, now=self._clock(), lifetime=ASSERTION_LIFETIME)
         authenticator = GsiAuthenticator(proxy, self._clock,
                                          cas_assertion=assertion)
         ntcp = grid.client(
@@ -160,7 +158,7 @@ class TenantRegistry:
         config = grid.config
         credential = self.ca.issue_credential(subject, not_after=1e12)
         proxy = credential.delegate(now=grid.kernel.now,
-                                    lifetime=self.proxy_lifetime)
+                                    lifetime=PROXY_LIFETIME)
         authenticator = GsiAuthenticator(proxy, self._clock)
         return grid.client(
             timeout=config.rpc_timeout, retries=0,

@@ -42,6 +42,8 @@ from repro.most.config import MOSTConfig
 COORDINATOR_DN = "/O=NEESgrid/OU=MOST/CN=Simulation Coordinator"
 OBSERVER_DN = "/O=NEESgrid/OU=MOST/CN=Remote Observer"
 OUTSIDER_DN = "/O=Elsewhere/CN=Mallory"
+#: lifetime (sim s) of a delegated proxy credential
+PROXY_LIFETIME = 12 * 3600.0
 
 
 @dataclass
@@ -80,8 +82,7 @@ class SecuredMOST:
         return GsiAuthenticator(credential, clock, cas_assertion=assertion)
 
 
-def build_secured_most(config: MOSTConfig | None = None, *,
-                       proxy_lifetime: float = 12 * 3600.0) -> SecuredMOST:
+def build_secured_most(config: MOSTConfig | None = None) -> SecuredMOST:
     """Build MOST with GSI on every container and CAS on the repository."""
     dep = build_most(config)
     kernel = dep.kernel
@@ -93,7 +94,7 @@ def build_secured_most(config: MOSTConfig | None = None, *,
     ca = CertificateAuthority(crypto, "/O=NEESgrid/CN=NEESgrid CA")
     coord_identity = ca.issue_credential(COORDINATOR_DN, not_after=1e12)
     coord_proxy = coord_identity.delegate(now=kernel.now,
-                                          lifetime=proxy_lifetime)
+                                          lifetime=PROXY_LIFETIME)
 
     cas_cred = ca.issue_credential("/O=NEESgrid/CN=NEES CAS", not_after=1e12)
     cas = CommunityAuthorizationService(crypto, cas_cred)

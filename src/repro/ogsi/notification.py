@@ -33,6 +33,14 @@ class SubscriptionTable:
     cancellation, not a lapse, and only the RPC caller who subscribed (a
     GSI :class:`~repro.gsi.authz.Principal` on a gated container) may make
     it: ids are sequential, so anyone could otherwise cancel anyone.
+
+    That ownership is a guarantee of gated containers only.  An ungated
+    container authenticates nobody: its caller is the request's
+    credential, normally ``None`` for everyone, so any host may cancel
+    any subscription there — as it may ``destroy`` any service.  The
+    sending host is deliberately not the ungated caller: NMDS records a
+    string caller as an object's subject, so repository documents would
+    change.
     """
 
     def __init__(self, network: Network, host: str,

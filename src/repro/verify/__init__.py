@@ -10,9 +10,9 @@ The package holds three layers:
 * :mod:`repro.verify.explorer` — exhaustive enumeration of every fault
   schedule within a bounded configuration, deduplicating canonical
   protocol states;
-* :mod:`repro.verify.conformance` — replay of sampled traces through a
-  *live* :class:`~repro.coordinator.mspsds.SimulationCoordinator`
-  deployment with the same fault injected at the same message point;
+* :mod:`repro.verify.conformance` — replay of every explored trace
+  through a *live* :class:`~repro.coordinator.mspsds.SimulationCoordinator`
+  deployment with the same faults injected at the same message points;
   any divergence between the live observables and the model's expected
   tables fails the run, so the model cannot rot.
 
@@ -28,7 +28,6 @@ from repro.verify.explorer import (
 )
 from repro.verify.model import (
     FAULT_KINDS,
-    FaultEvent,
     ModelMachine,
     ProtocolRules,
     TraceResult,
@@ -40,7 +39,6 @@ __all__ = [
     "FAULT_KINDS",
     "Divergence",
     "ExplorationResult",
-    "FaultEvent",
     "ModelMachine",
     "ProtocolRules",
     "TraceResult",

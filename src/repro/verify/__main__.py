@@ -3,7 +3,7 @@
 One pass, no options.  Explores every fault schedule of the shipped
 bound (:data:`~repro.verify.model.SITES` x 4 steps x <= 2 faults) at
 both pipeline depths, seeds each :class:`ProtocolRules` break in turn
-(each must be caught), and replays one trace per fault kind through a
+(each must be caught), and replays every explored trace through a
 live coordinator deployment (any divergence fails).
 
 Exit status: 0 when every exploration is clean, every mutation caught
@@ -33,6 +33,10 @@ def _exploration_lines(result: ExplorationResult) -> list[str]:
     return lines
 
 
+def _schedule(schedule) -> str:
+    return " ".join(f"{e.kind}@{e.step}:{e.site}" for e in schedule) or "clean"
+
+
 def _caught(rule: str) -> list[str]:
     """The invariants the explorer reports with ``rule`` broken."""
     rules = ProtocolRules().mutate(rule)
@@ -60,11 +64,12 @@ def main(argv: list[str] | None = None) -> int:
     divergences = [pair for result in explorations
                    for pair in run_conformance(result)]
     ok = ok and not divergences
-    replayed = sum(len(result.traces_by_kind()) for result in explorations)
+    replayed = sum(len(result.traces) for result in explorations)
     lines.append(f"conformance: {replayed} traces replayed, "
                  f"{len(divergences)} divergences")
-    lines += [f"  DIVERGENCE [{kind}] {d.path}: model={d.model!r} "
-              f"live={d.live!r}" for kind, d in divergences]
+    lines += [f"  DIVERGENCE [{_schedule(trace.schedule)}] {d.path}: "
+              f"model={d.model!r} live={d.live!r}"
+              for trace, d in divergences]
     lines.append("verify: OK" if ok else "verify: FAILED")
     print("\n".join(lines))
     return 0 if ok else 1

@@ -1,10 +1,10 @@
 """Conformance replay: the abstract model vs the live coordinator.
 
 The model checker is only as good as its transition relation, so every
-``make verify`` run replays a sampled subset of explored traces through a
-*real* deployment — :class:`~repro.coordinator.mspsds.SimulationCoordinator`
+``make verify`` run replays every explored trace through a *real*
+deployment — :class:`~repro.coordinator.mspsds.SimulationCoordinator`
 driving genuine NTCP servers over the simulated network, with the same
-fault injected at the same message point — and compares the live
+faults injected at the same message points — and compares the live
 observables 1:1 against the model's :attr:`TraceResult.expected` tables:
 per-site transaction counters (real and surrogate), completion, the
 committed-step ledger, resume generation, degraded labels, the §7
@@ -12,11 +12,12 @@ reconciliation classification, and the §9 pipeline counters.  Any
 divergence fails the verification run: either the implementation drifted
 from PROTOCOL.md or the model did, and both are bugs.
 
-Faults are armed through :meth:`repro.grid.Grid.arm`, like the chaos
-campaigns' and the public day's: a watcher on the wire recognises the
-step's marker inside the site's request of the fault's NTCP operation and
-installs the fault at that exact message point, so replays land the
-fault deterministically regardless of pacing.
+A schedule's :class:`repro.grid.ChaosEvent` events are armed up front
+through :meth:`repro.grid.Grid.arm` like the chaos campaigns' and the
+public day's: a watcher on the wire recognises the step's marker inside
+the site's request of the fault's NTCP operation and installs the fault
+at that exact message point, so replays land each fault
+deterministically regardless of pacing.
 """
 
 from __future__ import annotations
@@ -47,12 +48,10 @@ from repro.verify.model import (
     LATENCY,
     MAX_ATTEMPTS,
     MAX_BACKOFF,
-    OUTAGE_DURATION,
     RPC_RETRIES,
     RPC_TIMEOUT,
     SITE_STIFFNESS,
     SITES,
-    FaultEvent,
     TraceResult,
     VerifyConfig,
 )
@@ -117,35 +116,18 @@ class _Rig:
             predictor=predictor, **options)
 
 
-def _ft_policy() -> FaultTolerantFaultPolicy:
-    """The fault-tolerant policy the model's timing arithmetic mirrors."""
-    return FaultTolerantFaultPolicy(
-        max_attempts=MAX_ATTEMPTS, backoff=BACKOFF,
-        backoff_factor=BACKOFF_FACTOR, max_backoff=MAX_BACKOFF)
-
-
-def _arm(rig: _Rig, event: FaultEvent) -> None:
-    """Arm one model fault kind at its live message point (see
-    :meth:`~repro.grid.Grid.arm`).  Only the speculative outage lifts; a
-    fatal outage or a crash downs the link for good."""
-    rig.grid.arm(ChaosEvent(
-        kind=event.kind, step=event.step, site=event.site,
-        duration=(OUTAGE_DURATION if event.kind == "spec_outage_propose"
-                  else float("inf"))))
-
-
 def _observe(rig: _Rig, result, coordinator) -> dict:
     """The live observables, shaped exactly like the model's expected."""
-    per_site = {}
+
+    def counters(server) -> dict:
+        metrics = server.metrics()
+        return {key: metrics[key] for key in COUNTER_KEYS}
+
     active = rig.failover.active if rig.failover is not None else {}
-    for site in SITES:
-        metrics = rig.grid.sites[site].server.metrics()
-        counters = {key: metrics[key] for key in COUNTER_KEYS}
-        surrogate = None
-        if site in active:
-            surrogate_metrics = active[site].server.metrics()
-            surrogate = {key: surrogate_metrics[key] for key in COUNTER_KEYS}
-        per_site[site] = {"real": counters, "surrogate": surrogate}
+    per_site = {site: {"real": counters(rig.grid.sites[site].server),
+                       "surrogate": (counters(active[site].server)
+                                     if site in active else None)}
+                for site in SITES}
     reconcile = {}
     if coordinator.last_reconciliation is not None:
         reconcile = {action.site: action.action
@@ -168,55 +150,40 @@ def _observe(rig: _Rig, result, coordinator) -> dict:
     }
 
 
-def _replay_single(config: VerifyConfig,
-                   event: FaultEvent | None) -> dict:
-    """One-incarnation replay (wire faults, outages, or the clean run)."""
-    with_failover = (event is not None
-                     and event.kind == "fatal_outage_propose")
-    rig = _Rig(config, with_failover=with_failover)
-    if event is not None:
-        _arm(rig, event)
-    coordinator = rig.make_coordinator(fault_policy=_ft_policy())
-    result = rig.grid.run(coordinator.run())
-    return _observe(rig, result, coordinator)
+def _replay(config: VerifyConfig, schedule: tuple[ChaosEvent, ...]) -> dict:
+    """Run ``schedule`` through one live rig with every event armed up
+    front; returns the live observables.
 
-
-def _replay_crash(config: VerifyConfig, event: FaultEvent) -> dict:
-    """Two-incarnation replay for the coordinator-crash kinds.
-
-    Incarnation 1 runs the abort-on-first-failure policy into the armed
+    A fatal outage builds the rig with failover.  A crash runs
+    incarnation 1 under the abort-on-first-failure policy into the armed
     fault (the verb's replies die and the link goes down), leaving an
     abort-time checkpoint; the link is then restored and incarnation 2
-    resumes from the checkpoint, reconciling per the §7 table.
+    resumes from the checkpoint on the same grid, reconciling per the §7
+    table.
     """
-    rig = _Rig(config)
-    _arm(rig, event)
+    rig = _Rig(config, with_failover=any(
+        event.kind == "fatal_outage_propose" for event in schedule))
+    for event in schedule:
+        rig.grid.arm(event)
+    crash = next((event for event in schedule
+                  if event.kind.startswith("crash_")), None)
+    if crash is None:
+        coordinator = rig.make_coordinator(
+            fault_policy=FaultTolerantFaultPolicy(  # the model's arithmetic
+                max_attempts=MAX_ATTEMPTS, backoff=BACKOFF,
+                backoff_factor=BACKOFF_FACTOR, max_backoff=MAX_BACKOFF))
+        return _observe(rig, rig.grid.run(coordinator.run()), coordinator)
     store = InMemoryCheckpointStore()
-    policy = CheckpointPolicy(every_n_steps=0)
-    first = rig.make_coordinator(fault_policy=NaiveFaultPolicy(),
-                                 checkpoint_store=store,
-                                 checkpoint_policy=policy)
-    aborted = rig.grid.run(first.run())
-    if aborted.completed:
+    options = {"fault_policy": NaiveFaultPolicy(), "checkpoint_store": store,
+               "checkpoint_policy": CheckpointPolicy(every_n_steps=0)}
+    if rig.grid.run(rig.make_coordinator(**options).run()).completed:
         raise ConfigurationError(
-            f"crash replay at step {event.step} did not abort")
-
-    rig.grid.network.set_link_state("coord", event.site, up=True)
-    state, prior_records = _run_store(load_resume(store, _RUN_ID))
-    second = rig.make_coordinator(
-        fault_policy=NaiveFaultPolicy(), checkpoint_store=store,
-        checkpoint_policy=policy, state=state, prior_records=prior_records)
-    result = rig.grid.run(second.run())
-    return _observe(rig, result, second)
-
-
-def _run_store(gen):
-    """Drive an in-memory store primitive (completes without yielding)."""
-    try:
-        next(gen)
-    except StopIteration as stop:
-        return stop.value
-    raise ConfigurationError("in-memory store call unexpectedly yielded")
+            f"crash replay at step {crash.step} did not abort")
+    rig.grid.network.set_link_state("coord", crash.site, up=True)
+    state, prior_records = rig.grid.run(load_resume(store, _RUN_ID))
+    second = rig.make_coordinator(state=state, prior_records=prior_records,
+                                  **options)
+    return _observe(rig, rig.grid.run(second.run()), second)
 
 
 def _diff(path: str, model_value, live_value,
@@ -239,30 +206,15 @@ def _diff(path: str, model_value, live_value,
 def replay_trace(config: VerifyConfig,
                  trace: TraceResult) -> list[Divergence]:
     """Replay one explored trace through a live rig; returns every
-    observable where the live run departs from the model's tables.
-
-    Only clean and single-fault traces are replayable — the sampler
-    (`ExplorationResult.traces_by_kind`) picks exactly those.
-    """
-    if len(trace.schedule) > 1:
-        raise ConfigurationError(
-            "conformance replays sample clean/single-fault traces only")
-    event = trace.schedule[0] if trace.schedule else None
-    if event is not None and event.kind in ("crash_propose", "crash_execute"):
-        live = _replay_crash(config, event)
-    else:
-        live = _replay_single(config, event)
+    observable where the live run departs from the model's tables."""
     divergences: list[Divergence] = []
-    _diff("$", trace.expected, live, divergences)
+    _diff("$", trace.expected, _replay(config, trace.schedule), divergences)
     return divergences
 
 
 def run_conformance(exploration: ExplorationResult,
-                    ) -> list[tuple[str, Divergence]]:
-    """Replay the exploration's sampled trace of each kind (see
-    `ExplorationResult.traces_by_kind`); returns every divergence with
-    the kind of the trace it came from."""
-    sampled = exploration.traces_by_kind()
-    return [(kind, divergence) for kind in sorted(sampled)
-            for divergence in replay_trace(exploration.config,
-                                           sampled[kind])]
+                    ) -> list[tuple[TraceResult, Divergence]]:
+    """Replay every explored trace; returns each divergence with the
+    trace it came from."""
+    return [(trace, divergence) for trace in exploration.traces
+            for divergence in replay_trace(exploration.config, trace)]

@@ -13,7 +13,7 @@ protocol states.
 :class:`~repro.verify.model.ModelMachine`, deduplicates the canonical
 states encountered, and collects every invariant violation with the
 schedule that produced it.  The result carries the full per-trace
-outcomes so the conformance layer can sample traces for live replay.
+outcomes so the conformance layer can replay every one live.
 """
 
 from __future__ import annotations
@@ -21,10 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
+from repro.grid import ChaosEvent
 from repro.verify.model import (
+    OUTAGE_DURATION,
     SITES,
     STRUCTURAL_KINDS,
-    FaultEvent,
     ModelMachine,
     TraceResult,
     VerifyConfig,
@@ -41,57 +42,41 @@ class ExplorationResult:
     config: VerifyConfig
     traces: list[TraceResult]
     states_explored: int
-    violations: list[tuple[tuple[FaultEvent, ...], Violation]]
+    violations: list[tuple[tuple[ChaosEvent, ...], Violation]]
 
     @property
     def ok(self) -> bool:
         """True when no trace violated an invariant."""
         return not self.violations
 
-    def traces_by_kind(self) -> dict[str, TraceResult]:
-        """The first single-fault trace for each kind (plus ``clean``).
-
-        Deterministic (enumeration order), so the conformance sample is
-        stable run-to-run.
-        """
-        picked: dict[str, TraceResult] = {}
-        for trace in self.traces:
-            if not trace.schedule:
-                picked.setdefault("clean", trace)
-            elif len(trace.schedule) == 1:
-                picked.setdefault(trace.schedule[0].kind, trace)
-        return picked
-
 
 def enumerate_schedules(config: VerifyConfig,
-                        ) -> list[tuple[FaultEvent, ...]]:
+                        ) -> list[tuple[ChaosEvent, ...]]:
     """Every fault schedule within the configuration's bounds.
 
-    Schedules are tuples of :class:`FaultEvent` ordered by step; steps
+    Schedules are tuples of :class:`ChaosEvent` ordered by step; steps
     range over ``1..n_steps`` (step 0 is initialization — there is no
     checkpoint to resume from, so faulting it proves nothing the step-1
     events don't).  ``spec_outage_propose`` additionally requires step
     >= 2 (step 1 is never speculative) and a fault-free predecessor
     step (its outage spans both rounds).
     """
-    kinds = config.fault_kinds()
-    events_per_step: dict[int, list[FaultEvent]] = {}
-    for step in range(1, config.n_steps + 1):
-        events = []
-        for kind, site in product(kinds, SITES):
-            if kind == "spec_outage_propose" and step < 2:
-                continue
-            events.append(FaultEvent(step=step, kind=kind, site=site))
-        events_per_step[step] = events
+    # only the speculative outage lifts; a fatal outage or a crash downs
+    # the link for good
+    events_per_step = {step: [
+        ChaosEvent(kind, step, site, duration=(
+            OUTAGE_DURATION if kind == "spec_outage_propose"
+            else float("inf")))
+        for kind, site in product(config.fault_kinds(), SITES)
+        if kind != "spec_outage_propose" or step >= 2]
+        for step in range(1, config.n_steps + 1)}
 
-    schedules: list[tuple[FaultEvent, ...]] = [()]
+    schedules: list[tuple[ChaosEvent, ...]] = [()]
     steps = sorted(events_per_step)
     for count in range(1, config.max_faults + 1):
         for step_combo in combinations(steps, count):
             for combo in product(*(events_per_step[s] for s in step_combo)):
-                structural = [ev for ev in combo
-                              if ev.kind in STRUCTURAL_KINDS]
-                if len(structural) > 1:
+                if sum(ev.kind in STRUCTURAL_KINDS for ev in combo) > 1:
                     continue
                 if any(ev.kind == "spec_outage_propose"
                        and any(other.step == ev.step - 1 for other in combo)
@@ -105,7 +90,7 @@ def explore(config: VerifyConfig) -> ExplorationResult:
     """Run every bounded schedule through the model; dedup states."""
     seen: set[tuple] = set()
     traces: list[TraceResult] = []
-    violations: list[tuple[tuple[FaultEvent, ...], Violation]] = []
+    violations: list[tuple[tuple[ChaosEvent, ...], Violation]] = []
     for schedule in enumerate_schedules(config):
         trace = ModelMachine(config, schedule).run()
         traces.append(trace)

@@ -41,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.coordinator.state import transaction_name
+from repro.grid import ChaosEvent
 
 __all__ = [
     "FAULT_KINDS",
@@ -48,7 +49,6 @@ __all__ = [
     "SEQUENTIAL_KINDS",
     "SITES",
     "STRUCTURAL_KINDS",
-    "FaultEvent",
     "ModelMachine",
     "ProtocolRules",
     "TraceResult",
@@ -115,15 +115,6 @@ STRUCTURAL_KINDS = ("crash_propose", "crash_execute",
 
 
 @dataclass(frozen=True)
-class FaultEvent:
-    """One scheduled fault: ``kind`` hits ``site`` at step ``step``."""
-
-    step: int
-    kind: str
-    site: str
-
-
-@dataclass(frozen=True)
 class ProtocolRules:
     """The transition rules the checker guards, as mutation hooks.
 
@@ -184,7 +175,7 @@ class Violation:
 class TraceResult:
     """Outcome of running one fault schedule through the model."""
 
-    schedule: tuple[FaultEvent, ...]
+    schedule: tuple[ChaosEvent, ...]
     violations: list[Violation]
     #: canonical machine states visited along this trace.
     states: list[tuple]
@@ -296,7 +287,7 @@ class ModelMachine:
     """
 
     def __init__(self, config: VerifyConfig,
-                 schedule: tuple[FaultEvent, ...]):
+                 schedule: tuple[ChaosEvent, ...]):
         self.cfg = config
         self.rules = config.rules
         self.schedule = {ev.step: ev for ev in schedule}
@@ -311,6 +302,8 @@ class ModelMachine:
         self.step_labels: dict[int, tuple[str, ...]] = {}
         self.generation = 0
         self.epoch = 0
+        #: parity of the steps that lead a pipelined beat (_spec_doom).
+        self.lead_parity = 1
         self.violations: list[Violation] = []
         self.states: list[tuple] = []
         self.reconcile: dict[str, str] = {}
@@ -350,9 +343,16 @@ class ModelMachine:
         """The committed integrator command token for ``step``."""
         return ("cmd", step)
 
+    def _fires(self, fault: ChaosEvent | None, site: str, *kinds) -> bool:
+        """Whether ``fault`` hits ``site``'s message in this round.  A wire
+        fault on a failed-over site is inert: the live watcher only sees
+        traffic to the dead site's host, never the surrogate's."""
+        return (fault is not None and fault.kind in kinds
+                and fault.site == site and site not in self.failed_over)
+
     # -- protocol rounds -----------------------------------------------------
     def _propose_round(self, step: int, names: dict[str, str],
-                       command: tuple, fault: FaultEvent | None = None,
+                       command: tuple, fault: ChaosEvent | None = None,
                        ) -> dict[str, str]:
         """One all-sites propose barrier; returns per-site verdicts."""
         verdicts = {}
@@ -369,8 +369,8 @@ class ModelMachine:
                     f"proposal re-used terminal name {name!r} "
                     f"(state {txn.state})")
             verdicts[site] = srv.propose(name, step, command)
-            if fault is not None and fault.site == site and fault.kind in (
-                    "drop_propose_reply", "dup_propose_request"):
+            if self._fires(fault, site, "drop_propose_reply",
+                           "dup_propose_request"):
                 # Lost reply => RPC retransmission; duplicated request =>
                 # cloned delivery.  Either way the server sees the name
                 # again and answers idempotently.
@@ -378,7 +378,7 @@ class ModelMachine:
         return verdicts
 
     def _execute_round(self, step: int, names: dict[str, str],
-                       fault: FaultEvent | None = None) -> None:
+                       fault: ChaosEvent | None = None) -> None:
         """One all-sites execute barrier with at-most-once checks."""
         for site in SITES:
             name = names[site]
@@ -387,8 +387,8 @@ class ModelMachine:
                               f"coordinator executed burned name {name!r}")
             srv = self._server_for(site)
             txn = srv.execute(name, self.rules)
-            if fault is not None and fault.site == site and fault.kind in (
-                    "drop_execute_reply", "dup_execute_request"):
+            if self._fires(fault, site, "drop_execute_reply",
+                           "dup_execute_request"):
                 txn = srv.execute(name, self.rules)
             if txn.executions > 1:
                 self._violate(
@@ -449,7 +449,7 @@ class ModelMachine:
             self.committed.append(step)
 
     # -- step machines -------------------------------------------------------
-    def _plain_step(self, step: int, fault: FaultEvent | None) -> None:
+    def _plain_step(self, step: int, fault: ChaosEvent | None) -> None:
         """One clean (or wire-faulted) INTEGRATE...COMMIT cycle."""
         names = {s: self._name(step, s) for s in SITES}
         self._snap("propose", step)
@@ -549,27 +549,31 @@ class ModelMachine:
         self._snap("commit", step)
 
     # -- pipelined machine ---------------------------------------------------
-    def _spec_doom(self, issue_step: int) -> FaultEvent | None:
+    def _spec_doom(self, issue_step: int) -> ChaosEvent | None:
         """The §9 outage (if any) that will kill ``issue_step``'s round.
 
-        The live machine commits two steps per wall-clock beat once the
-        pipeline is warm (the adopted speculation's round is already
-        complete when its iteration starts, so consecutive commits
-        collapse onto one timestamp), which pins which round an outage
-        armed on step ``m``'s first propose actually catches in flight:
-        the round of the *odd* step ``E`` (``E = m`` for odd ``m``,
-        ``m - 1`` for even ``m``) loses its faulted-site propose reply
-        and never executes, while spec ``E + 1`` is stranded and rolled
-        back.  A doomed round still gets *adopted* — adoption happens at
-        commit time, before its propose ladder has died.
+        Once the pipeline is warm the live machine issues its rounds in
+        beats: a *lead* step's round and the next step's speculation go
+        on the wire at one instant (the previous beat's two commits
+        collapse onto one timestamp).  An outage armed on step ``m``'s
+        first propose catches the lead round ``E`` of ``m``'s beat
+        (``E = m`` when ``m`` leads, ``m - 1`` when it follows): ``E``
+        loses its faulted-site propose reply and never executes, while
+        spec ``E + 1`` is stranded and rolled back.  The odd steps lead
+        until a reply drop delays a following round: the step after it
+        then runs alone and the next beat starts one step later, so the
+        leads switch parity (:attr:`lead_parity`).  A doomed round still
+        gets *adopted* — adoption happens at commit time, before its
+        propose ladder has died.
         """
         for event in (self.schedule.get(issue_step),
                       self.schedule.get(issue_step + 1)):
             if event is None or event.kind != "spec_outage_propose":
                 continue
-            # issue_step == E: odd-m outages arm on E's own propose;
-            # even-m outages arm one beat later, on spec(E+1)'s.
-            if event.step - issue_step in (0, 1) and issue_step % 2 == 1:
+            # issue_step == E: a leading m arms on E's own propose, a
+            # following m on spec(E+1)'s, issued at the same instant.
+            if event.step - issue_step in (0, 1) and (
+                    issue_step % 2 == self.lead_parity):
                 return event
         return None
 
@@ -581,11 +585,11 @@ class ModelMachine:
         the initial pending round for ``m == 1`` — matching how the
         replay arms faults on the first occurrence of the step marker.
         A ``spec_outage_propose`` on step ``m`` disrupts the round of
-        the odd step ``E`` (see :meth:`_spec_doom`).
+        the lead step ``E`` of ``m``'s beat (see :meth:`_spec_doom`).
         """
         n = 1
         spec_names: dict[str, str] | None = None
-        doomed: FaultEvent | None = None
+        doomed: ChaosEvent | None = None
         while n <= self.cfg.n_steps:
             fault = self.schedule.get(n)
             if spec_names is None:
@@ -609,7 +613,7 @@ class ModelMachine:
                 continue
             spec_fault = self.schedule.get(n + 1)
             next_spec: dict[str, str] | None = None
-            next_doomed: FaultEvent | None = None
+            next_doomed: ChaosEvent | None = None
             if n < self.cfg.n_steps:
                 # Issue step n+1 speculatively (propose + execute on the
                 # wire under the predicted command; bit-exact predictor
@@ -618,6 +622,9 @@ class ModelMachine:
                 # on the wire before the link dies) but never executes.
                 self.pipeline["speculated"] += 1
                 next_spec = {s: self._name(n + 1, s) for s in SITES}
+                if (spec_fault is not None and spec_fault.kind.startswith(
+                        "drop_") and n % 2 == self.lead_parity):
+                    self.lead_parity ^= 1  # a late following round
                 next_doomed = self._spec_doom(n + 1)
                 self._propose_round(
                     n + 1, next_spec, ("spec", n + 1, self.epoch),
@@ -639,11 +646,11 @@ class ModelMachine:
             n += 1
 
     def _spec_outage(self, step: int, names: dict[str, str],
-                     event: FaultEvent, *,
+                     event: ChaosEvent, *,
                      pending_is_hit: bool = False) -> None:
         """§9 fault-under-speculation: rollback, fallback, rename.
 
-        ``step`` is the odd step ``E`` whose in-flight round the outage
+        ``step`` is the lead step ``E`` whose in-flight round the outage
         caught (its proposes arrived everywhere; its faulted-site reply
         died; it never executed).  The disruption plays out as the live
         machine does:
@@ -652,7 +659,10 @@ class ModelMachine:
           instant and its proposes beat the link-down event within the
           same batch, so they arrive everywhere — at the faulted site
           the acceptance becomes a burned, inert orphan (its cancel
-          dies in the outage).
+          dies in the outage).  They are the first to carry ``E + 1``'s
+          marker, so a propose fault on ``E + 1`` is spent on them; a
+          reply drop at the faulted site costs nothing, as every
+          retransmission dies in the outage.
         * rollback (§9): fire-and-forget cancels land at the healthy
           sites only (the faulted link is down), the names are burned,
           and the step is renamed ``-s<epoch>``;
@@ -670,10 +680,15 @@ class ModelMachine:
             self.pipeline["speculated"] += 1
             spec_names = {s: self._name(step + 1, s) for s in SITES}
             # The spec round's proposes beat the link-down event within
-            # the arming batch, so they arrive everywhere — for even-m
-            # outages the faulted-site propose *is* the arming message.
+            # the arming batch, so they arrive everywhere — for a
+            # following m the faulted-site propose *is* the arming message.
+            fault = self.schedule.get(step + 1)
+            if fault is not None and "propose" in fault.kind:
+                del self.schedule[step + 1]
+                if (fault.kind, fault.site) == ("drop_propose_reply", site):
+                    fault = None
             self._propose_round(step + 1, spec_names,
-                                ("spec", step + 1, self.epoch))
+                                ("spec", step + 1, self.epoch), fault)
             self._snap("spec-fault", step)
             self.epoch += 1
             self.pipeline["drains"] += 1

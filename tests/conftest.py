@@ -7,15 +7,24 @@ historical ``from conftest import make_site`` import path.
 It also holds the one source walker every static pin reads
 (``tests/test_analysis.py``, ``tests/test_callgraph.py``,
 ``tests/test_api_surface.py``): :func:`walk` hands out the repository's
-Python files as ``(module, path, tree)``, each parsed once per session.
+Python files as ``(module, path, tree)``, each parsed once per session;
+and the one ``python -m repro.verify`` pass the verifier's tests read
+(:func:`verify_pass`).
 """
 
 import ast
+import contextlib
 import functools
 import gc
+import io
 import pathlib
+from unittest import mock
+
+import pytest
 
 from repro.testing import SiteEnv, make_site
+from repro.verify import __main__ as verify_cli
+from repro.verify import run_conformance
 
 __all__ = ["ROOT", "SiteEnv", "make_site", "parse_tree", "walk"]
 
@@ -64,3 +73,21 @@ def walk(*tops: str) -> list[tuple[str, str, ast.Module]]:
     the one parse this session makes of them."""
     return [file for file in _repository()
             if file[1].split("/")[0] in (tops or TOPS)]
+
+
+@pytest.fixture(scope="session")
+def verify_pass():
+    """One ``python -m repro.verify`` pass per session (exploration,
+    mutations and the live replay of every explored trace, about 12 s):
+    ``(exit status, stdout, [(exploration, divergences)] per depth)``,
+    the last recorded from the CLI's own :func:`run_conformance` calls."""
+    replays = []
+
+    def recorded(exploration):
+        replays.append((exploration, run_conformance(exploration)))
+        return replays[-1][1]
+
+    with mock.patch.object(verify_cli, "run_conformance", recorded), \
+            contextlib.redirect_stdout(io.StringIO()) as out:
+        status = verify_cli.main([])
+    return status, out.getvalue(), replays

@@ -25,12 +25,19 @@ from repro.coordinator import (
     DegradationPolicy,
     FailoverManager,
     NaiveFaultPolicy,
+    SimulationCoordinator,
     StepRecord,
 )
-from repro.coordinator.state import record_from_payload, record_to_payload
+from repro.coordinator.state import (
+    record_from_payload,
+    record_to_payload,
+    transaction_name,
+)
+from repro.grid import Grid
 from repro.most import ExperimentSession, MOSTConfig, build_most
 from repro.net import BreakerConfig, BreakerOpen, CircuitBreaker
 from repro.sim import Kernel
+from repro.structural import StructuralModel, el_centro_like
 from repro.telemetry import InMemorySink
 from repro.util.errors import ConfigurationError
 
@@ -342,6 +349,37 @@ class TestArming:
                        duration=float("inf")),
             ChaosEvent(kind="slowdown", step=3, site="ncsa",
                        magnitude=40.0))))
+
+    def test_a_reorder_swaps_the_sites_next_two_requests(self):
+        """``reorder`` holds the site's next two requests and releases
+        them last-first: on a pipelined run step 3's round and step 4's
+        speculation go out together, so step 4's proposal reaches the
+        site first — and at-most-once execution holds through it."""
+        grid = Grid.star()
+        stiffness = {"uiuc": 30.0, "cu": 30.0}
+        grid.add_simulation_sites(stiffness, latency=0.01,
+                                  compute_time=0.05)
+        grid.arm(ChaosEvent("reorder", 3, "uiuc", count=2))
+        coordinator = SimulationCoordinator(
+            run_id="r", client=grid.client(timeout=10.0, retries=3),
+            model=StructuralModel(mass=[[2.0]], stiffness=[[100.0]]),
+            motion=el_centro_like(duration=0.2, dt=0.02),
+            sites=grid.bindings(), predictor=grid.predictor(
+                stiffness, name="{}-predictor".format))
+        result = grid.run(coordinator.run())
+        assert result.completed
+
+        def arrivals(site):  # proposals in the order the site took them
+            names = list(grid.sites[site].server.transactions)
+            return [names.index(transaction_name("r", step, site))
+                    for step in (3, 4)]
+
+        assert arrivals("uiuc") == sorted(arrivals("uiuc"), reverse=True)
+        assert arrivals("cu") == sorted(arrivals("cu"))
+        for site in stiffness:
+            metrics = grid.sites[site].server.metrics()
+            assert metrics["executed"] == len(result.steps) + 1
+            assert metrics["duplicate_executes"] == 0
 
 
 class TestChaosCampaign:

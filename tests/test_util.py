@@ -44,7 +44,8 @@ class TestUuidLike:
         assert all(c in "0123456789abcdef-" for c in u)
 
     def test_deterministic(self):
-        assert uuid_like(np.random.default_rng(7)) == uuid_like(np.random.default_rng(7))
+        assert uuid_like(np.random.default_rng(7)) == \
+            uuid_like(np.random.default_rng(7))
 
     def test_distinct_draws(self):
         rng = np.random.default_rng(1)

@@ -28,13 +28,13 @@ def config_at(depth: int, **kwargs) -> VerifyConfig:
 
 
 @pytest.fixture(scope="module")
-def sequential():
-    return explore(config_at(0))
+def sequential(verify_pass):
+    return verify_pass[2][0][0]
 
 
 @pytest.fixture(scope="module")
-def pipelined():
-    return explore(config_at(1))
+def pipelined(verify_pass):
+    return verify_pass[2][1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +51,7 @@ class TestEnumeration:
         schedules = enumerate_schedules(config_at(1))
         kinds = {e.kind for s in schedules for e in s}
         assert kinds == set(PIPELINED_KINDS)
+        assert set(SEQUENTIAL_KINDS) | kinds == set(FAULT_KINDS)
 
     def test_bounds_are_respected(self):
         for schedule in enumerate_schedules(config_at(1)):
@@ -103,14 +104,6 @@ class TestExploration:
         assert [t.expected for t in again.traces] == \
                [t.expected for t in sequential.traces]
 
-    def test_traces_by_kind_samples_every_kind(self, sequential, pipelined):
-        assert set(sequential.traces_by_kind()) == \
-               {"clean", *SEQUENTIAL_KINDS}
-        assert set(pipelined.traces_by_kind()) == \
-               {"clean", *PIPELINED_KINDS}
-        assert set(SEQUENTIAL_KINDS) | set(PIPELINED_KINDS) == \
-               set(FAULT_KINDS)
-
 
 # ---------------------------------------------------------------------------
 # the seeded-mutation regression: break a rule, the checker must see it
@@ -146,10 +139,12 @@ class TestMutations:
 
 
 class TestCli:
-    def test_one_pass_is_clean_and_takes_no_option(self, capsys):
-        assert main([]) == 0
-        out = capsys.readouterr().out
-        assert out.endswith("verify: OK\n")
+    def test_one_pass_is_clean_and_takes_no_option(self, capsys,
+                                                   verify_pass):
+        status, out, _ = verify_pass
+        assert status == 0
+        assert out.endswith("conformance: 1536 traces replayed, "
+                            "0 divergences\nverify: OK\n")
         assert out.count("\nmutation ") == len(MUTATION_EXPECTATIONS)
         for rule in MUTATION_EXPECTATIONS:
             assert f"mutation {rule}: caught -> " in out
