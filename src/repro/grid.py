@@ -227,7 +227,12 @@ class Grid:
 
         From then on ``transient_drop`` / ``corrupt`` hit the site's next
         ``count`` replies, ``duplicate`` / ``reorder`` its next ``count``
-        requests (the trigger's own first); ``jitter`` (sigma
+        requests (the trigger's own first).  ``reorder`` holds each
+        captured request 0.2 s and releases them last-first, so it swaps
+        only requests in flight together: on a sequential run a site's
+        propose and its execute are causally ordered (the execute waits
+        for the propose's reply), so the fault is two holds in send
+        order.  ``jitter`` (sigma
         ``magnitude``), ``crash`` and ``outage`` last ``duration``;
         ``slowdown`` multiplies the site backend's compute time by
         ``magnitude`` for good.  The verifier's kinds name an NTCP

@@ -48,6 +48,16 @@ EXECUTE_METRIC = "core.server.execute_time"
 STEPS_METRIC = "coordinator.mspsds.steps"
 
 
+def _route(record: dict[str, Any]) -> tuple | str | None:
+    """Where the console keeps a streamed record of a new series."""
+    labels = record.get("labels", {})
+    if record["type"] == "counter":
+        return record["name"], tuple(sorted(labels.items()))
+    if record["type"] == "histogram" and record["name"] == EXECUTE_METRIC:
+        return labels.get("site") or None
+    return None
+
+
 @dataclass(frozen=True)
 class Alert:
     """One typed anomaly record."""
@@ -108,10 +118,10 @@ class ExperimentMonitor(GridService):
         self.health: dict[str, dict[str, Any]] = {}
         self.running = False
         self._tm_samples = None  # built on attach
-        self._check_sample = metrics_sample_checker()
+        # a record's route: a counter's _counter_totals key, an execute
+        # summary's site, or None (nothing to keep)
+        self._check_sample = metrics_sample_checker(_route)
         self._counter_totals: dict[tuple[str, tuple], float] = {}
-        # (name, label items as handed) -> the _counter_totals key
-        self._counter_keys: dict[tuple[str, tuple], tuple[str, tuple]] = {}
         self._site_execute: dict[str, dict[str, float]] = {}
         self._last_commit_step = -1
         self._last_progress_time: float | None = None
@@ -164,23 +174,13 @@ class ExperimentMonitor(GridService):
         payload = sample.value
         if not isinstance(payload, dict) or payload.get("kind") != "metrics":
             return
-        self._check_sample(payload)
+        routes = self._check_sample(payload)
         self._tm_samples.inc()
-        counter_keys = self._counter_keys
-        for record in payload["metrics"]:
-            name = record["name"]
-            labels = record.get("labels", {})
-            if record["type"] == "counter":
-                handed = (name, tuple(labels.items()))
-                key = counter_keys.get(handed)
-                if key is None:
-                    key = counter_keys[handed] = (
-                        name, tuple(sorted(labels.items())))
-                self._counter_totals[key] = record["total"]
-            elif record["type"] == "histogram" and name == EXECUTE_METRIC:
-                site = labels.get("site")
-                if site:
-                    self._site_execute[site] = dict(record["summary"])
+        for record, route in zip(payload["metrics"], routes):
+            if type(route) is tuple:
+                self._counter_totals[route] = record["total"]
+            elif route is not None:
+                self._site_execute[route] = record["summary"]
         steps = int(self.counter_total(STEPS_METRIC))
         if steps > 0:
             self._note_progress(steps)

@@ -11,10 +11,13 @@ built from the :mod:`repro.util.schema` kit (the metric records reuse
 
 A receiver does not walk every record of every flush: it holds a
 :func:`metrics_sample_checker`, which checks each sample's envelope,
-proves a series' identity once and then checks only that record's
-numbers.  Whatever it cannot prove that way goes through the stateless
+computes each record's identity once, looks it up in one table from
+identity to the receiver's own route (where the record goes), and
+checks only the numbers of a record whose identity an accepted sample
+proved.  Whatever it cannot prove that way goes through the stateless
 :func:`validate_metrics_sample`, the only code that words a refusal, so
-the errors are the validator's, byte for byte.
+the errors are the validator's, byte for byte.  The receiver then uses
+the routes the checker hands back and makes no lookup of its own.
 
 Payload kinds:
 
@@ -156,14 +159,12 @@ def _identity(record: dict[str, Any]) -> tuple | None:
     return record.get("name"), record.get("type"), labels
 
 
-def _fits(record: Any, proven: set[tuple]) -> bool:
-    """Whether ``record`` is of an identity in ``proven`` and its numbers
-    fit as the kit judges them: exact ``int`` / ``float`` leaves, and a
-    counter's finite ``value`` and ``total`` under the delta rule.
-    Raises on a missing leaf, an unhashable identity or an int too large
-    for a float."""
-    if type(record) is not dict or _identity(record) not in proven:
-        return False
+def _fits(record: dict[str, Any]) -> bool:
+    """Whether the numbers of ``record``, of an identity an accepted
+    sample proved, fit as the kit judges them: exact ``int`` / ``float``
+    leaves, and a counter's finite ``value`` and ``total`` under the
+    delta rule.  Raises on a missing leaf or an int too large for a
+    float."""
     kind = record["type"]
     if kind == "counter":
         value, total = record["value"], record["total"]
@@ -184,36 +185,53 @@ def _fits(record: Any, proven: set[tuple]) -> bool:
     return True
 
 
-def metrics_sample_checker() -> Callable[[Any], None]:
-    """A :func:`validate_metrics_sample` that proves each series'
-    identity once.
+def metrics_sample_checker(
+        route: Callable[[dict[str, Any]], Any]) -> Callable[[Any], list]:
+    """A :func:`validate_metrics_sample` that resolves each series once.
 
-    Each receiver builds its own, so what it remembers lives exactly as
-    long as the receiver.  The envelope is checked on every sample; a
-    record whose ``(name, type, label items as handed)`` an earlier
-    accepted sample proved has only its numbers checked.  Anything else
-    — an unknown identity, a bool or float-subclass leaf, an unhashable
-    label value, a number that does not fit — sends the whole sample
-    through :func:`validate_metrics_sample`, which alone accepts it or
-    words the refusal: a checker refuses exactly what the stateless
-    validator refuses, with the same text.
+    Each receiver builds its own, handing it ``route``: what the
+    receiver does with a record of a new series (the store's series it
+    feeds, the console's counter key).  The checker keeps one table,
+    from ``(name, type, label items as handed)`` to that route, so what
+    it remembers lives exactly as long as the receiver.  The envelope is
+    checked on every sample, each record's identity is computed once,
+    and a record of an identity in the table has only its numbers
+    checked.  Anything else — an unknown identity, a bool or
+    float-subclass leaf, an unhashable label value, a number that does
+    not fit — sends the whole sample through
+    :func:`validate_metrics_sample`, which alone accepts it or words the
+    refusal: a checker refuses exactly what the stateless validator
+    refuses, with the same text.  An accepted sample returns each
+    record's route, in order.
     """
-    proven: set[tuple] = set()
+    table: dict[tuple, Any] = {}
 
-    def check(payload: Any) -> None:
+    def check(payload: Any) -> list:
+        idents: list = []
+        routes: list = []
         if _check_envelope(payload) is None:
             metrics = payload.get("metrics")
             try:
                 if type(metrics) is list:
                     for record in metrics:
-                        if not _fits(record, proven):
+                        if type(record) is not dict:
                             break
+                        idents.append(_identity(record))
+                        known = table[idents[-1]]  # KeyError: a new series
+                        if not _fits(record):
+                            break
+                        routes.append(known)
                     else:
-                        return
+                        return routes
             except (KeyError, TypeError, OverflowError):
                 pass
         validate_metrics_sample(payload)
-        proven.update(_identity(record) for record in payload["metrics"]
-                      if type(record) is dict)
+        metrics = payload["metrics"]
+        idents += map(_identity, metrics[len(idents):])
+        for ident, record in zip(idents[len(routes):], metrics[len(routes):]):
+            if ident not in table:
+                table[ident] = route(record)
+            routes.append(table[ident])
+        return routes
 
     return check

@@ -6,7 +6,10 @@ stat) and holds three tiers:
 * ``raw`` — an append-only ring of ``(time, value)`` points, bounded by
   ``raw_capacity`` and held as two columns (``times``, ``values``);
 * ``r10`` — every 10 raw appends folded into one finalized bucket
-  (count / sum / min / max / first / last over the 10 points);
+  (count / sum / min / max / first / last over the 10 points), kept as
+  a tuple in :data:`~repro.observatory.schema.BUCKET_KEYS` order and
+  rendered as a dict only for a reader (:meth:`Series.points`, the
+  dump);
 * ``r100`` — the same folding at 100 raw appends per bucket.
 
 Rollups are built *at append time* from the same arithmetic a reader
@@ -23,16 +26,18 @@ two bisects and a slice of the columns for as long as every point
 arrived in time order — the stream rides ``fifo=False`` links, so the
 first late point clears the series' ``_ordered`` flag and its windows
 become a linear filter.  An open rollup bucket is six running scalars,
-folded without a dict walk per point; its dict is built once, when it
-closes.  The store keeps its canonical keys sorted as series are created
-and remembers which series each streamed ``(name, type, label items)``
-feeds — one, or five for a histogram — so a steady-state ingest sorts
-nothing and resolves each record once, not once per point.  It checks a
-sample with its own :func:`~repro.monitor.schema.metrics_sample_checker`,
-which proves each series' identity once and refuses exactly what
+folded without a dict walk per point; it becomes one tuple when it
+closes.  The store keeps its canonical keys sorted as series are created,
+and its own :func:`~repro.monitor.schema.metrics_sample_checker` hands
+back, per streamed record, the series it feeds — one, or five for a
+histogram — resolved the first time its ``(name, type, label items)``
+is seen, so a steady-state ingest sorts nothing and makes no lookup of
+its own.  The checker refuses exactly what
 :func:`~repro.monitor.schema.validate_metrics_sample` refuses, with the
 same text.  A flush therefore costs once per record, plus once per
-series the store has not seen.
+series the store has not seen.  A streamed record may be the very
+object an earlier sample carried (the streamer re-sends an unchanged
+one): the store reads it and never changes it.
 
 Everything advances on the simulation clock (points carry the streamed
 sample's sim time), so two runs of the same campaign produce
@@ -46,7 +51,7 @@ from collections import deque
 from typing import Any, Iterable
 
 from repro.monitor.schema import metrics_sample_checker
-from repro.observatory.schema import TIERS
+from repro.observatory.schema import BUCKET_KEYS, TIERS
 
 #: raw appends folded into one bucket, per rollup tier
 ROLLUP_SPANS = {"r10": 10, "r100": 100}
@@ -105,10 +110,8 @@ class Series:
             else:  # ``0.0 +`` as a running sum starts: -0.0 sums to 0.0
                 acc[:6] = 1, time, 0.0 + value, value, value, value
             if acc[0] >= acc[6]:
-                acc[7].append(
-                    {"start": acc[1], "end": time, "count": acc[0],
-                     "sum": acc[2], "min": acc[3], "max": acc[4],
-                     "first": acc[5], "last": value})
+                acc[7].append((acc[1], time, acc[0], acc[2], acc[3],
+                               acc[4], acc[5], value))
                 acc[0] = 0
 
     def window(self, start: float, end: float) -> tuple[list, list]:
@@ -128,11 +131,13 @@ class Series:
         """The finalized contents of one tier, oldest first.
 
         ``raw`` yields ``(time, value)`` pairs; rollup tiers yield bucket
-        dicts.  Open (partially filled) buckets are not visible.
+        dicts, rendered from the stored tuples.  Open (partially filled)
+        buckets are not visible.
         """
         if tier == "raw":
             return list(zip(self.times, self.values))
-        return list(self.rollups[tier])
+        return [dict(zip(BUCKET_KEYS, bucket))
+                for bucket in self.rollups[tier]]
 
     def evicted(self, tier: str) -> bool:
         """Whether this tier has dropped points to stay within bounds."""
@@ -147,7 +152,7 @@ class Series:
         evicted = self.evicted(tier)
         if not (evicted and points):
             return not evicted
-        oldest = points[0] if tier == "raw" else points[0]["start"]
+        oldest = points[0] if tier == "raw" else points[0][0]
         return oldest <= start
 
     def pick_tier(self, start: float) -> str:
@@ -162,8 +167,7 @@ class Series:
         return {"name": self.name, "labels": dict(self.labels),
                 "appended": self.appended,
                 "raw": [[t, v] for t, v in zip(self.times, self.values)],
-                "r10": [dict(b) for b in self.rollups["r10"]],
-                "r100": [dict(b) for b in self.rollups["r100"]]}
+                "r10": self.points("r10"), "r100": self.points("r100")}
 
     @classmethod
     def from_record(cls, record: dict[str, Any], *,
@@ -183,7 +187,8 @@ class Series:
             b >= a for a, b in zip(times[:1] + times, times))
         for tier in ROLLUP_SPANS:
             for bucket in record.get(tier, ()):
-                series.rollups[tier].append(dict(bucket))
+                series.rollups[tier].append(
+                    tuple(bucket[key] for key in BUCKET_KEYS))
         series.appended = record.get("appended", len(times))
         return series
 
@@ -207,10 +212,9 @@ class TimeSeriesStore:
         # (name, stat, label items as handed in) -> series: steady-state
         # appends neither sort labels nor rebuild {**labels, "stat": ...}
         self._resolved: dict[tuple, Series] = {}
-        # (name, type, label items as handed in) of a streamed record ->
-        # the series it feeds: one, or one per HISTOGRAM_STATS
-        self._feeds: dict[tuple, tuple[Series, ...]] = {}
-        self._check_sample = metrics_sample_checker()
+        # a streamed record's route: the series it feeds, one or one per
+        # HISTOGRAM_STATS
+        self._check_sample = metrics_sample_checker(self._feeds)
         self.samples_ingested = 0
         self._tm_appends = None
         self._tm_samples = None
@@ -244,6 +248,12 @@ class TimeSeriesStore:
             self._resolved[ident] = series
         return series
 
+    def _feeds(self, record: dict[str, Any]) -> tuple[Series, ...]:
+        """The series a streamed record of a new series feeds."""
+        name, labels = record["name"], record.get("labels", {})
+        stats = HISTOGRAM_STATS if record["type"] == "histogram" else (None,)
+        return tuple(self._resolve(name, labels, stat) for stat in stats)
+
     def append(self, name: str, labels: dict[str, str], time: float,
                value: float) -> Series:
         """Append one point, creating the series on first sight."""
@@ -261,19 +271,11 @@ class TimeSeriesStore:
         ``stat=count/mean/p50/p95/p99`` sub-series.  Returns the number
         of points appended.
         """
-        self._check_sample(payload)
+        routes = self._check_sample(payload)
         time = payload["time"]
         appended = 0
-        feeds = self._feeds
-        for record in payload["metrics"]:
-            name, kind = record["name"], record["type"]
-            labels = record.get("labels", {})
-            ident = (name, kind, tuple(labels.items()))
-            series = feeds.get(ident)
-            if series is None:
-                stats = HISTOGRAM_STATS if kind == "histogram" else (None,)
-                series = feeds[ident] = tuple(
-                    self._resolve(name, labels, stat) for stat in stats)
+        for record, series in zip(payload["metrics"], routes):
+            kind = record["type"]
             if kind == "counter":
                 series[0].append(time, float(record["total"]))
                 appended += 1

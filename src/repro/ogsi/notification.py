@@ -3,6 +3,7 @@ subscription table and the subscriber's guarded sink."""
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, Callable
 
 from repro.net.network import Message, Network
@@ -14,6 +15,11 @@ _validate_request = validator(ProtocolError, obj({
     "lifetime": number(above=0, finite=True),
     "topics": nullable(array(string())),
 }))
+
+
+def _keys(topics: frozenset | None) -> tuple | frozenset:
+    """The :attr:`SubscriptionTable._takers` keys an entry counts under."""
+    return (None,) if topics is None else topics
 
 
 class SubscriptionTable:
@@ -53,6 +59,10 @@ class SubscriptionTable:
         #: sub_id -> (topics or None for all, sink_host, sink_port, owner,
         #: expires)
         self._subs: dict[str, tuple] = {}
+        # entries held per topic (None: every topic), and a bound at or
+        # below the earliest expiry held: what :meth:`wants` reads
+        self._takers: Counter = Counter()
+        self._earliest = float("inf")
 
     def __len__(self) -> int:
         """Entries held (lapsed ones included until they are freed)."""
@@ -65,9 +75,11 @@ class SubscriptionTable:
         _validate_request({"sink_host": sink_host, "sink_port": sink_port,
                            "lifetime": lifetime, "topics": topics})
         sub_id = self._new_id()
-        self._subs[sub_id] = (
+        entry = self._subs[sub_id] = (
             None if topics is None else frozenset(topics),
             sink_host, sink_port, caller, self.network.kernel.now + lifetime)
+        self._takers.update(_keys(entry[0]))
+        self._earliest = min(self._earliest, entry[4])
         return sub_id
 
     def unsubscribe(self, sub_id: str, caller: Any) -> bool:
@@ -81,17 +93,16 @@ class SubscriptionTable:
             raise SecurityError(
                 f"subscription {sub_id!r} belongs to another caller")
         del self._subs[sub_id]
+        self._takers.subtract(_keys(entry[0]))
         return True
 
     def wants(self, topic: str) -> bool:
         """Whether a live entry takes ``topic``: a publisher asks before
         building what it would send.  Frees the lapsed entries, as
-        :meth:`publish` does."""
-        now = self.network.kernel.now
-        if any(expires <= now for *_, expires in self._subs.values()):
+        :meth:`publish` does.  Reads two counts, not the entries."""
+        if self._earliest <= self.network.kernel.now:
             self._free_lapsed()
-        return any(topics is None or topic in topics
-                   for topics, *_ in self._subs.values())
+        return self._takers[None] > 0 or self._takers[topic] > 0
 
     def publish(self, topic: str | None,
                 make_payload: Callable[[str], Any]) -> int:
@@ -115,13 +126,16 @@ class SubscriptionTable:
         """The owner is destroyed: every entry goes."""
         self._free_lapsed()
         self._subs.clear()
+        self._takers.clear()
 
     def _free_lapsed(self) -> None:
         now = self.network.kernel.now
         lapsed = [sub_id for sub_id, (*_, expires) in self._subs.items()
                   if expires <= now]
         for sub_id in lapsed:
-            del self._subs[sub_id]
+            self._takers.subtract(_keys(self._subs.pop(sub_id)[0]))
+        self._earliest = min((entry[4] for entry in self._subs.values()),
+                             default=float("inf"))
         if lapsed and self._on_lapsed is not None:
             self._on_lapsed(len(lapsed))
 

@@ -68,7 +68,7 @@ from repro.structural import (
     el_centro_like,
 )
 from repro.structural.integrators import EnsembleCentralDifferencePSD
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, SchemaError
 
 
 def run_store(gen):
@@ -565,6 +565,26 @@ class TestManifestSchema:
     def test_malformed_manifest_rejected(self, mutation):
         with pytest.raises(CheckpointSchemaError):
             validate_manifest_payload(self.make_manifest(**mutation))
+
+
+    @pytest.mark.parametrize("field, order, path", [
+        ("seqs", [1, 1, 2], "$.seqs[1]"),
+        ("seqs", [2, 1, 2], "$.seqs[1]"),
+        ("records", [0, 2, 1, 3, 4], "$.records[2].step"),
+        ("records", [0, 1, 1, 2, 3, 4], "$.records[2].step"),
+        ("records", [4, 3, 2, 1, 0], "$.records[1].step"),
+    ])
+    def test_a_step_out_of_order_is_named(self, field, order, path):
+        """``seqs`` and the records' steps must each rise strictly: a
+        manifest that repeats or steps back is a typed refusal naming
+        the first entry out of order."""
+        manifest = self.make_manifest()
+        manifest[field] = ([manifest["records"][i] for i in order]
+                           if field == "records" else order)
+        with pytest.raises(SchemaError) as refusal:
+            validate_manifest_payload(manifest)
+        assert type(refusal.value) is CheckpointSchemaError
+        assert str(refusal.value) == f"{path}: must be strictly ascending"
 
 
 class TestRepositoryManifest:

@@ -382,6 +382,49 @@ class TestArming:
             assert metrics["duplicate_executes"] == 0
 
 
+    def test_a_reorder_on_a_sequential_run_only_holds(self):
+        """On a sequential run a site's propose and its execute are
+        causally ordered, so ``reorder`` has nothing in flight to swap:
+        it holds both 0.2 s, they reach the site in send order, and the
+        run is the unarmed one, two holds later."""
+        def run(*events):
+            grid = Grid.star()
+            stiffness = {"uiuc": 30.0, "cu": 30.0}
+            grid.add_simulation_sites(stiffness, latency=0.01,
+                                      compute_time=0.05)
+            sink = grid.kernel.telemetry.add_sink(InMemorySink())
+            for event in events:
+                grid.arm(event)
+            coordinator = SimulationCoordinator(
+                run_id="r", client=grid.client(timeout=10.0, retries=3),
+                model=StructuralModel(mass=[[2.0]], stiffness=[[100.0]]),
+                motion=el_centro_like(duration=0.2, dt=0.02),
+                sites=grid.bindings())
+            result = grid.run(coordinator.run())
+            assert result.completed
+            return grid, result, sink
+
+        _, plain, _ = run()
+        grid, armed, sink = run(ChaosEvent("reorder", 3, "uiuc", count=2))
+        held = [r for r in sink.records if r.kind == "chaos.reorder"]
+        assert [r.detail["dst"] for r in held] == ["uiuc", "uiuc"]
+        names = list(grid.sites["uiuc"].server.transactions)
+        assert [names.index(transaction_name("r", step, "uiuc"))
+                 for step in (3, 4)] == [3, 4]
+        def took(result):
+            return result.wall_finished - result.wall_started
+
+        # each held request arrives 0.2 s (+ 1 ms per later slot) after
+        # its capture instead of one 0.01 s link later
+        assert took(armed) - took(plain) == pytest.approx(
+            (0.2 + 0.001 - 0.01) + (0.2 - 0.01))
+        assert [s.displacement.tolist() for s in armed.steps] == \
+            [s.displacement.tolist() for s in plain.steps]
+        metrics = grid.sites["uiuc"].server.metrics()
+        assert metrics["executed"] == len(armed.steps) + 1
+        assert metrics["duplicate_executes"] == 0
+
+
 class TestChaosCampaign:
     def test_recoverable_seed_passes_all_invariants(self):
         campaign = ChaosCampaign(MOSTConfig().scaled(30), n_events=2)

@@ -1,7 +1,11 @@
 """Edge-case integration tests across subsystem boundaries."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.control import (
     HumanApprovalPlugin,
@@ -289,6 +293,56 @@ class TestSubscriptionTable:
                                                 r"finite$"):
             table.subscribe(None, "user", "p", 10**400)
         assert len(table) == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=st.lists(st.one_of(
+        st.tuples(st.just("subscribe"), st.one_of(st.none(), st.lists(
+            st.sampled_from("abc"), max_size=2)), st.sampled_from(
+                [0.5, 1.0, 2.0, 5.0])),
+        st.tuples(st.just("unsubscribe"), st.integers(0, 8)),
+        st.tuples(st.just("lapse"), st.sampled_from([0.5, 1.0, 3.0])),
+        st.tuples(st.just("publish"), st.sampled_from(["a", "b", None])),
+        st.tuples(st.just("wants"), st.sampled_from("abcd")),
+        st.tuples(st.just("clear"))), max_size=40))
+    def test_wants_answers_as_the_scan_over_every_entry(self, ops):
+        """``wants`` reads per-topic counts and an earliest expiry; over
+        any run of subscribes, cancellations, lapses, publishes and
+        clears it answers as a scan of every entry would, and the
+        ``on_lapsed`` reports are the scanning table's."""
+        class ScanningTable(SubscriptionTable):
+            def wants(self, topic):
+                now = self.network.kernel.now
+                if any(entry[4] <= now for entry in self._subs.values()):
+                    self._free_lapsed()
+                return any(entry[0] is None or topic in entry[0]
+                           for entry in self._subs.values())
+
+        k, net, *_ = self.env()
+        reports = ([], [])
+        ids = (itertools.count(), itertools.count())
+        tables = [cls(net, "site", lambda i=i: f"sub-{next(ids[i])}",
+                      on_lapsed=reports[i].append)
+                  for i, cls in enumerate((SubscriptionTable, ScanningTable))]
+        for op, *args in ops:
+            if op == "lapse":
+                k.run(until=k.now + args[0])
+                continue
+            answers = []
+            for table in tables:
+                if op == "subscribe":
+                    answers.append(table.subscribe(None, "user", "p",
+                                                   args[1], args[0]))
+                elif op == "unsubscribe":
+                    answers.append(table.unsubscribe(f"sub-{args[0]}", None))
+                elif op == "publish":
+                    answers.append(table.publish(args[0], lambda sub: {}))
+                elif op == "wants":
+                    answers.append(table.wants(args[0]))
+                else:
+                    answers.append(table.clear())
+                answers.append(len(table))
+            assert answers[:2] == answers[2:], (op, args)
+            assert reports[0] == reports[1]
 
     def test_unsubscribe_is_scoped_to_the_owning_table(self):
         k, net, nsds, cam, rpc = self.env()

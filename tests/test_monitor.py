@@ -1,5 +1,7 @@
 """Tests for the live operations console (repro.monitor)."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,7 @@ from repro.ogsi.notification import NotificationSink
 from repro.sim import Kernel
 from repro.structural import LinearSubstructure
 from repro.telemetry import InMemorySink
+from repro.telemetry.metrics import Counter, Gauge
 from repro.telemetry.report import CORE_PHASES
 from repro.testing import make_site
 
@@ -207,6 +210,12 @@ def _damage(sample, index, what, hostile):
                           "histogram": "counter"}[record["type"]]
 
 
+def _route(record):
+    """A route that names its record's identity, labels as handed."""
+    return (record["name"], record["type"],
+            repr(record.get("labels", "no labels")))
+
+
 class TestPerReceiverChecker:
     @settings(max_examples=200, deadline=None)
     @given(identities=_IDENTITIES, samples=st.lists(st.tuples(
@@ -216,8 +225,12 @@ class TestPerReceiverChecker:
                                                           samples):
         """A long-lived checker, fed valid samples of a few identities
         and hostile mutations of them, accepts and refuses exactly what
-        the stateless validator does, with the same text."""
-        check = metrics_sample_checker()
+        the stateless validator does, with the same text; an accepted
+        sample hands back ``route(record)`` per record, in order, and
+        ``route`` runs once per identity."""
+        routed = []
+        check = metrics_sample_checker(
+            lambda record: routed.append(_route(record)) or routed[-1])
         for seq, (picks, mutations) in enumerate(samples, 1):
             sample = metrics_sample(seq, [
                 _record(*identities[i % len(identities)], a, b)
@@ -225,17 +238,22 @@ class TestPerReceiverChecker:
             for index, what, hostile in mutations:
                 _damage(sample, index, what, _HOSTILE_NUMBERS[hostile])
             expected = _verdict(validate_metrics_sample, sample)
-            assert _verdict(check, sample) == expected, sample
+            routes = []
+            assert _verdict(lambda s: routes.extend(check(s)),
+                            sample) == expected, sample
+            if expected == "accepted":
+                assert routes == [_route(r) for r in sample["metrics"]]
+        assert len(routed) == len(set(routed))
 
     def test_absent_labels_and_null_labels_are_two_identities(self):
-        check = metrics_sample_checker()
+        check = metrics_sample_checker(_route)
         bare = {"name": "a.b.c", "type": "gauge", "value": 1.0}
-        check(metrics_sample(1, [bare]))
+        assert check(metrics_sample(1, [bare])) == [_route(bare)]
         with pytest.raises(MonitorSchemaError,
                            match=r"^\$\.metrics\[0\]\.labels: expected an "
                                  r"object, got NoneType$"):
             check(metrics_sample(2, [{**bare, "labels": None}]))
-        check(metrics_sample(3, [bare]))
+        assert check(metrics_sample(3, [bare, bare])) == [_route(bare)] * 2
 
 
 class TestHealthPublisher:
@@ -283,6 +301,16 @@ class TestHealthPublisher:
 
         env.run(go())
         assert probe()["backlog"] == 1  # proposed, never executed/aborted
+
+
+_NAN = float("nan")
+
+
+def _leaf_types(value):
+    """The type name of every leaf, in the shape of ``value``."""
+    if isinstance(value, dict):
+        return {key: _leaf_types(item) for key, item in value.items()}
+    return type(value).__name__
 
 
 def streamer_env(**kw):
@@ -394,6 +422,75 @@ class TestTelemetryStreamer:
         assert all(r["labels"] is hub.registry.find(
                        r["name"], **r["labels"]).labels
                    for r in second["metrics"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(ops=st.lists(st.one_of(
+        st.tuples(st.just("inc"), st.integers(0, 2),
+                  st.sampled_from([0, 1, 2, 0.0, 0.5, 1.0, _NAN])),
+        st.tuples(st.just("set"), st.integers(0, 1),
+                  st.sampled_from([0.0, -0.0, _NAN, 1, 1.0, 2.5])),
+        st.tuples(st.just("assign"), st.integers(0, 1),
+                  st.sampled_from([0, 1, 1.0, -0.0])),
+        st.tuples(st.just("observe"), st.integers(0, 1),
+                  st.sampled_from([0.0, 1.5, -2.0, 1])),
+        st.tuples(st.just("summary"), st.integers(0, 1), st.none()),
+        st.tuples(st.just("flush"), st.none(), st.none())), max_size=60))
+    def test_a_reused_record_is_exactly_a_fresh_one(self, ops):
+        """Whatever the instruments do between flushes — int and float
+        increments, ``inc(0)``, an int total turning float, a gauge at
+        0.0, -0.0, NaN or an int, an observation, a summary read by
+        someone else — every payload is what a streamer with no memory
+        of its records would build, to the JSON text and the type of
+        every leaf; and an instrument whose record would print and type
+        as its last one (NaN aside) is re-sent as that very object."""
+        kernel, _, _, streamer = streamer_env()
+        hub = kernel.telemetry
+        counters = [hub.counter("a.b.c", n=str(i)) for i in range(3)]
+        gauges = [hub.gauge("a.b.g", n=str(i)) for i in range(2)]
+        hists = [hub.histogram("a.b.h", n=str(i)) for i in range(2)]
+        totals, shipped = {}, {}
+
+        def fresh(metric):
+            if isinstance(metric, Counter):
+                delta = metric.value - totals.get(metric.key, 0)
+                totals[metric.key] = metric.value
+                return {"name": metric.name, "type": "counter",
+                        "labels": metric.labels, "value": delta,
+                        "total": metric.value}
+            if isinstance(metric, Gauge):
+                return {"name": metric.name, "type": "gauge",
+                        "labels": metric.labels, "value": metric.value}
+            summary = metric.summary()
+            return {"name": metric.name, "type": "histogram",
+                    "labels": metric.labels,
+                    "summary": {key: summary[key] for key in SUMMARY_KEYS}}
+
+        def printed(record):
+            return json.dumps(record), repr(_leaf_types(record))
+
+        for op, index, value in [*ops, ("flush", None, None)]:
+            if op == "inc":
+                counters[index].inc(value)
+            elif op == "set":
+                gauges[index].set(value)
+            elif op == "assign":
+                gauges[index].value = value
+            elif op == "observe":
+                hists[index].observe(value)
+            elif op == "summary":
+                hists[index].summary()
+            else:
+                records = streamer.flush()["metrics"]
+                expected = [fresh(metric) for metric in hub.registry]
+                assert [printed(r) for r in records] == \
+                    [printed(r) for r in expected]
+                for record in records:
+                    key = (record["name"], repr(record["labels"]))
+                    last = shipped.get(key)
+                    if last is not None and "NaN" not in printed(record)[0]:
+                        assert (record is last[0]) == \
+                            (printed(record) == last[1])
+                    shipped[key] = record, printed(record)
 
     def test_stream_reaches_receiver_with_contiguous_seqs(self):
         kernel, network, nsds, streamer = streamer_env(interval=10.0)

@@ -55,6 +55,11 @@ CALLS_PER_STEP_BUDGET = 1141
 #: ``lastChanged`` to a table whose one subscriber takes ``health``).
 PUBLISH_PER_STEP_BUDGET = 0.95
 
+#: record dicts the streamer builds over the 150-step observed session
+#: below: one per changed (instrument, flush) pair (836 = 11 flushes x 76
+#: records when every flush rebuilt every record).
+RECORDS_BUILT_BUDGET = 286
+
 #: SHA-256 over every finished span's ``to_dict()`` (ids, parents, attrs,
 #: times) of that session, recorded before the hot path stopped building
 #: trace contexts: the ids and the tree they spell must not move.
@@ -177,29 +182,32 @@ class TestControlPlaneWorkBudget:
         assert digest == SPAN_TREE_SHA
 
 
-def test_each_receiver_proves_a_series_identity_once():
-    """Over a 150-step simulation-only observed session (11 flushes of
-    76 records, two receivers: the console and the store) the metric-name
-    leaf runs once per series per receiver, however many flushes there
-    are (1,672 times when each receiver walked every record of every
-    flush)."""
+@pytest.fixture(scope="module")
+def observed_work():
+    """A 150-step simulation-only observed session (11 flushes of 76
+    records, two receivers: the console and the store): every payload
+    the streamer flushed, the calls of the metric-name leaf and of the
+    checker's identity function, and the ``dict.items`` calls per
+    dict."""
     from repro.monitor import TelemetryStreamer
+    from repro.monitor import schema as monitor_schema
     from repro.telemetry.schema import metric_name
 
-    code = metric_name.__code__
-    calls = [0]
-    series = set()
+    counted = {metric_name.__code__: "metric_name",
+               monitor_schema._identity.__code__: "identity"}
+    calls = collections.Counter()
+    payloads = []
     flush = TelemetryStreamer.flush
 
     def recording_flush(self):
-        payload = flush(self)
-        series.update((r["name"], r["type"], tuple(r["labels"].items()))
-                      for r in payload["metrics"])
-        return payload
+        payloads.append(flush(self))
+        return payloads[-1]
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code is code:
-            calls[0] += 1
+        if event == "call" and frame.f_code in counted:
+            calls[counted[frame.f_code]] += 1
+        elif event == "c_call" and getattr(arg, "__name__", "") == "items":
+            calls[id(getattr(arg, "__self__", None))] += 1
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(TelemetryStreamer, "flush", recording_flush)
@@ -211,8 +219,60 @@ def test_each_receiver_proves_a_series_identity_once():
         finally:
             sys.setprofile(None)
     assert outcome.completed
-    assert outcome.observatory.store.samples_ingested > 10
-    assert calls[0] == 2 * len(series) > 0
+    assert outcome.observatory.store.samples_ingested == len(payloads) > 10
+    assert outcome.deployment.extras["monitoring"].monitor.samples_seen == \
+        len(payloads)
+    return payloads, calls
+
+
+def test_each_receiver_proves_a_series_identity_once(observed_work):
+    """The metric-name leaf runs once per series per receiver, however
+    many flushes there are (1,672 times when each receiver walked every
+    record of every flush)."""
+    payloads, calls = observed_work
+    series = {(r["name"], r["type"], tuple(r["labels"].items()))
+              for payload in payloads for r in payload["metrics"]}
+    assert calls["metric_name"] == 2 * len(series) > 0
+
+
+def test_each_receiver_resolves_a_record_once(observed_work):
+    """Each receiver computes a streamed record's identity once per
+    flush, in its checker, and makes no lookup of its own: the records'
+    label dicts are walked twice per flush plus a few times per series
+    at its first sight (3,660 times, not 2,085, when the console and the
+    store keyed each record again in their own maps)."""
+    payloads, calls = observed_work
+    records = sum(len(payload["metrics"]) for payload in payloads)
+    labels = {id(r["labels"]) for payload in payloads
+              for r in payload["metrics"]}
+    walked = sum(calls[label_id] for label_id in labels)
+    assert calls["identity"] == 2 * records > 0
+    assert 2 * records <= walked < 2 * records + 6 * len(labels)
+
+
+def test_a_flush_builds_a_record_only_for_what_changed(observed_work):
+    """The streamer builds a record dict for an instrument's first flush
+    and for each flush it changed in, and re-sends the last record
+    otherwise."""
+    payloads, _ = observed_work
+    built = {id(r) for payload in payloads for r in payload["metrics"]}
+    changed, last = 0, {}
+    for payload in payloads:
+        for record in payload["metrics"]:
+            key = (record["name"], tuple(record["labels"].items()))
+            text = json.dumps(record), repr(
+                [type(leaf) for leaf in _leaves(record)])
+            changed += last.get(key) != text
+            last[key] = text
+    assert len(built) == changed <= RECORDS_BUILT_BUDGET
+
+
+def _leaves(value):
+    if isinstance(value, dict):
+        for item in value.values():
+            yield from _leaves(item)
+    else:
+        yield value
 
 
 def test_a_datagram_builds_a_sample_only_for_a_consumer(monkeypatch):
