@@ -375,19 +375,17 @@ class SimulationCoordinator:
         return result
 
     def _at_every_site(self, span_name: str, step: int, ctx, per_site):
-        """One ``span_name`` span over one kernel process per site running
-        ``per_site(site, span)``.
+        """One ``span_name`` span over ``per_site(site, span)`` run at
+        every site at once (one :meth:`Kernel.join
+        <repro.sim.Kernel.join>`).
 
         Waits for all of them; the span ends failed if any of them
         raises, and is returned still open otherwise (the caller knows
         what a success looks like).
         """
         span = self._tracer.start_span(span_name, parent=ctx, step=step)
-        procs = [self.kernel.process(per_site(site, span),
-                                     name=f"{span_name}.{site.name}.{step}")
-                 for site in self.sites]
         try:
-            yield self.kernel.all_of(procs)
+            yield self.kernel.join(per_site(site, span) for site in self.sites)
         except BaseException:
             span.end(ok=False)
             raise

@@ -29,6 +29,8 @@ from repro.core.messages import (
 from repro.core.plugin import ControlPlugin
 from repro.core.transaction import Transaction, TransactionState
 from repro.ogsi.service import GridService
+from repro.sim import Task
+from repro.sim.events import PENDING
 from repro.util.errors import PolicyViolation, ProtocolError
 
 #: every counter the server maintains, in ``metrics()`` key order
@@ -41,6 +43,8 @@ _COUNTED = {state: state.value for state in TransactionState
 
 #: a transaction's SDE is named this prefix + the transaction's name
 _TXN_SDE = "transaction:"
+#: what a plugin run's end event holds when its execution deadline won
+_TIMED_OUT = object()
 
 
 class NTCPServer(GridService):
@@ -98,14 +102,17 @@ class NTCPServer(GridService):
     # -- state publication -----------------------------------------------------
     def _publish(self, txn: Transaction) -> None:
         """Stamp a change of ``txn``: its SDE's version and time, and the
-        lastChanged SDE's.  Names are built only while somebody has
-        subscribed to this service's SDEs, the record only for a sink."""
+        lastChanged SDE's.  A name is reported (and a transaction's built)
+        only while a live subscription could take it, the record only for
+        a sink."""
         txn.version += 1
         txn.modified = self._changed_at = self.kernel.now
         self._last = txn
         self._changes += 1
-        if self.sde_subscribers:  # else nobody could hear of it
+        subscribers = self.sde_subscribers
+        if subscribers and subscribers.wants_prefix(_TXN_SDE):
             self.service_data.changed(_TXN_SDE + txn.name)
+        if subscribers and subscribers.wants("lastChanged"):
             self.service_data.changed("lastChanged")
         if self._telemetry.takes_records:
             self.emit("transaction." + txn.state.value, transaction=txn.name)
@@ -233,12 +240,20 @@ class NTCPServer(GridService):
         return self._run_plugin(txn, span)
 
     def _run_plugin(self, txn: Transaction, span):
+        """Run the plugin against its execution deadline: the first of the
+        run's end and the deadline wakes this generator, in the entries
+        and order an ``any_of`` over a process and a timeout would take."""
         started = self.kernel.now
-        work = self.kernel.process(self.plugin.execute(txn.proposal),
-                                   name=f"{self.service_id}.exec.{txn.name}")
-        timer = self.kernel.timeout(txn.proposal.execution_timeout)
+        ended = self.kernel.event()
+
+        def ran(work: Task) -> None:
+            if ended._value is PENDING:
+                (ended.succeed if work._ok else ended.fail)(work._value)
+
+        work = Task(self.kernel, self.plugin.execute(txn.proposal), ran)
+        self.kernel.deadline(txn.proposal.execution_timeout, ended, _TIMED_OUT)
         try:
-            fired = yield self.kernel.any_of([work, timer])
+            readings = yield ended
         except Exception as exc:
             # Not narrowable: the plugin wraps an arbitrary back-end, so
             # any type can surface here; the transaction fails and the
@@ -246,8 +261,7 @@ class NTCPServer(GridService):
             detail = f"{type(exc).__name__}: {exc}"
             self.emit("plugin.error", transaction=txn.name, error=detail)
             raise self._fail(txn, span, f"plugin error: {detail}") from exc
-        if work in fired:
-            readings = fired[work]
+        if readings is not _TIMED_OUT:
             txn.result = ExecutionOutcome(
                 transaction=txn.name,
                 readings=readings if isinstance(readings, dict) else
@@ -263,7 +277,6 @@ class NTCPServer(GridService):
         self.plugin.cancel(txn.proposal)
         if work.is_alive:
             work.interrupt("execution timeout")
-        work.defuse()
         raise self._fail(txn, span, f"execution exceeded timeout of "
                          f"{txn.proposal.execution_timeout:g} s")
 

@@ -48,16 +48,6 @@ EXECUTE_METRIC = "core.server.execute_time"
 STEPS_METRIC = "coordinator.mspsds.steps"
 
 
-def _route(record: dict[str, Any]) -> tuple | str | None:
-    """Where the console keeps a streamed record of a new series."""
-    labels = record.get("labels", {})
-    if record["type"] == "counter":
-        return record["name"], tuple(sorted(labels.items()))
-    if record["type"] == "histogram" and record["name"] == EXECUTE_METRIC:
-        return labels.get("site") or None
-    return None
-
-
 @dataclass(frozen=True)
 class Alert:
     """One typed anomaly record."""
@@ -118,10 +108,9 @@ class ExperimentMonitor(GridService):
         self.health: dict[str, dict[str, Any]] = {}
         self.running = False
         self._tm_samples = None  # built on attach
-        # a record's route: a counter's _counter_totals key, an execute
-        # summary's site, or None (nothing to keep)
-        self._check_sample = metrics_sample_checker(_route)
-        self._counter_totals: dict[tuple[str, tuple], float] = {}
+        self._check_sample = metrics_sample_checker(self._route)
+        # counter name -> sorted label items -> streamed total
+        self._counter_totals: dict[str, dict[tuple, float]] = {}
         self._site_execute: dict[str, dict[str, float]] = {}
         self._last_commit_step = -1
         self._last_progress_time: float | None = None
@@ -178,7 +167,7 @@ class ExperimentMonitor(GridService):
         self._tm_samples.inc()
         for record, route in zip(payload["metrics"], routes):
             if type(route) is tuple:
-                self._counter_totals[route] = record["total"]
+                route[0][route[1]] = record["total"]
             elif route is not None:
                 self._site_execute[route] = record["summary"]
         steps = int(self.counter_total(STEPS_METRIC))
@@ -201,9 +190,21 @@ class ExperimentMonitor(GridService):
             self._finished = True
 
     def counter_total(self, name: str) -> float:
-        """Streamed cumulative total of a counter, summed over labels."""
-        return sum(total for (n, _), total in self._counter_totals.items()
-                   if n == name)
+        """Streamed cumulative total of a counter, summed over labels: a
+        walk of that counter's series only."""
+        return sum(self._counter_totals.get(name, {}).values())
+
+    def _route(self, record: dict[str, Any]) -> tuple | str | None:
+        """Where the console keeps a streamed record of a new series: a
+        counter's ``(totals of its name, sorted label items)``, an execute
+        summary's site, or None (nothing to keep)."""
+        labels = record.get("labels", {})
+        if record["type"] == "counter":
+            return (self._counter_totals.setdefault(record["name"], {}),
+                    tuple(sorted(labels.items())))
+        if record["type"] == "histogram" and record["name"] == EXECUTE_METRIC:
+            return labels.get("site") or None
+        return None
 
     def _note_progress(self, step: int) -> None:
         if step <= self._last_commit_step:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Generator, NamedTuple
 
 from repro.net.network import Message, Network
+from repro.sim import Task
 from repro.sim.events import PENDING
 from repro.util.errors import ConfigurationError, ReproError, SecurityError
 from repro.util.ids import IdFactory
@@ -89,11 +90,6 @@ _TIMED_OUT = object()
 """What an attempt's reply event yields when its timer got there first."""
 
 
-def _time_out(reply) -> None:
-    if reply._value is PENDING:
-        reply.succeed(_TIMED_OUT)
-
-
 def _wire_parent(trace: Any) -> dict[str, str] | None:
     """``RpcRequest.trace`` if it is a well-formed context, else None.
 
@@ -122,8 +118,9 @@ class RpcService:
     """Server side: binds a port and dispatches methods to handlers.
 
     A handler is ``fn(caller, **params)``.  It may return a plain value or a
-    generator — generators are run as kernel processes, so a handler can take
-    simulation time (e.g. a servo-hydraulic actuator settling).
+    generator — a generator is run as a :class:`~repro.sim.Task` whose end
+    sends the reply, so a handler can take simulation time (e.g. a
+    servo-hydraulic actuator settling).
     """
 
     def __init__(self, network: Network, host: str, port: str, *,
@@ -198,18 +195,15 @@ class RpcService:
             reply(self._error_response(req, exc))
             return
         if hasattr(result, "send") and hasattr(result, "throw"):
-            # Handler is a process: reply when it finishes.
-            proc = self.kernel.process(result, name=f"{self.name}.{req.method}")
-
-            def finish(evt, req=req):
-                if evt._ok:
+            # Handler is a generator: reply when it finishes.
+            def finish(task: Task, req=req) -> None:
+                if task._ok:
                     reply(RpcResponse(
-                        request_id=req.request_id, ok=True, value=evt._value))
+                        request_id=req.request_id, ok=True, value=task._value))
                 else:
-                    evt.defuse()
-                    reply(self._error_response(req, evt._value))
+                    reply(self._error_response(req, task._value))
 
-            proc.add_callback(finish)
+            Task(self.kernel, result, finish)
         else:
             reply(RpcResponse(
                 request_id=req.request_id, ok=True, value=result))
@@ -322,12 +316,14 @@ class RpcClient:
                 self.kernel.emit(f"rpc.client.{self.host}", "rpc.retry",
                                  request_id=req.request_id, attempt=attempt,
                                  method=method, dst=dst)
-            # The attempt waits on its reply alone; the timer is a call
-            # that wakes it if it is still pending then.  Heap order
-            # settles a tie: a timer armed before the reply was sent runs
-            # before the reply's arrival in their common instant, so the
-            # timer wins and that reply is dropped in _on_reply.
-            self.kernel.call_later(timeout, _time_out, evt)
+            # The attempt waits on its reply alone; the timer is a kernel
+            # deadline that wakes it if it is still pending then, and never
+            # reaches the heap once the reply has won.  Its seq is reserved
+            # here, so (time, seq) order settles a tie: a timer armed before
+            # the reply was sent runs before the reply's arrival in their
+            # common instant, so the timer wins and that reply is dropped
+            # in _on_reply.
+            self.kernel.deadline(timeout, evt, _TIMED_OUT)
             resp = yield evt
             if resp is not _TIMED_OUT:
                 latency = self.kernel.now - started

@@ -104,6 +104,17 @@ class SubscriptionTable:
             self._free_lapsed()
         return self._takers[None] > 0 or self._takers[topic] > 0
 
+    def wants_prefix(self, prefix: str) -> bool:
+        """Whether a live entry takes every topic, or one that starts with
+        ``prefix``: a publisher of a family of names asks before it builds
+        one.  Frees the lapsed entries, as :meth:`wants` does; reads the
+        topics taken, not the entries."""
+        if self._earliest <= self.network.kernel.now:
+            self._free_lapsed()
+        return self._takers[None] > 0 or any(
+            count > 0 and topic.startswith(prefix)
+            for topic, count in self._takers.items() if topic is not None)
+
     def publish(self, topic: str | None,
                 make_payload: Callable[[str], Any]) -> int:
         """Send ``make_payload(sub_id)`` to every live subscriber of

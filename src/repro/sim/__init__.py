@@ -23,7 +23,8 @@ timeouts or other processes) and is resumed when they fire.
 """
 
 from repro.sim.events import Event, Timeout, AnyOf, AllOf, Interrupt
-from repro.sim.process import Process
+from repro.sim.process import Process, Task
 from repro.sim.kernel import Kernel
 
-__all__ = ["Kernel", "Event", "Timeout", "AnyOf", "AllOf", "Interrupt", "Process"]
+__all__ = ["Kernel", "Event", "Timeout", "AnyOf", "AllOf", "Interrupt", "Process",
+           "Task"]

@@ -32,7 +32,7 @@ class Interrupt(Exception):
 
 
 def _fire(event: "Event") -> None:
-    """The heap call of a triggered event: run its callbacks, once."""
+    """The kernel entry of a triggered event: run its callbacks, once."""
     callbacks, event.callbacks = event.callbacks, None
     for fn in callbacks:
         fn(event)
@@ -45,13 +45,17 @@ def _fire(event: "Event") -> None:
 class Event:
     """A one-shot occurrence that processes can wait on.
 
-    Life cycle: *pending* → *triggered* (its firing is on the kernel heap) →
-    *processed* (callbacks ran).  An event succeeds with a value or fails
-    with an exception; failed events propagate their exception into every
-    waiting process.  A failed event that nobody waits on is re-raised by
-    the kernel so failures are never silently lost (call :meth:`defuse` to
-    opt out for fire-and-forget operations).
+    Life cycle: *pending* → *triggered* (its firing is a zero-delay kernel
+    entry, queued in this instant's FIFO) → *processed* (callbacks ran).
+    An event succeeds with a value or fails with an exception; failed
+    events propagate their exception into every waiting process.  A failed
+    event that nobody waits on is re-raised by the kernel so failures are
+    never silently lost (call :meth:`defuse` to opt out for fire-and-forget
+    operations).  Events and their subclasses have ``__slots__``: one is
+    built per wait on the hot path.
     """
+
+    __slots__ = ("kernel", "name", "callbacks", "_value", "_ok", "_defused")
 
     def __init__(self, kernel: "Kernel", name: str | None = None):
         self.kernel = kernel
@@ -133,6 +137,8 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` time units after creation."""
 
+    __slots__ = ("delay",)
+
     def __init__(self, kernel: "Kernel", delay: float, value: Any = None):
         super().__init__(kernel)
         self.delay = delay
@@ -146,8 +152,10 @@ class Timeout(Event):
 class _Condition(Event):
     """Shared machinery for :class:`AnyOf` / :class:`AllOf`."""
 
-    def __init__(self, kernel: "Kernel", events: list[Event], name: str):
-        super().__init__(kernel, name=name)
+    __slots__ = ("events", "_pending")
+
+    def __init__(self, kernel: "Kernel", events: list[Event]):
+        super().__init__(kernel)
         self.events = list(events)
         self._pending = 0
         for evt in self.events:
@@ -172,8 +180,7 @@ class _Condition(Event):
 class AnyOf(_Condition):
     """Succeeds as soon as any child event succeeds (fails on first failure)."""
 
-    def __init__(self, kernel: "Kernel", events: list[Event]):
-        super().__init__(kernel, events, name="AnyOf")
+    __slots__ = ()
 
     def _on_child(self, evt: Event) -> None:
         if self.triggered:
@@ -190,8 +197,7 @@ class AnyOf(_Condition):
 class AllOf(_Condition):
     """Succeeds when every child event has succeeded (fails on first failure)."""
 
-    def __init__(self, kernel: "Kernel", events: list[Event]):
-        super().__init__(kernel, events, name="AllOf")
+    __slots__ = ()
 
     def _on_child(self, evt: Event) -> None:
         if self.triggered:

@@ -627,7 +627,7 @@ def test_every_broad_handler_is_pinned():
         ("repro.ogsi.notification", "NotificationSink._on_message"):
             "test_telepresence_chef.py::TestCamera::"
             "test_a_raising_consumer_loses_only_its_own_frames",
-        ("repro.sim.process", "Process._step"):
+        ("repro.sim.process", "_Driven._step"):
             "test_sim_kernel.py::TestInterrupt::"
             "test_uncaught_interrupt_fails_process",
     }

@@ -217,10 +217,12 @@ def ensemble_variants(config, n):
 #: committed sim-clock benches pin too (only 15 s later).  Two keys count
 #: the implementation, not the schedule, and each was re-recorded once,
 #: alone: ``series`` counts instruments (87/87/89 → 62 when the unread
-#: ones were deleted), and ``events`` counts kernel heap entries fired
+#: ones were deleted), and ``events`` counts kernel entries fired
 #: (2809/2849/2809 → 2449/2489/2449 when an RPC attempt stopped waiting
 #: through an ``AnyOf`` — 240 — and the server stopped creating a
-#: completion event no duplicate execute waits on — 120).  ``schedule``
+#: completion event no duplicate execute waits on — 120; → 2099/2136/2099
+#: when an RPC or execution timer whose wait had already ended stopped
+#: reaching the heap — about 9 per committed step).  ``schedule``
 #: is what holds the second of those honest: the SHA-256 of every span's
 #: sorted ``(start, end_time, name)`` plus the final ``kernel.now``,
 #: recorded at b56f92e *before* ``events`` moved (sorted because order
@@ -238,10 +240,10 @@ _FULL_SHA = "8a9bcbe6d98060bee3ab6558b063455b3a9b16fe0c425b590056f6697610d067"
 _SEQUENTIAL_SCHEDULE = (
     "41793adf254bb48d616502b159b54ce402e51c06f34b1486f1596b42c1f527bd")
 TRACE_SHAPES = {
-    "sequential": dict(events=2449, sent=480, series=62, sha=_SOLO_SHA,
+    "sequential": dict(events=2099, sent=480, series=62, sha=_SOLO_SHA,
                        schedule=_SEQUENTIAL_SCHEDULE,
                        spans=_SEQUENTIAL_SPANS),
-    "pipelined": dict(events=2489, sent=480, series=62, sha=_SOLO_SHA,
+    "pipelined": dict(events=2136, sent=480, series=62, sha=_SOLO_SHA,
                       schedule="2db6206cc6872944314fd79a268de907"
                                "68e0c82dbc5592ad97571cd5226aa490",
                       spans={"coordinator.step": 1,
@@ -251,23 +253,23 @@ TRACE_SHAPES = {
                              "coordinator.step.round": 1,
                              "coordinator.step.speculate": 38, **_RPC_SPANS}),
     "ensemble": dict(
-        events=2449, sent=480, series=62, spans=_SEQUENTIAL_SPANS,
+        events=2099, sent=480, series=62, spans=_SEQUENTIAL_SPANS,
         schedule=_SEQUENTIAL_SCHEDULE,
         sha="e7327b72f7a309bf98b43d6dd66d28b1aa12bfb624bcb3ec151e93dc0c180b09"),
     # The observed deployments, recorded at 1407aea: NSDS push and OGSI
     # notification fan-out are on these schedules.
     "observers": dict(
-        events=5254, sent=2216, series=83, sha=_FULL_SHA, pushed=1408,
+        events=4781, sent=2216, series=83, sha=_FULL_SHA, pushed=1408,
         health_updates=0,
         schedule="33b763de25a4d5f235682e0e9e5ac96c"
                  "13860daac07c5ef4cfd1168eeecac21d"),
     "monitoring": dict(
-        events=2564, sent=526, series=82, sha=_SOLO_SHA, pushed=3,
+        events=2210, sent=526, series=82, sha=_SOLO_SHA, pushed=3,
         health_updates=33,
         schedule="73dd46db0cbbcc336b0fbc70c9641f29"
                  "de15daa280afec5bf5121bbc37d99d92"),
     "observatory": dict(
-        events=5736, sent=2435, series=110, sha=_FULL_SHA, pushed=1438,
+        events=5257, sent=2435, series=110, sha=_FULL_SHA, pushed=1438,
         health_updates=177,
         schedule="fe313bb09939ce6618aa527cd2ea8840"
                  "43dac65c1b298bc0ed68328dc4622f72"),

@@ -1,10 +1,13 @@
 """Unit + property tests for the discrete-event simulation kernel."""
 
+import heapq
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Interrupt, Kernel
+from repro.sim import Interrupt, Kernel, Task
+from repro.sim.events import PENDING
 from repro.telemetry import InMemorySink
 
 
@@ -175,6 +178,106 @@ class TestScheduledCalls:
         k.call_later(4.0, done.succeed, "woken")
         assert k.run(until=done) == "woken"
         assert k.now == 4.0
+
+
+class TestDeadlines:
+    """``deadline``: the timer of a wait that usually ends first."""
+
+    def test_a_pending_event_times_out_in_seq_order(self):
+        """A deadline runs where its seq, reserved when armed, puts it
+        among entries due at the same instant — also the second of a
+        lane, which reaches the heap only when the first fires — as the
+        tie rule of an RPC attempt needs."""
+        k = Kernel()
+        first, second = k.event(), k.event()
+        order = []
+        k.deadline(1.0, first, "first")
+        k.call_later(1.0, lambda _: order.append(
+            (first.triggered, second.triggered)))
+        k.deadline(1.0, second, "second")
+        k.run()
+        assert order == [(True, False)]
+        assert (first.value, second.value, k.now) == ("first", "second", 1.0)
+
+    def test_a_deadline_whose_wait_ended_never_reaches_the_heap(self):
+        """Ten sequential waits, each answered before its deadline: the
+        lane pushes only its first deadline, which fires dead once."""
+        k = Kernel()
+        events = k.telemetry.counter("sim.kernel.events")
+
+        def caller(kernel):
+            for _ in range(10):
+                reply = kernel.event()
+                kernel.deadline(5.0, reply, "late")
+                kernel.call_later(0.1, reply.succeed, "reply")
+                assert (yield reply) == "reply"
+
+        k.process(caller(k))
+        k.run()
+        # boot + 10 x (reply call + its firing) + the first deadline +
+        # the end of the process
+        assert events.value == 1 + 10 * 2 + 1 + 1
+        assert k.now == 5.0
+
+    @pytest.mark.parametrize("delay", [0.0, -1.0, float("nan")])
+    def test_a_deadline_must_lie_after_now(self, delay):
+        k = Kernel()
+        with pytest.raises(ValueError, match="after now"):
+            k.deadline(delay, k.event())
+        assert k.peek() == float("inf")
+
+
+class TestTasks:
+    def test_done_runs_as_the_process_callbacks_would(self):
+        k = Kernel()
+        order = []
+
+        def gen(tag):
+            yield k.timeout(1.0)
+            return tag
+
+        k.process(gen("process")).add_callback(
+            lambda p: order.append(p.value))
+        Task(k, gen("task"), lambda t: order.append(t._value))
+        k.call_later(1.0, order.append, "call")
+        k.run()
+        assert order == ["call", "process", "task"]
+
+    def test_an_interrupted_task_reports_the_interrupt(self):
+        k = Kernel()
+        ended = []
+
+        def gen():
+            yield k.timeout(10.0)
+
+        task = Task(k, gen(), ended.append)
+        k.call_later(1.0, lambda _: task.interrupt("stop"))
+        k.run()
+        assert ended == [task] and not task.is_alive
+        assert isinstance(task._value, Interrupt) and not task._ok
+
+    def test_join_fails_with_the_first_failure_and_waits_for_all(self):
+        k = Kernel()
+
+        def gen(delay, fail):
+            yield k.timeout(delay)
+            if fail:
+                raise KeyError(delay)
+
+        def parent(gens):
+            try:
+                yield k.join(gens)
+            except KeyError as exc:
+                return f"failed {exc} at {k.now}"
+            return f"joined at {k.now}"
+
+        ok = k.process(parent([gen(1.0, False), gen(2.0, False)]))
+        bad = k.process(parent([gen(3.0, True), gen(1.0, True)]))
+        empty = k.process(parent([]))
+        k.run()
+        assert ok.value == "joined at 2.0"
+        assert bad.value == "failed 1.0 at 1.0"
+        assert empty.value == "joined at 0.0"
 
 
 class TestProcesses:
@@ -478,3 +581,196 @@ class TestDeterminism:
         k.run()
         [rec] = sink.records
         assert (rec.time, rec.subsystem, rec.kind) == (2.5, "test", "mark")
+
+
+class HeapKernel(Kernel):
+    """The oracle: the kernel before same-instant entries had a FIFO and
+    deadlines had lanes.  Every entry is a heap tuple ``(time, seq, fn,
+    arg)`` with a fresh seq, run strictly in that order; a wait with a
+    timer is a process, a ``Timeout`` and an ``any_of``, and a join is an
+    ``all_of`` over processes, as the code above the kernel spelt them.
+    It runs to a time horizon only, which is all the programs ask."""
+
+    def call_later(self, delay, fn, arg=None):
+        if not delay >= 0:
+            raise ValueError(f"negative delay: {delay}")
+        heapq.heappush(self._queue, (self.now + delay, self._seq, fn, arg))
+        self._seq += 1
+
+    def peek(self):
+        return self._queue[0][0] if self._queue else float("inf")
+
+    def run(self, until=None):
+        horizon = float("inf") if until is None else float(until)
+        queue = self._queue
+        while queue and queue[0][0] <= horizon:
+            time, _, fn, arg = heapq.heappop(queue)
+            self.now = time
+            self._events_fired.value += 1
+            fn(arg)
+        if horizon != float("inf"):
+            self.now = horizon
+
+
+def _time_out(pair):
+    """The oracle's RPC timer: a heap call armed beside the reply."""
+    reply, value = pair
+    if reply._value is PENDING:
+        reply.succeed(value)
+
+
+_DELAYS = st.sampled_from([0.0, 0.0, 0.5, 1.0])
+
+
+def _scripts(depth):
+    """A process's steps: ``(kind, *args)`` tuples, nested ``depth`` deep
+    through first / join / spawn."""
+    leaf = st.one_of(
+        st.tuples(st.just("sleep"), _DELAYS),
+        st.tuples(st.just("call"), _DELAYS),
+        st.tuples(st.just("wait"), _DELAYS, st.booleans()),
+        st.tuples(st.sampled_from(["any", "all"]), _DELAYS, _DELAYS,
+                  st.booleans()),
+        st.tuples(st.just("rpc"), _DELAYS,
+                  st.sampled_from([0.5, 1.0, 1.5])),
+        st.tuples(st.just("interrupt"), st.integers(0, 5)),
+        st.tuples(st.just("raise")))
+    if depth:
+        inner = _scripts(depth - 1)
+        leaf = st.one_of(
+            leaf,
+            st.tuples(st.just("first"), inner,
+                      st.sampled_from([0.5, 1.0, 1.5])),
+            st.tuples(st.just("join"), st.lists(inner, max_size=3)),
+            st.tuples(st.just("spawn"), inner))
+    return st.lists(leaf, max_size=5)
+
+
+def _execute(kernel, program):
+    """Run ``program`` (top-level scripts and their start delays) on
+    ``kernel``; returns what every callback saw, in order, the final
+    ``now`` and what is left queued.  The oracle runs each wait in the
+    idiom it replaced."""
+    log, procs = [], []
+    oracle = isinstance(kernel, HeapKernel)
+
+    def note(*what):
+        log.append((kernel.now, *what))
+
+    def first(script, limit, pid):
+        if oracle:
+            work = kernel.process(run(script, pid))
+            fired = yield kernel.any_of([work, kernel.timeout(limit)])
+            if work in fired:
+                return fired[work]
+            work.defuse()
+        else:
+            ended = kernel.event()
+
+            def ran(task):
+                if ended._value is PENDING:
+                    (ended.succeed if task._ok else ended.fail)(task._value)
+
+            work = Task(kernel, run(script, pid), ran)
+            kernel.deadline(limit, ended, "late")
+            value = yield ended
+            if value != "late":
+                return value
+        if work.is_alive:
+            work.interrupt("late")
+        return "late"
+
+    def rpc(latency, limit):
+        reply = kernel.event()
+        if oracle:
+            kernel.call_later(limit, _time_out, (reply, "timeout"))
+        else:
+            kernel.deadline(limit, reply, "timeout")
+        kernel.call_later(latency, lambda _: reply._value is PENDING
+                          and reply.succeed("reply"))
+        return (yield reply)
+
+    def step(kind, args, pid):
+        if kind == "sleep":
+            yield kernel.timeout(args[0])
+        elif kind == "call":
+            kernel.call_later(args[0], lambda tag: note("call", tag), pid)
+        elif kind in ("wait", "any", "all"):
+            events = [kernel.event() for _ in args[:-1]]
+            for evt, delay in zip(events, args):
+                kernel.call_later(delay, lambda e: e.succeed(pid)
+                                  if args[-1] else e.fail(KeyError(pid)),
+                                  evt)
+            if kind == "wait":
+                return (yield events[0])
+            fired = yield getattr(kernel, f"{kind}_of")(events)
+            return sorted(fired.values())
+        elif kind == "rpc":
+            return (yield from rpc(*args))
+        elif kind == "interrupt":
+            target = procs[args[0] % len(procs)]  # None: not booted yet
+            if target is not None and target.is_alive \
+                    and target is not procs[pid]:
+                target.interrupt(pid)
+        elif kind == "raise":
+            raise ValueError(pid)
+        elif kind == "first":
+            return (yield from first(args[0], args[1], pid))
+        elif kind == "join":
+            gens = [run(script, pid) for script in args[0]]
+            if oracle:
+                yield kernel.all_of([kernel.process(g) for g in gens])
+            else:
+                yield kernel.join(gens)
+        elif kind == "spawn":
+            start(args[0], 0.0)
+
+    def run(script, pid):
+        for i, (kind, *args) in enumerate(script):
+            try:
+                note(pid, i, kind, "->", (yield from step(kind, args, pid)))
+            except Interrupt as exc:
+                note(pid, i, kind, "interrupted", exc.cause)
+            except (KeyError, ValueError) as exc:
+                note(pid, i, kind, "raised", repr(exc))
+                if kind == "raise":
+                    raise
+        return pid
+
+    def start(script, delay):
+        pid = len(procs)
+        procs.append(None)
+
+        def boot(_):
+            procs[pid] = kernel.process(run(script, pid))
+            procs[pid].add_callback(lambda p: note(
+                pid, "done", p._ok, repr(p.defuse()._value)))
+
+        kernel.call_later(delay, boot)
+
+    for script, delay in program:
+        start(script, delay)
+    for _ in range(50):
+        try:
+            # to a horizon past every entry: a bare run() ends at the last
+            # entry run, which on the oracle can be a timer whose wait had
+            # already ended
+            kernel.run(until=100.0)
+            break
+        except Exception as exc:  # a failure nobody waited on
+            note("run raised", repr(exc))
+    return log, kernel.now, kernel.peek()
+
+
+class TestEntryOrder:
+    """The FIFO for same-instant entries, the deadline lanes and tasks are
+    an optimisation of the heap, not a new order: a random program gives
+    the same callbacks, values, errors, clock at a horizon and empty queue
+    on the kernel and on the heap-only oracle."""
+
+    @given(st.lists(st.tuples(_scripts(2), _DELAYS), min_size=1,
+                    max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_a_program_runs_as_on_the_heap_only_kernel(self, program):
+        assert _execute(Kernel(), program) == _execute(HeapKernel(),
+                                                       program)

@@ -10,6 +10,7 @@ here on any machine.  A change that lowers a count lowers its pin.
 import collections
 import gc
 import hashlib
+import inspect
 import json
 import pathlib
 import sys
@@ -26,16 +27,21 @@ from repro.fleet import (
 )
 from repro.gsi import Crypto
 from repro.gsi import session as gsi_session
+from repro.monitor import ExperimentMonitor
+from repro.monitor.monitor import STEPS_METRIC
 from repro.most import ExperimentSession, MOSTConfig
 from repro.nsds import StreamSample
-from repro.ogsi import ServiceDataElement, SubscriptionTable
+from repro.ogsi import ServiceContainer, ServiceDataElement, SubscriptionTable
 from repro.queue import (
     ExperimentQueue,
     FencingAuthority,
     InMemoryJournalStore,
     run_durable_campaign,
 )
+from repro.sim import Kernel
+from repro.sim.events import PENDING
 from repro.telemetry import LogRecord, TraceContext
+from test_monitor import counter_record, monitor_env, stream_sample
 
 #: ``Crypto.sign`` calls for the campaign below: credentials, proxies and
 #: CAS assertions at set-up, one chain walk per (checker, chain), then two
@@ -46,8 +52,25 @@ SIGN_BUDGET = 272
 #: calls into ``src/repro`` per committed step of the 40-step
 #: simulation-only session below (1,713.8 when every RPC hop built
 #: trace contexts and every kernel entry cost a method call; 1,346.4
-#: when every transaction move stored two service data elements).
-CALLS_PER_STEP_BUDGET = 1141
+#: when every transaction move stored two service data elements;
+#: 1,137.9 when every hop built a ``Process`` and every timer fired;
+#: 1,012.9 measured).
+CALLS_PER_STEP_BUDGET = 1016
+
+#: kernel entries per committed step of that session, by the callee the
+#: loop calls (``_step`` starts and resumes a process or task; ``done``,
+#: ``ran`` and ``finish`` hand a join child's, a plugin run's and an RPC
+#: handler's end on).  When every same-instant entry was a heap round
+#: trip and every hop built a ``Process``: ``_fire`` 31.9, ``_step`` 12.4,
+#: ``_arrive`` 12.3 and ``_time_out`` 6.2.
+ENTRIES_PER_STEP_BUDGET = {"_fire": 16.6, "_step": 12.5, "_arrive": 12.4,
+                           "done": 6.2, "ran": 3.1, "finish": 3.1}
+
+#: deadline-lane entries per committed step of that session (0.26: each
+#: lane's earliest deadline at the moment it was pushed, whose wait then
+#: ended); 9.2 when every RPC attempt's and every execution's timer was a
+#: heap entry of its own and fired after its reply or run had won.
+TIMER_ENTRIES_PER_STEP_BUDGET = 0.3
 
 #: ``SubscriptionTable.publish`` calls per committed step of a 40-step
 #: monitored simulation-only session: the health and metrics documents
@@ -137,21 +160,31 @@ def test_a_run_with_no_record_sink_builds_no_record(monkeypatch):
 @pytest.fixture(scope="module")
 def control_plane_work():
     """A 40-step simulation-only session: calls into ``src/repro``
-    (``sys.setprofile`` around ``run()``) and ``TraceContext``s built."""
+    (``sys.setprofile`` around ``run()``), ``TraceContext``s built, the
+    kernel entries run by callee name, and the deadline-lane entries run
+    by whether their wait was still pending."""
     src = str(pathlib.Path(repro.__file__).parent)
     calls, contexts = [0], [0]
-    init = TraceContext.__init__
+    entries, timers = collections.Counter(), collections.Counter()
+    init, due, run = TraceContext.__init__, Kernel._due, Kernel.run.__code__
 
     def counting_init(self, *args, **kwargs):
         contexts[0] += 1
         init(self, *args, **kwargs)
 
+    def counting_due(self, lane):
+        timers["live" if lane[0][2]._value is PENDING else "dead"] += 1
+        due(self, lane)
+
     def profile(frame, event, arg):
         if event == "call" and frame.f_code.co_filename.startswith(src):
             calls[0] += 1
+            if frame.f_back.f_code is run:
+                entries[frame.f_code.co_name] += 1
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(TraceContext, "__init__", counting_init)
+        patch.setattr(Kernel, "_due", counting_due)
         session = ExperimentSession(MOSTConfig().scaled(40),
                                     simulation_only=True)
         sys.setprofile(profile)
@@ -159,19 +192,40 @@ def control_plane_work():
             outcome = session.run()
         finally:
             sys.setprofile(None)
-    return outcome, calls[0], contexts[0]
+    return outcome, calls[0], contexts[0], entries, timers
 
 
 class TestControlPlaneWorkBudget:
     def test_calls_per_committed_step(self, control_plane_work):
-        outcome, calls, _ = control_plane_work
+        outcome, calls, *_ = control_plane_work
         assert outcome.completed and outcome.steps_completed == 39
         assert calls / outcome.steps_completed <= CALLS_PER_STEP_BUDGET
+
+    def test_kernel_entries_per_committed_step(self, control_plane_work):
+        """Each callee the kernel's loop calls, per committed step, stays
+        at or under its bound: a per-hop ``Process``, ``AnyOf`` or
+        ``AllOf`` coming back shows as more ``_fire``."""
+        outcome, _, _, entries, timers = control_plane_work
+        steps = outcome.steps_completed
+        assert set(entries) <= set(ENTRIES_PER_STEP_BUDGET)
+        assert {name: count / steps for name, count in entries.items()
+                if count / steps > ENTRIES_PER_STEP_BUDGET[name]} == {}
+        assert sum(timers.values()) / steps <= TIMER_ENTRIES_PER_STEP_BUDGET
+
+    def test_no_timer_fires_after_its_reply_has_won(self, control_plane_work):
+        """No RPC or execution timer of the session runs its wake-up: every
+        reply and every plugin run beat its deadline, and a deadline whose
+        wait has ended is never called.  The lane entries left are the
+        earliest deadline of a lane at the moment it was pushed."""
+        outcome, _, _, entries, timers = control_plane_work
+        assert timers["live"] == 0 and "_time_out" not in entries
+        assert timers["dead"] <= TIMER_ENTRIES_PER_STEP_BUDGET \
+            * outcome.steps_completed
 
     def test_no_hop_builds_a_trace_context(self, control_plane_work):
         """Spans read their parent's ids off the parent span or the wire
         dict (1,358 contexts were built per session, 35 per step)."""
-        *_, contexts = control_plane_work
+        _, _, contexts, *_ = control_plane_work
         assert contexts == 0
 
     def test_the_span_tree_is_unchanged(self, control_plane_work):
@@ -326,20 +380,68 @@ def test_a_transaction_move_publishes_only_to_a_subscriber_who_wants_it(
         monkeypatch):
     """In a monitored session each site server's one subscription takes
     ``health`` only, so no transaction move reaches
-    ``SubscriptionTable.publish`` (8 topics per step per site did)."""
-    topics = collections.Counter()
-    publish = SubscriptionTable.publish
+    ``SubscriptionTable.publish`` (8 topics per step per site did), nor
+    the container's fan-out (35,982 fan-outs of a paper-seed observed
+    run asked for names nobody takes)."""
+    topics, fanned = collections.Counter(), collections.Counter()
+    publish, fanout = SubscriptionTable.publish, ServiceContainer._fanout
 
     def counting_publish(self, topic, make_payload):
         topics[topic] += 1
         return publish(self, topic, make_payload)
 
+    def counting_fanout(self, service, name):
+        fanned[name] += 1
+        return fanout(self, service, name)
+
     monkeypatch.setattr(SubscriptionTable, "publish", counting_publish)
+    monkeypatch.setattr(ServiceContainer, "_fanout", counting_fanout)
     outcome = ExperimentSession(MOSTConfig().scaled(40),
                                 simulation_only=True).with_monitoring().run()
     assert outcome.completed and outcome.steps_completed == 39
-    assert topics["health"] > 0
-    assert not [topic for topic in topics if topic is not None and (
-        topic == "lastChanged" or topic.startswith("transaction:"))]
+    assert topics["health"] > 0 and fanned["health"] > 0
+    for seen in (topics, fanned):
+        assert not [topic for topic in seen if topic is not None and (
+            topic == "lastChanged" or topic.startswith("transaction:"))]
     assert sum(topics.values()) / outcome.steps_completed \
         <= PUBLISH_PER_STEP_BUDGET
+
+
+def test_the_console_reads_the_step_count_in_constant_work():
+    """``ExperimentMonitor.on_stream_sample`` keeps each counter's totals
+    under its name, so reading the committed-step total costs the same
+    with 1,000 other counter series streamed as with 10 (it summed over
+    every streamed total: 558 samples walked 46,314 entries on a
+    paper-seed observed run)."""
+    source = inspect.getsourcefile(ExperimentMonitor)
+    landing = ExperimentMonitor.on_stream_sample.__code__
+
+    def lines_for_a_known_sample(other_series):
+        """Lines of ``monitor.py`` run, beyond landing each record, to
+        absorb a sample of series the console has seen."""
+        _, _, _, monitor = monitor_env()
+        records = [counter_record(STEPS_METRIC, 1, 7, coordinator="c")] + [
+            counter_record("net.rpc.calls", 1, 1, host=f"h{i}")
+            for i in range(other_series)]
+        monitor.on_stream_sample(stream_sample(1, records))
+        lines = [0]
+
+        def count(frame, event, arg):
+            lines[0] += event == "line"
+            return count
+
+        def trace(frame, event, arg):
+            code = frame.f_code
+            return (count if code.co_filename == source and code is not landing
+                    else None)
+
+        sys.settrace(trace)
+        try:
+            monitor.on_stream_sample(stream_sample(2, records))
+        finally:
+            sys.settrace(None)
+        assert monitor.counter_total(STEPS_METRIC) == 7
+        assert monitor.counter_total("net.rpc.calls") == other_series
+        return lines[0]
+
+    assert lines_for_a_known_sample(10) == lines_for_a_known_sample(1000)
