@@ -49,7 +49,7 @@ def main() -> None:
 
     print("\ncritical-path analysis (paper Figure 5, per site):")
     spans = [s.to_dict() for s in
-             report.deployment.kernel.telemetry.tracer.finished]
+             report.deployment.kernel.telemetry.spans()]
     print(critical_path_report(spans))
 
 

@@ -7,7 +7,8 @@ directory (``git archive``: local, and nothing is left in ``.git``), then
 ``benchmarks/twall/run.py --workload W --trace 0`` runs on that tree and
 on this one alternately — ``-n`` pairs, alternating which side goes
 first, each run a fresh process whose final JSON line is all that is
-read.  Each side byte-compiles into its own ``PYTHONPYCACHEPREFIX`` in
+read; each pair's line shows both sides' throughput and peak RSS as it
+lands.  Each side byte-compiles into its own ``PYTHONPYCACHEPREFIX`` in
 the temporary directory, so neither reads a ``__pycache__`` the working
 tree happens to hold: both start cold and warm up alike.  Prints, per
 end-to-end metric, each side's median and quartiles, the pairs the
@@ -73,8 +74,9 @@ def main() -> None:
                     trees[side], arguments,
                     pathlib.Path(scratch) / f"pycache-{side}"))
             print(f"pair {pair + 1}/{args.n}: " + "  ".join(
-                f"{side} {runs[side][-1]['host_steps_per_s']:.1f}"
-                for side in runs) + " steps/host_s", flush=True)
+                f"{side} {runs[side][-1]['host_steps_per_s']:.1f} "
+                f"steps/host_s {runs[side][-1]['peak_rss_mb']:.1f} MiB"
+                for side in runs), flush=True)
     print(f"\n{args.workload} vs {args.against}, {args.n} pairs "
           f"({' '.join(passed_on) or 'default arguments'})")
     for metric in metrics:

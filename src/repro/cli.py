@@ -150,7 +150,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         from repro.monitor import critical_path_report
 
         print(critical_path_report(
-            report.deployment.kernel.telemetry.tracer.finished))
+            report.deployment.kernel.telemetry.spans()))
     return 0 if r.completed else 1
 
 

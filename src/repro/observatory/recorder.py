@@ -4,9 +4,9 @@ A bounded per-source ring of recent activity — finished spans, protocol
 verb results, and state-machine transitions — kept hot in memory and
 frozen into a ``repro.observatory/v1`` flight snapshot the moment an
 alert escalates or a run aborts.  The recorder is one telemetry sink: a
-ring holds the ``LogRecord`` / finished ``Span`` it was handed (a record
-lives only as long as some ring keeps it; a span is held by the tracer
-anyway); coercing detail to JSON, recovering the step and building
+ring holds the ``LogRecord`` / finished ``Span`` it was handed (either
+lives only as long as some ring keeps it: the tracer keeps a finished
+span as a row, not the object); coercing detail to JSON, recovering the step and building
 the event dict all happen in :meth:`FlightRecorder.snapshot`, at the
 incident, so a run that has none pays one ``deque.append`` per event.
 The snapshot is what the MOST team did not have at step 1493: one

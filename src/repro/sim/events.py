@@ -157,12 +157,13 @@ class _Condition(Event):
     def __init__(self, kernel: "Kernel", events: list[Event]):
         super().__init__(kernel)
         self.events = list(events)
-        self._pending = 0
         for evt in self.events:
             if not isinstance(evt, Event):
                 raise TypeError(f"not an Event: {evt!r}")
+        # Every child counts as pending before the first callback is
+        # added: an already-processed child runs ``_on_child`` at once.
+        self._pending = len(self.events)
         for evt in self.events:
-            self._pending += 1
             evt.add_callback(self._on_child)
         if not self.events and not self.triggered:
             self.succeed(self._collect())

@@ -8,7 +8,8 @@ per run (owned by the :class:`~repro.sim.kernel.Kernel`) collects
 * **spans** — timed operations linked into traces whose context
   propagates across RPC hops in ``RpcRequest.trace``, so one MS-PSDS
   step decomposes end-to-end into integrate → propose → execute → commit
-  (the paper's Figure-5 step-time breakdown);
+  (the paper's Figure-5 step-time breakdown); a finished span is kept
+  as one row of the tracer's column store and rebuilt on read;
 * **records** — the structured events subsystems emit through
   ``Kernel.emit``, streamed to the sinks that take them and kept by none
   of the hub's own structures;

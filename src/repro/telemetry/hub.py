@@ -29,7 +29,7 @@ from repro.telemetry.schema import (
     validate_jsonl_export,
     validate_metrics_payload,
 )
-from repro.telemetry.spans import LogRecord, Span, Tracer
+from repro.telemetry.spans import LogRecord, Span, SpanView, Tracer
 from repro.util.schema import obj, validator
 
 _validate_jsonl_line = validator(SchemaError, obj({}))
@@ -128,7 +128,9 @@ class TelemetryHub:
         return self.tracer.start_span(name, **kwargs)
 
     def spans(self, name: str | None = None, *,
-              trace_id: str | None = None) -> list[Span]:
+              trace_id: str | None = None) -> SpanView:
+        """Shorthand for ``hub.tracer.spans``: finished spans, each
+        rebuilt from its row on read."""
         return self.tracer.spans(name, trace_id=trace_id)
 
     def _span_finished(self, span: Span) -> None:
@@ -191,8 +193,8 @@ class TelemetryHub:
                                  "experiment": experiment}) + "\n")
             for record in self.metrics_snapshot():
                 fh.write(json.dumps({"kind": "metric", **record}) + "\n")
-            for span in self.tracer.finished:
-                fh.write(json.dumps({"kind": "span", **span.to_dict()}) + "\n")
+            for record in self.tracer.dicts():
+                fh.write(json.dumps({"kind": "span", **record}) + "\n")
         return path
 
     @staticmethod

@@ -12,6 +12,11 @@ path reads the ids straight off the parent and builds none.
 Ids come from deterministic counters, never :mod:`uuid`, so a trace is a
 pure function of the run's seed (the repo-wide reproducibility rule).
 
+A finished span is kept as one row of the tracer's store, not as
+the :class:`Span` object: the live span goes to the ``on_finish`` sinks
+and is freed when they let go of it.  Readers get a :class:`SpanView`,
+whose items are spans rebuilt from their rows.
+
 A :class:`LogRecord` is the point-in-time sibling of a span: one
 structured event a subsystem emits through ``Kernel.emit``, handed to the
 hub's record sinks and kept by nobody else.
@@ -19,6 +24,9 @@ hub's record sinks and kept by nobody else.
 
 from __future__ import annotations
 
+import itertools
+import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -66,20 +74,35 @@ class Span:
     metadata merged at start and at end.
     """
 
-    __slots__ = ("tracer", "name", "trace_id", "span_id", "parent_id",
-                 "start", "end_time", "attrs")
+    __slots__ = ("tracer", "name", "trace_id", "start", "end_time", "attrs",
+                 "_number", "_parent_number", "_parent_text")
 
     def __init__(self, tracer: "Tracer", name: str, trace_id: str,
-                 span_id: str, parent_id: str | None, start: float,
-                 attrs: dict[str, Any]):
+                 number: int, parent_number: int, parent_text: str | None,
+                 start: float, attrs: dict[str, Any]):
         self.tracer = tracer
         self.name = name
         self.trace_id = trace_id
-        self.span_id = span_id
-        self.parent_id = parent_id
+        self._number = number
+        #: the parent's ``N`` when its id is ``span-N``, 0 for a root, and
+        #: otherwise minus the 1-based index of ``_parent_text``, the id
+        #: itself, in the tracer's ``_foreign_ids``
+        self._parent_number = parent_number
+        self._parent_text = parent_text
         self.start = start
         self.end_time: float | None = None
         self.attrs = attrs
+
+    @property
+    def span_id(self) -> str:
+        """``span-N``: formatted when read, so a span nobody asks builds
+        no id string."""
+        return f"span-{self._number}"
+
+    @property
+    def parent_id(self) -> str | None:
+        number = self._parent_number
+        return f"span-{number}" if number > 0 else self._parent_text
 
     @property
     def context(self) -> TraceContext:
@@ -96,13 +119,23 @@ class Span:
         return self.end_time - self.start
 
     def end(self, **attrs: Any) -> "Span":
-        """Finish the span at the current clock time; idempotent."""
+        """Finish the span at the current clock time; idempotent.
+
+        The tracer keeps the finished span as one row (see
+        :class:`Tracer`); the span itself goes to ``on_finish`` only.
+        """
         if self.end_time is None:
             if attrs:
                 self.attrs.update(attrs)
             tracer = self.tracer
             self.end_time = tracer._clock()
-            tracer.finished.append(self)
+            packed, objects = tracer._rows
+            attrs = self.attrs
+            objects.extend((self.name, self.trace_id))
+            objects.extend(attrs)
+            objects.extend(attrs.values())
+            packed += _ROW.pack(self._number, self._parent_number,
+                                self.start, self.end_time, len(objects))
             if tracer.on_finish is not None:
                 tracer.on_finish(self)
         return self
@@ -124,24 +157,67 @@ class Span:
         return False
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "start": self.start,
-            "end": self.end_time,
-            "duration": None if self.end_time is None else self.duration,
-            "attrs": dict(self.attrs),
-        }
+        return _as_dict(self.name, self.trace_id, self.span_id,
+                        self.parent_id, self.start, self.end_time,
+                        dict(self.attrs))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = f"{self.duration:.4f}s" if self.finished else "open"
         return f"<Span {self.name} {self.span_id} {state}>"
 
 
+def _as_dict(name, trace_id, span_id, parent_id, start, end, attrs):
+    """A span's ``to_dict()``: one shape for a live span and a row."""
+    return {"name": name, "trace_id": trace_id, "span_id": span_id,
+            "parent_id": parent_id, "start": start, "end": end,
+            "duration": None if end is None else end - start,
+            "attrs": attrs}
+
+
+#: a row's numbers: span number, parent number, start, end, and where
+#: its objects end
+_ROW = struct.Struct("qqddq")
+
+
+def _span_number(span_id: Any) -> int:
+    """``N`` for an id ``"span-N"`` as the tracer formats it (up to 18
+    digits, so it packs as a C long long), else 0."""
+    digits = span_id[5:] if isinstance(span_id, str) else ""
+    number = int(digits) if digits.isdecimal() and len(digits) < 19 else 0
+    return number if span_id == f"span-{number}" else 0
+
+
+class SpanView(Sequence):
+    """A read-only sequence of finished spans: ``len`` reads no row, and
+    each item is a :class:`Span` rebuilt from its row on read (a fresh
+    object each time; changing it changes nothing kept)."""
+
+    __slots__ = ("_tracer", "_rows")
+
+    def __init__(self, tracer: "Tracer", rows: Sequence[int]):
+        self._tracer = tracer
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return SpanView(self._tracer, self._rows[index])
+        return self._tracer._span(self._rows[index])
+
+
 class Tracer:
-    """Creates spans on a clock and collects the finished ones.
+    """Creates spans on a clock and keeps the finished ones as rows.
+
+    A finished span is one row, in finish order, across two stores:
+    ``_ROW`` numbers packed into a bytearray (span number, ``N`` of
+    ``span-N``; parent number, 0 for a root and minus the 1-based index
+    into ``_foreign_ids`` for a parent id not of the ``span-N`` form;
+    start and end as C doubles, the clock returning floats; and where
+    the row's objects end), and its objects appended to one list: name,
+    trace id, then the ``attrs`` keys and values in key order.  No row
+    is an object of its own, so rows cost the collector nothing.
 
     Parenting is explicit (``parent=span_or_context``) or ambient: a
     dispatcher may :meth:`activate` a span (or a trace context) around a
@@ -157,9 +233,11 @@ class Tracer:
         #: first span sink is added, so until then a finish calls nothing
         self.on_finish: Callable[[Span], None] | None = None
         self._trace_ids = IdFactory("trace")
-        self._span_ids = IdFactory("span")
+        self._span_numbers = itertools.count(1)
         self._active: "Span | TraceContext | None" = None
-        self.finished: list[Span] = []
+        #: (packed numbers, objects): the finished spans' rows
+        self._rows: tuple[bytearray, list[Any]] = (bytearray(), [])
+        self._foreign_ids: list[Any] = []
 
     # -- ambient context ---------------------------------------------------
     def activate(self, ctx: "Span | TraceContext | None"):
@@ -183,30 +261,77 @@ class Tracer:
         """
         if parent is _UNSET:
             parent = self._active
+        parent_text = None
         if parent is None:
-            trace_id, parent_id = self._trace_ids(), None
-        elif isinstance(parent, dict):
-            trace_id, parent_id = parent["trace_id"], parent["span_id"]
-        else:
-            trace_id, parent_id = parent.trace_id, parent.span_id
+            trace_id, parent_number = self._trace_ids(), 0
+        elif isinstance(parent, Span):
+            trace_id, parent_number = parent.trace_id, parent._number
+        else:  # a wire dict or a context: the number is read off the id
+            if isinstance(parent, dict):
+                trace_id, parent_text = parent["trace_id"], parent["span_id"]
+            else:
+                trace_id, parent_text = parent.trace_id, parent.span_id
+            parent_number = _span_number(parent_text)
+            if not parent_number:  # kept whole; the row holds its index
+                self._foreign_ids.append(parent_text)
+                parent_number = -len(self._foreign_ids)
         # ``**attrs`` is already a fresh dict: the span keeps it.
-        return Span(self, name, trace_id, self._span_ids(), parent_id,
-                    self._clock(), attrs)
+        return Span(self, name, trace_id, next(self._span_numbers),
+                    parent_number, parent_text, self._clock(), attrs)
+
+    # -- the row store --------------------------------------------------------
+    def _parent_id(self, number: int) -> Any:
+        if number > 0:
+            return f"span-{number}"
+        return None if number == 0 else self._foreign_ids[-number - 1]
+
+    def _row(self, row: int) -> tuple:
+        """``(name, trace id, number, parent number, start, end, attrs)``."""
+        packed, objects = self._rows
+        first = _ROW.unpack_from(packed, _ROW.size * (row - 1))[4] \
+            if row else 0
+        number, parent, start, end, last = _ROW.unpack_from(
+            packed, _ROW.size * row)
+        name, trace_id, *attrs = objects[first:last]
+        half = len(attrs) // 2
+        return (name, trace_id, number, parent, start, end,
+                dict(zip(attrs[:half], attrs[half:])))
+
+    def _span(self, row: int) -> Span:
+        name, trace_id, number, parent, start, end, attrs = self._row(row)
+        span = Span(self, name, trace_id, number, parent,
+                    None if parent > 0 else self._parent_id(parent), start,
+                    attrs)
+        span.end_time = end
+        return span
+
+    def dicts(self):
+        """Each finished span's ``to_dict()``, in finish order, straight
+        from its row: no :class:`Span` is built."""
+        for row in range(len(self._rows[0]) // _ROW.size):
+            name, trace_id, number, parent, start, end, attrs = self._row(row)
+            yield _as_dict(name, trace_id, f"span-{number}",
+                           self._parent_id(parent), start, end, attrs)
 
     # -- queries ------------------------------------------------------------
     def spans(self, name: str | None = None, *,
-              trace_id: str | None = None) -> list[Span]:
+              trace_id: str | None = None) -> SpanView:
         """Finished spans filtered by exact name and/or trace id."""
-        out = []
-        for span in self.finished:
-            if name is not None and span.name != name:
-                continue
-            if trace_id is not None and span.trace_id != trace_id:
-                continue
-            out.append(span)
-        return out
+        packed, objects = self._rows
+        rows: Sequence[int] = range(len(packed) // _ROW.size)
+        if name is not None or trace_id is not None:
+            # a row's objects start with its name and trace id
+            firsts = [0, *(last for *_, last in _ROW.iter_unpack(packed))]
+            rows = [row for row in rows
+                    if (name is None or objects[firsts[row]] == name)
+                    and (trace_id is None
+                         or objects[firsts[row] + 1] == trace_id)]
+        return SpanView(self, rows)
 
-    def children(self, parent: "Span | TraceContext") -> list[Span]:
+    def children(self, parent: "Span | TraceContext") -> SpanView:
         """Finished direct children of ``parent``."""
         pid = parent.span_id
-        return [s for s in self.finished if s.parent_id == pid]
+        return SpanView(self, [
+            row for row, (_, number, *_) in enumerate(
+                _ROW.iter_unpack(self._rows[0]))
+            if self._parent_id(number) == pid])

@@ -994,7 +994,7 @@ class TestABadDatagramCannotStopTheRun:
 class TestCriticalPath:
     def rows(self, report):
         spans = [s.to_dict() for s in
-                 report.deployment.kernel.telemetry.tracer.finished]
+                 report.deployment.kernel.telemetry.spans()]
         return step_traces(spans), spans
 
     def test_phase_sums_match_step_totals(self, clean_report):

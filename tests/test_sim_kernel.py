@@ -529,6 +529,20 @@ class TestConditions:
         k.run()
         assert p.value == "child failed"
 
+    def test_all_of_waits_for_every_child_after_a_processed_one(self):
+        """A child processed before the condition was built counts once;
+        the condition still waits for the others (it fired at t = 0 with
+        only the first child's value)."""
+        k = Kernel()
+        done = k.event()
+        done.succeed("pre")
+        k.run()
+        late = k.timeout(5, "late")
+        cond = k.all_of([done, late])
+        k.run(until=cond)
+        assert k.now == 5.0
+        assert cond.value == {done: "pre", late: "late"}
+
     def test_any_of_with_already_triggered_event(self):
         k = Kernel()
         done = k.event()
@@ -630,7 +644,7 @@ def _scripts(depth):
         st.tuples(st.just("call"), _DELAYS),
         st.tuples(st.just("wait"), _DELAYS, st.booleans()),
         st.tuples(st.sampled_from(["any", "all"]), _DELAYS, _DELAYS,
-                  st.booleans()),
+                  st.booleans(), st.sampled_from([None, True, False])),
         st.tuples(st.just("rpc"), _DELAYS,
                   st.sampled_from([0.5, 1.0, 1.5])),
         st.tuples(st.just("interrupt"), st.integers(0, 5)),
@@ -696,13 +710,21 @@ def _execute(kernel, program):
         elif kind == "call":
             kernel.call_later(args[0], lambda tag: note("call", tag), pid)
         elif kind in ("wait", "any", "all"):
-            events = [kernel.event() for _ in args[:-1]]
-            for evt, delay in zip(events, args):
+            *delays, ok = args if kind == "wait" else args[:-1]
+            events = [kernel.event() for _ in delays]
+            for evt, delay in zip(events, delays):
                 kernel.call_later(delay, lambda e: e.succeed(pid)
-                                  if args[-1] else e.fail(KeyError(pid)),
-                                  evt)
+                                  if ok else e.fail(KeyError(pid)), evt)
             if kind == "wait":
                 return (yield events[0])
+            if args[-1] is not None:  # a child processed, ok or failed,
+                done = kernel.event()  # before the condition is built
+                if args[-1]:
+                    done.succeed(pid)
+                else:
+                    done.fail(KeyError(pid)).defuse()
+                yield kernel.timeout(0)
+                events.insert(0, done)
             fired = yield getattr(kernel, f"{kind}_of")(events)
             return sorted(fired.values())
         elif kind == "rpc":

@@ -4,7 +4,8 @@ Four concerns, bottom-up:
 
 * instrument math — exact percentiles, registry identity, snapshot shape;
 * tracing — span nesting, ambient context, and propagation across a
-  simulated RPC hop (client and server spans share one trace id);
+  simulated RPC hop (client and server spans share one trace id); a
+  finished span kept as a row reads back as the span its sinks saw;
 * export — JSONL round-trip through :meth:`TelemetryHub.export_jsonl`,
   schema validation of good and bad documents;
 * the coordinator integration — a full MS-PSDS run whose per-step spans
@@ -12,11 +13,12 @@ Four concerns, bottom-up:
   step's wall time, rendered by :mod:`repro.telemetry.report`.
 """
 
+import contextlib
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.control import SimulationPlugin, make_displacement_actions
@@ -37,6 +39,7 @@ from repro.telemetry import (
     validate_metric_name,
     validate_metrics_payload,
 )
+from repro.telemetry import spans as spans_module
 from repro.telemetry.report import (
     CORE_PHASES,
     report_from_jsonl,
@@ -318,6 +321,163 @@ class TestTracing:
         assert {span.name for span in spans
                 if span.parent_id is not None
                 and span.parent_id not in finished} == set()
+
+
+_SPAN_NAMES = ("a.op", "a.inner", "b.op")
+_ATTR_VALUES = st.one_of(
+    st.text(max_size=4), st.integers(-2 ** 70, 2 ** 70), st.booleans(),
+    st.none(), st.sampled_from([-0.0, float("nan"), 1.5]),
+    st.lists(st.integers(0, 9), max_size=2),
+    st.dictionaries(st.sampled_from("xy"), st.integers(0, 9), max_size=2))
+_ATTRS = st.dictionaries(st.sampled_from(["step", "site", "ok", "error"]),
+                         _ATTR_VALUES, max_size=3)
+#: span ids that are not what this tracer formats as ``span-N``
+_FOREIGN_IDS = st.sampled_from(["span-0", "span-01", "span-", "span-x", "x",
+                                "span-" + "9" * 24, "span-\u0661", "span-+1"])
+_PARENTS = st.one_of(
+    st.just(("root",)), st.just(("ambient",)),
+    st.tuples(st.sampled_from(["span", "wire"]), st.integers(0, 30)),
+    st.tuples(st.just("foreign"), _FOREIGN_IDS),
+    st.tuples(st.just("foreign"), st.text(max_size=8)))
+_SPAN_PROGRAMS = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["start", "raise"]),
+              st.sampled_from(_SPAN_NAMES), _PARENTS, _ATTRS),
+    st.tuples(st.just("end"), st.integers(0, 30), _ATTRS),
+    st.tuples(st.just("activate"), st.integers(-1, 30)),
+    st.tuples(st.just("tick"), st.sampled_from([0.0, 0.25, 1.0]))),
+    max_size=40)
+
+
+def _run_span_program(program):
+    """Run ``program`` on a hub with an :class:`InMemorySink`: roots,
+    parents given as spans, wire dicts (of live or foreign ids) or the
+    ambient slot, ``with`` blocks that raise, ``end(**attrs)`` and double
+    ``end``.  Returns the hub, the sink, every span started and the
+    parent id each was given."""
+    now = [0.0]
+    hub = TelemetryHub(clock=lambda: now[0])
+    sink = hub.add_sink(InMemorySink())
+    opened, given, active = [], [], [None]
+
+    def parent_of(choice):
+        if choice[0] == "ambient":
+            given.append(active[0] and active[0].span_id)
+            return {}
+        if choice[0] == "foreign":
+            given.append(choice[1])
+            return {"parent": {"trace_id": "trace-x", "span_id": choice[1]}}
+        if choice[0] == "root" or not opened:
+            given.append(None)
+            return {"parent": None}
+        span = opened[choice[1] % len(opened)]
+        given.append(span.span_id)
+        return {"parent": span if choice[0] == "span" else
+                {"trace_id": span.trace_id, "span_id": span.span_id}}
+
+    for op, *args in program:
+        if op == "start":
+            name, parent, attrs = args
+            opened.append(hub.start_span(name, **parent_of(parent), **attrs))
+        elif op == "raise":
+            name, parent, attrs = args
+            with contextlib.suppress(ValueError):
+                with hub.start_span(name, **parent_of(parent),
+                                    **attrs) as span:
+                    opened.append(span)
+                    raise ValueError(name)
+        elif op == "end" and opened:
+            opened[args[0] % len(opened)].end(**args[1])
+        elif op == "activate":
+            active[0] = (opened[args[0] % len(opened)]
+                         if args[0] >= 0 and opened else None)
+            hub.tracer.activate(active[0])
+        elif op == "tick":
+            now[0] += args[0]
+    return hub, sink, opened, given
+
+
+def _leaf_types(value, path=()):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaf_types(item, (*path, key))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _leaf_types(item, (*path, index))
+    else:
+        yield path, type(value)
+
+
+def _as_seen(records):
+    """JSON text and leaf types: what a reader of the trace can tell."""
+    records = list(records)
+    return json.dumps(records), list(_leaf_types(records))
+
+
+class TestRowStore:
+    """A finished span is kept as a row and read back as the span its
+    sinks saw at finish."""
+
+    @given(_SPAN_PROGRAMS)
+    @settings(max_examples=300, deadline=None)
+    def test_a_row_reads_back_as_the_span_the_sink_saw(self, program):
+        hub, sink, opened, given = _run_span_program(program)
+        assert [span.parent_id for span in opened] == given
+        live = sink.spans
+        seen = _as_seen(span.to_dict() for span in live)
+        assert len(hub.spans()) == len(live)
+        assert _as_seen(span.to_dict() for span in hub.spans()) == seen
+        assert _as_seen(hub.tracer.dicts()) == seen
+        # the queries answer as list filters over the finished spans did
+        trace_ids = {span.trace_id for span in opened}
+        for name in (None, *_SPAN_NAMES):
+            for trace_id in (None, *trace_ids, "trace-none"):
+                want = [span for span in live
+                        if name in (None, span.name)
+                        and trace_id in (None, span.trace_id)]
+                assert _as_seen(span.to_dict() for span in hub.spans(
+                    name, trace_id=trace_id)) == _as_seen(
+                        span.to_dict() for span in want)
+        parents = [*opened, TraceContext("trace-x", None), *(
+            TraceContext("trace-x", span.parent_id) for span in live)]
+        for parent in parents:
+            want = [span for span in live
+                    if span.parent_id == parent.span_id]
+            assert _as_seen(span.to_dict() for span in hub.tracer.children(
+                parent)) == _as_seen(span.to_dict() for span in want)
+
+    def test_a_read_is_a_fresh_span_and_changes_nothing_kept(self):
+        ticks = iter([0.0, 1.0, 2.0, 3.0])
+        hub = TelemetryHub(clock=lambda: next(ticks))
+        root = hub.start_span("a.root", step=1)
+        hub.start_span("a.child", parent=root).end(ok=True)
+        root.end()
+        spans = hub.spans()
+        assert [span.name for span in spans] == ["a.child", "a.root"]
+        assert spans[-1].to_dict() == root.to_dict()
+        assert spans[-1] is not spans[-1]
+        assert [span.name for span in spans[1:]] == ["a.root"]
+        spans[0].attrs["ok"] = False
+        spans[0].end(late=True)  # finished already: no second row
+        assert hub.spans()[0].attrs == {"ok": True}
+        assert len(hub.spans()) == 2
+        assert hub.spans()[0].duration == 1.0
+
+    def test_the_length_of_the_trace_builds_no_span(self, monkeypatch):
+        hub = TelemetryHub(clock=lambda: 0.0)
+        for _ in range(3):
+            hub.start_span("a.op").end()
+        built = []
+        init = spans_module.Span.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args[0])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(spans_module.Span, "__init__", counting_init)
+        assert len(hub.spans()) == 3 and built == []
+        assert len(hub.spans("a.op")) == 3 and built == []
+        hub.spans()[0]
+        assert len(built) == 1
 
 
 class TestRecordSinks:

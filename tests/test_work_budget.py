@@ -54,8 +54,9 @@ SIGN_BUDGET = 272
 #: trace contexts and every kernel entry cost a method call; 1,346.4
 #: when every transaction move stored two service data elements;
 #: 1,137.9 when every hop built a ``Process`` and every timer fired;
-#: 1,012.9 measured).
-CALLS_PER_STEP_BUDGET = 1016
+#: 1,012.9 when every span's id string was built by an ``IdFactory``
+#: call at start; 995.7 measured, with ids formatted only when read).
+CALLS_PER_STEP_BUDGET = 998
 
 #: kernel entries per committed step of that session, by the callee the
 #: loop calls (``_step`` starts and resumes a process or task; ``done``,
@@ -88,6 +89,12 @@ RECORDS_BUILT_BUDGET = 286
 #: trace contexts: the ids and the tree they spell must not move.
 SPAN_TREE_SHA = ("6ff1d08bdb74a043ed2eba5db30efa33"
                  "ac0b40b6624bfb1e69017686e18eeb59")
+
+#: bytes a 300-step simulation-only run keeps per finished span, by
+#: tracemalloc: 375 when the tracer kept each ``Span`` object with its
+#: ``attrs`` dict and its id string; 136.7 measured as a row (Python
+#: 3.11.7).
+BYTES_PER_SPAN_BUDGET = 180
 
 
 @pytest.fixture(scope="module")
@@ -230,10 +237,34 @@ class TestControlPlaneWorkBudget:
 
     def test_the_span_tree_is_unchanged(self, control_plane_work):
         outcome, *_ = control_plane_work
-        spans = outcome.deployment.kernel.telemetry.tracer.finished
+        spans = outcome.deployment.kernel.telemetry.spans()
         digest = hashlib.sha256(json.dumps(
             [span.to_dict() for span in spans]).encode()).hexdigest()
         assert digest == SPAN_TREE_SHA
+
+
+def test_a_finished_span_is_kept_in_few_bytes():
+    """What the tracer's row store holds, per finished span: the bytes
+    tracemalloc sees freed when the test empties the store."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        outcome = ExperimentSession(MOSTConfig().scaled(300),
+                                    simulation_only=True).run()
+        tracer = outcome.deployment.kernel.telemetry.tracer
+        spans = len(tracer.spans())
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+        for column in tracer._rows:
+            del column[:]
+        gc.collect()
+        freed = kept - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert outcome.completed and len(tracer.spans()) == 0
+    assert spans > 20 * outcome.steps_completed
+    assert freed / spans <= BYTES_PER_SPAN_BUDGET
 
 
 @pytest.fixture(scope="module")
