@@ -22,6 +22,12 @@ from repro.net.rpc import RpcClient
 from repro.ogsi.handle import GridServiceHandle, invoke
 from repro.util.errors import ProtocolError
 
+#: each verb's operation -> its client span's name: one string, shared
+#: by every span of the verb and every row the tracer keeps of it
+_SPAN_NAMES = {operation: f"core.client.{operation}" for operation in (
+    "propose", "execute", "cancel", "getTransaction", "getResults",
+    "listTransactions")}
+
 
 class NTCPClient:
     """Client for one or more NTCP servers, addressed by grid handle.
@@ -53,8 +59,7 @@ class NTCPClient:
                       if self.credential_factory else None)
         parenting = {} if ctx is None else {"parent": ctx}
         span = self._tracer.start_span(
-            f"core.client.{operation}", service=handle.service_id,
-            **parenting)
+            _SPAN_NAMES[operation], service=handle.service_id, **parenting)
         try:
             result = yield from invoke(
                 self.rpc, handle, operation, params, credential=credential,

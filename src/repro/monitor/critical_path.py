@@ -22,11 +22,10 @@ import pathlib
 from typing import Any
 
 from repro.telemetry.metrics import percentile
-from repro.telemetry.report import (
-    CORE_PHASES,
-    PIPELINED_NOTE,
-    rows_by_span,
-)
+
+# ``repro.telemetry.report`` is imported where it is used: importing
+# ``repro`` reaches this module, and a module-level import would load the
+# report CLI before ``python -m repro.telemetry.report`` runs it.
 
 #: client-side leaf spans carrying the ``service`` label, by phase
 CLIENT_SPANS = {"core.client.propose": "propose",
@@ -49,6 +48,8 @@ def step_traces(spans: list[Any]) -> list[dict[str, Any]]:
          "slack": 10.2,             # dominant execute minus runner-up
          "critical": 12.3}          # serial phases + slowest client legs
     """
+    from repro.telemetry.report import CORE_PHASES, rows_by_span
+
     records = [_as_record(s) for s in spans]
     children: dict[str, list[dict[str, Any]]] = {}
     for rec in records:
@@ -142,6 +143,8 @@ def render_blame_table(table: list[dict[str, Any]]) -> str:
 
 def critical_path_report(spans: list[Any]) -> str:
     """Blame table plus a one-line summary, from live or loaded spans."""
+    from repro.telemetry.report import PIPELINED_NOTE
+
     rows = step_traces(spans)
     if not rows:
         return "no coordinator.step spans in trace"

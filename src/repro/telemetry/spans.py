@@ -129,7 +129,10 @@ class Span:
                 self.attrs.update(attrs)
             tracer = self.tracer
             self.end_time = tracer._clock()
-            packed, objects = tracer._rows
+            packed, objects = tracer._rows[-1]
+            if len(packed) == _ROW.size * _CHUNK_ROWS:  # the tail is full
+                packed, objects = bytearray(), []
+                tracer._rows.append((packed, objects))
             attrs = self.attrs
             objects.extend((self.name, self.trace_id))
             objects.extend(attrs)
@@ -175,8 +178,13 @@ def _as_dict(name, trace_id, span_id, parent_id, start, end, attrs):
 
 
 #: a row's numbers: span number, parent number, start, end, and where
-#: its objects end
+#: its objects end in its chunk's list
 _ROW = struct.Struct("qqddq")
+#: rows per chunk of the tracer's store.  A chunk's buffers stay well
+#: under glibc's 128 KiB mmap threshold: 512 rows of the widest span
+#: (``net.rpc.call``, 14 objects) with the list's ~12 % over-allocation
+#: is about 64 KiB of references, and 512 packed rows are 20 KiB
+_CHUNK_ROWS = 512
 
 
 def _span_number(span_id: Any) -> int:
@@ -210,14 +218,18 @@ class SpanView(Sequence):
 class Tracer:
     """Creates spans on a clock and keeps the finished ones as rows.
 
-    A finished span is one row, in finish order, across two stores:
-    ``_ROW`` numbers packed into a bytearray (span number, ``N`` of
-    ``span-N``; parent number, 0 for a root and minus the 1-based index
-    into ``_foreign_ids`` for a parent id not of the ``span-N`` form;
-    start and end as C doubles, the clock returning floats; and where
-    the row's objects end), and its objects appended to one list: name,
-    trace id, then the ``attrs`` keys and values in key order.  No row
-    is an object of its own, so rows cost the collector nothing.
+    A finished span is one row, in finish order, in a chunk of
+    ``_CHUNK_ROWS`` rows; row ``r`` is row ``r % _CHUNK_ROWS`` of chunk
+    ``r // _CHUNK_ROWS``, and only the last chunk is ever short.  A chunk
+    is two stores: ``_ROW`` numbers packed into a bytearray (span number,
+    ``N`` of ``span-N``; parent number, 0 for a root and minus the
+    1-based index into ``_foreign_ids`` for a parent id not of the
+    ``span-N`` form; start and end as C doubles, the clock returning
+    floats; and where the row's objects end in the chunk's list), and
+    the objects appended to a list: name, trace id, then the ``attrs``
+    keys and values in key order.  No row is an object of its own, so
+    rows cost the collector nothing, and fixed-size chunks keep every
+    buffer below the allocator's mmap threshold however long the run.
 
     Parenting is explicit (``parent=span_or_context``) or ambient: a
     dispatcher may :meth:`activate` a span (or a trace context) around a
@@ -235,8 +247,8 @@ class Tracer:
         self._trace_ids = IdFactory("trace")
         self._span_numbers = itertools.count(1)
         self._active: "Span | TraceContext | None" = None
-        #: (packed numbers, objects): the finished spans' rows
-        self._rows: tuple[bytearray, list[Any]] = (bytearray(), [])
+        #: chunks of (packed numbers, objects): the finished spans' rows
+        self._rows: list[tuple[bytearray, list[Any]]] = [(bytearray(), [])]
         self._foreign_ids: list[Any] = []
 
     # -- ambient context ---------------------------------------------------
@@ -287,7 +299,8 @@ class Tracer:
 
     def _row(self, row: int) -> tuple:
         """``(name, trace id, number, parent number, start, end, attrs)``."""
-        packed, objects = self._rows
+        chunk, row = divmod(row, _CHUNK_ROWS)
+        packed, objects = self._rows[chunk]
         first = _ROW.unpack_from(packed, _ROW.size * (row - 1))[4] \
             if row else 0
         number, parent, start, end, last = _ROW.unpack_from(
@@ -296,6 +309,21 @@ class Tracer:
         half = len(attrs) // 2
         return (name, trace_id, number, parent, start, end,
                 dict(zip(attrs[:half], attrs[half:])))
+
+    def _heads(self):
+        """``(row, parent number, name, trace id)`` of each row, in
+        order: what the queries filter on."""
+        for chunk, (packed, objects) in enumerate(self._rows):
+            first = 0
+            for row, (_, parent, _, _, last) in enumerate(
+                    _ROW.iter_unpack(packed), chunk * _CHUNK_ROWS):
+                yield row, parent, objects[first], objects[first + 1]
+                first = last
+
+    def _count(self) -> int:
+        """How many spans have finished: only the last chunk is short."""
+        return (len(self._rows) - 1) * _CHUNK_ROWS \
+            + len(self._rows[-1][0]) // _ROW.size
 
     def _span(self, row: int) -> Span:
         name, trace_id, number, parent, start, end, attrs = self._row(row)
@@ -308,7 +336,7 @@ class Tracer:
     def dicts(self):
         """Each finished span's ``to_dict()``, in finish order, straight
         from its row: no :class:`Span` is built."""
-        for row in range(len(self._rows[0]) // _ROW.size):
+        for row in range(self._count()):
             name, trace_id, number, parent, start, end, attrs = self._row(row)
             yield _as_dict(name, trace_id, f"span-{number}",
                            self._parent_id(parent), start, end, attrs)
@@ -317,21 +345,15 @@ class Tracer:
     def spans(self, name: str | None = None, *,
               trace_id: str | None = None) -> SpanView:
         """Finished spans filtered by exact name and/or trace id."""
-        packed, objects = self._rows
-        rows: Sequence[int] = range(len(packed) // _ROW.size)
+        rows: Sequence[int] = range(self._count())
         if name is not None or trace_id is not None:
-            # a row's objects start with its name and trace id
-            firsts = [0, *(last for *_, last in _ROW.iter_unpack(packed))]
-            rows = [row for row in rows
-                    if (name is None or objects[firsts[row]] == name)
-                    and (trace_id is None
-                         or objects[firsts[row] + 1] == trace_id)]
+            rows = [row for row, _, row_name, row_trace in self._heads()
+                    if (name is None or row_name == name)
+                    and (trace_id is None or row_trace == trace_id)]
         return SpanView(self, rows)
 
     def children(self, parent: "Span | TraceContext") -> SpanView:
         """Finished direct children of ``parent``."""
         pid = parent.span_id
-        return SpanView(self, [
-            row for row, (_, number, *_) in enumerate(
-                _ROW.iter_unpack(self._rows[0]))
-            if self._parent_id(number) == pid])
+        return SpanView(self, [row for row, number, *_ in self._heads()
+                               if self._parent_id(number) == pid])

@@ -15,12 +15,17 @@ Four concerns, bottom-up:
 
 import contextlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.control import SimulationPlugin, make_displacement_actions
 from repro.coordinator import SimulationCoordinator, SiteBinding
 from repro.core import NTCPClient, NTCPServer
@@ -413,6 +418,46 @@ def _as_seen(records):
     return json.dumps(records), list(_leaf_types(records))
 
 
+def _reads_back_as_the_sink_saw(program):
+    """Every reader of the row store answers as a list of the spans the
+    sink saw at finish would: length, each item (also by negative index
+    and through slices), the name / trace-id queries, the children of
+    every parent, and the export dicts."""
+    hub, sink, opened, given = _run_span_program(program)
+    assert [span.parent_id for span in opened] == given
+    live = sink.spans
+    seen = _as_seen(span.to_dict() for span in live)
+    spans = hub.spans()
+    assert len(spans) == len(live)
+    assert _as_seen(span.to_dict() for span in spans) == seen
+    assert _as_seen(spans[-index].to_dict()
+                    for index in range(len(live), 0, -1)) == seen
+    for start, stop, step in ((1, None, None), (2, -1, None),
+                              (None, None, 2), (None, None, -1)):
+        part = spans[start:stop:step]
+        assert len(part) == len(live[start:stop:step])
+        assert _as_seen(span.to_dict() for span in part) == _as_seen(
+            span.to_dict() for span in live[start:stop:step])
+    assert _as_seen(hub.tracer.dicts()) == seen
+    # the queries answer as list filters over the finished spans did
+    trace_ids = {span.trace_id for span in opened}
+    for name in (None, *_SPAN_NAMES):
+        for trace_id in (None, *trace_ids, "trace-none"):
+            want = [span for span in live
+                    if name in (None, span.name)
+                    and trace_id in (None, span.trace_id)]
+            assert _as_seen(span.to_dict() for span in hub.spans(
+                name, trace_id=trace_id)) == _as_seen(
+                    span.to_dict() for span in want)
+    parents = [*opened, TraceContext("trace-x", None), *(
+        TraceContext("trace-x", span.parent_id) for span in live)]
+    for parent in parents:
+        want = [span for span in live
+                if span.parent_id == parent.span_id]
+        assert _as_seen(span.to_dict() for span in hub.tracer.children(
+            parent)) == _as_seen(span.to_dict() for span in want)
+
+
 class TestRowStore:
     """A finished span is kept as a row and read back as the span its
     sinks saw at finish."""
@@ -420,30 +465,17 @@ class TestRowStore:
     @given(_SPAN_PROGRAMS)
     @settings(max_examples=300, deadline=None)
     def test_a_row_reads_back_as_the_span_the_sink_saw(self, program):
-        hub, sink, opened, given = _run_span_program(program)
-        assert [span.parent_id for span in opened] == given
-        live = sink.spans
-        seen = _as_seen(span.to_dict() for span in live)
-        assert len(hub.spans()) == len(live)
-        assert _as_seen(span.to_dict() for span in hub.spans()) == seen
-        assert _as_seen(hub.tracer.dicts()) == seen
-        # the queries answer as list filters over the finished spans did
-        trace_ids = {span.trace_id for span in opened}
-        for name in (None, *_SPAN_NAMES):
-            for trace_id in (None, *trace_ids, "trace-none"):
-                want = [span for span in live
-                        if name in (None, span.name)
-                        and trace_id in (None, span.trace_id)]
-                assert _as_seen(span.to_dict() for span in hub.spans(
-                    name, trace_id=trace_id)) == _as_seen(
-                        span.to_dict() for span in want)
-        parents = [*opened, TraceContext("trace-x", None), *(
-            TraceContext("trace-x", span.parent_id) for span in live)]
-        for parent in parents:
-            want = [span for span in live
-                    if span.parent_id == parent.span_id]
-            assert _as_seen(span.to_dict() for span in hub.tracer.children(
-                parent)) == _as_seen(span.to_dict() for span in want)
+        _reads_back_as_the_sink_saw(program)
+
+    @given(_SPAN_PROGRAMS)
+    @settings(max_examples=300, deadline=None)
+    def test_rows_read_back_across_chunk_boundaries(self, program):
+        """Three rows per chunk: every example of more than three
+        finished spans spreads them over chunks, so each reader maps
+        rows to (chunk, offset) and walks chunk after chunk."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spans_module, "_CHUNK_ROWS", 3)
+            _reads_back_as_the_sink_saw(program)
 
     def test_a_read_is_a_fresh_span_and_changes_nothing_kept(self):
         ticks = iter([0.0, 1.0, 2.0, 3.0])
@@ -716,6 +748,24 @@ class TestCoordinatorDecomposition:
         for phase in CORE_PHASES:
             assert phase in text
         assert "mean" in text
+
+    @pytest.mark.parametrize("flags", [[], ["--critical-path"]])
+    def test_report_cli_runs_clean_as_a_module(self, tmp_path, flags):
+        """``python -m repro.telemetry.report`` in a fresh interpreter
+        with every warning an error: importing ``repro`` must not load
+        the report module before runpy executes it (it did through
+        ``repro.monitor.critical_path``, with a ``RuntimeWarning`` on
+        stderr and the module body run twice)."""
+        _, k = run_most_like(n_steps=3)
+        path = k.telemetry.export_jsonl(tmp_path / "t.jsonl", experiment="t")
+        src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "repro.telemetry.report",
+             *flags, str(path)], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert (done.returncode, done.stderr) == (0, "")
+        assert ("per-site blame table" if flags
+                else "step-latency breakdown") in done.stdout
 
     def test_report_cli_rejects_bad_format_combinations(self, capsys):
         """The only option is ``--critical-path``; any other is the usage

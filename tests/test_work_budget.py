@@ -93,8 +93,13 @@ SPAN_TREE_SHA = ("6ff1d08bdb74a043ed2eba5db30efa33"
 #: bytes a 300-step simulation-only run keeps per finished span, by
 #: tracemalloc: 375 when the tracer kept each ``Span`` object with its
 #: ``attrs`` dict and its id string; 136.7 measured as a row (Python
-#: 3.11.7).
+#: 3.11.7); 122.6 in chunks of 512 rows, each NTCP verb's client span
+#: name one string per operation.
 BYTES_PER_SPAN_BUDGET = 180
+
+#: glibc's default ``M_MMAP_THRESHOLD``: a block this large or larger is
+#: served by ``mmap`` until a free raises the threshold
+MMAP_THRESHOLD = 128 * 1024
 
 
 @pytest.fixture(scope="module")
@@ -243,9 +248,12 @@ class TestControlPlaneWorkBudget:
         assert digest == SPAN_TREE_SHA
 
 
-def test_a_finished_span_is_kept_in_few_bytes():
-    """What the tracer's row store holds, per finished span: the bytes
-    tracemalloc sees freed when the test empties the store."""
+@pytest.fixture(scope="module")
+def traced_store():
+    """A 300-step simulation-only run under tracemalloc: the outcome,
+    its tracer, the finished spans, the sizes of the traced blocks of
+    128 KiB or more still held at its end, and the bytes freed when the
+    tracer's row store is emptied."""
     import tracemalloc
 
     tracemalloc.start()
@@ -256,15 +264,33 @@ def test_a_finished_span_is_kept_in_few_bytes():
         spans = len(tracer.spans())
         gc.collect()
         kept = tracemalloc.get_traced_memory()[0]
-        for column in tracer._rows:
-            del column[:]
+        large = [trace.size for trace in tracemalloc.take_snapshot().traces
+                 if trace.size >= MMAP_THRESHOLD]
+        tracer._rows = [(bytearray(), [])]
         gc.collect()
         freed = kept - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
+    return outcome, tracer, spans, large, freed
+
+
+def test_a_finished_span_is_kept_in_few_bytes(traced_store):
+    """What the tracer's row store holds, per finished span: the bytes
+    tracemalloc sees freed when the test empties the store."""
+    outcome, tracer, spans, _, freed = traced_store
     assert outcome.completed and len(tracer.spans()) == 0
     assert spans > 20 * outcome.steps_completed
     assert freed / spans <= BYTES_PER_SPAN_BUDGET
+
+
+def test_no_block_past_the_mmap_threshold_is_held(traced_store):
+    """The run ends holding no block the allocator would serve by
+    ``mmap``: the row store grows in fixed-size chunks, where one
+    bytearray and one list growing for the whole run were the two such
+    blocks (freeing them raised glibc's mmap threshold, and the next
+    run's store then ratcheted the process peak up)."""
+    outcome, _, _, large, _ = traced_store
+    assert outcome.completed and large == []
 
 
 @pytest.fixture(scope="module")
