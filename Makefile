@@ -14,9 +14,10 @@ test:
 lint:
 	sh scripts/lint.sh
 
-# Bounded protocol verification, one pass with no options: exhaustive
-# state-space exploration at both pipeline depths, the seeded-mutation
-# regression, and live conformance replay of every explored trace.  Not
+# Bounded protocol verification, one pass with no options: every bounded
+# fault schedule at both pipeline depths replayed on the live stack and
+# judged by the invariants of repro.invariants, then each seeded mutant
+# of the real coordinator and server swept (each must be caught).  Not
 # part of `check`: tests/test_verify.py and
 # tests/test_verify_conformance.py assert each of its verdicts.
 verify:

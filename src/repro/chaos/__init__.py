@@ -15,8 +15,10 @@ The multi-tenant extension applies the same discipline to fleet runs:
 sites, :func:`arm_fleet_outages` installs them on a fleet grid, and
 :func:`check_fleet_invariants` re-judges every invariant per tenant —
 including bit-exactness against each tenant's solo run.  Both sweeps
-judge a run by one rule body (``campaign._check_run``); each adds only
-what its layer alone can see — degraded labels, fencing epochs.
+judge a run by one rule body (``campaign._check_run``) over the
+predicates of :mod:`repro.invariants` — the same statements the protocol
+verifier judges every bounded replay by; each adds only what its layer
+alone can see — degraded labels, fencing epochs.
 
 The durable-queue extension targets the scheduler itself:
 :func:`make_scheduler_crash_plan` draws deterministic mid-flight kill

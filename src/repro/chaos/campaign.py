@@ -15,15 +15,17 @@ yields the same fault schedule, the same alerts at the same sim times,
 and the same invariant verdicts — a failing seed is a reproducible bug
 report, not a flake.
 
-Invariants checked per run (:func:`check_invariants`):
+Invariants checked per run (:func:`check_invariants`), each stated once
+in :mod:`repro.invariants` and read off the run's own evidence:
 
 * the run completed (or, for naive-policy control runs, aborted where
   expected);
 * the committed step sequence is contiguous and strictly monotone;
-* no step was physically executed twice — every duplicate execute
-  request was absorbed by NTCP's at-most-once idempotency (first-time
-  executions across a site's real server and any surrogates sum to
-  exactly the committed step count);
+* no transaction was physically executed twice — every duplicate
+  execute request was absorbed by NTCP's at-most-once idempotency (each
+  server's executions equal its executed transactions, and no site
+  executed two names of one step), on an aborted run as on a completed
+  one;
 * with no degradation, displacement/force histories are **bit-exact**
   (``np.array_equal``) against a clean same-config baseline;
 * degraded step labels exactly track the failover/readmission windows.
@@ -38,6 +40,7 @@ import numpy as np
 
 from repro.coordinator import FaultTolerantFaultPolicy
 from repro.grid import ChaosEvent
+from repro.invariants import Evidence, judge
 from repro.most.assembly import MOSTDeployment, build_most
 from repro.most.config import MOSTConfig
 from repro.most.session import default_fail_step, default_most_fault_policy
@@ -133,48 +136,29 @@ def arm_plan(dep: MOSTDeployment, plan: ChaosPlan) -> None:
                            site=plan.fatal_site, duration=float("inf")))
 
 
-def _check_run(result, executed: dict[str, int], histories: list[tuple], *,
+def _check_run(evidence: Evidence, histories: list[tuple], *,
                expect_completion: bool, label: str,
                versus: str) -> tuple[dict[str, bool], list[str]]:
     """The per-run rules, once, under both sweeps: (checks, violations).
 
-    * the run completed (when ``expect_completion``);
-    * its commit sequence is contiguous and strictly monotone;
-    * at-most-once: on a completed run every entry of ``executed`` —
-      first-time executions per site attributable to this run — is
-      exactly committed steps + 1 (the step-0 rest measurement).
-      Duplicate execute *requests* are legal, NTCP absorbs them; each
-      transaction transitions to EXECUTED exactly once;
+    * :mod:`repro.invariants`' completion (when ``expect_completion``),
+      monotone-commits and at-most-once, judged over ``evidence``, under
+      this sweep's ``checks`` names;
     * with zero degraded steps a completed run is bit-exact: every
       ``(got, expected)`` pair of ``histories`` — this run's against the
       clean ``versus`` run's, ``[]`` when there is none — is array-equal.
 
     ``label`` prefixes each violation with the run it is about.
     """
-    checks: dict[str, bool] = {}
-    violations: list[str] = []
-
-    checks["completed"] = result.completed or not expect_completion
-    if not checks["completed"]:
-        violations.append(
-            f"{label}aborted at step {result.aborted_at_step} "
-            f"({result.aborted_reason})")
-
-    sequence = [r.step for r in result.steps]
-    checks["commit_sequence_monotone"] = \
-        sequence == list(range(1, len(sequence) + 1))
-    if not checks["commit_sequence_monotone"]:
-        violations.append(
-            f"{label}commit sequence not contiguous: {sequence[:10]}…")
-
-    expected = len(result.steps) + 1
-    twice = [f"{label}site {site} executed {count} transactions, "
-             f"expected {expected}"
-             for site, count in executed.items()
-             if result.completed and count != expected]
-    checks["no_double_execute"] = not twice
-    violations += twice
-
+    keys = {"completion": "completed",
+            "monotone-commits": "commit_sequence_monotone",
+            "at-most-once": "no_double_execute"}
+    found = judge(evidence, [name for name in keys
+                             if expect_completion or name != "completion"])
+    checks = {key: not any(v.invariant == name for v in found)
+              for name, key in keys.items()}
+    violations = [label + v.detail for v in found]
+    result = evidence.result
     if histories and result.completed and result.degraded_steps == 0:
         exact = all(np.array_equal(got, expected)
                     for got, expected in histories)
@@ -191,47 +175,27 @@ def check_invariants(result, dep: MOSTDeployment, *, baseline=None,
     """Judge one chaos run; returns verdicts plus a violations list.
 
     The per-run rules (:func:`_check_run`) over the whole deployment —
-    a site's first-time executions are its real server's plus any
-    surrogate's — and, this sweep's own, the degraded-label check.
+    its sites' real servers and any surrogate still serving — and, this
+    sweep's own, :mod:`repro.invariants`' degraded-labeling against the
+    failover manager's events.
     """
-    executed = {name: site.server.metrics()["executed"]
-                for name, site in dep.sites.items()}
-    if failover is not None:
-        for active in failover.active.values():
-            executed[active.site] += active.server.metrics()["executed"]
+    evidence = Evidence(
+        result=result,
+        servers={name: site.server for name, site in dep.sites.items()},
+        failover=failover)
     checks, violations = _check_run(
-        result, executed,
+        evidence,
         [] if baseline is None else [
             (result.displacement_history(), baseline.displacement_history()),
             (result.force_history(), baseline.force_history())],
         expect_completion=True, label="", versus="baseline")
-
-    # Degraded labels must exactly track the failover/readmission
-    # windows the manager recorded.
-    expected_by_step: dict[int, set] = {}
-    if failover is not None and failover.events:
-        current: set = set()
-        events = sorted(failover.events, key=lambda e: (e.step, e.kind))
-        idx = 0
-        for r in result.steps:
-            while idx < len(events) and events[idx].step <= r.step:
-                if events[idx].kind == "failover":
-                    current.add(events[idx].site)
-                else:
-                    current.discard(events[idx].site)
-                idx += 1
-            expected_by_step[r.step] = set(current)
-    labels_ok = all(set(r.degraded) == expected_by_step.get(r.step, set())
-                    for r in result.steps)
-    checks["degraded_labels"] = labels_ok
-    if not labels_ok:
-        violations.append("degraded labels disagree with failover events")
-
+    labels = judge(evidence, ["degraded-labeling"])
+    checks["degraded_labels"] = not labels
+    violations += [v.detail for v in labels]
     return {"checks": checks, "violations": violations,
             "ok": not violations,
-            "duplicate_executes": sum(
-                site.server.metrics()["duplicate_executes"]
-                for site in dep.sites.values()),
+            "duplicate_executes": sum(server.metrics()["duplicate_executes"]
+                                      for server in evidence.servers.values()),
             "degraded_steps": result.degraded_steps}
 
 
@@ -403,11 +367,9 @@ def check_fleet_invariants(outcomes, *, baselines=None,
     deliveries); ``baselines`` maps ``run_id`` to a solo displacement history
     (:func:`~repro.fleet.scheduler.solo_displacement_history`).  Each
     outcome is judged by the per-run rules (:func:`_check_run`) over its
-    *lease*: the at-most-once count is each leased site's ``executed``
-    delta, and it is skipped for a degraded run (a surrogate served part
-    of it) and for a redelivered queue outcome resumed mid-run
-    (``resumed_from_step > 0``: its lease only ever saw the post-resume
-    tail).
+    *lease*: at-most-once reads each leased site's server, whose
+    transactions of other runs the run's own names set apart, so it
+    holds for a degraded run and a redelivered one alike.
 
     ``fencing`` (a :class:`~repro.queue.fencing.FencingAuthority` or its
     ``report()`` dict) adds this sweep's own rule, the zombie sweep: **no
@@ -424,21 +386,18 @@ def check_fleet_invariants(outcomes, *, baselines=None,
     for outcome in outcomes:
         result = outcome.result
         run = f"{outcome.tenant}/{outcome.run_id}"
-        whole_lease = (result.degraded_steps == 0
-                       and outcome.resumed_from_step == 0)
         solo = (baselines or {}).get(outcome.run_id)
         by_run[run], found = _check_run(
-            result,
-            {site: delta["executed"]
-             for site, delta in outcome.usage.items()} if whole_lease else {},
+            Evidence(result=result, servers={
+                site.name: site.server for site in outcome.lease.sites}),
             [] if solo is None else [(result.displacement_history(), solo)],
             expect_completion=expect_completion, label=f"{run}: ",
             versus="solo")
         violations += found
         total_duplicates += outcome.duplicate_executes()
     verdict: dict[str, Any] = {
-        "ok": not violations, "violations": violations,
-        "by_run": by_run, "duplicate_executes": total_duplicates}
+        "violations": violations, "by_run": by_run,
+        "duplicate_executes": total_duplicates}
     if fencing is not None:
         report = fencing.report() if hasattr(fencing, "report") else fencing
         stale_accepts = report["stale_accepts"]
@@ -457,8 +416,7 @@ def check_fleet_invariants(outcomes, *, baselines=None,
             "stale_accepts": len(stale_accepts),
             "superseded_epochs_never_refused": silent,
         }
-        verdict["ok"] = not violations
-    return verdict
+    return {"ok": not violations, **verdict}
 
 
 def make_scheduler_crash_plan(seed: int, *, n_crashes: int = 3,

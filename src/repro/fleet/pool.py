@@ -47,8 +47,8 @@ class SiteLease:
     Created by :meth:`SitePool.acquire`; the holder must eventually call
     :meth:`SitePool.release`.  The lease snapshots each site's NTCP server
     counters at grant time so :meth:`metrics_delta` can attribute exactly
-    the transactions this tenant ran — the per-tenant at-most-once
-    evidence the fleet invariant checks consume.
+    the transactions this tenant ran — the per-tenant duplicate-execute
+    count the fleet invariant sweep reports.
     """
 
     lease_id: str

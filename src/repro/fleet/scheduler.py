@@ -110,12 +110,6 @@ class TenantOutcome:
         """Whether the delivery completed every step."""
         return self.result.completed
 
-    @property
-    def usage(self) -> dict[str, dict[str, int]]:
-        """Per-site NTCP counter deltas for the lease (at-most-once
-        evidence), frozen when the lease was released."""
-        return self.lease.metrics_delta()
-
     def duplicate_executes(self) -> int:
         """Duplicate execute requests absorbed across the lease's sites."""
         return self.lease.duplicate_executes()

@@ -1,51 +1,21 @@
 """Exhaustive bounded verification of the NTCP coordinator protocol.
 
-The package holds three layers:
+There is no model of the protocol: the real code is its own.  The
+package holds two layers:
 
-* :mod:`repro.verify.model` — a deterministic small-step abstraction of
-  the coordinator + NTCP servers whose only nondeterminism is the fault
-  schedule, asserting the PROTOCOL.md §§7–9 invariants (at-most-once
-  execution, monotone commits, no orphaned names, degraded-labeling
-  soundness, command freshness) on every transition;
+* :mod:`repro.verify.conformance` — the live rig: a real
+  :class:`~repro.coordinator.mspsds.SimulationCoordinator` deployment on
+  a :class:`~repro.grid.Grid`, each schedule's faults armed at their
+  message points, and the run's evidence collected;
 * :mod:`repro.verify.explorer` — exhaustive enumeration of every fault
-  schedule within a bounded configuration, deduplicating canonical
-  protocol states;
-* :mod:`repro.verify.conformance` — replay of every explored trace
-  through a *live* :class:`~repro.coordinator.mspsds.SimulationCoordinator`
-  deployment with the same faults injected at the same message points;
-  any divergence between the live observables and the model's expected
-  tables fails the run, so the model cannot rot.
+  schedule within a bounded configuration, each replayed live and judged
+  by every invariant of :mod:`repro.invariants`; and the seeded mutants,
+  each a patch breaking one rule of the real coordinator or server.
 
 Run it with ``python -m repro.verify`` (or ``make verify``): one pass,
 no options.
 """
 
-from repro.verify.conformance import Divergence, replay_trace, run_conformance
-from repro.verify.explorer import (
-    ExplorationResult,
-    enumerate_schedules,
-    explore,
-)
-from repro.verify.model import (
-    FAULT_KINDS,
-    ModelMachine,
-    ProtocolRules,
-    TraceResult,
-    VerifyConfig,
-    Violation,
-)
+from repro.verify.explorer import VerifyConfig, explore, sweep
 
-__all__ = [
-    "FAULT_KINDS",
-    "Divergence",
-    "ExplorationResult",
-    "ModelMachine",
-    "ProtocolRules",
-    "TraceResult",
-    "VerifyConfig",
-    "Violation",
-    "enumerate_schedules",
-    "explore",
-    "replay_trace",
-    "run_conformance",
-]
+__all__ = ["VerifyConfig", "explore", "sweep"]

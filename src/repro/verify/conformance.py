@@ -1,16 +1,11 @@
-"""Conformance replay: the abstract model vs the live coordinator.
+"""The live rig every bounded schedule is replayed on.
 
-The model checker is only as good as its transition relation, so every
-``make verify`` run replays every explored trace through a *real*
-deployment — :class:`~repro.coordinator.mspsds.SimulationCoordinator`
-driving genuine NTCP servers over the simulated network, with the same
-faults injected at the same message points — and compares the live
-observables 1:1 against the model's :attr:`TraceResult.expected` tables:
-per-site transaction counters (real and surrogate), completion, the
-committed-step ledger, resume generation, degraded labels, the §7
-reconciliation classification, and the §9 pipeline counters.  Any
-divergence fails the verification run: either the implementation drifted
-from PROTOCOL.md or the model did, and both are bugs.
+The verifier has no model of the protocol: each schedule runs through a
+*real* deployment — :class:`~repro.coordinator.mspsds.SimulationCoordinator`
+driving genuine NTCP servers over the simulated network, with the
+schedule's faults injected at their message points — and the run's own
+evidence (:class:`repro.invariants.Evidence`) is what the invariants
+judge.  The kernel is deterministic, so the real code is its own model.
 
 A schedule's :class:`repro.grid.ChaosEvent` events are armed up front
 through :meth:`repro.grid.Grid.arm` like the chaos campaigns' and the
@@ -18,11 +13,13 @@ public day's: a watcher on the wire recognises the step's marker inside
 the site's request of the fault's NTCP operation and installs the fault
 at that exact message point, so replays land each fault
 deterministically regardless of pacing.
+
+The deployment is stated here, once, as module constants: two
+simulation sites on one star under the chaos campaign's fault-tolerant
+policy.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.coordinator import (
     FaultTolerantFaultPolicy,
@@ -32,60 +29,40 @@ from repro.coordinator import (
 )
 from repro.core.policy import SitePolicy
 from repro.grid import ChaosEvent, Grid
+from repro.invariants import Evidence
 from repro.repository.checkpoint import (
     CheckpointPolicy,
     InMemoryCheckpointStore,
 )
 from repro.structural import StructuralModel, el_centro_like
 from repro.util.errors import ConfigurationError
-from repro.verify.explorer import ExplorationResult
-from repro.verify.model import (
-    BACKOFF,
-    BACKOFF_FACTOR,
-    COMPUTE_TIME,
-    DT,
-    EXECUTION_TIMEOUT,
-    LATENCY,
-    MAX_ATTEMPTS,
-    MAX_BACKOFF,
-    RPC_RETRIES,
-    RPC_TIMEOUT,
-    SITE_STIFFNESS,
-    SITES,
-    TraceResult,
-    VerifyConfig,
-)
 
-__all__ = ["Divergence", "replay_trace", "run_conformance"]
+__all__ = ["SITES"]
 
-#: the counters the model commits to (subset of the server's STAT_KEYS).
-COUNTER_KEYS = ("proposed", "executed", "cancelled",
-                "duplicate_proposals", "duplicate_executes")
-
-#: pipeline telemetry counters compared for pipelined replays.
-PIPELINE_KEYS = ("speculated", "hits", "mispredicts", "drains")
+SITES = ("uiuc", "cu")
+COMPUTE_TIME = 0.05
+DT = 0.02
+#: server-side execute budget; the execute RPC timeout is this + 10, so
+#: one retransmission straddles the transient outage window.
+EXECUTION_TIMEOUT = 120.0
+#: RPC ladder for a propose (client timeout x (retries + 1)).
+RPC_TIMEOUT = 10.0
+RPC_RETRIES = 3
+#: transient outage duration the fault-tolerant policy rides out.
+OUTAGE_DURATION = 90.0
 
 _RUN_ID = "verify"
 
 
-@dataclass(frozen=True)
-class Divergence:
-    """One observable where the live replay disagrees with the model."""
-
-    path: str
-    model: object
-    live: object
-
-
 class _Rig:
-    """The model's deployment as one live :class:`~repro.grid.Grid`, with
-    the experiment every replay of a :class:`VerifyConfig` runs on it."""
+    """The verifier's deployment as one live :class:`~repro.grid.Grid`,
+    with the experiment every replay of a configuration runs on it."""
 
-    def __init__(self, config: VerifyConfig, *, with_failover: bool = False):
+    def __init__(self, config, *, with_failover: bool = False):
         self.config = config
         self.grid = grid = Grid.star()
-        self.stiffness = dict.fromkeys(SITES, SITE_STIFFNESS)
-        grid.add_simulation_sites(self.stiffness, latency=LATENCY,
+        self.stiffness = dict.fromkeys(SITES, 30.0)
+        grid.add_simulation_sites(self.stiffness, latency=0.01,
                                   compute_time=COMPUTE_TIME)
         self.model = StructuralModel(
             mass=[[2.0]], stiffness=[[100.0]]).with_rayleigh_damping(0.05)
@@ -115,44 +92,23 @@ class _Rig:
             execution_timeout=EXECUTION_TIMEOUT, failover=self.failover,
             predictor=predictor, **options)
 
-
-def _observe(rig: _Rig, result, coordinator) -> dict:
-    """The live observables, shaped exactly like the model's expected."""
-
-    def counters(server) -> dict:
-        metrics = server.metrics()
-        return {key: metrics[key] for key in COUNTER_KEYS}
-
-    active = rig.failover.active if rig.failover is not None else {}
-    per_site = {site: {"real": counters(rig.grid.sites[site].server),
-                       "surrogate": (counters(active[site].server)
-                                     if site in active else None)}
-                for site in SITES}
-    reconcile = {}
-    if coordinator.last_reconciliation is not None:
-        reconcile = {action.site: action.action
-                     for action in coordinator.last_reconciliation.actions}
-    pipeline = None
-    if rig.config.pipeline_depth:
-        telemetry = rig.grid.kernel.telemetry
-        pipeline = {key: telemetry.counter(f"coordinator.pipeline.{key}",
-                                           run_id=_RUN_ID).value
-                    for key in PIPELINE_KEYS}
-    return {
-        "completed": result.completed,
-        "committed_steps": [record.step for record in result.steps],
-        "generation": coordinator.state.generation,
-        "degraded": {str(record.step): sorted(record.degraded)
-                     for record in result.steps if record.degraded},
-        "sites": per_site,
-        "reconcile": reconcile,
-        "pipeline": pipeline,
-    }
+    def evidence(self, result, coordinator) -> Evidence:
+        """What the run left behind on this rig."""
+        return Evidence(
+            result=result,
+            servers={site: self.grid.sites[site].server for site in SITES},
+            failover=self.failover,
+            names={step: coordinator._step_names(step)
+                   for step in range(self.config.n_steps + 1)},
+            dofs={site.name: site.dof_indices for site in self.sites},
+            proposals=self.grid.kernel.telemetry.tracer.spans(
+                "core.server.propose"))
 
 
-def _replay(config: VerifyConfig, schedule: tuple[ChaosEvent, ...]) -> dict:
+def _replay(config, schedule: tuple[ChaosEvent, ...],
+            ) -> tuple[Evidence, SimulationCoordinator]:
     """Run ``schedule`` through one live rig with every event armed up
-    front; returns the live observables.
+    front; returns the run's evidence and its last coordinator.
 
     A fatal outage builds the rig with failover.  A crash runs
     incarnation 1 under the abort-on-first-failure policy into the armed
@@ -169,52 +125,20 @@ def _replay(config: VerifyConfig, schedule: tuple[ChaosEvent, ...]) -> dict:
                   if event.kind.startswith("crash_")), None)
     if crash is None:
         coordinator = rig.make_coordinator(
-            fault_policy=FaultTolerantFaultPolicy(  # the model's arithmetic
-                max_attempts=MAX_ATTEMPTS, backoff=BACKOFF,
-                backoff_factor=BACKOFF_FACTOR, max_backoff=MAX_BACKOFF))
-        return _observe(rig, rig.grid.run(coordinator.run()), coordinator)
-    store = InMemoryCheckpointStore()
-    options = {"fault_policy": NaiveFaultPolicy(), "checkpoint_store": store,
-               "checkpoint_policy": CheckpointPolicy(every_n_steps=0)}
-    if rig.grid.run(rig.make_coordinator(**options).run()).completed:
-        raise ConfigurationError(
-            f"crash replay at step {crash.step} did not abort")
-    rig.grid.network.set_link_state("coord", crash.site, up=True)
-    state, prior_records = rig.grid.run(load_resume(store, _RUN_ID))
-    second = rig.make_coordinator(state=state, prior_records=prior_records,
-                                  **options)
-    return _observe(rig, rig.grid.run(second.run()), second)
-
-
-def _diff(path: str, model_value, live_value,
-          out: list[Divergence]) -> None:
-    """Structural comparison; model ``None`` means *not committed to*."""
-    if model_value is None:
-        return
-    if isinstance(model_value, dict):
-        if not isinstance(live_value, dict):
-            out.append(Divergence(path, model_value, live_value))
-            return
-        for key in sorted(set(model_value) | set(live_value)):
-            _diff(f"{path}.{key}", model_value.get(key),
-                  live_value.get(key) if live_value else None, out)
-        return
-    if model_value != live_value:
-        out.append(Divergence(path, model_value, live_value))
-
-
-def replay_trace(config: VerifyConfig,
-                 trace: TraceResult) -> list[Divergence]:
-    """Replay one explored trace through a live rig; returns every
-    observable where the live run departs from the model's tables."""
-    divergences: list[Divergence] = []
-    _diff("$", trace.expected, _replay(config, trace.schedule), divergences)
-    return divergences
-
-
-def run_conformance(exploration: ExplorationResult,
-                    ) -> list[tuple[TraceResult, Divergence]]:
-    """Replay every explored trace; returns each divergence with the
-    trace it came from."""
-    return [(trace, divergence) for trace in exploration.traces
-            for divergence in replay_trace(exploration.config, trace)]
+            fault_policy=FaultTolerantFaultPolicy(
+                max_attempts=12, backoff=30.0, backoff_factor=1.5,
+                max_backoff=600.0))
+    else:
+        store = InMemoryCheckpointStore()
+        options = {"fault_policy": NaiveFaultPolicy(),
+                   "checkpoint_store": store,
+                   "checkpoint_policy": CheckpointPolicy(every_n_steps=0)}
+        if rig.grid.run(rig.make_coordinator(**options).run()).completed:
+            raise ConfigurationError(
+                f"crash replay at step {crash.step} did not abort")
+        rig.grid.network.set_link_state("coord", crash.site, up=True)
+        state, prior_records = rig.grid.run(load_resume(store, _RUN_ID))
+        coordinator = rig.make_coordinator(
+            state=state, prior_records=prior_records, **options)
+    result = rig.grid.run(coordinator.run())
+    return rig.evidence(result, coordinator), coordinator

@@ -1,52 +1,98 @@
-"""Exhaustive bounded exploration of the protocol state space.
+"""Exhaustive bounded exploration of the protocol on the live stack.
 
-The model (`repro.verify.model`) is deterministic between fault points,
-so the bounded state space is exactly the set of machine states reachable
-under every fault schedule within the bounds: at most one fault event per
-step, at most ``max_faults`` events per schedule, and at most one
-*structural* event (crash / fatal outage / speculation outage) per
-schedule — resume, failover and rollback each restructure the rest of
-the run, so their pairwise products explode without adding reachable
-protocol states.
+The bounded space is every fault schedule within the bounds: at most one
+fault event per step, at most ``max_faults`` events per schedule, and at
+most one *structural* event (crash / fatal outage / speculation outage)
+per schedule — resume, failover and rollback each restructure the rest
+of the run, so their pairwise products multiply schedules without adding
+protocol paths.
 
-`explore` enumerates every such schedule, runs each through the
-:class:`~repro.verify.model.ModelMachine`, deduplicates the canonical
-states encountered, and collects every invariant violation with the
-schedule that produced it.  The result carries the full per-trace
-outcomes so the conformance layer can replay every one live.
+`explore` replays every such schedule on the live rig
+(:mod:`repro.verify.conformance`) and judges each run by every predicate
+of :mod:`repro.invariants`.  The coordinator and servers are
+deterministic between fault points, so the schedules *are* the state
+space.
+
+:data:`MUTANTS` breaks one protocol rule of the real coordinator or
+server per entry, as a patch applied for the length of its
+:func:`sweep` only: a checker that cannot see a planted break proves
+nothing by passing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partialmethod
 from itertools import combinations, product
+from typing import NamedTuple
+from unittest import mock
 
+from repro.coordinator import mspsds
+from repro.coordinator.mspsds import SimulationCoordinator
+from repro.coordinator.reconcile import Reconciler
+from repro.core.client import NTCPClient
+from repro.core.server import NTCPServer
 from repro.grid import ChaosEvent
-from repro.verify.model import (
-    OUTAGE_DURATION,
-    SITES,
-    STRUCTURAL_KINDS,
-    ModelMachine,
-    TraceResult,
-    VerifyConfig,
-    Violation,
-)
+from repro.invariants import Violation, judge
+from repro.verify.conformance import OUTAGE_DURATION, SITES, _replay
 
-__all__ = ["ExplorationResult", "enumerate_schedules", "explore"]
+__all__ = ["FAULT_KINDS", "MUTANTS", "ExplorationResult", "TraceResult",
+           "VerifyConfig", "enumerate_schedules", "explore", "sweep"]
+
+#: kinds legal in sequential (pipeline_depth == 0) schedules, each keyed
+#: to one message point: a site's propose / execute reply lost once (the
+#: RPC retransmits), its propose / execute request duplicated on the
+#: wire, the coordinator dying mid-propose / mid-execute (checkpoint
+#: resume), and the site lost for good at a propose (breaker opens,
+#: surrogate swap).
+SEQUENTIAL_KINDS = ("drop_propose_reply", "drop_execute_reply",
+                    "dup_propose_request", "dup_execute_request",
+                    "crash_propose", "crash_execute", "fatal_outage_propose")
+#: every fault kind the verifier arms: the sequential ones and an outage
+#: landing on a speculative propose (pipelined).
+FAULT_KINDS = (*SEQUENTIAL_KINDS, "spec_outage_propose")
+#: kinds legal in pipelined (pipeline_depth == 1) schedules.  Crash and
+#: failover under a live speculation collapse into the §9 "rollback
+#: first" / drain paths pinned by tests/test_pipeline_speculation.py.
+PIPELINED_KINDS = (*FAULT_KINDS[:4], "spec_outage_propose")
+#: kinds that change the run's *structure* (resume, failover, rollback);
+#: at most one per schedule.
+STRUCTURAL_KINDS = FAULT_KINDS[4:]
+
+
+@dataclass(frozen=True)
+class VerifyConfig:
+    """One bounded verification over the rig's sites; the defaults are
+    the shipped bound."""
+
+    n_steps: int = 4
+    pipeline_depth: int = 0
+    max_faults: int = 2
+
+
+class TraceResult(NamedTuple):
+    """One schedule's live replay, judged."""
+
+    schedule: tuple[ChaosEvent, ...]
+    violations: list[Violation]
 
 
 @dataclass
 class ExplorationResult:
-    """Everything one bounded exploration produced."""
+    """Every judged replay of one bounded exploration."""
 
     config: VerifyConfig
     traces: list[TraceResult]
-    states_explored: int
-    violations: list[tuple[tuple[ChaosEvent, ...], Violation]]
+
+    @property
+    def violations(self) -> list[tuple[tuple[ChaosEvent, ...], Violation]]:
+        """Each violation found, with the schedule that produced it."""
+        return [(trace.schedule, violation) for trace in self.traces
+                for violation in trace.violations]
 
     @property
     def ok(self) -> bool:
-        """True when no trace violated an invariant."""
+        """True when no replay violated an invariant."""
         return not self.violations
 
 
@@ -61,13 +107,14 @@ def enumerate_schedules(config: VerifyConfig,
     >= 2 (step 1 is never speculative) and a fault-free predecessor
     step (its outage spans both rounds).
     """
+    kinds = PIPELINED_KINDS if config.pipeline_depth else SEQUENTIAL_KINDS
     # only the speculative outage lifts; a fatal outage or a crash downs
     # the link for good
     events_per_step = {step: [
         ChaosEvent(kind, step, site, duration=(
             OUTAGE_DURATION if kind == "spec_outage_propose"
             else float("inf")))
-        for kind, site in product(config.fault_kinds(), SITES)
+        for kind, site in product(kinds, SITES)
         if kind != "spec_outage_propose" or step >= 2]
         for step in range(1, config.n_steps + 1)}
 
@@ -86,17 +133,74 @@ def enumerate_schedules(config: VerifyConfig,
     return schedules
 
 
+def replay(config: VerifyConfig,
+           schedule: tuple[ChaosEvent, ...]) -> TraceResult:
+    """Run ``schedule`` on the live rig; judge it by every invariant."""
+    evidence, _ = _replay(config, schedule)
+    return TraceResult(schedule, judge(evidence))
+
+
 def explore(config: VerifyConfig) -> ExplorationResult:
-    """Run every bounded schedule through the model; dedup states."""
-    seen: set[tuple] = set()
-    traces: list[TraceResult] = []
-    violations: list[tuple[tuple[ChaosEvent, ...], Violation]] = []
-    for schedule in enumerate_schedules(config):
-        trace = ModelMachine(config, schedule).run()
-        traces.append(trace)
-        seen.update(trace.states)
-        for violation in trace.violations:
-            violations.append((schedule, violation))
-    return ExplorationResult(config=config, traces=traces,
-                             states_explored=len(seen),
-                             violations=violations)
+    """Replay and judge every bounded schedule."""
+    return ExplorationResult(config, [replay(config, schedule) for schedule
+                                      in enumerate_schedules(config)])
+
+
+def _misread_executed(get_transaction):
+    def broken(self, handle, name):
+        sde = yield from get_transaction(self, handle, name)
+        return {**sde, "state": "accepted"} \
+            if sde.get("state") == "executed" else sde
+    return broken
+
+
+def _keep_rolled_back_names(retire):
+    def broken(self, step, site, *, rename=None):
+        keep = rename is not None and rename.startswith("-s")
+        return retire(self, step, site, rename=None if keep else rename)
+    return broken
+
+
+#: name -> (patched object, attribute, original -> broken replacement,
+#: the fault kinds whose single-fault schedules reach the break)
+MUTANTS = {
+    # §3: a duplicate execute re-runs the plugin (the server's ablation)
+    "dedupe_execute": (
+        NTCPServer, "__init__",
+        lambda init: partialmethod(init, at_most_once=False),
+        ("drop_execute_reply", "dup_execute_request")),
+    # §7: a cancelled name is re-proposed instead of its -r<gen> replacement
+    "rename_after_cancel": (
+        Reconciler, "_replacement", lambda _: lambda self, name: name,
+        ("crash_propose",)),
+    # §7: resume cancels an executed transaction instead of harvesting it
+    # (the reconciler's probe reads `executed` as `accepted`)
+    "harvest_executed": (
+        NTCPClient, "get_transaction", _misread_executed,
+        ("crash_execute",)),
+    # §9: a rolled-back speculation's name is re-proposed, not -s<epoch>
+    "rollback_renames": (
+        SimulationCoordinator, "retire", _keep_rolled_back_names,
+        ("spec_outage_propose",)),
+    # §8: steps committed from a surrogate go unlabelled
+    "label_degraded": (
+        mspsds, "StepRecord",
+        lambda record: lambda **fields: record(**{**fields, "degraded": ()}),
+        ("fatal_outage_propose",)),
+}
+
+
+def sweep(mutant: str) -> list[tuple[tuple[ChaosEvent, ...], Violation]]:
+    """Replay every single-fault schedule of a kind that reaches
+    ``mutant`` (a :data:`MUTANTS` key), at each depth where the kind is
+    legal, with the mutant's patch applied; returns every violation."""
+    target, attribute, breaks, kinds = MUTANTS[mutant]
+    configs = [VerifyConfig(pipeline_depth=depth, max_faults=1)
+               for depth in (0, 1)]
+    with mock.patch.object(target, attribute,
+                           breaks(getattr(target, attribute))):
+        traces = [replay(config, schedule) for config in configs
+                  for schedule in enumerate_schedules(config)
+                  if schedule and schedule[0].kind in kinds]
+    return [(trace.schedule, violation) for trace in traces
+            for violation in trace.violations]

@@ -24,7 +24,7 @@ import pytest
 
 from repro.testing import SiteEnv, make_site
 from repro.verify import __main__ as verify_cli
-from repro.verify import run_conformance
+from repro.verify import explore
 
 __all__ = ["ROOT", "SiteEnv", "make_site", "parse_tree", "walk"]
 
@@ -77,17 +77,17 @@ def walk(*tops: str) -> list[tuple[str, str, ast.Module]]:
 
 @pytest.fixture(scope="session")
 def verify_pass():
-    """One ``python -m repro.verify`` pass per session (exploration,
-    mutations and the live replay of every explored trace, about 12 s):
-    ``(exit status, stdout, [(exploration, divergences)] per depth)``,
-    the last recorded from the CLI's own :func:`run_conformance` calls."""
-    replays = []
+    """One ``python -m repro.verify`` pass per session (the live replay
+    and judgement of every bounded schedule, then the mutant sweeps,
+    about 8 s): ``(exit status, stdout, [exploration per depth])``, the
+    last recorded from the CLI's own :func:`explore` calls."""
+    explorations = []
 
-    def recorded(exploration):
-        replays.append((exploration, run_conformance(exploration)))
-        return replays[-1][1]
+    def recorded(config):
+        explorations.append(explore(config))
+        return explorations[-1]
 
-    with mock.patch.object(verify_cli, "run_conformance", recorded), \
+    with mock.patch.object(verify_cli, "explore", recorded), \
             contextlib.redirect_stdout(io.StringIO()) as out:
         status = verify_cli.main([])
-    return status, out.getvalue(), replays
+    return status, out.getvalue(), explorations

@@ -89,6 +89,21 @@ def test_importing_repro_loads_no_signal_processing_or_statistics():
     assert out.strip() == "[]"
 
 
+def test_importing_chaos_loads_no_verifier():
+    """The chaos and fleet sweeps share the verifier's invariants, not
+    the verifier: ``import repro.chaos`` (T-WALL's ``campaign_durable``
+    does) loads ``repro.invariants`` but neither ``repro.verify`` nor the
+    ``unittest.mock`` its mutants are applied with."""
+    src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+    probe = ("import sys, repro.chaos; print(sorted(m for m in sys.modules "
+             "if m in ('repro.invariants', 'unittest.mock') "
+             "or m.startswith('repro.verify')))")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "['repro.invariants']"
+
+
 def test_no_library_module_imports_scipy():
     """scipy is a test oracle only: no ``import scipy`` or ``from scipy``
     anywhere under ``src/repro``, a function-local one included."""

@@ -19,6 +19,7 @@ from repro.chaos import (
     ChaosPlan,
     arm_plan,
     check_fleet_invariants,
+    check_invariants,
     make_plan,
 )
 from repro.coordinator import (
@@ -33,6 +34,7 @@ from repro.coordinator.state import (
     record_to_payload,
     transaction_name,
 )
+from repro.core.transaction import TransactionState
 from repro.grid import Grid
 from repro.most import ExperimentSession, MOSTConfig, build_most
 from repro.net import BreakerConfig, BreakerOpen, CircuitBreaker
@@ -446,24 +448,32 @@ class TestChaosCampaign:
 
     def test_each_per_run_rule_names_its_violation(self):
         """The rule body both sweeps share really fires: doctor a clean
-        three-step result four ways and read each violation back through
+        three-step result five ways and read each violation back through
         the fleet sweep (the chaos sweep reaches the same function —
         ``test_a_guarantee_has_one_gate``)."""
         from types import SimpleNamespace
 
         steps = [SimpleNamespace(step=n) for n in (1, 2, 3)]
         history = np.zeros((3, 1))
+        names = [transaction_name("r0", n, "uiuc") for n in range(4)]
 
         def result(**doctored):
             return SimpleNamespace(**{
-                "completed": True, "steps": steps, "degraded_steps": 0,
+                "run_id": "r0", "target_steps": 3, "completed": True,
+                "steps": steps, "degraded_steps": 0,
                 "displacement_history": lambda: history, **doctored})
 
-        def sweep(result, executed=4, solo=history):
+        def sweep(result, executed=4, solo=history, names=names):
+            server = SimpleNamespace(
+                metrics=lambda: {"executed": executed},
+                transactions={name: SimpleNamespace(
+                    name=name, state=TransactionState.EXECUTED)
+                    for name in names})
             outcome = SimpleNamespace(
                 tenant="t00", run_id="r0", result=result,
-                usage={"uiuc": {"executed": executed}},
-                resumed_from_step=0, duplicate_executes=lambda: 0)
+                lease=SimpleNamespace(sites=[
+                    SimpleNamespace(name="uiuc", server=server)]),
+                duplicate_executes=lambda: 0)
             return check_fleet_invariants([outcome], baselines={"r0": solo})
 
         assert sweep(result())["ok"]
@@ -473,7 +483,31 @@ class TestChaosCampaign:
                  "t00/r0: aborted at step 2 (outage)"),
                 (sweep(result(steps=steps[1:])), "not contiguous"),
                 (sweep(result(), executed=5),
-                 "site uiuc executed 5 transactions, expected 4"),
+                 "site uiuc ran 5 executions for 4 executed transactions"),
+                (sweep(result(), executed=5,
+                       names=[*names, names[2] + "-r1"]),
+                 "site uiuc executed 2 transactions named "
+                 "r0-step00002-uiuc"),
                 (sweep(result(), solo=history + 1e-12), "histories differ")):
             assert not verdict["ok"]
             assert any(said in line for line in verdict["violations"]), said
+
+    def test_a_double_execution_is_caught_on_an_aborted_run(self):
+        """At-most-once is judged on every run, not only a completed one:
+        with the server's dedupe ablated, a dropped execute reply's
+        retransmission re-runs the plugin, and the naive run then aborts
+        on a lost site — still a double execution."""
+        dep = build_most(MOSTConfig().scaled(30))
+        dep.start_backends()
+        dep.sites["uiuc"].server.at_most_once = False
+        dep.arm(ChaosEvent("drop_execute_reply", 3, "uiuc"))
+        dep.arm(ChaosEvent("outage", 6, "cu", duration=float("inf")))
+        coordinator = dep.make_coordinator(run_id="aborts",
+                                           fault_policy=NaiveFaultPolicy())
+        result = dep.kernel.run(until=dep.kernel.process(coordinator.run()))
+        dep.stop_observation()
+        verdict = check_invariants(result, dep)
+        assert result.aborted_at_step == 6
+        assert not verdict["checks"]["no_double_execute"]
+        assert "site uiuc ran 7 executions for 6 executed transactions" \
+            in verdict["violations"]

@@ -16,6 +16,12 @@ def referenced(pattern: str, *docs: str) -> set[str]:
     return found
 
 
+def protocol_section(number: int) -> str:
+    """PROTOCOL.md's section ``number``, heading to the next heading."""
+    text = (ROOT / "docs" / "PROTOCOL.md").read_text()
+    return text.split(f"\n## {number}. ")[1].split("\n## ")[0]
+
+
 class TestDocsConsistency:
     def test_every_referenced_bench_exists(self):
         names = referenced(r"bench_\w+\.py", "DESIGN.md", "EXPERIMENTS.md")
@@ -157,6 +163,52 @@ class TestDocsConsistency:
                 assert callable(test) and part.startswith("test_"), name
         staged = rows["RPR010"].split("(currently ")[1].split(")")[0]
         assert tuple(re.findall(r"`(repro\.\w+)`", staged)) == STAGED
+
+    def test_the_documented_invariants_are_the_predicates(self):
+        """PROTOCOL.md §10 lists exactly `repro.invariants`' predicates,
+        in their order."""
+        from repro.invariants import PREDICATES
+
+        assert re.findall(r"^\* \*\*([a-z-]+)\*\* — ", protocol_section(10),
+                          re.M) == list(PREDICATES)
+
+    def test_the_documented_counter_table_replays_live(self):
+        """PROTOCOL.md §10's counter table, the one statement of the
+        depth-0 single faults' server counters, generation and
+        reconcile actions: every row replayed live on the verifier's
+        rig matches it."""
+        from repro.verify.conformance import _replay
+        from repro.verify.explorer import (
+            SEQUENTIAL_KINDS,
+            VerifyConfig,
+            enumerate_schedules,
+        )
+
+        config = VerifyConfig(max_faults=1)
+        keys = ("proposed", "executed", "cancelled", "duplicate_proposals",
+                "duplicate_executes")
+        rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", protocol_section(10),
+                          re.M)
+        assert sorted(kind for kind, _ in rows) == sorted(SEQUENTIAL_KINDS)
+        for kind, cells in rows:
+            uiuc, cu, surrogate, generation, reconcile = cells.split(" | ")
+            [schedule] = [s for s in enumerate_schedules(config) if s and (
+                s[0].kind, s[0].step, s[0].site) == (kind, 2, "uiuc")]
+            evidence, coordinator = _replay(config, schedule)
+            served = evidence.surrogates.get("uiuc")
+            for cell, server in ((uiuc, evidence.servers["uiuc"]),
+                                 (cu, evidence.servers["cu"]),
+                                 (surrogate, served)):
+                if cell == "—":
+                    assert server is None, kind
+                    continue
+                counts = server.metrics()
+                assert [want == "–" or int(want) == counts[key] for want, key
+                        in zip(cell.split("/"), keys)] == [True] * 5, kind
+            assert coordinator.state.generation == int(generation), kind
+            report = coordinator.last_reconciliation
+            assert (", ".join(f"{a.site} {a.action}" for a in report.actions)
+                    if report else "—") == reconcile, kind
 
     @pytest.mark.parametrize("doc", ["docs/PROTOCOL.md",
                                      "docs/ARCHITECTURE.md"])
