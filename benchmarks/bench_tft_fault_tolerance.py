@@ -25,6 +25,7 @@ from repro.core.plugin import ControlPlugin
 from repro.grid import Grid
 from repro.structural import GroundMotion, StructuralModel
 from repro.testing import make_site
+from repro.verify.explorer import mutated
 
 from _report import write_report
 
@@ -42,11 +43,10 @@ class CountingPlugin(ControlPlugin):
         return {"displacements": {0: 0.0}, "forces": {0: 0.0}}
 
 
-def dedup_trial(drops: int, at_most_once: bool) -> int:
+def dedup_trial(drops: int) -> int:
     """Executions observed after ``drops`` lost replies + client retries."""
     plugin = CountingPlugin()
     env = make_site(plugin, timeout=1.0, retries=drops + 2)
-    env.server.at_most_once = at_most_once
 
     def go():
         yield from env.client.propose(
@@ -82,8 +82,9 @@ def bench_tft_fault_tolerance():
              f"    {'replies lost':>13}{'NTCP executions':>17}"
              f"{'ablated executions':>20}"]
     for drops in (1, 2, 3):
-        dedup = dedup_trial(drops, at_most_once=True)
-        ablated = dedup_trial(drops, at_most_once=False)
+        dedup = dedup_trial(drops)
+        with mutated("dedupe_execute"):  # at-least-once
+            ablated = dedup_trial(drops)
         lines.append(f"    {drops:>13}{dedup:>17}{ablated:>20}")
         assert dedup == 1
         assert ablated == drops + 1

@@ -156,7 +156,9 @@ def run_stepping_modes(n_steps: int = 60, n_variants: int = 8) -> dict:
     Variant 0 of the ensemble is the unscaled record, which must come out
     bit-exact against the sequential run (as must the whole pipelined
     history: speculation that mispredicts rolls back, so committed
-    physics never changes).
+    physics never changes).  The pipelined session's trace goes to
+    ``benchmarks/out/tperf_pipelined.trace.jsonl``, for the step report
+    CLI.
     """
     config = MOSTConfig().scaled(n_steps)
     base = build_simulation_only(config).motion
@@ -171,6 +173,8 @@ def run_stepping_modes(n_steps: int = 60, n_variants: int = 8) -> dict:
                                    simulation_only=True)
                  .with_pipeline()
                  .run())
+    pipelined.deployment.kernel.telemetry.export_jsonl(
+        OUT_DIR / "tperf_pipelined.trace.jsonl", experiment="tperf_pipelined")
     ensemble = (ExperimentSession(config, run_id="bench-ens",
                                   simulation_only=True)
                 .with_ensemble(variants)

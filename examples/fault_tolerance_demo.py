@@ -13,6 +13,8 @@ Shows the three layers that together produce the MOST §3.4 behaviour:
 Run:  python examples/fault_tolerance_demo.py
 """
 
+from contextlib import nullcontext
+
 import numpy as np
 
 from repro import (
@@ -26,6 +28,7 @@ from repro.coordinator import FaultTolerantFaultPolicy, NaiveFaultPolicy
 from repro.grid import Grid
 from repro.structural import BilinearSpring, PhysicalSpecimen
 from repro.structural.specimen import Actuator, Sensor
+from repro.verify.explorer import mutated
 
 
 def demo_at_most_once() -> None:
@@ -39,7 +42,6 @@ def demo_at_most_once() -> None:
         controller = ShoreWesternController({0: specimen})
         lab = grid.add_site("lab", ShoreWesternPlugin(controller),
                             latency=0.01)
-        lab.server.at_most_once = dedup
         handle = lab.handle
         client = grid.client(timeout=5.0, retries=3)
         faults = grid.faults
@@ -55,7 +57,10 @@ def demo_at_most_once() -> None:
                                                timeout=5.0)
             return result
 
-        grid.run(go())
+        # ablated: a duplicate execute re-runs the plugin (the verifier's
+        # dedupe_execute mutant)
+        with nullcontext() if dedup else mutated("dedupe_execute"):
+            grid.run(go())
         mode = "at-most-once (NTCP)" if dedup else "at-least-once (ablated)"
         print(f"    {mode}: specimen moved {len(specimen.history)} time(s), "
               f"{client.rpc.stats.retries} retransmission(s)")

@@ -146,7 +146,9 @@ def _check_run(evidence: Evidence, histories: list[tuple], *,
       this sweep's ``checks`` names;
     * with zero degraded steps a completed run is bit-exact: every
       ``(got, expected)`` pair of ``histories`` — this run's against the
-      clean ``versus`` run's, ``[]`` when there is none — is array-equal.
+      clean ``versus`` run's, ``[]`` when there is none — is array-equal;
+    * degraded-labeling against the failover manager's events (checked
+      ``degraded_labels``; holds trivially for a run without one).
 
     ``label`` prefixes each violation with the run it is about.
     """
@@ -167,6 +169,9 @@ def _check_run(evidence: Evidence, histories: list[tuple], *,
             violations.append(
                 f"{label}histories differ from the {versus} run despite "
                 f"zero degraded steps")
+    labels = judge(evidence, ["degraded-labeling"])
+    checks["degraded_labels"] = not labels
+    violations += [label + v.detail for v in labels]
     return checks, violations
 
 
@@ -174,9 +179,8 @@ def check_invariants(result, dep: MOSTDeployment, *, baseline=None,
                      failover=None) -> dict[str, Any]:
     """Judge one chaos run; returns verdicts plus a violations list.
 
-    The per-run rules (:func:`_check_run`) over the whole deployment —
-    its sites' real servers and any surrogate still serving — and, this
-    sweep's own, :mod:`repro.invariants`' degraded-labeling against the
+    The per-run rules (:func:`_check_run`) over the whole deployment:
+    its sites' real servers, any surrogate still serving, and the
     failover manager's events.
     """
     evidence = Evidence(
@@ -189,9 +193,6 @@ def check_invariants(result, dep: MOSTDeployment, *, baseline=None,
             (result.displacement_history(), baseline.displacement_history()),
             (result.force_history(), baseline.force_history())],
         expect_completion=True, label="", versus="baseline")
-    labels = judge(evidence, ["degraded-labeling"])
-    checks["degraded_labels"] = not labels
-    violations += [v.detail for v in labels]
     return {"checks": checks, "violations": violations,
             "ok": not violations,
             "duplicate_executes": sum(server.metrics()["duplicate_executes"]
@@ -367,9 +368,10 @@ def check_fleet_invariants(outcomes, *, baselines=None,
     deliveries); ``baselines`` maps ``run_id`` to a solo displacement history
     (:func:`~repro.fleet.scheduler.solo_displacement_history`).  Each
     outcome is judged by the per-run rules (:func:`_check_run`) over its
-    *lease*: at-most-once reads each leased site's server, whose
-    transactions of other runs the run's own names set apart, so it
-    holds for a degraded run and a redelivered one alike.
+    *lease* and its failover manager: at-most-once reads each leased
+    site's server, whose transactions of other runs the run's own names
+    set apart, so it holds for a degraded run and a redelivered one
+    alike; degraded-labeling reads the manager's events.
 
     ``fencing`` (a :class:`~repro.queue.fencing.FencingAuthority` or its
     ``report()`` dict) adds this sweep's own rule, the zombie sweep: **no
@@ -389,7 +391,8 @@ def check_fleet_invariants(outcomes, *, baselines=None,
         solo = (baselines or {}).get(outcome.run_id)
         by_run[run], found = _check_run(
             Evidence(result=result, servers={
-                site.name: site.server for site in outcome.lease.sites}),
+                site.name: site.server for site in outcome.lease.sites},
+                failover=outcome.failover),
             [] if solo is None else [(result.displacement_history(), solo)],
             expect_completion=expect_completion, label=f"{run}: ",
             versus="solo")

@@ -8,8 +8,8 @@ NTCP commands to send.  The coordinator also handles exceptions such as
 lost network connections or invalid responses."
 
 * :class:`~repro.coordinator.mspsds.SimulationCoordinator` — the MS-PSDS
-  stepping loop over NTCP: one INTEGRATE/COMMIT body under the
-  sequential and the pipelined loop, one abort exit, and
+  stepping loop over NTCP: one loop for sequential and pipelined
+  stepping (a predictor puts one step in flight), one abort exit, and
   :meth:`~repro.coordinator.mspsds.SimulationCoordinator.retire` — the
   only §7 cancel-and-rename (rejection hygiene, speculation rollback,
   failover and the resume drain all go through it);
@@ -38,7 +38,9 @@ lost network connections or invalid responses."
   force prediction; a coordinator given one steps pipelined
   (speculatively, one step ahead);
 * :class:`~repro.coordinator.ensemble.EnsembleCoordinator` — one
-  coordinator advancing N scenario variants per protocol cycle.
+  coordinator advancing N scenario variants per protocol cycle;
+* :class:`~repro.coordinator.realtime.RealTimeCoordinator` — the same
+  loop under a fixed period (paper §5), with stale-force prediction.
 """
 
 from repro.coordinator.fault_policy import (

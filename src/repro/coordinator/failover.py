@@ -182,7 +182,7 @@ class FailoverManager:
     @property
     def has_pending_readmissions(self) -> bool:
         """True when a recovered site waits to swap back at the next step
-        boundary.  The pipelined step loop checks this before speculating:
+        boundary.  The stepping loop checks this before speculating:
         speculation must drain first, so a step never splits its
         propose/execute across the surrogate and the readmitted site."""
         return bool(self._readmit_pending)

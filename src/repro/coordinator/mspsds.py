@@ -91,10 +91,10 @@ class _Abort(Exception):
 class _InFlightStep:
     """One step's propose+execute round, running as a background process.
 
-    The pipelined loop keeps at most two of these alive: the *verified*
-    step (its commanded displacement came from the committed integrator
-    state) and the *speculative* step issued one ahead of it from
-    predicted forces.  ``process`` is the kernel process
+    With a predictor the stepping loop keeps at most two of these alive:
+    the *verified* step (its commanded displacement came from the
+    committed integrator state) and the *speculative* step issued one
+    ahead of it from predicted forces.  ``process`` is the kernel process
     running :meth:`SimulationCoordinator._step_at_all_sites`; its value
     is the per-site force map.  The process is defused at creation —
     a speculation abandoned by rollback must never crash the kernel —
@@ -478,12 +478,15 @@ class SimulationCoordinator:
         span.end(ok=True)
         return results
 
-    def _attempt_with_policy(self, step: int, d_global: np.ndarray,
-                             ctx=None, *, initial_error=None):
-        """One step with fault-policy retries; returns (forces, attempts).
+    def _round(self, step: int, d_global: np.ndarray, ctx=None, *,
+               initial_error=None):
+        """One step's round under the fault policy; returns (forces,
+        attempts).
 
-        ``initial_error`` lets the pipelined loop feed in a failure from
-        an already-issued round (the in-flight step it was awaiting) so
+        The hook the stepping loop and :meth:`_initialize` await a step
+        through (:class:`~repro.coordinator.realtime.RealTimeCoordinator`
+        replaces it with a fixed-period tick).  ``initial_error`` feeds in
+        the failure of a round already issued in the background, so
         attempt #1 consults the policy instead of re-sending blindly.
         """
         attempt = 0
@@ -524,28 +527,32 @@ class SimulationCoordinator:
                 wait_span.end()
             exc = None
 
-    # -- pipelined stepping ---------------------------------------------------
+    # -- speculation ---------------------------------------------------------
     def _predicted_forces(self, d_cmd: np.ndarray) -> dict[str, dict]:
         """What the predictor expects every site to measure for ``d_cmd``."""
         return {site.name: self.predictor.predict(
                     site.name, self._site_targets(site, d_cmd))
                 for site in self.sites}
 
-    def _issue_step(self, step: int, d_cmd: np.ndarray, *,
-                    speculative: bool) -> _InFlightStep:
+    def _issue_step(self, step: int, d_cmd: np.ndarray,
+                    parent=None) -> _InFlightStep:
         """Launch one step's propose+execute round as a background process.
 
-        The round runs :meth:`_step_at_all_sites` without touching
+        ``parent`` is the step span of a verified round, which nests its
+        ``round`` span; a speculation has none (its step span opens only
+        once it is adopted), so its ``speculate`` span is a root.  The
+        round runs :meth:`_step_at_all_sites` without touching
         ``state.phase`` (the serialized machine must not claim to execute
         a step that is still speculative); the process is defused so an
         abandoned speculation's failure never crashes the kernel.
         """
         txns = self._step_names(step)
-        span_name = ("coordinator.step.speculate" if speculative
+        span_name = ("coordinator.step.speculate" if parent is None
                      else "coordinator.step.round")
 
         def round_runner():
-            span = self._tracer.start_span(span_name, step=step)
+            span = self._tracer.start_span(span_name, parent=parent,
+                                           step=step)
             try:
                 forces = yield from self._step_at_all_sites(
                     step, d_cmd, span, set_phase=False)
@@ -583,11 +590,39 @@ class SimulationCoordinator:
         d_hat = shadow.propose_next()
         if not np.all(np.isfinite(d_hat)):
             return None
-        spec = self._issue_step(step, d_hat, speculative=True)
+        spec = self._issue_step(step, d_hat)
         self.state.speculative = dict(spec.txns)
         self.state.speculative_step = step
         self._tm_spec_issued.inc()
         return spec
+
+    def _adopt(self, spec: _InFlightStep) -> bool:
+        """Judge a speculation once its predecessor has committed: adopt
+        it as the next in-flight step (a hit), or roll it back.
+
+        ``propose_next()`` both re-arms the integrator for the next
+        commit and yields the truth the speculation is judged against.
+        It is a pure function of committed state, so a rolled-back path
+        recomputing it at the next clean boundary gets the identical
+        command.
+        """
+        d_true = self.integrator.propose_next()
+        if spec.process.triggered and not spec.process.ok:
+            # The speculative round already died (site fault
+            # mid-speculation); never adopt a broken round.
+            self._rollback_speculation(spec, "fault")
+            return False
+        if not np.array_equal(d_true, spec.d):
+            self._rollback_speculation(spec, "mispredict")
+            return False
+        self._tm_spec_hits.inc()
+        self.state.pending = dict(spec.txns)
+        self.state.phase = PHASE_EXECUTE
+        # Adoption verifies the speculation: from here on it is an
+        # ordinary in-flight step a resume may harvest.
+        self.state.speculative = {}
+        self.state.speculative_step = 0
+        return True
 
     def _rollback_speculation(self, spec: _InFlightStep, reason: str) -> None:
         """:meth:`retire` a wrong (or fault-stranded) speculation.
@@ -608,96 +643,6 @@ class SimulationCoordinator:
             self._tm_spec_drains.inc()
         self.kernel.emit(f"coordinator.{self.run_id}", "pipeline.rolled_back",
                          step=spec.step, reason=reason)
-
-    def _run_pipelined(self, result: ExperimentResult):
-        """The overlapped stepping machine (run when a predictor is given).
-
-        Instead of waiting out each step's full round trip, the
-        coordinator issues step *n+1* speculatively (from predicted
-        forces) as soon as step *n* is on the wire, then verifies the
-        prediction when *n*'s measured forces arrive:
-
-        * **hit** — the speculative command equals what the committed
-          integrator produces; the speculation is *adopted* as the next
-          in-flight step, hiding its propose/execute latency entirely;
-        * **mispredict / fault** — the speculation is rolled back
-          (cancel + ``-s`` rename) and the step re-runs sequentially
-          from the committed state, so the committed history is the
-          sequential one regardless.
-        """
-        pending: _InFlightStep | None = None
-        while self.state.step <= self.state.target_steps:
-            step = self.state.step
-            if pending is None:
-                # Clean boundary — nothing in flight.  The only place
-                # recovered sites may swap back in: a readmission under
-                # a live speculation would split that step's
-                # propose/execute across two servers.
-                if self.failover is not None:
-                    self.failover.apply_readmissions(step)
-                d_next = self._integrate(step)
-                self.state.phase = PHASE_PROPOSE
-                pending = self._issue_step(step, d_next, speculative=False)
-                self.state.pending = dict(pending.txns)
-                # The replacement names for any rolled-back speculation
-                # of this step are now on the wire; the burned originals
-                # are dead garbage no resume needs to drain.
-                self.state.speculative = {}
-                self.state.speculative_step = 0
-            step_span = self._tracer.start_span("coordinator.step.pipelined",
-                                                run_id=self.run_id, step=step)
-            spec = None
-            if (step < self.state.target_steps
-                    and not (self.failover is not None
-                             and self.failover.has_pending_readmissions)):
-                spec = self._speculate(step + 1, pending)
-            self.state.phase = PHASE_EXECUTE
-            try:
-                forces = yield pending.process
-                attempts = 1
-            except (RpcError, ReproError) as exc:
-                # Drain the speculation *before* the sequential fallback:
-                # its retries may swap in a surrogate, and a speculative
-                # transaction must never straddle that swap.
-                if spec is not None:
-                    self._rollback_speculation(spec, "fault")
-                    spec = None
-                try:
-                    forces, attempts = yield from self._attempt_with_policy(
-                        step, pending.d, step_span, initial_error=exc)
-                except (RpcError, ReproError) as final:
-                    step_span.end(ok=False)
-                    raise _Abort(step, str(final)) from final
-            self._commit(result, step, pending.d, forces, attempts,
-                         pending.issued_at)
-            next_pending = None
-            if spec is not None:
-                # propose_next() both re-arms the integrator for the
-                # next commit and yields the truth the speculation is
-                # judged against.  It is a pure function of committed
-                # state, so a rolled-back path recomputing it at the
-                # top of the loop gets the identical command.
-                d_true = self.integrator.propose_next()
-                if spec.process.triggered and not spec.process.ok:
-                    # The speculative round already died (site fault
-                    # mid-speculation); never adopt a broken round.
-                    self._rollback_speculation(spec, "fault")
-                elif np.array_equal(d_true, spec.d):
-                    self._tm_spec_hits.inc()
-                    next_pending = spec
-                    self.state.pending = dict(spec.txns)
-                    self.state.phase = PHASE_EXECUTE
-                    # Adoption verifies the speculation: from here on it
-                    # is an ordinary in-flight step a resume may harvest.
-                    self.state.speculative = {}
-                    self.state.speculative_step = 0
-                else:
-                    self._rollback_speculation(spec, "mispredict")
-            step_span.end(ok=True, attempts=attempts,
-                          speculated=spec is not None,
-                          adopted=next_pending is not None)
-            pending = next_pending
-            yield from self._maybe_checkpoint(result, reason="policy")
 
     # -- checkpointing -------------------------------------------------------
     def _write_checkpoint(self, result: ExperimentResult, reason: str):
@@ -758,8 +703,7 @@ class SimulationCoordinator:
         self.state.phase = PHASE_PROPOSE
         self.state.pending = self._step_names(0)
         try:
-            forces0, _ = yield from self._attempt_with_policy(0, d0,
-                                                              init_span)
+            forces0, _ = yield from self._round(0, d0, init_span)
         except (RpcError, ReproError) as exc:
             init_span.end(ok=False)
             raise _Abort(0, f"initialization failed: {exc}") from exc
@@ -803,20 +747,26 @@ class SimulationCoordinator:
         self.state.pending = {}
         self.state.phase = PHASE_IDLE
 
-    def _integrate(self, step: int) -> np.ndarray:
-        """INTEGRATE: the next displacement command, or the abort.
+    def _integrate(self, step: int, step_span) -> np.ndarray:
+        """INTEGRATE, under its phase span: the next displacement command,
+        or the abort.
 
         Numerical divergence (e.g. an explicit integrator past its
         stability limit) ends the experiment, it does not crash the
         coordinator.
         """
         self.state.phase = PHASE_INTEGRATE
+        span = self._tracer.start_span("coordinator.step.integrate",
+                                       parent=step_span, step=step)
         try:
             d_next = self.integrator.propose_next()
             if not np.all(np.isfinite(d_next)):
                 raise FloatingPointError("non-finite displacement")
         except (ValueError, FloatingPointError) as exc:
+            span.end(ok=False)
+            step_span.end(ok=False)
             raise _Abort(step, f"integrator diverged: {exc}") from exc
+        span.end()
         return d_next
 
     def _commit(self, result: ExperimentResult, step: int, d: np.ndarray,
@@ -843,49 +793,89 @@ class SimulationCoordinator:
         self.state.step = step + 1
         return record
 
-    def _run_one_step(self, result: ExperimentResult):
-        """One full INTEGRATE → PROPOSE → EXECUTE → COMMIT cycle."""
-        step = self.state.step
-        wall_started = self.kernel.now
-        if self.failover is not None:
-            # Recovered sites re-enter only at step boundaries, so a step
-            # never splits its propose/execute across two servers.
-            self.failover.apply_readmissions(step)
-        # The step span and its contiguous phase children (integrate →
-        # propose → execute → commit, plus retry_wait on faults) are the
-        # paper's Figure-5 step-time breakdown: phase durations sum to
-        # the step's wall time on the sim clock.  Checkpoint spans live
-        # *outside* the step span for the same reason.
-        step_span = self._tracer.start_span("coordinator.step",
-                                            run_id=self.run_id, step=step)
-        integrate_span = self._tracer.start_span(
-            "coordinator.step.integrate", parent=step_span, step=step)
-        try:
-            d_next = self._integrate(step)
-        except _Abort:
-            integrate_span.end(ok=False)
-            step_span.end(ok=False)
-            raise
-        integrate_span.end()
-        self.state.phase = PHASE_PROPOSE
-        self.state.pending = self._step_names(step)
-        try:
-            forces, attempts = yield from self._attempt_with_policy(
-                step, d_next, step_span)
-        except (RpcError, ReproError) as exc:
-            step_span.end(ok=False)
-            raise _Abort(step, str(exc)) from exc
-        commit_span = self._tracer.start_span(
-            "coordinator.step.commit", parent=step_span, step=step)
-        record = self._commit(result, step, d_next, forces, attempts,
-                              wall_started)
-        commit_span.end()
-        if record.degraded:
-            step_span.end(ok=True, attempts=attempts,
-                          degraded=",".join(record.degraded))
-        else:
-            step_span.end(ok=True, attempts=attempts)
-        yield from self._maybe_checkpoint(result, reason="policy")
+    def _run_steps(self, result: ExperimentResult):
+        """The stepping loop: one committed step per iteration.
+
+        Without a predictor nothing is in flight between iterations: each
+        step is a clean boundary and its round runs inline, INTEGRATE →
+        PROPOSE → EXECUTE → COMMIT.  With one, the round runs in the
+        background and step *n+1* goes on the wire speculatively (from
+        predicted forces) while step *n* executes; once *n* commits, the
+        speculation is *adopted* as the next in-flight step if its
+        command is bit-exact with the committed integrator's, or rolled
+        back (cancel + ``-s`` rename), which makes the next iteration a
+        clean boundary again.  Either way the committed history is the
+        sequential one.
+        """
+        pending: _InFlightStep | None = None
+        while self.state.step <= self.state.target_steps:
+            step = self.state.step
+            if pending is None and self.failover is not None:
+                # Recovered sites re-enter only at a clean boundary, so a
+                # step never splits its propose/execute across two
+                # servers, not even under a live speculation.
+                self.failover.apply_readmissions(step)
+            # The step span and its contiguous phase children (integrate →
+            # propose → execute → commit, plus retry_wait on faults) are
+            # the paper's Figure-5 step-time breakdown: phase durations sum
+            # to the step's wall time on the sim clock.  Checkpoint spans
+            # live *outside* the step span for the same reason.
+            step_span = self._tracer.start_span("coordinator.step",
+                                                run_id=self.run_id, step=step)
+            if pending is None:
+                issued_at = self.kernel.now
+                d = self._integrate(step, step_span)
+                self.state.phase = PHASE_PROPOSE
+                self.state.pending = self._step_names(step)
+                if self.predictor is not None:
+                    pending = self._issue_step(step, d, step_span)
+                    # The replacement names for any rolled-back
+                    # speculation of this step are now on the wire; the
+                    # burned originals are dead garbage no resume needs
+                    # to drain.
+                    self.state.speculative = {}
+                    self.state.speculative_step = 0
+            else:
+                d, issued_at = pending.d, pending.issued_at
+            spec = None
+            if (pending is not None and step < self.state.target_steps
+                    and not (self.failover is not None
+                             and self.failover.has_pending_readmissions)):
+                spec = self._speculate(step + 1, pending)
+            try:
+                if pending is None:
+                    forces, attempts = yield from self._round(step, d,
+                                                              step_span)
+                else:
+                    self.state.phase = PHASE_EXECUTE
+                    try:
+                        forces, attempts = (yield pending.process), 1
+                    except (RpcError, ReproError) as exc:
+                        # Drain the speculation *before* the policy
+                        # fallback: its retries may swap in a surrogate,
+                        # and a speculative transaction must never
+                        # straddle that swap.
+                        if spec is not None:
+                            self._rollback_speculation(spec, "fault")
+                            spec = None
+                        forces, attempts = yield from self._round(
+                            step, d, step_span, initial_error=exc)
+            except (RpcError, ReproError) as exc:
+                step_span.end(ok=False)
+                raise _Abort(step, str(exc)) from exc
+            commit_span = self._tracer.start_span(
+                "coordinator.step.commit", parent=step_span, step=step)
+            record = self._commit(result, step, d, forces, attempts,
+                                  issued_at)
+            commit_span.end()
+            attrs = ({"degraded": ",".join(record.degraded)}
+                     if record.degraded else {})
+            if self.predictor is not None:
+                adopted = spec is not None and self._adopt(spec)
+                attrs.update(speculated=spec is not None, adopted=adopted)
+                pending = spec if adopted else None
+            step_span.end(ok=True, attempts=attempts, **attrs)
+            yield from self._maybe_checkpoint(result, reason="policy")
 
     # -- the experiment ------------------------------------------------------
     def run(self):
@@ -915,11 +905,7 @@ class SimulationCoordinator:
                                  steps=result.target_steps,
                                  sites=len(self.sites))
                 yield from self._initialize(result)
-            if self.predictor is not None:
-                yield from self._run_pipelined(result)
-            else:
-                while self.state.step <= self.state.target_steps:
-                    yield from self._run_one_step(result)
+            yield from self._run_steps(result)
         except _Abort as abort:
             # The one abort exit.  The best-effort final checkpoint
             # captures the in-flight step's pending transaction names, so

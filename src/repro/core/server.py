@@ -48,20 +48,11 @@ _TIMED_OUT = object()
 
 
 class NTCPServer(GridService):
-    """One site's NTCP service, parameterized by a control plugin.
+    """One site's NTCP service, parameterized by a control plugin."""
 
-    ``at_most_once=False`` disables execution deduplication — an ablation
-    switch for benchmarking the damage at-least-once semantics would do
-    (duplicate execute requests re-run the plugin, i.e. re-move hardware).
-    Production deployments must leave it on; it is the protocol property
-    the paper's retry story rests on.
-    """
-
-    def __init__(self, service_id: str, plugin: ControlPlugin, *,
-                 at_most_once: bool = True):
+    def __init__(self, service_id: str, plugin: ControlPlugin):
         super().__init__(service_id)
         self.plugin = plugin
-        self.at_most_once = at_most_once
         self.transactions: dict[str, Transaction] = {}
         self._completion_events: dict[str, Any] = {}
         self._counters: dict[str, Any] | None = None  # built on attach
@@ -194,6 +185,15 @@ class NTCPServer(GridService):
         return ProposalVerdict(transaction=txn.name, state=txn.state.value,
                                error=txn.error or None)
 
+    def _answer_duplicate(self, txn: Transaction, span):
+        """A duplicate execute of an executed transaction: the stored
+        outcome, the plugin untouched — the at-most-once property the
+        paper's retry story rests on (``repro.verify``'s
+        ``dedupe_execute`` mutant replaces it with a re-run)."""
+        assert txn.result is not None
+        span.end(state=txn.state.value, duplicate=True)
+        return txn.result.copy()
+
     def _op_execute(self, caller, transaction: str):
         """Execute an accepted transaction with at-most-once semantics.
 
@@ -209,14 +209,7 @@ class NTCPServer(GridService):
                                        transaction=transaction)
         if txn.state is TransactionState.EXECUTED:
             self._count("duplicate_executes")
-            assert txn.result is not None
-            if not self.at_most_once:
-                # Ablation: at-least-once semantics re-run the plugin.
-                txn.state = TransactionState.EXECUTING  # bypass the guard
-                self._publish(txn)
-                return self._run_plugin(txn, span)
-            span.end(state=txn.state.value, duplicate=True)
-            return txn.result.copy()
+            return self._answer_duplicate(txn, span)
         if txn.state is TransactionState.EXECUTING:
             self._count("duplicate_executes")
             return self._await_completion(txn, span)

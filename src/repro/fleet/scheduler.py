@@ -94,6 +94,8 @@ class TenantOutcome:
     attempt: int = 1
     #: committed steps carried in from the resumed checkpoint (0 = cold)
     resumed_from_step: int = 0
+    #: the run's failover manager (``None`` without ``degradation``)
+    failover: Any = None
 
     @property
     def tenant(self) -> str:
@@ -119,7 +121,8 @@ def drive_request(grid: "FleetGrid", lease: SiteLease,
                   submission: "QueueSubmission", *, client: Any,
                   store: CheckpointStoreBase | None,
                   resume_first: bool = False
-                  ) -> Generator[Any, Any, tuple[ExperimentResult, int]]:
+                  ) -> Generator[Any, Any,
+                                 tuple[ExperimentResult, int, Any]]:
     """Kernel process: run ``submission`` once on a granted ``lease``.
 
     Provisions a fresh substructure behind every leased NTCP server and
@@ -130,8 +133,11 @@ def drive_request(grid: "FleetGrid", lease: SiteLease,
     ``store`` is ``None`` for a run that keeps no checkpoints; acquiring
     and releasing the lease stay with the caller.
 
-    Returns ``(result, resumed_from_step)``: the incarnation's result and
-    the committed steps it carried in from ``store`` (0 = cold).
+    Returns ``(result, resumed_from_step, failover)``: the incarnation's
+    result, the committed steps it carried in from ``store`` (0 = cold),
+    and its :class:`~repro.coordinator.failover.FailoverManager` (``None``
+    without ``degradation``) — the evidence the degraded-labeling
+    invariant reads.
     """
     kernel = grid.kernel
     config = grid.config
@@ -174,7 +180,7 @@ def drive_request(grid: "FleetGrid", lease: SiteLease,
         state=state, prior_records=prior_records, failover=failover)
     result: ExperimentResult = yield kernel.process(
         coordinator.run(), name=f"fleet.{run_id}.run")
-    return result, len(prior_records)
+    return result, len(prior_records), failover
 
 
 def solo_displacement_history(submission: "QueueSubmission") -> Any:

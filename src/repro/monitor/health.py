@@ -91,10 +91,10 @@ def ntcp_health_probe(server) -> Probe:
     server's own counters, not a scan of every transaction it has ever
     seen: each transaction is counted ``proposed`` once and, on reaching
     a terminal state, exactly one of ``rejected`` / ``executed`` /
-    ``failed`` / ``cancelled``.  (The ``at_most_once=False`` ablation
-    breaks that — its redo counts ``executed`` again, so the difference
-    runs one low per redo; no health publisher is ever attached to an
-    ablated server.)
+    ``failed`` / ``cancelled``.  (The at-least-once redo of
+    ``repro.verify``'s ``dedupe_execute`` mutant breaks that — it counts
+    ``executed`` again, so the difference runs one low per redo; no
+    health publisher watches a mutated server.)
     """
     def probe() -> dict[str, Any]:
         metrics = server.metrics()

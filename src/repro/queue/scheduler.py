@@ -242,7 +242,7 @@ class DurableFleetScheduler:
                 self.checkpoint_stores.setdefault(
                     submission.run_id, InMemoryCheckpointStore()),
                 authority, self.epoch)
-        result, resumed_from_step = yield from drive_request(
+        result, resumed_from_step, failover = yield from drive_request(
             self.grid, lease, submission,
             client=FencedNTCPClient(tenant.ntcp, authority, self.epoch),
             store=store, resume_first=attempt > 1)
@@ -254,7 +254,8 @@ class DurableFleetScheduler:
         self.outcomes.append(TenantOutcome(
             request=submission, result=result, lease=lease,
             submitted_at=started_at, finished_at=self.kernel.now,
-            attempt=attempt, resumed_from_step=resumed_from_step))
+            attempt=attempt, resumed_from_step=resumed_from_step,
+            failover=failover))
 
     def _publish_loop(self) -> Generator[Any, Any, None]:
         """Refresh the queue-status SDE once a simulated minute."""

@@ -2,13 +2,15 @@
 
 The coordinator emits one ``coordinator.step`` span per MS-PSDS step with
 child spans for each phase (``integrate`` / ``propose`` / ``execute`` /
-``commit``, plus ``retry_wait`` when a fault policy back-off ran); a
-pipelined run emits ``coordinator.step.pipelined`` instead, whose
-propose/execute rounds overlap the neighbouring steps' and so carry a
-total and an attempt count but no phase split.  This module turns those
-spans — live from a :class:`TelemetryHub` or loaded
-back from a JSONL export — into the paper's Figure-5-style step-time
-decomposition table.
+``commit``, plus ``retry_wait`` when a fault policy back-off ran).  Both
+stepping modes run through one loop, so a pipelined step is the same span
+with ``speculated`` / ``adopted`` attrs: its propose/execute round runs in
+the background (a ``round`` child at a clean boundary, or the
+``speculate`` round issued during the step before), overlapping the
+neighbouring steps', so its row splits only integrate and commit and
+carries an attempt count.  This module turns those spans — live from a
+:class:`TelemetryHub` or loaded back from a JSONL export — into the
+paper's Figure-5-style step-time decomposition table.
 
 Usage::
 
@@ -30,14 +32,14 @@ from typing import Any
 from repro.util.errors import SchemaError
 
 STEP_SPAN = "coordinator.step"
-PIPELINED_STEP_SPAN = "coordinator.step.pipelined"
 PHASES = ("integrate", "propose", "execute", "commit", "retry_wait",
           "propose_execute")
 #: the contiguous phases of a clean barrier-mode step (their durations
 #: sum to the step wall time — asserted by the integration tests)
 CORE_PHASES = ("integrate", "propose", "execute", "commit")
-PIPELINED_NOTE = ("pipelined steps (those with attempts) have no phase "
-                  "split: their rounds overlap the next step's by design")
+PIPELINED_NOTE = ("pipelined steps (those with attempts) split only "
+                  "integrate and commit: their rounds overlap the "
+                  "neighbouring steps' by design")
 
 
 def _as_record(span: Any) -> dict[str, Any]:
@@ -47,21 +49,22 @@ def _as_record(span: Any) -> dict[str, Any]:
 def rows_by_span(records: list[dict[str, Any]]) -> dict[str, dict[str, Any]]:
     """``{span_id: row}`` for every finished step span, phases folded in.
 
-    A pipelined step's row also carries ``attempts``; its ``phases`` stay
-    empty unless a fault sent the step down the sequential fallback.
+    A pipelined step's row (its span has a ``speculated`` attr) also
+    carries ``attempts``; its ``phases`` hold no propose or execute unless
+    a fault sent the step down the fault-policy fallback.
     """
     steps: dict[str, dict[str, Any]] = {}
     for rec in records:
-        if (rec["name"] in (STEP_SPAN, PIPELINED_STEP_SPAN)
-                and rec.get("duration") is not None):
+        if rec["name"] == STEP_SPAN and rec.get("duration") is not None:
+            attrs = rec["attrs"]
             row = steps[rec["span_id"]] = {
-                "step": int(rec["attrs"].get("step", -1)),
-                "run_id": rec["attrs"].get("run_id", ""),
+                "step": int(attrs.get("step", -1)),
+                "run_id": attrs.get("run_id", ""),
                 "total": rec["duration"],
                 "phases": {},
             }
-            if rec["name"] == PIPELINED_STEP_SPAN:
-                row["attempts"] = int(rec["attrs"].get("attempts", 1))
+            if "speculated" in attrs:
+                row["attempts"] = int(attrs.get("attempts", 1))
     for rec in records:
         row = steps.get(rec.get("parent_id"))
         if row is None or rec.get("duration") is None:

@@ -22,7 +22,6 @@ nothing by passing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partialmethod
 from itertools import combinations, product
 from typing import NamedTuple
 from unittest import mock
@@ -32,12 +31,14 @@ from repro.coordinator.mspsds import SimulationCoordinator
 from repro.coordinator.reconcile import Reconciler
 from repro.core.client import NTCPClient
 from repro.core.server import NTCPServer
+from repro.core.transaction import TransactionState
 from repro.grid import ChaosEvent
 from repro.invariants import Violation, judge
 from repro.verify.conformance import OUTAGE_DURATION, SITES, _replay
 
 __all__ = ["FAULT_KINDS", "MUTANTS", "ExplorationResult", "TraceResult",
-           "VerifyConfig", "enumerate_schedules", "explore", "sweep"]
+           "VerifyConfig", "enumerate_schedules", "explore", "mutated",
+           "sweep"]
 
 #: kinds legal in sequential (pipeline_depth == 0) schedules, each keyed
 #: to one message point: a site's propose / execute reply lost once (the
@@ -154,6 +155,14 @@ def _misread_executed(get_transaction):
     return broken
 
 
+def _rerun_duplicate(_):
+    def broken(self, txn, span):
+        txn.state = TransactionState.EXECUTING  # bypass the guard
+        self._publish(txn)
+        return self._run_plugin(txn, span)
+    return broken
+
+
 def _keep_rolled_back_names(retire):
     def broken(self, step, site, *, rename=None):
         keep = rename is not None and rename.startswith("-s")
@@ -164,10 +173,9 @@ def _keep_rolled_back_names(retire):
 #: name -> (patched object, attribute, original -> broken replacement,
 #: the fault kinds whose single-fault schedules reach the break)
 MUTANTS = {
-    # §3: a duplicate execute re-runs the plugin (the server's ablation)
+    # §3: a duplicate execute re-runs the plugin (at-least-once)
     "dedupe_execute": (
-        NTCPServer, "__init__",
-        lambda init: partialmethod(init, at_most_once=False),
+        NTCPServer, "_answer_duplicate", _rerun_duplicate,
         ("drop_execute_reply", "dup_execute_request")),
     # §7: a cancelled name is re-proposed instead of its -r<gen> replacement
     "rename_after_cancel": (
@@ -190,15 +198,22 @@ MUTANTS = {
 }
 
 
+def mutated(name: str):
+    """The patch (a context manager) that breaks the live stack as
+    ``MUTANTS[name]`` says."""
+    target, attribute, breaks, _ = MUTANTS[name]
+    return mock.patch.object(target, attribute,
+                             breaks(getattr(target, attribute)))
+
+
 def sweep(mutant: str) -> list[tuple[tuple[ChaosEvent, ...], Violation]]:
     """Replay every single-fault schedule of a kind that reaches
     ``mutant`` (a :data:`MUTANTS` key), at each depth where the kind is
     legal, with the mutant's patch applied; returns every violation."""
-    target, attribute, breaks, kinds = MUTANTS[mutant]
+    kinds = MUTANTS[mutant][3]
     configs = [VerifyConfig(pipeline_depth=depth, max_faults=1)
                for depth in (0, 1)]
-    with mock.patch.object(target, attribute,
-                           breaks(getattr(target, attribute))):
+    with mutated(mutant):
         traces = [replay(config, schedule) for config in configs
                   for schedule in enumerate_schedules(config)
                   if schedule and schedule[0].kind in kinds]

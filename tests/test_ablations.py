@@ -26,6 +26,7 @@ from repro.structural import (
     StructuralModel,
 )
 from repro.structural.specimen import Actuator, Sensor
+from repro.verify.explorer import mutated
 
 from conftest import make_site
 
@@ -58,11 +59,10 @@ def hysteretic_specimen(seed=0):
 
 
 class TestAtMostOnceAblation:
-    def run_with_dropped_reply(self, at_most_once):
+    def run_with_dropped_reply(self):
         spec = hysteretic_specimen()
         plugin = CountingPlugin(spec)
         env = make_site(plugin, timeout=2.0, retries=3)
-        env.server.at_most_once = at_most_once
 
         def go():
             yield from env.client.propose(
@@ -78,7 +78,7 @@ class TestAtMostOnceAblation:
         return plugin, spec
 
     def test_dedup_on_executes_once(self):
-        plugin, spec = self.run_with_dropped_reply(at_most_once=True)
+        plugin, spec = self.run_with_dropped_reply()
         assert plugin.executions == 1
         assert len(spec.history) == 1
 
@@ -86,7 +86,8 @@ class TestAtMostOnceAblation:
         """At-least-once semantics: the retry physically re-runs the step —
         exactly the "danger of the same action being executed twice" NTCP
         was designed to remove."""
-        plugin, spec = self.run_with_dropped_reply(at_most_once=False)
+        with mutated("dedupe_execute"):
+            plugin, spec = self.run_with_dropped_reply()
         assert plugin.executions >= 2
         assert len(spec.history) >= 2
 

@@ -261,7 +261,11 @@ def test_a_run_is_handed_only_what_some_deployment_sets():
     predictor was given", surrogate failover owns the circuit breakers
     (failover without breakers, or breakers without failover, is not a
     configuration), and no option that no deployment sets comes back."""
-    from repro.coordinator import FailoverManager, SimulationCoordinator
+    from repro.coordinator import (
+        FailoverManager,
+        RealTimeCoordinator,
+        SimulationCoordinator,
+    )
     from repro.grid import Grid
     from repro.monitor import attach_monitoring
     from repro.most import ExperimentSession
@@ -281,6 +285,11 @@ def test_a_run_is_handed_only_what_some_deployment_sets():
         "integrator_factory=None, checkpoint_store=None, "
         "checkpoint_policy=None, state=None, prior_records=(), "
         "failover=None, predictor=None)")
+    # real time is that loop under a period: none of the options above
+    # passes through
+    assert spelt(RealTimeCoordinator.__init__) == (
+        "(self, *, run_id, client, model, motion, sites, period, "
+        "execution_timeout=None)")
     assert spelt(FailoverManager.__init__) == (
         "(self, *, container, specs, breakers, policy=None)")
     assert spelt(Grid.failover) == (

@@ -42,6 +42,7 @@ from repro.sim import Kernel
 from repro.structural import StructuralModel, el_centro_like
 from repro.telemetry import InMemorySink
 from repro.util.errors import ConfigurationError
+from repro.verify.explorer import mutated
 
 
 def run_degraded(config, *, fail_at_step=None,
@@ -453,7 +454,7 @@ class TestChaosCampaign:
         ``test_a_guarantee_has_one_gate``)."""
         from types import SimpleNamespace
 
-        steps = [SimpleNamespace(step=n) for n in (1, 2, 3)]
+        steps = [SimpleNamespace(step=n, degraded=()) for n in (1, 2, 3)]
         history = np.zeros((3, 1))
         names = [transaction_name("r0", n, "uiuc") for n in range(4)]
 
@@ -473,7 +474,7 @@ class TestChaosCampaign:
                 tenant="t00", run_id="r0", result=result,
                 lease=SimpleNamespace(sites=[
                     SimpleNamespace(name="uiuc", server=server)]),
-                duplicate_executes=lambda: 0)
+                failover=None, duplicate_executes=lambda: 0)
             return check_fleet_invariants([outcome], baselines={"r0": solo})
 
         assert sweep(result())["ok"]
@@ -499,12 +500,13 @@ class TestChaosCampaign:
         on a lost site — still a double execution."""
         dep = build_most(MOSTConfig().scaled(30))
         dep.start_backends()
-        dep.sites["uiuc"].server.at_most_once = False
         dep.arm(ChaosEvent("drop_execute_reply", 3, "uiuc"))
         dep.arm(ChaosEvent("outage", 6, "cu", duration=float("inf")))
         coordinator = dep.make_coordinator(run_id="aborts",
                                            fault_policy=NaiveFaultPolicy())
-        result = dep.kernel.run(until=dep.kernel.process(coordinator.run()))
+        with mutated("dedupe_execute"):
+            result = dep.kernel.run(
+                until=dep.kernel.process(coordinator.run()))
         dep.stop_observation()
         verdict = check_invariants(result, dep)
         assert result.aborted_at_step == 6

@@ -218,3 +218,19 @@ class TestDocsConsistency:
         text = (ROOT / doc).read_text()
         for gone in ("verify/v1", "--mutate", "--smoke", "verify-smoke"):
             assert gone not in text, gone
+
+    def test_the_t_wall_row_quotes_the_pinned_work_per_step(self):
+        """EXPERIMENTS.md's T-WALL row states the simulation-only run's
+        kernel entries and messages per step as
+        ``tests/test_work_budget.py`` measures and pins them, so the row
+        cannot go stale while the pins move."""
+        from test_work_budget import MOST_BARE_PER_STEP
+
+        [row] = [line for line in
+                 (ROOT / "EXPERIMENTS.md").read_text().splitlines()
+                 if line.startswith("| T-WALL |")]
+        quoted = re.search(r"is ([\d.]+) kernel entries and ([\d.]+) "
+                           r"messages per committed step", row)
+        assert quoted, "the T-WALL row names no per-step figures"
+        assert {"entries": float(quoted[1]), "messages": float(quoted[2])} \
+            == MOST_BARE_PER_STEP

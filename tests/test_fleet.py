@@ -15,6 +15,7 @@ import pytest
 
 import repro
 from repro.chaos import (
+    FleetOutage,
     arm_fleet_outages,
     check_fleet_invariants,
     make_fleet_outage_plan,
@@ -40,6 +41,7 @@ from repro.queue import (
 )
 from repro.sim import Kernel
 from repro.util.errors import ProtocolError
+from repro.verify.explorer import mutated
 
 
 def small_fleet(n_sites=4, **pool_kwargs):
@@ -395,6 +397,35 @@ class TestFleetUnderChaos:
         assert verdict["ok"], verdict["violations"]
         assert result.summary()["completed"] == 12
         assert result.completion_ratio() <= 2.0
+
+    @staticmethod
+    def degraded_campaign():
+        """One run whose second leased site dies for good at t=5 s: its
+        surrogate serves the rest of the run."""
+        grid, pool, registry = small_fleet(2)
+        arm_fleet_outages(grid, [FleetOutage("site-1", start=5.0,
+                                             duration=float("inf"))])
+        return run_campaign(grid, pool, registry, campaign_submissions(
+            1, 1, n_steps=10, degradation=True)).outcomes
+
+    def test_a_degraded_run_is_judged_by_its_failover_events(self):
+        [outcome] = self.degraded_campaign()
+        assert outcome.completed and outcome.result.degraded_steps > 0
+        verdict = check_fleet_invariants([outcome])
+        assert verdict["ok"], verdict["violations"]
+        assert verdict["by_run"]["t00/t00-r0"]["degraded_labels"]
+
+    def test_unlabelled_degraded_steps_fail_the_fleet_sweep(self):
+        """The ``label_degraded`` mutant commits surrogate-served steps
+        unlabelled; the run's failover manager is the evidence that
+        catches it."""
+        with mutated("label_degraded"):
+            outcomes = self.degraded_campaign()
+        verdict = check_fleet_invariants(outcomes)
+        assert not verdict["ok"]
+        assert not verdict["by_run"]["t00/t00-r0"]["degraded_labels"]
+        assert any("degraded labels disagree" in line
+                   for line in verdict["violations"])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """NTCP protocol tests: Figure 1 state machine, negotiation, at-most-once."""
 
 import inspect
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from repro.sim import Kernel
 from repro.structural import LinearSubstructure
 from repro.telemetry import InMemorySink
 from repro.util.errors import PolicyViolation, ProtocolError
+from repro.verify.explorer import mutated
 
 from conftest import make_site
 
@@ -562,11 +564,11 @@ class TestServiceData:
         assert env.server.service_data.value("plugin") == "simulation"
 
     def test_remote_reader_follows_an_at_least_once_redo(self):
-        """The ``at_most_once=False`` redo is a state change like any
-        other: published, so the SDE a remote reader is served says what
-        ``getTransaction`` says — before, during and after."""
+        """The at-least-once redo (the ``dedupe_execute`` mutant) is a
+        state change like any other: published, so the SDE a remote
+        reader is served says what ``getTransaction`` says — before,
+        during and after."""
         env = make_site(linear_plugin(compute_time=2.0))
-        env.server.at_most_once = False
         rpc = env.client.rpc
 
         def read():
@@ -592,8 +594,9 @@ class TestServiceData:
             seen.append((yield from read()))
             return seen
 
-        assert env.run(go()) == [(4, "executed"), (5, "executing"),
-                                 (6, "executed")]
+        with mutated("dedupe_execute"):
+            seen = env.run(go())
+        assert seen == [(4, "executed"), (5, "executing"), (6, "executed")]
         assert env.server.plugin.steps_executed == 2
 
 
@@ -685,12 +688,13 @@ class TestServiceDataView:
                     None, "ntcp", "user", port, sde_name=args[0],
                     lifetime=args[1]))
             else:
-                if kind == "execute":
-                    server.at_most_once = args[1]
                 params = ({"transaction": args[0]} if kind != "propose" else
                           {"proposal": Proposal(args[0], (Action("x"),))
                            .to_dict()})
-                result = container._op_invoke(None, "ntcp", kind, params)
+                # an execute drawn False answers a duplicate at least once
+                with (mutated("dedupe_execute")
+                      if kind == "execute" and not args[1] else nullcontext()):
+                    result = container._op_invoke(None, "ntcp", kind, params)
                 if inspect.isgenerator(result):
                     kernel.process(TestServiceDataView.settle(result, seen))
                 else:

@@ -74,6 +74,29 @@ class TestCleanPipeline:
         assert [r["step"] for r in rows] == list(range(30))
         assert all(r["attempts"] == 1 and r["total"] > 0 for r in rows[1:])
 
+    def test_a_clean_pipelined_step_has_the_sequential_phases(self):
+        """One loop, one span tree: at a clean boundary (step 1, nothing
+        in flight) a pipelined step holds the phases a sequential step
+        does; only its propose/execute nest one level down, in the
+        background round."""
+
+        def phases(outcome, step):
+            spans = outcome.deployment.kernel.telemetry.spans()
+            [root] = [s for s in spans if s.name == "coordinator.step"
+                      and s.attrs["step"] == step]
+            parents = {root.span_id} | {
+                s.span_id for s in spans if s.parent_id == root.span_id
+                and s.name == "coordinator.step.round"}
+            return sorted(s.name for s in spans if s.parent_id in parents
+                          and s.name != "coordinator.step.round")
+
+        seq = phases(session("phases-seq", n_steps=5).run(), 1)
+        pipe = phases(session("phases-pipe", n_steps=5).with_pipeline().run(),
+                      1)
+        assert seq == pipe == sorted(
+            f"coordinator.step.{phase}"
+            for phase in ("integrate", "propose", "execute", "commit"))
+
 
 class _PerturbedPredictor:
     """Wraps the exact predictor and spoils every force it predicts."""
@@ -243,12 +266,18 @@ TRACE_SHAPES = {
     "sequential": dict(events=2099, sent=480, series=62, sha=_SOLO_SHA,
                        schedule=_SEQUENTIAL_SCHEDULE,
                        spans=_SEQUENTIAL_SPANS),
+    # ``spans`` and ``schedule`` re-recorded once, alone, when the two
+    # stepping loops became one: every step is a ``coordinator.step`` (a
+    # pipelined one had a span name of its own), and a pipelined step
+    # gained the integrate (clean boundary only) and commit phases a
+    # sequential one has.  ``events``, ``sent`` and ``sha`` did not move.
     "pipelined": dict(events=2136, sent=480, series=62, sha=_SOLO_SHA,
-                      schedule="2db6206cc6872944314fd79a268de907"
-                               "68e0c82dbc5592ad97571cd5226aa490",
-                      spans={"coordinator.step": 1,
+                      schedule="d3bf67ef60c8d523351d2647070970f1"
+                               "1daeaf6e1582a706307f8d20c8572e40",
+                      spans={"coordinator.step": 40,
+                             "coordinator.step.commit": 39,
                              "coordinator.step.execute": 40,
-                             "coordinator.step.pipelined": 39,
+                             "coordinator.step.integrate": 1,
                              "coordinator.step.propose": 40,
                              "coordinator.step.round": 1,
                              "coordinator.step.speculate": 38, **_RPC_SPANS}),

@@ -129,3 +129,60 @@ class TestRealTimeCoordinator:
         with pytest.raises(ConfigurationError, match="cover"):
             RealTimeCoordinator(run_id="rt", client=client, model=two_dof,
                                 motion=motion, sites=sites, period=0.1)
+
+    def test_a_diverging_integrator_aborts_the_run(self):
+        """Real time inherits the base loop's INTEGRATE: a site far past
+        the central-difference stability limit (omega * dt = 200) ends
+        the run aborted, not integrating non-finite commands."""
+        grid = Grid.star()
+        grid.add_simulation_sites({"a": 1e8}, latency=0.005,
+                                  compute_time=0.01)
+        rt = RealTimeCoordinator(
+            run_id="rt", client=grid.client(timeout=100.0, retries=0),
+            model=StructuralModel(mass=[[1.0]], stiffness=[[1e8]]),
+            motion=GroundMotion(dt=0.02,
+                                accel=np.sin(np.arange(120) * 0.1)),
+            sites=grid.bindings(), period=0.5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = grid.run(rt.run())
+        assert not result.completed
+        assert result.aborted_reason.startswith("integrator diverged")
+        assert result.steps_completed == result.aborted_at_step - 1
+
+
+def trt_build():
+    """The T-RT rig (``benchmarks/bench_trt_realtime.py``): two simulated
+    sites answering in 80 ms, 150 steps of a 20 ms record."""
+    grid = Grid.star()
+    grid.add_simulation_sites({"a": 60.0, "b": 40.0}, latency=0.005,
+                              compute_time=0.08)
+    return grid, dict(
+        client=grid.client(timeout=100.0, retries=0),
+        model=StructuralModel(mass=[[2.0]], stiffness=[[100.0]],
+                              damping=[[1.0]]),
+        motion=GroundMotion(dt=0.02, accel=np.sin(np.arange(150) * 0.1)),
+        sites=grid.bindings())
+
+
+#: period -> (predicted %, skipped dispatches, rms error / peak), the
+#: T-RT table's rows to 3 decimals (the bench prints % to 0 decimals)
+TRT_ROWS = {0.5: (0.0, 0, 0.0), 0.2: (0.0, 0, 0.0),
+            0.1: (20.134, 60, 0.092), 0.05: (63.758, 188, 0.609),
+            0.02: (83.893, 248, 54.619)}
+
+
+def test_trt_table_is_pinned():
+    grid, rig_args = trt_build()
+    d_ref = grid.run(SimulationCoordinator(
+        run_id="ref", **rig_args).run()).displacement_history().ravel()
+    scale = float(np.max(np.abs(d_ref)))
+    rows = {}
+    for period in TRT_ROWS:
+        grid, rig_args = trt_build()
+        rt = RealTimeCoordinator(run_id="rt", period=period, **rig_args)
+        d = grid.run(rt.run()).displacement_history().ravel()
+        n = min(len(d), len(d_ref))
+        rms = float(np.sqrt(np.mean((d[:n] - d_ref[:n]) ** 2))) / scale
+        rows[period] = (round(100 * rt.stats.prediction_fraction, 3),
+                        rt.stats.skipped_dispatches, round(rms, 3))
+    assert rows == TRT_ROWS

@@ -90,6 +90,14 @@ RECORDS_BUILT_BUDGET = 286
 SPAN_TREE_SHA = ("6ff1d08bdb74a043ed2eba5db30efa33"
                  "ac0b40b6624bfb1e69017686e18eeb59")
 
+#: kernel entries and network messages per committed step of the
+#: paper-seed 1,500-step simulation-only MOST run, to two decimals: T-WALL
+#: ``most_bare``'s ``sim.events_per_step`` and ``net.messages_per_step``
+#: (deterministic counts), which EXPERIMENTS.md's T-WALL row quotes
+#: (``test_docs_consistency.py`` holds the row to these).  A change that
+#: moves a count re-pins it here and rewrites the row.
+MOST_BARE_PER_STEP = {"entries": 52.27, "messages": 12.01}
+
 #: bytes a 300-step simulation-only run keeps per finished span, by
 #: tracemalloc: 375 when the tracer kept each ``Span`` object with its
 #: ``attrs`` dict and its id string; 136.7 measured as a row (Python
@@ -272,6 +280,25 @@ def traced_store():
     finally:
         tracemalloc.stop()
     return outcome, tracer, spans, large, freed
+
+
+def test_the_full_record_costs_its_pinned_work_per_step():
+    """The T-WALL ``most_bare`` run (motion seed 2003, network seed 730)
+    counted as the runner counts it: metric totals over committed
+    steps."""
+    outcome = ExperimentSession(MOSTConfig(motion_seed=2003,
+                                           network_seed=730),
+                                simulation_only=True).run()
+    hub = outcome.deployment.kernel.telemetry
+
+    def per_step(name):
+        return round(sum(record["value"] for record in hub.metrics_snapshot()
+                         if record["name"] == name)
+                     / outcome.steps_completed, 2)
+
+    assert outcome.steps_completed == 1499
+    assert {"entries": per_step("sim.kernel.events"),
+            "messages": per_step("net.network.sent")} == MOST_BARE_PER_STEP
 
 
 def test_a_finished_span_is_kept_in_few_bytes(traced_store):
