@@ -6,8 +6,8 @@ a comment, not blank, and not part of a docstring (a string literal that
 is a whole statement).  Counting by tokenizer, not by ``wc -l``, keeps
 the figure honest when a PR trades docstrings for code or the reverse.
 
-Prints one total per top-level directory (``src``, ``scripts``,
-``benchmarks`` by default) and the grand total; ``benchmarks/twall/`` is
+Prints one total per argument, a directory or a single file (``src``,
+``scripts``, ``benchmarks`` by default) and the grand total; ``benchmarks/twall/`` is
 excluded because no PR may edit it.  With ``--files``, also prints every
 file's count.  With ``--against REV``, prints the code-line delta versus
 a git revision instead — every file whose count moved, then each
@@ -15,7 +15,7 @@ directory and the total as ``before -> after (delta)`` — reading the
 revision's blobs with ``git show`` (no checkout): the size report a
 simplicity PR owes, in one command.
 
-Run:  python scripts/loc.py [--files] [--against REV] [DIR ...]
+Run:  python scripts/loc.py [--files] [--against REV] [DIR|FILE ...]
       (or ``make loc``, ``make loc AGAINST=HEAD~1``)
 """
 
@@ -56,9 +56,11 @@ def _counted(path: str) -> bool:
 
 
 def tree_counts(name: str) -> dict[str, int]:
-    """``{repo-relative path: code lines}`` of the working tree's ``name/``."""
+    """``{repo-relative path: code lines}`` of the working tree's ``name``:
+    the file itself, or every ``.py`` file under the directory."""
+    top = ROOT / name
     paths = sorted(p.relative_to(ROOT).as_posix()
-                   for p in (ROOT / name).rglob("*.py"))
+                   for p in ([top] if top.is_file() else top.rglob("*.py")))
     return {p: code_lines((ROOT / p).read_bytes())
             for p in paths if _counted(p)}
 
@@ -89,13 +91,14 @@ def main(argv: list[str]) -> int:
     grand = grand_before = 0
     for name in dirs:
         counts = tree_counts(name)
+        label = name if (ROOT / name).is_file() else f"{name}/"
         total = sum(counts.values())
         grand += total
         if against is None:
             if per_file:
                 for path, n in counts.items():
                     print(f"{n:7d}  {path}")
-            print(f"{total:7d}  {name}/  ({len(counts)} files)")
+            print(f"{total:7d}  {label}  ({len(counts)} files)")
             continue
         before = rev_counts(against, name)
         for path in sorted(set(before) | set(counts)):
@@ -104,7 +107,7 @@ def main(argv: list[str]) -> int:
                 print(f"{now - was:+7d}  {path}  ({was} -> {now})")
         was = sum(before.values())
         grand_before += was
-        print(f"{total - was:+7d}  {name}/  ({was} -> {total})")
+        print(f"{total - was:+7d}  {label}  ({was} -> {total})")
     if against is None:
         print(f"{grand:7d}  total")
     else:

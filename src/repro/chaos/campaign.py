@@ -1,4 +1,5 @@
-"""Seeded chaos campaigns over the full MOST assembly.
+"""Seeded chaos campaigns over the full MOST assembly, and the one replay
+every fault schedule runs through.
 
 A campaign turns the paper's anecdotal fault history ("several network
 interruptions ... a longer network failure at step 1493") into a
@@ -6,7 +7,16 @@ systematic robustness probe: a seeded RNG composes a randomized — but
 fully deterministic — schedule of network and site faults over a real
 :func:`~repro.most.assembly.build_most` deployment, runs the experiment
 under a fault-tolerant coordinator (optionally with circuit breakers and
-surrogate failover), and checks protocol invariants after every run.
+surrogate failover), and judges every run.
+
+:func:`replay` is the one fault driver: it arms a schedule of
+:class:`~repro.grid.ChaosEvent` on a deployment, runs the coordinator
+(resuming from the checkpoint when a ``crash_*`` event aborts the first
+incarnation) and collects the run's :class:`~repro.invariants.Evidence`
+with :func:`evidence_of`.  A chaos run is its replay of a seeded plan on
+MOST, the clean baseline the empty schedule's, and the protocol
+verifier's bounded schedules are its replays on the verifier's two-site
+rig (``repro.verify.explorer._Rig``).
 
 Determinism contract: the RNG is consumed **only** while building the
 :class:`ChaosPlan`.  Execution is driven entirely by the simulation
@@ -15,35 +25,32 @@ yields the same fault schedule, the same alerts at the same sim times,
 and the same invariant verdicts — a failing seed is a reproducible bug
 report, not a flake.
 
-Invariants checked per run (:func:`check_invariants`), each stated once
-in :mod:`repro.invariants` and read off the run's own evidence:
-
-* the run completed (or, for naive-policy control runs, aborted where
-  expected);
-* the committed step sequence is contiguous and strictly monotone;
-* no transaction was physically executed twice — every duplicate
-  execute request was absorbed by NTCP's at-most-once idempotency (each
-  server's executions equal its executed transactions, and no site
-  executed two names of one step), on an aborted run as on a completed
-  one;
-* with no degradation, displacement/force histories are **bit-exact**
-  (``np.array_equal``) against a clean same-config baseline;
-* degraded step labels exactly track the failover/readmission windows.
+Each run is judged (:func:`check_invariants`) by every predicate of
+:mod:`repro.invariants` over its own evidence — completion, monotone
+commits, at-most-once, name reuse, orphaned names, command freshness and
+degraded labeling — and, with no degradation, by bit-exactness: its
+displacement/force histories equal (``np.array_equal``) a clean
+same-config baseline's.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Any
 
 import numpy as np
 
-from repro.coordinator import FaultTolerantFaultPolicy
+from repro.coordinator import NaiveFaultPolicy, load_resume
 from repro.grid import ChaosEvent
-from repro.invariants import Evidence, judge
-from repro.most.assembly import MOSTDeployment, build_most
+from repro.invariants import PREDICATES, Evidence, Violation, judge
+from repro.most.assembly import build_most
 from repro.most.config import MOSTConfig
 from repro.most.session import default_fail_step, default_most_fault_policy
+from repro.repository.checkpoint import (
+    CheckpointPolicy,
+    InMemoryCheckpointStore,
+)
 from repro.util.errors import ConfigurationError
 
 #: fault vocabulary a plan draws from, all site-targeted.  The per-event
@@ -67,13 +74,22 @@ class ChaosPlan:
     fatal_site: str = ""
     fatal_step: int = 0
 
+    @property
+    def schedule(self) -> tuple[ChaosEvent, ...]:
+        """The events :func:`replay` arms: ``events``, then the fatal
+        outage as a permanent ``outage``."""
+        if not self.fatal_site:
+            return self.events
+        return (*self.events, ChaosEvent(
+            kind="outage", step=self.fatal_step, site=self.fatal_site,
+            duration=float("inf")))
+
     def describe(self) -> list[dict[str, Any]]:
-        """JSON-friendly schedule (bench output, cross-run comparison)."""
-        rows = [asdict(e) for e in self.events]
+        """JSON-friendly schedule (bench output, cross-run comparison),
+        the fatal outage's kind spelt ``fatal_outage``."""
+        rows = [asdict(e) for e in self.schedule]
         if self.fatal_site:
-            rows.append(asdict(ChaosEvent(
-                kind="fatal_outage", step=self.fatal_step,
-                site=self.fatal_site, duration=float("inf"))))
+            rows[-1]["kind"] = "fatal_outage"
         return rows
 
 
@@ -125,74 +141,116 @@ def make_plan(seed: int, config: MOSTConfig, *, n_events: int = 5,
                      fatal_site=fatal_site, fatal_step=fatal_step)
 
 
-def arm_plan(dep: MOSTDeployment, plan: ChaosPlan) -> None:
-    """Arm every event of ``plan`` on a freshly built deployment (see
-    :meth:`~repro.grid.Grid.arm`, which refuses a bad event before the
-    run)."""
-    for event in plan.events:
-        dep.arm(event)
-    if plan.fatal_site:
-        dep.arm(ChaosEvent(kind="outage", step=plan.fatal_step,
-                           site=plan.fatal_site, duration=float("inf")))
+def evidence_of(grid, coordinator, result) -> Evidence:
+    """What ``coordinator``'s run (``result``) left behind on ``grid``,
+    for the predicates to judge: the sites' servers, the coordinator's
+    failover manager (and so its surrogates), its final name for every
+    step at every site, each site's DOFs, and the servers'
+    ``core.server.propose`` spans."""
+    return Evidence(
+        result=result,
+        servers={name: site.server for name, site in grid.sites.items()},
+        failover=coordinator.failover,
+        names={step: coordinator._step_names(step)
+               for step in range(result.target_steps + 1)},
+        dofs={site.name: site.dof_indices for site in coordinator.sites},
+        proposals=grid.kernel.telemetry.tracer.spans("core.server.propose"))
+
+
+def replay(deployment, schedule, *, run_id: str, failover: bool = False,
+           watch=None) -> tuple[Evidence, Any]:
+    """Run ``schedule`` on ``deployment``; returns the run's evidence
+    (:func:`evidence_of`) and its last coordinator.
+
+    ``deployment`` is a :class:`~repro.grid.Grid` with a
+    ``make_coordinator(run_id=..., **options)``: MOST's
+    :class:`~repro.most.assembly.MOSTDeployment` or the verifier's rig.
+    With ``failover`` the deployment's ``make_failover()`` builds the
+    run's breakers and surrogates first.  Every event is then armed up
+    front (:meth:`~repro.grid.Grid.arm` refuses a bad one before the
+    run), and the coordinator runs under
+    :func:`~repro.most.session.default_most_fault_policy`; ``watch`` is
+    called with the coordinator before it runs.
+
+    A ``crash_*`` event instead runs incarnation 1 under the
+    abort-on-first-failure policy into the armed fault (the verb's
+    replies die and the link goes down), leaving an abort-time
+    checkpoint; the link is then restored and incarnation 2 resumes from
+    the checkpoint on the same grid, reconciling per PROTOCOL.md §7.
+    """
+    manager = deployment.make_failover() if failover else None
+    for event in schedule:
+        deployment.arm(event)
+    crash = next((event for event in schedule
+                  if event.kind.startswith("crash_")), None)
+    options = {"run_id": run_id, "failover": manager}
+    if crash is None:
+        options["fault_policy"] = default_most_fault_policy()
+    else:
+        store = InMemoryCheckpointStore()
+        options.update(fault_policy=NaiveFaultPolicy(),
+                       checkpoint_store=store,
+                       checkpoint_policy=CheckpointPolicy(every_n_steps=0))
+        if deployment.run(deployment.make_coordinator(**options).run()) \
+                .completed:
+            raise ConfigurationError(
+                f"crash replay at step {crash.step} did not abort")
+        deployment.network.set_link_state(deployment.hub, crash.site,
+                                          up=True)
+        options["state"], options["prior_records"] = deployment.run(
+            load_resume(store, run_id))
+    coordinator = deployment.make_coordinator(**options)
+    if watch is not None:
+        watch(coordinator)
+    result = deployment.run(coordinator.run())
+    return evidence_of(deployment, coordinator, result), coordinator
 
 
 def _check_run(evidence: Evidence, histories: list[tuple], *,
-               expect_completion: bool, label: str,
+               expect_completion: bool,
                versus: str) -> tuple[dict[str, bool], list[str]]:
     """The per-run rules, once, under both sweeps: (checks, violations).
 
-    * :mod:`repro.invariants`' completion (when ``expect_completion``),
-      monotone-commits and at-most-once, judged over ``evidence``, under
-      this sweep's ``checks`` names;
-    * with zero degraded steps a completed run is bit-exact: every
-      ``(got, expected)`` pair of ``histories`` — this run's against the
-      clean ``versus`` run's, ``[]`` when there is none — is array-equal;
-    * degraded-labeling against the failover manager's events (checked
-      ``degraded_labels``; holds trivially for a run without one).
-
-    ``label`` prefixes each violation with the run it is about.
+    Every predicate of :mod:`repro.invariants` over ``evidence``
+    (``completion`` only when ``expect_completion``), and beside them
+    bit-exactness: with zero degraded steps a completed run's every
+    ``(got, expected)`` pair of ``histories`` — this run's against the
+    clean ``versus`` run's, ``[]`` when there is none — is array-equal.
+    ``checks`` maps each rule's key to whether it held.
     """
     keys = {"completion": "completed",
             "monotone-commits": "commit_sequence_monotone",
-            "at-most-once": "no_double_execute"}
-    found = judge(evidence, [name for name in keys
+            "at-most-once": "no_double_execute",
+            "name-reuse": "no_name_reuse",
+            "orphaned-names": "no_orphaned_names",
+            "command-freshness": "commands_fresh",
+            "degraded-labeling": "degraded_labels"}
+    found = judge(evidence, [name for name in PREDICATES
                              if expect_completion or name != "completion"])
-    checks = {key: not any(v.invariant == name for v in found)
-              for name, key in keys.items()}
-    violations = [label + v.detail for v in found]
     result = evidence.result
     if histories and result.completed and result.degraded_steps == 0:
-        exact = all(np.array_equal(got, expected)
-                    for got, expected in histories)
-        checks[f"bit_exact_vs_{versus}"] = exact
-        if not exact:
-            violations.append(
-                f"{label}histories differ from the {versus} run despite "
-                f"zero degraded steps")
-    labels = judge(evidence, ["degraded-labeling"])
-    checks["degraded_labels"] = not labels
-    violations += [label + v.detail for v in labels]
-    return checks, violations
+        keys["bit-exact"] = f"bit_exact_vs_{versus}"
+        if not all(np.array_equal(got, expected)
+                   for got, expected in histories):
+            found.append(Violation(
+                "bit-exact", f"histories differ from the {versus} run "
+                             f"despite zero degraded steps"))
+    checks = {key: not any(v.invariant == name for v in found)
+              for name, key in keys.items()}
+    return checks, [v.detail for v in found]
 
 
-def check_invariants(result, dep: MOSTDeployment, *, baseline=None,
-                     failover=None) -> dict[str, Any]:
-    """Judge one chaos run; returns verdicts plus a violations list.
-
-    The per-run rules (:func:`_check_run`) over the whole deployment:
-    its sites' real servers, any surrogate still serving, and the
-    failover manager's events.
-    """
-    evidence = Evidence(
-        result=result,
-        servers={name: site.server for name, site in dep.sites.items()},
-        failover=failover)
+def check_invariants(evidence: Evidence, *, baseline=None) -> dict[str, Any]:
+    """Judge one chaos run's evidence by the per-run rules
+    (:func:`_check_run`), bit-exact against ``baseline``'s result when
+    one is given; returns verdicts plus a violations list."""
+    result = evidence.result
     checks, violations = _check_run(
         evidence,
         [] if baseline is None else [
             (result.displacement_history(), baseline.displacement_history()),
             (result.force_history(), baseline.force_history())],
-        expect_completion=True, label="", versus="baseline")
+        expect_completion=True, versus="baseline")
     return {"checks": checks, "violations": violations,
             "ok": not violations,
             "duplicate_executes": sum(server.metrics()["duplicate_executes"]
@@ -206,38 +264,38 @@ class ChaosRunReport:
 
     seed: int
     plan: ChaosPlan
-    result: Any
+    evidence: Evidence
     invariants: dict[str, Any]
     alerts: list[tuple] = field(default_factory=list)
     failover_events: list[dict] = field(default_factory=list)
+
+    @property
+    def result(self):
+        """The run's :class:`~repro.coordinator.records.ExperimentResult`."""
+        return self.evidence.result
 
     @property
     def ok(self) -> bool:
         return bool(self.invariants["ok"])
 
     def row(self) -> dict[str, Any]:
-        return {"seed": self.seed,
-                "schedule": self.plan.describe(),
-                "completed": self.result.completed,
-                "steps_completed": self.result.steps_completed,
-                "recoveries": self.result.recoveries,
-                "degraded_steps": self.invariants["degraded_steps"],
-                "duplicate_executes": self.invariants["duplicate_executes"],
-                "checks": dict(self.invariants["checks"]),
-                "violations": list(self.invariants["violations"]),
+        result = self.result
+        return {"seed": self.seed, "schedule": self.plan.describe(),
+                "completed": result.completed,
+                "steps_completed": result.steps_completed,
+                "recoveries": result.recoveries, **self.invariants,
                 "alerts": [list(a) for a in self.alerts],
-                "failover_events": list(self.failover_events),
-                "ok": self.ok}
+                "failover_events": list(self.failover_events)}
 
 
 class ChaosCampaign:
     """Run the MOST assembly under N seeded fault schedules.
 
     Each seed gets a fresh deployment (chaos must not leak between
-    runs), the seed's :class:`ChaosPlan`, a fault-tolerant coordinator
-    — with breakers and surrogate failover when ``failover`` is on —
-    and a post-run invariant sweep against a lazily built clean
-    baseline.  ``monitor=True`` attaches the operations console so the
+    runs), and its :class:`ChaosPlan` is :func:`replay`-ed there — with
+    breakers and surrogate failover when ``failover`` is on — then
+    judged against a lazily built clean baseline, the empty schedule's
+    replay.  ``monitor=True`` attaches the operations console so the
     alert feed joins each report (and stays deterministic per seed).
     """
 
@@ -249,20 +307,16 @@ class ChaosCampaign:
         self.force_failover = force_failover
         self.failover = failover
         self.monitor = monitor
-        self._baseline = None
 
+    @cached_property
     def baseline(self):
-        """The clean same-config run chaos results must match bit-exact."""
-        if self._baseline is None:
-            dep = build_most(self.config)
-            dep.start_backends()
-            coordinator = dep.make_coordinator(
-                run_id="chaos-baseline",
-                fault_policy=FaultTolerantFaultPolicy())
-            self._baseline = dep.kernel.run(
-                until=dep.kernel.process(coordinator.run()))
-            dep.stop_observation()
-        return self._baseline
+        """The clean same-config run chaos results must match bit-exact:
+        the empty schedule's replay, built on first use."""
+        dep = build_most(self.config)
+        dep.start_backends()
+        evidence, _ = replay(dep, (), run_id="chaos-baseline")
+        dep.stop_observation()
+        return evidence.result
 
     def run_one(self, seed: int) -> ChaosRunReport:
         plan = make_plan(seed, self.config, n_events=self.n_events,
@@ -275,27 +329,21 @@ class ChaosCampaign:
 
             kit = attach_monitoring(dep)
             kit.start()
-        manager = dep.make_failover() if self.failover else None
-        arm_plan(dep, plan)
-        coordinator = dep.make_coordinator(
-            run_id=f"chaos-{seed}",
-            fault_policy=default_most_fault_policy(), failover=manager)
-        if kit is not None:
-            kit.watch_coordinator(coordinator)
-        result = dep.kernel.run(until=dep.kernel.process(coordinator.run()))
-        if kit is not None:
-            kit.stop()
-        dep.stop_observation()
-        invariants = check_invariants(result, dep, baseline=self.baseline(),
-                                      failover=manager)
+        evidence, _ = replay(dep, plan.schedule, run_id=f"chaos-{seed}",
+                             failover=self.failover,
+                             watch=kit and kit.watch_coordinator)
         alerts = []
         if kit is not None:
+            kit.stop()
             alerts = [(a.kind, a.severity, a.site, a.step)
                       for a in kit.monitor.alerts]
-        failover_events = manager.report()["events"] if manager else []
-        return ChaosRunReport(seed=seed, plan=plan, result=result,
-                              invariants=invariants, alerts=alerts,
-                              failover_events=failover_events)
+        dep.stop_observation()
+        manager = evidence.failover
+        return ChaosRunReport(
+            seed=seed, plan=plan, evidence=evidence,
+            invariants=check_invariants(evidence, baseline=self.baseline),
+            alerts=alerts,
+            failover_events=manager.report()["events"] if manager else [])
 
     def run(self, seeds) -> list[ChaosRunReport]:
         return [self.run_one(int(seed)) for seed in seeds]
@@ -371,16 +419,18 @@ def check_fleet_invariants(outcomes, *, baselines=None,
     *lease* and its failover manager: at-most-once reads each leased
     site's server, whose transactions of other runs the run's own names
     set apart, so it holds for a degraded run and a redelivered one
-    alike; degraded-labeling reads the manager's events.
+    alike; degraded-labeling reads the manager's events.  A fleet run's
+    evidence carries no names, DOFs or propose spans, so name-reuse,
+    orphaned-names and command-freshness hold vacuously here.
 
-    ``fencing`` (a :class:`~repro.queue.fencing.FencingAuthority` or its
-    ``report()`` dict) adds this sweep's own rule, the zombie sweep: **no
-    write from a stale epoch was ever accepted** (``stale_accepts`` must
-    be empty), and every superseded epoch that tried to write was
-    refused at least once.
+    ``fencing`` (a :class:`~repro.queue.fencing.FencingAuthority`'s
+    ``report()`` dict, as ``CampaignResult.fencing`` holds it) adds this
+    sweep's own rule, the zombie sweep: **no write from a stale epoch was
+    ever accepted** (``stale_accepts`` must be empty), and every
+    superseded epoch that tried to write was refused at least once.
 
     Returns ``{"ok", "violations", "by_run", "duplicate_executes"}``
-    plus a ``"fencing"`` summary when a fencing authority was passed.
+    plus a ``"fencing"`` summary when a fencing report was passed.
     """
     violations: list[str] = []
     by_run: dict[str, dict[str, bool]] = {}
@@ -394,27 +444,25 @@ def check_fleet_invariants(outcomes, *, baselines=None,
                 site.name: site.server for site in outcome.lease.sites},
                 failover=outcome.failover),
             [] if solo is None else [(result.displacement_history(), solo)],
-            expect_completion=expect_completion, label=f"{run}: ",
-            versus="solo")
-        violations += found
+            expect_completion=expect_completion, versus="solo")
+        violations += [f"{run}: {detail}" for detail in found]
         total_duplicates += outcome.duplicate_executes()
     verdict: dict[str, Any] = {
         "violations": violations, "by_run": by_run,
         "duplicate_executes": total_duplicates}
     if fencing is not None:
-        report = fencing.report() if hasattr(fencing, "report") else fencing
-        stale_accepts = report["stale_accepts"]
+        stale_accepts = fencing["stale_accepts"]
         if stale_accepts:
             violations.append(
                 f"fencing: {len(stale_accepts)} stale-epoch writes were "
                 f"ACCEPTED: {stale_accepts[:3]}…")
-        current = report["current_epoch"]
-        refused = report["refusals_by_epoch"]
-        silent = [e["epoch"] for e in report.get("epochs", [])
+        current = fencing["current_epoch"]
+        refused = fencing["refusals_by_epoch"]
+        silent = [e["epoch"] for e in fencing.get("epochs", [])
                   if e["epoch"] < current and e["epoch"] not in refused]
         verdict["fencing"] = {
             "current_epoch": current,
-            "refusals": len(report["refusals"]),
+            "refusals": len(fencing["refusals"]),
             "refusals_by_epoch": dict(refused),
             "stale_accepts": len(stale_accepts),
             "superseded_epochs_never_refused": silent,

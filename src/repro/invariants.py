@@ -7,9 +7,12 @@ servers' propose spans — and returns one line per violation it finds
 (none when the invariant holds).  Nothing here predicts what a run
 *should* have done; every predicate reads what it did.
 
-``repro.verify`` judges every bounded replay by all of them;
-``repro.chaos`` judges each chaos and fleet run by those its evidence
-carries.  PROTOCOL.md §10 lists them, in :data:`PREDICATES` order.
+``repro.verify`` judges every bounded replay by all of them, and
+``repro.chaos`` every chaos and fleet run: a chaos run's evidence and a
+bounded replay's come from one function (``repro.chaos.evidence_of``),
+while a fleet run's carries no names, DOFs or propose spans, so
+name-reuse, orphaned-names and command-freshness hold vacuously there.
+PROTOCOL.md §10 lists them, in :data:`PREDICATES` order.
 """
 
 from __future__ import annotations

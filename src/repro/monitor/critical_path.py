@@ -2,10 +2,12 @@
 
 The paper's Figure 5 explains a step's wall time by splitting it into
 phases; this module goes one level deeper and assigns the parallel
-phases (propose, execute) to the *site that dominated them*.  Each step
-span's tree is reconstructed — phase children, then the per-site
-``core.client.propose`` / ``core.client.execute`` grandchildren — into
-a per-step record and, aggregated, a per-site blame table:
+phases (propose, execute) to the *site that dominated them*.  Each
+committed step's round is reconstructed — the per-site
+``core.client.propose`` / ``core.client.execute`` legs under its phase
+spans, under its ``round`` child (a verified pipelined round), or under
+the root ``speculate`` span of the speculation it adopted — into a
+per-step record and, aggregated, a per-site blame table:
 
 * how many steps each site's execute dominated;
 * its execute mean / p95 across the run;
@@ -32,42 +34,49 @@ CLIENT_SPANS = {"core.client.propose": "propose",
                 "core.client.execute": "execute"}
 
 
-def _as_record(span: Any) -> dict[str, Any]:
-    return span if isinstance(span, dict) else span.to_dict()
-
-
 def step_traces(spans: list[Any]) -> list[dict[str, Any]]:
     """One record per step with the per-site propose/execute split.
 
-    Each row extends :func:`repro.telemetry.report.step_rows` (a
-    pipelined step's has no per-site split — its rounds are not its
-    children) with::
+    Each row extends :func:`repro.telemetry.report.step_rows` with the
+    client legs at any depth under the step's span, plus — for a
+    pipelined step with no ``round`` child — those under the root
+    ``speculate`` span it adopted: the last one of its step number to
+    start before it.  A rolled-back speculation's step runs a ``round``
+    of its own, so the speculation's legs count for no step::
 
         {"sites": {"ntcp-uiuc": {"propose": 0.1, "execute": 11.9}, ...},
          "dominant": "ntcp-uiuc",   # site with the longest execute
          "slack": 10.2,             # dominant execute minus runner-up
          "critical": 12.3}          # serial phases + slowest client legs
     """
-    from repro.telemetry.report import CORE_PHASES, rows_by_span
+    from repro.telemetry.report import CORE_PHASES, _as_record, rows_by_span
 
     records = [_as_record(s) for s in spans]
-    children: dict[str, list[dict[str, Any]]] = {}
+    by_id = {rec["span_id"]: rec for rec in records}
+    legs: dict[str, list[dict[str, Any]]] = {}  # root span id -> its legs
     for rec in records:
-        parent = rec.get("parent_id")
-        if parent is not None:
-            children.setdefault(parent, []).append(rec)
+        if rec["name"] in CLIENT_SPANS and rec.get("duration") is not None:
+            root = rec
+            while root.get("parent_id") in by_id:
+                root = by_id[root["parent_id"]]
+            legs.setdefault(root["span_id"], []).append(rec)
+    verified = {rec["parent_id"] for rec in records
+                if rec["name"] == "coordinator.step.round"}
+    speculations = sorted((rec for rec in records
+                           if rec["name"] == "coordinator.step.speculate"),
+                          key=lambda rec: rec["start"])
     rows = rows_by_span(records)
     for span_id, row in rows.items():
         sites: dict[str, dict[str, float]] = {}
-        for phase_rec in children.get(span_id, ()):
-            for leaf in children.get(phase_rec["span_id"], ()):
-                part = CLIENT_SPANS.get(leaf["name"])
-                if part is None or leaf.get("duration") is None:
-                    continue
-                site = leaf["attrs"].get("service", "?")
-                per = sites.setdefault(site,
-                                       {"propose": 0.0, "execute": 0.0})
-                per[part] += leaf["duration"]
+        adopted = [] if "attempts" not in row or span_id in verified else [
+            rec for rec in speculations
+            if rec["attrs"].get("step") == row["step"]
+            and rec["start"] <= by_id[span_id]["start"]][-1:]
+        for leaf in [leg for root in [by_id[span_id], *adopted]
+                     for leg in legs.get(root["span_id"], ())]:
+            site = leaf["attrs"].get("service", "?")
+            per = sites.setdefault(site, {"propose": 0.0, "execute": 0.0})
+            per[CLIENT_SPANS[leaf["name"]]] += leaf["duration"]
         row["sites"] = sites
         if sites:
             executes = sorted((per["execute"], site)

@@ -1,7 +1,7 @@
 """CLI: ``python -m repro.verify`` — the bounded protocol verifier.
 
 One pass, no options.  Replays every fault schedule of the shipped
-bound (:data:`~repro.verify.conformance.SITES` x 4 steps x <= 2 faults)
+bound (:data:`~repro.verify.explorer.SITES` x 4 steps x <= 2 faults)
 at both pipeline depths on the live rig and judges each run by every
 invariant of :mod:`repro.invariants`, then sweeps each
 :data:`~repro.verify.explorer.MUTANTS` break in turn (each must be
@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import sys
 
-from repro.verify.conformance import SITES
-from repro.verify.explorer import MUTANTS, VerifyConfig, explore, sweep
+from repro.verify.explorer import MUTANTS, SITES, VerifyConfig, explore, sweep
 
 
 def _schedule(schedule) -> str:

@@ -1,5 +1,15 @@
 """Exhaustive bounded exploration of the protocol on the live stack.
 
+The verifier has no model of the protocol: each schedule runs through a
+*real* deployment, the rig (``_Rig``) — a
+:class:`~repro.coordinator.mspsds.SimulationCoordinator` driving genuine
+NTCP servers over the simulated network, with the schedule's faults
+injected at their message points — and the run's own evidence
+(:class:`repro.invariants.Evidence`) is what the invariants judge.  The
+kernel is deterministic, so the real code is its own model.  The rig is
+stated here, once, as module constants: two simulation sites on one
+star, run under the chaos campaign's fault-tolerant policy.
+
 The bounded space is every fault schedule within the bounds: at most one
 fault event per step, at most ``max_faults`` events per schedule, and at
 most one *structural* event (crash / fatal outage / speculation outage)
@@ -7,9 +17,15 @@ per schedule — resume, failover and rollback each restructure the rest
 of the run, so their pairwise products multiply schedules without adding
 protocol paths.
 
-`explore` replays every such schedule on the live rig
-(:mod:`repro.verify.conformance`) and judges each run by every predicate
-of :mod:`repro.invariants`.  The coordinator and servers are
+`explore` replays every such schedule on a fresh rig through
+:func:`repro.chaos.replay`, the fault driver the chaos campaigns replay
+their seeded MOST schedules through: it arms the schedule's
+:class:`~repro.grid.ChaosEvent` events up front with
+:meth:`repro.grid.Grid.arm`, whose watcher on the wire recognises the
+step's marker inside the site's request of the fault's NTCP operation
+and installs the fault at that exact message point, so each fault lands
+deterministically regardless of pacing.  Each run is judged by every
+predicate of :mod:`repro.invariants`.  The coordinator and servers are
 deterministic between fault points, so the schedules *are* the state
 space.
 
@@ -26,19 +42,35 @@ from itertools import combinations, product
 from typing import NamedTuple
 from unittest import mock
 
-from repro.coordinator import mspsds
+from repro import chaos
+from repro.coordinator import FailoverManager, mspsds
 from repro.coordinator.mspsds import SimulationCoordinator
 from repro.coordinator.reconcile import Reconciler
 from repro.core.client import NTCPClient
+from repro.core.policy import SitePolicy
 from repro.core.server import NTCPServer
 from repro.core.transaction import TransactionState
-from repro.grid import ChaosEvent
-from repro.invariants import Violation, judge
-from repro.verify.conformance import OUTAGE_DURATION, SITES, _replay
+from repro.grid import ChaosEvent, Grid
+from repro.invariants import Evidence, Violation, judge
+from repro.structural import StructuralModel, el_centro_like
 
-__all__ = ["FAULT_KINDS", "MUTANTS", "ExplorationResult", "TraceResult",
-           "VerifyConfig", "enumerate_schedules", "explore", "mutated",
-           "sweep"]
+__all__ = ["FAULT_KINDS", "MUTANTS", "SITES", "ExplorationResult",
+           "TraceResult", "VerifyConfig", "enumerate_schedules", "explore",
+           "mutated", "sweep"]
+
+SITES = ("uiuc", "cu")
+#: every site's (and its surrogate's and predictor's) design stiffness
+STIFFNESS = dict.fromkeys(SITES, 30.0)
+COMPUTE_TIME = 0.05
+DT = 0.02
+#: server-side execute budget; the execute RPC timeout is this + 10, so
+#: one retransmission straddles the transient outage window.
+EXECUTION_TIMEOUT = 120.0
+#: RPC ladder for a propose (client timeout x (retries + 1)).
+RPC_TIMEOUT = 10.0
+RPC_RETRIES = 3
+#: transient outage duration the fault-tolerant policy rides out.
+OUTAGE_DURATION = 90.0
 
 #: kinds legal in sequential (pipeline_depth == 0) schedules, each keyed
 #: to one message point: a site's propose / execute reply lost once (the
@@ -69,6 +101,51 @@ class VerifyConfig:
     n_steps: int = 4
     pipeline_depth: int = 0
     max_faults: int = 2
+
+
+@dataclass(kw_only=True)
+class _Rig(Grid):
+    """The verifier's deployment as one live :class:`~repro.grid.Grid`
+    (``_Rig.star(config=...)``), with the experiment every replay of
+    ``config`` runs on it; one of :func:`repro.chaos.replay`'s two
+    deployments (MOST's is the other)."""
+
+    config: VerifyConfig
+
+    def __post_init__(self) -> None:
+        self.add_simulation_sites(STIFFNESS, latency=0.01,
+                                  compute_time=COMPUTE_TIME)
+        self.model = StructuralModel(
+            mass=[[2.0]], stiffness=[[100.0]]).with_rayleigh_damping(0.05)
+        # n_steps committed steps need n_steps + 1 motion samples (the
+        # extra one is the step-0 rest measurement).
+        self.motion = el_centro_like(
+            duration=(self.config.n_steps + 1) * DT,
+            dt=DT).scaled_to_pga(1.0)
+        self.ntcp_client = self.client(timeout=RPC_TIMEOUT,
+                                       retries=RPC_RETRIES)
+
+    def make_failover(self) -> FailoverManager:
+        """Surrogate failover for both sites (a fatal outage's replay)."""
+        return self.failover(
+            STIFFNESS, port="ogsi-failover", compute_time=COMPUTE_TIME,
+            surrogate_name="{}-surrogate".format, site_policy=SitePolicy())
+
+    def make_coordinator(self, *, run_id: str,
+                         **options) -> SimulationCoordinator:
+        """A coordinator over this rig's sites, per the config's mode
+        (pipelined replays get a fresh bit-exact predictor — the same
+        linear substructures as the sites); ``options`` go to
+        :class:`SimulationCoordinator` untouched."""
+        predictor = None
+        if self.config.pipeline_depth:
+            predictor = self.predictor(STIFFNESS,
+                                       name="{}-predictor".format)
+        return SimulationCoordinator(
+            run_id=run_id, client=self.ntcp_client, model=self.model,
+            motion=self.motion, sites=self.bindings(),
+            execution_timeout=EXECUTION_TIMEOUT, predictor=predictor,
+            **options)
 
 
 class TraceResult(NamedTuple):
@@ -134,17 +211,21 @@ def enumerate_schedules(config: VerifyConfig,
     return schedules
 
 
-def replay(config: VerifyConfig,
-           schedule: tuple[ChaosEvent, ...]) -> TraceResult:
-    """Run ``schedule`` on the live rig; judge it by every invariant."""
-    evidence, _ = _replay(config, schedule)
-    return TraceResult(schedule, judge(evidence))
+def replay(config: VerifyConfig, schedule: tuple[ChaosEvent, ...],
+           ) -> tuple[Evidence, SimulationCoordinator]:
+    """Run ``schedule`` through :func:`repro.chaos.replay` on a fresh
+    live rig — with surrogate failover when it holds a fatal outage —
+    and return the run's evidence and its last coordinator."""
+    return chaos.replay(_Rig.star(config=config), schedule, run_id="verify",
+                        failover=any(event.kind == "fatal_outage_propose"
+                                     for event in schedule))
 
 
 def explore(config: VerifyConfig) -> ExplorationResult:
     """Replay and judge every bounded schedule."""
-    return ExplorationResult(config, [replay(config, schedule) for schedule
-                                      in enumerate_schedules(config)])
+    return ExplorationResult(config, [
+        TraceResult(schedule, judge(replay(config, schedule)[0]))
+        for schedule in enumerate_schedules(config)])
 
 
 def _misread_executed(get_transaction):
@@ -214,8 +295,7 @@ def sweep(mutant: str) -> list[tuple[tuple[ChaosEvent, ...], Violation]]:
     configs = [VerifyConfig(pipeline_depth=depth, max_faults=1)
                for depth in (0, 1)]
     with mutated(mutant):
-        traces = [replay(config, schedule) for config in configs
-                  for schedule in enumerate_schedules(config)
-                  if schedule and schedule[0].kind in kinds]
-    return [(trace.schedule, violation) for trace in traces
-            for violation in trace.violations]
+        return [(schedule, violation) for config in configs
+                for schedule in enumerate_schedules(config)
+                if schedule and schedule[0].kind in kinds
+                for violation in judge(replay(config, schedule)[0])]

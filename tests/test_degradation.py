@@ -17,10 +17,11 @@ from repro.chaos import (
     ChaosCampaign,
     ChaosEvent,
     ChaosPlan,
-    arm_plan,
     check_fleet_invariants,
     check_invariants,
+    evidence_of,
     make_plan,
+    replay,
 )
 from repro.coordinator import (
     DegradationPolicy,
@@ -337,21 +338,21 @@ class TestArming:
                     magnitude=float("inf")), "magnitude"),
     ])
     def test_a_bad_event_is_refused_before_the_run(self, event, named):
-        """An arming mistake is the plan's error, raised by ``arm_plan`` —
-        not a drop filter's exception that the coordinator books as a
-        failure of the site it was aimed at."""
+        """An arming mistake is the plan's error, raised by ``replay``
+        before the run — not a drop filter's exception that the
+        coordinator books as a failure of the site it was aimed at."""
         dep = build_most(MOSTConfig().scaled(30))
         plan = ChaosPlan(seed=0, n_steps=30, events=(event,))
         with pytest.raises(ConfigurationError, match=named):
-            arm_plan(dep, plan)
+            replay(dep, plan.schedule, run_id="refused")
+        assert dep.kernel.now == 0.0
 
     def test_a_permanent_event_is_legal(self):
         dep = build_most(MOSTConfig().scaled(30))
-        arm_plan(dep, ChaosPlan(seed=0, n_steps=30, events=(
-            ChaosEvent(kind="outage", step=0, site="cu",
-                       duration=float("inf")),
-            ChaosEvent(kind="slowdown", step=3, site="ncsa",
-                       magnitude=40.0))))
+        for event in ChaosPlan(seed=0, n_steps=30, events=(
+                ChaosEvent(kind="slowdown", step=3, site="ncsa",
+                           magnitude=40.0),), fatal_site="cu").schedule:
+            dep.arm(event)
 
     def test_a_reorder_swaps_the_sites_next_two_requests(self):
         """``reorder`` holds the site's next two requests and releases
@@ -440,6 +441,35 @@ class TestChaosCampaign:
         assert row["checks"]["bit_exact_vs_baseline"]
         json.dumps(row)
 
+    def test_a_chaos_run_is_judged_by_what_the_verifier_reads(self):
+        """A chaos run's evidence carries what the verifier's replays
+        carry — the coordinator's final names, the sites' DOFs and the
+        servers' propose spans — so command-freshness judges it: a
+        coordinator that records a committed displacement other than the
+        one it sent is caught."""
+        from unittest import mock
+
+        from repro.coordinator import mspsds
+
+        campaign = ChaosCampaign(MOSTConfig().scaled(30), n_events=2)
+        evidence = campaign.run_one(1).evidence
+        last = evidence.result.target_steps
+        assert sorted(evidence.names) == list(range(last + 1))
+        assert sorted(evidence.names[last]) == sorted(CHAOS_SITES)
+        assert sorted(evidence.dofs) == sorted(CHAOS_SITES)
+        assert len(evidence.proposals) >= 3 * (last + 1)
+        record = mspsds.StepRecord
+
+        def misrecorded(**fields):
+            return record(**{**fields,
+                             "displacement": fields["displacement"] + 1e-9})
+
+        with mock.patch.object(mspsds, "StepRecord", misrecorded):
+            report = campaign.run_one(1)
+        assert not report.invariants["checks"]["commands_fresh"]
+        assert "step 1 at uiuc: chaos-1-step00001-uiuc did not execute " \
+            "the committed command" in report.invariants["violations"]
+
     def test_reports_are_deterministic_across_campaign_instances(self):
         config = MOSTConfig().scaled(30)
         first = ChaosCampaign(config, n_events=2).run_one(4)
@@ -508,7 +538,7 @@ class TestChaosCampaign:
             result = dep.kernel.run(
                 until=dep.kernel.process(coordinator.run()))
         dep.stop_observation()
-        verdict = check_invariants(result, dep)
+        verdict = check_invariants(evidence_of(dep, coordinator, result))
         assert result.aborted_at_step == 6
         assert not verdict["checks"]["no_double_execute"]
         assert "site uiuc ran 7 executions for 6 executed transactions" \

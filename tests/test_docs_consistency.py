@@ -177,7 +177,7 @@ class TestDocsConsistency:
         depth-0 single faults' server counters, generation and
         reconcile actions: every row replayed live on the verifier's
         rig matches it."""
-        from repro.verify.conformance import _replay
+        from repro.verify.explorer import replay as _replay
         from repro.verify.explorer import (
             SEQUENTIAL_KINDS,
             VerifyConfig,

@@ -1,5 +1,10 @@
 """Targeted tests for thinner corners of the API surface."""
 
+import pathlib
+import subprocess
+import sys
+from importlib.util import module_from_spec, spec_from_file_location
+
 import pytest
 
 from repro.control import MPlugin, make_displacement_actions
@@ -199,3 +204,30 @@ class TestContainerFactoryLifetimeArming:
         assert "t1" in c.services
         k.run(until=20.0)
         assert "t1" not in c.services
+
+
+
+class TestLocScript:
+    """``scripts/loc.py`` counts a file argument as itself, on both sides
+    of ``--against``: the size report of a single module."""
+
+    def test_a_file_argument_reads_its_real_count(self):
+        root = pathlib.Path(__file__).resolve().parent.parent
+        spec = spec_from_file_location("loc", root / "scripts" / "loc.py")
+        loc = module_from_spec(spec)
+        spec.loader.exec_module(loc)
+
+        def run(*args):
+            return subprocess.run(args, cwd=root, check=True,
+                                  capture_output=True, text=True).stdout
+
+        path = "src/repro/invariants.py"
+        now = loc.code_lines((root / path).read_bytes())
+        was = loc.code_lines(run("git", "show", f"HEAD:{path}").encode())
+        assert now > 0 and was > 0
+        assert run(sys.executable, "scripts/loc.py", path).splitlines() == [
+            f"{now:7d}  {path}  (1 files)", f"{now:7d}  total"]
+        assert run(sys.executable, "scripts/loc.py", "--against", "HEAD",
+                   path).splitlines()[-2:] == [
+            f"{now - was:+7d}  {path}  ({was} -> {now})",
+            f"{now - was:+7d}  total vs HEAD  ({was} -> {now})"]

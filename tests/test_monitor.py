@@ -1024,6 +1024,60 @@ class TestCriticalPath:
             assert agg["steps"] == len(rows)
             assert agg["execute_p95"] >= agg["execute_mean"] * 0.5
 
+    def test_a_pipelined_run_blames_every_committed_step(self):
+        """A pipelined step's legs hang under its ``round`` child or under
+        the root ``speculate`` span it adopted, never right under the
+        step span: each is still the step's, so every site counts every
+        committed step (step 0's initialization included)."""
+        report = (ExperimentSession(MOSTConfig().scaled(30),
+                                    simulation_only=True)
+                  .with_pipeline().run())
+        rows = step_traces(report.deployment.kernel.telemetry.spans())
+        assert len(rows) == report.result.steps_completed + 1
+        table = blame_table(rows)
+        assert {agg["site"]: agg["steps"] for agg in table} == dict.fromkeys(
+            ("ntcp-uiuc", "ntcp-cu", "ntcp-ncsa"), len(rows))
+        assert sum(agg["dominated"] for agg in table) == len(rows)
+
+    def test_a_rolled_back_speculation_counts_for_no_step(self):
+        """Steps 1 and 2 run verified rounds (step 2's speculation was
+        rolled back); step 3 adopted its speculation, so that span's legs
+        are step 3's and the rolled-back one's are nobody's."""
+        spans = []
+
+        def span(name, parent=None, start=0.0, duration=1.0, **attrs):
+            spans.append({"name": name, "trace_id": "t",
+                          "span_id": f"span-{len(spans) + 1}",
+                          "parent_id": parent, "start": start,
+                          "end": start + duration, "duration": duration,
+                          "attrs": attrs})
+            return spans[-1]["span_id"]
+
+        def round_(parent, start, propose, execute):
+            for phase, took in (("propose", propose), ("execute", execute)):
+                span(f"core.client.{phase}", span(
+                    f"coordinator.step.{phase}", parent, start, took),
+                    start, took, service="ntcp-uiuc")
+
+        pipelined = {"speculated": True, "attempts": 1}
+        round_(span("coordinator.step.round",
+                    span("coordinator.step", None, 0.0, 9.0, step=1,
+                         run_id="r", adopted=False, **pipelined), 0.0),
+               0.0, 1.0, 2.0)
+        round_(span("coordinator.step.speculate", None, 1.0, step=2),
+               1.0, 5.0, 7.0)
+        round_(span("coordinator.step.round",
+                    span("coordinator.step", None, 10.0, 9.0, step=2,
+                         run_id="r", adopted=True, **pipelined), 10.0),
+               10.0, 1.5, 2.5)
+        round_(span("coordinator.step.speculate", None, 11.0, step=3),
+               11.0, 0.5, 3.0)
+        span("coordinator.step", None, 20.0, 2.0, step=3, run_id="r",
+             adopted=False, **pipelined)
+        assert [row["sites"] for row in step_traces(spans)] == [
+            {"ntcp-uiuc": {"propose": p, "execute": e}}
+            for p, e in ((1.0, 2.0), (1.5, 2.5), (0.5, 3.0))]
+
     def test_slowed_site_dominates_faulted_run(self, faulted_report):
         rows, _ = self.rows(faulted_report)
         table = blame_table(rows)

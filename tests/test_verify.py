@@ -11,7 +11,7 @@ import pytest
 from repro.invariants import judge
 from repro.verify import VerifyConfig, sweep
 from repro.verify.__main__ import main
-from repro.verify.conformance import _replay
+from repro.verify.explorer import replay as _replay
 from repro.verify.explorer import (
     FAULT_KINDS,
     MUTANTS,
