@@ -1,8 +1,8 @@
 """T-OBS — grid-observatory rollup fidelity, determinism and the black box.
 
-The repo-hosted store rides the same NSDS metrics stream the console
-already publishes, the SLO sweep runs on the simulation clock, and the
-flight recorder is one more telemetry sink.  Measured on the
+The store is the console's own, fed once by the one NSDS receiver the
+console already has on the portal; the SLO sweep runs on the simulation
+clock, and the flight recorder is one more telemetry sink.  Measured on the
 simulation-only rehearsal and the scripted abort campaign:
 
 1. **Rollup fidelity** — every finalized r10 bucket in the live store

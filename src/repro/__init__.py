@@ -75,7 +75,6 @@ from repro.telemetry import TelemetryHub, TraceContext
 # -- live operations console -------------------------------------------------
 from repro.monitor import (
     Alert,
-    AlertThresholds,
     ExperimentMonitor,
     HealthPublisher,
     MonitoringKit,
@@ -157,7 +156,6 @@ __all__ = [
     "TraceContext",
     # live operations console
     "Alert",
-    "AlertThresholds",
     "ExperimentMonitor",
     "HealthPublisher",
     "MonitoringKit",

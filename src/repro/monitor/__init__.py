@@ -21,7 +21,7 @@ from repro.monitor.health import (
     coordinator_health_probe,
     ntcp_health_probe,
 )
-from repro.monitor.monitor import Alert, AlertThresholds, ExperimentMonitor
+from repro.monitor.monitor import Alert, ExperimentMonitor
 from repro.monitor.schema import (
     ALERT_KINDS,
     ALERT_SEVERITIES,
@@ -44,7 +44,6 @@ __all__ = [
     "ALERT_KINDS",
     "ALERT_SEVERITIES",
     "Alert",
-    "AlertThresholds",
     "DEFAULT_STREAM_PREFIXES",
     "ExperimentMonitor",
     "HEALTH_STATUSES",

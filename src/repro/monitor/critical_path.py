@@ -42,7 +42,10 @@ def step_traces(spans: list[Any]) -> list[dict[str, Any]]:
     pipelined step with no ``round`` child — those under the root
     ``speculate`` span it adopted: the last one of its step number to
     start before it.  A rolled-back speculation's step runs a ``round``
-    of its own, so the speculation's legs count for no step::
+    of its own, so the speculation's legs count for no step.  ``sites``
+    holds whole legs; ``critical`` counts only the part of each leg
+    inside the step's own span (an adopted speculation ran mostly
+    during the step before)::
 
         {"sites": {"ntcp-uiuc": {"propose": 0.1, "execute": 11.9}, ...},
          "dominant": "ntcp-uiuc",   # site with the longest execute
@@ -67,16 +70,23 @@ def step_traces(spans: list[Any]) -> list[dict[str, Any]]:
                           key=lambda rec: rec["start"])
     rows = rows_by_span(records)
     for span_id, row in rows.items():
+        step = by_id[span_id]
         sites: dict[str, dict[str, float]] = {}
+        inside: dict[str, dict[str, float]] = {}  # legs clipped to the step
         adopted = [] if "attempts" not in row or span_id in verified else [
             rec for rec in speculations
             if rec["attrs"].get("step") == row["step"]
-            and rec["start"] <= by_id[span_id]["start"]][-1:]
-        for leaf in [leg for root in [by_id[span_id], *adopted]
+            and rec["start"] <= step["start"]][-1:]
+        for leaf in [leg for root in [step, *adopted]
                      for leg in legs.get(root["span_id"], ())]:
             site = leaf["attrs"].get("service", "?")
-            per = sites.setdefault(site, {"propose": 0.0, "execute": 0.0})
-            per[CLIENT_SPANS[leaf["name"]]] += leaf["duration"]
+            phase = CLIENT_SPANS[leaf["name"]]
+            whole = sites.setdefault(site, {"propose": 0.0, "execute": 0.0})
+            whole[phase] += leaf["duration"]
+            clipped = inside.setdefault(site, {"propose": 0.0,
+                                               "execute": 0.0})
+            clipped[phase] += max(0.0, min(leaf["end"], step["end"])
+                                  - max(leaf["start"], step["start"]))
         row["sites"] = sites
         if sites:
             executes = sorted((per["execute"], site)
@@ -86,9 +96,9 @@ def step_traces(spans: list[Any]) -> list[dict[str, Any]]:
                             if len(executes) > 1 else 0.0)
             serial = sum(row["phases"].get(p, 0.0)
                          for p in ("integrate", "commit", "retry_wait"))
-            row["critical"] = (serial + executes[-1][0]
-                               + max(per["propose"]
-                                     for per in sites.values()))
+            row["critical"] = (
+                serial + max(per["execute"] for per in inside.values())
+                + max(per["propose"] for per in inside.values()))
         else:
             row["dominant"] = None
             row["slack"] = 0.0

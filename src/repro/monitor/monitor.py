@@ -4,16 +4,20 @@
 It is a grid service hosted on the portal, fed by two subscriptions:
 
 * streamed ``repro.monitor/v1`` metrics samples arriving through an
-  :class:`~repro.nsds.subscriber.NSDSReceiver` (best-effort, may gap);
+  :class:`~repro.nsds.subscriber.NSDSReceiver` (best-effort, may gap),
+  each checked once and kept in the console's
+  :class:`~repro.observatory.tsdb.TimeSeriesStore` — the one store the
+  observatory queries too;
 * ``health`` SDE change notifications arriving through a
   :class:`~repro.ogsi.notification.NotificationSink`.
 
-From those it maintains rollups (committed-step progress and rate,
-per-site execute latency summaries, retry/timeout counts, stream
-health) and runs three detectors on the simulation clock, so a given
-run raises the same alerts at the same sim times every time:
+From those it maintains rollups (committed-step progress and rate and
+per-site execute latency summaries and retry/timeout counts, read off
+the store's latest points, plus stream health) and runs its detectors
+on the simulation clock, so a given run raises the same alerts at the
+same sim times every time:
 
-* **stall** — no committed step for ``stall_after`` sim-seconds
+* **stall** — no committed step for :data:`STALL_AFTER` sim-seconds
   (the §3.4 "experiment exited prematurely" signature, seen live);
 * **slow_site** — a site's execute p95 over budget, or the dominant
   site shifting (the paper's NCSA-simulation-suddenly-dominates story);
@@ -33,19 +37,33 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.monitor.schema import (
-    ALERT_KINDS,
-    SCHEMA_ID,
-    metrics_sample_checker,
-    validate_alert_payload,
-)
+from repro.monitor.schema import ALERT_KINDS, SCHEMA_ID, validate_alert_payload
 from repro.nsds.stream import StreamSample
+from repro.observatory.tsdb import TimeSeriesStore
 from repro.ogsi.service import GridService
 
 #: metric whose per-site summaries drive the slow-site detector
 EXECUTE_METRIC = "core.server.execute_time"
 #: counter whose total is the committed-step count
 STEPS_METRIC = "coordinator.mspsds.steps"
+
+# Detector tuning, fit to the MOST step cadence (~12 s/step).
+#: sim-seconds between detector sweeps
+SWEEP_INTERVAL = 15.0
+#: sim-seconds without a committed step before a stall fires
+STALL_AFTER = 120.0
+#: per-site execute p95 budget, sim-seconds
+EXECUTE_BUDGET = 30.0
+#: execute observations required before the p95 is trusted
+MIN_EXECUTE_SAMPLES = 5
+#: factor by which a new dominant site must exceed the old one
+DOMINANCE_MARGIN = 1.5
+#: tolerated net-loss fraction of the metrics stream
+STREAM_LOSS_RATE = 0.05
+#: tolerated out-of-order fraction of the metrics stream
+STREAM_OUT_OF_ORDER_RATE = 0.25
+#: stream samples required before stream health is judged
+MIN_STREAM_SAMPLES = 20
 
 
 @dataclass(frozen=True)
@@ -72,46 +90,18 @@ class Alert:
         return payload
 
 
-@dataclass
-class AlertThresholds:
-    """Detector tuning.  Defaults fit the MOST step cadence (~12 s/step)."""
-
-    #: sim-seconds without a committed step before a stall fires
-    stall_after: float = 120.0
-    #: per-site execute p95 budget, sim-seconds
-    execute_budget: float = 30.0
-    #: execute observations required before the p95 is trusted
-    min_execute_samples: int = 5
-    #: factor by which a new dominant site must exceed the old one
-    dominance_margin: float = 1.5
-    #: tolerated net-loss fraction of the metrics stream
-    stream_loss_rate: float = 0.05
-    #: tolerated out-of-order fraction of the metrics stream
-    stream_out_of_order_rate: float = 0.25
-    #: stream samples required before stream health is judged
-    min_stream_samples: int = 20
-
-
 class ExperimentMonitor(GridService):
     """Live rollups + anomaly detection over streamed telemetry."""
 
     def __init__(self, service_id: str = "monitor-console", *,
-                 thresholds: AlertThresholds | None = None,
-                 interval: float = 15.0,
                  on_alert: Callable[[Alert], None] | None = None):
         super().__init__(service_id)
-        self.thresholds = thresholds or AlertThresholds()
-        self.interval = interval
         self.on_alert = on_alert
         self.alerts: list[Alert] = []
         self.receiver = None
+        self.store: TimeSeriesStore | None = None  # built on attach
         self.health: dict[str, dict[str, Any]] = {}
         self.running = False
-        self._tm_samples = None  # built on attach
-        self._check_sample = metrics_sample_checker(self._route)
-        # counter name -> sorted label items -> streamed total
-        self._counter_totals: dict[str, dict[tuple, float]] = {}
-        self._site_execute: dict[str, dict[str, float]] = {}
         self._last_commit_step = -1
         self._last_progress_time: float | None = None
         self._started_watch: float | None = None
@@ -136,16 +126,15 @@ class ExperimentMonitor(GridService):
                                                    kind=kind,
                                                    service=self.service_id)
                            for kind in ALERT_KINDS}
-        self._tm_samples = telemetry.counter("monitor.console.samples",
-                                             service=self.service_id)
+        self.store = TimeSeriesStore(self.kernel)
         self._tm_health = telemetry.counter("monitor.console.health_updates",
                                             service=self.service_id)
 
     @property
     def samples_seen(self) -> int:
-        """Streamed metrics samples absorbed (``monitor.console.samples``;
-        0 before the console is deployed)."""
-        return self._tm_samples.value if self._tm_samples is not None else 0
+        """Streamed metrics samples absorbed into the store (0 before the
+        console is deployed)."""
+        return self.store.samples_ingested if self.store is not None else 0
 
     def bind_receiver(self, receiver) -> None:
         """Point the stream-health detector at the NSDS receiver."""
@@ -153,7 +142,8 @@ class ExperimentMonitor(GridService):
 
     # -- ingest ---------------------------------------------------------------
     def on_stream_sample(self, sample: StreamSample) -> None:
-        """NSDSReceiver callback: absorb one streamed metrics payload.
+        """NSDSReceiver callback: absorb one streamed metrics payload
+        into the store (which checks it) and note the committed steps.
 
         A malformed sample raises
         :class:`~repro.monitor.schema.MonitorSchemaError`; arriving
@@ -163,13 +153,7 @@ class ExperimentMonitor(GridService):
         payload = sample.value
         if not isinstance(payload, dict) or payload.get("kind") != "metrics":
             return
-        routes = self._check_sample(payload)
-        self._tm_samples.inc()
-        for record, route in zip(payload["metrics"], routes):
-            if type(route) is tuple:
-                route[0][route[1]] = record["total"]
-            elif route is not None:
-                self._site_execute[route] = record["summary"]
+        self.store.ingest_metrics_payload(payload)
         steps = int(self.counter_total(STEPS_METRIC))
         if steps > 0:
             self._note_progress(steps)
@@ -190,21 +174,20 @@ class ExperimentMonitor(GridService):
             self._finished = True
 
     def counter_total(self, name: str) -> float:
-        """Streamed cumulative total of a counter, summed over labels: a
-        walk of that counter's series only."""
-        return sum(self._counter_totals.get(name, {}).values())
+        """Streamed cumulative total of a counter, summed over labels: the
+        latest point of each of that counter's series in the store."""
+        return sum(series.values[-1] for series in self.store.match(name))
 
-    def _route(self, record: dict[str, Any]) -> tuple | str | None:
-        """Where the console keeps a streamed record of a new series: a
-        counter's ``(totals of its name, sorted label items)``, an execute
-        summary's site, or None (nothing to keep)."""
-        labels = record.get("labels", {})
-        if record["type"] == "counter":
-            return (self._counter_totals.setdefault(record["name"], {}),
-                    tuple(sorted(labels.items())))
-        if record["type"] == "histogram" and record["name"] == EXECUTE_METRIC:
-            return labels.get("site") or None
-        return None
+    def _execute_summaries(self) -> dict[str, dict[str, float]]:
+        """Each site's latest streamed execute summary, ``stat -> value``
+        (count, mean, p50, p95, p99), read off the store."""
+        summaries: dict[str, dict[str, float]] = {}
+        for series in self.store.match(EXECUTE_METRIC):
+            site = series.labels.get("site")
+            if site:
+                summaries.setdefault(site, {})[series.labels["stat"]] = \
+                    series.values[-1]
+        return summaries
 
     def _note_progress(self, step: int) -> None:
         if step <= self._last_commit_step:
@@ -235,7 +218,7 @@ class ExperimentMonitor(GridService):
         if base is None:
             return
         silent = now - base
-        if silent < self.thresholds.stall_after:
+        if silent < STALL_AFTER:
             return
         self._stall_open = True
         # Stashed on the instance so the episode spans detection to
@@ -250,33 +233,32 @@ class ExperimentMonitor(GridService):
             detail={"silent_for": silent})
 
     def _check_slow_sites(self) -> None:
-        th = self.thresholds
-        ranked: list[tuple[float, str]] = []
-        for site in sorted(self._site_execute):
-            summary = self._site_execute[site]
-            if summary.get("count", 0) < th.min_execute_samples:
+        # cumulative execute time per site: count x mean
+        sums: dict[str, float] = {}
+        for site, summary in sorted(self._execute_summaries().items()):
+            if summary["count"] < MIN_EXECUTE_SAMPLES:
                 return  # judge dominance only once every site qualifies
-            ranked.append((summary["sum"], site))
-            p95 = summary.get("p95", 0.0)
-            if site not in self._slow_sites and p95 > th.execute_budget:
+            sums[site] = summary["count"] * summary["mean"]
+            p95 = summary["p95"]
+            if site not in self._slow_sites and p95 > EXECUTE_BUDGET:
                 self._slow_sites.add(site)
                 self.raise_alert(
                     "slow_site", "warning",
                     f"site {site} execute p95 {p95:.1f}s over the "
-                    f"{th.execute_budget:.1f}s budget",
+                    f"{EXECUTE_BUDGET:.1f}s budget",
                     site=site,
-                    detail={"p95": p95, "mean": summary.get("mean", 0.0),
-                            "count": summary.get("count", 0)})
-        if not ranked:
+                    detail={"p95": p95, "mean": summary["mean"],
+                            "count": int(summary["count"])})
+        if not sums:
             return
-        top_sum, top_site = max(ranked)
+        top_sum, top_site = max((total, site) for site, total in sums.items())
         if self._dominant is None:
             self._dominant = top_site
             return
         if top_site == self._dominant:
             return
-        prev_sum = self._site_execute[self._dominant]["sum"]
-        if top_sum > th.dominance_margin * prev_sum:
+        prev_sum = sums[self._dominant]
+        if top_sum > DOMINANCE_MARGIN * prev_sum:
             previous = self._dominant
             self._dominant = top_site
             self.raise_alert(
@@ -288,16 +270,15 @@ class ExperimentMonitor(GridService):
                         "previous_sum": prev_sum})
 
     def _check_stream_health(self) -> None:
-        th = self.thresholds
         stats = self.stream_stats()
         if self._stream_alerted or stats is None:
             return
-        if stats["received"] < th.min_stream_samples:
+        if stats["received"] < MIN_STREAM_SAMPLES:
             return
         reasons = []
-        if stats["loss_rate"] > th.stream_loss_rate:
+        if stats["loss_rate"] > STREAM_LOSS_RATE:
             reasons.append(f"loss rate {stats['loss_rate']:.1%}")
-        if stats["out_of_order_rate"] > th.stream_out_of_order_rate:
+        if stats["out_of_order_rate"] > STREAM_OUT_OF_ORDER_RATE:
             reasons.append(f"out-of-order rate "
                            f"{stats['out_of_order_rate']:.1%}")
         if not reasons:
@@ -407,10 +388,11 @@ class ExperimentMonitor(GridService):
         watched = (now - self._started_watch
                    if self._started_watch is not None else 0.0)
         steps = max(self._last_commit_step, 0)
-        per_site = {site: {"execute_p95": summary.get("p95", 0.0),
-                           "execute_mean": summary.get("mean", 0.0),
-                           "executed": int(summary.get("count", 0))}
-                    for site, summary in sorted(self._site_execute.items())}
+        per_site = {site: {"execute_p95": summary["p95"],
+                           "execute_mean": summary["mean"],
+                           "executed": int(summary["count"])}
+                    for site, summary in sorted(
+                        self._execute_summaries().items())}
         return {"watched_for": watched,
                 "last_committed_step": self._last_commit_step,
                 "step_rate": steps / watched if watched > 0 else 0.0,
@@ -442,4 +424,4 @@ class ExperimentMonitor(GridService):
     def _watch(self):
         while self.running:
             self.check()
-            yield self.kernel.timeout(self.interval)
+            yield self.kernel.timeout(SWEEP_INTERVAL)

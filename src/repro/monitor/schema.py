@@ -4,19 +4,19 @@ Everything the operations console moves over the wire — health SDEs,
 streamed metric snapshots, alerts — is a plain dict carrying
 ``schema: "repro.monitor/v1"`` and a ``kind`` discriminator: health and
 alert payloads are validated where they are published, a metrics sample
-by each receiver it lands in (its producer is pinned by test instead,
-see :mod:`repro.monitor.streamer`).  Each kind is a shape value
+once, by the store the console's one receiver lands it in (its producer
+is pinned by test instead, see :mod:`repro.monitor.streamer`).  Each kind is a shape value
 built from the :mod:`repro.util.schema` kit (the metric records reuse
 :func:`repro.telemetry.schema.metric_record`), compiled once at import.
 
-A receiver does not walk every record of every flush: it holds a
+The store does not walk every record of every flush: it holds a
 :func:`metrics_sample_checker`, which checks each sample's envelope,
 computes each record's identity once, looks it up in one table from
-identity to the receiver's own route (where the record goes), and
+identity to the store's own route (the series the record feeds), and
 checks only the numbers of a record whose identity an accepted sample
 proved.  Whatever it cannot prove that way goes through the stateless
 :func:`validate_metrics_sample`, the only code that words a refusal, so
-the errors are the validator's, byte for byte.  The receiver then uses
+the errors are the validator's, byte for byte.  The store then uses
 the routes the checker hands back and makes no lookup of its own.
 
 Payload kinds:
@@ -189,11 +189,11 @@ def metrics_sample_checker(
         route: Callable[[dict[str, Any]], Any]) -> Callable[[Any], list]:
     """A :func:`validate_metrics_sample` that resolves each series once.
 
-    Each receiver builds its own, handing it ``route``: what the
-    receiver does with a record of a new series (the store's series it
-    feeds, the console's counter key).  The checker keeps one table,
-    from ``(name, type, label items as handed)`` to that route, so what
-    it remembers lives exactly as long as the receiver.  The envelope is
+    The store builds its own, handing it ``route``: what it does with
+    a record of a new series (the series the record feeds).  The
+    checker keeps one table, from ``(name, type, label items as
+    handed)`` to that route, so what it remembers lives exactly as long
+    as the store.  The envelope is
     checked on every sample, each record's identity is computed once,
     and a record of an identity in the table has only its numbers
     checked.  Anything else — an unknown identity, a bool or

@@ -26,9 +26,9 @@ which another reader may have refreshed after an ``observe``.)  The
 list of matching instruments is rebuilt only when the registry has
 grown since the last flush (it never shrinks); the registry is already
 in key order, so nothing is sorted.  The payload is not walked again
-here — it is validated where it lands (the console's and the
-observatory's receivers, each behind a sink that counts a bad datagram,
-each resolving a record once:
+here — it is validated where it lands (the console's one receiver,
+behind a sink that counts a bad datagram, by the console's store, which
+resolves a record once:
 :func:`~repro.monitor.schema.metrics_sample_checker`), not where it is
 built, so a producer bug is a counted ``subscriber_errors`` rather than
 an exception inside the ``streamer.<source>`` kernel process.
@@ -113,7 +113,7 @@ class TelemetryStreamer:
 
     def flush(self) -> dict[str, Any]:
         """Build and ingest one metrics sample; returns it (validated
-        by its receivers, see the module docstring)."""
+        where it lands, see the module docstring)."""
         self.seq += 1
         payload = {"schema": SCHEMA_ID, "kind": "metrics",
                    "source": self.source, "time": self.kernel.now,

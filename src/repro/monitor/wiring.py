@@ -5,8 +5,11 @@ the paper's operators had it: health publishers on every NTCP server, a
 status anchor + NSDS metrics stream on the coordinator host, and the
 :class:`~repro.monitor.monitor.ExperimentMonitor` console on the portal
 host, subscribed to both — metrics over NSDS datagrams, health over
-OGSI SDE notifications.  Everything crosses the simulated network;
-nothing peeks at coordinator internals directly.
+OGSI SDE notifications.  The console's one receiver feeds its one
+:class:`~repro.observatory.tsdb.TimeSeriesStore`, which
+:func:`~repro.observatory.wiring.attach_observatory` reads as it is.
+Everything crosses the simulated network; nothing peeks at coordinator
+internals directly.
 
 The function is deployment-shape agnostic: it only needs ``kernel``,
 ``network``, ``sites`` (name -> site with an attached ``server``) and
@@ -55,6 +58,9 @@ class MonitoringKit:
     publishers: dict[str, HealthPublisher]
     coord_container: ServiceContainer
     console_container: ServiceContainer
+    #: the portal's client: the kit's subscriptions, the observatory's
+    #: NMDS registrations
+    rpc: RpcClient
     coordinator_publisher: HealthPublisher | None = None
     extras: dict[str, Any] = field(default_factory=dict)
 
@@ -151,6 +157,6 @@ def attach_monitoring(dep, *, on_alert: Callable[[Alert], None] | None = None,
                         status=status, receiver=receiver, sink=sink,
                         publishers=publishers,
                         coord_container=coord_container,
-                        console_container=console_container)
+                        console_container=console_container, rpc=rpc)
     dep.extras["monitoring"] = kit
     return kit

@@ -289,14 +289,14 @@ class ExperimentSession:
         self._monitoring = {"on_alert": on_alert}
         return self
 
-    def with_observatory(self, slos=None, *,
+    def with_observatory(self, *,
                          slo_interval: float = 60.0) -> "ExperimentSession":
         """Attach the grid observatory (see :mod:`repro.observatory`):
-        a repo-hosted time-series store fed by the monitoring stream,
-        SLO burn-rate alerting through the console, and a flight
+        range queries over the console's time-series store on the
+        portal, SLO burn-rate alerting through the console, and a flight
         recorder snapshotted on escalation or abort.  Implies
         :meth:`with_monitoring` if it was not requested explicitly."""
-        self._observatory = {"slos": slos, "slo_interval": slo_interval}
+        self._observatory = {"slo_interval": slo_interval}
         if self._monitoring is None:
             self._monitoring = {"on_alert": None}
         return self
@@ -391,7 +391,6 @@ class ExperimentSession:
 
             obs = attach_observatory(
                 dep, kit, run_id=self.run_id,
-                slos=self._observatory["slos"],
                 slo_interval=self._observatory["slo_interval"])
         if anomalies:
             if anomalies["slow_at_step"] != anomalies["outage_at_step"]:

@@ -3,12 +3,13 @@
 PR 4 made telemetry *live* (streamed deltas, console alerts) and PR 8
 made the grid *shared* (100 tenant experiments over one site pool) —
 but everything still evaporated with the kernel.  This package is the
-history plane: a grid-hosted time-series + trace store that every
-host's :class:`~repro.monitor.streamer.TelemetryStreamer` feeds over
-NSDS, with
+history plane over the operations console's time-series store — the
+one store the console's one NSDS receiver feeds from the
+:class:`~repro.monitor.streamer.TelemetryStreamer`, so each metrics
+sample is shipped, checked and kept once — with
 
 * a TSDB core of bounded per-series rings and 10-/100-step rollup
-  tiers (:mod:`repro.observatory.tsdb`);
+  tiers (:mod:`repro.observatory.tsdb`), which the console builds;
 * a label-selector query engine with sum/avg/max/rate/quantile
   aggregation and pagination (:mod:`repro.observatory.query`);
 * declarative SLOs with fast/slow burn-rate alerting through the
@@ -16,8 +17,9 @@ NSDS, with
 * a black-box flight recorder snapshotted on escalation or abort, and
   the step-1493-style postmortem renderer
   (:mod:`repro.observatory.recorder`);
-* the OGSI service front end and deployment wiring
-  (:mod:`repro.observatory.service`, :mod:`repro.observatory.wiring`).
+* the OGSI service front end, deployed beside the console on the
+  portal, and the deployment wiring (:mod:`repro.observatory.service`,
+  :mod:`repro.observatory.wiring`).
 
 Documents cross the wire as schema-validated ``repro.observatory/v1``
 dicts (:mod:`repro.observatory.schema`); everything runs on the sim

@@ -1,7 +1,8 @@
 """The observatory as an OGSI grid service.
 
-Hosted in its own container on the repository host, the service exposes
-the query engine and flight recorder to any grid client: ``query`` runs
+Hosted in the operations console's container on the portal, beside
+the console whose store it serves, the service exposes the query engine
+and flight recorder to any grid client: ``query`` runs
 a label-selector range query and returns the validated
 ``repro.observatory/v1`` document, ``listSeries`` enumerates what the
 store holds, ``getSnapshots`` returns captured flight recordings, and

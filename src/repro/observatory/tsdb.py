@@ -28,8 +28,8 @@ first late point clears the series' ``_ordered`` flag and its windows
 become a linear filter.  An open rollup bucket is six running scalars,
 folded without a dict walk per point; it becomes one tuple when it
 closes.  The store keeps its canonical keys sorted as series are created,
-and its own :func:`~repro.monitor.schema.metrics_sample_checker` hands
-back, per streamed record, the series it feeds — one, or five for a
+and its :func:`~repro.monitor.schema.metrics_sample_checker` (the one
+check a streamed sample gets in a run) hands back, per streamed record, the series it feeds — one, or five for a
 histogram — resolved the first time its ``(name, type, label items)``
 is seen, so a steady-state ingest sorts nothing and makes no lookup of
 its own.  The checker refuses exactly what
@@ -194,7 +194,9 @@ class Series:
 
 
 class TimeSeriesStore:
-    """The fleet-wide metrics store every ``TelemetryStreamer`` feeds.
+    """A run's metrics store: the operations console's receiver feeds it
+    (:meth:`~repro.monitor.monitor.ExperimentMonitor.on_stream_sample`),
+    the console's detectors and the observatory read it.
 
     Construct with the run's kernel to record store telemetry
     (``observatory.store.*``) and stamp dumps with the sim clock, or with
@@ -295,13 +297,6 @@ class TimeSeriesStore:
         if self._tm_samples is not None:
             self._tm_samples.inc()
         return appended
-
-    def on_stream_sample(self, sample) -> None:
-        """NSDSReceiver callback: absorb one streamed metrics payload."""
-        payload = sample.value
-        if not isinstance(payload, dict) or payload.get("kind") != "metrics":
-            return
-        self.ingest_metrics_payload(payload)
 
     # -- reading --------------------------------------------------------------
     def series(self) -> list[Series]:

@@ -1,20 +1,21 @@
 """Wire the grid observatory into an assembled MOST deployment.
 
-:func:`attach_observatory` stands the whole history plane up on the
-repository host — where the paper's data archive already lives — and
-rides the monitoring kit's existing NSDS metrics stream:
+:func:`attach_observatory` stands the history plane up beside the
+operations console on the portal host and reads what the console
+already keeps — there is one receiver and one store per run:
 
-* a :class:`~repro.observatory.tsdb.TimeSeriesStore` fed by its own
-  :class:`~repro.nsds.subscriber.NSDSReceiver` subscribed to the same
-  ``monitor-metrics`` channel the console watches (a second best-effort
-  subscriber; the streamer fans out);
-* an :class:`~repro.observatory.service.ObservatoryService` in its own
-  container on the repo host, so any grid client can run range queries;
+* the console's :class:`~repro.observatory.tsdb.TimeSeriesStore`, fed by
+  its one :class:`~repro.nsds.subscriber.NSDSReceiver` on the
+  ``monitor-metrics`` channel (each sample shipped, checked and kept
+  once);
+* an :class:`~repro.observatory.service.ObservatoryService` in the
+  console's container, so any grid client can run range queries;
 * an :class:`~repro.observatory.slo.SLOEvaluator` sweeping the store and
-  raising ``slo_burn`` alerts through the console's standard channel;
+  raising ``slo_burn`` alerts through the console on the same host;
 * a :class:`~repro.observatory.recorder.FlightRecorder` whose rings are
-  snapshotted — and NMDS-registered, checkpoint-style — whenever an
-  alert escalates to ``critical`` or the run aborts.
+  snapshotted — and registered in the repository's NMDS,
+  checkpoint-style, over the portal's link to it — whenever an alert
+  escalates to ``critical`` or the run aborts.
 
 Everything crosses the simulated network on the sim clock, so repeated
 runs of the same campaign produce byte-identical query results,
@@ -26,22 +27,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.monitor.streamer import TelemetryStreamer
-from repro.monitor.wiring import SUBSCRIPTION_LIFETIME
-from repro.net.rpc import RpcClient, RpcError
-from repro.nsds.subscriber import NSDSReceiver
+from repro.net.rpc import RpcError
 from repro.observatory.query import run_query
 from repro.observatory.recorder import FlightRecorder, postmortem_timeline
 from repro.observatory.schema import SCHEMA_ID, validate_dump
 from repro.observatory.service import ObservatoryService
-from repro.observatory.slo import SLOEvaluator, SLOSpec, default_slos
+from repro.observatory.slo import SLOEvaluator, default_slos
 from repro.observatory.tsdb import TimeSeriesStore
-from repro.ogsi import ServiceContainer, invoke
 from repro.repository.facade import RepositoryFacade
 from repro.util.errors import ReproError
-
-#: host the observatory lives on (the paper's NCSA data repository)
-OBSERVATORY_HOST = "repo"
 
 
 @dataclass
@@ -51,10 +45,8 @@ class ObservatoryKit:
     kernel: Any
     store: TimeSeriesStore
     service: ObservatoryService
-    receiver: NSDSReceiver
     recorder: FlightRecorder
     slo: SLOEvaluator
-    container: ServiceContainer
     monitor_kit: Any
     run_id: str
     repository: RepositoryFacade | None = None
@@ -138,46 +130,33 @@ class ObservatoryKit:
 
 
 def attach_observatory(dep, kit, *, run_id: str,
-                       slos: list[SLOSpec] | None = None,
                        slo_interval: float = 60.0) -> ObservatoryKit:
-    """Deploy the observatory against ``dep``, riding monitoring kit ``kit``.
+    """Deploy the observatory against ``dep``, beside monitoring kit ``kit``.
 
     Requires :func:`repro.monitor.attach_monitoring` to have run first —
-    the observatory subscribes to the same NSDS metrics stream and routes
-    its SLO alerts through the console.  The SLO sweep starts with
+    the observatory reads the console's store and routes its SLO alerts
+    through the console.  The SLO sweep starts with
     :meth:`ObservatoryKit.start`.
     """
-    kernel, network = dep.kernel, dep.network
-
-    store = TimeSeriesStore(kernel)
-    receiver = NSDSReceiver(network, OBSERVATORY_HOST,
-                            callback=store.on_stream_sample)
+    kernel, monitor = dep.kernel, kit.monitor
+    store = monitor.store
     recorder = FlightRecorder(kernel)
-
-    # The repo host's "ogsi" port belongs to the repository container in
-    # the full deployment; the observatory takes its own port.
-    container = ServiceContainer(network, OBSERVATORY_HOST,
-                                 port="observatory")
     service = ObservatoryService(store=store, recorder=recorder)
-    container.deploy(service)
+    kit.console_container.deploy(service)
 
-    evaluator = SLOEvaluator(kernel, store,
-                             slos if slos is not None else default_slos(),
-                             alert_sink=kit.monitor.raise_alert,
+    evaluator = SLOEvaluator(kernel, store, default_slos(),
+                             alert_sink=monitor.raise_alert,
                              interval=slo_interval)
 
     nmds = getattr(dep, "nmds", None)
-    repository = None if nmds is None else RepositoryFacade(
-        RpcClient(network, OBSERVATORY_HOST, default_timeout=30.0),
-        nmds.handle)
+    repository = (None if nmds is None
+                  else RepositoryFacade(kit.rpc, nmds.handle))
     obs = ObservatoryKit(kernel=kernel, store=store, service=service,
-                         receiver=receiver, recorder=recorder,
-                         slo=evaluator, container=container,
-                         monitor_kit=kit, run_id=run_id,
-                         repository=repository)
+                         recorder=recorder, slo=evaluator, monitor_kit=kit,
+                         run_id=run_id, repository=repository)
 
     # Critical alerts freeze the flight rings — the step-1493 black box.
-    previous_on_alert = kit.monitor.on_alert
+    previous_on_alert = monitor.on_alert
 
     def on_alert(alert):
         if alert.severity == "critical":
@@ -185,18 +164,6 @@ def attach_observatory(dep, kit, *, run_id: str,
         if previous_on_alert is not None:
             previous_on_alert(alert)
 
-    kit.monitor.on_alert = on_alert
-
-    rpc = RpcClient(network, OBSERVATORY_HOST, default_timeout=30.0)
-
-    def subscribe():
-        yield from invoke(
-            rpc, kit.nsds.handle, "subscribe",
-            {"sink_host": OBSERVATORY_HOST, "sink_port": receiver.port,
-             "channels": [TelemetryStreamer.CHANNEL],
-             "lifetime": SUBSCRIPTION_LIFETIME})
-
-    kernel.process(subscribe(), name="observatory-subscription")
-
+    monitor.on_alert = on_alert
     dep.extras["observatory"] = obs
     return obs

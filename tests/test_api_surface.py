@@ -267,10 +267,11 @@ def test_a_run_is_handed_only_what_some_deployment_sets():
         SimulationCoordinator,
     )
     from repro.grid import Grid
-    from repro.monitor import attach_monitoring
+    from repro.monitor import ExperimentMonitor, attach_monitoring
     from repro.most import ExperimentSession
     from repro.most.assembly import MOSTDeployment
     from repro.net import RetryPolicy
+    from repro.observatory import attach_observatory
 
     def spelt(fn):
         signature = inspect.signature(fn)
@@ -304,6 +305,15 @@ def test_a_run_is_handed_only_what_some_deployment_sets():
     assert spelt(ExperimentSession.with_monitoring) == "(self, on_alert=None)"
     assert spelt(attach_monitoring) == (
         "(dep, *, on_alert=None, stream_interval=30.0)")
+    # the console's detector tuning and sweep period, and the SLO list,
+    # are module constants / default_slos(): no deployment set them
+    assert spelt(ExperimentMonitor.__init__) == (
+        "(self, service_id='monitor-console', *, on_alert=None)")
+    assert spelt(ExperimentSession.with_observatory) == (
+        "(self, *, slo_interval=60.0)")
+    assert spelt(attach_observatory) == (
+        "(dep, kit, *, run_id, slo_interval=60.0)")
+    assert "AlertThresholds" not in repro.__all__
     assert spelt(RetryPolicy.call) == "(self, kernel, make_attempt, *, key='')"
     assert not hasattr(Grid, "breakers")
     assert not hasattr(MOSTDeployment, "make_breakers")
@@ -693,9 +703,10 @@ def test_a_flush_sorts_nothing():
     """What a metrics flush costs is per flush, not per record per
     reader: identity is ``Metric.key`` / the store's sorted key list,
     windows are ``Series.window``, the flight recorder renders at the
-    incident, and a sample is validated where it lands (by a checker
-    each receiver builds), not where it is built — each replaced in
-    place, so the old spelling is gone."""
+    incident, and a sample is validated where it lands (by the checker
+    of the run's one store, which the console's receiver feeds), not
+    where it is built — each replaced in place, so the old spelling is
+    gone."""
     import textwrap
 
     from repro.monitor import ExperimentMonitor, TelemetryStreamer
@@ -720,11 +731,13 @@ def test_a_flush_sorts_nothing():
     assert {"_jsonable", "extract_step"} <= calls(FlightRecorder._event)
     assert not {"_check_sample", "validate_metrics_sample"} & calls(
         TelemetryStreamer.flush)
-    for receiver in (ExperimentMonitor, TimeSeriesStore):
-        assert "metrics_sample_checker" in calls(receiver.__init__)
-    for receiver in (ExperimentMonitor.on_stream_sample,
-                     TimeSeriesStore.ingest_metrics_payload):
-        assert "_check_sample" in calls(receiver)
+    assert "metrics_sample_checker" in calls(TimeSeriesStore.__init__)
+    assert "_check_sample" in calls(TimeSeriesStore.ingest_metrics_payload)
+    # the console keeps nothing of its own: it lands a sample in the store
+    assert not {"metrics_sample_checker", "_check_sample"} & calls(
+        "src/repro/monitor/monitor.py")
+    assert "ingest_metrics_payload" in calls(
+        ExperimentMonitor.on_stream_sample)
     assert "raw" not in Series.__slots__
 
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.control import SimulationPlugin, make_displacement_actions
 from repro.monitor import (
     Alert,
-    AlertThresholds,
     ExperimentMonitor,
     HealthPublisher,
     TelemetryStreamer,
@@ -521,8 +520,7 @@ def monitor_env(**kw):
 
 class TestMonitorDetectors:
     def test_stall_fires_and_recovers(self):
-        kernel, _, _, monitor = monitor_env(
-            thresholds=AlertThresholds(stall_after=120.0), interval=15.0)
+        kernel, _, _, monitor = monitor_env()
         monitor.start()
         kernel.run(until=130.0)
         [alert] = monitor.alerts
@@ -545,8 +543,7 @@ class TestMonitorDetectors:
                                         **console).value == 1
 
     def test_no_stall_when_finished(self):
-        kernel, _, _, monitor = monitor_env(
-            thresholds=AlertThresholds(stall_after=120.0))
+        kernel, _, _, monitor = monitor_env()
         monitor.start()
         monitor.on_notification({"sde_name": "health",
                                  "value": health(source="coordinator",
@@ -555,9 +552,7 @@ class TestMonitorDetectors:
         assert monitor.alerts == []
 
     def test_slow_site_p95_over_budget(self):
-        kernel, _, _, monitor = monitor_env(
-            thresholds=AlertThresholds(execute_budget=30.0,
-                                       min_execute_samples=5))
+        kernel, _, _, monitor = monitor_env()
         monitor.on_stream_sample(stream_sample(1, [
             hist_record("core.server.execute_time", 8, 90.0, 12.0,
                         site="ntcp-uiuc"),
@@ -574,8 +569,7 @@ class TestMonitorDetectors:
         assert len(monitor.alerts) == 1
 
     def test_slow_site_needs_enough_samples(self):
-        kernel, _, _, monitor = monitor_env(
-            thresholds=AlertThresholds(min_execute_samples=5))
+        kernel, _, _, monitor = monitor_env()
         monitor.on_stream_sample(stream_sample(1, [
             hist_record("core.server.execute_time", 2, 90.0, 45.0,
                         site="ntcp-ncsa")]))
@@ -583,9 +577,9 @@ class TestMonitorDetectors:
         assert monitor.alerts == []
 
     def test_dominant_shift_needs_margin(self):
-        kernel, _, _, monitor = monitor_env(
-            thresholds=AlertThresholds(execute_budget=1e9,
-                                       dominance_margin=1.5))
+        """Every p95 below is within the 30 s execute budget, so only the
+        dominance rule can fire."""
+        kernel, _, _, monitor = monitor_env()
         monitor.on_stream_sample(stream_sample(1, [
             hist_record("core.server.execute_time", 10, 100.0, 11.0,
                         site="ntcp-uiuc"),
@@ -602,7 +596,7 @@ class TestMonitorDetectors:
         assert monitor.alerts == []
         # cu now dominates decisively
         monitor.on_stream_sample(stream_sample(3, [
-            hist_record("core.server.execute_time", 20, 400.0, 30.0,
+            hist_record("core.server.execute_time", 20, 400.0, 29.0,
                         site="ntcp-cu")]))
         monitor.check()
         [alert] = monitor.alerts
@@ -656,9 +650,7 @@ class TestMonitorDetectors:
             validate_alert_payload(alert.to_payload("monitor-console"))
 
     def test_stream_health_loss(self):
-        kernel, network, _, monitor = monitor_env(
-            thresholds=AlertThresholds(stream_loss_rate=0.05,
-                                       min_stream_samples=20))
+        kernel, network, _, monitor = monitor_env()
         recv = NSDSReceiver(network, "portal")
         monitor.bind_receiver(recv)
         for seq in range(1, 61, 2):  # every other sample lost
@@ -674,9 +666,7 @@ class TestMonitorDetectors:
         """Regression: the alert detail must carry per-channel receiver
         counters, not just receiver-wide rates, so an operator can tell
         *which* stream is losing samples."""
-        kernel, network, _, monitor = monitor_env(
-            thresholds=AlertThresholds(stream_loss_rate=0.05,
-                                       min_stream_samples=20))
+        kernel, network, _, monitor = monitor_env()
         recv = NSDSReceiver(network, "portal")
         monitor.bind_receiver(recv)
         for seq in range(1, 61, 2):
@@ -690,8 +680,7 @@ class TestMonitorDetectors:
         validate_alert_payload(alert.to_payload("monitor-console"))
 
     def test_stream_health_quiet_below_min_samples(self):
-        kernel, network, _, monitor = monitor_env(
-            thresholds=AlertThresholds(min_stream_samples=20))
+        kernel, network, _, monitor = monitor_env()
         recv = NSDSReceiver(network, "portal")
         monitor.bind_receiver(recv)
         for seq in (1, 5, 9):
@@ -758,6 +747,12 @@ def clean_report():
     return run_monitored(MOSTConfig().scaled(40))
 
 
+@pytest.fixture(scope="module")
+def pipelined_report():
+    return (ExperimentSession(MOSTConfig().scaled(30), simulation_only=True)
+            .with_pipeline().run())
+
+
 class TestMonitoredExperiment:
     def test_faulted_run_completes_with_expected_alerts(self, faulted_report):
         rep = faulted_report
@@ -819,8 +814,7 @@ class TestMonitoredExperiment:
         console = rep.monitoring.monitor
         assert console.samples_seen == rollups["stream"]["received"] == \
             rep.deployment.kernel.telemetry.counter(
-                "monitor.console.samples",
-                service=console.service_id).value
+                "observatory.store.samples").value
 
     def test_rollups_track_health_and_sites(self, clean_report):
         rollups = clean_report.rollups
@@ -873,9 +867,12 @@ class TestABadDatagramCannotStopTheRun:
 
     @pytest.mark.parametrize("observatory", [False, True])
     def test_a_malformed_metrics_sample(self, monkeypatch, observatory):
+        """With or without the observatory, the console's one receiver
+        is the only one the sample reaches, and it counts it once."""
         bogus = {"kind": "metrics", "schema": "bogus"}
+        _, _, _, console = monitor_env()
         with pytest.raises(MonitorSchemaError):
-            ExperimentMonitor().on_stream_sample(
+            console.on_stream_sample(
                 StreamSample(TelemetryStreamer.CHANNEL, 1, 0.0, bogus))
 
         outcome, sink = self.run_poisoned(
@@ -883,24 +880,20 @@ class TestABadDatagramCannotStopTheRun:
             poison=lambda dep, kit: kit.nsds.ingest(
                 dep.kernel.now, {TelemetryStreamer.CHANNEL: bogus}))
         kit = outcome.monitoring
-        receivers = [kit.receiver]
-        if observatory:
-            receivers.append(outcome.observatory.receiver)
-        for receiver in receivers:
-            assert receiver.subscriber_errors == 1
-            assert receiver.gap_count == 0
-            [error] = [record for record in sink.records
-                       if record.subsystem == f"notify.{receiver.host}"
-                       and record.kind == "subscriber.error"
-                       and record.detail["port"] == receiver.port]
-            assert "SchemaError" in error.detail["error"]
-            assert 40.0 < error.time < 41.0
+        receiver = kit.receiver
+        assert receiver.subscriber_errors == 1
+        assert receiver.gap_count == 0
+        [error] = [record for record in sink.records
+                   if record.kind == "subscriber.error"]
+        assert error.subsystem == "notify.portal"
+        assert error.detail["port"] == receiver.port
+        assert "SchemaError" in error.detail["error"]
+        assert 40.0 < error.time < 41.0
         # every other sample got through, there and at the sink next door
-        assert kit.monitor.samples_seen == kit.receiver.accepted - 1 > 0
+        assert kit.monitor.samples_seen == receiver.accepted - 1 > 0
         assert kit.sink.accepted > 0 and kit.sink.subscriber_errors == 0
         if observatory:
-            store = outcome.observatory.store
-            assert store.samples_ingested == kit.monitor.samples_seen
+            assert outcome.observatory.store is kit.monitor.store
 
     @pytest.mark.parametrize("observatory", [False, True])
     def test_a_counter_total_of_inf(self, monkeypatch, observatory):
@@ -914,10 +907,7 @@ class TestABadDatagramCannotStopTheRun:
             poison=lambda dep, kit: kit.nsds.ingest(
                 dep.kernel.now, {TelemetryStreamer.CHANNEL: poisoned}))
         kit = outcome.monitoring
-        receivers = [kit.receiver]
-        if observatory:
-            receivers.append(outcome.observatory.receiver)
-        assert [r.subscriber_errors for r in receivers] == [1] * len(receivers)
+        assert kit.receiver.subscriber_errors == 1
         assert kit.monitor.samples_seen == kit.receiver.accepted - 1 > 1
 
     def test_a_sample_timed_nan(self, monkeypatch):
@@ -931,8 +921,7 @@ class TestABadDatagramCannotStopTheRun:
                 dep.kernel.now, {TelemetryStreamer.CHANNEL: poisoned}))
         kit, obs = outcome.monitoring, outcome.observatory
         assert kit.receiver.subscriber_errors == 1
-        assert obs.receiver.subscriber_errors == 1
-        assert obs.store.samples_ingested == kit.monitor.samples_seen > 1
+        assert obs.store.samples_ingested == kit.receiver.accepted - 1 > 1
         assert all(time == time for series in obs.store.series()
                    for time in series.times)
 
@@ -940,7 +929,8 @@ class TestABadDatagramCannotStopTheRun:
         """``flush`` used to validate its own payload inside the
         ``streamer.<source>`` kernel process, where a bug in
         ``snapshot_records`` ended the experiment; now the malformed
-        sample reaches both receivers, each counts it, the run goes on."""
+        sample reaches the one receiver, which counts it; the run goes
+        on."""
         monkeypatch.setattr(
             TelemetryStreamer, "snapshot_records",
             lambda self: [{"name": "Not A Metric", "type": "counter"}])
@@ -950,9 +940,8 @@ class TestABadDatagramCannotStopTheRun:
         assert outcome.completed and outcome.alerts == []
         kit, obs = outcome.monitoring, outcome.observatory
         assert kit.streamer.seq > 1
-        for receiver in (kit.receiver, obs.receiver):
-            assert receiver.subscriber_errors == receiver.accepted \
-                == kit.streamer.seq
+        assert kit.receiver.subscriber_errors == kit.receiver.accepted \
+            == kit.streamer.seq
         assert kit.monitor.samples_seen == obs.store.samples_ingested == 0
 
     def test_nobody_writes_through_a_streamed_labels_dict(self):
@@ -1024,20 +1013,34 @@ class TestCriticalPath:
             assert agg["steps"] == len(rows)
             assert agg["execute_p95"] >= agg["execute_mean"] * 0.5
 
-    def test_a_pipelined_run_blames_every_committed_step(self):
+    def test_a_pipelined_run_blames_every_committed_step(
+            self, pipelined_report):
         """A pipelined step's legs hang under its ``round`` child or under
         the root ``speculate`` span it adopted, never right under the
         step span: each is still the step's, so every site counts every
         committed step (step 0's initialization included)."""
-        report = (ExperimentSession(MOSTConfig().scaled(30),
-                                    simulation_only=True)
-                  .with_pipeline().run())
+        report = pipelined_report
         rows = step_traces(report.deployment.kernel.telemetry.spans())
         assert len(rows) == report.result.steps_completed + 1
         table = blame_table(rows)
         assert {agg["site"]: agg["steps"] for agg in table} == dict.fromkeys(
             ("ntcp-uiuc", "ntcp-cu", "ntcp-ncsa"), len(rows))
         assert sum(agg["dominated"] for agg in table) == len(rows)
+
+    def test_a_pipelined_critical_path_fits_in_its_step(
+            self, pipelined_report):
+        """An adopted speculation ran mostly during the step before: the
+        critical path counts only the part of each leg inside the step's
+        own span, so it never exceeds the step (the mean critical path
+        of this run read 2.033 s against a 1.067 s mean step when whole
+        legs were added up), while ``sites`` keeps the whole legs."""
+        rows = step_traces(
+            pipelined_report.deployment.kernel.telemetry.spans())
+        assert len(rows) == 30
+        for row in rows:
+            assert row["critical"] <= row["total"] + 1e-9, row["step"]
+        assert any(per["execute"] > row["total"] for row in rows
+                   for per in row["sites"].values())
 
     def test_a_rolled_back_speculation_counts_for_no_step(self):
         """Steps 1 and 2 run verified rounds (step 2's speculation was

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.monitor import ExperimentMonitor, TelemetryStreamer
 from repro.most import ExperimentSession, MOSTConfig
 from repro.net import Network, RpcClient
 from repro.nsds import StreamSample
@@ -35,6 +36,7 @@ from repro.observatory import (
     run_query,
     validate_query_result,
 )
+from repro.observatory import wiring
 from repro.observatory.recorder import _jsonable, extract_step
 from repro.observatory.schema import (TIERS, ObservatorySchemaError,
                                       validate_dump)
@@ -260,14 +262,20 @@ class TestStore:
         assert p95.points("raw") == [(5.0, 14.0)]
 
     def test_stream_callback_ignores_foreign_samples(self):
-        store = TimeSeriesStore(Kernel())
-        store.on_stream_sample(StreamSample(
+        """The console's receiver callback is the store's one way in from
+        the stream, and it keeps metrics samples only."""
+        network = Network(Kernel(), seed=1)
+        network.add_host("portal")
+        console = ExperimentMonitor()
+        ServiceContainer(network, "portal").deploy(console)
+        store = console.store
+        console.on_stream_sample(StreamSample(
             channel="daq", sequence=1, time=0.0, value=[1, 2, 3]))
-        store.on_stream_sample(StreamSample(
+        console.on_stream_sample(StreamSample(
             channel="health", sequence=1, time=0.0,
             value={"kind": "health"}))
         assert store.stats()["samples_ingested"] == 0
-        store.on_stream_sample(StreamSample(
+        console.on_stream_sample(StreamSample(
             channel="monitor-metrics", sequence=1, time=0.0,
             value=metrics_sample(1, [gauge_record("a.b.c", 1.0)])))
         assert store.stats()["samples_ingested"] == 1
@@ -852,6 +860,23 @@ class TestSessionIntegration:
         assert obs.recorder.snapshots == []
         assert obs.monitor_kit.monitor.alerts == []
 
+    def test_console_and_observatory_share_one_receiver_and_store(self):
+        """Each metrics sample is shipped, checked and kept once: the
+        coordinator's NSDS service has one ``monitor-metrics``
+        subscriber, the console's receiver, so it pushes one datagram
+        per flush, and the observatory serves the console's store from
+        the console's container on the portal."""
+        outcome = (ExperimentSession(small(), run_id="obs-one")
+                   .with_observatory().run())
+        assert outcome.completed
+        kit, obs = outcome.monitoring, outcome.observatory
+        assert len(kit.nsds.subscribers) == 1
+        assert kit.nsds.subscribers.wants(TelemetryStreamer.CHANNEL)
+        assert kit.nsds.pushed == kit.streamer.seq > 0
+        assert obs.store is kit.monitor.store
+        assert kit.monitor.samples_seen == kit.receiver.accepted
+        assert obs.service.container is kit.console_container
+
     def test_abort_captures_and_registers_the_black_box(self):
         outcome = (ExperimentSession(small(), run_id="obs-abort")
                    .with_faults(outage_duration=float("inf"))
@@ -876,16 +901,18 @@ class TestSessionIntegration:
         # the drain phase carried the snapshot to the repository
         assert obs.registered_snapshots
 
-    def test_slo_burn_reaches_the_console_and_freezes_the_flight_rings(self):
+    def test_slo_burn_reaches_the_console_and_freezes_the_flight_rings(
+            self, monkeypatch):
         """SLO evaluator → ``ExperimentMonitor.raise_alert`` → the
         observatory's ``on_alert`` hook → ``record_escalation``: the one
         path a fake sink cannot cover."""
         must_burn = SLOSpec(name="no-step-is-free",
                             metric="coordinator.mspsds.step_time",
                             selector={"stat": "p95"}, threshold=0.0)
+        monkeypatch.setattr(wiring, "default_slos", lambda: [must_burn])
         outcome = (ExperimentSession(MOSTConfig().scaled(60), run_id="burn")
                    .with_fault_tolerance().with_anomalies()
-                   .with_observatory(slos=[must_burn])
+                   .with_observatory()
                    .run())
         assert outcome.completed
         burns = [a for a in outcome.alerts if a.kind == "slo_burn"]
