@@ -20,9 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
 from repro.control.actions import displacement_targets
+from repro.control.sim_plugin import substructure_readings
 from repro.core.messages import Proposal
 from repro.core.plugin import ControlPlugin
 from repro.core.policy import SitePolicy
@@ -239,31 +238,6 @@ class MatlabBackend(PollBackend):
     def process_request(self, targets: dict[int, float]):
         if self.compute_time > 0:
             yield self.kernel.timeout(self.compute_time)
-        n = len(self.substructure.dof_indices)
-        # Ensemble batches (list-valued targets) are evaluated in one
-        # vectorized call, charging the Matlab compute time once for the
-        # whole batch — mirroring SimulationPlugin.execute exactly.
-        batched = any(isinstance(v, list) for v in targets.values())
-        if batched:
-            width = len(next(iter(targets.values())))
-            d_local = np.zeros((n, width))
-            for dof, value in targets.items():
-                d_local[dof, :] = value
-        else:
-            d_local = np.zeros(n)
-            for dof, value in targets.items():
-                d_local[dof] = value
-        forces = np.atleast_1d(self.substructure.restoring(d_local))
-        if batched:
-            return {
-                "displacements": {dof: [float(d) for d in d_local[dof]]
-                                  for dof in targets},
-                "forces": {dof: [float(f) for f in forces[dof]]
-                           for dof in targets},
-                "settle_time": self.compute_time,
-            }
-        return {
-            "displacements": {dof: float(d_local[dof]) for dof in targets},
-            "forces": {dof: float(forces[dof]) for dof in targets},
-            "settle_time": self.compute_time,
-        }
+        # an ensemble batch is one vectorized call, as in SimulationPlugin
+        return substructure_readings(self.substructure, targets,
+                                     self.compute_time)

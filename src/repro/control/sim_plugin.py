@@ -39,38 +39,32 @@ class SimulationPlugin(ControlPlugin):
 
     def execute(self, proposal: Proposal):
         targets = displacement_targets(proposal.actions)
-        n = len(self.substructure.dof_indices)
-        # An ensemble batch (list-valued targets) evaluates all variants
-        # in one vectorized restoring() call: the compute time is charged
-        # once for the whole batch, which is the amortization that makes
-        # ensemble stepping fast.
-        batched = any(isinstance(v, list) for v in targets.values())
-        if batched:
-            width = len(next(iter(targets.values())))
-            d_local = np.zeros((n, width))
-            for dof, value in targets.items():
-                d_local[dof, :] = value
-        else:
-            d_local = np.zeros(n)
-            for dof, value in targets.items():
-                d_local[dof] = value
         if self.compute_time > 0:
             yield self.kernel.timeout(self.compute_time)
-        forces = np.atleast_1d(self.substructure.restoring(d_local))
+        readings = substructure_readings(self.substructure, targets,
+                                         self.compute_time)
         self.steps_executed += 1
-        if batched:
-            readings: dict[str, Any] = {
-                "displacements": {dof: [float(d) for d in d_local[dof]]
-                                  for dof in targets},
-                "forces": {dof: [float(f) for f in forces[dof]]
-                           for dof in targets},
-                "settle_time": self.compute_time,
-            }
-        else:
-            readings = {
-                "displacements": {dof: float(d_local[dof])
-                                  for dof in targets},
-                "forces": {dof: float(forces[dof]) for dof in targets},
-                "settle_time": self.compute_time,
-            }
         return readings
+
+
+def substructure_readings(substructure, targets: dict,
+                          settle_time: float) -> dict[str, Any]:
+    """The readings of ``substructure`` driven to ``targets`` (local DOF →
+    displacement): displacements and restoring forces per DOF.
+
+    An ensemble batch (list-valued targets, one entry per variant) is
+    evaluated in one vectorized ``restoring()`` call, each reading a list
+    per DOF: the compute time is charged once for the whole batch, which
+    is the amortization that makes ensemble stepping fast.
+    """
+    values = list(targets.values())
+    batched = any(isinstance(value, list) for value in values)
+    d_local = np.zeros((len(substructure.dof_indices), len(values[0]))
+                       if batched else len(substructure.dof_indices))
+    for dof, value in targets.items():
+        d_local[dof] = value
+    forces = np.atleast_1d(substructure.restoring(d_local))
+    read = (lambda row: [float(x) for x in row]) if batched else float
+    return {"displacements": {dof: read(d_local[dof]) for dof in targets},
+            "forces": {dof: read(forces[dof]) for dof in targets},
+            "settle_time": settle_time}

@@ -131,10 +131,3 @@ class ExecutionOutcome:
         return {"transaction": self.transaction,
                 "readings": dict(self.readings),
                 "started": self.started, "finished": self.finished}
-
-    def copy(self) -> "ExecutionOutcome":
-        """The outcome with its own ``readings`` dict (shallow): what the
-        server hands out, so a caller's edit never reaches the stored
-        at-most-once record."""
-        return ExecutionOutcome(self.transaction, dict(self.readings),
-                                self.started, self.finished)

@@ -27,7 +27,11 @@ from repro.core.messages import (
     ProposalVerdict,
 )
 from repro.core.plugin import ControlPlugin
-from repro.core.transaction import Transaction, TransactionState
+from repro.core.transaction import (
+    Transaction,
+    TransactionState,
+    TransactionTable,
+)
 from repro.ogsi.service import GridService
 from repro.sim import Task
 from repro.sim.events import PENDING
@@ -41,6 +45,9 @@ STAT_KEYS = ("proposed", "accepted", "rejected", "executed", "failed",
 _COUNTED = {state: state.value for state in TransactionState
             if state.value in STAT_KEYS}
 
+#: the states a transaction never leaves, where the server packs it
+_TERMINAL = frozenset(state for state in TransactionState if state.terminal)
+
 #: a transaction's SDE is named this prefix + the transaction's name
 _TXN_SDE = "transaction:"
 #: what a plugin run's end event holds when its execution deadline won
@@ -53,7 +60,13 @@ class NTCPServer(GridService):
     def __init__(self, service_id: str, plugin: ControlPlugin):
         super().__init__(service_id)
         self.plugin = plugin
-        self.transactions: dict[str, Transaction] = {}
+        #: name → the live transaction, or its row once it is terminal
+        self._index: dict[str, Transaction | int] = {}
+        #: every transaction by name, in proposal order, as a read-only
+        #: ``Mapping``: the live object while in flight; once terminal,
+        #: an object rebuilt from its row on each read, equal to the one
+        #: packed (PROTOCOL.md §2)
+        self.transactions = TransactionTable(self._index)
         self._completion_events: dict[str, Any] = {}
         self._counters: dict[str, Any] | None = None  # built on attach
 
@@ -98,7 +111,7 @@ class NTCPServer(GridService):
         a sink."""
         txn.version += 1
         txn.modified = self._changed_at = self.kernel.now
-        self._last = txn
+        self._last = txn.name
         self._changes += 1
         subscribers = self.sde_subscribers
         if subscribers and subscribers.wants_prefix(_TXN_SDE):
@@ -112,8 +125,7 @@ class NTCPServer(GridService):
         """``(value, last_modified, version)`` of ``lastChanged`` or of a
         transaction's SDE, as of now; None for any other name."""
         if name == "lastChanged":
-            return (self._last and self._last.name, self._changed_at,
-                    self._changes)
+            return self._last, self._changed_at, self._changes
         txn = (self.transactions.get(name[len(_TXN_SDE):])
                if name.startswith(_TXN_SDE) else None)
         return txn and (txn.to_sde_value(), txn.modified, txn.version)
@@ -121,19 +133,22 @@ class NTCPServer(GridService):
     def _move(self, txn: Transaction, state: TransactionState,
               error: str = "") -> None:
         """The one place a transaction changes state: the guarded
-        transition, the state's counter (``executing`` has none), the SDE."""
+        transition, the state's counter (``executing`` has none), the SDE;
+        a terminal transaction is packed into a row."""
         txn.transition(state, self.kernel.now, error=error)
         key = _COUNTED.get(state)
         if key is not None:
             self._count(key)
         self._publish(txn)
+        if state in _TERMINAL:
+            self._index[txn.name] = self.transactions.pack(txn)
 
     def _get(self, name: str) -> Transaction:
-        txn = self.transactions.get(name)
+        txn = self._index.get(name)
         if txn is None:
             raise ProtocolError(
                 f"unknown transaction {name!r} at {self.service_id}")
-        return txn
+        return txn if type(txn) is Transaction else self.transactions[name]
 
     # -- operations ----------------------------------------------------------
     def _op_propose(self, caller, proposal: dict[str, Any]):
@@ -146,15 +161,14 @@ class NTCPServer(GridService):
         span = self._tracer.start_span("core.server.propose",
                                        site=self.service_id,
                                        transaction=prop.transaction)
-        existing = self.transactions.get(prop.transaction)
-        if existing is not None:
+        if prop.transaction in self._index:
             self._count("duplicate_proposals")
-            verdict = self._verdict(existing)
+            verdict = self._verdict(self.transactions[prop.transaction])
             span.end(state=verdict.state, duplicate=True)
             return verdict
         txn = Transaction(proposal=prop,
                           timestamps={"proposed": self.kernel.now})
-        self.transactions[prop.transaction] = txn
+        self._index[prop.transaction] = txn
         self._count("proposed")
         self._publish(txn)
         try:
@@ -192,7 +206,7 @@ class NTCPServer(GridService):
         ``dedupe_execute`` mutant replaces it with a re-run)."""
         assert txn.result is not None
         span.end(state=txn.state.value, duplicate=True)
-        return txn.result.copy()
+        return txn.result  # rebuilt from the row: the caller's own
 
     def _op_execute(self, caller, transaction: str):
         """Execute an accepted transaction with at-most-once semantics.
@@ -262,10 +276,9 @@ class NTCPServer(GridService):
                 started=started, finished=self.kernel.now)
             self._execute_time.observe(txn.result.duration)
             self._move(txn, TransactionState.EXECUTED)
-            outcome = txn.result.copy()
-            self._settle(txn, outcome)
+            self._settle(txn, txn.result)  # packed: no edit reaches the row
             span.end(state=txn.state.value)
-            return outcome
+            return txn.result
         # Execution timed out: abandon the plugin run and fail the txn.
         self.plugin.cancel(txn.proposal)
         if work.is_alive:
@@ -327,11 +340,8 @@ class NTCPServer(GridService):
             raise ProtocolError(
                 f"transaction {transaction!r} has no results "
                 f"(state {txn.state.value})")
-        return txn.result.copy()
+        return txn.result
 
     def _op_listTransactions(self, caller, state: str | None = None):
-        names = []
-        for txn in self.transactions.values():
-            if state is None or txn.state.value == state:
-                names.append(txn.name)
-        return sorted(names)
+        return sorted(txn.name for txn in self.transactions.values()
+                      if state is None or txn.state.value == state)

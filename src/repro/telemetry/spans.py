@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.util.ids import IdFactory
+from repro.util.rows import Rows
 
 _UNSET = object()
 
@@ -129,16 +130,18 @@ class Span:
                 self.attrs.update(attrs)
             tracer = self.tracer
             self.end_time = tracer._clock()
-            packed, objects = tracer._rows[-1]
-            if len(packed) == _ROW.size * _CHUNK_ROWS:  # the tail is full
-                packed, objects = bytearray(), []
-                tracer._rows.append((packed, objects))
+            rows = tracer._rows  # ``Rows.append``, inlined: the hot path
+            packed, objects, ends = rows.chunks[-1]
+            if len(ends) == rows.full:
+                packed, objects, ends = rows.grow()
             attrs = self.attrs
             objects.extend((self.name, self.trace_id))
             objects.extend(attrs)
             objects.extend(attrs.values())
             packed += _ROW.pack(self._number, self._parent_number,
-                                self.start, self.end_time, len(objects))
+                                self.start, self.end_time)
+            ends.append(len(packed))
+            ends.append(len(objects))
             if tracer.on_finish is not None:
                 tracer.on_finish(self)
         return self
@@ -177,14 +180,8 @@ def _as_dict(name, trace_id, span_id, parent_id, start, end, attrs):
             "attrs": attrs}
 
 
-#: a row's numbers: span number, parent number, start, end, and where
-#: its objects end in its chunk's list
-_ROW = struct.Struct("qqddq")
-#: rows per chunk of the tracer's store.  A chunk's buffers stay well
-#: under glibc's 128 KiB mmap threshold: 512 rows of the widest span
-#: (``net.rpc.call``, 14 objects) with the list's ~12 % over-allocation
-#: is about 64 KiB of references, and 512 packed rows are 20 KiB
-_CHUNK_ROWS = 512
+#: a row's numbers: span number, parent number, start, end
+_ROW = struct.Struct("qqdd")
 
 
 def _span_number(span_id: Any) -> int:
@@ -218,18 +215,13 @@ class SpanView(Sequence):
 class Tracer:
     """Creates spans on a clock and keeps the finished ones as rows.
 
-    A finished span is one row, in finish order, in a chunk of
-    ``_CHUNK_ROWS`` rows; row ``r`` is row ``r % _CHUNK_ROWS`` of chunk
-    ``r // _CHUNK_ROWS``, and only the last chunk is ever short.  A chunk
-    is two stores: ``_ROW`` numbers packed into a bytearray (span number,
-    ``N`` of ``span-N``; parent number, 0 for a root and minus the
-    1-based index into ``_foreign_ids`` for a parent id not of the
-    ``span-N`` form; start and end as C doubles, the clock returning
-    floats; and where the row's objects end in the chunk's list), and
-    the objects appended to a list: name, trace id, then the ``attrs``
-    keys and values in key order.  No row is an object of its own, so
-    rows cost the collector nothing, and fixed-size chunks keep every
-    buffer below the allocator's mmap threshold however long the run.
+    A finished span is one row of a :class:`~repro.util.rows.Rows`
+    store, in finish order: ``_ROW`` numbers (span number, ``N`` of
+    ``span-N``; parent number, 0 for a root and minus the 1-based index
+    into ``_foreign_ids`` for a parent id not of the ``span-N`` form;
+    start and end as C doubles, the clock returning floats), and the
+    objects name, trace id, then the ``attrs`` keys and values in key
+    order.
 
     Parenting is explicit (``parent=span_or_context``) or ambient: a
     dispatcher may :meth:`activate` a span (or a trace context) around a
@@ -247,8 +239,8 @@ class Tracer:
         self._trace_ids = IdFactory("trace")
         self._span_numbers = itertools.count(1)
         self._active: "Span | TraceContext | None" = None
-        #: chunks of (packed numbers, objects): the finished spans' rows
-        self._rows: list[tuple[bytearray, list[Any]]] = [(bytearray(), [])]
+        #: the finished spans' rows
+        self._rows = Rows()
         self._foreign_ids: list[Any] = []
 
     # -- ambient context ---------------------------------------------------
@@ -299,31 +291,19 @@ class Tracer:
 
     def _row(self, row: int) -> tuple:
         """``(name, trace id, number, parent number, start, end, attrs)``."""
-        chunk, row = divmod(row, _CHUNK_ROWS)
-        packed, objects = self._rows[chunk]
-        first = _ROW.unpack_from(packed, _ROW.size * (row - 1))[4] \
-            if row else 0
-        number, parent, start, end, last = _ROW.unpack_from(
-            packed, _ROW.size * row)
+        packed, start, objects, first, last = self._rows[row]
         name, trace_id, *attrs = objects[first:last]
         half = len(attrs) // 2
-        return (name, trace_id, number, parent, start, end,
+        return (name, trace_id, *_ROW.unpack_from(packed, start),
                 dict(zip(attrs[:half], attrs[half:])))
 
     def _heads(self):
         """``(row, parent number, name, trace id)`` of each row, in
         order: what the queries filter on."""
-        for chunk, (packed, objects) in enumerate(self._rows):
-            first = 0
-            for row, (_, parent, _, _, last) in enumerate(
-                    _ROW.iter_unpack(packed), chunk * _CHUNK_ROWS):
-                yield row, parent, objects[first], objects[first + 1]
-                first = last
-
-    def _count(self) -> int:
-        """How many spans have finished: only the last chunk is short."""
-        return (len(self._rows) - 1) * _CHUNK_ROWS \
-            + len(self._rows[-1][0]) // _ROW.size
+        for row in range(len(self._rows)):
+            packed, start, objects, first, _ = self._rows[row]
+            yield (row, _ROW.unpack_from(packed, start)[1], objects[first],
+                   objects[first + 1])
 
     def _span(self, row: int) -> Span:
         name, trace_id, number, parent, start, end, attrs = self._row(row)
@@ -336,7 +316,7 @@ class Tracer:
     def dicts(self):
         """Each finished span's ``to_dict()``, in finish order, straight
         from its row: no :class:`Span` is built."""
-        for row in range(self._count()):
+        for row in range(len(self._rows)):
             name, trace_id, number, parent, start, end, attrs = self._row(row)
             yield _as_dict(name, trace_id, f"span-{number}",
                            self._parent_id(parent), start, end, attrs)
@@ -345,7 +325,7 @@ class Tracer:
     def spans(self, name: str | None = None, *,
               trace_id: str | None = None) -> SpanView:
         """Finished spans filtered by exact name and/or trace id."""
-        rows: Sequence[int] = range(self._count())
+        rows: Sequence[int] = range(len(self._rows))
         if name is not None or trace_id is not None:
             rows = [row for row, _, row_name, row_trace in self._heads()
                     if (name is None or row_name == name)

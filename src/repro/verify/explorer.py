@@ -239,6 +239,7 @@ def _misread_executed(get_transaction):
 def _rerun_duplicate(_):
     def broken(self, txn, span):
         txn.state = TransactionState.EXECUTING  # bypass the guard
+        self._index[txn.name] = txn  # live again, no longer its row
         self._publish(txn)
         return self._run_plugin(txn, span)
     return broken

@@ -152,14 +152,20 @@ class TestRetention:
         its own copy of the stream — a structured record or a finished
         span lives only in a sink that keeps it (the flight recorder's
         bounded rings; no other: the tracer keeps a span as an untracked
-        row), and a transaction keeps one untracked state → time map,
-        not a list of ``(state, time)`` tuples.  A short run of the same
-        shape goes first, so what the first run of a process imports is
-        not counted as kept.  The census is printed (``-s``) for
-        CHANGES.md."""
+        row), and a terminal NTCP transaction lives only as its server's
+        untracked row, with no ``Transaction``, ``Proposal``, ``Action``
+        or ``ExecutionOutcome`` kept.  A short run of the same shape goes
+        first, so what the first run of a process imports is not counted
+        as kept.  The census is printed (``-s``) for CHANGES.md."""
         import gc
         from collections import Counter
 
+        from repro.core import (
+            Action,
+            ExecutionOutcome,
+            Proposal,
+            Transaction,
+        )
         from repro.nsds import StreamSample
         from repro.telemetry import LogRecord, Span
 
@@ -188,6 +194,8 @@ class TestRetention:
         rings = sum(buffer.capacity for service in services
                     for buffer in service.buffers.values())
         assert retained[StreamSample] <= rings
+        assert [retained[kind] for kind in (
+            Transaction, Proposal, Action, ExecutionOutcome)] == [0] * 4
         if outcome.observatory is None:
             assert retained[LogRecord] == retained[Span] == 0
         else:
@@ -198,6 +206,7 @@ class TestRetention:
         if shape == "sim_only":
             assert retained[StreamSample] == 0
             assert retained[tuple] / steps < 4.5
-            assert sum(retained.values()) / steps <= 23
+            # 22.5 when each terminal transaction was kept as objects
+            assert sum(retained.values()) / steps <= 4.5
         else:
             assert outcome.stream_samples_pushed > rings

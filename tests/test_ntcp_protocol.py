@@ -327,9 +327,10 @@ class TestAtMostOnce:
         assert env.server.metrics()["duplicate_executes"] == 1
 
     def test_a_callers_edit_never_reaches_the_stored_record(self):
-        """The server stores one ``ExecutionOutcome`` and hands out
-        copies of it (own ``readings`` dict) on execute, duplicate
-        execute and ``getResults``."""
+        """The server keeps the outcome as a row and hands out a fresh
+        ``ExecutionOutcome`` (own ``readings`` dict) on duplicate execute
+        and ``getResults``: an edit of what execute returned reaches
+        neither."""
         env = make_site(linear_plugin())
 
         def go():

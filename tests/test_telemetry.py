@@ -52,6 +52,7 @@ from repro.telemetry.report import (
     step_rows,
 )
 from repro.testing import make_site
+from repro.util import rows as rows_module
 
 
 class TestMetrics:
@@ -474,7 +475,7 @@ class TestRowStore:
         finished spans spreads them over chunks, so each reader maps
         rows to (chunk, offset) and walks chunk after chunk."""
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(spans_module, "_CHUNK_ROWS", 3)
+            patch.setattr(rows_module, "CHUNK_ROWS", 3)
             _reads_back_as_the_sink_saw(program)
 
     def test_a_read_is_a_fresh_span_and_changes_nothing_kept(self):

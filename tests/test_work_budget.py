@@ -19,6 +19,8 @@ import pytest
 
 import repro
 
+from repro.coordinator.state import transaction_name
+from repro.core.transaction import TransactionTable
 from repro.fleet import (
     SitePool,
     TenantRegistry,
@@ -41,6 +43,7 @@ from repro.queue import (
 from repro.sim import Kernel
 from repro.sim.events import PENDING
 from repro.telemetry import LogRecord, TraceContext
+from repro.util.rows import Rows
 from test_monitor import counter_record, monitor_env, stream_sample
 
 #: ``Crypto.sign`` calls for the campaign below: credentials, proxies and
@@ -104,6 +107,13 @@ MOST_BARE_PER_STEP = {"entries": 52.27, "messages": 12.01}
 #: 3.11.7); 122.6 in chunks of 512 rows, each NTCP verb's client span
 #: name one string per operation.
 BYTES_PER_SPAN_BUDGET = 180
+
+#: bytes the NTCP servers' transaction tables of a 300-step
+#: simulation-only run keep per committed step, by tracemalloc: 4,780
+#: when each terminal transaction was kept as a ``Transaction`` with its
+#: ``Proposal``, ``Action``s, ``ExecutionOutcome`` and readings dicts
+#: (4,860); 562 measured as rows (Python 3.11.7)
+NTCP_BYTES_PER_STEP_BUDGET = 1500
 
 #: glibc's default ``M_MMAP_THRESHOLD``: a block this large or larger is
 #: served by ``mmap`` until a free raises the threshold
@@ -260,8 +270,9 @@ class TestControlPlaneWorkBudget:
 def traced_store():
     """A 300-step simulation-only run under tracemalloc: the outcome,
     its tracer, the finished spans, the sizes of the traced blocks of
-    128 KiB or more still held at its end, and the bytes freed when the
-    tracer's row store is emptied."""
+    128 KiB or more still held at its end, the bytes freed when the
+    tracer's row store is emptied, and then the bytes freed when the
+    NTCP servers' transaction tables are."""
     import tracemalloc
 
     tracemalloc.start()
@@ -274,12 +285,18 @@ def traced_store():
         kept = tracemalloc.get_traced_memory()[0]
         large = [trace.size for trace in tracemalloc.take_snapshot().traces
                  if trace.size >= MMAP_THRESHOLD]
-        tracer._rows = [(bytearray(), [])]
+        tracer._rows = Rows()
         gc.collect()
         freed = kept - tracemalloc.get_traced_memory()[0]
+        kept -= freed
+        for site in outcome.deployment.sites.values():
+            site.server._index.clear()
+            site.server.transactions = TransactionTable(site.server._index)
+        gc.collect()
+        ntcp = kept - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    return outcome, tracer, spans, large, freed
+    return outcome, tracer, spans, large, freed, ntcp
 
 
 def test_the_full_record_costs_its_pinned_work_per_step():
@@ -304,20 +321,45 @@ def test_the_full_record_costs_its_pinned_work_per_step():
 def test_a_finished_span_is_kept_in_few_bytes(traced_store):
     """What the tracer's row store holds, per finished span: the bytes
     tracemalloc sees freed when the test empties the store."""
-    outcome, tracer, spans, _, freed = traced_store
+    outcome, tracer, spans, _, freed, _ = traced_store
     assert outcome.completed and len(tracer.spans()) == 0
     assert spans > 20 * outcome.steps_completed
     assert freed / spans <= BYTES_PER_SPAN_BUDGET
 
 
+def test_a_terminal_transaction_is_kept_in_few_bytes(traced_store):
+    """What the servers' transaction tables hold, per committed step:
+    the bytes tracemalloc sees freed when the test empties them."""
+    outcome, *_, ntcp = traced_store
+    assert outcome.completed
+    assert 0 < ntcp / outcome.steps_completed <= NTCP_BYTES_PER_STEP_BUDGET
+
+
 def test_no_block_past_the_mmap_threshold_is_held(traced_store):
     """The run ends holding no block the allocator would serve by
-    ``mmap``: the row store grows in fixed-size chunks, where one
-    bytearray and one list growing for the whole run were the two such
-    blocks (freeing them raised glibc's mmap threshold, and the next
-    run's store then ratcheted the process peak up)."""
-    outcome, _, _, large, _ = traced_store
+    ``mmap``: the span and transaction row stores grow in fixed-size
+    chunks, where one bytearray and one list growing for the whole run
+    were the two such blocks (freeing them raised glibc's mmap
+    threshold, and the next run's store then ratcheted the process peak
+    up).  A transaction table packed with 1,200 of the run's executed
+    transactions, over two chunks, holds none either."""
+    import tracemalloc
+
+    outcome, _, _, large, _, _ = traced_store
     assert outcome.completed and large == []
+    txn = ExperimentSession(MOSTConfig().scaled(3), simulation_only=True
+                            ).run().deployment.sites["uiuc"].server \
+        .transactions[transaction_name("most-session", 1, "uiuc")]
+    tracemalloc.start()
+    try:
+        table = TransactionTable({})
+        rows = [table.pack(txn) for _ in range(1200)]
+        large = [trace.size for trace in tracemalloc.take_snapshot().traces
+                 if trace.size >= MMAP_THRESHOLD]
+    finally:
+        tracemalloc.stop()
+    assert rows[-1] == 1199 and len(table._rows.chunks) == 3
+    assert large == []
 
 
 @pytest.fixture(scope="module")
