@@ -37,9 +37,10 @@ class NTCPClient:
     ``GsiAuthenticator(...).credential_for``.
 
     Every protocol verb takes an optional ``ctx`` (a telemetry span or
-    trace context): the verb's own client span becomes its child and the
-    trace propagates through the RPC hop to the server, so a coordinator
-    step decomposes end-to-end.
+    trace context): the verb's own client span becomes its child and
+    covers the RPC hop (it gets the call's ``attempts``; the server's
+    operation span is its child across the wire), so a coordinator step
+    decomposes end-to-end.
     """
 
     def __init__(self, rpc: RpcClient, *, timeout: float = 10.0,

@@ -25,6 +25,7 @@ from typing import Any, Callable, Generator, NamedTuple
 from repro.net.network import Message, Network
 from repro.sim import Task
 from repro.sim.events import PENDING
+from repro.telemetry.spans import Span
 from repro.util.errors import ConfigurationError, ReproError, SecurityError
 from repro.util.ids import IdFactory
 
@@ -57,11 +58,15 @@ class RpcRequest(NamedTuple):
     params: dict[str, Any]
     reply_port: str
     credential: Any = None
-    #: trace context of the calling span (a plain ``{"trace_id", "span_id"}``
-    #: dict, so nothing live crosses the wire) — lets the receiving side
-    #: parent its server span under the caller's trace.  One that is not
-    #: that shape is ignored: the server span starts a new trace.
-    trace: dict[str, str] | None = None
+    #: trace context of the calling span, a plain dict so nothing live
+    #: crosses the wire (:meth:`~repro.telemetry.Span.to_wire`):
+    #: ``trace_id``, ``span_id`` (``span-N``), ``number`` (that ``N``, so
+    #: the server parses no id) and ``covered`` — true when the caller's
+    #: own span covers the hop, so the server opens no ``net.rpc.server``
+    #: span and parents its handler's spans straight under the caller's.
+    #: One that is not that shape, or whose ``number`` is not its
+    #: ``span_id``'s, is ignored: the hop is served under a new trace.
+    trace: dict[str, Any] | None = None
 
 
 class RpcResponse(NamedTuple):
@@ -90,16 +95,17 @@ _TIMED_OUT = object()
 """What an attempt's reply event yields when its timer got there first."""
 
 
-def _wire_parent(trace: Any) -> dict[str, str] | None:
+def _wire_parent(trace: Any) -> dict[str, Any] | None:
     """``RpcRequest.trace`` if it is a well-formed context, else None.
 
     An invalid context is no context (as W3C Trace Context treats an
     invalid ``traceparent``): the hop is still served, under a new trace.
     """
-    if (isinstance(trace, dict) and isinstance(trace.get("trace_id"), str)
-            and isinstance(trace.get("span_id"), str)):
-        return trace
-    return None
+    number = trace.get("number") if isinstance(trace, dict) else None
+    return trace if (type(number) is int and 0 < number < 2 ** 63
+                     and trace.get("span_id") == f"span-{number}"
+                     and isinstance(trace.get("trace_id"), str)
+                     and type(trace.get("covered")) is bool) else None
 
 
 def _check_policy(timeout: Any, retries: Any) -> None:
@@ -146,15 +152,17 @@ class RpcService:
             self.kernel.emit(self.name, "rpc.bad_message", msg_id=msg.msg_id)
             return
         tracer = self.telemetry.tracer
-        span = tracer.start_span("net.rpc.server",
-                                 parent=_wire_parent(req.trace),
-                                 method=req.method, service=self.name)
+        parent = _wire_parent(req.trace)
+        # A hop the caller's span covers opens no span here either.
+        span = None if parent and parent["covered"] else tracer.start_span(
+            "net.rpc.server", parent=parent, method=req.method, service=self.name)
 
         def reply(response: RpcResponse) -> None:
-            span.end(ok=response.ok)
+            if span is not None:
+                span.end(ok=response.ok)
             self._reply(msg, response)
 
-        caller: Any = None
+        caller = req.credential
         if self.checker is not None:
             try:
                 caller = self.checker(req.credential, req.method)
@@ -163,8 +171,6 @@ class RpcService:
                     request_id=req.request_id, ok=False,
                     error_type="SecurityError", error_message=str(exc)))
                 return
-        else:
-            caller = req.credential
         fn = self._methods.get(req.method)
         if fn is None:
             reply(RpcResponse(
@@ -175,23 +181,21 @@ class RpcService:
         try:
             # Ambient trace context: synchronous handler code (and the
             # synchronous prefix of generator handlers) parents its spans
-            # under this hop's server span.
-            previous = tracer.activate(span)
+            # under this hop's server span, or the caller's covering span.
+            previous = tracer.activate(span or parent)
             try:
                 result = fn(caller, **req.params)
             finally:
                 tracer.activate(previous)
-        except ReproError as exc:
-            # Expected protocol-level failures (policy rejections, state
-            # errors, ...) travel to the caller as wire errors.
-            reply(self._error_response(req, exc))
-            return
         except Exception as exc:
-            # A handler bug is still converted to a wire error — the caller
-            # must not hang — but it is logged loudly first.
-            self.kernel.emit(self.name, "rpc.handler_error",
-                             method=req.method, request_id=req.request_id,
-                             error=f"{type(exc).__name__}: {exc}")
+            # Expected protocol-level failures (policy rejections, state
+            # errors, ...) travel to the caller as wire errors.  A handler
+            # bug does too — the caller must not hang — but it is logged
+            # loudly first.
+            if not isinstance(exc, ReproError):
+                self.kernel.emit(self.name, "rpc.handler_error",
+                                 method=req.method, request_id=req.request_id,
+                                 error=f"{type(exc).__name__}: {exc}")
             reply(self._error_response(req, exc))
             return
         if hasattr(result, "send") and hasattr(result, "throw"):
@@ -288,6 +292,10 @@ class RpcClient:
         ``ctx`` (a span or trace context) parents the call's client span,
         and the span's own context rides to the server in
         :attr:`RpcRequest.trace` — one trace covers both sides of the hop.
+        A live :class:`~repro.telemetry.Span` passed as ``ctx`` covers the
+        hop itself: no ``net.rpc.*`` span opens on either side, and the
+        call records its ``attempts`` on that span (its caller records
+        the outcome).
         """
         params = params or {}
         if timeout is None and retries is None:  # checked at construction
@@ -296,18 +304,16 @@ class RpcClient:
             timeout = self.default_timeout if timeout is None else timeout
             retries = self.default_retries if retries is None else retries
             _check_policy(timeout, retries)
-        parenting = {} if ctx is None else {"parent": ctx}
-        span = self.telemetry.tracer.start_span(
-            "net.rpc.call", method=method, dst=dst, port=port, **parenting)
+        covering = isinstance(ctx, Span) and ctx.end_time is None
+        span = ctx if covering else self.telemetry.tracer.start_span(
+            "net.rpc.call", method=method, dst=dst, port=port,
+            **({} if ctx is None else {"parent": ctx}))
         req = RpcRequest(request_id=self._request_ids(), method=method,
                          params=params, reply_port=self.reply_port,
-                         credential=credential,
-                         trace={"trace_id": span.trace_id,
-                                "span_id": span.span_id})
+                         credential=credential, trace=span.to_wire(covering))
         self._tm["calls"].inc()
         started = self.kernel.now
-        last_attempt = retries  # attempts are 0..retries inclusive
-        for attempt in range(retries + 1):
+        for attempt in range(retries + 1):  # attempts 0..retries inclusive
             evt = self.kernel.event()
             self._pending[req.request_id] = evt
             self.network.send(self.host, dst, port, req)
@@ -326,20 +332,23 @@ class RpcClient:
             self.kernel.deadline(timeout, evt, _TIMED_OUT)
             resp = yield evt
             if resp is not _TIMED_OUT:
-                latency = self.kernel.now - started
-                self._latency.observe(latency)
-                if resp.ok:
-                    span.end(ok=True, attempts=attempt + 1)
-                    return resp.value
-                self._tm["remote_errors"].inc()
-                span.end(ok=False, attempts=attempt + 1,
-                         error=resp.error_type)
-                raise RemoteException(resp.error_type, resp.error_message,
-                                      resp.error_data)
+                break
             # timed out: abandon this wait and (maybe) retransmit
             self._pending.pop(req.request_id, None)
-            if attempt == last_attempt:
-                self._tm["timeouts"].inc()
-                span.end(ok=False, attempts=attempt + 1, error="timeout")
-                raise RpcTimeout(
-                    f"{method} on {dst}:{port} after {retries + 1} attempt(s)")
+        if resp is _TIMED_OUT:
+            self._tm["timeouts"].inc()
+            error = {"error": "timeout"}
+        else:
+            self._latency.observe(self.kernel.now - started)
+            error = {} if resp.ok else {"error": resp.error_type}
+            if error:
+                self._tm["remote_errors"].inc()
+        if covering:  # the caller's span: its owner records the outcome
+            span.attrs["attempts"] = attempt + 1
+        else:
+            span.end(ok=not error, attempts=attempt + 1, **error)
+        if not error:
+            return resp.value
+        if resp is _TIMED_OUT:
+            raise RpcTimeout(f"{method} on {dst}:{port} after {retries + 1} attempt(s)")
+        raise RemoteException(resp.error_type, resp.error_message, resp.error_data)

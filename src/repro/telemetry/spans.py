@@ -3,11 +3,12 @@
 A :class:`Span` measures one operation on the *simulation* clock (the
 tracer is constructed with the clock callable, normally
 ``lambda: kernel.now``).  Spans nest through parent links and cross RPC
-hops as a two-id plain dict in ``RpcRequest.trace`` — no live objects
-cross the wire, matching the rest of the stack's serialization
-discipline.  :class:`TraceContext` is the same two ids as a value, for
-callers that want to hold a span's identity without the span; the hot
-path reads the ids straight off the parent and builds none.
+hops as a plain dict in ``RpcRequest.trace`` (:meth:`Span.to_wire`) — no
+live objects cross the wire, matching the rest of the stack's
+serialization discipline.  :class:`TraceContext` is the same two ids as
+a value, for callers that want to hold a span's identity without the
+span; the hot path reads the ids straight off the parent and builds
+none.
 
 Ids come from deterministic counters, never :mod:`uuid`, so a trace is a
 pure function of the run's seed (the repo-wide reproducibility rule).
@@ -85,9 +86,10 @@ class Span:
         self.name = name
         self.trace_id = trace_id
         self._number = number
-        #: the parent's ``N`` when its id is ``span-N``, 0 for a root, and
-        #: otherwise minus the 1-based index of ``_parent_text``, the id
-        #: itself, in the tracer's ``_foreign_ids``
+        #: the parent's ``N`` (of ``span-N``) when the parent is a span or
+        #: a wire dict, 0 for a root, and otherwise minus the 1-based index
+        #: of ``_parent_text``, the id itself, in the tracer's
+        #: ``_foreign_ids``
         self._parent_number = parent_number
         self._parent_text = parent_text
         self.start = start
@@ -108,6 +110,13 @@ class Span:
     @property
     def context(self) -> TraceContext:
         return TraceContext(trace_id=self.trace_id, span_id=self.span_id)
+
+    def to_wire(self, covered: bool) -> dict[str, Any]:
+        """This span's identity as ``RpcRequest.trace`` carries it: the
+        two ids, the span number (so the receiving tracer parses no
+        ``span-N``), and whether this span covers the hop itself."""
+        return {"trace_id": self.trace_id, "span_id": f"span-{self._number}",
+                "number": self._number, "covered": covered}
 
     @property
     def finished(self) -> bool:
@@ -184,14 +193,6 @@ def _as_dict(name, trace_id, span_id, parent_id, start, end, attrs):
 _ROW = struct.Struct("qqdd")
 
 
-def _span_number(span_id: Any) -> int:
-    """``N`` for an id ``"span-N"`` as the tracer formats it (up to 18
-    digits, so it packs as a C long long), else 0."""
-    digits = span_id[5:] if isinstance(span_id, str) else ""
-    number = int(digits) if digits.isdecimal() and len(digits) < 19 else 0
-    return number if span_id == f"span-{number}" else 0
-
-
 class SpanView(Sequence):
     """A read-only sequence of finished spans: ``len`` reads no row, and
     each item is a :class:`Span` rebuilt from its row on read (a fresh
@@ -218,13 +219,14 @@ class Tracer:
     A finished span is one row of a :class:`~repro.util.rows.Rows`
     store, in finish order: ``_ROW`` numbers (span number, ``N`` of
     ``span-N``; parent number, 0 for a root and minus the 1-based index
-    into ``_foreign_ids`` for a parent id not of the ``span-N`` form;
+    into ``_foreign_ids`` for a parent id given by a trace context or a
+    dict with no ``number``, kept whole;
     start and end as C doubles, the clock returning floats), and the
     objects name, trace id, then the ``attrs`` keys and values in key
     order.
 
     Parenting is explicit (``parent=span_or_context``) or ambient: a
-    dispatcher may :meth:`activate` a span (or a trace context) around a
+    dispatcher may :meth:`activate` a span (or a context) around a
     synchronous handler call, and any span started without an explicit
     parent inside that window becomes its child.  The ambient
     slot is only trusted across synchronous code — generator bodies that
@@ -238,13 +240,13 @@ class Tracer:
         self.on_finish: Callable[[Span], None] | None = None
         self._trace_ids = IdFactory("trace")
         self._span_numbers = itertools.count(1)
-        self._active: "Span | TraceContext | None" = None
+        self._active: "Span | TraceContext | dict | None" = None
         #: the finished spans' rows
         self._rows = Rows()
         self._foreign_ids: list[Any] = []
 
     # -- ambient context ---------------------------------------------------
-    def activate(self, ctx: "Span | TraceContext | None"):
+    def activate(self, ctx: "Span | TraceContext | dict | None"):
         """Install ``ctx`` as the ambient parent; returns the previous one.
 
         A span is held as itself (its ids never change).  Callers must
@@ -261,7 +263,9 @@ class Tracer:
 
         Omitting ``parent`` adopts the ambient active context (if any);
         passing ``parent=None`` forces a new root trace.  The ids are read
-        off the parent as they are: nothing is built to carry them.
+        off the parent as they are: nothing is built to carry them.  A
+        dict's ``number`` (:meth:`Span.to_wire`), when it has one, is
+        trusted: the RPC layer checks a wire dict's before it gets here.
         """
         if parent is _UNSET:
             parent = self._active
@@ -270,15 +274,15 @@ class Tracer:
             trace_id, parent_number = self._trace_ids(), 0
         elif isinstance(parent, Span):
             trace_id, parent_number = parent.trace_id, parent._number
-        else:  # a wire dict or a context: the number is read off the id
+        elif isinstance(parent, dict) and "number" in parent:  # Span.to_wire
+            trace_id, parent_number = parent["trace_id"], parent["number"]
+        else:  # two ids, a dict's or a context's: the id is kept whole
             if isinstance(parent, dict):
                 trace_id, parent_text = parent["trace_id"], parent["span_id"]
             else:
                 trace_id, parent_text = parent.trace_id, parent.span_id
-            parent_number = _span_number(parent_text)
-            if not parent_number:  # kept whole; the row holds its index
-                self._foreign_ids.append(parent_text)
-                parent_number = -len(self._foreign_ids)
+            self._foreign_ids.append(parent_text)  # the row holds its index
+            parent_number = -len(self._foreign_ids)
         # ``**attrs`` is already a fresh dict: the span keeps it.
         return Span(self, name, trace_id, next(self._span_numbers),
                     parent_number, parent_text, self._clock(), attrs)

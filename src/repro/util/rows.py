@@ -10,8 +10,11 @@ the packed bytes, the objects list, and an ``array`` holding each row's
 end in both.  Row ``r`` is row ``r % CHUNK_ROWS`` of chunk
 ``r // CHUNK_ROWS``, and only the last chunk is ever short.  Fixed-size
 chunks keep every buffer below glibc's 128 KiB mmap threshold however
-long the run: 512 rows of the widest span (``net.rpc.call``, 14 objects)
-with the list's ~12 % over-allocation is about 64 KiB of references.
+long the run.  A span's row holds 2 objects plus 2 per attribute: 10 for
+``coordinator.step``, the widest on the MOST hot path (where the verb
+spans cover the RPC hops), 14 for an uncovered ``net.rpc.call`` that
+failed.  512 rows of 14 with the list's ~12 % over-allocation is about
+64 KiB of references.
 """
 
 from __future__ import annotations

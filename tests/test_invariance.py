@@ -6,10 +6,17 @@ transient faults) — the grid layer affects only when things happen, never
 what is measured.  These tests pin that down, plus full-scale determinism.
 """
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.control import SimulationPlugin
 from repro.coordinator import (
     FaultTolerantFaultPolicy,
@@ -21,6 +28,7 @@ from repro.net import Network, RpcClient
 from repro.ogsi import ServiceContainer
 from repro.sim import Kernel
 from repro.structural import GroundMotion, LinearSubstructure, StructuralModel
+from test_work_budget import SPAN_TREE_SHA
 
 
 def run_with_network(latency, jitter, *, seed=0, n_steps=40):
@@ -85,3 +93,50 @@ class TestFullScaleDeterminism:
         assert first.result.steps_completed == second.result.steps_completed
         assert np.array_equal(first.result.displacement_history(),
                               second.result.displacement_history())
+
+    def test_a_run_does_not_depend_on_the_hash_seed(self):
+        """A 40-step simulation-only session and a 40-step session with
+        the public day's observers, each in a fresh interpreter under
+        ``PYTHONHASHSEED`` 0 and 1: the same history, span tree (the
+        ``SPAN_TREE_SHA`` recipe), kernel events and messages.  Set and
+        dict order over strings is the one thing that differs between
+        the two processes."""
+        src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+        runs = [json.loads(subprocess.run(
+            [sys.executable, "-c", _DIGESTS], check=True, text=True,
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+        ).stdout) for seed in ("0", "1")]
+        assert runs[0] == runs[1]
+        assert runs[0]["simulation-only"]["spans"] == SPAN_TREE_SHA
+        assert {run["steps"] for run in runs[0].values()} == {39}
+
+
+#: what one fresh interpreter prints: per session, its committed steps
+#: and the digests the hash-seed test compares
+_DIGESTS = """
+import hashlib, json
+import numpy as np
+from repro.most import ExperimentSession, MOSTConfig
+
+def digests(session):
+    outcome = session.run()
+    hub = outcome.deployment.kernel.telemetry
+    def total(name):
+        return sum(record["value"] for record in hub.metrics_snapshot()
+                   if record["name"] == name)
+    history = np.ascontiguousarray(outcome.result.displacement_history())
+    return {"steps": outcome.steps_completed,
+            "history": hashlib.sha256(history.tobytes()).hexdigest(),
+            "spans": hashlib.sha256(json.dumps(
+                [span.to_dict() for span in hub.spans()]).encode()
+            ).hexdigest(),
+            "events": total("sim.kernel.events"),
+            "messages": total("net.network.sent")}
+
+print(json.dumps({
+    "simulation-only": digests(ExperimentSession(
+        MOSTConfig().scaled(40), simulation_only=True)),
+    "observers": digests(ExperimentSession(
+        MOSTConfig().scaled(40)).with_observers())}))
+"""

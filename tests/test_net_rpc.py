@@ -1,6 +1,8 @@
 """Unit tests for the RPC layer: correlation, retries, remote errors."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.grid import Grid
 from repro.net import (
@@ -284,18 +286,44 @@ class TestBadCallPolicy:
                                         for key, value in policy.items()})
 
 
-class TestMalformedWireTrace:
-    """A request whose trace context is not a dict with string ids is
-    served under a new root trace; it once raised out of ``Kernel.run``."""
+#: a well-formed wire context (``Span.to_wire``), which each malformed
+#: case below damages in one field
+_WIRE = {"trace_id": "trace-7", "span_id": "span-3", "number": 3,
+         "covered": False}
 
-    @pytest.mark.parametrize("trace", [
-        {"bogus": 1}, "x", {"trace_id": 1, "span_id": 2},
-        {"trace_id": "t", "span_id": None}, ["trace_id", "span_id"]],
-        ids=repr)
-    def test_served_and_answered(self, trace):
+#: any value a decoded field might hold
+_VALUES = st.one_of(st.none(), st.booleans(), st.integers(),
+                    st.floats(allow_nan=True), st.text(max_size=8),
+                    st.sampled_from(["span-3", "trace-7", "span-0"]),
+                    st.lists(st.integers(), max_size=2))
+
+#: arbitrary dicts, weighted toward the wire's own keys and toward
+#: well-formed contexts damaged in a field or two
+_TRACES = st.one_of(
+    st.dictionaries(st.sampled_from(sorted(_WIRE)) | st.text(max_size=4),
+                    _VALUES, max_size=5),
+    st.fixed_dictionaries({}, optional={key: _VALUES | st.just(value)
+                                        for key, value in _WIRE.items()}),
+    st.builds(lambda number, covered: {
+        **_WIRE, "span_id": f"span-{number}", "number": number,
+        "covered": covered},
+        st.integers(1, 2 ** 63 - 1), st.booleans()))
+
+
+class TestMalformedWireTrace:
+    """A request whose trace context is not the wire's shape, or whose
+    ``number`` is not its ``span_id``'s, is served under a new root
+    trace; it once raised out of ``Kernel.run``.  A well-formed one is
+    served under the parsed parent."""
+
+    @staticmethod
+    def serve(trace):
+        """Send one raw ``ping`` carrying ``trace``; the reply and the
+        finished spans by name (the handler opens ``test.handler.op``)."""
         k, net, svc, cli = make_rpc()
         sink = k.telemetry.add_sink(InMemorySink())
-        svc.register("ping", lambda caller: "pong")
+        svc.register("ping", lambda caller: k.telemetry.start_span(
+            "test.handler.op").end() and "pong")
         replies = []
         net.host("client").bind("raw-reply", replies.append)
         net.send("client", "server", "svc", RpcRequest(
@@ -304,10 +332,57 @@ class TestMalformedWireTrace:
         k.run()
         assert [m.payload for m in replies] == [RpcResponse(
             request_id="raw-1", ok=True, value="pong")]
-        [span] = sink.spans
-        assert (span.name, span.parent_id, span.attrs["ok"]) == \
-            ("net.rpc.server", None, True)
-        assert span.trace_id.startswith("trace-")
+        spans = {span.name: span for span in sink.spans}
+        assert len(spans) == len(sink.spans)
+        return spans
+
+    @pytest.mark.parametrize("trace", [
+        {"bogus": 1}, "x", {"trace_id": 1, "span_id": 2},
+        {"trace_id": "t", "span_id": None}, ["trace_id", "span_id"],
+        {"trace_id": "trace-7", "span_id": "span-3"},
+        {**_WIRE, "number": True}, {**_WIRE, "number": -3},
+        {**_WIRE, "number": 3.0}, {**_WIRE, "number": "3"},
+        {**_WIRE, "number": 2 ** 63, "span_id": f"span-{2 ** 63}"},
+        {**_WIRE, "number": 4}, {**_WIRE, "number": 0, "span_id": "span-0"},
+        {**_WIRE, "covered": 1}, {**_WIRE, "covered": None},
+        {**_WIRE, "trace_id": None}], ids=repr)
+    def test_served_and_answered(self, trace):
+        spans = self.serve(trace)
+        server, op = spans["net.rpc.server"], spans["test.handler.op"]
+        assert (server.parent_id, server.attrs["ok"]) == (None, True)
+        assert server.trace_id.startswith("trace-")
+        assert (op.trace_id, op.parent_id) == (server.trace_id,
+                                               server.span_id)
+
+    @pytest.mark.parametrize("covered", [False, True])
+    def test_a_well_formed_context_is_the_parent(self, covered):
+        """Uncovered, the server span is the wire span's child; covered,
+        no server span opens and the handler's span is its child."""
+        spans = self.serve({**_WIRE, "covered": covered})
+        assert sorted(spans) == (["test.handler.op"] if covered else [
+            "net.rpc.server", "test.handler.op"])
+        parent = spans["test.handler.op" if covered else "net.rpc.server"]
+        assert (parent.trace_id, parent.parent_id) == ("trace-7", "span-3")
+
+    @settings(max_examples=150, deadline=None)
+    @given(trace=_TRACES)
+    def test_any_dict_is_served(self, trace):
+        """Any dict at all: answered, every span finished, and the
+        handler's span under a fresh trace or the parsed parent."""
+        spans = self.serve(trace)
+        op, server = spans.pop("test.handler.op"), spans.pop(
+            "net.rpc.server", None)
+        assert spans == {}
+        if server is None:  # covered: the handler's span is the caller's
+            assert trace["covered"] is True
+            parent = op
+        else:
+            assert (op.trace_id, op.parent_id) == (server.trace_id,
+                                                   server.span_id)
+            parent = server
+        assert (parent.trace_id, parent.parent_id) in (
+            (trace.get("trace_id"), trace.get("span_id")),
+            (parent.trace_id, None))
 
 
 class TestSameInstantTimerAndReply:

@@ -29,7 +29,7 @@ import repro
 from repro.control import SimulationPlugin, make_displacement_actions
 from repro.coordinator import SimulationCoordinator, SiteBinding
 from repro.core import NTCPClient, NTCPServer
-from repro.net import Network, RpcClient
+from repro.net import Network, RpcClient, RpcService
 from repro.ogsi import ServiceContainer
 from repro.sim import Kernel
 from repro.structural import GroundMotion, LinearSubstructure, StructuralModel
@@ -269,7 +269,9 @@ class TestTracing:
         assert TraceContext.from_dict(ctx.to_dict()) == ctx
 
     def test_propagation_across_rpc_hop(self):
-        """Client verb → RPC hop → server handler is one trace."""
+        """Client verb → server op is one trace across the wire: the
+        verb's span covers the hop, so the server's op span is its
+        direct child and no ``net.rpc.*`` span opens on either side."""
         env = make_site(SimulationPlugin(
             LinearSubstructure("s", [[100.0]], [0]), compute_time=0.05))
         hub = env.kernel.telemetry
@@ -282,20 +284,50 @@ class TestTracing:
 
         env.run(go())
         root.end()
-        tid = root.trace_id
-        by_name = {name: hub.spans(name, trace_id=tid)
-                   for name in ("core.client.propose", "net.rpc.call",
-                                "net.rpc.server", "core.server.propose",
-                                "core.server.execute")}
-        for name, found in by_name.items():
-            assert found, f"no {name} span joined trace {tid}"
-        # the chain parents correctly: client verb -> rpc call -> rpc
-        # server dispatch -> server op
-        call = by_name["net.rpc.call"][0]
-        assert call.parent_id == by_name["core.client.propose"][0].span_id
-        server = by_name["net.rpc.server"][0]
-        assert server.parent_id == call.span_id
-        assert by_name["core.server.propose"][0].parent_id == server.span_id
+        spans = {span.name: span for span in hub.spans()}
+        assert sorted(spans) == [
+            "core.client.execute", "core.client.propose",
+            "core.server.execute", "core.server.propose",
+            "test.harness.root"]
+        for verb in ("propose", "execute"):
+            client = spans[f"core.client.{verb}"]
+            server = spans[f"core.server.{verb}"]
+            assert (client.trace_id, server.trace_id) == (root.trace_id,) * 2
+            assert client.parent_id == root.span_id
+            assert server.parent_id == client.span_id
+            assert (client.attrs["attempts"], client.attrs["ok"]) == (1, True)
+
+    @pytest.mark.parametrize("ctx", [
+        None, TraceContext(trace_id="trace-9", span_id="span-99"), "ended"],
+        ids=["no ctx", "context", "finished span"])
+    def test_an_uncovered_call_keeps_both_rpc_spans(self, ctx):
+        """A call whose caller passes no live span of its own opens
+        ``net.rpc.call`` under its ``ctx`` and ``net.rpc.server`` under
+        that, and the handler's spans parent under the server span."""
+        kernel = Kernel()
+        net = Network(kernel, seed=0)
+        net.add_host("client")
+        net.add_host("server")
+        net.connect("client", "server", latency=0.05)
+        hub = kernel.telemetry
+        service = RpcService(net, "server", "svc")
+        service.register("ping", lambda caller: hub.start_span(
+            "test.handler.op").end() and "pong")
+        client = RpcClient(net, "client")
+        if ctx == "ended":
+            ctx = hub.start_span("test.harness.root").end()
+        assert kernel.run(until=kernel.process(client.call(
+            "server", "svc", "ping", ctx=ctx))) == "pong"
+        spans = {span.name: span for span in hub.spans()}
+        call, server, op = (spans[name] for name in (
+            "net.rpc.call", "net.rpc.server", "test.handler.op"))
+        assert call.parent_id == (None if ctx is None else ctx.span_id)
+        assert (server.parent_id, op.parent_id) == (call.span_id,
+                                                    server.span_id)
+        assert {call.trace_id, server.trace_id, op.trace_id} == {
+            call.trace_id}
+        assert call.attrs == {"method": "ping", "dst": "server",
+                              "port": "svc", "ok": True, "attempts": 1}
 
     def test_rpc_span_without_ctx_is_fresh_root(self):
         env = make_site(SimulationPlugin(
@@ -342,7 +374,7 @@ _FOREIGN_IDS = st.sampled_from(["span-0", "span-01", "span-", "span-x", "x",
                                 "span-" + "9" * 24, "span-\u0661", "span-+1"])
 _PARENTS = st.one_of(
     st.just(("root",)), st.just(("ambient",)),
-    st.tuples(st.sampled_from(["span", "wire"]), st.integers(0, 30)),
+    st.tuples(st.sampled_from(["span", "wire", "ids"]), st.integers(0, 30)),
     st.tuples(st.just("foreign"), _FOREIGN_IDS),
     st.tuples(st.just("foreign"), st.text(max_size=8)))
 _SPAN_PROGRAMS = st.lists(st.one_of(
@@ -356,8 +388,8 @@ _SPAN_PROGRAMS = st.lists(st.one_of(
 
 def _run_span_program(program):
     """Run ``program`` on a hub with an :class:`InMemorySink`: roots,
-    parents given as spans, wire dicts (of live or foreign ids) or the
-    ambient slot, ``with`` blocks that raise, ``end(**attrs)`` and double
+    parents given as spans, wire dicts (``Span.to_wire``), dicts of two
+    ids (live or foreign) or the ambient slot, ``with`` blocks that raise, ``end(**attrs)`` and double
     ``end``.  Returns the hub, the sink, every span started and the
     parent id each was given."""
     now = [0.0]
@@ -377,8 +409,10 @@ def _run_span_program(program):
             return {"parent": None}
         span = opened[choice[1] % len(opened)]
         given.append(span.span_id)
-        return {"parent": span if choice[0] == "span" else
-                {"trace_id": span.trace_id, "span_id": span.span_id}}
+        return {"parent": {
+            "span": span, "wire": span.to_wire(False),
+            "ids": {"trace_id": span.trace_id, "span_id": span.span_id},
+        }[choice[0]]}
 
     for op, *args in program:
         if op == "start":
