@@ -23,13 +23,14 @@ from repro.viz import scatter_plot, sparkline
 def build_lab():
     grid = Grid.star(hub="office")
     specimens = {}
-    for name, k in (("east-rig", 2.0e6), ("west-rig", 1.6e6)):
+    # a fixed noise seed per rig: the same plot and energy on every run
+    for name, k, seed in (("east-rig", 2.0e6, 502), ("west-rig", 1.6e6, 424)):
         spec = PhysicalSpecimen(
             name, BilinearSpring(k=k, fy=3.0e4, alpha=0.08),
             actuator=Actuator(min_settle=1.0, max_stroke=0.05,
                               tracking_std=1e-6),
             lvdt=Sensor(noise_std=1e-6), load_cell=Sensor(noise_std=20.0),
-            seed=hash(name) % 1000)
+            seed=seed)
         specimens[name] = spec
         policy = SitePolicy().limit("set-displacement", "value",
                                     minimum=-0.05, maximum=0.05)

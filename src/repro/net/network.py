@@ -36,12 +36,19 @@ class Message(NamedTuple):
 
 
 class Host:
-    """A named endpoint that binds port handlers."""
+    """A named endpoint that binds port handlers.
+
+    A datagram for several sinks on one host is one datagram: it is
+    addressed to a fan-out port (:meth:`fanout`) whose handler hands it
+    to each member port's handler in order, in one kernel entry.
+    """
 
     def __init__(self, name: str, network: "Network"):
         self.name = name
         self.network = network
         self._handlers: dict[str, Callable[[Message], None]] = {}
+        # member ports -> the fan-out port bound for them
+        self._fanouts: dict[tuple[str, ...], str] = {}
         self.up = True
 
     def bind(self, port: str, handler: Callable[[Message], None]) -> None:
@@ -49,6 +56,25 @@ class Host:
         if port in self._handlers:
             raise ConfigurationError(f"port {port!r} already bound on {self.name}")
         self._handlers[port] = handler
+
+    def fanout(self, ports: tuple[str, ...]) -> str:
+        """The port, ``fanout-<n>``, whose datagrams reach each of
+        ``ports`` in that order; bound on first use and numbered per
+        host in creation order.  A member with no listener is counted
+        and logged as an unheard datagram would be."""
+        port = self._fanouts.get(ports)
+        if port is None:
+            def deliver_each(msg: Message) -> None:
+                for member in ports:
+                    handler = self._handlers.get(member)
+                    if handler is None:
+                        self.network._unheard(msg._replace(port=member))
+                    else:
+                        handler(msg)
+
+            port = self._fanouts[ports] = f"fanout-{len(self._fanouts) + 1}"
+            self.bind(port, deliver_each)
+        return port
 
     def deliver(self, msg: Message) -> bool:
         """Deliver a message to the bound handler; False if no listener."""
@@ -246,8 +272,11 @@ class Network:
     def _arrive(self, msg: Message) -> None:
         host = self.hosts.get(msg.dst)
         if host is None or not host.deliver(msg):
-            self._count("no_listener")
-            self.kernel.emit("net", "msg.no_listener", msg_id=msg.msg_id,
-                             dst=msg.dst, port=msg.port)
+            self._unheard(msg)
             return
         self._delivered.inc()
+
+    def _unheard(self, msg: Message) -> None:
+        self._count("no_listener")
+        self.kernel.emit("net", "msg.no_listener", msg_id=msg.msg_id,
+                         dst=msg.dst, port=msg.port)

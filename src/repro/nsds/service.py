@@ -23,8 +23,11 @@ class NSDSService(GridService):
     Deployment wires :meth:`ingest` to a :class:`~repro.daq.DAQSystem` live
     tap (``daq.on_sample(nsds.ingest)``).  Each channel keeps a bounded ring
     buffer for late-joining pollers; every sample is pushed immediately to
-    matching subscribers as a datagram (ideally over a non-FIFO link —
-    ordering is the receiver's problem, as with real streaming transports).
+    matching subscribers as one wire payload, which reaches each sink host
+    as one datagram however many of the subscribers are there (see
+    :meth:`~repro.ogsi.notification.SubscriptionTable.publish`; ideally
+    over a non-FIFO link — ordering is the receiver's problem, as with
+    real streaming transports).
 
     Operations: ``subscribe``, ``unsubscribe``, ``listChannels``,
     ``getLatest``, ``drain`` (polling access for viewers that prefer pull).
@@ -52,8 +55,8 @@ class NSDSService(GridService):
 
     @property
     def pushed(self) -> int:
-        """Datagrams pushed to subscribers (``nsds.stream.pushed``; 0
-        before the service is deployed)."""
+        """Samples pushed, one per subscriber reached
+        (``nsds.stream.pushed``; 0 before the service is deployed)."""
         return self._tm_pushed.value if self._tm_pushed is not None else 0
 
     # -- ingest (local, called by the DAQ tap) -------------------------------
@@ -73,8 +76,8 @@ class NSDSService(GridService):
             self._push(sample)
 
     def _push(self, sample: StreamSample) -> None:
-        # One payload for every subscriber's datagram: the receivers
-        # only read it.
+        # One payload for every subscriber, so the subscribers on one
+        # host share a datagram: the receivers only read it.
         payload = {"stream": self.service_id, **_wire(sample)}
         self._tm_pushed.inc(self.subscribers.publish(
             sample.channel, lambda _sub_id: payload))

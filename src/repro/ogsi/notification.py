@@ -118,20 +118,39 @@ class SubscriptionTable:
     def publish(self, topic: str | None,
                 make_payload: Callable[[str], Any]) -> int:
         """Send ``make_payload(sub_id)`` to every live subscriber of
-        ``topic``; returns the datagrams sent."""
+        ``topic``; returns the subscribers reached.
+
+        Consecutive subscribers on one sink host that are handed the same
+        payload object get one datagram, addressed to the host's fan-out
+        port for their sink ports (:meth:`~repro.net.network.Host.fanout`):
+        each handler still runs at the same instant, in the same order and
+        with the same payload as under a datagram each, but the run pays
+        for one message, one drop-filter verdict, one loss draw and one
+        delay.  A payload built per subscriber is never merged."""
         now = self.network.kernel.now
-        sent, lapsed = 0, False
+        lapsed, reached = False, 0
+        # (sink host, payload, sink ports) per datagram, in send order
+        runs: list[tuple[str, Any, list[str]]] = []
+        run_host = run_payload = ports = None
         for sub_id, (topics, sink_host, sink_port, _, expires) in \
                 self._subs.items():
             if expires <= now:
                 lapsed = True
             elif topics is None or topic in topics:
-                self.network.send(self.host, sink_host, sink_port,
-                                  make_payload(sub_id))
-                sent += 1
+                payload = make_payload(sub_id)
+                if payload is not run_payload or sink_host != run_host:
+                    run_host, run_payload, ports = sink_host, payload, []
+                    runs.append((sink_host, payload, ports))
+                ports.append(sink_port)
+                reached += 1
+        hosts = self.network.hosts
+        for sink_host, payload, (sink_port, *more) in runs:
+            if more and sink_host in hosts:
+                sink_port = hosts[sink_host].fanout((sink_port, *more))
+            self.network.send(self.host, sink_host, sink_port, payload)
         if lapsed:
             self._free_lapsed()
-        return sent
+        return reached
 
     def clear(self) -> None:
         """The owner is destroyed: every entry goes."""

@@ -6,6 +6,7 @@ transient faults) — the grid layer affects only when things happen, never
 what is measured.  These tests pin that down, plus full-scale determinism.
 """
 
+import ast
 import json
 import os
 import pathlib
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from conftest import walk
 from repro.control import SimulationPlugin
 from repro.coordinator import (
     FaultTolerantFaultPolicy,
@@ -110,6 +112,20 @@ class TestFullScaleDeterminism:
         assert runs[0] == runs[1]
         assert runs[0]["simulation-only"]["spans"] == SPAN_TREE_SHA
         assert {run["steps"] for run in runs[0].values()} == {39}
+
+    def test_nothing_derives_a_value_from_the_builtin_hash(self):
+        """``hash()`` of a string changes with ``PYTHONHASHSEED``, so a
+        seed or an order taken from it differs between two runs of the
+        same program: nothing in the library, the examples, the
+        benchmarks or the scripts calls it."""
+        calls = [f"{path}:{node.lineno}"
+                 for _, path, tree in walk("src", "examples", "benchmarks",
+                                           "scripts")
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name)
+                 and node.func.id == "hash"]
+        assert calls == []
 
 
 #: what one fresh interpreter prints: per session, its committed steps

@@ -113,6 +113,13 @@ SPANS_PER_STEP_BUDGET = 17.1
 #: moves a count re-pins it here and rewrites the row.
 MOST_BARE_PER_STEP = {"entries": 52.27, "messages": 12.01}
 
+#: the same two figures for the run with the data plane
+#: (``with_observers()``: DAQ, NSDS to the viewers, CHEF, ingest), T-WALL
+#: ``most_full``'s, which the T-WALL row quotes too: 107.59 / 48.06 when
+#: each NSDS viewer on ``portal`` got a datagram of its own, 80.93 / 21.40
+#: measured with one datagram per push to that host.
+MOST_FULL_PER_STEP = {"entries": 80.93, "messages": 21.40}
+
 #: bytes a 300-step simulation-only run keeps per finished span, by
 #: tracemalloc: 375 when the tracer kept each ``Span`` object with its
 #: ``attrs`` dict and its id string; 136.7 measured as a row (Python
@@ -124,8 +131,10 @@ BYTES_PER_SPAN_BUDGET = 180
 #: simulation-only run keep per committed step, by tracemalloc: 4,780
 #: when each terminal transaction was kept as a ``Transaction`` with its
 #: ``Proposal``, ``Action``s, ``ExecutionOutcome`` and readings dicts
-#: (4,860); 562 measured as rows (Python 3.11.7)
-NTCP_BYTES_PER_STEP_BUDGET = 1500
+#: (4,860); 793.9 measured as rows by the ``traced_store`` fixture below
+#: (the bytes freed when the tables are emptied, over 299 committed steps;
+#: 793.6 to 794.1 in a fresh interpreter, Python 3.11.7)
+NTCP_BYTES_PER_STEP_BUDGET = 1100
 
 #: glibc's default ``M_MMAP_THRESHOLD``: a block this large or larger is
 #: served by ``mmap`` until a free raises the threshold
@@ -311,24 +320,42 @@ def traced_store():
     return outcome, tracer, spans, large, freed, ntcp
 
 
-def test_the_full_record_costs_its_pinned_work_per_step():
-    """The T-WALL ``most_bare`` run (motion seed 2003, network seed 730)
-    counted as the runner counts it: metric totals and finished spans
-    over committed steps."""
-    outcome = ExperimentSession(MOSTConfig(motion_seed=2003,
-                                           network_seed=730),
-                                simulation_only=True).run()
-    hub = outcome.deployment.kernel.telemetry
+def _work_per_step(outcome) -> dict[str, float]:
+    """Kernel entries and messages per committed step, to two decimals,
+    as the T-WALL runner counts them: metric totals over committed
+    steps."""
+    snapshot = outcome.deployment.kernel.telemetry.metrics_snapshot()
 
     def per_step(name):
-        return round(sum(record["value"] for record in hub.metrics_snapshot()
+        return round(sum(record["value"] for record in snapshot
                          if record["name"] == name)
                      / outcome.steps_completed, 2)
 
+    return {"entries": per_step("sim.kernel.events"),
+            "messages": per_step("net.network.sent")}
+
+
+def test_the_full_record_costs_its_pinned_work_per_step():
+    """The T-WALL ``most_bare`` run (motion seed 2003, network seed 730)
+    counted as the runner counts it, and its finished spans per
+    committed step."""
+    outcome = ExperimentSession(MOSTConfig(motion_seed=2003,
+                                           network_seed=730),
+                                simulation_only=True).run()
     assert outcome.steps_completed == 1499
-    assert {"entries": per_step("sim.kernel.events"),
-            "messages": per_step("net.network.sent")} == MOST_BARE_PER_STEP
-    assert len(hub.spans()) / outcome.steps_completed <= SPANS_PER_STEP_BUDGET
+    assert _work_per_step(outcome) == MOST_BARE_PER_STEP
+    assert (len(outcome.deployment.kernel.telemetry.spans())
+            / outcome.steps_completed <= SPANS_PER_STEP_BUDGET)
+
+
+def test_the_data_plane_costs_its_pinned_work_per_step():
+    """The T-WALL ``most_full`` run, the same inputs with the data plane,
+    counted the same way."""
+    outcome = ExperimentSession(MOSTConfig(motion_seed=2003,
+                                           network_seed=730)
+                                ).with_observers().run()
+    assert outcome.steps_completed == 1499
+    assert _work_per_step(outcome) == MOST_FULL_PER_STEP
 
 
 def test_a_finished_span_is_kept_in_few_bytes(traced_store):
